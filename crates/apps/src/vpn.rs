@@ -52,9 +52,9 @@ pub struct TunnelGateway {
 }
 
 fn encapsulate(flow_id: u32, segment: &TcpSegment) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + segment.wire_len());
-    out.extend_from_slice(&flow_id.to_be_bytes());
-    out.extend_from_slice(&segment.encode());
+    let mut out = vec![0u8; 4 + segment.wire_len()];
+    out[..4].copy_from_slice(&flow_id.to_be_bytes());
+    segment.encode_into(&mut out[4..]);
     out
 }
 
@@ -63,7 +63,8 @@ fn decapsulate(datagram: &[u8]) -> Option<(u32, TcpSegment)> {
         return None;
     }
     let flow_id = u32::from_be_bytes([datagram[0], datagram[1], datagram[2], datagram[3]]);
-    TcpSegment::decode(&datagram[4..]).map(|seg| (flow_id, seg))
+    // The datagram is an owned `Vec`; the segment keeps its own copy.
+    TcpSegment::decode(&datagram[4..].into()).map(|seg| (flow_id, seg))
 }
 
 /// Configuration for inner (tunneled) TCP connections: a slightly smaller MSS

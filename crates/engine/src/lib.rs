@@ -10,15 +10,16 @@
 //! * [`TimerWheel`] — a hierarchical timer wheel (six 64-slot levels at
 //!   microsecond resolution, occupancy bitmaps, lazy cancellation) replacing
 //!   the `O(flows)` every-socket timer scan with `O(1)` re-arming.
-//! * [`BufferPool`] — a recycling byte-buffer pool that keeps per-flow
-//!   payload staging off the allocator and reports **allocs/flow**.
+//! * [`BufferPool`] — a recycling byte-buffer pool with **allocs/flow**
+//!   accounting, from which [`LoadScenario`] takes each flow's stream buffer.
 //! * [`Engine`] — the event loop: batched packet dispatch from the simulated
 //!   network ([`minion_simnet::World::drain_due_into`]), per-socket
 //!   demultiplexing ([`minion_stack::Host::on_packet_demux`]), readiness
 //!   events ([`minion_tcp::ConnEvent`]) instead of lockstep sweeps, and
 //!   wheel-driven timers.
 //! * [`LoadScenario`] — N concurrent flows over one shared link, asserting
-//!   exactly-once delivery and per-stream order per flow; [`verify_load`]
+//!   exactly-once delivery (every delivered chunk compared in place with
+//!   the sent stream) and per-stream order per flow; [`verify_load`]
 //!   adds the two-run byte-identical-metrics determinism gate. The 1024-flow
 //!   acceptance scenario is [`LoadScenario::smoke_1k`], and
 //!   `cargo run --release -p minion-bench --bin load_engine` emits its
@@ -37,7 +38,7 @@ pub mod transport;
 pub mod wheel;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use metrics::{fnv1a, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
+pub use metrics::{fnv1a, fnv1a_words, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 pub use obs::{LoadObs, TraceFilter, LOAD_COUNTER_NAMES, LOAD_GAUGE_NAMES};
 pub use pool::{BufferPool, PoolStats};
 pub use runtime::{Engine, EngineHostId, FlowId, ENGINE_PHASES};

@@ -10,11 +10,11 @@ use crate::obs::LoadObs;
 use crate::pool::PoolStats;
 use minion_obs::{Absorb, NonDeterministic, PhaseProfile};
 
-// The single canonical fingerprint function (the determinism gates compare
+// The single canonical fingerprint functions (the determinism gates compare
 // these values across crates, so there must be exactly one definition — it
 // lives in `minion_simnet::hash`, below every consumer; re-exported here
 // under the names the engine's consumers have always used).
-pub use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
+pub use minion_simnet::{fnv1a, fnv1a_words, FNV_OFFSET_BASIS};
 
 /// Aggregate runtime counters kept by [`crate::Engine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -75,7 +75,11 @@ pub struct FlowMetrics {
     pub rto_fires: u64,
     /// Virtual time (µs) at which the flow's stream was complete.
     pub completion_us: u64,
-    /// Order-sensitive FNV-1a fingerprint of the reassembled stream.
+    /// Order-sensitive fingerprint of the delivered stream:
+    /// [`fnv1a_words`] from [`FNV_OFFSET_BASIS`] — the FNV-1a step over 8
+    /// bytes at a time, byte-wise tail — over the whole stream. Comparable
+    /// between runs (what the determinism gates do), not with a byte-serial
+    /// FNV-1a of the same bytes.
     pub fingerprint: u64,
 }
 
@@ -101,10 +105,11 @@ pub struct LoadReport {
     /// Dispatched events per virtual second.
     pub events_per_sim_sec: u64,
     /// [`crate::BufferPool`] allocations per thousand flows (integer, ×1000
-    /// so the report stays `Eq`-comparable). This measures the pool's
-    /// effectiveness at keeping payload staging off the allocator — near
-    /// zero when recycling works — not a whole-process allocation count
-    /// (segment vectors and delivered chunks are outside it).
+    /// so the report stays `Eq`-comparable). Every flow's stream buffer is
+    /// checked out for the whole run (delivered chunks are verified against
+    /// it in place), so this reads 1000 — one buffer per flow; it is not a
+    /// whole-process allocation count (`tests/alloc_budget.rs` and the
+    /// benchmark's `alloc.*` rows are).
     pub allocs_per_flow_milli: u64,
     /// Engine runtime counters, snapshotted at the end of the load phase
     /// (the FIN/TIME-WAIT close-out is excluded so rates describe the load).

@@ -67,7 +67,9 @@ pub struct LoadObs {
     /// RTO wait: how long each fired retransmission timer was armed
     /// (arm → fire, nanoseconds) — the realized timeout, including backoff.
     pub rto_wait: Histogram,
-    /// Buffer-pool dwell of send-stream buffers (take → give), nanoseconds.
+    /// Staging dwell of send-stream buffers: from the stream being taken
+    /// from the pool at connect until the transport has accepted its last
+    /// byte (0 when the whole stream fits the send buffer), nanoseconds.
     pub pool_dwell: Histogram,
     /// Event counters over [`LOAD_COUNTER_NAMES`].
     pub counters: CounterSet,

@@ -1,10 +1,10 @@
 //! A shared buffer pool for per-flow payload staging.
 //!
-//! Driving a thousand flows allocates furiously if every record build, read
-//! chunk, and reassembly step takes a fresh `Vec`: the allocator becomes the
-//! hot path. The pool recycles byte buffers instead, and counts what it does
-//! so the load harness can report **allocs/flow** — the metric the bench
-//! trajectory tracks (`BENCH_engine.json`).
+//! The pool recycles byte buffers and counts what it does, so the load
+//! harness can report **allocs/flow** (`BENCH_engine.json`). The load
+//! scenario takes one buffer per flow — the flow's stream — and holds it for
+//! the whole run, because delivered chunks are verified against it in place:
+//! a run's pool therefore reads one allocation per flow and no reuse.
 //!
 //! Deliberately simple: single-threaded (the whole simulator is), LIFO free
 //! list (the most recently returned buffer is the warmest), bounded retention

@@ -214,11 +214,17 @@ impl Engine {
     // Flow convenience API (marks readiness so drivers cannot forget)
     // ------------------------------------------------------------------
 
-    /// Write application data on a flow.
+    /// Write application data on a flow. As a socket does, this accepts the
+    /// prefix of `data` that fits the send buffer and returns its length
+    /// (0 when the buffer is full); [`ConnEvent::Writable`] reports when an
+    /// acknowledgment has made room again.
     pub fn flow_write(&mut self, flow: FlowId, data: &[u8]) -> Result<usize, HostError> {
         let slot = &self.flows[flow.index()];
         let (host, handle) = (slot.host, slot.handle);
-        let n = self.hosts[host].tcp_write(handle, data)?;
+        let fits = data
+            .len()
+            .min(self.hosts[host].tcp_send_buffer_free(handle)?);
+        let n = self.hosts[host].tcp_write(handle, &data[..fits])?;
         self.mark_ready(flow);
         Ok(n)
     }
@@ -284,9 +290,10 @@ impl Engine {
     }
 
     /// Drain the connection edges observed since the last call, in
-    /// deterministic dispatch order.
-    pub fn take_events(&mut self) -> Vec<(FlowId, ConnEvent)> {
-        std::mem::take(&mut self.events_out)
+    /// deterministic dispatch order. Dropping the iterator discards whatever
+    /// it has not yielded.
+    pub fn take_events(&mut self) -> impl Iterator<Item = (FlowId, ConnEvent)> + '_ {
+        self.events_out.drain(..)
     }
 
     /// Drain the flows auto-registered from accepted connections since the
@@ -342,12 +349,10 @@ impl Engine {
                 continue;
             }
             self.metrics.flow_polls += 1;
-            for ev in self.hosts[host]
+            let events = self.hosts[host]
                 .tcp_take_events(handle)
-                .expect("flow handle is valid")
-            {
-                self.events_out.push((flow, ev));
-            }
+                .expect("flow handle is valid");
+            self.events_out.extend(events.map(|ev| (flow, ev)));
             match self.hosts[host]
                 .next_timer_of(handle)
                 .expect("flow handle is valid")
@@ -504,8 +509,7 @@ mod tests {
         let accepted = e.take_accepted();
         assert_eq!(accepted.len(), 1);
         let sf = accepted[0];
-        let events = e.take_events();
-        assert!(events.contains(&(cf, ConnEvent::Established)));
+        assert!(e.take_events().any(|ev| ev == (cf, ConnEvent::Established)));
 
         e.flow_write(cf, b"hello engine").unwrap();
         e.run_for(SimDuration::from_millis(500));
@@ -513,8 +517,7 @@ mod tests {
         assert_eq!(chunk.data.as_ref(), b"hello engine");
         assert!(e
             .take_events()
-            .iter()
-            .any(|&(f, ev)| f == sf && ev == ConnEvent::Readable));
+            .any(|(f, ev)| f == sf && ev == ConnEvent::Readable));
 
         e.flow_close(cf);
         e.flow_close(sf);
@@ -522,6 +525,41 @@ mod tests {
         assert!(e.flow_readiness(cf).closed);
         assert!(e.metrics().packets_delivered > 0);
         assert!(e.metrics().flow_polls > 0);
+    }
+
+    #[test]
+    fn flow_write_accepts_the_prefix_that_fits_and_signals_writable() {
+        let (mut e, a, b) = two_hosts(5);
+        e.host_mut(b)
+            .tcp_listen(80, TcpConfig::default(), SocketOptions::standard())
+            .unwrap();
+        e.set_auto_register(b, true);
+        let now = e.now();
+        let addr = SocketAddr::new(e.node_of(b), 80);
+        let ch =
+            e.host_mut(a)
+                .tcp_connect(addr, TcpConfig::default(), SocketOptions::standard(), now);
+        let cf = e.register_flow(a, ch);
+        let capacity = e.host(a).tcp_send_buffer_free(ch).unwrap();
+
+        // A write that fits is taken whole and never raises a writable edge.
+        assert_eq!(e.flow_write(cf, &[1u8; 1000]).unwrap(), 1000);
+        e.run_for(SimDuration::from_millis(500));
+        assert!(!e.take_events().any(|ev| ev == (cf, ConnEvent::Writable)));
+
+        // A write past the buffer is taken up to the brim; a full buffer
+        // takes nothing (and does not fail).
+        let big = vec![2u8; capacity + 5000];
+        assert_eq!(e.flow_write(cf, &big).unwrap(), capacity);
+        assert_eq!(e.flow_write(cf, &big[capacity..]).unwrap(), 0);
+        // The first acknowledgment that frees space says so, once.
+        e.run_for(SimDuration::from_millis(500));
+        let writable = e
+            .take_events()
+            .filter(|&ev| ev == (cf, ConnEvent::Writable))
+            .count();
+        assert_eq!(writable, 1);
+        assert_eq!(e.flow_write(cf, &big[capacity..]).unwrap(), 5000);
     }
 
     #[test]
@@ -573,7 +611,6 @@ mod tests {
         assert!(e.metrics().timer_fires >= 2);
         assert!(e
             .take_events()
-            .iter()
-            .any(|&(f, ev)| f == cf && matches!(ev, ConnEvent::RtoFired { .. })));
+            .any(|(f, ev)| f == cf && matches!(ev, ConnEvent::RtoFired { .. })));
     }
 }

@@ -6,8 +6,10 @@
 //! by readiness events and the timer wheel. Each flow sends a deterministic
 //! sequence of framed records; the run asserts, per flow:
 //!
-//! * **exactly-once delivery** — the reassembled stream equals the sent
-//!   stream byte for byte (no loss, duplication, or corruption survives);
+//! * **exactly-once delivery** — every delivered chunk equals the sent
+//!   stream at its offset byte for byte, and the chunks cover the stream
+//!   completely (no loss or corruption survives; a duplicate is harmless
+//!   only if it, too, is identical);
 //! * **per-stream order** — record framing reassembles in send order;
 //! * **in-order-only for standard receivers** — a non-uTCP receiver never
 //!   sees an out-of-order chunk.
@@ -26,7 +28,7 @@
 //! report is byte-identical at any `threads` value; threads only decide how
 //! many shards run concurrently.
 
-use crate::metrics::{fnv1a, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
+use crate::metrics::{EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
@@ -34,14 +36,12 @@ use crate::obs::{
 use crate::pool::{BufferPool, PoolStats};
 use crate::runtime::FlowId;
 use crate::transport::{SimTransport, Transport};
-use bytes::Bytes;
 use minion_exec::Executor;
 use minion_obs::{
     merge_stream_files, shard_trailer_json, Absorb, FilteredSink, KindSet, NonDeterministic,
     PhaseProfile, StreamSink, Tee, TraceEvent, TraceKind, TracePredicate, TraceRing, TraceSink,
 };
-use minion_simnet::LossConfig;
-use minion_simnet::{SimDuration, SimTime};
+use minion_simnet::{fnv1a_words, LossConfig, SimDuration, SimTime};
 use minion_tcp::{CcAlgorithm, ConnEvent};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -212,13 +212,6 @@ impl LoadScenario {
         }
     }
 
-    /// Total payload bytes one flow sends (`flow` is the **global** index).
-    fn stream_len(&self, flow: usize) -> u64 {
-        (0..self.records_per_flow)
-            .map(|rec| 12 + self.record_payload_len(flow, rec) as u64)
-            .sum()
-    }
-
     /// Payload length of one record (varies deterministically around the
     /// nominal size so flows and records are tellable apart; `flow` is the
     /// **global** index, so shard streams match the unsharded scenario's).
@@ -241,15 +234,25 @@ impl LoadScenario {
 
     /// Append flow `flow`'s whole framed stream to `out`: each record is a
     /// 12-byte header (flow, record index, payload length — all `u32` BE)
-    /// followed by a position-dependent payload. `flow` is the **global**
-    /// flow index ([`LoadScenario::first_flow`] + local index).
+    /// followed by a position-dependent payload, byte `j` of which is
+    /// `(flow·197 + rec·131 + j·31) mod 251`. `flow` is the **global** flow
+    /// index ([`LoadScenario::first_flow`] + local index).
     pub fn build_stream(&self, flow: usize, out: &mut Vec<u8>) {
+        /// 31 and 251 are coprime, so a payload repeats every 251 bytes.
+        const PERIOD: usize = 251;
         for rec in 0..self.records_per_flow {
             let len = self.record_payload_len(flow, rec);
             out.extend_from_slice(&(flow as u32).to_be_bytes());
             out.extend_from_slice(&(rec as u32).to_be_bytes());
             out.extend_from_slice(&(len as u32).to_be_bytes());
-            out.extend((0..len).map(|j| ((flow * 197 + rec * 131 + j * 31) % 251) as u8));
+            // One period computed, the rest copied from it in doubling runs.
+            let start = out.len();
+            let base = flow * 197 + rec * 131;
+            out.extend((0..len.min(PERIOD)).map(|j| ((base + j * 31) % PERIOD) as u8));
+            while out.len() - start < len {
+                let have = out.len() - start;
+                out.extend_from_within(start..start + have.min(len - have));
+            }
         }
     }
 
@@ -276,7 +279,10 @@ impl LoadScenario {
             "sim" => self.label(),
             backend => format!("{}/{}", self.label(), backend),
         };
-        let mut pool = BufferPool::new(self.record_len * self.records_per_flow + 64, 8);
+        // Fresh buffers come empty: each flow reserves its exact stream
+        // length below, so a stream costs one allocation, not a nominal one
+        // plus a regrow (the nominal size ignores the record headers).
+        let mut pool = BufferPool::new(0, 8);
         let mut obs = LoadObs::default();
 
         // The trace pipeline: every lifecycle event is offered to one
@@ -298,12 +304,12 @@ impl LoadScenario {
         );
 
         // Open every flow and offer its whole stream. A transport may accept
-        // only a prefix (or nothing, while the connect is in flight): the
-        // remainder stays staged per flow and is flushed on writable edges.
-        // The sim transport always accepts whole streams here, exactly as
-        // the pre-trait driver did.
+        // only a prefix (a stream longer than the send buffer; or nothing,
+        // while an OS connect is in flight): the flow keeps a cursor and the
+        // remainder is flushed on writable edges. The stream itself stays
+        // with the flow for the whole run — it is what every delivered chunk
+        // is compared against.
         let mut states: Vec<FlowState> = Vec::with_capacity(self.flows);
-        let mut sends: Vec<Option<SendState>> = Vec::with_capacity(self.flows);
         for flow in 0..self.flows {
             let global_flow = self.first_flow + flow;
             let (id, pair_key) = transport.connect();
@@ -314,27 +320,24 @@ impl LoadScenario {
                 seq: 0,
                 kind: TraceKind::Syn,
             });
+            let bounds = self.record_bounds(global_flow);
+            let stream_len = bounds.last().map_or(0, |&(_, end)| end as usize);
             let mut stream = pool.take();
+            stream.reserve_exact(stream_len);
             self.build_stream(global_flow, &mut stream);
-            let expected_len = stream.len() as u64;
-            assert_eq!(expected_len, self.stream_len(global_flow));
-            let written = transport.write(id, &stream);
-            let mut state = FlowState::new(id, expected_len, self.record_bounds(global_flow));
-            state.pair_key = pair_key;
-            let enqueued = state.mark_enqueued(written as u64, now_ns);
+            assert_eq!(
+                stream.len(),
+                stream_len,
+                "[{label}] flow {flow}: stream and record bounds disagree"
+            );
+            let mut state = FlowState::new(id, pair_key, stream, now_ns, bounds);
+            state.sent = transport.write(id, &state.stream);
+            let enqueued = state.mark_enqueued(now_ns);
             obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
-            states.push(state);
-            if written as u64 == expected_len {
+            if state.sent == state.stream.len() {
                 obs.pool_dwell.record(0);
-                pool.give(stream);
-                sends.push(None);
-            } else {
-                sends.push(Some(SendState {
-                    stream,
-                    cursor: written,
-                    taken_ns: now_ns,
-                }));
             }
+            states.push(state);
         }
         // Pairing key for accepted server flows: the client's ephemeral port.
         let mut flow_of_key: BTreeMap<u64, usize> = BTreeMap::new();
@@ -399,7 +402,7 @@ impl LoadScenario {
                         });
                         state.rtx_seq += 1;
                     }
-                    ConnEvent::Established => state.rebase_enqueue(now_ns),
+                    ConnEvent::Established => state.enqueue_floor_ns = now_ns,
                     _ => {}
                 }
             }
@@ -407,23 +410,23 @@ impl LoadScenario {
                 let Some(&flow) = client_flow_of.get(&f) else {
                     continue;
                 };
-                let Some(send) = &mut sends[flow] else {
+                let state = &mut states[flow];
+                if state.sent == state.stream.len() {
                     continue;
-                };
-                while send.cursor < send.stream.len() {
-                    let n = transport.write(f, &send.stream[send.cursor..]);
+                }
+                while state.sent < state.stream.len() {
+                    let n = transport.write(f, &state.stream[state.sent..]);
                     if n == 0 {
                         break;
                     }
-                    send.cursor += n;
+                    state.sent += n;
                 }
                 let now_ns = ns_of(transport.now());
-                let enqueued = states[flow].mark_enqueued(send.cursor as u64, now_ns);
+                let enqueued = state.mark_enqueued(now_ns);
                 obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
-                if send.cursor == send.stream.len() {
-                    let done = sends[flow].take().expect("send state present");
-                    obs.pool_dwell.record(now_ns.saturating_sub(done.taken_ns));
-                    pool.give(done.stream);
+                if state.sent == state.stream.len() {
+                    obs.pool_dwell
+                        .record(now_ns.saturating_sub(state.staged_ns));
                 }
             }
             for f in transport.take_readable() {
@@ -448,27 +451,32 @@ impl LoadScenario {
                             kind: TraceKind::FirstByte,
                         });
                     }
-                    state.accept_chunk(chunk.offset, chunk.data);
+                    // Checked against the sent bytes here, in place, and then
+                    // dropped: nothing is kept for a later reassembly.
+                    let (covered_from, covered_to) = state
+                        .accept_chunk(chunk.offset, &chunk.data)
+                        .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
                     obs.gauges
                         .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
                     // Records whose full byte range just became covered are
                     // *delivered*: stamp their delay. uTCP receivers complete
                     // later records while earlier holes persist; ordered TCP
                     // cannot — that asymmetry is the paper's figure of merit.
-                    for rec in 0..state.records.len() {
-                        let (start, end) = {
-                            let r = &state.records[rec];
-                            if r.delivered {
-                                continue;
-                            }
-                            (r.start, r.end)
-                        };
-                        if !state.covered_contains(start, end) {
+                    // Only records the chunk touches can have completed, and
+                    // they complete iff the coverage run it joined holds them.
+                    let chunk_end = chunk.offset + chunk.data.len() as u64;
+                    let first = state.records.partition_point(|r| r.end <= chunk.offset);
+                    for rec in first..state.records.len() {
+                        let r = &mut state.records[rec];
+                        if r.start >= chunk_end {
+                            break;
+                        }
+                        if r.delivered || r.start < covered_from || covered_to < r.end {
                             continue;
                         }
-                        let r = &mut state.records[rec];
                         r.delivered = true;
-                        let delay_ns = now_ns.saturating_sub(r.enqueue_ns);
+                        let enqueue_ns = r.enqueue_ns.max(state.enqueue_floor_ns);
+                        let delay_ns = now_ns.saturating_sub(enqueue_ns);
                         obs.delivery_delay.record(delay_ns);
                         obs.flow_delay
                             .record((self.first_flow + flow) as u32, delay_ns);
@@ -544,29 +552,18 @@ impl LoadScenario {
             obs.stream = s.finish();
         }
 
-        // Verify and assemble the report. Delivered bytes/records are
-        // *measured* from the reassembled streams (coverage ranges + parsed
-        // record framing), not echoed from the configuration.
+        // Assemble the report. Every chunk was compared with the sent stream
+        // as it arrived and the coverage is complete, so the sent stream *is*
+        // the delivered one, byte for byte: delivered bytes come from the
+        // coverage ranges, records and the fingerprint from walking it.
         let mut per_flow = Vec::with_capacity(self.flows);
         let mut total_bytes = 0u64;
         let mut records_delivered = 0u64;
-        for (flow, state) in states.iter().enumerate() {
+        for (flow, state) in states.iter_mut().enumerate() {
             let global_flow = self.first_flow + flow;
-            let mut expected = pool.take();
-            self.build_stream(global_flow, &mut expected);
-            let mut got = pool.take();
-            got.resize(expected.len(), 0);
-            for (offset, data) in &state.chunks {
-                let off = *offset as usize;
-                assert!(
-                    off + data.len() <= got.len(),
-                    "[{label}] flow {flow}: chunk past stream end"
-                );
-                got[off..off + data.len()].copy_from_slice(data);
-            }
             assert!(
-                got == expected,
-                "[{label}] flow {flow}: reassembled stream differs from the sent stream"
+                state.is_complete(),
+                "[{label}] flow {flow}: delivered chunks do not cover the sent stream"
             );
             if !self.receiver_utcp {
                 assert_eq!(
@@ -575,12 +572,12 @@ impl LoadScenario {
                 );
             }
             let bytes_covered: u64 = state.covered.iter().map(|(s, e)| e - s).sum();
-            let flow_records = parse_records(&got, global_flow as u32)
+            let flow_records = parse_records(&state.stream, global_flow as u32)
                 .unwrap_or_else(|e| panic!("[{label}] flow {global_flow}: {e}"));
             let stats = transport.flow_stats(state.client);
             obs.cc_obs.absorb(&transport.flow_cc_obs(state.client));
             let mut fingerprint: u64 = FNV_OFFSET_BASIS;
-            fnv1a(&mut fingerprint, &got);
+            fnv1a_words(&mut fingerprint, &state.stream);
             per_flow.push(FlowMetrics {
                 flow: global_flow as u32,
                 bytes_delivered: bytes_covered,
@@ -594,8 +591,7 @@ impl LoadScenario {
             });
             total_bytes += bytes_covered;
             records_delivered += flow_records;
-            pool.give(got);
-            pool.give(expected);
+            pool.give(std::mem::take(&mut state.stream));
         }
         LoadReport {
             label,
@@ -818,17 +814,6 @@ fn parse_records(stream: &[u8], flow: u32) -> Result<u64, String> {
     Ok(records)
 }
 
-/// A partially-accepted outbound stream: the unflushed remainder stays
-/// staged here and drains on writable edges. The sim transport accepts
-/// whole streams up front, so this only arises on the OS backend.
-struct SendState {
-    stream: Vec<u8>,
-    cursor: usize,
-    /// Backend time (ns) the staging buffer was taken from the pool, for
-    /// the pool-dwell histogram.
-    taken_ns: u64,
-}
-
 /// Delivery tracking of one framed record: its stream byte range, when the
 /// transport accepted its last byte, and whether its full range has reached
 /// the application.
@@ -836,26 +821,42 @@ struct RecordTrack {
     start: u64,
     end: u64,
     enqueue_ns: u64,
-    enqueued: bool,
     delivered: bool,
 }
 
-/// Receiver-side bookkeeping for one flow.
+/// Both ends' bookkeeping for one flow.
 struct FlowState {
     client: FlowId,
     server: Option<FlowId>,
     /// Pairing key for accepts: the client's ephemeral port.
     pair_key: u64,
-    expected_len: u64,
-    /// Delivered chunks (offset, bytes); duplicates allowed (uTCP delivers
-    /// at-least-once), resolved by the final reassembly check.
-    chunks: Vec<(u64, Bytes)>,
+    /// The stream as sent. Delivered chunks are compared against it in
+    /// place (duplicates too: uTCP delivers at-least-once), so it lives as
+    /// long as chunks can arrive.
+    stream: Vec<u8>,
+    /// Bytes of `stream` the transport has accepted; the rest is flushed
+    /// on writable edges.
+    sent: usize,
+    /// Backend time (ns) the stream was staged, for the pool-dwell histogram.
+    staged_ns: u64,
     /// Merged, sorted coverage ranges of the received stream.
     covered: Vec<(u64, u64)>,
     ooo_chunks: u64,
     completion_us: Option<u64>,
-    /// Per-record delivery-delay tracking (obs).
+    /// Per-record delivery-delay tracking (obs), in stream order.
     records: Vec<RecordTrack>,
+    /// Records `[0, enqueued)` have been accepted whole by the transport
+    /// and carry their enqueue stamp.
+    enqueued: usize,
+    /// When the connection was established: an enqueue stamp earlier than
+    /// this counts from here. The driver offers whole streams at connect
+    /// time, so without it a lost SYN charges its ~1 s handshake RTO to
+    /// every record of the flow — identically under both receiver modes —
+    /// burying the ordered-vs-unordered tail separation under
+    /// connection-setup noise. Delivery delay measures the transport's
+    /// *delivery* path, so the clock starts no earlier than the moment data
+    /// could first move.
+    enqueue_floor_ns: u64,
     first_chunk_seen: bool,
     /// Per-flow sequence numbers of traced RTO / retransmit edges.
     rto_seq: u32,
@@ -863,13 +864,20 @@ struct FlowState {
 }
 
 impl FlowState {
-    fn new(client: FlowId, expected_len: u64, bounds: Vec<(u64, u64)>) -> Self {
+    fn new(
+        client: FlowId,
+        pair_key: u64,
+        stream: Vec<u8>,
+        staged_ns: u64,
+        bounds: Vec<(u64, u64)>,
+    ) -> Self {
         FlowState {
             client,
             server: None,
-            pair_key: 0,
-            expected_len,
-            chunks: Vec::new(),
+            pair_key,
+            stream,
+            sent: 0,
+            staged_ns,
             covered: Vec::new(),
             ooo_chunks: 0,
             completion_us: None,
@@ -879,65 +887,51 @@ impl FlowState {
                     start,
                     end,
                     enqueue_ns: 0,
-                    enqueued: false,
                     delivered: false,
                 })
                 .collect(),
+            enqueued: 0,
+            enqueue_floor_ns: 0,
             first_chunk_seen: false,
             rto_seq: 0,
             rtx_seq: 0,
         }
     }
 
-    /// Re-baseline records stamped before the connection was established:
-    /// the driver offers whole streams at connect time, so without this a
-    /// lost SYN charges its ~1 s handshake RTO to every record of the flow
-    /// — identically under both receiver modes — burying the ordered-vs-
-    /// unordered tail separation under connection-setup noise. Delivery
-    /// delay measures the transport's *delivery* path, so the clock starts
-    /// no earlier than the moment data could first move.
-    fn rebase_enqueue(&mut self, established_ns: u64) {
-        for r in &mut self.records {
-            if r.enqueued && r.enqueue_ns < established_ns {
-                r.enqueue_ns = established_ns;
-            }
-        }
-    }
-
     /// Stamp every record whose last byte the transport has now accepted
-    /// (`cursor` is the flow's send cursor); returns how many records this
-    /// call enqueued.
-    fn mark_enqueued(&mut self, cursor: u64, now_ns: u64) -> u64 {
-        let mut newly = 0u64;
-        for r in &mut self.records {
-            if !r.enqueued && r.end <= cursor {
-                r.enqueued = true;
-                r.enqueue_ns = now_ns;
-                newly += 1;
+    /// (`self.sent` is the flow's send cursor); returns how many records
+    /// this call enqueued.
+    fn mark_enqueued(&mut self, now_ns: u64) -> u64 {
+        let from = self.enqueued;
+        while let Some(r) = self.records.get_mut(self.enqueued) {
+            if r.end > self.sent as u64 {
+                break;
             }
+            r.enqueue_ns = now_ns;
+            self.enqueued += 1;
         }
-        newly
+        (self.enqueued - from) as u64
     }
 
-    /// Whether `[start, end)` is fully covered by received bytes.
-    fn covered_contains(&self, start: u64, end: u64) -> bool {
-        let idx = self.covered.partition_point(|&(_, e)| e < end);
-        self.covered
-            .get(idx)
-            .is_some_and(|&(s, e)| s <= start && end <= e)
-    }
-
-    fn accept_chunk(&mut self, offset: u64, data: Bytes) {
-        if data.is_empty() {
-            return;
-        }
+    /// Check a delivered chunk against the sent stream and merge it into the
+    /// coverage set; returns the coverage run it now belongs to.
+    fn accept_chunk(&mut self, offset: u64, data: &[u8]) -> Result<(u64, u64), &'static str> {
         let end = offset + data.len() as u64;
-        self.cover(offset, end);
-        self.chunks.push((offset, data));
+        if end > self.stream.len() as u64 {
+            return Err("chunk past stream end");
+        }
+        if data != &self.stream[offset as usize..end as usize] {
+            return Err("delivered chunk differs from the sent stream");
+        }
+        Ok(self.cover(offset, end))
     }
 
-    /// Merge `[start, end)` into the coverage set.
-    fn cover(&mut self, start: u64, end: u64) {
+    /// Merge `[start, end)` into the coverage set; returns the merged run.
+    /// An empty range joins nothing and changes nothing.
+    fn cover(&mut self, start: u64, end: u64) -> (u64, u64) {
+        if start == end {
+            return (start, end);
+        }
         let idx = self.covered.partition_point(|&(_, e)| e < start);
         let mut start = start;
         let mut end = end;
@@ -948,10 +942,11 @@ impl FlowState {
             remove_until += 1;
         }
         self.covered.splice(idx..remove_until, [(start, end)]);
+        (start, end)
     }
 
     fn is_complete(&self) -> bool {
-        self.covered == [(0, self.expected_len)]
+        self.covered == [(0, self.stream.len() as u64)]
     }
 }
 
@@ -959,20 +954,61 @@ impl FlowState {
 mod tests {
     use super::*;
 
+    fn flow_state(stream: Vec<u8>, bounds: Vec<(u64, u64)>) -> FlowState {
+        FlowState::new(FlowId(0), 0, stream, 0, bounds)
+    }
+
     #[test]
     fn coverage_merging_detects_completion() {
-        let mut s = FlowState::new(FlowId(0), 10, vec![(0, 10)]);
-        s.accept_chunk(4, Bytes::from(vec![0u8; 3])); // [4,7)
+        let mut s = flow_state(vec![0u8; 10], vec![(0, 10)]);
+        assert_eq!(s.accept_chunk(4, &[0u8; 3]), Ok((4, 7)));
         assert!(!s.is_complete());
-        s.accept_chunk(0, Bytes::from(vec![0u8; 4])); // [0,4) abuts
+        assert_eq!(s.accept_chunk(0, &[0u8; 4]), Ok((0, 7)), "[0,4) abuts");
         assert_eq!(s.covered, vec![(0, 7)]);
-        s.accept_chunk(8, Bytes::from(vec![0u8; 2])); // [8,10) gap at 7
+        assert_eq!(s.accept_chunk(8, &[0u8; 2]), Ok((8, 10)), "gap at 7");
         assert_eq!(s.covered, vec![(0, 7), (8, 10)]);
-        s.accept_chunk(5, Bytes::from(vec![0u8; 4])); // [5,9) bridges
+        assert_eq!(s.accept_chunk(5, &[0u8; 4]), Ok((0, 10)), "[5,9) bridges");
         assert!(s.is_complete());
         // Duplicates change nothing.
-        s.accept_chunk(0, Bytes::from(vec![0u8; 10]));
+        assert_eq!(s.accept_chunk(0, &[0u8; 10]), Ok((0, 10)));
         assert_eq!(s.covered, vec![(0, 10)]);
+        // Nor does an empty chunk, wherever it claims to sit.
+        assert_eq!(s.accept_chunk(3, &[]), Ok((3, 3)));
+        assert_eq!(s.covered, vec![(0, 10)]);
+    }
+
+    #[test]
+    fn every_chunk_is_compared_with_the_sent_stream_in_place() {
+        let stream: Vec<u8> = (0..32u8).collect();
+        let mut s = flow_state(stream.clone(), vec![(0, 32)]);
+        assert!(s.accept_chunk(8, &stream[8..20]).is_ok());
+        // Right bytes, wrong place; one flipped bit; a duplicate that
+        // differs from what was accepted before; a chunk past the end.
+        assert!(s.accept_chunk(9, &stream[8..20]).is_err());
+        let mut flipped = stream[20..32].to_vec();
+        flipped[5] ^= 1;
+        assert!(s.accept_chunk(20, &flipped).is_err());
+        let mut duplicate = stream[8..20].to_vec();
+        duplicate[0] ^= 0x80;
+        assert!(s.accept_chunk(8, &duplicate).is_err());
+        assert!(s.accept_chunk(30, &[30, 31, 32]).is_err());
+        // None of the rejects counted as coverage.
+        assert_eq!(s.covered, vec![(8, 20)]);
+    }
+
+    #[test]
+    fn enqueue_stamps_follow_the_send_cursor() {
+        let bounds = vec![(0, 10), (10, 25), (25, 40)];
+        let mut s = flow_state(vec![0u8; 40], bounds);
+        s.sent = 9;
+        assert_eq!(s.mark_enqueued(100), 0, "no record accepted whole yet");
+        s.sent = 25;
+        assert_eq!(s.mark_enqueued(200), 2);
+        s.sent = 40;
+        assert_eq!(s.mark_enqueued(300), 1);
+        assert_eq!(s.mark_enqueued(400), 0);
+        let stamps: Vec<u64> = s.records.iter().map(|r| r.enqueue_ns).collect();
+        assert_eq!(stamps, vec![200, 200, 300]);
     }
 
     #[test]
@@ -983,12 +1019,43 @@ mod tests {
         sc.build_stream(0, &mut a);
         sc.build_stream(1, &mut b);
         assert_ne!(a, b);
-        assert_eq!(a.len() as u64, sc.stream_len(0));
+        assert_eq!(a.len() as u64, sc.record_bounds(0).last().unwrap().1);
         // First record header parses back.
         assert_eq!(u32::from_be_bytes(a[0..4].try_into().unwrap()), 0);
         assert_eq!(u32::from_be_bytes(a[4..8].try_into().unwrap()), 0);
         let len = u32::from_be_bytes(a[8..12].try_into().unwrap()) as usize;
         assert_eq!(len, sc.record_payload_len(0, 0));
+    }
+
+    #[test]
+    fn stream_payloads_follow_the_documented_formula_past_one_period() {
+        // Records shorter than, equal to and several times the 251-byte
+        // period, at flow indices that move the starting phase.
+        for record_len in [2, 100, 251, 502, 1400] {
+            let sc = LoadScenario {
+                record_len,
+                records_per_flow: 5,
+                ..LoadScenario::default()
+            };
+            for flow in [0, 1, 250, 1007] {
+                let mut stream = Vec::new();
+                sc.build_stream(flow, &mut stream);
+                let mut pos = 0;
+                for rec in 0..sc.records_per_flow {
+                    let len = sc.record_payload_len(flow, rec);
+                    let payload = &stream[pos + 12..pos + 12 + len];
+                    for (j, &byte) in payload.iter().enumerate() {
+                        let expected = ((flow * 197 + rec * 131 + j * 31) % 251) as u8;
+                        assert_eq!(
+                            byte, expected,
+                            "len {record_len} flow {flow} rec {rec} byte {j}"
+                        );
+                    }
+                    pos += 12 + len;
+                }
+                assert_eq!(pos, stream.len());
+            }
+        }
     }
 
     #[test]

@@ -84,8 +84,8 @@ pub trait Transport {
     fn connect(&mut self) -> (FlowId, u64);
 
     /// Offer bytes on a flow; returns how many were accepted (possibly 0 —
-    /// a connecting or flow-blocked socket). The driver keeps a cursor and
-    /// retries on writable edges.
+    /// a connecting socket, or one whose send buffer is full). The driver
+    /// keeps a cursor and retries on writable edges.
     fn write(&mut self, flow: FlowId, data: &[u8]) -> usize;
 
     /// The next delivered chunk on a flow, or `None` when drained

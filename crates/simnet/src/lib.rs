@@ -33,7 +33,7 @@ pub mod stats;
 pub mod time;
 pub mod world;
 
-pub use hash::{fnv1a, FNV_OFFSET_BASIS};
+pub use hash::{fnv1a, fnv1a_words, FNV_OFFSET_BASIS};
 pub use link::{Link, LinkConfig, LinkStats, TransmitOutcome};
 pub use loss::{LossConfig, LossModel};
 pub use packet::{NodeId, Packet, PER_PACKET_OVERHEAD};

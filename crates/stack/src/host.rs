@@ -9,7 +9,7 @@ use bytes::Bytes;
 use minion_simnet::{NodeId, Packet, SimTime};
 use minion_tcp::{
     ConnEvent, ConnStats, DeliveredChunk, Readiness, SocketOptions, TcpConfig, TcpConnection,
-    TcpError, TcpState, WriteMeta,
+    TcpError, TcpSegment, TcpState, WriteMeta,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -84,6 +84,9 @@ pub struct Host {
     next_ephemeral_port: u16,
     /// Packets waiting to be handed to the simulator.
     outbox: Vec<Packet>,
+    /// Scratch for the segments of one connection poll (no allocation per
+    /// poll on the hot path).
+    segments: Vec<TcpSegment>,
 }
 
 impl Host {
@@ -99,6 +102,7 @@ impl Host {
             next_handle: 1,
             next_ephemeral_port: 40_000,
             outbox: Vec::new(),
+            segments: Vec::new(),
         }
     }
 
@@ -184,7 +188,16 @@ impl Host {
     }
 
     fn tcp_socket_mut(&mut self, handle: SocketHandle) -> Result<&mut TcpSocket, HostError> {
-        match self.sockets.get_mut(&handle) {
+        Self::tcp_socket_in(&mut self.sockets, handle)
+    }
+
+    /// [`tcp_socket_mut`](Self::tcp_socket_mut) over the socket table alone,
+    /// for callers that borrow another field of the host alongside.
+    fn tcp_socket_in(
+        sockets: &mut BTreeMap<SocketHandle, Socket>,
+        handle: SocketHandle,
+    ) -> Result<&mut TcpSocket, HostError> {
+        match sockets.get_mut(&handle) {
             Some(Socket::Tcp(t)) => Ok(t),
             Some(_) => Err(HostError::WrongSocketType),
             None => Err(HostError::BadHandle),
@@ -389,7 +402,7 @@ impl Host {
 
     fn on_tcp_segment(
         &mut self,
-        seg: minion_tcp::TcpSegment,
+        seg: TcpSegment,
         from: NodeId,
         now: SimTime,
     ) -> Option<SocketHandle> {
@@ -428,19 +441,9 @@ impl Host {
     /// Poll all sockets for outgoing packets and timer work.
     pub fn poll(&mut self, now: SimTime) -> Vec<Packet> {
         let mut out = std::mem::take(&mut self.outbox);
-        let node = self.node;
         for socket in self.sockets.values_mut() {
             if let Socket::Tcp(t) = socket {
-                for seg in t.conn.poll(now) {
-                    let tp = TransportPacket::Tcp(seg);
-                    out.push(Packet::routed(
-                        node,
-                        t.remote.node,
-                        node,
-                        t.remote.node,
-                        tp.encode(),
-                    ));
-                }
+                poll_socket(self.node, t, now, &mut self.segments, &mut out);
             }
         }
         out
@@ -465,20 +468,8 @@ impl Host {
         now: SimTime,
         out: &mut Vec<Packet>,
     ) -> Result<usize, HostError> {
-        let node = self.node;
-        let t = self.tcp_socket_mut(handle)?;
-        let before = out.len();
-        for seg in t.conn.poll(now) {
-            let tp = TransportPacket::Tcp(seg);
-            out.push(Packet::routed(
-                node,
-                t.remote.node,
-                node,
-                t.remote.node,
-                tp.encode(),
-            ));
-        }
-        Ok(out.len() - before)
+        let t = Self::tcp_socket_in(&mut self.sockets, handle)?;
+        Ok(poll_socket(self.node, t, now, &mut self.segments, out))
     }
 
     /// The earliest timer of a single TCP socket (engine wheel re-arming).
@@ -500,7 +491,10 @@ impl Host {
     }
 
     /// Drain the queued readiness events of one connection.
-    pub fn tcp_take_events(&mut self, handle: SocketHandle) -> Result<Vec<ConnEvent>, HostError> {
+    pub fn tcp_take_events(
+        &mut self,
+        handle: SocketHandle,
+    ) -> Result<impl Iterator<Item = ConnEvent> + '_, HostError> {
         Ok(self.tcp_socket_mut(handle)?.conn.take_events())
     }
 
@@ -536,6 +530,25 @@ impl Host {
         v.sort();
         v
     }
+}
+
+/// Poll one connection and wrap each segment it produces into a packet toward
+/// its peer, through the caller's scratch buffer. Returns the packet count.
+fn poll_socket(
+    node: NodeId,
+    socket: &mut TcpSocket,
+    now: SimTime,
+    segments: &mut Vec<TcpSegment>,
+    out: &mut Vec<Packet>,
+) -> usize {
+    let to = socket.remote.node;
+    let produced = socket.conn.poll_into(now, segments);
+    out.extend(
+        segments
+            .drain(..)
+            .map(|seg| Packet::routed(node, to, node, to, TransportPacket::Tcp(seg).encode())),
+    );
+    produced
 }
 
 #[cfg(test)]
@@ -639,7 +652,7 @@ mod tests {
         assert!(client
             .tcp_take_events(ch)
             .unwrap()
-            .contains(&minion_tcp::ConnEvent::Established));
+            .any(|ev| ev == minion_tcp::ConnEvent::Established));
         assert!(client.tcp_readiness(ch).unwrap().writable);
         assert!(client.next_timer_of(ch).is_ok());
         // Bad handles are rejected across the new APIs.
@@ -650,7 +663,10 @@ mod tests {
             Err(HostError::BadHandle)
         );
         assert_eq!(client.next_timer_of(bogus), Err(HostError::BadHandle));
-        assert_eq!(client.tcp_take_events(bogus), Err(HostError::BadHandle));
+        assert_eq!(
+            client.tcp_take_events(bogus).err(),
+            Some(HostError::BadHandle)
+        );
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl Middlebox {
                     let end = (offset + max_payload).min(seg.payload.len());
                     let mut part = seg.clone();
                     part.seq = seg.seq + offset as u32;
-                    part.payload = Bytes::copy_from_slice(&seg.payload[offset..end]);
+                    part.payload = seg.payload.slice(offset..end);
                     // Only the final piece carries FIN.
                     if end < seg.payload.len() {
                         part.flags.fin = false;

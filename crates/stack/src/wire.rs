@@ -30,45 +30,40 @@ pub enum TransportPacket {
 }
 
 impl TransportPacket {
-    /// Serialize for transmission inside a simulated packet.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize for transmission inside a simulated packet: protocol byte,
+    /// header and payload written once into one buffer (one allocation).
+    pub fn encode(&self) -> Bytes {
         match self {
-            TransportPacket::Tcp(seg) => {
-                let mut out = Vec::with_capacity(1 + seg.wire_len());
-                out.push(PROTO_TCP);
-                out.extend_from_slice(&seg.encode());
-                out
-            }
+            TransportPacket::Tcp(seg) => Bytes::build(1 + seg.wire_len(), |out| {
+                out[0] = PROTO_TCP;
+                seg.encode_into(&mut out[1..]);
+            }),
             TransportPacket::Udp {
                 src_port,
                 dst_port,
                 payload,
-            } => {
-                let mut out = Vec::with_capacity(5 + payload.len());
-                out.push(PROTO_UDP);
-                out.extend_from_slice(&src_port.to_be_bytes());
-                out.extend_from_slice(&dst_port.to_be_bytes());
-                out.extend_from_slice(payload);
-                out
-            }
+            } => Bytes::build(5 + payload.len(), |out| {
+                out[0] = PROTO_UDP;
+                out[1..3].copy_from_slice(&src_port.to_be_bytes());
+                out[3..5].copy_from_slice(&dst_port.to_be_bytes());
+                out[5..].copy_from_slice(payload);
+            }),
         }
     }
 
-    /// Parse a packet payload. Returns `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<TransportPacket> {
-        let (&proto, rest) = buf.split_first()?;
-        match proto {
-            PROTO_TCP => TcpSegment::decode(rest).map(TransportPacket::Tcp),
+    /// Parse a packet payload; the transport payload comes back as a view of
+    /// `buf`, not a copy. Returns `None` on malformed input.
+    pub fn decode(buf: &Bytes) -> Option<TransportPacket> {
+        match *buf.first()? {
+            PROTO_TCP => TcpSegment::decode(&buf.slice(1..)).map(TransportPacket::Tcp),
             PROTO_UDP => {
-                if rest.len() < 4 {
+                if buf.len() < 5 {
                     return None;
                 }
-                let src_port = u16::from_be_bytes([rest[0], rest[1]]);
-                let dst_port = u16::from_be_bytes([rest[2], rest[3]]);
                 Some(TransportPacket::Udp {
-                    src_port,
-                    dst_port,
-                    payload: Bytes::copy_from_slice(&rest[4..]),
+                    src_port: u16::from_be_bytes([buf[1], buf[2]]),
+                    dst_port: u16::from_be_bytes([buf[3], buf[4]]),
+                    payload: buf.slice(5..),
                 })
             }
             _ => None,
@@ -109,6 +104,27 @@ mod tests {
     }
 
     #[test]
+    fn decoded_payloads_are_views_of_the_packet() {
+        let mut seg = TcpSegment::bare(1234, 80, SeqNum(42), SeqNum(7), TcpFlags::ACK);
+        seg.payload = Bytes::from_static(b"payload");
+        let wire = TransportPacket::Tcp(seg).encode();
+        let Some(TransportPacket::Tcp(decoded)) = TransportPacket::decode(&wire) else {
+            panic!("decodes as TCP");
+        };
+        assert_eq!(decoded.payload.as_ptr(), wire[wire.len() - 7..].as_ptr());
+        let wire = TransportPacket::Udp {
+            src_port: 1,
+            dst_port: 2,
+            payload: Bytes::from_static(b"datagram"),
+        }
+        .encode();
+        let Some(TransportPacket::Udp { payload, .. }) = TransportPacket::decode(&wire) else {
+            panic!("decodes as UDP");
+        };
+        assert_eq!(payload.as_ptr(), wire[5..].as_ptr());
+    }
+
+    #[test]
     fn udp_roundtrip() {
         let tp = TransportPacket::Udp {
             src_port: 5000,
@@ -132,9 +148,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(TransportPacket::decode(&[]).is_none());
-        assert!(TransportPacket::decode(&[99, 1, 2, 3]).is_none());
-        assert!(TransportPacket::decode(&[PROTO_UDP, 1]).is_none());
-        assert!(TransportPacket::decode(&[PROTO_TCP, 1, 2]).is_none());
+        assert!(TransportPacket::decode(&Bytes::new()).is_none());
+        assert!(TransportPacket::decode(&Bytes::from_static(&[99, 1, 2, 3])).is_none());
+        assert!(TransportPacket::decode(&Bytes::from_static(&[PROTO_UDP, 1])).is_none());
+        assert!(TransportPacket::decode(&Bytes::from_static(&[PROTO_TCP, 1, 2])).is_none());
     }
 }

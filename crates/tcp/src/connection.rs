@@ -323,8 +323,9 @@ impl TcpConnection {
         self.events.enabled()
     }
 
-    /// Drain the queued edge events in arrival order.
-    pub fn take_events(&mut self) -> Vec<ConnEvent> {
+    /// Drain the queued edge events in arrival order. Dropping the iterator
+    /// discards whatever it has not yielded.
+    pub fn take_events(&mut self) -> impl Iterator<Item = ConnEvent> + '_ {
         self.events.drain()
     }
 
@@ -625,7 +626,7 @@ impl TcpConnection {
         }
         self.stats.bytes_received += seg.payload.len() as u64;
         let before = self.recv_buf.rcv_nxt();
-        self.recv_buf.on_data(offset, &seg.payload);
+        self.recv_buf.on_bytes(offset, seg.payload.clone());
         let after = self.recv_buf.rcv_nxt();
 
         // Immediate ACK for out-of-order arrivals, duplicates, and gap fills
@@ -894,6 +895,14 @@ impl TcpConnection {
     /// Advance timers and produce any segments that should be transmitted now.
     pub fn poll(&mut self, now: SimTime) -> Vec<TcpSegment> {
         let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        out
+    }
+
+    /// [`poll`](Self::poll), appending to a buffer the caller reuses from
+    /// poll to poll. Returns the number of segments produced.
+    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) -> usize {
+        let produced_before = out.len();
         let before = self.readiness();
 
         // Nothing is ever retransmitted once the connection has terminated;
@@ -936,8 +945,8 @@ impl TcpConnection {
         }
 
         if self.is_established() {
-            self.emit_data(now, &mut out);
-            self.maybe_emit_fin(now, &mut out);
+            self.emit_data(now, out);
+            self.maybe_emit_fin(now, out);
         }
 
         // A pure ACK if one is still owed after data emission (data segments
@@ -957,9 +966,10 @@ impl TcpConnection {
             self.ack_pending = AckPending::None;
         }
 
-        self.stats.segments_sent += out.len() as u64;
+        let produced = out.len() - produced_before;
+        self.stats.segments_sent += produced as u64;
         self.record_edges(before);
-        out
+        produced
     }
 
     fn make_syn(&self, is_syn_ack: bool) -> TcpSegment {
@@ -976,7 +986,7 @@ impl TcpConnection {
         );
         seg.window = self.recv_buf.window() as u32;
         seg.options = vec![
-            TcpOption::Mss(self.config.mss as u16),
+            TcpOption::Mss(self.config.mss.min(usize::from(u16::MAX)) as u16),
             TcpOption::SackPermitted,
         ];
         seg
@@ -998,7 +1008,7 @@ impl TcpConnection {
         seg
     }
 
-    fn make_data_segment(&mut self, offset: u64, data: Vec<u8>, retransmit: bool) -> TcpSegment {
+    fn make_data_segment(&mut self, offset: u64, data: Bytes, retransmit: bool) -> TcpSegment {
         let mut seg = TcpSegment::bare(
             self.local_port,
             self.remote_port,
@@ -1019,15 +1029,20 @@ impl TcpConnection {
         } else {
             self.stats.bytes_sent += data.len() as u64;
         }
-        seg.payload = Bytes::from(data);
+        seg.payload = data;
         // Data segments carry the ACK, satisfying any pending ACK obligation.
         self.ack_pending = AckPending::None;
         seg
     }
 
-    /// The maximum payload for one segment: our MSS clamped by the peer's.
+    /// The maximum payload for one segment: our MSS clamped by the peer's
+    /// and by what the segment's 16-bit length field can carry
+    /// ([`TcpConfig::mss`] is a `usize`).
     fn effective_mss(&self) -> usize {
-        self.config.mss.min(self.peer_mss.max(1))
+        self.config
+            .mss
+            .min(self.peer_mss.max(1))
+            .min(usize::from(u16::MAX))
     }
 
     /// Whether segments must respect application write boundaries

@@ -82,9 +82,10 @@ impl EventQueue {
         }
     }
 
-    /// Drain all queued events in arrival order.
-    pub(crate) fn drain(&mut self) -> Vec<ConnEvent> {
-        self.events.drain(..).collect()
+    /// Drain all queued events in arrival order (the queue keeps its
+    /// storage; events not iterated are dropped with the iterator).
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = ConnEvent> + '_ {
+        self.events.drain(..)
     }
 
     /// Whether any events are queued.
@@ -104,7 +105,7 @@ mod tests {
         assert!(q.is_empty());
         q.set_enabled(true);
         q.push(ConnEvent::Readable);
-        assert_eq!(q.drain(), vec![ConnEvent::Readable]);
+        assert_eq!(q.drain().collect::<Vec<_>>(), vec![ConnEvent::Readable]);
     }
 
     #[test]
@@ -116,7 +117,7 @@ mod tests {
         q.push(ConnEvent::Writable);
         q.push(ConnEvent::Readable);
         assert_eq!(
-            q.drain(),
+            q.drain().collect::<Vec<_>>(),
             vec![
                 ConnEvent::Readable,
                 ConnEvent::Writable,

@@ -30,16 +30,23 @@ pub struct RecvStats {
 }
 
 /// The receive buffer / reassembly queue for one connection.
+///
+/// Arriving payloads are kept as the views of their packet buffers they
+/// arrive as: the reassembly store holds them, and delivery hands them on,
+/// without copying or merging.
 #[derive(Clone, Debug)]
 pub struct ReceiveBuffer {
     /// Next expected in-order stream offset (receive.next − ISN − 1).
     rcv_nxt: u64,
-    /// Out-of-order store: non-overlapping, non-adjacent runs keyed by offset.
-    ooo: BTreeMap<u64, Vec<u8>>,
+    /// Out-of-order store, keyed by offset: non-overlapping pieces of the
+    /// segments that arrived above the cumulative point (a piece is what a
+    /// segment added that the store did not hold yet). Adjacent pieces are
+    /// not merged; every piece starts above `rcv_nxt`.
+    ooo: BTreeMap<u64, Bytes>,
+    /// Total bytes held in `ooo`.
+    ooo_bytes: usize,
     /// Data ready for the application.
     ready: VecDeque<DeliveredChunk>,
-    /// Bytes currently sitting in `ready` (not yet read by the application).
-    ready_bytes: usize,
     /// Bytes in `ready` that were delivered at the cumulative in-order point;
     /// only these count against the advertised window, so that the window is
     /// wire-identical to a standard TCP receiver (out-of-order early
@@ -57,8 +64,8 @@ impl ReceiveBuffer {
         ReceiveBuffer {
             rcv_nxt: 0,
             ooo: BTreeMap::new(),
+            ooo_bytes: 0,
             ready: VecDeque::new(),
-            ready_bytes: 0,
             in_order_ready_bytes: 0,
             capacity,
             unordered,
@@ -89,7 +96,7 @@ impl ReceiveBuffer {
 
     /// Total bytes held in the out-of-order store.
     pub fn ooo_bytes(&self) -> usize {
-        self.ooo.values().map(|v| v.len()).sum()
+        self.ooo_bytes
     }
 
     /// The advertised receive window.
@@ -100,20 +107,42 @@ impl ReceiveBuffer {
     pub fn window(&self) -> usize {
         self.capacity
             .saturating_sub(self.in_order_ready_bytes)
-            .saturating_sub(self.ooo_bytes())
+            .saturating_sub(self.ooo_bytes)
     }
 
-    /// Accept a data segment at stream offset `offset`.
+    /// Accept a data segment at stream offset `offset`, copying it in: the
+    /// entry point for callers that hold a plain slice rather than a packet
+    /// buffer. See [`on_bytes`](Self::on_bytes).
     pub fn on_data(&mut self, offset: u64, data: &[u8]) {
+        self.on_bytes(offset, Bytes::copy_from_slice(data));
+    }
+
+    /// Accept a data segment at stream offset `offset`. `data` is stored and
+    /// delivered as is (a view of the arriving packet), never copied.
+    ///
+    /// In ordered mode the bytes that fill a hole, and each stored piece the
+    /// fill releases, are delivered as separate chunks.
+    pub fn on_bytes(&mut self, offset: u64, data: Bytes) {
         if data.is_empty() {
             return;
         }
-        let end = offset + data.len() as u64;
+        let len = data.len();
+        let end = offset + len as u64;
+
+        // The common case: the next expected bytes, nothing held behind a
+        // hole. Both modes deliver the segment itself, in order.
+        if offset == self.rcv_nxt && self.ooo.is_empty() {
+            self.stats.in_order_segments += 1;
+            self.stats.bytes_received += len as u64;
+            self.rcv_nxt = end;
+            self.push_ready(DeliveredChunk::new(offset, true, data));
+            return;
+        }
+
         if end <= self.rcv_nxt {
             self.stats.duplicate_segments += 1;
             return;
         }
-
         let in_order = offset <= self.rcv_nxt;
         if in_order {
             self.stats.in_order_segments += 1;
@@ -121,120 +150,81 @@ impl ReceiveBuffer {
             self.stats.out_of_order_segments += 1;
         }
 
+        // The already-delivered prefix of a retransmission is of no further
+        // use to either the application or the reassembly store.
+        let (offset, data) = if offset < self.rcv_nxt {
+            (self.rcv_nxt, data.slice((self.rcv_nxt - offset) as usize..))
+        } else {
+            (offset, data)
+        };
+
         // uTCP: hand the arriving segment to the application immediately,
         // before reassembly, tagged with its stream offset. Duplicate and
         // overlapping deliveries are permitted (at-least-once semantics).
         if self.unordered {
-            let (chunk_off, chunk_data) = if offset < self.rcv_nxt {
-                // Trim the already-delivered prefix to avoid re-delivering the
-                // in-order region on every retransmission.
-                let skip = (self.rcv_nxt - offset) as usize;
-                (self.rcv_nxt, &data[skip..])
-            } else {
-                (offset, data)
-            };
-            if !chunk_data.is_empty() {
-                if !in_order {
-                    self.stats.early_deliveries += 1;
-                }
-                self.push_ready(DeliveredChunk::new(
-                    chunk_off,
-                    in_order,
-                    Bytes::copy_from_slice(chunk_data),
-                ));
+            if !in_order {
+                self.stats.early_deliveries += 1;
             }
+            self.push_ready(DeliveredChunk::new(offset, in_order, data.clone()));
         }
 
-        // Insert into the reassembly store (merging overlaps), then advance
-        // the cumulative point over any now-contiguous data.
-        self.insert_ooo(offset, data);
+        self.insert_ooo(offset, &data);
         self.advance_cumulative();
-        self.stats.bytes_received += data.len() as u64;
+        self.stats.bytes_received += len as u64;
     }
 
     fn push_ready(&mut self, chunk: DeliveredChunk) {
-        self.ready_bytes += chunk.len();
         if chunk.in_order {
             self.in_order_ready_bytes += chunk.len();
         }
         self.ready.push_back(chunk);
     }
 
-    /// Merge a run into the out-of-order store, coalescing overlaps.
-    fn insert_ooo(&mut self, offset: u64, data: &[u8]) {
-        let mut start = offset;
-        let mut buf = data.to_vec();
-
-        // Merge with any predecessor that overlaps or abuts.
-        if let Some((&pstart, pdata)) = self.ooo.range(..=start).next_back() {
-            let pend = pstart + pdata.len() as u64;
-            if pend >= start {
-                // Overlaps/abuts: extend the predecessor, keeping its tail if
-                // the new data is wholly contained within it.
-                let keep = (start - pstart) as usize;
-                let mut merged = pdata[..keep].to_vec();
-                merged.extend_from_slice(&buf);
-                let new_end = start + buf.len() as u64;
-                if pend > new_end {
-                    merged.extend_from_slice(&pdata[(new_end - pstart) as usize..]);
-                }
-                start = pstart;
-                buf = merged;
-                self.ooo.remove(&pstart);
-            }
+    /// Store the parts of `[offset, offset + data.len())` the out-of-order
+    /// store does not hold yet, as views of `data`.
+    fn insert_ooo(&mut self, offset: u64, data: &Bytes) {
+        let end = offset + data.len() as u64;
+        // Where the uncovered remainder of the new range starts: past a
+        // predecessor that reaches into it.
+        let mut cursor = offset;
+        if let Some((&pstart, piece)) = self.ooo.range(..offset).next_back() {
+            cursor = cursor.max(pstart + piece.len() as u64);
         }
-
-        // Merge with any successors covered by or abutting the new run.
-        let mut end = start + buf.len() as u64;
-        // Not a `while let`: the range borrow must end before `remove()`.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some((&sstart, sdata)) = self.ooo.range(start..).next() else {
-                break;
+        while cursor < end {
+            // The next stored piece inside the range bounds the gap before
+            // it; the search resumes behind that piece.
+            let (gap_end, resume) = match self.ooo.range(cursor..end).next() {
+                Some((&pstart, piece)) => (pstart, pstart + piece.len() as u64),
+                None => (end, end),
             };
-            if sstart > end {
-                break;
+            if cursor < gap_end {
+                let piece = data.slice((cursor - offset) as usize..(gap_end - offset) as usize);
+                self.ooo_bytes += piece.len();
+                self.ooo.insert(cursor, piece);
             }
-            let send = sstart + sdata.len() as u64;
-            if send > end {
-                let skip = (end - sstart) as usize;
-                buf.extend_from_slice(&sdata[skip..]);
-                end = send;
-            }
-            self.ooo.remove(&sstart);
+            cursor = resume;
         }
-
-        self.ooo.insert(start, buf);
     }
 
     /// Advance `rcv_nxt` over contiguous data and (for ordered delivery) queue
-    /// the newly in-order bytes to the application.
+    /// the newly in-order pieces to the application.
     fn advance_cumulative(&mut self) {
-        while let Some((&start, run)) = self.ooo.range(..=self.rcv_nxt).next_back() {
-            let end = start + run.len() as u64;
-            if end <= self.rcv_nxt {
-                // Entirely below the cumulative point: retire it.
-                self.ooo.remove(&start);
-                continue;
-            }
-            if start > self.rcv_nxt {
+        while let Some(entry) = self.ooo.first_entry() {
+            if *entry.key() != self.rcv_nxt {
                 break;
             }
-            // Run crosses the cumulative point.
-            let newly = &run[(self.rcv_nxt - start) as usize..];
+            let (start, piece) = entry.remove_entry();
+            self.ooo_bytes -= piece.len();
+            self.rcv_nxt = start + piece.len() as u64;
             if !self.unordered {
-                let chunk = DeliveredChunk::new(self.rcv_nxt, true, Bytes::copy_from_slice(newly));
-                self.push_ready(chunk);
+                self.push_ready(DeliveredChunk::new(start, true, piece));
             }
-            self.rcv_nxt = end;
-            self.ooo.remove(&start);
         }
     }
 
     /// Pop the next chunk ready for the application, if any.
     pub fn read(&mut self) -> Option<DeliveredChunk> {
         let chunk = self.ready.pop_front()?;
-        self.ready_bytes -= chunk.len();
         if chunk.in_order {
             self.in_order_ready_bytes -= chunk.len();
         }
@@ -256,17 +246,30 @@ impl ReceiveBuffer {
     pub fn sack_blocks(&self, isn: SeqNum, max_blocks: usize) -> Vec<SackBlock> {
         // Data offset 0 corresponds to sequence number ISN + 1 (after the SYN).
         let base = isn + 1;
-        let mut blocks: Vec<SackBlock> = self
-            .ooo
-            .iter()
-            .filter(|(&start, run)| start + run.len() as u64 > self.rcv_nxt && start > self.rcv_nxt)
-            .map(|(&start, run)| SackBlock {
-                start: base + start as u32,
-                end: base + (start + run.len() as u64) as u32,
-            })
-            .collect();
-        // Report the highest (most recently useful) blocks first.
-        blocks.reverse();
+        let block = |start: u64, end: u64| SackBlock {
+            start: base + start as u32,
+            end: base + end as u32,
+        };
+        // Highest (most recently useful) first; adjacent pieces are one run.
+        let mut blocks = Vec::new();
+        let mut run: Option<(u64, u64)> = None;
+        for (&start, piece) in self.ooo.iter().rev() {
+            let end = start + piece.len() as u64;
+            match run {
+                Some((run_start, run_end)) if end == run_start => run = Some((start, run_end)),
+                Some((run_start, run_end)) => {
+                    blocks.push(block(run_start, run_end));
+                    if blocks.len() == max_blocks {
+                        return blocks;
+                    }
+                    run = Some((start, end));
+                }
+                None => run = Some((start, end)),
+            }
+        }
+        if let Some((run_start, run_end)) = run {
+            blocks.push(block(run_start, run_end));
+        }
         blocks.truncate(max_blocks);
         blocks
     }
@@ -301,14 +304,56 @@ mod tests {
         assert_eq!(chunks.len(), 1);
         assert_eq!(chunks[0].offset, 0);
         assert_eq!(rb.rcv_nxt(), 100);
-        // Fill the hole: both the hole and the buffered later data deliver.
+        // Fill the hole: the fill and the buffered later data both deliver,
+        // in order, each as the piece it arrived as.
         rb.on_data(100, &[2u8; 100]);
         let chunks = drain(&mut rb);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(chunks[0].offset, 100);
-        assert_eq!(chunks[0].len(), 200);
+        assert_eq!(chunks.len(), 2);
+        assert_eq!((chunks[0].offset, chunks[0].len()), (100, 100));
+        assert_eq!((chunks[1].offset, chunks[1].len()), (200, 100));
+        assert_eq!(chunks[1].data, vec![3u8; 100]);
         assert_eq!(rb.rcv_nxt(), 300);
         assert!(chunks.iter().all(|c| c.in_order));
+    }
+
+    #[test]
+    fn arriving_views_are_stored_and_delivered_without_copying() {
+        let packet = Bytes::from((0..=255u8).collect::<Vec<u8>>());
+        for unordered in [false, true] {
+            let mut rb = ReceiveBuffer::new(1 << 20, unordered);
+            // In order with nothing held: straight to the application.
+            rb.on_bytes(0, packet.slice(..100));
+            // Behind a hole, then the fill.
+            rb.on_bytes(200, packet.slice(200..));
+            rb.on_bytes(100, packet.slice(100..200));
+            let chunks = drain(&mut rb);
+            assert_eq!(chunks.len(), 3);
+            for c in &chunks {
+                assert_eq!(c.data.as_ptr(), packet[c.offset as usize..].as_ptr());
+            }
+            assert_eq!(rb.rcv_nxt(), 256);
+            assert_eq!(rb.ooo_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn overlapping_arrival_stores_only_what_is_new() {
+        let mut rb = ordered();
+        rb.on_data(100, &[1u8; 50]); // [100,150)
+        rb.on_data(200, &[2u8; 50]); // [200,250)
+                                     // [120,230) overlaps both ends and bridges the gap between them.
+        rb.on_data(120, &[3u8; 110]);
+        assert_eq!(rb.ooo_bytes(), 150, "[100,250) held once");
+        let isn = SeqNum(0);
+        let blocks = rb.sack_blocks(isn, 3);
+        assert_eq!(blocks.len(), 1, "adjacent pieces report as one run");
+        assert_eq!(blocks[0].start, SeqNum(101));
+        assert_eq!(blocks[0].end, SeqNum(251));
+        rb.on_data(0, &[0u8; 100]);
+        assert_eq!(rb.rcv_nxt(), 250);
+        let chunks = drain(&mut rb);
+        let offsets: Vec<(u64, usize)> = chunks.iter().map(|c| (c.offset, c.len())).collect();
+        assert_eq!(offsets, vec![(0, 100), (100, 50), (150, 50), (200, 50)]);
     }
 
     #[test]

@@ -246,52 +246,66 @@ impl TcpSegment {
             .sum()
     }
 
-    /// Serialize the segment to bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize the segment: header, options and payload written once
+    /// into one shared buffer (a single allocation).
+    ///
+    /// Panics if the options exceed the 8-bit or the payload the 16-bit
+    /// length field — a segment that could only be truncated on the wire.
+    pub fn encode(&self) -> Bytes {
+        Bytes::build(self.wire_len(), |out| self.encode_into(out))
+    }
+
+    /// Serialize the segment into `out`, which must be exactly
+    /// [`wire_len`](Self::wire_len) bytes: lets an enclosing format
+    /// (`stack::wire`, the VPN tunnel) put its own header in front without a
+    /// second buffer. Panics as [`encode`](Self::encode) does.
+    pub fn encode_into(&self, out: &mut [u8]) {
         let opt_len = self.options_wire_len();
-        assert!(opt_len <= 255, "options too long");
-        let mut out = Vec::with_capacity(Self::BASE_HEADER_LEN + opt_len + self.payload.len());
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&self.seq.raw().to_be_bytes());
-        out.extend_from_slice(&self.ack.raw().to_be_bytes());
-        out.push(self.flags.to_byte());
-        out.push(opt_len as u8);
-        out.extend_from_slice(&self.window.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u16).to_be_bytes());
-        debug_assert_eq!(out.len(), Self::BASE_HEADER_LEN);
+        assert!(opt_len <= usize::from(u8::MAX), "options too long");
+        assert!(
+            self.payload.len() <= usize::from(u16::MAX),
+            "payload of {} bytes overflows the 16-bit length field",
+            self.payload.len()
+        );
+        assert_eq!(out.len(), self.wire_len(), "buffer is not wire_len bytes");
+        let (header, rest) = out.split_at_mut(Self::BASE_HEADER_LEN);
+        let (options, payload) = rest.split_at_mut(opt_len);
+        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        header[4..8].copy_from_slice(&self.seq.raw().to_be_bytes());
+        header[8..12].copy_from_slice(&self.ack.raw().to_be_bytes());
+        header[12] = self.flags.to_byte();
+        header[13] = opt_len as u8;
+        header[14..18].copy_from_slice(&self.window.to_be_bytes());
+        header[18..20].copy_from_slice(&(self.payload.len() as u16).to_be_bytes());
+        let mut at = 0;
+        let mut put = |bytes: &[u8]| {
+            options[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
         for opt in &self.options {
             match opt {
                 TcpOption::Mss(v) => {
-                    out.push(2);
-                    out.push(4);
-                    out.extend_from_slice(&v.to_be_bytes());
+                    put(&[2, 4]);
+                    put(&v.to_be_bytes());
                 }
-                TcpOption::SackPermitted => {
-                    out.push(4);
-                    out.push(2);
-                }
+                TcpOption::SackPermitted => put(&[4, 2]),
                 TcpOption::Sack(blocks) => {
-                    out.push(5);
-                    out.push((2 + blocks.len() * 8) as u8);
+                    put(&[5, (2 + blocks.len() * 8) as u8]);
                     for b in blocks {
-                        out.extend_from_slice(&b.start.raw().to_be_bytes());
-                        out.extend_from_slice(&b.end.raw().to_be_bytes());
+                        put(&b.start.raw().to_be_bytes());
+                        put(&b.end.raw().to_be_bytes());
                     }
                 }
-                TcpOption::WindowScale(s) => {
-                    out.push(3);
-                    out.push(3);
-                    out.push(*s);
-                }
+                TcpOption::WindowScale(s) => put(&[3, 3, *s]),
             }
         }
-        out.extend_from_slice(&self.payload);
-        out
+        payload.copy_from_slice(&self.payload);
     }
 
-    /// Parse a segment from bytes. Returns `None` on malformed input.
-    pub fn decode(buf: &[u8]) -> Option<TcpSegment> {
+    /// Parse a segment from a packet buffer. The payload is a view into
+    /// `buf`, not a copy. Returns `None` on malformed input.
+    pub fn decode(buf: &Bytes) -> Option<TcpSegment> {
         if buf.len() < Self::BASE_HEADER_LEN {
             return None;
         }
@@ -362,7 +376,7 @@ impl TcpSegment {
                 _ => return None,
             }
         }
-        let payload = Bytes::copy_from_slice(&buf[opt_end..opt_end + payload_len]);
+        let payload = buf.slice(opt_end..opt_end + payload_len);
         Some(TcpSegment {
             src_port,
             dst_port,
@@ -449,9 +463,40 @@ mod tests {
     fn decode_rejects_truncated() {
         let seg = sample_segment();
         let bytes = seg.encode();
-        assert!(TcpSegment::decode(&bytes[..10]).is_none());
-        assert!(TcpSegment::decode(&bytes[..bytes.len() - 1]).is_none());
-        assert!(TcpSegment::decode(&[]).is_none());
+        assert!(TcpSegment::decode(&bytes.slice(..10)).is_none());
+        assert!(TcpSegment::decode(&bytes.slice(..bytes.len() - 1)).is_none());
+        assert!(TcpSegment::decode(&Bytes::new()).is_none());
+    }
+
+    #[test]
+    fn decoded_payload_is_a_view_of_the_packet_buffer() {
+        let seg = sample_segment();
+        let bytes = seg.encode();
+        let decoded = TcpSegment::decode(&bytes).expect("decodes");
+        let payload_at = bytes.len() - seg.payload.len();
+        assert_eq!(decoded.payload.as_ptr(), bytes[payload_at..].as_ptr());
+        // `encode_into` is `encode` behind an outer header.
+        let mut framed = vec![0xAAu8; 3 + seg.wire_len()];
+        seg.encode_into(&mut framed[3..]);
+        assert_eq!(framed[..3], [0xAA; 3]);
+        assert_eq!(framed[3..], bytes[..]);
+    }
+
+    #[test]
+    fn largest_payload_the_length_field_holds_round_trips() {
+        let mut seg = sample_segment();
+        seg.payload = Bytes::from(vec![0x5Au8; usize::from(u16::MAX)]);
+        let decoded = TcpSegment::decode(&seg.encode()).expect("decodes");
+        assert_eq!(decoded.payload.len(), 65_535);
+        assert_eq!(decoded, seg);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the 16-bit length field")]
+    fn payload_past_the_length_field_is_rejected_not_truncated() {
+        let mut seg = sample_segment();
+        seg.payload = Bytes::from(vec![0x5Au8; usize::from(u16::MAX) + 1]);
+        seg.encode();
     }
 
     #[test]

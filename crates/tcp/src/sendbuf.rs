@@ -17,28 +17,45 @@
 //!   a wire segment never spans two writes (each write starts a new skbuff),
 //!   with optional coalescing of small writes into the tail skbuff.
 
+use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// Error returned when a write does not fit in the send buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BufferFull;
 
+/// One application write (or several coalesced small ones).
 #[derive(Clone, Debug)]
 struct Chunk {
-    data: Vec<u8>,
+    data: Bytes,
     priority: u32,
 }
 
 /// The send queue.
+///
+/// The transmit boundary is structural: writes that have been transmitted at
+/// least in part live in `sent`, pinned to their stream offsets; writes that
+/// have not are in `queued`, where priority insertion and squash may still
+/// reorder them. Nothing can therefore be inserted ahead of a touched write,
+/// and neither an acknowledgment nor a segment read walks the queue: both
+/// work at the front of `sent` or at the boundary.
 #[derive(Clone, Debug)]
 pub struct SendBuffer {
-    chunks: VecDeque<Chunk>,
-    /// Stream offset of the first byte of `chunks[0]`.
+    /// Writes transmitted in whole or in part, oldest first, each with the
+    /// stream offset of its first byte. Contiguous; the front one contains
+    /// `head_offset` (its acknowledged prefix is simply skipped).
+    sent: VecDeque<(u64, Bytes)>,
+    /// Entirely untransmitted writes in transmission order, the first
+    /// starting at `queued_start`.
+    queued: VecDeque<Chunk>,
+    /// Stream offset of the first buffered (lowest unacknowledged) byte.
     head_offset: u64,
+    /// Stream offset one past the last `sent` chunk.
+    queued_start: u64,
+    /// Stream offset one past the last buffered byte.
+    end_offset: u64,
     /// Stream offset up to which data has been transmitted at least once.
     transmitted: u64,
-    /// Total bytes currently buffered.
-    buffered: usize,
     capacity: usize,
     /// Count of writes that were coalesced into an existing tail chunk.
     coalesced_writes: u64,
@@ -49,13 +66,21 @@ pub struct SendBuffer {
 }
 
 impl SendBuffer {
+    /// Storage granularity of standard-mode (byte-stream) writes: a larger
+    /// write is kept in pieces of this size, each released as soon as it is
+    /// acknowledged. A segment that straddles two pieces is gathered by
+    /// copy — one in `STREAM_PIECE / MSS` segments.
+    pub const STREAM_PIECE: usize = 32 * 1024;
+
     /// Create an empty buffer with the given byte capacity.
     pub fn new(capacity: usize) -> Self {
         SendBuffer {
-            chunks: VecDeque::new(),
+            sent: VecDeque::new(),
+            queued: VecDeque::new(),
             head_offset: 0,
+            queued_start: 0,
+            end_offset: 0,
             transmitted: 0,
-            buffered: 0,
             capacity,
             coalesced_writes: 0,
             priority_insertions: 0,
@@ -65,17 +90,17 @@ impl SendBuffer {
 
     /// Bytes currently buffered (acknowledged data is removed).
     pub fn len(&self) -> usize {
-        self.buffered
+        (self.end_offset - self.head_offset) as usize
     }
 
     /// True if no data is buffered.
     pub fn is_empty(&self) -> bool {
-        self.buffered == 0
+        self.end_offset == self.head_offset
     }
 
     /// Free space in bytes.
     pub fn free_space(&self) -> usize {
-        self.capacity - self.buffered
+        self.capacity - self.len()
     }
 
     /// Stream offset of the first buffered (lowest unacknowledged) byte.
@@ -85,7 +110,7 @@ impl SendBuffer {
 
     /// Stream offset one past the last buffered byte.
     pub fn end_offset(&self) -> u64 {
-        self.head_offset + self.buffered as u64
+        self.end_offset
     }
 
     /// Stream offset up to which data has been transmitted at least once.
@@ -108,19 +133,6 @@ impl SendBuffer {
         self.squashed_chunks
     }
 
-    /// Index of the first chunk that is entirely untransmitted, i.e. the
-    /// earliest position at which new data may legally be inserted.
-    fn first_untouched_chunk(&self) -> usize {
-        let mut offset = self.head_offset;
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            if offset >= self.transmitted {
-                return i;
-            }
-            offset += chunk.data.len() as u64;
-        }
-        self.chunks.len()
-    }
-
     /// Enqueue an ordinary (standard TCP) write at the tail of the queue.
     pub fn write(&mut self, data: &[u8]) -> Result<usize, BufferFull> {
         self.write_with_priority(data, 0, false, false, usize::MAX, false)
@@ -134,6 +146,8 @@ impl SendBuffer {
     ///   insertion, squash, and write-boundary preservation).
     /// * `mss`, `coalesce` — coalesce this write into the tail chunk when both
     ///   fit within one MSS-sized skbuff (the §8.1 mitigation).
+    ///
+    /// The bytes are copied once, into storage the segments then share.
     pub fn write_with_priority(
         &mut self,
         data: &[u8],
@@ -151,57 +165,43 @@ impl SendBuffer {
         }
 
         if !unordered {
-            // Standard TCP: a pure byte stream; append to the tail chunk to
-            // emulate Linux's MSS-sized skbuff packing.
-            if let Some(last) = self.chunks.back_mut() {
-                last.data.extend_from_slice(data);
-            } else {
-                self.chunks.push_back(Chunk {
-                    data: data.to_vec(),
-                    priority: 0,
-                });
+            // Standard TCP: a pure byte stream. Without `unordered` no read
+            // respects chunk boundaries, so where they fall is invisible —
+            // a large write is stored in pieces, each released as soon as
+            // it is acknowledged rather than held for the write's last byte.
+            for piece in data.chunks(Self::STREAM_PIECE) {
+                self.push_queued(piece, 0);
             }
-            self.buffered += data.len();
             return Ok(data.len());
         }
 
-        let first_insertable = self.first_untouched_chunk();
-
         // Squash: drop untransmitted chunks carrying exactly the same tag.
         if squash {
-            let mut i = self.chunks.len();
-            while i > first_insertable {
-                i -= 1;
-                if self.chunks[i].priority == priority {
-                    let removed = self.chunks.remove(i).expect("index in range");
-                    self.buffered -= removed.data.len();
-                    self.squashed_chunks += 1;
+            let before = self.queued.len();
+            let mut dropped = 0;
+            self.queued.retain(|c| {
+                let keep = c.priority != priority;
+                if !keep {
+                    dropped += c.data.len() as u64;
                 }
-            }
+                keep
+            });
+            self.squashed_chunks += (before - self.queued.len()) as u64;
+            self.end_offset -= dropped;
         }
 
-        // Find the insertion index: after all transmitted data, before the
-        // first untransmitted chunk with strictly lower priority (FIFO among
-        // equal priorities).
-        let first_insertable = self.first_untouched_chunk();
-        let mut insert_at = self.chunks.len();
-        for i in first_insertable..self.chunks.len() {
-            if self.chunks[i].priority < priority {
-                insert_at = i;
-                break;
-            }
-        }
-
-        if insert_at < self.chunks.len() {
+        // Ahead of the first untransmitted chunk with strictly lower
+        // priority (FIFO among equal priorities).
+        if let Some(insert_at) = self.queued.iter().position(|c| c.priority < priority) {
             self.priority_insertions += 1;
-            self.chunks.insert(
+            self.queued.insert(
                 insert_at,
                 Chunk {
-                    data: data.to_vec(),
+                    data: Bytes::copy_from_slice(data),
                     priority,
                 },
             );
-            self.buffered += data.len();
+            self.end_offset += data.len() as u64;
             return Ok(data.len());
         }
 
@@ -209,104 +209,117 @@ impl SendBuffer {
         // both writes fit entirely within one MSS-sized skbuff, the tail is
         // untransmitted, and the priorities match.
         if coalesce {
-            if let Some(last) = self.chunks.back() {
-                let last_start = self.end_offset() - last.data.len() as u64;
-                let tail_untransmitted = last_start >= self.transmitted;
-                if tail_untransmitted
-                    && last.priority == priority
-                    && last.data.len() + data.len() <= mss
-                {
-                    self.chunks
-                        .back_mut()
-                        .expect("tail exists")
-                        .data
-                        .extend_from_slice(data);
-                    self.buffered += data.len();
+            if let Some(last) = self.queued.back_mut() {
+                if last.priority == priority && last.data.len() + data.len() <= mss {
+                    last.data = Bytes::build(last.data.len() + data.len(), |both| {
+                        let (head, tail) = both.split_at_mut(last.data.len());
+                        head.copy_from_slice(&last.data);
+                        tail.copy_from_slice(data);
+                    });
+                    self.end_offset += data.len() as u64;
                     self.coalesced_writes += 1;
                     return Ok(data.len());
                 }
             }
         }
 
-        self.chunks.push_back(Chunk {
-            data: data.to_vec(),
+        self.push_queued(data, priority);
+        Ok(data.len())
+    }
+
+    fn push_queued(&mut self, data: &[u8], priority: u32) {
+        self.queued.push_back(Chunk {
+            data: Bytes::copy_from_slice(data),
             priority,
         });
-        self.buffered += data.len();
-        Ok(data.len())
+        self.end_offset += data.len() as u64;
+    }
+
+    /// The buffered chunks from the one containing `offset` onward, each with
+    /// the stream offset of its first byte. A binary search when `offset`
+    /// has been transmitted; the untransmitted queue carries no offsets and
+    /// is walked from the boundary, where every sender's read starts.
+    fn chunks_from(&self, offset: u64) -> impl Iterator<Item = (u64, &Bytes)> {
+        let first_sent = self
+            .sent
+            .partition_point(|(start, data)| start + data.len() as u64 <= offset);
+        let mut start = self.queued_start;
+        let sent = self.sent.range(first_sent..).map(|(s, data)| (*s, data));
+        let queued = self.queued.iter().map(move |c| {
+            let at = start;
+            start += c.data.len() as u64;
+            (at, &c.data)
+        });
+        sent.chain(queued)
+            .skip_while(move |(s, data)| s + data.len() as u64 <= offset)
     }
 
     /// Read up to `max_len` bytes starting at stream offset `offset` for
     /// (re)transmission. When `respect_boundaries` is set the returned slice
     /// never crosses a chunk boundary (uTCP's write-boundary preservation).
     ///
+    /// A range inside one chunk comes back as a view of the buffered bytes;
+    /// only a read spanning chunks gathers them into a fresh buffer.
+    ///
     /// Returns `None` if `offset` is outside the buffered range.
-    pub fn data_at(
-        &self,
-        offset: u64,
-        max_len: usize,
-        respect_boundaries: bool,
-    ) -> Option<Vec<u8>> {
-        if offset < self.head_offset || offset >= self.end_offset() || max_len == 0 {
+    pub fn data_at(&self, offset: u64, max_len: usize, respect_boundaries: bool) -> Option<Bytes> {
+        if offset < self.head_offset || offset >= self.end_offset || max_len == 0 {
             return None;
         }
-        let mut chunk_start = self.head_offset;
-        let mut out: Vec<u8> = Vec::new();
-        for chunk in &self.chunks {
-            let chunk_end = chunk_start + chunk.data.len() as u64;
-            if offset < chunk_end {
-                let skip = offset.saturating_sub(chunk_start) as usize;
-                let from_this_chunk = if out.is_empty() {
-                    &chunk.data[skip..]
-                } else {
-                    &chunk.data[..]
-                };
-                let remaining = max_len - out.len();
-                let take = from_this_chunk.len().min(remaining);
-                out.extend_from_slice(&from_this_chunk[..take]);
-                if out.len() >= max_len || respect_boundaries {
-                    break;
-                }
+        let mut chunks = self.chunks_from(offset);
+        let (start, first) = chunks.next()?;
+        let skip = (offset - start) as usize;
+        let take = (first.len() - skip).min(max_len);
+        let view = first.slice(skip..skip + take);
+        if take == max_len || respect_boundaries {
+            return Some(view);
+        }
+        let Some((_, second)) = chunks.next() else {
+            return Some(view);
+        };
+        let want = max_len.min((self.end_offset - offset) as usize);
+        let mut out = Vec::with_capacity(want);
+        out.extend_from_slice(&view);
+        for data in std::iter::once(second).chain(chunks.map(|(_, data)| data)) {
+            let take = data.len().min(want - out.len());
+            out.extend_from_slice(&data[..take]);
+            if out.len() == want {
+                break;
             }
-            chunk_start = chunk_end;
         }
-        if out.is_empty() {
-            None
-        } else {
-            Some(out)
-        }
+        Some(Bytes::from(out))
     }
 
     /// Record that data up to `offset` (exclusive) has been transmitted at
     /// least once.
     pub fn mark_transmitted(&mut self, offset: u64) {
         if offset > self.transmitted {
-            self.transmitted = offset.min(self.end_offset());
+            self.transmitted = offset.min(self.end_offset);
+            // Every write the mark now reaches into is pinned in place.
+            while self.queued_start < self.transmitted {
+                let chunk = self.queued.pop_front().expect("queue covers end_offset");
+                let start = self.queued_start;
+                self.queued_start += chunk.data.len() as u64;
+                self.sent.push_back((start, chunk.data));
+            }
         }
     }
 
-    /// Remove data acknowledged up to `offset` (exclusive).
+    /// Remove data acknowledged up to `offset` (exclusive). O(1) per chunk
+    /// released: an acknowledgment inside a chunk only moves the head offset.
     pub fn acknowledge(&mut self, offset: u64) {
-        let offset = offset.min(self.end_offset());
-        while self.head_offset < offset {
-            let Some(front) = self.chunks.front_mut() else {
-                break;
-            };
-            let front_len = front.data.len() as u64;
-            let acked_in_front = (offset - self.head_offset).min(front_len) as usize;
-            if acked_in_front == front.data.len() {
-                self.buffered -= front.data.len();
-                self.head_offset += front_len;
-                self.chunks.pop_front();
-            } else {
-                front.data.drain(..acked_in_front);
-                self.buffered -= acked_in_front;
-                self.head_offset += acked_in_front as u64;
+        let offset = offset.min(self.end_offset);
+        if offset <= self.head_offset {
+            return;
+        }
+        // Acknowledged data has necessarily been transmitted.
+        self.mark_transmitted(offset);
+        self.head_offset = offset;
+        while let Some((start, data)) = self.sent.front() {
+            if start + data.len() as u64 > offset {
                 break;
             }
-        }
-        if self.transmitted < self.head_offset {
-            self.transmitted = self.head_offset;
+            self.sent.pop_front();
         }
     }
 
@@ -314,24 +327,17 @@ impl SendBuffer {
     /// given offset onward, used by the connection to segment along write
     /// boundaries. Returns the end offset of the chunk containing `offset`.
     pub fn chunk_end_at(&self, offset: u64) -> Option<u64> {
-        if offset < self.head_offset || offset >= self.end_offset() {
+        if offset < self.head_offset || offset >= self.end_offset {
             return None;
         }
-        let mut chunk_start = self.head_offset;
-        for chunk in &self.chunks {
-            let chunk_end = chunk_start + chunk.data.len() as u64;
-            if offset < chunk_end {
-                return Some(chunk_end);
-            }
-            chunk_start = chunk_end;
-        }
-        None
+        self.chunks_from(offset)
+            .next()
+            .map(|(start, data)| start + data.len() as u64)
     }
 
     /// Bytes available at or after `offset`.
     pub fn available_from(&self, offset: u64) -> usize {
-        self.end_offset()
-            .saturating_sub(offset.max(self.head_offset)) as usize
+        self.end_offset.saturating_sub(offset.max(self.head_offset)) as usize
     }
 }
 
@@ -551,6 +557,77 @@ mod tests {
         // the final byte.
         assert!(b.data_at(100, 1, false).is_none());
         assert_eq!(b.data_at(99, 1, false).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn reads_inside_one_chunk_are_views_of_the_buffered_bytes() {
+        let mut b = SendBuffer::new(1 << 20);
+        b.write(&[7u8; 10_000]).unwrap();
+        let first = b.data_at(0, MSS, false).unwrap();
+        let second = b.data_at(MSS as u64, MSS, false).unwrap();
+        // Adjacent segments of one write sit back to back in one allocation.
+        assert_eq!(first.as_ptr().wrapping_add(MSS), second.as_ptr());
+        // A retransmission reads the same bytes, not a copy of them.
+        b.mark_transmitted(2 * MSS as u64);
+        assert_eq!(b.data_at(0, MSS, false).unwrap().as_ptr(), first.as_ptr());
+        // An acknowledgment inside the chunk moves only the head.
+        b.acknowledge(MSS as u64);
+        assert_eq!(b.head_offset(), MSS as u64);
+        assert!(b.data_at(0, MSS, false).is_none());
+        assert_eq!(
+            b.data_at(MSS as u64, MSS, false).unwrap().as_ptr(),
+            second.as_ptr()
+        );
+    }
+
+    #[test]
+    fn large_stream_write_is_stored_in_pieces_and_gathered_across_them() {
+        let piece = SendBuffer::STREAM_PIECE;
+        let data: Vec<u8> = (0..2 * piece + 100).map(|i| (i % 251) as u8).collect();
+        let mut b = SendBuffer::new(1 << 20);
+        b.write(&data).unwrap();
+        assert_eq!(b.chunk_end_at(0), Some(piece as u64));
+        assert_eq!(b.chunk_end_at(2 * piece as u64), Some(data.len() as u64));
+        // A segment straddling two pieces reads through, byte for byte.
+        let at = piece - 500;
+        assert_eq!(
+            b.data_at(at as u64, MSS, false).unwrap(),
+            data[at..at + MSS]
+        );
+        // Acknowledging a whole piece releases it; the rest reads on.
+        b.acknowledge(piece as u64 + 10);
+        assert_eq!(b.len(), data.len() - piece - 10);
+        assert_eq!(
+            b.data_at(piece as u64 + 10, usize::MAX, false).unwrap(),
+            data[piece + 10..]
+        );
+    }
+
+    #[test]
+    fn priority_write_never_splits_a_partly_acknowledged_write() {
+        // A three-segment write whose first segment has been sent *and*
+        // acknowledged: everything transmitted is acknowledged, yet the
+        // write is still on the wire in part. A priority write must queue
+        // behind the rest of it, not between its bytes.
+        let mut b = SendBuffer::new(1 << 16);
+        b.write_with_priority(&[1u8; 3000], 0, false, true, MSS, false)
+            .unwrap();
+        b.mark_transmitted(MSS as u64);
+        b.acknowledge(MSS as u64);
+        assert_eq!(b.transmitted_offset(), b.head_offset());
+        b.write_with_priority(&[9u8; 10], 5, true, true, MSS, false)
+            .unwrap();
+        assert_eq!(b.priority_insertions(), 0);
+        assert_eq!(
+            b.data_at(MSS as u64, 3000, true).unwrap(),
+            vec![1u8; 3000 - MSS]
+        );
+        assert_eq!(b.data_at(3000, 10, true).unwrap(), vec![9u8; 10]);
+        // Nor does a squash with the same tag discard the rest of it.
+        b.write_with_priority(&[2u8; 10], 0, true, true, MSS, false)
+            .unwrap();
+        assert_eq!(b.squashed_chunks(), 0);
+        assert_eq!(b.len(), 3000 - MSS + 20);
     }
 
     #[test]

@@ -535,11 +535,11 @@ fn wire_format_is_identical_for_utcp() {
         // Manually step so we can capture segments.
         for _ in 0..2000 {
             for seg in h.client.poll(h.now) {
-                client_wire.push(seg.encode());
+                client_wire.push(seg.encode().to_vec());
                 h.wire.push((h.now + h.delay, true, seg));
             }
             for seg in h.server.poll(h.now) {
-                server_wire.push(seg.encode());
+                server_wire.push(seg.encode().to_vec());
                 h.wire.push((h.now + h.delay, false, seg));
             }
             let next = h
@@ -833,7 +833,7 @@ fn readiness_events_fire_on_edges() {
     h.server.set_event_interest(true);
     assert_eq!(h.client.readiness(), Readiness::default());
     h.run_until(SimTime::from_millis(200));
-    let client_events = h.client.take_events();
+    let client_events = h.client.take_events().collect::<Vec<_>>();
     assert!(
         client_events.contains(&ConnEvent::Established),
         "events={client_events:?}"
@@ -844,12 +844,20 @@ fn readiness_events_fire_on_edges() {
     h.client.write(b"ping").unwrap();
     h.run_until(h.now + SimDuration::from_millis(200));
     assert!(h.server.readiness().readable);
-    assert!(h.server.take_events().contains(&ConnEvent::Readable));
+    assert!(h
+        .server
+        .take_events()
+        .collect::<Vec<_>>()
+        .contains(&ConnEvent::Readable));
 
     h.client.close();
     h.server.close();
     h.run_until_idle(SimTime::from_secs(20));
-    assert!(h.client.take_events().contains(&ConnEvent::Closed));
+    assert!(h
+        .client
+        .take_events()
+        .collect::<Vec<_>>()
+        .contains(&ConnEvent::Closed));
     assert!(h.client.readiness().closed);
 }
 
@@ -861,7 +869,7 @@ fn rto_event_fires_on_timeout() {
     h.client.write(&[7u8; 2000]).unwrap();
     h.drop_client_data = vec![2];
     h.run_until_idle(SimTime::from_secs(120));
-    let events = h.client.take_events();
+    let events = h.client.take_events().collect::<Vec<_>>();
     let waits: Vec<u64> = events
         .iter()
         .filter_map(|e| match e {
@@ -888,7 +896,7 @@ fn events_are_not_recorded_without_interest() {
     h.run_until(h.now + SimDuration::from_millis(200));
     assert!(!h.client.has_events());
     assert!(!h.server.has_events());
-    assert!(h.server.take_events().is_empty());
+    assert!(h.server.take_events().collect::<Vec<_>>().is_empty());
 }
 
 #[test]
@@ -896,14 +904,17 @@ fn writable_event_fires_when_a_full_buffer_drains() {
     let mut h = Harness::new(SocketOptions::standard(), SocketOptions::standard());
     h.run_until(SimTime::from_millis(200));
     h.client.set_event_interest(true);
-    let _ = h.client.take_events();
+    let _ = h.client.take_events().collect::<Vec<_>>();
     // Fill the send buffer completely, then let ACKs drain it.
     let free = h.client.send_buffer_free();
     h.client.write(&vec![0u8; free]).unwrap();
     assert!(!h.client.readiness().writable);
     h.run_until_idle(SimTime::from_secs(60));
     assert!(
-        h.client.take_events().contains(&ConnEvent::Writable),
+        h.client
+            .take_events()
+            .collect::<Vec<_>>()
+            .contains(&ConnEvent::Writable),
         "ACKs freeing a full buffer must surface a Writable edge"
     );
 }

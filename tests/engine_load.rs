@@ -89,3 +89,45 @@ fn loss_under_load_is_recovered_per_flow() {
         "2% loss should not hit every single flow's data"
     );
 }
+
+/// A stream longer than the 256 KiB send buffer (benchmark README defect 1:
+/// this used to panic in `SimTransport::write`). The transport accepts the
+/// prefix that fits, the driver stages the rest, and each ACK that frees
+/// space raises the writable edge that flushes more.
+#[test]
+fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
+    let scenario = LoadScenario {
+        flows: 1,
+        records_per_flow: 200,
+        record_len: 1400,
+        ..LoadScenario::default()
+    };
+    let report = verify_load(&scenario);
+    assert_eq!(report.records_delivered, 200);
+    assert!(
+        report.total_bytes > 256 * 1024,
+        "the stream outgrew the buffer"
+    );
+    assert!(
+        report.obs.pool_dwell.max() > 0,
+        "the tail of the stream waited for acknowledgments"
+    );
+    assert_eq!(report.obs.delivery_delay.count(), 200);
+
+    // Under loss and with several flows, out-of-order receivers included.
+    let lossy = LoadScenario {
+        flows: 3,
+        records_per_flow: 260,
+        record_len: 1400,
+        loss: minion_repro::simnet::LossConfig::Bernoulli { probability: 0.01 },
+        ..LoadScenario::default()
+    };
+    let report = verify_load(&lossy);
+    assert_eq!(report.records_delivered, report.records_sent);
+
+    // A flow that never fills its buffer is written whole at connect time,
+    // as before: no staging, no dwell.
+    let small = LoadScenario::with_flows(4).run();
+    assert_eq!(small.obs.pool_dwell.count(), 4);
+    assert_eq!(small.obs.pool_dwell.max(), 0);
+}
