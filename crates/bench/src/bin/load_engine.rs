@@ -9,9 +9,7 @@
 //! so `--threads` changes wall time only, never a metric. Wall-clock
 //! events/sec measures the runtime itself (timer wheel + batched dispatch +
 //! readiness polling); goodput and sim-time events/sec are virtual-time
-//! figures and therefore bit-stable across machines. `allocs_per_flow`
-//! tracks the staging buffer pools' recycling effectiveness (near zero when
-//! the pools work), not total process allocations.
+//! figures and therefore bit-stable across machines.
 //!
 //! The report also carries a `"demux"` section: the measured per-lookup
 //! cost of the host connection-demux table before (`BTreeMap`) and after
@@ -128,8 +126,6 @@ fn row_json(row: &Row) -> String {
             "      \"events_per_sim_sec\": {eps_sim},\n",
             "      \"events_per_wall_sec\": {eps_wall},\n",
             "      \"wall_ms\": {wall_ms:.3},\n",
-            "      \"allocs_per_flow\": {apf:.3},\n",
-            "      \"pool_reuse_ratio\": {reuse:.4},\n",
             "      \"packets_sent\": {psent},\n",
             "      \"packets_delivered\": {pdeliv},\n",
             "      \"timer_fires\": {tfires},\n",
@@ -152,8 +148,6 @@ fn row_json(row: &Row) -> String {
         eps_sim = r.events_per_sim_sec,
         eps_wall = events_per_wall_sec,
         wall_ms = row.wall_seconds * 1000.0,
-        apf = r.allocs_per_flow(),
-        reuse = r.pool.reuse_ratio(),
         psent = r.engine.packets_sent,
         pdeliv = r.engine.packets_delivered,
         tfires = r.engine.timer_fires,
@@ -434,7 +428,7 @@ fn obs_row_json(receiver: &str, report: &LoadReport) -> String {
             "        \"delivery_delay_max_ns\": {max},\n",
             "        \"rto_wait_count\": {rto_waits},\n",
             "        \"rto_wait_p99_ns\": {rto_p99},\n",
-            "        \"pool_dwell_p99_ns\": {dwell_p99},\n",
+            "        \"staging_dwell_p99_ns\": {dwell_p99},\n",
             "        \"chunks_out_of_order\": {ooo},\n",
             "        \"retransmit_edges\": {retx},\n",
             "        \"rto_edges\": {rto},\n",
@@ -453,7 +447,7 @@ fn obs_row_json(receiver: &str, report: &LoadReport) -> String {
         max = d.max(),
         rto_waits = report.obs.rto_wait.count(),
         rto_p99 = report.obs.rto_wait.p99(),
-        dwell_p99 = report.obs.pool_dwell.p99(),
+        dwell_p99 = report.obs.staging_dwell.p99(),
         ooo = report.obs.counters.get(C_CHUNKS_OUT_OF_ORDER),
         retx = report.obs.counters.get(C_RETRANSMIT_EDGES),
         rto = report.obs.counters.get(C_RTO_EDGES),
@@ -858,13 +852,13 @@ fn main() {
             .trace
             .to_jsonl_with_summary(filter.admitted, filter.suppressed);
         cli::write_output("--trace-out", path, &jsonl);
-        if filter.flow.is_some() || !filter.kinds.is_all() {
+        if !filter.predicate.is_pass_all() {
             println!(
                 "wrote {path} ({} trace events; sliced to flow {:?} kinds {}: \
                  {} admitted, {} suppressed)",
                 utcp_report.obs.trace.recorded(),
-                filter.flow,
-                filter.kinds.labels(),
+                filter.predicate.flow,
+                filter.predicate.kinds.labels(),
                 filter.admitted,
                 filter.suppressed
             );

@@ -10,8 +10,6 @@
 //! * [`TimerWheel`] — a hierarchical timer wheel (six 64-slot levels at
 //!   microsecond resolution, occupancy bitmaps, lazy cancellation) replacing
 //!   the `O(flows)` every-socket timer scan with `O(1)` re-arming.
-//! * [`BufferPool`] — a recycling byte-buffer pool with **allocs/flow**
-//!   accounting, from which [`LoadScenario`] takes each flow's stream buffer.
 //! * [`Engine`] — the event loop: batched packet dispatch from the simulated
 //!   network ([`minion_simnet::World::drain_due_into`]), per-socket
 //!   demultiplexing ([`minion_stack::Host::on_packet_demux`]), readiness
@@ -31,7 +29,6 @@
 pub mod clock;
 pub mod metrics;
 pub mod obs;
-pub mod pool;
 pub mod runtime;
 pub mod scenario;
 pub mod transport;
@@ -39,8 +36,7 @@ pub mod wheel;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use metrics::{fnv1a, fnv1a_words, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
-pub use obs::{LoadObs, TraceFilter, LOAD_COUNTER_NAMES, LOAD_GAUGE_NAMES};
-pub use pool::{BufferPool, PoolStats};
+pub use obs::{LoadObs, LOAD_COUNTER_NAMES, LOAD_GAUGE_NAMES};
 pub use runtime::{Engine, EngineHostId, FlowId, ENGINE_PHASES};
 pub use scenario::{verify_load, verify_load_sharded, LoadScenario, LOAD_PORT, SHARD_FLOWS};
 pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats};

@@ -7,7 +7,6 @@
 //! integers from the raw counters.
 
 use crate::obs::LoadObs;
-use crate::pool::PoolStats;
 use minion_obs::{Absorb, NonDeterministic, PhaseProfile};
 
 // The single canonical fingerprint functions (the determinism gates compare
@@ -104,19 +103,10 @@ pub struct LoadReport {
     pub goodput_bps: u64,
     /// Dispatched events per virtual second.
     pub events_per_sim_sec: u64,
-    /// [`crate::BufferPool`] allocations per thousand flows (integer, ×1000
-    /// so the report stays `Eq`-comparable). Every flow's stream buffer is
-    /// checked out for the whole run (delivered chunks are verified against
-    /// it in place), so this reads 1000 — one buffer per flow; it is not a
-    /// whole-process allocation count (`tests/alloc_budget.rs` and the
-    /// benchmark's `alloc.*` rows are).
-    pub allocs_per_flow_milli: u64,
     /// Engine runtime counters, snapshotted at the end of the load phase
     /// (the FIN/TIME-WAIT close-out is excluded so rates describe the load).
     pub engine: EngineMetrics,
-    /// Buffer-pool counters.
-    pub pool: PoolStats,
-    /// Deterministic observability: delivery-delay / RTO / pool-dwell
+    /// Deterministic observability: delivery-delay / RTO / staging-dwell
     /// histograms, event counters, and the lifecycle trace ring — all
     /// covered by the byte-identity gates.
     pub obs: LoadObs,
@@ -129,16 +119,11 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Derived: allocations per flow as a float (for display only).
-    pub fn allocs_per_flow(&self) -> f64 {
-        self.allocs_per_flow_milli as f64 / 1000.0
-    }
-
     /// A compact one-line summary for logs.
     pub fn summary(&self) -> String {
         format!(
             "{}: {}/{} records, {} B in {:.1} ms, goodput {:.2} Mbit/s, \
-             {} events ({}/sim-s), {:.2} allocs/flow",
+             {} events ({}/sim-s)",
             self.label,
             self.records_delivered,
             self.records_sent,
@@ -147,7 +132,6 @@ impl LoadReport {
             self.goodput_bps as f64 / 1e6,
             self.engine.events(),
             self.events_per_sim_sec,
-            self.allocs_per_flow(),
         )
     }
 }
@@ -210,9 +194,7 @@ mod tests {
             completion_us: 2_000,
             goodput_bps: 4_000_000,
             events_per_sim_sec: 500,
-            allocs_per_flow_milli: 1_500,
             engine: EngineMetrics::default(),
-            pool: PoolStats::default(),
             obs: LoadObs::default(),
             phases: NonDeterministic::default(),
             per_flow: vec![],
@@ -220,7 +202,6 @@ mod tests {
         let s = r.summary();
         assert!(s.contains("4/4 records"));
         assert!(s.contains("4.00 Mbit/s"));
-        assert!(s.contains("1.50 allocs/flow"));
-        assert_eq!(r.allocs_per_flow(), 1.5);
+        assert!(s.contains("(500/sim-s)"));
     }
 }

@@ -8,8 +8,8 @@
 //! It bundles:
 //!
 //! * [`Histogram`]s — delivery delay (send-enqueue → app-deliver), RTO wait
-//!   (per-timer arm → fire), and buffer-pool dwell, all in nanoseconds of
-//!   backend time (virtual on sim, monotonic on os);
+//!   (per-timer arm → fire), and send-stream staging dwell, all in
+//!   nanoseconds of backend time (virtual on sim, monotonic on os);
 //! * a [`CounterSet`]/[`GaugeSet`] over fixed slot names (see
 //!   [`LOAD_COUNTER_NAMES`]);
 //! * a [`TraceRing`] of per-flow lifecycle events (SYN, first byte, record
@@ -22,7 +22,7 @@
 
 use crate::metrics::{fnv1a, FNV_OFFSET_BASIS};
 use minion_obs::{
-    Absorb, CcObs, CounterSet, FlowDelayMap, GaugeSet, Histogram, KindSet, StreamStats, TraceEvent,
+    Absorb, CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamStats,
     TraceRing,
 };
 
@@ -67,10 +67,10 @@ pub struct LoadObs {
     /// RTO wait: how long each fired retransmission timer was armed
     /// (arm → fire, nanoseconds) — the realized timeout, including backoff.
     pub rto_wait: Histogram,
-    /// Staging dwell of send-stream buffers: from the stream being taken
-    /// from the pool at connect until the transport has accepted its last
-    /// byte (0 when the whole stream fits the send buffer), nanoseconds.
-    pub pool_dwell: Histogram,
+    /// Staging dwell of send streams: from the stream being built at
+    /// connect until the transport has accepted its last byte (0 when the
+    /// whole stream fits the send buffer), nanoseconds.
+    pub staging_dwell: Histogram,
     /// Event counters over [`LOAD_COUNTER_NAMES`].
     pub counters: CounterSet,
     /// High-water marks over [`LOAD_GAUGE_NAMES`].
@@ -78,8 +78,10 @@ pub struct LoadObs {
     /// Lifecycle trace, bounded to the last
     /// [`DEFAULT_TRACE_CAP`](minion_obs::DEFAULT_TRACE_CAP) events.
     pub trace: TraceRing,
-    /// Per-flow trace admission filter + admitted/suppressed accounting.
-    pub trace_filter: TraceFilter,
+    /// The trace pipeline's flow × kind admission predicate and its
+    /// admitted/suppressed accounting (the driver's
+    /// [`FilteredSink`](minion_obs::FilteredSink), torn down).
+    pub trace_filter: FilterStats,
     /// Accounting of the zero-drop streaming sink, when the run spilled
     /// its trace to a file (all-zero otherwise). The sink itself holds an
     /// OS writer and never enters this mergeable state — only its
@@ -98,11 +100,11 @@ impl Default for LoadObs {
         LoadObs {
             delivery_delay: Histogram::new(),
             rto_wait: Histogram::new(),
-            pool_dwell: Histogram::new(),
+            staging_dwell: Histogram::new(),
             counters: CounterSet::new(LOAD_COUNTER_NAMES),
             gauges: GaugeSet::new(LOAD_GAUGE_NAMES),
             trace: TraceRing::default(),
-            trace_filter: TraceFilter::default(),
+            trace_filter: FilterStats::default(),
             stream: StreamStats::default(),
             flow_delay: FlowDelayMap::default(),
             cc_obs: CcObs::default(),
@@ -114,7 +116,7 @@ impl Absorb for LoadObs {
     fn absorb(&mut self, other: &Self) {
         self.delivery_delay.absorb(&other.delivery_delay);
         self.rto_wait.absorb(&other.rto_wait);
-        self.pool_dwell.absorb(&other.pool_dwell);
+        self.staging_dwell.absorb(&other.staging_dwell);
         self.counters.absorb(&other.counters);
         self.gauges.absorb(&other.gauges);
         self.trace.absorb(&other.trace);
@@ -125,89 +127,7 @@ impl Absorb for LoadObs {
     }
 }
 
-/// Flow × kind trace admission: when focused on one flow and/or a kind
-/// slice, only matching events enter the trace sinks, so a 1k-flow run
-/// can trace a single flow (or just the `retransmit,rto` recovery
-/// events) at full granularity without drowning the bounded ring. Counts
-/// what it admits and suppresses so filtered dumps stay honest about
-/// coverage. The scenario driver applies the predicate through
-/// `minion_obs::FilteredSink`; this struct is the mergeable *record* of
-/// the predicate config plus its accounting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct TraceFilter {
-    /// Global flow index to focus on; `None` admits every flow.
-    pub flow: Option<u32>,
-    /// Kinds to admit; `KindSet::all()` (the default) admits every kind.
-    pub kinds: KindSet,
-    /// Events that passed the filter.
-    pub admitted: u64,
-    /// Events rejected by the focus.
-    pub suppressed: u64,
-}
-
-impl TraceFilter {
-    /// A filter focused on one global flow index (`None` admits all).
-    pub fn focused(flow: Option<u32>) -> Self {
-        TraceFilter {
-            flow,
-            ..TraceFilter::default()
-        }
-    }
-
-    /// A filter over both predicate axes.
-    pub fn sliced(flow: Option<u32>, kinds: KindSet) -> Self {
-        TraceFilter {
-            flow,
-            kinds,
-            ..TraceFilter::default()
-        }
-    }
-
-    /// Decide (and count) whether `ev` enters the trace ring.
-    pub fn admit(&mut self, ev: &TraceEvent) -> bool {
-        let ok = self.flow.is_none_or(|f| f == ev.flow) && self.kinds.contains(ev.kind);
-        if ok {
-            self.admitted += 1;
-        } else {
-            self.suppressed += 1;
-        }
-        ok
-    }
-}
-
-impl Absorb for TraceFilter {
-    /// Counters add; the predicate config must agree. A pristine filter
-    /// (nothing counted) adopts `other`'s config so `TraceFilter::default()`
-    /// is a true merge identity; all shards of one scenario inherit the
-    /// same predicate, so mismatched non-pristine configs are a bug — loudly.
-    fn absorb(&mut self, other: &Self) {
-        if self.admitted == 0 && self.suppressed == 0 {
-            self.flow = other.flow;
-            self.kinds = other.kinds;
-        } else if other.admitted != 0 || other.suppressed != 0 {
-            assert_eq!(
-                self.flow, other.flow,
-                "merging trace filters with different focus"
-            );
-            assert_eq!(
-                self.kinds, other.kinds,
-                "merging trace filters with different kind slices"
-            );
-        }
-        self.admitted += other.admitted;
-        self.suppressed += other.suppressed;
-    }
-}
-
 impl LoadObs {
-    /// Offer a lifecycle event to the trace ring through the per-flow
-    /// filter: suppressed events are counted, admitted ones recorded.
-    pub fn trace_event(&mut self, ev: TraceEvent) {
-        if self.trace_filter.admit(&ev) {
-            self.trace.push(ev);
-        }
-    }
-
     /// Order-sensitive FNV-1a fingerprint of the trace ring's event stream
     /// (the compact form the determinism gates compare).
     pub fn trace_fingerprint(&self) -> u64 {
@@ -231,18 +151,16 @@ mod tests {
         let mut o = LoadObs::default();
         o.delivery_delay.record(base + 1_000);
         o.rto_wait.record(base + 2_000);
-        o.pool_dwell.record(0);
+        o.staging_dwell.record(0);
         o.counters.inc(C_RECORDS_DELIVERED);
         o.gauges.observe(G_COVERAGE_RANGES_HIGH_WATER, base);
-        let ev = TraceEvent {
+        o.trace.push(TraceEvent {
             t_ns: base,
             flow: base as u32,
             seq: 0,
             kind: TraceKind::Syn,
-        };
-        if o.trace_filter.admit(&ev) {
-            o.trace.push(ev);
-        }
+        });
+        o.trace_filter.admitted += 1;
         o.cc_obs.record_window(base, 14_400, 7_200);
         o.cc_obs.record_recovery(base + 500, 7_200);
         o
@@ -265,109 +183,6 @@ mod tests {
         let mut back = a.clone();
         back.absorb(&LoadObs::default());
         assert_eq!(back, a, "a ⊕ default == a");
-    }
-
-    #[test]
-    fn trace_filter_admits_only_the_focused_flow_and_counts() {
-        let mut f = TraceFilter::focused(Some(7));
-        let mk = |flow: u32| TraceEvent {
-            t_ns: 1,
-            flow,
-            seq: 0,
-            kind: TraceKind::Syn,
-        };
-        assert!(f.admit(&mk(7)));
-        assert!(!f.admit(&mk(8)));
-        assert!(!f.admit(&mk(0)));
-        assert_eq!((f.admitted, f.suppressed), (1, 2));
-        let mut open = TraceFilter::focused(None);
-        assert!(open.admit(&mk(8)));
-        assert_eq!((open.admitted, open.suppressed), (1, 0));
-    }
-
-    #[test]
-    fn trace_filter_slices_by_kind_and_flow_together() {
-        use minion_obs::KindSet;
-        let mut f = TraceFilter::sliced(
-            Some(7),
-            KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]),
-        );
-        let mk = |flow: u32, kind: TraceKind| TraceEvent {
-            t_ns: 1,
-            flow,
-            seq: 0,
-            kind,
-        };
-        assert!(f.admit(&mk(7, TraceKind::Retransmit)));
-        assert!(!f.admit(&mk(7, TraceKind::Syn)), "kind outside the slice");
-        assert!(!f.admit(&mk(8, TraceKind::Retransmit)), "flow out of focus");
-        assert_eq!((f.admitted, f.suppressed), (1, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "different kind slices")]
-    fn trace_filter_absorb_rejects_mismatched_kind_slices() {
-        use minion_obs::KindSet;
-        let mut a = TraceFilter::sliced(None, KindSet::of(&[TraceKind::Retransmit]));
-        let mut b = TraceFilter::sliced(None, KindSet::of(&[TraceKind::Syn]));
-        let ev = TraceEvent {
-            t_ns: 1,
-            flow: 1,
-            seq: 0,
-            kind: TraceKind::Retransmit,
-        };
-        a.admit(&ev);
-        b.admit(&ev);
-        a.absorb(&b);
-    }
-
-    #[test]
-    fn trace_filter_absorb_is_associative_and_order_stable() {
-        let mk = |adm: u64, sup: u64| {
-            let mut f = TraceFilter::focused(Some(3));
-            f.admitted = adm;
-            f.suppressed = sup;
-            f
-        };
-        let (a, b, c) = (mk(1, 2), mk(3, 4), mk(5, 6));
-        let mut left = a;
-        left.absorb(&b);
-        left.absorb(&c);
-        let mut bc = b;
-        bc.absorb(&c);
-        let mut right = a;
-        right.absorb(&bc);
-        assert_eq!(left, right, "associative");
-        assert_eq!((left.admitted, left.suppressed), (9, 12));
-        // order-stability: counters are commutative sums, so shard order
-        // cannot change the merged value
-        let mut rev = c;
-        rev.absorb(&b);
-        rev.absorb(&a);
-        assert_eq!(rev, left);
-        // pristine identity adopts the focus
-        let mut id = TraceFilter::default();
-        id.absorb(&a);
-        assert_eq!(id, a);
-        let mut back = a;
-        back.absorb(&TraceFilter::default());
-        assert_eq!(back, a);
-    }
-
-    #[test]
-    #[should_panic(expected = "different focus")]
-    fn trace_filter_absorb_rejects_mismatched_focus() {
-        let mut a = TraceFilter::focused(Some(1));
-        let mut b = TraceFilter::focused(Some(2));
-        let ev = TraceEvent {
-            t_ns: 1,
-            flow: 1,
-            seq: 0,
-            kind: TraceKind::Syn,
-        };
-        a.admit(&ev);
-        b.admit(&ev);
-        a.absorb(&b);
     }
 
     #[test]

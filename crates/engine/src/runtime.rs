@@ -29,7 +29,6 @@ use minion_obs::PhaseProfile;
 use minion_simnet::{LinkConfig, NodeId, Packet, SimDuration, SimTime, World};
 use minion_stack::{Host, HostError, SocketHandle};
 use minion_tcp::ConnEvent;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Phase names of the engine's event loop, in [`Engine::phases`] slot order.
@@ -49,7 +48,7 @@ pub type EngineHostId = usize;
 pub struct FlowId(pub u32);
 
 impl FlowId {
-    fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -69,8 +68,10 @@ pub struct Engine {
     clock: VirtualClock,
     wheel: TimerWheel<FlowId>,
     flows: Vec<FlowSlot>,
-    /// `(host, handle)` → flow, for O(log n) demux on the arrival path.
-    flow_of: BTreeMap<(EngineHostId, SocketHandle), FlowId>,
+    /// `flow_of[host][handle.0]` → flow, for the arrival path: a [`Host`]
+    /// hands handles out sequentially, so the table is as dense as the
+    /// host's sockets (listeners and unregistered sockets are the `None`s).
+    flow_of: Vec<Vec<Option<FlowId>>>,
     /// Hosts whose freshly accepted connections are auto-registered as flows.
     auto_register: Vec<bool>,
     /// FIFO of flows needing a poll, deduplicated by `ready_mark`.
@@ -102,7 +103,7 @@ impl Engine {
             clock: VirtualClock::new(),
             wheel: TimerWheel::new(),
             flows: Vec::new(),
-            flow_of: BTreeMap::new(),
+            flow_of: Vec::new(),
             auto_register: Vec::new(),
             ready: Vec::new(),
             ready_mark: Vec::new(),
@@ -137,6 +138,7 @@ impl Engine {
         let node = self.world.add_node(name);
         self.hosts.push(Host::new(node, name));
         self.nodes.push(node);
+        self.flow_of.push(Vec::new());
         self.auto_register.push(false);
         self.hosts.len() - 1
     }
@@ -187,7 +189,12 @@ impl Engine {
     pub fn register_flow(&mut self, host: EngineHostId, handle: SocketHandle) -> FlowId {
         let id = FlowId(self.flows.len() as u32);
         self.flows.push(FlowSlot { host, handle });
-        self.flow_of.insert((host, handle), id);
+        let flow_of = &mut self.flow_of[host];
+        let slot = handle.0 as usize;
+        if flow_of.len() <= slot {
+            flow_of.resize(slot + 1, None);
+        }
+        flow_of[slot] = Some(id);
         self.ready_mark.push(false);
         self.hosts[host]
             .tcp_set_event_interest(handle, true)
@@ -385,8 +392,8 @@ impl Engine {
         let Some(handle) = self.hosts[host].on_packet_demux(pkt, self.clock.now()) else {
             return;
         };
-        match self.flow_of.get(&(host, handle)) {
-            Some(&id) => self.mark_ready(id),
+        match self.flow_of[host].get(handle.0 as usize).copied().flatten() {
+            Some(id) => self.mark_ready(id),
             None if self.auto_register[host] => {
                 let id = self.register_flow(host, handle);
                 self.accepted_out.push(id);

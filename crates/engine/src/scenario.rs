@@ -20,9 +20,10 @@
 //! ## Sharded execution
 //!
 //! [`LoadScenario::run_sharded`] decomposes the `flows` axis into fixed
-//! [`SHARD_FLOWS`]-flow shards — each an independent [`Engine`] with its own
-//! link and a seed derived from `(seed, shard index)` — and executes them on
-//! the `minion-exec` work-stealing executor, merging the per-shard
+//! [`SHARD_FLOWS`]-flow shards — each an independent
+//! [`Engine`](crate::Engine) with its own link and a seed derived from
+//! `(seed, shard index)` — and executes them on the `minion-exec`
+//! work-stealing executor, merging the per-shard
 //! [`LoadReport`]s **by shard index**. The decomposition is a property of
 //! the scenario (flow count), never of the thread count, so the merged
 //! report is byte-identical at any `threads` value; threads only decide how
@@ -33,7 +34,6 @@ use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
 };
-use crate::pool::{BufferPool, PoolStats};
 use crate::runtime::FlowId;
 use crate::transport::{SimTransport, Transport};
 use minion_exec::Executor;
@@ -212,6 +212,17 @@ impl LoadScenario {
         }
     }
 
+    /// A lifecycle trace event of this scenario's flow `flow` (the trace
+    /// carries **global** flow indices).
+    fn event(&self, t_ns: u64, flow: usize, seq: u32, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
+            t_ns,
+            flow: (self.first_flow + flow) as u32,
+            seq,
+            kind,
+        }
+    }
+
     /// Payload length of one record (varies deterministically around the
     /// nominal size so flows and records are tellable apart; `flow` is the
     /// **global** index, so shard streams match the unsharded scenario's).
@@ -279,10 +290,6 @@ impl LoadScenario {
             "sim" => self.label(),
             backend => format!("{}/{}", self.label(), backend),
         };
-        // Fresh buffers come empty: each flow reserves its exact stream
-        // length below, so a stream costs one allocation, not a nominal one
-        // plus a regrow (the nominal size ignores the record headers).
-        let mut pool = BufferPool::new(0, 8);
         let mut obs = LoadObs::default();
 
         // The trace pipeline: every lifecycle event is offered to one
@@ -310,20 +317,19 @@ impl LoadScenario {
         // with the flow for the whole run — it is what every delivered chunk
         // is compared against.
         let mut states: Vec<FlowState> = Vec::with_capacity(self.flows);
+        // Transports number flows 0, 1, 2 … as they open and accept them,
+        // so which end of which flow a `FlowId` names is an index away.
+        let mut end_of: Vec<End> = Vec::with_capacity(2 * self.flows);
         for flow in 0..self.flows {
             let global_flow = self.first_flow + flow;
             let (id, pair_key) = transport.connect();
+            push_end(&mut end_of, id, End::Client(flow), &label);
             let now_ns = ns_of(transport.now());
-            sink.offer(&TraceEvent {
-                t_ns: now_ns,
-                flow: global_flow as u32,
-                seq: 0,
-                kind: TraceKind::Syn,
-            });
+            sink.offer(&self.event(now_ns, flow, 0, TraceKind::Syn));
             let bounds = self.record_bounds(global_flow);
             let stream_len = bounds.last().map_or(0, |&(_, end)| end as usize);
-            let mut stream = pool.take();
-            stream.reserve_exact(stream_len);
+            // The exact length up front: a stream costs one allocation.
+            let mut stream = Vec::with_capacity(stream_len);
             self.build_stream(global_flow, &mut stream);
             assert_eq!(
                 stream.len(),
@@ -335,7 +341,7 @@ impl LoadScenario {
             let enqueued = state.mark_enqueued(now_ns);
             obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
             if state.sent == state.stream.len() {
-                obs.pool_dwell.record(0);
+                obs.staging_dwell.record(0);
             }
             states.push(state);
         }
@@ -349,14 +355,9 @@ impl LoadScenario {
                 state.pair_key
             );
         }
-        let mut client_flow_of: BTreeMap<FlowId, usize> = BTreeMap::new();
-        for (flow, state) in states.iter().enumerate() {
-            client_flow_of.insert(state.client, flow);
-        }
 
         // Event-driven main loop: react to accepts, writability (pending
         // stream flushes), and readability only.
-        let mut server_flow_of: BTreeMap<FlowId, usize> = BTreeMap::new();
         let deadline = transport.now() + self.deadline;
         let mut completed = 0usize;
         while completed < self.flows && transport.now() < deadline {
@@ -369,13 +370,13 @@ impl LoadScenario {
                     .get(&peer_key)
                     .unwrap_or_else(|| panic!("[{label}] unknown peer port {peer_key}"));
                 states[flow].server = Some(sf);
-                server_flow_of.insert(sf, flow);
+                push_end(&mut end_of, sf, End::Server(flow), &label);
             }
             // Lifecycle edges feed the trace ring and the RTO-latency
             // histogram. Only sender-side (client) edges are traced: the
             // servers' own Established/Closed edges carry no load insight.
             for (f, ev) in transport.take_lifecycle() {
-                let Some(&flow) = client_flow_of.get(&f) else {
+                let Some(&End::Client(flow)) = end_of.get(f.index()) else {
                     continue;
                 };
                 let now_ns = ns_of(transport.now());
@@ -384,22 +385,12 @@ impl LoadScenario {
                     ConnEvent::RtoFired { wait_us } => {
                         obs.rto_wait.record(wait_us.saturating_mul(1_000));
                         obs.counters.inc(C_RTO_EDGES);
-                        sink.offer(&TraceEvent {
-                            t_ns: now_ns,
-                            flow: (self.first_flow + flow) as u32,
-                            seq: state.rto_seq,
-                            kind: TraceKind::RtoFired,
-                        });
+                        sink.offer(&self.event(now_ns, flow, state.rto_seq, TraceKind::RtoFired));
                         state.rto_seq += 1;
                     }
                     ConnEvent::Retransmit => {
                         obs.counters.inc(C_RETRANSMIT_EDGES);
-                        sink.offer(&TraceEvent {
-                            t_ns: now_ns,
-                            flow: (self.first_flow + flow) as u32,
-                            seq: state.rtx_seq,
-                            kind: TraceKind::Retransmit,
-                        });
+                        sink.offer(&self.event(now_ns, flow, state.rtx_seq, TraceKind::Retransmit));
                         state.rtx_seq += 1;
                     }
                     ConnEvent::Established => state.enqueue_floor_ns = now_ns,
@@ -407,7 +398,7 @@ impl LoadScenario {
                 }
             }
             for f in transport.take_writable() {
-                let Some(&flow) = client_flow_of.get(&f) else {
+                let Some(&End::Client(flow)) = end_of.get(f.index()) else {
                     continue;
                 };
                 let state = &mut states[flow];
@@ -425,12 +416,12 @@ impl LoadScenario {
                 let enqueued = state.mark_enqueued(now_ns);
                 obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
                 if state.sent == state.stream.len() {
-                    obs.pool_dwell
+                    obs.staging_dwell
                         .record(now_ns.saturating_sub(state.staged_ns));
                 }
             }
             for f in transport.take_readable() {
-                let Some(&flow) = server_flow_of.get(&f) else {
+                let Some(&End::Server(flow)) = end_of.get(f.index()) else {
                     continue;
                 };
                 let now_us = transport.now().as_micros();
@@ -444,50 +435,34 @@ impl LoadScenario {
                     }
                     if !state.first_chunk_seen {
                         state.first_chunk_seen = true;
-                        sink.offer(&TraceEvent {
-                            t_ns: now_ns,
-                            flow: (self.first_flow + flow) as u32,
-                            seq: 0,
-                            kind: TraceKind::FirstByte,
-                        });
+                        sink.offer(&self.event(now_ns, flow, 0, TraceKind::FirstByte));
                     }
                     // Checked against the sent bytes here, in place, and then
                     // dropped: nothing is kept for a later reassembly.
-                    let (covered_from, covered_to) = state
+                    let run = state
                         .accept_chunk(chunk.offset, &chunk.data)
                         .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
-                    obs.gauges
-                        .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
                     // Records whose full byte range just became covered are
                     // *delivered*: stamp their delay. uTCP receivers complete
                     // later records while earlier holes persist; ordered TCP
                     // cannot — that asymmetry is the paper's figure of merit.
-                    // Only records the chunk touches can have completed, and
-                    // they complete iff the coverage run it joined holds them.
                     let chunk_end = chunk.offset + chunk.data.len() as u64;
-                    let first = state.records.partition_point(|r| r.end <= chunk.offset);
-                    for rec in first..state.records.len() {
-                        let r = &mut state.records[rec];
-                        if r.start >= chunk_end {
-                            break;
-                        }
-                        if r.delivered || r.start < covered_from || covered_to < r.end {
-                            continue;
-                        }
-                        r.delivered = true;
-                        let enqueue_ns = r.enqueue_ns.max(state.enqueue_floor_ns);
+                    for (rec, enqueue_ns) in state.complete_records((chunk.offset, chunk_end), run)
+                    {
                         let delay_ns = now_ns.saturating_sub(enqueue_ns);
                         obs.delivery_delay.record(delay_ns);
                         obs.flow_delay
                             .record((self.first_flow + flow) as u32, delay_ns);
                         obs.counters.inc(C_RECORDS_DELIVERED);
-                        sink.offer(&TraceEvent {
-                            t_ns: now_ns,
-                            flow: (self.first_flow + flow) as u32,
-                            seq: rec as u32,
-                            kind: TraceKind::RecordDelivered,
-                        });
+                        sink.offer(&self.event(
+                            now_ns,
+                            flow,
+                            rec as u32,
+                            TraceKind::RecordDelivered,
+                        ));
                     }
+                    obs.gauges
+                        .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
                     if state.completion_us.is_none() && state.is_complete() {
                         state.completion_us = Some(now_us);
                         completed += 1;
@@ -518,12 +493,7 @@ impl LoadScenario {
         // Orderly close both sides and drive the FIN exchanges.
         let fin_ns = ns_of(transport.now());
         for (flow, state) in states.iter().enumerate() {
-            sink.offer(&TraceEvent {
-                t_ns: fin_ns,
-                flow: (self.first_flow + flow) as u32,
-                seq: 0,
-                kind: TraceKind::Fin,
-            });
+            sink.offer(&self.event(fin_ns, flow, 0, TraceKind::Fin));
             transport.close(state.client);
             if let Some(sf) = state.server {
                 transport.close(sf);
@@ -534,19 +504,18 @@ impl LoadScenario {
         // Tear the trace pipeline down into mergeable state: the ring and
         // the filter accounting enter `obs`; a streaming sink appends its
         // self-describing shard trailer and leaves only its counters.
-        obs.trace_filter = crate::obs::TraceFilter::sliced(self.trace_flow, self.trace_kinds);
-        obs.trace_filter.admitted = sink.admitted();
-        obs.trace_filter.suppressed = sink.suppressed();
-        let (ring, stream) = sink.into_inner().into_parts();
+        let (filter, tee) = sink.into_parts();
+        obs.trace_filter = filter;
+        let (ring, stream) = tee.into_parts();
         obs.trace = ring;
         if let Some(mut s) = stream {
             let shard = (self.first_flow / SHARD_FLOWS) as u32;
             let trailer = shard_trailer_json(
                 shard,
                 &s.stats(),
-                obs.trace_filter.admitted,
-                obs.trace_filter.suppressed,
-                self.trace_kinds,
+                filter.admitted,
+                filter.suppressed,
+                filter.predicate.kinds,
             );
             s.write_line(&trailer);
             obs.stream = s.finish();
@@ -559,7 +528,7 @@ impl LoadScenario {
         let mut per_flow = Vec::with_capacity(self.flows);
         let mut total_bytes = 0u64;
         let mut records_delivered = 0u64;
-        for (flow, state) in states.iter_mut().enumerate() {
+        for (flow, state) in states.iter().enumerate() {
             let global_flow = self.first_flow + flow;
             assert!(
                 state.is_complete(),
@@ -591,7 +560,6 @@ impl LoadScenario {
             });
             total_bytes += bytes_covered;
             records_delivered += flow_records;
-            pool.give(std::mem::take(&mut state.stream));
         }
         LoadReport {
             label,
@@ -605,9 +573,7 @@ impl LoadScenario {
                 .checked_div(completion_us)
                 .unwrap_or(0),
             events_per_sim_sec: (events * 1_000_000).checked_div(completion_us).unwrap_or(0),
-            allocs_per_flow_milli: pool.stats().allocations * 1000 / self.flows.max(1) as u64,
             engine: engine_metrics,
-            pool: *pool.stats(),
             obs,
             phases: NonDeterministic(transport.phases()),
             per_flow,
@@ -649,8 +615,8 @@ impl LoadScenario {
     ///
     /// Byte-identical at any `threads` value: the shard decomposition and
     /// every shard's seed are fixed by the scenario, each shard runs in its
-    /// own deterministic [`Engine`], and the executor's ordered collection
-    /// commits shard reports in shard order. Note the sharded model gives
+    /// own deterministic [`Engine`](crate::Engine), and the executor's
+    /// ordered collection commits shard reports in shard order. Note the sharded model gives
     /// each shard its own bottleneck link — cross-shard congestion coupling
     /// is deliberately out of scope (each shard is the unit of fidelity),
     /// so a sharded report is not comparable to an unsharded
@@ -696,7 +662,6 @@ impl LoadScenario {
     fn merge_shard_reports(&self, reports: &[LoadReport]) -> LoadReport {
         assert_eq!(reports.len(), self.shard_count());
         let mut engine = EngineMetrics::default();
-        let mut pool = PoolStats::default();
         let mut obs = LoadObs::default();
         let mut phases = PhaseProfile::default();
         let mut per_flow = Vec::with_capacity(self.flows);
@@ -704,7 +669,6 @@ impl LoadScenario {
         let mut completion_us = 0u64;
         for report in reports {
             engine.absorb(&report.engine);
-            pool.absorb(&report.pool);
             obs.absorb(&report.obs);
             phases.absorb(report.phases.get());
             records_sent += report.records_sent;
@@ -726,9 +690,7 @@ impl LoadScenario {
                 .checked_div(completion_us)
                 .unwrap_or(0),
             events_per_sim_sec: (events * 1_000_000).checked_div(completion_us).unwrap_or(0),
-            allocs_per_flow_milli: pool.allocations * 1000 / self.flows.max(1) as u64,
             engine,
-            pool,
             obs,
             phases: NonDeterministic(phases),
             per_flow,
@@ -824,6 +786,24 @@ struct RecordTrack {
     delivered: bool,
 }
 
+/// Which end of which flow (index into the driver's `FlowState`s) a
+/// transport [`FlowId`] names.
+#[derive(Clone, Copy)]
+enum End {
+    Client(usize),
+    Server(usize),
+}
+
+/// Record that `id` names `end`, holding the transport to dense ids.
+fn push_end(end_of: &mut Vec<End>, id: FlowId, end: End, label: &str) {
+    assert_eq!(
+        id.index(),
+        end_of.len(),
+        "[{label}] transport flow ids must be dense"
+    );
+    end_of.push(end);
+}
+
 /// Both ends' bookkeeping for one flow.
 struct FlowState {
     client: FlowId,
@@ -837,7 +817,8 @@ struct FlowState {
     /// Bytes of `stream` the transport has accepted; the rest is flushed
     /// on writable edges.
     sent: usize,
-    /// Backend time (ns) the stream was staged, for the pool-dwell histogram.
+    /// Backend time (ns) the stream was staged, for the staging-dwell
+    /// histogram.
     staged_ns: u64,
     /// Merged, sorted coverage ranges of the received stream.
     covered: Vec<(u64, u64)>,
@@ -945,6 +926,30 @@ impl FlowState {
         (start, end)
     }
 
+    /// Mark delivered every record whose full byte range just became
+    /// covered, yielding each one's index and the time its delivery delay
+    /// counts from (marking happens as the iterator is consumed). Only
+    /// records the chunk `[chunk.0, chunk.1)` touches can have completed,
+    /// and they complete iff `run`, the coverage run the chunk joined
+    /// ([`FlowState::accept_chunk`]), holds them whole.
+    fn complete_records(
+        &mut self,
+        chunk: (u64, u64),
+        run: (u64, u64),
+    ) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let floor_ns = self.enqueue_floor_ns;
+        let first = self.records.partition_point(|r| r.end <= chunk.0);
+        self.records[first..]
+            .iter_mut()
+            .take_while(move |r| r.start < chunk.1)
+            .enumerate()
+            .filter(move |(_, r)| !r.delivered && run.0 <= r.start && r.end <= run.1)
+            .map(move |(i, r)| {
+                r.delivered = true;
+                (first + i, r.enqueue_ns.max(floor_ns))
+            })
+    }
+
     fn is_complete(&self) -> bool {
         self.covered == [(0, self.stream.len() as u64)]
     }
@@ -1009,6 +1014,41 @@ mod tests {
         assert_eq!(s.mark_enqueued(400), 0);
         let stamps: Vec<u64> = s.records.iter().map(|r| r.enqueue_ns).collect();
         assert_eq!(stamps, vec![200, 200, 300]);
+    }
+
+    #[test]
+    fn records_complete_when_a_coverage_run_holds_them_whole() {
+        let bounds = vec![(0, 10), (10, 25), (25, 40), (40, 50)];
+        let mut s = flow_state(vec![0u8; 50], bounds);
+        s.sent = 50;
+        s.mark_enqueued(100);
+        s.enqueue_floor_ns = 150;
+        let deliver = |s: &mut FlowState, from: u64, to: u64| -> Vec<(usize, u64)> {
+            let run = s
+                .accept_chunk(from, &vec![0u8; (to - from) as usize])
+                .unwrap();
+            s.complete_records((from, to), run).collect()
+        };
+        // [12, 30) holds no record whole: #1 lacks [10, 12), #2 lacks
+        // [30, 40).
+        assert_eq!(deliver(&mut s, 12, 30), vec![]);
+        // Out of order: #3 completes while the holes before it persist,
+        // and its delay counts from establishment, not the earlier stamp.
+        assert_eq!(deliver(&mut s, 40, 50), vec![(3, 150)]);
+        // [30, 40) joins [12, 50): #2 completes; #3, touched at its
+        // boundary only, is neither re-examined nor re-delivered.
+        assert_eq!(deliver(&mut s, 30, 40), vec![(2, 150)]);
+        // One chunk can complete several records.
+        assert_eq!(deliver(&mut s, 0, 12), vec![(0, 150), (1, 150)]);
+        assert!(s.is_complete());
+        // A duplicate delivers nothing twice.
+        assert_eq!(deliver(&mut s, 0, 50), vec![]);
+        // A stamp later than establishment counts from itself.
+        let mut late = flow_state(vec![0u8; 10], vec![(0, 10)]);
+        late.sent = 10;
+        late.mark_enqueued(500);
+        late.enqueue_floor_ns = 150;
+        assert_eq!(deliver(&mut late, 0, 10), vec![(0, 500)]);
     }
 
     #[test]
@@ -1223,8 +1263,8 @@ mod tests {
                 "trace must contain a {kind:?} event"
             );
         }
-        // Pool dwell recorded one sample per flow's send buffer.
-        assert_eq!(utcp.obs.pool_dwell.count(), utcp.flows);
+        // Staging dwell recorded one sample per flow's send stream.
+        assert_eq!(utcp.obs.staging_dwell.count(), utcp.flows);
     }
 
     #[test]

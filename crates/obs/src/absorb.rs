@@ -1,27 +1,25 @@
 //! The one merge protocol every observability value speaks.
-//!
-//! Sharded runs produce one value per shard; serial runs produce one value
-//! total. The determinism gates require both to report identically, so every
-//! mergeable stat implements [`Absorb`] and the scenario layer folds shard
-//! values **in shard order**. The trait's laws (checked by tests here and in
-//! the consuming crates) are:
-//!
-//! * **associativity** — `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)`, so a tree-shaped
-//!   merge (what a future hierarchical collector might do) agrees with the
-//!   left fold the scenario layer does today;
-//! * **identity** — `Default::default()` is a left and right identity, so
-//!   merge loops can start from a neutral accumulator;
-//! * **order-stability** — merging the same multiset of shard values in shard
-//!   order always yields the same bytes, regardless of which threads produced
-//!   them (a property of the *caller* discipline, but one the tests pin).
-//!
-//! Commutativity is deliberately **not** required: a trace ring keeps the
-//! *last* `cap` events of the concatenated stream, so `a ⊕ b` and `b ⊕ a`
-//! legitimately differ. Order comes from shard index, never thread timing.
 
 /// Merge another value of the same shape into `self`.
 ///
-/// See the [module docs](self) for the laws implementations must uphold.
+/// Sharded runs produce one value per shard; serial runs produce one value
+/// total. The determinism gates require both to report identically, so every
+/// mergeable stat implements `Absorb` and the scenario layer folds shard
+/// values **in shard order**. The laws implementations must uphold (checked
+/// by tests here and in the consuming crates):
+///
+/// * **associativity** — `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)`, so a tree-shaped
+///   merge (what a future hierarchical collector might do) agrees with the
+///   left fold the scenario layer does today;
+/// * **identity** — `Default::default()` is a left and right identity, so
+///   merge loops can start from a neutral accumulator;
+/// * **order-stability** — merging the same multiset of shard values in shard
+///   order always yields the same bytes, regardless of which threads produced
+///   them (a property of the *caller* discipline, but one the tests pin).
+///
+/// Commutativity is deliberately **not** required: a trace ring keeps the
+/// *last* `cap` events of the concatenated stream, so `a ⊕ b` and `b ⊕ a`
+/// legitimately differ. Order comes from shard index, never thread timing.
 pub trait Absorb {
     /// Fold `other` into `self`, in caller-supplied (shard) order.
     fn absorb(&mut self, other: &Self);

@@ -6,7 +6,10 @@
 //! cwnd/ssthresh trajectory samples on the **virtual clock** plus
 //! fixed-slot [`Histogram`]s of the window and of recovery episodes
 //! (duration and depth), all merged shard-order like every other obs type
-//! so the parallel-sweep byte-identity gate covers them.
+//! so the parallel-sweep byte-identity gate covers them. Every connection
+//! carries one recorder; a histogram allocates its slots on its first
+//! sample, so the ones a connection never feeds (no recovery; no window
+//! movement on a pure receiver) cost it nothing.
 //!
 //! Recording happens at **window transitions** (recovery entry/exit, RTO,
 //! cwnd-changing ACKs), not per-ACK, so the cost is bounded by the event
@@ -215,6 +218,25 @@ mod tests {
         assert_eq!(c.cwnd_hist().count(), 3, "histogram sees evicted samples");
         assert_eq!(c.recovery_duration().count(), 1);
         assert_eq!(c.recovery_depth().max(), 7_200);
+    }
+
+    #[test]
+    fn a_histogram_costs_its_slots_only_once_it_sees_a_sample() {
+        // Every connection carries a recorder; most never enter recovery,
+        // and a pure receiver never moves its window either.
+        let mut c = CcObs::new(4);
+        let slots = |c: &CcObs| {
+            [c.cwnd_hist(), c.recovery_duration(), c.recovery_depth()].map(|h| h.slots().len())
+        };
+        assert_eq!(slots(&c), [0, 0, 0]);
+        c.record_window(1, 14_400, 7_200);
+        assert_eq!(slots(&c), [1024, 0, 0]);
+        c.record_cut_depth(7_200);
+        assert_eq!(slots(&c), [1024, 0, 1024]);
+        // A clone (what `flow_cc_obs` hands the driver) and a merge keep it so.
+        let mut merged = CcObs::default();
+        merged.absorb(&c.clone());
+        assert_eq!(slots(&merged), [1024, 0, 1024]);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Per-flow delivery-delay attribution: bounded map of compact
-//! histogram digests.
+//! Per-flow delivery-delay attribution: a bounded map of compact
+//! per-flow histograms.
 //!
 //! The global delivery-delay [`Histogram`](crate::Histogram) answers
 //! *whether* the tail moved but not *who* moved it — one HoL-blocked flow
 //! under ordered TCP is averaged into a thousand healthy ones. A
-//! [`FlowDelayMap`] keeps a [`DelayDigest`] per flow — the same two-level
-//! (log2 major × linear minor) layout as the global histogram, shrunk to
-//! 4 sub-buckets and `u32` slot counts (~1 KiB per flow) so thousands of
-//! flows fit — and surfaces the K worst flows by p99, making a tail
-//! regression attributable to a flow instead of averaged away.
+//! [`FlowDelayMap`] keeps a [`DelayDigest`] per flow — the same
+//! [`Hist`] layout as the global histogram at 4 sub-buckets per octave
+//! instead of 16 (per-flow quantiles tolerate ~12 % in-octave resolution in
+//! exchange for 2 KiB instead of 8 KiB per flow, so thousands of flows fit)
+//! — and surfaces the K worst flows by p99, making a tail regression
+//! attributable to a flow instead of averaged away.
 //!
 //! Merge discipline matches the rest of the crate: digests add slot-wise
 //! (exact, associative), the map folds per-shard in shard-index order,
@@ -21,187 +22,16 @@
 //! lost.
 
 use crate::absorb::Absorb;
+use crate::hist::Hist;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 /// Most flows a [`FlowDelayMap`] tracks individually before overflow
-/// accounting kicks in (~4 MiB of digests at the cap).
+/// accounting kicks in (~8 MiB of digests at the cap).
 pub const DEFAULT_FLOW_DELAY_CAP: usize = 4096;
 
-/// Log2 major buckets (covers the full `u64` range, like the global
-/// histogram).
-const DIGEST_BUCKETS: usize = 64;
-
-/// Linear sub-buckets per major bucket — 4 here vs the global
-/// histogram's 16: per-flow quantiles tolerate a coarser in-octave
-/// resolution (~12% vs ~3%) in exchange for 4× smaller digests.
-pub const DIGEST_SUB_BUCKETS: usize = 4;
-
-/// log2 of [`DIGEST_SUB_BUCKETS`].
-const DIGEST_SUB_BITS: u32 = 2;
-
-/// Total fixed slots per digest.
-pub const DIGEST_SLOTS: usize = DIGEST_BUCKETS * DIGEST_SUB_BUCKETS;
-
-/// Major bucket index of a value: 0 for zero, else `min(63, 64 - clz)`.
-fn major_of(value: u64) -> usize {
-    if value == 0 {
-        return 0;
-    }
-    ((64 - value.leading_zeros()) as usize).min(DIGEST_BUCKETS - 1)
-}
-
-/// Flat slot index under the two-level layout (mirrors `hist::slot_of`
-/// with the narrower sub-axis).
-fn slot_of(value: u64) -> usize {
-    let major = major_of(value);
-    if major == 0 {
-        return 0;
-    }
-    let lo = 1u64 << (major - 1);
-    let sub = if (major - 1) as u32 <= DIGEST_SUB_BITS {
-        // Width ≤ 4: every value has its own exact sub-slot.
-        (value - lo) as usize
-    } else {
-        let shift = (major - 1) as u32 - DIGEST_SUB_BITS;
-        (((value - lo) >> shift) as usize).min(DIGEST_SUB_BUCKETS - 1)
-    };
-    major * DIGEST_SUB_BUCKETS + sub
-}
-
-/// Inclusive `[lo, hi]` value bounds of a flat slot.
-fn slot_bounds(slot: usize) -> (u64, u64) {
-    let major = slot / DIGEST_SUB_BUCKETS;
-    let sub = slot % DIGEST_SUB_BUCKETS;
-    if major == 0 {
-        return (0, 0);
-    }
-    let lo = 1u64 << (major - 1);
-    if (major - 1) as u32 <= DIGEST_SUB_BITS {
-        let v = lo + sub as u64;
-        (v, v)
-    } else if major == DIGEST_BUCKETS - 1 && sub == DIGEST_SUB_BUCKETS - 1 {
-        let shift = (major - 1) as u32 - DIGEST_SUB_BITS;
-        (lo + ((sub as u64) << shift), u64::MAX)
-    } else {
-        let shift = (major - 1) as u32 - DIGEST_SUB_BITS;
-        let slot_lo = lo + ((sub as u64) << shift);
-        (slot_lo, slot_lo + (1u64 << shift) - 1)
-    }
-}
-
-/// A compact per-flow delay histogram: 64 log2 majors × 4 linear
-/// sub-buckets of `u32` counts plus exact count/sum/min/max.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DelayDigest {
-    slots: Box<[u32; DIGEST_SLOTS]>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for DelayDigest {
-    fn default() -> Self {
-        DelayDigest {
-            slots: Box::new([0; DIGEST_SLOTS]),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl DelayDigest {
-    /// A fresh, empty digest.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample (nanoseconds, by convention).
-    pub fn record(&mut self, value: u64) {
-        self.slots[slot_of(value)] = self.slots[slot_of(value)].saturating_add(1);
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest recorded sample (0 on an empty digest).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Integer mean (0 on an empty digest).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// Value at a quantile given in milli-percent (`99_000` = p99).
-    /// Same integer-rank + in-slot interpolation scheme as
-    /// [`Histogram::quantile_milli`](crate::Histogram::quantile_milli),
-    /// clamped to the observed `[min, max]`.
-    pub fn quantile_milli(&self, q_milli: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = self
-            .count
-            .saturating_mul(q_milli)
-            .div_ceil(100_000)
-            .clamp(1, self.count);
-        let mut seen = 0u64;
-        for (slot, &n) in self.slots.iter().enumerate() {
-            seen += n as u64;
-            if seen >= rank {
-                let (slot_lo, slot_hi) = slot_bounds(slot);
-                let k = rank - (seen - n as u64);
-                let span = (slot_hi - slot_lo) as u128;
-                let interp = slot_lo + ((span * k as u128) / n as u128) as u64;
-                return interp.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Shorthand: median.
-    pub fn p50(&self) -> u64 {
-        self.quantile_milli(50_000)
-    }
-
-    /// Shorthand: p99.
-    pub fn p99(&self) -> u64 {
-        self.quantile_milli(99_000)
-    }
-}
-
-impl Absorb for DelayDigest {
-    /// Slot-wise addition — exact and associative, like the global
-    /// histogram.
-    fn absorb(&mut self, other: &Self) {
-        for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+/// A compact per-flow delay histogram: 4 linear sub-buckets per octave.
+pub type DelayDigest = Hist<2>;
 
 /// A bounded map of per-flow [`DelayDigest`]s keyed by global flow
 /// index.
@@ -288,7 +118,8 @@ impl FlowDelayMap {
     /// (total order → deterministic at any thread count).
     pub fn top_k(&self, k: usize) -> Vec<(u32, &DelayDigest)> {
         let mut rows: Vec<(u32, &DelayDigest)> = self.iter().collect();
-        rows.sort_by(|a, b| b.1.p99().cmp(&a.1.p99()).then(a.0.cmp(&b.0)));
+        // p99 walks the digest's slots: once per flow, not per comparison.
+        rows.sort_by_cached_key(|&(flow, d)| (Reverse(d.p99()), flow));
         rows.truncate(k);
         rows
     }
@@ -324,64 +155,6 @@ impl Absorb for FlowDelayMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::Histogram;
-
-    #[test]
-    fn digest_slots_tile_the_u64_range() {
-        assert_eq!(major_of(0), 0);
-        assert_eq!(major_of(1), 1);
-        assert_eq!(major_of(u64::MAX), 63);
-        // Every reachable slot's bounds round-trip through slot_of.
-        for slot in 0..DIGEST_SLOTS {
-            let major = slot / DIGEST_SUB_BUCKETS;
-            let sub = slot % DIGEST_SUB_BUCKETS;
-            let reachable = match major {
-                0 => sub == 0,
-                1..=3 => (sub as u64) < (1u64 << (major - 1)),
-                _ => true,
-            };
-            if !reachable {
-                continue;
-            }
-            let (lo, hi) = slot_bounds(slot);
-            assert_eq!(slot_of(lo), slot, "slot {slot} lower bound");
-            assert_eq!(slot_of(hi), slot, "slot {slot} upper bound");
-        }
-        assert_eq!(slot_bounds(DIGEST_SLOTS - 1).1, u64::MAX, "saturation slot");
-    }
-
-    #[test]
-    fn digest_quantiles_track_the_global_histogram_within_resolution() {
-        // Same samples through digest and global histogram: quantiles
-        // agree within the digest's coarser in-octave resolution, and
-        // min/max/count/mean agree exactly.
-        let mut d = DelayDigest::new();
-        let mut h = Histogram::new();
-        let mut x = 1u64;
-        for _ in 0..4096u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let v = x >> 38;
-            d.record(v);
-            h.record(v);
-        }
-        assert_eq!(d.count(), h.count());
-        assert_eq!(d.min(), h.min());
-        assert_eq!(d.max(), h.max());
-        assert_eq!(d.mean(), h.mean());
-        for q in [50_000u64, 99_000, 99_900] {
-            let dv = d.quantile_milli(q);
-            let hv = h.quantile_milli(q);
-            // Within one octave's coarser sub-slot (≤ 25% of the value's
-            // octave width), both clamped to observed bounds.
-            let tolerance = hv / 3 + 1;
-            assert!(
-                dv.abs_diff(hv) <= tolerance,
-                "q={q}: digest {dv} vs histogram {hv}"
-            );
-        }
-    }
 
     #[test]
     fn map_tracks_flows_up_to_cap_and_tallies_overflow() {

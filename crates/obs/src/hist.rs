@@ -1,14 +1,14 @@
-//! Two-level HDR histograms with exact, order-independent merge.
+//! The one histogram layout: two-level HDR, exact order-independent merge,
+//! slots allocated on the first sample.
 //!
 //! An HDR-style histogram trades per-bucket resolution for a fixed memory
 //! footprint and an *exact* merge: two histograms over the same bucket
 //! boundaries combine by slot-wise addition, so sharded runs merge to the
 //! byte-identical histogram a serial run would have produced.
 //!
-//! The layout is two-level: a **log2 major** axis crossed with a **linear
-//! minor** axis, HDR-histogram style. 64 major buckets cover the full `u64`
-//! range, and each major bucket is split into [`SUB_BUCKETS`] = 16 linear
-//! sub-buckets, for [`SLOTS`] = 1024 fixed slots (~8 KiB):
+//! [`Hist<SUB_BITS>`](Hist) crosses a **log2 major** axis with a **linear
+//! minor** axis. 64 major buckets cover the full `u64` range, and each is
+//! split into `2^SUB_BITS` linear sub-buckets:
 //!
 //! * major bucket 0 holds exactly the value `0` (zero-duration samples are
 //!   real — a record covered by the same chunk that carried its first byte
@@ -16,15 +16,30 @@
 //! * major bucket `i` (1..=63) holds values in `[2^(i-1), 2^i - 1]`, with
 //!   bucket 63 absorbing everything from `2^62` up to and including
 //!   `u64::MAX` (saturation, not overflow). Within a major bucket the range
-//!   is split into 16 equal linear sub-ranges — for the narrow low buckets
-//!   (`i <= 5`, width ≤ 16) every *value* gets its own exact slot.
+//!   is split into equal linear sub-ranges — for the narrow low buckets
+//!   (width ≤ `2^SUB_BITS`) every *value* gets its own exact slot.
 //!
-//! The two-level split bounds the relative quantile error at ~3% (one part
-//! in 16 of an octave) instead of the flat layout's ~50% (a whole octave),
-//! and [`Histogram::quantile_milli`] linearly interpolates *within* the
-//! resolved slot, which is what lets p99/p999 of delivery delay separate
-//! ordered TCP from uTCP under loss instead of collapsing into the same
-//! power-of-two bound.
+//! The two-level split bounds the relative quantile error at one part in
+//! `2^SUB_BITS` of an octave instead of a flat log2 layout's whole octave,
+//! and [`Hist::quantile_milli`] linearly interpolates *within* the resolved
+//! slot, which is what lets p99/p999 of delivery delay separate ordered TCP
+//! from uTCP under loss instead of collapsing into the same power-of-two
+//! bound.
+//!
+//! Two instantiations exist, and `SUB_BITS` is a compile-time parameter,
+//! not an option:
+//!
+//! | alias | sub-buckets | slots | used for |
+//! |---|---|---|---|
+//! | [`Histogram`] = `Hist<4>` | 16 (~3 % of the value) | 1024 (8 KiB) | the global distributions (`LoadObs`, `CcObs`) |
+//! | [`DelayDigest`](crate::DelayDigest) = `Hist<2>` | 4 (~12 %) | 256 (2 KiB) | one per flow in a [`FlowDelayMap`](crate::FlowDelayMap), so thousands fit |
+//!
+//! The slot array is **empty until the first [`Hist::record`]**: a
+//! histogram that never sees a sample owns no heap memory, so recorders
+//! can sit in per-connection state (a `TcpConnection` carries three through
+//! `CcObs`) at the cost of a pointer and four words each. Merging keeps the
+//! property: absorbing into an empty histogram adopts the other side's
+//! slots, absorbing an empty one changes nothing.
 //!
 //! All samples are recorded in **nanoseconds** regardless of clock source:
 //! the sim's virtual clock ticks in microseconds and the OS backend's
@@ -36,25 +51,19 @@ use crate::absorb::Absorb;
 
 /// Number of log2 major buckets; covers the full `u64` range (see module
 /// docs).
-pub const BUCKETS: usize = 64;
+const BUCKETS: usize = 64;
 
-/// Linear sub-buckets per major bucket (a power of two).
-pub const SUB_BUCKETS: usize = 16;
-
-/// log2 of [`SUB_BUCKETS`].
-const SUB_BITS: u32 = 4;
-
-/// Total fixed slots: [`BUCKETS`] × [`SUB_BUCKETS`].
-pub const SLOTS: usize = BUCKETS * SUB_BUCKETS;
-
-/// A fixed-footprint two-level (log2 major × linear minor) histogram of
-/// `u64` samples (nanoseconds, by convention).
-///
-/// The slot array is boxed so embedding a `Histogram` (or several — see
-/// `CcObs`) in per-connection state moves a pointer, not 8 KiB.
+/// A fixed-footprint two-level histogram of `u64` samples (nanoseconds, by
+/// convention): 64 log2 major buckets × `2^SUB_BITS` linear sub-buckets,
+/// merged exactly by slot-wise addition, with the slot array allocated on
+/// the first sample. Used through its two aliases, [`Histogram`] and
+/// [`DelayDigest`](crate::DelayDigest).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    slots: Box<[u64; SLOTS]>,
+pub struct Hist<const SUB_BITS: u32> {
+    /// `major * 2^SUB_BITS + sub` order; empty until the first sample, so
+    /// "no heap memory" and "no samples" are the same state and `==` needs
+    /// no special case.
+    slots: Box<[u64]>,
     count: u64,
     /// Saturating sum of all samples (used for the mean, never for
     /// quantiles).
@@ -63,10 +72,13 @@ pub struct Histogram {
     max: u64,
 }
 
-impl Default for Histogram {
+/// The global-distribution histogram: 16 linear sub-buckets per octave.
+pub type Histogram = Hist<4>;
+
+impl<const SUB_BITS: u32> Default for Hist<SUB_BITS> {
     fn default() -> Self {
-        Histogram {
-            slots: Box::new([0; SLOTS]),
+        Hist {
+            slots: Box::default(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -77,56 +89,53 @@ impl Default for Histogram {
 
 /// Major bucket index of a value: 0 for zero, else `min(63, 64 - clz(v))`.
 fn major_of(value: u64) -> usize {
-    if value == 0 {
-        return 0;
-    }
     ((64 - value.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
-/// Flat slot index of a value under the two-level layout.
-fn slot_of(value: u64) -> usize {
-    let major = major_of(value);
-    if major == 0 {
-        return 0;
-    }
-    let lo = 1u64 << (major - 1);
-    let sub = if (major - 1) as u32 <= SUB_BITS {
-        // Width ≤ 16: every value has its own exact sub-slot.
-        (value - lo) as usize
-    } else {
-        // Width 2^(major-1): 16 equal linear sub-ranges. Only major 63 can
-        // exceed sub-index 15 (its range is wider than 2^62); clamp so
-        // everything up to u64::MAX saturates into the last slot.
-        let shift = (major - 1) as u32 - SUB_BITS;
-        (((value - lo) >> shift) as usize).min(SUB_BUCKETS - 1)
-    };
-    major * SUB_BUCKETS + sub
-}
+impl<const SUB_BITS: u32> Hist<SUB_BITS> {
+    /// Linear sub-buckets per major bucket.
+    const SUB: usize = 1 << SUB_BITS;
 
-/// Inclusive `[lo, hi]` value bounds of a flat slot.
-fn slot_bounds(slot: usize) -> (u64, u64) {
-    let major = slot / SUB_BUCKETS;
-    let sub = slot % SUB_BUCKETS;
-    if major == 0 {
-        return (0, 0);
-    }
-    let lo = 1u64 << (major - 1);
-    if (major - 1) as u32 <= SUB_BITS {
-        // Exact-value slots (slots past the bucket width are never hit).
-        let v = lo + sub as u64;
-        (v, v)
-    } else if major == BUCKETS - 1 && sub == SUB_BUCKETS - 1 {
-        // The saturation slot absorbs everything up to u64::MAX.
-        let shift = (major - 1) as u32 - SUB_BITS;
-        (lo + ((sub as u64) << shift), u64::MAX)
-    } else {
-        let shift = (major - 1) as u32 - SUB_BITS;
-        let slot_lo = lo + ((sub as u64) << shift);
-        (slot_lo, slot_lo + (1u64 << shift) - 1)
-    }
-}
+    /// Total slots once allocated.
+    const SLOTS: usize = BUCKETS << SUB_BITS;
 
-impl Histogram {
+    /// How far a major bucket's offsets shift down to a sub-bucket index:
+    /// 0 for the narrow buckets, where every value has its own slot.
+    fn sub_shift(major: usize) -> u32 {
+        ((major - 1) as u32).saturating_sub(SUB_BITS)
+    }
+
+    /// Flat slot index of a value.
+    fn slot_of(value: u64) -> usize {
+        let major = major_of(value);
+        if major == 0 {
+            return 0;
+        }
+        let lo = 1u64 << (major - 1);
+        // Only major 63 can exceed the last sub-index (its range is wider
+        // than 2^62); clamp so everything up to u64::MAX saturates into
+        // the last slot.
+        let sub = ((value - lo) >> Self::sub_shift(major)) as usize;
+        major * Self::SUB + sub.min(Self::SUB - 1)
+    }
+
+    /// Inclusive `[lo, hi]` value bounds of a flat slot. (The trailing
+    /// sub-slots of a narrow major bucket, past its width, are never hit.)
+    fn slot_bounds(slot: usize) -> (u64, u64) {
+        let (major, sub) = (slot / Self::SUB, slot % Self::SUB);
+        if major == 0 {
+            return (0, 0);
+        }
+        let shift = Self::sub_shift(major);
+        let slot_lo = (1u64 << (major - 1)) + ((sub as u64) << shift);
+        if slot == Self::SLOTS - 1 {
+            // The saturation slot absorbs everything up to u64::MAX.
+            (slot_lo, u64::MAX)
+        } else {
+            (slot_lo, slot_lo + (1u64 << shift) - 1)
+        }
+    }
+
     /// A fresh, empty histogram.
     pub fn new() -> Self {
         Self::default()
@@ -134,7 +143,10 @@ impl Histogram {
 
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
-        self.slots[slot_of(value)] += 1;
+        if self.slots.is_empty() {
+            self.slots = vec![0; Self::SLOTS].into_boxed_slice();
+        }
+        self.slots[Self::slot_of(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -170,9 +182,9 @@ impl Histogram {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The raw flat slot array, `major * SUB_BUCKETS + sub` order (tests,
-    /// serialization).
-    pub fn slots(&self) -> &[u64; SLOTS] {
+    /// The raw flat slot array, `major * 2^SUB_BITS + sub` order — empty
+    /// if nothing was ever recorded (tests, serialization).
+    pub fn slots(&self) -> &[u64] {
         &self.slots
     }
 
@@ -199,7 +211,7 @@ impl Histogram {
         for (slot, &n) in self.slots.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let (slot_lo, slot_hi) = slot_bounds(slot);
+                let (slot_lo, slot_hi) = Self::slot_bounds(slot);
                 // Position of the target rank among this slot's n samples,
                 // 1-based: k = n yields slot_hi, k = 1 sits near slot_lo.
                 let k = rank - (seen - n);
@@ -227,10 +239,17 @@ impl Histogram {
     }
 }
 
-impl Absorb for Histogram {
+impl<const SUB_BITS: u32> Absorb for Hist<SUB_BITS> {
+    /// Slot-wise addition — exact and associative. An empty side has no
+    /// slots: absorbing into one adopts `other`'s (a clone of an empty
+    /// array allocates nothing), absorbing one adds nothing.
     fn absorb(&mut self, other: &Self) {
-        for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
-            *a += *b;
+        if self.slots.is_empty() {
+            self.slots = other.slots.clone();
+        } else {
+            for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
+                *a += *b;
+            }
         }
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
@@ -242,12 +261,76 @@ impl Absorb for Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn filled<const B: u32>(values: impl IntoIterator<Item = u64>) -> Hist<B> {
+        let mut h = Hist::new();
+        for v in values {
+            h.record(v);
+        }
+        h
+    }
+
+    /// 5000 fixed samples over ~40 octaves, zero and the exact-slot range
+    /// included.
+    fn golden_samples() -> impl Iterator<Item = u64> {
+        let mut x = 1u64;
+        (0..5000u64).map(move |i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> (20 + i % 40)
+        })
+    }
+
+    fn summary<const B: u32>(h: &Hist<B>) -> [u64; 7] {
+        [
+            h.count(),
+            h.min(),
+            h.max(),
+            h.mean(),
+            h.p50(),
+            h.p99(),
+            h.p999(),
+        ]
+    }
+
+    /// What PR 14's separate `Histogram` (64 × 16, `u64` slots) and
+    /// `DelayDigest` (64 × 4, `u32` slots) types reported for
+    /// `golden_samples`, computed at that commit: the benchmark's
+    /// delivery-delay metrics and every `flow_delay` row are read from
+    /// these quantiles and compared digit for digit across commits.
+    #[test]
+    fn both_instantiations_reproduce_the_two_types_they_replaced() {
+        assert_eq!(
+            summary(&filled::<4>(golden_samples())),
+            [
+                5000,
+                0,
+                17_456_155_379_297,
+                442_801_827_019,
+                8_563_370,
+                10_170_482_556_927,
+                16_492_674_416_639
+            ]
+        );
+        assert_eq!(
+            summary(&filled::<2>(golden_samples())),
+            [
+                5000,
+                0,
+                17_456_155_379_297,
+                442_801_827_019,
+                8_585_215,
+                10_307_921_510_399,
+                16_746_407_869_203
+            ]
+        );
+    }
 
     #[test]
     fn zero_duration_samples_land_in_slot_zero() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(0);
+        let h = filled::<4>([0, 0]);
         assert_eq!(h.slots()[0], 2);
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 0);
@@ -256,19 +339,16 @@ mod tests {
         assert_eq!(h.p999(), 0);
     }
 
-    #[test]
-    fn max_value_saturates_into_top_slot() {
-        let mut h = Histogram::new();
-        h.record(u64::MAX);
-        h.record(1u64 << 62); // lower edge of the top major bucket
-        h.record((1u64 << 62) - 1); // just below → major bucket 62
-        assert_eq!(h.slots()[SLOTS - 1], 1, "u64::MAX saturates, no overflow");
-        assert_eq!(h.slots()[63 * SUB_BUCKETS], 1, "2^62 → first sub-slot");
-        assert_eq!(
-            h.slots()[62 * SUB_BUCKETS + SUB_BUCKETS - 1],
-            1,
-            "2^62 - 1 → last sub-slot of major 62"
-        );
+    fn max_value_saturates_into_top_slot<const B: u32>() {
+        let (sub, slots) = (Hist::<B>::SUB, Hist::<B>::SLOTS);
+        // u64::MAX, the lower edge of the top major bucket, and just below
+        // it (major bucket 62).
+        let h = filled::<B>([u64::MAX, 1 << 62, (1 << 62) - 1]);
+        assert_eq!(h.slots().len(), slots);
+        assert_eq!(h.slots()[slots - 1], 1, "u64::MAX saturates, no overflow");
+        assert_eq!(h.slots()[63 * sub], 1, "2^62 → first sub-slot");
+        assert_eq!(h.slots()[63 * sub - 1], 1, "2^62 - 1 → last of major 62");
+        assert_eq!(Hist::<B>::slot_bounds(slots - 1).1, u64::MAX);
         assert_eq!(h.max(), u64::MAX);
         // sum saturates instead of wrapping
         assert_eq!(h.sum(), u64::MAX);
@@ -276,115 +356,174 @@ mod tests {
     }
 
     #[test]
-    fn major_bucket_boundaries_are_exact_powers_of_two() {
+    fn max_value_saturates_into_top_slot_in_both_layouts() {
+        max_value_saturates_into_top_slot::<4>();
+        max_value_saturates_into_top_slot::<2>();
+    }
+
+    fn slots_tile_the_u64_range<const B: u32>() {
+        let sub = Hist::<B>::SUB;
+        let narrow = B as usize + 1; // majors whose width is ≤ 2^B
         for i in 1..63usize {
             let lo = 1u64 << (i - 1);
             let hi = (1u64 << i) - 1;
             assert_eq!(major_of(lo), i, "lower edge of major bucket {i}");
             assert_eq!(major_of(hi), i, "upper edge of major bucket {i}");
             // …and within the bucket the sub-slots tile it exactly: the
-            // lower edge is sub 0, the upper edge is sub 15 (or the exact
-            // top value for the narrow buckets).
-            assert_eq!(slot_of(lo), i * SUB_BUCKETS, "sub 0 at the lower edge");
-            let top = slot_of(hi);
-            assert_eq!(top / SUB_BUCKETS, i);
-            if i > 5 {
-                assert_eq!(top % SUB_BUCKETS, SUB_BUCKETS - 1);
+            // lower edge is sub 0, the upper edge is the last sub (or the
+            // exact top value for the narrow buckets).
+            assert_eq!(Hist::<B>::slot_of(lo), i * sub, "sub 0 at the lower edge");
+            let top = Hist::<B>::slot_of(hi);
+            assert_eq!(top / sub, i);
+            if i > narrow {
+                assert_eq!(top % sub, sub - 1);
             }
         }
         assert_eq!(major_of(0), 0);
         assert_eq!(major_of(1), 1);
         assert_eq!(major_of(u64::MAX), 63);
-    }
-
-    #[test]
-    fn sub_bucket_boundaries_are_linear_within_a_major_bucket() {
-        // Major bucket 10 covers [512, 1023]; sub-width 32.
-        for sub in 0..SUB_BUCKETS as u64 {
-            let lo = 512 + sub * 32;
-            let hi = lo + 31;
-            assert_eq!(slot_of(lo), 10 * SUB_BUCKETS + sub as usize);
-            assert_eq!(slot_of(hi), 10 * SUB_BUCKETS + sub as usize);
-            assert_eq!(slot_bounds(10 * SUB_BUCKETS + sub as usize), (lo, hi));
-        }
-        // Narrow buckets give every value its own exact slot: major 3 is
-        // [4, 7].
-        for v in 4..8u64 {
-            assert_eq!(slot_bounds(slot_of(v)), (v, v));
-        }
-        // And every *reachable* slot's bounds round-trip through slot_of.
-        // (Major 0 has a single value, and narrow major buckets with width
-        // < 16 leave their trailing sub-slots permanently empty.)
-        for slot in 0..SLOTS {
-            let major = slot / SUB_BUCKETS;
-            let sub = slot % SUB_BUCKETS;
+        // Every *reachable* slot's bounds round-trip through slot_of.
+        // (Major 0 has a single value, and narrow major buckets leave the
+        // sub-slots past their width permanently empty.)
+        for slot in 0..Hist::<B>::SLOTS {
+            let (major, s) = (slot / sub, slot % sub);
             let reachable = match major {
-                0 => sub == 0,
-                1..=5 => (sub as u64) < (1u64 << (major - 1)),
+                0 => s == 0,
+                m if m <= narrow => (s as u64) < (1u64 << (m - 1)),
                 _ => true,
             };
             if !reachable {
                 continue;
             }
-            let (lo, hi) = slot_bounds(slot);
-            assert_eq!(slot_of(lo), slot, "slot {slot} lower bound");
-            assert_eq!(slot_of(hi), slot, "slot {slot} upper bound");
-        }
-    }
-
-    #[test]
-    fn empty_merge_is_identity_both_sides() {
-        let mut h = Histogram::new();
-        for v in [0u64, 7, 700, 70_000, u64::MAX] {
-            h.record(v);
-        }
-        let mut left = Histogram::new();
-        left.absorb(&h);
-        assert_eq!(left, h, "empty ⊕ h == h");
-        let mut right = h.clone();
-        right.absorb(&Histogram::new());
-        assert_eq!(right, h, "h ⊕ empty == h");
-        // and min() of an empty histogram reads 0, not the u64::MAX sentinel
-        assert_eq!(Histogram::new().min(), 0);
-        assert_eq!(Histogram::new().quantile_milli(99_000), 0);
-    }
-
-    #[test]
-    fn merge_is_associative_and_exact() {
-        let mk = |vals: &[u64]| {
-            let mut h = Histogram::new();
-            for &v in vals {
-                h.record(v);
+            let (lo, hi) = Hist::<B>::slot_bounds(slot);
+            assert_eq!(Hist::<B>::slot_of(lo), slot, "slot {slot} lower bound");
+            assert_eq!(Hist::<B>::slot_of(hi), slot, "slot {slot} upper bound");
+            if major <= narrow {
+                assert_eq!(lo, hi, "narrow buckets hold one value per slot");
             }
-            h
+        }
+    }
+
+    #[test]
+    fn slots_tile_the_u64_range_in_both_layouts() {
+        slots_tile_the_u64_range::<4>();
+        slots_tile_the_u64_range::<2>();
+    }
+
+    #[test]
+    fn sub_bucket_boundaries_are_linear_within_a_major_bucket() {
+        // Major bucket 10 covers [512, 1023]: 16 sub-ranges of 32, or 4 of
+        // 128.
+        for sub in 0..16u64 {
+            let (lo, hi) = (512 + sub * 32, 512 + sub * 32 + 31);
+            let slot = 10 * 16 + sub as usize;
+            assert_eq!(Hist::<4>::slot_of(lo), slot);
+            assert_eq!(Hist::<4>::slot_of(hi), slot);
+            assert_eq!(Hist::<4>::slot_bounds(slot), (lo, hi));
+        }
+        for sub in 0..4u64 {
+            let (lo, hi) = (512 + sub * 128, 512 + sub * 128 + 127);
+            assert_eq!(Hist::<2>::slot_bounds(10 * 4 + sub as usize), (lo, hi));
+        }
+    }
+
+    fn never_recorded_owns_no_heap_memory<const B: u32>() {
+        let empty = Hist::<B>::new();
+        assert!(empty.slots().is_empty());
+        assert_eq!(empty, Hist::default());
+        assert_eq!(empty.clone(), empty);
+        // min() of an empty histogram reads 0, not the u64::MAX sentinel.
+        assert_eq!(empty.min(), 0);
+        assert_eq!(empty.quantile_milli(99_000), 0);
+        // Merging nothing into nothing allocates nothing.
+        let mut both = Hist::<B>::default();
+        both.absorb(&Hist::default());
+        assert_eq!(both, Hist::default());
+        assert!(both.slots().is_empty());
+        // The first sample brings the whole array.
+        assert_eq!(filled::<B>([5]).slots().len(), Hist::<B>::SLOTS);
+    }
+
+    #[test]
+    fn a_never_recorded_histogram_owns_no_heap_memory() {
+        never_recorded_owns_no_heap_memory::<4>();
+        never_recorded_owns_no_heap_memory::<2>();
+    }
+
+    fn empty_merge_is_identity_both_sides<const B: u32>() {
+        let x = filled::<B>([0, 7, 700, 70_000, u64::MAX]);
+        let mut left = Hist::default();
+        left.absorb(&x);
+        assert_eq!(left, x, "default ⊕ x == x (adopts x's slots)");
+        let mut right = x.clone();
+        right.absorb(&Hist::default());
+        assert_eq!(right, x, "x ⊕ default == x");
+    }
+
+    #[test]
+    fn empty_merge_is_identity_both_sides_in_both_layouts() {
+        empty_merge_is_identity_both_sides::<4>();
+        empty_merge_is_identity_both_sides::<2>();
+    }
+
+    fn merge_is_associative_and_exact<const B: u32>() {
+        let (a, b, c) = (
+            filled::<B>([1, 2, 3]),
+            filled::<B>([0, 1 << 20, u64::MAX]),
+            filled::<B>([42; 5]),
+        );
+        let fold = |parts: &[&Hist<B>]| {
+            let mut acc = parts[0].clone();
+            for part in &parts[1..] {
+                acc.absorb(part);
+            }
+            acc
         };
-        let a = mk(&[1, 2, 3]);
-        let b = mk(&[0, 1 << 20, u64::MAX]);
-        let c = mk(&[42; 5]);
-        let mut left = a.clone();
-        left.absorb(&b);
-        left.absorb(&c);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        let mut right = a.clone();
-        right.absorb(&bc);
-        assert_eq!(left, right);
-        // exactness: merged equals recording everything into one histogram
-        let all = mk(&[1, 2, 3, 0, 1 << 20, u64::MAX, 42, 42, 42, 42, 42]);
-        assert_eq!(left, all);
+        // (x ⊕ y) ⊕ z == x ⊕ (y ⊕ z), with the slotless identity in any of
+        // the three places too.
+        let e = Hist::default();
+        for [x, y, z] in [[&a, &b, &c], [&e, &b, &c], [&a, &e, &c], [&a, &b, &e]] {
+            assert_eq!(fold(&[x, y, z]), fold(&[x, &fold(&[y, z])]));
+        }
+        // Exactness: merged equals recording everything into one histogram.
+        let all = filled::<B>([1, 2, 3, 0, 1 << 20, u64::MAX, 42, 42, 42, 42, 42]);
+        assert_eq!(fold(&[&a, &b, &c]), all);
+    }
+
+    #[test]
+    fn merge_is_associative_and_exact_in_both_layouts() {
+        merge_is_associative_and_exact::<4>();
+        merge_is_associative_and_exact::<2>();
+    }
+
+    #[test]
+    fn the_coarse_layout_tracks_the_fine_one_within_its_resolution() {
+        // Same samples through both: count/min/max/mean agree exactly,
+        // quantiles within the coarser layout's in-octave resolution.
+        let samples = || {
+            let mut x = 1u64;
+            (0..4096).map(move |_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                x >> 38
+            })
+        };
+        let (fine, coarse) = (filled::<4>(samples()), filled::<2>(samples()));
+        assert_eq!(summary(&fine)[..4], summary(&coarse)[..4]);
+        for q in [50_000u64, 99_000, 99_900] {
+            let (f, c) = (fine.quantile_milli(q), coarse.quantile_milli(q));
+            assert!(c.abs_diff(f) <= f / 3 + 1, "q={q}: coarse {c} vs fine {f}");
+        }
     }
 
     #[test]
     fn quantiles_use_integer_rank_math() {
-        let mut h = Histogram::new();
         // 100 samples of 1, 1 sample of 1000 → p50 picks rank 50 (value 1),
         // p999 picks rank 101 (the 1000 sample — its slot holds exactly one
         // sample, so interpolation returns the slot's upper bound clamped to
         // the observed max).
-        for _ in 0..100 {
-            h.record(1);
-        }
-        h.record(1000);
+        let h = filled::<4>((0..100).map(|_| 1).chain([1000]));
         assert_eq!(h.p50(), 1);
         assert_eq!(h.p999(), 1000);
         let expected_mean = (100u64 + 1000) / h.count();
@@ -393,39 +532,38 @@ mod tests {
 
     #[test]
     fn interpolated_quantiles_resolve_within_an_octave() {
-        // The flat 64-bucket layout collapsed everything in [2^19, 2^20)
-        // to the same upper bound. Two populations inside one octave must
-        // now produce different p99s.
-        let mut low = Histogram::new();
-        let mut high = Histogram::new();
-        for _ in 0..1000 {
-            low.record(550_000); // ~2^19.07
-            high.record(980_000); // ~2^19.9, same major bucket
+        // A flat 64-bucket layout collapses everything in [2^19, 2^20) to
+        // the same upper bound. Two populations inside one octave must
+        // produce different p99s, at either resolution.
+        fn separates<const B: u32>() {
+            let low = filled::<B>([550_000; 1000]); // ~2^19.07
+            let high = filled::<B>([980_000; 1000]); // ~2^19.9
+            assert!(
+                low.p99() < high.p99(),
+                "sub-bucket resolution separates {} vs {}",
+                low.p99(),
+                high.p99()
+            );
+            // Interpolation clamps to observed bounds: a single-value
+            // population reports that value at every quantile.
+            assert_eq!(low.p50(), 550_000);
+            assert_eq!(low.p999(), 550_000);
         }
         assert_eq!(major_of(550_000), major_of(980_000), "same octave");
-        assert!(
-            low.p99() < high.p99(),
-            "sub-bucket resolution separates {} vs {}",
-            low.p99(),
-            high.p99()
-        );
-        // Interpolation clamps to observed bounds: a single-value
-        // population reports that value at every quantile.
-        assert_eq!(low.p50(), 550_000);
-        assert_eq!(low.p999(), 550_000);
+        separates::<4>();
+        separates::<2>();
     }
 
     #[test]
     fn interpolated_quantiles_are_monotone_in_q() {
-        let mut h = Histogram::new();
         // A spread population across several octaves plus in-octave spread.
         let mut x = 1u64;
-        for i in 0..4096u64 {
+        let h = filled::<4>((0..4096u64).map(|i| {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            h.record((x >> 40) + i);
-        }
+            (x >> 40) + i
+        }));
         let mut last = 0u64;
         for q in (0..=100_000u64).step_by(250) {
             let v = h.quantile_milli(q);
@@ -446,11 +584,51 @@ mod tests {
         // wall-clock interval must land in the same slot.
         let sim_us: u64 = 40_000; // virtual µs
         let os_us: u64 = 40_000; // monotonic µs since transport creation
-        let mut sim = Histogram::new();
-        let mut os = Histogram::new();
-        sim.record(sim_us * 1_000);
-        os.record(os_us * 1_000);
+        let sim = filled::<4>([sim_us * 1_000]);
+        let os = filled::<4>([os_us * 1_000]);
         assert_eq!(sim.slots(), os.slots());
-        assert_eq!(slot_of(40_000_000), slot_of(sim_us * 1_000));
+    }
+
+    /// Every quantile against the exact order statistic of the same
+    /// samples: inside `[min, max]`, and no further from the truth than the
+    /// width of the slot the truth sits in.
+    fn quantiles_track_a_sorted_oracle<const B: u32>(mut values: Vec<u64>) {
+        let h = filled::<B>(values.iter().copied());
+        values.sort_unstable();
+        let n = values.len() as u64;
+        assert_eq!(h.count(), n);
+        assert_eq!((h.min(), h.max()), (values[0], values[values.len() - 1]));
+        for q in [0, 1, 25_000, 50_000, 90_000, 99_000, 99_900, 100_000] {
+            let rank = (n * q).div_ceil(100_000).clamp(1, n);
+            let exact = values[rank as usize - 1];
+            let got = h.quantile_milli(q);
+            assert!(h.min() <= got && got <= h.max(), "q={q}: {got}");
+            let (lo, hi) = Hist::<B>::slot_bounds(Hist::<B>::slot_of(exact));
+            assert!(
+                got.abs_diff(exact) <= hi - lo,
+                "q={q}: got {got}, exact {exact}, slot [{lo}, {hi}]"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn quantiles_track_a_sorted_oracle_in_both_layouts(
+            raw in proptest::collection::vec((any::<u64>(), 0u32..70), 1..400),
+        ) {
+            // Shifts 0..64 spread samples over every octave (63 and up
+            // leave 0 or 1: the exact-slot range); the rest pin the two
+            // ends of the range.
+            let values: Vec<u64> = raw
+                .iter()
+                .map(|&(x, shift)| match shift {
+                    0..=63 => x >> shift,
+                    64..=66 => u64::MAX,
+                    _ => 0,
+                })
+                .collect();
+            quantiles_track_a_sorted_oracle::<4>(values.clone());
+            quantiles_track_a_sorted_oracle::<2>(values);
+        }
     }
 }

@@ -13,10 +13,11 @@
 //! |---|---|---|
 //! | [`Counter`] / [`CounterSet`] | monotone event counts, fixed name slots | slot-wise saturating add |
 //! | [`Gauge`] / [`GaugeSet`] | high-water marks | slot-wise max |
-//! | [`Histogram`] | two-level (log2 major × 16 linear minor) `u64` samples (ns) | exact slot-wise add |
+//! | [`Histogram`] | [`Hist`]: two-level (log2 major × 16 linear minor) `u64` samples (ns), slots allocated on the first sample | exact slot-wise add |
 //! | [`TraceRing`] | last-N lifecycle [`TraceEvent`]s | concatenate in shard order, trim |
 //! | [`StreamStats`] | zero-drop [`StreamSink`] accounting | counter addition |
-//! | [`FlowDelayMap`] | per-flow [`DelayDigest`] delay digests | key union, digests slot-wise |
+//! | [`FilterStats`] | a [`FilteredSink`]'s predicate and admitted/suppressed counts | counter addition, predicates must agree |
+//! | [`FlowDelayMap`] | per-flow [`DelayDigest`]s — the same [`Hist`] layout at 4 sub-buckets | key union, digests slot-wise |
 //! | [`CcObs`] | cwnd/ssthresh trajectory ring + recovery histograms | ring concat in shard order, histograms slot-wise |
 //! | [`PhaseProfile`] | wall-clock time per loop phase | slot-wise add, **excluded from equality** via [`NonDeterministic`] |
 //!
@@ -45,13 +46,11 @@ mod trace;
 pub use absorb::{merge_ordered, Absorb};
 pub use cc::{CcObs, CwndSample, DEFAULT_CC_SAMPLE_CAP};
 pub use counter::{Counter, CounterSet, Gauge, GaugeSet};
-pub use flow_delay::{
-    DelayDigest, FlowDelayMap, DEFAULT_FLOW_DELAY_CAP, DIGEST_SLOTS, DIGEST_SUB_BUCKETS,
-};
-pub use hist::{Histogram, BUCKETS, SLOTS, SUB_BUCKETS};
+pub use flow_delay::{DelayDigest, FlowDelayMap, DEFAULT_FLOW_DELAY_CAP};
+pub use hist::{Hist, Histogram};
 pub use sink::{
-    merge_stream_files, shard_trailer_json, FilteredSink, MergedStream, StreamSink, StreamStats,
-    Tee, TracePredicate, TraceSink, DEFAULT_STREAM_BATCH_BYTES,
+    merge_stream_files, shard_trailer_json, FilterStats, FilteredSink, MergedStream, StreamSink,
+    StreamStats, Tee, TracePredicate, TraceSink, DEFAULT_STREAM_BATCH_BYTES,
 };
 pub use span::{NonDeterministic, PhaseProfile};
 pub use trace::{KindSet, TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAP};

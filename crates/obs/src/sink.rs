@@ -274,8 +274,48 @@ impl TracePredicate {
     }
 }
 
+/// The mergeable record of a [`FilteredSink`]: its predicate and what it
+/// admitted and suppressed. The sink itself may wrap OS resources; this is
+/// the part that enters mergeable observability state, so filtered dumps
+/// stay honest about coverage.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FilterStats {
+    /// The admission predicate.
+    pub predicate: TracePredicate,
+    /// Events that passed the predicate (and reached the inner sink).
+    pub admitted: u64,
+    /// Events the predicate rejected.
+    pub suppressed: u64,
+}
+
+impl Absorb for FilterStats {
+    /// Counters add; the predicates must agree. A pristine record (nothing
+    /// counted) adopts `other`'s predicate so `FilterStats::default()` is a
+    /// true merge identity; all shards of one scenario inherit the same
+    /// predicate, so mismatched non-pristine records are a bug — loudly.
+    fn absorb(&mut self, other: &Self) {
+        if self.admitted == 0 && self.suppressed == 0 {
+            self.predicate = other.predicate;
+        } else if other.admitted != 0 || other.suppressed != 0 {
+            assert_eq!(
+                self.predicate.flow, other.predicate.flow,
+                "merging trace filters with different focus"
+            );
+            assert_eq!(
+                self.predicate.kinds, other.predicate.kinds,
+                "merging trace filters with different kind slices"
+            );
+        }
+        self.admitted += other.admitted;
+        self.suppressed += other.suppressed;
+    }
+}
+
 /// A sink that applies a [`TracePredicate`] before its inner sink,
-/// counting what it suppresses.
+/// counting what it admits and suppresses ([`FilterStats`]): focused on
+/// one flow and/or a kind slice, a 1k-flow run can trace a single flow (or
+/// just the `retransmit,rto` recovery events) at full granularity without
+/// drowning a bounded ring.
 ///
 /// Filters **compose**: `FilteredSink(p, FilteredSink(q, s))` admits
 /// exactly the events `p ∧ q` admits, in the same order, regardless of
@@ -284,9 +324,7 @@ impl TracePredicate {
 /// more).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FilteredSink<S> {
-    predicate: TracePredicate,
-    admitted: u64,
-    suppressed: u64,
+    stats: FilterStats,
     inner: S,
 }
 
@@ -294,26 +332,17 @@ impl<S: TraceSink> FilteredSink<S> {
     /// Wrap `inner` behind `predicate`.
     pub fn new(predicate: TracePredicate, inner: S) -> Self {
         FilteredSink {
-            predicate,
-            admitted: 0,
-            suppressed: 0,
+            stats: FilterStats {
+                predicate,
+                ..FilterStats::default()
+            },
             inner,
         }
     }
 
-    /// The admission predicate.
-    pub fn predicate(&self) -> TracePredicate {
-        self.predicate
-    }
-
-    /// Events that passed the predicate (and reached the inner sink).
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Events the predicate rejected.
-    pub fn suppressed(&self) -> u64 {
-        self.suppressed
+    /// Predicate and accounting so far.
+    pub fn stats(&self) -> FilterStats {
+        self.stats
     }
 
     /// The wrapped sink, by reference.
@@ -321,29 +350,24 @@ impl<S: TraceSink> FilteredSink<S> {
         &self.inner
     }
 
-    /// The wrapped sink, by mutable reference.
-    pub fn inner_mut(&mut self) -> &mut S {
-        &mut self.inner
-    }
-
-    /// Unwrap, discarding the filter accounting.
-    pub fn into_inner(self) -> S {
-        self.inner
+    /// Split into the filter's mergeable record and the wrapped sink.
+    pub fn into_parts(self) -> (FilterStats, S) {
+        (self.stats, self.inner)
     }
 }
 
 impl<S: TraceSink> TraceSink for FilteredSink<S> {
     fn offer(&mut self, ev: &TraceEvent) {
-        if self.predicate.admits(ev) {
-            self.admitted += 1;
+        if self.stats.predicate.admits(ev) {
+            self.stats.admitted += 1;
             self.inner.offer(ev);
         } else {
-            self.suppressed += 1;
+            self.stats.suppressed += 1;
         }
     }
 
     fn emitted(&self) -> u64 {
-        self.admitted + self.suppressed
+        self.stats.admitted + self.stats.suppressed
     }
 
     /// Loss is whatever the inner sink lost; suppression is not loss.
@@ -692,17 +716,17 @@ mod tests {
         assert_eq!(seq(fk.inner().inner()), seq(combined.inner()));
         assert_eq!(seq(kf.inner().inner()), seq(combined.inner()));
         // Only flow-0 retransmit survives the conjunction.
-        assert_eq!(combined.admitted(), 1);
-        assert_eq!(combined.suppressed(), 6);
+        assert_eq!(combined.stats().admitted, 1);
+        assert_eq!(combined.stats().suppressed, 6);
         // Nested filters attribute suppression at different layers but
         // agree on the total.
         assert_eq!(
-            fk.suppressed() + fk.inner().suppressed(),
-            combined.suppressed()
+            fk.stats().suppressed + fk.inner().stats().suppressed,
+            combined.stats().suppressed
         );
         assert_eq!(
-            kf.suppressed() + kf.inner().suppressed(),
-            combined.suppressed()
+            kf.stats().suppressed + kf.inner().stats().suppressed,
+            combined.stats().suppressed
         );
         // Suppression is not loss.
         assert_eq!(combined.dropped(), 0);
@@ -717,13 +741,70 @@ mod tests {
         for e in sample_events() {
             f.offer(&e);
         }
-        assert_eq!(f.admitted(), 7);
-        assert_eq!(f.suppressed(), 0);
+        assert_eq!(f.stats().admitted, 7);
+        assert_eq!(f.stats().suppressed, 0);
         assert!(!TracePredicate {
             flow: Some(3),
             kinds: KindSet::all()
         }
         .is_pass_all());
+    }
+
+    /// The record a filter with this predicate leaves after admitting
+    /// `admitted` events and suppressing `suppressed`.
+    fn filter_stats(
+        flow: Option<u32>,
+        kinds: KindSet,
+        admitted: u64,
+        suppressed: u64,
+    ) -> FilterStats {
+        FilterStats {
+            predicate: TracePredicate { flow, kinds },
+            admitted,
+            suppressed,
+        }
+    }
+
+    #[test]
+    fn filter_stats_absorb_is_associative_and_order_stable() {
+        let mk = |adm, sup| filter_stats(Some(3), KindSet::all(), adm, sup);
+        let (a, b, c) = (mk(1, 2), mk(3, 4), mk(5, 6));
+        let mut left = a;
+        left.absorb(&b);
+        left.absorb(&c);
+        let mut bc = b;
+        bc.absorb(&c);
+        let mut right = a;
+        right.absorb(&bc);
+        assert_eq!(left, right, "associative");
+        assert_eq!((left.admitted, left.suppressed), (9, 12));
+        // order-stability: counters are commutative sums, so shard order
+        // cannot change the merged value
+        let mut rev = c;
+        rev.absorb(&b);
+        rev.absorb(&a);
+        assert_eq!(rev, left);
+        // pristine identity adopts the predicate
+        let mut id = FilterStats::default();
+        id.absorb(&a);
+        assert_eq!(id, a);
+        let mut back = a;
+        back.absorb(&FilterStats::default());
+        assert_eq!(back, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "different focus")]
+    fn filter_stats_absorb_rejects_mismatched_focus() {
+        let mut a = filter_stats(Some(1), KindSet::all(), 1, 0);
+        a.absorb(&filter_stats(Some(2), KindSet::all(), 0, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "different kind slices")]
+    fn filter_stats_absorb_rejects_mismatched_kind_slices() {
+        let mut a = filter_stats(None, KindSet::of(&[TraceKind::Retransmit]), 1, 0);
+        a.absorb(&filter_stats(None, KindSet::of(&[TraceKind::Syn]), 0, 1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Accepted connections are demuxed into the same
-//! [`TupleTable`](minion_stack::TupleTable) the simulated hosts use, keyed
+//! [`TupleTable`] the simulated hosts use, keyed
 //! `(server port, peer node, peer port)` — readable events on server
 //! sockets resolve their flow through a table lookup, and teardown removes
 //! the tuples, exercising the table's tombstone path under real

@@ -12,7 +12,7 @@
 //! Removal uses **tombstones**: deleting an entry in a linear-probe table
 //! cannot simply empty the slot, because that would break the probe chain of
 //! every later key that probed past it. A removed slot is marked
-//! [`Slot::Tombstone`]; lookups probe through tombstones, inserts reuse the
+//! `Slot::Tombstone`; lookups probe through tombstones, inserts reuse the
 //! first tombstone on their probe path (after confirming the key is not
 //! present further along the chain), and growth rehashes live entries only,
 //! discarding accumulated tombstones. The simulated hosts never remove

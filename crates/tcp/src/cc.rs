@@ -260,7 +260,7 @@ fn icbrt(x: u128) -> u64 {
 /// generalized Linux-style to the actual epoch-start window. The
 /// TCP-friendly region (`W_est`, RFC 8312 §4.2) floors growth at what Reno
 /// would achieve. All terms are integers: times in virtual milliseconds,
-/// windows in bytes, the cube root via [`icbrt`].
+/// windows in bytes, the cube root via `icbrt`.
 #[derive(Clone, Debug)]
 pub struct Cubic {
     mss: usize,

@@ -4,11 +4,12 @@
 //! in allocator traffic, but only when someone runs the benchmark. This pins
 //! the same two figures on a run small enough for every `cargo test`: a
 //! copy or a per-segment allocation put back on the path between
-//! `tcp_write` and the application read fails here. Allocation counts of a
-//! deterministic program repeat exactly, so the test cannot flake.
+//! `tcp_write` and the application read fails here. So does a per-flow
+//! fixed cost: what one more flow allocates, both endpoints included, is
+//! pinned beside them. Allocation counts of a deterministic program repeat
+//! exactly, so the tests cannot flake.
 //!
-//! One test only: the counters are per thread, but the figures are easier to
-//! trust when nothing else shares the binary.
+//! The counters are per thread, so the two tests do not see each other.
 
 use minion_repro::engine::{LoadReport, LoadScenario};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -70,27 +71,33 @@ struct Counted {
     bytes: u64,
 }
 
-/// One flow of `records` × ~1400 B over the default lossless link, run
-/// under the counter.
-fn transfer(records: usize) -> Counted {
-    let scenario = LoadScenario {
-        flows: 1,
-        records_per_flow: records,
-        record_len: 1400,
-        ..LoadScenario::default()
-    };
+/// One run of a lossless scenario under the counter.
+fn counted(scenario: &LoadScenario) -> Counted {
     ALLOCATIONS.set(0);
     BYTES.set(0);
     COUNTING.set(true);
     let report = scenario.run();
     COUNTING.set(false);
-    assert_eq!(report.records_delivered, records as u64);
-    assert_eq!(report.per_flow[0].retransmissions, 0, "lossless");
+    assert_eq!(report.records_delivered, report.records_sent);
+    assert!(
+        report.per_flow.iter().all(|f| f.retransmissions == 0),
+        "lossless"
+    );
     Counted {
         report,
         allocations: ALLOCATIONS.get(),
         bytes: BYTES.get(),
     }
+}
+
+/// One flow of `records` × ~1400 B over the default lossless link.
+fn transfer(records: usize) -> Counted {
+    counted(&LoadScenario {
+        flows: 1,
+        records_per_flow: records,
+        record_len: 1400,
+        ..LoadScenario::default()
+    })
 }
 
 #[test]
@@ -120,10 +127,10 @@ fn bulk_path_stays_within_its_allocation_budget() {
     );
 
     // Bytes allocated per payload byte, as the slope between the two sizes:
-    // the fixed part of a run (histograms, the trace ring, two connections'
-    // state — about 2 bytes per payload byte at 64 records, and nothing to
-    // do with copies) cancels, and what is left is what one more payload
-    // byte costs: the driver's stream, the send buffer's copy, the packet.
+    // the fixed part of a run (the histograms that saw a sample, the trace
+    // ring, two connections' state — nothing to do with copies) cancels,
+    // and what is left is what one more payload byte costs: the driver's
+    // stream, the send buffer's copy, the packet.
     let payload = large.report.total_bytes - small.report.total_bytes;
     let per_byte = (large.bytes - small.bytes) as f64 / payload as f64;
     // Visible with `-- --nocapture`.
@@ -134,6 +141,42 @@ fn bulk_path_stays_within_its_allocation_budget() {
     assert!(
         per_byte <= 4.0,
         "{} more bytes allocated for {payload} more payload bytes = {per_byte:.2} per byte (budget 4)",
+        large.bytes - small.bytes
+    );
+}
+
+#[test]
+fn one_more_flow_stays_within_its_fixed_footprint() {
+    // `flows` × one ~160 B record: all a flow costs here is being a flow.
+    let churn = |flows: usize| {
+        counted(&LoadScenario {
+            records_per_flow: 1,
+            ..LoadScenario::with_flows(flows)
+        })
+    };
+    churn(4);
+
+    let small = churn(64);
+    let large = churn(128);
+    let again = churn(64);
+    assert_eq!(
+        (small.allocations, small.bytes),
+        (again.allocations, again.bytes),
+        "allocation counts repeat exactly"
+    );
+
+    // The slope between the two sizes: the run's fixed part cancels, and
+    // what is left is one more flow — two `TcpConnection`s with their
+    // buffers, the handshake, one data segment and its ACK, the FINs, the
+    // driver's state, the flow's delay digest and the one histogram of its
+    // six that sees a sample (the client's cwnd). 34 713 bytes measured,
+    // pinned 10 % above; 82 807 when every histogram allocated its 8 KiB of
+    // slots up front (2 endpoints × 3), which is what this is here to catch.
+    let per_flow = (large.bytes - small.bytes) / 64;
+    println!("alloc budget: {per_flow} bytes allocated per additional flow");
+    assert!(
+        per_flow <= 38_000,
+        "{} more bytes allocated for 64 more flows = {per_flow} per flow (budget 38000)",
         large.bytes - small.bytes
     );
 }

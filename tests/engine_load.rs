@@ -109,7 +109,7 @@ fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
         "the stream outgrew the buffer"
     );
     assert!(
-        report.obs.pool_dwell.max() > 0,
+        report.obs.staging_dwell.max() > 0,
         "the tail of the stream waited for acknowledgments"
     );
     assert_eq!(report.obs.delivery_delay.count(), 200);
@@ -128,6 +128,6 @@ fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
     // A flow that never fills its buffer is written whole at connect time,
     // as before: no staging, no dwell.
     let small = LoadScenario::with_flows(4).run();
-    assert_eq!(small.obs.pool_dwell.count(), 4);
-    assert_eq!(small.obs.pool_dwell.max(), 0);
+    assert_eq!(small.obs.staging_dwell.count(), 4);
+    assert_eq!(small.obs.staging_dwell.max(), 0);
 }
