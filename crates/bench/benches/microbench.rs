@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use minion_cobs::{decode, encode, frame_datagram, scan_records};
 use minion_crypto::{hmac_sha256, sha256};
+use minion_simnet::SimRng;
 use minion_tcp::{SeqNum, TcpFlags, TcpSegment};
 use minion_tls::{
     CipherSuite, RecordProtection, UtlsReceiver, CONTENT_APPLICATION_DATA, VERSION_TLS11,
@@ -28,6 +29,31 @@ fn bench_cobs(c: &mut Criterion) {
     let encoded = encode(&data);
     group.bench_function("decode_1400B", |b| {
         b.iter(|| decode(std::hint::black_box(&encoded)))
+    });
+    // The datagram size the uCOBS workloads send, at the zero densities the
+    // codec's cost depends on: no zero (whole 254-byte blocks), random bytes
+    // (one in 256), all zeros (a one-byte block per input byte, the
+    // block-wise codec's worst case).
+    group.throughput(Throughput::Bytes(1200));
+    let mut random = vec![0u8; 1200];
+    SimRng::new(16).fill_bytes(&mut random);
+    let inputs = [
+        ("zero_free", vec![0xA5u8; 1200]),
+        ("random", random),
+        ("all_zero", vec![0u8; 1200]),
+    ];
+    for (name, data) in &inputs {
+        group.bench_function(&format!("encode_1200B_{name}"), |b| {
+            b.iter(|| encode(std::hint::black_box(data)))
+        });
+        let encoded = encode(data);
+        group.bench_function(&format!("decode_1200B_{name}"), |b| {
+            b.iter(|| decode(std::hint::black_box(&encoded)))
+        });
+    }
+    let (_, random) = &inputs[1];
+    group.bench_function("frame_datagram_1200B", |b| {
+        b.iter(|| frame_datagram(std::hint::black_box(random)))
     });
     // Record scanning over a 20-record fragment.
     let mut stream = Vec::new();

@@ -39,59 +39,125 @@ pub fn max_encoded_len(len: usize) -> usize {
     len + len / MAX_RUN + 1
 }
 
-/// COBS-encode `input`. The output contains no zero bytes.
-pub fn encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(max_encoded_len(input.len()));
-    let mut code_idx = out.len();
-    out.push(0); // placeholder for the first code byte
-    let mut code: u8 = 1;
-
-    for &b in input {
-        if b == MARKER {
-            out[code_idx] = code;
-            code_idx = out.len();
-            out.push(0);
-            code = 1;
-        } else {
-            out.push(b);
-            code += 1;
-            if code == 0xFF {
-                out[code_idx] = code;
-                code_idx = out.len();
-                out.push(0);
-                code = 1;
-            }
+/// Offset of the first marker (zero) byte in `bytes`, eight bytes per step.
+///
+/// The classic zero-byte test on a little-endian word: `(w - 0x01…) & !w &
+/// 0x80…` sets the high bit of every zero byte, and may also set it in bytes
+/// *above* a zero one (the subtraction's borrow) but never below, so the
+/// lowest set bit is exact.
+#[inline]
+pub fn find_marker(bytes: &[u8]) -> Option<usize> {
+    const LOW: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut words = bytes.chunks_exact(8);
+    for (i, word) in words.by_ref().enumerate() {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
+        let zeros = w.wrapping_sub(LOW) & !w & HIGH;
+        if zeros != 0 {
+            return Some(i * 8 + zeros.trailing_zeros() as usize / 8);
         }
     }
-    out[code_idx] = code;
+    let tail = words.remainder();
+    let at = tail.iter().position(|&b| b == MARKER)?;
+    Some(bytes.len() - tail.len() + at)
+}
+
+/// COBS-encode `input`, appending to `out`. The appended bytes contain no
+/// zero. Reserves [`max_encoded_len`] up front, so it allocates at most once
+/// and not at all when `out` already has that much room.
+pub fn encode_into(input: &[u8], out: &mut Vec<u8>) {
+    out.reserve(max_encoded_len(input.len()));
+    let mut rest = input;
+    loop {
+        // A run of zeros is a run of empty stretches, one `01` each: taken
+        // a byte at a time, which the search below would only slow down.
+        while let Some((&MARKER, after)) = rest.split_first() {
+            out.push(1);
+            rest = after;
+        }
+        // One zero-free stretch, up to the next zero or the end: whole
+        // 254-byte blocks under a maximal code byte, then the remainder
+        // (possibly empty) under a code byte that says how long it is.
+        let (mut stretch, after) = match find_marker(rest) {
+            Some(zero) => (&rest[..zero], Some(&rest[zero + 1..])),
+            None => (rest, None),
+        };
+        while let Some((block, more)) = stretch.split_at_checked(MAX_RUN) {
+            out.push(0xFF);
+            out.extend_from_slice(block);
+            stretch = more;
+        }
+        out.push(stretch.len() as u8 + 1);
+        out.extend_from_slice(stretch);
+        match after {
+            Some(after) => rest = after,
+            None => return,
+        }
+    }
+}
+
+/// COBS-encode `input`. The output contains no zero bytes.
+pub fn encode(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(input, &mut out);
     out
+}
+
+/// Decode COBS-encoded data produced by [`encode`], appending to `out`, and
+/// return how many bytes were appended (never more than `input.len()`). On
+/// error `out` is left as it was.
+pub fn decode_into(input: &[u8], out: &mut Vec<u8>) -> Result<usize, CobsError> {
+    let start = out.len();
+    out.reserve(input.len());
+    match decode_blocks(input, out) {
+        Ok(()) => Ok(out.len() - start),
+        Err(error) => {
+            out.truncate(start);
+            Err(error)
+        }
+    }
+}
+
+/// The block loop of [`decode_into`]: every block is checked for a stray
+/// marker before it is copied whole; nothing is taken on trust.
+fn decode_blocks(input: &[u8], out: &mut Vec<u8>) -> Result<(), CobsError> {
+    let mut rest = input;
+    while let Some((&code, tail)) = rest.split_first() {
+        // An empty block stands for one zero, unless it is the last. There
+        // is nothing to check or copy, so a run of them (what a run of
+        // zeros encodes to) goes a byte at a time.
+        if code == 1 {
+            if !tail.is_empty() {
+                out.push(MARKER);
+            }
+            rest = tail;
+            continue;
+        }
+        if code == MARKER {
+            return Err(CobsError::UnexpectedMarker);
+        }
+        let run = usize::from(code) - 1;
+        if run > tail.len() {
+            return Err(CobsError::Truncated);
+        }
+        let (block, after) = tail.split_at(run);
+        if find_marker(block).is_some() {
+            return Err(CobsError::UnexpectedMarker);
+        }
+        out.extend_from_slice(block);
+        // A maximal code byte (0xFF) does not imply a following zero.
+        if code != 0xFF && !after.is_empty() {
+            out.push(MARKER);
+        }
+        rest = after;
+    }
+    Ok(())
 }
 
 /// Decode COBS-encoded data produced by [`encode`].
 pub fn decode(input: &[u8]) -> Result<Vec<u8>, CobsError> {
-    let mut out = Vec::with_capacity(input.len());
-    let mut i = 0;
-    while i < input.len() {
-        let code = input[i];
-        if code == MARKER {
-            return Err(CobsError::UnexpectedMarker);
-        }
-        let run = code as usize - 1;
-        if i + 1 + run > input.len() {
-            return Err(CobsError::Truncated);
-        }
-        for &b in &input[i + 1..i + 1 + run] {
-            if b == MARKER {
-                return Err(CobsError::UnexpectedMarker);
-            }
-            out.push(b);
-        }
-        i += 1 + run;
-        // A maximal code byte (0xFF) does not imply a following zero.
-        if code != 0xFF && i < input.len() {
-            out.push(MARKER);
-        }
-    }
+    let mut out = Vec::new();
+    decode_into(input, &mut out)?;
     Ok(out)
 }
 

@@ -13,21 +13,16 @@
 //! provided as the in-order baseline used by the paper's comparison
 //! experiments.
 
-use crate::encode::{decode, encode, CobsError, MARKER};
+use crate::encode::{decode, encode_into, max_encoded_len, MARKER};
 
-/// Frame one datagram for transmission: `marker || COBS(data) || marker`.
+/// Frame one datagram for transmission: `marker || COBS(data) || marker`,
+/// built in place in one buffer sized for the worst case.
 pub fn frame_datagram(data: &[u8]) -> Vec<u8> {
-    let encoded = encode(data);
-    let mut out = Vec::with_capacity(encoded.len() + 2);
+    let mut out = Vec::with_capacity(max_encoded_len(data.len()) + 2);
     out.push(MARKER);
-    out.extend_from_slice(&encoded);
+    encode_into(data, &mut out);
     out.push(MARKER);
     out
-}
-
-/// The framing overhead in bytes for a datagram of the given content.
-pub fn framing_overhead(data: &[u8]) -> usize {
-    frame_datagram(data).len() - data.len()
 }
 
 /// A record recovered from a stream fragment.
@@ -55,7 +50,6 @@ pub fn scan_records(fragment: &[u8], is_stream_start: bool) -> Vec<ScannedRecord
 
     // Position of the marker (or known boundary) that could open a record.
     let mut open: Option<usize> = if is_stream_start { Some(0) } else { None };
-    // Skip a leading marker if the fragment starts with one.
     while i < fragment.len() {
         if fragment[i] == MARKER {
             // This marker closes any open record and opens a new one.
@@ -82,12 +76,6 @@ pub fn scan_records(fragment: &[u8], is_stream_start: bool) -> Vec<ScannedRecord
     records
 }
 
-/// Decode the content between two markers directly (helper for callers that
-/// have already located the delimiters).
-pub fn decode_record(content: &[u8]) -> Result<Vec<u8>, CobsError> {
-    decode(content)
-}
-
 /// A simple length-prefixed (type-length-value style) framer: the baseline
 /// framing the paper contrasts with (§5.1, §9). It supports only in-order
 /// parsing because a length prefix cannot be located inside an arbitrary
@@ -95,6 +83,8 @@ pub fn decode_record(content: &[u8]) -> Result<Vec<u8>, CobsError> {
 #[derive(Clone, Debug, Default)]
 pub struct TlvFramer {
     buffer: Vec<u8>,
+    /// Offset in `buffer` of the first byte not yet popped.
+    read: usize,
 }
 
 impl TlvFramer {
@@ -111,33 +101,27 @@ impl TlvFramer {
         out
     }
 
-    /// Feed received in-order bytes to the deframer.
+    /// Feed received in-order bytes to the deframer. This is the one place
+    /// popped bytes are dropped from the buffer: once per push, however many
+    /// records were popped since the last one.
     pub fn push(&mut self, data: &[u8]) {
+        self.buffer.drain(..self.read);
+        self.read = 0;
         self.buffer.extend_from_slice(data);
     }
 
     /// Pop the next complete datagram, if one has fully arrived.
     pub fn pop(&mut self) -> Option<Vec<u8>> {
-        if self.buffer.len() < 4 {
-            return None;
-        }
-        let len = u32::from_be_bytes([
-            self.buffer[0],
-            self.buffer[1],
-            self.buffer[2],
-            self.buffer[3],
-        ]) as usize;
-        if self.buffer.len() < 4 + len {
-            return None;
-        }
-        let payload = self.buffer[4..4 + len].to_vec();
-        self.buffer.drain(..4 + len);
+        let pending = &self.buffer[self.read..];
+        let (header, body) = pending.split_first_chunk::<4>()?;
+        let payload = body.get(..u32::from_be_bytes(*header) as usize)?.to_vec();
+        self.read += 4 + payload.len();
         Some(payload)
     }
 
     /// Bytes buffered awaiting a complete record.
     pub fn pending_bytes(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.read
     }
 }
 
@@ -228,10 +212,10 @@ mod tests {
     #[test]
     fn framing_overhead_is_small() {
         // 3 bytes of overhead for a short record: two markers + one code byte.
-        assert_eq!(framing_overhead(b"hello"), 3);
+        assert_eq!(frame_datagram(b"hello").len(), 5 + 3);
         // Under 0.5% + 2 markers for large records.
         let big = vec![0xAAu8; 10_000];
-        assert!(framing_overhead(&big) <= 2 + 10_000 / 254 + 1);
+        assert!(frame_datagram(&big).len() <= 10_000 + 2 + 10_000 / 254 + 1);
     }
 
     #[test]
@@ -250,6 +234,29 @@ mod tests {
         deframer.push(&all[10..]);
         assert_eq!(deframer.pop().unwrap(), b"beta");
         assert!(deframer.pop().is_none());
+        assert_eq!(deframer.pending_bytes(), 0);
+    }
+
+    #[test]
+    fn tlv_framer_pops_a_thousand_buffered_records() {
+        // What a hole fill releases at once; each pop must cost its own
+        // record, not a move of everything still buffered.
+        let records: Vec<Vec<u8>> = (0..1000usize).map(|i| vec![i as u8; i % 37]).collect();
+        let stream: Vec<u8> = records.iter().flat_map(|r| TlvFramer::frame(r)).collect();
+        let mut deframer = TlvFramer::new();
+        deframer.push(&stream);
+        let mut pending = stream.len();
+        for record in &records {
+            assert_eq!(deframer.pop().as_ref(), Some(record));
+            pending -= 4 + record.len();
+            assert_eq!(deframer.pending_bytes(), pending);
+        }
+        assert_eq!(deframer.pop(), None);
+        // The next push drops what was popped and carries on.
+        deframer.push(&TlvFramer::frame(b"next")[..5]);
+        assert_eq!((deframer.pop(), deframer.pending_bytes()), (None, 5));
+        deframer.push(b"ext");
+        assert_eq!(deframer.pop().as_deref(), Some(&b"next"[..]));
         assert_eq!(deframer.pending_bytes(), 0);
     }
 

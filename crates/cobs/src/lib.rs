@@ -12,8 +12,10 @@
 
 pub mod encode;
 pub mod frame;
+mod oracle;
 
-pub use encode::{decode, encode, max_encoded_len, overhead_ratio, CobsError, MARKER};
-pub use frame::{
-    decode_record, frame_datagram, framing_overhead, scan_records, ScannedRecord, TlvFramer,
+pub use encode::{
+    decode, decode_into, encode, encode_into, find_marker, max_encoded_len, overhead_ratio,
+    CobsError, MARKER,
 };
+pub use frame::{frame_datagram, scan_records, ScannedRecord, TlvFramer};

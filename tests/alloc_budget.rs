@@ -9,9 +9,13 @@
 //! pinned beside them. Allocation counts of a deterministic program repeat
 //! exactly, so the tests cannot flake.
 //!
-//! The counters are per thread, so the two tests do not see each other.
+//! The counters are per thread, so the tests do not see each other.
 
+use minion_repro::cobs::{decode_into, encode_into, frame_datagram, max_encoded_len};
+use minion_repro::core::{MinionConfig, UcobsSocket};
 use minion_repro::engine::{LoadReport, LoadScenario};
+use minion_repro::simnet::{LinkConfig, SimDuration};
+use minion_repro::stack::{Sim, SocketAddr};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -71,13 +75,19 @@ struct Counted {
     bytes: u64,
 }
 
-/// One run of a lossless scenario under the counter.
-fn counted(scenario: &LoadScenario) -> Counted {
+/// The allocator calls `work` makes on this thread.
+fn allocations_of<T>(work: impl FnOnce() -> T) -> (T, u64) {
     ALLOCATIONS.set(0);
     BYTES.set(0);
     COUNTING.set(true);
-    let report = scenario.run();
+    let result = work();
     COUNTING.set(false);
+    (result, ALLOCATIONS.get())
+}
+
+/// One run of a lossless scenario under the counter.
+fn counted(scenario: &LoadScenario) -> Counted {
+    let (report, allocations) = allocations_of(|| scenario.run());
     assert_eq!(report.records_delivered, report.records_sent);
     assert!(
         report.per_flow.iter().all(|f| f.retransmissions == 0),
@@ -85,7 +95,7 @@ fn counted(scenario: &LoadScenario) -> Counted {
     );
     Counted {
         report,
-        allocations: ALLOCATIONS.get(),
+        allocations,
         bytes: BYTES.get(),
     }
 }
@@ -178,5 +188,79 @@ fn one_more_flow_stays_within_its_fixed_footprint() {
         per_flow <= 38_000,
         "{} more bytes allocated for 64 more flows = {per_flow} per flow (budget 38000)",
         large.bytes - small.bytes
+    );
+}
+
+/// The uCOBS benchmark workloads' datagram: 1200 bytes, a zero in every 251.
+fn datagram() -> Vec<u8> {
+    (0..1200usize).map(|i| (i * 31 % 251) as u8).collect()
+}
+
+#[test]
+fn cobs_kernels_allocate_once_or_not_at_all() {
+    let datagram = datagram();
+
+    // One buffer, sized for the worst case before the first byte goes in: a
+    // second allocation or a growing `realloc` would both count.
+    let (framed, allocations) = allocations_of(|| frame_datagram(&datagram));
+    assert_eq!(allocations, 1, "frame_datagram");
+
+    let mut encoded = Vec::with_capacity(max_encoded_len(datagram.len()));
+    let ((), allocations) = allocations_of(|| encode_into(&datagram, &mut encoded));
+    assert_eq!(allocations, 0, "encode_into with room reserved");
+    assert_eq!(encoded, framed[1..framed.len() - 1]);
+
+    let mut decoded = Vec::with_capacity(encoded.len());
+    let (result, allocations) = allocations_of(|| decode_into(&encoded, &mut decoded));
+    assert_eq!(allocations, 0, "decode_into with room reserved");
+    assert_eq!((result, &decoded), (Ok(datagram.len()), &datagram));
+}
+
+#[test]
+fn ucobs_session_frames_each_datagram_in_one_allocation() {
+    // 200 datagrams over a lossless 100 Mbit/s link, handshake to last
+    // delivery, both endpoints under the counter.
+    let session = || {
+        let datagram = datagram();
+        let mut sim = Sim::new(16);
+        let a = sim.add_host("sender");
+        let b = sim.add_host("receiver");
+        sim.link(
+            a,
+            b,
+            LinkConfig::new(100_000_000, SimDuration::from_millis(5)),
+        );
+        let config = MinionConfig::with_utcp();
+        UcobsSocket::listen(sim.host_mut(b), 9000, &config).expect("listen");
+        let now = sim.now();
+        let mut tx = UcobsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 9000), &config, now);
+        sim.run_for(SimDuration::from_millis(50));
+        let mut rx = UcobsSocket::accept(sim.host_mut(b), 9000).expect("accepted");
+
+        let (mut sent, mut delivered) = (0, 0);
+        while delivered < 200 {
+            while sent < 200 && tx.send_buffer_free(sim.host(a)) >= 2 * datagram.len() {
+                tx.send_datagram(sim.host_mut(a), &datagram).expect("send");
+                sent += 1;
+            }
+            sim.run_for(SimDuration::from_millis(10));
+            for got in rx.recv(sim.host_mut(b)) {
+                assert_eq!(got.payload, datagram);
+                delivered += 1;
+            }
+        }
+        assert_eq!(rx.stats().duplicates_suppressed, 0, "lossless");
+    };
+    session();
+
+    let ((), first) = allocations_of(session);
+    let ((), again) = allocations_of(session);
+    assert_eq!(first, again, "allocation counts repeat exactly");
+    // 3341 at the parent, where `frame_datagram` encoded into one `Vec` and
+    // copied it into a second; one allocation fewer per datagram sent now.
+    println!("alloc budget: {first} allocations in a 200-datagram uCOBS session");
+    assert!(
+        first <= 3341 - 200,
+        "{first} allocations in a 200-datagram uCOBS session (budget 3141)"
     );
 }
