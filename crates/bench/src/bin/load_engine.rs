@@ -1,5 +1,5 @@
 //! The engine load benchmark: drive multi-flow load scenarios through the
-//! `minion-engine` runtime (sharded across the `minion-exec` executor) and
+//! `minion-engine` scenario driver (sharded across the `minion-exec` executor) and
 //! emit `BENCH_engine.json`, the artifact the CI bench trajectory tracks
 //! per PR.
 //!
@@ -10,10 +10,6 @@
 //! events/sec measures the runtime itself (timer wheel + batched dispatch +
 //! readiness polling); goodput and sim-time events/sec are virtual-time
 //! figures and therefore bit-stable across machines.
-//!
-//! The report also carries a `"demux"` section: the measured per-lookup
-//! cost of the host connection-demux table before (`BTreeMap`) and after
-//! (open-addressed `stack::TupleTable`) the sharded-hosts change.
 //!
 //! The `"cc"` section replays the canonical lossy comparison scenario once
 //! per congestion-control algorithm (`--cc`, default all of
@@ -76,10 +72,8 @@
 use minion_bench::cli;
 use minion_engine::{verify_load_sharded, KindSet, LoadReport, LoadScenario, DEFAULT_TRACE_CAP};
 use minion_osnet::OsTransport;
-use minion_simnet::{NodeId, SimDuration};
-use minion_stack::{SocketHandle, TupleTable};
+use minion_simnet::SimDuration;
 use minion_tcp::CcAlgorithm;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Goodput floor of the OS envelope gate, in bits/second. Loopback runs
@@ -154,72 +148,6 @@ fn row_json(row: &Row) -> String {
         polls = r.engine.flow_polls,
         retx = retransmissions,
         rto = rto_fires,
-    )
-}
-
-/// Measure the connection-demux lookup cost before (`BTreeMap`, the pre-
-/// sharded-hosts structure) and after (open-addressed [`TupleTable`]) under
-/// a load-scenario-shaped key population.
-fn demux_bench_json() -> String {
-    const ENTRIES: u32 = 4096;
-    const PASSES: u32 = 256;
-    let keys: Vec<(u16, NodeId, u16)> = (0..ENTRIES)
-        .map(|i| (40_000u16.wrapping_add(i as u16), NodeId(i / 1024), 7000))
-        .collect();
-    let mut btree: BTreeMap<(u16, NodeId, u16), SocketHandle> = BTreeMap::new();
-    let mut table = TupleTable::new();
-    for (i, k) in keys.iter().enumerate() {
-        btree.insert(*k, SocketHandle(i as u32));
-        table.insert(*k, SocketHandle(i as u32));
-    }
-    // Probe in a shuffled-but-deterministic order so neither structure gets
-    // a sequential-access advantage.
-    let order: Vec<usize> = (0..ENTRIES as u64)
-        .map(|i| (i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % ENTRIES as u64) as usize)
-        .collect();
-
-    let t0 = Instant::now();
-    let mut hits = 0u64;
-    for _ in 0..PASSES {
-        for &i in &order {
-            if std::hint::black_box(btree.get(&keys[i])).is_some() {
-                hits += 1;
-            }
-        }
-    }
-    let btree_ns = t0.elapsed().as_nanos() as f64 / (PASSES as u64 * ENTRIES as u64) as f64;
-
-    let t1 = Instant::now();
-    for _ in 0..PASSES {
-        for &i in &order {
-            if std::hint::black_box(table.get(&keys[i])).is_some() {
-                hits += 1;
-            }
-        }
-    }
-    let table_ns = t1.elapsed().as_nanos() as f64 / (PASSES as u64 * ENTRIES as u64) as f64;
-    assert_eq!(hits, 2 * PASSES as u64 * ENTRIES as u64, "every probe hits");
-
-    println!(
-        "demux lookup ({ENTRIES} entries): BTreeMap {btree_ns:.1} ns -> \
-         open-addressed {table_ns:.1} ns ({:.2}x)",
-        btree_ns / table_ns.max(0.001)
-    );
-    format!(
-        concat!(
-            "  \"demux\": {{\n",
-            "    \"entries\": {entries},\n",
-            "    \"lookups_each\": {lookups},\n",
-            "    \"btreemap_ns_per_lookup\": {before:.2},\n",
-            "    \"open_addressed_ns_per_lookup\": {after:.2},\n",
-            "    \"speedup\": {speedup:.2}\n",
-            "  }}"
-        ),
-        entries = ENTRIES,
-        lookups = PASSES as u64 * ENTRIES as u64,
-        before = btree_ns,
-        after = table_ns,
-        speedup = btree_ns / table_ns.max(0.001),
     )
 }
 
@@ -882,10 +810,9 @@ fn main() {
     let (cc, cc_obs) = cc_sections(&args.ccs, threads);
 
     let body = rows.iter().map(row_json).collect::<Vec<_>>().join(",\n");
-    let demux = demux_bench_json();
     let stream_section = trace_stream.map(|s| format!("{s},\n")).unwrap_or_default();
     let json = format!(
-        "{{\n  \"bench\": \"engine_load\",\n{demux},\n{obs},\n{flow_delay},\n{stream_section}{cc},\n{cc_obs},\n{os_section}  \"scenarios\": [\n{body}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"engine_load\",\n{obs},\n{flow_delay},\n{stream_section}{cc},\n{cc_obs},\n{os_section}  \"scenarios\": [\n{body}\n  ]\n}}\n"
     );
     cli::write_output("--out", &out, &json);
     println!("wrote {out}");

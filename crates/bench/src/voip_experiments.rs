@@ -10,7 +10,7 @@
 use minion_apps::{
     frame_number, CompetingFlow, VoipReceiver, VoipReport, VoipSource, VoipSourceConfig,
 };
-use minion_core::{MinionConfig, MinionTransport, Protocol, UdpShim};
+use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_simnet::{Distribution, LinkConfig, SimDuration, SimTime, Table};
 use minion_stack::{Sim, SocketAddr};
 
@@ -74,56 +74,34 @@ pub fn run_call(config: &VoipRunConfig) -> VoipReport {
     };
 
     // Set up the voice transport.
-    let mut tx;
-    let mut rx;
-    match config.protocol {
-        Protocol::Udp => {
-            tx = MinionTransport::Udp(
-                UdpShim::bind(
-                    sim.host_mut(sender),
-                    0,
-                    Some(SocketAddr::new(receiver, 9999)),
-                )
-                .expect("bind"),
-            );
-            rx = MinionTransport::Udp(
-                UdpShim::bind(sim.host_mut(receiver), 9999, None).expect("bind"),
-            );
+    let protocol = config.protocol;
+    MinionTransport::listen(protocol, sim.host_mut(receiver), 9999, &minion_config)
+        .expect("listen");
+    let now = sim.now();
+    let mut tx = MinionTransport::connect(
+        protocol,
+        sim.host_mut(sender),
+        SocketAddr::new(receiver, 9999),
+        &minion_config,
+        now,
+    )
+    .expect("connect");
+    sim.run_for(SimDuration::from_millis(200));
+    let mut accepted =
+        MinionTransport::accept(protocol, sim.host_mut(receiver), 9999, &minion_config);
+    // Drive handshakes (needed by uTLS) until both sides are ready.
+    for _ in 0..6 {
+        if let Some(s) = accepted.as_mut() {
+            let _ = s.recv(sim.host_mut(receiver));
         }
-        protocol => {
-            MinionTransport::listen(protocol, sim.host_mut(receiver), 9999, &minion_config)
-                .expect("listen");
-            let now = sim.now();
-            tx = MinionTransport::connect(
-                protocol,
-                sim.host_mut(sender),
-                SocketAddr::new(receiver, 9999),
-                &minion_config,
-                now,
-            )
-            .expect("connect");
-            sim.run_for(SimDuration::from_millis(200));
-            let mut accepted =
+        let _ = tx.recv(sim.host_mut(sender));
+        sim.run_for(SimDuration::from_millis(80));
+        if accepted.is_none() {
+            accepted =
                 MinionTransport::accept(protocol, sim.host_mut(receiver), 9999, &minion_config);
-            // Drive handshakes (needed by uTLS) until both sides are ready.
-            for _ in 0..6 {
-                if let Some(s) = accepted.as_mut() {
-                    let _ = s.recv(sim.host_mut(receiver));
-                }
-                let _ = tx.recv(sim.host_mut(sender));
-                sim.run_for(SimDuration::from_millis(80));
-                if accepted.is_none() {
-                    accepted = MinionTransport::accept(
-                        protocol,
-                        sim.host_mut(receiver),
-                        9999,
-                        &minion_config,
-                    );
-                }
-            }
-            rx = accepted.expect("accepted");
         }
     }
+    let mut rx = accepted.expect("accepted");
 
     // Competing flows share the same direction as the voice traffic.
     let call_start = sim.now();

@@ -46,8 +46,8 @@ impl MinionTransport {
         })
     }
 
-    /// Start listening for the chosen protocol on `port`. For UDP this binds
-    /// the socket immediately (returned via `accept`).
+    /// Start listening for the chosen protocol on `port`. UDP is
+    /// connectionless and has nothing to listen with: `accept` binds the port.
     pub fn listen(
         protocol: Protocol,
         host: &mut Host,
@@ -57,16 +57,16 @@ impl MinionTransport {
         match protocol {
             Protocol::Ucobs => UcobsSocket::listen(host, port, config),
             Protocol::Utls => UtlsSocket::listen(host, port, config),
-            Protocol::Udp => host.udp_bind(port).map(|_| ()),
+            Protocol::Udp => Ok(()),
             Protocol::TcpTlv => TcpTlvSocket::listen(host, port, config),
         }
     }
 
     /// Accept a pending connection of the chosen protocol on `port`.
     ///
-    /// For UDP, which is connectionless, this returns a shim bound to the
-    /// listening port the first time it is called; the remote address is
-    /// learned from the first datagram received.
+    /// For UDP, which is connectionless, this binds `port` and returns the
+    /// shim the first time it is called (the port is in use from then on);
+    /// the remote address is learned from the first datagram received.
     pub fn accept(
         protocol: Protocol,
         host: &mut Host,
@@ -78,15 +78,9 @@ impl MinionTransport {
             Protocol::Utls => {
                 UtlsSocket::accept(host, port, config).map(|s| MinionTransport::Utls(Box::new(s)))
             }
-            Protocol::Udp => {
-                // The listening socket was bound by `listen`; re-binding fails,
-                // so wrap a fresh shim on an already-bound port by binding 0
-                // and pointing it at the port... UDP accept semantics are
-                // emulated by simply reusing the bound port's handle.
-                let handles = host.tcp_handles();
-                let _ = handles; // no TCP handle involved
-                UdpShim::bind(host, 0, None).ok().map(MinionTransport::Udp)
-            }
+            Protocol::Udp => UdpShim::bind(host, port, None)
+                .ok()
+                .map(MinionTransport::Udp),
             Protocol::TcpTlv => TcpTlvSocket::accept(host, port).map(MinionTransport::TcpTlv),
         }
     }
@@ -187,34 +181,19 @@ mod tests {
         .unwrap();
         sim.run_for(SimDuration::from_millis(200));
 
-        let mut server = if protocol == Protocol::Udp {
-            // UDP is connectionless: the "server" is simply a shim on the port.
-            let shim = UdpShim::bind(sim.host_mut(b), 0, None).unwrap();
-            let _ = shim;
-            // Use the listening port directly for reception.
-            MinionTransport::Udp(UdpShim::bind(sim.host_mut(b), 4001, None).unwrap())
-        } else {
-            // Drive handshakes (uTLS needs a few exchanges).
-            let mut accepted = MinionTransport::accept(protocol, sim.host_mut(b), 4000, &config);
-            for _ in 0..5 {
-                if let Some(s) = accepted.as_mut() {
-                    let _ = s.recv(sim.host_mut(b));
-                }
-                let _ = client.recv(sim.host_mut(a));
-                sim.run_for(SimDuration::from_millis(80));
-                if accepted.is_none() {
-                    accepted = MinionTransport::accept(protocol, sim.host_mut(b), 4000, &config);
-                }
+        // Drive handshakes (uTLS needs a few exchanges).
+        let mut accepted = MinionTransport::accept(protocol, sim.host_mut(b), 4000, &config);
+        for _ in 0..5 {
+            if let Some(s) = accepted.as_mut() {
+                let _ = s.recv(sim.host_mut(b));
             }
-            accepted.expect("connection accepted")
-        };
-
-        if protocol == Protocol::Udp {
-            // Point the client at the server's actual receive port.
-            if let MinionTransport::Udp(shim) = &mut client {
-                shim.set_remote(SocketAddr::new(b, 4001));
+            let _ = client.recv(sim.host_mut(a));
+            sim.run_for(SimDuration::from_millis(80));
+            if accepted.is_none() {
+                accepted = MinionTransport::accept(protocol, sim.host_mut(b), 4000, &config);
             }
         }
+        let mut server = accepted.expect("connection accepted");
 
         assert_eq!(client.protocol(), protocol);
         assert!(client.is_established(sim.host(a)));

@@ -1,20 +1,20 @@
 //! # minion-engine
 //!
-//! The deterministic multi-flow event runtime: the substrate that lets the
-//! Minion reproduction scale from one connection per experiment to the
-//! ROADMAP's "heavy traffic" regime of hundreds-to-thousands of concurrent
-//! uTCP flows, while staying bit-reproducible under a seed.
+//! The deterministic multi-flow load driver: what lets the Minion
+//! reproduction scale from one connection per experiment to the ROADMAP's
+//! "heavy traffic" regime of hundreds-to-thousands of concurrent uTCP flows,
+//! while staying bit-reproducible under a seed.
 //!
 //! Components, bottom-up:
 //!
-//! * [`TimerWheel`] — a hierarchical timer wheel (six 64-slot levels at
-//!   microsecond resolution, occupancy bitmaps, lazy cancellation) replacing
-//!   the `O(flows)` every-socket timer scan with `O(1)` re-arming.
-//! * [`Engine`] — the event loop: batched packet dispatch from the simulated
-//!   network ([`minion_simnet::World::drain_due_into`]), per-socket
-//!   demultiplexing ([`minion_stack::Host::on_packet_demux`]), readiness
-//!   events ([`minion_tcp::ConnEvent`]) instead of lockstep sweeps, and
-//!   wheel-driven timers.
+//! * The event loop is [`minion_stack::Sim`], the one loop of the workspace
+//!   (hierarchical [`TimerWheel`], batched packet dispatch, per-socket
+//!   demultiplexing, readiness events instead of lockstep sweeps). This
+//!   crate drives it through its flow front door ([`FlowId`]); nothing here
+//!   restricts the topology underneath.
+//! * [`Transport`] — packet I/O and time as a trait, so one scenario driver
+//!   runs over the simulator ([`SimTransport`]) or a kernel stack
+//!   (`minion-osnet`).
 //! * [`LoadScenario`] — N concurrent flows over one shared link, asserting
 //!   exactly-once delivery (every delivered chunk compared in place with
 //!   the sent stream) and per-stream order per flow; [`verify_load`]
@@ -26,21 +26,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod metrics;
 pub mod obs;
-pub mod runtime;
 pub mod scenario;
 pub mod transport;
-pub mod wheel;
 
-pub use clock::{Clock, MonotonicClock, VirtualClock};
 pub use metrics::{fnv1a, fnv1a_words, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 pub use obs::{LoadObs, LOAD_COUNTER_NAMES, LOAD_GAUGE_NAMES};
-pub use runtime::{Engine, EngineHostId, FlowId, ENGINE_PHASES};
 pub use scenario::{verify_load, verify_load_sharded, LoadScenario, LOAD_PORT, SHARD_FLOWS};
 pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats};
-pub use wheel::TimerWheel;
+// The loop's own names, for the drivers that reach it through this crate.
+pub use minion_stack::{FlowId, TimerWheel};
 
 // Re-export the observability primitives so downstream crates (osnet,
 // testkit, bench) reach them through the engine without a direct

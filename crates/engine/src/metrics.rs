@@ -15,7 +15,8 @@ use minion_obs::{Absorb, NonDeterministic, PhaseProfile};
 // under the names the engine's consumers have always used).
 pub use minion_simnet::{fnv1a, fnv1a_words, FNV_OFFSET_BASIS};
 
-/// Aggregate runtime counters kept by [`crate::Engine`].
+/// Aggregate event-loop counters: [`minion_stack::SimMetrics`] on the sim
+/// backend, the reactor's equivalents on the os backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineMetrics {
     /// Event-loop iterations.
@@ -103,7 +104,7 @@ pub struct LoadReport {
     pub goodput_bps: u64,
     /// Dispatched events per virtual second.
     pub events_per_sim_sec: u64,
-    /// Engine runtime counters, snapshotted at the end of the load phase
+    /// Event-loop counters, snapshotted at the end of the load phase
     /// (the FIN/TIME-WAIT close-out is excluded so rates describe the load).
     pub engine: EngineMetrics,
     /// Deterministic observability: delivery-delay / RTO / staging-dwell

@@ -21,7 +21,7 @@
 //!
 //! [`LoadScenario::run_sharded`] decomposes the `flows` axis into fixed
 //! [`SHARD_FLOWS`]-flow shards — each an independent
-//! [`Engine`](crate::Engine) with its own link and a seed derived from
+//! [`SimTransport`] with its own link and a seed derived from
 //! `(seed, shard index)` — and executes them on the `minion-exec`
 //! work-stealing executor, merging the per-shard
 //! [`LoadReport`]s **by shard index**. The decomposition is a property of
@@ -34,7 +34,6 @@ use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
 };
-use crate::runtime::FlowId;
 use crate::transport::{SimTransport, Transport};
 use minion_exec::Executor;
 use minion_obs::{
@@ -42,6 +41,7 @@ use minion_obs::{
     PhaseProfile, StreamSink, Tee, TraceEvent, TraceKind, TracePredicate, TraceRing, TraceSink,
 };
 use minion_simnet::{fnv1a_words, LossConfig, SimDuration, SimTime};
+use minion_stack::FlowId;
 use minion_tcp::{CcAlgorithm, ConnEvent};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -615,7 +615,7 @@ impl LoadScenario {
     ///
     /// Byte-identical at any `threads` value: the shard decomposition and
     /// every shard's seed are fixed by the scenario, each shard runs in its
-    /// own deterministic [`Engine`](crate::Engine), and the executor's
+    /// own deterministic [`SimTransport`], and the executor's
     /// ordered collection commits shard reports in shard order. Note the sharded model gives
     /// each shard its own bottleneck link — cross-shard congestion coupling
     /// is deliberately out of scope (each shard is the unit of fidelity),

@@ -7,28 +7,27 @@
 //! write/read bytes, and pump an event loop that reports accepts and
 //! readable/writable edges. Two implementations exist:
 //!
-//! * [`SimTransport`] (here) — wraps the deterministic [`Engine`] and the
-//!   simnet world. Its behaviour (and therefore every report produced over
-//!   it) is byte-identical to driving the engine directly: the trait calls
-//!   map 1:1 onto the engine calls the scenario driver used to make, in the
-//!   same order.
+//! * [`SimTransport`] (here) — holds a deterministic [`Sim`] and drives it
+//!   through its flow front door: the trait calls map 1:1 onto the
+//!   `flow_*` calls, each of which marks exactly one flow ready. Any
+//!   topology a `Sim` can hold works underneath (middleboxes, routes, UDP
+//!   beside the flows); the load scenario happens to build two hosts.
 //! * `OsTransport` (`minion-osnet`) — drives real nonblocking kernel
-//!   sockets over loopback through an epoll reactor, with a monotonic
-//!   [`Clock`](crate::Clock) feeding wall-clock microseconds into the same
-//!   driver loop. Determinism is *not* promised there; the OS backend gates
-//!   on liveness and goodput envelopes instead.
+//!   sockets over loopback through an epoll reactor, with a monotonic clock
+//!   feeding wall-clock microseconds into the same driver loop.
+//!   Determinism is *not* promised there; the OS backend gates on liveness
+//!   and goodput envelopes instead.
 //!
 //! Time flows through [`Transport::now`]: virtual microseconds for sim,
 //! monotonic microseconds since transport creation for the OS backend. The
 //! scenario driver never asks which one it is.
 
 use crate::metrics::EngineMetrics;
-use crate::runtime::{Engine, EngineHostId, FlowId};
 use crate::scenario::{LoadScenario, LOAD_PORT};
 use bytes::Bytes;
 use minion_obs::PhaseProfile;
-use minion_simnet::{LinkConfig, SimDuration, SimTime};
-use minion_stack::SocketAddr;
+use minion_simnet::{LinkConfig, NodeId, SimDuration, SimTime};
+use minion_stack::{FlowId, Sim, SocketAddr, SIM_PHASES};
 use minion_tcp::{ConnEvent, SocketOptions, TcpConfig};
 
 /// One delivered piece of a flow's byte stream.
@@ -117,8 +116,8 @@ pub trait Transport {
         Vec::new()
     }
 
-    /// Wall-clock phase profile of the backend's event loop (engine
-    /// flush/dispatch/timers on sim; epoll wait/dispatch on os). Profiling
+    /// Wall-clock phase profile of the backend's event loop
+    /// (flush/dispatch/timers on sim; epoll wait/dispatch on os). Profiling
     /// only — never deterministic, never part of the byte-identity gates.
     fn phases(&self) -> PhaseProfile {
         PhaseProfile::default()
@@ -147,11 +146,11 @@ pub trait Transport {
     fn finish(&mut self);
 }
 
-/// The simulator-backed [`Transport`]: the engine, two hosts, one
-/// asymmetric link, exactly as the pre-trait load scenario built them.
+/// The simulator-backed [`Transport`]: a [`Sim`] holding two hosts and one
+/// asymmetric link.
 pub struct SimTransport {
-    engine: Engine,
-    client: EngineHostId,
+    sim: Sim,
+    client: NodeId,
     server_addr: SocketAddr,
     tcp_config: TcpConfig,
     readable: Vec<FlowId>,
@@ -165,15 +164,15 @@ impl SimTransport {
     /// uTCP/TCP socket on [`LOAD_PORT`], and auto-registration of accepted
     /// flows.
     pub fn new(scenario: &LoadScenario) -> Self {
-        let mut engine = Engine::new(scenario.seed);
-        let client = engine.add_host("client");
-        let server = engine.add_host("server");
+        let mut sim = Sim::new(scenario.seed);
+        let client = sim.add_host("client");
+        let server = sim.add_host("server");
         let delay = SimDuration::from_micros(scenario.rtt_ms * 1000 / 2);
         let toward = LinkConfig::new(scenario.rate_bps, delay)
             .with_queue_bytes(scenario.queue_bytes)
             .with_loss(scenario.loss.clone());
         let back = LinkConfig::new(scenario.rate_bps, delay).with_queue_bytes(scenario.queue_bytes);
-        engine.link_asymmetric(client, server, toward, back);
+        sim.link_asymmetric(client, server, toward, back);
 
         let receiver_opts = if scenario.receiver_utcp {
             SocketOptions::unordered_receive_only()
@@ -181,16 +180,14 @@ impl SimTransport {
             SocketOptions::standard()
         };
         let tcp_config = TcpConfig::default().with_cc(scenario.cc);
-        engine
-            .host_mut(server)
+        sim.host_mut(server)
             .tcp_listen(LOAD_PORT, tcp_config.clone(), receiver_opts)
             .expect("listen on a fresh host");
-        engine.set_auto_register(server, true);
-        let server_addr = SocketAddr::new(engine.node_of(server), LOAD_PORT);
+        sim.set_auto_register(server, true);
         SimTransport {
-            engine,
+            sim,
             client,
-            server_addr,
+            server_addr: SocketAddr::new(server, LOAD_PORT),
             tcp_config,
             readable: Vec::new(),
             writable: Vec::new(),
@@ -198,18 +195,18 @@ impl SimTransport {
         }
     }
 
-    /// Borrow the underlying engine (tests and instrumentation).
-    pub fn engine(&self) -> &Engine {
-        &self.engine
+    /// Borrow the underlying event loop (tests and instrumentation).
+    pub fn engine(&self) -> &Sim {
+        &self.sim
     }
 
-    /// Split the engine's edge events into the readable/writable queues the
+    /// Split the loop's edge events into the readable/writable queues the
     /// trait exposes. The remaining edges (`Established`, `Retransmit`,
     /// `RtoFired`, `Closed`) carry no driver *work*, but they are exactly
     /// what the observability layer traces, so they queue separately for
     /// [`Transport::take_lifecycle`].
     fn pump_events(&mut self) {
-        for (f, ev) in self.engine.take_events() {
+        for (f, ev) in self.sim.take_events() {
             match ev {
                 ConnEvent::Readable => self.readable.push(f),
                 ConnEvent::Writable => self.writable.push(f),
@@ -225,34 +222,34 @@ impl Transport for SimTransport {
     }
 
     fn now(&self) -> SimTime {
-        self.engine.now()
+        self.sim.now()
     }
 
     fn connect(&mut self) -> (FlowId, u64) {
-        let now = self.engine.now();
-        let handle = self.engine.host_mut(self.client).tcp_connect(
+        let now = self.sim.now();
+        // Opening a socket goes through the host, which touches it: the next
+        // flush marks every client flow ready once. `run_on` connects every
+        // flow before its first step, when they all are ready anyway.
+        let host = self.sim.host_mut(self.client);
+        let handle = host.tcp_connect(
             self.server_addr,
             self.tcp_config.clone(),
             SocketOptions::standard(),
             now,
         );
-        let client_port = self
-            .engine
-            .host_mut(self.client)
-            .tcp_local_port(handle)
-            .expect("fresh TCP socket");
-        let id = self.engine.register_flow(self.client, handle);
+        let client_port = host.tcp_local_port(handle).expect("fresh TCP socket");
+        let id = self.sim.register_flow(self.client, handle);
         (id, u64::from(client_port))
     }
 
     fn write(&mut self, flow: FlowId, data: &[u8]) -> usize {
-        self.engine
+        self.sim
             .flow_write(flow, data)
             .expect("flow handle is a valid TCP socket")
     }
 
     fn read(&mut self, flow: FlowId) -> Option<TransportChunk> {
-        self.engine.flow_read(flow).map(|c| TransportChunk {
+        self.sim.flow_read(flow).map(|c| TransportChunk {
             offset: c.offset,
             data: c.data,
             in_order: c.in_order,
@@ -260,20 +257,21 @@ impl Transport for SimTransport {
     }
 
     fn close(&mut self, flow: FlowId) {
-        self.engine.flow_close(flow);
+        self.sim.flow_close(flow);
     }
 
     fn step(&mut self) -> bool {
-        self.engine.step()
+        self.sim.step()
     }
 
     fn take_accepted(&mut self) -> Vec<(FlowId, u64)> {
-        self.engine
+        self.sim
             .take_accepted()
             .into_iter()
             .map(|sf| {
-                let peer = self.engine.flow_peer(sf);
-                (sf, u64::from(peer.port))
+                let (node, handle) = self.sim.flow_socket(sf);
+                let peer = self.sim.host(node).tcp_peer(handle);
+                (sf, u64::from(peer.expect("flow handle is valid").port))
             })
             .collect()
     }
@@ -294,11 +292,11 @@ impl Transport for SimTransport {
     }
 
     fn phases(&self) -> PhaseProfile {
-        self.engine.phases().clone()
+        PhaseProfile::from_slots(SIM_PHASES, self.sim.phases())
     }
 
     fn flow_stats(&self, flow: FlowId) -> TransportFlowStats {
-        let stats = self.engine.flow_stats(flow);
+        let stats = self.sim.flow_stats(flow);
         TransportFlowStats {
             retransmissions: stats.retransmissions,
             fast_retransmits: stats.fast_retransmits,
@@ -307,15 +305,26 @@ impl Transport for SimTransport {
     }
 
     fn flow_cc_obs(&self, flow: FlowId) -> minion_obs::CcObs {
-        self.engine.flow_cc_obs(flow)
+        let (node, handle) = self.sim.flow_socket(flow);
+        let conn = self.sim.host(node).tcp_connection(handle);
+        conn.expect("flow handle is valid").cc_obs().clone()
     }
 
     fn metrics(&self) -> EngineMetrics {
-        *self.engine.metrics()
+        let m = self.sim.metrics();
+        EngineMetrics {
+            steps: m.steps,
+            packets_delivered: m.packets_delivered,
+            packets_sent: m.packets_sent,
+            bytes_sent: m.bytes_sent,
+            packets_dropped: m.packets_dropped,
+            timer_fires: m.timer_fires,
+            flow_polls: m.flow_polls,
+        }
     }
 
     fn finish(&mut self) {
         // Drive the FIN/TIME-WAIT exchanges of every closed flow.
-        self.engine.run_for(SimDuration::from_secs(8));
+        self.sim.run_for(SimDuration::from_secs(8));
     }
 }

@@ -33,6 +33,17 @@ impl PhaseProfile {
         }
     }
 
+    /// A profile over `names` holding the `(nanos, entries)` a loop counted
+    /// in its own plain slots, one per name.
+    pub fn from_slots(names: &'static [&'static str], slots: &[(u64, u64)]) -> Self {
+        assert_eq!(names.len(), slots.len(), "one slot per phase name");
+        PhaseProfile {
+            names,
+            nanos: slots.iter().map(|s| s.0).collect(),
+            entries: slots.iter().map(|s| s.1).collect(),
+        }
+    }
+
     /// The phase names.
     pub fn names(&self) -> &'static [&'static str] {
         self.names
@@ -158,6 +169,8 @@ mod tests {
             p.iter().collect::<Vec<_>>(),
             vec![("dispatch", 600, 2), ("timers", 300, 1), ("flush", 100, 1)]
         );
+        let slots = [(600, 2), (300, 1), (100, 1)];
+        assert_eq!(PhaseProfile::from_slots(PHASES, &slots), p);
     }
 
     #[test]

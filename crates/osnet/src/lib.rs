@@ -28,9 +28,8 @@
 //!   closed) like Demikernel's catnap backend, accepted connections demuxed
 //!   through the same [`TupleTable`](minion_stack::TupleTable) the
 //!   simulated hosts use (exercising its tombstone path on teardown), a
-//!   [`MonotonicClock`](minion_engine::MonotonicClock) feeding the
-//!   engine's [`TimerWheel`](minion_engine::TimerWheel) for liveness
-//!   watchdogs, and syscall accounting so the bench can report
+//!   [`MonotonicClock`] feeding a
+//!   [`TimerWheel`](minion_engine::TimerWheel) for liveness watchdogs, and syscall accounting so the bench can report
 //!   syscalls/flow.
 //!
 //! Determinism is explicitly *not* promised here — the kernel schedules as
@@ -45,9 +44,11 @@
 
 #![warn(missing_docs)]
 
+pub mod clock;
 pub mod reactor;
 pub mod sys;
 pub mod transport;
 
+pub use clock::MonotonicClock;
 pub use reactor::Reactor;
 pub use transport::{OsTransport, OS_PHASES};

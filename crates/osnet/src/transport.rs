@@ -26,12 +26,13 @@
 //! Every syscall is counted; [`Transport::syscalls`] reports the total so
 //! the bench can put syscalls/flow next to the sim's allocs/flow.
 
+use crate::clock::MonotonicClock;
 use crate::reactor::{Event, Reactor};
 use crate::sys;
 use bytes::Bytes;
 use minion_engine::{
-    Clock, EngineMetrics, FlowId, Histogram, MonotonicClock, PhaseProfile, TimerWheel, Transport,
-    TransportChunk, TransportFlowStats,
+    EngineMetrics, FlowId, Histogram, PhaseProfile, TimerWheel, Transport, TransportChunk,
+    TransportFlowStats,
 };
 use minion_simnet::{NodeId, SimDuration, SimTime};
 use minion_stack::{SocketHandle, TupleTable};

@@ -194,7 +194,7 @@ impl World {
     /// into `out` (appending, in arrival order) and return how many were
     /// drained.
     ///
-    /// Event-driven callers (the `minion-engine` runtime, [`pop_due`] loops)
+    /// Event-driven callers (the `stack::Sim` loop, [`pop_due`] loops)
     /// deliver all arrivals for one instant in a single call instead of
     /// re-peeking the heap per packet; the caller keeps `out` as a reusable
     /// scratch buffer so the hot path does not allocate per event.

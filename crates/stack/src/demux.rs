@@ -20,8 +20,7 @@
 //! connections through close/reopen cycles, which is exactly the
 //! reuse-after-close traffic that exposes probe-chain bugs.
 //!
-//! The `load_engine` bench records the before/after lookup cost (`BTreeMap`
-//! vs this table) in `BENCH_engine.json` under `"demux"`.
+//! The repo benchmark times the lookup as `stack.demux.get_ns`.
 
 use crate::addr::SocketHandle;
 use minion_simnet::NodeId;

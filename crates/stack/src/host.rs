@@ -9,7 +9,7 @@ use bytes::Bytes;
 use minion_simnet::{NodeId, Packet, SimTime};
 use minion_tcp::{
     ConnEvent, ConnStats, DeliveredChunk, Readiness, SocketOptions, TcpConfig, TcpConnection,
-    TcpError, TcpSegment, TcpState, WriteMeta,
+    TcpError, TcpSegment, WriteMeta,
 };
 use std::collections::{BTreeMap, VecDeque};
 
@@ -256,11 +256,6 @@ impl Host {
         Ok(())
     }
 
-    /// The connection's state.
-    pub fn tcp_state(&self, handle: SocketHandle) -> Result<TcpState, HostError> {
-        Ok(self.tcp_socket(handle)?.conn.state())
-    }
-
     /// Whether the connection has completed its handshake.
     pub fn tcp_established(&self, handle: SocketHandle) -> Result<bool, HostError> {
         Ok(self.tcp_socket(handle)?.conn.is_established())
@@ -274,12 +269,6 @@ impl Host {
     /// Free space in the connection's send buffer.
     pub fn tcp_send_buffer_free(&self, handle: SocketHandle) -> Result<usize, HostError> {
         Ok(self.tcp_socket(handle)?.conn.send_buffer_free())
-    }
-
-    /// Bytes queued in the connection's send buffer (sent but unacknowledged
-    /// plus not yet sent).
-    pub fn tcp_send_buffer_len(&self, handle: SocketHandle) -> Result<usize, HostError> {
-        Ok(self.tcp_socket(handle)?.conn.send_buffer_len())
     }
 
     /// The remote address of a TCP socket.
@@ -367,18 +356,13 @@ impl Host {
     // Packet processing and polling
     // ------------------------------------------------------------------
 
-    /// Process a packet delivered to this host.
-    pub fn on_packet(&mut self, packet: &Packet, now: SimTime) {
-        let _ = self.on_packet_demux(packet, now);
-    }
-
     /// Process a packet delivered to this host, reporting which socket
     /// consumed it (the demultiplexing result).
     ///
-    /// Event-driven drivers (the `minion-engine` runtime) use the returned
-    /// handle to mark exactly one flow ready instead of rescanning every
-    /// socket. A newly created connection (a SYN hitting a listener) returns
-    /// its fresh handle; undeliverable packets return `None`.
+    /// The event loop ([`crate::Sim`]) uses the returned handle to mark
+    /// exactly one flow ready instead of rescanning every socket. A newly
+    /// created connection (a SYN hitting a listener) returns its fresh
+    /// handle; undeliverable packets return `None`.
     pub fn on_packet_demux(&mut self, packet: &Packet, now: SimTime) -> Option<SocketHandle> {
         let tp = TransportPacket::decode(&packet.payload)?;
         match tp {
@@ -438,30 +422,13 @@ impl Host {
         None
     }
 
-    /// Poll all sockets for outgoing packets and timer work.
-    pub fn poll(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = std::mem::take(&mut self.outbox);
-        for socket in self.sockets.values_mut() {
-            if let Socket::Tcp(t) = socket {
-                poll_socket(self.node, t, now, &mut self.segments, &mut out);
-            }
-        }
-        out
-    }
-
     /// Poll a single TCP socket for outgoing packets and timer work,
     /// appending the resulting packets to `out`.
     ///
-    /// This is the per-flow half of [`Host::poll`]: an event-driven driver
-    /// that knows which flows are ready (from readiness events and its timer
-    /// wheel) polls exactly those, instead of sweeping every socket on the
-    /// host. The caller supplies a reusable buffer so the hot path does not
-    /// allocate per poll. Returns the number of packets produced.
-    ///
-    /// TCP sockets only: unlike [`Host::poll`], this does **not** drain the
-    /// host's UDP outbox — a host driven exclusively through per-handle
-    /// polls must not also be used for UDP sends (check
-    /// [`Host::has_pending_output`] if in doubt).
+    /// The event loop knows which flows are ready (from arrivals, its timer
+    /// wheel and the application's writes) and polls exactly those. The
+    /// caller supplies a reusable buffer so the hot path does not allocate
+    /// per poll. Returns the number of packets produced.
     pub fn poll_handle_into(
         &mut self,
         handle: SocketHandle,
@@ -469,10 +436,35 @@ impl Host {
         out: &mut Vec<Packet>,
     ) -> Result<usize, HostError> {
         let t = Self::tcp_socket_in(&mut self.sockets, handle)?;
-        Ok(poll_socket(self.node, t, now, &mut self.segments, out))
+        let to = t.remote.node;
+        let produced = t.conn.poll_into(now, &mut self.segments);
+        let node = self.node;
+        out.extend(
+            self.segments
+                .drain(..)
+                .map(|seg| Packet::routed(node, to, node, to, TransportPacket::Tcp(seg).encode())),
+        );
+        Ok(produced)
     }
 
-    /// The earliest timer of a single TCP socket (engine wheel re-arming).
+    /// Move the UDP datagrams sent since the last call into `out`.
+    pub(crate) fn drain_udp_outbox(&mut self, out: &mut Vec<Packet>) {
+        out.append(&mut self.outbox);
+    }
+
+    /// The handle the next socket opened on this host will get. Handles are
+    /// sequential, so the sockets opened since an earlier reading are
+    /// exactly the handles from that reading up to this one.
+    pub(crate) fn next_handle(&self) -> u32 {
+        self.next_handle
+    }
+
+    /// Whether `handle` names a TCP socket.
+    pub(crate) fn is_tcp(&self, handle: SocketHandle) -> bool {
+        self.tcp_socket(handle).is_ok()
+    }
+
+    /// The earliest timer of a single TCP socket (wheel re-arming).
     pub fn next_timer_of(&self, handle: SocketHandle) -> Result<Option<SimTime>, HostError> {
         Ok(self.tcp_socket(handle)?.conn.next_timer())
     }
@@ -502,53 +494,6 @@ impl Host {
     pub fn tcp_readiness(&self, handle: SocketHandle) -> Result<Readiness, HostError> {
         Ok(self.tcp_socket(handle)?.conn.readiness())
     }
-
-    /// The earliest timer across all sockets.
-    pub fn next_timer(&self) -> Option<SimTime> {
-        self.sockets
-            .values()
-            .filter_map(|s| match s {
-                Socket::Tcp(t) => t.conn.next_timer(),
-                Socket::Udp(_) => None,
-            })
-            .min()
-    }
-
-    /// Whether any socket has pending outbound packets queued.
-    pub fn has_pending_output(&self) -> bool {
-        !self.outbox.is_empty()
-    }
-
-    /// All TCP socket handles on this host (diagnostics / experiments).
-    pub fn tcp_handles(&self) -> Vec<SocketHandle> {
-        let mut v: Vec<SocketHandle> = self
-            .sockets
-            .iter()
-            .filter(|(_, s)| matches!(s, Socket::Tcp(_)))
-            .map(|(h, _)| *h)
-            .collect();
-        v.sort();
-        v
-    }
-}
-
-/// Poll one connection and wrap each segment it produces into a packet toward
-/// its peer, through the caller's scratch buffer. Returns the packet count.
-fn poll_socket(
-    node: NodeId,
-    socket: &mut TcpSocket,
-    now: SimTime,
-    segments: &mut Vec<TcpSegment>,
-    out: &mut Vec<Packet>,
-) -> usize {
-    let to = socket.remote.node;
-    let produced = socket.conn.poll_into(now, segments);
-    out.extend(
-        segments
-            .drain(..)
-            .map(|seg| Packet::routed(node, to, node, to, TransportPacket::Tcp(seg).encode())),
-    );
-    produced
 }
 
 #[cfg(test)]
@@ -578,9 +523,10 @@ mod tests {
         sender
             .udp_send_to(s, SocketAddr::new(NodeId(1), 2222), b"ping")
             .unwrap();
-        let pkts = sender.poll(SimTime::ZERO);
+        let mut pkts = Vec::new();
+        sender.drain_udp_outbox(&mut pkts);
         assert_eq!(pkts.len(), 1);
-        receiver.on_packet(&pkts[0], SimTime::ZERO);
+        assert_eq!(receiver.on_packet_demux(&pkts[0], SimTime::ZERO), Some(r));
         let (from, data) = receiver.udp_recv(r).unwrap().unwrap();
         assert_eq!(from, SocketAddr::new(NodeId(0), 1111));
         assert_eq!(&data[..], b"ping");
@@ -669,6 +615,32 @@ mod tests {
         );
     }
 
+    /// Carry packets between `client`'s socket `ch` and `server` for six
+    /// 10 ms rounds. `sh` is the server-side socket, which exists once a SYN
+    /// has been demultiplexed.
+    fn exchange(
+        client: &mut Host,
+        ch: SocketHandle,
+        server: &mut Host,
+        sh: &mut Option<SocketHandle>,
+        t: &mut SimTime,
+    ) {
+        let mut wire: Vec<Packet> = Vec::new();
+        for _ in 0..6 {
+            client.poll_handle_into(ch, *t, &mut wire).unwrap();
+            for p in wire.drain(..) {
+                *sh = server.on_packet_demux(&p, *t).or(*sh);
+            }
+            if let Some(sh) = *sh {
+                server.poll_handle_into(sh, *t, &mut wire).unwrap();
+                for p in wire.drain(..) {
+                    assert_eq!(client.on_packet_demux(&p, *t), Some(ch));
+                }
+            }
+            *t += minion_simnet::SimDuration::from_millis(10);
+        }
+    }
+
     #[test]
     fn tcp_connect_accept_handshake_via_manual_packet_exchange() {
         let mut client = Host::new(NodeId(0), "client");
@@ -682,17 +654,8 @@ mod tests {
             SocketOptions::standard(),
             SimTime::ZERO,
         );
-        // Exchange packets back and forth for a few rounds.
-        let mut t = SimTime::ZERO;
-        for _ in 0..6 {
-            for p in client.poll(t) {
-                server.on_packet(&p, t);
-            }
-            for p in server.poll(t) {
-                client.on_packet(&p, t);
-            }
-            t += minion_simnet::SimDuration::from_millis(10);
-        }
+        let (mut t, mut sh) = (SimTime::ZERO, None);
+        exchange(&mut client, ch, &mut server, &mut sh, &mut t);
         let sh = server.accept(80).expect("pending connection");
         assert!(client.tcp_established(ch).unwrap());
         assert!(server.tcp_established(sh).unwrap());
@@ -701,15 +664,7 @@ mod tests {
         // Data flows both ways.
         client.tcp_write(ch, b"hello server").unwrap();
         server.tcp_write(sh, b"hello client").unwrap();
-        for _ in 0..6 {
-            for p in client.poll(t) {
-                server.on_packet(&p, t);
-            }
-            for p in server.poll(t) {
-                client.on_packet(&p, t);
-            }
-            t += minion_simnet::SimDuration::from_millis(10);
-        }
+        exchange(&mut client, ch, &mut server, &mut Some(sh), &mut t);
         assert_eq!(
             server.tcp_read(sh).unwrap().unwrap().data.as_ref(),
             b"hello server"

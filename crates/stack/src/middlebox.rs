@@ -192,11 +192,6 @@ impl Middlebox {
     pub fn next_timer(&self) -> Option<SimTime> {
         self.held.as_ref().map(|(t, _, _)| *t)
     }
-
-    /// Whether packets are queued for emission.
-    pub fn has_pending_output(&self) -> bool {
-        !self.outbox.is_empty()
-    }
 }
 
 #[cfg(test)]

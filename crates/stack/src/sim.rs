@@ -1,32 +1,198 @@
-//! The simulation driver: co-schedules hosts, middleboxes, and the network
-//! world in virtual time.
+//! The event loop: co-schedules hosts, middleboxes, and the network world in
+//! virtual time. It is the only loop in the workspace; the figure binaries,
+//! the apps, the scenario matrix and the load scenarios all run on it.
 //!
-//! Experiments build a [`Sim`], add hosts and links, then interleave
-//! application logic with [`Sim::run_until`] / [`Sim::step`], accessing
-//! sockets through [`Sim::host_mut`]. Everything is deterministic given the
-//! seed.
+//! Every TCP socket the loop sees becomes a *flow* ([`FlowId`]). A flow is
+//! polled ([`Host::poll_handle_into`]) only when something happened to it:
+//!
+//! * a packet arrived for it — arrivals are drained in batches
+//!   ([`minion_simnet::World::drain_due_into`]) and demultiplexed straight to
+//!   the owning socket ([`Host::on_packet_demux`]);
+//! * its timer expired — per-flow timers live in a hierarchical
+//!   [`TimerWheel`] (`O(1)` re-arm, which TCP does on every ACK);
+//! * the application did something to it, which the loop learns through one
+//!   of two front doors.
+//!
+//! **Front door 1, the host.** Experiments build a [`Sim`], add hosts and
+//! links, then interleave application logic with [`Sim::run_until`] /
+//! [`Sim::run_for`], reaching sockets through [`Sim::host_mut`]. The loop
+//! cannot see what was done behind that borrow, so it marks the host
+//! *touched*: the next flush sends the host's UDP outbox, adopts the sockets
+//! opened since as flows, and polls every flow of the host.
+//!
+//! **Front door 2, the flow.** A driver of many flows registers each socket
+//! ([`Sim::register_flow`], or [`Sim::set_auto_register`] for accepted ones)
+//! and goes through [`Sim::flow_write`] / [`Sim::flow_read`] /
+//! [`Sim::flow_close`], which mark exactly that flow ready. Registered flows
+//! also report their connection edges ([`Sim::take_events`]), so the driver
+//! reacts to readiness instead of sweeping flows.
+//!
+//! Everything is deterministic given the seed: ready flows are polled in the
+//! order they became ready (arrivals in arrival order, then timer expiries in
+//! `(deadline, flow)` order), touched hosts in node order.
 
-use crate::host::Host;
-use crate::middlebox::Middlebox;
+use crate::addr::SocketHandle;
+use crate::host::{Host, HostError};
+use crate::middlebox::{Middlebox, MiddleboxBehavior};
+use crate::wheel::TimerWheel;
 use minion_simnet::{LinkConfig, LinkStats, NodeId, Packet, SimDuration, SimTime, World};
+use minion_tcp::{ConnEvent, ConnStats, DeliveredChunk};
 use std::collections::BTreeMap;
+use std::time::Instant;
+
+/// Phase names of the event loop, in [`Sim::phases`] slot order. `flush` is
+/// the ready-flow polling pass (socket polls + packet egress), `dispatch` the
+/// arrival drain + demux, `timers` the wheel advance.
+pub const SIM_PHASES: &[&str] = &["flush", "dispatch", "timers"];
+
+const PHASE_FLUSH: usize = 0;
+const PHASE_DISPATCH: usize = 1;
+const PHASE_TIMERS: usize = 2;
+
+/// Identifier of a flow: one TCP socket known to the loop. Ids are dense and
+/// count up from 0 in the order the loop met the sockets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct FlowId(pub u32);
+
+impl FlowId {
+    /// The id as an index into a per-flow table.
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Counters of the event loop. Integer-valued and seed-determined.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SimMetrics {
+    /// Event-loop iterations.
+    pub steps: u64,
+    /// Packets handed to nodes (arrival dispatches).
+    pub packets_delivered: u64,
+    /// Packets offered to the network.
+    pub packets_sent: u64,
+    /// Wire bytes (payload + framing) of offered packets.
+    pub bytes_sent: u64,
+    /// Offered packets dropped by loss models or queue overflow.
+    pub packets_dropped: u64,
+    /// Timer-wheel expiries dispatched.
+    pub timer_fires: u64,
+    /// Per-flow polls executed (each may emit several segments).
+    pub flow_polls: u64,
+}
+
+struct FlowSlot {
+    node: NodeId,
+    handle: SocketHandle,
+    /// Whether the flow is in the ready FIFO (deduplicates it).
+    ready: bool,
+}
+
+/// The flow table and the FIFO of flows that need a poll.
+#[derive(Default)]
+struct Flows {
+    slots: Vec<FlowSlot>,
+    ready: Vec<FlowId>,
+}
+
+impl Flows {
+    fn add(&mut self, node: NodeId, handle: SocketHandle) -> FlowId {
+        let id = FlowId(self.slots.len() as u32);
+        self.slots.push(FlowSlot {
+            node,
+            handle,
+            ready: false,
+        });
+        id
+    }
+
+    fn mark_ready(&mut self, flow: FlowId) {
+        let slot = &mut self.slots[flow.index()];
+        if !slot.ready {
+            slot.ready = true;
+            self.ready.push(flow);
+        }
+    }
+}
+
+/// A host and what the loop keeps about it.
+struct HostSlot {
+    host: Host,
+    /// `flow_of[handle.0]` → flow. A [`Host`] hands handles out
+    /// sequentially, so the table is as dense as the host's sockets (UDP
+    /// sockets are the `None`s).
+    flow_of: Vec<Option<FlowId>>,
+    /// Handles below this one have been looked at by a sweep.
+    swept: u32,
+    /// Whether connections a listener accepts are registered as flows and
+    /// surfaced via [`Sim::take_accepted`].
+    auto_register: bool,
+    /// Whether the host is in [`Sim::touched`].
+    touched: bool,
+}
+
+impl HostSlot {
+    fn flow_of(&self, handle: SocketHandle) -> Option<FlowId> {
+        self.flow_of.get(handle.0 as usize).copied().flatten()
+    }
+
+    /// Make a flow of a TCP socket the loop has not met before.
+    fn adopt(&mut self, handle: SocketHandle, flows: &mut Flows) -> FlowId {
+        let id = flows.add(self.host.node(), handle);
+        let slot = handle.0 as usize;
+        if self.flow_of.len() <= slot {
+            self.flow_of.resize(slot + 1, None);
+        }
+        self.flow_of[slot] = Some(id);
+        id
+    }
+
+    /// Turn a flow's edge events on, for a driver that drains them
+    /// ([`Sim::take_events`]). Nobody reads the events of a socket used
+    /// through [`Sim::host_mut`] alone, so there they stay off.
+    fn register(&mut self, handle: SocketHandle) {
+        self.host
+            .tcp_set_event_interest(handle, true)
+            .expect("registered handle is a TCP socket");
+    }
+}
 
 enum Node {
-    Host(Host),
+    Host(HostSlot),
     Middlebox(Middlebox),
 }
 
 /// The top-level simulation object.
 pub struct Sim {
     world: World,
-    nodes: BTreeMap<NodeId, Node>,
-    /// Static next-hop routing: (at, final destination) → next hop.
+    /// Hosts and middleboxes, indexed by [`NodeId::index`].
+    nodes: Vec<Node>,
+    /// The middleboxes among `nodes`, polled at every flush.
+    middleboxes: Vec<NodeId>,
+    /// Static next-hop routing: (at, final destination) → next hop. Empty
+    /// unless [`Sim::add_route`] was called; without an entry the next hop is
+    /// the final destination.
     routes: BTreeMap<(NodeId, NodeId), NodeId>,
     now: SimTime,
-    /// Guard against event loops that stop advancing time.
-    stall_iterations: u32,
-    /// Reusable scratch buffer for batched arrival dispatch.
+    /// Per-flow timers. The wheel's ticks are virtual microseconds.
+    wheel: TimerWheel<FlowId>,
+    flows: Flows,
+    /// Hosts borrowed through [`Sim::host_mut`] since the last flush.
+    touched: Vec<NodeId>,
+    /// Connection edges of registered flows since the last
+    /// [`Sim::take_events`].
+    events_out: Vec<(FlowId, ConnEvent)>,
+    /// Flows auto-registered since the last [`Sim::take_accepted`].
+    accepted_out: Vec<FlowId>,
+    metrics: SimMetrics,
+    /// Wall-clock `(nanos, entries)` per loop phase ([`SIM_PHASES`]).
+    /// Profiling only — never part of a deterministic report.
+    phases: [(u64, u64); 3],
+    // Reusable scratch buffers (hot path; no per-event allocation).
     arrivals: Vec<(SimTime, Packet)>,
+    packets: Vec<Packet>,
+    expired: Vec<FlowId>,
+    /// Consecutive steps that failed to advance virtual time.
+    stall_iterations: u32,
 }
 
 impl Sim {
@@ -34,11 +200,21 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             world: World::new(seed),
-            nodes: BTreeMap::new(),
+            nodes: Vec::new(),
+            middleboxes: Vec::new(),
             routes: BTreeMap::new(),
             now: SimTime::ZERO,
-            stall_iterations: 0,
+            wheel: TimerWheel::new(),
+            flows: Flows::default(),
+            touched: Vec::new(),
+            events_out: Vec::new(),
+            accepted_out: Vec::new(),
+            metrics: SimMetrics::default(),
+            phases: [(0, 0); 3],
             arrivals: Vec::new(),
+            packets: Vec::new(),
+            expired: Vec::new(),
+            stall_iterations: 0,
         }
     }
 
@@ -47,37 +223,47 @@ impl Sim {
         self.now
     }
 
+    /// Loop counters.
+    pub fn metrics(&self) -> &SimMetrics {
+        &self.metrics
+    }
+
+    /// Wall-clock `(nanos, entries)` of each loop phase, in [`SIM_PHASES`]
+    /// order.
+    pub fn phases(&self) -> &[(u64, u64)] {
+        &self.phases
+    }
+
     /// Add a host node.
     pub fn add_host(&mut self, name: &str) -> NodeId {
         let node = self.world.add_node(name);
-        self.nodes.insert(node, Node::Host(Host::new(node, name)));
+        self.nodes.push(Node::Host(HostSlot {
+            host: Host::new(node, name),
+            flow_of: Vec::new(),
+            swept: 0,
+            auto_register: false,
+            touched: false,
+        }));
         node
     }
 
     /// Add a middlebox node.
-    pub fn add_middlebox(
-        &mut self,
-        name: &str,
-        middlebox_behavior: crate::middlebox::MiddleboxBehavior,
-    ) -> NodeId {
+    pub fn add_middlebox(&mut self, name: &str, middlebox_behavior: MiddleboxBehavior) -> NodeId {
         let node = self.world.add_node(name);
-        self.nodes.insert(
-            node,
-            Node::Middlebox(Middlebox::new(node, middlebox_behavior)),
-        );
+        self.nodes
+            .push(Node::Middlebox(Middlebox::new(node, middlebox_behavior)));
+        self.middleboxes.push(node);
         node
     }
 
     /// Connect two nodes with identical link characteristics in each
-    /// direction, and install direct routes between them.
+    /// direction.
     pub fn link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         self.world.add_duplex_link(a, b, config);
-        self.routes.insert((a, b), b);
-        self.routes.insert((b, a), a);
     }
 
     /// Connect two nodes with asymmetric characteristics (`a_to_b` and
-    /// `b_to_a`), installing direct routes.
+    /// `b_to_a`).
     pub fn link_asymmetric(
         &mut self,
         a: NodeId,
@@ -86,8 +272,6 @@ impl Sim {
         b_to_a: LinkConfig,
     ) {
         self.world.add_asymmetric_link(a, b, a_to_b, b_to_a);
-        self.routes.insert((a, b), b);
-        self.routes.insert((b, a), a);
     }
 
     /// Install a route: packets at `at` destined for `dst` are forwarded to
@@ -96,25 +280,42 @@ impl Sim {
         self.routes.insert((at, dst), via);
     }
 
-    /// Borrow a host immutably.
-    pub fn host(&self, id: NodeId) -> &Host {
-        match self.nodes.get(&id) {
-            Some(Node::Host(h)) => h,
+    fn host_slot(&self, id: NodeId) -> &HostSlot {
+        match self.nodes.get(id.index()) {
+            Some(Node::Host(slot)) => slot,
             _ => panic!("{id} is not a host"),
         }
     }
 
-    /// Borrow a host mutably (socket operations go through this).
-    pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
-        match self.nodes.get_mut(&id) {
-            Some(Node::Host(h)) => h,
+    /// [`host_slot`](Self::host_slot) mutably, over the node table alone for
+    /// callers that borrow another field of the loop alongside.
+    fn host_slot_in(nodes: &mut [Node], id: NodeId) -> &mut HostSlot {
+        match nodes.get_mut(id.index()) {
+            Some(Node::Host(slot)) => slot,
             _ => panic!("{id} is not a host"),
         }
+    }
+
+    /// Borrow a host immutably.
+    pub fn host(&self, id: NodeId) -> &Host {
+        &self.host_slot(id).host
+    }
+
+    /// Borrow a host mutably (socket operations go through this). The host
+    /// counts as touched: the next flush sends its UDP datagrams, adopts the
+    /// sockets opened through the borrow, and polls all of its flows.
+    pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
+        let slot = Self::host_slot_in(&mut self.nodes, id);
+        if !slot.touched {
+            slot.touched = true;
+            self.touched.push(id);
+        }
+        &mut slot.host
     }
 
     /// Borrow a middlebox immutably.
     pub fn middlebox(&self, id: NodeId) -> &Middlebox {
-        match self.nodes.get(&id) {
+        match self.nodes.get(id.index()) {
             Some(Node::Middlebox(m)) => m,
             _ => panic!("{id} is not a middlebox"),
         }
@@ -130,68 +331,245 @@ impl Sim {
         self.world.link_backlog(a, b, self.now)
     }
 
-    fn next_hop(&self, at: NodeId, final_dst: NodeId) -> NodeId {
-        *self.routes.get(&(at, final_dst)).unwrap_or(&final_dst)
+    // ------------------------------------------------------------------
+    // Flows (front door 2)
+    // ------------------------------------------------------------------
+
+    /// Auto-register connections that a listener on `node` accepts: each new
+    /// server-side socket becomes a registered flow, surfaced via
+    /// [`Sim::take_accepted`].
+    pub fn set_auto_register(&mut self, node: NodeId, enabled: bool) {
+        Self::host_slot_in(&mut self.nodes, node).auto_register = enabled;
     }
 
-    /// Drain outgoing packets from every node into the world.
+    /// Register a TCP socket as a flow driven through the `flow_*` calls:
+    /// enables its edge events and schedules a poll (which emits the pending
+    /// SYN of a connecting socket).
+    pub fn register_flow(&mut self, node: NodeId, handle: SocketHandle) -> FlowId {
+        let slot = Self::host_slot_in(&mut self.nodes, node);
+        slot.register(handle);
+        let id = match slot.flow_of(handle) {
+            Some(id) => id,
+            None => slot.adopt(handle, &mut self.flows),
+        };
+        self.flows.mark_ready(id);
+        id
+    }
+
+    /// The host and socket behind a flow.
+    pub fn flow_socket(&self, flow: FlowId) -> (NodeId, SocketHandle) {
+        let slot = &self.flows.slots[flow.index()];
+        (slot.node, slot.handle)
+    }
+
+    /// The host of a flow, borrowed *without* touching it, and the flow's
+    /// socket: the `flow_*` calls mark the one flow themselves.
+    fn flow_host_mut(&mut self, flow: FlowId) -> (&mut Host, SocketHandle) {
+        let (node, handle) = self.flow_socket(flow);
+        (&mut Self::host_slot_in(&mut self.nodes, node).host, handle)
+    }
+
+    /// Mark a flow as needing a poll.
+    pub fn mark_ready(&mut self, flow: FlowId) {
+        self.flows.mark_ready(flow);
+    }
+
+    /// Write application data on a flow. As a socket does, this accepts the
+    /// prefix of `data` that fits the send buffer and returns its length
+    /// (0 when the buffer is full); [`ConnEvent::Writable`] reports when an
+    /// acknowledgment has made room again.
+    pub fn flow_write(&mut self, flow: FlowId, data: &[u8]) -> Result<usize, HostError> {
+        let (host, handle) = self.flow_host_mut(flow);
+        let fits = data.len().min(host.tcp_send_buffer_free(handle)?);
+        let n = host.tcp_write(handle, &data[..fits])?;
+        self.mark_ready(flow);
+        Ok(n)
+    }
+
+    /// Read the next delivered chunk from a flow.
+    ///
+    /// Reading reopens receive-window space, so the flow is marked ready for
+    /// a poll — the next outgoing segment advertises the updated window.
+    pub fn flow_read(&mut self, flow: FlowId) -> Option<DeliveredChunk> {
+        let (host, handle) = self.flow_host_mut(flow);
+        let chunk = host.tcp_read(handle).ok().flatten();
+        if chunk.is_some() {
+            self.mark_ready(flow);
+        }
+        chunk
+    }
+
+    /// Request an orderly close of a flow.
+    pub fn flow_close(&mut self, flow: FlowId) {
+        let (host, handle) = self.flow_host_mut(flow);
+        let _ = host.tcp_close(handle);
+        self.mark_ready(flow);
+    }
+
+    /// Connection statistics of a flow.
+    pub fn flow_stats(&self, flow: FlowId) -> ConnStats {
+        let (node, handle) = self.flow_socket(flow);
+        self.host(node)
+            .tcp_stats(handle)
+            .expect("flow handle is valid")
+            .clone()
+    }
+
+    /// Drain the connection edges of registered flows observed since the
+    /// last call, in deterministic dispatch order. Dropping the iterator
+    /// discards whatever it has not yielded.
+    pub fn take_events(&mut self) -> impl Iterator<Item = (FlowId, ConnEvent)> + '_ {
+        self.events_out.drain(..)
+    }
+
+    /// Drain the flows auto-registered from accepted connections since the
+    /// last call.
+    pub fn take_accepted(&mut self) -> Vec<FlowId> {
+        std::mem::take(&mut self.accepted_out)
+    }
+
+    // ------------------------------------------------------------------
+    // The event loop
+    // ------------------------------------------------------------------
+
+    /// Offer one packet to the network, consulting the routes if any were
+    /// installed.
+    fn send(&mut self, mut pkt: Packet) {
+        if let Some(&via) = self.routes.get(&(pkt.src, pkt.final_dst)) {
+            pkt.dst = via;
+        }
+        self.metrics.packets_sent += 1;
+        self.metrics.bytes_sent += pkt.wire_size() as u64;
+        if !self.world.send(self.now, pkt).is_scheduled() {
+            self.metrics.packets_dropped += 1;
+        }
+    }
+
+    /// What the application did behind [`Sim::host_mut`]: per touched host,
+    /// in node order, send its UDP datagrams, make flows of the TCP sockets
+    /// opened since the last sweep, and mark every flow of the host ready.
+    fn sweep_touched(&mut self) {
+        self.touched.sort_unstable();
+        let mut packets = std::mem::take(&mut self.packets);
+        for i in 0..self.touched.len() {
+            let slot = Self::host_slot_in(&mut self.nodes, self.touched[i]);
+            slot.touched = false;
+            slot.host.drain_udp_outbox(&mut packets);
+            for handle in (slot.swept..slot.host.next_handle()).map(SocketHandle) {
+                if slot.flow_of(handle).is_none() && slot.host.is_tcp(handle) {
+                    slot.adopt(handle, &mut self.flows);
+                }
+            }
+            slot.swept = slot.host.next_handle();
+            for &flow in slot.flow_of.iter().flatten() {
+                self.flows.mark_ready(flow);
+            }
+            for pkt in packets.drain(..) {
+                self.send(pkt);
+            }
+        }
+        self.touched.clear();
+        self.packets = packets;
+    }
+
+    /// Poll one ready flow at the current time: surface its edge events,
+    /// re-arm its timer on the wheel, and offer its packets to the network.
+    fn poll_flow(&mut self, flow: FlowId) {
+        let slot = &mut self.flows.slots[flow.index()];
+        slot.ready = false;
+        let handle = slot.handle;
+        let host = &mut Self::host_slot_in(&mut self.nodes, slot.node).host;
+        let mut packets = std::mem::take(&mut self.packets);
+        host.poll_handle_into(handle, self.now, &mut packets)
+            .expect("flow handle is a TCP socket");
+        self.metrics.flow_polls += 1;
+        let events = host.tcp_take_events(handle).expect("flow handle is valid");
+        self.events_out.extend(events.map(|ev| (flow, ev)));
+        match host.next_timer_of(handle).expect("flow handle is valid") {
+            Some(t) => self.wheel.schedule(flow, t),
+            None => self.wheel.cancel(flow),
+        }
+        for pkt in packets.drain(..) {
+            self.send(pkt);
+        }
+        self.packets = packets;
+    }
+
+    /// Whether the application left work for the next flush.
+    fn has_pending(&self) -> bool {
+        !self.touched.is_empty() || !self.flows.ready.is_empty()
+    }
+
+    /// Everything due at the current time: sweep the touched hosts, poll the
+    /// ready flows in the order they became ready, and collect what the
+    /// middleboxes release.
     fn flush(&mut self) {
-        // Collect first to avoid borrowing `self.nodes` while routing.
-        let mut outgoing: Vec<Packet> = Vec::new();
-        for node in self.nodes.values_mut() {
-            match node {
-                Node::Host(h) => outgoing.extend(h.poll(self.now)),
-                Node::Middlebox(m) => outgoing.extend(m.poll(self.now)),
-            }
+        self.sweep_touched();
+        // A poll marks nothing ready today, but indexing tolerates it.
+        let mut i = 0;
+        while i < self.flows.ready.len() {
+            self.poll_flow(self.flows.ready[i]);
+            i += 1;
         }
-        for mut pkt in outgoing {
-            pkt.dst = self.next_hop(pkt.src, pkt.final_dst);
-            let _ = self.world.send(self.now, pkt);
+        self.flows.ready.clear();
+        for i in 0..self.middleboxes.len() {
+            let Node::Middlebox(m) = &mut self.nodes[self.middleboxes[i].index()] else {
+                unreachable!("listed as a middlebox");
+            };
+            for pkt in m.poll(self.now) {
+                self.send(pkt);
+            }
         }
     }
 
-    fn deliver_due(&mut self) {
-        let mut arrivals = std::mem::take(&mut self.arrivals);
-        arrivals.clear();
-        self.world.drain_due_into(self.now, &mut arrivals);
-        for (_, pkt) in &arrivals {
-            match self.nodes.get_mut(&pkt.dst) {
-                Some(Node::Host(h)) => h.on_packet(pkt, self.now),
-                Some(Node::Middlebox(m)) => m.on_packet(pkt, self.now),
-                None => {} // Unknown transit node: drop.
+    /// Deliver one arrived packet to its node. At a host, the socket that
+    /// consumed it is marked ready; a socket a SYN has just created is made a
+    /// flow first (a registered one if the host auto-registers).
+    fn dispatch(&mut self, pkt: &Packet) {
+        self.metrics.packets_delivered += 1;
+        let slot = match &mut self.nodes[pkt.dst.index()] {
+            Node::Middlebox(m) => return m.on_packet(pkt, self.now),
+            Node::Host(slot) => slot,
+        };
+        let Some(handle) = slot.host.on_packet_demux(pkt, self.now) else {
+            return;
+        };
+        let flow = match slot.flow_of(handle) {
+            Some(flow) => flow,
+            None if slot.host.is_tcp(handle) => {
+                let flow = slot.adopt(handle, &mut self.flows);
+                if slot.auto_register {
+                    slot.register(handle);
+                    self.accepted_out.push(flow);
+                }
+                flow
             }
-        }
-        self.arrivals = arrivals;
+            None => return, // A UDP socket: nothing to poll.
+        };
+        self.flows.mark_ready(flow);
     }
 
-    /// The time of the next scheduled event (packet arrival or socket timer).
+    /// The time of the next scheduled event: now if the application left
+    /// work for the next flush, else the earliest of the next packet arrival,
+    /// the wheel's next wake-up and the middleboxes' hold timers. `None`
+    /// means idle.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut next: Option<SimTime> = None;
-        let mut consider = |t: Option<SimTime>| {
-            if let Some(t) = t {
-                next = Some(match next {
-                    Some(n) => n.min(t),
-                    None => t,
-                });
-            }
-        };
-        consider(self.world.next_arrival_time());
-        for node in self.nodes.values() {
-            match node {
-                Node::Host(h) => consider(h.next_timer()),
-                Node::Middlebox(m) => consider(m.next_timer()),
-            }
-        }
-        next
+        let held = self
+            .middleboxes
+            .iter()
+            .filter_map(|&m| self.middlebox(m).next_timer());
+        self.has_pending()
+            .then_some(self.now)
+            .into_iter()
+            .chain(self.world.next_arrival_time())
+            .chain(self.wheel.next_wake())
+            .chain(held)
+            .min()
     }
 
-    /// Process all work at the current time and advance to the next event.
-    /// Returns `false` when no further events are scheduled.
-    pub fn step(&mut self) -> bool {
-        self.flush();
-        let Some(next) = self.next_event_time() else {
-            return false;
-        };
+    /// Advance to `next` (a time [`Sim::next_event_time`] returned after a
+    /// flush) and process everything due then.
+    fn process(&mut self, next: SimTime) {
         if next > self.now {
             self.now = next;
             self.stall_iterations = 0;
@@ -203,31 +581,72 @@ impl Sim {
                 self.now
             );
         }
-        self.deliver_due();
+        self.metrics.steps += 1;
+
+        let start = Instant::now();
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        self.world.drain_due_into(self.now, &mut arrivals);
+        for (_, pkt) in arrivals.drain(..) {
+            self.dispatch(&pkt);
+        }
+        self.arrivals = arrivals;
+        let dispatched = Instant::now();
+
+        let mut expired = std::mem::take(&mut self.expired);
+        self.wheel.advance(self.now, &mut expired);
+        self.metrics.timer_fires += expired.len() as u64;
+        for flow in expired.drain(..) {
+            self.flows.mark_ready(flow);
+        }
+        self.expired = expired;
+        let timed = Instant::now();
+
         self.flush();
+        self.span(PHASE_FLUSH, timed, Instant::now());
+        self.span(PHASE_DISPATCH, start, dispatched);
+        self.span(PHASE_TIMERS, dispatched, timed);
+    }
+
+    fn span(&mut self, phase: usize, from: Instant, to: Instant) {
+        let (nanos, entries) = &mut self.phases[phase];
+        *nanos = nanos.saturating_add((to - from).as_nanos() as u64);
+        *entries += 1;
+    }
+
+    /// Flush what the application left, timing it as a flush span if there
+    /// was anything.
+    fn flush_pending(&mut self) {
+        if self.has_pending() {
+            let start = Instant::now();
+            self.flush();
+            self.span(PHASE_FLUSH, start, Instant::now());
+        }
+    }
+
+    /// Process all work at the current time and advance to the next event.
+    /// Returns `false` once no further events are scheduled (idle).
+    pub fn step(&mut self) -> bool {
+        self.flush_pending();
+        let Some(next) = self.next_event_time() else {
+            return false;
+        };
+        self.process(next);
         true
     }
 
-    /// Run until virtual time reaches `deadline` (or no events remain).
+    /// Run until virtual time reaches `deadline` (or no events remain). The
+    /// loop flushes before it looks at the clock, so it never steps past the
+    /// deadline to deliver what a ready flow has just sent.
     pub fn run_until(&mut self, deadline: SimTime) {
         loop {
-            self.flush();
+            self.flush_pending();
             match self.next_event_time() {
-                None => {
-                    self.now = self.now.max(deadline);
-                    return;
-                }
-                Some(t) if t > deadline => {
+                Some(next) if next <= deadline => self.process(next),
+                _ => {
                     // max(): a deadline already in the past must not move
                     // virtual time backwards.
                     self.now = self.now.max(deadline);
                     return;
-                }
-                Some(_) => {
-                    if !self.step() {
-                        self.now = self.now.max(deadline);
-                        return;
-                    }
                 }
             }
         }
@@ -244,9 +663,8 @@ impl Sim {
 mod tests {
     use super::*;
     use crate::addr::SocketAddr;
-    use crate::middlebox::MiddleboxBehavior;
     use minion_simnet::LossConfig;
-    use minion_tcp::{SocketOptions, TcpConfig};
+    use minion_tcp::{Readiness, SocketOptions, TcpConfig};
 
     /// Two hosts, 60 ms RTT, plenty of bandwidth.
     fn basic_sim() -> (Sim, NodeId, NodeId) {
@@ -261,7 +679,27 @@ mod tests {
         (sim, a, b)
     }
 
-    fn drain_bytes(sim: &mut Sim, node: NodeId, handle: crate::addr::SocketHandle) -> Vec<u8> {
+    /// Listen on `b`:80 and open a connection from `a` to it.
+    fn connect(sim: &mut Sim, a: NodeId, b: NodeId) -> SocketHandle {
+        // Ignore the error of a port that already listens.
+        let _ = sim
+            .host_mut(b)
+            .tcp_listen(80, TcpConfig::default(), SocketOptions::standard());
+        let now = sim.now();
+        sim.host_mut(a).tcp_connect(
+            SocketAddr::new(b, 80),
+            TcpConfig::default(),
+            SocketOptions::standard(),
+            now,
+        )
+    }
+
+    fn readiness(sim: &Sim, flow: FlowId) -> Readiness {
+        let (node, handle) = sim.flow_socket(flow);
+        sim.host(node).tcp_readiness(handle).unwrap()
+    }
+
+    fn drain_bytes(sim: &mut Sim, node: NodeId, handle: SocketHandle) -> Vec<u8> {
         let mut chunks = vec![];
         while let Some(c) = sim.host_mut(node).tcp_read(handle).unwrap() {
             chunks.push(c);
@@ -414,5 +852,214 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(10));
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(sim.now(), SimTime::from_millis(10));
+    }
+
+    #[test]
+    fn one_flow_handshake_transfer_and_close() {
+        let (mut sim, a, b) = basic_sim();
+        sim.set_auto_register(b, true);
+        let ch = connect(&mut sim, a, b);
+        let cf = sim.register_flow(a, ch);
+        sim.run_for(SimDuration::from_millis(500));
+        assert!(readiness(&sim, cf).established);
+        let accepted = sim.take_accepted();
+        assert_eq!(accepted.len(), 1);
+        let sf = accepted[0];
+        assert!(sim
+            .take_events()
+            .any(|ev| ev == (cf, ConnEvent::Established)));
+
+        sim.flow_write(cf, b"hello engine").unwrap();
+        sim.run_for(SimDuration::from_millis(500));
+        let chunk = sim.flow_read(sf).expect("server flow readable");
+        assert_eq!(chunk.data.as_ref(), b"hello engine");
+        assert!(sim
+            .take_events()
+            .any(|(f, ev)| f == sf && ev == ConnEvent::Readable));
+
+        sim.flow_close(cf);
+        sim.flow_close(sf);
+        sim.run_for(SimDuration::from_secs(10));
+        assert!(readiness(&sim, cf).closed);
+        assert!(sim.metrics().packets_delivered > 0);
+        assert!(sim.metrics().flow_polls > 0);
+    }
+
+    #[test]
+    fn flow_write_accepts_the_prefix_that_fits_and_signals_writable() {
+        let (mut sim, a, b) = basic_sim();
+        sim.set_auto_register(b, true);
+        let ch = connect(&mut sim, a, b);
+        let cf = sim.register_flow(a, ch);
+        let capacity = sim.host(a).tcp_send_buffer_free(ch).unwrap();
+
+        // A write that fits is taken whole and never raises a writable edge.
+        assert_eq!(sim.flow_write(cf, &[1u8; 1000]).unwrap(), 1000);
+        sim.run_for(SimDuration::from_millis(500));
+        assert!(!sim.take_events().any(|ev| ev == (cf, ConnEvent::Writable)));
+
+        // A write past the buffer is taken up to the brim; a full buffer
+        // takes nothing (and does not fail).
+        let big = vec![2u8; capacity + 5000];
+        assert_eq!(sim.flow_write(cf, &big).unwrap(), capacity);
+        assert_eq!(sim.flow_write(cf, &big[capacity..]).unwrap(), 0);
+        // The first acknowledgment that frees space says so, once.
+        sim.run_for(SimDuration::from_millis(500));
+        let writable = sim
+            .take_events()
+            .filter(|&ev| ev == (cf, ConnEvent::Writable))
+            .count();
+        assert_eq!(writable, 1);
+        assert_eq!(sim.flow_write(cf, &big[capacity..]).unwrap(), 5000);
+    }
+
+    #[test]
+    fn engine_goes_idle_when_nothing_is_scheduled() {
+        let (mut sim, _a, _b) = basic_sim();
+        assert_eq!(sim.next_event_time(), None);
+        assert!(!sim.step());
+        sim.run_until(SimTime::from_secs(5));
+        assert_eq!(
+            sim.now(),
+            SimTime::from_secs(5),
+            "run_until honours deadline"
+        );
+    }
+
+    #[test]
+    fn run_until_a_past_deadline_never_rewinds_time() {
+        let (mut sim, a, b) = basic_sim();
+        // Nobody listens: a pending SYN RTO keeps a future event armed.
+        let now = sim.now();
+        let ch = sim.host_mut(a).tcp_connect(
+            SocketAddr::new(b, 80),
+            TcpConfig::default(),
+            SocketOptions::standard(),
+            now,
+        );
+        let cf = sim.register_flow(a, ch);
+        sim.run_for(SimDuration::from_secs(5));
+        let t = sim.now();
+        assert!(t >= SimTime::from_secs(5));
+        sim.run_until(SimTime::from_secs(1)); // already in the past
+        assert_eq!(sim.now(), t, "virtual time is monotone");
+        // And the loop still works afterwards (next RTO fires).
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(sim.flow_stats(cf).timeouts >= 2);
+    }
+
+    #[test]
+    fn wheel_is_rearmed_from_connection_timers() {
+        let (mut sim, a, b) = basic_sim();
+        // No listener: the SYN goes unanswered, so the flow's life is driven
+        // purely by RTO timers on the wheel.
+        let now = sim.now();
+        let ch = sim.host_mut(a).tcp_connect(
+            SocketAddr::new(b, 80),
+            TcpConfig::default(),
+            SocketOptions::standard(),
+            now,
+        );
+        let cf = sim.register_flow(a, ch);
+        sim.run_for(SimDuration::from_secs(8));
+        let stats = sim.flow_stats(cf);
+        assert!(
+            stats.timeouts >= 2,
+            "SYN retransmissions must fire via the wheel, stats={stats:?}"
+        );
+        assert!(sim.metrics().timer_fires >= 2);
+        assert!(sim
+            .take_events()
+            .any(|(f, ev)| f == cf && matches!(ev, ConnEvent::RtoFired { .. })));
+    }
+
+    /// `Engine::run_until` looked at the clock *before* flushing, so a flow
+    /// that was ready took it one step past the deadline — here to the SYN's
+    /// arrival at 30.054 ms.
+    #[test]
+    fn run_until_stops_at_the_deadline_with_a_ready_flow() {
+        let (mut sim, a, b) = basic_sim();
+        let ch = connect(&mut sim, a, b);
+        sim.register_flow(a, ch);
+        sim.run_until(SimTime::from_millis(5));
+        assert_eq!(sim.now(), SimTime::from_millis(5));
+        assert_eq!(sim.metrics().packets_sent, 1, "the SYN left at t = 0");
+        assert_eq!(sim.metrics().packets_delivered, 0, "and is still in flight");
+    }
+
+    /// Both front doors on one host at once, across a route: registered flows
+    /// move 30 KB through a re-segmenting middlebox while a UDP datagram
+    /// leaves the same host.
+    #[test]
+    fn registered_flows_cross_a_middlebox_beside_udp_on_the_same_host() {
+        let mut sim = Sim::new(3);
+        let a = sim.add_host("client");
+        let m = sim.add_middlebox("resegmenter", MiddleboxBehavior::Split { max_payload: 500 });
+        let b = sim.add_host("server");
+        let hop = LinkConfig::new(10_000_000, SimDuration::from_millis(15));
+        sim.link(a, m, hop.clone());
+        sim.link(m, b, hop);
+        sim.add_route(a, b, m);
+        sim.add_route(b, a, m);
+        sim.set_auto_register(b, true);
+        let ua = sim.host_mut(a).udp_bind(1111).unwrap();
+        let ub = sim.host_mut(b).udp_bind(2222).unwrap();
+
+        let clients: Vec<FlowId> = (0..2)
+            .map(|_| {
+                let ch = connect(&mut sim, a, b);
+                sim.register_flow(a, ch)
+            })
+            .collect();
+        sim.run_for(SimDuration::from_millis(300));
+        let servers = sim.take_accepted();
+        assert_eq!(servers.len(), 2);
+
+        let data: Vec<u8> = (0..30_000u32).map(|i| (i % 99) as u8).collect();
+        for &cf in &clients {
+            assert_eq!(sim.flow_write(cf, &data).unwrap(), data.len());
+        }
+        sim.host_mut(a)
+            .udp_send_to(ua, SocketAddr::new(b, 2222), b"beside the flows")
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(10));
+        for &sf in &servers {
+            let (node, handle) = sim.flow_socket(sf);
+            assert_eq!(drain_bytes(&mut sim, node, handle), data);
+        }
+        let (from, datagram) = sim.host_mut(b).udp_recv(ub).unwrap().expect("delivered");
+        assert_eq!((from.node, &datagram[..]), (a, &b"beside the flows"[..]));
+        assert!(sim.middlebox(m).stats().splits > 0, "segments were split");
+    }
+
+    /// The loop polls what is ready, not what exists: with 100 established
+    /// connections sitting idle on one pair of hosts, a second in which only
+    /// a UDP datagram crosses another pair steps the loop and polls nothing.
+    #[test]
+    fn idle_sockets_are_not_polled() {
+        let (mut sim, a, b) = basic_sim();
+        let c = sim.add_host("c");
+        let d = sim.add_host("d");
+        sim.link(
+            c,
+            d,
+            LinkConfig::new(10_000_000, SimDuration::from_millis(30)),
+        );
+        let uc = sim.host_mut(c).udp_bind(1).unwrap();
+        let ud = sim.host_mut(d).udp_bind(2).unwrap();
+        let handles: Vec<SocketHandle> = (0..100).map(|_| connect(&mut sim, a, b)).collect();
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(handles
+            .iter()
+            .all(|&h| sim.host(a).tcp_established(h).unwrap()));
+
+        let before = *sim.metrics();
+        sim.host_mut(c)
+            .udp_send_to(uc, SocketAddr::new(d, 2), b"x")
+            .unwrap();
+        sim.run_for(SimDuration::from_secs(1));
+        assert!(sim.host_mut(d).udp_recv(ud).unwrap().is_some());
+        assert!(sim.metrics().steps > before.steps, "the loop did run");
+        assert_eq!(sim.metrics().flow_polls, before.flow_polls);
     }
 }

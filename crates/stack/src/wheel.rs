@@ -1,11 +1,10 @@
 //! A hierarchical timer wheel for multiplexing thousands of connection
 //! timers.
 //!
-//! The naive driver asks every connection for its next timer on every event
-//! (`O(flows)` per event — exactly what `stack::Sim::next_event_time` does).
-//! The wheel replaces that scan with `O(1)` scheduling and near-`O(1)`
-//! next-deadline queries, in the style of the kernel timer wheel and tokio's
-//! timer driver:
+//! A naive driver asks every connection for its next timer on every event
+//! (`O(flows)` per event). The wheel replaces that scan with `O(1)`
+//! scheduling and near-`O(1)` next-deadline queries, in the style of the
+//! kernel timer wheel and tokio's timer driver:
 //!
 //! * **Levels.** [`LEVELS`] levels of [`SLOTS`] slots each; a slot at level
 //!   `L` spans `SLOTS^L` ticks (one tick = one microsecond, the simulator's
@@ -46,7 +45,7 @@ struct Entry<K> {
 
 /// A hierarchical timer wheel over keys of type `K`.
 ///
-/// Keys identify logical timers (the engine uses per-flow keys); scheduling a
+/// Keys identify logical timers ([`crate::Sim`] uses per-flow keys); scheduling a
 /// key that is already armed reschedules it.
 #[derive(Clone, Debug)]
 pub struct TimerWheel<K> {

@@ -311,7 +311,7 @@ impl TcpConnection {
     }
 
     /// Enable or disable edge-event recording ([`ConnEvent`]). Off by
-    /// default; a poll-driven driver (the `minion-engine` runtime) enables it
+    /// default; a readiness-driven driver (`minion-engine`'s transport) enables it
     /// and drains [`take_events`](Self::take_events) after each dispatch so
     /// the queue stays small. Disabling clears any queued events.
     pub fn set_event_interest(&mut self, enabled: bool) {

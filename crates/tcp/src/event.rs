@@ -3,8 +3,8 @@
 //! A conventional event loop (epoll/kqueue style) does not rescan every
 //! connection on every tick; it reacts to *edges*: a connection became
 //! readable, writable, established, or closed. [`crate::TcpConnection`] can
-//! record these edges into a small queue that a driver (the `minion-engine`
-//! runtime) drains after feeding segments or polling.
+//! record these edges into a small queue that the event loop (`stack::Sim`)
+//! drains after each poll.
 //!
 //! Event recording is **off by default** so that existing lockstep callers
 //! pay nothing and no queue grows unbounded; a driver opts in with

@@ -141,7 +141,7 @@ pub struct CellSpec {
     pub datagram_len: usize,
     /// Number of concurrent flows. `1` runs the classic per-protocol driver;
     /// larger counts run `datagrams` framed records on each of `flows`
-    /// concurrent connections through the `minion-engine` event runtime
+    /// concurrent connections through `minion-engine`'s load scenario
     /// (pass-through path only), asserting exactly-once delivery and
     /// per-stream order per flow.
     pub flows: usize,
@@ -304,8 +304,8 @@ impl Default for MatrixSpec {
 
 impl MatrixSpec {
     /// A load-oriented matrix: the concurrent-flow axis `{1, 64, 1024}`
-    /// against loss models, on a pass-through path (multi-flow cells run on
-    /// the `minion-engine` runtime, which models flat topologies only).
+    /// against loss models, on a pass-through path (multi-flow cells run
+    /// through `minion-engine`'s `LoadScenario`, which builds two hosts).
     pub fn load() -> Self {
         MatrixSpec {
             protocols: vec![PayloadProtocol::Ucobs],

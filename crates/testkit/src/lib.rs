@@ -16,8 +16,8 @@
 //!   `Coalesce` ([`MiddleboxAxis`]);
 //! * **protocol** — uCOBS, uTLS, or msTCP, each over a standard-TCP or a
 //!   uTCP receiver ([`PayloadProtocol`], [`StackMode`]);
-//! * **concurrent flows** — 1, 64, or 1024 connections multiplexed through
-//!   the `minion-engine` event runtime ([`CellSpec::flows`]; multi-flow
+//! * **concurrent flows** — 1, 64, or 1024 connections multiplexed by
+//!   `minion-engine`'s load scenario ([`CellSpec::flows`]; multi-flow
 //!   cells assert exactly-once delivery and per-stream order *per flow*).
 //!
 //! Each cell runs under a fixed seed and [`verify_cell`] asserts the paper's

@@ -1,18 +1,18 @@
-//! Multi-flow cells: the `flows ∈ {1, 64, 1024}` axis, executed on the
-//! `minion-engine` event runtime.
+//! Multi-flow cells: the `flows ∈ {1, 64, 1024}` axis, executed by
+//! `minion-engine`'s load scenario.
 //!
-//! A single-flow cell exercises one protocol driver in lockstep; a multi-flow
+//! A single-flow cell exercises one protocol driver in ticks; a multi-flow
 //! cell instead multiplexes `CellSpec::flows` concurrent connections — each
-//! carrying `datagrams` framed records — through the engine's timer wheel and
-//! readiness events, over the same loss/RTT/rate axes. The engine's scenario
+//! carrying `datagrams` framed records — driven by readiness events, over
+//! the same loss/RTT/rate axes. The engine's scenario
 //! layer asserts exactly-once delivery and per-stream order **per flow**, and
 //! the usual [`crate::verify_cell`] two-run determinism check applies
 //! unchanged because the mapped [`CellReport`] is a pure function of the
 //! deterministic [`minion_engine::LoadReport`].
 //!
-//! Multi-flow cells run on a pass-through path: the engine models flat
-//! host-to-host topologies, and middlebox adversaries remain the single-flow
-//! matrix's job.
+//! Multi-flow cells run on a pass-through path: the load scenario builds two
+//! hosts and one link. The event loop underneath is the single-flow cells'
+//! own (`stack::Sim`) and would carry a middlebox; no load cell asks yet.
 
 use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
 use crate::runner::CellReport;
@@ -24,7 +24,7 @@ pub fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
     assert_eq!(
         spec.middlebox,
         MiddleboxAxis::PassThrough,
-        "[{}] multi-flow cells run on the engine, which models pass-through paths only",
+        "[{}] multi-flow cells run the load scenario, which builds a pass-through path only",
         spec.label()
     );
     // The engine's load driver sends framed records over raw uTCP streams

@@ -350,7 +350,7 @@ fn run_mstcp(spec: &CellSpec) -> Collected {
 /// or a middlebox that failed to exercise its behaviour.
 pub fn run_cell(spec: &CellSpec) -> CellReport {
     if spec.flows > 1 {
-        // Multi-flow cells run on the `minion-engine` event runtime, which
+        // Multi-flow cells run through `minion-engine`'s load scenario, which
         // asserts the per-flow invariants itself.
         return crate::load::run_load_cell(spec);
     }

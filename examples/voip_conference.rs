@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example voip_conference`
 
 use minion_repro::apps::{frame_number, CompetingFlow, VoipReceiver, VoipSource, VoipSourceConfig};
-use minion_repro::core::{MinionConfig, MinionTransport, Protocol, UdpShim};
+use minion_repro::core::{MinionConfig, MinionTransport, Protocol};
 use minion_repro::simnet::{LinkConfig, SimDuration};
 use minion_repro::stack::{Sim, SocketAddr};
 
@@ -21,29 +21,18 @@ fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
         LinkConfig::new(3_000_000, SimDuration::from_millis(30)).with_queue_bytes(48 * 1024),
     );
     let config = MinionConfig::with_utcp();
-    let (mut tx, mut rx) = if protocol == Protocol::Udp {
-        (
-            MinionTransport::Udp(
-                UdpShim::bind(sim.host_mut(caller), 0, Some(SocketAddr::new(callee, 9999)))
-                    .unwrap(),
-            ),
-            MinionTransport::Udp(UdpShim::bind(sim.host_mut(callee), 9999, None).unwrap()),
-        )
-    } else {
-        MinionTransport::listen(protocol, sim.host_mut(callee), 9999, &config).unwrap();
-        let now = sim.now();
-        let tx = MinionTransport::connect(
-            protocol,
-            sim.host_mut(caller),
-            SocketAddr::new(callee, 9999),
-            &config,
-            now,
-        )
-        .unwrap();
-        sim.run_for(SimDuration::from_millis(300));
-        let rx = MinionTransport::accept(protocol, sim.host_mut(callee), 9999, &config).unwrap();
-        (tx, rx)
-    };
+    MinionTransport::listen(protocol, sim.host_mut(callee), 9999, &config).unwrap();
+    let now = sim.now();
+    let mut tx = MinionTransport::connect(
+        protocol,
+        sim.host_mut(caller),
+        SocketAddr::new(callee, 9999),
+        &config,
+        now,
+    )
+    .unwrap();
+    sim.run_for(SimDuration::from_millis(300));
+    let mut rx = MinionTransport::accept(protocol, sim.host_mut(callee), 9999, &config).unwrap();
 
     let source_config = VoipSourceConfig {
         duration: SimDuration::from_secs(30),

@@ -233,3 +233,43 @@ fn negotiated_protocol_carries_traffic() {
     assert_eq!(got.len(), 1);
     assert_eq!(got[0].payload, b"negotiated hello");
 }
+
+/// What a 200-datagram uCOBS session under 1 % loss puts on the wire, driven
+/// through the host front door in 10 ms ticks: both links' packet and byte
+/// counts, the sender's retransmissions and the virtual time of the last
+/// delivery, taken at the commit before `stack::Sim` stopped polling every
+/// socket on every step. The counts are seed-determined, so they cannot
+/// flake, and they trip on any change of polling behaviour.
+#[test]
+fn ucobs_session_wire_counts_are_pinned() {
+    let (mut sim, a, b) = lossy_pair(77, LossConfig::Bernoulli { probability: 0.01 });
+    let config = MinionConfig::with_utcp();
+    UcobsSocket::listen(sim.host_mut(b), 9000, &config).unwrap();
+    let now = sim.now();
+    let mut tx = UcobsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 9000), &config, now);
+    sim.run_for(SimDuration::from_millis(200));
+    let mut rx = UcobsSocket::accept(sim.host_mut(b), 9000).expect("accepted");
+
+    let (mut sent, mut delivered, mut last_delivery) = (0u32, 0usize, sim.now());
+    while delivered < 200 {
+        while sent < 200 && tx.send_buffer_free(sim.host(a)) > 4 * 1200 {
+            let datagram = vec![sent as u8; 1200];
+            tx.send_datagram(sim.host_mut(a), &datagram).unwrap();
+            sent += 1;
+        }
+        sim.run_for(SimDuration::from_millis(10));
+        let got = rx.recv(sim.host_mut(b)).len();
+        if got > 0 {
+            delivered += got;
+            last_delivery = sim.now();
+        }
+        assert!(sim.now().as_micros() < 60_000_000, "session stalled");
+    }
+    let (ab, ba) = (sim.link_stats(a, b).unwrap(), sim.link_stats(b, a).unwrap());
+    assert_eq!((ab.packets_sent, ab.bytes_sent), (202, 253_724));
+    assert_eq!((ba.packets_sent, ba.bytes_sent), (141, 9_591));
+    assert_eq!(ab.dropped_loss, 2);
+    let sender = sim.host(a).tcp_stats(tx.handle()).unwrap();
+    assert_eq!(sender.retransmissions, 2);
+    assert_eq!(last_delivery.as_micros(), 870_000);
+}

@@ -3,7 +3,8 @@
 //! order asserted per flow and every cell run twice under its fixed seed to
 //! prove byte-identical metrics.
 
-use minion_repro::engine::{verify_load, LoadScenario};
+use minion_repro::engine::{verify_load, EngineMetrics, LoadScenario};
+use minion_repro::simnet::LossConfig;
 use minion_repro::testkit::{run_matrix, summarize, MatrixSpec};
 
 /// The 1024-flow acceptance scenario: deterministic (same seed ⇒ identical
@@ -70,7 +71,7 @@ fn flows_axis_matrix_is_exactly_once_per_flow() {
 fn loss_under_load_is_recovered_per_flow() {
     let scenario = LoadScenario {
         flows: 64,
-        loss: minion_repro::simnet::LossConfig::Bernoulli { probability: 0.02 },
+        loss: LossConfig::Bernoulli { probability: 0.02 },
         ..LoadScenario::default()
     };
     let report = verify_load(&scenario);
@@ -119,7 +120,7 @@ fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
         flows: 3,
         records_per_flow: 260,
         record_len: 1400,
-        loss: minion_repro::simnet::LossConfig::Bernoulli { probability: 0.01 },
+        loss: LossConfig::Bernoulli { probability: 0.01 },
         ..LoadScenario::default()
     };
     let report = verify_load(&lossy);
@@ -130,4 +131,47 @@ fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
     let small = LoadScenario::with_flows(4).run();
     assert_eq!(small.obs.staging_dwell.count(), 4);
     assert_eq!(small.obs.staging_dwell.max(), 0);
+}
+
+/// The event loop's seven counters for two small scenarios (lossless: no
+/// timer ever fires; 2 % loss: the wheel fires 25 times), taken at the
+/// commit before `stack::Sim` took the engine's loop over. The counts are
+/// seed-determined, so they cannot flake, and they trip on any change of
+/// what the loop polls, sends or wakes for.
+#[test]
+fn loop_counters_of_two_small_scenarios_are_pinned() {
+    let lossless = LoadScenario {
+        seed: 5,
+        ..LoadScenario::with_flows(8)
+    };
+    assert_eq!(
+        lossless.run().engine,
+        EngineMetrics {
+            steps: 32,
+            packets_delivered: 32,
+            packets_sent: 40,
+            bytes_sent: 18952,
+            packets_dropped: 0,
+            timer_fires: 0,
+            flow_polls: 55,
+        }
+    );
+    let lossy = LoadScenario {
+        records_per_flow: 64,
+        record_len: 600,
+        loss: LossConfig::Bernoulli { probability: 0.02 },
+        ..lossless
+    };
+    assert_eq!(
+        lossy.run().engine,
+        EngineMetrics {
+            steps: 435,
+            packets_delivered: 371,
+            packets_sent: 379,
+            bytes_sent: 346285,
+            packets_dropped: 6,
+            timer_fires: 25,
+            flow_polls: 623,
+        }
+    );
 }
