@@ -18,7 +18,7 @@ use minion_core::MinionTransport;
 use minion_simnet::SimTime;
 use minion_stack::Host;
 use minion_tcp::{SocketOptions, TcpConfig, TcpConnection, TcpSegment, WriteMeta};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Priority used for tunneled pure ACKs when ACK prioritisation is on.
 pub const ACK_PRIORITY: u32 = 7;
@@ -44,7 +44,7 @@ struct InnerFlow {
 pub struct TunnelGateway {
     transport: MinionTransport,
     prioritize_acks: bool,
-    flows: HashMap<u32, InnerFlow>,
+    flows: BTreeMap<u32, InnerFlow>,
     /// Tunnel datagrams sent / received (for utilisation accounting).
     pub datagrams_sent: u64,
     /// Tunnel datagrams received.
@@ -83,7 +83,7 @@ impl TunnelGateway {
         TunnelGateway {
             transport,
             prioritize_acks,
-            flows: HashMap::new(),
+            flows: BTreeMap::new(),
             datagrams_sent: 0,
             datagrams_received: 0,
         }

@@ -17,7 +17,7 @@ use minion_mstcp::MsTcpConnection;
 use minion_simnet::{NodeId, SimDuration, SimRng};
 use minion_stack::{Sim, SocketAddr};
 use minion_tcp::{SocketOptions, TcpConfig};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One web page: a primary object plus embedded secondary objects.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -74,7 +74,7 @@ pub fn generate_trace(pages: usize, seed: u64) -> Vec<WebPage> {
 }
 
 /// Timing results of loading one page.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageLoadMetrics {
     /// Number of requests the page issued.
     pub requests: usize,
@@ -301,18 +301,17 @@ pub fn load_page_mstcp(
             0,
         )
         .expect("request");
-    let mut request_stream_of_object: HashMap<u32, usize> = HashMap::new();
+    let mut request_stream_of_object: BTreeMap<u32, usize> = BTreeMap::new();
     request_stream_of_object.insert(primary_stream, 0);
     let mut secondary_requested = false;
 
     // Server: per-request response plan. Responses are sent on the *same*
     // stream the request arrived on, interleaved in fixed-size chunks.
     const CHUNK: usize = 1300;
-    let mut response_remaining: HashMap<u32, usize> = HashMap::new();
-    let mut response_started: HashMap<u32, bool> = HashMap::new();
+    let mut response_remaining: BTreeMap<u32, usize> = BTreeMap::new();
 
     // Client receive bookkeeping.
-    let mut received: HashMap<usize, usize> = HashMap::new();
+    let mut received: BTreeMap<usize, usize> = BTreeMap::new();
     let mut first_byte_times: Vec<Option<SimDuration>> = vec![None; object_sizes.len()];
     let mut completed = 0usize;
     let mut page_load_time = MAX_PAGE_TIME;
@@ -327,7 +326,6 @@ pub fn load_page_mstcp(
                     u32::from_be_bytes(ev.data[..4].try_into().expect("4 bytes")) as usize;
                 if object_index < object_sizes.len() {
                     response_remaining.insert(ev.stream, object_sizes[object_index]);
-                    response_started.insert(ev.stream, false);
                 }
             }
         }
@@ -351,7 +349,6 @@ pub fn load_page_mstcp(
                     .send_message(sim.host_mut(server), s, &vec![0xCC; take], last, 0)
                     .ok();
                 response_remaining.insert(s, rem - take);
-                response_started.insert(s, true);
                 sent_any = true;
             }
             if !sent_any {

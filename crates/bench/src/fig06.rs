@@ -10,7 +10,7 @@
 //! report the same normalised ratios. Absolute numbers depend on the
 //! machine, but the *relative* costs — what the paper reports — carry over.
 
-use minion_core::{MinionConfig, Protocol, TcpTlvSocket, UcobsSocket, UtlsSocket};
+use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_simnet::{LinkConfig, LossConfig, SimDuration, Table};
 use minion_stack::{Sim, SocketAddr};
 use std::time::Instant;
@@ -41,14 +41,22 @@ impl CpuSample {
 }
 
 /// Transfer `total_bytes` of `datagram_size`-byte datagrams over the given
-/// protocol at the given loss rate, measuring where the time goes.
+/// protocol at the given loss rate, measuring where the time goes. `config`
+/// picks the bar: [`MinionConfig::default`] for the unordered variants,
+/// [`MinionConfig::without_utcp`] for "COBS over standard TCP", "stream TLS"
+/// and the raw-TCP baseline.
 pub fn run_transfer(
     protocol: Protocol,
+    config: &MinionConfig,
     loss_rate: f64,
     total_bytes: u64,
     datagram_size: usize,
     seed: u64,
 ) -> CpuSample {
+    assert!(
+        protocol != Protocol::Udp,
+        "figure 6 measures the TCP-borne protocols"
+    );
     let mut sim = Sim::new(seed);
     let a = sim.add_host("sender");
     let b = sim.add_host("receiver");
@@ -59,186 +67,61 @@ pub fn run_transfer(
             .with_queue_bytes(256 * 1024)
             .with_loss(LossConfig::from_rate(loss_rate)),
     );
-    let config = MinionConfig::default();
-    let baseline_config = MinionConfig::without_utcp();
 
-    let mut sender_app = 0.0f64;
-    let mut receiver_app = 0.0f64;
-    let mut stack = 0.0f64;
-    let mut delivered = 0u64;
-    let datagram = vec![0xA5u8; datagram_size];
-    let total_datagrams = total_bytes / datagram_size as u64;
-
-    macro_rules! run_datagram_protocol {
-        ($tx:ident, $rx:ident, $sender_host:ident, $receiver_host:ident) => {{
-            let mut sent = 0u64;
-            let mut guard = 0u32;
-            while delivered < total_datagrams * datagram.len() as u64 {
-                guard += 1;
-                assert!(guard < 2_000_000, "transfer did not complete");
-                // Sender: keep the pipe reasonably full.
-                let t = Instant::now();
-                while sent < total_datagrams
-                    && $tx.send_buffer_free(sim.host($sender_host)) > 4 * datagram.len()
-                {
-                    if $tx
-                        .send_datagram(sim.host_mut($sender_host), &datagram)
-                        .is_err()
-                    {
-                        break;
-                    }
-                    sent += 1;
-                }
-                sender_app += t.elapsed().as_secs_f64();
-
-                let t = Instant::now();
-                sim.run_for(SimDuration::from_millis(20));
-                stack += t.elapsed().as_secs_f64();
-
-                let t = Instant::now();
-                for d in $rx.recv(sim.host_mut($receiver_host)) {
-                    delivered += d.payload.len() as u64;
-                }
-                receiver_app += t.elapsed().as_secs_f64();
-            }
-        }};
-    }
-
-    match protocol {
-        Protocol::Ucobs => {
-            UcobsSocket::listen(sim.host_mut(b), 7000, &config).unwrap();
-            let now = sim.now();
-            let mut tx =
-                UcobsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 7000), &config, now);
-            sim.run_for(SimDuration::from_millis(200));
-            let mut rx = UcobsSocket::accept(sim.host_mut(b), 7000).expect("accepted");
-            run_datagram_protocol!(tx, rx, a, b);
-        }
-        Protocol::TcpTlv => {
-            TcpTlvSocket::listen(sim.host_mut(b), 7000, &baseline_config).unwrap();
-            let now = sim.now();
-            let mut tx = TcpTlvSocket::connect(
-                sim.host_mut(a),
-                SocketAddr::new(b, 7000),
-                &baseline_config,
-                now,
-            );
-            sim.run_for(SimDuration::from_millis(200));
-            let mut rx = TcpTlvSocket::accept(sim.host_mut(b), 7000).expect("accepted");
-            run_datagram_protocol!(tx, rx, a, b);
-        }
-        Protocol::Utls => {
-            UtlsSocket::listen(sim.host_mut(b), 7443, &config).unwrap();
-            let now = sim.now();
-            let mut tx =
-                UtlsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 7443), &config, now);
-            sim.run_for(SimDuration::from_millis(200));
-            let mut rx = UtlsSocket::accept(sim.host_mut(b), 7443, &config).expect("accepted");
-            // Drive the TLS handshake.
-            for _ in 0..6 {
-                let _ = rx.recv(sim.host_mut(b));
-                let _ = tx.recv(sim.host_mut(a));
-                sim.run_for(SimDuration::from_millis(80));
-            }
-            assert!(tx.is_established() && rx.is_established(), "uTLS handshake");
-            run_datagram_protocol!(tx, rx, a, b);
-        }
-        Protocol::Udp => panic!("figure 6 does not measure UDP"),
-    }
-
-    CpuSample {
+    let port = 7000;
+    MinionTransport::listen(protocol, sim.host_mut(b), port, config).unwrap();
+    let now = sim.now();
+    let mut tx = MinionTransport::connect(
         protocol,
-        loss_rate,
-        sender_app_seconds: sender_app,
-        receiver_app_seconds: receiver_app,
-        stack_seconds: stack,
-        bytes_delivered: delivered,
+        sim.host_mut(a),
+        SocketAddr::new(b, port),
+        config,
+        now,
+    )
+    .unwrap();
+    sim.run_for(SimDuration::from_millis(200));
+    let mut rx =
+        MinionTransport::accept(protocol, sim.host_mut(b), port, config).expect("accepted");
+    // uTLS still has its handshake to run; the others are ready once accepted.
+    let mut rounds = 0u32;
+    while !(tx.is_established(sim.host(a)) && rx.is_established(sim.host(b))) {
+        rounds += 1;
+        assert!(rounds <= 6, "{protocol:?} handshake");
+        let _ = rx.recv(sim.host_mut(b));
+        let _ = tx.recv(sim.host_mut(a));
+        sim.run_for(SimDuration::from_millis(80));
     }
-}
 
-/// A variant of [`run_transfer`] with the unordered options disabled, used as
-/// the "COBS over standard TCP" and "stream TLS" bars.
-pub fn run_transfer_without_utcp(
-    protocol: Protocol,
-    loss_rate: f64,
-    total_bytes: u64,
-    datagram_size: usize,
-    seed: u64,
-) -> CpuSample {
-    // Same machinery; the in-order variants are obtained by disabling the
-    // socket options in the Minion config.
-    let mut sim = Sim::new(seed);
-    let a = sim.add_host("sender");
-    let b = sim.add_host("receiver");
-    sim.link(
-        a,
-        b,
-        LinkConfig::new(20_000_000, SimDuration::from_millis(30))
-            .with_queue_bytes(256 * 1024)
-            .with_loss(LossConfig::from_rate(loss_rate)),
-    );
-    let config = MinionConfig::without_utcp();
-    let datagram = vec![0xA5u8; datagram_size];
-    let total_datagrams = total_bytes / datagram_size as u64;
     let mut sender_app = 0.0f64;
     let mut receiver_app = 0.0f64;
     let mut stack = 0.0f64;
     let mut delivered = 0u64;
-
-    macro_rules! pump {
-        ($tx:ident, $rx:ident) => {{
-            let mut sent = 0u64;
-            let mut guard = 0u32;
-            while delivered < total_datagrams * datagram.len() as u64 {
-                guard += 1;
-                assert!(guard < 2_000_000, "transfer did not complete");
-                let t = Instant::now();
-                while sent < total_datagrams
-                    && $tx.send_buffer_free(sim.host(a)) > 4 * datagram.len()
-                {
-                    if $tx.send_datagram(sim.host_mut(a), &datagram).is_err() {
-                        break;
-                    }
-                    sent += 1;
-                }
-                sender_app += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                sim.run_for(SimDuration::from_millis(20));
-                stack += t.elapsed().as_secs_f64();
-                let t = Instant::now();
-                for d in $rx.recv(sim.host_mut(b)) {
-                    delivered += d.payload.len() as u64;
-                }
-                receiver_app += t.elapsed().as_secs_f64();
+    let datagram = vec![0xA5u8; datagram_size];
+    let total_datagrams = total_bytes / datagram_size as u64;
+    let mut sent = 0u64;
+    let mut guard = 0u32;
+    while delivered < total_datagrams * datagram.len() as u64 {
+        guard += 1;
+        assert!(guard < 2_000_000, "transfer did not complete");
+        // Sender: keep the pipe reasonably full.
+        let t = Instant::now();
+        while sent < total_datagrams && tx.send_buffer_free(sim.host(a)) > 4 * datagram.len() {
+            if tx.send_datagram(sim.host_mut(a), &datagram).is_err() {
+                break;
             }
-        }};
-    }
+            sent += 1;
+        }
+        sender_app += t.elapsed().as_secs_f64();
 
-    match protocol {
-        Protocol::Ucobs => {
-            UcobsSocket::listen(sim.host_mut(b), 7000, &config).unwrap();
-            let now = sim.now();
-            let mut tx =
-                UcobsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 7000), &config, now);
-            sim.run_for(SimDuration::from_millis(200));
-            let mut rx = UcobsSocket::accept(sim.host_mut(b), 7000).expect("accepted");
-            pump!(tx, rx);
+        let t = Instant::now();
+        sim.run_for(SimDuration::from_millis(20));
+        stack += t.elapsed().as_secs_f64();
+
+        let t = Instant::now();
+        for d in rx.recv(sim.host_mut(b)) {
+            delivered += d.payload.len() as u64;
         }
-        Protocol::Utls => {
-            UtlsSocket::listen(sim.host_mut(b), 7443, &config).unwrap();
-            let now = sim.now();
-            let mut tx =
-                UtlsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 7443), &config, now);
-            sim.run_for(SimDuration::from_millis(200));
-            let mut rx = UtlsSocket::accept(sim.host_mut(b), 7443, &config).expect("accepted");
-            for _ in 0..6 {
-                let _ = rx.recv(sim.host_mut(b));
-                let _ = tx.recv(sim.host_mut(a));
-                sim.run_for(SimDuration::from_millis(80));
-            }
-            pump!(tx, rx);
-        }
-        _ => panic!("only the COBS and TLS baselines use this variant"),
+        receiver_app += t.elapsed().as_secs_f64();
     }
 
     CpuSample {
@@ -265,10 +148,12 @@ pub fn run_fig6a(loss_rates: &[f64], total_bytes: u64, seed: u64) -> Table {
             "ucobs_recv",
         ],
     );
+    let (unordered, ordered) = (MinionConfig::default(), MinionConfig::without_utcp());
     for &loss in loss_rates {
-        let tcp = run_transfer(Protocol::TcpTlv, loss, total_bytes, 1200, seed);
-        let cobs = run_transfer_without_utcp(Protocol::Ucobs, loss, total_bytes, 1200, seed);
-        let ucobs = run_transfer(Protocol::Ucobs, loss, total_bytes, 1200, seed);
+        let run = |protocol, config| run_transfer(protocol, config, loss, total_bytes, 1200, seed);
+        let tcp = run(Protocol::TcpTlv, &ordered);
+        let cobs = run(Protocol::Ucobs, &ordered);
+        let ucobs = run(Protocol::Ucobs, &unordered);
         // Normalise each side's application cost (plus its share of stack
         // cost) to the raw-TCP sender/receiver cost.
         let tcp_send = tcp.sender_app_seconds + tcp.stack_seconds / 2.0;
@@ -299,9 +184,11 @@ pub fn run_fig6b(loss_rates: &[f64], total_bytes: u64, seed: u64) -> Table {
             "utls_recv",
         ],
     );
+    let (unordered, ordered) = (MinionConfig::default(), MinionConfig::without_utcp());
     for &loss in loss_rates {
-        let tls = run_transfer_without_utcp(Protocol::Utls, loss, total_bytes, 1200, seed);
-        let utls = run_transfer(Protocol::Utls, loss, total_bytes, 1200, seed);
+        let run = |config| run_transfer(Protocol::Utls, config, loss, total_bytes, 1200, seed);
+        let tls = run(&ordered);
+        let utls = run(&unordered);
         let row = [
             loss,
             1.0,
@@ -320,11 +207,21 @@ mod tests {
 
     #[test]
     fn transfers_complete_and_account_time() {
-        let s = run_transfer(Protocol::Ucobs, 0.0, 120_000, 1200, 3);
+        let s = run_transfer(
+            Protocol::Ucobs,
+            &MinionConfig::default(),
+            0.0,
+            120_000,
+            1200,
+            3,
+        );
         assert_eq!(s.bytes_delivered, 120_000);
         assert!(s.total_seconds() > 0.0);
-        let t = run_transfer(Protocol::TcpTlv, 0.01, 120_000, 1200, 3);
-        assert_eq!(t.bytes_delivered, 120_000);
+        let ordered = MinionConfig::without_utcp();
+        for protocol in [Protocol::TcpTlv, Protocol::Utls] {
+            let t = run_transfer(protocol, &ordered, 0.01, 120_000, 1200, 3);
+            assert_eq!(t.bytes_delivered, 120_000, "{protocol:?}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ fn web_sim(seed: u64) -> (Sim, NodeId, NodeId) {
 }
 
 /// Results for one page under both transports.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageComparison {
     /// The page loaded.
     pub page: WebPage,
@@ -127,5 +127,12 @@ mod tests {
         }
         let table = to_table(&results);
         assert!(table.row_count() >= 1);
+    }
+
+    /// The msTCP page load interleaves responses by walking its stream maps:
+    /// two loads of the same trace must be the same load.
+    #[test]
+    fn trace_runs_repeat_exactly() {
+        assert_eq!(run_trace(4, 23), run_trace(4, 23));
     }
 }

@@ -51,7 +51,7 @@ pub fn variants() -> Vec<TunnelVariant> {
 }
 
 /// Result of one tunnel run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TunnelRunResult {
     /// Total download goodput through the tunnel, in Mbps.
     pub download_mbps: f64,
@@ -245,5 +245,27 @@ mod tests {
             result.download_mbps
         );
         assert_eq!(result.upload_mbps, 0.0);
+    }
+
+    /// The gateways decide send order by walking their flow maps. With
+    /// several flows a side over the in-order tunnel, where one flow's
+    /// segments hold up another's, the totals move with that order — so two
+    /// runs must be the same run.
+    #[test]
+    fn tunnel_runs_repeat_exactly() {
+        let run = || {
+            run_tunnel(
+                TunnelVariant {
+                    protocol: Protocol::TcpTlv,
+                    prioritize_acks: false,
+                    label: "orig",
+                },
+                3,
+                3,
+                SimDuration::from_secs(5),
+                9,
+            )
+        };
+        assert_eq!(run(), run());
     }
 }

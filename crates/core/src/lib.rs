@@ -13,12 +13,15 @@
 //!
 //! All endpoints run over the simulated hosts of `minion-stack`; the same
 //! protocol state machines would sit unchanged on top of a kernel uTCP.
+//!
+//! Both record-layer sockets reassemble uTCP's `(offset, bytes)` deliveries
+//! in the one [`FragmentStore`], which lives in `minion-tls` beside the uTLS
+//! receiver that is its third user and is re-exported here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod fragment;
 pub mod negotiate;
 pub mod shims;
 pub mod transport;
@@ -26,7 +29,7 @@ pub mod ucobs;
 pub mod utls_socket;
 
 pub use config::{MinionConfig, Protocol};
-pub use fragment::{Fragment, FragmentStore};
+pub use minion_tls::FragmentStore;
 pub use negotiate::{choose_protocol, AppRequirements, PathCapabilities};
 pub use shims::{TcpTlvSocket, UdpShim};
 pub use transport::MinionTransport;

@@ -8,13 +8,19 @@
 //!
 //! uCOBS works unchanged over a stock TCP stack: records then simply arrive
 //! in order, which is the paper's incremental-deployment story (§3.3).
+//!
+//! Reassembly is the record layer's shared [`FragmentStore`]: `recv` scans
+//! the run the store lends it for the chunk just inserted and moves each
+//! decoded payload out to the application. The scan still re-reads the whole
+//! run on every arrival behind a hole (`duplicates_suppressed` counts the
+//! records it finds again).
 
 use crate::config::MinionConfig;
-use crate::fragment::FragmentStore;
 use minion_cobs::frame::{frame_datagram, scan_records};
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
 use minion_tcp::WriteMeta;
+use minion_tls::FragmentStore;
 use std::collections::BTreeSet;
 
 /// A datagram delivered by a Minion endpoint.
@@ -154,28 +160,24 @@ impl UcobsSocket {
     pub fn recv(&mut self, host: &mut Host) -> Vec<Datagram> {
         let mut out = Vec::new();
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {
-            let Some(fragment) = self.store.insert(chunk.offset, &chunk.data) else {
+            let Some((run_start, run)) = self.store.insert(chunk.offset, &chunk.data) else {
                 continue;
             };
-            // Scan the (possibly merged) fragment containing the new data.
-            // A fragment at offset 0 needs no leading marker; a fragment at
-            // the pruned head floor begins with the previous record's
-            // trailing marker, so the ordinary marker scan applies.
-            let is_head = fragment.offset <= self.head_floor;
-            let is_stream_start = fragment.offset == 0;
-            let records = scan_records(&fragment.data, is_stream_start);
+            // Scan the (possibly merged) run containing the new data. A run
+            // at offset 0 needs no leading marker; a run at the pruned head
+            // floor begins with the previous record's trailing marker, so
+            // the ordinary marker scan applies.
+            let is_head = run_start <= self.head_floor;
             let mut last_complete_end: Option<u64> = None;
-            for rec in &records {
-                let abs_start = fragment.offset + rec.start as u64;
-                let abs_end = fragment.offset + rec.end as u64;
-                last_complete_end = Some(abs_end);
-                if self.delivered.insert(abs_start) {
+            for rec in scan_records(run, run_start == 0) {
+                last_complete_end = Some(run_start + rec.end as u64);
+                if self.delivered.insert(run_start + rec.start as u64) {
                     self.stats.datagrams_received += 1;
                     if !chunk.in_order {
                         self.stats.out_of_order_received += 1;
                     }
                     out.push(Datagram {
-                        payload: rec.payload.clone(),
+                        payload: rec.payload,
                         out_of_order: !chunk.in_order,
                     });
                 } else {

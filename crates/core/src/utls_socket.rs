@@ -6,13 +6,23 @@
 //! negotiated ciphersuite permits, i.e. explicit-IV block ciphers), while the
 //! send path is plain TLS record sealing — the current uTLS supports only
 //! receiver-side unordered delivery, exactly as in the paper (§6.1).
+//!
+//! Until then (and for good in the stream-TLS fallback) the socket
+//! reassembles the stream in its own [`FragmentStore`] and feeds the session
+//! the head run where it lies. At the hand-off that store is emptied into
+//! the receiver, which keeps the same kind of store from there on: chunks
+//! from `tcp_read` go to one store or the other, never through a copy of
+//! their own.
 
 use crate::config::MinionConfig;
-use crate::fragment::FragmentStore;
 use crate::ucobs::Datagram;
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
-use minion_tls::{TlsSession, UtlsReceiver};
+use minion_tls::{FragmentStore, TlsSession, UtlsReceiver};
+
+/// How many record-number candidates the receiver tries on each side of its
+/// estimate.
+const PREDICTION_WINDOW: u64 = 8;
 
 /// Counters for a uTLS endpoint.
 #[derive(Clone, Debug, Default)]
@@ -38,15 +48,12 @@ pub struct UtlsSocket {
     receiver: Option<UtlsReceiver>,
     /// Whether the application asked for out-of-order delivery.
     unordered: bool,
-    /// How many record-number candidates the receiver tries on each side.
-    prediction_window: u64,
     /// Raw stream reassembly used for the in-order path (handshake and the
-    /// stream-TLS fallback mode).
+    /// stream-TLS fallback mode); emptied into `receiver` when that takes
+    /// over, so a socket never holds two live stores.
     raw: FragmentStore,
     /// Stream offset up to which bytes have been fed to the in-order session.
     fed_offset: u64,
-    /// Offset of the first application-data byte in the incoming stream.
-    app_start: Option<u64>,
     stats: UtlsSocketStats,
 }
 
@@ -87,10 +94,8 @@ impl UtlsSocket {
             receiver: None,
             unordered: config.socket_options.unordered_receive
                 && config.tls.suite.supports_out_of_order(),
-            prediction_window: 8,
             raw: FragmentStore::new(),
             fed_offset: 0,
-            app_start: None,
             stats: UtlsSocketStats::default(),
         }
     }
@@ -146,18 +151,12 @@ impl UtlsSocket {
     /// Drain the transport and return every datagram that can be delivered.
     pub fn recv(&mut self, host: &mut Host) -> Vec<Datagram> {
         let mut out = Vec::new();
-        // Pull whatever the TCP socket has for us.
-        let mut chunks: Vec<(u64, Vec<u8>, bool)> = Vec::new();
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {
-            chunks.push((chunk.offset, chunk.data.to_vec(), chunk.in_order));
-        }
-
-        for (offset, data, _in_order) in chunks {
-            if self.session.is_established() && self.receiver.is_some() {
-                self.feed_receiver(offset, &data, &mut out);
+            if self.receiver.is_some() {
+                self.feed_receiver(chunk.offset, &chunk.data, &mut out);
             } else {
                 // Handshake (or fallback) path: reassemble in order.
-                self.raw.insert(offset, &data);
+                self.raw.insert(chunk.offset, &chunk.data);
                 self.drive_in_order(host, &mut out);
             }
         }
@@ -165,21 +164,12 @@ impl UtlsSocket {
     }
 
     fn drive_in_order(&mut self, host: &mut Host, out: &mut Vec<Datagram>) {
-        loop {
-            let end = self.raw.contiguous_end_from(self.fed_offset);
-            if end <= self.fed_offset {
-                break;
-            }
-            let fragment = self
-                .raw
-                .fragment_at(self.fed_offset)
-                .expect("contiguous data exists");
-            let skip = (self.fed_offset - fragment.offset) as usize;
-            let bytes = fragment.data[skip..].to_vec();
-            self.fed_offset = end;
+        while let Some((run_start, run)) = self.raw.run_at(self.fed_offset) {
+            let bytes = &run[(self.fed_offset - run_start) as usize..];
+            self.fed_offset = run_start + run.len() as u64;
             let was_established = self.session.is_established();
 
-            if self.session.push_incoming(&bytes).is_err() {
+            if self.session.push_incoming(bytes).is_err() {
                 // A malformed handshake or corrupted in-order record: stop
                 // delivering (the connection is effectively dead, as in TLS).
                 return;
@@ -192,37 +182,30 @@ impl UtlsSocket {
             }
 
             if self.session.is_established() {
-                if !was_established {
-                    self.on_established();
-                    if self.receiver.is_some() {
-                        // Out-of-order mode takes over: replay everything
-                        // already buffered beyond the handshake into the
-                        // receiver (it deduplicates), then stop feeding the
-                        // in-order session parser.
-                        let app_start = self.app_start.expect("set on establishment");
-                        let fragments = self.raw.fragments();
-                        for frag in fragments {
-                            if frag.end() <= app_start {
-                                continue;
-                            }
-                            let skip = app_start.saturating_sub(frag.offset) as usize;
-                            let rel = frag.offset.max(app_start) - app_start;
-                            let data = frag.data[skip..].to_vec();
-                            self.feed_receiver_relative(rel, &data, out);
-                        }
-                        return;
+                if !was_established && self.unordered {
+                    // Out-of-order mode takes over: replay everything
+                    // already buffered into the receiver (it skips the
+                    // handshake bytes), then stop feeding the in-order
+                    // session parser.
+                    let protection = self
+                        .session
+                        .rx_protection()
+                        .expect("established session has keys");
+                    self.receiver = Some(UtlsReceiver::new(protection, PREDICTION_WINDOW));
+                    let raw = std::mem::take(&mut self.raw);
+                    for (offset, run) in raw.runs_from(0) {
+                        self.feed_receiver(offset, run, out);
                     }
+                    return;
                 }
-                if self.receiver.is_none() {
-                    // Stream-TLS fallback: in-order record parsing.
-                    if let Ok(records) = self.session.read_datagrams() {
-                        for payload in records {
-                            self.stats.datagrams_received += 1;
-                            out.push(Datagram {
-                                payload,
-                                out_of_order: false,
-                            });
-                        }
+                // Stream-TLS fallback: in-order record parsing.
+                if let Ok(records) = self.session.read_datagrams() {
+                    for payload in records {
+                        self.stats.datagrams_received += 1;
+                        out.push(Datagram {
+                            payload,
+                            out_of_order: false,
+                        });
                     }
                 }
             }
@@ -230,38 +213,16 @@ impl UtlsSocket {
         }
     }
 
-    fn on_established(&mut self) {
-        let app_start = self.session.rx_app_start_offset();
-        self.app_start = Some(app_start);
-        if self.unordered {
-            let protection = self
-                .session
-                .rx_protection()
-                .expect("established session has keys");
-            self.receiver = Some(UtlsReceiver::new(protection, self.prediction_window));
-        }
-    }
-
-    /// Feed a raw-stream chunk (absolute offset) to the out-of-order receiver.
+    /// Feed a raw-stream chunk (absolute offset) to the out-of-order
+    /// receiver, which counts offsets from the first application-data byte.
     fn feed_receiver(&mut self, offset: u64, data: &[u8], out: &mut Vec<Datagram>) {
-        let app_start = self.app_start.expect("receiver implies establishment");
-        let (rel, data) = if offset < app_start {
-            let end = offset + data.len() as u64;
-            if end <= app_start {
-                return; // entirely handshake bytes, already consumed
-            }
-            (0, &data[(app_start - offset) as usize..])
-        } else {
-            (offset - app_start, data)
-        };
-        self.feed_receiver_relative(rel, data, out);
-    }
-
-    fn feed_receiver_relative(&mut self, rel_offset: u64, data: &[u8], out: &mut Vec<Datagram>) {
         let Some(receiver) = self.receiver.as_mut() else {
             return;
         };
-        for rec in receiver.on_fragment(rel_offset, data) {
+        // Bytes below it are handshake, already consumed in order.
+        let app_start = self.session.rx_app_start_offset();
+        let skip = app_start.saturating_sub(offset).min(data.len() as u64) as usize;
+        for rec in receiver.on_fragment(offset.max(app_start) - app_start, &data[skip..]) {
             self.stats.datagrams_received += 1;
             if rec.out_of_order {
                 self.stats.out_of_order_received += 1;

@@ -5,7 +5,7 @@ use crate::proto::{Chunk, ChunkFlags};
 use minion_core::{MinionConfig, UcobsSocket};
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Identifier of one message stream within an msTCP connection.
 pub type StreamId = u32;
@@ -55,8 +55,8 @@ pub struct MsTcpConnection {
     /// to fit a single TCP segment after framing.
     chunk_size: usize,
     next_stream_id: StreamId,
-    send_streams: HashMap<StreamId, SendStream>,
-    recv_streams: HashMap<StreamId, RecvStream>,
+    send_streams: BTreeMap<StreamId, SendStream>,
+    recv_streams: BTreeMap<StreamId, RecvStream>,
     stats: MsTcpStats,
 }
 
@@ -92,8 +92,8 @@ impl MsTcpConnection {
             transport,
             chunk_size: Self::DEFAULT_CHUNK_SIZE,
             next_stream_id: first_stream_id,
-            send_streams: HashMap::new(),
-            recv_streams: HashMap::new(),
+            send_streams: BTreeMap::new(),
+            recv_streams: BTreeMap::new(),
             stats: MsTcpStats::default(),
         }
     }
@@ -182,12 +182,10 @@ impl MsTcpConnection {
                 stream.pending.insert(chunk.sequence, chunk);
             }
         }
-        // Drain deliverable chunks per stream (done after ingesting all
-        // datagrams so a single recv call delivers as much as possible).
-        let mut ready: Vec<StreamId> = self.recv_streams.keys().copied().collect();
-        ready.sort_unstable();
-        for id in ready {
-            let stream = self.recv_streams.get_mut(&id).expect("exists");
+        // Drain deliverable chunks per stream, in stream-id order (done after
+        // ingesting all datagrams so a single recv call delivers as much as
+        // possible).
+        for (&id, stream) in &mut self.recv_streams {
             while let Some(chunk) = stream.pending.remove(&stream.next_sequence) {
                 stream.next_sequence += 1;
                 if chunk.flags.end_of_stream {
@@ -252,8 +250,8 @@ mod tests {
     }
 
     /// Reassemble per-stream message bytes from events.
-    fn collect(events: &[StreamEvent]) -> HashMap<StreamId, Vec<u8>> {
-        let mut map: HashMap<StreamId, Vec<u8>> = HashMap::new();
+    fn collect(events: &[StreamEvent]) -> BTreeMap<StreamId, Vec<u8>> {
+        let mut map: BTreeMap<StreamId, Vec<u8>> = BTreeMap::new();
         for ev in events {
             map.entry(ev.stream)
                 .or_default()

@@ -1,28 +1,23 @@
-//! A store of received byte-stream fragments, keyed by stream offset.
+//! The record layer's one reassembly store: received byte-stream fragments,
+//! keyed by stream offset, handed back as borrowed runs.
 //!
-//! uCOBS reassembles uTCP's out-of-order deliveries into contiguous stream
-//! fragments before scanning them for records (paper §5.2): an arriving
-//! chunk can create a new fragment, extend an existing fragment at either
-//! end, or fill a hole and merge two fragments into one. The store reports
-//! which fragment changed so the caller can rescan only the affected bytes.
+//! uCOBS (paper §5.2) and uTLS (§6.1) sit on the same uTCP receive API —
+//! `(offset, bytes)` chunks delivered in or out of order — and both first
+//! reassemble them into maximal contiguous runs before looking for records:
+//! an arriving chunk can create a new run, extend an existing run at either
+//! end, or fill a hole and merge two runs into one. [`UtlsReceiver`],
+//! `minion_core::UcobsSocket` and `minion_core::UtlsSocket` all keep their
+//! bytes here (the store lives in this crate because it is the lowest one
+//! below all three; `minion_core::FragmentStore` re-exports it).
+//!
+//! Every accessor lends the run it names — nothing is cloned on the way out.
+//! What still copies is the merge itself: `insert` rebuilds the run that
+//! receives the chunk, so a run that is never pruned costs its whole length
+//! per arrival. Where a chunk overlaps bytes already held, the new bytes win.
+//!
+//! [`UtlsReceiver`]: crate::UtlsReceiver
 
 use std::collections::BTreeMap;
-
-/// A contiguous run of stream bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Fragment {
-    /// Stream offset of the first byte.
-    pub offset: u64,
-    /// The bytes.
-    pub data: Vec<u8>,
-}
-
-impl Fragment {
-    /// Offset one past the fragment's last byte.
-    pub fn end(&self) -> u64 {
-        self.offset + self.data.len() as u64
-    }
-}
 
 /// Reassembly store for stream fragments.
 #[derive(Clone, Debug, Default)]
@@ -45,15 +40,17 @@ impl FragmentStore {
         self.bytes
     }
 
-    /// Number of discontiguous fragments held.
+    /// Number of discontiguous runs held.
     pub fn fragment_count(&self) -> usize {
         self.runs.len()
     }
 
     /// Insert a chunk at `offset`, merging with adjacent/overlapping data.
-    /// Returns a copy of the (possibly merged and extended) fragment that now
-    /// contains the chunk, for the caller to scan.
-    pub fn insert(&mut self, offset: u64, data: &[u8]) -> Option<Fragment> {
+    /// Returns the (possibly merged and extended) run that now holds the
+    /// chunk and the offset of its first byte, for the caller to scan; `None`
+    /// if nothing was stored (an empty chunk, or one wholly below the pruned
+    /// point).
+    pub fn insert(&mut self, offset: u64, data: &[u8]) -> Option<(u64, &[u8])> {
         if data.is_empty() {
             return None;
         }
@@ -111,25 +108,23 @@ impl FragmentStore {
             self.runs.remove(&sstart);
         }
         self.bytes += buf.len();
-        let frag = Fragment {
-            offset: start,
-            data: buf.clone(),
-        };
-        self.runs.insert(start, buf);
-        Some(frag)
+        // Every run that touched `start..=end` was removed above, so the
+        // entry is vacant and this is the insert.
+        Some((start, self.runs.entry(start).or_insert(buf)))
     }
 
-    /// The fragment containing `offset`, if any.
-    pub fn fragment_at(&self, offset: u64) -> Option<Fragment> {
+    /// The run containing `offset` and the offset of its first byte, if the
+    /// byte at `offset` is held.
+    pub fn run_at(&self, offset: u64) -> Option<(u64, &[u8])> {
         let (&start, data) = self.runs.range(..=offset).next_back()?;
-        if offset < start + data.len() as u64 {
-            Some(Fragment {
-                offset: start,
-                data: data.clone(),
-            })
-        } else {
-            None
-        }
+        (offset < start + data.len() as u64).then_some((start, data.as_slice()))
+    }
+
+    /// The runs that start at or after `offset`, in offset order.
+    pub fn runs_from(&self, offset: u64) -> impl Iterator<Item = (u64, &[u8])> {
+        self.runs
+            .range(offset..)
+            .map(|(&start, data)| (start, data.as_slice()))
     }
 
     /// Discard stored data below `offset` (it has been fully processed).
@@ -150,50 +145,32 @@ impl FragmentStore {
             }
         }
     }
-
-    /// All fragments, in offset order.
-    pub fn fragments(&self) -> Vec<Fragment> {
-        self.runs
-            .iter()
-            .map(|(&offset, data)| Fragment {
-                offset,
-                data: data.clone(),
-            })
-            .collect()
-    }
-
-    /// End offset of the contiguous prefix starting at `pruned_below` /
-    /// stream start, if such a fragment exists.
-    pub fn contiguous_end_from(&self, offset: u64) -> u64 {
-        match self.fragment_at(offset) {
-            Some(f) => f.end(),
-            None => offset,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `(start, end)` of the run an insert reports.
+    fn span(run: Option<(u64, &[u8])>) -> (u64, u64) {
+        let (start, data) = run.expect("stored");
+        (start, start + data.len() as u64)
+    }
+
     #[test]
     fn inserts_create_extend_and_merge_fragments() {
         let mut s = FragmentStore::new();
         // Create.
-        let f = s.insert(100, &[1u8; 50]).unwrap();
-        assert_eq!((f.offset, f.end()), (100, 150));
+        assert_eq!(span(s.insert(100, &[1u8; 50])), (100, 150));
         assert_eq!(s.fragment_count(), 1);
         // Extend at the end.
-        let f = s.insert(150, &[2u8; 50]).unwrap();
-        assert_eq!((f.offset, f.end()), (100, 200));
+        assert_eq!(span(s.insert(150, &[2u8; 50])), (100, 200));
         assert_eq!(s.fragment_count(), 1);
         // New disjoint fragment.
-        let f = s.insert(300, &[3u8; 10]).unwrap();
-        assert_eq!((f.offset, f.end()), (300, 310));
+        assert_eq!(span(s.insert(300, &[3u8; 10])), (300, 310));
         assert_eq!(s.fragment_count(), 2);
         // Fill the hole: everything merges.
-        let f = s.insert(200, &[4u8; 100]).unwrap();
-        assert_eq!((f.offset, f.end()), (100, 310));
+        assert_eq!(span(s.insert(200, &[4u8; 100])), (100, 310));
         assert_eq!(s.fragment_count(), 1);
         assert_eq!(s.buffered_bytes(), 210);
     }
@@ -204,24 +181,23 @@ mod tests {
         s.insert(0, &[1u8; 100]);
         s.insert(50, &[2u8; 100]);
         assert_eq!(s.buffered_bytes(), 150);
-        let f = s.fragment_at(0).unwrap();
-        assert_eq!(f.data.len(), 150);
-        // Overlap keeps the earlier bytes for the overlapping region.
-        assert_eq!(f.data[49], 1);
-        assert_eq!(f.data[100], 2);
+        let (_, run) = s.run_at(0).unwrap();
+        assert_eq!(run.len(), 150);
+        // The new bytes win over the overlapping region.
+        assert_eq!(run[49], 1);
+        assert_eq!(run[50], 2);
+        assert_eq!(run[100], 2);
     }
 
     #[test]
-    fn fragment_at_misses_holes() {
+    fn run_at_misses_holes() {
         let mut s = FragmentStore::new();
         s.insert(0, &[0u8; 10]);
         s.insert(20, &[0u8; 10]);
-        assert!(s.fragment_at(5).is_some());
-        assert!(s.fragment_at(15).is_none());
-        assert!(s.fragment_at(25).is_some());
-        assert!(s.fragment_at(30).is_none());
-        assert_eq!(s.contiguous_end_from(0), 10);
-        assert_eq!(s.contiguous_end_from(15), 15);
+        assert_eq!(span(s.run_at(5)), (0, 10));
+        assert!(s.run_at(15).is_none());
+        assert_eq!(span(s.run_at(25)), (20, 30));
+        assert!(s.run_at(30).is_none());
     }
 
     #[test]
@@ -231,27 +207,29 @@ mod tests {
         s.insert(200, &[8u8; 50]);
         s.prune_below(60);
         assert_eq!(s.buffered_bytes(), 40 + 50);
-        assert!(s.fragment_at(10).is_none());
-        assert_eq!(s.fragment_at(60).unwrap().offset, 60);
+        assert!(s.run_at(10).is_none());
+        assert_eq!(s.run_at(60).unwrap().0, 60);
         // Data below the prune point is ignored on later insertion.
         assert!(s.insert(0, &[9u8; 30]).is_none());
         // Data straddling the prune point is trimmed, and an insert wholly
         // inside an existing run must not lose the run's tail.
-        let f = s.insert(50, &[9u8; 20]).unwrap();
-        assert_eq!(f.offset, 60);
-        let head = s.fragment_at(60).unwrap();
-        assert_eq!(head.data.len(), 40, "existing run length preserved");
-        assert_eq!(head.data[39], 7, "existing tail bytes preserved");
+        assert_eq!(span(s.insert(50, &[9u8; 20])), (60, 100));
+        let (_, head) = s.run_at(60).unwrap();
+        assert_eq!(head.len(), 40, "existing run length preserved");
+        assert_eq!(head[39], 7, "existing tail bytes preserved");
     }
 
     #[test]
-    fn fragments_listing_is_ordered() {
+    fn runs_listing_is_ordered() {
         let mut s = FragmentStore::new();
         s.insert(500, &[1u8; 5]);
         s.insert(100, &[2u8; 5]);
         s.insert(300, &[3u8; 5]);
-        let offs: Vec<u64> = s.fragments().iter().map(|f| f.offset).collect();
-        assert_eq!(offs, vec![100, 300, 500]);
+        let offs = |from| s.runs_from(from).map(|(o, _)| o).collect::<Vec<u64>>();
+        assert_eq!(offs(0), vec![100, 300, 500]);
+        // A run that starts below `from` is not listed, even if it reaches it.
+        assert_eq!(offs(101), vec![300, 500]);
+        assert_eq!(offs(300), vec![300, 500]);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! MAC before delivery — producing a secure datagram service whose wire
 //! format is unchanged from stream TLS.
 //!
+//! It also holds the record layer's one reassembly store, [`FragmentStore`]:
+//! [`UtlsReceiver`] keeps its ciphertext runs in it, and so do the uCOBS and
+//! uTLS sockets of `minion-core` (which re-exports it) — this is the lowest
+//! crate below all three.
+//!
 //! The handshake is a simplified pre-shared-key exchange (see DESIGN.md);
 //! everything at and below the record layer — header format, explicit IVs,
 //! MAC-then-encrypt, sequence-numbered MAC pseudo-header, ciphersuite
@@ -15,10 +20,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fragment;
 pub mod record;
 pub mod session;
 pub mod utls;
 
+pub use fragment::FragmentStore;
 pub use record::{
     CipherSuite, RecordError, RecordHeader, RecordProtection, CONTENT_APPLICATION_DATA,
     CONTENT_HANDSHAKE, IV_LEN, MAC_LEN, MAX_RECORD_LEN, RECORD_HEADER_LEN, VERSION_TLS10,

@@ -20,9 +20,17 @@
 //!
 //! Records that cannot be confirmed out of order are still delivered later
 //! in order, exactly as standard TLS would.
+//!
+//! The ciphertext runs live in the record layer's shared [`FragmentStore`]
+//! and are read where they lie: the in-order path opens each record body in
+//! place. The receiver never prunes the store, so the head run is rebuilt on
+//! every arrival that extends it, and the out-of-order scan copies each
+//! candidate body out — both are the record-layer series' next steps
+//! (ROADMAP), not this module's design.
 
+use crate::fragment::FragmentStore;
 use crate::record::{RecordHeader, RecordProtection, RECORD_HEADER_LEN};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// A record recovered by the uTLS receiver.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,18 +70,17 @@ pub struct UtlsStats {
 /// The out-of-order TLS record receiver.
 pub struct UtlsReceiver {
     protection: RecordProtection,
-    /// Fragment store: contiguous runs of the ciphertext stream, keyed by
-    /// stream offset (relative to the start of application data).
-    fragments: BTreeMap<u64, Vec<u8>>,
-    /// Offsets of records already delivered (either path), to suppress
-    /// duplicate delivery when holes later fill.
-    delivered_offsets: BTreeSet<u64>,
+    /// Contiguous runs of the ciphertext stream, keyed by stream offset
+    /// (relative to the start of application data). Never pruned.
+    store: FragmentStore,
     /// Stream offset up to which in-order processing has consumed records.
     in_order_offset: u64,
     /// Record number of the next in-order record.
     next_record_number: u64,
-    /// Confirmed (offset → record number) anchors from out-of-order
-    /// deliveries, used to improve later predictions.
+    /// Confirmed (offset → record number) anchors, one per record delivered
+    /// on either path: they improve later predictions, and a record is
+    /// delivered exactly once because it is delivered only when its offset
+    /// is not yet a key here.
     anchors: BTreeMap<u64, u64>,
     /// Exponentially-weighted average wire length of confirmed records.
     avg_record_wire_len: f64,
@@ -95,8 +102,7 @@ impl UtlsReceiver {
         let out_of_order_enabled = protection.suite().supports_out_of_order();
         UtlsReceiver {
             protection,
-            fragments: BTreeMap::new(),
-            delivered_offsets: BTreeSet::new(),
+            store: FragmentStore::new(),
             in_order_offset: 0,
             next_record_number: 0,
             anchors: BTreeMap::new(),
@@ -119,7 +125,7 @@ impl UtlsReceiver {
 
     /// Bytes currently buffered in the fragment store.
     pub fn buffered_bytes(&self) -> usize {
-        self.fragments.values().map(|v| v.len()).sum()
+        self.store.buffered_bytes()
     }
 
     /// Stream offset up to which records have been consumed in order.
@@ -131,66 +137,15 @@ impl UtlsReceiver {
     /// offset (relative to the start of application data) and return every
     /// record that can now be delivered.
     pub fn on_fragment(&mut self, offset: u64, data: &[u8]) -> Vec<UtlsRecord> {
-        if data.is_empty() {
-            return vec![];
-        }
-        self.insert_fragment(offset, data);
         let mut out = Vec::new();
+        if self.store.insert(offset, data).is_none() {
+            return out;
+        }
         self.process_in_order(&mut out);
         if self.out_of_order_enabled {
             self.process_out_of_order(&mut out);
         }
         out
-    }
-
-    fn insert_fragment(&mut self, offset: u64, data: &[u8]) {
-        let mut start = offset;
-        let mut buf = data.to_vec();
-        if let Some((&pstart, pdata)) = self.fragments.range(..=start).next_back() {
-            let pend = pstart + pdata.len() as u64;
-            if pend >= start {
-                let keep = (start - pstart) as usize;
-                let mut merged = pdata[..keep].to_vec();
-                merged.extend_from_slice(&buf);
-                let new_end = start + buf.len() as u64;
-                if pend > new_end {
-                    merged.extend_from_slice(&pdata[(new_end - pstart) as usize..]);
-                }
-                start = pstart;
-                buf = merged;
-                self.fragments.remove(&pstart);
-            }
-        }
-        let mut end = start + buf.len() as u64;
-        // Not a `while let`: the range borrow must end before `remove()`.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some((&sstart, sdata)) = self.fragments.range(start..).next() else {
-                break;
-            };
-            if sstart > end {
-                break;
-            }
-            let send = sstart + sdata.len() as u64;
-            if send > end {
-                let skip = (end - sstart) as usize;
-                buf.extend_from_slice(&sdata[skip..]);
-                end = send;
-            }
-            self.fragments.remove(&sstart);
-        }
-        self.fragments.insert(start, buf);
-    }
-
-    /// Contiguous data available at `offset`, if any.
-    fn run_at(&self, offset: u64) -> Option<(u64, &[u8])> {
-        let (&start, data) = self.fragments.range(..=offset).next_back()?;
-        let end = start + data.len() as u64;
-        if offset < end {
-            Some((start, data))
-        } else {
-            None
-        }
     }
 
     fn note_record_len(&mut self, wire_len: usize) {
@@ -200,44 +155,37 @@ impl UtlsReceiver {
     /// Process records at the in-order point (standard TLS processing).
     fn process_in_order(&mut self, out: &mut Vec<UtlsRecord>) {
         loop {
-            let Some((run_start, run)) = self.run_at(self.in_order_offset) else {
+            let offset = self.in_order_offset;
+            let Some((run_start, run)) = self.store.run_at(offset) else {
                 return;
             };
-            let local = (self.in_order_offset - run_start) as usize;
-            let slice = &run[local..];
+            let slice = &run[(offset - run_start) as usize..];
             let Some(header) = RecordHeader::decode(slice) else {
                 return;
             };
-            if slice.len() < RECORD_HEADER_LEN + header.length {
+            let wire_len = RECORD_HEADER_LEN + header.length;
+            if slice.len() < wire_len {
                 return;
             }
-            let body = slice[RECORD_HEADER_LEN..RECORD_HEADER_LEN + header.length].to_vec();
             let record_number = self.next_record_number;
-            let offset = self.in_order_offset;
-            let wire_len = RECORD_HEADER_LEN + header.length;
-            let result = self.protection.open(record_number, &header, &body);
-            match result {
-                Ok(payload) => {
-                    self.note_record_len(wire_len);
-                    self.next_record_number += 1;
-                    self.in_order_offset += wire_len as u64;
-                    self.anchors.insert(offset, record_number);
-                    if self.delivered_offsets.insert(offset) {
-                        self.stats.in_order_delivered += 1;
-                        out.push(UtlsRecord {
-                            record_number,
-                            stream_offset: offset,
-                            out_of_order: false,
-                            payload,
-                        });
-                    }
-                }
-                Err(_) => {
-                    // An in-order record that fails its MAC is a genuine
-                    // protocol error in TLS; surface nothing and stop (the
-                    // owning endpoint decides whether to abort).
-                    return;
-                }
+            let body = &slice[RECORD_HEADER_LEN..wire_len];
+            // An in-order record that fails its MAC is a genuine protocol
+            // error in TLS; surface nothing and stop (the owning endpoint
+            // decides whether to abort).
+            let Ok(payload) = self.protection.open(record_number, &header, body) else {
+                return;
+            };
+            self.note_record_len(wire_len);
+            self.next_record_number += 1;
+            self.in_order_offset += wire_len as u64;
+            if self.anchors.insert(offset, record_number).is_none() {
+                self.stats.in_order_delivered += 1;
+                out.push(UtlsRecord {
+                    record_number,
+                    stream_offset: offset,
+                    out_of_order: false,
+                    payload,
+                });
             }
         }
     }
@@ -246,22 +194,18 @@ impl UtlsReceiver {
     fn estimate_record_number(&self, offset: u64) -> u64 {
         // Use the nearest confirmed anchor at or below the offset, falling
         // back to the in-order point.
-        let (anchor_off, anchor_num) = self
-            .anchors
-            .range(..=offset)
-            .next_back()
-            .map(|(&o, &n)| {
-                // The anchor's own record spans some bytes; predictions start
-                // after it.
-                (o, n)
-            })
-            .unwrap_or((self.in_order_offset, self.next_record_number));
+        let (anchor_off, anchor_num) = self.anchors.range(..=offset).next_back().map_or(
+            (self.in_order_offset, self.next_record_number),
+            |(&o, &n)| (o, n),
+        );
         if offset <= anchor_off {
             return anchor_num;
         }
+        // The anchor's own record spans some bytes, so a header beyond it is
+        // at least one record later.
         let gap = (offset - anchor_off) as f64;
         let estimated_records = (gap / self.avg_record_wire_len).round() as u64;
-        anchor_num + estimated_records.max(if anchor_off == offset { 0 } else { 1 })
+        anchor_num + estimated_records.max(1)
     }
 
     /// Scan fragments beyond the in-order point for recoverable records.
@@ -270,19 +214,13 @@ impl UtlsReceiver {
         // avoid borrowing issues, then confirm each.
         let mut candidates: Vec<(u64, RecordHeader, Vec<u8>)> = Vec::new();
         let version = self.protection.version();
-        for (&run_start, run) in self
-            .fragments
-            .range((self.in_order_offset + 1).saturating_sub(1)..)
-        {
-            // Only runs strictly beyond the in-order point are out of order;
-            // the run containing the in-order point was handled above.
-            if run_start <= self.in_order_offset {
-                continue;
-            }
+        // Only runs that start strictly beyond the in-order point are out of
+        // order; the run containing the in-order point was handled above.
+        for (run_start, run) in self.store.runs_from(self.in_order_offset + 1) {
             let mut i = 0usize;
             while i + RECORD_HEADER_LEN <= run.len() {
                 let stream_offset = run_start + i as u64;
-                if self.delivered_offsets.contains(&stream_offset) {
+                if self.anchors.contains_key(&stream_offset) {
                     // Already delivered: skip its whole body if we can parse it.
                     if let Some(h) = RecordHeader::decode(&run[i..]) {
                         i += RECORD_HEADER_LEN + h.length.min(run.len() - i - RECORD_HEADER_LEN);
@@ -311,7 +249,7 @@ impl UtlsReceiver {
         }
 
         for (stream_offset, header, body) in candidates {
-            if self.delivered_offsets.contains(&stream_offset) {
+            if self.anchors.contains_key(&stream_offset) {
                 continue;
             }
             let estimate = self.estimate_record_number(stream_offset);
@@ -356,7 +294,6 @@ impl UtlsReceiver {
                 Some((record_number, payload)) => {
                     self.note_record_len(RECORD_HEADER_LEN + header.length);
                     self.anchors.insert(stream_offset, record_number);
-                    self.delivered_offsets.insert(stream_offset);
                     self.stats.out_of_order_delivered += 1;
                     out.push(UtlsRecord {
                         record_number,

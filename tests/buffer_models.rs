@@ -1,12 +1,14 @@
-//! Model-based tests of the TCP buffers behind the single-copy data path.
+//! Model-based tests of the TCP buffers behind the single-copy data path and
+//! of the record layer's reassembly store above them.
 //!
 //! [`SendBuffer`] is checked against a model that keeps the queue as a plain
 //! list of byte vectors and answers every question by walking it;
 //! [`ReceiveBuffer`] against the reassembly algorithm it replaced (copy in,
-//! merge runs, copy out), kept here as the reference. Both are driven with
-//! random operation sequences; failures are pinned in
-//! `proptest-regressions/buffer_models.txt`.
+//! merge runs, copy out), kept here as the reference; [`FragmentStore`]
+//! against a map of single bytes. All are driven with random operation
+//! sequences; failures are pinned in `proptest-regressions/buffer_models.txt`.
 
+use minion_repro::core::FragmentStore;
 use minion_repro::tcp::{
     BufferFull, DeliveredChunk, ReceiveBuffer, RecvStats, SackBlock, SendBuffer, SeqNum,
 };
@@ -531,6 +533,109 @@ fn run_receive_arrivals(arrivals: &[RawArrival], stream_len: usize, unordered: b
     }
 }
 
+// ---------------------------------------------------------------------
+// FragmentStore against a per-byte model
+// ---------------------------------------------------------------------
+
+/// The stream as a map of single bytes above a pruned floor: an insert
+/// writes each of its bytes (new bytes win over old ones), a prune forgets
+/// what lies below it. Runs are whatever happens to be adjacent.
+#[derive(Default)]
+struct ByteModel {
+    bytes: BTreeMap<u64, u8>,
+    floor: u64,
+}
+
+impl ByteModel {
+    fn insert(&mut self, offset: u64, data: &[u8]) {
+        for (pos, &byte) in (offset..).zip(data) {
+            if pos >= self.floor {
+                self.bytes.insert(pos, byte);
+            }
+        }
+    }
+
+    fn prune_below(&mut self, offset: u64) {
+        self.floor = self.floor.max(offset);
+        self.bytes = self.bytes.split_off(&self.floor);
+    }
+
+    /// The maximal runs of adjacent bytes, in offset order.
+    fn runs(&self) -> Vec<(u64, Vec<u8>)> {
+        let mut runs: Vec<(u64, Vec<u8>)> = Vec::new();
+        for (&pos, &byte) in &self.bytes {
+            match runs.last_mut() {
+                Some((start, data)) if *start + data.len() as u64 == pos => data.push(byte),
+                _ => runs.push((pos, vec![byte])),
+            }
+        }
+        runs
+    }
+}
+
+/// One operation: `(selector, offset, length, fill byte)`.
+type StoreOp = (u8, u16, u16, u8);
+
+fn run_store_ops(ops: &[StoreOp]) {
+    // A short stream and chunks up to a fifth of it: inserts overlap, land
+    // wholly inside a run, bridge several runs and fill holes all the time.
+    const STREAM: u64 = 600;
+    let mut store = FragmentStore::new();
+    let mut model = ByteModel::default();
+    let mut last_insert: Option<(u64, Vec<u8>)> = None;
+    for &(selector, offset, len, fill) in ops {
+        let offset = u64::from(offset) % STREAM;
+        if selector % 8 == 0 {
+            store.prune_below(offset);
+            model.prune_below(offset);
+        } else {
+            // Now and then the previous chunk again, byte for byte; otherwise
+            // a chunk whose bytes tell it apart from what it overlaps.
+            let (offset, data) = match last_insert.take() {
+                Some(previous) if selector % 8 == 1 => previous,
+                _ => (offset, vec![fill; usize::from(len) % 120]),
+            };
+            let stored = store.insert(offset, &data);
+            model.insert(offset, &data);
+            // What the caller is handed to scan: the run that holds the
+            // chunk, as far as the chunk lies above the pruned floor.
+            let kept_from = offset.max(model.floor).min(offset + data.len() as u64);
+            let kept = &data[(kept_from - offset) as usize..];
+            match stored {
+                None => assert!(
+                    kept.is_empty(),
+                    "insert({offset}, {} B) stored nothing",
+                    data.len()
+                ),
+                Some((start, run)) => {
+                    assert!(!kept.is_empty());
+                    assert!(start <= kept_from);
+                    let at = (kept_from - start) as usize;
+                    assert_eq!(&run[at..at + kept.len()], kept);
+                }
+            }
+            last_insert = Some((offset, data));
+        }
+
+        let runs = model.runs();
+        let held: Vec<(u64, Vec<u8>)> = store
+            .runs_from(0)
+            .map(|(start, data)| (start, data.to_vec()))
+            .collect();
+        assert_eq!(held, runs);
+        assert_eq!(store.buffered_bytes(), model.bytes.len());
+        assert_eq!(store.fragment_count(), runs.len());
+        // Every position is in the run the model puts it in, or in none.
+        for pos in 0..STREAM + 120 {
+            let expected = runs
+                .iter()
+                .find(|(start, data)| (*start..*start + data.len() as u64).contains(&pos))
+                .map(|(start, data)| (*start, data.as_slice()));
+            assert_eq!(store.run_at(pos), expected, "run_at({pos})");
+        }
+    }
+}
+
 proptest! {
     // Fixed case count, seeds derived from file + test name: every CI run
     // generates the identical case sequence. Failures are pinned in
@@ -568,5 +673,15 @@ proptest! {
         arrivals in proptest::collection::vec((any::<u16>(), any::<u16>(), any::<bool>()), 1..80),
     ) {
         run_receive_arrivals(&arrivals, 3000, true);
+    }
+
+    /// Inserts that overlap, repeat, sit wholly inside a run and fill holes,
+    /// mixed with prunes: after every operation the store holds exactly the
+    /// model's maximal runs.
+    #[test]
+    fn fragment_store_matches_the_byte_model(
+        ops in proptest::collection::vec((any::<u8>(), any::<u16>(), any::<u16>(), any::<u8>()), 1..64),
+    ) {
+        run_store_ops(&ops);
     }
 }

@@ -4,8 +4,72 @@ use minion_repro::cobs;
 use minion_repro::core::FragmentStore;
 use minion_repro::crypto;
 use minion_repro::tcp::{SackBlock, SeqNum, TcpFlags, TcpOption, TcpSegment};
-use minion_repro::tls::{CipherSuite, RecordProtection, CONTENT_APPLICATION_DATA, VERSION_TLS11};
+use minion_repro::tls::{
+    CipherSuite, RecordProtection, UtlsReceiver, UtlsRecord, CONTENT_APPLICATION_DATA,
+    VERSION_TLS11,
+};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// `0..len` cut into pieces of pseudo-random sizes, as `(start, end)` in a
+/// pseudo-random delivery order, every fifth piece twice.
+fn cut_shuffle_repeat(len: usize, seed: u64) -> Vec<(usize, usize)> {
+    let mut state = seed | 1;
+    let mut below = |bound: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % bound
+    };
+    let mut pieces = Vec::new();
+    let mut start = 0;
+    while start < len {
+        let end = (start + 1 + below(200)).min(len);
+        pieces.push((start, end));
+        if pieces.len() % 5 == 0 {
+            pieces.push((start, end));
+        }
+        start = end;
+    }
+    for i in (1..pieces.len()).rev() {
+        pieces.swap(i, below(i + 1));
+    }
+    pieces
+}
+
+/// One direction's record protection; call it twice for a sender and its
+/// receiver.
+fn protection() -> RecordProtection {
+    RecordProtection::new(
+        CipherSuite::Aes128CbcExplicitIv,
+        *b"prop-test-key-16",
+        [3u8; 32],
+        VERSION_TLS11,
+    )
+}
+
+/// Feed `stream` to a fresh [`UtlsReceiver`] in the pieces and order `seed`
+/// picks and return everything it delivered, having checked call by call
+/// that `out_of_order` marks exactly the records ahead of the in-order point.
+fn utls_deliveries(stream: &[u8], seed: u64) -> Vec<UtlsRecord> {
+    let mut rx = UtlsReceiver::new(protection(), 8);
+    let mut delivered = Vec::new();
+    for (start, end) in cut_shuffle_repeat(stream.len(), seed) {
+        let records = rx.on_fragment(start as u64, &stream[start..end]);
+        for r in &records {
+            assert_eq!(
+                r.out_of_order,
+                r.stream_offset >= rx.in_order_offset(),
+                "record {} at {} with the in-order point at {}",
+                r.record_number,
+                r.stream_offset,
+                rx.in_order_offset()
+            );
+        }
+        delivered.extend(records);
+    }
+    delivered
+}
 
 proptest! {
     // Fixed case count (with seeds derived from file + test name) so every
@@ -40,43 +104,21 @@ proptest! {
     }
 
     /// The fragment store reassembles an arbitrary permutation of arbitrary
-    /// overlapping slices of a stream into exactly the original bytes.
+    /// slices of a stream, some delivered twice, into exactly the original
+    /// bytes.
     #[test]
     fn fragment_store_reassembles_any_arrival_order(
         len in 1usize..2000,
         seed in any::<u64>(),
     ) {
         let data: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
-        // Slice the stream into chunks of pseudo-random sizes, then deliver
-        // them in a pseudo-random order with some duplicates.
-        let mut chunks = Vec::new();
-        let mut offset = 0usize;
-        let mut state = seed | 1;
-        while offset < len {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let size = 1 + (state >> 33) as usize % 200;
-            let end = (offset + size).min(len);
-            chunks.push((offset as u64, data[offset..end].to_vec()));
-            offset = end;
-        }
-        let mut order: Vec<usize> = (0..chunks.len()).collect();
-        // Deterministic shuffle.
-        for i in (1..order.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(12345);
-            order.swap(i, (state >> 33) as usize % (i + 1));
-        }
         let mut store = FragmentStore::new();
-        for &i in &order {
-            let (off, ref chunk) = chunks[i];
-            store.insert(off, chunk);
-            // Occasionally re-deliver a duplicate.
-            if i % 5 == 0 {
-                store.insert(off, chunk);
-            }
+        for (start, end) in cut_shuffle_repeat(len, seed) {
+            store.insert(start as u64, &data[start..end]);
         }
-        let frag = store.fragment_at(0).expect("stream head present");
-        prop_assert_eq!(frag.offset, 0);
-        prop_assert_eq!(frag.data, data);
+        let (start, run) = store.run_at(0).expect("stream head present");
+        prop_assert_eq!(start, 0);
+        prop_assert_eq!(run, &data[..]);
         prop_assert_eq!(store.fragment_count(), 1);
     }
 
@@ -115,15 +157,65 @@ proptest! {
         record_number in 0u64..1_000_000,
         wrong_delta in 1u64..50,
     ) {
-        let enc = *b"prop-test-key-16";
-        let mac = [3u8; 32];
-        let mut tx = RecordProtection::new(CipherSuite::Aes128CbcExplicitIv, enc, mac, VERSION_TLS11);
-        let mut rx = RecordProtection::new(CipherSuite::Aes128CbcExplicitIv, enc, mac, VERSION_TLS11);
+        let (mut tx, mut rx) = (protection(), protection());
         let wire = tx.seal(record_number, CONTENT_APPLICATION_DATA, &payload);
         let header = minion_repro::tls::RecordHeader::decode(&wire).unwrap();
         let body = &wire[minion_repro::tls::RECORD_HEADER_LEN..];
         prop_assert_eq!(rx.open(record_number, &header, body).unwrap(), payload);
         prop_assert!(rx.open(record_number + wrong_delta, &header, body).is_err());
+    }
+
+    /// The uTLS receiver over a sealed stream of random-sized records cut at
+    /// arbitrary byte boundaries, shuffled, some pieces sent twice: every
+    /// record comes out exactly once with its number and payload. With one
+    /// bit of one record flipped on the wire, nothing is misdelivered, the
+    /// damaged record is never delivered, and in-order delivery stops at it.
+    #[test]
+    fn utls_receiver_delivers_each_record_once_and_nothing_forged(
+        payload_lens in proptest::collection::vec(1usize..700, 1..10),
+        seed in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
+        let mut tx = protection();
+        let mut stream = Vec::new();
+        // Each record's stream offset and payload, by record number.
+        let mut sent: Vec<(u64, Vec<u8>)> = Vec::new();
+        for (n, &len) in payload_lens.iter().enumerate() {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 + n * 7) as u8).collect();
+            sent.push((stream.len() as u64, payload.clone()));
+            stream.extend(tx.seal(n as u64, CONTENT_APPLICATION_DATA, &payload));
+        }
+
+        let mut got = utls_deliveries(&stream, seed);
+        got.sort_by_key(|r| r.record_number);
+        prop_assert_eq!(got.len(), sent.len());
+        for (n, (r, (offset, payload))) in got.iter().zip(&sent).enumerate() {
+            prop_assert_eq!(
+                (r.record_number, r.stream_offset, &r.payload),
+                (n as u64, *offset, payload)
+            );
+        }
+
+        // Flip one bit of one record. Anywhere but the header's two version
+        // bytes: the MAC takes the version from the negotiated state, not
+        // from the wire, and the in-order path does not look at them.
+        let victim = (flip >> 32) as usize % sent.len();
+        let wire_start = sent[victim].0 as usize;
+        let wire_end = sent.get(victim + 1).map_or(stream.len(), |next| next.0 as usize);
+        let within = (flip >> 3) as usize % (wire_end - wire_start - 2);
+        let at = wire_start + if within == 0 { 0 } else { within + 2 };
+        let mut hostile = stream.clone();
+        hostile[at] ^= 1 << (flip & 7);
+
+        let mut seen = BTreeSet::new();
+        for r in utls_deliveries(&hostile, seed) {
+            let n = r.record_number as usize;
+            prop_assert!(seen.insert(n), "record {} delivered twice", n);
+            prop_assert_ne!(n, victim);
+            prop_assert_eq!((r.stream_offset, &r.payload), (sent[n].0, &sent[n].1));
+            prop_assert!(n < victim || r.out_of_order, "record {} in order past the flip", n);
+        }
+        prop_assert!((0..victim).all(|n| seen.contains(&n)), "a record before the flip is missing");
     }
 
     /// SHA-256 and HMAC are deterministic and input-sensitive.
