@@ -1,9 +1,9 @@
 //! The parallel matrix-sweep benchmark: run the full scenario matrix (the
 //! tier-1 protocol×stack×loss matrix plus the `flows ∈ {1, 64, 1024}` load
-//! matrix) once per requested thread count on the `minion-exec`
-//! work-stealing executor, assert every sweep's reports are byte-identical,
-//! and emit `BENCH_sweep.json` with cells/sec per thread count and speedup
-//! versus 1 thread.
+//! matrix) once per requested thread count on the `minion-exec` batch
+//! runner, assert every sweep's reports are byte-identical, and emit
+//! `BENCH_sweep.json` with cells/sec per thread count and speedup versus
+//! 1 thread.
 //!
 //! CI runs this as the report-diff gate: `--report-prefix` writes one
 //! canonical report file per thread count (full `Debug` dump of every cell
@@ -58,8 +58,9 @@ struct Run {
 
 /// The `"obs"` section of `BENCH_sweep.json`: the deterministic
 /// delivery-delay columns of every multi-flow cell (identical across
-/// thread counts — the report diff proves it) plus the per-run executor
-/// scheduling profile (wall-clock; varies run to run by design).
+/// thread counts — the report diff proves it) plus each run's batch stats:
+/// jobs per worker and time inside jobs (wall-clock; varies run to run by
+/// design).
 fn obs_section_json(reports: &[CellReport], runs: &[Run]) -> String {
     let delivery = reports
         .iter()
@@ -95,14 +96,12 @@ fn obs_section_json(reports: &[CellReport], runs: &[Run]) -> String {
                 .join(", ");
             format!(
                 concat!(
-                    "      {{\"threads\": {threads}, \"steals\": {steals}, ",
-                    "\"steal_attempts\": {attempts}, \"locks_contended\": {contended}, ",
-                    "\"phase_nanos\": {{ {phases} }}}}"
+                    "      {{\"threads\": {threads}, \"workers\": {workers}, ",
+                    "\"executed\": {executed:?}, \"phase_nanos\": {{ {phases} }}}}"
                 ),
                 threads = run.threads,
-                steals = run.stats.steals,
-                attempts = run.stats.steal_attempts,
-                contended = run.stats.locks_contended,
+                workers = run.stats.workers,
+                executed = run.stats.executed,
                 phases = phases,
             )
         })

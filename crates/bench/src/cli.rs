@@ -68,8 +68,8 @@ pub fn parse_backend(raw: &str) -> Backend {
 
 /// Reject flag combinations the chosen backend cannot honour. Today that
 /// is exactly one: `--threads` with the OS backend (the shard decomposition
-/// and work-stealing executor drive *simulated* engines; sharding is
-/// sim-only for now).
+/// and the batch runner drive *simulated* engines; sharding is sim-only for
+/// now).
 pub fn validate_backend(backend: Backend, threads_requested: bool) {
     assert!(
         !(backend == Backend::Os && threads_requested),

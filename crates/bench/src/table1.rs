@@ -5,9 +5,10 @@
 //! for comparison. This reproduction reports the analogous quantities for
 //! its own code: every workspace crate, implementation and test lines
 //! apart, plus the lines implementing the uTCP extensions within the TCP
-//! crate and the uTLS receiver within the TLS crate. `table1_code_size
-//! --json` emits the per-crate rows so CI can keep size as a trajectory
-//! next to speed.
+//! crate and the uTLS receiver within the TLS crate, and beside the lines
+//! the public items each crate declares — the API surface ROADMAP tracks.
+//! `table1_code_size --json` emits the per-crate rows so CI can keep size as
+//! a trajectory next to speed.
 
 use minion_simnet::Table;
 use std::path::{Path, PathBuf};
@@ -20,12 +21,22 @@ pub struct Loc {
     pub implementation: u64,
     /// Lines inside them.
     pub test: u64,
+    /// Implementation lines that declare a public item: `pub fn`, `pub
+    /// struct` and the like. Fields, `pub(crate)` items and re-exports are
+    /// not items.
+    pub public_items: u64,
 }
+
+/// What follows `pub ` on a line that declares a public item.
+const PUBLIC_ITEMS: [&str; 8] = [
+    "fn", "struct", "enum", "trait", "const", "type", "static", "mod",
+];
 
 impl std::ops::AddAssign for Loc {
     fn add_assign(&mut self, other: Loc) {
         self.implementation += other.implementation;
         self.test += other.test;
+        self.public_items += other.public_items;
     }
 }
 
@@ -49,6 +60,10 @@ pub fn count_loc(path: &Path) -> Loc {
                 loc.test += 1;
             } else {
                 loc.implementation += 1;
+                let item = code
+                    .strip_prefix("pub ")
+                    .and_then(|rest| rest.split(' ').next());
+                loc.public_items += u64::from(item.is_some_and(|kw| PUBLIC_ITEMS.contains(&kw)));
             }
         }
         if in_test && line == "}" {
@@ -150,13 +165,14 @@ pub fn run() -> Table {
     let root = workspace_root();
     let mut table = Table::new(
         "Table 1: implementation size of this reproduction (non-blank, non-comment LoC)",
-        &["component", "implementation", "tests"],
+        &["component", "implementation", "tests", "public items"],
     );
     let mut add = |name: String, loc: Loc| {
         table.add_row(vec![
             name,
             loc.implementation.to_string(),
             loc.test.to_string(),
+            loc.public_items.to_string(),
         ]);
     };
     let file_loc = |files: &[&str]| {
@@ -200,16 +216,19 @@ pub fn to_json(crates: &[CrateLoc]) -> String {
         .map(|c| {
             total += c.loc;
             format!(
-                "    {{\"crate\": \"{}\", \"path\": \"{}\", \"impl_loc\": {}, \"test_loc\": {}}}",
-                c.name, c.path, c.loc.implementation, c.loc.test
+                "    {{\"crate\": \"{}\", \"path\": \"{}\", \"impl_loc\": {}, \"test_loc\": {}, \
+                 \"public_items\": {}}}",
+                c.name, c.path, c.loc.implementation, c.loc.test, c.loc.public_items
             )
         })
         .collect();
     format!(
-        "{{\n  \"crates\": [\n{}\n  ],\n  \"total\": {{\"impl_loc\": {}, \"test_loc\": {}}}\n}}\n",
+        "{{\n  \"crates\": [\n{}\n  ],\n  \"total\": {{\"impl_loc\": {}, \"test_loc\": {}, \
+         \"public_items\": {}}}\n}}\n",
         rows.join(",\n"),
         total.implementation,
-        total.test
+        total.test,
+        total.public_items
     )
 }
 
@@ -260,17 +279,24 @@ mod tests {
             &file,
             "// comment\n\nfn main() {\n    let x = 1;\n}\n//! doc\n\
              #[cfg(test)]\nfn helper() {}\n\
-             #[cfg(test)]\nmod tests {\n    // note\n    #[test]\n    fn t() {\n    }\n}\n\
+             pub fn api() {}\npub(crate) fn internal() {}\n\
+             pub struct S {\n    pub field: u8,\n}\n\
+             #[cfg(test)]\nmod tests {\n    // note\n    #[test]\n    fn t() {\n    }\n    \
+             pub fn fixture() {}\n}\n\
              fn after() {}\n",
         )
         .unwrap();
         assert_eq!(
             count_loc(&file),
             Loc {
-                // main (3), the cfg(test) helper that is no module (2), after (1)
-                implementation: 6,
-                // attribute, mod line, #[test], fn, its brace, the module's brace
-                test: 6,
+                // main (3), the cfg(test) helper that is no module (2), api
+                // and internal (2), S with its field (3), after (1)
+                implementation: 11,
+                // attribute, mod line, #[test], fn, its brace, fixture, the
+                // module's brace
+                test: 7,
+                // api and S: not the field, the pub(crate) fn or the fixture
+                public_items: 2,
             }
         );
         std::fs::remove_dir_all(&dir).ok();

@@ -8,8 +8,8 @@
 //! pick a protocol — [`UcobsSocket`] for plain datagrams over TCP/uTCP,
 //! [`UtlsSocket`] for secure datagrams indistinguishable from HTTPS on the
 //! wire, the [`UdpShim`] where UDP works, or the conventional in-order
-//! [`TcpTlvSocket`] baseline — and get the same datagram send/receive API,
-//! unified by [`MinionTransport`].
+//! [`TcpTlvSocket`] baseline — and get the same datagram send/receive API
+//! and the same [`DatagramStats`], unified by [`MinionTransport`].
 //!
 //! All endpoints run over the simulated hosts of `minion-stack`; the same
 //! protocol state machines would sit unchanged on top of a kernel uTCP.
@@ -33,5 +33,5 @@ pub use minion_tls::FragmentStore;
 pub use negotiate::{choose_protocol, AppRequirements, PathCapabilities};
 pub use shims::{TcpTlvSocket, UdpShim};
 pub use transport::MinionTransport;
-pub use ucobs::{Datagram, UcobsSocket, UcobsStats};
-pub use utls_socket::{UtlsSocket, UtlsSocketStats};
+pub use ucobs::{Datagram, DatagramStats, UcobsSocket};
+pub use utls_socket::UtlsSocket;

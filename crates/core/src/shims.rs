@@ -1,10 +1,11 @@
 //! Thin shims giving non-Minion substrates the same datagram API (paper §3.2):
 //! a UDP shim (OS-level unordered datagrams) and a length-prefixed framing
 //! over standard TCP (the conventional in-order baseline the evaluation
-//! compares against).
+//! compares against). Both count in the same [`DatagramStats`] as the Minion
+//! protocols, so a harness reads one shape off every substrate.
 
 use crate::config::MinionConfig;
-use crate::ucobs::Datagram;
+use crate::ucobs::{Datagram, DatagramStats};
 use minion_cobs::TlvFramer;
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
@@ -13,8 +14,7 @@ use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
 pub struct UdpShim {
     handle: SocketHandle,
     remote: Option<SocketAddr>,
-    sent: u64,
-    received: u64,
+    stats: DatagramStats,
 }
 
 impl UdpShim {
@@ -25,8 +25,7 @@ impl UdpShim {
         Ok(UdpShim {
             handle,
             remote,
-            sent: 0,
-            received: 0,
+            stats: DatagramStats::default(),
         })
     }
 
@@ -35,14 +34,9 @@ impl UdpShim {
         self.handle
     }
 
-    /// Datagrams sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    /// Datagrams received so far.
-    pub fn received_count(&self) -> u64 {
-        self.received
+    /// Endpoint statistics.
+    pub fn stats(&self) -> &DatagramStats {
+        &self.stats
     }
 
     /// Set (or change) the default remote address.
@@ -54,7 +48,7 @@ impl UdpShim {
     pub fn send_datagram(&mut self, host: &mut Host, datagram: &[u8]) -> Result<(), HostError> {
         let remote = self.remote.expect("UdpShim remote not set");
         host.udp_send_to(self.handle, remote, datagram)?;
-        self.sent += 1;
+        self.stats.note_sent(datagram.len(), datagram.len());
         Ok(())
     }
 
@@ -65,13 +59,9 @@ impl UdpShim {
             if self.remote.is_none() {
                 self.remote = Some(from);
             }
-            self.received += 1;
             // UDP has no notion of stream order; datagrams simply arrive in
             // whatever order the network delivers them.
-            out.push(Datagram {
-                payload: data.to_vec(),
-                out_of_order: false,
-            });
+            out.push(self.stats.deliver(data.to_vec(), false));
         }
         out
     }
@@ -82,8 +72,7 @@ impl UdpShim {
 pub struct TcpTlvSocket {
     handle: SocketHandle,
     deframer: TlvFramer,
-    sent: u64,
-    received: u64,
+    stats: DatagramStats,
 }
 
 impl TcpTlvSocket {
@@ -123,8 +112,7 @@ impl TcpTlvSocket {
         TcpTlvSocket {
             handle,
             deframer: TlvFramer::new(),
-            sent: 0,
-            received: 0,
+            stats: DatagramStats::default(),
         }
     }
 
@@ -143,20 +131,16 @@ impl TcpTlvSocket {
         host.tcp_send_buffer_free(self.handle).unwrap_or(0)
     }
 
-    /// Datagrams sent so far.
-    pub fn sent_count(&self) -> u64 {
-        self.sent
-    }
-
-    /// Datagrams received so far.
-    pub fn received_count(&self) -> u64 {
-        self.received
+    /// Endpoint statistics.
+    pub fn stats(&self) -> &DatagramStats {
+        &self.stats
     }
 
     /// Send one datagram, length-prefixed.
     pub fn send_datagram(&mut self, host: &mut Host, datagram: &[u8]) -> Result<(), HostError> {
-        host.tcp_write(self.handle, &TlvFramer::frame(datagram))?;
-        self.sent += 1;
+        let framed = TlvFramer::frame(datagram);
+        host.tcp_write(self.handle, &framed)?;
+        self.stats.note_sent(datagram.len(), framed.len());
         Ok(())
     }
 
@@ -172,11 +156,7 @@ impl TcpTlvSocket {
         }
         let mut out = Vec::new();
         while let Some(payload) = self.deframer.pop() {
-            self.received += 1;
-            out.push(Datagram {
-                payload,
-                out_of_order: false,
-            });
+            out.push(self.stats.deliver(payload, false));
         }
         out
     }
@@ -211,8 +191,8 @@ mod tests {
         sim.run_for(SimDuration::from_millis(100));
         let got = rx.recv(sim.host_mut(b));
         assert_eq!(got.len(), 5);
-        assert_eq!(tx.sent_count(), 5);
-        assert_eq!(rx.received_count(), 5);
+        assert_eq!(tx.stats().datagrams_sent, 5);
+        assert_eq!(rx.stats().datagrams_received, 5);
         // The receiver learned the sender's address and can reply.
         rx.send_datagram(sim.host_mut(b), b"reply").unwrap();
         sim.run_for(SimDuration::from_millis(100));

@@ -2,11 +2,12 @@
 //! (paper §3.2): applications written against [`MinionTransport`] can run
 //! over uCOBS, uTLS, UDP, or the conventional TCP baseline by changing one
 //! configuration value — which is how the evaluation harness runs the same
-//! workload over each substrate.
+//! workload over each substrate, and reads the same [`DatagramStats`] off
+//! each when it is done.
 
 use crate::config::{MinionConfig, Protocol};
 use crate::shims::{TcpTlvSocket, UdpShim};
-use crate::ucobs::{Datagram, UcobsSocket};
+use crate::ucobs::{Datagram, DatagramStats, UcobsSocket};
 use crate::utls_socket::UtlsSocket;
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr};
@@ -136,6 +137,16 @@ impl MinionTransport {
         }
     }
 
+    /// Endpoint statistics, in the one shape every substrate reports.
+    pub fn stats(&self) -> &DatagramStats {
+        match self {
+            MinionTransport::Ucobs(s) => s.stats(),
+            MinionTransport::Utls(s) => s.stats(),
+            MinionTransport::Udp(s) => s.stats(),
+            MinionTransport::TcpTlv(s) => s.stats(),
+        }
+    }
+
     /// Free space in the underlying send buffer, if the transport has one
     /// (UDP reports `usize::MAX`).
     pub fn send_buffer_free(&self, host: &Host) -> usize {
@@ -151,23 +162,20 @@ impl MinionTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minion_simnet::{LinkConfig, NodeId, SimDuration};
+    use minion_simnet::{LinkConfig, LossConfig, NodeId, SimDuration};
     use minion_stack::Sim;
 
-    fn sim_pair(seed: u64) -> (Sim, NodeId, NodeId) {
-        let mut sim = Sim::new(seed);
+    /// A client on `a` and the connection `b` accepted from it, handshakes
+    /// done, over a link that loses client→server packets as `loss` says.
+    fn establish(
+        protocol: Protocol,
+        loss: LossConfig,
+    ) -> (Sim, NodeId, NodeId, MinionTransport, MinionTransport) {
+        let mut sim = Sim::new(31);
         let a = sim.add_host("a");
         let b = sim.add_host("b");
-        sim.link(
-            a,
-            b,
-            LinkConfig::new(10_000_000, SimDuration::from_millis(20)),
-        );
-        (sim, a, b)
-    }
-
-    fn exercise(protocol: Protocol) {
-        let (mut sim, a, b) = sim_pair(31);
+        let link = LinkConfig::new(10_000_000, SimDuration::from_millis(20));
+        sim.link_asymmetric(a, b, link.clone().with_loss(loss), link);
         let config = MinionConfig::default();
         MinionTransport::listen(protocol, sim.host_mut(b), 4000, &config).unwrap();
         let now = sim.now();
@@ -193,11 +201,14 @@ mod tests {
                 accepted = MinionTransport::accept(protocol, sim.host_mut(b), 4000, &config);
             }
         }
-        let mut server = accepted.expect("connection accepted");
-
+        let server = accepted.expect("connection accepted");
         assert_eq!(client.protocol(), protocol);
         assert!(client.is_established(sim.host(a)));
+        (sim, a, b, client, server)
+    }
 
+    fn exercise(protocol: Protocol) {
+        let (mut sim, a, b, mut client, mut server) = establish(protocol, LossConfig::None);
         for i in 0..10u8 {
             client.send(sim.host_mut(a), &vec![i; 300], 0).unwrap();
         }
@@ -227,5 +238,54 @@ mod tests {
     #[test]
     fn tcp_tlv_transport_carries_datagrams() {
         exercise(Protocol::TcpTlv);
+    }
+
+    #[test]
+    fn stats_count_what_recv_returned_on_every_substrate() {
+        for protocol in [
+            Protocol::Ucobs,
+            Protocol::Utls,
+            Protocol::Udp,
+            Protocol::TcpTlv,
+        ] {
+            // A dry run finds how many packets the client's handshake takes
+            // (the run repeats exactly); the real one loses the second data
+            // packet after them.
+            let (sim, a, b, ..) = establish(protocol, LossConfig::None);
+            let handshake = sim.link_stats(a, b).expect("linked").packets_sent;
+            let loss = LossConfig::Explicit {
+                indices: vec![handshake + 2],
+            };
+            let (mut sim, a, b, mut client, mut server) = establish(protocol, loss);
+            for i in 0..10u8 {
+                client.send(sim.host_mut(a), &vec![i; 1000], 0).unwrap();
+            }
+            let mut got = Vec::new();
+            for _ in 0..200 {
+                sim.run_for(SimDuration::from_millis(10));
+                got.extend(server.recv(sim.host_mut(b)));
+            }
+            assert_eq!(sim.link_stats(a, b).expect("linked").dropped_loss, 1);
+            let early = got.iter().filter(|d| d.out_of_order).count();
+
+            let rx = server.stats();
+            assert_eq!(rx.datagrams_received, got.len() as u64, "{protocol:?}");
+            assert_eq!(rx.out_of_order_received, early as u64, "{protocol:?}");
+            assert_eq!(
+                early > 0,
+                matches!(protocol, Protocol::Ucobs | Protocol::Utls),
+                "{protocol:?}: only a uTCP substrate delivers past the hole"
+            );
+            let lost = usize::from(protocol == Protocol::Udp);
+            assert_eq!(got.len(), 10 - lost, "{protocol:?}: only UDP loses it");
+            if protocol != Protocol::Ucobs {
+                assert_eq!(rx.duplicates_suppressed, 0, "{protocol:?}");
+            }
+
+            let tx = client.stats();
+            assert_eq!(tx.datagrams_sent, 10, "{protocol:?}");
+            assert_eq!(tx.payload_bytes_sent, 10_000, "{protocol:?}");
+            assert!(tx.wire_bytes_sent >= tx.payload_bytes_sent, "{protocol:?}");
+        }
     }
 }

@@ -14,6 +14,9 @@
 //! decoded payload out to the application. The scan still re-reads the whole
 //! run on every arrival behind a hole (`duplicates_suppressed` counts the
 //! records it finds again).
+//!
+//! [`Datagram`] and [`DatagramStats`] — what every socket of this crate
+//! delivers and the one shape all four count in — are defined here.
 
 use crate::config::MinionConfig;
 use minion_cobs::frame::{frame_datagram, scan_records};
@@ -33,24 +36,27 @@ pub struct Datagram {
     pub out_of_order: bool,
 }
 
-/// Counters for a uCOBS endpoint.
+/// Counters for a datagram endpoint: the one shape all four sockets report.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UcobsStats {
+pub struct DatagramStats {
     /// Datagrams submitted for transmission.
     pub datagrams_sent: u64,
     /// Application payload bytes submitted.
     pub payload_bytes_sent: u64,
-    /// Encoded bytes written to the TCP stream (payload + COBS + markers).
+    /// Bytes handed to the substrate for them: payload plus framing (COBS
+    /// and markers, TLS records and the handshake, the TLV length prefix;
+    /// a UDP datagram is its payload).
     pub wire_bytes_sent: u64,
     /// Datagrams delivered to the application.
     pub datagrams_received: u64,
     /// Datagrams delivered ahead of a stream hole.
     pub out_of_order_received: u64,
-    /// Records seen again after already being delivered (suppressed).
+    /// Records seen again after already being delivered (suppressed). Only
+    /// uCOBS re-scans what it has delivered; every other socket reads 0.
     pub duplicates_suppressed: u64,
 }
 
-impl UcobsStats {
+impl DatagramStats {
     /// Bandwidth expansion of the encoding actually observed
     /// (wire bytes / payload bytes).
     pub fn overhead_ratio(&self) -> f64 {
@@ -58,6 +64,23 @@ impl UcobsStats {
             1.0
         } else {
             self.wire_bytes_sent as f64 / self.payload_bytes_sent as f64
+        }
+    }
+
+    /// Count one datagram of `payload` bytes sent as `wire` bytes.
+    pub(crate) fn note_sent(&mut self, payload: usize, wire: usize) {
+        self.datagrams_sent += 1;
+        self.payload_bytes_sent += payload as u64;
+        self.wire_bytes_sent += wire as u64;
+    }
+
+    /// Count one delivery and wrap it for the application.
+    pub(crate) fn deliver(&mut self, payload: Vec<u8>, out_of_order: bool) -> Datagram {
+        self.datagrams_received += 1;
+        self.out_of_order_received += u64::from(out_of_order);
+        Datagram {
+            payload,
+            out_of_order,
         }
     }
 }
@@ -71,7 +94,7 @@ pub struct UcobsSocket {
     /// Stream offset below which every record has been delivered and the
     /// store has been pruned (always sits on a record-delimiting marker).
     head_floor: u64,
-    stats: UcobsStats,
+    stats: DatagramStats,
 }
 
 impl UcobsSocket {
@@ -103,7 +126,7 @@ impl UcobsSocket {
             store: FragmentStore::new(),
             delivered: BTreeSet::new(),
             head_floor: 0,
-            stats: UcobsStats::default(),
+            stats: DatagramStats::default(),
         }
     }
 
@@ -113,7 +136,7 @@ impl UcobsSocket {
     }
 
     /// Endpoint statistics.
-    pub fn stats(&self) -> &UcobsStats {
+    pub fn stats(&self) -> &DatagramStats {
         &self.stats
     }
 
@@ -139,9 +162,7 @@ impl UcobsSocket {
     ) -> Result<(), HostError> {
         let framed = frame_datagram(datagram);
         host.tcp_write_meta(self.handle, &framed, WriteMeta::with_priority(priority))?;
-        self.stats.datagrams_sent += 1;
-        self.stats.payload_bytes_sent += datagram.len() as u64;
-        self.stats.wire_bytes_sent += framed.len() as u64;
+        self.stats.note_sent(datagram.len(), framed.len());
         Ok(())
     }
 
@@ -172,14 +193,7 @@ impl UcobsSocket {
             for rec in scan_records(run, run_start == 0) {
                 last_complete_end = Some(run_start + rec.end as u64);
                 if self.delivered.insert(run_start + rec.start as u64) {
-                    self.stats.datagrams_received += 1;
-                    if !chunk.in_order {
-                        self.stats.out_of_order_received += 1;
-                    }
-                    out.push(Datagram {
-                        payload: rec.payload,
-                        out_of_order: !chunk.in_order,
-                    });
+                    out.push(self.stats.deliver(rec.payload, !chunk.in_order));
                 } else {
                     self.stats.duplicates_suppressed += 1;
                 }

@@ -13,9 +13,12 @@
 //! the receiver, which keeps the same kind of store from there on: chunks
 //! from `tcp_read` go to one store or the other, never through a copy of
 //! their own.
+//!
+//! The socket counts in the crate's one [`DatagramStats`]; its
+//! `wire_bytes_sent` includes the handshake records.
 
 use crate::config::MinionConfig;
-use crate::ucobs::Datagram;
+use crate::ucobs::{Datagram, DatagramStats};
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
 use minion_tls::{FragmentStore, TlsSession, UtlsReceiver};
@@ -23,21 +26,6 @@ use minion_tls::{FragmentStore, TlsSession, UtlsReceiver};
 /// How many record-number candidates the receiver tries on each side of its
 /// estimate.
 const PREDICTION_WINDOW: u64 = 8;
-
-/// Counters for a uTLS endpoint.
-#[derive(Clone, Debug, Default)]
-pub struct UtlsSocketStats {
-    /// Application datagrams sent.
-    pub datagrams_sent: u64,
-    /// Application payload bytes sent.
-    pub payload_bytes_sent: u64,
-    /// TLS record bytes written to the stream (including handshake).
-    pub wire_bytes_sent: u64,
-    /// Datagrams delivered to the application.
-    pub datagrams_received: u64,
-    /// Datagrams delivered out of order.
-    pub out_of_order_received: u64,
-}
 
 /// A uTLS secure datagram socket.
 pub struct UtlsSocket {
@@ -54,7 +42,7 @@ pub struct UtlsSocket {
     raw: FragmentStore,
     /// Stream offset up to which bytes have been fed to the in-order session.
     fed_offset: u64,
-    stats: UtlsSocketStats,
+    stats: DatagramStats,
 }
 
 impl UtlsSocket {
@@ -96,7 +84,7 @@ impl UtlsSocket {
                 && config.tls.suite.supports_out_of_order(),
             raw: FragmentStore::new(),
             fed_offset: 0,
-            stats: UtlsSocketStats::default(),
+            stats: DatagramStats::default(),
         }
     }
 
@@ -116,7 +104,7 @@ impl UtlsSocket {
     }
 
     /// Endpoint statistics.
-    pub fn stats(&self) -> &UtlsSocketStats {
+    pub fn stats(&self) -> &DatagramStats {
         &self.stats
     }
 
@@ -137,9 +125,7 @@ impl UtlsSocket {
             .seal_datagram(datagram)
             .map_err(|_| HostError::Tcp(minion_tcp::TcpError::NotConnected))?;
         host.tcp_write(self.handle, &wire)?;
-        self.stats.datagrams_sent += 1;
-        self.stats.payload_bytes_sent += datagram.len() as u64;
-        self.stats.wire_bytes_sent += wire.len() as u64;
+        self.stats.note_sent(datagram.len(), wire.len());
         Ok(())
     }
 
@@ -201,11 +187,7 @@ impl UtlsSocket {
                 // Stream-TLS fallback: in-order record parsing.
                 if let Ok(records) = self.session.read_datagrams() {
                     for payload in records {
-                        self.stats.datagrams_received += 1;
-                        out.push(Datagram {
-                            payload,
-                            out_of_order: false,
-                        });
+                        out.push(self.stats.deliver(payload, false));
                     }
                 }
             }
@@ -223,14 +205,7 @@ impl UtlsSocket {
         let app_start = self.session.rx_app_start_offset();
         let skip = app_start.saturating_sub(offset).min(data.len() as u64) as usize;
         for rec in receiver.on_fragment(offset.max(app_start) - app_start, &data[skip..]) {
-            self.stats.datagrams_received += 1;
-            if rec.out_of_order {
-                self.stats.out_of_order_received += 1;
-            }
-            out.push(Datagram {
-                payload: rec.payload,
-                out_of_order: rec.out_of_order,
-            });
+            out.push(self.stats.deliver(rec.payload, rec.out_of_order));
         }
     }
 }

@@ -22,12 +22,11 @@
 //! [`LoadScenario::run_sharded`] decomposes the `flows` axis into fixed
 //! [`SHARD_FLOWS`]-flow shards — each an independent
 //! [`SimTransport`] with its own link and a seed derived from
-//! `(seed, shard index)` — and executes them on the `minion-exec`
-//! work-stealing executor, merging the per-shard
-//! [`LoadReport`]s **by shard index**. The decomposition is a property of
-//! the scenario (flow count), never of the thread count, so the merged
-//! report is byte-identical at any `threads` value; threads only decide how
-//! many shards run concurrently.
+//! `(seed, shard index)` — and runs them as one `minion-exec` batch,
+//! merging the per-shard [`LoadReport`]s **by shard index**. The
+//! decomposition is a property of the scenario (flow count), never of the
+//! thread count, so the merged report is byte-identical at any `threads`
+//! value; threads only decide how many shards run concurrently.
 
 use crate::metrics::{EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 use crate::obs::{
@@ -615,11 +614,11 @@ impl LoadScenario {
     ///
     /// Byte-identical at any `threads` value: the shard decomposition and
     /// every shard's seed are fixed by the scenario, each shard runs in its
-    /// own deterministic [`SimTransport`], and the executor's
-    /// ordered collection commits shard reports in shard order. Note the sharded model gives
-    /// each shard its own bottleneck link — cross-shard congestion coupling
-    /// is deliberately out of scope (each shard is the unit of fidelity),
-    /// so a sharded report is not comparable to an unsharded
+    /// own deterministic [`SimTransport`], and the executor hands the shard
+    /// reports back in shard order. Note the sharded model gives each shard
+    /// its own bottleneck link — cross-shard congestion coupling is
+    /// deliberately out of scope (each shard is the unit of fidelity), so a
+    /// sharded report is not comparable to an unsharded
     /// [`LoadScenario::run`] of the same flow count.
     pub fn run_sharded(&self, threads: usize) -> LoadReport {
         let shards: Vec<LoadScenario> = (0..self.shard_count()).map(|s| self.shard(s)).collect();

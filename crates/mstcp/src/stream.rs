@@ -110,7 +110,7 @@ impl MsTcpConnection {
     }
 
     /// Statistics of the underlying uCOBS endpoint.
-    pub fn transport_stats(&self) -> &minion_core::UcobsStats {
+    pub fn transport_stats(&self) -> &minion_core::DatagramStats {
         self.transport.stats()
     }
 

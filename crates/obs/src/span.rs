@@ -1,8 +1,8 @@
 //! Span-style phase profiling: where did the wall clock go?
 //!
 //! A [`PhaseProfile`] is a fixed-slot registry of `(nanos, entries)` pairs —
-//! one slot per named phase of a loop (engine dispatch, exec steal/park,
-//! osnet `epoll_wait` batches). Callers bracket the phase with
+//! one slot per named phase of a loop (engine dispatch, time inside exec
+//! jobs, osnet `epoll_wait` batches). Callers bracket the phase with
 //! [`std::time::Instant`] and feed the elapsed nanoseconds in; the profile
 //! surfaces per-phase totals and milli-percent shares.
 //!

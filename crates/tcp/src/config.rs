@@ -55,9 +55,6 @@ pub struct TcpConfig {
     pub send_buffer: usize,
     /// Receive buffer capacity in bytes (advertised window ceiling).
     pub recv_buffer: usize,
-    /// Whether Nagle's algorithm is enabled. The paper disables it for all
-    /// experiments.
-    pub nagle: bool,
     /// Whether delayed ACKs are enabled.
     pub delayed_ack: bool,
     /// Delayed-ACK timeout.
@@ -91,7 +88,6 @@ impl Default for TcpConfig {
             mss: 1448,
             send_buffer: 256 * 1024,
             recv_buffer: 256 * 1024,
-            nagle: false,
             delayed_ack: true,
             delayed_ack_timeout: SimDuration::from_millis(40),
             initial_cwnd_segments: 3,
@@ -106,8 +102,10 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// A configuration matching the paper's testbed defaults (Nagle disabled,
-    /// low-latency path, 1448-byte MSS).
+    /// A configuration matching the paper's testbed defaults (low-latency
+    /// path, 1448-byte MSS). The paper disables Nagle for every experiment,
+    /// so this stack has no such algorithm to switch: a short segment is sent
+    /// as soon as the window allows.
     pub fn paper_default() -> Self {
         TcpConfig::default()
     }
@@ -123,12 +121,6 @@ impl TcpConfig {
     pub fn with_buffers(mut self, send: usize, recv: usize) -> Self {
         self.send_buffer = send;
         self.recv_buffer = recv;
-        self
-    }
-
-    /// Enable or disable Nagle's algorithm.
-    pub fn with_nagle(mut self, enabled: bool) -> Self {
-        self.nagle = enabled;
         self
     }
 
@@ -252,7 +244,6 @@ mod tests {
     fn defaults_match_paper_testbed() {
         let c = TcpConfig::paper_default();
         assert_eq!(c.mss, 1448);
-        assert!(!c.nagle, "paper disables Nagle");
         assert_eq!(c.cc, CcAlgorithm::NewReno);
     }
 
@@ -261,7 +252,6 @@ mod tests {
         let c = TcpConfig::default()
             .with_mss(536)
             .with_buffers(1024, 2048)
-            .with_nagle(true)
             .with_delayed_ack(false)
             .with_cc(CcAlgorithm::None)
             .with_fixed_isn(7)
@@ -270,7 +260,6 @@ mod tests {
         assert_eq!(c.mss, 536);
         assert_eq!(c.send_buffer, 1024);
         assert_eq!(c.recv_buffer, 2048);
-        assert!(c.nagle);
         assert!(!c.delayed_ack);
         assert_eq!(c.cc, CcAlgorithm::None);
         assert_eq!(c.fixed_isn, Some(7));

@@ -1134,10 +1134,6 @@ impl TcpConnection {
             if flight > 0 && flight + charge > effective_window {
                 break;
             }
-            // Nagle: hold back a short segment while data is outstanding.
-            if self.config.nagle && data.len() < mss && flight > 0 && !self.close_requested {
-                break;
-            }
             let end = next + data.len() as u64;
             let seg = self.make_data_segment(next, data, false);
             out.push(seg);

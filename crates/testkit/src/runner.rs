@@ -1,9 +1,14 @@
 //! Cell execution: drive one protocol across one generated world, collect a
 //! [`CellReport`], and assert the paper's invariants.
+//!
+//! Two drivers: `run_datagrams` sends and collects datagrams over
+//! `core::MinionTransport`, whichever of uCOBS and uTLS the cell names, and
+//! `run_mstcp` drives msTCP's streams. A matrix is one `minion-exec` batch
+//! of cells.
 
 use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
 use crate::world::build_world;
-use minion_core::{MinionConfig, UcobsSocket, UtlsSocket};
+use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_mstcp::{MsTcpConnection, StreamId};
 use minion_simnet::SimDuration;
 use minion_stack::SocketAddr;
@@ -102,7 +107,7 @@ struct Delivery {
     time_us: u64,
 }
 
-/// Shared bookkeeping across the three protocol drivers.
+/// Shared bookkeeping across the two drivers.
 struct Collected {
     deliveries: Vec<Delivery>,
     out_of_order: u64,
@@ -128,102 +133,60 @@ const ESTABLISH_DEADLINE: SimDuration = SimDuration::from_secs(20);
 const TRANSFER_DEADLINE: SimDuration = SimDuration::from_secs(120);
 const PUMP_STEP: SimDuration = SimDuration::from_millis(25);
 
-fn run_ucobs(spec: &CellSpec) -> Collected {
+/// Drive a datagram protocol — uCOBS or uTLS — across the cell's world
+/// through the one transport type both hide behind.
+fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     let mut world = build_world(spec);
     let (sender_cfg, receiver_cfg) = configs(spec);
     let port = 9000;
-    UcobsSocket::listen(world.sim.host_mut(world.receiver), port, &receiver_cfg).unwrap();
+    let (sender, receiver) = (world.sender, world.receiver);
+    MinionTransport::listen(protocol, world.sim.host_mut(receiver), port, &receiver_cfg).unwrap();
     let now = world.sim.now();
-    let mut tx = UcobsSocket::connect(
-        world.sim.host_mut(world.sender),
-        SocketAddr::new(world.receiver, port),
+    let mut tx = MinionTransport::connect(
+        protocol,
+        world.sim.host_mut(sender),
+        SocketAddr::new(receiver, port),
         &sender_cfg,
         now,
-    );
+    )
+    .unwrap();
     let establish_deadline = world.sim.now() + ESTABLISH_DEADLINE;
     let mut rx = loop {
         world.sim.run_for(PUMP_STEP);
-        if let Some(rx) = UcobsSocket::accept(world.sim.host_mut(world.receiver), port) {
+        if let Some(rx) =
+            MinionTransport::accept(protocol, world.sim.host_mut(receiver), port, &receiver_cfg)
+        {
             break rx;
         }
         assert!(
             world.sim.now() < establish_deadline,
-            "[{}] uCOBS connection never established",
+            "[{}] {protocol:?} connection never established",
             spec.label()
         );
     };
-    for i in 0..spec.datagrams {
-        tx.send_datagram(world.sim.host_mut(world.sender), &cell_payload(spec, i))
-            .unwrap();
-    }
-    let mut deliveries = Vec::new();
-    let deadline = world.sim.now() + TRANSFER_DEADLINE;
-    while deliveries.len() < spec.datagrams && world.sim.now() < deadline {
-        world.sim.run_for(PUMP_STEP);
-        let now_us = world.sim.now().as_micros();
-        for d in rx.recv(world.sim.host_mut(world.receiver)) {
-            deliveries.push(Delivery {
-                payload: d.payload,
-                time_us: now_us,
-            });
-        }
-    }
-    let stats = rx.stats().clone();
-    let (middlebox_splits, middlebox_coalesces) = middlebox_counters(&world);
-    Collected {
-        deliveries,
-        out_of_order: stats.out_of_order_received,
-        duplicates_suppressed: stats.duplicates_suppressed,
-        mac_rejected_candidates: 0,
-        wire_bytes_sent: tx.stats().wire_bytes_sent,
-        middlebox_splits,
-        middlebox_coalesces,
-    }
-}
-
-fn run_utls(spec: &CellSpec) -> Collected {
-    let mut world = build_world(spec);
-    let (sender_cfg, receiver_cfg) = configs(spec);
-    let port = 443;
-    UtlsSocket::listen(world.sim.host_mut(world.receiver), port, &receiver_cfg).unwrap();
-    let now = world.sim.now();
-    let mut tx = UtlsSocket::connect(
-        world.sim.host_mut(world.sender),
-        SocketAddr::new(world.receiver, port),
-        &sender_cfg,
-        now,
-    );
-    let establish_deadline = world.sim.now() + ESTABLISH_DEADLINE;
-    let mut rx: Option<UtlsSocket> = None;
-    // Pump the handshake: the server consumes the hello and responds, the
-    // client consumes the response.
-    loop {
-        world.sim.run_for(PUMP_STEP);
-        if rx.is_none() {
-            rx = UtlsSocket::accept(world.sim.host_mut(world.receiver), port, &receiver_cfg);
-        }
-        if let Some(rx) = rx.as_mut() {
-            let _ = rx.recv(world.sim.host_mut(world.receiver));
-            let _ = tx.recv(world.sim.host_mut(world.sender));
-            if rx.is_established() && tx.is_established() {
+    // uCOBS sends as soon as the connection is accepted: its writes queue
+    // behind TCP's handshake. uTLS can seal nothing before its keys exist,
+    // so both ends pump its handshake first (the server consumes the hello
+    // and responds, the client consumes the response).
+    if protocol == Protocol::Utls {
+        loop {
+            let _ = rx.recv(world.sim.host_mut(receiver));
+            let _ = tx.recv(world.sim.host_mut(sender));
+            if rx.is_established(world.sim.host(receiver))
+                && tx.is_established(world.sim.host(sender))
+            {
                 break;
             }
+            assert!(
+                world.sim.now() < establish_deadline,
+                "[{}] uTLS handshake never completed",
+                spec.label()
+            );
+            world.sim.run_for(PUMP_STEP);
         }
-        assert!(
-            world.sim.now() < establish_deadline,
-            "[{}] uTLS handshake never completed",
-            spec.label()
-        );
     }
-    let mut rx = rx.expect("accepted above");
-    assert_eq!(
-        rx.out_of_order_active(),
-        spec.receiver_stack == StackMode::Utcp,
-        "[{}] uTLS out-of-order mode must track the receiver's uTCP support",
-        spec.label()
-    );
     for i in 0..spec.datagrams {
-        tx.send_datagram(world.sim.host_mut(world.sender), &cell_payload(spec, i))
+        tx.send_datagram(world.sim.host_mut(sender), &cell_payload(spec, i))
             .unwrap();
     }
     let mut deliveries = Vec::new();
@@ -231,23 +194,31 @@ fn run_utls(spec: &CellSpec) -> Collected {
     while deliveries.len() < spec.datagrams && world.sim.now() < deadline {
         world.sim.run_for(PUMP_STEP);
         let now_us = world.sim.now().as_micros();
-        for d in rx.recv(world.sim.host_mut(world.receiver)) {
+        for d in rx.recv(world.sim.host_mut(receiver)) {
             deliveries.push(Delivery {
                 payload: d.payload,
                 time_us: now_us,
             });
         }
     }
-    let stats = rx.stats().clone();
+    let mac_rejected_candidates = match &rx {
+        MinionTransport::Utls(rx) => {
+            assert_eq!(
+                rx.out_of_order_active(),
+                spec.receiver_stack == StackMode::Utcp,
+                "[{}] uTLS out-of-order mode must track the receiver's uTCP support",
+                spec.label()
+            );
+            rx.receiver_stats().map_or(0, |s| s.rejected_candidates)
+        }
+        _ => 0,
+    };
     let (middlebox_splits, middlebox_coalesces) = middlebox_counters(&world);
     Collected {
         deliveries,
-        out_of_order: stats.out_of_order_received,
-        duplicates_suppressed: 0,
-        mac_rejected_candidates: rx
-            .receiver_stats()
-            .map(|s| s.rejected_candidates)
-            .unwrap_or(0),
+        out_of_order: rx.stats().out_of_order_received,
+        duplicates_suppressed: rx.stats().duplicates_suppressed,
+        mac_rejected_candidates,
         wire_bytes_sent: tx.stats().wire_bytes_sent,
         middlebox_splits,
         middlebox_coalesces,
@@ -355,8 +326,8 @@ pub fn run_cell(spec: &CellSpec) -> CellReport {
         return crate::load::run_load_cell(spec);
     }
     let collected = match spec.protocol {
-        PayloadProtocol::Ucobs => run_ucobs(spec),
-        PayloadProtocol::Utls => run_utls(spec),
+        PayloadProtocol::Ucobs => run_datagrams(spec, Protocol::Ucobs),
+        PayloadProtocol::Utls => run_datagrams(spec, Protocol::Utls),
         PayloadProtocol::MsTcp => run_mstcp(spec),
     };
     let label = spec.label();
@@ -470,32 +441,14 @@ pub fn verify_cell(spec: &CellSpec) -> CellReport {
     first
 }
 
-/// The sweep's default worker count: the `MINION_THREADS` environment
-/// variable if set to a positive integer, else 1 (serial). This is the
-/// `threads` knob for test invocations (e.g. `MINION_THREADS=4 cargo test
-/// --test scenario_matrix`); surfaces that sweep thread counts — the
-/// `sweep_matrix --threads` bench CI diffs, `tests/parallel_sweep.rs` —
-/// pass explicit values instead.
-pub fn default_threads() -> usize {
-    std::env::var("MINION_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
 /// Verify every cell of a matrix; returns one report per cell, in cell
-/// order. Runs on [`default_threads`] workers — every cell owns its seeded
-/// world, and reports are committed in cell order by the executor's ordered
-/// collection, so the output is byte-identical at any thread count.
+/// order. Cells are the jobs of one `minion-exec` batch on
+/// [`minion_exec::available_threads`] workers — every cell owns its seeded
+/// world and results come back in cell order, so the output is
+/// byte-identical at any thread count and the count is nothing to configure.
 pub fn run_matrix(cells: &[CellSpec]) -> Vec<CellReport> {
-    run_matrix_threads(cells, default_threads())
-}
-
-/// [`run_matrix`] on an explicit worker count: cells are the jobs of a
-/// `minion-exec` work-stealing batch (each still verified by two runs).
-pub fn run_matrix_threads(cells: &[CellSpec], threads: usize) -> Vec<CellReport> {
-    minion_exec::Executor::new(threads).run(cells.to_vec(), |_, cell| verify_cell(&cell))
+    minion_exec::Executor::new(minion_exec::available_threads())
+        .run(cells.to_vec(), |_, cell| verify_cell(&cell))
 }
 
 /// Run every cell **once** (no per-cell two-run verification) on `threads`
@@ -507,10 +460,9 @@ pub fn run_matrix_once(cells: &[CellSpec], threads: usize) -> Vec<CellReport> {
     run_matrix_once_with_stats(cells, threads).0
 }
 
-/// [`run_matrix_once`], also returning the executor's batch stats (steals,
-/// lock contention, per-worker run/steal/park profile) — the sweep bench's
-/// scheduling observability. The stats are wall-clock and never part of
-/// the byte-identity gates; the reports are unchanged.
+/// [`run_matrix_once`], also returning the batch's stats (jobs per worker,
+/// time inside jobs) for the sweep bench. The stats are wall-clock and
+/// never part of the byte-identity gates; the reports are unchanged.
 pub fn run_matrix_once_with_stats(
     cells: &[CellSpec],
     threads: usize,

@@ -337,6 +337,11 @@ impl TlsSession {
                 .skip(RECORD_HEADER_LEN)
                 .collect();
             let rx = self.rx.as_mut().expect("established");
+            // The MAC covers the negotiated version, not the header's two
+            // bytes: compare them here, where TLS sends `protocol_version`.
+            if header.version != rx.version() {
+                return Err(TlsError::BadRecord);
+            }
             let plain = rx
                 .open(self.rx_record_number, &header, &body)
                 .map_err(|_| TlsError::BadRecord)?;
@@ -425,6 +430,17 @@ mod tests {
         // The handshake itself completes (nonces are public), but the derived
         // keys differ, so the first protected record fails to authenticate.
         let wire = client.seal_datagram(b"secret message").unwrap();
+        server.push_incoming(&wire).unwrap();
+        assert_eq!(server.read_datagrams(), Err(TlsError::BadRecord));
+    }
+
+    #[test]
+    fn a_record_of_another_version_is_a_bad_record() {
+        let (mut client, mut server) = handshake(CipherSuite::Aes128CbcExplicitIv);
+        let mut wire = client.seal_datagram(b"intact but for its header").unwrap();
+        // The MAC is computed over the negotiated version, so it still
+        // verifies: only the header compare can see this change.
+        wire[1] ^= 0x01;
         server.push_incoming(&wire).unwrap();
         assert_eq!(server.read_datagrams(), Err(TlsError::BadRecord));
     }

@@ -171,7 +171,12 @@ impl UtlsReceiver {
             let body = &slice[RECORD_HEADER_LEN..wire_len];
             // An in-order record that fails its MAC is a genuine protocol
             // error in TLS; surface nothing and stop (the owning endpoint
-            // decides whether to abort).
+            // decides whether to abort). So is one whose header carries
+            // another version: the MAC covers the negotiated version, not
+            // the header's two bytes, so only this compare sees them change.
+            if header.version != self.protection.version() {
+                return;
+            }
             let Ok(payload) = self.protection.open(record_number, &header, body) else {
                 return;
             };
@@ -488,6 +493,19 @@ mod tests {
         let recs = rx.on_fragment(ranges[2].0, &corrupted);
         assert!(recs.is_empty());
         assert!(rx.stats().rejected_candidates > 0);
+    }
+
+    #[test]
+    fn a_flipped_version_byte_stops_in_order_delivery_at_that_record() {
+        let (mut tx, mut rx) = sender_and_receiver(4);
+        let (mut stream, ranges, payloads) = build_stream(&mut tx, &[100, 200, 300]);
+        // The MAC is computed over the negotiated version, so it still
+        // verifies: only the header compare can see this change.
+        stream[ranges[1].0 as usize + 2] ^= 0x01;
+        let got = rx.on_fragment(0, &stream);
+        assert_eq!(got.len(), 1, "nothing at or past the damaged record");
+        assert_eq!(got[0].payload, payloads[0]);
+        assert_eq!(rx.in_order_offset(), ranges[1].0);
     }
 
     #[test]

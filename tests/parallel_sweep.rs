@@ -1,7 +1,7 @@
 //! The parallel-sweep determinism gates (see `minion_exec`): the full
 //! scenario matrix and the 1024-flow load scenario must produce
-//! byte-identical reports at `threads ∈ {1, 2, 8}` — work-stealing
-//! parallelism may change wall-clock and scheduling, never a result.
+//! byte-identical reports at `threads ∈ {1, 2, 8}` — parallelism may change
+//! wall-clock and which worker runs what, never a result.
 
 use minion_repro::engine::LoadScenario;
 use minion_repro::testkit::{run_matrix_once, summarize, CcAlgorithm, MatrixSpec};

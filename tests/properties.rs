@@ -3,6 +3,7 @@
 use minion_repro::cobs;
 use minion_repro::core::FragmentStore;
 use minion_repro::crypto;
+use minion_repro::exec::Executor;
 use minion_repro::tcp::{SackBlock, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use minion_repro::tls::{
     CipherSuite, RecordProtection, UtlsReceiver, UtlsRecord, CONTENT_APPLICATION_DATA,
@@ -196,14 +197,13 @@ proptest! {
             );
         }
 
-        // Flip one bit of one record. Anywhere but the header's two version
-        // bytes: the MAC takes the version from the negotiated state, not
-        // from the wire, and the in-order path does not look at them.
+        // Flip one bit of one record, anywhere in it. (The header's two
+        // version bytes are the ones no MAC covers: the receiver compares
+        // them with the negotiated version itself.)
         let victim = (flip >> 32) as usize % sent.len();
         let wire_start = sent[victim].0 as usize;
         let wire_end = sent.get(victim + 1).map_or(stream.len(), |next| next.0 as usize);
-        let within = (flip >> 3) as usize % (wire_end - wire_start - 2);
-        let at = wire_start + if within == 0 { 0 } else { within + 2 };
+        let at = wire_start + (flip >> 3) as usize % (wire_end - wire_start);
         let mut hostile = stream.clone();
         hostile[at] ^= 1 << (flip & 7);
 
@@ -216,6 +216,25 @@ proptest! {
             prop_assert!(n < victim || r.out_of_order, "record {} in order past the flip", n);
         }
         prop_assert!((0..victim).all(|n| seen.contains(&n)), "a record before the flip is missing");
+    }
+
+    /// The batch runner is the serial map whatever the worker count and
+    /// however uneven the jobs: results in submission order, never more
+    /// workers than jobs, every job run once.
+    #[test]
+    fn executor_output_is_the_serial_map(
+        units in proptest::collection::vec(0u64..40, 0..41),
+        threads in 0usize..9,
+    ) {
+        let job = |i: usize, units: u64| {
+            (0..units * 200).fold(i as u64, |h, x| (h ^ x).wrapping_mul(0x0100_0000_01b3))
+        };
+        let serial: Vec<u64> = units.iter().enumerate().map(|(i, &u)| job(i, u)).collect();
+        let (out, stats) = Executor::new(threads).run_with_stats(units.clone(), job);
+        prop_assert_eq!(out, serial);
+        prop_assert_eq!(stats.workers, threads.clamp(1, units.len().max(1)));
+        prop_assert_eq!(stats.executed.len(), stats.workers);
+        prop_assert_eq!(stats.executed.iter().sum::<u64>(), units.len() as u64);
     }
 
     /// SHA-256 and HMAC are deterministic and input-sensitive.
