@@ -50,11 +50,6 @@ impl BulkSender {
         self.written
     }
 
-    /// Whether all bytes have been handed to the socket.
-    pub fn finished_writing(&self) -> bool {
-        self.written >= self.total_bytes
-    }
-
     /// Top up the send buffer. Call this every tick.
     pub fn pump(&mut self, host: &mut Host) {
         if !host.tcp_established(self.handle).unwrap_or(false) {
@@ -103,16 +98,6 @@ impl BulkSink {
     /// Total payload bytes delivered to the application so far.
     pub fn received(&self) -> u64 {
         self.received
-    }
-
-    /// Time the first byte was delivered.
-    pub fn first_byte_at(&self) -> Option<SimTime> {
-        self.first_byte_at
-    }
-
-    /// Time the most recent byte was delivered.
-    pub fn last_byte_at(&self) -> Option<SimTime> {
-        self.last_byte_at
     }
 
     /// Application-level goodput in bits per second between first and last
@@ -260,7 +245,7 @@ mod tests {
                 break;
             }
         }
-        assert!(sender.finished_writing());
+        assert_eq!(sender.written(), 2_000_000);
         assert_eq!(sink.received(), 2_000_000);
         let goodput = sink.goodput_bps();
         assert!(

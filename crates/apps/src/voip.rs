@@ -37,22 +37,9 @@ impl Default for VoipSourceConfig {
 }
 
 impl VoipSourceConfig {
-    /// The paper's 4-minute call.
-    pub fn four_minute_call() -> Self {
-        VoipSourceConfig {
-            duration: SimDuration::from_secs(240),
-            ..Default::default()
-        }
-    }
-
     /// Number of frames the source will emit.
-    pub fn total_frames(&self) -> u64 {
+    fn total_frames(&self) -> u64 {
         self.duration.as_micros() / self.frame_interval.as_micros()
-    }
-
-    /// Average bit-rate of the source in bits per second.
-    pub fn bitrate_bps(&self) -> u64 {
-        (self.frame_size as u64 * 8 * 1_000_000) / self.frame_interval.as_micros()
     }
 }
 
@@ -75,7 +62,7 @@ impl VoipSource {
     }
 
     /// The time the next frame should be sent, or `None` when the call ends.
-    pub fn next_send_time(&self) -> Option<SimTime> {
+    fn next_send_time(&self) -> Option<SimTime> {
         if self.next_frame >= self.config.total_frames() {
             return None;
         }
@@ -99,11 +86,6 @@ impl VoipSource {
             *b = ((number as usize + i) % 251) as u8;
         }
         Some((number, payload))
-    }
-
-    /// Frame number scheduled for transmission at `time`.
-    pub fn frame_send_time(&self, frame: u64) -> SimTime {
-        self.start + self.config.frame_interval.saturating_mul(frame)
     }
 
     /// Source configuration.
@@ -184,11 +166,6 @@ impl VoipReceiver {
             .add(now.saturating_since(sent).as_millis_f64());
     }
 
-    /// Number of frames received so far.
-    pub fn frames_received(&self) -> usize {
-        self.arrivals.iter().filter(|a| a.is_some()).count()
-    }
-
     /// Whether a frame made its playout deadline.
     fn made_deadline(&self, frame: usize) -> bool {
         let sent = self.source_start + self.config.frame_interval.saturating_mul(frame as u64);
@@ -257,7 +234,7 @@ impl VoipReceiver {
 /// loss rate; bursty loss is penalised more than scattered loss (codecs can
 /// interpolate over isolated losses but not blackouts). R is then mapped to
 /// the 1–4.5 MOS scale.
-pub fn estimate_mos(frame_ok: &[bool]) -> f64 {
+fn estimate_mos(frame_ok: &[bool]) -> f64 {
     if frame_ok.is_empty() {
         return 4.4;
     }
@@ -315,7 +292,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(cfg.total_frames(), 50);
-        assert_eq!(cfg.bitrate_bps(), 256_000);
         let mut src = VoipSource::new(cfg, SimTime::ZERO);
         assert!(src.poll(SimTime::ZERO).is_some());
         // The next frame is not due yet.
@@ -338,23 +314,22 @@ mod tests {
             duration: SimDuration::from_secs(1),
             ..Default::default()
         };
-        let src = VoipSource::new(cfg.clone(), SimTime::ZERO);
+        let sent_at = |n: u64| SimTime::ZERO + cfg.frame_interval.saturating_mul(n);
         let mut rx = VoipReceiver::new(cfg.clone(), SimDuration::from_millis(200), SimTime::ZERO);
         // Frames 0..40 arrive 50 ms after sending; frames 40..45 arrive 500 ms
         // late (missing the 200 ms playout deadline); 45..50 never arrive.
         for n in 0..40u64 {
-            let sent = src.frame_send_time(n);
+            let sent = sent_at(n);
             let mut payload = vec![0u8; 640];
             payload[..8].copy_from_slice(&n.to_be_bytes());
             rx.on_frame(&payload, sent + SimDuration::from_millis(50));
         }
         for n in 40..45u64 {
-            let sent = src.frame_send_time(n);
+            let sent = sent_at(n);
             let mut payload = vec![0u8; 640];
             payload[..8].copy_from_slice(&n.to_be_bytes());
             rx.on_frame(&payload, sent + SimDuration::from_millis(500));
         }
-        assert_eq!(rx.frames_received(), 45);
         let report = rx.report(SimDuration::from_secs(2));
         assert_eq!(report.miss_fraction, 10.0 / 50.0);
         // The ten misses are consecutive: one burst of length 10.
@@ -374,7 +349,9 @@ mod tests {
         rx.on_frame(&payload, SimTime::from_millis(70));
         rx.on_frame(&payload, SimTime::from_millis(90));
         rx.on_frame(&[1, 2, 3], SimTime::from_millis(95));
-        assert_eq!(rx.frames_received(), 1);
+        // One frame counted, at its first arrival: sent at 60 ms, heard at 70.
+        let report = rx.report(SimDuration::from_secs(2));
+        assert_eq!(report.latencies_ms.samples(), [10.0]);
     }
 
     #[test]

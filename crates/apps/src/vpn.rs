@@ -21,18 +21,14 @@ use minion_tcp::{SocketOptions, TcpConfig, TcpConnection, TcpSegment, WriteMeta}
 use std::collections::BTreeMap;
 
 /// Priority used for tunneled pure ACKs when ACK prioritisation is on.
-pub const ACK_PRIORITY: u32 = 7;
+const ACK_PRIORITY: u32 = 7;
 
 /// What one gateway does for a given inner flow.
 enum InnerRole {
     /// This gateway's inner endpoint sends `total` bytes.
     Source { total: u64, written: u64 },
     /// This gateway's inner endpoint receives and counts bytes.
-    Sink {
-        received: u64,
-        first_byte: Option<SimTime>,
-        last_byte: Option<SimTime>,
-    },
+    Sink { received: u64 },
 }
 
 struct InnerFlow {
@@ -130,11 +126,7 @@ impl TunnelGateway {
             flow_id,
             InnerFlow {
                 conn,
-                role: InnerRole::Sink {
-                    received: 0,
-                    first_byte: None,
-                    last_byte: None,
-                },
+                role: InnerRole::Sink { received: 0 },
             },
         );
     }
@@ -143,31 +135,9 @@ impl TunnelGateway {
     /// source flows or unknown ids).
     pub fn sink_received(&self, flow_id: u32) -> u64 {
         match self.flows.get(&flow_id).map(|f| &f.role) {
-            Some(InnerRole::Sink { received, .. }) => *received,
+            Some(InnerRole::Sink { received }) => *received,
             _ => 0,
         }
-    }
-
-    /// Goodput of a sink flow in bits per second between its first and last
-    /// delivered byte.
-    pub fn sink_goodput_bps(&self, flow_id: u32) -> f64 {
-        match self.flows.get(&flow_id).map(|f| &f.role) {
-            Some(InnerRole::Sink {
-                received,
-                first_byte: Some(f),
-                last_byte: Some(l),
-                ..
-            }) if l > f => *received as f64 * 8.0 / (*l - *f).as_secs_f64(),
-            _ => 0.0,
-        }
-    }
-
-    /// Whether a source flow has handed all its bytes to the inner connection.
-    pub fn source_finished(&self, flow_id: u32) -> bool {
-        matches!(
-            self.flows.get(&flow_id).map(|f| &f.role),
-            Some(InnerRole::Source { total, written }) if written >= total
-        )
     }
 
     /// Drive the gateway: decapsulate arriving tunnel datagrams, run the inner
@@ -205,16 +175,8 @@ impl TunnelGateway {
                         }
                     }
                 }
-                InnerRole::Sink {
-                    received,
-                    first_byte,
-                    last_byte,
-                } => {
+                InnerRole::Sink { received } => {
                     while let Some(chunk) = flow.conn.read() {
-                        if first_byte.is_none() {
-                            *first_byte = Some(now);
-                        }
-                        *last_byte = Some(now);
                         *received += chunk.len() as u64;
                     }
                 }
@@ -238,14 +200,6 @@ impl TunnelGateway {
                 self.datagrams_sent += 1;
             }
         }
-    }
-
-    /// The earliest inner-connection timer (so callers can pick a tick rate).
-    pub fn next_inner_timer(&self) -> Option<SimTime> {
-        self.flows
-            .values()
-            .filter_map(|f| f.conn.next_timer())
-            .min()
     }
 }
 
@@ -325,12 +279,6 @@ mod tests {
             cg.sink_received(1),
             300_000,
             "entire download delivered through the tunnel"
-        );
-        assert!(sg.source_finished(1));
-        let goodput = cg.sink_goodput_bps(1);
-        assert!(
-            goodput > 500_000.0,
-            "download goodput should use a good share of the 3 Mbps link: {goodput}"
         );
         assert!(cg.datagrams_received > 0 && sg.datagrams_received > 0);
     }

@@ -25,7 +25,7 @@ pub struct ThroughputSample {
 }
 
 /// Run one transfer and return goodput in Mbps.
-pub fn run_bulk_transfer(
+fn run_bulk_transfer(
     message_size: usize,
     total_bytes: u64,
     options: SocketOptions,

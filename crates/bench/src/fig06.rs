@@ -33,19 +33,12 @@ pub struct CpuSample {
     pub bytes_delivered: u64,
 }
 
-impl CpuSample {
-    /// Total cost attributed to one endpoint pair.
-    pub fn total_seconds(&self) -> f64 {
-        self.sender_app_seconds + self.receiver_app_seconds + self.stack_seconds
-    }
-}
-
 /// Transfer `total_bytes` of `datagram_size`-byte datagrams over the given
 /// protocol at the given loss rate, measuring where the time goes. `config`
 /// picks the bar: [`MinionConfig::default`] for the unordered variants,
 /// [`MinionConfig::without_utcp`] for "COBS over standard TCP", "stream TLS"
 /// and the raw-TCP baseline.
-pub fn run_transfer(
+fn run_transfer(
     protocol: Protocol,
     config: &MinionConfig,
     loss_rate: f64,
@@ -216,7 +209,7 @@ mod tests {
             3,
         );
         assert_eq!(s.bytes_delivered, 120_000);
-        assert!(s.total_seconds() > 0.0);
+        assert!(s.sender_app_seconds + s.receiver_app_seconds + s.stack_seconds > 0.0);
         let ordered = MinionConfig::without_utcp();
         for protocol in [Protocol::TcpTlv, Protocol::Utls] {
             let t = run_transfer(protocol, &ordered, 0.01, 120_000, 1200, 3);

@@ -21,7 +21,7 @@ pub struct PriorityDelays {
 
 /// Run the prioritization experiment over uCOBS, with or without uTCP's
 /// send-side extension.
-pub fn run_priority_experiment(
+fn run_priority_experiment(
     use_utcp: bool,
     messages: usize,
     message_size: usize,

@@ -6,11 +6,13 @@
 //! its own code: every workspace crate, implementation and test lines
 //! apart, plus the lines implementing the uTCP extensions within the TCP
 //! crate and the uTLS receiver within the TLS crate, and beside the lines
-//! the public items each crate declares — the API surface ROADMAP tracks.
+//! the public items each crate declares — the API surface ROADMAP tracks —
+//! and which of them nothing but their own file's tests call.
 //! `table1_code_size --json` emits the per-crate rows so CI can keep size as
 //! a trajectory next to speed.
 
 use minion_simnet::Table;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Non-blank, non-comment lines of Rust, split into implementation and
@@ -27,7 +29,8 @@ pub struct Loc {
     pub public_items: u64,
 }
 
-/// What follows `pub ` on a line that declares a public item.
+/// What follows `pub ` on a line that declares a public item. The unused
+/// scan looks at the first six: a `static` or a `mod` has no caller to find.
 const PUBLIC_ITEMS: [&str; 8] = [
     "fn", "struct", "enum", "trait", "const", "type", "static", "mod",
 ];
@@ -40,14 +43,12 @@ impl std::ops::AddAssign for Loc {
     }
 }
 
-/// Count the lines of one Rust file. A `#[cfg(test)]` attribute at column 0
+/// The non-blank, non-comment lines of a Rust source, trimmed, each with
+/// whether it sits in a test module. A `#[cfg(test)]` attribute at column 0
 /// followed by a `mod … {` line opens a test module, which runs to the next
 /// `}` at column 0 (where rustfmt puts a top-level module's closing brace).
-pub fn count_loc(path: &Path) -> Loc {
-    let Ok(content) = std::fs::read_to_string(path) else {
-        return Loc::default();
-    };
-    let mut loc = Loc::default();
+fn code_lines(content: &str) -> Vec<(bool, &str)> {
+    let mut out = Vec::new();
     let mut in_test = false;
     let mut lines = content.lines().peekable();
     while let Some(line) = lines.next() {
@@ -56,26 +57,51 @@ pub fn count_loc(path: &Path) -> Loc {
         }
         let code = line.trim();
         if !code.is_empty() && !code.starts_with("//") {
-            if in_test {
-                loc.test += 1;
-            } else {
-                loc.implementation += 1;
-                let item = code
-                    .strip_prefix("pub ")
-                    .and_then(|rest| rest.split(' ').next());
-                loc.public_items += u64::from(item.is_some_and(|kw| PUBLIC_ITEMS.contains(&kw)));
-            }
+            out.push((in_test, code));
         }
         if in_test && line == "}" {
             in_test = false;
         }
     }
+    out
+}
+
+/// The keyword and name of the public item `code` declares, if it does.
+fn public_item(code: &str) -> Option<(&str, &str)> {
+    let (kw, rest) = code.strip_prefix("pub ")?.split_once(' ')?;
+    let rest = match kw {
+        "const" => rest.strip_prefix("fn ").unwrap_or(rest),
+        _ => rest,
+    };
+    PUBLIC_ITEMS
+        .contains(&kw)
+        .then(|| (kw, words(rest).next().unwrap_or("")))
+}
+
+/// The identifiers on a line.
+fn words(code: &str) -> impl Iterator<Item = &str> {
+    code.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+        .filter(|w| !w.is_empty())
+}
+
+/// Count the lines of one Rust file, as `code_lines` splits them.
+pub fn count_loc(path: &Path) -> Loc {
+    let content = std::fs::read_to_string(path).unwrap_or_default();
+    let mut loc = Loc::default();
+    for (in_test, code) in code_lines(&content) {
+        if in_test {
+            loc.test += 1;
+        } else {
+            loc.implementation += 1;
+            loc.public_items += u64::from(public_item(code).is_some());
+        }
+    }
     loc
 }
 
-/// Sum [`count_loc`] over every `.rs` file under `dir`.
-fn count_dir_loc(dir: &Path) -> Loc {
-    let mut total = Loc::default();
+/// Every `.rs` file under `dir`, sorted; build output (`target`) is skipped.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else {
@@ -84,11 +110,23 @@ fn count_dir_loc(dir: &Path) -> Loc {
         for entry in entries.flatten() {
             let path = entry.path();
             if path.is_dir() {
-                stack.push(path);
+                if path.file_name().is_some_and(|n| n != "target") {
+                    stack.push(path);
+                }
             } else if path.extension().and_then(|e| e.to_str()) == Some("rs") {
-                total += count_loc(&path);
+                files.push(path);
             }
         }
+    }
+    files.sort();
+    files
+}
+
+/// Sum [`count_loc`] over every `.rs` file under `dir`.
+fn count_dir_loc(dir: &Path) -> Loc {
+    let mut total = Loc::default();
+    for path in rust_files(dir) {
+        total += count_loc(&path);
     }
     total
 }
@@ -100,6 +138,84 @@ fn count_crate_loc(crate_dir: &Path) -> Loc {
     let tests = count_dir_loc(&crate_dir.join("tests"));
     loc.test += tests.implementation + tests.test;
     loc
+}
+
+/// The directories, relative to the workspace root, whose `.rs` files can
+/// call a public item: the crates, the root package, and the frozen
+/// benchmark, which binds the crates by name.
+const CALLER_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "benchmark"];
+
+/// The public items only their own file's tests call, as `(file, name)` with
+/// the file relative to `root`, in path order.
+///
+/// A `pub fn|struct|enum|trait|const|type` declared in the implementation
+/// lines of a file under `crates/` is unused when no line of another file
+/// names it — comments and `pub use` re-exports aside — and no
+/// implementation line of its own file does but the one declaring it. A
+/// type reached only through a public function's return value is named by
+/// that function's signature, so it is used. This is a text scan: two items
+/// of one name hide each other, so it under-reports, which is the safe side.
+pub fn unused_public_items(root: &Path) -> Vec<(String, String)> {
+    let sources: Vec<(String, String)> = CALLER_ROOTS
+        .iter()
+        .flat_map(|top| rust_files(&root.join(top)))
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            (
+                rel.to_string_lossy().into_owned(),
+                std::fs::read_to_string(&path).unwrap_or_default(),
+            )
+        })
+        .collect();
+    // Each file's lines, less its `pub use` items (which run to their `;`).
+    let files: Vec<Vec<(bool, &str)>> = sources
+        .iter()
+        .map(|(_, content)| {
+            let mut in_reexport = false;
+            let mut lines = code_lines(content);
+            lines.retain(|(_, code)| {
+                let reexport = in_reexport || code.starts_with("pub use ");
+                in_reexport = reexport && !code.ends_with(';');
+                !reexport
+            });
+            lines
+        })
+        .collect();
+    // For each identifier, the one file that names it, or `None` for several.
+    let mut named_in: HashMap<&str, Option<usize>> = HashMap::new();
+    for (index, lines) in files.iter().enumerate() {
+        for word in lines.iter().flat_map(|(_, code)| words(code)) {
+            named_in
+                .entry(word)
+                .and_modify(|file| *file = file.filter(|&f| f == index))
+                .or_insert(Some(index));
+        }
+    }
+    let mut unused = Vec::new();
+    for (index, lines) in files.iter().enumerate() {
+        let path = &sources[index].0;
+        if !(path.starts_with("crates/") && path.contains("/src/")) {
+            continue;
+        }
+        let implementation = || lines.iter().filter(|(in_test, _)| !in_test);
+        let named_once_here = |name: &str| {
+            let named = implementation().flat_map(|(_, code)| words(code));
+            named.filter(|&w| w == name).count() == 1
+        };
+        for (_, code) in implementation() {
+            match public_item(code) {
+                Some((kw, name))
+                    if PUBLIC_ITEMS[..6].contains(&kw)
+                        && named_in[name] == Some(index)
+                        && named_once_here(name) =>
+                {
+                    unused.push((path.clone(), name.to_string()))
+                }
+                _ => {}
+            }
+        }
+    }
+    unused
 }
 
 /// Locate the workspace root (the directory containing `crates/`).
@@ -139,11 +255,14 @@ pub struct CrateLoc {
     pub path: String,
     /// Its lines.
     pub loc: Loc,
+    /// Its share of [`unused_public_items`], as `(file, name)`.
+    pub unused: Vec<(String, String)>,
 }
 
 /// Every member of the workspace at `root`, in manifest order.
 pub fn workspace_loc(root: &Path) -> Vec<CrateLoc> {
     let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
+    let unused = unused_public_items(root);
     manifest_strings(&manifest, "members")
         .into_iter()
         .map(|path| {
@@ -154,10 +273,37 @@ pub fn workspace_loc(root: &Path) -> Vec<CrateLoc> {
                     .pop()
                     .unwrap_or_else(|| path.clone()),
                 loc: count_crate_loc(&dir),
+                unused: unused
+                    .iter()
+                    .filter(|(file, _)| file.starts_with(&format!("{path}/src/")))
+                    .cloned()
+                    .collect(),
                 path,
             }
         })
         .collect()
+}
+
+/// One row of the table. The unused column is the count and, after it, the
+/// names.
+fn table_row<'a>(
+    component: String,
+    loc: Loc,
+    unused: impl Iterator<Item = &'a (String, String)>,
+) -> Vec<String> {
+    let names: Vec<&str> = unused.map(|(_, name)| name.as_str()).collect();
+    let mut unused = names.len().to_string();
+    for name in names {
+        unused.push(' ');
+        unused.push_str(name);
+    }
+    vec![
+        component,
+        loc.implementation.to_string(),
+        loc.test.to_string(),
+        loc.public_items.to_string(),
+        unused,
+    ]
 }
 
 /// Build the Table 1 analogue for this repository.
@@ -165,51 +311,59 @@ pub fn run() -> Table {
     let root = workspace_root();
     let mut table = Table::new(
         "Table 1: implementation size of this reproduction (non-blank, non-comment LoC)",
-        &["component", "implementation", "tests", "public items"],
+        &[
+            "component",
+            "implementation",
+            "tests",
+            "public items",
+            "unused",
+        ],
     );
-    let mut add = |name: String, loc: Loc| {
-        table.add_row(vec![
-            name,
-            loc.implementation.to_string(),
-            loc.test.to_string(),
-            loc.public_items.to_string(),
-        ]);
-    };
-    let file_loc = |files: &[&str]| {
+    let mut total = Loc::default();
+    let crates = workspace_loc(&root);
+    for c in &crates {
+        total += c.loc;
+        let component = format!("{} ({})", c.name, c.path);
+        table.add_row(table_row(component, c.loc, c.unused.iter()));
+        // The paper's deltas: the uTCP-specific pieces (send-buffer priority
+        // machinery, the unordered receive path) and the uTLS receiver.
+        let (delta, files): (&str, &[&str]) = match c.name.as_str() {
+            "minion-tcp" => (
+                "  of which uTCP buffer/delivery extensions",
+                &[
+                    "crates/tcp/src/sendbuf.rs",
+                    "crates/tcp/src/recvbuf.rs",
+                    "crates/tcp/src/delivered.rs",
+                ],
+            ),
+            "minion-tls" => (
+                "  of which the uTLS out-of-order receiver",
+                &["crates/tls/src/utls.rs"],
+            ),
+            _ => continue,
+        };
         let mut loc = Loc::default();
         for rel in files {
             loc += count_loc(&root.join(rel));
         }
-        loc
-    };
-    let mut total = Loc::default();
-    for c in workspace_loc(&root) {
-        total += c.loc;
-        add(format!("{} ({})", c.name, c.path), c.loc);
-        // The paper's deltas: the uTCP-specific pieces (send-buffer priority
-        // machinery, the unordered receive path) and the uTLS receiver.
-        match c.name.as_str() {
-            "minion-tcp" => add(
-                "  of which uTCP buffer/delivery extensions".into(),
-                file_loc(&[
-                    "crates/tcp/src/sendbuf.rs",
-                    "crates/tcp/src/recvbuf.rs",
-                    "crates/tcp/src/delivered.rs",
-                ]),
-            ),
-            "minion-tls" => add(
-                "  of which the uTLS out-of-order receiver".into(),
-                file_loc(&["crates/tls/src/utls.rs"]),
-            ),
-            _ => {}
-        }
+        let in_files = |(file, _): &&(String, String)| files.contains(&file.as_str());
+        table.add_row(table_row(
+            delta.into(),
+            loc,
+            c.unused.iter().filter(in_files),
+        ));
     }
-    add("workspace total".into(), total);
+    let unused = crates.iter().flat_map(|c| &c.unused);
+    table.add_row(table_row("workspace total".into(), total, unused));
     table
 }
 
 /// The per-crate rows as one JSON object (`table1_code_size --json`).
 pub fn to_json(crates: &[CrateLoc]) -> String {
+    fn names<'a>(unused: impl Iterator<Item = &'a (String, String)>) -> String {
+        let quoted: Vec<String> = unused.map(|(_, name)| format!("\"{name}\"")).collect();
+        quoted.join(", ")
+    }
     let mut total = Loc::default();
     let rows: Vec<String> = crates
         .iter()
@@ -217,18 +371,24 @@ pub fn to_json(crates: &[CrateLoc]) -> String {
             total += c.loc;
             format!(
                 "    {{\"crate\": \"{}\", \"path\": \"{}\", \"impl_loc\": {}, \"test_loc\": {}, \
-                 \"public_items\": {}}}",
-                c.name, c.path, c.loc.implementation, c.loc.test, c.loc.public_items
+                 \"public_items\": {}, \"unused\": [{}]}}",
+                c.name,
+                c.path,
+                c.loc.implementation,
+                c.loc.test,
+                c.loc.public_items,
+                names(c.unused.iter())
             )
         })
         .collect();
     format!(
         "{{\n  \"crates\": [\n{}\n  ],\n  \"total\": {{\"impl_loc\": {}, \"test_loc\": {}, \
-         \"public_items\": {}}}\n}}\n",
+         \"public_items\": {}, \"unused\": [{}]}}\n}}\n",
         rows.join(",\n"),
         total.implementation,
         total.test,
-        total.public_items
+        total.public_items,
+        names(crates.iter().flat_map(|c| &c.unused))
     )
 }
 
@@ -267,6 +427,7 @@ mod tests {
         assert_eq!(run().row_count(), crates.len() + 3);
         let json = to_json(&crates);
         assert_eq!(json.matches("\"crate\":").count(), crates.len());
+        assert_eq!(json.matches("\"unused\": [").count(), crates.len() + 1);
         assert!(json.contains("\"crate\": \"minion-engine\", \"path\": \"crates/engine\""));
     }
 
@@ -300,6 +461,67 @@ mod tests {
             }
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_unused_public_item_is_on_the_checked_in_list() {
+        // The gate: a `pub` item that only its own file's tests call fails
+        // here until it gets a caller, loses its `pub`, or is deleted.
+        let expected: Vec<(String, String)> = include_str!("../unused_public_items.txt")
+            .lines()
+            .filter(|line| !line.starts_with('#') && !line.trim().is_empty())
+            .map(|line| {
+                let mut fields = line.split(' ');
+                let (file, name) = (fields.next().unwrap(), fields.next().unwrap());
+                assert!(fields.next().is_some(), "{name} needs a reason");
+                (file.to_string(), name.to_string())
+            })
+            .collect();
+        assert_eq!(
+            unused_public_items(&workspace_root()),
+            expected,
+            "left: what the scan finds; right: crates/bench/unused_public_items.txt"
+        );
+    }
+
+    #[test]
+    fn an_item_is_unused_when_only_its_own_tests_name_it() {
+        let root = std::env::temp_dir().join(format!("minion-unused-{}", std::process::id()));
+        let src = root.join("crates/a/src");
+        std::fs::create_dir_all(&src).unwrap();
+        std::fs::create_dir_all(root.join("tests")).unwrap();
+        std::fs::write(
+            src.join("lib.rs"),
+            "pub fn called_from_a_test_file() {}\n\
+             pub fn called_above_the_tests() {}\n\
+             pub fn only_tested() {}\n\
+             pub fn only_reexported() {}\n\
+             // only_mentioned_in_a_comment\n\
+             pub const fn only_mentioned_in_a_comment() {}\n\
+             pub struct OnlyReturned;\n\
+             pub fn caller() -> OnlyReturned {\n    called_above_the_tests();\n    OnlyReturned\n}\n\
+             pub(crate) fn not_public() {}\n\
+             #[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        \
+             super::only_tested();\n    }\n}\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("tests/it.rs"),
+            "pub use a::only_reexported;\nfn main() {\n    a::called_from_a_test_file();\n    a::caller();\n}\n",
+        )
+        .unwrap();
+        let unused = unused_public_items(&root);
+        std::fs::remove_dir_all(&root).ok();
+        let names: Vec<&str> = unused.iter().map(|(_, name)| &**name).collect();
+        assert_eq!(
+            names,
+            [
+                "only_tested",
+                "only_reexported",
+                "only_mentioned_in_a_comment"
+            ]
+        );
+        assert!(unused.iter().all(|(file, _)| file == "crates/a/src/lib.rs"));
     }
 
     #[test]

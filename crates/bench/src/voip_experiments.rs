@@ -31,7 +31,7 @@ pub struct VoipRunConfig {
 
 impl VoipRunConfig {
     /// The Figure 7 / 8 setup: a one-minute call under 4 competing flows.
-    pub fn heavy_contention(protocol: Protocol, seed: u64) -> Self {
+    fn heavy_contention(protocol: Protocol, seed: u64) -> Self {
         VoipRunConfig {
             protocol,
             duration: SimDuration::from_secs(60),
@@ -43,7 +43,7 @@ impl VoipRunConfig {
 
     /// The Figure 9 setup: competing flows added at one-minute intervals
     /// (scaled down from the paper's 4-minute call via `minutes`).
-    pub fn progressive_contention(protocol: Protocol, minutes: u64, seed: u64) -> Self {
+    fn progressive_contention(protocol: Protocol, minutes: u64, seed: u64) -> Self {
         VoipRunConfig {
             protocol,
             duration: SimDuration::from_secs(60 * minutes),

@@ -25,7 +25,7 @@ pub struct TunnelVariant {
 }
 
 /// The four variants of Figure 12 (and the two of Figure 11).
-pub fn variants() -> Vec<TunnelVariant> {
+pub(crate) fn variants() -> Vec<TunnelVariant> {
     vec![
         TunnelVariant {
             protocol: Protocol::TcpTlv,
@@ -61,7 +61,7 @@ pub struct TunnelRunResult {
 
 /// Run one VPN scenario: `downloads` tunneled download flows and `uploads`
 /// tunneled upload flows for `duration` of simulated time.
-pub fn run_tunnel(
+fn run_tunnel(
     variant: TunnelVariant,
     downloads: usize,
     uploads: usize,

@@ -46,7 +46,7 @@ pub fn max_encoded_len(len: usize) -> usize {
 /// *above* a zero one (the subtraction's borrow) but never below, so the
 /// lowest set bit is exact.
 #[inline]
-pub fn find_marker(bytes: &[u8]) -> Option<usize> {
+pub(crate) fn find_marker(bytes: &[u8]) -> Option<usize> {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     let mut words = bytes.chunks_exact(8);

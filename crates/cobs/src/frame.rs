@@ -118,16 +118,16 @@ impl TlvFramer {
         self.read += 4 + payload.len();
         Some(payload)
     }
-
-    /// Bytes buffered awaiting a complete record.
-    pub fn pending_bytes(&self) -> usize {
-        self.buffer.len() - self.read
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Bytes buffered past the read cursor, awaiting a complete record.
+    fn pending_bytes(deframer: &TlvFramer) -> usize {
+        deframer.buffer.len() - deframer.read
+    }
 
     #[test]
     fn frame_has_markers_on_both_ends() {
@@ -234,7 +234,7 @@ mod tests {
         deframer.push(&all[10..]);
         assert_eq!(deframer.pop().unwrap(), b"beta");
         assert!(deframer.pop().is_none());
-        assert_eq!(deframer.pending_bytes(), 0);
+        assert_eq!(pending_bytes(&deframer), 0);
     }
 
     #[test]
@@ -249,15 +249,15 @@ mod tests {
         for record in &records {
             assert_eq!(deframer.pop().as_ref(), Some(record));
             pending -= 4 + record.len();
-            assert_eq!(deframer.pending_bytes(), pending);
+            assert_eq!(pending_bytes(&deframer), pending);
         }
         assert_eq!(deframer.pop(), None);
         // The next push drops what was popped and carries on.
         deframer.push(&TlvFramer::frame(b"next")[..5]);
-        assert_eq!((deframer.pop(), deframer.pending_bytes()), (None, 5));
+        assert_eq!((deframer.pop(), pending_bytes(&deframer)), (None, 5));
         deframer.push(b"ext");
         assert_eq!(deframer.pop().as_deref(), Some(&b"next"[..]));
-        assert_eq!(deframer.pending_bytes(), 0);
+        assert_eq!(pending_bytes(&deframer), 0);
     }
 
     #[test]

@@ -15,7 +15,6 @@ pub mod frame;
 mod oracle;
 
 pub use encode::{
-    decode, decode_into, encode, encode_into, find_marker, max_encoded_len, overhead_ratio,
-    CobsError, MARKER,
+    decode, decode_into, encode, encode_into, max_encoded_len, overhead_ratio, CobsError, MARKER,
 };
 pub use frame::{frame_datagram, scan_records, ScannedRecord, TlvFramer};

@@ -1,6 +1,6 @@
 //! Configuration for Minion endpoints.
 
-use minion_tcp::{CcAlgorithm, SocketOptions, TcpConfig};
+use minion_tcp::{SocketOptions, TcpConfig};
 use minion_tls::{CipherSuite, TlsConfig};
 
 /// Which delivery protocol a Minion connection uses (paper §3.2): the
@@ -17,24 +17,6 @@ pub enum Protocol {
     /// Length-prefixed datagrams over standard TCP: the in-order baseline the
     /// paper compares against ("TLV over TCP").
     TcpTlv,
-}
-
-impl Protocol {
-    /// Whether the protocol can deliver datagrams out of order.
-    pub fn supports_unordered(&self) -> bool {
-        matches!(self, Protocol::Ucobs | Protocol::Utls | Protocol::Udp)
-    }
-
-    /// Whether the protocol's payload is encrypted end to end.
-    pub fn is_secure(&self) -> bool {
-        matches!(self, Protocol::Utls)
-    }
-
-    /// Whether the protocol runs over a TCP substrate (and therefore
-    /// traverses TCP-only middleboxes).
-    pub fn runs_over_tcp(&self) -> bool {
-        matches!(self, Protocol::Ucobs | Protocol::Utls | Protocol::TcpTlv)
-    }
 }
 
 /// Configuration for a Minion endpoint.
@@ -81,12 +63,6 @@ impl MinionConfig {
         }
     }
 
-    /// Disable TCP congestion control (§4.3 design alternative).
-    pub fn with_cc_disabled(mut self) -> Self {
-        self.tcp = self.tcp.with_cc(CcAlgorithm::None);
-        self
-    }
-
     /// Use the given ciphersuite for uTLS.
     pub fn with_suite(mut self, suite: CipherSuite) -> Self {
         self.tls.suite = suite;
@@ -111,26 +87,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protocol_properties() {
-        assert!(Protocol::Ucobs.supports_unordered());
-        assert!(Protocol::Utls.supports_unordered());
-        assert!(Protocol::Udp.supports_unordered());
-        assert!(!Protocol::TcpTlv.supports_unordered());
-        assert!(Protocol::Utls.is_secure());
-        assert!(!Protocol::Ucobs.is_secure());
-        assert!(Protocol::Ucobs.runs_over_tcp());
-        assert!(!Protocol::Udp.runs_over_tcp());
-    }
-
-    #[test]
     fn config_presets() {
         let with = MinionConfig::with_utcp();
         assert!(with.socket_options.unordered_receive);
         let without = MinionConfig::without_utcp();
         assert!(!without.socket_options.unordered_receive);
         assert!(!without.socket_options.unordered_send);
-        let no_cc = MinionConfig::default().with_cc_disabled();
-        assert_eq!(no_cc.tcp.cc, CcAlgorithm::None);
         let keyed = MinionConfig::default().with_psk(b"k").with_seed(9);
         assert_eq!(keyed.psk, b"k");
         assert_eq!(keyed.seed, 9);

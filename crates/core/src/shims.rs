@@ -39,11 +39,6 @@ impl UdpShim {
         &self.stats
     }
 
-    /// Set (or change) the default remote address.
-    pub fn set_remote(&mut self, remote: SocketAddr) {
-        self.remote = Some(remote);
-    }
-
     /// Send a datagram to the default remote.
     pub fn send_datagram(&mut self, host: &mut Host, datagram: &[u8]) -> Result<(), HostError> {
         let remote = self.remote.expect("UdpShim remote not set");
@@ -108,7 +103,7 @@ impl TcpTlvSocket {
     }
 
     /// Wrap an existing TCP socket handle.
-    pub fn from_handle(handle: SocketHandle) -> Self {
+    pub(crate) fn from_handle(handle: SocketHandle) -> Self {
         TcpTlvSocket {
             handle,
             deframer: TlvFramer::new(),

@@ -120,7 +120,7 @@ impl UcobsSocket {
     }
 
     /// Wrap an already-created TCP socket handle.
-    pub fn from_handle(handle: SocketHandle) -> Self {
+    pub(crate) fn from_handle(handle: SocketHandle) -> Self {
         UcobsSocket {
             handle,
             store: FragmentStore::new(),

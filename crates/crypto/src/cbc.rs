@@ -33,14 +33,14 @@ impl std::error::Error for CbcError {}
 /// Apply TLS (RFC 5246 §6.2.3.2) padding: pad with `n` bytes each of value
 /// `n`, where the padded length is a multiple of the block size and at least
 /// one byte of padding is always added.
-pub fn pad(data: &mut Vec<u8>) {
+fn pad(data: &mut Vec<u8>) {
     let pad_len = BLOCK_SIZE - (data.len() % BLOCK_SIZE);
     let pad_byte = (pad_len - 1) as u8;
     data.extend(std::iter::repeat_n(pad_byte, pad_len));
 }
 
 /// Remove and validate TLS padding.
-pub fn unpad(data: &mut Vec<u8>) -> Result<(), CbcError> {
+fn unpad(data: &mut Vec<u8>) -> Result<(), CbcError> {
     let Some(&last) = data.last() else {
         return Err(CbcError::BadPadding);
     };

@@ -17,14 +17,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod aes;
+mod aes;
 pub mod cbc;
 pub mod hmac;
 pub mod prf;
 pub mod sha256;
 
-pub use aes::Aes128;
 pub use cbc::CbcError;
 pub use hmac::{constant_time_eq, hmac_sha256, HmacSha256};
 pub use prf::{master_secret, prf, KeyBlock};
-pub use sha256::{sha256, Sha256};
+pub use sha256::sha256;

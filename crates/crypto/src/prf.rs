@@ -10,7 +10,7 @@
 use crate::hmac::HmacSha256;
 
 /// P_SHA256 data expansion (RFC 5246 §5) producing `out_len` bytes.
-pub fn p_sha256(secret: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
+fn p_sha256(secret: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(out_len);
     // A(0) = seed, A(i) = HMAC(secret, A(i-1))
     let mut a: Vec<u8> = seed.to_vec();

@@ -2,9 +2,9 @@
 //! layer has no external crypto dependencies.
 
 /// Digest length in bytes.
-pub const DIGEST_LEN: usize = 32;
+pub(crate) const DIGEST_LEN: usize = 32;
 /// Internal block length in bytes.
-pub const BLOCK_LEN: usize = 64;
+pub(crate) const BLOCK_LEN: usize = 64;
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -23,7 +23,7 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 #[derive(Clone, Debug)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buffer: [u8; BLOCK_LEN],
     buffer_len: usize,
@@ -38,7 +38,7 @@ impl Default for Sha256 {
 
 impl Sha256 {
     /// Create a fresh hasher.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Sha256 {
             state: H0,
             buffer: [0u8; BLOCK_LEN],
@@ -48,7 +48,7 @@ impl Sha256 {
     }
 
     /// Absorb data.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         if self.buffer_len > 0 {
             let need = BLOCK_LEN - self.buffer_len;
@@ -75,7 +75,7 @@ impl Sha256 {
     }
 
     /// Finish and produce the digest.
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    pub(crate) fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
         // Padding: 0x80, zeros, 64-bit length.
         self.update(&[0x80]);

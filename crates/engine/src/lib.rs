@@ -32,8 +32,8 @@ pub mod scenario;
 pub mod transport;
 
 pub use metrics::{fnv1a, fnv1a_words, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
-pub use obs::{LoadObs, LOAD_COUNTER_NAMES, LOAD_GAUGE_NAMES};
-pub use scenario::{verify_load, verify_load_sharded, LoadScenario, LOAD_PORT, SHARD_FLOWS};
+pub use obs::LoadObs;
+pub use scenario::{verify_load, verify_load_sharded, LoadScenario};
 pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats};
 // The loop's own names, for the drivers that reach it through this crate.
 pub use minion_stack::{FlowId, TimerWheel};

@@ -11,7 +11,7 @@
 //!   (per-timer arm → fire), and send-stream staging dwell, all in
 //!   nanoseconds of backend time (virtual on sim, monotonic on os);
 //! * a [`CounterSet`]/[`GaugeSet`] over fixed slot names (see
-//!   [`LOAD_COUNTER_NAMES`]);
+//!   `LOAD_COUNTER_NAMES`);
 //! * a [`TraceRing`] of per-flow lifecycle events (SYN, first byte, record
 //!   delivery, retransmit, RTO, FIN), dumpable as JSONL via
 //!   `load_engine --trace-out`.
@@ -28,7 +28,7 @@ use minion_obs::{
 
 /// Counter slots of [`LoadObs::counters`] (fixed at compile time so sharded
 /// and serial registries always line up slot for slot).
-pub const LOAD_COUNTER_NAMES: &[&str] = &[
+const LOAD_COUNTER_NAMES: &[&str] = &[
     "records_enqueued",
     "records_delivered",
     "chunks_delivered",
@@ -38,9 +38,9 @@ pub const LOAD_COUNTER_NAMES: &[&str] = &[
 ];
 
 /// Slot: records fully handed to the transport's send buffer.
-pub const C_RECORDS_ENQUEUED: usize = 0;
+pub(crate) const C_RECORDS_ENQUEUED: usize = 0;
 /// Slot: records whose full byte range reached the application.
-pub const C_RECORDS_DELIVERED: usize = 1;
+pub(crate) const C_RECORDS_DELIVERED: usize = 1;
 /// Slot: delivery chunks read from the transport.
 pub const C_CHUNKS_DELIVERED: usize = 2;
 /// Slot: delivery chunks that arrived out of stream order.
@@ -53,11 +53,11 @@ pub const C_RETRANSMIT_EDGES: usize = 4;
 pub const C_RTO_EDGES: usize = 5;
 
 /// Gauge slots of [`LoadObs::gauges`].
-pub const LOAD_GAUGE_NAMES: &[&str] = &["coverage_ranges_high_water"];
+const LOAD_GAUGE_NAMES: &[&str] = &["coverage_ranges_high_water"];
 
 /// Slot: most disjoint coverage ranges any flow's receive stream held at
 /// once — a direct measure of how fragmented unordered delivery got.
-pub const G_COVERAGE_RANGES_HIGH_WATER: usize = 0;
+pub(crate) const G_COVERAGE_RANGES_HIGH_WATER: usize = 0;
 
 /// Deterministic observability of one load-scenario run (or shard).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,9 +71,9 @@ pub struct LoadObs {
     /// connect until the transport has accepted its last byte (0 when the
     /// whole stream fits the send buffer), nanoseconds.
     pub staging_dwell: Histogram,
-    /// Event counters over [`LOAD_COUNTER_NAMES`].
+    /// Event counters over `LOAD_COUNTER_NAMES`.
     pub counters: CounterSet,
-    /// High-water marks over [`LOAD_GAUGE_NAMES`].
+    /// High-water marks over `LOAD_GAUGE_NAMES`.
     pub gauges: GaugeSet,
     /// Lifecycle trace, bounded to the last
     /// [`DEFAULT_TRACE_CAP`](minion_obs::DEFAULT_TRACE_CAP) events.

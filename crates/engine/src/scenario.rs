@@ -20,7 +20,7 @@
 //! ## Sharded execution
 //!
 //! [`LoadScenario::run_sharded`] decomposes the `flows` axis into fixed
-//! [`SHARD_FLOWS`]-flow shards — each an independent
+//! `SHARD_FLOWS`-flow shards — each an independent
 //! [`SimTransport`] with its own link and a seed derived from
 //! `(seed, shard index)` — and runs them as one `minion-exec` batch,
 //! merging the per-shard [`LoadReport`]s **by shard index**. The
@@ -52,12 +52,12 @@ fn ns_of(t: SimTime) -> u64 {
 }
 
 /// The TCP port load-scenario servers listen on.
-pub const LOAD_PORT: u16 = 7000;
+pub(crate) const LOAD_PORT: u16 = 7000;
 
 /// Flows per shard of a sharded load run. Fixed (never derived from the
 /// thread count) so the shard decomposition — and therefore the merged
 /// report — is identical however many workers execute the shards.
-pub const SHARD_FLOWS: usize = 128;
+const SHARD_FLOWS: usize = 128;
 
 /// Configuration of one load scenario.
 #[derive(Clone, Debug)]
@@ -583,7 +583,7 @@ impl LoadScenario {
     // Sharded execution (the parallel sweep substrate)
     // ------------------------------------------------------------------
 
-    /// Number of [`SHARD_FLOWS`]-flow shards this scenario decomposes into.
+    /// Number of `SHARD_FLOWS`-flow shards this scenario decomposes into.
     /// A property of the flow count only — never of the thread count.
     pub fn shard_count(&self) -> usize {
         self.flows.div_ceil(SHARD_FLOWS).max(1)

@@ -161,7 +161,7 @@ pub struct SimTransport {
 impl SimTransport {
     /// Build the two-host world of `scenario`: client and server hosts, the
     /// shared bottleneck link (loss on the data direction only), a listening
-    /// uTCP/TCP socket on [`LOAD_PORT`], and auto-registration of accepted
+    /// uTCP/TCP socket on `LOAD_PORT`, and auto-registration of accepted
     /// flows.
     pub fn new(scenario: &LoadScenario) -> Self {
         let mut sim = Sim::new(scenario.seed);

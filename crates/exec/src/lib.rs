@@ -33,7 +33,7 @@ use std::time::Instant;
 
 /// Phase names of the wall-clock profile in [`ExecStats::profile`]: time
 /// spent inside jobs.
-pub const EXEC_PHASES: &[&str] = &["run"];
+const EXEC_PHASES: &[&str] = &["run"];
 const PHASE_RUN: usize = 0;
 
 /// What one [`Executor::run_with_stats`] batch did.
@@ -43,7 +43,7 @@ pub struct ExecStats {
     pub workers: usize,
     /// Jobs executed by each worker (sums to the batch size).
     pub executed: Vec<u64>,
-    /// Wall-clock profile of the jobs ([`EXEC_PHASES`]), merged across
+    /// Wall-clock profile of the jobs (`EXEC_PHASES`), merged across
     /// workers in worker-index order. Profiling only: the wrapper compares
     /// equal to everything, so batch stats stay usable in byte-identity
     /// gates.

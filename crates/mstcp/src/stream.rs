@@ -45,15 +45,11 @@ struct SendStream {
 struct RecvStream {
     next_sequence: u32,
     pending: BTreeMap<u32, Chunk>,
-    finished: bool,
 }
 
 /// An msTCP connection multiplexing message streams over one uCOBS socket.
 pub struct MsTcpConnection {
     transport: UcobsSocket,
-    /// Chunk payload size; one chunk rides in one uCOBS datagram and is sized
-    /// to fit a single TCP segment after framing.
-    chunk_size: usize,
     next_stream_id: StreamId,
     send_streams: BTreeMap<StreamId, SendStream>,
     recv_streams: BTreeMap<StreamId, RecvStream>,
@@ -63,7 +59,7 @@ pub struct MsTcpConnection {
 impl MsTcpConnection {
     /// Default chunk payload size (fits one MSS-sized segment after uCOBS
     /// framing and the chunk header).
-    pub const DEFAULT_CHUNK_SIZE: usize = 1400;
+    const DEFAULT_CHUNK_SIZE: usize = 1400;
 
     /// Open an msTCP connection to `remote`.
     pub fn connect(
@@ -90,18 +86,11 @@ impl MsTcpConnection {
     fn from_socket(transport: UcobsSocket, first_stream_id: StreamId) -> Self {
         MsTcpConnection {
             transport,
-            chunk_size: Self::DEFAULT_CHUNK_SIZE,
             next_stream_id: first_stream_id,
             send_streams: BTreeMap::new(),
             recv_streams: BTreeMap::new(),
             stats: MsTcpStats::default(),
         }
-    }
-
-    /// Change the chunk payload size.
-    pub fn set_chunk_size(&mut self, size: usize) {
-        assert!(size > 0);
-        self.chunk_size = size;
     }
 
     /// Connection statistics.
@@ -143,7 +132,7 @@ impl MsTcpConnection {
         let send_stream = self.send_streams.entry(stream).or_default();
         let mut offset = 0usize;
         loop {
-            let end = (offset + self.chunk_size).min(message.len());
+            let end = (offset + Self::DEFAULT_CHUNK_SIZE).min(message.len());
             let last = end == message.len();
             let chunk = Chunk {
                 stream_id: stream,
@@ -188,9 +177,6 @@ impl MsTcpConnection {
         for (&id, stream) in &mut self.recv_streams {
             while let Some(chunk) = stream.pending.remove(&stream.next_sequence) {
                 stream.next_sequence += 1;
-                if chunk.flags.end_of_stream {
-                    stream.finished = true;
-                }
                 events.push(StreamEvent {
                     stream: id,
                     data: chunk.payload,
@@ -200,14 +186,6 @@ impl MsTcpConnection {
             }
         }
         events
-    }
-
-    /// Whether the given receive stream has been finished by the peer.
-    pub fn stream_finished(&self, stream: StreamId) -> bool {
-        self.recv_streams
-            .get(&stream)
-            .map(|s| s.finished)
-            .unwrap_or(false)
     }
 
     /// Free space in the underlying send buffer.
@@ -281,8 +259,9 @@ mod tests {
         let streams = collect(&events);
         assert_eq!(streams[&s1], m1);
         assert_eq!(streams[&s2], m2);
-        assert!(server.stream_finished(s1));
-        assert!(server.stream_finished(s2));
+        for s in [s1, s2] {
+            assert!(events.iter().any(|e| e.stream == s && e.end_of_stream));
+        }
         assert!(events.iter().any(|e| e.end_of_message));
     }
 
@@ -375,9 +354,8 @@ mod tests {
         let (mut sim, a, b) = sim_pair(LossConfig::None);
         let config = MinionConfig::default();
         let (mut client, mut server) = establish(&mut sim, a, b, &config);
-        client.set_chunk_size(512);
         let s = client.open_stream();
-        let msg: Vec<u8> = (0..10_000u32).map(|i| (i % 256) as u8).collect();
+        let msg: Vec<u8> = (0..28_000u32).map(|i| (i % 256) as u8).collect();
         client
             .send_message(sim.host_mut(a), s, &msg, false, 0)
             .unwrap();
@@ -387,6 +365,6 @@ mod tests {
         let collected = collect(&events);
         assert_eq!(collected[&s], msg);
         assert!(client.stats().chunks_sent >= 20);
-        assert!(!server.stream_finished(s));
+        assert!(events.iter().all(|e| !e.end_of_stream));
     }
 }

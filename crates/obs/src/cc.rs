@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 /// Default trajectory-ring capacity per recorder. Connections record a
 /// sample per window *transition*, so a lossy flow produces dozens, not
 /// millions; merged per-scenario rings keep the tail of the concatenation.
-pub const DEFAULT_CC_SAMPLE_CAP: usize = 4096;
+const DEFAULT_CC_SAMPLE_CAP: usize = 4096;
 
 /// One cwnd/ssthresh trajectory point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 /// Most flows a [`FlowDelayMap`] tracks individually before overflow
 /// accounting kicks in (~8 MiB of digests at the cap).
-pub const DEFAULT_FLOW_DELAY_CAP: usize = 4096;
+const DEFAULT_FLOW_DELAY_CAP: usize = 4096;
 
 /// A compact per-flow delay histogram: 4 linear sub-buckets per octave.
 pub type DelayDigest = Hist<2>;

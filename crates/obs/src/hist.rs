@@ -198,7 +198,7 @@ impl<const SUB_BITS: u32> Hist<SUB_BITS> {
     /// `[min, max]`. Pure integer math (u128 intermediate), so identical on
     /// every platform, and monotone in `q`. Returns 0 on an empty
     /// histogram.
-    pub fn quantile_milli(&self, q_milli: u64) -> u64 {
+    fn quantile_milli(&self, q_milli: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }

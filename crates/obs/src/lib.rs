@@ -44,13 +44,13 @@ mod span;
 mod trace;
 
 pub use absorb::{merge_ordered, Absorb};
-pub use cc::{CcObs, CwndSample, DEFAULT_CC_SAMPLE_CAP};
+pub use cc::{CcObs, CwndSample};
 pub use counter::{Counter, CounterSet, Gauge, GaugeSet};
-pub use flow_delay::{DelayDigest, FlowDelayMap, DEFAULT_FLOW_DELAY_CAP};
+pub use flow_delay::{DelayDigest, FlowDelayMap};
 pub use hist::{Hist, Histogram};
 pub use sink::{
     merge_stream_files, shard_trailer_json, FilterStats, FilteredSink, MergedStream, StreamSink,
-    StreamStats, Tee, TracePredicate, TraceSink, DEFAULT_STREAM_BATCH_BYTES,
+    StreamStats, Tee, TracePredicate, TraceSink,
 };
 pub use span::{NonDeterministic, PhaseProfile};
 pub use trace::{KindSet, TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAP};

@@ -41,7 +41,7 @@ use std::path::{Path, PathBuf};
 /// In-memory batch bound for [`StreamSink`] (bytes). Events accumulate in
 /// a string buffer and hit the writer in batches of roughly this size, so
 /// a million-event stream does a few hundred writes, not a million.
-pub const DEFAULT_STREAM_BATCH_BYTES: usize = 64 * 1024;
+const DEFAULT_STREAM_BATCH_BYTES: usize = 64 * 1024;
 
 /// Something that accepts a stream of [`TraceEvent`]s with exact
 /// accounting.
@@ -156,7 +156,6 @@ pub struct StreamSink {
     writer: Box<dyn Write + Send>,
     label: String,
     batch: String,
-    batch_cap: usize,
     stats: StreamStats,
 }
 
@@ -177,7 +176,6 @@ impl StreamSink {
             writer,
             label: label.into(),
             batch: String::new(),
-            batch_cap: DEFAULT_STREAM_BATCH_BYTES,
             stats: StreamStats::default(),
         }
     }
@@ -186,12 +184,6 @@ impl StreamSink {
     pub fn create(path: &Path) -> io::Result<Self> {
         let file = File::create(path)?;
         Ok(StreamSink::new(Box::new(file), path.display().to_string()))
-    }
-
-    /// Override the batch bound (tests exercise small batches).
-    pub fn with_batch_cap(mut self, cap: usize) -> Self {
-        self.batch_cap = cap.max(1);
-        self
     }
 
     /// Accounting so far.
@@ -233,7 +225,7 @@ impl TraceSink for StreamSink {
         self.batch.push_str(&ev.to_json());
         self.batch.push('\n');
         self.stats.emitted += 1;
-        if self.batch.len() >= self.batch_cap {
+        if self.batch.len() >= DEFAULT_STREAM_BATCH_BYTES {
             self.flush_batch();
         }
     }
@@ -264,7 +256,7 @@ pub struct TracePredicate {
 
 impl TracePredicate {
     /// Whether `ev` passes both predicates.
-    pub fn admits(&self, ev: &TraceEvent) -> bool {
+    pub(crate) fn admits(&self, ev: &TraceEvent) -> bool {
         self.flow.is_none_or(|f| f == ev.flow) && self.kinds.contains(ev.kind)
     }
 
@@ -410,11 +402,6 @@ impl<A: TraceSink, B: TraceSink> Tee<A, B> {
         &self.b
     }
 
-    /// Second branch, by mutable reference.
-    pub fn b_mut(&mut self) -> &mut B {
-        &mut self.b
-    }
-
     /// Split back into the branches.
     pub fn into_parts(self) -> (A, B) {
         (self.a, self.b)
@@ -488,7 +475,7 @@ pub struct MergedStream {
 
 impl MergedStream {
     /// The merged artifact's trailer line.
-    pub fn to_trailer_json(&self) -> String {
+    fn to_trailer_json(&self) -> String {
         format!(
             "{{\"summary\":true,\"stream\":true,\"shards\":{},\"events\":{},\"emitted\":{},\
              \"dropped\":{},\"admitted\":{},\"suppressed\":{},\"kinds\":\"{}\"}}",
@@ -677,15 +664,24 @@ mod tests {
     #[test]
     fn stream_batches_by_bytes_and_counts_flushes() {
         let buf = SharedBuf::default();
-        let mut stream = StreamSink::new(Box::new(buf.clone()), "test").with_batch_cap(1);
-        for e in sample_events() {
-            stream.offer(&e);
+        let mut stream = StreamSink::new(Box::new(buf.clone()), "test");
+        let mut offered = 0;
+        for e in sample_events().iter().cycle() {
+            stream.offer(e);
+            offered += 1;
+            if stream.stats().flushes == 1 {
+                break;
+            }
+            assert!(
+                buf.contents().is_empty(),
+                "below the bound nothing is written"
+            );
         }
-        // cap 1 → every event forces its own flush.
-        assert_eq!(stream.stats().flushes, 7);
+        // The first flush writes a batch's worth of whole lines at once.
+        assert!(buf.contents().len() >= DEFAULT_STREAM_BATCH_BYTES);
+        assert_eq!(buf.contents().lines().count(), offered);
         let stats = stream.finish();
-        assert_eq!(stats.flushes, 7, "empty tail batch adds no flush");
-        assert_eq!(buf.contents().lines().count(), 7);
+        assert_eq!(stats.flushes, 1, "empty tail batch adds no flush");
     }
 
     #[test]

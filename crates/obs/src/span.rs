@@ -70,15 +70,6 @@ impl PhaseProfile {
         self.nanos.iter().fold(0u64, |a, &n| a.saturating_add(n))
     }
 
-    /// Share of phase `idx` in milli-percent of the total (`100_000` =
-    /// 100%); 0 when nothing has been recorded.
-    pub fn percent_milli(&self, idx: usize) -> u64 {
-        self.nanos(idx)
-            .saturating_mul(100_000)
-            .checked_div(self.total_nanos())
-            .unwrap_or(0)
-    }
-
     /// `(name, nanos, entries)` triples in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64, u64)> + '_ {
         self.names
@@ -161,9 +152,6 @@ mod tests {
         p.add(2, 100);
         p.add(0, 0); // zero-length span still counts an entry
         assert_eq!(p.total_nanos(), 1000);
-        assert_eq!(p.percent_milli(0), 60_000);
-        assert_eq!(p.percent_milli(1), 30_000);
-        assert_eq!(p.percent_milli(2), 10_000);
         assert_eq!(p.entries(0), 2);
         assert_eq!(
             p.iter().collect::<Vec<_>>(),

@@ -63,7 +63,7 @@ impl TraceKind {
     }
 
     /// The comma-joined list of valid tags (error messages, usage strings).
-    pub fn valid_tags() -> String {
+    fn valid_tags() -> String {
         TraceKind::ALL
             .iter()
             .map(|k| k.as_str())
@@ -142,7 +142,7 @@ impl KindSet {
     }
 
     /// Whether every kind is in the set (no kind filtering).
-    pub fn is_all(self) -> bool {
+    pub(crate) fn is_all(self) -> bool {
         self == KindSet::all()
     }
 

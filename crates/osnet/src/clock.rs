@@ -11,20 +11,20 @@ use std::time::Instant;
 /// Microseconds elapsed since the clock was created, read from the OS
 /// monotonic clock.
 #[derive(Clone, Copy, Debug)]
-pub struct MonotonicClock {
+pub(crate) struct MonotonicClock {
     origin: Instant,
 }
 
 impl MonotonicClock {
     /// A monotonic clock whose t = 0 is now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MonotonicClock {
             origin: Instant::now(),
         }
     }
 
     /// The current time. Monotonically non-decreasing.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         SimTime::from_micros(self.origin.elapsed().as_micros() as u64)
     }
 }

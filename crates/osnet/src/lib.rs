@@ -28,7 +28,7 @@
 //!   closed) like Demikernel's catnap backend, accepted connections demuxed
 //!   through the same [`TupleTable`](minion_stack::TupleTable) the
 //!   simulated hosts use (exercising its tombstone path on teardown), a
-//!   [`MonotonicClock`] feeding a
+//!   `MonotonicClock` feeding a
 //!   [`TimerWheel`](minion_engine::TimerWheel) for liveness watchdogs, and syscall accounting so the bench can report
 //!   syscalls/flow.
 //!
@@ -44,11 +44,10 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
+mod clock;
 pub mod reactor;
 pub mod sys;
 pub mod transport;
 
-pub use clock::MonotonicClock;
 pub use reactor::Reactor;
 pub use transport::{OsTransport, OS_PHASES};

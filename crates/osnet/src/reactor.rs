@@ -69,17 +69,6 @@ impl Reactor {
         Ok(())
     }
 
-    /// Remove `fd` from the interest set. (Closing an fd deregisters it
-    /// implicitly; this exists for tests that recycle fds.)
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        self.ctls += 1;
-        let rc = unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
     /// Wait up to `timeout_ms` for readiness edges and append the decoded
     /// events to `out`. Returns how many arrived. `EINTR` reads as zero
     /// events rather than an error.

@@ -27,7 +27,7 @@
 #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
 #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy, Debug, Default)]
-pub struct EpollEvent {
+pub(crate) struct EpollEvent {
     /// `EPOLL*` readiness bits.
     pub events: u32,
     /// Caller-owned token (`epoll_data_t`, used as u64).
@@ -37,7 +37,7 @@ pub struct EpollEvent {
 /// `struct sockaddr_in` (IPv4). Port and address are big-endian.
 #[repr(C)]
 #[derive(Clone, Copy, Debug)]
-pub struct SockAddrIn {
+pub(crate) struct SockAddrIn {
     pub sin_family: u16,
     /// Big-endian port.
     pub sin_port: u16,
@@ -48,7 +48,7 @@ pub struct SockAddrIn {
 
 impl SockAddrIn {
     /// An IPv4 loopback address at `port`.
-    pub fn loopback(port: u16) -> Self {
+    pub(crate) fn loopback(port: u16) -> Self {
         SockAddrIn {
             sin_family: AF_INET as u16,
             sin_port: port.to_be(),
@@ -58,37 +58,47 @@ impl SockAddrIn {
     }
 }
 
-pub const EPOLLIN: u32 = 0x001;
-pub const EPOLLOUT: u32 = 0x004;
-pub const EPOLLERR: u32 = 0x008;
-pub const EPOLLHUP: u32 = 0x010;
-pub const EPOLLRDHUP: u32 = 0x2000;
-pub const EPOLLET: u32 = 1 << 31;
+pub(crate) const EPOLLIN: u32 = 0x001;
+pub(crate) const EPOLLOUT: u32 = 0x004;
+pub(crate) const EPOLLERR: u32 = 0x008;
+pub(crate) const EPOLLHUP: u32 = 0x010;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLET: u32 = 1 << 31;
 
-pub const EPOLL_CTL_ADD: i32 = 1;
-pub const EPOLL_CTL_DEL: i32 = 2;
-pub const EPOLL_CLOEXEC: i32 = 0o2000000;
+pub(crate) const EPOLL_CTL_ADD: i32 = 1;
+pub(crate) const EPOLL_CLOEXEC: i32 = 0o2000000;
 
-pub const AF_INET: i32 = 2;
-pub const SOCK_STREAM: i32 = 1;
-pub const SOCK_NONBLOCK: i32 = 0o4000;
-pub const SOCK_CLOEXEC: i32 = 0o2000000;
+pub(crate) const AF_INET: i32 = 2;
+pub(crate) const SOCK_STREAM: i32 = 1;
+pub(crate) const SOCK_NONBLOCK: i32 = 0o4000;
+pub(crate) const SOCK_CLOEXEC: i32 = 0o2000000;
 
-pub const SOL_SOCKET: i32 = 1;
-pub const SO_SNDBUF: i32 = 7;
+const SOL_SOCKET: i32 = 1;
+const SO_SNDBUF: i32 = 7;
 
 /// `errno` of a nonblocking `connect` whose handshake is in flight.
-pub const EINPROGRESS: i32 = 115;
+pub(crate) const EINPROGRESS: i32 = 115;
 
 extern "C" {
-    pub fn epoll_create1(flags: i32) -> i32;
-    pub fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    pub fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout_ms: i32) -> i32;
-    pub fn close(fd: i32) -> i32;
-    pub fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-    pub fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-    pub fn listen(fd: i32, backlog: i32) -> i32;
-    pub fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
+    pub(crate) fn epoll_create1(flags: i32) -> i32;
+    pub(crate) fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+    pub(crate) fn epoll_wait(
+        epfd: i32,
+        events: *mut EpollEvent,
+        maxevents: i32,
+        timeout_ms: i32,
+    ) -> i32;
+    pub(crate) fn close(fd: i32) -> i32;
+    pub(crate) fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+    pub(crate) fn connect(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
+    pub(crate) fn listen(fd: i32, backlog: i32) -> i32;
+    pub(crate) fn setsockopt(
+        fd: i32,
+        level: i32,
+        optname: i32,
+        optval: *const i32,
+        optlen: u32,
+    ) -> i32;
 }
 
 /// Shrink a socket's kernel send buffer (tests use this to force partial

@@ -17,7 +17,7 @@
 //! the tuples, exercising the table's tombstone path under real
 //! connection churn.
 //!
-//! Time is a [`MonotonicClock`]: wall microseconds since the transport was
+//! Time is a `MonotonicClock`: wall microseconds since the transport was
 //! created, feeding both the scenario deadline and a [`TimerWheel`] of
 //! connect watchdogs (a flow whose handshake has not resolved when its
 //! timer fires fails the run immediately, rather than stalling to the
@@ -203,11 +203,6 @@ impl OsTransport {
     /// Readiness-edges-per-`epoll_wait` histogram (batching profile).
     pub fn wait_batch_histogram(&self) -> &Histogram {
         &self.wait_batch
-    }
-
-    /// The listener's loopback port (tests).
-    pub fn server_port(&self) -> u16 {
-        self.server_port
     }
 
     /// The demux table's probe statistics (tests: tombstone accounting).

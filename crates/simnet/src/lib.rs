@@ -36,7 +36,7 @@ pub mod world;
 pub use hash::{fnv1a, fnv1a_words, FNV_OFFSET_BASIS};
 pub use link::{Link, LinkConfig, LinkStats, TransmitOutcome};
 pub use loss::{LossConfig, LossModel};
-pub use packet::{NodeId, Packet, PER_PACKET_OVERHEAD};
+pub use packet::{NodeId, Packet};
 pub use rng::SimRng;
 pub use stats::{Distribution, Table, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -133,18 +133,13 @@ impl Link {
 
     /// Current queue backlog in bytes, derived from the transmitter's
     /// busy-until time.
-    pub fn backlog_bytes(&self, now: SimTime) -> usize {
+    pub(crate) fn backlog_bytes(&self, now: SimTime) -> usize {
         if self.config.rate_bps == 0 {
             return 0;
         }
         let busy = self.next_free.saturating_since(now);
         // bytes = rate_bps * seconds / 8
         ((self.config.rate_bps as u128 * busy.as_micros() as u128) / 8_000_000) as usize
-    }
-
-    /// The queueing delay a newly-admitted packet would currently experience.
-    pub fn queueing_delay(&self, now: SimTime) -> SimDuration {
-        self.next_free.saturating_since(now)
     }
 
     /// Offer a packet to the link at time `now`.
@@ -266,9 +261,7 @@ mod tests {
         // 8 Mbps => 1000 bytes take 1 ms.
         let p = pkt(1000 - PER_PACKET_OVERHEAD);
         link.transmit(SimTime::ZERO, &p);
-        assert_eq!(
-            link.queueing_delay(SimTime::ZERO),
-            SimDuration::from_millis(1)
-        );
+        assert_eq!(link.backlog_bytes(SimTime::ZERO), 1000);
+        assert_eq!(link.backlog_bytes(SimTime::from_millis(1)), 0);
     }
 }

@@ -98,7 +98,7 @@ impl LossModel {
     }
 
     /// Decide whether the next offered packet should be dropped.
-    pub fn should_drop(&mut self) -> bool {
+    pub(crate) fn should_drop(&mut self) -> bool {
         self.offered += 1;
         match &self.config {
             LossConfig::None => false,

@@ -28,13 +28,13 @@ impl fmt::Display for NodeId {
 
 /// Extra per-hop bytes accounted for every packet (emulates IP + link framing
 /// overhead so that link utilisation numbers are realistic).
-pub const PER_PACKET_OVERHEAD: usize = 40;
+pub(crate) const PER_PACKET_OVERHEAD: usize = 40;
 
 /// A packet in flight between two adjacent nodes.
 ///
 /// The payload is opaque to the simulator; higher layers (the host network
 /// stack) define its structure. `wire_size` is used for transmission-time and
-/// queue accounting and includes [`PER_PACKET_OVERHEAD`].
+/// queue accounting and includes `PER_PACKET_OVERHEAD`.
 #[derive(Clone)]
 pub struct Packet {
     /// Monotonically increasing identifier assigned by the world at send time.
@@ -94,14 +94,6 @@ impl Packet {
     pub fn payload_len(&self) -> usize {
         self.payload.len()
     }
-
-    /// Re-address the packet for its next hop, preserving end-to-end fields.
-    pub fn forward(&self, from: NodeId, to: NodeId) -> Packet {
-        let mut p = self.clone();
-        p.src = from;
-        p.dst = to;
-        p
-    }
 }
 
 impl fmt::Debug for Packet {
@@ -132,12 +124,18 @@ mod tests {
 
     #[test]
     fn forward_preserves_end_to_end_addresses() {
+        // A middlebox forwards by re-addressing the hop and carrying the
+        // end-to-end pair over.
         let p = Packet::routed(NodeId(0), NodeId(5), NodeId(0), NodeId(9), vec![1, 2, 3]);
-        let q = p.forward(NodeId(5), NodeId(9));
-        assert_eq!(q.src, NodeId(5));
-        assert_eq!(q.dst, NodeId(9));
-        assert_eq!(q.origin, NodeId(0));
-        assert_eq!(q.final_dst, NodeId(9));
+        let q = Packet::routed(
+            NodeId(5),
+            NodeId(9),
+            p.origin,
+            p.final_dst,
+            p.payload.clone(),
+        );
+        assert_eq!((q.src, q.dst), (NodeId(5), NodeId(9)));
+        assert_eq!((q.origin, q.final_dst), (NodeId(0), NodeId(9)));
         assert_eq!(q.payload, p.payload);
     }
 

@@ -70,13 +70,13 @@ impl SimRng {
     }
 
     /// Uniform floating-point sample in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         // 53 uniformly random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[low, high)`. Panics if the range is empty.
-    pub fn gen_range_u64(&mut self, low: u64, high: u64) -> u64 {
+    fn gen_range_u64(&mut self, low: u64, high: u64) -> u64 {
         assert!(low < high, "empty range");
         let span = high - low;
         // Rejection sampling to avoid modulo bias.
@@ -95,7 +95,7 @@ impl SimRng {
     }
 
     /// Bernoulli trial with success probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             return false;
         }
@@ -103,13 +103,6 @@ impl SimRng {
             return true;
         }
         self.next_f64() < p
-    }
-
-    /// Exponentially distributed sample with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        assert!(mean > 0.0, "mean must be positive");
-        let u: f64 = 1.0 - self.next_f64(); // in (0, 1]
-        -mean * u.ln()
     }
 
     /// A sample from a bounded Pareto distribution, used for heavy-tailed
@@ -129,13 +122,6 @@ impl SimRng {
             let bytes = self.next_u64().to_le_bytes();
             chunk.copy_from_slice(&bytes[..chunk.len()]);
         }
-    }
-
-    /// A random byte vector of the given length.
-    pub fn random_bytes(&mut self, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.fill_bytes(&mut v);
-        v
     }
 }
 
@@ -182,15 +168,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_is_close() {
-        let mut r = SimRng::new(9);
-        let n = 20_000;
-        let sum: f64 = (0..n).map(|_| r.exponential(10.0)).sum();
-        let mean = sum / n as f64;
-        assert!((mean - 10.0).abs() < 0.5, "mean={mean}");
-    }
-
-    #[test]
     fn bounded_pareto_in_bounds() {
         let mut r = SimRng::new(11);
         for _ in 0..1000 {
@@ -201,7 +178,12 @@ mod tests {
 
     #[test]
     fn random_bytes_len() {
-        let mut r = SimRng::new(5);
-        assert_eq!(r.random_bytes(33).len(), 33);
+        // 33 bytes: four whole words and a one-byte tail from the fifth.
+        let mut buf = [0u8; 33];
+        SimRng::new(5).fill_bytes(&mut buf);
+        let mut words = SimRng::new(5);
+        for chunk in buf.chunks(8) {
+            assert_eq!(chunk, &words.next_u64().to_le_bytes()[..chunk.len()]);
+        }
     }
 }

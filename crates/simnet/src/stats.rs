@@ -62,17 +62,6 @@ impl Distribution {
         self.samples.last().copied().unwrap_or(0.0)
     }
 
-    /// Standard deviation (population, 0 if fewer than 2 samples).
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var =
-            self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / self.samples.len() as f64;
-        var.sqrt()
-    }
-
     /// The q-quantile (q in `[0,1]`), using nearest-rank interpolation.
     pub fn quantile(&mut self, q: f64) -> f64 {
         if self.samples.is_empty() {
@@ -103,27 +92,6 @@ impl Distribution {
         }
         let n = self.samples.iter().filter(|&&v| v <= threshold).count();
         n as f64 / self.samples.len() as f64
-    }
-
-    /// Export the empirical CDF as `(value, cumulative_fraction)` points,
-    /// downsampled to at most `max_points` points.
-    pub fn cdf_points(&mut self, max_points: usize) -> Vec<(f64, f64)> {
-        if self.samples.is_empty() {
-            return vec![];
-        }
-        self.ensure_sorted();
-        let n = self.samples.len();
-        let step = (n / max_points.max(1)).max(1);
-        let mut pts = Vec::new();
-        let mut i = 0;
-        while i < n {
-            pts.push((self.samples[i], (i + 1) as f64 / n as f64));
-            i += step;
-        }
-        if pts.last().map(|p| p.1) != Some(1.0) {
-            pts.push((self.samples[n - 1], 1.0));
-        }
-        pts
     }
 
     /// All raw samples (unsorted order of insertion is not preserved once
@@ -164,11 +132,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// All points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
     /// Mean of values with timestamps in `[from, to)`.
     pub fn window_mean(&self, from: SimTime, to: SimTime) -> Option<f64> {
         let vals: Vec<f64> = self
@@ -182,15 +145,6 @@ impl TimeSeries {
         } else {
             Some(vals.iter().sum::<f64>() / vals.len() as f64)
         }
-    }
-
-    /// Sum of values with timestamps in `[from, to)`.
-    pub fn window_sum(&self, from: SimTime, to: SimTime) -> f64 {
-        self.points
-            .iter()
-            .filter(|(t, _)| *t >= from && *t < to)
-            .map(|(_, v)| *v)
-            .sum()
     }
 }
 
@@ -293,32 +247,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.mean(), 0.0);
         assert_eq!(d.median(), 0.0);
-        assert!(d.cdf_points(10).is_empty());
-    }
-
-    #[test]
-    fn cdf_points_end_at_one() {
-        let mut d = Distribution::new();
-        for v in 0..1000 {
-            d.add(v as f64);
-        }
-        let pts = d.cdf_points(20);
-        assert!(pts.len() <= 22);
-        assert_eq!(pts.last().unwrap().1, 1.0);
-        // CDF must be monotonically non-decreasing in both coordinates.
-        for w in pts.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-            assert!(w[1].1 >= w[0].1);
-        }
-    }
-
-    #[test]
-    fn stddev_of_constant_is_zero() {
-        let mut d = Distribution::new();
-        for _ in 0..10 {
-            d.add(4.2);
-        }
-        assert!(d.stddev() < 1e-12);
     }
 
     #[test]
@@ -332,10 +260,6 @@ mod tests {
             .window_mean(SimTime::from_secs(2), SimTime::from_secs(5))
             .unwrap();
         assert_eq!(m, 3.0);
-        assert_eq!(
-            ts.window_sum(SimTime::from_secs(0), SimTime::from_secs(3)),
-            3.0
-        );
         assert!(ts
             .window_mean(SimTime::from_secs(20), SimTime::from_secs(30))
             .is_none());

@@ -58,11 +58,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked duration since `earlier`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// Saturating addition of a duration.
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
@@ -161,7 +156,7 @@ impl SimDuration {
     /// The time needed to transmit `bytes` at `rate_bps` bits per second.
     ///
     /// Returns zero for an infinite-rate (0-valued) link.
-    pub fn transmission_time(bytes: usize, rate_bps: u64) -> SimDuration {
+    pub(crate) fn transmission_time(bytes: usize, rate_bps: u64) -> SimDuration {
         if rate_bps == 0 {
             return SimDuration::ZERO;
         }
@@ -279,7 +274,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
         assert_eq!(late.saturating_since(early), SimDuration::from_millis(1));
-        assert!(early.checked_since(late).is_none());
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX

@@ -4,7 +4,7 @@
 //! tells the caller when each packet arrives at the link's far end. Hosts,
 //! routing, and transport protocols live in higher-level crates
 //! (`minion-stack`, `minion-tcp`); they drive the world by calling
-//! [`World::send`] and draining [`World::pop_due`].
+//! [`World::send`] and draining [`World::drain_due_into`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -66,7 +66,6 @@ pub struct World {
     rng: SimRng,
     next_packet_id: u64,
     next_seq: u64,
-    delivered: u64,
 }
 
 impl World {
@@ -79,7 +78,6 @@ impl World {
             rng: SimRng::new(seed),
             next_packet_id: 1,
             next_seq: 0,
-            delivered: 0,
         }
     }
 
@@ -90,18 +88,8 @@ impl World {
         id
     }
 
-    /// The number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.node_names.len()
-    }
-
-    /// The human-readable name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.index()]
-    }
-
     /// Add a unidirectional link from `a` to `b`.
-    pub fn add_simplex_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
+    fn add_simplex_link(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         let rng = self
             .rng
             .fork(&format!("link-{}-{}-{}", a.0, b.0, self.links.len()));
@@ -125,11 +113,6 @@ impl World {
     ) {
         self.add_simplex_link(a, b, a_to_b);
         self.add_simplex_link(b, a, b_to_a);
-    }
-
-    /// Whether a link from `a` to `b` exists.
-    pub fn has_link(&self, a: NodeId, b: NodeId) -> bool {
-        self.links.contains_key(&(a, b))
     }
 
     /// Link statistics for the `a -> b` direction, if that link exists.
@@ -169,37 +152,14 @@ impl World {
         self.in_flight.peek().map(|Reverse(a)| a.at)
     }
 
-    /// Pop the next packet whose arrival time is `<= now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, Packet)> {
-        if let Some(Reverse(a)) = self.in_flight.peek() {
-            if a.at <= now {
-                let Reverse(a) = self.in_flight.pop().expect("peeked");
-                self.delivered += 1;
-                return Some((a.at, a.packet));
-            }
-        }
-        None
-    }
-
-    /// Pop the globally next packet regardless of time (advancing time to it
-    /// is the caller's responsibility).
-    pub fn pop_next(&mut self) -> Option<(SimTime, Packet)> {
-        self.in_flight.pop().map(|Reverse(a)| {
-            self.delivered += 1;
-            (a.at, a.packet)
-        })
-    }
-
     /// Batched dispatch: drain **every** packet whose arrival time is `<= now`
     /// into `out` (appending, in arrival order) and return how many were
     /// drained.
     ///
-    /// Event-driven callers (the `stack::Sim` loop, [`pop_due`] loops)
-    /// deliver all arrivals for one instant in a single call instead of
-    /// re-peeking the heap per packet; the caller keeps `out` as a reusable
-    /// scratch buffer so the hot path does not allocate per event.
-    ///
-    /// [`pop_due`]: Self::pop_due
+    /// Event-driven callers (the `stack::Sim` loop) deliver all arrivals
+    /// for one instant in a single call instead of re-peeking the heap per
+    /// packet; the caller keeps `out` as a reusable scratch buffer so the
+    /// hot path does not allocate per event.
     pub fn drain_due_into(&mut self, now: SimTime, out: &mut Vec<(SimTime, Packet)>) -> usize {
         let before = out.len();
         while let Some(Reverse(a)) = self.in_flight.peek() {
@@ -207,20 +167,9 @@ impl World {
                 break;
             }
             let Reverse(a) = self.in_flight.pop().expect("peeked");
-            self.delivered += 1;
             out.push((a.at, a.packet));
         }
         out.len() - before
-    }
-
-    /// Number of packets currently in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight.len()
-    }
-
-    /// Total packets delivered to their destination so far.
-    pub fn delivered_count(&self) -> u64 {
-        self.delivered
     }
 }
 
@@ -245,16 +194,19 @@ mod tests {
             let out = w.send(SimTime::ZERO, Packet::new(a, b, vec![i; 100]));
             assert!(out.is_scheduled());
         }
-        assert_eq!(w.in_flight_count(), 3);
-        let mut got = vec![];
+        // Step from arrival to arrival the way the event loop does: each
+        // drain hands over exactly the packets due at that instant.
+        let mut got = Vec::new();
         let mut t = SimTime::ZERO;
-        while let Some((at, p)) = w.pop_next() {
+        while let Some(at) = w.next_arrival_time() {
             assert!(at >= t, "arrivals must be time-ordered");
             t = at;
-            got.push(p.payload[0]);
+            assert_eq!(w.drain_due_into(at, &mut got), 1);
         }
-        assert_eq!(got, vec![0, 1, 2]);
-        assert_eq!(w.delivered_count(), 3);
+        assert_eq!(
+            got.iter().map(|(_, p)| p.payload[0]).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
     }
 
     #[test]
@@ -266,8 +218,6 @@ mod tests {
         w.add_duplex_link(a, b, LinkConfig::ideal());
         let out = w.send(SimTime::ZERO, Packet::new(a, c, vec![0u8; 10]));
         assert_eq!(out, SendOutcome::NoRoute);
-        assert!(w.has_link(a, b));
-        assert!(!w.has_link(a, c));
     }
 
     #[test]
@@ -283,14 +233,13 @@ mod tests {
         let n = w.drain_due_into(last, &mut out);
         assert_eq!(n, 4);
         assert_eq!(out.len(), 4);
-        // Arrival order is time-ordered and matches the one-at-a-time API.
+        // Arrival order is time-ordered and is the send order.
         assert!(out.windows(2).all(|p| p[0].0 <= p[1].0));
         assert_eq!(
             out.iter().map(|(_, p)| p.payload[0]).collect::<Vec<_>>(),
             vec![0, 1, 2, 3]
         );
-        assert_eq!(w.delivered_count(), 4);
-        assert_eq!(w.in_flight_count(), 0);
+        assert_eq!(w.next_arrival_time(), None);
         // Appending into a non-empty scratch buffer preserves the prefix.
         w.send(last, Packet::new(a, b, vec![9; 10]));
         let at = w.next_arrival_time().unwrap();
@@ -303,10 +252,14 @@ mod tests {
     fn pop_due_respects_time() {
         let (mut w, a, b) =
             two_node_world(LinkConfig::new(1_000_000, SimDuration::from_millis(50)));
+        let mut out = Vec::new();
+        assert_eq!(w.drain_due_into(SimTime::from_secs(1), &mut out), 0);
+        assert_eq!(w.next_arrival_time(), None, "an empty world has no event");
         w.send(SimTime::ZERO, Packet::new(a, b, vec![0u8; 100]));
-        assert!(w.pop_due(SimTime::from_millis(10)).is_none());
+        assert_eq!(w.drain_due_into(SimTime::from_millis(10), &mut out), 0);
         let arrival = w.next_arrival_time().unwrap();
-        assert!(w.pop_due(arrival).is_some());
+        assert_eq!(w.drain_due_into(arrival, &mut out), 1);
+        assert_eq!(out[0].0, arrival);
     }
 
     #[test]
@@ -344,8 +297,11 @@ mod tests {
         let (mut w, a, b) = two_node_world(LinkConfig::ideal());
         w.send(SimTime::ZERO, Packet::new(a, b, vec![1]));
         w.send(SimTime::ZERO, Packet::new(a, b, vec![2]));
-        let (_, p1) = w.pop_next().unwrap();
-        let (_, p2) = w.pop_next().unwrap();
+        // Both arrive at the same instant; the drain keeps send order.
+        let mut out = Vec::new();
+        assert_eq!(w.drain_due_into(SimTime::ZERO, &mut out), 2);
+        let (p1, p2) = (&out[0].1, &out[1].1);
+        assert_eq!((p1.payload[0], p2.payload[0]), (1, 2));
         assert!(p2.id > p1.id);
     }
 }

@@ -26,7 +26,7 @@ use crate::addr::SocketHandle;
 use minion_simnet::NodeId;
 
 /// A demux key: `(local port, peer node, peer port)`.
-pub type TupleKey = (u16, NodeId, u16);
+pub(crate) type TupleKey = (u16, NodeId, u16);
 
 /// Probe-length accounting (insert-time), for contention/quality checks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -224,7 +224,7 @@ impl TupleTable {
 
     /// Whether any connection uses `port` as its local port (ephemeral-port
     /// allocation check; a full scan, off the per-segment hot path).
-    pub fn contains_local_port(&self, port: u16) -> bool {
+    pub(crate) fn contains_local_port(&self, port: u16) -> bool {
         self.slots
             .iter()
             .filter_map(Slot::occupied)

@@ -235,24 +235,9 @@ impl Host {
         Ok(self.tcp_socket_mut(handle)?.conn.read())
     }
 
-    /// Whether a TCP socket has data ready.
-    pub fn tcp_readable(&self, handle: SocketHandle) -> Result<bool, HostError> {
-        Ok(self.tcp_socket(handle)?.conn.readable())
-    }
-
     /// Request an orderly close.
     pub fn tcp_close(&mut self, handle: SocketHandle) -> Result<(), HostError> {
         self.tcp_socket_mut(handle)?.conn.close();
-        Ok(())
-    }
-
-    /// Change uTCP socket options (the `setsockopt` calls of §4).
-    pub fn tcp_set_options(
-        &mut self,
-        handle: SocketHandle,
-        options: SocketOptions,
-    ) -> Result<(), HostError> {
-        self.tcp_socket_mut(handle)?.conn.set_options(options);
         Ok(())
     }
 
@@ -314,7 +299,7 @@ impl Host {
     }
 
     /// The local port of a UDP socket.
-    pub fn udp_local_port(&self, handle: SocketHandle) -> Result<u16, HostError> {
+    fn udp_local_port(&self, handle: SocketHandle) -> Result<u16, HostError> {
         match self.sockets.get(&handle) {
             Some(Socket::Udp(u)) => Ok(u.local_port),
             Some(_) => Err(HostError::WrongSocketType),
@@ -363,7 +348,11 @@ impl Host {
     /// exactly one flow ready instead of rescanning every socket. A newly
     /// created connection (a SYN hitting a listener) returns its fresh
     /// handle; undeliverable packets return `None`.
-    pub fn on_packet_demux(&mut self, packet: &Packet, now: SimTime) -> Option<SocketHandle> {
+    pub(crate) fn on_packet_demux(
+        &mut self,
+        packet: &Packet,
+        now: SimTime,
+    ) -> Option<SocketHandle> {
         let tp = TransportPacket::decode(&packet.payload)?;
         match tp {
             TransportPacket::Tcp(seg) => self.on_tcp_segment(seg, packet.origin, now),
@@ -429,7 +418,7 @@ impl Host {
     /// wheel and the application's writes) and polls exactly those. The
     /// caller supplies a reusable buffer so the hot path does not allocate
     /// per poll. Returns the number of packets produced.
-    pub fn poll_handle_into(
+    pub(crate) fn poll_handle_into(
         &mut self,
         handle: SocketHandle,
         now: SimTime,
@@ -465,13 +454,13 @@ impl Host {
     }
 
     /// The earliest timer of a single TCP socket (wheel re-arming).
-    pub fn next_timer_of(&self, handle: SocketHandle) -> Result<Option<SimTime>, HostError> {
+    pub(crate) fn next_timer_of(&self, handle: SocketHandle) -> Result<Option<SimTime>, HostError> {
         Ok(self.tcp_socket(handle)?.conn.next_timer())
     }
 
     /// Enable or disable edge-event recording on one connection (see
     /// [`minion_tcp::TcpConnection::set_event_interest`]).
-    pub fn tcp_set_event_interest(
+    pub(crate) fn tcp_set_event_interest(
         &mut self,
         handle: SocketHandle,
         enabled: bool,
@@ -483,7 +472,7 @@ impl Host {
     }
 
     /// Drain the queued readiness events of one connection.
-    pub fn tcp_take_events(
+    pub(crate) fn tcp_take_events(
         &mut self,
         handle: SocketHandle,
     ) -> Result<impl Iterator<Item = ConnEvent> + '_, HostError> {
@@ -549,7 +538,7 @@ mod tests {
         let mut h = host();
         let bogus = SocketHandle(999);
         assert_eq!(h.tcp_write(bogus, b"x"), Err(HostError::BadHandle));
-        assert_eq!(h.tcp_readable(bogus), Err(HostError::BadHandle));
+        assert_eq!(h.tcp_read(bogus), Err(HostError::BadHandle));
         assert_eq!(h.udp_recv(bogus), Err(HostError::BadHandle));
         let udp = h.udp_bind(0).unwrap();
         assert_eq!(h.tcp_write(udp, b"x"), Err(HostError::WrongSocketType));

@@ -4,10 +4,10 @@
 //! BSD-sockets-like API (listen / connect / accept / read / write /
 //! setsockopt) over the userspace TCP (`minion-tcp`) and a simple UDP, port
 //! demultiplexing, transparent middleboxes that re-segment or coalesce TCP
-//! streams, prebuilt topologies matching the paper's testbed (§7–§8), and
-//! [`Sim`], the one event loop everything runs on — a handful of sockets
-//! reached through their host, or thousands of flows driven by readiness
-//! (see [`sim`]), with per-flow timers on a hierarchical [`TimerWheel`].
+//! streams, and [`Sim`], the one event loop everything runs on — a handful
+//! of sockets reached through their host, or thousands of flows driven by
+//! readiness (see [`sim`]), with per-flow timers on a hierarchical
+//! [`TimerWheel`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,16 +16,14 @@ pub mod addr;
 pub mod demux;
 pub mod host;
 pub mod middlebox;
-pub mod scenario;
 pub mod sim;
 pub mod wheel;
 pub mod wire;
 
 pub use addr::{SocketAddr, SocketHandle};
-pub use demux::{TableStats, TupleKey, TupleTable};
+pub use demux::{TableStats, TupleTable};
 pub use host::{Host, HostError};
 pub use middlebox::{Middlebox, MiddleboxBehavior, MiddleboxStats};
-pub use scenario::{residential, two_hosts, BottleneckConfig, ResidentialConfig, TwoHostScenario};
 pub use sim::{FlowId, Sim, SimMetrics, SIM_PHASES};
 pub use wheel::TimerWheel;
-pub use wire::{TransportPacket, PROTO_TCP, PROTO_UDP};
+pub use wire::TransportPacket;

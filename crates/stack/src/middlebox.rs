@@ -103,7 +103,7 @@ impl Middlebox {
     }
 
     /// Process a packet arriving at the middlebox.
-    pub fn on_packet(&mut self, packet: &Packet, now: SimTime) {
+    pub(crate) fn on_packet(&mut self, packet: &Packet, now: SimTime) {
         let decoded = TransportPacket::decode(&packet.payload);
         let Some(TransportPacket::Tcp(seg)) = decoded else {
             // Non-TCP traffic passes through untouched.

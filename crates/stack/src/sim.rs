@@ -3,11 +3,11 @@
 //! the apps, the scenario matrix and the load scenarios all run on it.
 //!
 //! Every TCP socket the loop sees becomes a *flow* ([`FlowId`]). A flow is
-//! polled ([`Host::poll_handle_into`]) only when something happened to it:
+//! polled (`Host::poll_handle_into`) only when something happened to it:
 //!
 //! * a packet arrived for it — arrivals are drained in batches
 //!   ([`minion_simnet::World::drain_due_into`]) and demultiplexed straight to
-//!   the owning socket ([`Host::on_packet_demux`]);
+//!   the owning socket (`Host::on_packet_demux`);
 //! * its timer expired — per-flow timers live in a hierarchical
 //!   [`TimerWheel`] (`O(1)` re-arm, which TCP does on every ACK);
 //! * the application did something to it, which the loop learns through one
@@ -370,7 +370,7 @@ impl Sim {
     }
 
     /// Mark a flow as needing a poll.
-    pub fn mark_ready(&mut self, flow: FlowId) {
+    fn mark_ready(&mut self, flow: FlowId) {
         self.flows.mark_ready(flow);
     }
 
@@ -553,7 +553,7 @@ impl Sim {
     /// work for the next flush, else the earliest of the next packet arrival,
     /// the wheel's next wake-up and the middleboxes' hold timers. `None`
     /// means idle.
-    pub fn next_event_time(&self) -> Option<SimTime> {
+    fn next_event_time(&self) -> Option<SimTime> {
         let held = self
             .middleboxes
             .iter()

@@ -6,7 +6,7 @@
 //! scheduling and near-`O(1)` next-deadline queries, in the style of the
 //! kernel timer wheel and tokio's timer driver:
 //!
-//! * **Levels.** [`LEVELS`] levels of [`SLOTS`] slots each; a slot at level
+//! * **Levels.** `LEVELS` levels of [`SLOTS`] slots each; a slot at level
 //!   `L` spans `SLOTS^L` ticks (one tick = one microsecond, the simulator's
 //!   native resolution, so level-0 expiry times are *exact*). An entry lives
 //!   at the level where its deadline's slot path first diverges from the
@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 pub const SLOTS: usize = 64;
 /// Number of levels. Six 64-slot levels of 1 µs ticks give a horizon of
 /// `64^6` µs ≈ 19.5 hours, far beyond any transport timer (max RTO 60 s).
-pub const LEVELS: usize = 6;
+const LEVELS: usize = 6;
 
 const SLOT_BITS: u32 = 6;
 /// Ticks covered by the whole wheel.
@@ -137,11 +137,6 @@ impl<K: Ord + Copy> TimerWheel<K> {
         self.armed.remove(&key);
     }
 
-    /// The armed deadline of `key`, if any.
-    pub fn deadline_of(&self, key: K) -> Option<SimTime> {
-        self.armed.get(&key).map(|&d| SimTime::from_micros(d))
-    }
-
     /// A time at or before the earliest armed deadline, or `None` when no
     /// timers are armed.
     ///
@@ -150,7 +145,7 @@ impl<K: Ord + Copy> TimerWheel<K> {
     /// cascades the slot so the next query refines it, which is how an
     /// event-driven caller converges on exact deadlines in `O(levels)` hops
     /// instead of scanning every timer.
-    pub fn next_wake(&self) -> Option<SimTime> {
+    pub(crate) fn next_wake(&self) -> Option<SimTime> {
         if self.armed.is_empty() {
             return None;
         }
@@ -313,7 +308,6 @@ mod tests {
         // And re-arming earlier fires at the earlier time.
         w.schedule(8u32, us(50_000));
         w.schedule(8u32, us(12_000));
-        assert_eq!(w.deadline_of(8), Some(us(12_000)));
         assert_eq!(advance_collect(&mut w, 12_000), vec![8]);
         assert!(advance_collect(&mut w, 60_000).is_empty());
     }

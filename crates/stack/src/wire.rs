@@ -9,9 +9,9 @@ use bytes::Bytes;
 use minion_tcp::TcpSegment;
 
 /// Protocol number for TCP.
-pub const PROTO_TCP: u8 = 6;
+const PROTO_TCP: u8 = 6;
 /// Protocol number for UDP.
-pub const PROTO_UDP: u8 = 17;
+const PROTO_UDP: u8 = 17;
 
 /// A transport-layer packet.
 #[derive(Clone, Debug, PartialEq, Eq)]

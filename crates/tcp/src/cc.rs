@@ -88,17 +88,16 @@ impl Clone for Box<dyn CongestionControl> {
     }
 }
 
-/// Build the controller for `algorithm` with the given MSS and initial
-/// window (in segments).
-pub fn build(
-    algorithm: CcAlgorithm,
-    mss: usize,
-    initial_cwnd_segments: u32,
-) -> Box<dyn CongestionControl> {
+/// Initial congestion window in segments (RFC 6928 uses 10; Linux 2.6.34,
+/// the paper's kernel, used 3).
+const INITIAL_CWND_SEGMENTS: usize = 3;
+
+/// Build the controller for `algorithm` with the given MSS.
+pub fn build(algorithm: CcAlgorithm, mss: usize) -> Box<dyn CongestionControl> {
     match algorithm {
-        CcAlgorithm::NewReno => Box::new(NewReno::new(mss, initial_cwnd_segments)),
-        CcAlgorithm::Cubic => Box::new(Cubic::new(mss, initial_cwnd_segments)),
-        CcAlgorithm::None => Box::new(NoCc::new(mss, initial_cwnd_segments)),
+        CcAlgorithm::NewReno => Box::new(NewReno::new(mss)),
+        CcAlgorithm::Cubic => Box::new(Cubic::new(mss)),
+        CcAlgorithm::None => Box::new(NoCc::new()),
     }
 }
 
@@ -125,11 +124,11 @@ pub struct NewReno {
 }
 
 impl NewReno {
-    /// A NewReno controller with the given MSS and initial window.
-    pub fn new(mss: usize, initial_cwnd_segments: u32) -> Self {
+    /// A NewReno controller with the given MSS.
+    pub fn new(mss: usize) -> Self {
         NewReno {
             mss,
-            cwnd: mss * initial_cwnd_segments as usize,
+            cwnd: mss * INITIAL_CWND_SEGMENTS,
             ssthresh: usize::MAX / 2,
             bytes_acked_ca: 0,
             in_recovery: false,
@@ -280,11 +279,11 @@ pub struct Cubic {
 }
 
 impl Cubic {
-    /// A CUBIC controller with the given MSS and initial window.
-    pub fn new(mss: usize, initial_cwnd_segments: u32) -> Self {
+    /// A CUBIC controller with the given MSS.
+    pub fn new(mss: usize) -> Self {
         Cubic {
             mss,
-            cwnd: mss * initial_cwnd_segments as usize,
+            cwnd: mss * INITIAL_CWND_SEGMENTS,
             ssthresh: usize::MAX / 2,
             in_recovery: false,
             stats: CcStats::default(),
@@ -454,13 +453,13 @@ impl CongestionControl for Cubic {
 /// receive window. Loss events still count (the connection's retransmission
 /// machinery is unchanged), but nothing ever shrinks.
 #[derive(Clone, Debug)]
-pub struct NoCc {
+struct NoCc {
     stats: CcStats,
 }
 
 impl NoCc {
-    /// The disabled controller (MSS and initial window are irrelevant).
-    pub fn new(_mss: usize, _initial_cwnd_segments: u32) -> Self {
+    /// The disabled controller.
+    pub(crate) fn new() -> Self {
         NoCc {
             stats: CcStats::default(),
         }
@@ -518,11 +517,11 @@ mod tests {
     const MSS: usize = 1448;
 
     fn newreno() -> NewReno {
-        NewReno::new(MSS, 3)
+        NewReno::new(MSS)
     }
 
     fn cubic() -> Cubic {
-        Cubic::new(MSS, 3)
+        Cubic::new(MSS)
     }
 
     fn t(ms: u64) -> SimTime {
@@ -637,7 +636,7 @@ mod tests {
 
     #[test]
     fn disabled_cc_is_unbounded_and_inert() {
-        let mut cc = NoCc::new(MSS, 3);
+        let mut cc = NoCc::new();
         let huge = cc.cwnd();
         assert!(huge > 1 << 30);
         cc.on_enter_recovery(10 * MSS, t(0));
@@ -651,7 +650,7 @@ mod tests {
     #[test]
     fn factory_builds_the_requested_algorithm() {
         for algo in CcAlgorithm::ALL {
-            let cc = build(algo, MSS, 3);
+            let cc = build(algo, MSS);
             assert_eq!(cc.algorithm(), algo);
             let copy = cc.clone();
             assert_eq!(copy.algorithm(), algo);

@@ -1,7 +1,5 @@
 //! Configuration for TCP connections and the uTCP socket options.
 
-use minion_simnet::SimDuration;
-
 /// Which congestion-control algorithm a connection uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Hash)]
 pub enum CcAlgorithm {
@@ -57,15 +55,6 @@ pub struct TcpConfig {
     pub recv_buffer: usize,
     /// Whether delayed ACKs are enabled.
     pub delayed_ack: bool,
-    /// Delayed-ACK timeout.
-    pub delayed_ack_timeout: SimDuration,
-    /// Initial congestion window in segments (RFC 6928 uses 10; Linux 2.6.34,
-    /// the paper's kernel, used 3).
-    pub initial_cwnd_segments: u32,
-    /// Minimum retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Maximum retransmission timeout.
-    pub max_rto: SimDuration,
     /// Congestion control algorithm.
     pub cc: CcAlgorithm,
     /// Emulate Linux's skbuff-granularity congestion accounting: when the
@@ -89,10 +78,6 @@ impl Default for TcpConfig {
             send_buffer: 256 * 1024,
             recv_buffer: 256 * 1024,
             delayed_ack: true,
-            delayed_ack_timeout: SimDuration::from_millis(40),
-            initial_cwnd_segments: 3,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
             cc: CcAlgorithm::NewReno,
             skbuff_accounting: true,
             coalesce_small_writes: true,
@@ -191,14 +176,6 @@ impl SocketOptions {
             unordered_send: false,
         }
     }
-
-    /// Only the send-side extension.
-    pub fn unordered_send_only() -> Self {
-        SocketOptions {
-            unordered_receive: false,
-            unordered_send: true,
-        }
-    }
 }
 
 /// Per-write metadata, the paper's 5-byte `write()` header (§4.2): a priority
@@ -224,14 +201,6 @@ impl WriteMeta {
         WriteMeta {
             priority,
             squash: false,
-        }
-    }
-
-    /// A squashing write with the given tag.
-    pub fn squashing(priority: u32) -> Self {
-        WriteMeta {
-            priority,
-            squash: true,
         }
     }
 }
@@ -284,13 +253,11 @@ mod tests {
         assert!(SocketOptions::utcp().unordered_send);
         assert!(SocketOptions::unordered_receive_only().unordered_receive);
         assert!(!SocketOptions::unordered_receive_only().unordered_send);
-        assert!(SocketOptions::unordered_send_only().unordered_send);
     }
 
     #[test]
     fn write_meta_constructors() {
         assert_eq!(WriteMeta::normal().priority, 0);
         assert_eq!(WriteMeta::with_priority(9).priority, 9);
-        assert!(WriteMeta::squashing(3).squash);
     }
 }

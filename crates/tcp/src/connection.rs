@@ -14,9 +14,9 @@
 //! the caller's virtual clock, which keeps experiments deterministic.
 //!
 //! The control path is split along mlwip-style seams: loss *detection* and
-//! the RFC 6582 recover point live in [`crate::recovery`], the outstanding-
+//! the RFC 6582 recover point live in `recovery`, the outstanding-
 //! data scoreboard, retransmission cursor, and RTO timer in
-//! [`crate::reliability`], and the window *response* behind the pluggable
+//! `reliability`, and the window *response* behind the pluggable
 //! [`CongestionControl`] trait in [`crate::cc`]. This file wires them to the
 //! protocol: sequence-number mapping, segment parsing/emission, and state
 //! transitions.
@@ -35,6 +35,10 @@ use crate::seq::SeqNum;
 use bytes::Bytes;
 use minion_obs::CcObs;
 use minion_simnet::{SimDuration, SimTime};
+
+/// How long an ACK for plain in-order progress may be held back when
+/// [`TcpConfig::delayed_ack`] is on.
+const DELAYED_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
 
 /// Errors surfaced by the socket-level API.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,8 +190,8 @@ impl TcpConnection {
         });
         let send_buf = SendBuffer::new(config.send_buffer);
         let recv_buf = ReceiveBuffer::new(config.recv_buffer, opts.unordered_receive);
-        let cc = cc::build(config.cc, config.mss, config.initial_cwnd_segments);
-        let rtt = RttEstimator::new(config.min_rto, config.max_rto);
+        let cc = cc::build(config.cc, config.mss);
+        let rtt = RttEstimator::default();
         TcpConnection {
             config,
             opts,
@@ -272,21 +276,9 @@ impl TcpConnection {
         self.local_port
     }
 
-    /// Remote port number.
-    pub fn remote_port(&self) -> u16 {
-        self.remote_port
-    }
-
     /// The socket options currently in effect.
     pub fn options(&self) -> SocketOptions {
         self.opts
-    }
-
-    /// Update socket options (the uTCP `setsockopt` calls). Options can be
-    /// enabled at any point in the connection's life.
-    pub fn set_options(&mut self, opts: SocketOptions) {
-        self.opts = opts;
-        self.recv_buf.set_unordered(opts.unordered_receive);
     }
 
     /// Connection statistics.
@@ -316,11 +308,6 @@ impl TcpConnection {
     /// the queue stays small. Disabling clears any queued events.
     pub fn set_event_interest(&mut self, enabled: bool) {
         self.events.set_enabled(enabled);
-    }
-
-    /// Whether edge-event recording is enabled.
-    pub fn event_interest(&self) -> bool {
-        self.events.enabled()
     }
 
     /// Drain the queued edge events in arrival order. Dropping the iterator
@@ -412,18 +399,6 @@ impl TcpConnection {
     /// Free space in the send buffer.
     pub fn send_buffer_free(&self) -> usize {
         self.send_buf.free_space()
-    }
-
-    /// Bytes queued in the send buffer that have not yet been acknowledged.
-    pub fn send_buffer_len(&self) -> usize {
-        self.send_buf.len()
-    }
-
-    /// Bytes queued but not yet transmitted for the first time.
-    pub fn unsent_bytes(&self) -> usize {
-        self.send_buf
-            .end_offset()
-            .saturating_sub(self.send_buf.transmitted_offset()) as usize
     }
 
     // ------------------------------------------------------------------
@@ -572,7 +547,6 @@ impl TcpConnection {
         }
         self.state = TcpState::Established;
         self.reliability.clear_rto();
-        self.reliability.reset_backoffs();
         // Complete the handshake with an ACK.
         self.ack_pending = AckPending::Immediate;
     }
@@ -598,7 +572,6 @@ impl TcpConnection {
             }
             self.state = TcpState::Established;
             self.reliability.clear_rto();
-            self.reliability.reset_backoffs();
         }
 
         self.peer_window = seg.window as usize;
@@ -640,7 +613,7 @@ impl TcpConnection {
         } else {
             match self.ack_pending {
                 AckPending::None => {
-                    self.ack_pending = AckPending::Delayed(_now + self.config.delayed_ack_timeout);
+                    self.ack_pending = AckPending::Delayed(_now + DELAYED_ACK_TIMEOUT);
                 }
                 AckPending::Delayed(_) => {
                     // Second in-order segment: ACK now (RFC 1122).
@@ -762,7 +735,6 @@ impl TcpConnection {
 
         self.snd_una = ack_off;
         self.send_buf.acknowledge(ack_off);
-        self.reliability.reset_backoffs();
 
         if self.cc.in_recovery() {
             if self.recovery.full_ack_covers(ack_off) {
@@ -873,7 +845,6 @@ impl TcpConnection {
             .record_cut_depth(cwnd_before.saturating_sub(self.cc.ssthresh() as u64));
         self.note_window(now);
         self.rtt.backoff();
-        self.reliability.note_backoff();
         // The timeout is a congestion event: move the recover point up to
         // snd_max (RFC 6582 §3.2 step 4) so the duplicate ACKs that the
         // go-back-N retransmissions elicit cannot re-cut the window.

@@ -32,21 +32,20 @@ pub mod config;
 pub mod connection;
 pub mod delivered;
 pub mod event;
-pub mod recovery;
+mod recovery;
 pub mod recvbuf;
-pub mod reliability;
-pub mod rtt;
+mod reliability;
+mod rtt;
 pub mod segment;
 pub mod sendbuf;
 pub mod seq;
 
-pub use cc::{CcStats, CongestionControl, Cubic, NewReno, NoCc};
+pub use cc::{CcStats, CongestionControl, Cubic, NewReno};
 pub use config::{CcAlgorithm, SocketOptions, TcpConfig, WriteMeta};
 pub use connection::{ConnStats, TcpConnection, TcpError, TcpState};
 pub use delivered::DeliveredChunk;
 pub use event::{ConnEvent, Readiness};
 pub use recvbuf::{ReceiveBuffer, RecvStats};
-pub use rtt::RttEstimator;
 pub use segment::{SackBlock, TcpFlags, TcpOption, TcpSegment};
 pub use sendbuf::{BufferFull, SendBuffer};
 pub use seq::SeqNum;

@@ -14,7 +14,7 @@
 /// increasing 64-bit offsets, which sidesteps the RFC's ISS-initialization
 /// dance: `None` means no congestion event has happened yet).
 #[derive(Clone, Debug, Default)]
-pub struct RecoveryState {
+pub(crate) struct RecoveryState {
     dup_ack_count: u32,
     /// Offset of `snd_max` at the last congestion event (fast retransmit or
     /// RTO); `None` until the first one.
@@ -23,23 +23,18 @@ pub struct RecoveryState {
 
 impl RecoveryState {
     /// Fresh state: no duplicate ACKs seen, no congestion event yet.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecoveryState::default()
     }
 
     /// A new cumulative ACK arrived: the duplicate run is over.
-    pub fn on_new_ack(&mut self) {
+    pub(crate) fn on_new_ack(&mut self) {
         self.dup_ack_count = 0;
     }
 
     /// Count one duplicate ACK and return the run length so far.
-    pub fn on_dup_ack(&mut self) -> u32 {
+    pub(crate) fn on_dup_ack(&mut self) -> u32 {
         self.dup_ack_count += 1;
-        self.dup_ack_count
-    }
-
-    /// Current duplicate-ACK run length.
-    pub fn dup_ack_count(&self) -> u32 {
         self.dup_ack_count
     }
 
@@ -51,7 +46,7 @@ impl RecoveryState {
     /// a genuine fresh hole, while a *bare* duplicate-ACK burst (late
     /// duplicates of pre-event segments, typically elicited by recovery or
     /// go-back-N retransmissions) must not cut the window a second time.
-    pub fn may_enter(&self, snd_una: u64, sack_evidence: bool) -> bool {
+    pub(crate) fn may_enter(&self, snd_una: u64, sack_evidence: bool) -> bool {
         match self.recover {
             None => true,
             Some(r) => snd_una > r || sack_evidence,
@@ -61,21 +56,21 @@ impl RecoveryState {
     /// Record a congestion event: remember `snd_max` (one past the highest
     /// transmitted offset) as the recover point. Called on fast-retransmit
     /// entry and on every RTO (RFC 6582 §3.2 step 4).
-    pub fn arm(&mut self, snd_max: u64) {
+    pub(crate) fn arm(&mut self, snd_max: u64) {
         self.recover = Some(snd_max);
     }
 
     /// An RTO fired: the duplicate run is void and the recover point moves
     /// up to `snd_max`, so post-timeout duplicate ACKs cannot re-enter fast
     /// recovery for the same window of data.
-    pub fn on_rto(&mut self, snd_max: u64) {
+    pub(crate) fn on_rto(&mut self, snd_max: u64) {
         self.dup_ack_count = 0;
         self.arm(snd_max);
     }
 
     /// Does a cumulative ACK at `ack_off` end the current recovery episode
     /// (RFC 6582 §3.2 step 3, "full acknowledgment")?
-    pub fn full_ack_covers(&self, ack_off: u64) -> bool {
+    pub(crate) fn full_ack_covers(&self, ack_off: u64) -> bool {
         self.recover.is_none_or(|r| ack_off >= r)
     }
 }
@@ -97,7 +92,6 @@ mod tests {
         assert_eq!(r.on_dup_ack(), 2);
         assert_eq!(r.on_dup_ack(), 3);
         r.on_new_ack();
-        assert_eq!(r.dup_ack_count(), 0);
         assert_eq!(r.on_dup_ack(), 1);
     }
 
@@ -127,12 +121,12 @@ mod tests {
         r.on_dup_ack();
         r.on_dup_ack();
         r.on_rto(7_000);
-        assert_eq!(r.dup_ack_count(), 0);
         assert!(
             !r.may_enter(0, false),
             "post-RTO dup ACKs must not cut again"
         );
         assert!(r.may_enter(7_001, false));
+        assert_eq!(r.on_dup_ack(), 1, "the RTO voided the run");
     }
 
     #[test]

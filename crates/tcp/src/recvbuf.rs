@@ -73,12 +73,6 @@ impl ReceiveBuffer {
         }
     }
 
-    /// Enable or disable unordered delivery at runtime (the socket option can
-    /// be set after the connection is established).
-    pub fn set_unordered(&mut self, unordered: bool) {
-        self.unordered = unordered;
-    }
-
     /// Whether unordered delivery is enabled.
     pub fn unordered(&self) -> bool {
         self.unordered
@@ -112,7 +106,7 @@ impl ReceiveBuffer {
 
     /// Accept a data segment at stream offset `offset`, copying it in: the
     /// entry point for callers that hold a plain slice rather than a packet
-    /// buffer. See [`on_bytes`](Self::on_bytes).
+    /// buffer. See `on_bytes`.
     pub fn on_data(&mut self, offset: u64, data: &[u8]) {
         self.on_bytes(offset, Bytes::copy_from_slice(data));
     }
@@ -122,7 +116,7 @@ impl ReceiveBuffer {
     ///
     /// In ordered mode the bytes that fill a hole, and each stored piece the
     /// fill releases, are delivered as separate chunks.
-    pub fn on_bytes(&mut self, offset: u64, data: Bytes) {
+    pub(crate) fn on_bytes(&mut self, offset: u64, data: Bytes) {
         if data.is_empty() {
             return;
         }
@@ -234,11 +228,6 @@ impl ReceiveBuffer {
     /// Whether any data is ready for the application.
     pub fn readable(&self) -> bool {
         !self.ready.is_empty()
-    }
-
-    /// Number of chunks queued for the application.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
     }
 
     /// Current SACK blocks describing the out-of-order runs above the
@@ -465,8 +454,8 @@ mod tests {
             rb.on_data(100, &[0u8; 200]);
         }
         // Even though the unordered receiver handed the bytes to the app...
-        assert_eq!(unordered_rb.ready_len(), 1);
-        assert_eq!(ordered_rb.ready_len(), 0);
+        assert!(unordered_rb.readable());
+        assert!(!ordered_rb.readable());
         // ...the advertised windows are the same.
         assert_eq!(ordered_rb.window(), unordered_rb.window());
         assert_eq!(ordered_rb.rcv_nxt(), unordered_rb.rcv_nxt());

@@ -26,7 +26,7 @@ struct TxRecord {
 
 /// Outstanding-data state of one connection's send direction.
 #[derive(Clone, Debug, Default)]
-pub struct Reliability {
+pub(crate) struct Reliability {
     /// Transmitted, unacknowledged ranges, in transmission order.
     unacked: VecDeque<TxRecord>,
     /// Offset from which the next retransmission should read, when one has
@@ -48,13 +48,11 @@ pub struct Reliability {
     /// the timer, so the wait measures *this* timer instance, not the
     /// connection's lifetime.
     rto_armed_at: Option<SimTime>,
-    /// Number of consecutive RTO expirations without progress.
-    rto_backoffs: u32,
 }
 
 impl Reliability {
     /// Fresh state: nothing outstanding, no timer armed.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Reliability::default()
     }
 
@@ -62,7 +60,7 @@ impl Reliability {
 
     /// Record one (re)transmission of `[start, end)` charging `charge` bytes
     /// against the congestion window.
-    pub fn record_transmission(
+    pub(crate) fn record_transmission(
         &mut self,
         start: u64,
         end: u64,
@@ -83,7 +81,7 @@ impl Reliability {
     /// Retire every record fully covered by a cumulative ACK at `ack_off`.
     /// Returns the send time of the first retired record that was never
     /// retransmitted — the only RTT sample Karn's rule permits — if any.
-    pub fn retire_acked(&mut self, ack_off: u64) -> Option<SimTime> {
+    pub(crate) fn retire_acked(&mut self, ack_off: u64) -> Option<SimTime> {
         let mut sample = None;
         while let Some(front) = self.unacked.front() {
             if front.end <= ack_off {
@@ -100,7 +98,7 @@ impl Reliability {
 
     /// Bytes charged against the congestion window for in-flight data
     /// (SACKed ranges have left the network and do not count).
-    pub fn flight_charge(&self) -> usize {
+    pub(crate) fn flight_charge(&self) -> usize {
         self.unacked
             .iter()
             .filter(|r| !r.sacked)
@@ -109,18 +107,18 @@ impl Reliability {
     }
 
     /// Whether any transmission records are outstanding.
-    pub fn has_unacked(&self) -> bool {
+    pub(crate) fn has_unacked(&self) -> bool {
         !self.unacked.is_empty()
     }
 
     /// Drop every transmission record (go-back-N rebuilds the scoreboard as
     /// segments are re-sent).
-    pub fn clear_unacked(&mut self) {
+    pub(crate) fn clear_unacked(&mut self) {
         self.unacked.clear();
     }
 
     /// Mark every record fully contained in `[start, end)` as SACKed.
-    pub fn mark_sacked(&mut self, start: u64, end: u64) {
+    pub(crate) fn mark_sacked(&mut self, start: u64, end: u64) {
         for rec in self.unacked.iter_mut() {
             if rec.start >= start && rec.end <= end {
                 rec.sacked = true;
@@ -128,17 +126,8 @@ impl Reliability {
         }
     }
 
-    /// Whether any outstanding record is SACKed — evidence that data beyond
-    /// the cumulative ACK point is reaching the receiver (every record below
-    /// it has been retired), i.e. that a duplicate-ACK run marks a genuine
-    /// fresh hole rather than stale duplicates of pre-congestion-event
-    /// segments.
-    pub fn has_sacked(&self) -> bool {
-        self.unacked.iter().any(|r| r.sacked)
-    }
-
     /// Whether `offset` falls inside a SACKed record.
-    pub fn is_sacked(&self, offset: u64) -> bool {
+    pub(crate) fn is_sacked(&self, offset: u64) -> bool {
         self.unacked
             .iter()
             .any(|r| r.sacked && offset >= r.start && offset < r.end)
@@ -147,7 +136,7 @@ impl Reliability {
     /// The first offset at or after `offset` not covered by SACKed records,
     /// chaining across adjacent ones — where a retransmission pass should
     /// skip to. `None` when `offset` itself is not SACKed.
-    pub fn next_unsacked_offset(&self, offset: u64) -> Option<u64> {
+    pub(crate) fn next_unsacked_offset(&self, offset: u64) -> Option<u64> {
         let mut cur = offset;
         let mut advanced = false;
         loop {
@@ -173,47 +162,47 @@ impl Reliability {
     /// Schedule a retransmission pass over `[from, until)`. See
     /// [`Reliability::resend_until`] for the one-byte-sentinel convention
     /// used by fast retransmit and partial ACKs.
-    pub fn schedule_resend(&mut self, from: u64, until: u64) {
+    pub(crate) fn schedule_resend(&mut self, from: u64, until: u64) {
         self.resend_cursor = Some(from);
         self.resend_until = until;
     }
 
     /// Where the scheduled retransmission pass stands, if one is active.
-    pub fn resend_cursor(&self) -> Option<u64> {
+    pub(crate) fn resend_cursor(&self) -> Option<u64> {
         self.resend_cursor
     }
 
     /// Exclusive upper bound of the scheduled pass.
-    pub fn resend_until(&self) -> u64 {
+    pub(crate) fn resend_until(&self) -> u64 {
         self.resend_until
     }
 
     /// Window-limited mid-pass: remember where to resume on a later poll.
-    pub fn pause_resend_at(&mut self, offset: u64) {
+    pub(crate) fn pause_resend_at(&mut self, offset: u64) {
         self.resend_cursor = Some(offset);
     }
 
     /// The pass is complete (or obsolete).
-    pub fn clear_resend(&mut self) {
+    pub(crate) fn clear_resend(&mut self) {
         self.resend_cursor = None;
     }
 
     // ---- RTO timer -------------------------------------------------------
 
     /// When the retransmission timer fires, if armed.
-    pub fn rto_expiry(&self) -> Option<SimTime> {
+    pub(crate) fn rto_expiry(&self) -> Option<SimTime> {
         self.rto_expiry
     }
 
     /// (Re)arm the retransmission timer to fire at `at`, stamping `now` as
     /// the arm time.
-    pub fn arm_rto(&mut self, now: SimTime, at: SimTime) {
+    pub(crate) fn arm_rto(&mut self, now: SimTime, at: SimTime) {
         self.rto_expiry = Some(at);
         self.rto_armed_at = Some(now);
     }
 
     /// Arm the retransmission timer only if it is not already running.
-    pub fn ensure_rto(&mut self, now: SimTime, at: SimTime) {
+    pub(crate) fn ensure_rto(&mut self, now: SimTime, at: SimTime) {
         if self.rto_expiry.is_none() {
             self.rto_expiry = Some(at);
             self.rto_armed_at = Some(now);
@@ -221,29 +210,14 @@ impl Reliability {
     }
 
     /// When the currently-armed timer was (re)armed, if one is running.
-    pub fn rto_armed_at(&self) -> Option<SimTime> {
+    pub(crate) fn rto_armed_at(&self) -> Option<SimTime> {
         self.rto_armed_at
     }
 
     /// Disarm the retransmission timer.
-    pub fn clear_rto(&mut self) {
+    pub(crate) fn clear_rto(&mut self) {
         self.rto_expiry = None;
         self.rto_armed_at = None;
-    }
-
-    /// Consecutive RTO expirations without forward progress.
-    pub fn rto_backoffs(&self) -> u32 {
-        self.rto_backoffs
-    }
-
-    /// One more RTO expired without progress.
-    pub fn note_backoff(&mut self) {
-        self.rto_backoffs += 1;
-    }
-
-    /// Forward progress: the backoff run is over.
-    pub fn reset_backoffs(&mut self) {
-        self.rto_backoffs = 0;
     }
 }
 
@@ -317,11 +291,6 @@ mod tests {
         r.arm_rto(t(10), t(50));
         assert_eq!(r.rto_expiry(), Some(t(50)));
         assert_eq!(r.rto_armed_at(), Some(t(10)), "re-arming re-stamps");
-        r.note_backoff();
-        r.note_backoff();
-        assert_eq!(r.rto_backoffs(), 2);
-        r.reset_backoffs();
-        assert_eq!(r.rto_backoffs(), 0);
         r.clear_rto();
         assert_eq!(r.rto_expiry(), None);
         assert_eq!(r.rto_armed_at(), None, "disarm clears the stamp");

@@ -6,32 +6,33 @@ use minion_simnet::SimDuration;
 
 /// RTT estimator maintaining smoothed RTT and RTT variance.
 #[derive(Clone, Debug)]
-pub struct RttEstimator {
+pub(crate) struct RttEstimator {
     srtt: Option<SimDuration>,
     rttvar: SimDuration,
     rto: SimDuration,
-    min_rto: SimDuration,
-    max_rto: SimDuration,
     samples: u64,
 }
 
-impl RttEstimator {
-    /// Create an estimator with the given RTO clamp. The initial RTO before
-    /// any sample is 1 second (RFC 6298 §2.1), clamped to the bounds.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration) -> Self {
-        let initial = SimDuration::from_secs(1).max(min_rto).min(max_rto);
+/// Minimum retransmission timeout.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Maximum retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+
+impl Default for RttEstimator {
+    /// The initial RTO before any sample is 1 second (RFC 6298 §2.1).
+    fn default() -> Self {
         RttEstimator {
             srtt: None,
             rttvar: SimDuration::ZERO,
-            rto: initial,
-            min_rto,
-            max_rto,
+            rto: SimDuration::from_secs(1),
             samples: 0,
         }
     }
+}
 
+impl RttEstimator {
     /// Record an RTT sample from a non-retransmitted segment.
-    pub fn on_sample(&mut self, rtt: SimDuration) {
+    pub(crate) fn on_sample(&mut self, rtt: SimDuration) {
         self.samples += 1;
         match self.srtt {
             None => {
@@ -56,38 +57,27 @@ impl RttEstimator {
             .rttvar
             .saturating_mul(4)
             .max(SimDuration::from_millis(1));
-        self.rto = (srtt + var_term).max(self.min_rto).min(self.max_rto);
+        self.rto = (srtt + var_term).max(MIN_RTO).min(MAX_RTO);
     }
 
     /// Exponentially back off the RTO after a retransmission timeout.
-    pub fn backoff(&mut self) {
-        self.rto = self.rto.saturating_mul(2).min(self.max_rto);
+    pub(crate) fn backoff(&mut self) {
+        self.rto = self.rto.saturating_mul(2).min(MAX_RTO);
     }
 
     /// The current retransmission timeout.
-    pub fn rto(&self) -> SimDuration {
+    pub(crate) fn rto(&self) -> SimDuration {
         self.rto
     }
 
     /// The smoothed RTT, if at least one sample has been taken.
-    pub fn srtt(&self) -> Option<SimDuration> {
+    pub(crate) fn srtt(&self) -> Option<SimDuration> {
         self.srtt
     }
 
-    /// The RTT variance estimate.
-    pub fn rttvar(&self) -> SimDuration {
-        self.rttvar
-    }
-
     /// Number of samples incorporated.
-    pub fn sample_count(&self) -> u64 {
+    pub(crate) fn sample_count(&self) -> u64 {
         self.samples
-    }
-}
-
-impl Default for RttEstimator {
-    fn default() -> Self {
-        RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(60))
     }
 }
 
@@ -107,7 +97,6 @@ mod tests {
         let mut e = RttEstimator::default();
         e.on_sample(SimDuration::from_millis(60));
         assert_eq!(e.srtt(), Some(SimDuration::from_millis(60)));
-        assert_eq!(e.rttvar(), SimDuration::from_millis(30));
         // RTO = 60 + 4*30 = 180 ms, clamped to min 200 ms.
         assert_eq!(e.rto(), SimDuration::from_millis(200));
         assert_eq!(e.sample_count(), 1);
@@ -140,21 +129,16 @@ mod tests {
 
     #[test]
     fn rto_is_clamped_to_the_configured_floor_and_ceiling() {
-        // A tiny RTT cannot push the RTO below min_rto...
-        let mut e = RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(60));
+        // A tiny RTT cannot push the RTO below MIN_RTO...
+        let mut e = RttEstimator::default();
         for _ in 0..50 {
             e.on_sample(SimDuration::from_micros(300));
         }
         assert_eq!(e.rto(), SimDuration::from_millis(200));
-        // ...and a huge RTT cannot push it above max_rto.
-        let mut e = RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(2));
+        // ...and a huge RTT cannot push it above MAX_RTO.
+        let mut e = RttEstimator::default();
         e.on_sample(SimDuration::from_secs(30));
-        assert_eq!(e.rto(), SimDuration::from_secs(2));
-        // The pre-sample initial RTO respects the clamp too.
-        let e = RttEstimator::new(SimDuration::from_secs(3), SimDuration::from_secs(60));
-        assert_eq!(e.rto(), SimDuration::from_secs(3), "min above 1 s wins");
-        let e = RttEstimator::new(SimDuration::from_millis(1), SimDuration::from_millis(500));
-        assert_eq!(e.rto(), SimDuration::from_millis(500), "max below 1 s wins");
+        assert_eq!(e.rto(), SimDuration::from_secs(60));
     }
 
     #[test]
@@ -178,17 +162,14 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_saturates() {
-        let mut e = RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(4));
+        let mut e = RttEstimator::default();
         e.on_sample(SimDuration::from_millis(100));
         let base = e.rto();
         e.backoff();
-        assert_eq!(
-            e.rto(),
-            base.saturating_mul(2).min(SimDuration::from_secs(4))
-        );
+        assert_eq!(e.rto(), base.saturating_mul(2));
         for _ in 0..10 {
             e.backoff();
         }
-        assert_eq!(e.rto(), SimDuration::from_secs(4));
+        assert_eq!(e.rto(), SimDuration::from_secs(60));
     }
 }

@@ -52,22 +52,13 @@ impl TcpFlags {
         psh: false,
     };
     /// A FIN+ACK segment.
-    pub const FIN_ACK: TcpFlags = TcpFlags {
+    pub(crate) const FIN_ACK: TcpFlags = TcpFlags {
         syn: false,
         ack: true,
         fin: true,
         rst: false,
         psh: false,
     };
-    /// A RST segment.
-    pub const RST: TcpFlags = TcpFlags {
-        syn: false,
-        ack: false,
-        fin: false,
-        rst: true,
-        psh: false,
-    };
-
     fn to_byte(self) -> u8 {
         (self.fin as u8)
             | (self.syn as u8) << 1
@@ -176,7 +167,7 @@ impl TcpSegment {
     /// Byte length of the base header in the serialized format (matches the
     /// 20-byte RFC 793 header without checksum/urgent fields, with an explicit
     /// payload-length field in their place).
-    pub const BASE_HEADER_LEN: usize = 20;
+    const BASE_HEADER_LEN: usize = 20;
 
     /// Construct a segment with no options and no payload.
     pub fn bare(src_port: u16, dst_port: u16, seq: SeqNum, ack: SeqNum, flags: TcpFlags) -> Self {
@@ -194,7 +185,7 @@ impl TcpSegment {
 
     /// The amount of sequence space this segment occupies (payload plus one
     /// for SYN and one for FIN).
-    pub fn seq_space(&self) -> u32 {
+    fn seq_space(&self) -> u32 {
         self.payload.len() as u32 + self.flags.syn as u32 + self.flags.fin as u32
     }
 
@@ -204,18 +195,11 @@ impl TcpSegment {
     }
 
     /// The MSS option value, if present.
-    pub fn mss_option(&self) -> Option<u16> {
+    pub(crate) fn mss_option(&self) -> Option<u16> {
         self.options.iter().find_map(|o| match o {
             TcpOption::Mss(v) => Some(*v),
             _ => None,
         })
-    }
-
-    /// Whether the SACK-permitted option is present.
-    pub fn sack_permitted(&self) -> bool {
-        self.options
-            .iter()
-            .any(|o| matches!(o, TcpOption::SackPermitted))
     }
 
     /// The SACK blocks carried by this segment (empty if none).
@@ -511,7 +495,6 @@ mod tests {
     fn option_accessors() {
         let seg = sample_segment();
         assert_eq!(seg.mss_option(), Some(1448));
-        assert!(seg.sack_permitted());
         assert_eq!(seg.sack_blocks().len(), 2);
         assert_eq!(seg.sack_blocks()[0].len(), 1000);
         assert!(seg.sack_blocks()[0].contains(SeqNum(1500)));

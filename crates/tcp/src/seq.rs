@@ -19,12 +19,12 @@ impl SeqNum {
     }
 
     /// `self < other` in modular arithmetic.
-    pub fn lt(self, other: SeqNum) -> bool {
+    fn lt(self, other: SeqNum) -> bool {
         (other.0.wrapping_sub(self.0) as i32) > 0
     }
 
     /// `self <= other` in modular arithmetic.
-    pub fn le(self, other: SeqNum) -> bool {
+    fn le(self, other: SeqNum) -> bool {
         self == other || self.lt(other)
     }
 
@@ -39,12 +39,12 @@ impl SeqNum {
     }
 
     /// True if `self` lies in the half-open interval `[start, end)`.
-    pub fn in_range(self, start: SeqNum, end: SeqNum) -> bool {
+    pub(crate) fn in_range(self, start: SeqNum, end: SeqNum) -> bool {
         start.le(self) && self.lt(end)
     }
 
     /// The number of bytes from `earlier` to `self` (modular).
-    pub fn distance_from(self, earlier: SeqNum) -> u32 {
+    pub(crate) fn distance_from(self, earlier: SeqNum) -> u32 {
         self.0.wrapping_sub(earlier.0)
     }
 

@@ -27,7 +27,7 @@ impl LossAxis {
     /// The axis is a thin selector over [`LossConfig`], the single canonical
     /// loss-model type (`minion_simnet::loss`); the burst profile in
     /// particular is defined once, in [`LossConfig::bursty`].
-    pub fn to_loss_config(&self) -> LossConfig {
+    pub(crate) fn to_loss_config(&self) -> LossConfig {
         match self {
             LossAxis::None => LossConfig::None,
             LossAxis::Bernoulli(p) => LossConfig::Bernoulli { probability: *p },
@@ -153,7 +153,7 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// One-way propagation delay.
-    pub fn one_way_delay(&self) -> SimDuration {
+    pub(crate) fn one_way_delay(&self) -> SimDuration {
         SimDuration::from_micros(self.rtt_ms * 1000 / 2)
     }
 
@@ -192,7 +192,7 @@ impl CellSpec {
     /// across executor workers, reordered, or grown by new axis values —
     /// which is what makes parallel sweeps report-identical to serial ones
     /// and keeps existing cells' results stable as the matrix grows.
-    pub fn coordinate_seed(&self, base_seed: u64) -> u64 {
+    pub(crate) fn coordinate_seed(&self, base_seed: u64) -> u64 {
         let mut h = FNV_OFFSET_BASIS;
         fnv1a(&mut h, &base_seed.to_be_bytes());
         fnv1a(&mut h, &[self.protocol as u8, self.receiver_stack as u8]);
@@ -237,7 +237,7 @@ impl CellSpec {
     /// segments arrive while the hole is outstanding. (Only single-flow
     /// cells: with concurrent flows the dropped transmission index lands on
     /// an arbitrary flow, so no individual flow is guaranteed a hole.)
-    pub fn out_of_order_mandatory(&self) -> bool {
+    pub(crate) fn out_of_order_mandatory(&self) -> bool {
         self.flows == 1
             && self.receiver_stack == StackMode::Utcp
             && matches!(self.loss, LossAxis::ExplicitHole(_))
@@ -269,7 +269,7 @@ pub struct MatrixSpec {
     /// historical single-algorithm matrix.
     pub ccs: Vec<CcAlgorithm>,
     /// Base seed; each cell derives its own fixed seed from this and a
-    /// stable hash of its axis coordinates ([`CellSpec::coordinate_seed`]),
+    /// stable hash of its axis coordinates (`CellSpec::coordinate_seed`),
     /// so seeds are independent of expansion/execution order and adding or
     /// reordering axis values never reshuffles other cells' seeds.
     pub base_seed: u64,

@@ -20,7 +20,7 @@
 //!   `minion-engine`'s load scenario ([`CellSpec::flows`]; multi-flow
 //!   cells assert exactly-once delivery and per-stream order *per flow*).
 //!
-//! Each cell runs under a fixed seed and [`verify_cell`] asserts the paper's
+//! Each cell runs under a fixed seed and `verify_cell` asserts the paper's
 //! invariants in *every* cell:
 //!
 //! 1. **Exactly-once delivery**: the multiset of delivered payloads equals
@@ -43,7 +43,7 @@
 //!
 //! Sweeps parallelise on the `minion-exec` batch runner: cells are
 //! independent jobs, cell seeds are a stable hash of axis coordinates
-//! ([`CellSpec::coordinate_seed`]), and reports come back in cell order — so
+//! (`CellSpec::coordinate_seed`), and reports come back in cell order — so
 //! a sweep's output is byte-identical at any thread count, and
 //! [`run_matrix`] simply uses the threads the machine has.
 
@@ -56,13 +56,9 @@ pub mod runner;
 pub mod world;
 
 pub use axes::{CellSpec, LossAxis, MatrixSpec, MiddleboxAxis, PayloadProtocol, StackMode};
-pub use load::{load_scenario_of, run_load_cell};
 pub use minion_tcp::CcAlgorithm;
-pub use runner::{
-    run_cell, run_matrix, run_matrix_once, run_matrix_once_with_stats, summarize, verify_cell,
-    CellReport,
-};
-pub use world::{build_world, CellWorld};
+pub use runner::{run_matrix, run_matrix_once, run_matrix_once_with_stats, summarize, CellReport};
+pub use world::CellWorld;
 // The canonical loss-model types: `LossAxis` is a selector over these, not a
 // re-implementation — consumers needing a loss model use the simnet type.
 pub use minion_simnet::{LossConfig, LossModel};

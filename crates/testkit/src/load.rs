@@ -6,7 +6,7 @@
 //! carrying `datagrams` framed records — driven by readiness events, over
 //! the same loss/RTT/rate axes. The engine's scenario
 //! layer asserts exactly-once delivery and per-stream order **per flow**, and
-//! the usual [`crate::verify_cell`] two-run determinism check applies
+//! the usual `verify_cell` two-run determinism check applies
 //! unchanged because the mapped [`CellReport`] is a pure function of the
 //! deterministic [`minion_engine::LoadReport`].
 //!
@@ -20,7 +20,7 @@ use minion_engine::LoadScenario;
 use minion_simnet::SimDuration;
 
 /// Translate a multi-flow cell into an engine load scenario.
-pub fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
+fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
     assert_eq!(
         spec.middlebox,
         MiddleboxAxis::PassThrough,
@@ -69,7 +69,7 @@ pub fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
 /// The per-flow invariants (exactly-once, per-stream order, in-order-only on
 /// a standard receiver) are asserted inside [`LoadScenario::run`]; a
 /// violation panics with the scenario label (which carries the shard offset).
-pub fn run_load_cell(spec: &CellSpec) -> CellReport {
+pub(crate) fn run_load_cell(spec: &CellSpec) -> CellReport {
     let report = load_scenario_of(spec).run_sharded(1);
     let payload_fingerprint = report
         .per_flow

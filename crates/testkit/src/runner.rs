@@ -7,18 +7,18 @@
 //! of cells.
 
 use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
-use crate::world::build_world;
+use crate::world::{build_world, CellWorld};
 use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_mstcp::{MsTcpConnection, StreamId};
-use minion_simnet::SimDuration;
-use minion_stack::SocketAddr;
+use minion_simnet::{SimDuration, SimTime};
+use minion_stack::{Host, SocketAddr};
 use std::collections::BTreeMap;
 
 /// Number of msTCP streams a matrix cell multiplexes messages over.
-pub const MSTCP_STREAMS: u32 = 4;
+const MSTCP_STREAMS: u32 = 4;
 
 /// Everything observable about one cell run. Two runs of the same cell under
-/// the same seed must produce equal reports ([`verify_cell`] asserts this).
+/// the same seed must produce equal reports (`verify_cell` asserts this).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellReport {
     /// The cell's label (axes summary).
@@ -78,7 +78,7 @@ use minion_engine::{fnv1a, FNV_OFFSET_BASIS};
 /// embedded in the first four bytes so every payload is distinct, lengths
 /// vary around the nominal size, and the tail is a position-dependent
 /// pattern so corruption or mis-reassembly cannot cancel out.
-pub fn cell_payload(spec: &CellSpec, i: usize) -> Vec<u8> {
+fn cell_payload(spec: &CellSpec, i: usize) -> Vec<u8> {
     let len = spec.datagram_len / 2 + (i * 131) % spec.datagram_len.max(2);
     let mut out = Vec::with_capacity(4 + len);
     out.extend_from_slice(&(i as u32).to_be_bytes());
@@ -119,7 +119,7 @@ struct Collected {
 }
 
 /// Read the middlebox counters out of a consumed world.
-fn middlebox_counters(world: &crate::world::CellWorld) -> (u64, u64) {
+fn middlebox_counters(world: &CellWorld) -> (u64, u64) {
     match world.middlebox {
         Some(mb) => {
             let stats = world.sim.middlebox(mb).stats();
@@ -133,6 +133,39 @@ const ESTABLISH_DEADLINE: SimDuration = SimDuration::from_secs(20);
 const TRANSFER_DEADLINE: SimDuration = SimDuration::from_secs(120);
 const PUMP_STEP: SimDuration = SimDuration::from_millis(25);
 
+/// The first stage of both drivers: listen on the receiver, connect from the
+/// sender, and run the world until the receiver accepts. Returns the two
+/// ends and the deadline the stage ran against.
+fn establish<T>(
+    world: &mut CellWorld,
+    spec: &CellSpec,
+    port: u16,
+    listen: impl FnOnce(&mut Host),
+    connect: impl FnOnce(&mut Host, SocketAddr, SimTime) -> T,
+    mut accept: impl FnMut(&mut Host) -> Option<T>,
+) -> (T, T, SimTime) {
+    listen(world.sim.host_mut(world.receiver));
+    let now = world.sim.now();
+    let tx = connect(
+        world.sim.host_mut(world.sender),
+        SocketAddr::new(world.receiver, port),
+        now,
+    );
+    let deadline = world.sim.now() + ESTABLISH_DEADLINE;
+    loop {
+        world.sim.run_for(PUMP_STEP);
+        if let Some(rx) = accept(world.sim.host_mut(world.receiver)) {
+            return (tx, rx, deadline);
+        }
+        assert!(
+            world.sim.now() < deadline,
+            "[{}] {:?} connection never established",
+            spec.label(),
+            spec.protocol
+        );
+    }
+}
+
 /// Drive a datagram protocol — uCOBS or uTLS — across the cell's world
 /// through the one transport type both hide behind.
 fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
@@ -140,30 +173,16 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     let (sender_cfg, receiver_cfg) = configs(spec);
     let port = 9000;
     let (sender, receiver) = (world.sender, world.receiver);
-    MinionTransport::listen(protocol, world.sim.host_mut(receiver), port, &receiver_cfg).unwrap();
-    let now = world.sim.now();
-    let mut tx = MinionTransport::connect(
-        protocol,
-        world.sim.host_mut(sender),
-        SocketAddr::new(receiver, port),
-        &sender_cfg,
-        now,
-    )
-    .unwrap();
-    let establish_deadline = world.sim.now() + ESTABLISH_DEADLINE;
-    let mut rx = loop {
-        world.sim.run_for(PUMP_STEP);
-        if let Some(rx) =
-            MinionTransport::accept(protocol, world.sim.host_mut(receiver), port, &receiver_cfg)
-        {
-            break rx;
-        }
-        assert!(
-            world.sim.now() < establish_deadline,
-            "[{}] {protocol:?} connection never established",
-            spec.label()
-        );
-    };
+    let (mut tx, mut rx, establish_deadline) = establish(
+        &mut world,
+        spec,
+        port,
+        |host| MinionTransport::listen(protocol, host, port, &receiver_cfg).unwrap(),
+        |host, remote, now| {
+            MinionTransport::connect(protocol, host, remote, &sender_cfg, now).unwrap()
+        },
+        |host| MinionTransport::accept(protocol, host, port, &receiver_cfg),
+    );
     // uCOBS sends as soon as the connection is accepted: its writes queue
     // behind TCP's handshake. uTLS can seal nothing before its keys exist,
     // so both ends pump its handshake first (the server consumes the hello
@@ -229,26 +248,14 @@ fn run_mstcp(spec: &CellSpec) -> Collected {
     let mut world = build_world(spec);
     let (sender_cfg, receiver_cfg) = configs(spec);
     let port = 8080;
-    MsTcpConnection::listen(world.sim.host_mut(world.receiver), port, &receiver_cfg).unwrap();
-    let now = world.sim.now();
-    let mut tx = MsTcpConnection::connect(
-        world.sim.host_mut(world.sender),
-        SocketAddr::new(world.receiver, port),
-        &sender_cfg,
-        now,
+    let (mut tx, mut rx, _) = establish(
+        &mut world,
+        spec,
+        port,
+        |host| MsTcpConnection::listen(host, port, &receiver_cfg).unwrap(),
+        |host, remote, now| MsTcpConnection::connect(host, remote, &sender_cfg, now),
+        |host| MsTcpConnection::accept(host, port),
     );
-    let establish_deadline = world.sim.now() + ESTABLISH_DEADLINE;
-    let mut rx = loop {
-        world.sim.run_for(PUMP_STEP);
-        if let Some(rx) = MsTcpConnection::accept(world.sim.host_mut(world.receiver), port) {
-            break rx;
-        }
-        assert!(
-            world.sim.now() < establish_deadline,
-            "[{}] msTCP connection never established",
-            spec.label()
-        );
-    };
     // Round-robin messages over the streams; per-stream message order is the
     // send order, which the per-stream ordering invariant checks against.
     let streams: Vec<StreamId> = (0..MSTCP_STREAMS).map(|_| tx.open_stream()).collect();
@@ -319,7 +326,7 @@ fn run_mstcp(spec: &CellSpec) -> Collected {
 /// duplicated, or corrupted payloads; out-of-order delivery on a standard-TCP
 /// receiver; missing out-of-order delivery when the cell makes it mandatory;
 /// or a middlebox that failed to exercise its behaviour.
-pub fn run_cell(spec: &CellSpec) -> CellReport {
+fn run_cell(spec: &CellSpec) -> CellReport {
     if spec.flows > 1 {
         // Multi-flow cells run through `minion-engine`'s load scenario, which
         // asserts the per-flow invariants itself.
@@ -429,7 +436,7 @@ pub fn run_cell(spec: &CellSpec) -> CellReport {
 
 /// Run one cell **twice** under its fixed seed, assert the two runs produce
 /// identical reports, and return the (verified) report.
-pub fn verify_cell(spec: &CellSpec) -> CellReport {
+pub(crate) fn verify_cell(spec: &CellSpec) -> CellReport {
     let first = run_cell(spec);
     let second = run_cell(spec);
     assert_eq!(

@@ -1,7 +1,7 @@
 //! Topology construction: one cell spec → one simulated world.
 
 use crate::axes::{CellSpec, MiddleboxAxis};
-use minion_simnet::{LinkConfig, LossConfig, NodeId, SimDuration};
+use minion_simnet::{LinkConfig, NodeId, SimDuration};
 use minion_stack::{MiddleboxBehavior, Sim};
 
 /// A constructed cell world: sender, receiver, and (optionally) the
@@ -22,7 +22,7 @@ pub struct CellWorld {
 /// The cell's loss process applies only to the last-hop link *toward the
 /// receiver*, so explicit drop indices count data segments deterministically
 /// regardless of the reverse ACK stream.
-pub fn build_world(spec: &CellSpec) -> CellWorld {
+pub(crate) fn build_world(spec: &CellSpec) -> CellWorld {
     let mut sim = Sim::new(spec.seed);
     let sender = sim.add_host("sender");
     let receiver = sim.add_host("receiver");
@@ -78,11 +78,6 @@ pub fn build_world(spec: &CellSpec) -> CellWorld {
             }
         }
     }
-}
-
-/// Expose the loss config for tests (the conversion is pure).
-pub fn loss_config_of(spec: &CellSpec) -> LossConfig {
-    spec.loss.to_loss_config()
 }
 
 #[cfg(test)]

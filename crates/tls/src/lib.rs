@@ -28,8 +28,7 @@ pub mod utls;
 pub use fragment::FragmentStore;
 pub use record::{
     CipherSuite, RecordError, RecordHeader, RecordProtection, CONTENT_APPLICATION_DATA,
-    CONTENT_HANDSHAKE, IV_LEN, MAC_LEN, MAX_RECORD_LEN, RECORD_HEADER_LEN, VERSION_TLS10,
-    VERSION_TLS11,
+    RECORD_HEADER_LEN, VERSION_TLS11,
 };
 pub use session::{Role, TlsConfig, TlsError, TlsSession};
 pub use utls::{UtlsReceiver, UtlsRecord, UtlsStats};

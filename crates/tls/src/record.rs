@@ -7,22 +7,20 @@ use minion_crypto::cbc;
 use minion_crypto::hmac::{constant_time_eq, HmacSha256};
 
 /// TLS content type for handshake records.
-pub const CONTENT_HANDSHAKE: u8 = 22;
+pub(crate) const CONTENT_HANDSHAKE: u8 = 22;
 /// TLS content type for application-data records.
 pub const CONTENT_APPLICATION_DATA: u8 = 23;
 /// Protocol version bytes for "TLS 1.1" (3, 2).
 pub const VERSION_TLS11: (u8, u8) = (3, 2);
-/// Protocol version bytes for "TLS 1.0" (3, 1).
-pub const VERSION_TLS10: (u8, u8) = (3, 1);
 
 /// Length of the record header on the wire.
 pub const RECORD_HEADER_LEN: usize = 5;
 /// Maximum record payload length accepted (as in TLS: 2^14 plus expansion).
-pub const MAX_RECORD_LEN: usize = (1 << 14) + 2048;
+const MAX_RECORD_LEN: usize = (1 << 14) + 2048;
 /// Length of the record MAC (HMAC-SHA256).
-pub const MAC_LEN: usize = 32;
+const MAC_LEN: usize = 32;
 /// AES block / explicit IV length.
-pub const IV_LEN: usize = 16;
+const IV_LEN: usize = 16;
 
 /// A parsed 5-byte record header.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +65,7 @@ impl RecordHeader {
     /// version: known content type, matching version, and a sane length.
     /// Used by the uTLS scanner as the cheap pre-filter before the expensive
     /// MAC confirmation.
-    pub fn is_plausible(&self, version: (u8, u8)) -> bool {
+    pub(crate) fn is_plausible(&self, version: (u8, u8)) -> bool {
         (self.content_type == CONTENT_APPLICATION_DATA || self.content_type == CONTENT_HANDSHAKE)
             && self.version == version
             && self.length > 0
@@ -151,7 +149,7 @@ impl RecordProtection {
     }
 
     /// The protocol version stamped into record headers.
-    pub fn version(&self) -> (u8, u8) {
+    pub(crate) fn version(&self) -> (u8, u8) {
         self.version
     }
 
@@ -300,7 +298,7 @@ mod tests {
         };
         assert_eq!(RecordHeader::decode(&h.encode()), Some(h));
         assert!(h.is_plausible(VERSION_TLS11));
-        assert!(!h.is_plausible(VERSION_TLS10));
+        assert!(!h.is_plausible((3, 1)));
         let bad = RecordHeader {
             content_type: 99,
             ..h

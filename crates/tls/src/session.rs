@@ -22,18 +22,12 @@ use minion_simnet::SimRng;
 pub struct TlsConfig {
     /// Ciphersuite negotiated for application data.
     pub suite: CipherSuite,
-    /// Maximum plaintext bytes per application record.
-    pub max_record_payload: usize,
-    /// Protocol version advertised in record headers.
-    pub version: (u8, u8),
 }
 
 impl Default for TlsConfig {
     fn default() -> Self {
         TlsConfig {
             suite: CipherSuite::Aes128CbcExplicitIv,
-            max_record_payload: 16 * 1024,
-            version: VERSION_TLS11,
         }
     }
 }
@@ -82,6 +76,8 @@ impl std::error::Error for TlsError {}
 
 const HELLO_MAGIC: &[u8; 4] = b"MHLO";
 const RANDOM_LEN: usize = 32;
+/// Maximum plaintext bytes per application record.
+const MAX_RECORD_PAYLOAD: usize = 16 * 1024;
 
 /// A TLS session endpoint.
 pub struct TlsSession {
@@ -105,8 +101,6 @@ pub struct TlsSession {
     /// Number of incoming stream bytes consumed by the handshake; application
     /// records start at this stream offset (needed by the uTLS receiver).
     rx_handshake_bytes: u64,
-    /// Number of outgoing stream bytes produced by the handshake.
-    tx_handshake_bytes: u64,
 }
 
 impl TlsSession {
@@ -117,8 +111,8 @@ impl TlsSession {
         });
         let mut local_random = [0u8; RANDOM_LEN];
         rng.fill_bytes(&mut local_random);
-        let null_tx = RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], config.version);
-        let null_rx = RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], config.version);
+        let null_tx = RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], VERSION_TLS11);
+        let null_rx = RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], VERSION_TLS11);
         TlsSession {
             role,
             config,
@@ -135,7 +129,6 @@ impl TlsSession {
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             rx_handshake_bytes: 0,
-            tx_handshake_bytes: 0,
         }
     }
 
@@ -145,7 +138,6 @@ impl TlsSession {
         let mut s = TlsSession::new(Role::Client, psk, config, seed);
         let hello = s.make_hello();
         s.outbuf.extend_from_slice(&hello);
-        s.tx_handshake_bytes = hello.len() as u64;
         s.state = HandshakeState::WaitServerHello;
         s
     }
@@ -173,21 +165,6 @@ impl TlsSession {
     /// Incoming stream offset at which application records begin.
     pub fn rx_app_start_offset(&self) -> u64 {
         self.rx_handshake_bytes
-    }
-
-    /// Outgoing stream offset at which application records begin.
-    pub fn tx_app_start_offset(&self) -> u64 {
-        self.tx_handshake_bytes
-    }
-
-    /// Number of application records sent so far.
-    pub fn tx_record_count(&self) -> u64 {
-        self.tx_record_number
-    }
-
-    /// Number of application records delivered in order so far.
-    pub fn rx_record_count(&self) -> u64 {
-        self.rx_record_number
     }
 
     fn make_hello(&mut self) -> Vec<u8> {
@@ -227,13 +204,13 @@ impl TlsSession {
             self.config.suite,
             tx_enc,
             tx_mac,
-            self.config.version,
+            VERSION_TLS11,
         ));
         self.rx = Some(RecordProtection::new(
             self.config.suite,
             rx_enc,
             rx_mac,
-            self.config.version,
+            VERSION_TLS11,
         ));
         self.state = HandshakeState::Established;
     }
@@ -255,22 +232,29 @@ impl TlsSession {
         self.process_handshake()
     }
 
+    /// Take the next whole record off the front of the in-order buffer, or
+    /// `None` while its header or body is still incomplete.
+    fn take_record(&mut self) -> Option<(RecordHeader, Vec<u8>)> {
+        let header = RecordHeader::decode(&self.inbuf)?;
+        if self.inbuf.len() < RECORD_HEADER_LEN + header.length {
+            return None;
+        }
+        let body = self
+            .inbuf
+            .drain(..RECORD_HEADER_LEN + header.length)
+            .skip(RECORD_HEADER_LEN)
+            .collect();
+        Some((header, body))
+    }
+
     fn process_handshake(&mut self) -> Result<(), TlsError> {
         while self.state != HandshakeState::Established {
-            let Some(header) = RecordHeader::decode(&self.inbuf) else {
+            let Some((header, body)) = self.take_record() else {
                 return Ok(());
             };
-            if self.inbuf.len() < RECORD_HEADER_LEN + header.length {
-                return Ok(());
-            }
             if header.content_type != CONTENT_HANDSHAKE {
                 return Err(TlsError::BadHandshake);
             }
-            let body: Vec<u8> = self
-                .inbuf
-                .drain(..RECORD_HEADER_LEN + header.length)
-                .skip(RECORD_HEADER_LEN)
-                .collect();
             self.rx_handshake_bytes += (RECORD_HEADER_LEN + header.length) as u64;
             let plain = self
                 .handshake_rx
@@ -286,7 +270,6 @@ impl TlsSession {
             match (self.role, self.state) {
                 (Role::Server, HandshakeState::Start) => {
                     let hello = self.make_hello();
-                    self.tx_handshake_bytes = hello.len() as u64;
                     self.outbuf.extend_from_slice(&hello);
                     self.derive_keys();
                 }
@@ -311,7 +294,7 @@ impl TlsSession {
             return Err(TlsError::NotEstablished);
         }
         assert!(
-            data.len() <= self.config.max_record_payload,
+            data.len() <= MAX_RECORD_PAYLOAD,
             "datagram exceeds the maximum record payload"
         );
         let tx = self.tx.as_mut().expect("established");
@@ -327,15 +310,7 @@ impl TlsSession {
             return Ok(vec![]);
         }
         let mut out = Vec::new();
-        while let Some(header) = RecordHeader::decode(&self.inbuf) {
-            if self.inbuf.len() < RECORD_HEADER_LEN + header.length {
-                break;
-            }
-            let body: Vec<u8> = self
-                .inbuf
-                .drain(..RECORD_HEADER_LEN + header.length)
-                .skip(RECORD_HEADER_LEN)
-                .collect();
+        while let Some((header, body)) = self.take_record() {
             let rx = self.rx.as_mut().expect("established");
             // The MAC covers the negotiated version, not the header's two
             // bytes: compare them here, where TLS sends `protocol_version`.
@@ -357,10 +332,7 @@ mod tests {
     use super::*;
 
     fn handshake(suite: CipherSuite) -> (TlsSession, TlsSession) {
-        let config = TlsConfig {
-            suite,
-            ..TlsConfig::default()
-        };
+        let config = TlsConfig { suite };
         let mut client = TlsSession::client(b"shared secret", config.clone(), 1);
         let mut server = TlsSession::server(b"shared secret", config, 2);
         let c_hello = client.take_outgoing();
@@ -378,8 +350,6 @@ mod tests {
         assert_eq!(client.role(), Role::Client);
         assert_eq!(server.role(), Role::Server);
         assert!(client.rx_app_start_offset() > 0);
-        assert_eq!(client.rx_app_start_offset(), server.tx_app_start_offset());
-        assert_eq!(server.rx_app_start_offset(), client.tx_app_start_offset());
     }
 
     #[test]
@@ -397,7 +367,39 @@ mod tests {
         let got = server.read_datagrams().unwrap();
         assert_eq!(got.len(), 20);
         assert_eq!(got[7], b"application datagram 7");
-        assert_eq!(server.rx_record_count(), 20);
+    }
+
+    #[test]
+    fn a_byte_at_a_time_feed_yields_the_one_shot_datagrams() {
+        // Every cut, including the ones inside a 5-byte record header, in the
+        // hello and in the application records after it.
+        let config = TlsConfig::default();
+        let mut client = TlsSession::client(b"shared secret", config.clone(), 1);
+        let mut whole = TlsSession::server(b"shared secret", config.clone(), 2);
+        let mut bytewise = TlsSession::server(b"shared secret", config, 2);
+        let hello = client.take_outgoing();
+        whole.push_incoming(&hello).unwrap();
+        client.push_incoming(&whole.take_outgoing()).unwrap();
+        let mut wire = hello.clone();
+        for msg in [&b"first"[..], &[7u8; 1200], b""] {
+            wire.extend_from_slice(&client.seal_datagram(msg).unwrap());
+        }
+        whole.push_incoming(&wire[hello.len()..]).unwrap();
+        let expected = whole.read_datagrams().unwrap();
+        assert_eq!(expected, [b"first".to_vec(), vec![7u8; 1200], vec![]]);
+
+        let mut got = Vec::new();
+        for byte in &wire {
+            bytewise.push_incoming(std::slice::from_ref(byte)).unwrap();
+            got.extend(bytewise.read_datagrams().unwrap());
+        }
+        assert_eq!(got, expected);
+        assert_eq!(bytewise.rx_app_start_offset(), hello.len() as u64);
+        assert_eq!(
+            bytewise.take_outgoing().len(),
+            hello.len(),
+            "one hello back"
+        );
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl UtlsReceiver {
         }
     }
 
-    /// Whether out-of-order recovery is active.
-    pub fn out_of_order_enabled(&self) -> bool {
-        self.out_of_order_enabled
-    }
-
     /// Receiver statistics.
     pub fn stats(&self) -> &UtlsStats {
         &self.stats
@@ -471,7 +466,7 @@ mod tests {
         let mut tx = RecordProtection::new(CipherSuite::Null, tx_keys.0, tx_keys.1, VERSION_TLS11);
         let rx_prot = RecordProtection::new(CipherSuite::Null, tx_keys.0, tx_keys.1, VERSION_TLS11);
         let mut rx = UtlsReceiver::new(rx_prot, 4);
-        assert!(!rx.out_of_order_enabled());
+        assert!(!rx.out_of_order_enabled);
         let (stream, ranges, _) = build_stream(&mut tx, &[100, 100, 100]);
         rx.on_fragment(0, &stream[..ranges[0].1 as usize]);
         // A fragment after a hole is NOT delivered early under the null suite.
