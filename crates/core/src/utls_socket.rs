@@ -311,6 +311,31 @@ mod tests {
     }
 
     #[test]
+    fn large_transfer_has_bounded_memory() {
+        let (mut sim, a, b) = sim_pair(LossConfig::from_rate(0.01), 10);
+        let config = MinionConfig::default();
+        let (mut client, mut server) = establish(&mut sim, a, b, &config);
+        let mut received = 0usize;
+        for round in 0..30 {
+            for i in 0..20u8 {
+                client
+                    .send_datagram(sim.host_mut(a), &vec![i.wrapping_add(round); 1200])
+                    .unwrap();
+            }
+            sim.run_for(SimDuration::from_millis(300));
+            received += server.recv(sim.host_mut(b)).len();
+        }
+        sim.run_for(SimDuration::from_secs(5));
+        received += server.recv(sim.host_mut(b)).len();
+        assert_eq!(received, 600);
+        let stats = server.receiver_stats().unwrap();
+        assert!(stats.out_of_order_delivered > 0, "{stats:?}");
+        // The receiver must not retain the stream it has consumed.
+        let buffered = server.receiver.as_ref().unwrap().buffered_bytes();
+        assert!(buffered < 64 * 1024, "buffered={buffered}");
+    }
+
+    #[test]
     fn stream_tls_fallback_stays_in_order() {
         let (mut sim, a, b) = sim_pair(LossConfig::Explicit { indices: vec![8] }, 7);
         let config = MinionConfig::without_utcp();

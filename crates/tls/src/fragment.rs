@@ -10,10 +10,12 @@
 //! bytes here (the store lives in this crate because it is the lowest one
 //! below all three; `minion_core::FragmentStore` re-exports it).
 //!
-//! Every accessor lends the run it names — nothing is cloned on the way out.
-//! What still copies is the merge itself: `insert` rebuilds the run that
-//! receives the chunk, so a run that is never pruned costs its whole length
-//! per arrival. Where a chunk overlaps bytes already held, the new bytes win.
+//! Every accessor lends the run it names — nothing is cloned on the way out —
+//! and every stream byte is stored once: `insert` extends the run that
+//! reaches the chunk where it lies (amortised doubling, as a `Vec` grows) and
+//! moves a later run only when the chunk joins the two; `prune_below` drops
+//! the consumed prefix in place. Where a chunk overlaps bytes already held,
+//! the new bytes win.
 //!
 //! [`UtlsReceiver`]: crate::UtlsReceiver
 
@@ -66,51 +68,36 @@ impl FragmentStore {
             (offset, data)
         };
 
-        let mut start = offset;
-        let mut buf = data.to_vec();
-
-        if let Some((&pstart, pdata)) = self.runs.range(..=start).next_back() {
-            let pend = pstart + pdata.len() as u64;
-            if pend >= start {
-                let keep = (start - pstart) as usize;
-                let mut merged = pdata[..keep].to_vec();
-                merged.extend_from_slice(&buf);
-                // If the existing run extends beyond the new data, keep its
-                // tail too (otherwise a wholly-contained insert would lose
-                // already-received bytes).
-                let new_end = start + buf.len() as u64;
-                if pend > new_end {
-                    merged.extend_from_slice(&pdata[(new_end - pstart) as usize..]);
-                }
-                self.bytes -= pdata.len();
-                start = pstart;
-                buf = merged;
-                self.runs.remove(&pstart);
+        // Extend the run that reaches `offset` where it lies; only a chunk no
+        // run reaches starts one of its own.
+        let (start, mut end) = match self.runs.range_mut(..=offset).next_back() {
+            Some((&start, run)) if start + run.len() as u64 >= offset => {
+                let at = (offset - start) as usize;
+                let overlap = data.len().min(run.len() - at);
+                run[at..at + overlap].copy_from_slice(&data[..overlap]);
+                run.extend_from_slice(&data[overlap..]);
+                self.bytes += data.len() - overlap;
+                (start, start + run.len() as u64)
             }
+            _ => {
+                self.runs.insert(offset, data.to_vec());
+                self.bytes += data.len();
+                (offset, offset + data.len() as u64)
+            }
+        };
+        // Absorb every later run the extended one now touches: what the
+        // chunk covered of it is dropped, the rest appended.
+        while let Some((&next, _)) = self.runs.range(start + 1..=end).next() {
+            let absorbed = self.runs.remove(&next).expect("key just seen");
+            let covered = absorbed.len().min((end - next) as usize);
+            self.bytes -= covered;
+            end += (absorbed.len() - covered) as u64;
+            self.runs
+                .get_mut(&start)
+                .expect("the run extended above")
+                .extend_from_slice(&absorbed[covered..]);
         }
-        let mut end = start + buf.len() as u64;
-        // Not a `while let`: the range borrow must end before `remove()`.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some((&sstart, sdata)) = self.runs.range(start..).next() else {
-                break;
-            };
-            if sstart > end {
-                break;
-            }
-            let send = sstart + sdata.len() as u64;
-            if send > end {
-                let skip = (end - sstart) as usize;
-                buf.extend_from_slice(&sdata[skip..]);
-                end = send;
-            }
-            self.bytes -= sdata.len();
-            self.runs.remove(&sstart);
-        }
-        self.bytes += buf.len();
-        // Every run that touched `start..=end` was removed above, so the
-        // entry is vacant and this is the insert.
-        Some((start, self.runs.entry(start).or_insert(buf)))
+        Some((start, self.runs[&start].as_slice()))
     }
 
     /// The run containing `offset` and the offset of its first byte, if the
@@ -133,15 +120,19 @@ impl FragmentStore {
             return;
         }
         self.pruned_below = offset;
-        let keys: Vec<u64> = self.runs.range(..offset).map(|(&k, _)| k).collect();
-        for k in keys {
-            let run = self.runs.remove(&k).expect("key exists");
-            let end = k + run.len() as u64;
-            self.bytes -= run.len();
-            if end > offset {
-                let keep = run[(offset - k) as usize..].to_vec();
-                self.bytes += keep.len();
-                self.runs.insert(offset, keep);
+        while let Some(first) = self.runs.first_entry() {
+            let start = *first.key();
+            if start >= offset {
+                break;
+            }
+            // Whole runs below the point go; the one that straddles it keeps
+            // its tail, re-keyed at `offset`.
+            let mut run = first.remove();
+            let cut = run.len().min((offset - start) as usize);
+            self.bytes -= cut;
+            if cut < run.len() {
+                run.drain(..cut);
+                self.runs.insert(offset, run);
             }
         }
     }

@@ -22,11 +22,12 @@
 //! in order, exactly as standard TLS would.
 //!
 //! The ciphertext runs live in the record layer's shared [`FragmentStore`]
-//! and are read where they lie: the in-order path opens each record body in
-//! place. The receiver never prunes the store, so the head run is rebuilt on
-//! every arrival that extends it, and the out-of-order scan copies each
-//! candidate body out — both are the record-layer series' next steps
-//! (ROADMAP), not this module's design.
+//! and are read where they lie: both passes open record bodies in place.
+//! Every arrival costs its own bytes and no more: the store is pruned up to
+//! the in-order point after each in-order pass (and the anchors with it), so
+//! neither grows with the age of the connection, and a record is opened once
+//! — when the in-order point reaches a record the out-of-order pass already
+//! confirmed, it steps over the length that MAC confirmed.
 
 use crate::fragment::FragmentStore;
 use crate::record::{RecordHeader, RecordProtection, RECORD_HEADER_LEN};
@@ -60,6 +61,9 @@ pub struct UtlsStats {
     pub out_of_order_delivered: u64,
     /// Records delivered in order.
     pub in_order_delivered: u64,
+    /// Records opened (decrypted, MAC verified) at the in-order point; with
+    /// `out_of_order_delivered` it counts every record opened exactly once.
+    pub in_order_opens: u64,
     /// Records whose number prediction needed a non-zero offset to succeed.
     pub prediction_misses: u64,
     /// Records that could not be recovered out of order at all (delivered
@@ -70,18 +74,21 @@ pub struct UtlsStats {
 /// The out-of-order TLS record receiver.
 pub struct UtlsReceiver {
     protection: RecordProtection,
-    /// Contiguous runs of the ciphertext stream, keyed by stream offset
-    /// (relative to the start of application data). Never pruned.
+    /// Contiguous runs of the ciphertext stream at and beyond the in-order
+    /// point, keyed by stream offset (relative to the start of application
+    /// data).
     store: FragmentStore,
     /// Stream offset up to which in-order processing has consumed records.
     in_order_offset: u64,
     /// Record number of the next in-order record.
     next_record_number: u64,
-    /// Confirmed (offset → record number) anchors, one per record delivered
-    /// on either path: they improve later predictions, and a record is
-    /// delivered exactly once because it is delivered only when its offset
-    /// is not yet a key here.
-    anchors: BTreeMap<u64, u64>,
+    /// Confirmed (offset → record number, wire length) anchors, one per
+    /// record delivered ahead of the in-order point; an entry exists only
+    /// because [`RecordProtection::open`] verified that record's MAC at that
+    /// offset. They improve later predictions, and a record is delivered
+    /// exactly once because it is delivered only when its offset is not a
+    /// key here.
+    anchors: BTreeMap<u64, (u64, usize)>,
     /// Exponentially-weighted average wire length of confirmed records.
     avg_record_wire_len: f64,
     /// How many candidate record numbers to try on each side of the estimate.
@@ -137,14 +144,21 @@ impl UtlsReceiver {
             return out;
         }
         self.process_in_order(&mut out);
+        // What lies below the in-order point has been delivered: a late
+        // duplicate of it is ignored by `insert`, and the estimator falls
+        // back to the in-order point itself, which is exact.
+        let consumed = self.in_order_offset;
+        self.store.prune_below(consumed);
+        while let Some(anchor) = self.anchors.first_entry() {
+            if *anchor.key() >= consumed {
+                break;
+            }
+            anchor.remove();
+        }
         if self.out_of_order_enabled {
             self.process_out_of_order(&mut out);
         }
         out
-    }
-
-    fn note_record_len(&mut self, wire_len: usize) {
-        self.avg_record_wire_len = 0.875 * self.avg_record_wire_len + 0.125 * wire_len as f64;
     }
 
     /// Process records at the in-order point (standard TLS processing).
@@ -155,6 +169,19 @@ impl UtlsReceiver {
                 return;
             };
             let slice = &run[(offset - run_start) as usize..];
+            let record_number = self.next_record_number;
+            // A record the out-of-order pass confirmed under this very
+            // number has had its MAC verified over these bytes: step over
+            // the confirmed length without opening it again. Anything else
+            // goes through `open` below.
+            let confirmed = self.anchors.get(&offset).copied();
+            if let Some((number, wire_len)) = confirmed {
+                if number == record_number && slice.len() >= wire_len {
+                    self.next_record_number += 1;
+                    self.in_order_offset += wire_len as u64;
+                    continue;
+                }
+            }
             let Some(header) = RecordHeader::decode(slice) else {
                 return;
             };
@@ -162,7 +189,6 @@ impl UtlsReceiver {
             if slice.len() < wire_len {
                 return;
             }
-            let record_number = self.next_record_number;
             let body = &slice[RECORD_HEADER_LEN..wire_len];
             // An in-order record that fails its MAC is a genuine protocol
             // error in TLS; surface nothing and stop (the owning endpoint
@@ -175,10 +201,11 @@ impl UtlsReceiver {
             let Ok(payload) = self.protection.open(record_number, &header, body) else {
                 return;
             };
-            self.note_record_len(wire_len);
+            self.stats.in_order_opens += 1;
+            note_record_len(&mut self.avg_record_wire_len, wire_len);
             self.next_record_number += 1;
             self.in_order_offset += wire_len as u64;
-            if self.anchors.insert(offset, record_number).is_none() {
+            if confirmed.is_none() {
                 self.stats.in_order_delivered += 1;
                 out.push(UtlsRecord {
                     record_number,
@@ -196,7 +223,7 @@ impl UtlsReceiver {
         // back to the in-order point.
         let (anchor_off, anchor_num) = self.anchors.range(..=offset).next_back().map_or(
             (self.in_order_offset, self.next_record_number),
-            |(&o, &n)| (o, n),
+            |(&o, &(n, _))| (o, n),
         );
         if offset <= anchor_off {
             return anchor_num;
@@ -208,108 +235,88 @@ impl UtlsReceiver {
         anchor_num + estimated_records.max(1)
     }
 
-    /// Scan fragments beyond the in-order point for recoverable records.
+    /// Scan fragments beyond the in-order point for recoverable records,
+    /// confirming each candidate where it lies in the store.
     fn process_out_of_order(&mut self, out: &mut Vec<UtlsRecord>) {
-        // Collect candidate (stream_offset, header, body) tuples first to
-        // avoid borrowing issues, then confirm each.
-        let mut candidates: Vec<(u64, RecordHeader, Vec<u8>)> = Vec::new();
         let version = self.protection.version();
+        let window = self.prediction_window as i64;
         // Only runs that start strictly beyond the in-order point are out of
         // order; the run containing the in-order point was handled above.
         for (run_start, run) in self.store.runs_from(self.in_order_offset + 1) {
             let mut i = 0usize;
             while i + RECORD_HEADER_LEN <= run.len() {
                 let stream_offset = run_start + i as u64;
-                if self.anchors.contains_key(&stream_offset) {
-                    // Already delivered: skip its whole body if we can parse it.
-                    if let Some(h) = RecordHeader::decode(&run[i..]) {
-                        i += RECORD_HEADER_LEN + h.length.min(run.len() - i - RECORD_HEADER_LEN);
-                        continue;
-                    }
+                if let Some(&(_, wire_len)) = self.anchors.get(&stream_offset) {
+                    // Already delivered: skip the record.
+                    i += wire_len;
+                    continue;
                 }
                 let Some(header) = RecordHeader::decode(&run[i..]) else {
                     break;
                 };
-                if header.is_plausible(version)
-                    && i + RECORD_HEADER_LEN + header.length <= run.len()
-                {
-                    self.stats.candidate_headers += 1;
-                    let body =
-                        run[i + RECORD_HEADER_LEN..i + RECORD_HEADER_LEN + header.length].to_vec();
-                    candidates.push((stream_offset, header, body));
-                    // Tentatively skip past this candidate record; if it turns
-                    // out to be a false positive we lose the chance to find a
-                    // header hidden inside it this round, but it will be
-                    // recovered in order later (same trade-off as the paper).
-                    i += RECORD_HEADER_LEN + header.length;
-                } else {
+                let wire_len = RECORD_HEADER_LEN + header.length;
+                if !header.is_plausible(version) || i + wire_len > run.len() {
                     i += 1;
-                }
-            }
-        }
-
-        for (stream_offset, header, body) in candidates {
-            if self.anchors.contains_key(&stream_offset) {
-                continue;
-            }
-            let estimate = self.estimate_record_number(stream_offset);
-            let mut confirmed: Option<(u64, Vec<u8>)> = None;
-            let mut tried = 0u64;
-            // Try the estimate first, then alternate outward: +1, -1, +2, -2…
-            let mut offsets: Vec<i64> = vec![0];
-            for d in 1..=self.prediction_window as i64 {
-                offsets.push(d);
-                offsets.push(-d);
-            }
-            for d in offsets {
-                let candidate_number = if d >= 0 {
-                    estimate.saturating_add(d as u64)
-                } else {
-                    match estimate.checked_sub((-d) as u64) {
-                        Some(n) => n,
-                        None => continue,
-                    }
-                };
-                // Out-of-order records are necessarily at or beyond the next
-                // in-order record number.
-                if candidate_number < self.next_record_number {
                     continue;
                 }
-                self.stats.mac_attempts += 1;
-                tried += 1;
-                match self.protection.open(candidate_number, &header, &body) {
-                    Ok(payload) => {
-                        confirmed = Some((candidate_number, payload));
-                        if d != 0 {
-                            self.stats.prediction_misses += 1;
+                self.stats.candidate_headers += 1;
+                let body = &run[i + RECORD_HEADER_LEN..i + wire_len];
+                // Step past this candidate whatever comes of it; if it turns
+                // out to be a false positive we lose the chance to find a
+                // header hidden inside it this round, but it will be
+                // recovered in order later (same trade-off as the paper).
+                i += wire_len;
+
+                let estimate = self.estimate_record_number(stream_offset);
+                let mut tried = false;
+                let mut confirmed = None;
+                // Try the estimate first, then alternate outward: +1, -1, +2, -2…
+                for d in std::iter::once(0).chain((1..=window).flat_map(|d| [d, -d])) {
+                    let Some(candidate_number) = estimate.checked_add_signed(d) else {
+                        continue;
+                    };
+                    // Out-of-order records are necessarily at or beyond the next
+                    // in-order record number.
+                    if candidate_number < self.next_record_number {
+                        continue;
+                    }
+                    self.stats.mac_attempts += 1;
+                    tried = true;
+                    match self.protection.open(candidate_number, &header, body) {
+                        Ok(payload) => {
+                            confirmed = Some((candidate_number, payload));
+                            if d != 0 {
+                                self.stats.prediction_misses += 1;
+                            }
+                            break;
                         }
-                        break;
-                    }
-                    Err(_) => {
-                        self.stats.rejected_candidates += 1;
+                        Err(_) => self.stats.rejected_candidates += 1,
                     }
                 }
-            }
-            match confirmed {
-                Some((record_number, payload)) => {
-                    self.note_record_len(RECORD_HEADER_LEN + header.length);
-                    self.anchors.insert(stream_offset, record_number);
-                    self.stats.out_of_order_delivered += 1;
-                    out.push(UtlsRecord {
-                        record_number,
-                        stream_offset,
-                        out_of_order: true,
-                        payload,
-                    });
-                }
-                None => {
-                    if tried > 0 {
-                        self.stats.prediction_failures += 1;
+                match confirmed {
+                    Some((record_number, payload)) => {
+                        note_record_len(&mut self.avg_record_wire_len, wire_len);
+                        self.anchors
+                            .insert(stream_offset, (record_number, wire_len));
+                        self.stats.out_of_order_delivered += 1;
+                        out.push(UtlsRecord {
+                            record_number,
+                            stream_offset,
+                            out_of_order: true,
+                            payload,
+                        });
                     }
+                    None if tried => self.stats.prediction_failures += 1,
+                    None => {}
                 }
             }
         }
     }
+}
+
+/// Fold one confirmed record's wire length into the running average.
+fn note_record_len(avg: &mut f64, wire_len: usize) {
+    *avg = 0.875 * *avg + 0.125 * wire_len as f64;
 }
 
 #[cfg(test)]
@@ -390,6 +397,63 @@ mod tests {
         assert!(!third[0].out_of_order);
         assert_eq!(rx.stats().out_of_order_delivered, 1);
         assert_eq!(rx.stats().in_order_delivered, 2);
+        // Each of the three records was opened once: record 2 was stepped
+        // over by its confirmed length, not decrypted again.
+        assert_eq!(rx.stats().in_order_opens, 2);
+        assert_eq!(rx.in_order_offset(), stream.len() as u64);
+        // Nothing consumed is kept.
+        assert_eq!(rx.buffered_bytes(), 0);
+        assert!(rx.anchors.is_empty());
+    }
+
+    #[test]
+    fn rewritten_bytes_of_a_confirmed_record_neither_redeliver_nor_stall() {
+        let (mut tx, mut rx) = sender_and_receiver(4);
+        let (stream, ranges, _) = build_stream(&mut tx, &[500, 600, 700, 300]);
+        let at = |r: (u64, u64)| r.0 as usize..r.1 as usize;
+        assert_eq!(rx.on_fragment(0, &stream[at(ranges[0])]).len(), 1);
+        let early = rx.on_fragment(ranges[2].0, &stream[at(ranges[2])]);
+        assert_eq!((early.len(), early[0].record_number), (1, 2));
+        // A second arrival over record 2's offsets with other bytes: the
+        // store keeps the newer bytes, which no longer pass any MAC.
+        let garbage = vec![0x5Au8; (ranges[2].1 - ranges[2].0) as usize];
+        assert!(rx.on_fragment(ranges[2].0, &garbage).is_empty());
+        // The hole fills: record 1 in order, record 2 stepped over by the
+        // length its MAC confirmed, record 3 in order behind it.
+        let rest = rx.on_fragment(ranges[1].0, &stream[at(ranges[1])]);
+        assert_eq!((rest.len(), rest[0].record_number), (1, 1));
+        let last = rx.on_fragment(ranges[3].0, &stream[at(ranges[3])]);
+        assert_eq!((last.len(), last[0].record_number), (1, 3));
+        assert!(!last[0].out_of_order);
+        assert_eq!(rx.in_order_offset(), stream.len() as u64);
+        assert_eq!(rx.stats().in_order_opens, 3);
+        assert_eq!(rx.stats().out_of_order_delivered, 1);
+    }
+
+    #[test]
+    fn an_anchor_under_another_number_is_opened_again_and_stalls() {
+        let (mut tx, mut rx) = sender_and_receiver(4);
+        // The third record is sealed as number 5: ahead of a hole the window
+        // confirms it under 5, but in order it has to be number 2.
+        let mut stream = Vec::new();
+        let mut starts = Vec::new();
+        for number in [0u64, 1, 5] {
+            starts.push(stream.len());
+            stream.extend(tx.seal(number, CONTENT_APPLICATION_DATA, &[number as u8; 400]));
+        }
+        rx.on_fragment(0, &stream[..starts[1]]);
+        let early = rx.on_fragment(starts[2] as u64, &stream[starts[2]..]);
+        assert_eq!((early.len(), early[0].record_number), (1, 5));
+        // The hole fills; the in-order point reaches the anchor expecting 2.
+        let filled = rx.on_fragment(starts[1] as u64, &stream[starts[1]..starts[2]]);
+        assert_eq!((filled.len(), filled[0].record_number), (1, 1));
+        assert_eq!(rx.in_order_offset(), starts[2] as u64, "stalled at it");
+        assert_eq!(
+            rx.stats().in_order_opens,
+            2,
+            "only MAC-verified opens count"
+        );
+        assert_eq!(rx.buffered_bytes(), stream.len() - starts[2]);
     }
 
     #[test]
@@ -509,9 +573,11 @@ mod tests {
         let (stream, ranges, _) = build_stream(&mut tx, &[250, 250]);
         let r0 = &stream[..ranges[0].1 as usize];
         let once = rx.on_fragment(0, r0);
+        assert_eq!(rx.buffered_bytes(), 0, "consumed, so pruned");
         let again = rx.on_fragment(0, r0);
         assert_eq!(once.len(), 1);
         assert!(again.is_empty(), "duplicate data is not redelivered");
+        assert_eq!(rx.buffered_bytes(), 0, "nor stored again");
     }
 
     #[test]

@@ -636,6 +636,19 @@ fn run_store_ops(ops: &[StoreOp]) {
     }
 }
 
+/// One insert that reaches back into a run, fills the hole behind it and
+/// absorbs two later runs — the first wholly covered, the second in part —
+/// checked byte for byte like any generated sequence.
+#[test]
+fn fragment_store_insert_bridges_a_hole_and_absorbs_two_runs() {
+    run_store_ops(&[
+        (2, 100, 50, 1),
+        (2, 170, 20, 2),
+        (2, 230, 50, 3),
+        (2, 140, 100, 4),
+    ]);
+}
+
 proptest! {
     // Fixed case count, seeds derived from file + test name: every CI run
     // generates the identical case sequence. Failures are pinned in

@@ -51,11 +51,14 @@ fn protection() -> RecordProtection {
 
 /// Feed `stream` to a fresh [`UtlsReceiver`] in the pieces and order `seed`
 /// picks and return everything it delivered, having checked call by call
-/// that `out_of_order` marks exactly the records ahead of the in-order point.
+/// that `out_of_order` marks exactly the records ahead of the in-order point
+/// and, where the receiver consumed the whole stream, that every piece
+/// replayed after that delivers nothing and stores nothing.
 fn utls_deliveries(stream: &[u8], seed: u64) -> Vec<UtlsRecord> {
     let mut rx = UtlsReceiver::new(protection(), 8);
     let mut delivered = Vec::new();
-    for (start, end) in cut_shuffle_repeat(stream.len(), seed) {
+    let pieces = cut_shuffle_repeat(stream.len(), seed);
+    for &(start, end) in &pieces {
         let records = rx.on_fragment(start as u64, &stream[start..end]);
         for r in &records {
             assert_eq!(
@@ -68,6 +71,17 @@ fn utls_deliveries(stream: &[u8], seed: u64) -> Vec<UtlsRecord> {
             );
         }
         delivered.extend(records);
+    }
+    if rx.in_order_offset() == stream.len() as u64 {
+        for (start, end) in pieces {
+            let replayed = rx.on_fragment(start as u64, &stream[start..end]);
+            assert!(replayed.is_empty(), "a replay of {start}..{end} delivered");
+            assert_eq!(
+                rx.buffered_bytes(),
+                0,
+                "a replay of {start}..{end} was stored"
+            );
+        }
     }
     delivered
 }
