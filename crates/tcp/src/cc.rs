@@ -1,12 +1,21 @@
-//! Congestion control, as a pluggable module over the connection's control
-//! block (the mlwip `tcp_congestion.h` seam).
+//! Congestion control: the window arithmetic, and nothing else.
+//!
+//! [`CongestionControl`] owns `cwnd` and `ssthresh` and answers one kind of
+//! question — how large the window is after an event. It does not know
+//! whether the connection is in fast recovery: `recovery.rs` owns the
+//! episode, and `connection.rs` calls the rule that matches the phase the
+//! episode is in. Each rule is written once. Slow start, the entry window
+//! (`ssthresh` + 3 MSS), the one-MSS inflation per duplicate ACK, the
+//! partial-ACK deflation and RFC 6582's conservative exit window are the same
+//! for every algorithm; what an algorithm contributes is its
+//! congestion-avoidance growth and its multiplicative decrease.
 //!
 //! NewReno (RFC 5681 / 6582) is the algorithm in the paper's Linux 2.6.34
 //! testbed era and is what uTCP explicitly does **not** change: "uTCP does not
 //! change TCP's reliability or congestion control" (§8.4). CUBIC (RFC 8312)
-//! rides the same seam as a scenario axis — window dynamics the paper's
-//! figures never swept — and a disabled variant serves the §4.3
-//! design-alternative ablation.
+//! is a scenario axis — window dynamics the paper's figures never swept — and
+//! `none` serves the §4.3 design-alternative ablation. [`CcAlgorithm`] closes
+//! the set, so the algorithm is an enum held inline.
 //!
 //! Everything here is deterministic: CUBIC's cubic-root and window formulas
 //! use integer arithmetic over virtual [`SimTime`], never floats or wall
@@ -16,214 +25,194 @@
 use crate::config::CcAlgorithm;
 use minion_simnet::{SimDuration, SimTime};
 
-/// Counters exposed for experiment analysis.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct CcStats {
-    /// Number of fast-retransmit recovery episodes entered.
-    pub fast_recoveries: u64,
-    /// Number of retransmission timeouts.
-    pub timeouts: u64,
-}
-
-/// A congestion-control algorithm plugged into [`crate::TcpConnection`].
-///
-/// The connection owns loss *detection* (duplicate-ACK counting, the RFC 6582
-/// recover point, the RTO timer — see `recovery.rs` / `reliability.rs`); the
-/// algorithm owns the *window response*. All windows are in bytes. `now` is
-/// virtual time from the caller's clock; implementations must not consult any
-/// other time source.
-pub trait CongestionControl: std::fmt::Debug + Send {
-    /// Which algorithm this is (labels, reports).
-    fn algorithm(&self) -> CcAlgorithm;
-
-    /// Current congestion window in bytes. With congestion control disabled
-    /// this is effectively unlimited.
-    fn cwnd(&self) -> usize;
-
-    /// Current slow-start threshold in bytes.
-    fn ssthresh(&self) -> usize;
-
-    /// True while in fast recovery.
-    fn in_recovery(&self) -> bool;
-
-    /// Whether the sender is in slow start.
-    fn in_slow_start(&self) -> bool;
-
-    /// Counters.
-    fn stats(&self) -> &CcStats;
-
-    /// Process an ACK of `bytes_acked` new bytes (cumulative progress).
-    /// `srtt` is the connection's smoothed RTT estimate, if one exists
-    /// (CUBIC's Reno-friendly region needs it; NewReno ignores it).
-    fn on_ack(&mut self, bytes_acked: usize, now: SimTime, srtt: Option<SimDuration>);
-
-    /// A duplicate ACK arrived while in fast recovery: inflate the window to
-    /// reflect the segment that has left the network.
-    fn on_dup_ack_in_recovery(&mut self);
-
-    /// Enter fast recovery after three duplicate ACKs, given the current
-    /// flight size in bytes.
-    fn on_enter_recovery(&mut self, flight_size: usize, now: SimTime);
-
-    /// A partial ACK arrived during recovery (NewReno): deflate by the amount
-    /// acked, then add back one MSS (RFC 6582 §3.2 step 5).
-    fn on_partial_ack(&mut self, bytes_acked: usize);
-
-    /// Exit fast recovery (a full ACK arrived). `flight_size` is the data
-    /// still outstanding *now*: RFC 6582 §3.2 step 3 deflates to
-    /// `min(ssthresh, max(flight, MSS) + MSS)` so the first post-recovery
-    /// poll cannot burst a full ssthresh of back-to-back segments.
-    fn on_exit_recovery(&mut self, flight_size: usize);
-
-    /// A retransmission timeout fired.
-    fn on_rto(&mut self, flight_size: usize, now: SimTime);
-
-    /// Clone into a fresh box (connections are `Clone`).
-    fn clone_box(&self) -> Box<dyn CongestionControl>;
-}
-
-impl Clone for Box<dyn CongestionControl> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
 /// Initial congestion window in segments (RFC 6928 uses 10; Linux 2.6.34,
 /// the paper's kernel, used 3).
 const INITIAL_CWND_SEGMENTS: usize = 3;
 
-/// Build the controller for `algorithm` with the given MSS.
-pub fn build(algorithm: CcAlgorithm, mss: usize) -> Box<dyn CongestionControl> {
-    match algorithm {
-        CcAlgorithm::NewReno => Box::new(NewReno::new(mss)),
-        CcAlgorithm::Cubic => Box::new(Cubic::new(mss)),
-        CcAlgorithm::None => Box::new(NoCc::new()),
-    }
-}
+/// "No limit", for `ssthresh` before the first loss and for both windows
+/// under `cc=none`.
+const UNBOUNDED: usize = usize::MAX / 2;
 
-/// RFC 6582 §3.2 step 3, conservative variant: the post-recovery window.
-fn conservative_exit_window(ssthresh: usize, flight_size: usize, mss: usize) -> usize {
-    ssthresh.min(flight_size.max(mss) + mss).max(mss)
-}
-
-// ---------------------------------------------------------------------------
-// NewReno
-// ---------------------------------------------------------------------------
-
-/// NewReno (RFC 5681 / RFC 6582): slow start, linear congestion avoidance,
-/// multiplicative decrease with window inflation during fast recovery.
+/// One connection's congestion window. All windows are in bytes; `now` is
+/// virtual time from the caller's clock.
 #[derive(Clone, Debug)]
-pub struct NewReno {
+pub(crate) struct CongestionControl {
     mss: usize,
     cwnd: usize,
     ssthresh: usize,
-    /// Bytes acked since the last cwnd increase while in congestion avoidance.
-    bytes_acked_ca: usize,
-    in_recovery: bool,
-    stats: CcStats,
+    algorithm: Algorithm,
 }
 
-impl NewReno {
-    /// A NewReno controller with the given MSS.
-    pub fn new(mss: usize) -> Self {
-        NewReno {
+/// What differs between the algorithms: the growth state congestion
+/// avoidance needs.
+#[derive(Clone, Debug)]
+enum Algorithm {
+    /// RFC 5681 linear growth: bytes acked since the last one-MSS increase.
+    NewReno { bytes_acked_ca: usize },
+    /// RFC 8312 growth along the cubic curve. Boxed so that a connection
+    /// under NewReno — every figure and benchmark workload — carries one
+    /// counter inline rather than the curve's five words.
+    Cubic(Box<CubicCurve>),
+    /// Congestion control disabled (§4.3 ablation): the window is limited
+    /// only by the peer's receive window, and no event moves it.
+    None,
+}
+
+impl CongestionControl {
+    /// The controller for `algorithm` with the given MSS.
+    pub(crate) fn new(algorithm: CcAlgorithm, mss: usize) -> Self {
+        let (cwnd, algorithm) = match algorithm {
+            CcAlgorithm::NewReno => (
+                mss * INITIAL_CWND_SEGMENTS,
+                Algorithm::NewReno { bytes_acked_ca: 0 },
+            ),
+            CcAlgorithm::Cubic => (
+                mss * INITIAL_CWND_SEGMENTS,
+                Algorithm::Cubic(Box::default()),
+            ),
+            CcAlgorithm::None => (UNBOUNDED, Algorithm::None),
+        };
+        CongestionControl {
             mss,
-            cwnd: mss * INITIAL_CWND_SEGMENTS,
-            ssthresh: usize::MAX / 2,
-            bytes_acked_ca: 0,
-            in_recovery: false,
-            stats: CcStats::default(),
+            cwnd,
+            ssthresh: UNBOUNDED,
+            algorithm,
         }
     }
-}
 
-impl CongestionControl for NewReno {
-    fn algorithm(&self) -> CcAlgorithm {
-        CcAlgorithm::NewReno
-    }
-
-    fn cwnd(&self) -> usize {
+    /// Current congestion window in bytes.
+    pub(crate) fn cwnd(&self) -> usize {
         self.cwnd
     }
 
-    fn ssthresh(&self) -> usize {
+    /// Current slow-start threshold in bytes.
+    pub(crate) fn ssthresh(&self) -> usize {
         self.ssthresh
     }
 
-    fn in_recovery(&self) -> bool {
-        self.in_recovery
+    fn unbounded(&self) -> bool {
+        matches!(self.algorithm, Algorithm::None)
     }
 
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
+    /// The window was just cut or deflated: the algorithm's
+    /// congestion-avoidance growth starts over.
+    fn restart_growth(&mut self) {
+        match &mut self.algorithm {
+            Algorithm::NewReno { bytes_acked_ca } => *bytes_acked_ca = 0,
+            Algorithm::Cubic(curve) => curve.epoch_start = None,
+            Algorithm::None => {}
+        }
     }
 
-    fn stats(&self) -> &CcStats {
-        &self.stats
-    }
-
-    fn on_ack(&mut self, bytes_acked: usize, _now: SimTime, _srtt: Option<SimDuration>) {
-        if bytes_acked == 0 || self.in_recovery {
-            // Window adjustments during recovery happen via deflation on exit
-            // and inflation on duplicate ACKs.
+    /// An ACK of `bytes_acked` new bytes outside fast recovery: slow start
+    /// below `ssthresh`, the algorithm's congestion avoidance above it.
+    /// `srtt` is the connection's smoothed RTT estimate, if one exists
+    /// (CUBIC's Reno-friendly region needs it; NewReno ignores it).
+    pub(crate) fn on_ack(&mut self, bytes_acked: usize, now: SimTime, srtt: Option<SimDuration>) {
+        if bytes_acked == 0 {
             return;
         }
-        if self.in_slow_start() {
+        if self.cwnd < self.ssthresh {
             // cwnd grows by min(bytes_acked, MSS) per ACK (RFC 5681 §3.1).
             self.cwnd += bytes_acked.min(self.mss);
             if self.cwnd > self.ssthresh {
                 self.cwnd = self.ssthresh.max(self.mss);
             }
-        } else {
-            // Congestion avoidance: one MSS per cwnd's worth of acked bytes.
-            self.bytes_acked_ca += bytes_acked;
-            if self.bytes_acked_ca >= self.cwnd {
-                self.bytes_acked_ca -= self.cwnd;
-                self.cwnd += self.mss;
+            return;
+        }
+        match &mut self.algorithm {
+            Algorithm::NewReno { bytes_acked_ca } => {
+                // One MSS per cwnd's worth of acked bytes.
+                *bytes_acked_ca += bytes_acked;
+                if *bytes_acked_ca >= self.cwnd {
+                    *bytes_acked_ca -= self.cwnd;
+                    self.cwnd += self.mss;
+                }
             }
+            Algorithm::Cubic(curve) => {
+                let target = curve.target(self.cwnd, self.mss, now, srtt);
+                if target > self.cwnd {
+                    // Spread the climb over the ACKs of one window's worth
+                    // of data.
+                    let step = (target - self.cwnd) * bytes_acked.min(self.mss) / self.cwnd;
+                    self.cwnd += step.max(1).min(self.mss);
+                }
+            }
+            Algorithm::None => {}
         }
     }
 
-    fn on_dup_ack_in_recovery(&mut self) {
-        if self.in_recovery {
+    /// A loss was detected with `flight_size` bytes outstanding: `ssthresh`
+    /// becomes the algorithm's multiplicative decrease of the flight (RFC
+    /// 5681's two-segment floor under it) and its growth starts over.
+    /// `by_dup_acks` tells CUBIC whether fast convergence applies. Returns
+    /// whether there is a window to set (`cc=none` has none).
+    fn cut(&mut self, flight_size: usize, by_dup_acks: bool) -> bool {
+        let kept = match &mut self.algorithm {
+            Algorithm::NewReno { .. } => flight_size / 2,
+            Algorithm::Cubic(curve) => {
+                // Fast convergence (RFC 8312 §4.6): if the window never
+                // regained the previous plateau, remember an even lower one
+                // to release bandwidth.
+                curve.w_max = if by_dup_acks && self.cwnd < curve.w_max {
+                    self.cwnd * (BETA_DEN + BETA_NUM) / (2 * BETA_DEN)
+                } else {
+                    self.cwnd.max(self.mss)
+                };
+                // β = 0.7, on flight as NewReno halves the flight.
+                flight_size * BETA_NUM / BETA_DEN
+            }
+            Algorithm::None => return false,
+        };
+        self.ssthresh = kept.max(2 * self.mss);
+        self.restart_growth();
+        true
+    }
+
+    /// Enter fast recovery after three duplicate ACKs, given the current
+    /// flight size in bytes: cut, then inflate by the three segments the
+    /// duplicate ACKs say have left the network.
+    pub(crate) fn on_enter_recovery(&mut self, flight_size: usize) {
+        if self.cut(flight_size, true) {
+            self.cwnd = self.ssthresh + 3 * self.mss;
+        }
+    }
+
+    /// A duplicate ACK arrived during fast recovery: inflate the window to
+    /// reflect the segment that has left the network.
+    pub(crate) fn on_recovery_dup_ack(&mut self) {
+        if !self.unbounded() {
             self.cwnd += self.mss;
         }
     }
 
-    fn on_enter_recovery(&mut self, flight_size: usize, _now: SimTime) {
-        self.stats.fast_recoveries += 1;
-        self.ssthresh = (flight_size / 2).max(2 * self.mss);
-        self.cwnd = self.ssthresh + 3 * self.mss;
-        self.in_recovery = true;
-        self.bytes_acked_ca = 0;
-    }
-
-    fn on_partial_ack(&mut self, bytes_acked: usize) {
-        if !self.in_recovery {
-            return;
-        }
-        self.cwnd = self.cwnd.saturating_sub(bytes_acked).max(self.mss);
-        self.cwnd += self.mss;
-    }
-
-    fn on_exit_recovery(&mut self, flight_size: usize) {
-        if self.in_recovery {
-            self.in_recovery = false;
-            self.cwnd = conservative_exit_window(self.ssthresh, flight_size, self.mss);
-            self.bytes_acked_ca = 0;
+    /// A partial ACK arrived during fast recovery: deflate by the amount
+    /// acked, then add back one MSS (RFC 6582 §3.2 step 5).
+    pub(crate) fn on_partial_ack(&mut self, bytes_acked: usize) {
+        if !self.unbounded() {
+            self.cwnd = self.cwnd.saturating_sub(bytes_acked).max(self.mss) + self.mss;
         }
     }
 
-    fn on_rto(&mut self, flight_size: usize, _now: SimTime) {
-        self.stats.timeouts += 1;
-        self.ssthresh = (flight_size / 2).max(2 * self.mss);
-        self.cwnd = self.mss;
-        self.in_recovery = false;
-        self.bytes_acked_ca = 0;
+    /// A full ACK ended fast recovery. `flight_size` is the data still
+    /// outstanding *now*: RFC 6582 §3.2 step 3, conservative variant, deflates
+    /// to `min(ssthresh, max(flight, MSS) + MSS)` so the first post-recovery
+    /// poll cannot burst a full ssthresh of back-to-back segments.
+    pub(crate) fn on_exit_recovery(&mut self, flight_size: usize) {
+        if !self.unbounded() {
+            self.cwnd = self
+                .ssthresh
+                .min(flight_size.max(self.mss) + self.mss)
+                .max(self.mss);
+            self.restart_growth();
+        }
     }
 
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
+    /// A retransmission timeout fired: cut, and restart from one segment.
+    pub(crate) fn on_rto(&mut self, flight_size: usize) {
+        if self.cut(flight_size, false) {
+            self.cwnd = self.mss;
+        }
     }
 }
 
@@ -250,7 +239,7 @@ fn icbrt(x: u128) -> u64 {
     lo as u64
 }
 
-/// CUBIC (RFC 8312) in deterministic integer arithmetic.
+/// CUBIC's curve state (RFC 8312) in deterministic integer arithmetic.
 ///
 /// Window growth in congestion avoidance follows
 /// `W_cubic(t) = C·(t − K)³ + W_max` with `C = 0.4`, `t` measured from the
@@ -260,13 +249,8 @@ fn icbrt(x: u128) -> u64 {
 /// TCP-friendly region (`W_est`, RFC 8312 §4.2) floors growth at what Reno
 /// would achieve. All terms are integers: times in virtual milliseconds,
 /// windows in bytes, the cube root via `icbrt`.
-#[derive(Clone, Debug)]
-pub struct Cubic {
-    mss: usize,
-    cwnd: usize,
-    ssthresh: usize,
-    in_recovery: bool,
-    stats: CcStats,
+#[derive(Clone, Debug, Default)]
+struct CubicCurve {
     /// Window (bytes) just before the last congestion event.
     w_max: usize,
     /// Start of the current growth epoch; `None` forces re-initialization on
@@ -278,235 +262,67 @@ pub struct Cubic {
     origin: usize,
 }
 
-impl Cubic {
-    /// A CUBIC controller with the given MSS.
-    pub fn new(mss: usize) -> Self {
-        Cubic {
-            mss,
-            cwnd: mss * INITIAL_CWND_SEGMENTS,
-            ssthresh: usize::MAX / 2,
-            in_recovery: false,
-            stats: CcStats::default(),
-            w_max: 0,
-            epoch_start: None,
-            k_ms: 0,
-            origin: 0,
-        }
+impl CubicCurve {
+    /// The window this ACK should climb towards: where the curve will be one
+    /// RTT from now (RFC 8312 §4.1), floored by `W_est`, starting an epoch
+    /// first if the last congestion event ended one.
+    fn target(
+        &mut self,
+        cwnd: usize,
+        mss: usize,
+        now: SimTime,
+        srtt: Option<SimDuration>,
+    ) -> usize {
+        let start = match self.epoch_start {
+            Some(start) => start,
+            None => {
+                self.begin_epoch(cwnd, mss, now);
+                now
+            }
+        };
+        let t_ms = now.saturating_since(start).as_micros() / 1000;
+        let rtt_ms = srtt.map_or(0, |s| s.as_micros() / 1000);
+        self.w_cubic(t_ms + rtt_ms, mss)
+            .max(self.w_est(t_ms, mss, srtt))
+            // Linux caps each step at 1.5× the current window so a long idle
+            // epoch cannot manifest as one giant burst.
+            .min(cwnd + cwnd / 2)
     }
 
-    /// Reset the growth epoch (after any congestion event or window cut).
-    fn reset_epoch(&mut self) {
-        self.epoch_start = None;
-    }
-
-    fn begin_epoch(&mut self, now: SimTime) {
+    fn begin_epoch(&mut self, cwnd: usize, mss: usize, now: SimTime) {
         self.epoch_start = Some(now);
-        if self.cwnd < self.w_max {
+        if cwnd < self.w_max {
             // K = ∛((W_max − cwnd)/(C·mss)) seconds, in ms:
             // ∛(x) s = ∛(x · 10⁹) ms; C = 2/5 ⇒ divide by C = ×(5/2).
-            let deficit = (self.w_max - self.cwnd) as u128;
-            self.k_ms = icbrt(deficit * 5 * 1_000_000_000 / (2 * self.mss as u128));
+            let deficit = (self.w_max - cwnd) as u128;
+            self.k_ms = icbrt(deficit * 5 * 1_000_000_000 / (2 * mss as u128));
             self.origin = self.w_max;
         } else {
             // Above the old plateau already: anchor the convex region here.
             self.k_ms = 0;
-            self.origin = self.cwnd;
+            self.origin = cwnd;
         }
     }
 
     /// `W_cubic(t)` in bytes at `t_ms` milliseconds after the epoch start.
-    fn w_cubic(&self, t_ms: u64) -> usize {
+    fn w_cubic(&self, t_ms: u64, mss: usize) -> usize {
         // C·(t − K)³·mss with t in ms: (Δms)³/10⁹ = (Δs)³, C = 2/5.
         let delta = t_ms as i128 - self.k_ms as i128;
         let cube = delta * delta * delta; // |Δ| < 2⁴³ ⇒ cube < 2¹²⁹ᐟ... fits i128 for any sane sim time
-        let grown = 2 * self.mss as i128 * cube / 5_000_000_000;
+        let grown = 2 * mss as i128 * cube / 5_000_000_000;
         let w = self.origin as i128 + grown;
-        w.clamp(self.mss as i128, usize::MAX as i128 / 4) as usize
+        w.clamp(mss as i128, usize::MAX as i128 / 4) as usize
     }
 
     /// The TCP-friendly floor `W_est(t)` in bytes (RFC 8312 §4.2):
     /// `W_max·β + 3·(1−β)/(1+β) · t/RTT` segments; with β = 7/10 the slope
     /// is 9/17 segments per RTT.
-    fn w_est(&self, t_ms: u64, srtt: Option<SimDuration>) -> usize {
+    fn w_est(&self, t_ms: u64, mss: usize, srtt: Option<SimDuration>) -> usize {
         let base = self.w_max * BETA_NUM / BETA_DEN;
         let Some(srtt) = srtt else { return base };
         let rtt_ms = (srtt.as_micros() / 1000).max(1);
-        let grown = (self.mss as u128 * t_ms as u128 * 9) / (17 * rtt_ms as u128);
+        let grown = (mss as u128 * t_ms as u128 * 9) / (17 * rtt_ms as u128);
         base + grown.min(usize::MAX as u128 / 4) as usize
-    }
-}
-
-impl CongestionControl for Cubic {
-    fn algorithm(&self) -> CcAlgorithm {
-        CcAlgorithm::Cubic
-    }
-
-    fn cwnd(&self) -> usize {
-        self.cwnd
-    }
-
-    fn ssthresh(&self) -> usize {
-        self.ssthresh
-    }
-
-    fn in_recovery(&self) -> bool {
-        self.in_recovery
-    }
-
-    fn in_slow_start(&self) -> bool {
-        self.cwnd < self.ssthresh
-    }
-
-    fn stats(&self) -> &CcStats {
-        &self.stats
-    }
-
-    fn on_ack(&mut self, bytes_acked: usize, now: SimTime, srtt: Option<SimDuration>) {
-        if bytes_acked == 0 || self.in_recovery {
-            return;
-        }
-        if self.in_slow_start() {
-            self.cwnd += bytes_acked.min(self.mss);
-            if self.cwnd > self.ssthresh {
-                self.cwnd = self.ssthresh.max(self.mss);
-            }
-            return;
-        }
-        if self.epoch_start.is_none() {
-            self.begin_epoch(now);
-        }
-        let start = self.epoch_start.expect("epoch just initialized");
-        let t_ms = now.saturating_since(start).as_micros() / 1000;
-        // RFC 8312 §4.1: aim where the curve will be one RTT from now.
-        let rtt_ms = srtt.map_or(0, |s| s.as_micros() / 1000);
-        let target = self
-            .w_cubic(t_ms + rtt_ms)
-            .max(self.w_est(t_ms, srtt))
-            // Linux caps each step at 1.5× the current window so a long idle
-            // epoch cannot manifest as one giant burst.
-            .min(self.cwnd + self.cwnd / 2);
-        if target > self.cwnd {
-            // Spread the climb over the ACKs of one window's worth of data.
-            let step = (target - self.cwnd) * bytes_acked.min(self.mss) / self.cwnd;
-            self.cwnd += step.max(1).min(self.mss);
-        }
-    }
-
-    fn on_dup_ack_in_recovery(&mut self) {
-        if self.in_recovery {
-            self.cwnd += self.mss;
-        }
-    }
-
-    fn on_enter_recovery(&mut self, flight_size: usize, _now: SimTime) {
-        self.stats.fast_recoveries += 1;
-        // Fast convergence (RFC 8312 §4.6): if the window never regained the
-        // previous plateau, remember an even lower one to release bandwidth.
-        self.w_max = if self.cwnd < self.w_max {
-            self.cwnd * (BETA_DEN + BETA_NUM) / (2 * BETA_DEN)
-        } else {
-            self.cwnd
-        };
-        // Multiplicative decrease by β = 0.7 (on flight, as the NewReno
-        // module cuts on flight) with the RFC 5681 two-segment floor.
-        self.ssthresh = (flight_size * BETA_NUM / BETA_DEN).max(2 * self.mss);
-        self.cwnd = self.ssthresh + 3 * self.mss;
-        self.in_recovery = true;
-        self.reset_epoch();
-    }
-
-    fn on_partial_ack(&mut self, bytes_acked: usize) {
-        if !self.in_recovery {
-            return;
-        }
-        self.cwnd = self.cwnd.saturating_sub(bytes_acked).max(self.mss);
-        self.cwnd += self.mss;
-    }
-
-    fn on_exit_recovery(&mut self, flight_size: usize) {
-        if self.in_recovery {
-            self.in_recovery = false;
-            self.cwnd = conservative_exit_window(self.ssthresh, flight_size, self.mss);
-            self.reset_epoch();
-        }
-    }
-
-    fn on_rto(&mut self, flight_size: usize, _now: SimTime) {
-        self.stats.timeouts += 1;
-        self.w_max = self.cwnd.max(self.mss);
-        self.ssthresh = (flight_size * BETA_NUM / BETA_DEN).max(2 * self.mss);
-        self.cwnd = self.mss;
-        self.in_recovery = false;
-        self.reset_epoch();
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Disabled (§4.3 ablation)
-// ---------------------------------------------------------------------------
-
-/// Congestion control disabled: the window is limited only by the peer's
-/// receive window. Loss events still count (the connection's retransmission
-/// machinery is unchanged), but nothing ever shrinks.
-#[derive(Clone, Debug)]
-struct NoCc {
-    stats: CcStats,
-}
-
-impl NoCc {
-    /// The disabled controller.
-    pub(crate) fn new() -> Self {
-        NoCc {
-            stats: CcStats::default(),
-        }
-    }
-}
-
-impl CongestionControl for NoCc {
-    fn algorithm(&self) -> CcAlgorithm {
-        CcAlgorithm::None
-    }
-
-    fn cwnd(&self) -> usize {
-        usize::MAX / 2
-    }
-
-    fn ssthresh(&self) -> usize {
-        usize::MAX / 2
-    }
-
-    fn in_recovery(&self) -> bool {
-        false
-    }
-
-    fn in_slow_start(&self) -> bool {
-        false
-    }
-
-    fn stats(&self) -> &CcStats {
-        &self.stats
-    }
-
-    fn on_ack(&mut self, _bytes_acked: usize, _now: SimTime, _srtt: Option<SimDuration>) {}
-
-    fn on_dup_ack_in_recovery(&mut self) {}
-
-    fn on_enter_recovery(&mut self, _flight_size: usize, _now: SimTime) {}
-
-    fn on_partial_ack(&mut self, _bytes_acked: usize) {}
-
-    fn on_exit_recovery(&mut self, _flight_size: usize) {}
-
-    fn on_rto(&mut self, _flight_size: usize, _now: SimTime) {
-        self.stats.timeouts += 1;
-    }
-
-    fn clone_box(&self) -> Box<dyn CongestionControl> {
-        Box::new(self.clone())
     }
 }
 
@@ -516,12 +332,24 @@ mod tests {
 
     const MSS: usize = 1448;
 
-    fn newreno() -> NewReno {
-        NewReno::new(MSS)
+    fn newreno() -> CongestionControl {
+        CongestionControl::new(CcAlgorithm::NewReno, MSS)
     }
 
-    fn cubic() -> Cubic {
-        Cubic::new(MSS)
+    fn cubic() -> CongestionControl {
+        CongestionControl::new(CcAlgorithm::Cubic, MSS)
+    }
+
+    fn in_slow_start(cc: &CongestionControl) -> bool {
+        cc.cwnd() < cc.ssthresh()
+    }
+
+    /// The curve state of a CUBIC controller.
+    fn curve(cc: &CongestionControl) -> &CubicCurve {
+        match &cc.algorithm {
+            Algorithm::Cubic(curve) => curve,
+            other => panic!("not CUBIC: {other:?}"),
+        }
     }
 
     fn t(ms: u64) -> SimTime {
@@ -534,7 +362,7 @@ mod tests {
     fn initial_window_is_three_segments() {
         let cc = newreno();
         assert_eq!(cc.cwnd(), 3 * MSS);
-        assert!(cc.in_slow_start());
+        assert!(in_slow_start(&cc));
     }
 
     #[test]
@@ -550,10 +378,10 @@ mod tests {
     #[test]
     fn congestion_avoidance_grows_linearly() {
         let mut cc = newreno();
-        cc.on_enter_recovery(20 * MSS, t(0));
+        cc.on_enter_recovery(20 * MSS);
         let exit_flight = cc.ssthresh();
         cc.on_exit_recovery(exit_flight);
-        assert!(!cc.in_slow_start());
+        assert!(!in_slow_start(&cc));
         let start = cc.cwnd();
         // Ack one full window's worth of bytes in MSS chunks: +1 MSS.
         let acks = start / MSS;
@@ -571,18 +399,15 @@ mod tests {
             cc.on_ack(MSS, t(0), RTT);
         }
         let flight = 20 * MSS;
-        cc.on_enter_recovery(flight, t(0));
-        assert!(cc.in_recovery());
+        cc.on_enter_recovery(flight);
         assert_eq!(cc.ssthresh(), flight / 2);
         assert_eq!(cc.cwnd(), flight / 2 + 3 * MSS);
-        cc.on_dup_ack_in_recovery();
+        cc.on_recovery_dup_ack();
         assert_eq!(cc.cwnd(), flight / 2 + 4 * MSS);
         // Exiting with the full ssthresh still outstanding deflates to
         // ssthresh exactly (the conservative variant changes nothing here).
         cc.on_exit_recovery(flight / 2);
-        assert!(!cc.in_recovery());
         assert_eq!(cc.cwnd(), flight / 2);
-        assert_eq!(cc.stats().fast_recoveries, 1);
     }
 
     #[test]
@@ -594,13 +419,13 @@ mod tests {
         for _ in 0..20 {
             cc.on_ack(MSS, t(0), RTT);
         }
-        cc.on_enter_recovery(20 * MSS, t(0));
+        cc.on_enter_recovery(20 * MSS);
         assert_eq!(cc.ssthresh(), 10 * MSS);
         cc.on_exit_recovery(2 * MSS);
         assert_eq!(cc.cwnd(), 3 * MSS, "max(flight, MSS) + MSS, not ssthresh");
         // And the floor: zero flight still leaves a 2-MSS window.
         let mut cc = newreno();
-        cc.on_enter_recovery(20 * MSS, t(0));
+        cc.on_enter_recovery(20 * MSS);
         cc.on_exit_recovery(0);
         assert_eq!(cc.cwnd(), 2 * MSS);
     }
@@ -608,7 +433,7 @@ mod tests {
     #[test]
     fn partial_ack_deflates_and_readds_mss() {
         let mut cc = newreno();
-        cc.on_enter_recovery(10 * MSS, t(0));
+        cc.on_enter_recovery(10 * MSS);
         let before = cc.cwnd();
         cc.on_partial_ack(2 * MSS);
         assert_eq!(cc.cwnd(), before - 2 * MSS + MSS);
@@ -620,41 +445,47 @@ mod tests {
         for _ in 0..50 {
             cc.on_ack(MSS, t(0), RTT);
         }
-        cc.on_rto(30 * MSS, t(0));
+        cc.on_rto(30 * MSS);
         assert_eq!(cc.cwnd(), MSS);
         assert_eq!(cc.ssthresh(), 15 * MSS);
-        assert_eq!(cc.stats().timeouts, 1);
-        assert!(cc.in_slow_start());
+        assert!(in_slow_start(&cc));
     }
 
     #[test]
     fn ssthresh_floor_is_two_mss() {
         let mut cc = newreno();
-        cc.on_rto(MSS, t(0));
+        cc.on_rto(MSS);
         assert_eq!(cc.ssthresh(), 2 * MSS);
     }
 
     #[test]
     fn disabled_cc_is_unbounded_and_inert() {
-        let mut cc = NoCc::new();
+        let mut cc = CongestionControl::new(CcAlgorithm::None, MSS);
         let huge = cc.cwnd();
         assert!(huge > 1 << 30);
-        cc.on_enter_recovery(10 * MSS, t(0));
-        cc.on_rto(10 * MSS, t(0));
+        // A whole recovery episode, a timeout and an ordinary ACK: the
+        // connection walks the same phases under every algorithm, and none
+        // of the window rules moves an unbounded window.
+        cc.on_enter_recovery(10 * MSS);
+        cc.on_recovery_dup_ack();
+        cc.on_partial_ack(2 * MSS);
+        cc.on_exit_recovery(MSS);
+        cc.on_rto(10 * MSS);
         cc.on_ack(MSS, t(0), RTT);
         assert_eq!(cc.cwnd(), huge);
-        assert!(!cc.in_recovery());
-        assert_eq!(cc.stats().timeouts, 1, "loss accounting still works");
+        assert_eq!(cc.ssthresh(), huge);
     }
 
     #[test]
     fn factory_builds_the_requested_algorithm() {
-        for algo in CcAlgorithm::ALL {
-            let cc = build(algo, MSS);
-            assert_eq!(cc.algorithm(), algo);
-            let copy = cc.clone();
-            assert_eq!(copy.algorithm(), algo);
-        }
+        // Told apart by what each keeps of a 20-segment flight: half, β = 0.7
+        // of it, or a window that was never bounded.
+        let kept = CcAlgorithm::ALL.map(|algo| {
+            let mut cc = CongestionControl::new(algo, MSS);
+            cc.on_enter_recovery(20 * MSS);
+            cc.ssthresh()
+        });
+        assert_eq!(kept, [10 * MSS, 14 * MSS, UNBOUNDED]);
     }
 
     #[test]
@@ -677,7 +508,7 @@ mod tests {
 
     /// Drive one epoch's worth of ACK clocks at a fixed RTT, one window per
     /// RTT, and return the cwnd trajectory sampled at each RTT boundary.
-    fn cubic_trajectory(cc: &mut Cubic, rtts: usize, rtt_ms: u64) -> Vec<usize> {
+    fn cubic_trajectory(cc: &mut CongestionControl, rtts: usize, rtt_ms: u64) -> Vec<usize> {
         let mut out = Vec::new();
         let mut now_ms = 1;
         for _ in 0..rtts {
@@ -701,10 +532,10 @@ mod tests {
             cc.on_ack(MSS, t(0), RTT);
         }
         let w_max = cc.cwnd();
-        cc.on_enter_recovery(w_max, t(0));
+        cc.on_enter_recovery(w_max);
         let exit_flight = cc.ssthresh();
         cc.on_exit_recovery(exit_flight);
-        assert!(!cc.in_slow_start());
+        assert!(!in_slow_start(&cc));
         let start = cc.cwnd();
         assert!(start < w_max);
         // K ≈ ∛(0.75·W_max/(C·mss)) ≈ 5.3 s here: give the trajectory 80
@@ -732,7 +563,7 @@ mod tests {
             cc.on_ack(MSS, t(0), RTT);
         }
         let w_max = cc.cwnd();
-        cc.on_enter_recovery(w_max, t(0));
+        cc.on_enter_recovery(w_max);
         let exit_flight = cc.ssthresh();
         cc.on_exit_recovery(exit_flight);
         let traj = cubic_trajectory(&mut cc, 120, 100);
@@ -756,7 +587,7 @@ mod tests {
         for _ in 0..200 {
             cc.on_ack(MSS, t(0), RTT);
         }
-        cc.on_enter_recovery(cc.cwnd(), t(0));
+        cc.on_enter_recovery(cc.cwnd());
         let exit_flight = cc.ssthresh();
         cc.on_exit_recovery(exit_flight);
         let start = cc.cwnd();
@@ -778,7 +609,7 @@ mod tests {
             for _ in 0..64 {
                 cc.on_ack(MSS, t(0), RTT);
             }
-            cc.on_enter_recovery(cc.cwnd(), t(5));
+            cc.on_enter_recovery(cc.cwnd());
             let exit_flight = cc.ssthresh();
             cc.on_exit_recovery(exit_flight);
             cubic_trajectory(&mut cc, 50, 37)
@@ -793,13 +624,18 @@ mod tests {
             cc.on_ack(MSS, t(0), RTT);
         }
         let w1 = cc.cwnd();
-        cc.on_enter_recovery(w1, t(0));
-        assert_eq!(cc.w_max, w1, "first cut anchors W_max at the old window");
+        cc.on_enter_recovery(w1);
+        assert_eq!(
+            curve(&cc).w_max,
+            w1,
+            "first cut anchors W_max at the old window"
+        );
         // A second cut before regaining w1: W_max drops below the current
         // window (releasing bandwidth for newcomers).
         let w2 = cc.cwnd();
-        cc.on_enter_recovery(w2, t(10));
-        assert!(cc.w_max < w2, "fast convergence: {} < {}", cc.w_max, w2);
+        cc.on_enter_recovery(w2);
+        let lowered = curve(&cc).w_max;
+        assert!(lowered < w2, "fast convergence: {lowered} < {w2}");
     }
 
     #[test]
@@ -809,14 +645,13 @@ mod tests {
             cc.on_ack(MSS, t(0), RTT);
         }
         let before = cc.cwnd();
-        cc.on_rto(30 * MSS, t(0));
+        cc.on_rto(30 * MSS);
         assert_eq!(cc.cwnd(), MSS);
-        assert_eq!(cc.w_max, before);
+        assert_eq!(curve(&cc).w_max, before);
         assert_eq!(cc.ssthresh(), 30 * MSS * 7 / 10);
-        assert!(cc.in_slow_start());
-        assert_eq!(cc.stats().timeouts, 1);
+        assert!(in_slow_start(&cc));
         assert!(
-            cc.epoch_start.is_none(),
+            curve(&cc).epoch_start.is_none(),
             "epoch restarts on the next CA ack"
         );
     }

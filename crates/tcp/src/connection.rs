@@ -13,19 +13,19 @@
 //! the next call using [`TcpConnection::next_timer`]. All timing comes from
 //! the caller's virtual clock, which keeps experiments deterministic.
 //!
-//! The control path is split along mlwip-style seams: loss *detection* and
-//! the RFC 6582 recover point live in `recovery`, the outstanding-
-//! data scoreboard, retransmission cursor, and RTO timer in
-//! `reliability`, and the window *response* behind the pluggable
-//! [`CongestionControl`] trait in [`crate::cc`]. This file wires them to the
-//! protocol: sequence-number mapping, segment parsing/emission, and state
-//! transitions.
+//! The control path has one owner per question. `recovery` knows whether
+//! the connection is in fast recovery, since when, up to where, and what to
+//! resend next; `reliability` holds the outstanding-data scoreboard and the
+//! RTO timer; `cc` is the window arithmetic and is only ever *told* which
+//! rule applies. This file wires them to the protocol: sequence-number
+//! mapping, segment parsing/emission, and state transitions — and it asks
+//! `recovery`, never the congestion controller, what phase it is in.
 
-use crate::cc::{self, CongestionControl};
+use crate::cc::CongestionControl;
 use crate::config::{SocketOptions, TcpConfig, WriteMeta};
 use crate::delivered::DeliveredChunk;
 use crate::event::{ConnEvent, EventQueue, Readiness};
-use crate::recovery::RecoveryState;
+use crate::recovery::{Episode, RecoveryState};
 use crate::recvbuf::ReceiveBuffer;
 use crate::reliability::Reliability;
 use crate::rtt::RttEstimator;
@@ -139,13 +139,14 @@ pub struct TcpConnection {
     send_buf: SendBuffer,
     /// Offset of the highest cumulatively acknowledged data byte.
     snd_una: u64,
-    /// Outstanding-data scoreboard, retransmission cursor, RTO timer.
+    /// Outstanding-data scoreboard and RTO timer.
     reliability: Reliability,
-    /// Duplicate-ACK run and the RFC 6582 recover point.
+    /// The fast-recovery episode, recover point, duplicate-ACK run and
+    /// pending retransmission pass.
     recovery: RecoveryState,
     peer_window: usize,
     peer_mss: usize,
-    cc: Box<dyn CongestionControl>,
+    cc: CongestionControl,
     rtt: RttEstimator,
 
     // ---- Handshake / close state ----
@@ -175,10 +176,6 @@ pub struct TcpConnection {
     /// Last `(cwnd, ssthresh)` recorded, so the trajectory samples window
     /// *transitions* rather than every ACK.
     cc_obs_last: Option<(u64, u64)>,
-    /// When the current fast-recovery episode began, with the window cut
-    /// (cwnd-before − ssthresh-after) stamped at entry; resolved into the
-    /// recovery histograms on exit (or when an RTO truncates the episode).
-    recovery_entered: Option<(SimTime, u64)>,
 }
 
 impl TcpConnection {
@@ -190,7 +187,7 @@ impl TcpConnection {
         });
         let send_buf = SendBuffer::new(config.send_buffer);
         let recv_buf = ReceiveBuffer::new(config.recv_buffer, opts.unordered_receive);
-        let cc = cc::build(config.cc, config.mss);
+        let cc = CongestionControl::new(config.cc, config.mss);
         let rtt = RttEstimator::default();
         TcpConnection {
             config,
@@ -223,7 +220,6 @@ impl TcpConnection {
             stats: ConnStats::default(),
             cc_obs: CcObs::default(),
             cc_obs_last: None,
-            recovery_entered: None,
         }
     }
 
@@ -358,12 +354,6 @@ impl TcpConnection {
         self.cc.cwnd()
     }
 
-    /// The congestion-control algorithm's own counters (recovery episodes,
-    /// timeouts as the algorithm saw them).
-    pub fn cc_stats(&self) -> &crate::cc::CcStats {
-        self.cc.stats()
-    }
-
     /// The deterministic window telemetry recorded at congestion-control
     /// transitions: cwnd/ssthresh trajectory samples on the virtual clock
     /// plus recovery-duration/-depth histograms.
@@ -383,15 +373,15 @@ impl TcpConnection {
         }
     }
 
-    /// Close out the active fast-recovery episode (normal exit or RTO
-    /// truncation), feeding the duration and entry-stamped depth histograms.
-    fn finish_recovery_episode(&mut self, now: SimTime) {
-        if let Some((entered, depth)) = self.recovery_entered.take() {
+    /// Feed a fast-recovery episode that just ended (full ACK, or an RTO
+    /// truncating it) into the duration and entry-stamped depth histograms.
+    fn record_episode(&mut self, ended: Option<Episode>, now: SimTime) {
+        if let Some(episode) = ended {
             self.cc_obs.record_recovery(
-                now.saturating_since(entered)
+                now.saturating_since(episode.entered)
                     .as_micros()
                     .saturating_mul(1_000),
-                depth,
+                episode.cut_depth,
             );
         }
     }
@@ -736,23 +726,21 @@ impl TcpConnection {
         self.snd_una = ack_off;
         self.send_buf.acknowledge(ack_off);
 
-        if self.cc.in_recovery() {
-            if self.recovery.full_ack_covers(ack_off) {
+        if self.recovery.in_recovery() {
+            if self.recovery.is_full_ack(ack_off) {
                 // Full acknowledgment: leave recovery. The flight size *after*
                 // retiring feeds RFC 6582 §3.2 step 3's conservative deflation
                 // (`min(ssthresh, max(flight, MSS) + MSS)`), which prevents a
                 // post-recovery burst when little data is left outstanding.
                 let flight = self.reliability.flight_charge();
                 self.cc.on_exit_recovery(flight);
-                self.finish_recovery_episode(now);
-                self.reliability.clear_resend();
+                let ended = self.recovery.exit();
+                self.record_episode(ended, now);
             } else {
-                // Partial ACK (NewReno): retransmit the next lost segment.
-                // The one-byte range is a sentinel — the emit path sends one
-                // full segment starting at `snd_una` (see `reliability.rs`).
+                // Partial ACK (NewReno): retransmit the next lost segment,
+                // one full segment starting at the new `snd_una`.
                 self.cc.on_partial_ack(newly_acked);
-                self.reliability
-                    .schedule_resend(self.snd_una, self.snd_una + 1);
+                self.recovery.on_partial_ack(self.snd_una);
             }
         } else {
             self.cc.on_ack(newly_acked, now, self.rtt.srtt());
@@ -770,8 +758,8 @@ impl TcpConnection {
     fn on_duplicate_ack(&mut self, now: SimTime, sack_evidence: bool) {
         self.stats.dup_acks += 1;
         let run = self.recovery.on_dup_ack();
-        if self.cc.in_recovery() {
-            self.cc.on_dup_ack_in_recovery();
+        if self.recovery.in_recovery() {
+            self.cc.on_recovery_dup_ack();
             return;
         }
         // RFC 6582 §3.2 step 1: enter fast retransmit on the third duplicate
@@ -787,15 +775,16 @@ impl TcpConnection {
             // enter NewReno recovery.
             let flight = self.reliability.flight_charge();
             let cwnd_before = self.cc.cwnd() as u64;
-            self.cc.on_enter_recovery(flight, now);
+            self.cc.on_enter_recovery(flight);
             // Stamp the episode: exit (or a truncating RTO) resolves it into
             // the recovery-duration/-depth histograms.
-            let depth = cwnd_before.saturating_sub(self.cc.ssthresh() as u64);
-            self.recovery_entered = Some((now, depth));
+            let episode = Episode {
+                entered: now,
+                cut_depth: cwnd_before.saturating_sub(self.cc.ssthresh() as u64),
+            };
             self.note_window(now);
-            self.recovery.arm(self.snd_max_offset());
-            self.reliability
-                .schedule_resend(self.snd_una, self.snd_una + 1);
+            self.recovery
+                .enter(episode, self.snd_una, self.snd_max_offset());
             self.stats.fast_retransmits += 1;
             self.reliability.arm_rto(now, now + self.rtt.rto());
         }
@@ -837,26 +826,26 @@ impl TcpConnection {
         self.events.push(ConnEvent::RtoFired { wait_us });
         let flight = self.reliability.flight_charge();
         let cwnd_before = self.cc.cwnd() as u64;
-        self.cc.on_rto(flight, now);
-        // The timeout truncates any fast-recovery episode and is itself a
-        // window cut worth a depth sample.
-        self.finish_recovery_episode(now);
+        self.cc.on_rto(flight);
+        // The timeout is a congestion event: it truncates any fast-recovery
+        // episode, moves the recover point up to snd_max (RFC 6582 §3.2 step
+        // 4) so the duplicate ACKs that the go-back-N retransmissions elicit
+        // cannot re-cut the window, and is itself a window cut worth a depth
+        // sample.
+        let truncated = self.recovery.on_rto(self.snd_una, self.snd_max_offset());
+        self.record_episode(truncated, now);
         self.cc_obs
             .record_cut_depth(cwnd_before.saturating_sub(self.cc.ssthresh() as u64));
         self.note_window(now);
         self.rtt.backoff();
-        // The timeout is a congestion event: move the recover point up to
-        // snd_max (RFC 6582 §3.2 step 4) so the duplicate ACKs that the
-        // go-back-N retransmissions elicit cannot re-cut the window.
-        self.recovery.on_rto(self.snd_max_offset());
         // Go-back-N: retransmission restarts from the cumulative ACK point
         // and re-covers everything outstanding (window permitting); the
         // scoreboard is rebuilt as segments are re-sent.
         self.reliability.clear_unacked();
-        if self.snd_una < self.snd_max_offset() {
-            self.reliability
-                .schedule_resend(self.snd_una, self.snd_max_offset());
-        }
+        // An unacknowledged FIN is presumed lost with the data ahead of it:
+        // `maybe_emit_fin` sends it again, under the same sequence number,
+        // behind whatever go-back-N data this poll emits.
+        self.fin_sent &= self.fin_acked;
         if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
             self.handshake_pending = true;
         }
@@ -1038,52 +1027,42 @@ impl TcpConnection {
         let respect_boundaries = self.respect_write_boundaries();
         let effective_window = self.cc.cwnd().min(self.peer_window.max(mss));
 
-        // 1. Retransmissions requested by RTO or fast retransmit / partial ACK.
-        // Fast retransmit and NewReno partial ACKs resend a single segment;
-        // after an RTO the cursor walks the whole outstanding range
-        // (go-back-N), pausing whenever the congestion window is full and
-        // resuming on later polls as ACKs open it again.
-        if let Some(cursor) = self.reliability.resend_cursor() {
-            let mut offset = cursor.max(self.snd_una);
-            let limit = self.reliability.resend_until().min(self.snd_max_offset());
-            let mut sent_any = false;
-            loop {
-                if offset >= limit {
-                    self.reliability.clear_resend();
-                    break;
-                }
-                // Skip ranges the peer has already SACKed.
-                if self.reliability.is_sacked(offset) {
-                    offset = self
-                        .reliability
-                        .next_unsacked_offset(offset)
-                        .unwrap_or(limit);
-                    continue;
-                }
-                if self.reliability.flight_charge() >= effective_window {
-                    // Window-limited: remember where to resume.
-                    self.reliability.pause_resend_at(offset);
-                    break;
-                }
-                // A full segment starting at the cursor, regardless of how
-                // short the scheduled range is (the partial-ACK sentinel) or
-                // where the original segment boundaries fell.
-                let max_len = mss.min((self.snd_max_offset() - offset) as usize);
-                let Some(data) = self.send_buf.data_at(offset, max_len, respect_boundaries) else {
-                    self.reliability.clear_resend();
-                    break;
-                };
-                let end = offset + data.len() as u64;
-                let charge = self.window_charge(data.len());
-                let seg = self.make_data_segment(offset, data, true);
-                out.push(seg);
-                self.record_transmission(offset, end, charge, now, true);
-                sent_any = true;
-                offset = end;
+        // 1. The pending retransmission pass. Fast retransmit and NewReno
+        // partial ACKs resend a single segment; after an RTO the pass walks
+        // the whole outstanding range (go-back-N), pausing whenever the
+        // congestion window is full and resuming on later polls as ACKs open
+        // it again.
+        let mut resent_any = false;
+        while let Some(offset) = self
+            .recovery
+            .next_resend(self.snd_una, self.snd_max_offset())
+        {
+            // Skip ranges the peer has already SACKed.
+            if let Some(unsacked) = self.reliability.next_unsacked_offset(offset) {
+                self.recovery.resend_advance(unsacked);
+                continue;
             }
-            if sent_any {
-                self.reliability.ensure_rto(now, now + self.rtt.rto());
+            if self.reliability.flight_charge() >= effective_window {
+                // Window-limited: the pass resumes here on a later poll.
+                break;
             }
+            // A full segment starting at the offset, wherever the original
+            // segment boundaries fell.
+            let max_len = mss.min((self.snd_max_offset() - offset) as usize);
+            let Some(data) = self.send_buf.data_at(offset, max_len, respect_boundaries) else {
+                self.recovery.cancel_resend();
+                break;
+            };
+            let end = offset + data.len() as u64;
+            let charge = self.window_charge(data.len());
+            let seg = self.make_data_segment(offset, data, true);
+            out.push(seg);
+            self.record_transmission(offset, end, charge, now, true);
+            self.recovery.resend_advance(end);
+            resent_any = true;
+        }
+        if resent_any {
+            self.reliability.ensure_rto(now, now + self.rtt.rto());
         }
 
         // 2. New data, limited by the usable window.

@@ -23,11 +23,19 @@
 //! produces outgoing segments from [`TcpConnection::poll`], and is driven by
 //! virtual time ([`minion_simnet::SimTime`]), making it usable both under the
 //! discrete-event simulator (`minion-stack`) and in unit tests.
+//!
+//! Who owns what on the sending side: `recovery` holds all loss-recovery
+//! state (the fast-recovery episode, the RFC 6582 recover point, the
+//! duplicate-ACK run, the pending retransmission pass), `reliability` the
+//! transmitted-but-unacked scoreboard, Karn-safe RTT sampling and the RTO
+//! timer, and `cc` the window arithmetic for the algorithm [`CcAlgorithm`]
+//! names. [`TcpConnection`] wires them to the wire, and [`ConnStats`] is the
+//! one set of counters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cc;
+mod cc;
 pub mod config;
 pub mod connection;
 pub mod delivered;
@@ -40,7 +48,6 @@ pub mod segment;
 pub mod sendbuf;
 pub mod seq;
 
-pub use cc::{CcStats, CongestionControl, Cubic, NewReno};
 pub use config::{CcAlgorithm, SocketOptions, TcpConfig, WriteMeta};
 pub use connection::{ConnStats, TcpConnection, TcpError, TcpState};
 pub use delivered::DeliveredChunk;

@@ -1,12 +1,11 @@
-//! Reliability bookkeeping: the transmitted-but-unacknowledged scoreboard,
-//! the retransmission cursor, and the RTO timer — the `tcp_reliability` seam
-//! of the mlwip-style modular control path.
+//! Reliability bookkeeping: the transmitted-but-unacknowledged scoreboard
+//! and the RTO timer.
 //!
-//! The connection decides *when* to retransmit (fast retransmit, NewReno
-//! partial ACKs, go-back-N after an RTO); this module remembers *what* is
-//! outstanding: per-transmission records for flight accounting, Karn-safe RTT
-//! sampling, and the SACK scoreboard, plus where a scheduled retransmission
-//! pass left off and when the retransmission timer fires.
+//! `recovery.rs` decides *when* and *what* to retransmit (fast retransmit,
+//! NewReno partial ACKs, go-back-N after an RTO); this module remembers what
+//! is outstanding: per-transmission records for flight accounting, Karn-safe
+//! RTT sampling, and the SACK scoreboard, plus when the retransmission timer
+//! fires.
 
 use minion_simnet::SimTime;
 use std::collections::VecDeque;
@@ -29,17 +28,6 @@ struct TxRecord {
 pub(crate) struct Reliability {
     /// Transmitted, unacknowledged ranges, in transmission order.
     unacked: VecDeque<TxRecord>,
-    /// Offset from which the next retransmission should read, when one has
-    /// been scheduled (RTO or fast retransmit).
-    resend_cursor: Option<u64>,
-    /// Exclusive upper bound of the scheduled retransmission. Fast retransmit
-    /// and NewReno partial ACKs schedule `(snd_una, snd_una + 1)`: a
-    /// one-*byte* sentinel range, not a one-byte retransmission — the emit
-    /// path always reads a full segment (up to one MSS) starting at the
-    /// cursor and stops once the cursor passes this bound, so the sentinel
-    /// yields exactly one full-sized segment. An RTO schedules
-    /// `(snd_una, snd_max)`: go-back-N over everything outstanding.
-    resend_until: u64,
     /// When the retransmission (or handshake) timer fires next.
     rto_expiry: Option<SimTime>,
     /// When the currently-armed timer was (re)armed — the base of the
@@ -126,13 +114,6 @@ impl Reliability {
         }
     }
 
-    /// Whether `offset` falls inside a SACKed record.
-    pub(crate) fn is_sacked(&self, offset: u64) -> bool {
-        self.unacked
-            .iter()
-            .any(|r| r.sacked && offset >= r.start && offset < r.end)
-    }
-
     /// The first offset at or after `offset` not covered by SACKed records,
     /// chaining across adjacent ones — where a retransmission pass should
     /// skip to. `None` when `offset` itself is not SACKed.
@@ -155,36 +136,6 @@ impl Reliability {
             }
         }
         advanced.then_some(cur)
-    }
-
-    // ---- Retransmission cursor -----------------------------------------
-
-    /// Schedule a retransmission pass over `[from, until)`. See
-    /// [`Reliability::resend_until`] for the one-byte-sentinel convention
-    /// used by fast retransmit and partial ACKs.
-    pub(crate) fn schedule_resend(&mut self, from: u64, until: u64) {
-        self.resend_cursor = Some(from);
-        self.resend_until = until;
-    }
-
-    /// Where the scheduled retransmission pass stands, if one is active.
-    pub(crate) fn resend_cursor(&self) -> Option<u64> {
-        self.resend_cursor
-    }
-
-    /// Exclusive upper bound of the scheduled pass.
-    pub(crate) fn resend_until(&self) -> u64 {
-        self.resend_until
-    }
-
-    /// Window-limited mid-pass: remember where to resume on a later poll.
-    pub(crate) fn pause_resend_at(&mut self, offset: u64) {
-        self.resend_cursor = Some(offset);
-    }
-
-    /// The pass is complete (or obsolete).
-    pub(crate) fn clear_resend(&mut self) {
-        self.resend_cursor = None;
     }
 
     // ---- RTO timer -------------------------------------------------------
@@ -259,24 +210,11 @@ mod tests {
         r.record_transmission(1448, 2896, 1448, t(2), false);
         r.record_transmission(2896, 4344, 1448, t(3), false);
         r.mark_sacked(1448, 4344);
-        assert!(!r.is_sacked(0));
-        assert!(r.is_sacked(1448));
-        assert!(r.is_sacked(4343));
         assert_eq!(r.flight_charge(), 1448, "SACKed ranges left the network");
+        assert_eq!(r.next_unsacked_offset(0), None, "not SACKed");
+        assert_eq!(r.next_unsacked_offset(1448), Some(4344));
         assert_eq!(r.next_unsacked_offset(1500), Some(4344));
-        assert_eq!(r.next_unsacked_offset(0), None);
-    }
-
-    #[test]
-    fn resend_pass_pauses_and_resumes() {
-        let mut r = Reliability::new();
-        r.schedule_resend(100, 101);
-        assert_eq!(r.resend_cursor(), Some(100));
-        assert_eq!(r.resend_until(), 101);
-        r.pause_resend_at(100);
-        assert_eq!(r.resend_cursor(), Some(100));
-        r.clear_resend();
-        assert_eq!(r.resend_cursor(), None);
+        assert_eq!(r.next_unsacked_offset(4343), Some(4344));
     }
 
     #[test]
