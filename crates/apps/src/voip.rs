@@ -6,8 +6,8 @@
 //! playout (jitter) buffer, and PESQ audio quality while competing TCP flows
 //! congest a 3 Mbps / 60 ms-RTT path.
 //!
-//! Substitutions (documented in DESIGN.md): the codec is modelled as a
-//! constant-bit-rate frame source; perceptual quality is estimated with an
+//! Substitutions (README's section of that name): the codec is modelled as
+//! a constant-bit-rate frame source; perceptual quality is estimated with an
 //! E-model-style MOS that degrades with frame loss and loss bursts, rather
 //! than PESQ waveform comparison. The quantities the figures plot — frame
 //! latency CDFs, burst-length CDFs, and a quality score over time — are

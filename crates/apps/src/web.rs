@@ -10,7 +10,8 @@
 //!
 //! The original trace is not redistributable, so [`generate_trace`] produces
 //! a synthetic trace with the same structure: pages bucketed by request count
-//! (1–2, 3–8, 9+) and heavy-tailed object sizes (see DESIGN.md).
+//! (1–2, 3–8, 9+) and heavy-tailed object sizes (see README's
+//! "Substitutions").
 
 use minion_core::MinionConfig;
 use minion_mstcp::MsTcpConnection;

@@ -14,9 +14,13 @@
 //! All endpoints run over the simulated hosts of `minion-stack`; the same
 //! protocol state machines would sit unchanged on top of a kernel uTCP.
 //!
-//! Both record-layer sockets reassemble uTCP's `(offset, bytes)` deliveries
-//! in the one [`FragmentStore`], which lives in `minion-tls` beside the uTLS
-//! receiver that is its third user and is re-exported here.
+//! uTCP's `(offset, bytes)` deliveries are reassembled in the one
+//! [`FragmentStore`], re-exported here from `minion-tls`, and each
+//! connection's stream has one holder: [`UcobsSocket`] keeps a store of its
+//! own, while [`UtlsSocket`] keeps none and hands every chunk to its TLS
+//! session, whose receiver holds the stream from the hello's first byte
+//! (through a handshake epoch, then the application epoch under the derived
+//! keys).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

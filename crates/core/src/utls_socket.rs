@@ -1,18 +1,17 @@
 //! uTLS endpoint: secure datagrams over a TCP/uTCP connection, with the
 //! unchanged TLS wire format (paper §6).
 //!
-//! The handshake runs in order over the stream head. Once keys are derived,
-//! an out-of-order [`UtlsReceiver`] takes over the receive path (when the
-//! negotiated ciphersuite permits, i.e. explicit-IV block ciphers), while the
-//! send path is plain TLS record sealing — the current uTLS supports only
-//! receiver-side unordered delivery, exactly as in the paper (§6.1).
-//!
-//! Until then (and for good in the stream-TLS fallback) the socket
-//! reassembles the stream in its own [`FragmentStore`] and feeds the session
-//! the head run where it lies. At the hand-off that store is emptied into
-//! the receiver, which keeps the same kind of store from there on: chunks
-//! from `tcp_read` go to one store or the other, never through a copy of
-//! their own.
+//! The socket holds no stream bytes of its own: every chunk `tcp_read`
+//! yields goes, at its stream offset, straight to the [`TlsSession`], whose
+//! receiver is the connection's one store and one record parser from the
+//! first byte of the hello on. That receiver moves from its handshake epoch
+//! to the application epoch when the session derives its keys; from then on
+//! records ahead of a hole are delivered as they arrive when uTCP hands
+//! them over and the negotiated ciphersuite permits (explicit-IV block
+//! ciphers). Over standard TCP the chunks arrive in order and the same
+//! receiver is stream TLS. The send path is plain TLS record sealing — the
+//! current uTLS supports only receiver-side unordered delivery, exactly as
+//! in the paper (§6.1).
 //!
 //! The socket counts in the crate's one [`DatagramStats`]; its
 //! `wire_bytes_sent` includes the handshake records.
@@ -21,27 +20,15 @@ use crate::config::MinionConfig;
 use crate::ucobs::{Datagram, DatagramStats};
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
-use minion_tls::{FragmentStore, TlsSession, UtlsReceiver};
-
-/// How many record-number candidates the receiver tries on each side of its
-/// estimate.
-const PREDICTION_WINDOW: u64 = 8;
+use minion_tls::TlsSession;
 
 /// A uTLS secure datagram socket.
 pub struct UtlsSocket {
     handle: SocketHandle,
     session: TlsSession,
-    /// Out-of-order receiver, created once the handshake completes (and only
-    /// if unordered delivery is enabled and the suite supports it).
-    receiver: Option<UtlsReceiver>,
-    /// Whether the application asked for out-of-order delivery.
+    /// Whether records can arrive out of order at all: uTCP receive is on
+    /// and the suite allows opening them so.
     unordered: bool,
-    /// Raw stream reassembly used for the in-order path (handshake and the
-    /// stream-TLS fallback mode); emptied into `receiver` when that takes
-    /// over, so a socket never holds two live stores.
-    raw: FragmentStore,
-    /// Stream offset up to which bytes have been fed to the in-order session.
-    fed_offset: u64,
     stats: DatagramStats,
 }
 
@@ -79,11 +66,8 @@ impl UtlsSocket {
         UtlsSocket {
             handle,
             session,
-            receiver: None,
             unordered: config.socket_options.unordered_receive
                 && config.tls.suite.supports_out_of_order(),
-            raw: FragmentStore::new(),
-            fed_offset: 0,
             stats: DatagramStats::default(),
         }
     }
@@ -100,7 +84,7 @@ impl UtlsSocket {
 
     /// Whether out-of-order recovery is active.
     pub fn out_of_order_active(&self) -> bool {
-        self.receiver.is_some()
+        self.unordered && self.session.is_established()
     }
 
     /// Endpoint statistics.
@@ -110,7 +94,8 @@ impl UtlsSocket {
 
     /// Receiver statistics (header scans, MAC attempts, prediction quality).
     pub fn receiver_stats(&self) -> Option<&minion_tls::UtlsStats> {
-        self.receiver.as_ref().map(|r| r.stats())
+        self.out_of_order_active()
+            .then(|| self.session.receiver_stats())
     }
 
     /// Free space in the underlying send buffer.
@@ -138,27 +123,11 @@ impl UtlsSocket {
     pub fn recv(&mut self, host: &mut Host) -> Vec<Datagram> {
         let mut out = Vec::new();
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {
-            if self.receiver.is_some() {
-                self.feed_receiver(chunk.offset, &chunk.data, &mut out);
-            } else {
-                // Handshake (or fallback) path: reassemble in order.
-                self.raw.insert(chunk.offset, &chunk.data);
-                self.drive_in_order(host, &mut out);
-            }
-        }
-        out
-    }
-
-    fn drive_in_order(&mut self, host: &mut Host, out: &mut Vec<Datagram>) {
-        while let Some((run_start, run)) = self.raw.run_at(self.fed_offset) {
-            let bytes = &run[(self.fed_offset - run_start) as usize..];
-            self.fed_offset = run_start + run.len() as u64;
-            let was_established = self.session.is_established();
-
-            if self.session.push_incoming(bytes).is_err() {
-                // A malformed handshake or corrupted in-order record: stop
-                // delivering (the connection is effectively dead, as in TLS).
-                return;
+            // After a malformed hello nothing is delivered (the connection
+            // is effectively dead, as in TLS).
+            let records = self.session.on_fragment(chunk.offset, &chunk.data);
+            for rec in records.unwrap_or_default() {
+                out.push(self.stats.deliver(rec.payload, rec.out_of_order));
             }
             // Send any handshake response the session produced.
             let response = self.session.take_outgoing();
@@ -166,47 +135,8 @@ impl UtlsSocket {
                 self.stats.wire_bytes_sent += response.len() as u64;
                 let _ = host.tcp_write(self.handle, &response);
             }
-
-            if self.session.is_established() {
-                if !was_established && self.unordered {
-                    // Out-of-order mode takes over: replay everything
-                    // already buffered into the receiver (it skips the
-                    // handshake bytes), then stop feeding the in-order
-                    // session parser.
-                    let protection = self
-                        .session
-                        .rx_protection()
-                        .expect("established session has keys");
-                    self.receiver = Some(UtlsReceiver::new(protection, PREDICTION_WINDOW));
-                    let raw = std::mem::take(&mut self.raw);
-                    for (offset, run) in raw.runs_from(0) {
-                        self.feed_receiver(offset, run, out);
-                    }
-                    return;
-                }
-                // Stream-TLS fallback: in-order record parsing.
-                if let Ok(records) = self.session.read_datagrams() {
-                    for payload in records {
-                        out.push(self.stats.deliver(payload, false));
-                    }
-                }
-            }
-            self.raw.prune_below(self.fed_offset);
         }
-    }
-
-    /// Feed a raw-stream chunk (absolute offset) to the out-of-order
-    /// receiver, which counts offsets from the first application-data byte.
-    fn feed_receiver(&mut self, offset: u64, data: &[u8], out: &mut Vec<Datagram>) {
-        let Some(receiver) = self.receiver.as_mut() else {
-            return;
-        };
-        // Bytes below it are handshake, already consumed in order.
-        let app_start = self.session.rx_app_start_offset();
-        let skip = app_start.saturating_sub(offset).min(data.len() as u64) as usize;
-        for rec in receiver.on_fragment(offset.max(app_start) - app_start, &data[skip..]) {
-            out.push(self.stats.deliver(rec.payload, rec.out_of_order));
-        }
+        out
     }
 }
 
@@ -331,7 +261,7 @@ mod tests {
         let stats = server.receiver_stats().unwrap();
         assert!(stats.out_of_order_delivered > 0, "{stats:?}");
         // The receiver must not retain the stream it has consumed.
-        let buffered = server.receiver.as_ref().unwrap().buffered_bytes();
+        let buffered = server.session.buffered_bytes();
         assert!(buffered < 64 * 1024, "buffered={buffered}");
     }
 

@@ -75,7 +75,7 @@ impl KeyBlock {
 
 /// Derive a master secret from a pre-shared key and the handshake nonces
 /// (the reproduction uses a PSK handshake in place of public-key exchange;
-/// see DESIGN.md).
+/// see README's "Substitutions").
 pub fn master_secret(psk: &[u8], client_random: &[u8], server_random: &[u8]) -> [u8; 48] {
     let mut seed = Vec::with_capacity(client_random.len() + server_random.len());
     seed.extend_from_slice(client_random);

@@ -5,10 +5,10 @@
 //! `(offset, bytes)` chunks delivered in or out of order — and both first
 //! reassemble them into maximal contiguous runs before looking for records:
 //! an arriving chunk can create a new run, extend an existing run at either
-//! end, or fill a hole and merge two runs into one. [`UtlsReceiver`],
-//! `minion_core::UcobsSocket` and `minion_core::UtlsSocket` all keep their
-//! bytes here (the store lives in this crate because it is the lowest one
-//! below all three; `minion_core::FragmentStore` re-exports it).
+//! end, or fill a hole and merge two runs into one. [`UtlsReceiver`] and
+//! `minion_core::UcobsSocket` keep their bytes here (the store lives in this
+//! crate because it is the lowest one below both;
+//! `minion_core::FragmentStore` re-exports it).
 //!
 //! Every accessor lends the run it names — nothing is cloned on the way out —
 //! and every stream byte is stored once: `insert` extends the run that

@@ -1,19 +1,28 @@
-//! A TLS-style session: simplified PSK handshake, key schedule, and in-order
-//! record protection — the baseline "stream TLS" that uTLS is compared
-//! against, and the component that produces the wire bytes uTLS later
-//! recovers out of order.
+//! A TLS-style session: simplified PSK handshake, key schedule, record
+//! sealing, and the connection's one receive path.
 //!
 //! The handshake replaces TLS's public-key exchange with a pre-shared-key
 //! exchange (two `ClientHello`/`ServerHello`-style messages carrying random
-//! nonces); see DESIGN.md for why this substitution preserves the behaviour
-//! the paper evaluates. Everything downstream of the handshake — record
-//! framing, MAC pseudo-header with an implicit record number, explicit IVs,
-//! MAC-then-encrypt — follows the TLS 1.1 structure.
+//! nonces); README's "Substitutions" section says why this preserves the
+//! behaviour the paper evaluates. Everything downstream of the handshake —
+//! record framing, MAC pseudo-header with an implicit record number,
+//! explicit IVs, MAC-then-encrypt — follows the TLS 1.1 structure.
+//!
+//! The session receives through a [`UtlsReceiver`] from byte 0 of the
+//! connection: that receiver's store is the only copy of the incoming stream
+//! (the socket above holds none) and its in-order pass the only record
+//! parser, for the hellos, for stream TLS and for uTLS alike. It starts in
+//! the handshake *epoch* — null protection, one handshake record handed over
+//! at a time — and the session installs the derived keys the moment it has
+//! them, which starts the application epoch at the byte after the peer's
+//! hello. Stream TLS needs no switch: a standard-TCP receiver only ever
+//! hands over in-order chunks, so the out-of-order pass finds nothing ahead
+//! of the in-order point to scan.
 
 use crate::record::{
-    CipherSuite, RecordHeader, RecordProtection, CONTENT_APPLICATION_DATA, CONTENT_HANDSHAKE,
-    RECORD_HEADER_LEN, VERSION_TLS11,
+    CipherSuite, RecordProtection, CONTENT_APPLICATION_DATA, CONTENT_HANDSHAKE, VERSION_TLS11,
 };
+use crate::utls::{UtlsReceiver, UtlsRecord, UtlsStats};
 use minion_crypto::prf::{master_secret, KeyBlock};
 use minion_simnet::SimRng;
 
@@ -34,21 +43,19 @@ impl Default for TlsConfig {
 
 /// Which side of the connection this session is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Role {
-    /// The connection initiator.
+enum Role {
     Client,
-    /// The connection acceptor.
     Server,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum HandshakeState {
-    /// Client: hello not yet sent. Server: waiting for the client hello.
-    Start,
-    /// Client: hello sent, waiting for the server hello.
-    WaitServerHello,
+    /// Waiting for the peer's hello (the client has sent its own).
+    AwaitingHello,
     /// Keys derived; application data may flow.
     Established,
+    /// The peer's hello was malformed; nothing is delivered from here on.
+    Failed,
 }
 
 /// Errors from the TLS session.
@@ -56,8 +63,6 @@ enum HandshakeState {
 pub enum TlsError {
     /// Handshake data was malformed.
     BadHandshake,
-    /// An application record failed authentication.
-    BadRecord,
     /// Operation requires an established session.
     NotEstablished,
 }
@@ -66,7 +71,6 @@ impl std::fmt::Display for TlsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TlsError::BadHandshake => write!(f, "malformed handshake message"),
-            TlsError::BadRecord => write!(f, "record failed authentication"),
             TlsError::NotEstablished => write!(f, "session not established"),
         }
     }
@@ -78,6 +82,23 @@ const HELLO_MAGIC: &[u8; 4] = b"MHLO";
 const RANDOM_LEN: usize = 32;
 /// Maximum plaintext bytes per application record.
 const MAX_RECORD_PAYLOAD: usize = 16 * 1024;
+/// How many record-number candidates the receiver tries on each side of its
+/// estimate.
+const PREDICTION_WINDOW: u64 = 8;
+
+/// The handshake epoch's protection, either direction.
+fn null_protection() -> RecordProtection {
+    RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], VERSION_TLS11)
+}
+
+/// The byte a hello names its ciphersuite by.
+fn suite_id(suite: CipherSuite) -> u8 {
+    match suite {
+        CipherSuite::Null => 0,
+        CipherSuite::Aes128CbcExplicitIv => 1,
+        CipherSuite::Aes128CbcChainedIv => 2,
+    }
+}
 
 /// A TLS session endpoint.
 pub struct TlsSession {
@@ -86,21 +107,13 @@ pub struct TlsSession {
     psk: Vec<u8>,
     state: HandshakeState,
     local_random: [u8; RANDOM_LEN],
-    peer_random: Option<[u8; RANDOM_LEN]>,
-    /// Handshake-phase (null) protection used before keys are derived.
-    handshake_tx: RecordProtection,
-    handshake_rx: RecordProtection,
-    tx: Option<RecordProtection>,
-    rx: Option<RecordProtection>,
+    /// Send-direction protection: null until the keys are derived.
+    tx: RecordProtection,
     tx_record_number: u64,
-    rx_record_number: u64,
-    /// Reassembly buffer for in-order record parsing.
-    inbuf: Vec<u8>,
-    /// Bytes queued for transmission (handshake responses).
+    /// The receive path, and the one holder of the incoming stream.
+    receiver: UtlsReceiver,
+    /// Bytes queued for transmission (handshake messages).
     outbuf: Vec<u8>,
-    /// Number of incoming stream bytes consumed by the handshake; application
-    /// records start at this stream offset (needed by the uTLS receiver).
-    rx_handshake_bytes: u64,
 }
 
 impl TlsSession {
@@ -111,24 +124,16 @@ impl TlsSession {
         });
         let mut local_random = [0u8; RANDOM_LEN];
         rng.fill_bytes(&mut local_random);
-        let null_tx = RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], VERSION_TLS11);
-        let null_rx = RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], VERSION_TLS11);
         TlsSession {
             role,
             config,
             psk: psk.to_vec(),
-            state: HandshakeState::Start,
+            state: HandshakeState::AwaitingHello,
             local_random,
-            peer_random: None,
-            handshake_tx: null_tx,
-            handshake_rx: null_rx,
-            tx: None,
-            rx: None,
+            tx: null_protection(),
             tx_record_number: 0,
-            rx_record_number: 0,
-            inbuf: Vec::new(),
+            receiver: UtlsReceiver::new(null_protection(), PREDICTION_WINDOW).in_handshake_epoch(),
             outbuf: Vec::new(),
-            rx_handshake_bytes: 0,
         }
     }
 
@@ -136,9 +141,7 @@ impl TlsSession {
     /// available from [`take_outgoing`](Self::take_outgoing).
     pub fn client(psk: &[u8], config: TlsConfig, seed: u64) -> Self {
         let mut s = TlsSession::new(Role::Client, psk, config, seed);
-        let hello = s.make_hello();
-        s.outbuf.extend_from_slice(&hello);
-        s.state = HandshakeState::WaitServerHello;
+        s.queue_hello();
         s
     }
 
@@ -147,42 +150,37 @@ impl TlsSession {
         TlsSession::new(Role::Server, psk, config, seed)
     }
 
-    /// The session's role.
-    pub fn role(&self) -> Role {
-        self.role
-    }
-
-    /// The negotiated ciphersuite.
-    pub fn suite(&self) -> CipherSuite {
-        self.config.suite
-    }
-
     /// Whether the handshake has completed.
     pub fn is_established(&self) -> bool {
         self.state == HandshakeState::Established
     }
 
-    /// Incoming stream offset at which application records begin.
-    pub fn rx_app_start_offset(&self) -> u64 {
-        self.rx_handshake_bytes
+    /// The receiver's counters; they start at the application epoch.
+    pub fn receiver_stats(&self) -> &UtlsStats {
+        self.receiver.stats()
     }
 
-    fn make_hello(&mut self) -> Vec<u8> {
+    /// Bytes of the incoming stream currently held.
+    pub fn buffered_bytes(&self) -> usize {
+        self.receiver.buffered_bytes()
+    }
+
+    /// Queue this side's hello; `tx` is still the null protection.
+    fn queue_hello(&mut self) {
         let mut body = Vec::with_capacity(4 + RANDOM_LEN + 1);
         body.extend_from_slice(HELLO_MAGIC);
         body.extend_from_slice(&self.local_random);
-        body.push(match self.config.suite {
-            CipherSuite::Null => 0,
-            CipherSuite::Aes128CbcExplicitIv => 1,
-            CipherSuite::Aes128CbcChainedIv => 2,
-        });
-        self.handshake_tx.seal(0, CONTENT_HANDSHAKE, &body)
+        body.push(suite_id(self.config.suite));
+        let hello = self.tx.seal(0, CONTENT_HANDSHAKE, &body);
+        self.outbuf.extend_from_slice(&hello);
     }
 
-    fn derive_keys(&mut self) {
+    /// Derive both directions' keys and start the receiver's application
+    /// epoch; returns what it can deliver of the bytes it already holds.
+    fn derive_keys(&mut self, peer_random: [u8; RANDOM_LEN]) -> Vec<UtlsRecord> {
         let (client_random, server_random) = match self.role {
-            Role::Client => (self.local_random, self.peer_random.expect("peer random")),
-            Role::Server => (self.peer_random.expect("peer random"), self.local_random),
+            Role::Client => (self.local_random, peer_random),
+            Role::Server => (peer_random, self.local_random),
         };
         let ms = master_secret(&self.psk, &client_random, &server_random);
         let kb = KeyBlock::derive(&ms, &client_random, &server_random);
@@ -200,86 +198,50 @@ impl TlsSession {
                 kb.client_mac_key,
             ),
         };
-        self.tx = Some(RecordProtection::new(
-            self.config.suite,
-            tx_enc,
-            tx_mac,
-            VERSION_TLS11,
-        ));
-        self.rx = Some(RecordProtection::new(
-            self.config.suite,
-            rx_enc,
-            rx_mac,
-            VERSION_TLS11,
-        ));
+        let suite = self.config.suite;
+        self.tx = RecordProtection::new(suite, tx_enc, tx_mac, VERSION_TLS11);
         self.state = HandshakeState::Established;
+        self.receiver
+            .install_keys(RecordProtection::new(suite, rx_enc, rx_mac, VERSION_TLS11))
     }
 
-    /// Clone of the receive-direction record protection, for handing to a
-    /// [`crate::utls::UtlsReceiver`].
-    pub fn rx_protection(&self) -> Option<RecordProtection> {
-        self.rx.clone()
-    }
-
-    /// Feed bytes received in order from the transport.
+    /// Feed a chunk of the incoming stream at its stream offset, in any
+    /// order, and return the application records deliverable now.
     ///
-    /// During the handshake this may queue response bytes (fetch them with
-    /// [`take_outgoing`](Self::take_outgoing)). After establishment, complete
-    /// application records are decrypted and returned by
-    /// [`read_datagrams`](Self::read_datagrams).
-    pub fn push_incoming(&mut self, data: &[u8]) -> Result<(), TlsError> {
-        self.inbuf.extend_from_slice(data);
-        self.process_handshake()
-    }
-
-    /// Take the next whole record off the front of the in-order buffer, or
-    /// `None` while its header or body is still incomplete.
-    fn take_record(&mut self) -> Option<(RecordHeader, Vec<u8>)> {
-        let header = RecordHeader::decode(&self.inbuf)?;
-        if self.inbuf.len() < RECORD_HEADER_LEN + header.length {
-            return None;
+    /// The peer's hello is consumed here: the server queues its own in
+    /// response (fetch it with [`take_outgoing`](Self::take_outgoing)), the
+    /// keys are installed, and application bytes that had arrived ahead of
+    /// the hello come out in the same call. A malformed hello is an error
+    /// now and on every later call.
+    pub fn on_fragment(&mut self, offset: u64, data: &[u8]) -> Result<Vec<UtlsRecord>, TlsError> {
+        if self.state == HandshakeState::Failed {
+            return Err(TlsError::BadHandshake);
         }
-        let body = self
-            .inbuf
-            .drain(..RECORD_HEADER_LEN + header.length)
-            .skip(RECORD_HEADER_LEN)
-            .collect();
-        Some((header, body))
-    }
-
-    fn process_handshake(&mut self) -> Result<(), TlsError> {
-        while self.state != HandshakeState::Established {
-            let Some((header, body)) = self.take_record() else {
-                return Ok(());
-            };
-            if header.content_type != CONTENT_HANDSHAKE {
-                return Err(TlsError::BadHandshake);
-            }
-            self.rx_handshake_bytes += (RECORD_HEADER_LEN + header.length) as u64;
-            let plain = self
-                .handshake_rx
-                .open(0, &header, &body)
-                .map_err(|_| TlsError::BadHandshake)?;
-            if plain.len() < 4 + RANDOM_LEN + 1 || &plain[..4] != HELLO_MAGIC {
-                return Err(TlsError::BadHandshake);
-            }
-            let mut random = [0u8; RANDOM_LEN];
-            random.copy_from_slice(&plain[4..4 + RANDOM_LEN]);
-            self.peer_random = Some(random);
-
-            match (self.role, self.state) {
-                (Role::Server, HandshakeState::Start) => {
-                    let hello = self.make_hello();
-                    self.outbuf.extend_from_slice(&hello);
-                    self.derive_keys();
-                }
-                (Role::Client, HandshakeState::WaitServerHello) => {
-                    self.derive_keys();
-                }
-                _ => return Err(TlsError::BadHandshake),
+        let mut records = self.receiver.on_fragment(offset, data);
+        if self.state == HandshakeState::AwaitingHello {
+            // The handshake epoch hands over one record at a time.
+            if let Some(hello) = records.pop() {
+                records = self.process_hello(&hello.payload).inspect_err(|_| {
+                    self.state = HandshakeState::Failed;
+                })?;
             }
         }
-        Ok(())
+        Ok(records)
+    }
+
+    fn process_hello(&mut self, hello: &[u8]) -> Result<Vec<UtlsRecord>, TlsError> {
+        if hello.len() < 4 + RANDOM_LEN + 1
+            || &hello[..4] != HELLO_MAGIC
+            || hello[4 + RANDOM_LEN] != suite_id(self.config.suite)
+        {
+            return Err(TlsError::BadHandshake);
+        }
+        let mut peer_random = [0u8; RANDOM_LEN];
+        peer_random.copy_from_slice(&hello[4..4 + RANDOM_LEN]);
+        if self.role == Role::Server {
+            self.queue_hello();
+        }
+        Ok(self.derive_keys(peer_random))
     }
 
     /// Take bytes queued for transmission (handshake messages).
@@ -297,33 +259,11 @@ impl TlsSession {
             data.len() <= MAX_RECORD_PAYLOAD,
             "datagram exceeds the maximum record payload"
         );
-        let tx = self.tx.as_mut().expect("established");
-        let wire = tx.seal(self.tx_record_number, CONTENT_APPLICATION_DATA, data);
+        let wire = self
+            .tx
+            .seal(self.tx_record_number, CONTENT_APPLICATION_DATA, data);
         self.tx_record_number += 1;
         Ok(wire)
-    }
-
-    /// Decrypt and return all complete application records available in the
-    /// in-order receive buffer (standard TLS delivery).
-    pub fn read_datagrams(&mut self) -> Result<Vec<Vec<u8>>, TlsError> {
-        if self.state != HandshakeState::Established {
-            return Ok(vec![]);
-        }
-        let mut out = Vec::new();
-        while let Some((header, body)) = self.take_record() {
-            let rx = self.rx.as_mut().expect("established");
-            // The MAC covers the negotiated version, not the header's two
-            // bytes: compare them here, where TLS sends `protocol_version`.
-            if header.version != rx.version() {
-                return Err(TlsError::BadRecord);
-            }
-            let plain = rx
-                .open(self.rx_record_number, &header, &body)
-                .map_err(|_| TlsError::BadRecord)?;
-            self.rx_record_number += 1;
-            out.push(plain);
-        }
-        Ok(out)
     }
 }
 
@@ -336,20 +276,35 @@ mod tests {
         let mut client = TlsSession::client(b"shared secret", config.clone(), 1);
         let mut server = TlsSession::server(b"shared secret", config, 2);
         let c_hello = client.take_outgoing();
-        server.push_incoming(&c_hello).unwrap();
+        assert!(feed(&mut server, 0, &c_hello).is_empty());
         let s_hello = server.take_outgoing();
-        client.push_incoming(&s_hello).unwrap();
+        assert!(feed(&mut client, 0, &s_hello).is_empty());
         assert!(client.is_established());
         assert!(server.is_established());
         (client, server)
     }
 
+    /// Feed `wire` at stream offset `offset`; the payloads delivered.
+    fn feed(session: &mut TlsSession, offset: u64, wire: &[u8]) -> Vec<Vec<u8>> {
+        let records = session.on_fragment(offset, wire).unwrap();
+        records.into_iter().map(|r| r.payload).collect()
+    }
+
+    /// The stream offset the session's in-order point stands at.
+    fn in_order_offset(session: &TlsSession) -> u64 {
+        session.receiver.in_order_offset()
+    }
+
     #[test]
     fn handshake_establishes_both_sides() {
-        let (client, server) = handshake(CipherSuite::Aes128CbcExplicitIv);
-        assert_eq!(client.role(), Role::Client);
-        assert_eq!(server.role(), Role::Server);
-        assert!(client.rx_app_start_offset() > 0);
+        let (mut client, mut server) = handshake(CipherSuite::Aes128CbcExplicitIv);
+        // Each consumed the other's hello, kept none of it and owes nothing.
+        for session in [&mut client, &mut server] {
+            assert!(in_order_offset(session) > 0);
+            assert_eq!(session.buffered_bytes(), 0);
+            assert!(session.take_outgoing().is_empty());
+            assert_eq!(session.receiver_stats(), &UtlsStats::default());
+        }
     }
 
     #[test]
@@ -361,45 +316,71 @@ mod tests {
             wire.extend_from_slice(&client.seal_datagram(msg.as_bytes()).unwrap());
         }
         // Deliver in odd-sized pieces to exercise record reassembly.
+        let mut offset = in_order_offset(&server);
+        let mut got = Vec::new();
         for chunk in wire.chunks(313) {
-            server.push_incoming(chunk).unwrap();
+            got.extend(feed(&mut server, offset, chunk));
+            offset += chunk.len() as u64;
         }
-        let got = server.read_datagrams().unwrap();
         assert_eq!(got.len(), 20);
         assert_eq!(got[7], b"application datagram 7");
+        assert_eq!(server.receiver_stats().in_order_delivered, 20);
     }
 
     #[test]
     fn a_byte_at_a_time_feed_yields_the_one_shot_datagrams() {
-        // Every cut, including the ones inside a 5-byte record header, in the
-        // hello and in the application records after it.
+        // Every cut, including the ones inside a 5-byte record header, in
+        // either side's hello and in the application records after it.
         let config = TlsConfig::default();
-        let mut client = TlsSession::client(b"shared secret", config.clone(), 1);
-        let mut whole = TlsSession::server(b"shared secret", config.clone(), 2);
-        let mut bytewise = TlsSession::server(b"shared secret", config, 2);
-        let hello = client.take_outgoing();
-        whole.push_incoming(&hello).unwrap();
-        client.push_incoming(&whole.take_outgoing()).unwrap();
-        let mut wire = hello.clone();
-        for msg in [&b"first"[..], &[7u8; 1200], b""] {
-            wire.extend_from_slice(&client.seal_datagram(msg).unwrap());
-        }
-        whole.push_incoming(&wire[hello.len()..]).unwrap();
-        let expected = whole.read_datagrams().unwrap();
-        assert_eq!(expected, [b"first".to_vec(), vec![7u8; 1200], vec![]]);
+        let session_pair = || {
+            (
+                TlsSession::client(b"shared secret", config.clone(), 1),
+                TlsSession::server(b"shared secret", config.clone(), 2),
+            )
+        };
+        let messages = [&b"first"[..], &[7u8; 1200], b""];
+        let expected = [b"first".to_vec(), vec![7u8; 1200], vec![]];
 
-        let mut got = Vec::new();
-        for byte in &wire {
-            bytewise.push_incoming(std::slice::from_ref(byte)).unwrap();
-            got.extend(bytewise.read_datagrams().unwrap());
+        // Each side's whole incoming stream, and what a one-shot feed of it
+        // delivers.
+        let (mut client, mut server) = session_pair();
+        let mut to_server = client.take_outgoing();
+        assert!(feed(&mut server, 0, &to_server).is_empty());
+        let mut to_client = server.take_outgoing();
+        let (c_hello_len, s_hello_len) = (to_server.len(), to_client.len());
+        assert!(feed(&mut client, 0, &to_client).is_empty());
+        for msg in messages {
+            to_server.extend_from_slice(&client.seal_datagram(msg).unwrap());
+            to_client.extend_from_slice(&server.seal_datagram(msg).unwrap());
         }
-        assert_eq!(got, expected);
-        assert_eq!(bytewise.rx_app_start_offset(), hello.len() as u64);
         assert_eq!(
-            bytewise.take_outgoing().len(),
-            hello.len(),
-            "one hello back"
+            feed(&mut server, c_hello_len as u64, &to_server[c_hello_len..]),
+            expected
         );
+        assert_eq!(
+            feed(&mut client, s_hello_len as u64, &to_client[s_hello_len..]),
+            expected
+        );
+
+        let (mut client, mut server) = session_pair();
+        assert_eq!(client.take_outgoing().len(), c_hello_len);
+        for (session, stream, hello_back) in [
+            (&mut server, &to_server, s_hello_len),
+            (&mut client, &to_client, 0),
+        ] {
+            let mut got = Vec::new();
+            for (offset, byte) in stream.iter().enumerate() {
+                got.extend(feed(session, offset as u64, std::slice::from_ref(byte)));
+            }
+            assert_eq!(got, expected);
+            assert_eq!(in_order_offset(session), stream.len() as u64);
+            assert_eq!(session.buffered_bytes(), 0);
+            assert_eq!(
+                session.take_outgoing().len(),
+                hello_back,
+                "one hello back from the server, none from the client"
+            );
+        }
     }
 
     #[test]
@@ -408,16 +389,25 @@ mod tests {
         let c2s = client.seal_datagram(b"from client").unwrap();
         let s2c = server.seal_datagram(b"from server").unwrap();
         assert_ne!(c2s, s2c);
-        server.push_incoming(&c2s).unwrap();
-        client.push_incoming(&s2c).unwrap();
+        let (to_server, to_client) = (in_order_offset(&server), in_order_offset(&client));
         assert_eq!(
-            server.read_datagrams().unwrap(),
+            feed(&mut server, to_server, &c2s),
             vec![b"from client".to_vec()]
         );
         assert_eq!(
-            client.read_datagrams().unwrap(),
+            feed(&mut client, to_client, &s2c),
             vec![b"from server".to_vec()]
         );
+    }
+
+    /// Nothing came of `wire`, fed at the in-order point: the session stalls
+    /// at that record and keeps its bytes.
+    fn assert_stalls_at(server: &mut TlsSession, wire: &[u8]) {
+        let at = in_order_offset(server);
+        assert!(feed(server, at, wire).is_empty());
+        assert_eq!(in_order_offset(server), at);
+        assert_eq!(server.buffered_bytes(), wire.len());
+        assert_eq!(server.receiver_stats().in_order_opens, 0);
     }
 
     #[test]
@@ -426,14 +416,14 @@ mod tests {
         let mut client = TlsSession::client(b"secret A", config.clone(), 1);
         let mut server = TlsSession::server(b"secret B", config, 2);
         let c_hello = client.take_outgoing();
-        server.push_incoming(&c_hello).unwrap();
+        assert!(feed(&mut server, 0, &c_hello).is_empty());
         let s_hello = server.take_outgoing();
-        client.push_incoming(&s_hello).unwrap();
+        assert!(feed(&mut client, 0, &s_hello).is_empty());
         // The handshake itself completes (nonces are public), but the derived
         // keys differ, so the first protected record fails to authenticate.
+        assert!(client.is_established() && server.is_established());
         let wire = client.seal_datagram(b"secret message").unwrap();
-        server.push_incoming(&wire).unwrap();
-        assert_eq!(server.read_datagrams(), Err(TlsError::BadRecord));
+        assert_stalls_at(&mut server, &wire);
     }
 
     #[test]
@@ -443,8 +433,87 @@ mod tests {
         // The MAC is computed over the negotiated version, so it still
         // verifies: only the header compare can see this change.
         wire[1] ^= 0x01;
-        server.push_incoming(&wire).unwrap();
-        assert_eq!(server.read_datagrams(), Err(TlsError::BadRecord));
+        assert_stalls_at(&mut server, &wire);
+    }
+
+    #[test]
+    fn records_before_a_damaged_one_are_delivered_and_the_stream_stalls_there() {
+        // Four records, one byte of the third flipped. The parent's second
+        // in-order parser, handed all four at once, returned `BadRecord`,
+        // dropped the two intact records it had already opened (0 delivered)
+        // and had drained the damaged one, so it tried the fourth under the
+        // wrong number: the session was desynchronised for good.
+        let payloads: Vec<Vec<u8>> = (0..4u8).map(|n| vec![n; 300]).collect();
+        let stream_from = |client: &mut TlsSession| {
+            let mut stream = Vec::new();
+            let mut starts = Vec::new();
+            for payload in &payloads {
+                starts.push(stream.len());
+                stream.extend(client.seal_datagram(payload).unwrap());
+            }
+            let third = starts[2] + (starts[3] - starts[2]) / 2;
+            stream[third] ^= 0x40;
+            (stream, starts)
+        };
+
+        // In order, as a standard-TCP receiver hands the stream over.
+        let (mut client, mut server) = handshake(CipherSuite::Aes128CbcExplicitIv);
+        let base = in_order_offset(&server);
+        let (stream, starts) = stream_from(&mut client);
+        let mut got = feed(&mut server, base, &stream);
+        got.extend(feed(&mut server, base, &stream));
+        assert_eq!(got, payloads[..2], "records 0 and 1, exactly once");
+        assert_eq!(in_order_offset(&server), base + starts[2] as u64);
+        assert_eq!(server.buffered_bytes(), stream.len() - starts[2]);
+        assert_eq!(server.receiver_stats().out_of_order_delivered, 0);
+
+        // Shuffled, as uTCP hands it over: the last piece first.
+        let (mut client, mut server) = handshake(CipherSuite::Aes128CbcExplicitIv);
+        let (stream, starts) = stream_from(&mut client);
+        let mut got = Vec::new();
+        for (i, piece) in stream.chunks(150).enumerate().rev() {
+            got.extend(feed(&mut server, base + 150 * i as u64, piece));
+        }
+        assert!(!got.contains(&payloads[2]), "the damaged record came out");
+        for payload in &payloads {
+            assert!(got.iter().filter(|&p| p == payload).count() <= 1);
+        }
+        assert_eq!(got.len(), 3, "the fourth under its own MAC, out of order");
+        assert_eq!(in_order_offset(&server), base + starts[2] as u64);
+    }
+
+    #[test]
+    fn a_hello_naming_another_suite_fails_the_handshake_for_good() {
+        let explicit = TlsConfig::default();
+        let chained = TlsConfig {
+            suite: CipherSuite::Aes128CbcChainedIv,
+        };
+        let mut client = TlsSession::client(b"shared secret", explicit, 1);
+        let mut server = TlsSession::server(b"shared secret", chained.clone(), 2);
+        let c_hello = client.take_outgoing();
+        assert_eq!(server.on_fragment(0, &c_hello), Err(TlsError::BadHandshake));
+        assert!(server.take_outgoing().is_empty(), "no hello back");
+
+        // A well-formed hello behind the malformed one does not revive it,
+        // and nothing sealed under the keys it would have given comes out.
+        let mut peer = TlsSession::client(b"shared secret", chained.clone(), 3);
+        let mut later = peer.take_outgoing();
+        let mut twin = TlsSession::server(b"shared secret", chained, 2);
+        assert!(feed(&mut twin, 0, &later).is_empty());
+        let s_hello = twin.take_outgoing();
+        assert!(feed(&mut peer, 0, &s_hello).is_empty());
+        later.extend(peer.seal_datagram(b"for the twin only").unwrap());
+        assert_eq!(
+            server.on_fragment(c_hello.len() as u64, &later),
+            Err(TlsError::BadHandshake)
+        );
+        assert!(!server.is_established());
+        assert_eq!(server.seal_datagram(b"x"), Err(TlsError::NotEstablished));
+
+        // The other way round: a chained-IV server's hello reaches the
+        // explicit-IV client.
+        assert_eq!(client.on_fragment(0, &s_hello), Err(TlsError::BadHandshake));
+        assert!(!client.is_established());
     }
 
     #[test]
@@ -461,8 +530,8 @@ mod tests {
         for i in 0..5u32 {
             wire.extend_from_slice(&client.seal_datagram(format!("m{i}").as_bytes()).unwrap());
         }
-        server.push_incoming(&wire).unwrap();
-        assert_eq!(server.read_datagrams().unwrap().len(), 5);
+        let at = in_order_offset(&server);
+        assert_eq!(feed(&mut server, at, &wire).len(), 5);
     }
 
     #[test]

@@ -21,8 +21,21 @@
 //! Records that cannot be confirmed out of order are still delivered later
 //! in order, exactly as standard TLS would.
 //!
-//! The ciphertext runs live in the record layer's shared [`FragmentStore`]
-//! and are read where they lie: both passes open record bodies in place.
+//! That in-order pass *is* this repo's stream TLS: [`UtlsReceiver`] is the
+//! one record parser, [`crate::TlsSession`] receives through it from byte 0
+//! of the connection, and it holds the connection's one copy of the received
+//! stream. Offsets are the caller's own (uTCP's absolute stream offsets). A
+//! receiver lives through up to two *epochs*, each a span of the stream read
+//! under one set of keys with record numbers counted from 0: the session's
+//! starts in the *handshake epoch* — null protection, so no out-of-order
+//! pass (§6.1), only handshake records accepted, and the in-order pass hands
+//! over one record and stops, because the keys for everything behind it are
+//! about to change — and moves to the *application epoch* when the session
+//! installs the derived keys at the in-order point. A receiver built with
+//! [`UtlsReceiver::new`] alone starts in the application epoch at offset 0.
+//!
+//! The ciphertext runs live in a [`FragmentStore`] and are read where they
+//! lie: both passes open record bodies in place.
 //! Every arrival costs its own bytes and no more: the store is pruned up to
 //! the in-order point after each in-order pass (and the anchors with it), so
 //! neither grows with the age of the connection, and a record is opened once
@@ -30,16 +43,19 @@
 //! confirmed, it steps over the length that MAC confirmed.
 
 use crate::fragment::FragmentStore;
-use crate::record::{RecordHeader, RecordProtection, RECORD_HEADER_LEN};
+use crate::record::{RecordHeader, RecordProtection, CONTENT_HANDSHAKE, RECORD_HEADER_LEN};
 use std::collections::BTreeMap;
+
+/// What the record-size estimate starts an epoch at.
+const INITIAL_RECORD_WIRE_LEN: f64 = 512.0;
 
 /// A record recovered by the uTLS receiver.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UtlsRecord {
     /// The TLS record number confirmed by the MAC.
     pub record_number: u64,
-    /// Stream offset (relative to the start of application data) of the
-    /// record's header.
+    /// Stream offset of the record's header, in the offsets the fragments
+    /// were fed at.
     pub stream_offset: u64,
     /// Whether the record was recovered out of order (ahead of a hole).
     pub out_of_order: bool,
@@ -74,9 +90,10 @@ pub struct UtlsStats {
 /// The out-of-order TLS record receiver.
 pub struct UtlsReceiver {
     protection: RecordProtection,
+    /// Whether this is still the handshake epoch (see the module docs).
+    handshake_epoch: bool,
     /// Contiguous runs of the ciphertext stream at and beyond the in-order
-    /// point, keyed by stream offset (relative to the start of application
-    /// data).
+    /// point, keyed by stream offset.
     store: FragmentStore,
     /// Stream offset up to which in-order processing has consumed records.
     in_order_offset: u64,
@@ -109,15 +126,37 @@ impl UtlsReceiver {
         let out_of_order_enabled = protection.suite().supports_out_of_order();
         UtlsReceiver {
             protection,
+            handshake_epoch: false,
             store: FragmentStore::new(),
             in_order_offset: 0,
             next_record_number: 0,
             anchors: BTreeMap::new(),
-            avg_record_wire_len: 512.0,
+            avg_record_wire_len: INITIAL_RECORD_WIRE_LEN,
             prediction_window,
             out_of_order_enabled,
             stats: UtlsStats::default(),
         }
+    }
+
+    /// Start in the handshake epoch instead; `protection` was the null
+    /// suite's.
+    pub(crate) fn in_handshake_epoch(mut self) -> Self {
+        self.handshake_epoch = true;
+        self
+    }
+
+    /// Leave the handshake epoch at the in-order point: everything from
+    /// there on is read under `protection`, record numbers, the size
+    /// estimate and the counters start afresh, and whatever the store
+    /// already holds beyond that point is returned if it can be delivered.
+    pub(crate) fn install_keys(&mut self, protection: RecordProtection) -> Vec<UtlsRecord> {
+        self.out_of_order_enabled = protection.suite().supports_out_of_order();
+        self.protection = protection;
+        self.handshake_epoch = false;
+        self.next_record_number = 0;
+        self.avg_record_wire_len = INITIAL_RECORD_WIRE_LEN;
+        self.stats = UtlsStats::default();
+        self.deliverable()
     }
 
     /// Receiver statistics.
@@ -135,14 +174,18 @@ impl UtlsReceiver {
         self.in_order_offset
     }
 
-    /// Ingest a fragment of the application-data byte stream at the given
-    /// offset (relative to the start of application data) and return every
-    /// record that can now be delivered.
+    /// Ingest a fragment of the byte stream at the given stream offset and
+    /// return every record that can now be delivered.
     pub fn on_fragment(&mut self, offset: u64, data: &[u8]) -> Vec<UtlsRecord> {
-        let mut out = Vec::new();
         if self.store.insert(offset, data).is_none() {
-            return out;
+            return Vec::new();
         }
+        self.deliverable()
+    }
+
+    /// Run both passes over what the store holds.
+    fn deliverable(&mut self) -> Vec<UtlsRecord> {
+        let mut out = Vec::new();
         self.process_in_order(&mut out);
         // What lies below the in-order point has been delivered: a late
         // duplicate of it is ignored by `insert`, and the estimator falls
@@ -198,6 +241,9 @@ impl UtlsReceiver {
             if header.version != self.protection.version() {
                 return;
             }
+            if self.handshake_epoch && header.content_type != CONTENT_HANDSHAKE {
+                return;
+            }
             let Ok(payload) = self.protection.open(record_number, &header, body) else {
                 return;
             };
@@ -213,6 +259,12 @@ impl UtlsReceiver {
                     out_of_order: false,
                     payload,
                 });
+            }
+            // Nothing behind a handshake record is read under the keys it
+            // is about to replace: the null suite has no MAC, so a record
+            // opened under it would come out as its own ciphertext.
+            if self.handshake_epoch {
+                return;
             }
         }
     }
@@ -565,6 +617,37 @@ mod tests {
         assert_eq!(got.len(), 1, "nothing at or past the damaged record");
         assert_eq!(got[0].payload, payloads[0]);
         assert_eq!(rx.in_order_offset(), ranges[1].0);
+    }
+
+    #[test]
+    fn bytes_behind_a_handshake_record_wait_for_the_epoch_s_keys() {
+        let null = || RecordProtection::new(CipherSuite::Null, [0; 16], [0; 32], VERSION_TLS11);
+        let (mut tx, keyed) = sender_and_receiver(4);
+        let mut stream = null().seal(0, CONTENT_HANDSHAKE, b"hello");
+        let hello_len = stream.len() as u64;
+        let (records, ranges, payloads) = build_stream(&mut tx, &[300, 300, 300]);
+        stream.extend(&records);
+        // Record 2 and then everything else arrive ahead of the keys: only
+        // the hello comes out, and the in-order point waits behind it.
+        let mut rx = UtlsReceiver::new(null(), 4).in_handshake_epoch();
+        let tail = (hello_len + ranges[2].0) as usize;
+        assert!(rx.on_fragment(tail as u64, &stream[tail..]).is_empty());
+        let hello = rx.on_fragment(0, &stream[..tail]);
+        assert_eq!((hello.len(), &hello[0].payload[..]), (1, &b"hello"[..]));
+        assert_eq!(rx.in_order_offset(), hello_len);
+        assert!(rx.on_fragment(0, &stream).is_empty(), "nor on a replay");
+        // The keys go in: numbers and counters start at the application
+        // epoch, offsets stay the caller's.
+        let got = rx.install_keys(keyed.protection);
+        assert_eq!(got.len(), 3);
+        for (n, rec) in got.iter().enumerate() {
+            assert_eq!(rec.record_number, n as u64);
+            assert_eq!(rec.stream_offset, hello_len + ranges[n].0);
+            assert_eq!(rec.payload, payloads[n]);
+        }
+        assert_eq!(rx.stats().in_order_opens, 3);
+        assert_eq!(rx.in_order_offset(), stream.len() as u64);
+        assert_eq!(rx.buffered_bytes(), 0);
     }
 
     #[test]

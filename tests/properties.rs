@@ -6,8 +6,8 @@ use minion_repro::crypto;
 use minion_repro::exec::Executor;
 use minion_repro::tcp::{SackBlock, SeqNum, TcpFlags, TcpOption, TcpSegment};
 use minion_repro::tls::{
-    CipherSuite, RecordProtection, UtlsReceiver, UtlsRecord, CONTENT_APPLICATION_DATA,
-    VERSION_TLS11,
+    CipherSuite, RecordProtection, TlsConfig, TlsSession, UtlsReceiver, UtlsRecord,
+    CONTENT_APPLICATION_DATA, VERSION_TLS11,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -84,6 +84,52 @@ fn utls_deliveries(stream: &[u8], seed: u64) -> Vec<UtlsRecord> {
         }
     }
     delivered
+}
+
+/// A client session, and the server session that has answered its hello;
+/// calling it again gives sessions with the same keys.
+fn session_pair() -> (TlsSession, TlsSession) {
+    let psk = b"two-epoch property";
+    (
+        TlsSession::client(psk, TlsConfig::default(), 1),
+        TlsSession::server(psk, TlsConfig::default(), 2),
+    )
+}
+
+/// Feed `stream` — a client hello and the records sealed behind it — to a
+/// fresh server session in the pieces and order `seed` picks and return the
+/// payloads it delivered and the session, having checked call by call that
+/// nothing comes out before the keys are in and, where nothing is left
+/// buffered, that every piece replayed after that delivers nothing and
+/// stores nothing. A hello the session rejects delivers nothing.
+fn session_deliveries(stream: &[u8], seed: u64) -> (Vec<Vec<u8>>, TlsSession) {
+    let (_, mut server) = session_pair();
+    let mut delivered = Vec::new();
+    let pieces = cut_shuffle_repeat(stream.len(), seed);
+    for &(start, end) in &pieces {
+        let records = server.on_fragment(start as u64, &stream[start..end]);
+        let records = records.unwrap_or_default();
+        assert!(
+            records.is_empty() || server.is_established(),
+            "{start}..{end} delivered before the handshake completed"
+        );
+        delivered.extend(records.into_iter().map(|r| r.payload));
+    }
+    if server.buffered_bytes() == 0 {
+        for (start, end) in pieces {
+            let replayed = server.on_fragment(start as u64, &stream[start..end]);
+            assert!(
+                replayed.unwrap_or_default().is_empty(),
+                "a replay of {start}..{end} delivered"
+            );
+            assert_eq!(
+                server.buffered_bytes(),
+                0,
+                "a replay of {start}..{end} was stored"
+            );
+        }
+    }
+    (delivered, server)
 }
 
 proptest! {
@@ -230,6 +276,51 @@ proptest! {
             prop_assert!(n < victim || r.out_of_order, "record {} in order past the flip", n);
         }
         prop_assert!((0..victim).all(|n| seen.contains(&n)), "a record before the flip is missing");
+    }
+
+    /// The same through a whole session, both epochs: the client's hello and
+    /// the records behind it reach the server cut at arbitrary byte
+    /// boundaries, shuffled, some pieces twice — so application bytes are
+    /// usually there before the hello is. Nothing is delivered until the
+    /// keys are in, then every record exactly once, the same set as a
+    /// one-shot feed's, and nothing is left buffered. With one bit flipped,
+    /// in the hello or in a record, what comes out is still only what was
+    /// sealed, each at most once.
+    #[test]
+    fn tls_session_delivers_each_record_once_across_both_epochs(
+        payload_lens in proptest::collection::vec(1usize..700, 1..10),
+        seed in any::<u64>(),
+        flip in any::<u64>(),
+    ) {
+        let (mut client, mut server) = session_pair();
+        let mut stream = client.take_outgoing();
+        server.on_fragment(0, &stream).unwrap();
+        client.on_fragment(0, &server.take_outgoing()).unwrap();
+        let mut sent: Vec<Vec<u8>> = Vec::new();
+        for (n, &len) in payload_lens.iter().enumerate() {
+            sent.push((0..len).map(|i| (i * 31 + n * 7) as u8).collect());
+            stream.extend(client.seal_datagram(&sent[n]).unwrap());
+        }
+        sent.sort();
+
+        let (mut got, fed) = session_deliveries(&stream, seed);
+        got.sort();
+        prop_assert_eq!(&got, &sent);
+        prop_assert_eq!(fed.buffered_bytes(), 0);
+        let (_, mut one_shot) = session_pair();
+        let mut whole: Vec<Vec<u8>> =
+            one_shot.on_fragment(0, &stream).unwrap().into_iter().map(|r| r.payload).collect();
+        whole.sort();
+        prop_assert_eq!(&whole, &sent);
+
+        let mut hostile = stream.clone();
+        hostile[(flip >> 3) as usize % stream.len()] ^= 1 << (flip & 7);
+        let mut seen = BTreeSet::new();
+        for payload in session_deliveries(&hostile, seed).0 {
+            prop_assert!(sent.contains(&payload), "a payload nobody sealed");
+            prop_assert!(seen.insert(payload), "a record delivered twice");
+        }
+        prop_assert!(seen.len() < sent.len(), "the flipped bit went unnoticed");
     }
 
     /// The batch runner is the serial map whatever the worker count and

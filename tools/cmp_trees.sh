@@ -12,6 +12,11 @@
 # compared without its wall-clock fields. `fig06a`/`fig06b` print wall-clock
 # ratios and are never compared.
 #
+# It ends with each tree's `table1_code_size --json`, A beside B: implementation
+# and test lines, public items and the unused ones, for the workspace and for
+# every crate where any of the four differs. That table is for the PR text; it
+# does not change the exit status.
+#
 # Outputs stay in $CMP_OUT (default: a fresh temporary directory) as a/ and
 # b/, so `diff a/X b/X` shows everything that moved on a surface.
 set -euo pipefail
@@ -72,4 +77,34 @@ for path in "$out"/a/*; do
 done
 total=$(find "$out/a" -type f | wc -l)
 echo "$((total - differing)) of $total surfaces identical; outputs in $out"
+
+# One "name impl_loc test_loc public_items unused" row per crate, then the
+# workspace total's, from the tree at $1 (the binary counts the tree it was
+# built in).
+size_rows() {
+    "$1/target/release/table1_code_size" --json | awk '
+        function number(key) {
+            match($0, "\"" key "\": [0-9]+")
+            return substr($0, RSTART + length(key) + 4, RLENGTH - length(key) - 4)
+        }
+        /"impl_loc"/ {
+            name = "workspace"
+            if (match($0, /"crate": "[^"]*"/)) name = substr($0, RSTART + 10, RLENGTH - 11)
+            unused = $0
+            sub(/.*"unused": \[/, "", unused)
+            print name, number("impl_loc"), number("test_loc"), number("public_items"), \
+                gsub(/"[^"]*"/, "", unused)
+        }'
+}
+size_rows "$tree_a" >"$out/size_a.txt"
+size_rows "$tree_b" >"$out/size_b.txt"
+echo
+echo "code size, A | B (table1_code_size --json)"
+awk '
+    BEGIN { printf "%-16s %15s %15s %15s %9s\n", "", "impl_loc", "test_loc", "public_items", "unused" }
+    NR == FNR { a[$1] = $2 " " $3 " " $4 " " $5; next }
+    { b = $2 " " $3 " " $4 " " $5; split($1 in a ? a[$1] : "- - - -", x, " ") }
+    $1 == "workspace" || a[$1] != b {
+        printf "%-16s %7s %7s %7s %7s %7s %7s %4s %4s\n", $1, x[1], $2, x[2], $3, x[3], $4, x[4], $5
+    }' "$out/size_a.txt" "$out/size_b.txt"
 [ "$differing" -eq 0 ]
