@@ -1,66 +1,53 @@
 //! The engine load benchmark: drive multi-flow load scenarios through the
-//! `minion-engine` scenario driver (sharded across the `minion-exec` executor) and
-//! emit `BENCH_engine.json`, the artifact the CI bench trajectory tracks
-//! per PR.
+//! `minion-engine` scenario driver (sharded across the `minion-exec`
+//! executor) and write `BENCH_engine.json`.
 //!
-//! Each scenario runs through [`minion_engine::verify_load_sharded`], so
-//! every emitted number sits behind the exactly-once and two-run
-//! determinism gates; the shard decomposition is fixed by the flow count,
-//! so `--threads` changes wall time only, never a metric. Wall-clock
-//! events/sec measures the runtime itself (timer wheel + batched dispatch +
-//! readiness polling); goodput and sim-time events/sec are virtual-time
-//! figures and therefore bit-stable across machines.
+//! Every simulated figure in the file is seed-determined. Each scenario runs
+//! through [`verify_load_sharded`] (exactly-once delivery, two-run
+//! determinism), the shard decomposition is fixed by the flow count, and
+//! `--threads` changes how long the run takes, never a value. Wall-clock
+//! speed is the repository benchmark's (`benchmark/`), which measures it
+//! with medians and spread; only the `--backend os` rows carry wall-clock
+//! figures, because the benchmark has no kernel-socket counterpart.
 //!
-//! The `"cc"` section replays the canonical lossy comparison scenario once
-//! per congestion-control algorithm (`--cc`, default all of
-//! newreno/cubic/none): per-algorithm goodput next to fast-recovery and
-//! timeout counts under the identical loss process.
+//! The sections, in file order:
 //!
-//! `--backend os` additionally drives the same flow counts through the
-//! OS-socket transport (`minion-osnet`): kernel TCP over loopback under an
-//! edge-triggered epoll reactor, same streams and exactly-once checks as
-//! the sim driver. Those rows land in an `"os"` section next to the sim
-//! numbers — wall-clock goodput, events/sec, and syscalls/flow instead of
-//! the sim's virtual-time figures — and gate on liveness (the scenario
-//! deadline) plus a goodput floor, not on determinism. `--threads` is
-//! sim-only (sharding drives simulated engines) and is rejected with os.
+//! - `"obs"`, the paper's figure of merit: per-record delivery-delay
+//!   distributions (p50/p99/p999 and the exact mean, in ns) of an ordered-TCP
+//!   and a uTCP receiver under the canonical lossy comparison
+//!   ([`LoadScenario::obs_comparison`]), plus a kernel-TCP row with
+//!   `--backend os`.
+//! - `"flow_delay"`: the same runs' per-flow digests
+//!   ([`minion_engine::FlowDelayMap`]), the worst flows by p99 beside the
+//!   global distribution.
+//! - `"trace_stream"`, with `--trace-stream FILE`: the accounting of the
+//!   flight-recorder scenario ([`LoadScenario::flight_recorder`]: 1024 flows
+//!   × 64 records at 2 % loss, more lifecycle events than the trace ring
+//!   holds), every event of which is streamed to `FILE`.
+//! - `"cc"` and `"cc_obs"`: the comparison scenario replayed once per
+//!   congestion-control algorithm (`--cc`, default all three): goodput beside
+//!   fast-retransmit and RTO counts, then cwnd/ssthresh trajectories and
+//!   recovery-episode histograms.
+//! - `"os"`, with `--backend os`: the `--flows` scenarios over kernel TCP on
+//!   loopback (`minion-osnet`, an edge-triggered epoll reactor): wall-clock
+//!   goodput, events/sec and syscalls/flow, gated on liveness (the scenario
+//!   deadline) and a goodput floor. `--threads` is sim-only.
+//! - `"scenarios"`: one row per `--flows` count.
 //!
-//! The `"obs"` section is the paper's figure of merit: per-record
-//! delivery-delay distributions (p50/p99/p999 and the exact integer mean,
-//! in ns) for an ordered-TCP receiver vs. a uTCP receiver under the
-//! canonical lossy comparison scenario
-//! ([`LoadScenario::obs_comparison`]) — head-of-line blocking measured,
-//! not inferred. With `--backend os` a kernel-TCP row rides along (ordered
-//! baseline; loss shaping and uTCP receivers are sim-only). `--trace-out`
-//! dumps the uTCP run's lifecycle trace ring (SYN, first-byte, record
-//! deliveries, retransmits, RTO fires, FIN) as JSONL, closed by a
-//! `{"summary":true,...}` line carrying recorded/held/dropped counts (plus
-//! admitted/suppressed from the attached filters) so ring truncation is
-//! visible in the dump itself. `--trace-flow N` focuses that trace on one
-//! global flow index, and `--trace-kind retransmit,rto` slices it to an
-//! event-kind subset; both predicates compose, and both apply to the
-//! streaming path below as well.
+//! The binary asserts what each section exists to show, and exits non-zero
+//! when a claim fails: ordered-TCP p99 above uTCP's, and every receiver's
+//! p50 > 0 and p50 ≤ p99 ≤ p999; the worst flow's p99 above the global p99
+//! under ordered TCP; for every algorithm goodput > 0, at least one fast
+//! retransmit, window samples (held + dropped = recorded) and at least one
+//! recovery episode; an unfiltered trace holding an RTO fire and one SYN per
+//! flow; a stream that dropped nothing.
 //!
-//! `--trace-stream FILE` runs the flight-recorder scenario
-//! ([`LoadScenario::flight_recorder`]: 1024 flows × 64 records under 2%
-//! loss — more lifecycle events than the trace ring can hold) with a
-//! zero-drop streaming sink: every shard spills its slice to
-//! `FILE.shardNNNNN`, the driver merges them by `(t_ns, shard)` into one
-//! ordered JSONL at `FILE` (byte-identical at any `--threads`), and the
-//! report gains a `"trace_stream"` section asserting `dropped == 0` while
-//! the offered event count exceeds the ring cap. The `"flow_delay"`
-//! section rides the same obs comparison: per-flow delivery-delay digests
-//! ([`minion_engine::FlowDelayMap`]) surfacing the worst flows by p99 next
-//! to the global distribution — under ordered TCP the worst flow's tail
-//! strictly exceeds the global one (head-of-line blocking concentrates on
-//! unlucky flows), and the driver asserts exactly that.
-//!
-//! The `"cc_obs"` section rides on the same per-algorithm replays as
-//! `"cc"`: cwnd/ssthresh trajectory samples (virtual-time, bounded ring)
-//! and recovery-duration/-depth histograms per algorithm — NewReno vs CUBIC
-//! window dynamics as data, not two goodput numbers.
-//!
-//! Usage (one binary for CI and local runs):
+//! `--trace-out FILE` dumps the uTCP comparison run's trace ring as JSONL,
+//! closed by a `{"summary":true,...}` line carrying recorded/held/dropped and
+//! admitted/suppressed, so truncation shows in the dump itself.
+//! `--trace-flow N` keeps one global flow index and `--trace-kind
+//! retransmit,rto` an event-kind subset; the two predicates conjoin, and both
+//! apply to `--trace-stream` as well.
 //!
 //! ```text
 //! load_engine [--backend sim|os] [--flows 1,64,1024] [--threads N]
@@ -70,7 +57,11 @@
 //! ```
 
 use minion_bench::cli;
-use minion_engine::{verify_load_sharded, KindSet, LoadReport, LoadScenario, DEFAULT_TRACE_CAP};
+use minion_bench::json::Value;
+use minion_engine::{
+    verify_load_sharded, FlowMetrics, KindSet, LoadReport, LoadScenario, TraceKind,
+    DEFAULT_TRACE_CAP,
+};
 use minion_osnet::OsTransport;
 use minion_simnet::SimDuration;
 use minion_tcp::CcAlgorithm;
@@ -83,72 +74,38 @@ use std::time::Instant;
 /// scenario deadline) is asserted inside the driver itself.
 const OS_GOODPUT_FLOOR_BPS: u64 = 1_000_000;
 
-struct Row {
-    report: LoadReport,
-    threads: usize,
-    shards: usize,
-    wall_seconds: f64,
+/// A per-flow counter summed over a report's flows.
+fn flow_sum(report: &LoadReport, counter: fn(&FlowMetrics) -> u64) -> u64 {
+    report.per_flow.iter().map(counter).sum()
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Milliseconds from microseconds, to three decimals.
+fn ms(us: u64) -> Value {
+    Value::Fixed(us as f64 / 1000.0, 3)
 }
 
-fn row_json(row: &Row) -> String {
-    let r = &row.report;
-    let retransmissions: u64 = r.per_flow.iter().map(|f| f.retransmissions).sum();
-    let rto_fires: u64 = r.per_flow.iter().map(|f| f.rto_fires).sum();
-    let events = r.engine.events();
-    let events_per_wall_sec = if row.wall_seconds > 0.0 {
-        (events as f64 / row.wall_seconds) as u64
-    } else {
-        0
-    };
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"label\": \"{label}\",\n",
-            "      \"flows\": {flows},\n",
-            "      \"shards\": {shards},\n",
-            "      \"threads\": {threads},\n",
-            "      \"records_sent\": {sent},\n",
-            "      \"records_delivered\": {delivered},\n",
-            "      \"total_payload_bytes\": {bytes},\n",
-            "      \"completion_sim_ms\": {completion_ms:.3},\n",
-            "      \"goodput_bps\": {goodput},\n",
-            "      \"events\": {events},\n",
-            "      \"events_per_sim_sec\": {eps_sim},\n",
-            "      \"events_per_wall_sec\": {eps_wall},\n",
-            "      \"wall_ms\": {wall_ms:.3},\n",
-            "      \"packets_sent\": {psent},\n",
-            "      \"packets_delivered\": {pdeliv},\n",
-            "      \"timer_fires\": {tfires},\n",
-            "      \"flow_polls\": {polls},\n",
-            "      \"retransmissions\": {retx},\n",
-            "      \"rto_fires\": {rto},\n",
-            "      \"deterministic\": true\n",
-            "    }}"
-        ),
-        label = json_escape(&r.label),
-        flows = r.flows,
-        shards = row.shards,
-        threads = row.threads,
-        sent = r.records_sent,
-        delivered = r.records_delivered,
-        bytes = r.total_bytes,
-        completion_ms = r.completion_us as f64 / 1000.0,
-        goodput = r.goodput_bps,
-        events = events,
-        eps_sim = r.events_per_sim_sec,
-        eps_wall = events_per_wall_sec,
-        wall_ms = row.wall_seconds * 1000.0,
-        psent = r.engine.packets_sent,
-        pdeliv = r.engine.packets_delivered,
-        tfires = r.engine.timer_fires,
-        polls = r.engine.flow_polls,
-        retx = retransmissions,
-        rto = rto_fires,
-    )
+/// One `"scenarios"` row: a `--flows` scenario's seed-determined counts.
+fn scenario_row(r: &LoadReport, shards: usize, threads: usize) -> Value {
+    Value::Object(vec![
+        ("label", r.label.as_str().into()),
+        ("flows", r.flows.into()),
+        ("shards", shards.into()),
+        ("threads", threads.into()),
+        ("records_sent", r.records_sent.into()),
+        ("records_delivered", r.records_delivered.into()),
+        ("total_payload_bytes", r.total_bytes.into()),
+        ("completion_sim_ms", ms(r.completion_us)),
+        ("goodput_bps", r.goodput_bps.into()),
+        ("events", r.engine.events().into()),
+        ("events_per_sim_sec", r.events_per_sim_sec.into()),
+        ("packets_sent", r.engine.packets_sent.into()),
+        ("packets_delivered", r.engine.packets_delivered.into()),
+        ("timer_fires", r.engine.timer_fires.into()),
+        ("flow_polls", r.engine.flow_polls.into()),
+        ("retransmissions", flow_sum(r, |f| f.retransmissions).into()),
+        ("rto_fires", flow_sum(r, |f| f.rto_fires).into()),
+        ("deterministic", Value::Bool(true)),
+    ])
 }
 
 struct Args {
@@ -170,7 +127,7 @@ fn parse_args() -> Args {
     // The "cc" section compares algorithms; by default it compares all of
     // them (--cc narrows the list, e.g. for a quick single-algorithm run).
     let mut ccs = CcAlgorithm::ALL.to_vec();
-    let mut out = std::env::var("BENCH_ENGINE_OUT").unwrap_or_else(|_| "BENCH_engine.json".into());
+    let mut out = String::from("BENCH_engine.json");
     let mut trace_out: Option<String> = None;
     let mut trace_flow: Option<u32> = None;
     let mut trace_kinds = KindSet::all();
@@ -230,20 +187,10 @@ fn parse_args() -> Args {
     }
 }
 
-/// One OS-backend row: the scenario replayed against kernel TCP over
-/// loopback. All figures are wall-clock.
-struct OsRow {
-    report: LoadReport,
-    syscalls: u64,
-    wall_seconds: f64,
-    /// Readiness-edges-per-`epoll_wait` distribution (batching profile),
-    /// captured before the transport is dropped.
-    wait_batch: minion_engine::Histogram,
-}
-
-/// Run `flows` concurrent flows through [`OsTransport`] and gate the result
-/// on the goodput floor (liveness is asserted inside the driver).
-fn run_os(flows: usize) -> OsRow {
+/// One `"os"` row: `flows` concurrent flows replayed against kernel TCP over
+/// loopback ([`OsTransport`]), gated on the goodput floor (liveness is
+/// asserted inside the driver). All figures are wall-clock.
+fn run_os(flows: usize) -> Value {
     let scenario = LoadScenario {
         flows,
         // Kernel TCP delivers in order; the link-shaping fields (rtt, rate,
@@ -255,134 +202,84 @@ fn run_os(flows: usize) -> OsRow {
     };
     let mut transport = OsTransport::new();
     let t0 = Instant::now();
-    let report = scenario.run_on(&mut transport);
+    let r = scenario.run_on(&mut transport);
     let wall_seconds = t0.elapsed().as_secs_f64();
     let syscalls = minion_engine::Transport::syscalls(&transport);
-    let wait_batch = transport.wait_batch_histogram().clone();
+    // Readiness edges per `epoll_wait`: the reactor's batching profile.
+    let wait_batch = transport.wait_batch_histogram();
     assert!(
-        report.goodput_bps >= OS_GOODPUT_FLOOR_BPS,
+        r.goodput_bps >= OS_GOODPUT_FLOOR_BPS,
         "[{}] os goodput {} bps below the {} bps envelope floor",
-        report.label,
-        report.goodput_bps,
+        r.label,
+        r.goodput_bps,
         OS_GOODPUT_FLOOR_BPS
     );
+    let syscalls_per_flow = syscalls as f64 / flows.max(1) as f64;
     println!(
-        "{}  [os backend, {} syscalls ({:.1}/flow), wall {:.1} ms]",
-        report.summary(),
-        syscalls,
-        syscalls as f64 / flows.max(1) as f64,
+        "{}  [os backend, {syscalls} syscalls ({syscalls_per_flow:.1}/flow), wall {:.1} ms]",
+        r.summary(),
         wall_seconds * 1000.0
     );
-    OsRow {
-        report,
-        syscalls,
-        wall_seconds,
-        wait_batch,
-    }
-}
-
-fn os_row_json(row: &OsRow) -> String {
-    let r = &row.report;
     let events = r.engine.events();
-    let events_per_wall_sec = if row.wall_seconds > 0.0 {
-        (events as f64 / row.wall_seconds) as u64
+    let events_per_sec = if wall_seconds > 0.0 {
+        (events as f64 / wall_seconds) as u64
     } else {
         0
     };
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"label\": \"{label}\",\n",
-            "      \"flows\": {flows},\n",
-            "      \"records_sent\": {sent},\n",
-            "      \"records_delivered\": {delivered},\n",
-            "      \"total_payload_bytes\": {bytes},\n",
-            "      \"completion_wall_ms\": {completion_ms:.3},\n",
-            "      \"goodput_bps\": {goodput},\n",
-            "      \"events\": {events},\n",
-            "      \"events_per_sec\": {eps},\n",
-            "      \"syscalls\": {syscalls},\n",
-            "      \"syscalls_per_flow\": {spf:.1},\n",
-            "      \"wait_batches\": {waits},\n",
-            "      \"wait_batch_p50\": {wait_p50},\n",
-            "      \"wait_batch_p99\": {wait_p99},\n",
-            "      \"wait_batch_max\": {wait_max},\n",
-            "      \"wall_ms\": {wall_ms:.3},\n",
-            "      \"deterministic\": false\n",
-            "    }}"
-        ),
-        label = json_escape(&r.label),
-        flows = r.flows,
-        sent = r.records_sent,
-        delivered = r.records_delivered,
-        bytes = r.total_bytes,
-        completion_ms = r.completion_us as f64 / 1000.0,
-        goodput = r.goodput_bps,
-        events = events,
-        eps = events_per_wall_sec,
-        syscalls = row.syscalls,
-        spf = row.syscalls as f64 / r.flows.max(1) as f64,
-        waits = row.wait_batch.count(),
-        wait_p50 = row.wait_batch.p50(),
-        wait_p99 = row.wait_batch.p99(),
-        wait_max = row.wait_batch.max(),
-        wall_ms = row.wall_seconds * 1000.0,
-    )
+    Value::Object(vec![
+        ("label", r.label.as_str().into()),
+        ("flows", r.flows.into()),
+        ("records_sent", r.records_sent.into()),
+        ("records_delivered", r.records_delivered.into()),
+        ("total_payload_bytes", r.total_bytes.into()),
+        ("completion_wall_ms", ms(r.completion_us)),
+        ("goodput_bps", r.goodput_bps.into()),
+        ("events", events.into()),
+        ("events_per_sec", events_per_sec.into()),
+        ("syscalls", syscalls.into()),
+        ("syscalls_per_flow", Value::Fixed(syscalls_per_flow, 1)),
+        ("wait_batches", wait_batch.count().into()),
+        ("wait_batch_p50", wait_batch.p50().into()),
+        ("wait_batch_p99", wait_batch.p99().into()),
+        ("wait_batch_max", wait_batch.max().into()),
+        ("wall_ms", Value::Fixed(wall_seconds * 1000.0, 3)),
+        ("deterministic", Value::Bool(false)),
+    ])
 }
 
 /// One row of the `"obs"` section: the delivery-delay distribution and
-/// lifecycle counters of one comparison run, plus the (wall-clock,
-/// non-deterministic) phase breakdown of its event loop.
-fn obs_row_json(receiver: &str, report: &LoadReport) -> String {
+/// lifecycle counters of one comparison run.
+fn obs_row(receiver: &str, report: &LoadReport) -> Vec<(&'static str, Value)> {
     use minion_engine::obs::{C_CHUNKS_OUT_OF_ORDER, C_RETRANSMIT_EDGES, C_RTO_EDGES};
     let d = &report.obs.delivery_delay;
-    let phases = report
-        .phases
-        .get()
-        .iter()
-        .map(|(name, nanos, _)| format!("\"{name}\": {nanos}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"receiver\": \"{receiver}\",\n",
-            "        \"label\": \"{label}\",\n",
-            "        \"delivery_delay_count\": {count},\n",
-            "        \"delivery_delay_mean_ns\": {mean},\n",
-            "        \"delivery_delay_p50_ns\": {p50},\n",
-            "        \"delivery_delay_p99_ns\": {p99},\n",
-            "        \"delivery_delay_p999_ns\": {p999},\n",
-            "        \"delivery_delay_max_ns\": {max},\n",
-            "        \"rto_wait_count\": {rto_waits},\n",
-            "        \"rto_wait_p99_ns\": {rto_p99},\n",
-            "        \"staging_dwell_p99_ns\": {dwell_p99},\n",
-            "        \"chunks_out_of_order\": {ooo},\n",
-            "        \"retransmit_edges\": {retx},\n",
-            "        \"rto_edges\": {rto},\n",
-            "        \"trace_events\": {trace_events},\n",
-            "        \"trace_fingerprint\": \"{trace_fp:#018x}\",\n",
-            "        \"phase_nanos\": {{ {phases} }}\n",
-            "      }}"
+    let counters = &report.obs.counters;
+    vec![
+        ("receiver", receiver.into()),
+        ("label", report.label.as_str().into()),
+        ("delivery_delay_count", d.count().into()),
+        ("delivery_delay_mean_ns", d.mean().into()),
+        ("delivery_delay_p50_ns", d.p50().into()),
+        ("delivery_delay_p99_ns", d.p99().into()),
+        ("delivery_delay_p999_ns", d.p999().into()),
+        ("delivery_delay_max_ns", d.max().into()),
+        ("rto_wait_count", report.obs.rto_wait.count().into()),
+        ("rto_wait_p99_ns", report.obs.rto_wait.p99().into()),
+        (
+            "staging_dwell_p99_ns",
+            report.obs.staging_dwell.p99().into(),
         ),
-        receiver = receiver,
-        label = json_escape(&report.label),
-        count = d.count(),
-        mean = d.mean(),
-        p50 = d.p50(),
-        p99 = d.p99(),
-        p999 = d.p999(),
-        max = d.max(),
-        rto_waits = report.obs.rto_wait.count(),
-        rto_p99 = report.obs.rto_wait.p99(),
-        dwell_p99 = report.obs.staging_dwell.p99(),
-        ooo = report.obs.counters.get(C_CHUNKS_OUT_OF_ORDER),
-        retx = report.obs.counters.get(C_RETRANSMIT_EDGES),
-        rto = report.obs.counters.get(C_RTO_EDGES),
-        trace_events = report.obs.trace.recorded(),
-        trace_fp = report.obs.trace_fingerprint(),
-        phases = phases,
-    )
+        (
+            "chunks_out_of_order",
+            counters.get(C_CHUNKS_OUT_OF_ORDER).into(),
+        ),
+        ("retransmit_edges", counters.get(C_RETRANSMIT_EDGES).into()),
+        ("rto_edges", counters.get(C_RTO_EDGES).into()),
+        ("trace_events", report.obs.trace.recorded().into()),
+        (
+            "trace_fingerprint",
+            format!("{:#018x}", report.obs.trace_fingerprint()).into(),
+        ),
+    ]
 }
 
 /// How many worst-flows-by-p99 rows a `"flow_delay"` row embeds.
@@ -392,61 +289,46 @@ const FLOW_DELAY_TOP_K: usize = 8;
 /// delivery-delay attribution — the global distribution next to the
 /// worst flows by p99 (the top-K of the bounded
 /// [`minion_engine::FlowDelayMap`]).
-fn flow_delay_row_json(receiver: &str, report: &LoadReport) -> String {
+fn flow_delay_row(receiver: &str, report: &LoadReport) -> Value {
     let map = &report.obs.flow_delay;
     let global = &report.obs.delivery_delay;
     let top = map
         .top_k(FLOW_DELAY_TOP_K)
         .iter()
         .map(|(flow, d)| {
-            format!(
-                "          {{ \"flow\": {flow}, \"count\": {}, \"p50_ns\": {}, \
-                 \"p99_ns\": {}, \"max_ns\": {} }}",
-                d.count(),
-                d.p50(),
-                d.p99(),
-                d.max()
-            )
+            Value::Object(vec![
+                ("flow", u64::from(*flow).into()),
+                ("count", d.count().into()),
+                ("p50_ns", d.p50().into()),
+                ("p99_ns", d.p99().into()),
+                ("max_ns", d.max().into()),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        concat!(
-            "      {{\n",
-            "        \"receiver\": \"{receiver}\",\n",
-            "        \"flows_tracked\": {tracked},\n",
-            "        \"overflow_samples\": {overflow},\n",
-            "        \"total_samples\": {total},\n",
-            "        \"global_p50_ns\": {gp50},\n",
-            "        \"global_p99_ns\": {gp99},\n",
-            "        \"global_max_ns\": {gmax},\n",
-            "        \"worst_flows_by_p99\": [\n{top}\n        ]\n",
-            "      }}"
-        ),
-        receiver = receiver,
-        tracked = map.len(),
-        overflow = map.overflow_samples(),
-        total = map.total_samples(),
-        gp50 = global.p50(),
-        gp99 = global.p99(),
-        gmax = global.max(),
-        top = top,
-    )
+        .collect();
+    Value::Object(vec![
+        ("receiver", receiver.into()),
+        ("flows_tracked", map.len().into()),
+        ("overflow_samples", map.overflow_samples().into()),
+        ("total_samples", map.total_samples().into()),
+        ("global_p50_ns", global.p50().into()),
+        ("global_p99_ns", global.p99().into()),
+        ("global_max_ns", global.max().into()),
+        ("worst_flows_by_p99", Value::Array(top)),
+    ])
 }
 
 /// Run the canonical ordered-vs-unordered comparison
 /// ([`LoadScenario::obs_comparison`]) and build the `"obs"` and
-/// `"flow_delay"` sections: sim rows for both receivers (deterministic,
-/// sharded at `threads`), plus a kernel-TCP row when the OS backend was
-/// requested. Returns both section JSONs and the uTCP run's report (whose
-/// trace `--trace-out` dumps, sliced by `trace_flow` / `trace_kinds` when
-/// given).
+/// `"flow_delay"` sections: sim rows for both receivers (sharded at
+/// `threads`), plus a kernel-TCP row when the OS backend was requested.
+/// Returns both sections and the uTCP run's report (whose trace
+/// `--trace-out` dumps, sliced by `trace_flow` / `trace_kinds` when given).
 fn obs_section(
     threads: usize,
     backend: cli::Backend,
     trace_flow: Option<u32>,
     trace_kinds: KindSet,
-) -> (String, String, LoadReport) {
+) -> (Value, Value, LoadReport) {
     let tcp = LoadScenario::obs_comparison(false).run_sharded(threads);
     let utcp = LoadScenario {
         trace_flow,
@@ -465,6 +347,17 @@ fn obs_section(
         utcp.obs.delivery_delay.p99() as f64 / 1e6,
         utcp.obs.delivery_delay.p999() as f64 / 1e6,
     );
+    for (receiver, report) in [("tcp", &tcp), ("utcp", &utcp)] {
+        let d = &report.obs.delivery_delay;
+        assert!(
+            d.p50() > 0 && d.p50() <= d.p99() && d.p99() <= d.p999(),
+            "{receiver}: delivery-delay quantiles must be positive and ordered, got \
+             p50 {} p99 {} p999 {}",
+            d.p50(),
+            d.p99(),
+            d.p999()
+        );
+    }
     assert!(
         tcp.obs.delivery_delay.p99() > utcp.obs.delivery_delay.p99(),
         "ordered-TCP p99 must strictly exceed uTCP p99 under the canonical loss scenario"
@@ -488,8 +381,21 @@ fn obs_section(
         tcp.obs.delivery_delay.p99() as f64 / 1e6,
         tcp.obs.flow_delay.len(),
     );
-    let rows = [obs_row_json("tcp", &tcp), obs_row_json("utcp", &utcp)];
-    let os_rows = if backend == cli::Backend::Os {
+    let scenario = LoadScenario::obs_comparison(true);
+    let mut section = vec![
+        ("flows", scenario.flows.into()),
+        ("records_per_flow", scenario.records_per_flow.into()),
+        ("record_len", scenario.record_len.into()),
+        ("loss", "bernoulli 2%".into()),
+        (
+            "sim",
+            Value::Array(vec![
+                Value::Object(obs_row("tcp", &tcp)),
+                Value::Object(obs_row("utcp", &utcp)),
+            ]),
+        ),
+    ];
+    if backend == cli::Backend::Os {
         // Kernel TCP over loopback: the ordered baseline with real clocks.
         // Loss shaping and uTCP receivers are sim-only.
         let scenario = LoadScenario {
@@ -498,44 +404,26 @@ fn obs_section(
             ..LoadScenario::obs_comparison(false)
         };
         let report = scenario.run_on(&mut OsTransport::new());
-        format!(",\n    \"os\": [\n{}\n    ]", obs_row_json("tcp", &report))
-    } else {
-        String::new()
-    };
-    let scenario = LoadScenario::obs_comparison(true);
-    let section = format!(
-        concat!(
-            "  \"obs\": {{\n",
-            "    \"flows\": {flows},\n",
-            "    \"records_per_flow\": {rpf},\n",
-            "    \"record_len\": {len},\n",
-            "    \"loss\": \"bernoulli 2%\",\n",
-            "    \"sim\": [\n{sim}\n    ]{os}\n",
-            "  }}"
+        let mut row = obs_row("tcp", &report);
+        let phases = report.phases.get().iter();
+        let phases = phases
+            .map(|(name, nanos, _)| (name, nanos.into()))
+            .collect();
+        row.push(("phase_nanos", Value::Object(phases)));
+        section.push(("os", Value::Array(vec![Value::Object(row)])));
+    }
+    let flow_delay = Value::Object(vec![
+        ("cap", tcp.obs.flow_delay.cap().into()),
+        ("top_k", FLOW_DELAY_TOP_K.into()),
+        (
+            "sim",
+            Value::Array(vec![
+                flow_delay_row("tcp", &tcp),
+                flow_delay_row("utcp", &utcp),
+            ]),
         ),
-        flows = scenario.flows,
-        rpf = scenario.records_per_flow,
-        len = scenario.record_len,
-        sim = rows.join(",\n"),
-        os = os_rows,
-    );
-    let flow_delay = format!(
-        concat!(
-            "  \"flow_delay\": {{\n",
-            "    \"cap\": {cap},\n",
-            "    \"top_k\": {k},\n",
-            "    \"sim\": [\n{rows}\n    ]\n",
-            "  }}"
-        ),
-        cap = tcp.obs.flow_delay.cap(),
-        k = FLOW_DELAY_TOP_K,
-        rows = [
-            flow_delay_row_json("tcp", &tcp),
-            flow_delay_row_json("utcp", &utcp)
-        ]
-        .join(",\n"),
-    );
-    (section, flow_delay, utcp)
+    ]);
+    (Value::Object(section), flow_delay, utcp)
 }
 
 /// Run the flight-recorder scenario with the zero-drop streaming sink and
@@ -544,18 +432,14 @@ fn obs_section(
 /// file at `path`. The section is the stream's own accounting — and the
 /// driver gates on the two properties the ring cannot offer: nothing
 /// dropped, and more events offered than the ring holds.
-fn trace_stream_section(path: &str, kinds: KindSet, threads: usize) -> String {
+fn trace_stream_section(path: &str, kinds: KindSet, threads: usize) -> Value {
     let scenario = LoadScenario {
         trace_stream: Some(path.to_string()),
         trace_kinds: kinds,
         ..LoadScenario::flight_recorder(true)
     };
     let shards = scenario.shard_count();
-    let flows = scenario.flows;
-    let rpf = scenario.records_per_flow;
-    let t0 = Instant::now();
     let report = scenario.run_sharded(threads);
-    let wall_seconds = t0.elapsed().as_secs_f64();
     let stream = &report.obs.stream;
     let filter = &report.obs.trace_filter;
     let offered = filter.admitted + filter.suppressed;
@@ -574,46 +458,24 @@ fn trace_stream_section(path: &str, kinds: KindSet, threads: usize) -> String {
     );
     println!(
         "trace stream: wrote {path} ({} events from {} offered across {shards} shard(s); \
-         {} suppressed by the kind/flow slice; ring cap {DEFAULT_TRACE_CAP}; wall {:.1} ms)",
-        filter.admitted,
-        offered,
-        filter.suppressed,
-        wall_seconds * 1000.0
+         {} suppressed by the kind/flow slice; ring cap {DEFAULT_TRACE_CAP})",
+        filter.admitted, offered, filter.suppressed,
     );
-    format!(
-        concat!(
-            "  \"trace_stream\": {{\n",
-            "    \"path\": \"{path}\",\n",
-            "    \"flows\": {flows},\n",
-            "    \"records_per_flow\": {rpf},\n",
-            "    \"shards\": {shards},\n",
-            "    \"threads\": {threads},\n",
-            "    \"kinds\": \"{kinds}\",\n",
-            "    \"offered\": {offered},\n",
-            "    \"admitted\": {admitted},\n",
-            "    \"suppressed\": {suppressed},\n",
-            "    \"emitted\": {emitted},\n",
-            "    \"dropped\": {dropped},\n",
-            "    \"flushes\": {flushes},\n",
-            "    \"ring_cap\": {cap},\n",
-            "    \"wall_ms\": {wall_ms:.3}\n",
-            "  }}"
-        ),
-        path = json_escape(path),
-        flows = flows,
-        rpf = rpf,
-        shards = shards,
-        threads = threads,
-        kinds = kinds.labels(),
-        offered = offered,
-        admitted = filter.admitted,
-        suppressed = filter.suppressed,
-        emitted = stream.emitted,
-        dropped = stream.dropped,
-        flushes = stream.flushes,
-        cap = DEFAULT_TRACE_CAP,
-        wall_ms = wall_seconds * 1000.0,
-    )
+    Value::Object(vec![
+        ("path", path.into()),
+        ("flows", scenario.flows.into()),
+        ("records_per_flow", scenario.records_per_flow.into()),
+        ("shards", shards.into()),
+        ("threads", threads.into()),
+        ("kinds", kinds.labels().into()),
+        ("offered", offered.into()),
+        ("admitted", filter.admitted.into()),
+        ("suppressed", filter.suppressed.into()),
+        ("emitted", stream.emitted.into()),
+        ("dropped", stream.dropped.into()),
+        ("flushes", stream.flushes.into()),
+        ("ring_cap", DEFAULT_TRACE_CAP.into()),
+    ])
 }
 
 /// How many cwnd/ssthresh trajectory samples a `"cc_obs"` row embeds (the
@@ -624,49 +486,45 @@ const CC_OBS_TRAJECTORY_ROWS: usize = 64;
 /// One `"cc_obs"` row: the window telemetry of one algorithm's replay —
 /// trajectory ring counts, cwnd distribution, and recovery-episode
 /// duration/depth histograms.
-fn cc_obs_row_json(algo: &str, report: &LoadReport) -> String {
+fn cc_obs_row(algo: &str, report: &LoadReport) -> Value {
     let cc = &report.obs.cc_obs;
     let held = cc.len();
     let trajectory = cc
         .samples()
         .skip(held.saturating_sub(CC_OBS_TRAJECTORY_ROWS))
-        .map(|s| format!("        {}", s.to_json()))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"algorithm\": \"{algo}\",\n",
-            "      \"cwnd_samples\": {recorded},\n",
-            "      \"cwnd_samples_held\": {held},\n",
-            "      \"cwnd_samples_dropped\": {dropped},\n",
-            "      \"cwnd_p50_bytes\": {cwnd_p50},\n",
-            "      \"cwnd_p99_bytes\": {cwnd_p99},\n",
-            "      \"cwnd_max_bytes\": {cwnd_max},\n",
-            "      \"recovery_episodes\": {episodes},\n",
-            "      \"recovery_duration_p50_ns\": {dur_p50},\n",
-            "      \"recovery_duration_p99_ns\": {dur_p99},\n",
-            "      \"recovery_duration_max_ns\": {dur_max},\n",
-            "      \"recovery_cuts\": {cuts},\n",
-            "      \"recovery_depth_p99_bytes\": {depth_p99},\n",
-            "      \"trajectory_tail\": [\n{trajectory}\n      ]\n",
-            "    }}"
+        .map(|s| {
+            Value::Object(vec![
+                ("t_ns", s.t_ns.into()),
+                ("cwnd", s.cwnd.into()),
+                ("ssthresh", s.ssthresh.into()),
+            ])
+        })
+        .collect();
+    Value::Object(vec![
+        ("algorithm", algo.into()),
+        ("cwnd_samples", cc.recorded().into()),
+        ("cwnd_samples_held", held.into()),
+        ("cwnd_samples_dropped", cc.dropped().into()),
+        ("cwnd_p50_bytes", cc.cwnd_hist().p50().into()),
+        ("cwnd_p99_bytes", cc.cwnd_hist().p99().into()),
+        ("cwnd_max_bytes", cc.cwnd_hist().max().into()),
+        ("recovery_episodes", cc.recovery_duration().count().into()),
+        (
+            "recovery_duration_p50_ns",
+            cc.recovery_duration().p50().into(),
         ),
-        algo = algo,
-        recorded = cc.recorded(),
-        held = held,
-        dropped = cc.dropped(),
-        cwnd_p50 = cc.cwnd_hist().p50(),
-        cwnd_p99 = cc.cwnd_hist().p99(),
-        cwnd_max = cc.cwnd_hist().max(),
-        episodes = cc.recovery_duration().count(),
-        dur_p50 = cc.recovery_duration().p50(),
-        dur_p99 = cc.recovery_duration().p99(),
-        dur_max = cc.recovery_duration().max(),
-        cuts = cc.recovery_depth().count(),
-        depth_p99 = cc.recovery_depth().p99(),
-        trajectory = trajectory,
-    )
+        (
+            "recovery_duration_p99_ns",
+            cc.recovery_duration().p99().into(),
+        ),
+        (
+            "recovery_duration_max_ns",
+            cc.recovery_duration().max().into(),
+        ),
+        ("recovery_cuts", cc.recovery_depth().count().into()),
+        ("recovery_depth_p99_bytes", cc.recovery_depth().p99().into()),
+        ("trajectory_tail", Value::Array(trajectory)),
+    ])
 }
 
 /// The `"cc"` and `"cc_obs"` sections: the canonical lossy comparison
@@ -676,7 +534,7 @@ fn cc_obs_row_json(algo: &str, report: &LoadReport) -> String {
 /// counts — how each sender recovers from the identical loss process —
 /// and `"cc_obs"` is the same runs' window telemetry: cwnd/ssthresh
 /// trajectories and recovery-episode histograms per algorithm.
-fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (String, String) {
+fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (Value, Value) {
     let mut rows = Vec::new();
     let mut obs_rows = Vec::new();
     for &cc in ccs {
@@ -685,9 +543,10 @@ fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (String, String) {
             ..LoadScenario::obs_comparison(true)
         };
         let report = verify_load_sharded(&scenario, threads);
-        let fast_retransmits: u64 = report.per_flow.iter().map(|f| f.fast_retransmits).sum();
-        let retransmissions: u64 = report.per_flow.iter().map(|f| f.retransmissions).sum();
-        let rto_fires: u64 = report.per_flow.iter().map(|f| f.rto_fires).sum();
+        let fast_retransmits = flow_sum(&report, |f| f.fast_retransmits);
+        let retransmissions = flow_sum(&report, |f| f.retransmissions);
+        let rto_fires = flow_sum(&report, |f| f.rto_fires);
+        let window = &report.obs.cc_obs;
         println!(
             "cc={}: goodput {:.2} Mbit/s, {} fast recoveries, {} retransmissions, {} RTOs, \
              {} cwnd samples, {} recovery episodes",
@@ -696,104 +555,96 @@ fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (String, String) {
             fast_retransmits,
             retransmissions,
             rto_fires,
-            report.obs.cc_obs.recorded(),
-            report.obs.cc_obs.recovery_duration().count(),
+            window.recorded(),
+            window.recovery_duration().count(),
         );
-        rows.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"algorithm\": \"{algo}\",\n",
-                "      \"label\": \"{label}\",\n",
-                "      \"goodput_bps\": {goodput},\n",
-                "      \"completion_sim_ms\": {completion_ms:.3},\n",
-                "      \"fast_retransmits\": {fast},\n",
-                "      \"retransmissions\": {retx},\n",
-                "      \"rto_fires\": {rto},\n",
-                "      \"deterministic\": true\n",
-                "    }}"
-            ),
-            algo = cc.label(),
-            label = json_escape(&report.label),
-            goodput = report.goodput_bps,
-            completion_ms = report.completion_us as f64 / 1000.0,
-            fast = fast_retransmits,
-            retx = retransmissions,
-            rto = rto_fires,
-        ));
-        obs_rows.push(cc_obs_row_json(cc.label(), &report));
+        assert!(report.goodput_bps > 0, "cc={}: no goodput", cc.label());
+        assert!(
+            fast_retransmits >= 1,
+            "cc={}: the lossy run must fast-retransmit",
+            cc.label()
+        );
+        assert!(
+            window.recorded() > 0 && window.len() as u64 + window.dropped() == window.recorded(),
+            "cc={}: window samples must be recorded, each one held or counted dropped \
+             ({} recorded, {} held, {} dropped)",
+            cc.label(),
+            window.recorded(),
+            window.len(),
+            window.dropped()
+        );
+        // Recovery does not depend on the window: every algorithm, cc=none
+        // included, opens and completes recovery episodes.
+        assert!(
+            window.recovery_duration().count() >= 1,
+            "cc={}: no recovery episode",
+            cc.label()
+        );
+        rows.push(Value::Object(vec![
+            ("algorithm", cc.label().into()),
+            ("label", report.label.as_str().into()),
+            ("goodput_bps", report.goodput_bps.into()),
+            ("completion_sim_ms", ms(report.completion_us)),
+            ("fast_retransmits", fast_retransmits.into()),
+            ("retransmissions", retransmissions.into()),
+            ("rto_fires", rto_fires.into()),
+            ("deterministic", Value::Bool(true)),
+        ]));
+        obs_rows.push(cc_obs_row(cc.label(), &report));
     }
-    (
-        format!("  \"cc\": [\n{}\n  ]", rows.join(",\n")),
-        format!("  \"cc_obs\": [\n{}\n  ]", obs_rows.join(",\n")),
-    )
+    (Value::Array(rows), Value::Array(obs_rows))
 }
 
 fn main() {
     let args = parse_args();
     let (flows, threads, backend, out) = (args.flows, args.threads, args.backend, args.out);
-    let mut rows = Vec::new();
+    let mut scenarios = Vec::new();
     for &f in &flows {
         let scenario = LoadScenario::with_flows(f);
         let shards = scenario.shard_count();
-        let t0 = Instant::now();
-        // Two verified runs; charge the scenario with the mean wall time so
-        // events/wall-sec reflects one run.
         let report = verify_load_sharded(&scenario, threads);
-        let wall_seconds = t0.elapsed().as_secs_f64() / 2.0;
         println!(
-            "{}  [{} shard(s) on {} thread(s), wall {:.1} ms/run]",
-            report.summary(),
-            shards,
-            threads,
-            wall_seconds * 1000.0
+            "{}  [{shards} shard(s) on {threads} thread(s)]",
+            report.summary()
         );
-        rows.push(Row {
-            report,
-            threads,
-            shards,
-            wall_seconds,
-        });
+        scenarios.push(scenario_row(&report, shards, threads));
     }
 
     // The OS backend rides along *in addition to* the sim rows: the point
     // of the section is kernel numbers next to sim numbers for the same
     // workload, in the same file.
-    let os_section = if backend == cli::Backend::Os {
-        let os_rows: Vec<OsRow> = flows.iter().map(|&f| run_os(f)).collect();
-        let body = os_rows
-            .iter()
-            .map(os_row_json)
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!("  \"os\": [\n{body}\n  ],\n")
-    } else {
-        String::new()
-    };
+    let os = (backend == cli::Backend::Os)
+        .then(|| Value::Array(flows.iter().map(|&f| run_os(f)).collect()));
 
     // The head-of-line-blocking comparison: the figure the paper is about.
     let (obs, flow_delay, utcp_report) =
         obs_section(threads, backend, args.trace_flow, args.trace_kinds);
     if let Some(path) = &args.trace_out {
+        let trace = &utcp_report.obs.trace;
         let filter = &utcp_report.obs.trace_filter;
-        let jsonl = utcp_report
-            .obs
-            .trace
-            .to_jsonl_with_summary(filter.admitted, filter.suppressed);
+        let jsonl = trace.to_jsonl_with_summary(filter.admitted, filter.suppressed);
         cli::write_output("--trace-out", path, &jsonl);
-        if !filter.predicate.is_pass_all() {
+        if filter.predicate.is_pass_all() {
+            let count = |kind| trace.events().filter(|e| e.kind == kind).count() as u64;
+            assert!(
+                count(TraceKind::RtoFired) >= 1,
+                "the lossy uTCP run must trace an RTO fire"
+            );
+            assert_eq!(
+                count(TraceKind::Syn),
+                utcp_report.flows,
+                "the trace must hold one SYN per flow"
+            );
+            println!("wrote {path} ({} trace events)", trace.recorded());
+        } else {
             println!(
                 "wrote {path} ({} trace events; sliced to flow {:?} kinds {}: \
                  {} admitted, {} suppressed)",
-                utcp_report.obs.trace.recorded(),
+                trace.recorded(),
                 filter.predicate.flow,
                 filter.predicate.kinds.labels(),
                 filter.admitted,
                 filter.suppressed
-            );
-        } else {
-            println!(
-                "wrote {path} ({} trace events)",
-                utcp_report.obs.trace.recorded()
             );
         }
     }
@@ -809,11 +660,15 @@ fn main() {
     // The congestion-control comparison: same lossy workload, each sender.
     let (cc, cc_obs) = cc_sections(&args.ccs, threads);
 
-    let body = rows.iter().map(row_json).collect::<Vec<_>>().join(",\n");
-    let stream_section = trace_stream.map(|s| format!("{s},\n")).unwrap_or_default();
-    let json = format!(
-        "{{\n  \"bench\": \"engine_load\",\n{obs},\n{flow_delay},\n{stream_section}{cc},\n{cc_obs},\n{os_section}  \"scenarios\": [\n{body}\n  ]\n}}\n"
-    );
-    cli::write_output("--out", &out, &json);
+    let mut doc = vec![
+        ("bench", "engine_load".into()),
+        ("obs", obs),
+        ("flow_delay", flow_delay),
+    ];
+    doc.extend(trace_stream.map(|section| ("trace_stream", section)));
+    doc.extend([("cc", cc), ("cc_obs", cc_obs)]);
+    doc.extend(os.map(|rows| ("os", rows)));
+    doc.push(("scenarios", Value::Array(scenarios)));
+    cli::write_output("--out", &out, &format!("{}\n", Value::Object(doc)));
     println!("wrote {out}");
 }

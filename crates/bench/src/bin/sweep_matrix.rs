@@ -16,6 +16,7 @@
 //! ```
 
 use minion_bench::cli;
+use minion_bench::json::Value;
 use minion_exec::ExecStats;
 use minion_testkit::{
     run_matrix_once_with_stats, summarize, CcAlgorithm, CellReport, CellSpec, MatrixSpec,
@@ -61,96 +62,65 @@ struct Run {
 /// thread counts — the report diff proves it) plus each run's batch stats:
 /// jobs per worker and time inside jobs (wall-clock; varies run to run by
 /// design).
-fn obs_section_json(reports: &[CellReport], runs: &[Run]) -> String {
+fn obs_section(reports: &[CellReport], runs: &[Run]) -> Value {
     let delivery = reports
         .iter()
         .filter(|r| r.trace_events > 0)
         .map(|r| {
-            format!(
-                concat!(
-                    "      {{\"label\": \"{label}\", \"p50_ns\": {p50}, \"p99_ns\": {p99}, ",
-                    "\"p999_ns\": {p999}, \"mean_ns\": {mean}, \"trace_events\": {events}, ",
-                    "\"trace_fingerprint\": \"{fp:#018x}\"}}"
+            Value::Object(vec![
+                ("label", r.label.as_str().into()),
+                ("p50_ns", r.delivery_delay_p50_ns.into()),
+                ("p99_ns", r.delivery_delay_p99_ns.into()),
+                ("p999_ns", r.delivery_delay_p999_ns.into()),
+                ("mean_ns", r.delivery_delay_mean_ns.into()),
+                ("trace_events", r.trace_events.into()),
+                (
+                    "trace_fingerprint",
+                    format!("{:#018x}", r.trace_fingerprint).into(),
                 ),
-                label = r.label.replace('\\', "\\\\").replace('"', "\\\""),
-                p50 = r.delivery_delay_p50_ns,
-                p99 = r.delivery_delay_p99_ns,
-                p999 = r.delivery_delay_p999_ns,
-                mean = r.delivery_delay_mean_ns,
-                events = r.trace_events,
-                fp = r.trace_fingerprint,
-            )
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
+        .collect();
     let exec = runs
         .iter()
         .map(|run| {
-            let phases = run
-                .stats
-                .profile
-                .get()
-                .iter()
-                .map(|(name, nanos, _)| format!("\"{name}\": {nanos}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!(
-                concat!(
-                    "      {{\"threads\": {threads}, \"workers\": {workers}, ",
-                    "\"executed\": {executed:?}, \"phase_nanos\": {{ {phases} }}}}"
-                ),
-                threads = run.threads,
-                workers = run.stats.workers,
-                executed = run.stats.executed,
-                phases = phases,
-            )
+            let executed = run.stats.executed.iter().map(|&n| n.into()).collect();
+            let phases = run.stats.profile.get().iter();
+            let phases = phases
+                .map(|(name, nanos, _)| (name, nanos.into()))
+                .collect();
+            Value::Object(vec![
+                ("threads", run.threads.into()),
+                ("workers", run.stats.workers.into()),
+                ("executed", Value::Array(executed)),
+                ("phase_nanos", Value::Object(phases)),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    format!(
-        concat!(
-            "  \"obs\": {{\n",
-            "    \"delivery_delay\": [\n{delivery}\n    ],\n",
-            "    \"exec\": [\n{exec}\n    ]\n",
-            "  }}"
-        ),
-        delivery = delivery,
-        exec = exec,
-    )
+        .collect();
+    Value::Object(vec![
+        ("delivery_delay", Value::Array(delivery)),
+        ("exec", Value::Array(exec)),
+    ])
 }
 
 fn parse_args() -> (Vec<usize>, Vec<CcAlgorithm>, Option<String>, String) {
     let mut threads: Vec<usize> = vec![1, 4];
-    let mut threads_requested = false;
-    let mut backend = cli::Backend::Sim;
     let mut ccs = vec![CcAlgorithm::NewReno];
     let mut report_prefix: Option<String> = None;
-    let mut out = std::env::var("BENCH_SWEEP_OUT").unwrap_or_else(|_| "BENCH_sweep.json".into());
+    let mut out = String::from("BENCH_sweep.json");
     let mut args = cli::CliArgs::new(
-        "sweep_matrix [--backend sim] [--threads 1,4] [--cc newreno,cubic,none] \
+        "sweep_matrix [--threads 1,4] [--cc newreno,cubic,none] \
          [--report-prefix PREFIX] [--out FILE]",
     );
     while let Some(arg) = args.next_flag() {
         match arg.as_str() {
-            "--backend" => backend = cli::parse_backend(&args.value("--backend")),
-            "--threads" => {
-                threads = cli::parse_count_list(&args.value("--threads"), "--threads");
-                threads_requested = true;
-            }
+            "--threads" => threads = cli::parse_count_list(&args.value("--threads"), "--threads"),
             "--cc" => ccs = cli::parse_cc_list(&args.value("--cc"), "--cc"),
             "--report-prefix" => report_prefix = Some(args.value("--report-prefix")),
             "--out" => out = args.value("--out"),
             other => args.unknown(other),
         }
     }
-    // The sweep's whole point is byte-identical reports across thread
-    // counts — a property only the simulator has. The shared validation
-    // rejects --threads with os; the sweep itself needs sim outright.
-    cli::validate_backend(backend, threads_requested);
-    assert!(
-        backend == cli::Backend::Sim,
-        "sweep_matrix is sim-only (byte-identical sweeps); use load_engine --backend os for kernel-socket runs"
-    );
     cli::validate_out_path("--out", &out);
     (threads, ccs, report_prefix, out)
 }
@@ -224,46 +194,38 @@ fn main() {
     let rows = runs
         .iter()
         .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"threads\": {threads},\n",
-                    "      \"wall_ms\": {wall_ms:.3},\n",
-                    "      \"cells_per_sec\": {cps:.3},\n",
-                    "      \"speedup_vs_1thread\": {speedup:.3}\n",
-                    "    }}"
+            Value::Object(vec![
+                ("threads", r.threads.into()),
+                ("wall_ms", Value::Fixed(r.wall_seconds * 1000.0, 3)),
+                (
+                    "cells_per_sec",
+                    Value::Fixed(cells.len() as f64 / r.wall_seconds.max(1e-9), 3),
                 ),
-                threads = r.threads,
-                wall_ms = r.wall_seconds * 1000.0,
-                cps = cells.len() as f64 / r.wall_seconds.max(1e-9),
-                speedup = baseline / r.wall_seconds.max(1e-9),
-            )
+                (
+                    "speedup_vs_1thread",
+                    Value::Fixed(baseline / r.wall_seconds.max(1e-9), 3),
+                ),
+            ])
         })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let obs = obs_section_json(first_reports.as_deref().unwrap_or(&[]), &runs);
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"sweep_matrix\",\n",
-            "  \"cells\": {cells},\n",
-            "  \"cc\": [{cc}],\n",
-            "  \"available_parallelism\": {avail},\n",
-            "  \"reports_identical\": true,\n",
-            "{obs},\n",
-            "  \"runs\": [\n{rows}\n  ]\n",
-            "}}\n"
+        .collect();
+    let json = Value::Object(vec![
+        ("bench", "sweep_matrix".into()),
+        ("cells", cells.len().into()),
+        (
+            "cc",
+            Value::Array(ccs.iter().map(|c| c.label().into()).collect()),
         ),
-        cells = cells.len(),
-        cc = ccs
-            .iter()
-            .map(|c| format!("\"{}\"", c.label()))
-            .collect::<Vec<_>>()
-            .join(", "),
-        avail = minion_exec::available_threads(),
-        obs = obs,
-        rows = rows,
-    );
-    cli::write_output("--out", &out, &json);
+        (
+            "available_parallelism",
+            minion_exec::available_threads().into(),
+        ),
+        ("reports_identical", Value::Bool(true)),
+        (
+            "obs",
+            obs_section(first_reports.as_deref().unwrap_or(&[]), &runs),
+        ),
+        ("runs", Value::Array(rows)),
+    ]);
+    cli::write_output("--out", &out, &format!("{json}\n"));
     println!("wrote {out}");
 }

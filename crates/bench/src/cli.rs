@@ -47,16 +47,6 @@ pub enum Backend {
     Os,
 }
 
-impl Backend {
-    /// The tag used in labels and JSON (`"sim"` / `"os"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::Sim => "sim",
-            Backend::Os => "os",
-        }
-    }
-}
-
 /// Parse a `--backend` value.
 pub fn parse_backend(raw: &str) -> Backend {
     match raw.trim() {
@@ -251,7 +241,6 @@ mod tests {
     fn backends_parse() {
         assert_eq!(parse_backend("sim"), Backend::Sim);
         assert_eq!(parse_backend(" os "), Backend::Os);
-        assert_eq!(Backend::Os.as_str(), "os");
     }
 
     #[test]

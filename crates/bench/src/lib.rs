@@ -3,10 +3,11 @@
 //! The evaluation harness: one module per figure/table of the paper's §8,
 //! each exposing a `run*` function that executes the experiment in the
 //! simulator and returns a [`minion_simnet::Table`] with the same rows or
-//! series the paper plots. Binaries under `src/bin/` print one figure each;
-//! the `figures` bench target regenerates everything, and `microbench` holds
-//! Criterion microbenchmarks of the hot paths (COBS codec, TLS record
-//! processing, uTLS scanning, TCP segment handling).
+//! series the paper plots. Binaries under `src/bin/` print one figure each,
+//! and `all_figures` prints them all. Beside them, `load_engine` and
+//! `sweep_matrix` drive the multi-flow engine and the scenario matrix and
+//! write `BENCH_engine.json` / `BENCH_sweep.json` through [`json`], and
+//! `table1_code_size` counts the workspace ([`table1`]).
 //!
 //! Experiment sizes default to "quick" parameters so the whole suite runs in
 //! minutes; set `MINION_FULL=1` to use paper-scale parameters.
@@ -19,6 +20,7 @@ pub mod fig05;
 pub mod fig06;
 pub mod fig10;
 pub mod fig13;
+pub mod json;
 pub mod table1;
 pub mod voip_experiments;
 pub mod vpn_experiments;

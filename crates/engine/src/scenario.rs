@@ -1363,6 +1363,52 @@ mod tests {
         );
     }
 
+    /// `trace_flow` keeps one flow in the ring and the stream alike, counts
+    /// every other flow's events as suppressed, and conjoins with a kind
+    /// slice.
+    #[test]
+    fn flow_sliced_trace_keeps_one_flow_in_ring_and_stream() {
+        let dir = std::env::temp_dir().join(format!("minion_scn_flow_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let recovery = minion_obs::KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]);
+        for (name, kinds) in [("all", minion_obs::KindSet::all()), ("recovery", recovery)] {
+            let path = dir.join(format!("{name}.jsonl"));
+            let report = LoadScenario {
+                flows: 16,
+                // Long enough streams that flow 7 itself retransmits.
+                records_per_flow: 32,
+                record_len: 600,
+                loss: LossConfig::Bernoulli { probability: 0.02 },
+                trace_flow: Some(7),
+                trace_kinds: kinds,
+                trace_stream: Some(path.display().to_string()),
+                ..LoadScenario::default()
+            }
+            .run();
+            let (trace, filter) = (&report.obs.trace, &report.obs.trace_filter);
+            assert!(trace.recorded() > 0, "{name}: flow 7 traced nothing");
+            assert!(
+                trace
+                    .events()
+                    .all(|e| e.flow == 7 && kinds.contains(e.kind)),
+                "{name}: an event outside the slice entered the ring"
+            );
+            assert_eq!(filter.admitted, trace.recorded());
+            assert_eq!(report.obs.stream.emitted, filter.admitted);
+            assert!(filter.suppressed > 0, "{name}: other flows were offered");
+            // The stream holds exactly the ring's events (the ring kept all
+            // of them), then its trailer.
+            assert_eq!(trace.dropped(), 0);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let mut lines: Vec<&str> = text.lines().collect();
+            let trailer = lines.pop().unwrap();
+            assert!(trailer.contains("\"summary\":true"), "{trailer}");
+            let ring: Vec<String> = trace.events().map(|e| e.to_json()).collect();
+            assert_eq!(lines, ring, "{name}: stream and ring disagree");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn standard_receiver_never_sees_out_of_order_chunks() {
         let scenario = LoadScenario {

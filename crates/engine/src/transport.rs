@@ -183,7 +183,7 @@ impl SimTransport {
         sim.host_mut(server)
             .tcp_listen(LOAD_PORT, tcp_config.clone(), receiver_opts)
             .expect("listen on a fresh host");
-        sim.set_auto_register(server, true);
+        sim.set_auto_register(server);
         SimTransport {
             sim,
             client,
@@ -226,20 +226,15 @@ impl Transport for SimTransport {
     }
 
     fn connect(&mut self) -> (FlowId, u64) {
-        let now = self.sim.now();
-        // Opening a socket goes through the host, which touches it: the next
-        // flush marks every client flow ready once. `run_on` connects every
-        // flow before its first step, when they all are ready anyway.
-        let host = self.sim.host_mut(self.client);
-        let handle = host.tcp_connect(
+        let id = self.sim.flow_connect(
+            self.client,
             self.server_addr,
             self.tcp_config.clone(),
             SocketOptions::standard(),
-            now,
         );
-        let client_port = host.tcp_local_port(handle).expect("fresh TCP socket");
-        let id = self.sim.register_flow(self.client, handle);
-        (id, u64::from(client_port))
+        let (node, handle) = self.sim.flow_socket(id);
+        let client_port = self.sim.host(node).tcp_local_port(handle);
+        (id, u64::from(client_port.expect("fresh TCP socket")))
     }
 
     fn write(&mut self, flow: FlowId, data: &[u8]) -> usize {

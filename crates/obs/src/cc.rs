@@ -36,16 +36,6 @@ pub struct CwndSample {
     pub ssthresh: u64,
 }
 
-impl CwndSample {
-    /// One JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"t_ns\":{},\"cwnd\":{},\"ssthresh\":{}}}",
-            self.t_ns, self.cwnd, self.ssthresh
-        )
-    }
-}
-
 /// Deterministic per-algorithm window telemetry: a bounded cwnd/ssthresh
 /// trajectory ring plus window / recovery-duration / recovery-depth
 /// histograms.
@@ -278,18 +268,5 @@ mod tests {
         let mut acc2 = rec_only.clone();
         acc2.absorb(&CcObs::default());
         assert_eq!(acc2, rec_only);
-    }
-
-    #[test]
-    fn sample_json_is_stable() {
-        let s = CwndSample {
-            t_ns: 42,
-            cwnd: 14_400,
-            ssthresh: 7_200,
-        };
-        assert_eq!(
-            s.to_json(),
-            "{\"t_ns\":42,\"cwnd\":14400,\"ssthresh\":7200}"
-        );
     }
 }

@@ -20,9 +20,9 @@
 //! *touched*: the next flush sends the host's UDP outbox, adopts the sockets
 //! opened since as flows, and polls every flow of the host.
 //!
-//! **Front door 2, the flow.** A driver of many flows registers each socket
-//! ([`Sim::register_flow`], or [`Sim::set_auto_register`] for accepted ones)
-//! and goes through [`Sim::flow_write`] / [`Sim::flow_read`] /
+//! **Front door 2, the flow.** A driver of many flows opens each connection
+//! as a flow ([`Sim::flow_connect`], or [`Sim::set_auto_register`] for
+//! accepted ones) and goes through [`Sim::flow_write`] / [`Sim::flow_read`] /
 //! [`Sim::flow_close`], which mark exactly that flow ready. Registered flows
 //! also report their connection edges ([`Sim::take_events`]), so the driver
 //! reacts to readiness instead of sweeping flows.
@@ -31,12 +31,12 @@
 //! order they became ready (arrivals in arrival order, then timer expiries in
 //! `(deadline, flow)` order), touched hosts in node order.
 
-use crate::addr::SocketHandle;
+use crate::addr::{SocketAddr, SocketHandle};
 use crate::host::{Host, HostError};
 use crate::middlebox::{Middlebox, MiddleboxBehavior};
 use crate::wheel::TimerWheel;
 use minion_simnet::{LinkConfig, LinkStats, NodeId, Packet, SimDuration, SimTime, World};
-use minion_tcp::{ConnEvent, ConnStats, DeliveredChunk};
+use minion_tcp::{ConnEvent, ConnStats, DeliveredChunk, SocketOptions, TcpConfig};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -338,20 +338,25 @@ impl Sim {
     /// Auto-register connections that a listener on `node` accepts: each new
     /// server-side socket becomes a registered flow, surfaced via
     /// [`Sim::take_accepted`].
-    pub fn set_auto_register(&mut self, node: NodeId, enabled: bool) {
-        Self::host_slot_in(&mut self.nodes, node).auto_register = enabled;
+    pub fn set_auto_register(&mut self, node: NodeId) {
+        Self::host_slot_in(&mut self.nodes, node).auto_register = true;
     }
 
-    /// Register a TCP socket as a flow driven through the `flow_*` calls:
-    /// enables its edge events and schedules a poll (which emits the pending
-    /// SYN of a connecting socket).
-    pub fn register_flow(&mut self, node: NodeId, handle: SocketHandle) -> FlowId {
+    /// Open a TCP connection from `node` to `remote` as a flow driven
+    /// through the `flow_*` calls: its edge events are on, and only it is
+    /// scheduled for a poll (which emits the SYN). The host is not touched,
+    /// so its other flows are not polled.
+    pub fn flow_connect(
+        &mut self,
+        node: NodeId,
+        remote: SocketAddr,
+        config: TcpConfig,
+        options: SocketOptions,
+    ) -> FlowId {
         let slot = Self::host_slot_in(&mut self.nodes, node);
+        let handle = slot.host.tcp_connect(remote, config, options, self.now);
         slot.register(handle);
-        let id = match slot.flow_of(handle) {
-            Some(id) => id,
-            None => slot.adopt(handle, &mut self.flows),
-        };
+        let id = slot.adopt(handle, &mut self.flows);
         self.flows.mark_ready(id);
         id
     }
@@ -662,9 +667,8 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::SocketAddr;
     use minion_simnet::LossConfig;
-    use minion_tcp::{Readiness, SocketOptions, TcpConfig};
+    use minion_tcp::Readiness;
 
     /// Two hosts, 60 ms RTT, plenty of bandwidth.
     fn basic_sim() -> (Sim, NodeId, NodeId) {
@@ -679,12 +683,10 @@ mod tests {
         (sim, a, b)
     }
 
-    /// Listen on `b`:80 and open a connection from `a` to it.
+    /// Listen on `b`:80 and open a connection from `a` to it through the
+    /// host.
     fn connect(sim: &mut Sim, a: NodeId, b: NodeId) -> SocketHandle {
-        // Ignore the error of a port that already listens.
-        let _ = sim
-            .host_mut(b)
-            .tcp_listen(80, TcpConfig::default(), SocketOptions::standard());
+        listen(sim, b);
         let now = sim.now();
         sim.host_mut(a).tcp_connect(
             SocketAddr::new(b, 80),
@@ -692,6 +694,25 @@ mod tests {
             SocketOptions::standard(),
             now,
         )
+    }
+
+    /// Listen on `b`:80 unless it already does.
+    fn listen(sim: &mut Sim, b: NodeId) {
+        let _ = sim
+            .host_mut(b)
+            .tcp_listen(80, TcpConfig::default(), SocketOptions::standard());
+    }
+
+    /// Open a flow from `a` to `b`:80, whether or not anything listens.
+    fn flow_to(sim: &mut Sim, a: NodeId, b: NodeId) -> FlowId {
+        let remote = SocketAddr::new(b, 80);
+        sim.flow_connect(a, remote, TcpConfig::default(), SocketOptions::standard())
+    }
+
+    /// Listen on `b`:80 and open a flow from `a` to it.
+    fn connect_flow(sim: &mut Sim, a: NodeId, b: NodeId) -> FlowId {
+        listen(sim, b);
+        flow_to(sim, a, b)
     }
 
     fn readiness(sim: &Sim, flow: FlowId) -> Readiness {
@@ -857,9 +878,8 @@ mod tests {
     #[test]
     fn one_flow_handshake_transfer_and_close() {
         let (mut sim, a, b) = basic_sim();
-        sim.set_auto_register(b, true);
-        let ch = connect(&mut sim, a, b);
-        let cf = sim.register_flow(a, ch);
+        sim.set_auto_register(b);
+        let cf = connect_flow(&mut sim, a, b);
         sim.run_for(SimDuration::from_millis(500));
         assert!(readiness(&sim, cf).established);
         let accepted = sim.take_accepted();
@@ -888,9 +908,9 @@ mod tests {
     #[test]
     fn flow_write_accepts_the_prefix_that_fits_and_signals_writable() {
         let (mut sim, a, b) = basic_sim();
-        sim.set_auto_register(b, true);
-        let ch = connect(&mut sim, a, b);
-        let cf = sim.register_flow(a, ch);
+        sim.set_auto_register(b);
+        let cf = connect_flow(&mut sim, a, b);
+        let (_, ch) = sim.flow_socket(cf);
         let capacity = sim.host(a).tcp_send_buffer_free(ch).unwrap();
 
         // A write that fits is taken whole and never raises a writable edge.
@@ -930,14 +950,7 @@ mod tests {
     fn run_until_a_past_deadline_never_rewinds_time() {
         let (mut sim, a, b) = basic_sim();
         // Nobody listens: a pending SYN RTO keeps a future event armed.
-        let now = sim.now();
-        let ch = sim.host_mut(a).tcp_connect(
-            SocketAddr::new(b, 80),
-            TcpConfig::default(),
-            SocketOptions::standard(),
-            now,
-        );
-        let cf = sim.register_flow(a, ch);
+        let cf = flow_to(&mut sim, a, b);
         sim.run_for(SimDuration::from_secs(5));
         let t = sim.now();
         assert!(t >= SimTime::from_secs(5));
@@ -953,14 +966,7 @@ mod tests {
         let (mut sim, a, b) = basic_sim();
         // No listener: the SYN goes unanswered, so the flow's life is driven
         // purely by RTO timers on the wheel.
-        let now = sim.now();
-        let ch = sim.host_mut(a).tcp_connect(
-            SocketAddr::new(b, 80),
-            TcpConfig::default(),
-            SocketOptions::standard(),
-            now,
-        );
-        let cf = sim.register_flow(a, ch);
+        let cf = flow_to(&mut sim, a, b);
         sim.run_for(SimDuration::from_secs(8));
         let stats = sim.flow_stats(cf);
         assert!(
@@ -979,8 +985,7 @@ mod tests {
     #[test]
     fn run_until_stops_at_the_deadline_with_a_ready_flow() {
         let (mut sim, a, b) = basic_sim();
-        let ch = connect(&mut sim, a, b);
-        sim.register_flow(a, ch);
+        connect_flow(&mut sim, a, b);
         sim.run_until(SimTime::from_millis(5));
         assert_eq!(sim.now(), SimTime::from_millis(5));
         assert_eq!(sim.metrics().packets_sent, 1, "the SYN left at t = 0");
@@ -1001,16 +1006,11 @@ mod tests {
         sim.link(m, b, hop);
         sim.add_route(a, b, m);
         sim.add_route(b, a, m);
-        sim.set_auto_register(b, true);
+        sim.set_auto_register(b);
         let ua = sim.host_mut(a).udp_bind(1111).unwrap();
         let ub = sim.host_mut(b).udp_bind(2222).unwrap();
 
-        let clients: Vec<FlowId> = (0..2)
-            .map(|_| {
-                let ch = connect(&mut sim, a, b);
-                sim.register_flow(a, ch)
-            })
-            .collect();
+        let clients: Vec<FlowId> = (0..2).map(|_| connect_flow(&mut sim, a, b)).collect();
         sim.run_for(SimDuration::from_millis(300));
         let servers = sim.take_accepted();
         assert_eq!(servers.len(), 2);
@@ -1061,5 +1061,26 @@ mod tests {
         assert!(sim.host_mut(d).udp_recv(ud).unwrap().is_some());
         assert!(sim.metrics().steps > before.steps, "the loop did run");
         assert_eq!(sim.metrics().flow_polls, before.flow_polls);
+    }
+
+    /// Opening a flow polls that flow alone: with N established, idle flows
+    /// on the client, the step after one more `flow_connect` polls only the
+    /// new one. Opening it through `host_mut` and registering it, as the
+    /// engine's connect did, touched the host: that step polled all N + 1
+    /// client flows and read 33 here.
+    #[test]
+    fn connecting_a_flow_polls_only_that_flow() {
+        const N: u64 = 32;
+        let (mut sim, a, b) = basic_sim();
+        sim.set_auto_register(b);
+        let flows: Vec<FlowId> = (0..N).map(|_| connect_flow(&mut sim, a, b)).collect();
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(flows.iter().all(|&f| readiness(&sim, f).established));
+        assert_eq!(sim.take_accepted().len() as u64, N);
+
+        let before = sim.metrics().flow_polls;
+        flow_to(&mut sim, a, b);
+        assert!(sim.step());
+        assert_eq!(sim.metrics().flow_polls - before, 1);
     }
 }

@@ -8,9 +8,8 @@
 # runs `sweep_matrix` at 1 and 4 threads, `load_engine` with its trace and
 # stream dumps, `fig05`, `fig07`-`fig13` and the five examples, then `cmp`s
 # each pair. Every differing surface is printed with its first differing
-# line; the exit status is non-zero if any differ. `BENCH_engine.json` is
-# compared without its wall-clock fields. `fig06a`/`fig06b` print wall-clock
-# ratios and are never compared.
+# line; the exit status is non-zero if any differ. `BENCH_sweep.json` and
+# `fig06a`/`fig06b` hold wall-clock figures and are never compared.
 #
 # It ends with each tree's `table1_code_size --json`, A beside B: implementation
 # and test lines, public items and the unused ones, for the workspace and for
@@ -44,18 +43,16 @@ run_tree() {
         "$bin/sweep_matrix" --threads 1,4 --cc newreno,cubic,none \
             --report-prefix sweep --out BENCH_sweep.json >/dev/null
         "$bin/load_engine" --flows 1,64,1024 --threads 4 --cc newreno,cubic,none \
-            --out BENCH_engine.full.json \
+            --out BENCH_engine.json \
             --trace-out trace.jsonl --trace-stream stream.jsonl >/dev/null
-        grep -v -E '"(wall_ms|events_per_wall_sec|phase_nanos)"' BENCH_engine.full.json \
-            >BENCH_engine.json
         for fig in $figures; do
             "$bin/$fig" >"$fig.txt"
         done
         for example in $examples; do
             "$bin/examples/$example" >"example_$example.txt"
         done
-        # Wall-clock throughput, and the unfiltered copy of what was compared.
-        rm BENCH_sweep.json BENCH_engine.full.json
+        # Wall-clock throughput.
+        rm BENCH_sweep.json
     )
 }
 
