@@ -1,9 +1,21 @@
-//! AES-128 block cipher (FIPS 197), table-free implementation.
+//! AES-128 block cipher (FIPS 197), table-driven.
 //!
 //! TLS 1.1 block ciphersuites (the ones uTLS depends on for out-of-order
 //! decryption, because they use explicit per-record IVs) are built on AES in
-//! CBC mode. This is a straightforward, readable implementation — the
-//! simulator's goal is protocol fidelity, not cryptographic performance.
+//! CBC mode. Every record the reproduction sends or receives goes through
+//! here, so the cipher is the usual 32-bit table implementation: each round
+//! is four lookups per column into four 256-word tables (SubBytes,
+//! ShiftRows and MixColumns in one step) and an XOR with the round key, and
+//! decryption is FIPS 197 §5.3.5's *equivalent inverse cipher*, the same
+//! shape over the inverse tables with InvMixColumns folded into its round
+//! keys once, when the key is expanded. The tables are `static`s computed
+//! at compile time from the S-boxes. The byte-wise cipher of §5.1/§5.3 is
+//! kept, test-only, as the oracle the tables are checked against.
+//!
+//! Table lookups are indexed by secret state, so their timing depends on
+//! the cache: this is a simulation's cipher, not one to deploy.
+
+mod oracle;
 
 /// AES block size in bytes.
 pub(crate) const BLOCK_SIZE: usize = 16;
@@ -51,11 +63,13 @@ const INV_SBOX: [u8; 256] = [
 
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
-fn xtime(b: u8) -> u8 {
+const fn xtime(b: u8) -> u8 {
     (b << 1) ^ (((b >> 7) & 1) * 0x1b)
 }
 
-fn gmul(a: u8, b: u8) -> u8 {
+/// Multiplication in GF(2^8) modulo the AES polynomial, one bit at a time.
+/// Only the table construction below and the test oracle call it.
+const fn gmul(a: u8, b: u8) -> u8 {
     let mut result = 0u8;
     let mut a = a;
     let mut b = b;
@@ -69,144 +83,175 @@ fn gmul(a: u8, b: u8) -> u8 {
     result
 }
 
-/// An expanded AES-128 key schedule.
+/// The four round tables of one direction. Entry `x` of table 0 is the
+/// MixColumns (or InvMixColumns) column `coeffs` applied to `sbox[x]`, as a
+/// big-endian word; tables 1–3 are it rotated right by 8, 16 and 24 bits,
+/// the same column for the byte in rows 1–3.
+const fn round_tables(sbox: &[u8; 256], coeffs: [u8; 4]) -> [[u32; 256]; 4] {
+    let mut tables = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = sbox[x];
+        let word = u32::from_be_bytes([
+            gmul(s, coeffs[0]),
+            gmul(s, coeffs[1]),
+            gmul(s, coeffs[2]),
+            gmul(s, coeffs[3]),
+        ]);
+        let mut t = 0;
+        while t < 4 {
+            tables[t][x] = word.rotate_right(8 * t as u32);
+            t += 1;
+        }
+        x += 1;
+    }
+    tables
+}
+
+/// Te0–Te3: SubBytes then MixColumns, whose column is (2, 1, 1, 3).
+static TE: [[u32; 256]; 4] = round_tables(&SBOX, [2, 1, 1, 3]);
+/// Td0–Td3: InvSubBytes then InvMixColumns, whose column is (14, 9, 13, 11).
+static TD: [[u32; 256]; 4] = round_tables(&INV_SBOX, [14, 9, 13, 11]);
+
+/// Byte `k` of `word`, counting from the least significant, as an index.
+fn byte(word: u32, k: u32) -> usize {
+    (word >> (8 * k)) as u8 as usize
+}
+
+/// Four big-endian state columns ⊕ the round key `k`, one per output
+/// column `c`: `f(c, i)` returns the table entry for row `i`, which reads
+/// the column `(c + i·step) mod 4` — ShiftRows is `step` 1 and
+/// InvShiftRows `step` 3.
+fn columns(k: &[u32; 4], f: impl Fn(usize, usize) -> u32) -> [u32; 4] {
+    std::array::from_fn(|c| f(c, 0) ^ f(c, 1) ^ f(c, 2) ^ f(c, 3) ^ k[c])
+}
+
+/// An expanded AES-128 key: the cipher's round keys and the equivalent
+/// inverse cipher's (FIPS 197 §5.3.5), each as eleven rounds of four
+/// big-endian words.
 #[derive(Clone, Debug)]
 pub(crate) struct Aes128 {
-    round_keys: [[u8; 16]; ROUNDS + 1],
+    enc: [[u32; 4]; ROUNDS + 1],
+    dec: [[u32; 4]; ROUNDS + 1],
 }
 
 impl Aes128 {
-    /// Expand a 16-byte key.
+    /// Expand a 16-byte key into both schedules.
     pub(crate) fn new(key: &[u8; KEY_SIZE]) -> Self {
-        let mut w = [[0u8; 4]; 4 * (ROUNDS + 1)];
-        for i in 0..4 {
-            w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+        let mut w = [0u32; 4 * (ROUNDS + 1)];
+        for (i, word) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("four bytes"));
         }
-        for i in 4..4 * (ROUNDS + 1) {
+        for i in 4..w.len() {
             let mut temp = w[i - 1];
             if i % 4 == 0 {
-                temp = [
-                    SBOX[temp[1] as usize] ^ RCON[i / 4 - 1],
-                    SBOX[temp[2] as usize],
-                    SBOX[temp[3] as usize],
-                    SBOX[temp[0] as usize],
-                ];
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4 - 1]) << 24);
             }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ temp[j];
+            w[i] = w[i - 4] ^ temp;
+        }
+        let enc: [[u32; 4]; ROUNDS + 1] =
+            std::array::from_fn(|r| std::array::from_fn(|c| w[4 * r + c]));
+        // The equivalent inverse cipher runs the rounds backwards, with
+        // InvMixColumns moved ahead of AddRoundKey; so round keys 1–9 are
+        // themselves put through InvMixColumns. `TD[..][SBOX[x]]` is
+        // InvMixColumns of the byte `x` alone, InvSubBytes undoing SubBytes.
+        let inv_mix = |word: u32| {
+            (0..4).fold(0, |acc, row| {
+                acc ^ TD[row][SBOX[byte(word, 3 - row as u32)] as usize]
+            })
+        };
+        let dec = std::array::from_fn(|r| {
+            let k = enc[ROUNDS - r];
+            if r == 0 || r == ROUNDS {
+                k
+            } else {
+                k.map(inv_mix)
             }
-        }
-        let mut round_keys = [[0u8; 16]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Aes128 { round_keys }
-    }
-
-    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-        for i in 0..16 {
-            state[i] ^= rk[i];
-        }
-    }
-
-    fn sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = SBOX[*b as usize];
-        }
-    }
-
-    fn inv_sub_bytes(state: &mut [u8; 16]) {
-        for b in state.iter_mut() {
-            *b = INV_SBOX[*b as usize];
-        }
-    }
-
-    fn shift_rows(state: &mut [u8; 16]) {
-        // State is column-major: state[r + 4c].
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * c] = s[r + 4 * ((c + r) % 4)];
-            }
-        }
-    }
-
-    fn inv_shift_rows(state: &mut [u8; 16]) {
-        let s = *state;
-        for r in 1..4 {
-            for c in 0..4 {
-                state[r + 4 * ((c + r) % 4)] = s[r + 4 * c];
-            }
-        }
-    }
-
-    fn mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 2) ^ gmul(col[1], 3) ^ col[2] ^ col[3];
-            state[4 * c + 1] = col[0] ^ gmul(col[1], 2) ^ gmul(col[2], 3) ^ col[3];
-            state[4 * c + 2] = col[0] ^ col[1] ^ gmul(col[2], 2) ^ gmul(col[3], 3);
-            state[4 * c + 3] = gmul(col[0], 3) ^ col[1] ^ col[2] ^ gmul(col[3], 2);
-        }
-    }
-
-    fn inv_mix_columns(state: &mut [u8; 16]) {
-        for c in 0..4 {
-            let col = [
-                state[4 * c],
-                state[4 * c + 1],
-                state[4 * c + 2],
-                state[4 * c + 3],
-            ];
-            state[4 * c] = gmul(col[0], 14) ^ gmul(col[1], 11) ^ gmul(col[2], 13) ^ gmul(col[3], 9);
-            state[4 * c + 1] =
-                gmul(col[0], 9) ^ gmul(col[1], 14) ^ gmul(col[2], 11) ^ gmul(col[3], 13);
-            state[4 * c + 2] =
-                gmul(col[0], 13) ^ gmul(col[1], 9) ^ gmul(col[2], 14) ^ gmul(col[3], 11);
-            state[4 * c + 3] =
-                gmul(col[0], 11) ^ gmul(col[1], 13) ^ gmul(col[2], 9) ^ gmul(col[3], 14);
-        }
+        });
+        Aes128 { enc, dec }
     }
 
     /// Encrypt a single 16-byte block in place.
     pub(crate) fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        Self::add_round_key(block, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            Self::sub_bytes(block);
-            Self::shift_rows(block);
-            Self::mix_columns(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-        }
-        Self::sub_bytes(block);
-        Self::shift_rows(block);
-        Self::add_round_key(block, &self.round_keys[ROUNDS]);
+        crypt(block, &self.enc, &TE, &SBOX, 1);
     }
 
     /// Decrypt a single 16-byte block in place.
     pub(crate) fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        Self::add_round_key(block, &self.round_keys[ROUNDS]);
-        for round in (1..ROUNDS).rev() {
-            Self::inv_shift_rows(block);
-            Self::inv_sub_bytes(block);
-            Self::add_round_key(block, &self.round_keys[round]);
-            Self::inv_mix_columns(block);
-        }
-        Self::inv_shift_rows(block);
-        Self::inv_sub_bytes(block);
-        Self::add_round_key(block, &self.round_keys[0]);
+        crypt(block, &self.dec, &TD, &INV_SBOX, 3);
+    }
+}
+
+/// SubWord: the S-box on each byte of `word`.
+fn sub_word(word: u32) -> u32 {
+    u32::from_be_bytes(word.to_be_bytes().map(|b| SBOX[b as usize]))
+}
+
+/// One direction of the cipher: the initial AddRoundKey, nine table
+/// rounds, and a last round of S-box bytes with no (Inv)MixColumns.
+/// Inlined into both callers, where `step` and the tables are constants
+/// (a quarter off the cost of a block).
+#[inline(always)]
+fn crypt(
+    block: &mut [u8; BLOCK_SIZE],
+    keys: &[[u32; 4]; ROUNDS + 1],
+    tables: &[[u32; 256]; 4],
+    sbox: &[u8; 256],
+    step: usize,
+) {
+    let mut s: [u32; 4] = std::array::from_fn(|c| {
+        u32::from_be_bytes(block[4 * c..4 * c + 4].try_into().expect("four bytes")) ^ keys[0][c]
+    });
+    for k in &keys[1..ROUNDS] {
+        s = columns(k, |c, row| {
+            tables[row][byte(s[(c + row * step) % 4], 3 - row as u32)]
+        });
+    }
+    s = columns(&keys[ROUNDS], |c, row| {
+        u32::from(sbox[byte(s[(c + row * step) % 4], 3 - row as u32)]) << (24 - 8 * row)
+    });
+    for (c, word) in s.iter().enumerate() {
+        block[4 * c..4 * c + 4].copy_from_slice(&word.to_be_bytes());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fips197_appendix_c1_vector_both_directions() {
+        // FIPS 197 Appendix C.1: key 00 01 .. 0f, plaintext 00 11 .. ff.
+        let key: [u8; 16] = std::array::from_fn(|i| i as u8);
+        let plaintext: [u8; 16] = std::array::from_fn(|i| i as u8 * 0x11);
+        let ciphertext: [u8; 16] = [
+            0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
+            0xc5, 0x5a,
+        ];
+        let aes = Aes128::new(&key);
+        let mut block = plaintext;
+        aes.encrypt_block(&mut block);
+        assert_eq!(block, ciphertext);
+        aes.decrypt_block(&mut block);
+        assert_eq!(block, plaintext);
+    }
+
+    #[test]
+    fn fips197_appendix_a1_last_round_key() {
+        let key: [u8; 16] = [
+            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
+            0x4f, 0x3c,
+        ];
+        let aes = Aes128::new(&key);
+        let last = [0xd014f9a8, 0xc9ee2589, 0xe13f0cc8, 0xb6630ca6];
+        assert_eq!(aes.enc[ROUNDS], last);
+        // The equivalent inverse cipher starts from it, and ends at the key.
+        assert_eq!(aes.dec[0], last);
+        assert_eq!(
+            aes.dec[ROUNDS],
+            [0x2b7e1516, 0x28aed2a6, 0xabf71588, 0x09cf4f3c]
+        );
+    }
 
     #[test]
     fn fips197_appendix_b_vector() {

@@ -56,23 +56,61 @@ fn unpad(data: &mut Vec<u8>) -> Result<(), CbcError> {
     Ok(())
 }
 
+/// AES-128-CBC under one key, expanded once: build it when the key is
+/// installed and every record after reuses the schedules.
+#[derive(Clone, Debug)]
+pub struct Cbc {
+    aes: Aes128,
+}
+
+impl Cbc {
+    /// Expand `key` for both directions.
+    pub fn new(key: &[u8; KEY_SIZE]) -> Self {
+        Cbc {
+            aes: Aes128::new(key),
+        }
+    }
+
+    /// Encrypt `plaintext` (padding it first) with the given IV.
+    pub fn encrypt(&self, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
+        let mut data = plaintext.to_vec();
+        pad(&mut data);
+        let mut prev = *iv;
+        for chunk in data.chunks_exact_mut(BLOCK_SIZE) {
+            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
+            for (b, p) in block.iter_mut().zip(prev) {
+                *b ^= p;
+            }
+            self.aes.encrypt_block(block);
+            prev = *block;
+        }
+        data
+    }
+
+    /// Decrypt CBC ciphertext and strip padding.
+    pub fn decrypt(&self, iv: &[u8; BLOCK_SIZE], ciphertext: &[u8]) -> Result<Vec<u8>, CbcError> {
+        if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
+            return Err(CbcError::BadLength);
+        }
+        let mut out = ciphertext.to_vec();
+        let mut prev = *iv;
+        for chunk in out.chunks_exact_mut(BLOCK_SIZE) {
+            let block: &mut [u8; BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
+            let cipher_block = *block;
+            self.aes.decrypt_block(block);
+            for (b, p) in block.iter_mut().zip(prev) {
+                *b ^= p;
+            }
+            prev = cipher_block;
+        }
+        unpad(&mut out)?;
+        Ok(out)
+    }
+}
+
 /// Encrypt `plaintext` (padding it first) under `key` with the given IV.
 pub fn encrypt(key: &[u8; KEY_SIZE], iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-    let aes = Aes128::new(key);
-    let mut data = plaintext.to_vec();
-    pad(&mut data);
-    let mut prev = *iv;
-    for chunk in data.chunks_mut(BLOCK_SIZE) {
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(chunk);
-        for i in 0..BLOCK_SIZE {
-            block[i] ^= prev[i];
-        }
-        aes.encrypt_block(&mut block);
-        chunk.copy_from_slice(&block);
-        prev = block;
-    }
-    data
+    Cbc::new(key).encrypt(iv, plaintext)
 }
 
 /// Decrypt CBC ciphertext and strip padding.
@@ -81,24 +119,7 @@ pub fn decrypt(
     iv: &[u8; BLOCK_SIZE],
     ciphertext: &[u8],
 ) -> Result<Vec<u8>, CbcError> {
-    if ciphertext.is_empty() || !ciphertext.len().is_multiple_of(BLOCK_SIZE) {
-        return Err(CbcError::BadLength);
-    }
-    let aes = Aes128::new(key);
-    let mut out = ciphertext.to_vec();
-    let mut prev = *iv;
-    for chunk in out.chunks_mut(BLOCK_SIZE) {
-        let cipher_block: [u8; BLOCK_SIZE] = chunk.try_into().expect("exact chunk");
-        let mut block = cipher_block;
-        aes.decrypt_block(&mut block);
-        for i in 0..BLOCK_SIZE {
-            block[i] ^= prev[i];
-        }
-        chunk.copy_from_slice(&block);
-        prev = cipher_block;
-    }
-    unpad(&mut out)?;
-    Ok(out)
+    Cbc::new(key).decrypt(iv, ciphertext)
 }
 
 #[cfg(test)]
@@ -120,30 +141,44 @@ mod tests {
         }
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+            .collect()
+    }
+
     #[test]
     fn nist_sp800_38a_cbc_vector() {
-        // SP 800-38A F.2.1 CBC-AES128.Encrypt, first block (we add padding, so
-        // compare only the first ciphertext block).
-        let key: [u8; 16] = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let iv: [u8; 16] = [
-            0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x0c, 0x0d,
-            0x0e, 0x0f,
-        ];
-        let plaintext: [u8; 16] = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a,
-        ];
-        let ct = encrypt(&key, &iv, &plaintext);
-        assert_eq!(
-            &ct[..16],
-            &[
-                0x76, 0x49, 0xab, 0xac, 0x81, 0x19, 0xb2, 0x46, 0xce, 0xe9, 0x8e, 0x9b, 0x12, 0xe9,
-                0x19, 0x7d,
-            ]
-        );
+        // SP 800-38A F.2.1 CBC-AES128.Encrypt and F.2.2 .Decrypt, all four
+        // blocks. TLS padding always adds a block, so encryption yields a
+        // fifth, and decryption is given it back.
+        let key: [u8; 16] = unhex("2b7e151628aed2a6abf7158809cf4f3c")
+            .try_into()
+            .unwrap();
+        let iv: [u8; 16] = unhex("000102030405060708090a0b0c0d0e0f")
+            .try_into()
+            .unwrap();
+        let plaintext = unhex(concat!(
+            "6bc1bee22e409f96e93d7e117393172a",
+            "ae2d8a571e03ac9c9eb76fac45af8e51",
+            "30c81c46a35ce411e5fbc1191a0a52ef",
+            "f69f2445df4f9b17ad2b417be66c3710",
+        ));
+        let ciphertext = unhex(concat!(
+            "7649abac8119b246cee98e9b12e9197d",
+            "5086cb9b507219ee95db113a917678b2",
+            "73bed6b8e3c1743b7116e69e22229516",
+            "3ff1caa1681fac09120eca307586e1a7",
+        ));
+        let cbc = Cbc::new(&key);
+        let ct = cbc.encrypt(&iv, &plaintext);
+        assert_eq!(ct.len(), 80);
+        assert_eq!(ct[..64], ciphertext[..]);
+        assert_eq!(cbc.decrypt(&iv, &ct).unwrap(), plaintext);
+        // The free functions are the same cipher.
+        assert_eq!(encrypt(&key, &iv, &plaintext), ct);
+        assert_eq!(decrypt(&key, &iv, &ct).unwrap(), plaintext);
     }
 
     #[test]

@@ -8,10 +8,14 @@
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Incremental HMAC-SHA256.
+///
+/// A context holds both pad midstates: the inner hash after `ipad`, the
+/// outer after `opad`. Keying costs those two compressions; a keyed context
+/// cloned per message skips them.
 #[derive(Clone, Debug)]
 pub struct HmacSha256 {
     inner: Sha256,
-    outer_key_pad: [u8; BLOCK_LEN],
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -24,18 +28,11 @@ impl HmacSha256 {
         } else {
             key_block[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = key_block[i] ^ 0x36;
-            opad[i] = key_block[i] ^ 0x5c;
-        }
         let mut inner = Sha256::new();
-        inner.update(&ipad);
-        HmacSha256 {
-            inner,
-            outer_key_pad: opad,
-        }
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message data.
@@ -45,10 +42,8 @@ impl HmacSha256 {
 
     /// Produce the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
-        let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.outer_key_pad);
-        outer.update(&inner_digest);
+        let mut outer = self.outer;
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -122,6 +117,43 @@ mod tests {
             hex(&tag),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
         );
+    }
+
+    #[test]
+    fn one_keyed_context_cloned_per_message_gives_each_rfc4231_tag() {
+        // Cases 1–3 and the long-key case, each key installed once and its
+        // context cloned for the message, as the record layer does.
+        let long_key = [0xaau8; 131];
+        let cases: [(&[u8], &[u8], &str); 4] = [
+            (
+                &[0x0b; 20],
+                b"Hi There",
+                "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+            ),
+            (
+                b"Jefe",
+                b"what do ya want for nothing?",
+                "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+            ),
+            (
+                &[0xaa; 20],
+                &[0xdd; 50],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                &long_key,
+                b"Test Using Larger Than Block-Size Key - Hash Key First",
+                "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+            ),
+        ];
+        for (key, message, tag) in cases {
+            let keyed = HmacSha256::new(key);
+            for _ in 0..2 {
+                let mut h = keyed.clone();
+                h.update(message);
+                assert_eq!(hex(&h.finalize()), tag);
+            }
+        }
     }
 
     #[test]

@@ -7,12 +7,17 @@
 //! The paper's uTLS builds on OpenSSL; this reproduction avoids external
 //! crypto dependencies (only the allowed offline crates are available) and
 //! implements the primitives directly, validated against NIST / RFC test
-//! vectors. The implementations favour clarity over speed: the CPU-cost
-//! experiments (Figure 6) report *relative* costs (uTLS vs TLS on the same
-//! primitives), which is the quantity the paper reports too.
+//! vectors. Every record goes through them, so they are built the usual
+//! fast way: AES is the table-driven cipher with FIPS 197 §5.3.5's
+//! equivalent inverse cipher for decryption, and [`cbc::Cbc`] and
+//! [`HmacSha256`] hold what a key determines (the key schedules, the HMAC
+//! pad midstates) so a caller keys them once and reuses them per message.
+//! The CPU-cost experiments (Figure 6) report *relative* costs (uTLS vs TLS
+//! on the same primitives), which is the quantity the paper reports too.
 //!
-//! **Do not reuse this crate for production cryptography** — it has no
-//! side-channel hardening.
+//! **This is a simulation's cryptography, not a deployment's.** AES table
+//! lookups are indexed by secret state, so their timing varies with the
+//! cache, and nothing here has side-channel hardening.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,14 +12,15 @@ use crate::hmac::HmacSha256;
 /// P_SHA256 data expansion (RFC 5246 §5) producing `out_len` bytes.
 fn p_sha256(secret: &[u8], seed: &[u8], out_len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(out_len);
+    let keyed = HmacSha256::new(secret);
     // A(0) = seed, A(i) = HMAC(secret, A(i-1))
     let mut a: Vec<u8> = seed.to_vec();
     while out.len() < out_len {
-        let mut h = HmacSha256::new(secret);
+        let mut h = keyed.clone();
         h.update(&a);
         a = h.finalize().to_vec();
 
-        let mut h = HmacSha256::new(secret);
+        let mut h = keyed.clone();
         h.update(&a);
         h.update(seed);
         let block = h.finalize();

@@ -77,14 +77,20 @@ impl Sha256 {
     /// Finish and produce the digest.
     pub(crate) fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit length.
-        self.update(&[0x80]);
-        // update() changed total_len, but only bit_len matters and was latched.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros, 64-bit length, written into the block; a
+        // block with fewer than 9 bytes free takes the 0x80 and zeros, and
+        // the length goes in one more.
+        let mut end = self.buffer_len;
+        self.buffer[end] = 0x80;
+        end += 1;
+        if end > BLOCK_LEN - 8 {
+            self.buffer[end..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            end = 0;
         }
-        let block_remaining = self.buffer_len;
-        self.buffer[block_remaining..block_remaining + 8].copy_from_slice(&bit_len.to_be_bytes());
+        self.buffer[end..BLOCK_LEN - 8].fill(0);
+        self.buffer[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
 

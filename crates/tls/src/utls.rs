@@ -40,7 +40,9 @@
 //! the in-order point after each in-order pass (and the anchors with it), so
 //! neither grows with the age of the connection, and a record is opened once
 //! — when the in-order point reaches a record the out-of-order pass already
-//! confirmed, it steps over the length that MAC confirmed.
+//! confirmed, it steps over the length that MAC confirmed. A candidate that
+//! fails is not retried under a number it already failed under, so a forged
+//! header ahead of a hole costs one window of MACs, not one per arrival.
 
 use crate::fragment::FragmentStore;
 use crate::record::{RecordHeader, RecordProtection, CONTENT_HANDSHAKE, RECORD_HEADER_LEN};
@@ -67,7 +69,8 @@ pub struct UtlsRecord {
 /// analysis and the prediction ablation bench.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct UtlsStats {
-    /// Plausible headers found while scanning out-of-order fragments.
+    /// Plausible headers found while scanning out-of-order fragments, each
+    /// (offset, length) counted once however often its run is rescanned.
     pub candidate_headers: u64,
     /// Decrypt+MAC attempts made to confirm candidates.
     pub mac_attempts: u64,
@@ -82,8 +85,9 @@ pub struct UtlsStats {
     pub in_order_opens: u64,
     /// Records whose number prediction needed a non-zero offset to succeed.
     pub prediction_misses: u64,
-    /// Records that could not be recovered out of order at all (delivered
-    /// later in order instead).
+    /// Candidates whose first round of record numbers all failed the MAC,
+    /// each counted once; a later estimate may still recover one, and
+    /// otherwise it is delivered in order.
     pub prediction_failures: u64,
 }
 
@@ -106,6 +110,11 @@ pub struct UtlsReceiver {
     /// exactly once because it is delivered only when its offset is not a
     /// key here.
     anchors: BTreeMap<u64, (u64, usize)>,
+    /// Record numbers already MAC'd without success, per candidate
+    /// (offset, wire length) ahead of the in-order point: a rescan tries a
+    /// number at an offset at most once, however often the run is scanned.
+    /// Pruned with the anchors; forgotten where new bytes arrive over it.
+    rejected: BTreeMap<(u64, usize), Vec<u64>>,
     /// Exponentially-weighted average wire length of confirmed records.
     avg_record_wire_len: f64,
     /// How many candidate record numbers to try on each side of the estimate.
@@ -131,6 +140,7 @@ impl UtlsReceiver {
             in_order_offset: 0,
             next_record_number: 0,
             anchors: BTreeMap::new(),
+            rejected: BTreeMap::new(),
             avg_record_wire_len: INITIAL_RECORD_WIRE_LEN,
             prediction_window,
             out_of_order_enabled,
@@ -154,6 +164,7 @@ impl UtlsReceiver {
         self.protection = protection;
         self.handshake_epoch = false;
         self.next_record_number = 0;
+        self.rejected.clear();
         self.avg_record_wire_len = INITIAL_RECORD_WIRE_LEN;
         self.stats = UtlsStats::default();
         self.deliverable()
@@ -180,6 +191,10 @@ impl UtlsReceiver {
         if self.store.insert(offset, data).is_none() {
             return Vec::new();
         }
+        // The bytes there may have changed, and with them every MAC.
+        let end = offset + data.len() as u64;
+        self.rejected
+            .retain(|&(at, wire_len), _| at + wire_len as u64 <= offset || at >= end);
         self.deliverable()
     }
 
@@ -197,6 +212,12 @@ impl UtlsReceiver {
                 break;
             }
             anchor.remove();
+        }
+        while let Some(candidate) = self.rejected.first_entry() {
+            if candidate.key().0 >= consumed {
+                break;
+            }
+            candidate.remove();
         }
         if self.out_of_order_enabled {
             self.process_out_of_order(&mut out);
@@ -311,7 +332,6 @@ impl UtlsReceiver {
                     i += 1;
                     continue;
                 }
-                self.stats.candidate_headers += 1;
                 let body = &run[i + RECORD_HEADER_LEN..i + wire_len];
                 // Step past this candidate whatever comes of it; if it turns
                 // out to be a false positive we lose the chance to find a
@@ -320,18 +340,24 @@ impl UtlsReceiver {
                 i += wire_len;
 
                 let estimate = self.estimate_record_number(stream_offset);
+                let next = self.next_record_number;
+                let key = (stream_offset, wire_len);
+                let rejected = self.rejected.get(&key);
+                if rejected.is_none() {
+                    self.stats.candidate_headers += 1;
+                }
+                let first_round = rejected.is_none_or(Vec::is_empty);
+                // Try the estimate first, then alternate outward: +1, -1,
+                // +2, -2… Out-of-order records are necessarily at or beyond
+                // the next in-order record number, and a number this
+                // candidate already failed under fails again.
+                let untried = std::iter::once(0)
+                    .chain((1..=window).flat_map(|d| [d, -d]))
+                    .filter_map(|d| Some((d, estimate.checked_add_signed(d)?)))
+                    .filter(|&(_, n)| n >= next && rejected.is_none_or(|r| !r.contains(&n)));
                 let mut tried = false;
                 let mut confirmed = None;
-                // Try the estimate first, then alternate outward: +1, -1, +2, -2…
-                for d in std::iter::once(0).chain((1..=window).flat_map(|d| [d, -d])) {
-                    let Some(candidate_number) = estimate.checked_add_signed(d) else {
-                        continue;
-                    };
-                    // Out-of-order records are necessarily at or beyond the next
-                    // in-order record number.
-                    if candidate_number < self.next_record_number {
-                        continue;
-                    }
+                for (d, candidate_number) in untried.clone() {
                     self.stats.mac_attempts += 1;
                     tried = true;
                     match self.protection.open(candidate_number, &header, body) {
@@ -347,6 +373,7 @@ impl UtlsReceiver {
                 }
                 match confirmed {
                     Some((record_number, payload)) => {
+                        self.rejected.remove(&key);
                         note_record_len(&mut self.avg_record_wire_len, wire_len);
                         self.anchors
                             .insert(stream_offset, (record_number, wire_len));
@@ -358,8 +385,13 @@ impl UtlsReceiver {
                             payload,
                         });
                     }
-                    None if tried => self.stats.prediction_failures += 1,
-                    None => {}
+                    None => {
+                        let failed: Vec<u64> = untried.map(|(_, n)| n).collect();
+                        if first_round && tried {
+                            self.stats.prediction_failures += 1;
+                        }
+                        self.rejected.entry(key).or_default().extend(failed);
+                    }
                 }
             }
         }
@@ -574,6 +606,86 @@ mod tests {
             9,
             "records 1..=9 all delivered exactly once"
         );
+    }
+
+    #[test]
+    fn a_forged_header_ahead_of_a_hole_is_macd_once_not_on_every_arrival() {
+        let (mut tx, mut rx) = sender_and_receiver(8);
+        let (stream, ranges, payloads) = build_stream(&mut tx, &[400; 32]);
+        let at = |r: (u64, u64)| r.0 as usize..r.1 as usize;
+        rx.on_fragment(0, &stream[at(ranges[0])]);
+        // Records 1–10 are the hole. Record 11's header stays, its body is
+        // replaced: plausible, and no number's MAC verifies.
+        let mut forged = stream[at(ranges[11])].to_vec();
+        forged[RECORD_HEADER_LEN..].fill(0x5A);
+        assert!(rx.on_fragment(ranges[11].0, &forged).is_empty());
+        let first = rx.stats().clone();
+        assert_eq!(first.mac_attempts, 17, "numbers 2..=18, each once");
+        assert_eq!(first.prediction_failures, 1);
+        // K = 20 genuine segments behind it. Each rescan used to MAC the
+        // forged header under all 17 numbers again: mac_attempts grew by
+        // 361 = 17·20 + 21, and candidate_headers and prediction_failures
+        // by 40 and 20. Now the 20 records cost their own 22 attempts (one
+        // of them confirmed on its third number).
+        for (n, &range) in ranges.iter().enumerate().skip(12) {
+            let got = rx.on_fragment(range.0, &stream[at(range)]);
+            assert_eq!(got.len(), 1);
+            assert_eq!(
+                (got[0].record_number, &got[0].payload),
+                (n as u64, &payloads[n])
+            );
+        }
+        let s = rx.stats();
+        assert_eq!(s.mac_attempts - first.mac_attempts, 22);
+        assert_eq!(s.prediction_misses, 1);
+        assert_eq!(s.candidate_headers, first.candidate_headers + 20);
+        assert_eq!(s.prediction_failures, 1, "the forged header, counted once");
+        // New bytes over the forged header are tried afresh: here, the
+        // genuine record 11.
+        let got = rx.on_fragment(ranges[11].0, &stream[at(ranges[11])]);
+        assert_eq!((got.len(), got[0].record_number), (1, 11));
+        // The hole fills; what is consumed is forgotten.
+        let rest = rx.on_fragment(
+            ranges[0].1,
+            &stream[ranges[0].1 as usize..ranges[11].0 as usize],
+        );
+        assert_eq!(rest.len(), 10);
+        assert_eq!(rx.in_order_offset(), stream.len() as u64);
+        assert!(rx.rejected.is_empty() && rx.anchors.is_empty());
+    }
+
+    #[test]
+    fn a_missed_record_is_recovered_once_a_nearer_anchor_moves_its_estimate() {
+        let (mut tx, mut rx) = sender_and_receiver(1);
+        // Record 2 is three times the others, so ahead of the hole at 1 the
+        // byte-offset estimate puts record 3 at 5: it fails under 5, 6, 4.
+        let (stream, ranges, payloads) = build_stream(&mut tx, &[450, 450, 1500, 300]);
+        let at = |r: (u64, u64)| r.0 as usize..r.1 as usize;
+        rx.on_fragment(0, &stream[at(ranges[0])]);
+        assert!(rx
+            .on_fragment(ranges[3].0, &stream[at(ranges[3])])
+            .is_empty());
+        assert_eq!(
+            (rx.stats().mac_attempts, rx.stats().prediction_failures),
+            (3, 1)
+        );
+        // Record 2 is confirmed under its estimate and becomes the nearer
+        // anchor; from it record 3's estimate is 4, and of 4, 5, 3 only 3 is
+        // new. Re-trying all three, as every rescan once did, made it 7
+        // attempts in all, not 5.
+        let got = rx.on_fragment(ranges[2].0, &stream[at(ranges[2])]);
+        let numbers: Vec<(u64, bool)> = got
+            .iter()
+            .map(|r| (r.record_number, r.out_of_order))
+            .collect();
+        assert_eq!(numbers, [(2, true), (3, true)]);
+        assert_eq!(got[1].payload, payloads[3]);
+        let s = rx.stats();
+        assert_eq!(
+            (s.mac_attempts, s.candidate_headers, s.prediction_misses),
+            (5, 2, 1)
+        );
+        assert!(rx.rejected.is_empty());
     }
 
     #[test]
