@@ -20,6 +20,60 @@
 //! rule applies. This file wires them to the protocol: sequence-number
 //! mapping, segment parsing/emission, and state transitions — and it asks
 //! `recovery`, never the congestion controller, what phase it is in.
+//!
+//! # Phases
+//!
+//! Where the connection is in RFC 9293's state diagram is one private enum,
+//! `Phase`, whose variants carry only their own phase's data: a handshake's
+//! "SYN due" flag and send time, whether `close()` is waiting on the send
+//! queue, our FIN's offset, the offset of a peer FIN that arrived ahead of a
+//! hole, TIME-WAIT's expiry. [`TcpState`] is its data-free public name.
+//! Every change of phase happens in one function, `transition`, which the
+//! inputs feed: `open`/`listen`/`close`, each arriving segment, the FIN going
+//! out, each poll (TIME-WAIT expiry). RFC 9293 §3.3.2 Figure 5, as
+//! `transition` implements it:
+//!
+//! | state | event | action | next state |
+//! |---|---|---|---|
+//! | CLOSED | active OPEN ([`open`](TcpConnection::open)) | snd SYN | SYN-SENT |
+//! | CLOSED | passive OPEN ([`listen`](TcpConnection::listen)) | | LISTEN |
+//! | LISTEN | rcv SYN | snd SYN,ACK | SYN-RCVD |
+//! | LISTEN | CLOSE | | CLOSED |
+//! | SYN-SENT | rcv SYN,ACK acking our SYN | snd ACK | ESTABLISHED |
+//! | SYN-SENT | rcv RST acking our SYN (§3.10.7.3) | | CLOSED |
+//! | SYN-RCVD | rcv ACK of SYN | | ESTABLISHED |
+//! | ESTABLISHED | CLOSE | snd FIN | FIN-WAIT-1 |
+//! | ESTABLISHED | rcv FIN | snd ACK | CLOSE-WAIT |
+//! | FIN-WAIT-1 | rcv ACK of FIN | | FIN-WAIT-2 |
+//! | FIN-WAIT-1 | rcv FIN | snd ACK | CLOSING |
+//! | FIN-WAIT-1 | rcv FIN with the ACK of our FIN | snd ACK | TIME-WAIT |
+//! | FIN-WAIT-2 | rcv FIN | snd ACK | TIME-WAIT |
+//! | CLOSE-WAIT | CLOSE | snd FIN | LAST-ACK |
+//! | CLOSING | rcv ACK of FIN | | TIME-WAIT |
+//! | LAST-ACK | rcv ACK of FIN | | CLOSED |
+//! | TIME-WAIT | timeout = 2 MSL (2 s) | | CLOSED |
+//! | SYN-RCVD and later | rcv RST in the receive window (§3.10.7.4) | | CLOSED |
+//!
+//! "rcv FIN" means the peer's FIN has been *reached*: every byte before it
+//! has arrived. A FIN ahead of a hole is remembered and counts on the
+//! segment that fills the hole. No phase moves on an RTO: the poll it fires
+//! in re-sends whatever SYN, SYN-ACK or FIN is still unacknowledged, under
+//! its first sequence number. TIME-WAIT re-ACKs a retransmitted FIN, and
+//! ESTABLISHED and later re-ACK a retransmitted SYN-ACK.
+//!
+//! Deviations from the RFC that are kept:
+//! - No simultaneous open: SYN-SENT ignores a bare SYN.
+//! - No RST is ever sent. An unacceptable segment is dropped silently, and
+//!   an RST outside the window gets no challenge ACK (RFC 5961 §3).
+//! - The 2 MSL timer is not restarted by a retransmitted FIN.
+//! - Writes in SYN-RCVD are refused; writes in SYN-SENT are queued.
+//! - SYN-RCVD takes in the data of a segment that does not acknowledge our
+//!   SYN, where the RFC drops the segment (its FIN is dropped).
+//! - CLOSE leaves ESTABLISHED or CLOSE-WAIT only when the FIN goes out,
+//!   after the queued data. In SYN-SENT or SYN-RCVD it waits for the
+//!   handshake to finish.
+//! - The handshake's RTT sample is timed from the first SYN even if the RTO
+//!   re-sent it, which Karn's rule forbids.
 
 use crate::cc::CongestionControl;
 use crate::config::{SocketOptions, TcpConfig, WriteMeta};
@@ -39,6 +93,9 @@ use minion_simnet::{SimDuration, SimTime};
 /// How long an ACK for plain in-order progress may be held back when
 /// [`TcpConfig::delayed_ack`] is on.
 const DELAYED_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
+
+/// How long TIME-WAIT lasts: 2 MSL, with an MSL of one second.
+const TIME_WAIT: SimDuration = SimDuration::from_secs(2);
 
 /// Errors surfaced by the socket-level API.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +120,8 @@ impl std::fmt::Display for TcpError {
 
 impl std::error::Error for TcpError {}
 
-/// TCP connection states (RFC 793 §3.2).
+/// TCP connection states (RFC 9293 §3.3.2), as
+/// [`TcpConnection::state`] reports them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TcpState {
     /// No connection.
@@ -125,12 +183,66 @@ enum AckPending {
     Immediate,
 }
 
+/// Where the connection is in RFC 9293's state diagram, with only that
+/// phase's data (see the module doc's table). `close`: `close()` was called
+/// and the FIN waits for the send queue. `fin`: our FIN's stream offset, one
+/// past our last data byte. `eof`: the offset of the peer's FIN, the end of
+/// the receive stream, seen but not reached yet. TIME-WAIT holds its expiry,
+/// 2 MSL after entry.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    Closed,
+    Listen,
+    SynSent(Handshake),
+    SynRcvd(Handshake),
+    Established { close: bool, eof: Option<u64> },
+    FinWait1 { fin: u64, eof: Option<u64> },
+    FinWait2 { eof: Option<u64> },
+    CloseWait { close: bool },
+    Closing { fin: u64 },
+    LastAck { fin: u64 },
+    TimeWait(SimTime),
+}
+
+/// A handshake under way: SYN-SENT or SYN-RCVD.
+#[derive(Clone, Copy, Debug)]
+struct Handshake {
+    /// Our SYN (or SYN-ACK) has not gone out yet.
+    due: bool,
+    /// When the phase began; the handshake's RTT sample is timed from here.
+    sent_at: SimTime,
+    /// `close()` was called; the FIN follows the handshake.
+    close: bool,
+}
+
+/// An input to `TcpConnection::transition`: the table's "event" column.
+#[derive(Clone, Copy, Debug)]
+enum Event {
+    ActiveOpen(SimTime),
+    PassiveOpen,
+    Close,
+    /// A SYN arrived in LISTEN.
+    Syn(SimTime),
+    /// The ACK of our SYN: a SYN-ACK in SYN-SENT, an ACK in SYN-RCVD.
+    SynAcked(SimTime),
+    /// The ACK of our FIN.
+    FinAcked(SimTime),
+    /// A segment was taken in, with the offset of its FIN if it carries one.
+    Received(SimTime, Option<u64>),
+    /// An acceptable RST.
+    Rst,
+    /// Our FIN went out for the first time, at this offset.
+    SentFin(u64),
+    /// A poll: TIME-WAIT may have expired.
+    Poll(SimTime),
+}
+
 /// A TCP connection endpoint.
 #[derive(Clone, Debug)]
 pub struct TcpConnection {
     config: TcpConfig,
     opts: SocketOptions,
-    state: TcpState,
+    phase: Phase,
     local_port: u16,
     remote_port: u16,
 
@@ -149,22 +261,10 @@ pub struct TcpConnection {
     cc: CongestionControl,
     rtt: RttEstimator,
 
-    // ---- Handshake / close state ----
-    syn_sent_at: Option<SimTime>,
-    syn_acked: bool,
-    close_requested: bool,
-    fin_sent: bool,
-    fin_offset: Option<u64>,
-    fin_acked: bool,
-    peer_fin_offset: Option<u64>,
-    time_wait_expiry: Option<SimTime>,
-
     // ---- Receive state ----
     irs: SeqNum,
     recv_buf: ReceiveBuffer,
     ack_pending: AckPending,
-    /// Set when the connection should emit a SYN or SYN-ACK on the next poll.
-    handshake_pending: bool,
 
     /// Edge events for poll-driven drivers (gated; see [`crate::ConnEvent`]).
     events: EventQueue,
@@ -192,7 +292,7 @@ impl TcpConnection {
         TcpConnection {
             config,
             opts,
-            state: TcpState::Closed,
+            phase: Phase::Closed,
             local_port,
             remote_port,
             iss: SeqNum(isn),
@@ -204,18 +304,9 @@ impl TcpConnection {
             peer_mss: 536,
             cc,
             rtt,
-            syn_sent_at: None,
-            syn_acked: false,
-            close_requested: false,
-            fin_sent: false,
-            fin_offset: None,
-            fin_acked: false,
-            peer_fin_offset: None,
-            time_wait_expiry: None,
             irs: SeqNum(0),
             recv_buf,
             ack_pending: AckPending::None,
-            handshake_pending: false,
             events: EventQueue::default(),
             stats: ConnStats::default(),
             cc_obs: CcObs::default(),
@@ -226,33 +317,35 @@ impl TcpConnection {
     /// Begin an active open (client side). The SYN is emitted by the next
     /// [`poll`](Self::poll).
     pub fn open(&mut self, now: SimTime) {
-        assert_eq!(self.state, TcpState::Closed, "open() on a used connection");
-        self.state = TcpState::SynSent;
-        self.handshake_pending = true;
-        self.syn_sent_at = Some(now);
-        self.reliability.arm_rto(now, now + self.rtt.rto());
-        self.note_window(now);
+        self.transition(Event::ActiveOpen(now));
     }
 
     /// Begin a passive open (server side).
     pub fn listen(&mut self) {
-        assert_eq!(
-            self.state,
-            TcpState::Closed,
-            "listen() on a used connection"
-        );
-        self.state = TcpState::Listen;
+        self.transition(Event::PassiveOpen);
     }
 
     /// The connection's current state.
     pub fn state(&self) -> TcpState {
-        self.state
+        match self.phase {
+            Phase::Closed => TcpState::Closed,
+            Phase::Listen => TcpState::Listen,
+            Phase::SynSent(_) => TcpState::SynSent,
+            Phase::SynRcvd(_) => TcpState::SynRcvd,
+            Phase::Established { .. } => TcpState::Established,
+            Phase::FinWait1 { .. } => TcpState::FinWait1,
+            Phase::FinWait2 { .. } => TcpState::FinWait2,
+            Phase::CloseWait { .. } => TcpState::CloseWait,
+            Phase::Closing { .. } => TcpState::Closing,
+            Phase::LastAck { .. } => TcpState::LastAck,
+            Phase::TimeWait(_) => TcpState::TimeWait,
+        }
     }
 
     /// True once the three-way handshake has completed.
     pub fn is_established(&self) -> bool {
         matches!(
-            self.state,
+            self.state(),
             TcpState::Established
                 | TcpState::FinWait1
                 | TcpState::FinWait2
@@ -264,7 +357,7 @@ impl TcpConnection {
 
     /// True once the connection has fully closed (or was reset).
     pub fn is_closed(&self) -> bool {
-        matches!(self.state, TcpState::Closed | TcpState::TimeWait)
+        matches!(self.state(), TcpState::Closed | TcpState::TimeWait)
     }
 
     /// Local port number.
@@ -290,9 +383,10 @@ impl TcpConnection {
     pub fn readiness(&self) -> Readiness {
         Readiness {
             readable: self.recv_buf.readable(),
-            writable: self.is_established()
-                && !self.close_requested
-                && self.send_buf.free_space() > 0,
+            writable: matches!(
+                self.phase,
+                Phase::Established { close: false, .. } | Phase::CloseWait { close: false }
+            ) && self.send_buf.free_space() > 0,
             established: self.is_established(),
             closed: self.is_closed(),
         }
@@ -404,11 +498,14 @@ impl TcpConnection {
     /// `SO_UNORDEREDSEND` option is off the metadata is ignored, matching the
     /// paper's fallback behaviour on stock TCP stacks.
     pub fn write_with_meta(&mut self, data: &[u8], meta: WriteMeta) -> Result<usize, TcpError> {
-        if !self.is_established() && self.state != TcpState::SynSent {
-            return Err(TcpError::NotConnected);
-        }
-        if self.close_requested {
-            return Err(TcpError::Closed);
+        match self.phase {
+            Phase::SynSent(Handshake { close: false, .. })
+            | Phase::Established { close: false, .. }
+            | Phase::CloseWait { close: false } => {}
+            Phase::Closed | Phase::Listen | Phase::SynRcvd(_) | Phase::TimeWait(_) => {
+                return Err(TcpError::NotConnected)
+            }
+            _ => return Err(TcpError::Closed),
         }
         let unordered = self.opts.unordered_send;
         let result = if unordered {
@@ -443,7 +540,69 @@ impl TcpConnection {
     /// Request an orderly close. Queued data is still delivered; the FIN is
     /// sent once the send queue drains.
     pub fn close(&mut self) {
-        self.close_requested = true;
+        self.transition(Event::Close);
+    }
+
+    // ------------------------------------------------------------------
+    // Phase transitions
+    // ------------------------------------------------------------------
+
+    /// Every change of phase, row by row as the module doc's table lists
+    /// them, with the timer and RTT work each row implies. An event a phase
+    /// has no row for leaves it as it is.
+    fn transition(&mut self, event: Event) {
+        use Event::*;
+        use Phase::*;
+        self.phase = match (self.phase, event) {
+            (Closed, ActiveOpen(now)) => SynSent(self.begin_handshake(now)),
+            (Closed, PassiveOpen) => Listen,
+            (phase, ActiveOpen(_) | PassiveOpen) => panic!("opening a used connection: {phase:?}"),
+            (Listen, Syn(now)) => SynRcvd(self.begin_handshake(now)),
+            (Listen, Close) => Closed,
+            (SynSent(hs), Close) => SynSent(Handshake { close: true, ..hs }),
+            (SynRcvd(hs), Close) => SynRcvd(Handshake { close: true, ..hs }),
+            (Established { eof, .. }, Close) => Established { close: true, eof },
+            (CloseWait { .. }, Close) => CloseWait { close: true },
+            (SynSent(hs) | SynRcvd(hs), SynAcked(now)) => {
+                self.rtt.on_sample(now.saturating_since(hs.sent_at));
+                self.reliability.clear_rto();
+                let close = hs.close;
+                Established { close, eof: None }
+            }
+            (Established { close, eof }, SentFin(fin)) if close => FinWait1 { fin, eof },
+            (CloseWait { close }, SentFin(fin)) if close => LastAck { fin },
+            (FinWait1 { eof, .. }, FinAcked(_)) => FinWait2 { eof },
+            (Closing { .. }, FinAcked(now)) => TimeWait(now + TIME_WAIT),
+            (LastAck { .. }, FinAcked(_)) => Closed,
+            // The peer's FIN counts once every byte before it has arrived:
+            // on its own segment, or on a later one that fills a hole.
+            (Established { close, eof }, Received(_, seen)) => match seen.or(eof) {
+                Some(f) if self.recv_buf.rcv_nxt() >= f => CloseWait { close },
+                eof => Established { close, eof },
+            },
+            (FinWait1 { fin, eof }, Received(_, seen)) => match seen.or(eof) {
+                Some(f) if self.recv_buf.rcv_nxt() >= f => Closing { fin },
+                eof => FinWait1 { fin, eof },
+            },
+            (FinWait2 { eof }, Received(now, seen)) => match seen.or(eof) {
+                Some(f) if self.recv_buf.rcv_nxt() >= f => TimeWait(now + TIME_WAIT),
+                eof => FinWait2 { eof },
+            },
+            (TimeWait(expiry), Poll(now)) if now >= expiry => Closed,
+            (_, Rst) => Closed,
+            (phase, _) => phase,
+        };
+    }
+
+    /// A handshake beginning at `now`: its SYN is due and its timer armed.
+    fn begin_handshake(&mut self, now: SimTime) -> Handshake {
+        self.reliability.arm_rto(now, now + self.rtt.rto());
+        self.note_window(now);
+        Handshake {
+            due: true,
+            sent_at: now,
+            close: false,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -466,15 +625,13 @@ impl TcpConnection {
     }
 
     /// The acknowledgment number to advertise, covering in-order data and the
-    /// peer's FIN when it has been reached.
+    /// peer's FIN once it has been reached (the phases that follow it).
     fn ack_to_send(&self) -> SeqNum {
-        let mut ack = self.irs + 1 + self.recv_buf.rcv_nxt() as u32;
-        if let Some(fin_off) = self.peer_fin_offset {
-            if self.recv_buf.rcv_nxt() >= fin_off {
-                ack += 1;
-            }
-        }
-        ack
+        let fin_reached = matches!(
+            self.state(),
+            TcpState::CloseWait | TcpState::Closing | TcpState::LastAck | TcpState::TimeWait
+        );
+        self.irs + 1 + self.recv_buf.rcv_nxt() as u32 + u32::from(fin_reached)
     }
 
     /// Highest sequence number we have transmitted (exclusive).
@@ -490,60 +647,48 @@ impl TcpConnection {
     pub fn on_segment(&mut self, seg: &TcpSegment, now: SimTime) {
         self.stats.segments_received += 1;
         let before = self.readiness();
-        match self.state {
-            TcpState::Closed => {}
-            TcpState::Listen => self.on_segment_listen(seg, now),
-            TcpState::SynSent => self.on_segment_syn_sent(seg, now),
+        match self.phase {
+            Phase::Closed => {}
+            // RFC 9293 §3.10.7.2: LISTEN takes only a SYN.
+            Phase::Listen if seg.flags.syn && !seg.flags.ack && !seg.flags.rst => {
+                self.on_peer_syn(seg);
+                self.transition(Event::Syn(now));
+            }
+            // §3.10.7.3: SYN-SENT takes only a segment acknowledging our SYN,
+            // an RST included.
+            Phase::SynSent(_) if seg.flags.ack && seg.ack == self.iss + 1 => {
+                if seg.flags.rst {
+                    self.transition(Event::Rst);
+                } else if seg.flags.syn {
+                    self.on_peer_syn(seg);
+                    self.transition(Event::SynAcked(now));
+                    // Complete the handshake with an ACK.
+                    self.ack_pending = AckPending::Immediate;
+                }
+            }
+            Phase::Listen | Phase::SynSent(_) => {}
             _ => self.on_segment_synchronized(seg, now),
         }
         self.record_edges(before);
     }
 
-    fn on_segment_listen(&mut self, seg: &TcpSegment, now: SimTime) {
-        if !seg.flags.syn || seg.flags.ack || seg.flags.rst {
-            return;
-        }
+    /// Take in the sequence number, MSS and window of the peer's SYN.
+    fn on_peer_syn(&mut self, seg: &TcpSegment) {
         self.irs = seg.seq;
         if let Some(mss) = seg.mss_option() {
             self.peer_mss = mss as usize;
         }
         self.peer_window = seg.window as usize;
-        self.state = TcpState::SynRcvd;
-        self.handshake_pending = true;
-        self.syn_sent_at = Some(now);
-        self.reliability.arm_rto(now, now + self.rtt.rto());
-        self.note_window(now);
-    }
-
-    fn on_segment_syn_sent(&mut self, seg: &TcpSegment, now: SimTime) {
-        if seg.flags.rst {
-            self.state = TcpState::Closed;
-            return;
-        }
-        if !(seg.flags.syn && seg.flags.ack) {
-            return;
-        }
-        if seg.ack != self.iss + 1 {
-            return; // Not an acknowledgment of our SYN.
-        }
-        self.irs = seg.seq;
-        if let Some(mss) = seg.mss_option() {
-            self.peer_mss = mss as usize;
-        }
-        self.peer_window = seg.window as usize;
-        self.syn_acked = true;
-        if let Some(sent) = self.syn_sent_at.take() {
-            self.rtt.on_sample(now.saturating_since(sent));
-        }
-        self.state = TcpState::Established;
-        self.reliability.clear_rto();
-        // Complete the handshake with an ACK.
-        self.ack_pending = AckPending::Immediate;
     }
 
     fn on_segment_synchronized(&mut self, seg: &TcpSegment, now: SimTime) {
         if seg.flags.rst {
-            self.state = TcpState::Closed;
+            // RFC 9293 §3.10.7.4: valid only if its sequence number is in the
+            // receive window, or is RCV.NXT when the window is closed.
+            let offset = u64::from(seg.seq.distance_from(self.ack_to_send()));
+            if offset < (self.recv_buf.window() as u64).max(1) {
+                self.transition(Event::Rst);
+            }
             return;
         }
 
@@ -555,13 +700,8 @@ impl TcpConnection {
         }
 
         // Complete a passive open.
-        if self.state == TcpState::SynRcvd && seg.flags.ack && seg.ack == self.iss + 1 {
-            self.syn_acked = true;
-            if let Some(sent) = self.syn_sent_at.take() {
-                self.rtt.on_sample(now.saturating_since(sent));
-            }
-            self.state = TcpState::Established;
-            self.reliability.clear_rto();
+        if matches!(self.phase, Phase::SynRcvd(_)) && seg.flags.ack && seg.ack == self.iss + 1 {
+            self.transition(Event::SynAcked(now));
         }
 
         self.peer_window = seg.window as usize;
@@ -574,9 +714,11 @@ impl TcpConnection {
             self.process_payload(seg, now);
         }
 
-        if seg.flags.fin {
-            self.process_fin(seg);
-        }
+        let fin = seg.flags.fin.then(|| {
+            self.ack_pending = AckPending::Immediate;
+            self.offset_of_seq(seg.seq) + seg.payload.len() as u64
+        });
+        self.transition(Event::Received(now, fin));
     }
 
     fn process_payload(&mut self, seg: &TcpSegment, _now: SimTime) {
@@ -614,37 +756,15 @@ impl TcpConnection {
         }
     }
 
-    fn process_fin(&mut self, seg: &TcpSegment) {
-        let fin_off = self.offset_of_seq(seg.seq) + seg.payload.len() as u64;
-        self.peer_fin_offset = Some(fin_off);
-        self.ack_pending = AckPending::Immediate;
-        // Only transition once the FIN is in-order (all prior data received).
-        if self.recv_buf.rcv_nxt() >= fin_off {
-            match self.state {
-                TcpState::Established => self.state = TcpState::CloseWait,
-                TcpState::FinWait1 => {
-                    self.state = if self.fin_acked {
-                        TcpState::TimeWait
-                    } else {
-                        TcpState::Closing
-                    };
-                }
-                TcpState::FinWait2 => self.state = TcpState::TimeWait,
-                _ => {}
-            }
-        }
-    }
-
     fn process_ack(&mut self, seg: &TcpSegment, now: SimTime) {
         let ack_off = self.offset_of_ack(seg.ack);
         // Account for a FIN acknowledgment.
-        let fin_ack_off = self.fin_offset.map(|f| f + 1);
-        let data_ack_off = if Some(ack_off) == fin_ack_off {
-            self.fin_acked = true;
-            ack_off - 1
-        } else {
-            ack_off
-        };
+        let fin_acked = matches!(
+            self.phase,
+            Phase::FinWait1 { fin, .. } | Phase::Closing { fin } | Phase::LastAck { fin }
+                if ack_off == fin + 1
+        );
+        let data_ack_off = ack_off - u64::from(fin_acked);
 
         // Ignore ACKs for data beyond what we have sent (stale/corrupt).
         if data_ack_off > self.snd_max_offset() {
@@ -671,22 +791,11 @@ impl TcpConnection {
             self.on_duplicate_ack(now, sack_evidence);
         }
 
-        // Close-related state transitions driven by our FIN being acked.
-        if self.fin_acked {
-            match self.state {
-                TcpState::FinWait1 => self.state = TcpState::FinWait2,
-                TcpState::Closing => self.state = TcpState::TimeWait,
-                TcpState::LastAck => self.state = TcpState::Closed,
-                _ => {}
-            }
-            if self.state == TcpState::TimeWait && self.time_wait_expiry.is_none() {
-                self.time_wait_expiry = Some(now + SimDuration::from_secs(2));
-            }
-            // With the FIN acknowledged and no data outstanding there is
+        if fin_acked {
+            self.transition(Event::FinAcked(now));
+            // With the FIN, every byte before it is acknowledged: there is
             // nothing left to retransmit.
-            if self.snd_una >= self.send_buf.end_offset() {
-                self.reliability.clear_rto();
-            }
+            self.reliability.clear_rto();
         }
     }
 
@@ -806,7 +915,9 @@ impl TcpConnection {
             }
         };
         consider(self.reliability.rto_expiry());
-        consider(self.time_wait_expiry);
+        if let Phase::TimeWait(expiry) = self.phase {
+            consider(Some(expiry));
+        }
         if let AckPending::Delayed(t) = self.ack_pending {
             consider(Some(t));
         }
@@ -842,13 +953,6 @@ impl TcpConnection {
         // and re-covers everything outstanding (window permitting); the
         // scoreboard is rebuilt as segments are re-sent.
         self.reliability.clear_unacked();
-        // An unacknowledged FIN is presumed lost with the data ahead of it:
-        // `maybe_emit_fin` sends it again, under the same sequence number,
-        // behind whatever go-back-N data this poll emits.
-        self.fin_sent &= self.fin_acked;
-        if matches!(self.state, TcpState::SynSent | TcpState::SynRcvd) {
-            self.handshake_pending = true;
-        }
         self.reliability.arm_rto(now, now + self.rtt.rto());
     }
 
@@ -867,46 +971,33 @@ impl TcpConnection {
 
         // Nothing is ever retransmitted once the connection has terminated;
         // dropping the timer also lets callers' event loops go idle.
-        if matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
+        if self.is_closed() {
             self.reliability.clear_rto();
         }
 
-        // Retransmission / handshake timer.
-        if let Some(expiry) = self.reliability.rto_expiry() {
-            if now >= expiry && !matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-                self.on_rto(now);
-            }
+        // Retransmission / handshake timer. An unacknowledged SYN or FIN is
+        // presumed lost with the data ahead of it, and this poll sends it
+        // again under the same sequence number; a FIN goes behind whatever
+        // go-back-N data the poll emits.
+        let rto_fired = self.reliability.rto_expiry().is_some_and(|t| now >= t);
+        if rto_fired {
+            self.on_rto(now);
         }
 
-        // TIME-WAIT entry and expiry.
-        if self.state == TcpState::TimeWait && self.time_wait_expiry.is_none() {
-            self.time_wait_expiry = Some(now + SimDuration::from_secs(2));
-        }
-        if let Some(tw) = self.time_wait_expiry {
-            if now >= tw {
-                self.state = TcpState::Closed;
-                self.time_wait_expiry = None;
-            }
-        }
+        // TIME-WAIT expiry.
+        self.transition(Event::Poll(now));
 
         // Handshake segments.
-        if self.handshake_pending {
-            match self.state {
-                TcpState::SynSent => {
-                    out.push(self.make_syn(false));
-                    self.handshake_pending = false;
-                }
-                TcpState::SynRcvd => {
-                    out.push(self.make_syn(true));
-                    self.handshake_pending = false;
-                }
-                _ => self.handshake_pending = false,
+        let syn_ack = matches!(self.phase, Phase::SynRcvd(_));
+        if let Phase::SynSent(hs) | Phase::SynRcvd(hs) = &mut self.phase {
+            if std::mem::take(&mut hs.due) || rto_fired {
+                out.push(self.make_syn(syn_ack));
             }
         }
 
         if self.is_established() {
             self.emit_data(now, out);
-            self.maybe_emit_fin(now, out);
+            self.maybe_emit_fin(now, rto_fired, out);
         }
 
         // A pure ACK if one is still owed after data emission (data segments
@@ -917,7 +1008,7 @@ impl TcpConnection {
             AckPending::None => false,
         };
         let can_ack = !matches!(
-            self.state,
+            self.state(),
             TcpState::Closed | TcpState::Listen | TcpState::SynSent | TcpState::SynRcvd
         );
         if ack_due && can_ack {
@@ -1109,17 +1200,18 @@ impl TcpConnection {
             .record_transmission(start, end, charge, now, retransmitted);
     }
 
-    fn maybe_emit_fin(&mut self, now: SimTime, out: &mut Vec<TcpSegment>) {
-        if !self.close_requested || self.fin_sent {
-            return;
-        }
+    fn maybe_emit_fin(&mut self, now: SimTime, rto_fired: bool, out: &mut Vec<TcpSegment>) {
+        // The first FIN after `close()`, or again one the RTO presumed lost.
+        let due = match self.phase {
+            Phase::Established { close, .. } | Phase::CloseWait { close } => close,
+            Phase::FinWait1 { .. } | Phase::Closing { .. } | Phase::LastAck { .. } => rto_fired,
+            _ => false,
+        };
         // Send the FIN only once all queued data has been transmitted.
-        if self.send_buf.available_from(self.snd_max_offset()) > 0 {
+        if !due || self.send_buf.available_from(self.snd_max_offset()) > 0 {
             return;
         }
         let fin_off = self.send_buf.end_offset();
-        self.fin_offset = Some(fin_off);
-        self.fin_sent = true;
         let mut seg = TcpSegment::bare(
             self.local_port,
             self.remote_port,
@@ -1130,11 +1222,7 @@ impl TcpConnection {
         seg.window = self.recv_buf.window() as u32;
         out.push(seg);
         self.ack_pending = AckPending::None;
-        match self.state {
-            TcpState::Established => self.state = TcpState::FinWait1,
-            TcpState::CloseWait => self.state = TcpState::LastAck,
-            _ => {}
-        }
+        self.transition(Event::SentFin(fin_off));
         self.reliability.ensure_rto(now, now + self.rtt.rto());
     }
 }
