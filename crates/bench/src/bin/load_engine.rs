@@ -428,13 +428,14 @@ fn obs_section(
 
 /// Run the flight-recorder scenario with the zero-drop streaming sink and
 /// build the `"trace_stream"` section: 1024 flows × 64 records under 2%
-/// loss spill per-shard JSONL slices merged into one `(t_ns, shard)`-ordered
-/// file at `path`. The section is the stream's own accounting — and the
+/// loss spill per-shard JSONL slices, cut to the `flow` × `kinds` slice,
+/// merged into one `(t_ns, shard)`-ordered file at `path`. The section is the stream's own accounting — and the
 /// driver gates on the two properties the ring cannot offer: nothing
 /// dropped, and more events offered than the ring holds.
-fn trace_stream_section(path: &str, kinds: KindSet, threads: usize) -> Value {
+fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet, threads: usize) -> Value {
     let scenario = LoadScenario {
         trace_stream: Some(path.to_string()),
+        trace_flow: flow,
         trace_kinds: kinds,
         ..LoadScenario::flight_recorder(true)
     };
@@ -655,7 +656,7 @@ fn main() {
     let trace_stream = args
         .trace_stream
         .as_deref()
-        .map(|path| trace_stream_section(path, args.trace_kinds, threads));
+        .map(|path| trace_stream_section(path, args.trace_flow, args.trace_kinds, threads));
 
     // The congestion-control comparison: same lossy workload, each sender.
     let (cc, cc_obs) = cc_sections(&args.ccs, threads);

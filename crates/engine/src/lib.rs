@@ -38,12 +38,9 @@ pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats}
 // The loop's own names, for the drivers that reach it through this crate.
 pub use minion_stack::{FlowId, TimerWheel};
 
-// Re-export the observability primitives so downstream crates (osnet,
-// testkit, bench) reach them through the engine without a direct
-// `minion-obs` dependency.
+// The observability names other crates (osnet, testkit, bench) reach
+// through the engine without a direct `minion-obs` dependency.
 pub use minion_obs::{
-    merge_stream_files, Absorb, CcObs, Counter, CounterSet, CwndSample, DelayDigest, FilteredSink,
-    FlowDelayMap, Gauge, GaugeSet, Histogram, KindSet, MergedStream, NonDeterministic,
-    PhaseProfile, StreamSink, StreamStats, Tee, TraceEvent, TraceKind, TracePredicate, TraceRing,
-    TraceSink, DEFAULT_TRACE_CAP,
+    Absorb, CcObs, FlowDelayMap, Histogram, KindSet, PhaseProfile, TraceEvent, TraceKind,
+    TraceRing, TraceSink, DEFAULT_TRACE_CAP,
 };

@@ -22,8 +22,8 @@
 
 use crate::metrics::{fnv1a, FNV_OFFSET_BASIS};
 use minion_obs::{
-    Absorb, CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamStats,
-    TraceRing,
+    Absorb, CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamSink,
+    StreamStats, TraceEvent, TraceRing,
 };
 
 /// Counter slots of [`LoadObs::counters`] (fixed at compile time so sharded
@@ -78,13 +78,14 @@ pub struct LoadObs {
     /// Lifecycle trace, bounded to the last
     /// [`DEFAULT_TRACE_CAP`](minion_obs::DEFAULT_TRACE_CAP) events.
     pub trace: TraceRing,
-    /// The trace pipeline's flow × kind admission predicate and its
-    /// admitted/suppressed accounting (the driver's
-    /// [`FilteredSink`](minion_obs::FilteredSink), torn down).
+    /// The trace path's flow × kind admission predicate and its
+    /// admitted/suppressed accounting: the driver offers every lifecycle
+    /// event to [`FilterStats::admit`], and only admitted events reach
+    /// `trace` and the stream.
     pub trace_filter: FilterStats,
-    /// Accounting of the zero-drop streaming sink, when the run spilled
-    /// its trace to a file (all-zero otherwise). The sink itself holds an
-    /// OS writer and never enters this mergeable state — only its
+    /// Accounting of the zero-drop stream, when the run spilled its trace
+    /// to a file (all-zero otherwise). The stream itself holds an OS
+    /// writer and never enters this mergeable state — only its
     /// deterministic counters do.
     pub stream: StreamStats,
     /// Per-flow delivery-delay digests: who owns the tail, not just how
@@ -128,6 +129,17 @@ impl Absorb for LoadObs {
 }
 
 impl LoadObs {
+    /// The trace path: count `ev` against the slice and, if admitted, keep
+    /// it in the ring, then spill it to `stream`.
+    pub(crate) fn record_event(&mut self, stream: &mut Option<StreamSink>, ev: TraceEvent) {
+        if self.trace_filter.admit(&ev) {
+            self.trace.push(ev);
+            if let Some(s) = stream {
+                s.offer(&ev);
+            }
+        }
+    }
+
     /// Order-sensitive FNV-1a fingerprint of the trace ring's event stream
     /// (the compact form the determinism gates compare).
     pub fn trace_fingerprint(&self) -> u64 {
@@ -145,7 +157,7 @@ impl LoadObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use minion_obs::{TraceEvent, TraceKind};
+    use minion_obs::TraceKind;
 
     fn sample(base: u64) -> LoadObs {
         let mut o = LoadObs::default();

@@ -36,8 +36,8 @@ use crate::obs::{
 use crate::transport::{SimTransport, Transport};
 use minion_exec::Executor;
 use minion_obs::{
-    merge_stream_files, shard_trailer_json, Absorb, FilteredSink, KindSet, NonDeterministic,
-    PhaseProfile, StreamSink, Tee, TraceEvent, TraceKind, TracePredicate, TraceRing, TraceSink,
+    merge_stream_files, shard_trailer_json, Absorb, KindSet, NonDeterministic, PhaseProfile,
+    StreamSink, TraceEvent, TraceKind, TracePredicate,
 };
 use minion_simnet::{fnv1a_words, LossConfig, SimDuration, SimTime};
 use minion_stack::FlowId;
@@ -85,11 +85,11 @@ pub struct LoadScenario {
     /// Virtual-time budget; the run panics if flows are incomplete at it.
     pub deadline: SimDuration,
     /// Focus the lifecycle trace on one **global** flow index: only its
-    /// events enter the trace sinks (suppressed events are still counted
-    /// by the filter). `None` traces every flow.
+    /// events enter the ring and the stream (suppressed events are still
+    /// counted in `LoadObs::trace_filter`). `None` traces every flow.
     pub trace_flow: Option<u32>,
     /// Kind slice of the lifecycle trace: only these event kinds enter
-    /// the trace sinks. [`KindSet::all`] (the default) traces every kind;
+    /// the ring and the stream. [`KindSet::all`] (the default) traces every kind;
     /// `--trace-kind retransmit,rto` narrows the stream to recovery
     /// events the same way `trace_flow` narrows it to one flow.
     pub trace_kinds: KindSet,
@@ -291,23 +291,20 @@ impl LoadScenario {
         };
         let mut obs = LoadObs::default();
 
-        // The trace pipeline: every lifecycle event is offered to one
-        // FilteredSink (flow × kind predicate) fanning out to the bounded
-        // ring (in-memory consumers, merged via Absorb) and, when
-        // `trace_stream` is set, a zero-drop JSONL spill. The sink holds
-        // the stream's OS writer, so it lives here as a run-local; only
-        // its deterministic accounting enters `obs` at the end.
-        let stream_sink = self.trace_stream.as_deref().map(|path| {
+        // The trace path: every lifecycle event is counted against the
+        // flow × kind slice in `obs.trace_filter`; an admitted one enters
+        // the bounded ring (in-memory consumers, merged via Absorb) and,
+        // when `trace_stream` is set, a zero-drop JSONL spill. The stream
+        // holds an OS writer, so it lives here as a run-local; only its
+        // deterministic accounting enters `obs` at the end.
+        obs.trace_filter.predicate = TracePredicate {
+            flow: self.trace_flow,
+            kinds: self.trace_kinds,
+        };
+        let mut spill = self.trace_stream.as_deref().map(|path| {
             StreamSink::create(Path::new(path))
                 .unwrap_or_else(|e| panic!("[{label}] trace stream {path}: {e}"))
         });
-        let mut sink = FilteredSink::new(
-            TracePredicate {
-                flow: self.trace_flow,
-                kinds: self.trace_kinds,
-            },
-            Tee::new(TraceRing::default(), stream_sink),
-        );
 
         // Open every flow and offer its whole stream. A transport may accept
         // only a prefix (a stream longer than the send buffer; or nothing,
@@ -324,7 +321,7 @@ impl LoadScenario {
             let (id, pair_key) = transport.connect();
             push_end(&mut end_of, id, End::Client(flow), &label);
             let now_ns = ns_of(transport.now());
-            sink.offer(&self.event(now_ns, flow, 0, TraceKind::Syn));
+            obs.record_event(&mut spill, self.event(now_ns, flow, 0, TraceKind::Syn));
             let bounds = self.record_bounds(global_flow);
             let stream_len = bounds.last().map_or(0, |&(_, end)| end as usize);
             // The exact length up front: a stream costs one allocation.
@@ -384,12 +381,18 @@ impl LoadScenario {
                     ConnEvent::RtoFired { wait_us } => {
                         obs.rto_wait.record(wait_us.saturating_mul(1_000));
                         obs.counters.inc(C_RTO_EDGES);
-                        sink.offer(&self.event(now_ns, flow, state.rto_seq, TraceKind::RtoFired));
+                        obs.record_event(
+                            &mut spill,
+                            self.event(now_ns, flow, state.rto_seq, TraceKind::RtoFired),
+                        );
                         state.rto_seq += 1;
                     }
                     ConnEvent::Retransmit => {
                         obs.counters.inc(C_RETRANSMIT_EDGES);
-                        sink.offer(&self.event(now_ns, flow, state.rtx_seq, TraceKind::Retransmit));
+                        obs.record_event(
+                            &mut spill,
+                            self.event(now_ns, flow, state.rtx_seq, TraceKind::Retransmit),
+                        );
                         state.rtx_seq += 1;
                     }
                     ConnEvent::Established => state.enqueue_floor_ns = now_ns,
@@ -434,7 +437,10 @@ impl LoadScenario {
                     }
                     if !state.first_chunk_seen {
                         state.first_chunk_seen = true;
-                        sink.offer(&self.event(now_ns, flow, 0, TraceKind::FirstByte));
+                        obs.record_event(
+                            &mut spill,
+                            self.event(now_ns, flow, 0, TraceKind::FirstByte),
+                        );
                     }
                     // Checked against the sent bytes here, in place, and then
                     // dropped: nothing is kept for a later reassembly.
@@ -453,12 +459,10 @@ impl LoadScenario {
                         obs.flow_delay
                             .record((self.first_flow + flow) as u32, delay_ns);
                         obs.counters.inc(C_RECORDS_DELIVERED);
-                        sink.offer(&self.event(
-                            now_ns,
-                            flow,
-                            rec as u32,
-                            TraceKind::RecordDelivered,
-                        ));
+                        obs.record_event(
+                            &mut spill,
+                            self.event(now_ns, flow, rec as u32, TraceKind::RecordDelivered),
+                        );
                     }
                     obs.gauges
                         .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
@@ -492,7 +496,7 @@ impl LoadScenario {
         // Orderly close both sides and drive the FIN exchanges.
         let fin_ns = ns_of(transport.now());
         for (flow, state) in states.iter().enumerate() {
-            sink.offer(&self.event(fin_ns, flow, 0, TraceKind::Fin));
+            obs.record_event(&mut spill, self.event(fin_ns, flow, 0, TraceKind::Fin));
             transport.close(state.client);
             if let Some(sf) = state.server {
                 transport.close(sf);
@@ -500,15 +504,11 @@ impl LoadScenario {
         }
         transport.finish();
 
-        // Tear the trace pipeline down into mergeable state: the ring and
-        // the filter accounting enter `obs`; a streaming sink appends its
-        // self-describing shard trailer and leaves only its counters.
-        let (filter, tee) = sink.into_parts();
-        obs.trace_filter = filter;
-        let (ring, stream) = tee.into_parts();
-        obs.trace = ring;
-        if let Some(mut s) = stream {
+        // A streaming run appends its self-describing shard trailer and
+        // keeps only the stream's counters.
+        if let Some(mut s) = spill {
             let shard = (self.first_flow / SHARD_FLOWS) as u32;
+            let filter = &obs.trace_filter;
             let trailer = shard_trailer_json(
                 shard,
                 &s.stats(),
@@ -1407,6 +1407,52 @@ mod tests {
             assert_eq!(lines, ring, "{name}: stream and ring disagree");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The sliced trace path, pinned: a flow × kind slice with a stream
+    /// attached, every count the report keeps of it, the ring's event
+    /// sequence and the stream file's exact bytes (trailer included).
+    #[test]
+    fn flow_and_kind_sliced_trace_path_is_pinned() {
+        let dir = std::env::temp_dir().join(format!("minion_scn_pin_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pin.jsonl");
+        let report = LoadScenario {
+            flows: 16,
+            records_per_flow: 32,
+            record_len: 600,
+            loss: LossConfig::Bernoulli { probability: 0.02 },
+            trace_flow: Some(7),
+            trace_kinds: KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]),
+            trace_stream: Some(path.display().to_string()),
+            ..LoadScenario::default()
+        }
+        .run();
+        let obs = &report.obs;
+        let mut bytes_hash = FNV_OFFSET_BASIS;
+        crate::metrics::fnv1a(&mut bytes_hash, &std::fs::read(&path).unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+        let got = (
+            obs.trace_filter.admitted,
+            obs.trace_filter.suppressed,
+            obs.trace.recorded(),
+            obs.stream.emitted,
+            obs.stream.flushes,
+            obs.trace_fingerprint(),
+            bytes_hash,
+        );
+        assert_eq!(
+            got,
+            (
+                2,
+                569,
+                2,
+                2,
+                1,
+                0xe2fa_ff24_7206_c82d,
+                0xb467_1fd4_2e44_91f4
+            )
+        );
     }
 
     #[test]

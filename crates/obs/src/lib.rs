@@ -16,7 +16,7 @@
 //! | [`Histogram`] | [`Hist`]: two-level (log2 major × 16 linear minor) `u64` samples (ns), slots allocated on the first sample | exact slot-wise add |
 //! | [`TraceRing`] | last-N lifecycle [`TraceEvent`]s | concatenate in shard order, trim |
 //! | [`StreamStats`] | zero-drop [`StreamSink`] accounting | counter addition |
-//! | [`FilterStats`] | a [`FilteredSink`]'s predicate and admitted/suppressed counts | counter addition, predicates must agree |
+//! | [`FilterStats`] | the trace path's flow × kind [`TracePredicate`] and its admitted/suppressed counts ([`FilterStats::admit`]) | counter addition, predicates must agree |
 //! | [`FlowDelayMap`] | per-flow [`DelayDigest`]s — the same [`Hist`] layout at 4 sub-buckets | key union, digests slot-wise |
 //! | [`CcObs`] | cwnd/ssthresh trajectory ring + recovery histograms | ring concat in shard order, histograms slot-wise |
 //! | [`PhaseProfile`] | wall-clock time per loop phase | slot-wise add, **excluded from equality** via [`NonDeterministic`] |
@@ -49,8 +49,8 @@ pub use counter::{Counter, CounterSet, Gauge, GaugeSet};
 pub use flow_delay::{DelayDigest, FlowDelayMap};
 pub use hist::{Hist, Histogram};
 pub use sink::{
-    merge_stream_files, shard_trailer_json, FilterStats, FilteredSink, MergedStream, StreamSink,
-    StreamStats, Tee, TracePredicate, TraceSink,
+    merge_stream_files, shard_trailer_json, FilterStats, MergedStream, StreamSink, StreamStats,
+    TracePredicate, TraceSink,
 };
 pub use span::{NonDeterministic, PhaseProfile};
 pub use trace::{KindSet, TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAP};
