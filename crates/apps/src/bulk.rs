@@ -1,16 +1,18 @@
 //! Bulk-transfer workloads (§8.1): a source that keeps the connection's send
 //! buffer full with fixed-size application messages and a sink that counts
 //! delivered bytes. Used for the throughput-vs-message-size experiment
-//! (Figure 5) and as the competing traffic in the conferencing and VPN
-//! experiments.
+//! (Figure 5) and as the competing traffic in the conferencing experiments.
+//! Each is an application for [`Sim::drive`]: its `react` is what to do
+//! after an event, and it looks before it touches a host.
 
 use minion_simnet::{NodeId, SimTime};
-use minion_stack::{Host, SocketAddr, SocketHandle};
+use minion_stack::{Sim, SocketAddr, SocketHandle};
 use minion_tcp::{SocketOptions, TcpConfig, WriteMeta};
 
 /// A greedy sender that writes `message_size`-byte application messages to a
 /// TCP socket whenever the send buffer has room, up to `total_bytes`.
 pub struct BulkSender {
+    node: NodeId,
     handle: SocketHandle,
     message_size: usize,
     total_bytes: u64,
@@ -19,19 +21,21 @@ pub struct BulkSender {
 }
 
 impl BulkSender {
-    /// Connect to `remote` and prepare to send `total_bytes` in
+    /// Connect from `node` to `remote` and prepare to send `total_bytes` in
     /// `message_size`-byte writes.
     pub fn connect(
-        host: &mut Host,
+        sim: &mut Sim,
+        node: NodeId,
         remote: SocketAddr,
         config: TcpConfig,
         options: SocketOptions,
         message_size: usize,
         total_bytes: u64,
-        now: SimTime,
     ) -> Self {
-        let handle = host.tcp_connect(remote, config, options, now);
+        let now = sim.now();
+        let handle = sim.host_mut(node).tcp_connect(remote, config, options, now);
         BulkSender {
+            node,
             handle,
             message_size,
             total_bytes,
@@ -40,29 +44,28 @@ impl BulkSender {
         }
     }
 
-    /// The underlying socket handle.
-    pub fn handle(&self) -> SocketHandle {
-        self.handle
-    }
-
     /// Bytes accepted by the socket so far.
     pub fn written(&self) -> u64 {
         self.written
     }
 
-    /// Top up the send buffer. Call this every tick.
-    pub fn pump(&mut self, host: &mut Host) {
-        if !host.tcp_established(self.handle).unwrap_or(false) {
-            return;
-        }
+    /// Top up the send buffer with whole messages once the connection is
+    /// established. Looks through [`Sim::host`] and borrows the host
+    /// mutably only to write a message that fits.
+    pub fn react(&mut self, sim: &mut Sim) {
         while self.written < self.total_bytes {
-            let remaining = (self.total_bytes - self.written) as usize;
-            let size = self.message_size.min(remaining);
-            if host.tcp_send_buffer_free(self.handle).unwrap_or(0) < size {
+            let size = self
+                .message_size
+                .min((self.total_bytes - self.written) as usize);
+            let host = sim.host(self.node);
+            if !host.tcp_established(self.handle).unwrap_or(false)
+                || host.tcp_send_buffer_free(self.handle).unwrap_or(0) < size
+            {
                 break;
             }
             let msg = vec![self.next_byte; size];
             self.next_byte = self.next_byte.wrapping_add(1);
+            let host = sim.host_mut(self.node);
             match host.tcp_write_meta(self.handle, &msg, WriteMeta::normal()) {
                 Ok(n) => self.written += n as u64,
                 Err(_) => break,
@@ -71,8 +74,9 @@ impl BulkSender {
     }
 }
 
-/// A sink that accepts a connection and counts delivered bytes.
+/// A sink that counts the bytes delivered on an accepted connection.
 pub struct BulkSink {
+    node: NodeId,
     handle: SocketHandle,
     received: u64,
     first_byte_at: Option<SimTime>,
@@ -80,19 +84,15 @@ pub struct BulkSink {
 }
 
 impl BulkSink {
-    /// Wrap an accepted connection handle.
-    pub fn new(handle: SocketHandle) -> Self {
+    /// Wrap a connection `node` accepted.
+    pub fn new(node: NodeId, handle: SocketHandle) -> Self {
         BulkSink {
+            node,
             handle,
             received: 0,
             first_byte_at: None,
             last_byte_at: None,
         }
-    }
-
-    /// The underlying socket handle.
-    pub fn handle(&self) -> SocketHandle {
-        self.handle
     }
 
     /// Total payload bytes delivered to the application so far.
@@ -111,8 +111,18 @@ impl BulkSink {
         }
     }
 
-    /// Drain delivered data. Call this every tick.
-    pub fn pump(&mut self, host: &mut Host, now: SimTime) {
+    /// Drain what the connection delivered, stamping it with the current
+    /// time. Borrows the host mutably only when the socket is readable.
+    pub fn react(&mut self, sim: &mut Sim) {
+        let readable = sim
+            .host(self.node)
+            .tcp_readiness(self.handle)
+            .is_ok_and(|r| r.readable);
+        if !readable {
+            return;
+        }
+        let now = sim.now();
+        let host = sim.host_mut(self.node);
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {
             if self.first_byte_at.is_none() {
                 self.first_byte_at = Some(now);
@@ -124,8 +134,8 @@ impl BulkSink {
 }
 
 /// A competing long-lived TCP flow from `from` to `to` used to create
-/// congestion in the conferencing and VPN experiments. The flow starts at
-/// `start` and keeps the path busy indefinitely.
+/// congestion in the conferencing experiments. The flow starts at `start`
+/// and keeps the path busy indefinitely.
 pub struct CompetingFlow {
     sender: Option<BulkSender>,
     sink: Option<BulkSink>,
@@ -133,7 +143,6 @@ pub struct CompetingFlow {
     from: NodeId,
     to: NodeId,
     start: SimTime,
-    started: bool,
 }
 
 impl CompetingFlow {
@@ -146,13 +155,12 @@ impl CompetingFlow {
             from,
             to,
             start,
-            started: false,
         }
     }
 
     /// Whether the flow has started.
     pub fn started(&self) -> bool {
-        self.started
+        self.sender.is_some()
     }
 
     /// Bytes delivered by this flow so far.
@@ -160,45 +168,45 @@ impl CompetingFlow {
         self.sink.as_ref().map(|s| s.received()).unwrap_or(0)
     }
 
-    /// Drive the flow: start it when its time comes, keep its buffer full, and
-    /// drain its sink. `sim_hosts` gives mutable access to the two endpoint
-    /// hosts; call once per tick.
-    pub fn tick(&mut self, sim: &mut minion_stack::Sim, now: SimTime) {
-        if !self.started {
-            if now < self.start {
-                return;
-            }
-            // A practically unbounded transfer keeps the path congested.
-            sim.host_mut(self.to)
-                .tcp_listen(
-                    self.listen_port,
+    /// When the flow wants to be called next on its own account: its start,
+    /// until it has started. After that it reacts to its sockets' events.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        (!self.started()).then_some(self.start)
+    }
+
+    /// React to the current time: start the flow when its time comes, accept
+    /// its connection, keep its send buffer full, and drain its sink.
+    pub fn react(&mut self, sim: &mut Sim) {
+        let Some(sender) = self.sender.as_mut() else {
+            if sim.now() >= self.start {
+                // A practically unbounded transfer keeps the path congested.
+                sim.host_mut(self.to)
+                    .tcp_listen(
+                        self.listen_port,
+                        TcpConfig::default(),
+                        SocketOptions::standard(),
+                    )
+                    .expect("listen for competing flow");
+                self.sender = Some(BulkSender::connect(
+                    sim,
+                    self.from,
+                    SocketAddr::new(self.to, self.listen_port),
                     TcpConfig::default(),
                     SocketOptions::standard(),
-                )
-                .expect("listen for competing flow");
-            let sender = BulkSender::connect(
-                sim.host_mut(self.from),
-                SocketAddr::new(self.to, self.listen_port),
-                TcpConfig::default(),
-                SocketOptions::standard(),
-                64 * 1024,
-                u64::MAX / 2,
-                now,
-            );
-            self.sender = Some(sender);
-            self.started = true;
+                    64 * 1024,
+                    u64::MAX / 2,
+                ));
+            }
             return;
-        }
+        };
+        sender.react(sim);
         if self.sink.is_none() {
             if let Some(handle) = sim.host_mut(self.to).accept(self.listen_port) {
-                self.sink = Some(BulkSink::new(handle));
+                self.sink = Some(BulkSink::new(self.to, handle));
             }
         }
-        if let Some(sender) = self.sender.as_mut() {
-            sender.pump(sim.host_mut(self.from));
-        }
         if let Some(sink) = self.sink.as_mut() {
-            sink.pump(sim.host_mut(self.to), now);
+            sink.react(sim);
         }
     }
 }
@@ -207,7 +215,7 @@ impl CompetingFlow {
 mod tests {
     use super::*;
     use minion_simnet::{LinkConfig, SimDuration};
-    use minion_stack::Sim;
+    use minion_stack::Reaction;
 
     #[test]
     fn bulk_transfer_reaches_link_rate() {
@@ -225,27 +233,33 @@ mod tests {
             .tcp_listen(5001, TcpConfig::default(), SocketOptions::standard())
             .unwrap();
         let mut sender = BulkSender::connect(
-            sim.host_mut(a),
+            &mut sim,
+            a,
             SocketAddr::new(b, 5001),
             TcpConfig::default(),
             SocketOptions::standard(),
             1448,
             2_000_000,
-            SimTime::ZERO,
         );
-        sim.run_for(SimDuration::from_millis(100));
-        let sh = sim.host_mut(b).accept(5001).expect("accepted");
-        let mut sink = BulkSink::new(sh);
-        for _ in 0..300 {
-            sender.pump(sim.host_mut(a));
-            sim.run_for(SimDuration::from_millis(50));
-            let now = sim.now();
-            sink.pump(sim.host_mut(b), now);
-            if sink.received() >= 2_000_000 {
-                break;
+        let mut sink = None;
+        let done = sim.drive(SimTime::from_secs(15), |sim| {
+            sender.react(sim);
+            if sink.is_none() {
+                sink = sim.host_mut(b).accept(5001).map(|h| BulkSink::new(b, h));
             }
-        }
+            let Some(sink) = sink.as_mut() else {
+                return Reaction::Wait(None);
+            };
+            sink.react(sim);
+            if sink.received() >= 2_000_000 {
+                Reaction::Done
+            } else {
+                Reaction::Wait(None)
+            }
+        });
+        assert!(done);
         assert_eq!(sender.written(), 2_000_000);
+        let sink = sink.expect("accepted");
         assert_eq!(sink.received(), 2_000_000);
         let goodput = sink.goodput_bps();
         assert!(
@@ -264,16 +278,22 @@ mod tests {
             b,
             LinkConfig::new(3_000_000, SimDuration::from_millis(30)),
         );
-        let mut flow = CompetingFlow::new(a, b, 6000, SimTime::from_secs(1));
-        flow.tick(&mut sim, SimTime::ZERO);
+        let start = SimTime::from_secs(1);
+        let mut flow = CompetingFlow::new(a, b, 6000, start);
+        flow.react(&mut sim);
         assert!(!flow.started());
-        sim.run_until(SimTime::from_secs(1));
-        for _ in 0..40 {
-            let now = sim.now();
-            flow.tick(&mut sim, now);
-            sim.run_for(SimDuration::from_millis(100));
-        }
+        assert_eq!(flow.next_wake(), Some(start));
+        let mut started_at = None;
+        sim.drive(SimTime::from_secs(5), |sim| {
+            flow.react(sim);
+            if flow.started() && started_at.is_none() {
+                started_at = Some(sim.now());
+            }
+            Reaction::Wait(flow.next_wake())
+        });
         assert!(flow.started());
+        assert_eq!(started_at, Some(start), "started on its own wake, exactly");
+        assert_eq!(flow.next_wake(), None);
         assert!(flow.delivered() > 100_000, "delivered={}", flow.delivered());
     }
 }

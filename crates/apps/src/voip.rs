@@ -61,8 +61,9 @@ impl VoipSource {
         }
     }
 
-    /// The time the next frame should be sent, or `None` when the call ends.
-    fn next_send_time(&self) -> Option<SimTime> {
+    /// The time the next frame should be sent, or `None` when the call ends:
+    /// the source's wake time.
+    pub fn next_send_time(&self) -> Option<SimTime> {
         if self.next_frame >= self.config.total_frames() {
             return None;
         }

@@ -16,7 +16,7 @@
 use minion_core::MinionConfig;
 use minion_mstcp::MsTcpConnection;
 use minion_simnet::{NodeId, SimDuration, SimRng};
-use minion_stack::{Sim, SocketAddr};
+use minion_stack::{Host, Reaction, Sim, SocketAddr, SocketHandle};
 use minion_tcp::{SocketOptions, TcpConfig};
 use std::collections::BTreeMap;
 
@@ -99,8 +99,39 @@ impl PageLoadMetrics {
 }
 
 const REQUEST_SIZE: usize = 120;
-const TICK: SimDuration = SimDuration::from_millis(2);
 const MAX_PAGE_TIME: SimDuration = SimDuration::from_secs(120);
+
+/// Whether a TCP socket holds bytes to read, looked at without touching the
+/// host.
+fn readable(sim: &Sim, node: NodeId, handle: SocketHandle) -> bool {
+    sim.host(node)
+        .tcp_readiness(handle)
+        .is_ok_and(|r| r.readable)
+}
+
+/// Drive `sim` until `accept` has taken the server's end of a connection and
+/// `established` says the client's end is up; returns the accepted end.
+fn establish<T>(
+    sim: &mut Sim,
+    server: NodeId,
+    mut accept: impl FnMut(&mut Host) -> Option<T>,
+    established: impl Fn(&Sim) -> bool,
+) -> T {
+    let mut accepted = None;
+    let deadline = sim.now() + MAX_PAGE_TIME;
+    let up = sim.drive(deadline, |sim| {
+        if accepted.is_none() {
+            accepted = accept(sim.host_mut(server));
+        }
+        if accepted.is_some() && established(sim) {
+            Reaction::Done
+        } else {
+            Reaction::Wait(None)
+        }
+    });
+    assert!(up, "connection never established");
+    accepted.expect("accepted")
+}
 
 /// Load a page using pipelined HTTP/1.1 over a single persistent TCP
 /// connection (the paper's baseline).
@@ -127,19 +158,14 @@ pub fn load_page_pipelined_tcp(
         SocketOptions::standard(),
         now,
     );
-    // Wait for establishment and acceptance.
-    let mut sh = None;
-    while sh.is_none() {
-        sim.run_for(TICK);
-        sh = sim.host_mut(server).accept(port);
-    }
-    let sh = sh.expect("accepted");
-    while !sim.host(client).tcp_established(ch).unwrap_or(false) {
-        sim.run_for(TICK);
-    }
+    let sh = establish(
+        sim,
+        server,
+        |host| host.accept(port),
+        |sim| sim.host(client).tcp_established(ch).unwrap_or(false),
+    );
 
     let start = sim.now();
-    let deadline = start + MAX_PAGE_TIME;
     // Object sizes in the order the server will send them.
     let mut object_sizes = vec![page.primary_size];
     object_sizes.extend(&page.secondary_sizes);
@@ -159,17 +185,20 @@ pub fn load_page_pipelined_tcp(
     let mut current_remaining: Option<usize> = None;
     let mut first_byte_times: Vec<Option<SimDuration>> = vec![None; object_sizes.len()];
     let mut completed = 0usize;
-    let mut page_load_time = MAX_PAGE_TIME;
 
-    while sim.now() < deadline {
+    let mut page_load_time = MAX_PAGE_TIME;
+    sim.drive(start + MAX_PAGE_TIME, |sim| {
         let now = sim.now();
         // --- client side ---
         if !sent_primary_request {
             let _ = sim.host_mut(client).tcp_write(ch, &[1u8; REQUEST_SIZE]);
             sent_primary_request = true;
         }
-        while let Ok(Some(chunk)) = sim.host_mut(client).tcp_read(ch) {
-            stream.extend_from_slice(&chunk.data);
+        if readable(sim, client, ch) {
+            let host = sim.host_mut(client);
+            while let Ok(Some(chunk)) = host.tcp_read(ch) {
+                stream.extend_from_slice(&chunk.data);
+            }
         }
         // Parse objects from the in-order stream.
         loop {
@@ -215,12 +244,15 @@ pub fn load_page_pipelined_tcp(
         }
         if completed == object_sizes.len() {
             page_load_time = now - start;
-            break;
+            return Reaction::Done;
         }
 
         // --- server side ---
-        while let Ok(Some(chunk)) = sim.host_mut(server).tcp_read(sh) {
-            server_request_bytes += chunk.len();
+        if readable(sim, server, sh) {
+            let host = sim.host_mut(server);
+            while let Ok(Some(chunk)) = host.tcp_read(sh) {
+                server_request_bytes += chunk.len();
+            }
         }
         if !server_sent_primary && server_request_bytes >= REQUEST_SIZE {
             let mut data = (page.primary_size as u32).to_be_bytes().to_vec();
@@ -239,9 +271,8 @@ pub fn load_page_pipelined_tcp(
             }
             server_sent_secondaries = true;
         }
-
-        sim.run_for(TICK);
-    }
+        Reaction::Wait(None)
+    });
 
     let _ = sim.host_mut(client).tcp_close(ch);
     let _ = sim.host_mut(server).tcp_close(sh);
@@ -275,18 +306,14 @@ pub fn load_page_mstcp(
         &config,
         now,
     );
-    let mut server_conn = None;
-    while server_conn.is_none() {
-        sim.run_for(TICK);
-        server_conn = MsTcpConnection::accept(sim.host_mut(server), port);
-    }
-    let mut server_conn = server_conn.expect("accepted");
-    while !client_conn.is_established(sim.host(client)) {
-        sim.run_for(TICK);
-    }
+    let mut server_conn = establish(
+        sim,
+        server,
+        |host| MsTcpConnection::accept(host, port),
+        |sim| client_conn.is_established(sim.host(client)),
+    );
 
     let start = sim.now();
-    let deadline = start + MAX_PAGE_TIME;
     let object_sizes: Vec<usize> = std::iter::once(page.primary_size)
         .chain(page.secondary_sizes.iter().copied())
         .collect();
@@ -315,9 +342,9 @@ pub fn load_page_mstcp(
     let mut received: BTreeMap<usize, usize> = BTreeMap::new();
     let mut first_byte_times: Vec<Option<SimDuration>> = vec![None; object_sizes.len()];
     let mut completed = 0usize;
-    let mut page_load_time = MAX_PAGE_TIME;
 
-    while sim.now() < deadline {
+    let mut page_load_time = MAX_PAGE_TIME;
+    sim.drive(start + MAX_PAGE_TIME, |sim| {
         let now = sim.now();
 
         // Server: ingest requests, register responses.
@@ -330,8 +357,8 @@ pub fn load_page_mstcp(
                 }
             }
         }
-        // Server: interleave one chunk per pending response per tick round,
-        // as long as the send buffer has room.
+        // Server: interleave one chunk per pending response per round, as
+        // long as the send buffer has room.
         loop {
             let mut sent_any = false;
             let streams: Vec<u32> = response_remaining
@@ -393,10 +420,10 @@ pub fn load_page_mstcp(
 
         if completed == object_sizes.len() {
             page_load_time = now - start;
-            break;
+            return Reaction::Done;
         }
-        sim.run_for(TICK);
-    }
+        Reaction::Wait(None)
+    });
 
     PageLoadMetrics {
         requests: page.request_count(),

@@ -10,7 +10,7 @@
 
 use minion_apps::{BulkSender, BulkSink};
 use minion_simnet::{LinkConfig, SimDuration, Table};
-use minion_stack::{Sim, SocketAddr};
+use minion_stack::{Reaction, Sim, SocketAddr};
 use minion_tcp::{SocketOptions, TcpConfig};
 
 /// Result of one bulk-transfer run.
@@ -44,29 +44,34 @@ fn run_bulk_transfer(
     sim.host_mut(receiver_node)
         .tcp_listen(5001, TcpConfig::default(), SocketOptions::standard())
         .expect("listen");
-    let now = sim.now();
     let mut sender = BulkSender::connect(
-        sim.host_mut(sender_node),
+        &mut sim,
+        sender_node,
         SocketAddr::new(receiver_node, 5001),
         TcpConfig::default(),
         options,
         message_size,
         total_bytes,
-        now,
     );
-    sim.run_for(SimDuration::from_millis(200));
-    let handle = sim.host_mut(receiver_node).accept(5001).expect("accepted");
-    let mut sink = BulkSink::new(handle);
-
-    let deadline = SimDuration::from_secs(600);
-    let start = sim.now();
-    while sink.received() < total_bytes && sim.now() - start < deadline {
-        sender.pump(sim.host_mut(sender_node));
-        sim.run_for(SimDuration::from_millis(20));
-        let now = sim.now();
-        sink.pump(sim.host_mut(receiver_node), now);
-    }
-    sink.goodput_bps() / 1_000_000.0
+    let mut sink = None;
+    let deadline = sim.now() + SimDuration::from_secs(600);
+    sim.drive(deadline, |sim| {
+        sender.react(sim);
+        if sink.is_none() {
+            let accepted = sim.host_mut(receiver_node).accept(5001);
+            sink = accepted.map(|h| BulkSink::new(receiver_node, h));
+        }
+        let Some(sink) = sink.as_mut() else {
+            return Reaction::Wait(None);
+        };
+        sink.react(sim);
+        if sink.received() < total_bytes {
+            Reaction::Wait(None)
+        } else {
+            Reaction::Done
+        }
+    });
+    sink.map_or(0.0, |s| s.goodput_bps() / 1_000_000.0)
 }
 
 /// Run the Figure 5 sweep.

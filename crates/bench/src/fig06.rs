@@ -10,10 +10,10 @@
 //! report the same normalised ratios. Absolute numbers depend on the
 //! machine, but the *relative* costs — what the paper reports — carry over.
 
-use minion_core::{MinionConfig, MinionTransport, Protocol};
+use minion_core::{MinionConfig, Protocol};
 use minion_simnet::{LinkConfig, LossConfig, SimDuration, Table};
-use minion_stack::{Sim, SocketAddr};
-use std::time::Instant;
+use minion_stack::{Reaction, Sim};
+use std::time::{Duration, Instant};
 
 /// Measured cost of one transfer run.
 #[derive(Clone, Debug)]
@@ -61,41 +61,17 @@ fn run_transfer(
             .with_loss(LossConfig::from_rate(loss_rate)),
     );
 
-    let port = 7000;
-    MinionTransport::listen(protocol, sim.host_mut(b), port, config).unwrap();
-    let now = sim.now();
-    let mut tx = MinionTransport::connect(
-        protocol,
-        sim.host_mut(a),
-        SocketAddr::new(b, port),
-        config,
-        now,
-    )
-    .unwrap();
-    sim.run_for(SimDuration::from_millis(200));
-    let mut rx =
-        MinionTransport::accept(protocol, sim.host_mut(b), port, config).expect("accepted");
-    // uTLS still has its handshake to run; the others are ready once accepted.
-    let mut rounds = 0u32;
-    while !(tx.is_established(sim.host(a)) && rx.is_established(sim.host(b))) {
-        rounds += 1;
-        assert!(rounds <= 6, "{protocol:?} handshake");
-        let _ = rx.recv(sim.host_mut(b));
-        let _ = tx.recv(sim.host_mut(a));
-        sim.run_for(SimDuration::from_millis(80));
-    }
+    let (mut tx, mut rx) = crate::connect_pair(&mut sim, protocol, config, a, b, 7000);
 
-    let mut sender_app = 0.0f64;
-    let mut receiver_app = 0.0f64;
-    let mut stack = 0.0f64;
+    let mut sender_app = Duration::ZERO;
+    let mut receiver_app = Duration::ZERO;
     let mut delivered = 0u64;
     let datagram = vec![0xA5u8; datagram_size];
     let total_datagrams = total_bytes / datagram_size as u64;
     let mut sent = 0u64;
-    let mut guard = 0u32;
-    while delivered < total_datagrams * datagram.len() as u64 {
-        guard += 1;
-        assert!(guard < 2_000_000, "transfer did not complete");
+    let started = Instant::now();
+    let deadline = sim.now() + SimDuration::from_secs(600);
+    let done = sim.drive(deadline, |sim| {
         // Sender: keep the pipe reasonably full.
         let t = Instant::now();
         while sent < total_datagrams && tx.send_buffer_free(sim.host(a)) > 4 * datagram.len() {
@@ -104,25 +80,31 @@ fn run_transfer(
             }
             sent += 1;
         }
-        sender_app += t.elapsed().as_secs_f64();
+        sender_app += t.elapsed();
 
         let t = Instant::now();
-        sim.run_for(SimDuration::from_millis(20));
-        stack += t.elapsed().as_secs_f64();
-
-        let t = Instant::now();
-        for d in rx.recv(sim.host_mut(b)) {
-            delivered += d.payload.len() as u64;
+        if crate::has_input(&rx, sim.host(b)) {
+            for d in rx.recv(sim.host_mut(b)) {
+                delivered += d.payload.len() as u64;
+            }
         }
-        receiver_app += t.elapsed().as_secs_f64();
-    }
+        receiver_app += t.elapsed();
+        if delivered < total_datagrams * datagram.len() as u64 {
+            Reaction::Wait(None)
+        } else {
+            Reaction::Done
+        }
+    });
+    assert!(done, "transfer did not complete");
+    // The loop's own time is what the two applications did not spend.
+    let stack = started.elapsed().saturating_sub(sender_app + receiver_app);
 
     CpuSample {
         protocol,
         loss_rate,
-        sender_app_seconds: sender_app,
-        receiver_app_seconds: receiver_app,
-        stack_seconds: stack,
+        sender_app_seconds: sender_app.as_secs_f64(),
+        receiver_app_seconds: receiver_app.as_secs_f64(),
+        stack_seconds: stack.as_secs_f64(),
         bytes_delivered: delivered,
     }
 }

@@ -6,9 +6,13 @@
 //! the backlog; over uTCP the high-priority writes pass the queued bulk data
 //! and see far lower delay.
 
-use minion_core::{MinionConfig, UcobsSocket};
-use minion_simnet::{Distribution, LinkConfig, SimDuration, Table};
-use minion_stack::{Sim, SocketAddr};
+use minion_core::{MinionConfig, Protocol};
+use minion_simnet::{Distribution, LinkConfig, SimDuration, SimTime, Table};
+use minion_stack::{Reaction, Sim};
+
+/// How long the experiment waits without a delivery before it gives up on
+/// the messages still missing.
+const IDLE_LIMIT: SimDuration = SimDuration::from_secs(50);
 
 /// Delay statistics for one priority class.
 #[derive(Clone, Debug)]
@@ -17,10 +21,15 @@ pub struct PriorityDelays {
     pub low_priority_ms: Distribution,
     /// End-to-end delays of high-priority messages, in milliseconds.
     pub high_priority_ms: Distribution,
+    /// Ordinary messages sent.
+    pub low_sent: usize,
+    /// High-priority messages sent.
+    pub high_sent: usize,
 }
 
 /// Run the prioritization experiment over uCOBS, with or without uTCP's
-/// send-side extension.
+/// send-side extension. It ends when every message has arrived or after
+/// [`IDLE_LIMIT`] of virtual time without a delivery.
 fn run_priority_experiment(
     use_utcp: bool,
     messages: usize,
@@ -41,23 +50,19 @@ fn run_priority_experiment(
     } else {
         MinionConfig::without_utcp()
     };
-    UcobsSocket::listen(sim.host_mut(b), 7100, &config).unwrap();
-    let now = sim.now();
-    let mut tx = UcobsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 7100), &config, now);
-    sim.run_for(SimDuration::from_millis(200));
-    let mut rx = UcobsSocket::accept(sim.host_mut(b), 7100).expect("accepted");
+    let (mut tx, mut rx) = crate::connect_pair(&mut sim, Protocol::Ucobs, &config, a, b, 7100);
 
     let mut low = Distribution::new();
     let mut high = Distribution::new();
-    let mut sent = 0usize;
-    let mut send_times: Vec<(minion_simnet::SimTime, bool)> = Vec::with_capacity(messages);
-    let tick = SimDuration::from_millis(5);
-    let mut idle_rounds = 0u32;
+    let mut send_times: Vec<(SimTime, bool)> = Vec::with_capacity(messages);
+    let mut last_delivery = sim.now();
 
-    while low.len() + high.len() < messages && idle_rounds < 10_000 {
+    // The idle limit is a wake time, so the run ends without a deadline.
+    sim.drive(SimTime::MAX, |sim| {
         let now = sim.now();
         // Sender: keep the send buffer topped up, network-limited.
-        while sent < messages && tx.send_buffer_free(sim.host(a)) > 4 * message_size {
+        while send_times.len() < messages && tx.send_buffer_free(sim.host(a)) > 4 * message_size {
+            let sent = send_times.len();
             let high_priority = sent % 100 == 99;
             let mut payload = vec![0u8; message_size];
             payload[..8].copy_from_slice(&(sent as u64).to_be_bytes());
@@ -67,50 +72,66 @@ fn run_priority_experiment(
                 break;
             }
             send_times.push((now, high_priority));
-            sent += 1;
         }
-        sim.run_for(tick);
-        let now = sim.now();
-        let mut got_any = false;
-        for d in rx.recv(sim.host_mut(b)) {
-            if d.payload.len() < 9 {
-                continue;
-            }
-            got_any = true;
-            let id = u64::from_be_bytes(d.payload[..8].try_into().expect("8 bytes")) as usize;
-            let (sent_at, high_priority) = send_times[id];
-            let delay_ms = (now - sent_at).as_millis_f64();
-            if high_priority {
-                high.add(delay_ms);
-            } else {
-                low.add(delay_ms);
+        if crate::has_input(&rx, sim.host(b)) {
+            for d in rx.recv(sim.host_mut(b)) {
+                if d.payload.len() < 9 {
+                    continue;
+                }
+                last_delivery = now;
+                let id = u64::from_be_bytes(d.payload[..8].try_into().expect("8 bytes")) as usize;
+                let (sent_at, high_priority) = send_times[id];
+                let delay_ms = (now - sent_at).as_millis_f64();
+                if high_priority {
+                    high.add(delay_ms);
+                } else {
+                    low.add(delay_ms);
+                }
             }
         }
-        idle_rounds = if got_any { 0 } else { idle_rounds + 1 };
-    }
+        let give_up = last_delivery + IDLE_LIMIT;
+        if low.len() + high.len() == messages || now >= give_up {
+            Reaction::Done
+        } else {
+            Reaction::Wait(Some(give_up))
+        }
+    });
 
+    let high_sent = send_times.iter().filter(|&&(_, high)| high).count();
     PriorityDelays {
         low_priority_ms: low,
         high_priority_ms: high,
+        low_sent: send_times.len() - high_sent,
+        high_sent,
     }
 }
 
-/// Render Figure 10's data: delay statistics per priority class, TCP vs uTCP.
+/// Render Figure 10's data: per priority class, TCP vs uTCP, how many
+/// messages arrived of those sent and their delay statistics.
 pub fn run(messages: usize, seed: u64) -> Table {
     let mut table = Table::new(
         "Figure 10: end-to-end message delay by priority (ms)",
-        &["transport", "class", "mean_ms", "p50_ms", "p95_ms"],
+        &[
+            "transport",
+            "class",
+            "delivered",
+            "sent",
+            "mean_ms",
+            "p50_ms",
+            "p95_ms",
+        ],
     );
     for (label, use_utcp) in [("tcp", false), ("utcp", true)] {
         let delays = run_priority_experiment(use_utcp, messages, 1000, seed);
-        for (class, dist) in [
-            ("low", delays.low_priority_ms.clone()),
-            ("high", delays.high_priority_ms.clone()),
+        for (class, mut d, sent) in [
+            ("low", delays.low_priority_ms, delays.low_sent),
+            ("high", delays.high_priority_ms, delays.high_sent),
         ] {
-            let mut d = dist;
             table.add_row(vec![
                 label.to_string(),
                 class.to_string(),
+                d.len().to_string(),
+                sent.to_string(),
                 format!("{:.1}", d.mean()),
                 format!("{:.1}", d.median()),
                 format!("{:.1}", d.quantile(0.95)),

@@ -25,7 +25,9 @@ pub mod table1;
 pub mod voip_experiments;
 pub mod vpn_experiments;
 
-use minion_simnet::SimDuration;
+use minion_core::{MinionConfig, MinionTransport, Protocol};
+use minion_simnet::{NodeId, SimDuration};
+use minion_stack::{Host, Reaction, Sim, SocketAddr};
 
 /// Experiment scale: quick (CI-friendly) or full (closer to paper scale).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,3 +102,59 @@ impl Scale {
 
 /// Default seed used by the figure binaries.
 pub const DEFAULT_SEED: u64 = 42;
+
+/// Listen with `protocol` on `server:port`, connect from `client`, and drive
+/// `sim` until the server has accepted and both ends are established (uTLS
+/// runs its handshake here). Returns the client's end and the server's.
+pub(crate) fn connect_pair(
+    sim: &mut Sim,
+    protocol: Protocol,
+    config: &MinionConfig,
+    client: NodeId,
+    server: NodeId,
+    port: u16,
+) -> (MinionTransport, MinionTransport) {
+    MinionTransport::listen(protocol, sim.host_mut(server), port, config).expect("listen");
+    let now = sim.now();
+    let remote = SocketAddr::new(server, port);
+    let mut tx = MinionTransport::connect(protocol, sim.host_mut(client), remote, config, now)
+        .expect("connect");
+    let mut rx = None;
+    let deadline = now + SimDuration::from_secs(20);
+    let up = sim.drive(deadline, |sim| {
+        if rx.is_none() {
+            rx = MinionTransport::accept(protocol, sim.host_mut(server), port, config);
+        }
+        let Some(rx) = rx.as_mut() else {
+            return Reaction::Wait(None);
+        };
+        // Nothing is sent before both ends are up: only handshake bytes
+        // arrive here.
+        if has_input(rx, sim.host(server)) {
+            rx.recv(sim.host_mut(server));
+        }
+        if has_input(&tx, sim.host(client)) {
+            tx.recv(sim.host_mut(client));
+        }
+        if tx.is_established(sim.host(client)) && rx.is_established(sim.host(server)) {
+            Reaction::Done
+        } else {
+            Reaction::Wait(None)
+        }
+    });
+    assert!(up, "{protocol:?} connection never established");
+    (tx, rx.expect("accepted"))
+}
+
+/// Whether `transport`'s socket on `host` holds bytes to read, looked at
+/// without touching the host. UDP cannot tell without reading, so it is
+/// always worth a look.
+pub(crate) fn has_input(transport: &MinionTransport, host: &Host) -> bool {
+    let handle = match transport {
+        MinionTransport::Ucobs(s) => s.handle(),
+        MinionTransport::Utls(s) => s.handle(),
+        MinionTransport::TcpTlv(s) => s.handle(),
+        MinionTransport::Udp(_) => return true,
+    };
+    host.tcp_readiness(handle).is_ok_and(|r| r.readable)
+}

@@ -7,12 +7,10 @@
 //! 200 ms playout buffer; Figure 9 plots a sliding-window quality score over
 //! a longer call as competing flows are added one per minute.
 
-use minion_apps::{
-    frame_number, CompetingFlow, VoipReceiver, VoipReport, VoipSource, VoipSourceConfig,
-};
-use minion_core::{MinionConfig, MinionTransport, Protocol};
+use minion_apps::{CompetingFlow, VoipReceiver, VoipReport, VoipSource, VoipSourceConfig};
+use minion_core::{MinionConfig, Protocol};
 use minion_simnet::{Distribution, LinkConfig, SimDuration, SimTime, Table};
-use minion_stack::{Sim, SocketAddr};
+use minion_stack::{Reaction, Sim};
 
 /// Parameters of one VoIP run.
 #[derive(Clone, Debug)]
@@ -73,35 +71,14 @@ pub fn run_call(config: &VoipRunConfig) -> VoipReport {
         ..Default::default()
     };
 
-    // Set up the voice transport.
-    let protocol = config.protocol;
-    MinionTransport::listen(protocol, sim.host_mut(receiver), 9999, &minion_config)
-        .expect("listen");
-    let now = sim.now();
-    let mut tx = MinionTransport::connect(
-        protocol,
-        sim.host_mut(sender),
-        SocketAddr::new(receiver, 9999),
+    let (mut tx, mut rx) = crate::connect_pair(
+        &mut sim,
+        config.protocol,
         &minion_config,
-        now,
-    )
-    .expect("connect");
-    sim.run_for(SimDuration::from_millis(200));
-    let mut accepted =
-        MinionTransport::accept(protocol, sim.host_mut(receiver), 9999, &minion_config);
-    // Drive handshakes (needed by uTLS) until both sides are ready.
-    for _ in 0..6 {
-        if let Some(s) = accepted.as_mut() {
-            let _ = s.recv(sim.host_mut(receiver));
-        }
-        let _ = tx.recv(sim.host_mut(sender));
-        sim.run_for(SimDuration::from_millis(80));
-        if accepted.is_none() {
-            accepted =
-                MinionTransport::accept(protocol, sim.host_mut(receiver), 9999, &minion_config);
-        }
-    }
-    let mut rx = accepted.expect("accepted");
+        sender,
+        receiver,
+        9999,
+    );
 
     // Competing flows share the same direction as the voice traffic.
     let call_start = sim.now();
@@ -117,31 +94,23 @@ pub fn run_call(config: &VoipRunConfig) -> VoipReport {
     let mut source = VoipSource::new(source_config.clone(), call_start);
     let mut voip_rx = VoipReceiver::new(source_config, config.jitter_buffer, call_start);
 
-    let tick = SimDuration::from_millis(10);
     let end = call_start + config.duration + SimDuration::from_secs(2);
-    while sim.now() < end {
+    sim.drive(end, |sim| {
         let now = sim.now();
-        // Voice source.
         while let Some((_number, frame)) = source.poll(now) {
             let _ = tx.send(sim.host_mut(sender), &frame, 0);
         }
-        // Voice receiver.
-        for datagram in rx.recv(sim.host_mut(receiver)) {
-            if frame_number(&datagram.payload).is_some() {
+        if crate::has_input(&rx, sim.host(receiver)) {
+            for datagram in rx.recv(sim.host_mut(receiver)) {
                 voip_rx.on_frame(&datagram.payload, now);
             }
         }
-        // Competing traffic.
         for flow in competing.iter_mut() {
-            flow.tick(&mut sim, now);
+            flow.react(sim);
         }
-        sim.run_for(tick);
-    }
-    // Final drain.
-    let now = sim.now();
-    for datagram in rx.recv(sim.host_mut(receiver)) {
-        voip_rx.on_frame(&datagram.payload, now);
-    }
+        let wakes = competing.iter().filter_map(CompetingFlow::next_wake);
+        Reaction::Wait(wakes.chain(source.next_send_time()).min())
+    });
 
     voip_rx.report(SimDuration::from_secs(2))
 }
@@ -248,12 +217,12 @@ mod tests {
         tcp_cfg.duration = duration;
         let ucobs = run_call(&ucobs_cfg);
         let tcp = run_call(&tcp_cfg);
-        // Both deliver most frames eventually, but uCOBS keeps latency lower
-        // and misses fewer playout deadlines.
+        // Both deliver most frames eventually, but uCOBS keeps the latency
+        // tail lower and misses no more playout deadlines.
         assert!(ucobs.latencies_ms.len() > 500);
         assert!(tcp.latencies_ms.len() > 500);
         assert!(
-            ucobs.miss_fraction <= tcp.miss_fraction + 0.02,
+            ucobs.miss_fraction <= tcp.miss_fraction,
             "ucobs misses {} vs tcp {}",
             ucobs.miss_fraction,
             tcp.miss_fraction
@@ -261,11 +230,23 @@ mod tests {
         let mut u = ucobs.latencies_ms.clone();
         let mut t = tcp.latencies_ms.clone();
         assert!(
-            u.quantile(0.9) <= t.quantile(0.9) + 1.0,
-            "90th percentile latency: ucobs {} vs tcp {}",
-            u.quantile(0.9),
-            t.quantile(0.9)
+            u.quantile(0.99) < t.quantile(0.99),
+            "99th percentile latency: ucobs {} vs tcp {}",
+            u.quantile(0.99),
+            t.quantile(0.99)
         );
+    }
+
+    /// A frame is heard when it arrives: the fastest take the 30 ms
+    /// propagation plus their serialisation at 3 Mbit/s, not a multiple of
+    /// some polling interval.
+    #[test]
+    fn udp_frame_latency_is_not_rounded_up() {
+        let mut cfg = VoipRunConfig::heavy_contention(Protocol::Udp, 6);
+        cfg.duration = SimDuration::from_secs(5);
+        let mut lat = run_call(&cfg).latencies_ms;
+        let p10 = lat.quantile(0.1);
+        assert!((30.0..35.0).contains(&p10), "p10 {p10}");
     }
 
     #[test]

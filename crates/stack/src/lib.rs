@@ -24,6 +24,6 @@ pub use addr::{SocketAddr, SocketHandle};
 pub use demux::{TableStats, TupleTable};
 pub use host::{Host, HostError};
 pub use middlebox::{Middlebox, MiddleboxBehavior, MiddleboxStats};
-pub use sim::{FlowId, Sim, SimMetrics, SIM_PHASES};
+pub use sim::{FlowId, Reaction, Sim, SimMetrics, SIM_PHASES};
 pub use wheel::TimerWheel;
 pub use wire::TransportPacket;

@@ -14,11 +14,16 @@
 //!   of two front doors.
 //!
 //! **Front door 1, the host.** Experiments build a [`Sim`], add hosts and
-//! links, then interleave application logic with [`Sim::run_until`] /
-//! [`Sim::run_for`], reaching sockets through [`Sim::host_mut`]. The loop
-//! cannot see what was done behind that borrow, so it marks the host
-//! *touched*: the next flush sends the host's UDP outbox, adopts the sockets
-//! opened since as flows, and polls every flow of the host.
+//! links, then run their application with [`Sim::drive`]: the loop calls it
+//! after every event and at the wake time it asks for (its next frame, a
+//! flow's start), so it reacts at the instant something happens, not on a
+//! tick. It reaches sockets through [`Sim::host_mut`]. The loop cannot see
+//! what was done behind that borrow, so it marks the host *touched*: the
+//! next flush sends the host's UDP outbox, adopts the sockets opened since
+//! as flows, and polls every flow of the host. An application that only
+//! looks (readiness, free buffer space) looks through [`Sim::host`], which
+//! touches nothing. [`Sim::run_until`] / [`Sim::run_for`] are `drive` with
+//! an application that never reacts.
 //!
 //! **Front door 2, the flow.** A driver of many flows opens each connection
 //! as a flow ([`Sim::flow_connect`], or [`Sim::set_auto_register`] for
@@ -48,6 +53,15 @@ pub const SIM_PHASES: &[&str] = &["flush", "dispatch", "timers"];
 const PHASE_FLUSH: usize = 0;
 const PHASE_DISPATCH: usize = 1;
 const PHASE_TIMERS: usize = 2;
+
+/// What an application run by [`Sim::drive`] answers each time it reacted.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reaction {
+    /// The application is finished; `drive` returns `true`.
+    Done,
+    /// Call again after the next event, or at this time if it comes first.
+    Wait(Option<SimTime>),
+}
 
 /// Identifier of a flow: one TCP socket known to the loop. Ids are dense and
 /// count up from 0 in the order the loop met the sockets.
@@ -572,20 +586,26 @@ impl Sim {
             .min()
     }
 
-    /// Advance to `next` (a time [`Sim::next_event_time`] returned after a
-    /// flush) and process everything due then.
-    fn process(&mut self, next: SimTime) {
-        if next > self.now {
-            self.now = next;
+    /// Move the clock to `to`, which is never in the past of a loop that
+    /// works: a loop that keeps landing on the same instant is stuck.
+    fn advance(&mut self, to: SimTime) {
+        if to > self.now {
+            self.now = to;
             self.stall_iterations = 0;
         } else {
             self.stall_iterations += 1;
             assert!(
                 self.stall_iterations < 100_000,
-                "simulation stopped advancing at {} (stuck timer or routing loop)",
+                "simulation stopped advancing at {} (stuck timer, routing loop or wake)",
                 self.now
             );
         }
+    }
+
+    /// Advance to `next` (a time [`Sim::next_event_time`] returned after a
+    /// flush) and process everything due then.
+    fn process(&mut self, next: SimTime) {
+        self.advance(next);
         self.metrics.steps += 1;
 
         let start = Instant::now();
@@ -639,22 +659,47 @@ impl Sim {
         true
     }
 
-    /// Run until virtual time reaches `deadline` (or no events remain). The
-    /// loop flushes before it looks at the clock, so it never steps past the
-    /// deadline to deliver what a ready flow has just sent.
-    pub fn run_until(&mut self, deadline: SimTime) {
+    /// Run an application on the loop until it is done or `deadline` comes.
+    ///
+    /// `react` is called once at the current time, then again after every
+    /// event: each step of the loop, or the application's own wake time if
+    /// that comes first. It looks at the hosts, acts, and answers
+    /// [`Reaction::Done`] or [`Reaction::Wait`] with its next wake time (a
+    /// frame to send, a flow to start). Returns `true` on `Done`, with the
+    /// clock where the application finished; `false` when the next event
+    /// and wake lie past `deadline` or nothing is scheduled, with the clock
+    /// at `deadline` (or where it was, if that is later). The loop flushes
+    /// before it looks at the clock, so it never steps past the deadline to
+    /// deliver what a ready flow has just sent.
+    pub fn drive(
+        &mut self,
+        deadline: SimTime,
+        mut react: impl FnMut(&mut Sim) -> Reaction,
+    ) -> bool {
         loop {
+            let wake = match react(self) {
+                Reaction::Done => return true,
+                Reaction::Wait(wake) => wake,
+            };
             self.flush_pending();
-            match self.next_event_time() {
-                Some(next) if next <= deadline => self.process(next),
+            let next = self.next_event_time();
+            match next.into_iter().chain(wake).min() {
+                Some(at) if at <= deadline && next == Some(at) => self.process(at),
+                Some(at) if at <= deadline => self.advance(at),
                 _ => {
                     // max(): a deadline already in the past must not move
                     // virtual time backwards.
                     self.now = self.now.max(deadline);
-                    return;
+                    return false;
                 }
             }
         }
+    }
+
+    /// Run until virtual time reaches `deadline` (or no events remain):
+    /// [`Sim::drive`] with an application that never reacts.
+    pub fn run_until(&mut self, deadline: SimTime) {
+        self.drive(deadline, |_| Reaction::Wait(None));
     }
 
     /// Run for a span of virtual time from now.
@@ -1061,6 +1106,79 @@ mod tests {
         assert!(sim.host_mut(d).udp_recv(ud).unwrap().is_some());
         assert!(sim.metrics().steps > before.steps, "the loop did run");
         assert_eq!(sim.metrics().flow_polls, before.flow_polls);
+    }
+
+    /// An application's own wake time is honoured exactly, with nothing on
+    /// the network to carry the loop there.
+    #[test]
+    fn drive_wakes_the_application_at_its_wake_time_on_an_idle_network() {
+        let (mut sim, _, _) = basic_sim();
+        let wake = SimTime::from_micros(7_321);
+        let mut seen = vec![];
+        let done = sim.drive(SimTime::from_secs(1), |sim| {
+            seen.push(sim.now());
+            if sim.now() < wake {
+                Reaction::Wait(Some(wake))
+            } else {
+                Reaction::Done
+            }
+        });
+        assert!(done);
+        assert_eq!(seen, [SimTime::ZERO, wake]);
+        assert_eq!(sim.now(), wake);
+        assert_eq!(sim.metrics().steps, 0, "a wake is not a loop step");
+    }
+
+    /// `Done` at the first look returns at once: no time passes and the
+    /// pending work is left for the next run.
+    #[test]
+    fn drive_returns_at_once_on_done() {
+        let (mut sim, a, b) = basic_sim();
+        connect_flow(&mut sim, a, b);
+        assert!(sim.drive(SimTime::from_secs(1), |_| Reaction::Done));
+        assert_eq!(sim.now(), SimTime::ZERO);
+        assert_eq!(*sim.metrics(), SimMetrics::default());
+    }
+
+    /// At the deadline `drive` gives up with the clock on the deadline, even
+    /// when the application's wake or the next event lies just past it.
+    #[test]
+    fn drive_stops_at_the_deadline() {
+        let (mut sim, a, b) = basic_sim();
+        connect_flow(&mut sim, a, b);
+        let deadline = SimTime::from_millis(5);
+        let mut latest = SimTime::ZERO;
+        let done = sim.drive(deadline, |sim| {
+            latest = sim.now();
+            Reaction::Wait(Some(deadline + SimDuration::from_micros(1)))
+        });
+        assert!(!done);
+        assert_eq!(sim.now(), deadline);
+        assert!(latest < deadline, "react never ran past the deadline");
+    }
+
+    /// The application reacts at the instant a packet arrives, not at the
+    /// end of some polling interval.
+    #[test]
+    fn drive_reacts_when_a_datagram_arrives() {
+        let (mut sim, a, b) = basic_sim();
+        let sa = sim.host_mut(a).udp_bind(1).unwrap();
+        let sb = sim.host_mut(b).udp_bind(2).unwrap();
+        sim.host_mut(a)
+            .udp_send_to(sa, SocketAddr::new(b, 2), b"x")
+            .unwrap();
+        let done = sim.drive(SimTime::from_secs(1), |sim| {
+            match sim.host_mut(b).udp_recv(sb).unwrap() {
+                Some(_) => Reaction::Done,
+                None => Reaction::Wait(None),
+            }
+        });
+        assert!(done);
+        let heard = sim.now();
+        assert!(
+            heard > SimTime::from_millis(30) && heard < SimTime::from_millis(31),
+            "30 ms propagation plus one small datagram's serialisation: {heard}"
+        );
     }
 
     /// Opening a flow polls that flow alone: with N established, idle flows

@@ -11,7 +11,7 @@ use crate::world::{build_world, CellWorld};
 use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_mstcp::{MsTcpConnection, StreamId};
 use minion_simnet::{SimDuration, SimTime};
-use minion_stack::{Host, SocketAddr};
+use minion_stack::{Host, Reaction, SocketAddr};
 use std::collections::BTreeMap;
 
 /// Number of msTCP streams a matrix cell multiplexes messages over.
@@ -131,7 +131,18 @@ fn middlebox_counters(world: &CellWorld) -> (u64, u64) {
 
 const ESTABLISH_DEADLINE: SimDuration = SimDuration::from_secs(20);
 const TRANSFER_DEADLINE: SimDuration = SimDuration::from_secs(120);
-const PUMP_STEP: SimDuration = SimDuration::from_millis(25);
+
+/// Whether `transport`'s socket on `host` holds bytes to read, looked at
+/// without touching the host.
+fn has_input(transport: &MinionTransport, host: &Host) -> bool {
+    let handle = match transport {
+        MinionTransport::Ucobs(s) => s.handle(),
+        MinionTransport::Utls(s) => s.handle(),
+        MinionTransport::TcpTlv(s) => s.handle(),
+        MinionTransport::Udp(_) => return true,
+    };
+    host.tcp_readiness(handle).is_ok_and(|r| r.readable)
+}
 
 /// The first stage of both drivers: listen on the receiver, connect from the
 /// sender, and run the world until the receiver accepts. Returns the two
@@ -144,26 +155,30 @@ fn establish<T>(
     connect: impl FnOnce(&mut Host, SocketAddr, SimTime) -> T,
     mut accept: impl FnMut(&mut Host) -> Option<T>,
 ) -> (T, T, SimTime) {
-    listen(world.sim.host_mut(world.receiver));
+    let receiver = world.receiver;
+    listen(world.sim.host_mut(receiver));
     let now = world.sim.now();
     let tx = connect(
         world.sim.host_mut(world.sender),
-        SocketAddr::new(world.receiver, port),
+        SocketAddr::new(receiver, port),
         now,
     );
-    let deadline = world.sim.now() + ESTABLISH_DEADLINE;
-    loop {
-        world.sim.run_for(PUMP_STEP);
-        if let Some(rx) = accept(world.sim.host_mut(world.receiver)) {
-            return (tx, rx, deadline);
+    let deadline = now + ESTABLISH_DEADLINE;
+    let mut rx = None;
+    let accepted = world.sim.drive(deadline, |sim| {
+        rx = accept(sim.host_mut(receiver));
+        match rx {
+            Some(_) => Reaction::Done,
+            None => Reaction::Wait(None),
         }
-        assert!(
-            world.sim.now() < deadline,
-            "[{}] {:?} connection never established",
-            spec.label(),
-            spec.protocol
-        );
-    }
+    });
+    assert!(
+        accepted,
+        "[{}] {:?} connection never established",
+        spec.label(),
+        spec.protocol
+    );
+    (tx, rx.expect("accepted"), deadline)
 }
 
 /// Drive a datagram protocol — uCOBS or uTLS — across the cell's world
@@ -185,24 +200,23 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     );
     // uCOBS sends as soon as the connection is accepted: its writes queue
     // behind TCP's handshake. uTLS can seal nothing before its keys exist,
-    // so both ends pump its handshake first (the server consumes the hello
+    // so both ends run its handshake first (the server consumes the hello
     // and responds, the client consumes the response).
     if protocol == Protocol::Utls {
-        loop {
-            let _ = rx.recv(world.sim.host_mut(receiver));
-            let _ = tx.recv(world.sim.host_mut(sender));
-            if rx.is_established(world.sim.host(receiver))
-                && tx.is_established(world.sim.host(sender))
-            {
-                break;
+        let shaken = world.sim.drive(establish_deadline, |sim| {
+            if has_input(&rx, sim.host(receiver)) {
+                rx.recv(sim.host_mut(receiver));
             }
-            assert!(
-                world.sim.now() < establish_deadline,
-                "[{}] uTLS handshake never completed",
-                spec.label()
-            );
-            world.sim.run_for(PUMP_STEP);
-        }
+            if has_input(&tx, sim.host(sender)) {
+                tx.recv(sim.host_mut(sender));
+            }
+            if rx.is_established(sim.host(receiver)) && tx.is_established(sim.host(sender)) {
+                Reaction::Done
+            } else {
+                Reaction::Wait(None)
+            }
+        });
+        assert!(shaken, "[{}] uTLS handshake never completed", spec.label());
     }
     for i in 0..spec.datagrams {
         tx.send_datagram(world.sim.host_mut(sender), &cell_payload(spec, i))
@@ -210,16 +224,22 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     }
     let mut deliveries = Vec::new();
     let deadline = world.sim.now() + TRANSFER_DEADLINE;
-    while deliveries.len() < spec.datagrams && world.sim.now() < deadline {
-        world.sim.run_for(PUMP_STEP);
-        let now_us = world.sim.now().as_micros();
-        for d in rx.recv(world.sim.host_mut(receiver)) {
-            deliveries.push(Delivery {
-                payload: d.payload,
-                time_us: now_us,
-            });
+    world.sim.drive(deadline, |sim| {
+        if has_input(&rx, sim.host(receiver)) {
+            let time_us = sim.now().as_micros();
+            for d in rx.recv(sim.host_mut(receiver)) {
+                deliveries.push(Delivery {
+                    payload: d.payload,
+                    time_us,
+                });
+            }
         }
-    }
+        if deliveries.len() < spec.datagrams {
+            Reaction::Wait(None)
+        } else {
+            Reaction::Done
+        }
+    });
     let mac_rejected_candidates = match &rx {
         MinionTransport::Utls(rx) => {
             assert_eq!(
@@ -274,10 +294,10 @@ fn run_mstcp(spec: &CellSpec) -> Collected {
     let mut received_per_stream: BTreeMap<StreamId, Vec<u8>> = BTreeMap::new();
     let mut open_message: BTreeMap<StreamId, Vec<u8>> = BTreeMap::new();
     let deadline = world.sim.now() + TRANSFER_DEADLINE;
-    while deliveries.len() < spec.datagrams && world.sim.now() < deadline {
-        world.sim.run_for(PUMP_STEP);
-        let now_us = world.sim.now().as_micros();
-        for ev in rx.recv(world.sim.host_mut(world.receiver)) {
+    let receiver = world.receiver;
+    world.sim.drive(deadline, |sim| {
+        let time_us = sim.now().as_micros();
+        for ev in rx.recv(sim.host_mut(receiver)) {
             received_per_stream
                 .entry(ev.stream)
                 .or_default()
@@ -287,11 +307,16 @@ fn run_mstcp(spec: &CellSpec) -> Collected {
             if ev.end_of_message {
                 deliveries.push(Delivery {
                     payload: std::mem::take(buf),
-                    time_us: now_us,
+                    time_us,
                 });
             }
         }
-    }
+        if deliveries.len() < spec.datagrams {
+            Reaction::Wait(None)
+        } else {
+            Reaction::Done
+        }
+    });
     // Per-stream ordering: each stream's bytes are exactly the concatenation
     // of its messages in send order.
     for (stream, expected) in &expected_per_stream {

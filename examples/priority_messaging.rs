@@ -8,7 +8,7 @@
 
 use minion_repro::core::{MinionConfig, UcobsSocket};
 use minion_repro::simnet::{Distribution, LinkConfig, SimDuration, SimTime};
-use minion_repro::stack::{Sim, SocketAddr};
+use minion_repro::stack::{Reaction, Sim, SocketAddr};
 
 fn run(use_utcp: bool) -> (f64, f64) {
     let mut sim = Sim::new(3);
@@ -27,27 +27,31 @@ fn run(use_utcp: bool) -> (f64, f64) {
     UcobsSocket::listen(sim.host_mut(b), 7000, &config).unwrap();
     let now = sim.now();
     let mut tx = UcobsSocket::connect(sim.host_mut(a), SocketAddr::new(b, 7000), &config, now);
-    sim.run_for(SimDuration::from_millis(200));
-    let mut rx = UcobsSocket::accept(sim.host_mut(b), 7000).unwrap();
+    let mut rx = None;
+    sim.drive(SimTime::from_secs(5), |sim| {
+        rx = UcobsSocket::accept(sim.host_mut(b), 7000);
+        match rx {
+            Some(_) => Reaction::Done,
+            None => Reaction::Wait(None),
+        }
+    });
+    let mut rx = rx.expect("accepted");
 
     let mut sent_at: Vec<(SimTime, bool)> = Vec::new();
     let mut bulk = Distribution::new();
     let mut urgent = Distribution::new();
     let total = 800usize;
-    let mut sent = 0usize;
-    while bulk.len() + urgent.len() < total {
+    let delivered_all = sim.drive(SimTime::from_secs(120), |sim| {
         let now = sim.now();
-        while sent < total && tx.send_buffer_free(sim.host(a)) > 4096 {
-            let is_urgent = sent % 100 == 99;
+        // Keep the send buffer topped up; every 100th message is urgent.
+        while sent_at.len() < total && tx.send_buffer_free(sim.host(a)) > 4096 {
+            let is_urgent = sent_at.len() % 100 == 99;
             let mut msg = vec![0u8; 1000];
-            msg[..8].copy_from_slice(&(sent as u64).to_be_bytes());
+            msg[..8].copy_from_slice(&(sent_at.len() as u64).to_be_bytes());
             tx.send(sim.host_mut(a), &msg, if is_urgent { 9 } else { 0 })
                 .unwrap();
             sent_at.push((now, is_urgent));
-            sent += 1;
         }
-        sim.run_for(SimDuration::from_millis(10));
-        let now = sim.now();
         for d in rx.recv(sim.host_mut(b)) {
             let id = u64::from_be_bytes(d.payload[..8].try_into().unwrap()) as usize;
             let (t, is_urgent) = sent_at[id];
@@ -58,7 +62,13 @@ fn run(use_utcp: bool) -> (f64, f64) {
                 bulk.add(delay)
             }
         }
-    }
+        if bulk.len() + urgent.len() < total {
+            Reaction::Wait(None)
+        } else {
+            Reaction::Done
+        }
+    });
+    assert!(delivered_all, "every message arrives");
     (bulk.mean(), urgent.mean())
 }
 

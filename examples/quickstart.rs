@@ -7,8 +7,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use minion_repro::core::{MinionConfig, UcobsSocket};
-use minion_repro::simnet::{LinkConfig, LossConfig, SimDuration};
-use minion_repro::stack::{Sim, SocketAddr};
+use minion_repro::simnet::{LinkConfig, LossConfig, SimDuration, SimTime};
+use minion_repro::stack::{Reaction, Sim, SocketAddr};
 
 fn main() {
     // 1. Build a two-host topology: 10 Mbps, 60 ms RTT, 1% loss.
@@ -32,8 +32,16 @@ fn main() {
         &config,
         now,
     );
-    sim.run_for(SimDuration::from_millis(200));
-    let mut receiver = UcobsSocket::accept(sim.host_mut(bob), 9000).expect("accepted");
+    // The listener hands the connection over as soon as the SYN lands.
+    let mut receiver = None;
+    sim.drive(SimTime::from_secs(5), |sim| {
+        receiver = UcobsSocket::accept(sim.host_mut(bob), 9000);
+        match receiver {
+            Some(_) => Reaction::Done,
+            None => Reaction::Wait(None),
+        }
+    });
+    let mut receiver = receiver.expect("accepted");
 
     // 3. Send 200 datagrams. Each is padded to ~600 bytes so the stream
     //    spans many segments and the 1% loss reliably leaves a mid-stream
@@ -45,18 +53,23 @@ fn main() {
             .expect("send");
     }
 
-    // 4. Let the simulation run and collect what arrives.
+    // 4. Run the simulation, collecting datagrams the moment they arrive.
     let mut delivered = 0usize;
     let mut out_of_order = 0usize;
-    for _ in 0..50 {
-        sim.run_for(SimDuration::from_millis(100));
+    let deadline = sim.now() + SimDuration::from_secs(5);
+    sim.drive(deadline, |sim| {
         for datagram in receiver.recv(sim.host_mut(bob)) {
             delivered += 1;
             if datagram.out_of_order {
                 out_of_order += 1;
             }
         }
-    }
+        if delivered < 200 {
+            Reaction::Wait(None)
+        } else {
+            Reaction::Done
+        }
+    });
 
     println!("delivered {delivered} datagrams, {out_of_order} of them ahead of a stream hole");
     println!(

@@ -6,10 +6,10 @@
 //!
 //! Run with: `cargo run --release --example voip_conference`
 
-use minion_repro::apps::{frame_number, CompetingFlow, VoipReceiver, VoipSource, VoipSourceConfig};
+use minion_repro::apps::{CompetingFlow, VoipReceiver, VoipSource, VoipSourceConfig};
 use minion_repro::core::{MinionConfig, MinionTransport, Protocol};
-use minion_repro::simnet::{LinkConfig, SimDuration};
-use minion_repro::stack::{Sim, SocketAddr};
+use minion_repro::simnet::{LinkConfig, SimDuration, SimTime};
+use minion_repro::stack::{Reaction, Sim, SocketAddr};
 
 fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
     let mut sim = Sim::new(11);
@@ -31,8 +31,15 @@ fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
         now,
     )
     .unwrap();
-    sim.run_for(SimDuration::from_millis(300));
-    let mut rx = MinionTransport::accept(protocol, sim.host_mut(callee), 9999, &config).unwrap();
+    let mut rx = None;
+    sim.drive(SimTime::from_secs(5), |sim| {
+        rx = MinionTransport::accept(protocol, sim.host_mut(callee), 9999, &config);
+        match rx {
+            Some(_) => Reaction::Done,
+            None => Reaction::Wait(None),
+        }
+    });
+    let mut rx = rx.expect("accepted");
 
     let source_config = VoipSourceConfig {
         duration: SimDuration::from_secs(30),
@@ -46,22 +53,22 @@ fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
         .map(|i| CompetingFlow::new(caller, callee, 6000 + i, start))
         .collect();
 
-    let end = start + SimDuration::from_secs(32);
-    while sim.now() < end {
+    // The call wakes for each frame it sends and reacts to everything else
+    // as it happens.
+    sim.drive(start + SimDuration::from_secs(32), |sim| {
         let now = sim.now();
         while let Some((_, frame)) = source.poll(now) {
             let _ = tx.send(sim.host_mut(caller), &frame, 0);
         }
         for d in rx.recv(sim.host_mut(callee)) {
-            if frame_number(&d.payload).is_some() {
-                receiver.on_frame(&d.payload, now);
-            }
+            receiver.on_frame(&d.payload, now);
         }
         for f in flows.iter_mut() {
-            f.tick(&mut sim, now);
+            f.react(sim);
         }
-        sim.run_for(SimDuration::from_millis(10));
-    }
+        let wakes = flows.iter().filter_map(CompetingFlow::next_wake);
+        Reaction::Wait(wakes.chain(source.next_send_time()).min())
+    });
     let report = receiver.report(SimDuration::from_secs(2));
     let mut lat = report.latencies_ms.clone();
     (
