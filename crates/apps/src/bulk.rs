@@ -3,7 +3,7 @@
 //! delivered bytes. Used for the throughput-vs-message-size experiment
 //! (Figure 5) and as the competing traffic in the conferencing experiments.
 //! Each is an application for [`Sim::drive`]: its `react` is what to do
-//! after an event, and it looks before it touches a host.
+//! after an event.
 
 use minion_simnet::{NodeId, SimTime};
 use minion_stack::{Sim, SocketAddr, SocketHandle};
@@ -50,14 +50,13 @@ impl BulkSender {
     }
 
     /// Top up the send buffer with whole messages once the connection is
-    /// established. Looks through [`Sim::host`] and borrows the host
-    /// mutably only to write a message that fits.
+    /// established.
     pub fn react(&mut self, sim: &mut Sim) {
+        let host = sim.host_mut(self.node);
         while self.written < self.total_bytes {
             let size = self
                 .message_size
                 .min((self.total_bytes - self.written) as usize);
-            let host = sim.host(self.node);
             if !host.tcp_established(self.handle).unwrap_or(false)
                 || host.tcp_send_buffer_free(self.handle).unwrap_or(0) < size
             {
@@ -65,7 +64,6 @@ impl BulkSender {
             }
             let msg = vec![self.next_byte; size];
             self.next_byte = self.next_byte.wrapping_add(1);
-            let host = sim.host_mut(self.node);
             match host.tcp_write_meta(self.handle, &msg, WriteMeta::normal()) {
                 Ok(n) => self.written += n as u64,
                 Err(_) => break,
@@ -112,15 +110,8 @@ impl BulkSink {
     }
 
     /// Drain what the connection delivered, stamping it with the current
-    /// time. Borrows the host mutably only when the socket is readable.
+    /// time.
     pub fn react(&mut self, sim: &mut Sim) {
-        let readable = sim
-            .host(self.node)
-            .tcp_readiness(self.handle)
-            .is_ok_and(|r| r.readable);
-        if !readable {
-            return;
-        }
         let now = sim.now();
         let host = sim.host_mut(self.node);
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {

@@ -16,7 +16,7 @@
 use minion_core::MinionConfig;
 use minion_mstcp::MsTcpConnection;
 use minion_simnet::{NodeId, SimDuration, SimRng};
-use minion_stack::{Host, Reaction, Sim, SocketAddr, SocketHandle};
+use minion_stack::{Host, Reaction, Sim, SocketAddr};
 use minion_tcp::{SocketOptions, TcpConfig};
 use std::collections::BTreeMap;
 
@@ -100,14 +100,6 @@ impl PageLoadMetrics {
 
 const REQUEST_SIZE: usize = 120;
 const MAX_PAGE_TIME: SimDuration = SimDuration::from_secs(120);
-
-/// Whether a TCP socket holds bytes to read, looked at without touching the
-/// host.
-fn readable(sim: &Sim, node: NodeId, handle: SocketHandle) -> bool {
-    sim.host(node)
-        .tcp_readiness(handle)
-        .is_ok_and(|r| r.readable)
-}
 
 /// Drive `sim` until `accept` has taken the server's end of a connection and
 /// `established` says the client's end is up; returns the accepted end.
@@ -194,11 +186,9 @@ pub fn load_page_pipelined_tcp(
             let _ = sim.host_mut(client).tcp_write(ch, &[1u8; REQUEST_SIZE]);
             sent_primary_request = true;
         }
-        if readable(sim, client, ch) {
-            let host = sim.host_mut(client);
-            while let Ok(Some(chunk)) = host.tcp_read(ch) {
-                stream.extend_from_slice(&chunk.data);
-            }
+        let host = sim.host_mut(client);
+        while let Ok(Some(chunk)) = host.tcp_read(ch) {
+            stream.extend_from_slice(&chunk.data);
         }
         // Parse objects from the in-order stream.
         loop {
@@ -248,11 +238,9 @@ pub fn load_page_pipelined_tcp(
         }
 
         // --- server side ---
-        if readable(sim, server, sh) {
-            let host = sim.host_mut(server);
-            while let Ok(Some(chunk)) = host.tcp_read(sh) {
-                server_request_bytes += chunk.len();
-            }
+        let host = sim.host_mut(server);
+        while let Ok(Some(chunk)) = host.tcp_read(sh) {
+            server_request_bytes += chunk.len();
         }
         if !server_sent_primary && server_request_bytes >= REQUEST_SIZE {
             let mut data = (page.primary_size as u32).to_be_bytes().to_vec();

@@ -27,7 +27,7 @@ pub mod vpn_experiments;
 
 use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_simnet::{NodeId, SimDuration};
-use minion_stack::{Host, Reaction, Sim, SocketAddr};
+use minion_stack::{Reaction, Sim, SocketAddr};
 
 /// Experiment scale: quick (CI-friendly) or full (closer to paper scale).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,12 +130,8 @@ pub(crate) fn connect_pair(
         };
         // Nothing is sent before both ends are up: only handshake bytes
         // arrive here.
-        if has_input(rx, sim.host(server)) {
-            rx.recv(sim.host_mut(server));
-        }
-        if has_input(&tx, sim.host(client)) {
-            tx.recv(sim.host_mut(client));
-        }
+        rx.recv(sim.host_mut(server));
+        tx.recv(sim.host_mut(client));
         if tx.is_established(sim.host(client)) && rx.is_established(sim.host(server)) {
             Reaction::Done
         } else {
@@ -144,17 +140,4 @@ pub(crate) fn connect_pair(
     });
     assert!(up, "{protocol:?} connection never established");
     (tx, rx.expect("accepted"))
-}
-
-/// Whether `transport`'s socket on `host` holds bytes to read, looked at
-/// without touching the host. UDP cannot tell without reading, so it is
-/// always worth a look.
-pub(crate) fn has_input(transport: &MinionTransport, host: &Host) -> bool {
-    let handle = match transport {
-        MinionTransport::Ucobs(s) => s.handle(),
-        MinionTransport::Utls(s) => s.handle(),
-        MinionTransport::TcpTlv(s) => s.handle(),
-        MinionTransport::Udp(_) => return true,
-    };
-    host.tcp_readiness(handle).is_ok_and(|r| r.readable)
 }

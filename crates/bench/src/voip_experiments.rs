@@ -100,10 +100,8 @@ pub fn run_call(config: &VoipRunConfig) -> VoipReport {
         while let Some((_number, frame)) = source.poll(now) {
             let _ = tx.send(sim.host_mut(sender), &frame, 0);
         }
-        if crate::has_input(&rx, sim.host(receiver)) {
-            for datagram in rx.recv(sim.host_mut(receiver)) {
-                voip_rx.on_frame(&datagram.payload, now);
-            }
+        for datagram in rx.recv(sim.host_mut(receiver)) {
+            voip_rx.on_frame(&datagram.payload, now);
         }
         for flow in competing.iter_mut() {
             flow.react(sim);

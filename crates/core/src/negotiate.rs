@@ -2,9 +2,10 @@
 //!
 //! The paper leaves dynamic negotiation to future work (§3.2) but notes that
 //! applications already implement simple schemes — e.g. "try UDP, fall back
-//! to TCP". This module captures that logic as a deterministic chooser the
-//! examples and the experiment harness use: given the application's needs and
-//! what the path supports, pick the best Minion protocol.
+//! to TCP". This module captures that logic as a deterministic chooser:
+//! given the application's needs and what the path supports, pick the best
+//! Minion protocol. Outside its own tests, only `tests/end_to_end.rs` calls
+//! it; the examples and the figure harness name their protocol directly.
 
 use crate::config::Protocol;
 

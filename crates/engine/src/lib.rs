@@ -10,7 +10,7 @@
 //! * The event loop is [`minion_stack::Sim`], the one loop of the workspace
 //!   (hierarchical [`TimerWheel`], batched packet dispatch, per-socket
 //!   demultiplexing, readiness events instead of lockstep sweeps). This
-//!   crate drives it through its flow front door ([`FlowId`]); nothing here
+//!   crate drives it through registered flows ([`FlowId`]); nothing here
 //!   restricts the topology underneath.
 //! * [`Transport`] — packet I/O and time as a trait, so one scenario driver
 //!   runs over the simulator ([`SimTransport`]) or a kernel stack

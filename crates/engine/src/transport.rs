@@ -7,11 +7,11 @@
 //! write/read bytes, and pump an event loop that reports accepts and
 //! readable/writable edges. Two implementations exist:
 //!
-//! * [`SimTransport`] (here) — holds a deterministic [`Sim`] and drives it
-//!   through its flow front door: the trait calls map 1:1 onto the
-//!   `flow_*` calls, each of which marks exactly one flow ready. Any
-//!   topology a `Sim` can hold works underneath (middleboxes, routes, UDP
-//!   beside the flows); the load scenario happens to build two hosts.
+//! * [`SimTransport`] (here) — holds a deterministic [`Sim`]: each flow is
+//!   a registered [`FlowId`], and the trait calls act on its socket through
+//!   the host, which makes the loop poll exactly that flow. Any topology a
+//!   `Sim` can hold works underneath (middleboxes, routes, UDP beside the
+//!   flows); the load scenario happens to build two hosts.
 //! * `OsTransport` (`minion-osnet`) — drives real nonblocking kernel
 //!   sockets over loopback through an epoll reactor, with a monotonic clock
 //!   feeding wall-clock microseconds into the same driver loop.
@@ -27,7 +27,7 @@ use crate::scenario::{LoadScenario, LOAD_PORT};
 use bytes::Bytes;
 use minion_obs::PhaseProfile;
 use minion_simnet::{LinkConfig, NodeId, SimDuration, SimTime};
-use minion_stack::{FlowId, Sim, SocketAddr, SIM_PHASES};
+use minion_stack::{FlowId, Host, Sim, SocketAddr, SocketHandle, SIM_PHASES};
 use minion_tcp::{ConnEvent, SocketOptions, TcpConfig};
 
 /// One delivered piece of a flow's byte stream.
@@ -200,6 +200,12 @@ impl SimTransport {
         &self.sim
     }
 
+    /// The host of a flow and the flow's socket, to act on it.
+    fn socket(&mut self, flow: FlowId) -> (&mut Host, SocketHandle) {
+        let (node, handle) = self.sim.flow_socket(flow);
+        (self.sim.host_mut(node), handle)
+    }
+
     /// Split the loop's edge events into the readable/writable queues the
     /// trait exposes. The remaining edges (`Established`, `Retransmit`,
     /// `RtoFired`, `Closed`) carry no driver *work*, but they are exactly
@@ -237,22 +243,33 @@ impl Transport for SimTransport {
         (id, u64::from(client_port.expect("fresh TCP socket")))
     }
 
+    /// As a socket does, this accepts the prefix of `data` that fits the
+    /// send buffer; a writable edge reports when an acknowledgment has made
+    /// room again.
     fn write(&mut self, flow: FlowId, data: &[u8]) -> usize {
-        self.sim
-            .flow_write(flow, data)
+        let (host, handle) = self.socket(flow);
+        let free = host
+            .tcp_send_buffer_free(handle)
+            .expect("flow handle is valid");
+        host.tcp_write(handle, &data[..data.len().min(free)])
             .expect("flow handle is a valid TCP socket")
     }
 
     fn read(&mut self, flow: FlowId) -> Option<TransportChunk> {
-        self.sim.flow_read(flow).map(|c| TransportChunk {
-            offset: c.offset,
-            data: c.data,
-            in_order: c.in_order,
-        })
+        let (host, handle) = self.socket(flow);
+        host.tcp_read(handle)
+            .ok()
+            .flatten()
+            .map(|c| TransportChunk {
+                offset: c.offset,
+                data: c.data,
+                in_order: c.in_order,
+            })
     }
 
     fn close(&mut self, flow: FlowId) {
-        self.sim.flow_close(flow);
+        let (host, handle) = self.socket(flow);
+        let _ = host.tcp_close(handle);
     }
 
     fn step(&mut self) -> bool {
@@ -321,5 +338,34 @@ impl Transport for SimTransport {
     fn finish(&mut self) {
         // Drive the FIN/TIME-WAIT exchanges of every closed flow.
         self.sim.run_for(SimDuration::from_secs(8));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn write_accepts_the_prefix_that_fits_and_signals_writable() {
+        let mut t = SimTransport::new(&LoadScenario::default());
+        let (cf, _) = t.connect();
+        let (node, ch) = t.sim.flow_socket(cf);
+        let capacity = t.sim.host(node).tcp_send_buffer_free(ch).unwrap();
+
+        // A write that fits is taken whole and never raises a writable edge.
+        assert_eq!(t.write(cf, &[1u8; 1000]), 1000);
+        t.sim.run_for(SimDuration::from_millis(500));
+        assert!(!t.take_writable().contains(&cf));
+
+        // A write past the buffer is taken up to the brim; a full buffer
+        // takes nothing (and does not fail).
+        let big = vec![2u8; capacity + 5000];
+        assert_eq!(t.write(cf, &big), capacity);
+        assert_eq!(t.write(cf, &big[capacity..]), 0);
+        // The first acknowledgment that frees space says so, once.
+        t.sim.run_for(SimDuration::from_millis(500));
+        let writable = t.take_writable().into_iter().filter(|&f| f == cf).count();
+        assert_eq!(writable, 1);
+        assert_eq!(t.write(cf, &big[capacity..]), 5000);
     }
 }

@@ -84,6 +84,9 @@ pub struct Host {
     next_ephemeral_port: u16,
     /// Packets waiting to be handed to the simulator.
     outbox: Vec<Packet>,
+    /// TCP sockets the application acted on since the event loop last
+    /// looked ([`Host::drain_acted`]), in call order, with repeats.
+    acted: Vec<SocketHandle>,
     /// Scratch for the segments of one connection poll (no allocation per
     /// poll on the hot path).
     segments: Vec<TcpSegment>,
@@ -102,6 +105,7 @@ impl Host {
             next_handle: 1,
             next_ephemeral_port: 40_000,
             outbox: Vec::new(),
+            acted: Vec::new(),
             segments: Vec::new(),
         }
     }
@@ -178,6 +182,7 @@ impl Host {
             .insert((local_port, remote.node, remote.port), handle);
         self.sockets
             .insert(handle, Socket::Tcp(TcpSocket { conn, remote }));
+        self.acted.push(handle);
         handle
     }
 
@@ -214,7 +219,9 @@ impl Host {
 
     /// Write data on a TCP socket.
     pub fn tcp_write(&mut self, handle: SocketHandle, data: &[u8]) -> Result<usize, HostError> {
-        Ok(self.tcp_socket_mut(handle)?.conn.write(data)?)
+        let n = self.tcp_socket_mut(handle)?.conn.write(data)?;
+        self.acted.push(handle);
+        Ok(n)
     }
 
     /// Write data with uTCP metadata (priority / squash).
@@ -224,20 +231,28 @@ impl Host {
         data: &[u8],
         meta: WriteMeta,
     ) -> Result<usize, HostError> {
-        Ok(self
+        let n = self
             .tcp_socket_mut(handle)?
             .conn
-            .write_with_meta(data, meta)?)
+            .write_with_meta(data, meta)?;
+        self.acted.push(handle);
+        Ok(n)
     }
 
-    /// Read the next delivered chunk from a TCP socket.
+    /// Read the next delivered chunk from a TCP socket. A chunk reopens
+    /// receive-window space, so it counts as acting on the socket.
     pub fn tcp_read(&mut self, handle: SocketHandle) -> Result<Option<DeliveredChunk>, HostError> {
-        Ok(self.tcp_socket_mut(handle)?.conn.read())
+        let chunk = self.tcp_socket_mut(handle)?.conn.read();
+        if chunk.is_some() {
+            self.acted.push(handle);
+        }
+        Ok(chunk)
     }
 
     /// Request an orderly close.
     pub fn tcp_close(&mut self, handle: SocketHandle) -> Result<(), HostError> {
         self.tcp_socket_mut(handle)?.conn.close();
+        self.acted.push(handle);
         Ok(())
     }
 
@@ -414,10 +429,11 @@ impl Host {
     /// Poll a single TCP socket for outgoing packets and timer work,
     /// appending the resulting packets to `out`.
     ///
-    /// The event loop knows which flows are ready (from arrivals, its timer
-    /// wheel and the application's writes) and polls exactly those. The
-    /// caller supplies a reusable buffer so the hot path does not allocate
-    /// per poll. Returns the number of packets produced.
+    /// The event loop polls a socket only when something happened to it: a
+    /// packet arrived for it, its timer fired, or the application acted on
+    /// it ([`Host::drain_acted`]). The caller supplies a reusable buffer
+    /// so the hot path does not allocate per poll. Returns the number of
+    /// packets produced.
     pub(crate) fn poll_handle_into(
         &mut self,
         handle: SocketHandle,
@@ -441,11 +457,19 @@ impl Host {
         out.append(&mut self.outbox);
     }
 
-    /// The handle the next socket opened on this host will get. Handles are
-    /// sequential, so the sockets opened since an earlier reading are
-    /// exactly the handles from that reading up to this one.
-    pub(crate) fn next_handle(&self) -> u32 {
-        self.next_handle
+    /// Move the TCP sockets the application acted on since the last call
+    /// (a connect, an accepted write or close, a read that returned a
+    /// chunk) into `out`, sorted and without repeats.
+    pub(crate) fn drain_acted(&mut self, out: &mut Vec<SocketHandle>) {
+        out.append(&mut self.acted);
+        out.sort_unstable();
+        out.dedup();
+    }
+
+    /// Whether the application left work for the event loop: a UDP
+    /// datagram to send or a TCP socket it acted on.
+    pub(crate) fn has_pending(&self) -> bool {
+        !self.outbox.is_empty() || !self.acted.is_empty()
     }
 
     /// Whether `handle` names a TCP socket.

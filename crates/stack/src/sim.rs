@@ -2,46 +2,46 @@
 //! virtual time. It is the only loop in the workspace; the figure binaries,
 //! the apps, the scenario matrix and the load scenarios all run on it.
 //!
-//! Every TCP socket the loop sees becomes a *flow* ([`FlowId`]). A flow is
-//! polled (`Host::poll_handle_into`) only when something happened to it:
+//! Every TCP socket the loop sees becomes a *flow* ([`FlowId`]). The one
+//! rule: a flow is polled (`Host::poll_handle_into`) when a packet arrived
+//! for it, its timer fired, or the application acted on its socket.
 //!
-//! * a packet arrived for it — arrivals are drained in batches
+//! * Arrivals are drained in batches
 //!   ([`minion_simnet::World::drain_due_into`]) and demultiplexed straight to
-//!   the owning socket (`Host::on_packet_demux`);
-//! * its timer expired — per-flow timers live in a hierarchical
-//!   [`TimerWheel`] (`O(1)` re-arm, which TCP does on every ACK);
-//! * the application did something to it, which the loop learns through one
-//!   of two front doors.
+//!   the owning socket (`Host::on_packet_demux`).
+//! * Per-flow timers live in a hierarchical [`TimerWheel`] (`O(1)` re-arm,
+//!   which TCP does on every ACK).
+//! * A [`Host`] records the TCP sockets the application acted on: a
+//!   connect, an accepted write or close, a read that returned a chunk.
+//!   Each flush takes those records, and the datagrams sent on UDP
+//!   sockets, from every host; a socket the loop has not met becomes a
+//!   flow there.
 //!
-//! **Front door 1, the host.** Experiments build a [`Sim`], add hosts and
-//! links, then run their application with [`Sim::drive`]: the loop calls it
-//! after every event and at the wake time it asks for (its next frame, a
-//! flow's start), so it reacts at the instant something happens, not on a
-//! tick. It reaches sockets through [`Sim::host_mut`]. The loop cannot see
-//! what was done behind that borrow, so it marks the host *touched*: the
-//! next flush sends the host's UDP outbox, adopts the sockets opened since
-//! as flows, and polls every flow of the host. An application that only
-//! looks (readiness, free buffer space) looks through [`Sim::host`], which
-//! touches nothing. [`Sim::run_until`] / [`Sim::run_for`] are `drive` with
-//! an application that never reacts.
+//! Experiments build a [`Sim`], add hosts and links, then run their
+//! application with [`Sim::drive`]: the loop calls it after every event and
+//! at the wake time it asks for (its next frame, a flow's start), so it
+//! reacts at the instant something happens, not on a tick. It reaches
+//! sockets through [`Sim::host_mut`], a plain borrow: looking, or reading an
+//! empty socket, costs no poll. [`Sim::run_until`] / [`Sim::run_for`] are
+//! `drive` with an application that never reacts.
 //!
-//! **Front door 2, the flow.** A driver of many flows opens each connection
-//! as a flow ([`Sim::flow_connect`], or [`Sim::set_auto_register`] for
-//! accepted ones) and goes through [`Sim::flow_write`] / [`Sim::flow_read`] /
-//! [`Sim::flow_close`], which mark exactly that flow ready. Registered flows
-//! also report their connection edges ([`Sim::take_events`]), so the driver
-//! reacts to readiness instead of sweeping flows.
+//! A driver of many flows opens each connection as a flow
+//! ([`Sim::flow_connect`], or [`Sim::set_auto_register`] for accepted ones)
+//! and finds its socket with [`Sim::flow_socket`]. Registered flows report
+//! their connection edges ([`Sim::take_events`]), so the driver reacts to
+//! readiness instead of sweeping flows.
 //!
 //! Everything is deterministic given the seed: ready flows are polled in the
 //! order they became ready (arrivals in arrival order, then timer expiries in
-//! `(deadline, flow)` order), touched hosts in node order.
+//! `(deadline, flow)` order, then the sockets the application acted on, host
+//! by host in node order and by handle within a host).
 
 use crate::addr::{SocketAddr, SocketHandle};
-use crate::host::{Host, HostError};
+use crate::host::Host;
 use crate::middlebox::{Middlebox, MiddleboxBehavior};
 use crate::wheel::TimerWheel;
 use minion_simnet::{LinkConfig, LinkStats, NodeId, Packet, SimDuration, SimTime, World};
-use minion_tcp::{ConnEvent, ConnStats, DeliveredChunk, SocketOptions, TcpConfig};
+use minion_tcp::{ConnEvent, ConnStats, SocketOptions, TcpConfig};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -135,13 +135,9 @@ struct HostSlot {
     /// sequentially, so the table is as dense as the host's sockets (UDP
     /// sockets are the `None`s).
     flow_of: Vec<Option<FlowId>>,
-    /// Handles below this one have been looked at by a sweep.
-    swept: u32,
     /// Whether connections a listener accepts are registered as flows and
     /// surfaced via [`Sim::take_accepted`].
     auto_register: bool,
-    /// Whether the host is in [`Sim::touched`].
-    touched: bool,
 }
 
 impl HostSlot {
@@ -161,8 +157,8 @@ impl HostSlot {
     }
 
     /// Turn a flow's edge events on, for a driver that drains them
-    /// ([`Sim::take_events`]). Nobody reads the events of a socket used
-    /// through [`Sim::host_mut`] alone, so there they stay off.
+    /// ([`Sim::take_events`]). Nobody reads the events of a socket opened
+    /// through [`Sim::host_mut`], so there they stay off.
     fn register(&mut self, handle: SocketHandle) {
         self.host
             .tcp_set_event_interest(handle, true)
@@ -190,8 +186,6 @@ pub struct Sim {
     /// Per-flow timers. The wheel's ticks are virtual microseconds.
     wheel: TimerWheel<FlowId>,
     flows: Flows,
-    /// Hosts borrowed through [`Sim::host_mut`] since the last flush.
-    touched: Vec<NodeId>,
     /// Connection edges of registered flows since the last
     /// [`Sim::take_events`].
     events_out: Vec<(FlowId, ConnEvent)>,
@@ -204,6 +198,7 @@ pub struct Sim {
     // Reusable scratch buffers (hot path; no per-event allocation).
     arrivals: Vec<(SimTime, Packet)>,
     packets: Vec<Packet>,
+    acted: Vec<SocketHandle>,
     expired: Vec<FlowId>,
     /// Consecutive steps that failed to advance virtual time.
     stall_iterations: u32,
@@ -220,13 +215,13 @@ impl Sim {
             now: SimTime::ZERO,
             wheel: TimerWheel::new(),
             flows: Flows::default(),
-            touched: Vec::new(),
             events_out: Vec::new(),
             accepted_out: Vec::new(),
             metrics: SimMetrics::default(),
             phases: [(0, 0); 3],
             arrivals: Vec::new(),
             packets: Vec::new(),
+            acted: Vec::new(),
             expired: Vec::new(),
             stall_iterations: 0,
         }
@@ -254,9 +249,7 @@ impl Sim {
         self.nodes.push(Node::Host(HostSlot {
             host: Host::new(node, name),
             flow_of: Vec::new(),
-            swept: 0,
             auto_register: false,
-            touched: false,
         }));
         node
     }
@@ -315,16 +308,11 @@ impl Sim {
         &self.host_slot(id).host
     }
 
-    /// Borrow a host mutably (socket operations go through this). The host
-    /// counts as touched: the next flush sends its UDP datagrams, adopts the
-    /// sockets opened through the borrow, and polls all of its flows.
+    /// Borrow a host mutably (socket operations go through this). The
+    /// borrow itself costs nothing: the next flush sends the UDP datagrams
+    /// sent through it and polls the TCP sockets acted on through it.
     pub fn host_mut(&mut self, id: NodeId) -> &mut Host {
-        let slot = Self::host_slot_in(&mut self.nodes, id);
-        if !slot.touched {
-            slot.touched = true;
-            self.touched.push(id);
-        }
-        &mut slot.host
+        &mut Self::host_slot_in(&mut self.nodes, id).host
     }
 
     /// Borrow a middlebox immutably.
@@ -346,7 +334,7 @@ impl Sim {
     }
 
     // ------------------------------------------------------------------
-    // Flows (front door 2)
+    // Flows
     // ------------------------------------------------------------------
 
     /// Auto-register connections that a listener on `node` accepts: each new
@@ -356,10 +344,9 @@ impl Sim {
         Self::host_slot_in(&mut self.nodes, node).auto_register = true;
     }
 
-    /// Open a TCP connection from `node` to `remote` as a flow driven
-    /// through the `flow_*` calls: its edge events are on, and only it is
-    /// scheduled for a poll (which emits the SYN). The host is not touched,
-    /// so its other flows are not polled.
+    /// Open a TCP connection from `node` to `remote` as a registered flow:
+    /// its edge events are on, and it is scheduled for a poll (which emits
+    /// the SYN).
     pub fn flow_connect(
         &mut self,
         node: NodeId,
@@ -379,50 +366,6 @@ impl Sim {
     pub fn flow_socket(&self, flow: FlowId) -> (NodeId, SocketHandle) {
         let slot = &self.flows.slots[flow.index()];
         (slot.node, slot.handle)
-    }
-
-    /// The host of a flow, borrowed *without* touching it, and the flow's
-    /// socket: the `flow_*` calls mark the one flow themselves.
-    fn flow_host_mut(&mut self, flow: FlowId) -> (&mut Host, SocketHandle) {
-        let (node, handle) = self.flow_socket(flow);
-        (&mut Self::host_slot_in(&mut self.nodes, node).host, handle)
-    }
-
-    /// Mark a flow as needing a poll.
-    fn mark_ready(&mut self, flow: FlowId) {
-        self.flows.mark_ready(flow);
-    }
-
-    /// Write application data on a flow. As a socket does, this accepts the
-    /// prefix of `data` that fits the send buffer and returns its length
-    /// (0 when the buffer is full); [`ConnEvent::Writable`] reports when an
-    /// acknowledgment has made room again.
-    pub fn flow_write(&mut self, flow: FlowId, data: &[u8]) -> Result<usize, HostError> {
-        let (host, handle) = self.flow_host_mut(flow);
-        let fits = data.len().min(host.tcp_send_buffer_free(handle)?);
-        let n = host.tcp_write(handle, &data[..fits])?;
-        self.mark_ready(flow);
-        Ok(n)
-    }
-
-    /// Read the next delivered chunk from a flow.
-    ///
-    /// Reading reopens receive-window space, so the flow is marked ready for
-    /// a poll — the next outgoing segment advertises the updated window.
-    pub fn flow_read(&mut self, flow: FlowId) -> Option<DeliveredChunk> {
-        let (host, handle) = self.flow_host_mut(flow);
-        let chunk = host.tcp_read(handle).ok().flatten();
-        if chunk.is_some() {
-            self.mark_ready(flow);
-        }
-        chunk
-    }
-
-    /// Request an orderly close of a flow.
-    pub fn flow_close(&mut self, flow: FlowId) {
-        let (host, handle) = self.flow_host_mut(flow);
-        let _ = host.tcp_close(handle);
-        self.mark_ready(flow);
     }
 
     /// Connection statistics of a flow.
@@ -464,31 +407,32 @@ impl Sim {
         }
     }
 
-    /// What the application did behind [`Sim::host_mut`]: per touched host,
-    /// in node order, send its UDP datagrams, make flows of the TCP sockets
-    /// opened since the last sweep, and mark every flow of the host ready.
-    fn sweep_touched(&mut self) {
-        self.touched.sort_unstable();
+    /// What the application did through [`Sim::host_mut`]: per host, in
+    /// node order, send its UDP datagrams and mark ready the TCP sockets it
+    /// acted on, in handle order, making flows of those the loop has not
+    /// met.
+    fn collect_acted(&mut self) {
         let mut packets = std::mem::take(&mut self.packets);
-        for i in 0..self.touched.len() {
-            let slot = Self::host_slot_in(&mut self.nodes, self.touched[i]);
-            slot.touched = false;
+        let mut acted = std::mem::take(&mut self.acted);
+        for i in 0..self.nodes.len() {
+            let Node::Host(slot) = &mut self.nodes[i] else {
+                continue;
+            };
             slot.host.drain_udp_outbox(&mut packets);
-            for handle in (slot.swept..slot.host.next_handle()).map(SocketHandle) {
-                if slot.flow_of(handle).is_none() && slot.host.is_tcp(handle) {
-                    slot.adopt(handle, &mut self.flows);
-                }
-            }
-            slot.swept = slot.host.next_handle();
-            for &flow in slot.flow_of.iter().flatten() {
+            slot.host.drain_acted(&mut acted);
+            for handle in acted.drain(..) {
+                let flow = match slot.flow_of(handle) {
+                    Some(flow) => flow,
+                    None => slot.adopt(handle, &mut self.flows),
+                };
                 self.flows.mark_ready(flow);
             }
             for pkt in packets.drain(..) {
                 self.send(pkt);
             }
         }
-        self.touched.clear();
         self.packets = packets;
+        self.acted = acted;
     }
 
     /// Poll one ready flow at the current time: surface its edge events,
@@ -516,14 +460,18 @@ impl Sim {
 
     /// Whether the application left work for the next flush.
     fn has_pending(&self) -> bool {
-        !self.touched.is_empty() || !self.flows.ready.is_empty()
+        !self.flows.ready.is_empty()
+            || self
+                .nodes
+                .iter()
+                .any(|node| matches!(node, Node::Host(slot) if slot.host.has_pending()))
     }
 
-    /// Everything due at the current time: sweep the touched hosts, poll the
-    /// ready flows in the order they became ready, and collect what the
-    /// middleboxes release.
+    /// Everything due at the current time: collect what the applications
+    /// did, poll the ready flows in the order they became ready, and collect
+    /// what the middleboxes release.
     fn flush(&mut self) {
-        self.sweep_touched();
+        self.collect_acted();
         // A poll marks nothing ready today, but indexing tolerates it.
         let mut i = 0;
         while i < self.flows.ready.len() {
@@ -760,6 +708,12 @@ mod tests {
         flow_to(sim, a, b)
     }
 
+    /// The host of a flow and the flow's socket, to act on it.
+    fn socket(sim: &mut Sim, flow: FlowId) -> (&mut Host, SocketHandle) {
+        let (node, handle) = sim.flow_socket(flow);
+        (sim.host_mut(node), handle)
+    }
+
     fn readiness(sim: &Sim, flow: FlowId) -> Readiness {
         let (node, handle) = sim.flow_socket(flow);
         sim.host(node).tcp_readiness(handle).unwrap()
@@ -934,48 +888,24 @@ mod tests {
             .take_events()
             .any(|ev| ev == (cf, ConnEvent::Established)));
 
-        sim.flow_write(cf, b"hello engine").unwrap();
+        let (host, ch) = socket(&mut sim, cf);
+        host.tcp_write(ch, b"hello engine").unwrap();
         sim.run_for(SimDuration::from_millis(500));
-        let chunk = sim.flow_read(sf).expect("server flow readable");
+        let (host, sh) = socket(&mut sim, sf);
+        let chunk = host.tcp_read(sh).unwrap().expect("server flow readable");
         assert_eq!(chunk.data.as_ref(), b"hello engine");
         assert!(sim
             .take_events()
             .any(|(f, ev)| f == sf && ev == ConnEvent::Readable));
 
-        sim.flow_close(cf);
-        sim.flow_close(sf);
+        let (host, ch) = socket(&mut sim, cf);
+        host.tcp_close(ch).unwrap();
+        let (host, sh) = socket(&mut sim, sf);
+        host.tcp_close(sh).unwrap();
         sim.run_for(SimDuration::from_secs(10));
         assert!(readiness(&sim, cf).closed);
         assert!(sim.metrics().packets_delivered > 0);
         assert!(sim.metrics().flow_polls > 0);
-    }
-
-    #[test]
-    fn flow_write_accepts_the_prefix_that_fits_and_signals_writable() {
-        let (mut sim, a, b) = basic_sim();
-        sim.set_auto_register(b);
-        let cf = connect_flow(&mut sim, a, b);
-        let (_, ch) = sim.flow_socket(cf);
-        let capacity = sim.host(a).tcp_send_buffer_free(ch).unwrap();
-
-        // A write that fits is taken whole and never raises a writable edge.
-        assert_eq!(sim.flow_write(cf, &[1u8; 1000]).unwrap(), 1000);
-        sim.run_for(SimDuration::from_millis(500));
-        assert!(!sim.take_events().any(|ev| ev == (cf, ConnEvent::Writable)));
-
-        // A write past the buffer is taken up to the brim; a full buffer
-        // takes nothing (and does not fail).
-        let big = vec![2u8; capacity + 5000];
-        assert_eq!(sim.flow_write(cf, &big).unwrap(), capacity);
-        assert_eq!(sim.flow_write(cf, &big[capacity..]).unwrap(), 0);
-        // The first acknowledgment that frees space says so, once.
-        sim.run_for(SimDuration::from_millis(500));
-        let writable = sim
-            .take_events()
-            .filter(|&ev| ev == (cf, ConnEvent::Writable))
-            .count();
-        assert_eq!(writable, 1);
-        assert_eq!(sim.flow_write(cf, &big[capacity..]).unwrap(), 5000);
     }
 
     #[test]
@@ -1037,9 +967,9 @@ mod tests {
         assert_eq!(sim.metrics().packets_delivered, 0, "and is still in flight");
     }
 
-    /// Both front doors on one host at once, across a route: registered flows
-    /// move 30 KB through a re-segmenting middlebox while a UDP datagram
-    /// leaves the same host.
+    /// Registered flows and a UDP socket on one host at once, across a
+    /// route: the flows move 30 KB through a re-segmenting middlebox while a
+    /// UDP datagram leaves the same host.
     #[test]
     fn registered_flows_cross_a_middlebox_beside_udp_on_the_same_host() {
         let mut sim = Sim::new(3);
@@ -1062,7 +992,8 @@ mod tests {
 
         let data: Vec<u8> = (0..30_000u32).map(|i| (i % 99) as u8).collect();
         for &cf in &clients {
-            assert_eq!(sim.flow_write(cf, &data).unwrap(), data.len());
+            let (host, ch) = socket(&mut sim, cf);
+            assert_eq!(host.tcp_write(ch, &data).unwrap(), data.len());
         }
         sim.host_mut(a)
             .udp_send_to(ua, SocketAddr::new(b, 2222), b"beside the flows")
@@ -1183,9 +1114,7 @@ mod tests {
 
     /// Opening a flow polls that flow alone: with N established, idle flows
     /// on the client, the step after one more `flow_connect` polls only the
-    /// new one. Opening it through `host_mut` and registering it, as the
-    /// engine's connect did, touched the host: that step polled all N + 1
-    /// client flows and read 33 here.
+    /// new one, not the N + 1 flows of the host.
     #[test]
     fn connecting_a_flow_polls_only_that_flow() {
         const N: u64 = 32;
@@ -1200,5 +1129,166 @@ mod tests {
         flow_to(&mut sim, a, b);
         assert!(sim.step());
         assert_eq!(sim.metrics().flow_polls - before, 1);
+    }
+
+    /// N established connections opened through `host_mut`, idle on the
+    /// client.
+    fn idle_connections(sim: &mut Sim, a: NodeId, b: NodeId, n: usize) -> Vec<SocketHandle> {
+        let handles: Vec<SocketHandle> = (0..n).map(|_| connect(sim, a, b)).collect();
+        sim.run_for(SimDuration::from_secs(5));
+        assert!(handles
+            .iter()
+            .all(|&h| sim.host(a).tcp_established(h).unwrap()));
+        handles
+    }
+
+    /// A write is work for its socket alone: with N established, idle
+    /// connections on the client, a write through `host_mut` on one of them
+    /// polls that one, not all N.
+    #[test]
+    fn a_write_through_host_mut_polls_only_that_flow() {
+        const N: usize = 32;
+        let (mut sim, a, b) = basic_sim();
+        let handles = idle_connections(&mut sim, a, b, N);
+
+        let before = sim.metrics().flow_polls;
+        sim.host_mut(a).tcp_write(handles[N / 2], b"one").unwrap();
+        assert!(sim.step());
+        assert_eq!(sim.metrics().flow_polls - before, 1);
+    }
+
+    /// A borrow that changes nothing polls nothing: reading an empty socket
+    /// and looking at its readiness through `host_mut` leaves the next step
+    /// without a poll of any of the N idle connections.
+    #[test]
+    fn a_borrow_that_changes_nothing_polls_nothing() {
+        const N: usize = 32;
+        let (mut sim, a, b) = basic_sim();
+        let handles = idle_connections(&mut sim, a, b, N);
+
+        let before = sim.metrics().flow_polls;
+        let host = sim.host_mut(a);
+        assert!(host.tcp_read(handles[0]).unwrap().is_none());
+        assert!(!host.tcp_readiness(handles[0]).unwrap().readable);
+        sim.step();
+        assert_eq!(sim.metrics().flow_polls - before, 0);
+    }
+
+    /// The oracle for the polling rule: mark every flow of every host ready,
+    /// host by host in node order and by handle within a host, so the next
+    /// flush polls them all in the order the rule polls any subset of them.
+    fn poll_every_flow(sim: &mut Sim) {
+        for node in &sim.nodes {
+            if let Node::Host(slot) = node {
+                for &flow in slot.flow_of.iter().flatten() {
+                    sim.flows.mark_ready(flow);
+                }
+            }
+        }
+    }
+
+    /// What [`mixed_run`] observed: the loop's counters, each link
+    /// direction's counters, and the TCP and UDP bytes delivered.
+    type MixedRun = (SimMetrics, Vec<LinkStats>, u64, u64);
+
+    /// A seeded mixed scenario on `a -- m -- b`, `m` re-segmenting and both
+    /// hops losing 1 %: a host-door application writes 300 KB on one of five
+    /// connections from `a` (four stay idle) and closes it. On a 10 ms tick
+    /// of its own it sends a UDP datagram from `a` to `b` (100 in all) and
+    /// reads what `b` received, so `b`'s 8 KB receive window closes between
+    /// reads and only a read reopens it. With `oracle`, every flow is polled
+    /// at every reaction.
+    fn mixed_run(oracle: bool) -> MixedRun {
+        const TOTAL: u64 = 300_000;
+        const TICK: SimDuration = SimDuration::from_millis(10);
+        let mut sim = Sim::new(11);
+        let a = sim.add_host("a");
+        let m = sim.add_middlebox("resegmenter", MiddleboxBehavior::Split { max_payload: 700 });
+        let b = sim.add_host("b");
+        let hop = LinkConfig::new(4_000_000, SimDuration::from_millis(10))
+            .with_queue_bytes(32 * 1024)
+            .with_loss(LossConfig::Bernoulli { probability: 0.01 });
+        sim.link(a, m, hop.clone());
+        sim.link(m, b, hop);
+        sim.add_route(a, b, m);
+        sim.add_route(b, a, m);
+        let small_window = TcpConfig::default().with_buffers(64 * 1024, 8 * 1024);
+        sim.host_mut(b)
+            .tcp_listen(80, small_window, SocketOptions::standard())
+            .unwrap();
+        let ua = sim.host_mut(a).udp_bind(1111).unwrap();
+        let ub = sim.host_mut(b).udp_bind(2222).unwrap();
+        let conns: Vec<SocketHandle> = (0..5).map(|_| connect(&mut sim, a, b)).collect();
+        let data = conns[2];
+
+        let (mut written, mut delivered, mut udp_sent, mut udp_bytes) = (0u64, 0u64, 0u64, 0u64);
+        let mut accepted = vec![];
+        let mut tick = SimTime::ZERO;
+        sim.drive(SimTime::from_secs(30), |sim| {
+            if oracle {
+                poll_every_flow(sim);
+            }
+            let now = sim.now();
+            let host = sim.host_mut(a);
+            if host.tcp_established(data).unwrap() && written < TOTAL {
+                let chunk = host.tcp_send_buffer_free(data).unwrap().min(1000);
+                let chunk = chunk.min((TOTAL - written) as usize);
+                written += host.tcp_write(data, &vec![7u8; chunk]).unwrap() as u64;
+                if written == TOTAL {
+                    host.tcp_close(data).unwrap();
+                }
+            }
+            if now < tick {
+                return Reaction::Wait(Some(tick));
+            }
+            if udp_sent < 100 {
+                host.udp_send_to(ua, SocketAddr::new(b, 2222), &[udp_sent as u8; 300])
+                    .unwrap();
+                udp_sent += 1;
+            }
+            let host = sim.host_mut(b);
+            accepted.extend(std::iter::from_fn(|| host.accept(80)));
+            for &h in &accepted {
+                while let Some(chunk) = host.tcp_read(h).unwrap() {
+                    delivered += chunk.len() as u64;
+                }
+            }
+            while let Some((_, datagram)) = host.udp_recv(ub).unwrap() {
+                udp_bytes += datagram.len() as u64;
+            }
+            tick += TICK;
+            Reaction::Wait((delivered < TOTAL || udp_sent < 100).then_some(tick))
+        });
+        assert_eq!(delivered, TOTAL, "the transfer completed");
+        let links = [(a, m), (m, a), (m, b), (b, m)]
+            .map(|(x, y)| sim.link_stats(x, y).unwrap().clone())
+            .to_vec();
+        (*sim.metrics(), links, delivered, udp_bytes)
+    }
+
+    /// The rule rests on one assumption: polling a flow that nothing
+    /// happened to emits nothing. Run the mixed scenario under the rule and
+    /// under the oracle that polls every flow at every reaction: every
+    /// packet, byte, drop and delivered byte is the same, and only the poll
+    /// count differs.
+    #[test]
+    fn polling_a_flow_nothing_happened_to_changes_nothing() {
+        let (rule, rule_links, rule_tcp, rule_udp) = mixed_run(false);
+        let (oracle, oracle_links, oracle_tcp, oracle_udp) = mixed_run(true);
+        assert!(rule_links[0].dropped_loss > 0, "the run saw losses");
+        assert!(oracle.flow_polls > rule.flow_polls);
+        assert_eq!(
+            SimMetrics {
+                flow_polls: 0,
+                ..rule
+            },
+            SimMetrics {
+                flow_polls: 0,
+                ..oracle
+            }
+        );
+        assert_eq!(rule_links, oracle_links);
+        assert_eq!((rule_tcp, rule_udp), (oracle_tcp, oracle_udp));
+        assert!(rule_udp > 0, "datagrams crossed beside the flows");
     }
 }

@@ -1,10 +1,10 @@
 //! Multi-flow cells: the `flows ∈ {1, 64, 1024}` axis, executed by
 //! `minion-engine`'s load scenario.
 //!
-//! A single-flow cell exercises one protocol driver in ticks; a multi-flow
-//! cell instead multiplexes `CellSpec::flows` concurrent connections — each
-//! carrying `datagrams` framed records — driven by readiness events, over
-//! the same loss/RTT/rate axes. The engine's scenario
+//! A single-flow cell runs one protocol driver as an application on
+//! `Sim::drive`; a multi-flow cell instead multiplexes `CellSpec::flows`
+//! concurrent connections — each carrying `datagrams` framed records —
+//! driven by readiness events, over the same loss/RTT/rate axes. The engine's scenario
 //! layer asserts exactly-once delivery and per-stream order **per flow**, and
 //! the usual `verify_cell` two-run determinism check applies
 //! unchanged because the mapped [`CellReport`] is a pure function of the

@@ -132,18 +132,6 @@ fn middlebox_counters(world: &CellWorld) -> (u64, u64) {
 const ESTABLISH_DEADLINE: SimDuration = SimDuration::from_secs(20);
 const TRANSFER_DEADLINE: SimDuration = SimDuration::from_secs(120);
 
-/// Whether `transport`'s socket on `host` holds bytes to read, looked at
-/// without touching the host.
-fn has_input(transport: &MinionTransport, host: &Host) -> bool {
-    let handle = match transport {
-        MinionTransport::Ucobs(s) => s.handle(),
-        MinionTransport::Utls(s) => s.handle(),
-        MinionTransport::TcpTlv(s) => s.handle(),
-        MinionTransport::Udp(_) => return true,
-    };
-    host.tcp_readiness(handle).is_ok_and(|r| r.readable)
-}
-
 /// The first stage of both drivers: listen on the receiver, connect from the
 /// sender, and run the world until the receiver accepts. Returns the two
 /// ends and the deadline the stage ran against.
@@ -204,12 +192,8 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     // and responds, the client consumes the response).
     if protocol == Protocol::Utls {
         let shaken = world.sim.drive(establish_deadline, |sim| {
-            if has_input(&rx, sim.host(receiver)) {
-                rx.recv(sim.host_mut(receiver));
-            }
-            if has_input(&tx, sim.host(sender)) {
-                tx.recv(sim.host_mut(sender));
-            }
+            rx.recv(sim.host_mut(receiver));
+            tx.recv(sim.host_mut(sender));
             if rx.is_established(sim.host(receiver)) && tx.is_established(sim.host(sender)) {
                 Reaction::Done
             } else {
@@ -225,14 +209,12 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     let mut deliveries = Vec::new();
     let deadline = world.sim.now() + TRANSFER_DEADLINE;
     world.sim.drive(deadline, |sim| {
-        if has_input(&rx, sim.host(receiver)) {
-            let time_us = sim.now().as_micros();
-            for d in rx.recv(sim.host_mut(receiver)) {
-                deliveries.push(Delivery {
-                    payload: d.payload,
-                    time_us,
-                });
-            }
+        let time_us = sim.now().as_micros();
+        for d in rx.recv(sim.host_mut(receiver)) {
+            deliveries.push(Delivery {
+                payload: d.payload,
+                time_us,
+            });
         }
         if deliveries.len() < spec.datagrams {
             Reaction::Wait(None)
