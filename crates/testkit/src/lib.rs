@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod axes;
+pub mod golden;
 pub mod load;
 pub mod runner;
 pub mod world;
