@@ -5,11 +5,11 @@
 //! `BENCH_sweep.json` with cells/sec per thread count and speedup versus
 //! 1 thread.
 //!
-//! CI runs this as the report-diff gate: `--report-prefix` writes one
-//! canonical report file per thread count (full `Debug` dump of every cell
-//! report, in cell order), and the job `diff`s the `threads=1` file against
-//! the `threads=4` file — any byte of divergence fails the build. The
-//! binary additionally asserts the equality in-process.
+//! `--report-prefix` writes one canonical report file per thread count (full
+//! `Debug` dump of every cell report, in cell order). The goldens test
+//! (`crates/bench/tests/goldens.rs`) runs `--threads 1,4 --cc
+//! newreno,cubic,none` and holds both files to `goldens/sweep_matrix.txt`;
+//! the binary itself asserts their equality in-process.
 //!
 //! ```text
 //! sweep_matrix [--threads 1,4] [--report-prefix PREFIX] [--out BENCH_sweep.json]
@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// The sweep's cell set: the tier-1 default matrix plus the load matrix —
-/// "the full matrix" CI diffs across thread counts. `--cc` multiplies the
+/// "the full matrix" the sweep golden holds at every thread count. `--cc` multiplies the
 /// *load* slice by the requested congestion-control algorithms (the
 /// single-flow matrix stays on the default NewReno: its cells pin protocol
 /// framing behaviour, not sender dynamics).
@@ -145,8 +145,7 @@ fn main() {
         let wall_seconds = t0.elapsed().as_secs_f64();
         let text = canonical_report(&cells, &reports);
         // Write the report file *before* asserting equality: on divergence
-        // CI's `diff -u` step then shows the exact divergent bytes instead
-        // of a missing-file error.
+        // `diff -u` of the two files then shows the exact divergent bytes.
         if let Some(prefix) = &report_prefix {
             let path = format!("{prefix}-t{threads}.txt");
             std::fs::write(&path, &text).expect("write sweep report");
@@ -185,7 +184,7 @@ fn main() {
     }
 
     // Speedups are measured against the threads=1 run when the list has one
-    // (CI's does), else against the first run.
+    // (the goldens test's does), else against the first run.
     let baseline = runs
         .iter()
         .find(|r| r.threads == 1)

@@ -8,8 +8,8 @@
 //! crate and the uTLS receiver within the TLS crate, and beside the lines
 //! the public items each crate declares — the API surface ROADMAP tracks —
 //! and which of them nothing but their own file's tests call.
-//! `table1_code_size --json` emits the per-crate rows so CI can keep size as
-//! a trajectory next to speed.
+//! `table1_code_size`'s table is a golden (`goldens/`), so the size
+//! trajectory is that file's history.
 
 use minion_simnet::Table;
 use std::collections::HashMap;
@@ -219,7 +219,7 @@ pub fn unused_public_items(root: &Path) -> Vec<(String, String)> {
 }
 
 /// Locate the workspace root (the directory containing `crates/`).
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     let mut dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     // crates/bench -> crates -> workspace root
     dir.pop();
@@ -248,19 +248,19 @@ fn manifest_strings(manifest: &str, key: &str) -> Vec<String> {
 
 /// One workspace member's size.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrateLoc {
+struct CrateLoc {
     /// Package name (`minion-engine`).
-    pub name: String,
+    name: String,
     /// Directory relative to the workspace root (`crates/engine`).
-    pub path: String,
+    path: String,
     /// Its lines.
-    pub loc: Loc,
+    loc: Loc,
     /// Its share of [`unused_public_items`], as `(file, name)`.
-    pub unused: Vec<(String, String)>,
+    unused: Vec<(String, String)>,
 }
 
 /// Every member of the workspace at `root`, in manifest order.
-pub fn workspace_loc(root: &Path) -> Vec<CrateLoc> {
+fn workspace_loc(root: &Path) -> Vec<CrateLoc> {
     let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
     let unused = unused_public_items(root);
     manifest_strings(&manifest, "members")
@@ -358,40 +358,6 @@ pub fn run() -> Table {
     table
 }
 
-/// The per-crate rows as one JSON object (`table1_code_size --json`).
-pub fn to_json(crates: &[CrateLoc]) -> String {
-    fn names<'a>(unused: impl Iterator<Item = &'a (String, String)>) -> String {
-        let quoted: Vec<String> = unused.map(|(_, name)| format!("\"{name}\"")).collect();
-        quoted.join(", ")
-    }
-    let mut total = Loc::default();
-    let rows: Vec<String> = crates
-        .iter()
-        .map(|c| {
-            total += c.loc;
-            format!(
-                "    {{\"crate\": \"{}\", \"path\": \"{}\", \"impl_loc\": {}, \"test_loc\": {}, \
-                 \"public_items\": {}, \"unused\": [{}]}}",
-                c.name,
-                c.path,
-                c.loc.implementation,
-                c.loc.test,
-                c.loc.public_items,
-                names(c.unused.iter())
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"crates\": [\n{}\n  ],\n  \"total\": {{\"impl_loc\": {}, \"test_loc\": {}, \
-         \"public_items\": {}, \"unused\": [{}]}}\n}}\n",
-        rows.join(",\n"),
-        total.implementation,
-        total.test,
-        total.public_items,
-        names(crates.iter().flat_map(|c| &c.unused))
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,11 +390,9 @@ mod tests {
         assert!(utls.implementation > 100);
         assert!(utls.implementation < by_name("minion-tls").implementation);
         // One row per member, the two deltas, and the total.
-        assert_eq!(run().row_count(), crates.len() + 3);
-        let json = to_json(&crates);
-        assert_eq!(json.matches("\"crate\":").count(), crates.len());
-        assert_eq!(json.matches("\"unused\": [").count(), crates.len() + 1);
-        assert!(json.contains("\"crate\": \"minion-engine\", \"path\": \"crates/engine\""));
+        let table = run();
+        assert_eq!(table.row_count(), crates.len() + 3);
+        assert!(table.to_text().contains("minion-engine (crates/engine)"));
     }
 
     #[test]

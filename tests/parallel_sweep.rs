@@ -45,7 +45,7 @@ fn load_matrix_reports_are_byte_identical_across_thread_counts() {
 
 /// The congestion-control axis under the same gate: the load matrix swept
 /// once per algorithm (`cc ∈ {newreno, cubic, none}` — a 12-cell sweep per
-/// slice, mirroring CI's `sweep_matrix --cc` invocation) must be
+/// slice, mirroring the sweep golden's `sweep_matrix --cc` run) must be
 /// byte-identical at `threads ∈ {1, 4}`. CUBIC's window arithmetic is
 /// integer-only over virtual time and NoCc has no sender state at all, so
 /// neither may perturb under parallelism; the slices must also differ from
