@@ -7,7 +7,7 @@
 
 use minion_simnet::{NodeId, SimTime};
 use minion_stack::{Sim, SocketAddr, SocketHandle};
-use minion_tcp::{SocketOptions, TcpConfig, WriteMeta};
+use minion_tcp::{ConnStats, SocketOptions, TcpConfig, WriteMeta};
 
 /// A greedy sender that writes `message_size`-byte application messages to a
 /// TCP socket whenever the send buffer has room, up to `total_bytes`.
@@ -47,6 +47,14 @@ impl BulkSender {
     /// Bytes accepted by the socket so far.
     pub fn written(&self) -> u64 {
         self.written
+    }
+
+    /// The sending connection's counters: retransmission timeouts, fast
+    /// retransmits and the rest.
+    pub fn stats<'a>(&self, sim: &'a Sim) -> &'a ConnStats {
+        sim.host(self.node)
+            .tcp_stats(self.handle)
+            .expect("the sender's socket lives as long as the simulation")
     }
 
     /// Top up the send buffer with whole messages once the connection is

@@ -13,24 +13,35 @@ use minion_simnet::{LinkConfig, SimDuration, Table};
 use minion_stack::{Reaction, Sim, SocketAddr};
 use minion_tcp::{SocketOptions, TcpConfig};
 
-/// Result of one bulk-transfer run.
+/// Result of one bulk-transfer run with each stack.
 #[derive(Clone, Debug)]
 pub struct ThroughputSample {
     /// Application write size in bytes.
     pub message_size: usize,
-    /// Goodput achieved with standard TCP, in Mbps.
-    pub tcp_mbps: f64,
-    /// Goodput achieved with uTCP (unordered send, skbuff accounting), Mbps.
-    pub utcp_mbps: f64,
+    /// The transfer with standard TCP.
+    pub tcp: Transfer,
+    /// The transfer with uTCP (unordered send, skbuff accounting).
+    pub utcp: Transfer,
 }
 
-/// Run one transfer and return goodput in Mbps.
+/// One bulk transfer: its goodput and the sender's loss recovery.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Transfer {
+    /// Goodput in Mbps.
+    pub mbps: f64,
+    /// Retransmission timeouts the sender took.
+    pub rto_fires: u64,
+    /// Fast retransmits the sender made.
+    pub fast_retransmits: u64,
+}
+
+/// Run one transfer.
 fn run_bulk_transfer(
     message_size: usize,
     total_bytes: u64,
     options: SocketOptions,
     seed: u64,
-) -> f64 {
+) -> Transfer {
     let mut sim = Sim::new(seed);
     let sender_node = sim.add_host("sender");
     let receiver_node = sim.add_host("receiver");
@@ -71,7 +82,12 @@ fn run_bulk_transfer(
             Reaction::Done
         }
     });
-    sink.map_or(0.0, |s| s.goodput_bps() / 1_000_000.0)
+    let stats = sender.stats(&sim);
+    Transfer {
+        mbps: sink.map_or(0.0, |s| s.goodput_bps() / 1_000_000.0),
+        rto_fires: stats.timeouts,
+        fast_retransmits: stats.fast_retransmits,
+    }
 }
 
 /// Run the Figure 5 sweep.
@@ -80,8 +96,8 @@ pub fn run(message_sizes: &[usize], total_bytes: u64, seed: u64) -> Vec<Throughp
         .iter()
         .map(|&size| ThroughputSample {
             message_size: size,
-            tcp_mbps: run_bulk_transfer(size, total_bytes, SocketOptions::standard(), seed),
-            utcp_mbps: run_bulk_transfer(size, total_bytes, SocketOptions::utcp(), seed),
+            tcp: run_bulk_transfer(size, total_bytes, SocketOptions::standard(), seed),
+            utcp: run_bulk_transfer(size, total_bytes, SocketOptions::utcp(), seed),
         })
         .collect()
 }
@@ -92,17 +108,30 @@ pub fn paper_message_sizes() -> Vec<usize> {
     vec![200, 362, 500, 724, 1000, 1448, 2000, 2896]
 }
 
-/// Render the sweep as the figure's data table.
+/// Render the sweep as the figure's data table, with each stack's loss
+/// recovery beside its goodput.
 pub fn to_table(samples: &[ThroughputSample]) -> Table {
     let mut table = Table::new(
         "Figure 5: throughput vs application message size (Mbps)",
-        &["message_size_bytes", "tcp_mbps", "utcp_mbps"],
+        &[
+            "message_size_bytes",
+            "tcp_mbps",
+            "utcp_mbps",
+            "tcp_rto_fires",
+            "tcp_fast_retransmits",
+            "utcp_rto_fires",
+            "utcp_fast_retransmits",
+        ],
     );
     for s in samples {
         table.add_row(vec![
             s.message_size.to_string(),
-            format!("{:.3}", s.tcp_mbps),
-            format!("{:.3}", s.utcp_mbps),
+            format!("{:.3}", s.tcp.mbps),
+            format!("{:.3}", s.utcp.mbps),
+            s.tcp.rto_fires.to_string(),
+            s.tcp.fast_retransmits.to_string(),
+            s.utcp.rto_fires.to_string(),
+            s.utcp.fast_retransmits.to_string(),
         ]);
     }
     table
@@ -119,21 +148,21 @@ mod tests {
         let awkward = run(&[1000], total, 1)[0].clone();
         // At exactly one MSS per write, uTCP keeps pace with TCP.
         assert!(
-            (at_mss.utcp_mbps - at_mss.tcp_mbps).abs() / at_mss.tcp_mbps < 0.15,
+            (at_mss.utcp.mbps - at_mss.tcp.mbps).abs() / at_mss.tcp.mbps < 0.15,
             "at MSS: tcp={} utcp={}",
-            at_mss.tcp_mbps,
-            at_mss.utcp_mbps
+            at_mss.tcp.mbps,
+            at_mss.utcp.mbps
         );
         // At 1000 bytes (not a divisor of the MSS), uTCP's skbuff-granularity
         // accounting costs it throughput relative to TCP.
         assert!(
-            awkward.utcp_mbps < awkward.tcp_mbps * 0.9,
+            awkward.utcp.mbps < awkward.tcp.mbps * 0.9,
             "awkward size: tcp={} utcp={}",
-            awkward.tcp_mbps,
-            awkward.utcp_mbps
+            awkward.tcp.mbps,
+            awkward.utcp.mbps
         );
         // TCP itself should not care about the write size.
-        assert!((at_mss.tcp_mbps - awkward.tcp_mbps).abs() / at_mss.tcp_mbps < 0.15);
+        assert!((at_mss.tcp.mbps - awkward.tcp.mbps).abs() / at_mss.tcp.mbps < 0.15);
     }
 
     #[test]
@@ -141,17 +170,31 @@ mod tests {
         let samples = vec![
             ThroughputSample {
                 message_size: 100,
-                tcp_mbps: 1.0,
-                utcp_mbps: 0.5,
+                tcp: Transfer {
+                    mbps: 1.0,
+                    ..Transfer::default()
+                },
+                utcp: Transfer {
+                    mbps: 0.5,
+                    rto_fires: 2,
+                    fast_retransmits: 3,
+                },
             },
             ThroughputSample {
                 message_size: 1448,
-                tcp_mbps: 1.9,
-                utcp_mbps: 1.9,
+                tcp: Transfer {
+                    mbps: 1.9,
+                    ..Transfer::default()
+                },
+                utcp: Transfer {
+                    mbps: 1.9,
+                    ..Transfer::default()
+                },
             },
         ];
         let t = to_table(&samples);
         assert_eq!(t.row_count(), 2);
         assert!(t.to_csv().contains("1448"));
+        assert!(t.to_csv().contains("100,1.000,0.500,0,0,2,3"));
     }
 }

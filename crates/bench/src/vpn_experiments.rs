@@ -134,11 +134,19 @@ fn run_tunnel(
     }
 }
 
+/// The seed and simulated duration of each run, for a figure's title.
+fn run_label(duration: SimDuration, seed: u64) -> String {
+    format!("seed {seed}, {} s per run", duration.as_secs_f64())
+}
+
 /// Figure 11: download throughput vs number of competing uploads, for the
 /// original and modified tunnel.
 pub fn run_fig11(upload_counts: &[usize], duration: SimDuration, seed: u64) -> Table {
     let mut table = Table::new(
-        "Figure 11: tunneled download throughput vs competing uploads (Mbps)",
+        format!(
+            "Figure 11: tunneled download throughput vs competing uploads (Mbps; {})",
+            run_label(duration, seed)
+        ),
         &["uploads", "original_openvpn_mbps", "modified_openvpn_mbps"],
     );
     let original = TunnelVariant {
@@ -167,7 +175,10 @@ pub fn run_fig11(upload_counts: &[usize], duration: SimDuration, seed: u64) -> T
 /// traffic mixes (upload only, download only, 3 downloads + 1 upload).
 pub fn run_fig12(duration: SimDuration, seed: u64) -> Table {
     let mut table = Table::new(
-        "Figure 12: contribution of each modification to network utilisation (Mbps)",
+        format!(
+            "Figure 12: contribution of each modification to network utilisation (Mbps; {})",
+            run_label(duration, seed)
+        ),
         &["scenario", "variant", "download_mbps", "upload_mbps"],
     );
     let scenarios: [(&str, usize, usize); 3] =
