@@ -305,60 +305,44 @@ impl TcpSegment {
         if buf.len() < opt_end + payload_len {
             return None;
         }
+        // RFC 9293 §3.1: End of Option List stops the parse, No-Operation is
+        // one byte, and every other option is kind, length, data. A kind this
+        // stack does not implement is skipped by its length; a length that
+        // cannot be right rejects the segment.
         let mut options = Vec::new();
         let mut i = Self::BASE_HEADER_LEN;
         while i < opt_end {
             let kind = buf[i];
             match kind {
-                2 => {
-                    if i + 4 > opt_end {
-                        return None;
-                    }
-                    options.push(TcpOption::Mss(u16::from_be_bytes([buf[i + 2], buf[i + 3]])));
-                    i += 4;
+                0 => break,
+                1 => {
+                    i += 1;
+                    continue;
                 }
-                4 => {
-                    options.push(TcpOption::SackPermitted);
-                    i += 2;
-                }
-                5 => {
-                    if i + 2 > opt_end {
-                        return None;
-                    }
-                    let len = buf[i + 1] as usize;
-                    if len < 2 || !(len - 2).is_multiple_of(8) || i + len > opt_end {
-                        return None;
-                    }
-                    let mut blocks = Vec::new();
-                    let mut j = i + 2;
-                    while j + 8 <= i + len {
-                        let start = SeqNum(u32::from_be_bytes([
-                            buf[j],
-                            buf[j + 1],
-                            buf[j + 2],
-                            buf[j + 3],
-                        ]));
-                        let end = SeqNum(u32::from_be_bytes([
-                            buf[j + 4],
-                            buf[j + 5],
-                            buf[j + 6],
-                            buf[j + 7],
-                        ]));
-                        blocks.push(SackBlock { start, end });
-                        j += 8;
-                    }
-                    options.push(TcpOption::Sack(blocks));
-                    i += len;
-                }
-                3 => {
-                    if i + 3 > opt_end {
-                        return None;
-                    }
-                    options.push(TcpOption::WindowScale(buf[i + 2]));
-                    i += 3;
-                }
-                _ => return None,
+                _ if i + 1 == opt_end => return None,
+                _ => {}
             }
+            let len = buf[i + 1] as usize;
+            if len < 2 || i + len > opt_end {
+                return None;
+            }
+            let data = &buf[i + 2..i + len];
+            match (kind, data.len()) {
+                (2, 2) => options.push(TcpOption::Mss(u16::from_be_bytes([data[0], data[1]]))),
+                (3, 1) => options.push(TcpOption::WindowScale(data[0])),
+                (4, 0) => options.push(TcpOption::SackPermitted),
+                (5, n) if n.is_multiple_of(8) => {
+                    let word = |b: &[u8]| SeqNum(u32::from_be_bytes([b[0], b[1], b[2], b[3]]));
+                    let blocks = data.chunks_exact(8).map(|b| SackBlock {
+                        start: word(&b[..4]),
+                        end: word(&b[4..]),
+                    });
+                    options.push(TcpOption::Sack(blocks.collect()));
+                }
+                (2..=5, _) => return None,
+                _ => {}
+            }
+            i += len;
         }
         let payload = buf.slice(opt_end..opt_end + payload_len);
         Some(TcpSegment {
@@ -450,6 +434,74 @@ mod tests {
         assert!(TcpSegment::decode(&bytes.slice(..10)).is_none());
         assert!(TcpSegment::decode(&bytes.slice(..bytes.len() - 1)).is_none());
         assert!(TcpSegment::decode(&Bytes::new()).is_none());
+    }
+
+    /// A bare ACK carrying `options` and a two-byte payload, in this
+    /// module's header layout.
+    fn with_options(options: &[u8]) -> Bytes {
+        let mut seg = TcpSegment::bare(80, 5000, SeqNum(7), SeqNum(9), TcpFlags::ACK);
+        seg.payload = Bytes::from_static(b"xy");
+        let plain = seg.encode();
+        let mut wire = plain[..TcpSegment::BASE_HEADER_LEN].to_vec();
+        wire[13] = options.len() as u8;
+        wire.extend_from_slice(options);
+        wire.extend_from_slice(b"xy");
+        Bytes::from(wire)
+    }
+
+    #[test]
+    fn nops_and_an_unknown_timestamp_keep_the_sack_blocks() {
+        #[rustfmt::skip]
+        let options = [
+            1, 1,
+            8, 10, 0, 0, 0, 1, 0, 0, 0, 2,
+            5, 10, 0, 0, 0x03, 0xe8, 0, 0, 0x07, 0xd0,
+        ];
+        let seg = TcpSegment::decode(&with_options(&options)).expect("decodes");
+        assert_eq!(
+            seg.sack_blocks(),
+            [SackBlock {
+                start: SeqNum(1000),
+                end: SeqNum(2000),
+            }]
+        );
+        assert_eq!(seg.options.len(), 1, "the timestamp is skipped, not kept");
+        assert_eq!(&seg.payload[..], b"xy");
+    }
+
+    #[test]
+    fn end_of_option_list_stops_the_parse() {
+        let seg = TcpSegment::decode(&with_options(&[4, 2, 0, 5, 0xff, 0xff])).expect("decodes");
+        assert_eq!(seg.options, [TcpOption::SackPermitted]);
+        let padded = TcpSegment::decode(&with_options(&[2, 4, 0x05, 0xb4, 0, 0, 0, 0]));
+        assert_eq!(padded.expect("decodes").options, [TcpOption::Mss(1460)]);
+        let unknown = TcpSegment::decode(&with_options(&[30, 4, 0xaa, 0xbb, 3, 3, 7, 0]));
+        assert_eq!(
+            unknown.expect("decodes").options,
+            [TcpOption::WindowScale(7)]
+        );
+    }
+
+    #[test]
+    fn a_bad_option_length_rejects_the_segment() {
+        let bad: [&[u8]; 10] = [
+            &[30, 0],            // below 2
+            &[30, 1, 0],         // below 2
+            &[1, 30],            // no length byte
+            &[30, 6, 0, 0],      // runs past the options
+            &[2, 3, 0],          // MSS is 4
+            &[2, 5, 0, 0, 0],    // MSS is 4
+            &[3, 2, 3, 3, 7],    // window scale is 3
+            &[4, 3, 0],          // SACK-permitted is 2
+            &[5, 6, 0, 0, 0, 0], // SACK is 2 + 8n
+            &[5, 11, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ];
+        for options in bad {
+            assert!(
+                TcpSegment::decode(&with_options(options)).is_none(),
+                "{options:?} must be rejected"
+            );
+        }
     }
 
     #[test]
