@@ -1,10 +1,8 @@
-//! The bench binaries' deterministic surfaces, compared with `goldens/`.
-//!
-//! Every surface is named after the binary that makes it: `fig05_throughput.txt`
-//! is that binary's stdout, `load_engine.json` its `--out` file. A trace too
-//! large to check in is held as its line count and FNV-1a hash
-//! (`load_engine.trace.txt`). A moved surface fails with its first
-//! differing line and the `cp` that blesses it (`minion_testkit::golden`).
+//! The bench binaries' deterministic surfaces, compared with `goldens/`
+//! (`minion_testkit::golden`). Each golden is named after the binary that
+//! makes it: `fig05_throughput.txt` is its stdout, `load_engine.json` its
+//! `--out` file, and `load_engine.trace.txt` its `--trace-out` file as line
+//! count and FNV-1a hash.
 
 use minion_testkit::golden::{assert_goldens, fingerprint, goldens_dir, stdout_of};
 use std::path::{Path, PathBuf};
@@ -12,162 +10,86 @@ use std::path::{Path, PathBuf};
 /// Binaries that print wall-clock time: they have no golden.
 const WALL_CLOCK: [&str; 3] = ["fig06a_cpu_cobs", "fig06b_cpu_utls", "all_figures"];
 
-/// Binaries run with arguments, each by its own test below.
-const WITH_ARGUMENTS: [&str; 2] = ["sweep_matrix", "load_engine"];
+const TMP: &str = env!("CARGO_TARGET_TMPDIR");
 
-/// A fresh run directory under the target's scratch space.
-fn scratch(name: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The names of the files in `dir`.
+fn names(dir: PathBuf) -> Vec<String> {
+    let entries = std::fs::read_dir(dir).expect("list a directory").flatten();
+    entries
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect()
 }
 
-/// The stems of the `.rs` files in `dir`: its binary or example targets.
-fn targets(dir: &Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .unwrap_or_else(|e| panic!("list {}: {e}", dir.display()))
-        .flatten()
-        .filter_map(|entry| {
-            let name = entry.file_name().into_string().ok()?;
-            name.strip_suffix(".rs").map(String::from)
-        })
-        .collect();
-    names.sort();
-    names
+/// The targets a directory of the workspace holds: its `.rs` files' stems.
+fn targets(dir: &str) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let rust = names(root.join(dir));
+    rust.iter()
+        .filter_map(|n| Some(n.strip_suffix(".rs")?.into()))
+        .collect()
 }
 
-fn read(path: PathBuf) -> String {
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+fn read(dir: &Path, file: &str) -> String {
+    std::fs::read_to_string(dir.join(file)).expect("read a surface")
 }
 
 #[test]
 fn sweep_reports_at_one_and_four_threads_equal_the_golden() {
-    let dir = scratch("sweep_matrix");
-    stdout_of(
-        Path::new(env!("CARGO_BIN_EXE_sweep_matrix")),
-        &[
-            "--threads",
-            "1,4",
-            "--cc",
-            "newreno,cubic,none",
-            "--report-prefix",
-            "sweep",
-            "--out",
-            "BENCH_sweep.json",
-        ],
-        &dir,
-    );
-    let report = |threads: u32| read(dir.join(format!("sweep-t{threads}.txt")));
-    assert_goldens(
-        Path::new(env!("CARGO_TARGET_TMPDIR")),
-        &[
-            ("sweep_matrix.txt".into(), report(1)),
-            ("sweep_matrix.txt".into(), report(4)),
-        ],
-    );
+    let dir = Path::new(TMP).join("sweep_matrix");
+    let args = "--threads 1,4 --cc newreno,cubic,none --report-prefix sweep --out BENCH_sweep.json";
+    stdout_of(Path::new(env!("CARGO_BIN_EXE_sweep_matrix")), args, &dir);
+    let report = |t: u32| ("sweep_matrix.txt", read(&dir, &format!("sweep-t{t}.txt")));
+    assert_goldens(Path::new(TMP), &[report(1), report(4)]);
 }
 
 #[test]
 fn load_engine_json_and_traces_equal_the_goldens() {
-    let dir = scratch("load_engine");
-    stdout_of(
-        Path::new(env!("CARGO_BIN_EXE_load_engine")),
-        &[
-            "--flows",
-            "1,64,1024",
-            "--threads",
-            "4",
-            "--cc",
-            "newreno,cubic,none",
-            "--out",
-            "load_engine.json",
-            "--trace-out",
-            "trace.jsonl",
-            "--trace-stream",
-            "stream.jsonl",
-        ],
-        &dir,
-    );
-    let trace = |file: &str| fingerprint(read(dir.join(file)).as_bytes());
-    assert_goldens(
-        Path::new(env!("CARGO_TARGET_TMPDIR")),
-        &[
-            (
-                "load_engine.json".into(),
-                read(dir.join("load_engine.json")),
-            ),
-            ("load_engine.trace.txt".into(), trace("trace.jsonl")),
-            ("load_engine.stream.txt".into(), trace("stream.jsonl")),
-        ],
-    );
+    let dir = Path::new(TMP).join("load_engine");
+    let args = "--flows 1,64,1024 --threads 4 --cc newreno,cubic,none --out load_engine.json \
+                --trace-out trace.jsonl --trace-stream stream.jsonl";
+    stdout_of(Path::new(env!("CARGO_BIN_EXE_load_engine")), args, &dir);
+    let trace = |file| fingerprint(read(&dir, file).as_bytes());
+    let surfaces = [
+        ("load_engine.json", read(&dir, "load_engine.json")),
+        ("load_engine.trace.txt", trace("trace.jsonl")),
+        ("load_engine.stream.txt", trace("stream.jsonl")),
+    ];
+    assert_goldens(Path::new(TMP), &surfaces);
 }
 
-/// Every other binary takes no arguments and its surface is its stdout: the
-/// figures at quick scale and Table 1, whose golden is the code-size
-/// trajectory (`git diff goldens/table1_code_size.txt` is a PR's size
-/// change).
+/// Every other binary's surface is its stdout without arguments: the figures
+/// at quick scale, and Table 1, whose golden's diff is a change's size.
 #[test]
 fn every_printing_binary_equals_its_golden() {
-    let bin_dir = Path::new(env!("CARGO_BIN_EXE_load_engine"))
-        .parent()
-        .unwrap();
-    let dir = scratch("printing");
-    let surfaces: Vec<(String, String)> =
-        targets(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin"))
-            .into_iter()
-            .filter(|bin| {
-                !WALL_CLOCK.contains(&bin.as_str()) && !WITH_ARGUMENTS.contains(&bin.as_str())
-            })
-            .map(|bin| {
-                let exe = bin_dir.join(format!("{bin}{}", std::env::consts::EXE_SUFFIX));
-                let out = stdout_of(&exe, &[], &dir);
-                (format!("{bin}.txt"), out)
-            })
-            .collect();
-    assert!(surfaces.len() >= 9, "fig05, fig07-fig13 and table1");
-    assert_goldens(Path::new(env!("CARGO_TARGET_TMPDIR")), &surfaces);
+    let mut bins = PathBuf::from(env!("CARGO_BIN_EXE_load_engine"));
+    bins.pop();
+    let skip = [&WALL_CLOCK[..], &["sweep_matrix", "load_engine"]].concat();
+    let mut surfaces = Vec::new();
+    for bin in targets("crates/bench/src/bin") {
+        if !skip.contains(&bin.as_str()) {
+            let out = stdout_of(&bins.join(&bin), "", &Path::new(TMP).join("printing"));
+            surfaces.push((format!("{bin}.txt"), out));
+        }
+    }
+    assert_goldens(Path::new(TMP), &surfaces);
 }
 
-/// A surface cannot escape the gate: every binary and example has a golden
-/// (named `TARGET.*`) unless it reads a clock, and every golden belongs to a
-/// target.
+/// No surface escapes the gate: every binary and example has a golden
+/// (`TARGET.*`) unless it reads a clock, and every golden has a target.
 #[test]
 fn every_bin_and_example_has_a_golden_or_reads_a_clock() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let bins = targets(&root.join("crates/bench/src/bin"));
-    let all: Vec<String> = bins
-        .iter()
-        .cloned()
-        .chain(targets(&root.join("examples")))
-        .collect();
-    let goldens = targets_of_goldens();
-    for clock in WALL_CLOCK {
-        assert!(bins.iter().any(|b| b == clock), "{clock} is not a binary");
-    }
+    let goldens = names(goldens_dir());
+    let owner = |golden: &String| golden.split('.').next().unwrap_or("").to_string();
+    let bins = targets("crates/bench/src/bin");
+    let all = [bins.clone(), targets("examples")].concat();
     for target in &all {
-        let has_golden = goldens.iter().any(|(owner, _)| owner == target);
+        let has_golden = goldens.iter().any(|g| owner(g) == *target);
         let reads_clock = WALL_CLOCK.contains(&target.as_str());
-        assert!(
-            has_golden != reads_clock,
-            "{target}: a target has a golden (goldens/{target}.txt) or is on WALL_CLOCK, \
-             not both, not neither"
-        );
+        assert!(has_golden != reads_clock, "{target}: golden xor WALL_CLOCK");
     }
-    for (owner, golden) in &goldens {
-        assert!(
-            all.contains(owner),
-            "goldens/{golden} belongs to no binary or example"
-        );
+    for golden in &goldens {
+        assert!(all.contains(&owner(golden)), "goldens/{golden}: no target");
     }
-}
-
-/// Each file in `goldens/` as `(target, file name)`: the target is the name
-/// up to its first `.`.
-fn targets_of_goldens() -> Vec<(String, String)> {
-    std::fs::read_dir(goldens_dir())
-        .expect("list goldens/")
-        .flatten()
-        .filter_map(|entry| entry.file_name().into_string().ok())
-        .map(|name| (name.split('.').next().unwrap_or("").to_string(), name))
-        .collect()
+    let stale = WALL_CLOCK.iter().find(|c| !bins.iter().any(|b| b == *c));
+    assert_eq!(stale, None, "WALL_CLOCK names no binary");
 }

@@ -1,13 +1,7 @@
-//! Goldens: the repository's deterministic output surfaces, checked in under
-//! `goldens/` at the workspace root and compared byte for byte by `cargo
-//! test`.
-//!
-//! A surface is whatever a binary or example prints or writes at a fixed
-//! seed: figure tables, sweep reports, load-run JSON, trace fingerprints, the
-//! code-size table. On a mismatch [`assert_goldens`] writes the fresh surface
-//! to `SCRATCH/goldens/NAME` and fails with the surface's name, its first
-//! differing line and the `cp` command that blesses it. Blessing is that
-//! copy: the reviewed `goldens/` diff is the behaviour change.
+//! Goldens: every deterministic output of the repository, checked in under
+//! `goldens/` and compared byte for byte by `cargo test`. A surface that
+//! moved is written to `SCRATCH/goldens/NAME`, and the test fails naming it,
+//! its first differing line and the `cp` that blesses it.
 
 use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
 use std::path::{Path, PathBuf};
@@ -18,7 +12,7 @@ pub fn goldens_dir() -> PathBuf {
     dir.canonicalize().unwrap_or(dir)
 }
 
-/// A surface too large to check in, as its line count and its FNV-1a hash.
+/// A surface too large to check in, as its line count and FNV-1a hash.
 pub fn fingerprint(bytes: &[u8]) -> String {
     let mut hash = FNV_OFFSET_BASIS;
     fnv1a(&mut hash, bytes);
@@ -26,75 +20,53 @@ pub fn fingerprint(bytes: &[u8]) -> String {
     format!("lines {lines}\nfnv1a {hash:#018x}\n")
 }
 
-/// Run the executable `exe` with `args` in the directory `dir` and return
-/// what it printed; a non-zero exit fails with its stderr.
-pub fn stdout_of(exe: &Path, args: &[&str], dir: &Path) -> String {
+/// Run `exe` with the space-separated `args` in `dir` and return its stdout;
+/// a failed run panics with its stderr.
+pub fn stdout_of(exe: &Path, args: &str, dir: &Path) -> String {
     std::fs::create_dir_all(dir).expect("create the run directory");
-    let out = std::process::Command::new(exe)
-        .args(args)
+    let run = std::process::Command::new(exe)
+        .args(args.split_whitespace())
         .current_dir(dir)
-        .output()
-        .unwrap_or_else(|e| panic!("spawn {}: {e}", exe.display()));
-    assert!(
-        out.status.success(),
-        "{} {args:?} failed ({}):\n{}",
-        exe.display(),
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
+        .output();
+    let out = run.unwrap_or_else(|e| panic!("run {}: {e}", exe.display()));
+    let (status, stderr) = (out.status, String::from_utf8_lossy(&out.stderr));
+    assert!(status.success(), "{exe:?} {args}: {status}\n{stderr}");
     String::from_utf8(out.stdout).expect("a surface is UTF-8 text")
 }
 
 /// Compare every `(name, fresh)` surface with `goldens/name`. Each one that
-/// differs, or has no golden yet, is written to `scratch/goldens/name`, and
-/// the call then panics naming all of them.
-pub fn assert_goldens(scratch: &Path, surfaces: &[(String, String)]) {
-    let goldens = goldens_dir();
-    let written = scratch.join("goldens");
-    let mut report = String::new();
+/// differs, or has no golden yet, is written under `scratch`; then the call
+/// panics naming all of them.
+pub fn assert_goldens<N: AsRef<str>>(scratch: &Path, surfaces: &[(N, String)]) {
+    let mut moved = String::new();
     for (name, fresh) in surfaces {
-        let golden = std::fs::read_to_string(goldens.join(name)).ok();
-        if golden.as_deref() == Some(fresh.as_str()) {
+        let name = name.as_ref();
+        let golden = std::fs::read_to_string(goldens_dir().join(name)).ok();
+        if golden.as_ref() == Some(fresh) {
             continue;
         }
-        std::fs::create_dir_all(&written).expect("create the fresh-goldens directory");
-        let path = written.join(name);
+        let path = scratch.join("goldens").join(name);
+        std::fs::create_dir_all(scratch.join("goldens")).expect("create the fresh goldens");
         std::fs::write(&path, fresh).expect("write the fresh surface");
-        let how = match golden {
-            None => "no golden".to_string(),
-            Some(golden) => {
-                let (line, old, new) = first_difference(&golden, fresh);
-                format!("differs first at line {line}\n  golden: {old}\n  fresh:  {new}")
-            }
-        };
-        let target = goldens.join(name);
-        report += &format!(
-            "{name}: {how}\n  bless: cp {} {}\n",
-            path.display(),
-            target.display()
-        );
+        let (line, old, new) = first_difference(golden.as_deref().unwrap_or(""), fresh);
+        let (from, to) = (path.display(), goldens_dir().join(name));
+        moved += &format!("{name}: first differs at line {line}\n  golden: {old}\n");
+        moved += &format!("  fresh:  {new}\n  bless: cp {from} {}\n", to.display());
     }
-    assert!(report.is_empty(), "surfaces moved:\n{report}");
+    assert!(moved.is_empty(), "surfaces moved:\n{moved}");
 }
 
 /// The 1-based number of the first line where `a` and `b` differ, and that
-/// line of each (`<end>` past the last line), cut to 240 characters.
-fn first_difference<'a>(a: &'a str, b: &'a str) -> (usize, &'a str, &'a str) {
-    let cut = |line: Option<&'a str>| {
-        let line = line.unwrap_or("<end>");
-        line.char_indices()
-            .nth(240)
-            .map_or(line, |(i, _)| &line[..i])
-    };
-    let (mut a_lines, mut b_lines) = (a.split('\n'), b.split('\n'));
-    let mut line = 1;
-    loop {
-        let (x, y) = (a_lines.next(), b_lines.next());
-        if x != y || x.is_none() {
-            return (line, cut(x), cut(y));
-        }
-        line += 1;
-    }
+/// line of each (`<end>` past the last), cut to 240 characters.
+fn first_difference(a: &str, b: &str) -> (usize, String, String) {
+    let (mut a, mut b) = (a.split('\n'), b.split('\n'));
+    let cut = |line: Option<&str>| line.unwrap_or("<end>").chars().take(240).collect();
+    (1..)
+        .find_map(|n| {
+            let (x, y) = (a.next(), b.next());
+            (x != y || x.is_none()).then(|| (n, cut(x), cut(y)))
+        })
+        .expect("an unbounded range")
 }
 
 #[cfg(test)]
@@ -103,33 +75,14 @@ mod tests {
 
     #[test]
     fn first_difference_names_the_line_and_both_sides() {
-        assert_eq!(first_difference("a\nb\nc\n", "a\nx\nc\n"), (2, "b", "x"));
-        assert_eq!(first_difference("a\n", "a\nb\n"), (2, "", "b"));
-        assert_eq!(first_difference("a", "a\n"), (2, "<end>", ""));
+        let (b, x, end) = ("b".to_string(), "x".to_string(), "<end>".to_string());
+        assert_eq!(first_difference("a\nb\nc\n", "a\nx\nc\n"), (2, b, x));
+        assert_eq!(first_difference("a", "a\n"), (2, end, String::new()));
     }
 
     #[test]
     fn fingerprint_is_line_count_and_fnv1a() {
         assert_eq!(fingerprint(b""), "lines 0\nfnv1a 0xcbf29ce484222325\n");
-        assert!(fingerprint(b"x\ny\n").starts_with("lines 2\nfnv1a 0x"));
         assert_ne!(fingerprint(b"x\ny\n"), fingerprint(b"y\nx\n"));
-    }
-
-    #[test]
-    fn a_moved_surface_is_written_and_named_with_its_bless_command() {
-        let scratch = std::env::temp_dir().join(format!("minion-golden-{}", std::process::id()));
-        let name = "no_such_surface_xyz.txt".to_string();
-        let result = std::panic::catch_unwind(|| {
-            assert_goldens(&scratch, &[(name.clone(), "fresh\n".into())])
-        });
-        let message = *result.unwrap_err().downcast::<String>().unwrap();
-        assert!(
-            message.contains("no_such_surface_xyz.txt: no golden"),
-            "{message}"
-        );
-        assert!(message.contains("bless: cp "), "{message}");
-        let written = scratch.join("goldens").join(&name);
-        assert_eq!(std::fs::read_to_string(&written).unwrap(), "fresh\n");
-        std::fs::remove_dir_all(&scratch).unwrap();
     }
 }

@@ -1,41 +1,24 @@
-//! The examples' output, compared with `goldens/EXAMPLE.txt`.
-//!
-//! `cargo test` builds a package's examples before its tests, into
-//! `examples/` beside the test executable's `deps/`; these are those debug
-//! builds, so overflow checks and `debug_assert!`s are on while they run. A
-//! moved surface fails with its first differing line and the `cp` that
-//! blesses it (`minion_testkit::golden`).
+//! The examples' stdout, compared with `goldens/EXAMPLE.txt`
+//! (`minion_testkit::golden`). `cargo test` builds the examples, in debug
+//! with overflow checks and `debug_assert!`s on, into `examples/` beside the
+//! test executable's `deps/`; `cargo test --test goldens` alone does not.
 
 use minion_repro::testkit::golden::{assert_goldens, stdout_of};
 use std::path::Path;
 
 #[test]
 fn every_example_prints_its_golden() {
-    let exe = std::env::current_exe().expect("the test executable's path");
-    let built = exe
-        .ancestors()
-        .nth(2)
-        .expect("target/<profile>")
-        .join("examples");
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("examples");
+    let exe = std::env::current_exe().expect("the test executable");
+    let built = exe.ancestors().nth(2).unwrap().join("examples");
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let sources = std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/examples"));
     let mut surfaces = Vec::new();
-    for entry in std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("examples"))
-        .expect("list examples/")
-        .flatten()
-    {
-        let file = entry.file_name().into_string().expect("a UTF-8 file name");
-        let Some(example) = file.strip_suffix(".rs") else {
-            continue;
-        };
-        let binary = built.join(format!("{example}{}", std::env::consts::EXE_SUFFIX));
-        assert!(
-            binary.exists(),
-            "{} is not built: `cargo test` builds the examples, `cargo test --test goldens` \
-             does not (run `cargo build --examples` first)",
-            binary.display()
-        );
-        surfaces.push((format!("{example}.txt"), stdout_of(&binary, &[], &dir)));
+    for file in sources.expect("list examples/").flatten() {
+        let name = file.file_name().into_string().expect("a UTF-8 name");
+        let example = name.strip_suffix(".rs").expect("an example source");
+        let out = stdout_of(&built.join(example), "", &tmp.join("examples"));
+        surfaces.push((format!("{example}.txt"), out));
     }
     assert_eq!(surfaces.len(), 5, "the five examples");
-    assert_goldens(Path::new(env!("CARGO_TARGET_TMPDIR")), &surfaces);
+    assert_goldens(tmp, &surfaces);
 }
