@@ -9,17 +9,21 @@
 //! uCOBS works unchanged over a stock TCP stack: records then simply arrive
 //! in order, which is the paper's incremental-deployment story (§3.3).
 //!
-//! Reassembly is the record layer's shared [`FragmentStore`]: `recv` scans
-//! the run the store lends it for the chunk just inserted and moves each
-//! decoded payload out to the application. The scan still re-reads the whole
-//! run on every arrival behind a hole (`duplicates_suppressed` counts the
-//! records it finds again).
+//! Reassembly is the record layer's shared [`FragmentStore`]: `recv` inserts
+//! each chunk and scans, in the run the store lends back, only the records
+//! the chunk touches — from the last marker before its first byte to the
+//! first marker at or after its end. Because every record carries a marker
+//! at both ends (§5.3), a record outside that window was complete before the
+//! chunk arrived and was delivered then, so each record is decoded once;
+//! only bytes uTCP delivers twice are scanned again (`duplicates_suppressed`
+//! counts the records found in them).
 //!
 //! [`Datagram`] and [`DatagramStats`] — what every socket of this crate
 //! delivers and the one shape all four count in — are defined here.
 
 use crate::config::MinionConfig;
 use minion_cobs::frame::{frame_datagram, scan_records};
+use minion_cobs::MARKER;
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
 use minion_tcp::WriteMeta;
@@ -51,8 +55,8 @@ pub struct DatagramStats {
     pub datagrams_received: u64,
     /// Datagrams delivered ahead of a stream hole.
     pub out_of_order_received: u64,
-    /// Records seen again after already being delivered (suppressed). Only
-    /// uCOBS re-scans what it has delivered; every other socket reads 0.
+    /// Records uCOBS found again in bytes that uTCP delivered twice
+    /// (suppressed). Every other socket reads 0.
     pub duplicates_suppressed: u64,
 }
 
@@ -89,7 +93,8 @@ impl DatagramStats {
 pub struct UcobsSocket {
     handle: SocketHandle,
     store: FragmentStore,
-    /// Absolute stream offsets of records already delivered.
+    /// Absolute stream offsets of records already delivered: the
+    /// exactly-once guard against uTCP delivering a byte twice.
     delivered: BTreeSet<u64>,
     /// Stream offset below which every record has been delivered and the
     /// store has been pruned (always sits on a record-delimiting marker).
@@ -181,39 +186,59 @@ impl UcobsSocket {
     pub fn recv(&mut self, host: &mut Host) -> Vec<Datagram> {
         let mut out = Vec::new();
         while let Ok(Some(chunk)) = host.tcp_read(self.handle) {
-            let Some((run_start, run)) = self.store.insert(chunk.offset, &chunk.data) else {
-                continue;
-            };
-            // Scan the (possibly merged) run containing the new data. A run
-            // at offset 0 needs no leading marker; a run at the pruned head
-            // floor begins with the previous record's trailing marker, so
-            // the ordinary marker scan applies.
-            let is_head = run_start <= self.head_floor;
-            let mut last_complete_end: Option<u64> = None;
-            for rec in scan_records(run, run_start == 0) {
-                last_complete_end = Some(run_start + rec.end as u64);
-                if self.delivered.insert(run_start + rec.start as u64) {
-                    out.push(self.stats.deliver(rec.payload, !chunk.in_order));
-                } else {
-                    self.stats.duplicates_suppressed += 1;
-                }
+            self.on_chunk(chunk.offset, &chunk.data, |stats, _, payload| {
+                out.push(stats.deliver(payload, !chunk.in_order));
+            });
+        }
+        out
+    }
+
+    /// Store one chunk uTCP delivered at stream offset `offset` and hand each
+    /// record it completes to `deliver`, with the record's stream offset,
+    /// once.
+    fn on_chunk(
+        &mut self,
+        offset: u64,
+        data: &[u8],
+        mut deliver: impl FnMut(&mut DatagramStats, u64, Vec<u8>),
+    ) {
+        // The chunk's bytes the store keeps: none below the head floor.
+        let (first, end) = (offset.max(self.head_floor), offset + data.len() as u64);
+        let Some((run_start, run)) = self.store.insert(offset, data) else {
+            return;
+        };
+        // Scan only the records the chunk touches: from the last marker
+        // before its first byte to the first marker at or after its end.
+        // Every other record of the run was complete before the chunk
+        // arrived, and was delivered then.
+        let (from, to) = ((first - run_start) as usize, (end - run_start) as usize);
+        let lo = run[..from].iter().rposition(|&b| b == MARKER).unwrap_or(0);
+        let hi = run[to..]
+            .iter()
+            .position(|&b| b == MARKER)
+            .map_or(run.len(), |at| to + at + 1);
+        let window_start = run_start + lo as u64;
+        for rec in scan_records(&run[lo..hi], window_start == 0) {
+            let at = window_start + rec.start as u64;
+            if self.delivered.insert(at) {
+                deliver(&mut self.stats, at, rec.payload);
+            } else {
+                self.stats.duplicates_suppressed += 1;
             }
-            // Bound memory and re-scan cost: once the stream-head fragment
-            // has been fully scanned, drop everything before the last
-            // complete record's trailing marker (which doubles as the next
-            // record's leading marker).
-            if is_head {
-                if let Some(end) = last_complete_end {
-                    let new_floor = end.saturating_sub(1);
-                    if new_floor > self.head_floor {
-                        self.store.prune_below(new_floor);
-                        self.delivered = self.delivered.split_off(&new_floor);
-                        self.head_floor = new_floor;
-                    }
+        }
+        // Bound memory: the head run begins at a record boundary, so every
+        // record before its last marker is complete and has been delivered.
+        // Drop them; the marker stays as the next record's leading one.
+        if run_start <= self.head_floor {
+            if let Some(last) = run.iter().rposition(|&b| b == MARKER) {
+                let new_floor = run_start + last as u64;
+                if new_floor > self.head_floor {
+                    self.store.prune_below(new_floor);
+                    self.delivered = self.delivered.split_off(&new_floor);
+                    self.head_floor = new_floor;
                 }
             }
         }
-        out
     }
 }
 
@@ -403,5 +428,141 @@ mod tests {
             "buffered={}",
             rx.store.buffered_bytes()
         );
+    }
+
+    /// `recv` as it was before it scanned only what a chunk touches: the
+    /// whole run holding each chunk re-scanned, records found again
+    /// discarded by offset, the head pruned at its last complete record.
+    #[derive(Default)]
+    struct RescanOracle {
+        store: FragmentStore,
+        delivered: BTreeSet<u64>,
+        head_floor: u64,
+    }
+
+    impl RescanOracle {
+        fn on_chunk(&mut self, offset: u64, data: &[u8], found: &mut BTreeSet<(u64, Vec<u8>)>) {
+            let Some((run_start, run)) = self.store.insert(offset, data) else {
+                return;
+            };
+            let mut last_end = None;
+            for rec in scan_records(run, run_start == 0) {
+                last_end = Some(run_start + rec.end as u64 - 1);
+                if self.delivered.insert(run_start + rec.start as u64) {
+                    found.insert((run_start + rec.start as u64, rec.payload));
+                }
+            }
+            match last_end {
+                Some(floor) if run_start <= self.head_floor && floor > self.head_floor => {
+                    self.store.prune_below(floor);
+                    self.delivered = self.delivered.split_off(&floor);
+                    self.head_floor = floor;
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// A pseudo-random source: `below(n)` is in `0..n`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) as usize % bound
+        }
+    }
+
+    /// A framed stream of empty, all-zero, zero-free (longer than one COBS
+    /// block) and random datagrams, with a few bits flipped and a few
+    /// markers injected.
+    fn hostile_stream(rng: &mut Lcg) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for _ in 0..1 + rng.below(24) {
+            let datagram: Vec<u8> = match rng.below(4) {
+                0 => Vec::new(),
+                1 => vec![0; 1 + rng.below(300)],
+                2 => (0..255 + rng.below(600))
+                    .map(|_| 1 + rng.below(255) as u8)
+                    .collect(),
+                _ => (0..rng.below(400)).map(|_| rng.below(256) as u8).collect(),
+            };
+            stream.extend_from_slice(&frame_datagram(&datagram));
+        }
+        for _ in 0..rng.below(4) {
+            let at = rng.below(stream.len());
+            stream[at] ^= 1 << rng.below(8);
+        }
+        for _ in 0..rng.below(4) {
+            let at = rng.below(stream.len());
+            stream[at] = 0;
+        }
+        stream
+    }
+
+    /// `0..len` cut into pieces of pseudo-random sizes, as `(start, end)` in
+    /// a pseudo-random delivery order, every fifth piece twice if `repeat`.
+    fn cut_shuffle(len: usize, rng: &mut Lcg, repeat: bool) -> Vec<(usize, usize)> {
+        let mut pieces = Vec::new();
+        let mut start = 0;
+        while start < len {
+            let end = (start + 1 + rng.below(200)).min(len);
+            pieces.push((start, end));
+            if repeat && pieces.len() % 5 == 0 {
+                pieces.push((start, end));
+            }
+            start = end;
+        }
+        for i in (1..pieces.len()).rev() {
+            pieces.swap(i, rng.below(i + 1));
+        }
+        pieces
+    }
+
+    #[test]
+    fn each_record_is_delivered_once_exactly_as_a_whole_run_rescan_finds_it() {
+        let (mut delivered, mut suppressed) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = Lcg(seed);
+            let stream = hostile_stream(&mut rng);
+            let repeat = seed % 2 == 0;
+            let pieces = cut_shuffle(stream.len(), &mut rng, repeat);
+
+            let mut oracle = RescanOracle::default();
+            let mut expected = BTreeSet::new();
+            let mut socket = UcobsSocket::from_handle(SocketHandle(0));
+            let mut got = Vec::new();
+            for &(start, end) in &pieces {
+                let piece = &stream[start..end];
+                oracle.on_chunk(start as u64, piece, &mut expected);
+                socket.on_chunk(start as u64, piece, |_, at, payload| {
+                    got.push((at, payload))
+                });
+            }
+
+            let offsets: BTreeSet<u64> = got.iter().map(|&(at, _)| at).collect();
+            assert_eq!(
+                offsets.len(),
+                got.len(),
+                "seed {seed}: a record delivered twice"
+            );
+            assert_eq!(BTreeSet::from_iter(got), expected, "seed {seed}");
+            delivered += expected.len();
+            suppressed += socket.stats().duplicates_suppressed;
+            if !repeat {
+                assert_eq!(
+                    socket.stats().duplicates_suppressed,
+                    0,
+                    "seed {seed}: no byte arrived twice, so no record was found twice"
+                );
+            }
+        }
+        // The streams exercised what they were built to: many records, and
+        // repeats that found some of them again.
+        println!("{delivered} records delivered, {suppressed} found again");
+        assert!(delivered > 2000 && suppressed > 0);
     }
 }
