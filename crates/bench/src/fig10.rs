@@ -25,6 +25,8 @@ pub struct PriorityDelays {
     pub low_sent: usize,
     /// High-priority messages sent.
     pub high_sent: usize,
+    /// The longest wait between two consecutive deliveries.
+    pub longest_gap: SimDuration,
 }
 
 /// Run the prioritization experiment over uCOBS, with or without uTCP's
@@ -56,6 +58,7 @@ fn run_priority_experiment(
     let mut high = Distribution::new();
     let mut send_times: Vec<(SimTime, bool)> = Vec::with_capacity(messages);
     let mut last_delivery = sim.now();
+    let mut longest_gap = SimDuration::ZERO;
 
     // The idle limit is a wake time, so the run ends without a deadline.
     sim.drive(SimTime::MAX, |sim| {
@@ -76,6 +79,9 @@ fn run_priority_experiment(
         for d in rx.recv(sim.host_mut(b)) {
             if d.payload.len() < 9 {
                 continue;
+            }
+            if low.len() + high.len() > 0 {
+                longest_gap = longest_gap.max(now - last_delivery);
             }
             last_delivery = now;
             let id = u64::from_be_bytes(d.payload[..8].try_into().expect("8 bytes")) as usize;
@@ -101,6 +107,7 @@ fn run_priority_experiment(
         high_priority_ms: high,
         low_sent: send_times.len() - high_sent,
         high_sent,
+        longest_gap,
     }
 }
 
@@ -167,20 +174,27 @@ mod tests {
         assert!(utcp.high_priority_ms.mean() < tcp.high_priority_ms.mean());
     }
 
-    /// Defect 2, pinned: over uTCP the sender's buffer takes 1091 + 11
-    /// messages and then no more, 998 + 10 of them arrive, and the run ends
-    /// on the idle limit, at 1500 and at 3000 messages alike. Loss recovery
-    /// that finishes (ROADMAP item 1) flips this test.
+    /// ROADMAP item 1's gate on Fig. 10: both stacks deliver every message
+    /// they sent, and the receiver never waits more than a second between
+    /// two deliveries.
     #[test]
-    fn utcp_priority_run_stalls_after_998_plus_10_deliveries() {
+    fn every_message_is_delivered_without_a_long_silence() {
         for (messages, seed) in [(1500, 1), (3000, 2)] {
-            let d = run_priority_experiment(true, messages, 1000, seed);
-            assert_eq!(
-                (d.low_priority_ms.len(), d.high_priority_ms.len()),
-                (998, 10),
-                "delivered, {messages} messages at seed {seed}"
-            );
-            assert_eq!((d.low_sent, d.high_sent), (1091, 11), "sent");
+            for use_utcp in [false, true] {
+                let d = run_priority_experiment(use_utcp, messages, 1000, seed);
+                let at = format!("{messages} messages, seed {seed}, utcp {use_utcp}");
+                assert_eq!(
+                    (d.low_priority_ms.len(), d.high_priority_ms.len()),
+                    (d.low_sent, d.high_sent),
+                    "delivered, {at}"
+                );
+                assert_eq!(d.low_sent + d.high_sent, messages, "sent, {at}");
+                assert!(
+                    d.longest_gap <= SimDuration::from_secs(1),
+                    "longest gap {}, {at}",
+                    d.longest_gap
+                );
+            }
         }
     }
 }

@@ -1449,8 +1449,8 @@ mod tests {
                 2,
                 2,
                 1,
-                0xe2fa_ff24_7206_c82d,
-                0xb467_1fd4_2e44_91f4
+                0xd163_8510_d762_bd43,
+                0x2759_5545_079b_4fce
             )
         );
     }

@@ -72,8 +72,6 @@
 //! - CLOSE leaves ESTABLISHED or CLOSE-WAIT only when the FIN goes out,
 //!   after the queued data. In SYN-SENT or SYN-RCVD it waits for the
 //!   handshake to finish.
-//! - The handshake's RTT sample is timed from the first SYN even if the RTO
-//!   re-sent it, which Karn's rule forbids.
 
 use crate::cc::CongestionControl;
 use crate::config::{SocketOptions, TcpConfig, WriteMeta};
@@ -211,6 +209,9 @@ struct Handshake {
     due: bool,
     /// When the phase began; the handshake's RTT sample is timed from here.
     sent_at: SimTime,
+    /// The RTO re-sent our SYN (or SYN-ACK), so Karn's rule forbids timing
+    /// its ACK.
+    resent: bool,
     /// `close()` was called; the FIN follows the handshake.
     close: bool,
 }
@@ -437,8 +438,8 @@ impl TcpConnection {
         self.rtt.srtt()
     }
 
-    /// Number of RTT samples incorporated (Karn's rule: retransmitted
-    /// segments never contribute one).
+    /// Number of RTT samples incorporated (Karn's rule: neither an ACK that
+    /// retires retransmitted bytes nor a re-sent SYN contributes one).
     pub fn rtt_samples(&self) -> u64 {
         self.rtt.sample_count()
     }
@@ -564,7 +565,9 @@ impl TcpConnection {
             (Established { eof, .. }, Close) => Established { close: true, eof },
             (CloseWait { .. }, Close) => CloseWait { close: true },
             (SynSent(hs) | SynRcvd(hs), SynAcked(now)) => {
-                self.rtt.on_sample(now.saturating_since(hs.sent_at));
+                if !hs.resent {
+                    self.rtt.on_sample(now.saturating_since(hs.sent_at));
+                }
                 self.reliability.clear_rto();
                 let close = hs.close;
                 Established { close, eof: None }
@@ -601,6 +604,7 @@ impl TcpConnection {
         Handshake {
             due: true,
             sent_at: now,
+            resent: false,
             close: false,
         }
     }
@@ -777,7 +781,7 @@ impl TcpConnection {
         let sack_evidence = if seg.sack_blocks().is_empty() {
             false
         } else {
-            self.apply_sack(seg.sack_blocks())
+            self.apply_sack(seg.sack_blocks(), now)
         };
 
         if data_ack_off > self.snd_una {
@@ -797,15 +801,16 @@ impl TcpConnection {
             // nothing left to retransmit.
             self.reliability.clear_rto();
         }
+        self.reliability.debug_check(self.snd_una);
     }
 
-    /// Record SACK blocks on the scoreboard. Returns whether any valid block
-    /// covers data beyond the cumulative ACK point — proof that newer data is
-    /// reaching the receiver, which `on_duplicate_ack` uses as the RFC 6582
-    /// §4 heuristic. This must come from the blocks themselves, not the
-    /// scoreboard: after an RTO the scoreboard is cleared for go-back-N, so
-    /// SACKed ranges not yet re-sent have no record to mark.
-    fn apply_sack(&mut self, blocks: &[SackBlock]) -> bool {
+    /// Record SACK blocks on the scoreboard, taking an RTT sample from each
+    /// block that newly covers data sent only once. Returns whether any
+    /// valid block covers data beyond the cumulative ACK point — proof that
+    /// newer data is reaching the receiver, which `on_duplicate_ack` uses as
+    /// the RFC 6582 §4 heuristic. It comes from the blocks themselves, so a
+    /// block that only repeats what the scoreboard already holds counts.
+    fn apply_sack(&mut self, blocks: &[SackBlock], now: SimTime) -> bool {
         let mut beyond_cumulative = false;
         for block in blocks {
             let start = self.offset_of_ack(block.start);
@@ -816,7 +821,9 @@ impl TcpConnection {
             if end > self.snd_una {
                 beyond_cumulative = true;
             }
-            self.reliability.mark_sacked(start, end);
+            if let Some(sent_at) = self.reliability.mark_sacked(start, end) {
+                self.rtt.on_sample(now.saturating_since(sent_at));
+            }
         }
         beyond_cumulative
     }
@@ -826,8 +833,8 @@ impl TcpConnection {
         self.stats.bytes_acked += newly_acked as u64;
         self.recovery.on_new_ack();
 
-        // Retire acknowledged transmission records; Karn's rule permits an
-        // RTT sample only from a record that was never retransmitted.
+        // Retire the acknowledged bytes; Karn's rule permits an RTT sample
+        // only from an ACK that retires nothing retransmitted.
         if let Some(sent_at) = self.reliability.retire_acked(ack_off) {
             self.rtt.on_sample(now.saturating_since(sent_at));
         }
@@ -950,9 +957,10 @@ impl TcpConnection {
         self.note_window(now);
         self.rtt.backoff();
         // Go-back-N: retransmission restarts from the cumulative ACK point
-        // and re-covers everything outstanding (window permitting); the
-        // scoreboard is rebuilt as segments are re-sent.
-        self.reliability.clear_unacked();
+        // and re-covers everything outstanding the receiver has not SACKed
+        // (window permitting). What it has not SACKed leaves the flight as
+        // lost and re-enters it as the pass re-sends it.
+        self.reliability.mark_unsacked_lost();
         self.reliability.arm_rto(now, now + self.rtt.rto());
     }
 
@@ -990,6 +998,7 @@ impl TcpConnection {
         // Handshake segments.
         let syn_ack = matches!(self.phase, Phase::SynRcvd(_));
         if let Phase::SynSent(hs) | Phase::SynRcvd(hs) = &mut self.phase {
+            hs.resent |= rto_fired;
             if std::mem::take(&mut hs.due) || rto_fired {
                 out.push(self.make_syn(syn_ack));
             }
@@ -1182,6 +1191,7 @@ impl TcpConnection {
             self.record_transmission(next, end, charge, now, false);
             self.reliability.ensure_rto(now, now + self.rtt.rto());
         }
+        self.reliability.debug_check(self.snd_una);
     }
 
     fn record_transmission(

@@ -27,8 +27,8 @@
 //! Who owns what on the sending side: `recovery` holds all loss-recovery
 //! state (the fast-recovery episode, the RFC 6582 recover point, the
 //! duplicate-ACK run, the pending retransmission pass), `reliability` the
-//! transmitted-but-unacked scoreboard, Karn-safe RTT sampling and the RTO
-//! timer, and `cc` the window arithmetic for the algorithm [`CcAlgorithm`]
+//! scoreboard of transmitted ranges (in flight, SACKed or lost), Karn-safe
+//! RTT sampling and the RTO timer, and `cc` the window arithmetic for the algorithm [`CcAlgorithm`]
 //! names. [`TcpConnection`] wires them to the wire, and [`ConnStats`] is the
 //! one set of counters.
 

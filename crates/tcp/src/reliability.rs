@@ -1,33 +1,61 @@
-//! Reliability bookkeeping: the transmitted-but-unacknowledged scoreboard
-//! and the RTO timer.
+//! Reliability bookkeeping: the send-side scoreboard and the RTO timer.
 //!
 //! `recovery.rs` decides *when* and *what* to retransmit (fast retransmit,
 //! NewReno partial ACKs, go-back-N after an RTO); this module remembers what
-//! is outstanding: per-transmission records for flight accounting, Karn-safe
-//! RTT sampling, and the SACK scoreboard, plus when the retransmission timer
-//! fires.
+//! is outstanding, and when the retransmission timer fires.
+//!
+//! The scoreboard holds one entry per transmitted range, in sequence order,
+//! from the cumulative ACK point to `snd_max`. An entry is in flight, SACKed
+//! (the receiver holds it) or lost (an RTO presumed it dropped); only
+//! entries in flight are charged against the congestion window. A
+//! retransmission of `[a, b)` updates the entries it covers in place,
+//! splitting them at `a` and `b`, so a byte is charged once however often
+//! it is sent. An RTO marks every entry not SACKed lost and keeps the SACK
+//! marks, so the go-back-N pass resends only what the receiver lacks: our
+//! receiver never reneges on a SACK, as it holds every out-of-order piece
+//! until its hole fills (Linux's `tcp_enter_loss` likewise keeps the marks
+//! unless it suspects reneging).
+//!
+//! RTT samples follow Karn's rule: an ACK that retires any retransmitted
+//! bytes gives no sample, and neither does a SACK of retransmitted bytes
+//! alone. A SACK block that newly covers entries sent once gives one
+//! sample, from the most recently sent of them, as Linux samples SACKs.
 
 use minion_simnet::SimTime;
 use std::collections::VecDeque;
 
-/// A transmitted-but-unacknowledged range, used for flight accounting, RTT
-/// sampling, and the SACK scoreboard.
+/// A transmitted range of the send stream not yet cumulatively
+/// acknowledged.
 #[derive(Clone, Debug)]
-struct TxRecord {
+struct Entry {
     start: u64,
     end: u64,
     /// Window charge: payload bytes, or a full MSS under skbuff accounting.
+    /// A split divides it in proportion to the bytes on each side.
     charge: usize,
+    /// When the range was last sent.
     sent_at: SimTime,
+    /// Sent more than once: Karn's rule forbids timing its ACK.
     retransmitted: bool,
     sacked: bool,
+    /// Presumed dropped by an RTO and not sent since.
+    lost: bool,
+}
+
+impl Entry {
+    /// Whether the entry is charged against the congestion window.
+    fn in_flight(&self) -> bool {
+        !self.sacked && !self.lost
+    }
 }
 
 /// Outstanding-data state of one connection's send direction.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Reliability {
-    /// Transmitted, unacknowledged ranges, in transmission order.
-    unacked: VecDeque<TxRecord>,
+    /// Transmitted, unacknowledged ranges, sorted and non-overlapping.
+    entries: VecDeque<Entry>,
+    /// The summed charge of the entries in flight.
+    flight: usize,
     /// When the retransmission (or handshake) timer fires next.
     rto_expiry: Option<SimTime>,
     /// When the currently-armed timer was (re)armed — the base of the
@@ -44,10 +72,13 @@ impl Reliability {
         Reliability::default()
     }
 
-    // ---- Transmission records -----------------------------------------
+    // ---- Scoreboard ------------------------------------------------------
 
-    /// Record one (re)transmission of `[start, end)` charging `charge` bytes
-    /// against the congestion window.
+    /// Record a transmission of `[start, end)` at `sent_at`. Bytes past
+    /// everything recorded get a new entry charging `charge` against the
+    /// congestion window, marked `retransmitted` as the caller says. A
+    /// resend of recorded bytes updates their entries in place instead:
+    /// sent again, and back in flight with their own charge unless SACKed.
     pub(crate) fn record_transmission(
         &mut self,
         start: u64,
@@ -56,86 +87,172 @@ impl Reliability {
         sent_at: SimTime,
         retransmitted: bool,
     ) {
-        self.unacked.push_back(TxRecord {
-            start,
-            end,
-            charge,
-            sent_at,
-            retransmitted,
-            sacked: false,
-        });
+        let Some(last) = self.entries.back().filter(|e| e.end > start) else {
+            self.entries.push_back(Entry {
+                start,
+                end,
+                charge,
+                sent_at,
+                retransmitted,
+                sacked: false,
+                lost: false,
+            });
+            self.flight += charge;
+            return;
+        };
+        debug_assert!(end <= last.end, "a resend past snd_max");
+        self.split_at(start);
+        self.split_at(end);
+        let first = self.entries.partition_point(|e| e.end <= start);
+        for e in self
+            .entries
+            .range_mut(first..)
+            .take_while(|e| e.start < end)
+        {
+            if e.lost {
+                e.lost = false;
+                self.flight += e.charge;
+            }
+            e.sent_at = sent_at;
+            e.retransmitted = true;
+        }
     }
 
-    /// Retire every record fully covered by a cumulative ACK at `ack_off`.
-    /// Returns the send time of the first retired record that was never
-    /// retransmitted — the only RTT sample Karn's rule permits — if any.
+    /// Split the entry straddling `at`, if one does, into the bytes below
+    /// and the bytes from `at` on.
+    fn split_at(&mut self, at: u64) {
+        let i = self.entries.partition_point(|e| e.end <= at);
+        let Some(e) = self.entries.get_mut(i) else {
+            return;
+        };
+        if e.start >= at {
+            return;
+        }
+        let below = (e.charge as u64 * (at - e.start) / (e.end - e.start)) as usize;
+        let mut upper = e.clone();
+        upper.start = at;
+        upper.charge = e.charge - below;
+        e.end = at;
+        e.charge = below;
+        self.entries.insert(i + 1, upper);
+    }
+
+    /// Retire every entry a cumulative ACK at `ack_off` covers, and trim
+    /// the one it lands inside to start there (its charge stays until it
+    /// is covered whole). Returns the send time of the first retired entry
+    /// that was neither retransmitted nor SACKed — the sample Karn's rule
+    /// permits — unless the ACK covered any retransmitted byte, in which
+    /// case there is none.
     pub(crate) fn retire_acked(&mut self, ack_off: u64) -> Option<SimTime> {
         let mut sample = None;
-        while let Some(front) = self.unacked.front() {
-            if front.end <= ack_off {
-                let rec = self.unacked.pop_front().expect("front exists");
-                if !rec.retransmitted && sample.is_none() {
-                    sample = Some(rec.sent_at);
-                }
-            } else {
+        let mut ambiguous = false;
+        while let Some(e) = self.entries.front_mut() {
+            if e.start >= ack_off {
                 break;
+            }
+            ambiguous |= e.retransmitted;
+            if e.end > ack_off {
+                e.start = ack_off;
+                break;
+            }
+            let e = self.entries.pop_front().expect("front exists");
+            if e.in_flight() {
+                self.flight -= e.charge;
+            }
+            if !e.retransmitted && !e.sacked && sample.is_none() {
+                sample = Some(e.sent_at);
+            }
+        }
+        sample.filter(|_| !ambiguous)
+    }
+
+    /// Mark every entry fully contained in the SACK block `[start, end)` as
+    /// SACKed. Returns the send time of the most recently sent entry the
+    /// block newly covers that was never retransmitted, if any: the block's
+    /// RTT sample.
+    pub(crate) fn mark_sacked(&mut self, start: u64, end: u64) -> Option<SimTime> {
+        let first = self.entries.partition_point(|e| e.end <= start);
+        let mut sample: Option<SimTime> = None;
+        for e in self
+            .entries
+            .range_mut(first..)
+            .take_while(|e| e.start < end)
+        {
+            if e.sacked || e.start < start || e.end > end {
+                continue;
+            }
+            if e.in_flight() {
+                self.flight -= e.charge;
+            }
+            e.sacked = true;
+            e.lost = false;
+            if !e.retransmitted {
+                sample = sample.max(Some(e.sent_at));
             }
         }
         sample
     }
 
-    /// Bytes charged against the congestion window for in-flight data
-    /// (SACKed ranges have left the network and do not count).
-    pub(crate) fn flight_charge(&self) -> usize {
-        self.unacked
-            .iter()
-            .filter(|r| !r.sacked)
-            .map(|r| r.charge)
-            .sum()
-    }
-
-    /// Whether any transmission records are outstanding.
-    pub(crate) fn has_unacked(&self) -> bool {
-        !self.unacked.is_empty()
-    }
-
-    /// Drop every transmission record (go-back-N rebuilds the scoreboard as
-    /// segments are re-sent).
-    pub(crate) fn clear_unacked(&mut self) {
-        self.unacked.clear();
-    }
-
-    /// Mark every record fully contained in `[start, end)` as SACKed.
-    pub(crate) fn mark_sacked(&mut self, start: u64, end: u64) {
-        for rec in self.unacked.iter_mut() {
-            if rec.start >= start && rec.end <= end {
-                rec.sacked = true;
-            }
+    /// An RTO fired: every entry the receiver has not SACKed is presumed
+    /// lost and leaves the flight; its retransmitted mark stays.
+    pub(crate) fn mark_unsacked_lost(&mut self) {
+        for e in self.entries.iter_mut().filter(|e| !e.sacked) {
+            e.lost = true;
         }
+        self.flight = 0;
     }
 
-    /// The first offset at or after `offset` not covered by SACKed records,
+    /// Bytes charged against the congestion window for data in flight
+    /// (SACKed and lost ranges have left the network and do not count).
+    pub(crate) fn flight_charge(&self) -> usize {
+        self.flight
+    }
+
+    /// Whether any transmitted bytes are unacknowledged.
+    pub(crate) fn has_unacked(&self) -> bool {
+        !self.entries.is_empty()
+    }
+
+    /// The first offset at or after `offset` not covered by SACKed entries,
     /// chaining across adjacent ones — where a retransmission pass should
     /// skip to. `None` when `offset` itself is not SACKed.
     pub(crate) fn next_unsacked_offset(&self, offset: u64) -> Option<u64> {
+        let first = self.entries.partition_point(|e| e.end <= offset);
         let mut cur = offset;
-        let mut advanced = false;
-        loop {
-            let next = self
-                .unacked
-                .iter()
-                .filter(|r| r.sacked && cur >= r.start && cur < r.end)
-                .map(|r| r.end)
-                .max();
-            match next {
-                Some(end) => {
-                    cur = end;
-                    advanced = true;
-                }
-                None => break,
+        for e in self.entries.range(first..) {
+            if !e.sacked || e.start > cur {
+                break;
             }
+            cur = e.end;
         }
-        advanced.then_some(cur)
+        (cur > offset).then_some(cur)
+    }
+
+    /// The scoreboard's invariants, checked in debug builds: entries are
+    /// sorted, non-empty and non-overlapping, each ends above the
+    /// cumulative ACK point `snd_una`, and the flight is the summed charge
+    /// of the entries neither SACKed nor lost.
+    pub(crate) fn debug_check(&self, snd_una: u64) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut prev_end = None;
+        for e in &self.entries {
+            debug_assert!(
+                e.start < e.end && e.end > snd_una && prev_end.is_none_or(|p| p <= e.start),
+                "entry [{}, {}) after {prev_end:?}, snd_una {snd_una}",
+                e.start,
+                e.end
+            );
+            prev_end = Some(e.end);
+        }
+        let charged: usize = self
+            .entries
+            .iter()
+            .filter(|e| e.in_flight())
+            .map(|e| e.charge)
+            .sum();
+        debug_assert_eq!(self.flight, charged, "flight is the in-flight charge");
     }
 
     // ---- RTO timer -------------------------------------------------------
@@ -186,9 +303,9 @@ mod tests {
         r.record_transmission(0, 1448, 1448, t(10), true); // retransmitted
         r.record_transmission(1448, 2896, 1448, t(20), false);
         r.record_transmission(2896, 4344, 1448, t(30), false);
-        // Covers the first two records: the retransmitted one yields no
-        // sample (Karn), the clean one does.
-        assert_eq!(r.retire_acked(2896), Some(t(20)));
+        // Covers the first two records: the retransmitted one makes the
+        // whole ACK ambiguous, so the clean one is not timed either (Karn).
+        assert_eq!(r.retire_acked(2896), None);
         assert!(r.has_unacked());
         assert_eq!(r.flight_charge(), 1448);
         // Nothing newly covered: no sample.
@@ -215,6 +332,42 @@ mod tests {
         assert_eq!(r.next_unsacked_offset(1448), Some(4344));
         assert_eq!(r.next_unsacked_offset(1500), Some(4344));
         assert_eq!(r.next_unsacked_offset(4343), Some(4344));
+    }
+
+    #[test]
+    fn a_resend_updates_the_entries_it_covers_in_place() {
+        let mut r = Reliability::new();
+        r.record_transmission(0, 1448, 1448, t(1), false);
+        r.record_transmission(1448, 2896, 1448, t(2), false);
+        assert_eq!(r.retire_acked(1000), None, "mid-entry: nothing retired");
+        // A full segment from the ACK point splits the second entry at
+        // 2448 and is charged once: the flight does not grow.
+        r.record_transmission(1000, 2448, 1448, t(9), true);
+        assert_eq!(r.flight_charge(), 2896);
+        r.debug_check(1000);
+        assert_eq!(r.retire_acked(2448), None, "retransmitted bytes: Karn");
+        assert_eq!(r.flight_charge(), 448, "the split's upper share stays");
+        r.debug_check(2448);
+    }
+
+    #[test]
+    fn an_rto_keeps_the_sack_marks_and_marks_the_rest_lost() {
+        let mut r = Reliability::new();
+        for (i, start) in [0, 1448, 2896, 4344].into_iter().enumerate() {
+            r.record_transmission(start, start + 1448, 1448, t(i as u64), false);
+        }
+        // A block newly covering two entries sent once samples the later.
+        assert_eq!(r.mark_sacked(1448, 4344), Some(t(2)));
+        assert_eq!(r.mark_sacked(1448, 4344), None, "nothing newly covered");
+        r.mark_unsacked_lost();
+        assert_eq!(r.flight_charge(), 0, "lost and SACKed left the network");
+        assert_eq!(r.next_unsacked_offset(1448), Some(4344), "marks kept");
+        r.record_transmission(0, 1448, 1448, t(9), true);
+        r.record_transmission(4344, 5792, 1448, t(9), true);
+        assert_eq!(r.flight_charge(), 2896, "a resend re-enters the flight");
+        r.debug_check(0);
+        assert_eq!(r.mark_sacked(4344, 5792), None, "retransmitted: Karn");
+        assert_eq!(r.flight_charge(), 1448);
     }
 
     #[test]

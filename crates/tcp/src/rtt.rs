@@ -1,11 +1,9 @@
 //! Round-trip-time estimation and retransmission-timeout computation,
 //! following Jacobson/Karels (RFC 6298) with Karn's rule applied by the
-//! caller: retransmitted data segments are never sampled. The handshake is
-//! the exception. Its sample is timed from the first SYN (or, passively,
-//! from the SYN's arrival) even when the RTO re-sent it, so a SYN re-sent
-//! at 1 s and answered at 1060 ms samples 1060 ms. Fixing that moves the
-//! virtual-time results of every lossy run, so it is left to the
-//! loss-recovery work.
+//! caller: no sample is taken from an ACK that retires retransmitted data,
+//! nor from the handshake when the RTO re-sent the SYN (or SYN-ACK). A
+//! handshake sent once is timed from the SYN (or, passively, from the SYN's
+//! arrival), and SACK blocks give samples too (see `reliability`).
 
 use minion_simnet::SimDuration;
 

@@ -6,8 +6,8 @@
 
 use minion_simnet::{SimDuration, SimTime};
 use minion_tcp::{
-    CcAlgorithm, ConnEvent, Readiness, SeqNum, SocketOptions, TcpConfig, TcpConnection, TcpError,
-    TcpFlags, TcpOption, TcpSegment, TcpState, WriteMeta,
+    CcAlgorithm, ConnEvent, Readiness, SackBlock, SeqNum, SocketOptions, TcpConfig, TcpConnection,
+    TcpError, TcpFlags, TcpOption, TcpSegment, TcpState, WriteMeta,
 };
 
 const MSS: usize = 1448;
@@ -202,6 +202,18 @@ fn inject_ack(c: &mut TcpConnection, ack_off: u64, now: SimTime) {
     c.on_segment(&ack, now);
 }
 
+/// Inject a bare ACK for stream offset `ack_off` carrying one SACK block
+/// over the stream offsets `[start, end)`.
+fn inject_sack(c: &mut TcpConnection, ack_off: u64, (start, end): (u64, u64), now: SimTime) {
+    let mut ack = TcpSegment::bare(2, 1, SeqNum(9001), ISS + 1 + ack_off as u32, TcpFlags::ACK);
+    ack.window = 1 << 20;
+    ack.options = vec![TcpOption::Sack(vec![SackBlock {
+        start: ISS + 1 + start as u32,
+        end: ISS + 1 + end as u32,
+    }])];
+    c.on_segment(&ack, now);
+}
+
 fn data_payload(segs: &[TcpSegment]) -> usize {
     segs.iter().map(|s| s.payload.len()).sum()
 }
@@ -311,7 +323,11 @@ fn partial_ack_mid_segment_resends_a_full_segment() {
     }
     let retx = c.poll(ms(25));
     let retx_data: Vec<&TcpSegment> = retx.iter().filter(|s| !s.payload.is_empty()).collect();
-    assert_eq!(retx_data.len(), 1);
+    assert_eq!(
+        retx_data.len(),
+        2,
+        "the retransmission charges no extra flight"
+    );
     assert_eq!(
         retx_data[0].payload.len(),
         MSS,
@@ -918,6 +934,87 @@ fn karns_rule_skips_samples_from_retransmitted_segments() {
 }
 
 #[test]
+fn an_ack_that_retires_a_retransmission_takes_no_sample() {
+    // Karn's rule holds for the whole ACK: one that retires a retransmitted
+    // segment may have been sent for the retransmission, so it is not timed
+    // even though it also retires segments sent only once.
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 3 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 3 * MSS);
+    for i in 0..3 {
+        inject_ack(&mut c, 0, ms(60 + i));
+    }
+    assert_eq!(c.stats().fast_retransmits, 1);
+    assert_eq!(data_payload(&c.poll(ms(63))), MSS, "segment 0 resent");
+    let samples = c.rtt_samples();
+    inject_ack(&mut c, 3 * MSS as u64, ms(123));
+    assert_eq!(c.rtt_samples(), samples, "segments 1 and 2 are not timed");
+}
+
+#[test]
+fn a_newly_sacked_segment_sent_once_is_sampled() {
+    // A SACK block that newly covers segments sent only once times the most
+    // recently sent of them; the same block repeated on the next ACK covers
+    // nothing new and times nothing.
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 3 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 3 * MSS);
+    let samples = c.rtt_samples();
+    inject_sack(&mut c, 0, (MSS as u64, 2 * MSS as u64), ms(62));
+    assert_eq!(c.rtt_samples(), samples + 1, "segment 1 is timed");
+    inject_sack(&mut c, 0, (MSS as u64, 2 * MSS as u64), ms(63));
+    assert_eq!(c.rtt_samples(), samples + 1, "nothing newly SACKed");
+}
+
+#[test]
+fn rto_resends_only_the_hole_the_receiver_sacked_around() {
+    // Segment 0 of a ten-segment window is lost, then lost again as the
+    // fast retransmit, while the receiver SACKs segments 1–9. The RTO's
+    // go-back-N pass resends segment 0 and skips the nine the receiver
+    // holds. (No congestion control, so the window does not hide the
+    // difference: a pass that forgot the SACKs would resend all ten.)
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false)
+        .with_cc(CcAlgorithm::None);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 10 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 10 * MSS);
+    for i in 0..3 {
+        inject_sack(&mut c, 0, (MSS as u64, 10 * MSS as u64), ms(60 + i));
+    }
+    assert_eq!(c.stats().fast_retransmits, 1);
+    let fast = c.poll(ms(63));
+    assert_eq!(data_payload(&fast), MSS, "the fast retransmit is the hole");
+
+    let rto_at = c.next_timer().expect("RTO armed");
+    let resent = c.poll(rto_at);
+    assert_eq!(c.stats().timeouts, 1);
+    let data: Vec<&TcpSegment> = resent.iter().filter(|s| !s.payload.is_empty()).collect();
+    assert_eq!(data.len(), 1, "only the hole is resent");
+    assert_eq!((data[0].seq, data[0].payload.len()), (ISS + 1, MSS));
+    assert_eq!(c.stats().bytes_retransmitted, 2 * MSS as u64);
+
+    // The hole's ACK covers the whole window: nothing more is sent.
+    inject_ack(
+        &mut c,
+        10 * MSS as u64,
+        rto_at + SimDuration::from_millis(60),
+    );
+    assert_eq!(
+        data_payload(&c.poll(rto_at + SimDuration::from_millis(60))),
+        0
+    );
+    assert_eq!(c.next_timer(), None, "nothing outstanding");
+}
+
+#[test]
 fn rto_backoff_is_exponential_and_resets_on_progress() {
     let cfg = TcpConfig::default().with_fixed_isn(7);
     let mut c = TcpConnection::new(1, 2, cfg, SocketOptions::standard());
@@ -1122,18 +1219,18 @@ fn three_consecutive_losses_in_one_window_newreno() {
 
 #[test]
 fn three_alternating_losses_in_one_window_newreno() {
-    // One hole is repaired per round trip until the duplicate ACKs run out;
-    // the last one waits for the RTO. Item 1(b)'s gate is this pattern
-    // recovering without it.
+    // One hole is repaired per round trip. With the retransmissions charged
+    // once and new data admitted in their place, the duplicate ACKs last
+    // until the third hole: no RTO, item 1(b)'s gate.
     assert_eq!(
         lossy_transfer(CcAlgorithm::NewReno, ALTERNATING),
         LossOutcome {
             fast_retransmits: 1,
-            timeouts: 1,
+            timeouts: 0,
             retransmissions: 3,
             bytes_retransmitted: 4344,
             final_cwnd: 2896,
-            completed_ms: 1198,
+            completed_ms: 720,
         }
     );
 }

@@ -260,10 +260,10 @@ fn syn_sent_rst_without_an_ack_of_our_syn_is_ignored() {
 }
 
 #[test]
-fn a_retransmitted_syn_is_still_sampled() {
-    // Characterization of a known defect: the handshake RTT is measured
-    // from `open`, so a SYN re-sent by the 1 s RTO and answered 60 ms
-    // later reads 1060 ms. Karn's rule would take no sample here.
+fn a_retransmitted_syn_is_not_sampled() {
+    // Karn's rule: a SYN re-sent by the 1 s RTO and answered 60 ms later
+    // may be answering either copy, so the handshake takes no sample
+    // (timed from `open` it would read 1060 ms).
     let mut c = TcpConnection::new(1, 2, config(), SocketOptions::standard());
     c.open(SimTime::ZERO);
     let _ = c.poll(SimTime::ZERO);
@@ -271,8 +271,8 @@ fn a_retransmitted_syn_is_still_sampled() {
     assert_eq!(resent[0].flags, TcpFlags::SYN);
     c.on_segment(&syn_ack(), ms(1060));
     assert_eq!(c.state(), TcpState::Established);
-    assert_eq!(c.rtt_samples(), 1);
-    assert_eq!(c.srtt(), Some(SimDuration::from_millis(1060)));
+    assert_eq!(c.rtt_samples(), 0);
+    assert_eq!(c.srtt(), None);
 }
 
 // ---- SYN-RECEIVED -------------------------------------------------------
@@ -284,6 +284,22 @@ fn syn_rcvd_ack_of_our_syn_establishes() {
     assert_eq!(c.state(), TcpState::Established);
     assert_eq!(c.srtt(), Some(SimDuration::from_millis(40)));
     assert_eq!(c.next_timer(), None);
+}
+
+#[test]
+fn a_retransmitted_syn_ack_is_not_sampled() {
+    // Karn's rule on the passive side: the ACK of a SYN-ACK sent twice may
+    // answer either copy, so it is not timed.
+    let mut c = syn_rcvd();
+    let rto = c.next_timer().unwrap();
+    assert_eq!(c.poll(rto)[0].flags, TcpFlags::SYN_ACK);
+    c.on_segment(
+        &peer(TcpFlags::ACK, 0, 0, &[]),
+        rto + SimDuration::from_millis(40),
+    );
+    assert_eq!(c.state(), TcpState::Established);
+    assert_eq!(c.rtt_samples(), 0);
+    assert_eq!(c.srtt(), None);
 }
 
 #[test]
