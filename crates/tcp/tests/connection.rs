@@ -1002,15 +1002,9 @@ fn rto_resends_only_the_hole_the_receiver_sacked_around() {
     assert_eq!(c.stats().bytes_retransmitted, 2 * MSS as u64);
 
     // The hole's ACK covers the whole window: nothing more is sent.
-    inject_ack(
-        &mut c,
-        10 * MSS as u64,
-        rto_at + SimDuration::from_millis(60),
-    );
-    assert_eq!(
-        data_payload(&c.poll(rto_at + SimDuration::from_millis(60))),
-        0
-    );
+    let acked_at = rto_at + SimDuration::from_millis(60);
+    inject_ack(&mut c, 10 * MSS as u64, acked_at);
+    assert_eq!(data_payload(&c.poll(acked_at)), 0);
     assert_eq!(c.next_timer(), None, "nothing outstanding");
 }
 
