@@ -1,13 +1,15 @@
 //! The byte-at-a-time COBS codec the block-wise one in [`crate::encode`]
-//! replaced, kept as the reference its tests compare against: same bytes out
-//! for every input, same error for every malformed input.
+//! replaced, and the byte-at-a-time record scanner the marker-to-marker one
+//! in [`crate::frame`] replaced, kept as the references their tests compare
+//! against: same bytes out for every input, same error for every malformed
+//! input, same records at the same positions in every fragment.
 
 #[cfg(test)]
 mod tests {
     use crate::encode::{
         decode, decode_into, encode, encode_into, find_marker, max_encoded_len, CobsError, MARKER,
     };
-    use crate::frame::{frame_datagram, scan_records};
+    use crate::frame::{frame_datagram, scan_records, ScannedRecord};
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
@@ -65,6 +67,39 @@ mod tests {
             }
         }
         Ok(out)
+    }
+
+    /// Scan a fragment for complete records, testing one byte per step.
+    fn oracle_scan(fragment: &[u8], is_stream_start: bool) -> Vec<ScannedRecord> {
+        let mut records = Vec::new();
+        let mut i = 0;
+
+        // Position of the marker (or known boundary) that could open a record.
+        let mut open: Option<usize> = if is_stream_start { Some(0) } else { None };
+        while i < fragment.len() {
+            if fragment[i] == MARKER {
+                // This marker closes any open record and opens a new one.
+                if let Some(start) = open {
+                    let content_start = if fragment.get(start) == Some(&MARKER) {
+                        start + 1
+                    } else {
+                        start
+                    };
+                    if content_start < i {
+                        if let Ok(payload) = decode(&fragment[content_start..i]) {
+                            records.push(ScannedRecord {
+                                start,
+                                end: i + 1,
+                                payload,
+                            });
+                        }
+                    }
+                }
+                open = Some(i);
+            }
+            i += 1;
+        }
+        records
     }
 
     /// Lengths on both sides of one, two and three 254-byte blocks, plus the
@@ -177,6 +212,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn scan_equals_the_oracle_with_markers_at_every_offset() {
+        // Two markers anywhere in 0..24 bytes (three words and every tail):
+        // one marker alone, a leading one, a `00 00` run, and a record
+        // between two. Random filler rarely decodes, `01`s always do.
+        let random = input(&mut TestRng::new(20), 32, 0);
+        let ones = [0x01; 32];
+        for backing in [&random[..], &ones[..]] {
+            for align in 0..8 {
+                for len in 0..=24 {
+                    let clean = &backing[align..align + len];
+                    for start in [false, true] {
+                        assert_eq!(scan_records(clean, start), oracle_scan(clean, start));
+                    }
+                    for first in 0..len {
+                        for second in first..len {
+                            let mut bytes = clean.to_vec();
+                            bytes[first] = MARKER;
+                            bytes[second] = MARKER;
+                            for start in [false, true] {
+                                assert_eq!(
+                                    scan_records(&bytes, start),
+                                    oracle_scan(&bytes, start),
+                                    "align {align}, len {len}, markers at {first} and {second}, \
+                                     stream start {start}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Damage `bytes` at `edits` seeded places: overwrite, insert, delete,
     /// or cut the rest off.
     fn mutate(bytes: &mut Vec<u8>, edits: usize, seed: u64) {
@@ -273,6 +342,37 @@ mod tests {
             let last = scanned.last().expect("the well-formed record");
             prop_assert_eq!((last.start, last.end), (garbage, stream.len()));
             prop_assert_eq!(&last.payload, &payload);
+        }
+
+        /// Framed records at one zero density behind noise, damaged, then
+        /// cut anywhere so the fragment may start mid-record: the scanner
+        /// finds exactly the records the byte loop finds, at the same
+        /// positions, whether or not the fragment starts the stream.
+        #[test]
+        fn scan_of_a_damaged_cut_stream_equals_the_oracle(
+            noise in proptest::collection::vec(any::<u8>(), 0..40),
+            payloads in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..400), 0..6),
+            zero_one_in in 1u8..64,
+            edits in 0usize..5,
+            seed in any::<u64>(),
+            cut in any::<u64>(),
+        ) {
+            let mut stream = noise;
+            for payload in &payloads {
+                let payload: Vec<u8> = payload
+                    .iter()
+                    .map(|&b| if b.is_multiple_of(zero_one_in) { MARKER } else { b })
+                    .collect();
+                stream.extend_from_slice(&frame_datagram(&payload));
+            }
+            mutate(&mut stream, edits, seed);
+            let fragment = &stream[(cut % (stream.len() as u64 + 1)) as usize..];
+            for is_stream_start in [false, true] {
+                prop_assert_eq!(
+                    scan_records(fragment, is_stream_start),
+                    oracle_scan(fragment, is_stream_start)
+                );
+            }
         }
     }
 }

@@ -630,6 +630,140 @@ mod tests {
         assert_eq!(b.len(), 3000 - MSS + 20);
     }
 
+    /// The buffer as a flat list of writes from stream offset 0, placed by
+    /// a linear walk: ahead of the first untransmitted write with strictly
+    /// lower priority.
+    struct LinearModel {
+        chunks: Vec<(Vec<u8>, u32)>,
+        head: u64,
+        transmitted: u64,
+        capacity: usize,
+    }
+
+    impl LinearModel {
+        fn end(&self) -> u64 {
+            self.chunks.iter().map(|(d, _)| d.len() as u64).sum()
+        }
+
+        /// Index of the first write no byte of which has been transmitted.
+        fn first_queued(&self) -> usize {
+            let mut start = 0;
+            self.chunks
+                .iter()
+                .position(|(d, _)| {
+                    let at = start;
+                    start += d.len() as u64;
+                    at >= self.transmitted
+                })
+                .unwrap_or(self.chunks.len())
+        }
+
+        fn write(
+            &mut self,
+            data: &[u8],
+            priority: u32,
+            squash: bool,
+            unordered: bool,
+            mss: usize,
+            coalesce: bool,
+        ) -> Result<usize, BufferFull> {
+            if data.len() > self.capacity - (self.end() - self.head) as usize {
+                return Err(BufferFull);
+            }
+            if data.is_empty() {
+                return Ok(0);
+            }
+            let q = self.first_queued();
+            if !unordered {
+                for piece in data.chunks(SendBuffer::STREAM_PIECE) {
+                    self.chunks.push((piece.to_vec(), 0));
+                }
+                return Ok(data.len());
+            }
+            if squash {
+                let mut i = q;
+                while i < self.chunks.len() {
+                    if self.chunks[i].1 == priority {
+                        self.chunks.remove(i);
+                    } else {
+                        i += 1;
+                    }
+                }
+            }
+            if let Some(at) = self.chunks[q..].iter().position(|c| c.1 < priority) {
+                self.chunks.insert(q + at, (data.to_vec(), priority));
+                return Ok(data.len());
+            }
+            match self.chunks[q..].last_mut() {
+                Some((last, p)) if coalesce && *p == priority && last.len() + data.len() <= mss => {
+                    last.extend_from_slice(data)
+                }
+                _ => self.chunks.push((data.to_vec(), priority)),
+            }
+            Ok(data.len())
+        }
+    }
+
+    #[test]
+    fn writes_land_where_a_linear_walk_puts_them() {
+        const MSS: usize = 536;
+        for seed in 0..200 {
+            let mut rng = minion_simnet::SimRng::new(seed);
+            let mut b = SendBuffer::new(16 * 1024);
+            let mut model = LinearModel {
+                chunks: Vec::new(),
+                head: 0,
+                transmitted: 0,
+                capacity: 16 * 1024,
+            };
+            for step in 0..200 {
+                match rng.gen_range_usize(0, 8) {
+                    0..=4 => {
+                        let mut data = vec![0u8; rng.gen_range_usize(1, 2 * MSS)];
+                        rng.fill_bytes(&mut data);
+                        let priority = rng.gen_range_usize(0, 8) as u32;
+                        let flags = rng.gen_range_usize(0, 8);
+                        let (squash, coalesce, ordered) =
+                            (flags & 1 != 0, flags & 2 != 0, flags == 7);
+                        assert_eq!(
+                            b.write_with_priority(&data, priority, squash, !ordered, MSS, coalesce),
+                            model.write(&data, priority, squash, !ordered, MSS, coalesce),
+                            "seed {seed}, step {step}"
+                        );
+                    }
+                    5 | 6 => {
+                        let to = model.transmitted + rng.gen_range_usize(1, MSS + 1) as u64;
+                        b.mark_transmitted(to);
+                        model.transmitted = to.min(model.end()).max(model.transmitted);
+                    }
+                    _ => {
+                        let flight = model.transmitted - model.head;
+                        let to = model.head + rng.gen_range_usize(0, flight as usize + 1) as u64;
+                        b.acknowledge(to);
+                        model.head = to;
+                    }
+                }
+                // Read the stream back write by write, as the connection
+                // segments it.
+                assert_eq!((b.head_offset(), b.end_offset()), (model.head, model.end()));
+                let mut start = 0;
+                for (data, _) in &model.chunks {
+                    let end = start + data.len() as u64;
+                    if end > model.head {
+                        let from = start.max(model.head);
+                        assert_eq!(b.chunk_end_at(from), Some(end), "seed {seed}, step {step}");
+                        assert_eq!(
+                            b.data_at(from, usize::MAX, true).as_deref(),
+                            Some(&data[(from - start) as usize..]),
+                            "seed {seed}, step {step}"
+                        );
+                    }
+                    start = end;
+                }
+            }
+        }
+    }
+
     #[test]
     fn empty_write_is_noop() {
         let mut b = SendBuffer::new(16);
