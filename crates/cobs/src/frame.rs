@@ -9,19 +9,28 @@
 //! This module provides the sender-side framer and a scanner that extracts
 //! complete records from a contiguous stream fragment, reporting each
 //! record's position so the caller (the uCOBS endpoint) can avoid delivering
-//! the same record twice. A conventional length-prefixed (TLV) framer is also
-//! provided as the in-order baseline used by the paper's comparison
-//! experiments.
+//! the same record twice. The scanner jumps from marker to marker, eight
+//! bytes per step, and hands each bracketed run to [`decode`], which checks
+//! every block for a stray marker: nothing is emitted that was not
+//! validated. A conventional length-prefixed (TLV) framer is also provided
+//! as the in-order baseline used by the paper's comparison experiments.
 
-use crate::encode::{decode, encode_into, max_encoded_len, MARKER};
+use crate::encode::{decode, encode_into, find_marker, max_encoded_len, MARKER};
 
-/// Frame one datagram for transmission: `marker || COBS(data) || marker`,
-/// built in place in one buffer sized for the worst case.
+/// Append one framed datagram, `marker || COBS(data) || marker`, to `out`.
+/// Reserves the worst case up front, so it allocates at most once and not
+/// at all when `out` already has that much room.
+pub fn frame_into(data: &[u8], out: &mut Vec<u8>) {
+    out.reserve(max_encoded_len(data.len()) + 2);
+    out.push(MARKER);
+    encode_into(data, out);
+    out.push(MARKER);
+}
+
+/// Frame one datagram for transmission: [`frame_into`] a fresh buffer.
 pub fn frame_datagram(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(max_encoded_len(data.len()) + 2);
-    out.push(MARKER);
-    encode_into(data, &mut out);
-    out.push(MARKER);
+    let mut out = Vec::new();
+    frame_into(data, &mut out);
     out
 }
 
@@ -44,34 +53,32 @@ pub struct ScannedRecord {
 /// case a record needs no leading marker inside the fragment. Records whose
 /// COBS content fails to decode are skipped (this can only happen if the
 /// sender is not a uCOBS sender).
+///
+/// The scan jumps from one marker to the next with a word-wise search; the
+/// bytes between two markers are validated by [`decode`], not here.
 pub fn scan_records(fragment: &[u8], is_stream_start: bool) -> Vec<ScannedRecord> {
     let mut records = Vec::new();
-    let mut i = 0;
-
     // Position of the marker (or known boundary) that could open a record.
-    let mut open: Option<usize> = if is_stream_start { Some(0) } else { None };
-    while i < fragment.len() {
-        if fragment[i] == MARKER {
-            // This marker closes any open record and opens a new one.
-            if let Some(start) = open {
-                let content_start = if fragment.get(start) == Some(&MARKER) {
-                    start + 1
-                } else {
-                    start
-                };
-                if content_start < i {
-                    if let Ok(payload) = decode(&fragment[content_start..i]) {
-                        records.push(ScannedRecord {
-                            start,
-                            end: i + 1,
-                            payload,
-                        });
-                    }
+    let mut open = is_stream_start.then_some(0);
+    let mut from = 0;
+    while let Some(at) = find_marker(&fragment[from..]) {
+        // This marker closes any open record and opens a new one.
+        let close = from + at;
+        if let Some(start) = open {
+            let content = &fragment[start..close];
+            let content = content.strip_prefix(&[MARKER]).unwrap_or(content);
+            if !content.is_empty() {
+                if let Ok(payload) = decode(content) {
+                    records.push(ScannedRecord {
+                        start,
+                        end: close + 1,
+                        payload,
+                    });
                 }
             }
-            open = Some(i);
         }
-        i += 1;
+        open = Some(close);
+        from = close + 1;
     }
     records
 }

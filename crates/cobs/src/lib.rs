@@ -17,4 +17,4 @@ mod oracle;
 pub use encode::{
     decode, decode_into, encode, encode_into, max_encoded_len, overhead_ratio, CobsError, MARKER,
 };
-pub use frame::{frame_datagram, scan_records, ScannedRecord, TlvFramer};
+pub use frame::{frame_datagram, frame_into, scan_records, ScannedRecord, TlvFramer};

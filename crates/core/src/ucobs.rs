@@ -22,7 +22,7 @@
 //! delivers and the one shape all four count in — are defined here.
 
 use crate::config::MinionConfig;
-use minion_cobs::frame::{frame_datagram, scan_records};
+use minion_cobs::frame::{frame_into, scan_records};
 use minion_cobs::MARKER;
 use minion_simnet::SimTime;
 use minion_stack::{Host, HostError, SocketAddr, SocketHandle};
@@ -99,6 +99,8 @@ pub struct UcobsSocket {
     /// Stream offset below which every record has been delivered and the
     /// store has been pruned (always sits on a record-delimiting marker).
     head_floor: u64,
+    /// The framing buffer every `send` clears and reuses.
+    frame: Vec<u8>,
     stats: DatagramStats,
 }
 
@@ -131,6 +133,7 @@ impl UcobsSocket {
             store: FragmentStore::new(),
             delivered: BTreeSet::new(),
             head_floor: 0,
+            frame: Vec::new(),
             stats: DatagramStats::default(),
         }
     }
@@ -165,9 +168,10 @@ impl UcobsSocket {
         datagram: &[u8],
         priority: u32,
     ) -> Result<(), HostError> {
-        let framed = frame_datagram(datagram);
-        host.tcp_write_meta(self.handle, &framed, WriteMeta::with_priority(priority))?;
-        self.stats.note_sent(datagram.len(), framed.len());
+        self.frame.clear();
+        frame_into(datagram, &mut self.frame);
+        host.tcp_write_meta(self.handle, &self.frame, WriteMeta::with_priority(priority))?;
+        self.stats.note_sent(datagram.len(), self.frame.len());
         Ok(())
     }
 
@@ -490,7 +494,7 @@ mod tests {
                     .collect(),
                 _ => (0..rng.below(400)).map(|_| rng.below(256) as u8).collect(),
             };
-            stream.extend_from_slice(&frame_datagram(&datagram));
+            frame_into(&datagram, &mut stream);
         }
         for _ in 0..rng.below(4) {
             let at = rng.below(stream.len());

@@ -46,7 +46,11 @@ pub struct SendBuffer {
     /// `head_offset` (its acknowledged prefix is simply skipped).
     sent: VecDeque<(u64, Bytes)>,
     /// Entirely untransmitted writes in transmission order, the first
-    /// starting at `queued_start`.
+    /// starting at `queued_start`. Always in non-increasing priority order:
+    /// a write goes in ahead of the first strictly lower chunk, coalesces
+    /// into the tail only at equal priority, an ordered write appends
+    /// priority 0, and squash and transmission only remove chunks. So the
+    /// insertion point is a binary search.
     queued: VecDeque<Chunk>,
     /// Stream offset of the first buffered (lowest unacknowledged) byte.
     head_offset: u64,
@@ -192,7 +196,15 @@ impl SendBuffer {
 
         // Ahead of the first untransmitted chunk with strictly lower
         // priority (FIFO among equal priorities).
-        if let Some(insert_at) = self.queued.iter().position(|c| c.priority < priority) {
+        debug_assert!(
+            self.queued
+                .iter()
+                .zip(self.queued.iter().skip(1))
+                .all(|(a, b)| a.priority >= b.priority),
+            "untransmitted writes are in non-increasing priority order"
+        );
+        let insert_at = self.queued.partition_point(|c| c.priority >= priority);
+        if insert_at < self.queued.len() {
             self.priority_insertions += 1;
             self.queued.insert(
                 insert_at,

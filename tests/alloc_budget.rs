@@ -256,14 +256,17 @@ fn ucobs_session_frames_each_datagram_in_one_allocation() {
     let ((), first) = allocations_of(session);
     let ((), again) = allocations_of(session);
     assert_eq!(first, again, "allocation counts repeat exactly");
-    // 1449 measured, pinned 10 % above. 2845 while `FragmentStore::insert`
-    // returned a copy of the run and `recv` cloned each payload out of the
-    // scan, 2445 while `insert` and `prune_below` still rebuilt the run they
-    // touched: five allocations fewer per datagram received.
+    // 1261 measured, pinned 10 % above. 1460 while `send` framed each
+    // datagram into a fresh buffer instead of the socket's one reused
+    // buffer: one frame allocation fewer per datagram sent. 2845 while
+    // `FragmentStore::insert` returned a copy of the run and `recv` cloned
+    // each payload out of the scan, 2445 while `insert` and `prune_below`
+    // still rebuilt the run they touched: five allocations fewer per
+    // datagram received.
     println!("alloc budget: {first} allocations in a 200-datagram uCOBS session");
     assert!(
-        first <= 1600,
-        "{first} allocations in a 200-datagram uCOBS session (budget 1600)"
+        first <= 1390,
+        "{first} allocations in a 200-datagram uCOBS session (budget 1390)"
     );
 }
 
@@ -319,18 +322,19 @@ fn ucobs_session_decodes_each_record_once() {
         (again, BYTES.get()),
         "allocation counts repeat exactly"
     );
-    // 1 836 994 bytes = 5.10 per payload byte measured, pinned 10 % above:
-    // frame, send buffer, packets, the store's growth and one decode per
-    // record. 6.71 while `recv` re-scanned the whole run behind a hole and
-    // decoded 466 records a second time.
+    // 1 478 285 bytes = 4.11 per payload byte measured, pinned 10 % above:
+    // send buffer, packets, the store's growth and one decode per record.
+    // 5.11 while `send` framed each datagram into a fresh buffer: one frame
+    // allocation fewer per datagram sent. 6.71 while `recv` re-scanned the
+    // whole run behind a hole and decoded 466 records a second time.
     let per_byte = bytes as f64 / (DATAGRAMS * 1200) as f64;
     println!(
         "alloc budget: {bytes} bytes allocated in a {DATAGRAMS}-datagram uCOBS session \
          = {per_byte:.2} per payload byte"
     );
     assert!(
-        per_byte <= 5.6,
-        "{bytes} bytes allocated for {DATAGRAMS} datagrams = {per_byte:.2} per payload byte (budget 5.6)"
+        per_byte <= 4.5,
+        "{bytes} bytes allocated for {DATAGRAMS} datagrams = {per_byte:.2} per payload byte (budget 4.5)"
     );
 }
 
