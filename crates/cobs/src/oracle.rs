@@ -214,30 +214,34 @@ mod tests {
 
     #[test]
     fn scan_equals_the_oracle_with_markers_at_every_offset() {
-        // Two markers anywhere in 0..24 bytes (three words and every tail):
-        // one marker alone, a leading one, a `00 00` run, and a record
-        // between two. Random filler rarely decodes, `01`s always do.
+        // Up to two markers anywhere in 0..24 bytes (three words and every
+        // tail), with and without a closing one behind them: a leading
+        // marker, a `00 00` run, and a record between two. Random filler
+        // rarely decodes; `01`s always do.
         let random = input(&mut TestRng::new(20), 32, 0);
         let ones = [0x01; 32];
         for backing in [&random[..], &ones[..]] {
             for align in 0..8 {
                 for len in 0..=24 {
-                    let clean = &backing[align..align + len];
-                    for start in [false, true] {
-                        assert_eq!(scan_records(clean, start), oracle_scan(clean, start));
-                    }
-                    for first in 0..len {
-                        for second in first..len {
-                            let mut bytes = clean.to_vec();
-                            bytes[first] = MARKER;
-                            bytes[second] = MARKER;
-                            for start in [false, true] {
-                                assert_eq!(
-                                    scan_records(&bytes, start),
-                                    oracle_scan(&bytes, start),
-                                    "align {align}, len {len}, markers at {first} and {second}, \
-                                     stream start {start}"
-                                );
+                    // A marker at `len` is no marker.
+                    for first in 0..=len {
+                        for second in first..=len {
+                            for closed in [false, true] {
+                                let mut bytes = backing[align..align + len].to_vec();
+                                for at in [first, second].into_iter().filter(|&at| at < len) {
+                                    bytes[at] = MARKER;
+                                }
+                                if closed {
+                                    bytes.push(MARKER);
+                                }
+                                for start in [false, true] {
+                                    assert_eq!(
+                                        scan_records(&bytes, start),
+                                        oracle_scan(&bytes, start),
+                                        "align {align}, len {len}, markers at {first} and \
+                                         {second}, closed {closed}, stream start {start}"
+                                    );
+                                }
                             }
                         }
                     }
