@@ -196,13 +196,10 @@ impl SendBuffer {
 
         // Ahead of the first untransmitted chunk with strictly lower
         // priority (FIFO among equal priorities).
-        debug_assert!(
-            self.queued
-                .iter()
-                .zip(self.queued.iter().skip(1))
-                .all(|(a, b)| a.priority >= b.priority),
-            "untransmitted writes are in non-increasing priority order"
-        );
+        debug_assert!(self
+            .queued
+            .iter()
+            .is_sorted_by(|a, b| a.priority >= b.priority));
         let insert_at = self.queued.partition_point(|c| c.priority >= priority);
         if insert_at < self.queued.len() {
             self.priority_insertions += 1;
