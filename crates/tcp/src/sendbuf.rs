@@ -690,14 +690,9 @@ mod tests {
                 return Ok(data.len());
             }
             if squash {
-                let mut i = q;
-                while i < self.chunks.len() {
-                    if self.chunks[i].1 == priority {
-                        self.chunks.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
+                let queued = self.chunks.split_off(q);
+                self.chunks
+                    .extend(queued.into_iter().filter(|c| c.1 != priority));
             }
             if let Some(at) = self.chunks[q..].iter().position(|c| c.1 < priority) {
                 self.chunks.insert(q + at, (data.to_vec(), priority));
