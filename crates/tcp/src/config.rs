@@ -57,15 +57,6 @@ pub struct TcpConfig {
     pub delayed_ack: bool,
     /// Congestion control algorithm.
     pub cc: CcAlgorithm,
-    /// Emulate Linux's skbuff-granularity congestion accounting: when the
-    /// sender must respect application write boundaries (uTCP's unordered
-    /// send), each write occupies its own skbuff and the congestion window is
-    /// consumed per-skbuff rather than per-byte. This reproduces the Figure 5
-    /// throughput dip for message sizes that do not pack MSS-sized buffers.
-    pub skbuff_accounting: bool,
-    /// Coalesce small unordered-send writes into the tail skbuff when they fit
-    /// entirely (the partial fix described in §8.1).
-    pub coalesce_small_writes: bool,
     /// Fixed initial sequence number for deterministic tests; `None` draws a
     /// pseudo-random ISN from the connection seed.
     pub fixed_isn: Option<u32>,
@@ -79,8 +70,6 @@ impl Default for TcpConfig {
             recv_buffer: 256 * 1024,
             delayed_ack: true,
             cc: CcAlgorithm::NewReno,
-            skbuff_accounting: true,
-            coalesce_small_writes: true,
             fixed_isn: None,
         }
     }
@@ -124,18 +113,6 @@ impl TcpConfig {
     /// Use a fixed initial sequence number (deterministic tests).
     pub fn with_fixed_isn(mut self, isn: u32) -> Self {
         self.fixed_isn = Some(isn);
-        self
-    }
-
-    /// Enable or disable skbuff-granularity congestion accounting.
-    pub fn with_skbuff_accounting(mut self, enabled: bool) -> Self {
-        self.skbuff_accounting = enabled;
-        self
-    }
-
-    /// Enable or disable coalescing of small unordered-send writes.
-    pub fn with_coalescing(mut self, enabled: bool) -> Self {
-        self.coalesce_small_writes = enabled;
         self
     }
 }
@@ -223,17 +200,13 @@ mod tests {
             .with_buffers(1024, 2048)
             .with_delayed_ack(false)
             .with_cc(CcAlgorithm::None)
-            .with_fixed_isn(7)
-            .with_skbuff_accounting(false)
-            .with_coalescing(false);
+            .with_fixed_isn(7);
         assert_eq!(c.mss, 536);
         assert_eq!(c.send_buffer, 1024);
         assert_eq!(c.recv_buffer, 2048);
         assert!(!c.delayed_ack);
         assert_eq!(c.cc, CcAlgorithm::None);
         assert_eq!(c.fixed_isn, Some(7));
-        assert!(!c.skbuff_accounting);
-        assert!(!c.coalesce_small_writes);
     }
 
     #[test]

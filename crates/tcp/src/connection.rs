@@ -14,12 +14,14 @@
 //! the caller's virtual clock, which keeps experiments deterministic.
 //!
 //! The control path has one owner per question. `recovery` knows whether
-//! the connection is in fast recovery, since when, up to where, and what to
-//! resend next; `reliability` holds the outstanding-data scoreboard and the
-//! RTO timer; `cc` is the window arithmetic and is only ever *told* which
-//! rule applies. This file wires them to the protocol: sequence-number
-//! mapping, segment parsing/emission, and state transitions — and it asks
-//! `recovery`, never the congestion controller, what phase it is in.
+//! the connection is in fast recovery, since when, up to where, and whether
+//! the segment at the ACK point is due again; `reliability` holds the
+//! outstanding-data scoreboard, whose lost marks are what go-back-N still
+//! owes after an RTO, and the RTO timer; `cc` is the window arithmetic and
+//! is only ever *told* which rule applies. This file wires them to the
+//! protocol: sequence-number mapping, segment parsing/emission, and state
+//! transitions — and it asks `recovery`, never the congestion controller,
+//! what phase it is in.
 //!
 //! # Phases
 //!
@@ -252,10 +254,11 @@ pub struct TcpConnection {
     send_buf: SendBuffer,
     /// Offset of the highest cumulatively acknowledged data byte.
     snd_una: u64,
-    /// Outstanding-data scoreboard and RTO timer.
+    /// Outstanding-data scoreboard (what an RTO presumed lost included) and
+    /// RTO timer.
     reliability: Reliability,
     /// The fast-recovery episode, recover point, duplicate-ACK run and
-    /// pending retransmission pass.
+    /// whether the head is due to be resent.
     recovery: RecoveryState,
     peer_window: usize,
     peer_mss: usize,
@@ -509,6 +512,8 @@ impl TcpConnection {
             _ => return Err(TcpError::Closed),
         }
         let unordered = self.opts.unordered_send;
+        // Small writes coalesce into the tail skbuff when both fit in one
+        // MSS (§8.1's mitigation).
         let result = if unordered {
             self.send_buf.write_with_priority(
                 data,
@@ -516,7 +521,7 @@ impl TcpConnection {
                 meta.squash,
                 true,
                 self.config.mss,
-                self.config.coalesce_small_writes,
+                true,
             )
         } else {
             self.send_buf.write(data)
@@ -801,7 +806,8 @@ impl TcpConnection {
             // nothing left to retransmit.
             self.reliability.clear_rto();
         }
-        self.reliability.debug_check(self.snd_una);
+        self.reliability
+            .debug_check(self.snd_una, self.recovery.recover());
     }
 
     /// Record SACK blocks on the scoreboard, taking an RTT sample from each
@@ -856,7 +862,7 @@ impl TcpConnection {
                 // Partial ACK (NewReno): retransmit the next lost segment,
                 // one full segment starting at the new `snd_una`.
                 self.cc.on_partial_ack(newly_acked);
-                self.recovery.on_partial_ack(self.snd_una);
+                self.recovery.on_partial_ack();
             }
         } else {
             self.cc.on_ack(newly_acked, now, self.rtt.srtt());
@@ -899,8 +905,7 @@ impl TcpConnection {
                 cut_depth: cwnd_before.saturating_sub(self.cc.ssthresh() as u64),
             };
             self.note_window(now);
-            self.recovery
-                .enter(episode, self.snd_una, self.snd_max_offset());
+            self.recovery.enter(episode, self.snd_max_offset());
             self.stats.fast_retransmits += 1;
             self.reliability.arm_rto(now, now + self.rtt.rto());
         }
@@ -950,16 +955,16 @@ impl TcpConnection {
         // 4) so the duplicate ACKs that the go-back-N retransmissions elicit
         // cannot re-cut the window, and is itself a window cut worth a depth
         // sample.
-        let truncated = self.recovery.on_rto(self.snd_una, self.snd_max_offset());
+        let truncated = self.recovery.on_rto(self.snd_max_offset());
         self.record_episode(truncated, now);
         self.cc_obs
             .record_cut_depth(cwnd_before.saturating_sub(self.cc.ssthresh() as u64));
         self.note_window(now);
         self.rtt.backoff();
-        // Go-back-N: retransmission restarts from the cumulative ACK point
-        // and re-covers everything outstanding the receiver has not SACKed
-        // (window permitting). What it has not SACKed leaves the flight as
-        // lost and re-enters it as the pass re-sends it.
+        // Go-back-N: everything outstanding the receiver has not SACKed is
+        // marked lost and leaves the flight; `emit_data` resends the lost
+        // entries lowest first (window permitting), and each re-enters the
+        // flight as it goes.
         self.reliability.mark_unsacked_lost();
         self.reliability.arm_rto(now, now + self.rtt.rto());
     }
@@ -1113,7 +1118,7 @@ impl TcpConnection {
 
     /// The congestion-window charge for a segment of `len` payload bytes.
     fn window_charge(&self, len: usize) -> usize {
-        if self.config.skbuff_accounting && self.opts.unordered_send {
+        if self.opts.unordered_send {
             // Linux counts skbuffs, not bytes: an under-filled skbuff consumes
             // as much window as a full one (§7, §8.1).
             self.effective_mss()
@@ -1127,30 +1132,33 @@ impl TcpConnection {
         let respect_boundaries = self.respect_write_boundaries();
         let effective_window = self.cc.cwnd().min(self.peer_window.max(mss));
 
-        // 1. The pending retransmission pass. Fast retransmit and NewReno
-        // partial ACKs resend a single segment; after an RTO the pass walks
-        // the whole outstanding range (go-back-N), pausing whenever the
-        // congestion window is full and resuming on later polls as ACKs open
-        // it again.
+        // 1. Retransmissions. In fast recovery only the head goes again, the
+        // segment at `snd_una`: once on entry and once per partial ACK
+        // (NewReno). Entries an earlier RTO marked lost wait: the full ACK
+        // that ends the episode lies at or above the recover point and
+        // retires them. Otherwise the lost entries go, lowest first
+        // (go-back-N after an RTO), pausing whenever the congestion window
+        // is full and resuming on later polls as ACKs open it again.
         let mut resent_any = false;
-        while let Some(offset) = self
-            .recovery
-            .next_resend(self.snd_una, self.snd_max_offset())
-        {
-            // Skip ranges the peer has already SACKed.
-            if let Some(unsacked) = self.reliability.next_unsacked_offset(offset) {
-                self.recovery.resend_advance(unsacked);
-                continue;
-            }
+        loop {
+            let offset = if self.recovery.in_recovery() {
+                if !self.recovery.head_due() {
+                    break;
+                }
+                self.snd_una
+            } else if let Some(lost) = self.reliability.first_lost(self.recovery.recover()) {
+                lost
+            } else {
+                break;
+            };
             if self.reliability.flight_charge() >= effective_window {
-                // Window-limited: the pass resumes here on a later poll.
+                // Window-limited: the same offset comes up on a later poll.
                 break;
             }
             // A full segment starting at the offset, wherever the original
             // segment boundaries fell.
             let max_len = mss.min((self.snd_max_offset() - offset) as usize);
             let Some(data) = self.send_buf.data_at(offset, max_len, respect_boundaries) else {
-                self.recovery.cancel_resend();
                 break;
             };
             let end = offset + data.len() as u64;
@@ -1158,7 +1166,7 @@ impl TcpConnection {
             let seg = self.make_data_segment(offset, data, true);
             out.push(seg);
             self.record_transmission(offset, end, charge, now, true);
-            self.recovery.resend_advance(end);
+            self.recovery.head_resent();
             resent_any = true;
         }
         if resent_any {
@@ -1191,7 +1199,8 @@ impl TcpConnection {
             self.record_transmission(next, end, charge, now, false);
             self.reliability.ensure_rto(now, now + self.rtt.rto());
         }
-        self.reliability.debug_check(self.snd_una);
+        self.reliability
+            .debug_check(self.snd_una, self.recovery.recover());
     }
 
     fn record_transmission(

@@ -1,16 +1,12 @@
 //! Data handed from the TCP stack to the application.
 //!
-//! With uTCP's `SO_UNORDERED` option, every `read()` is prefixed by a 5-byte
-//! metadata header (1 flag byte + 4-byte stream offset) telling the
-//! application where the returned bytes sit in the sender's byte stream
-//! (§4.1, §7). [`DeliveredChunk`] is the in-memory equivalent, and
-//! [`DeliveredChunk::encode_read_header`] produces the exact 5-byte header the
-//! paper's kernel prototype prepends, for wire-format parity tests.
+//! With uTCP's `SO_UNORDERED` option, the paper's kernel prototype prefixes
+//! every `read()` with a 5-byte metadata header (1 flag byte + 4-byte stream
+//! offset) telling the application where the returned bytes sit in the
+//! sender's byte stream (§4.1, §7). [`DeliveredChunk`] is the in-memory
+//! equivalent: the offset and the in-order flag travel as fields.
 
 use bytes::Bytes;
-
-/// Flag bit set in the read header when the chunk is being delivered in order.
-pub const FLAG_IN_ORDER: u8 = 0x01;
 
 /// A contiguous run of stream bytes delivered to the application.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -48,25 +44,6 @@ impl DeliveredChunk {
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
     }
-
-    /// The 5-byte uTCP read header (flags byte + 32-bit truncated offset) that
-    /// the kernel prototype prepends to data returned from `read()`.
-    pub fn encode_read_header(&self) -> [u8; 5] {
-        let mut h = [0u8; 5];
-        h[0] = if self.in_order { FLAG_IN_ORDER } else { 0 };
-        h[1..5].copy_from_slice(&(self.offset as u32).to_be_bytes());
-        h
-    }
-
-    /// Parse a 5-byte read header into `(in_order, offset)`.
-    pub fn decode_read_header(h: &[u8]) -> Option<(bool, u32)> {
-        if h.len() < 5 {
-            return None;
-        }
-        let in_order = h[0] & FLAG_IN_ORDER != 0;
-        let offset = u32::from_be_bytes([h[1], h[2], h[3], h[4]]);
-        Some((in_order, offset))
-    }
 }
 
 #[cfg(test)]
@@ -79,29 +56,5 @@ mod tests {
         assert_eq!(c.end_offset(), 103);
         assert_eq!(c.len(), 3);
         assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn read_header_roundtrip() {
-        let c = DeliveredChunk::new(0xDEAD_BEEF, false, vec![0u8; 7]);
-        let h = c.encode_read_header();
-        assert_eq!(h.len(), 5);
-        let (in_order, offset) = DeliveredChunk::decode_read_header(&h).unwrap();
-        assert!(!in_order);
-        assert_eq!(offset, 0xDEAD_BEEF);
-    }
-
-    #[test]
-    fn read_header_in_order_flag() {
-        let c = DeliveredChunk::new(42, true, vec![]);
-        assert!(c.is_empty());
-        let h = c.encode_read_header();
-        assert_eq!(h[0], FLAG_IN_ORDER);
-        assert_eq!(DeliveredChunk::decode_read_header(&h), Some((true, 42)));
-    }
-
-    #[test]
-    fn short_header_rejected() {
-        assert!(DeliveredChunk::decode_read_header(&[0, 1, 2]).is_none());
     }
 }

@@ -26,10 +26,11 @@
 //!
 //! Who owns what on the sending side: `recovery` holds all loss-recovery
 //! state (the fast-recovery episode, the RFC 6582 recover point, the
-//! duplicate-ACK run, the pending retransmission pass), `reliability` the
-//! scoreboard of transmitted ranges (in flight, SACKed or lost), Karn-safe
-//! RTT sampling and the RTO timer, and `cc` the window arithmetic for the algorithm [`CcAlgorithm`]
-//! names. [`TcpConnection`] wires them to the wire, and [`ConnStats`] is the
+//! duplicate-ACK run, whether the segment at the ACK point is due again),
+//! `reliability` the scoreboard of transmitted ranges (in flight, SACKed or
+//! lost: the lost marks are what go-back-N still owes), Karn-safe RTT
+//! sampling and the RTO timer, and `cc` the window arithmetic for the
+//! algorithm [`CcAlgorithm`] names. [`TcpConnection`] wires them to the wire, and [`ConnStats`] is the
 //! one set of counters.
 
 #![forbid(unsafe_code)]

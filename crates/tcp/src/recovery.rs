@@ -1,12 +1,21 @@
 //! Loss-recovery state, all of it: whether the connection is in fast
 //! recovery and since when, the RFC 6582 recover point, the duplicate-ACK
-//! run, and which bytes the pending retransmission pass covers.
+//! run, and whether the segment at the cumulative ACK point is due to be
+//! resent.
 //!
-//! `connection.rs` asks this module what phase it is in and what to resend
-//! next; `cc.rs` is only told which window rule applies, and `reliability.rs`
-//! only remembers what was transmitted. The choice of congestion-control
+//! `connection.rs` asks this module what phase it is in; `cc.rs` is only
+//! told which window rule applies, and `reliability.rs` remembers what was
+//! transmitted and what an RTO presumed lost. The choice of congestion-control
 //! algorithm (`cc=none` included) therefore never changes what is
 //! retransmitted or when.
+//!
+//! What is resent next has one answer per phase. In fast recovery it is the
+//! head, the segment at `snd_una`: once on entry and once per partial ACK
+//! (RFC 6582 §3.2 steps 2 and 5), and nothing else, even when an earlier
+//! RTO left entries marked lost; the full ACK that ends the episode lies at
+//! or above the recover point and so retires every one of them. Outside
+//! fast recovery it is the scoreboard's lowest lost entry (go-back-N after
+//! an RTO, skipping what the receiver SACKed).
 //!
 //! RFC 6582 §3 requires the sender to remember, on every recovery entry *and*
 //! every retransmission timeout, the highest sequence transmitted so far
@@ -29,18 +38,6 @@ pub(crate) struct Episode {
     pub(crate) cut_depth: u64,
 }
 
-/// The bytes a pending retransmission pass covers.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Resend {
-    /// One full segment (up to one MSS, wherever the original boundaries
-    /// fell) starting at this offset: a fast retransmit or the answer to a
-    /// NewReno partial ACK.
-    Segment(u64),
-    /// Go-back-N after an RTO: everything from `cursor` (at first `snd_una`)
-    /// up to `until` (`snd_max` when the timer fired), as the window allows.
-    GoBackN { cursor: u64, until: u64 },
-}
-
 /// Loss-recovery state in send-stream offset space (the connection maps
 /// sequence numbers to monotonically increasing 64-bit offsets, which
 /// sidesteps the RFC's ISS-initialization dance: `None` means no congestion
@@ -53,8 +50,8 @@ pub(crate) struct RecoveryState {
     recover: Option<u64>,
     /// The fast-recovery episode in progress, if any.
     episode: Option<Episode>,
-    /// The retransmission pass in progress, if any.
-    resend: Option<Resend>,
+    /// In fast recovery, the segment at `snd_una` is due to be resent.
+    resend_head: bool,
 }
 
 impl RecoveryState {
@@ -66,6 +63,11 @@ impl RecoveryState {
     /// True while in fast recovery.
     pub(crate) fn in_recovery(&self) -> bool {
         self.episode.is_some()
+    }
+
+    /// The RFC 6582 recover point: `snd_max` at the last congestion event.
+    pub(crate) fn recover(&self) -> Option<u64> {
+        self.recover
     }
 
     /// A new cumulative ACK arrived: the duplicate run is over.
@@ -96,12 +98,12 @@ impl RecoveryState {
 
     /// Enter fast recovery (RFC 6582 §3.2 step 2): open the episode, remember
     /// `snd_max` (one past the highest transmitted offset) as the recover
-    /// point, and schedule the fast retransmit of the segment at `snd_una`.
-    pub(crate) fn enter(&mut self, episode: Episode, snd_una: u64, snd_max: u64) {
+    /// point, and make the fast retransmit of the head due.
+    pub(crate) fn enter(&mut self, episode: Episode, snd_max: u64) {
         debug_assert!(self.episode.is_none(), "already in fast recovery");
         self.episode = Some(episode);
         self.recover = Some(snd_max);
-        self.resend = Some(Resend::Segment(snd_una));
+        self.resend_head = true;
     }
 
     /// Does a cumulative ACK at `ack_off` end the current recovery episode
@@ -110,65 +112,42 @@ impl RecoveryState {
         self.recover.is_none_or(|r| ack_off >= r)
     }
 
-    /// A partial ACK moved the cumulative point to `snd_una` (RFC 6582 §3.2
-    /// step 5): the segment there is the next hole, resend it.
-    pub(crate) fn on_partial_ack(&mut self, snd_una: u64) {
-        self.resend = Some(Resend::Segment(snd_una));
+    /// A partial ACK moved the cumulative point (RFC 6582 §3.2 step 5): the
+    /// segment at the new `snd_una` is the next hole, resend it.
+    pub(crate) fn on_partial_ack(&mut self) {
+        self.resend_head = true;
+    }
+
+    /// Whether the head is due to be resent. Asking again before
+    /// [`head_resent`](Self::head_resent) gives the same answer, which is
+    /// how a window-limited resend waits for a later poll.
+    pub(crate) fn head_due(&self) -> bool {
+        self.resend_head
+    }
+
+    /// A retransmission went out: the head is no longer due.
+    pub(crate) fn head_resent(&mut self) {
+        self.resend_head = false;
     }
 
     /// A full ACK arrived: the episode is over and nothing is left to
     /// resend. Returns the episode that ended.
     pub(crate) fn exit(&mut self) -> Option<Episode> {
-        self.resend = None;
+        self.resend_head = false;
         self.episode.take()
     }
 
     /// An RTO fired: the duplicate run is void, the recover point moves up
     /// to `snd_max` (RFC 6582 §3.2 step 4) so post-timeout duplicate ACKs
-    /// cannot re-enter fast recovery for the same window of data, and the
-    /// pending pass becomes go-back-N over everything outstanding. Returns
-    /// the episode the timeout truncated, if there was one.
-    pub(crate) fn on_rto(&mut self, snd_una: u64, snd_max: u64) -> Option<Episode> {
+    /// cannot re-enter fast recovery for the same window of data, and a
+    /// pending resend of the head gives way to the go-back-N pass over the
+    /// entries the scoreboard marks lost. Returns the episode the timeout
+    /// truncated, if there was one.
+    pub(crate) fn on_rto(&mut self, snd_max: u64) -> Option<Episode> {
         self.dup_ack_count = 0;
         self.recover = Some(snd_max);
-        self.resend = Some(Resend::GoBackN {
-            cursor: snd_una,
-            until: snd_max,
-        });
+        self.resend_head = false;
         self.episode.take()
-    }
-
-    /// The offset the pending pass sends from next, given the current
-    /// cumulative point and `snd_max`; `None` (and the pass is over) once
-    /// the ACK point has overtaken it. Asking again without
-    /// [`resend_advance`](Self::resend_advance) gives the same answer, which
-    /// is how a window-limited pass pauses and resumes on a later poll.
-    pub(crate) fn next_resend(&mut self, snd_una: u64, snd_max: u64) -> Option<u64> {
-        let next = match self.resend? {
-            Resend::Segment(at) => (snd_una <= at && at < snd_max).then_some(at),
-            Resend::GoBackN { cursor, until } => {
-                let cursor = cursor.max(snd_una);
-                (cursor < until.min(snd_max)).then_some(cursor)
-            }
-        };
-        if next.is_none() {
-            self.resend = None;
-        }
-        next
-    }
-
-    /// The pass has dealt with everything below `to` (sent it, or skipped it
-    /// as SACKed): a one-segment pass is complete, go-back-N moves on.
-    pub(crate) fn resend_advance(&mut self, to: u64) {
-        match &mut self.resend {
-            Some(Resend::GoBackN { cursor, .. }) => *cursor = to,
-            _ => self.resend = None,
-        }
-    }
-
-    /// Abandon the pending pass (the send buffer no longer holds its bytes).
-    pub(crate) fn cancel_resend(&mut self) {
-        self.resend = None;
     }
 }
 
@@ -184,7 +163,7 @@ mod tests {
     /// A congestion event that arms the recover point at `snd_max`.
     fn armed(snd_max: u64) -> RecoveryState {
         let mut r = RecoveryState::new();
-        r.on_rto(0, snd_max);
+        r.on_rto(snd_max);
         r
     }
 
@@ -227,7 +206,7 @@ mod tests {
         let mut r = RecoveryState::new();
         r.on_dup_ack();
         r.on_dup_ack();
-        r.on_rto(0, 7_000);
+        r.on_rto(7_000);
         assert!(
             !r.may_enter(0, false),
             "post-RTO dup ACKs must not cut again"
@@ -240,7 +219,7 @@ mod tests {
     fn full_ack_semantics_are_inclusive() {
         let mut r = RecoveryState::new();
         assert!(r.is_full_ack(0), "no episode: trivially covered");
-        r.enter(EPISODE, 0, 4_344);
+        r.enter(EPISODE, 4_344);
         assert!(!r.is_full_ack(4_343));
         assert!(r.is_full_ack(4_344));
     }
@@ -253,74 +232,47 @@ mod tests {
             entered: SimTime::from_millis(20),
             cut_depth: 2_896,
         };
-        r.enter(episode, 1_448, 7_240);
+        r.enter(episode, 7_240);
         assert!(r.in_recovery());
         assert!(!r.may_enter(1_448, false), "entry armed the recover point");
-        assert_eq!(r.next_resend(1_448, 7_240), Some(1_448), "fast retransmit");
+        assert_eq!(r.recover(), Some(7_240));
+        assert!(r.head_due(), "fast retransmit");
         assert_eq!(r.exit(), Some(episode));
         assert!(!r.in_recovery());
-        assert_eq!(r.next_resend(1_448, 7_240), None, "exit voids the pass");
+        assert!(!r.head_due(), "exit voids the resend");
         assert_eq!(r.exit(), None, "an episode is resolved exactly once");
     }
 
     #[test]
     fn rto_truncates_the_episode_and_replaces_the_pass() {
         let mut r = RecoveryState::new();
-        r.enter(EPISODE, 0, 4_344);
-        assert_eq!(r.on_rto(0, 5_792), Some(EPISODE));
+        r.enter(EPISODE, 4_344);
+        assert_eq!(r.on_rto(5_792), Some(EPISODE));
         assert!(!r.in_recovery());
-        assert_eq!(r.on_rto(0, 5_792), None, "nothing left to truncate");
-        // The one-segment fast retransmit gave way to go-back-N up to the
-        // snd_max of the timeout.
-        assert_eq!(r.next_resend(0, 5_792), Some(0));
-        r.resend_advance(1_448);
-        assert_eq!(r.next_resend(0, 5_792), Some(1_448));
+        assert_eq!(r.on_rto(5_792), None, "nothing left to truncate");
+        // The recover point moved up to the snd_max of the timeout, and the
+        // one-segment fast retransmit gave way to go-back-N over the entries
+        // the scoreboard marks lost.
+        assert_eq!(r.recover(), Some(5_792));
+        assert!(!r.is_full_ack(5_791) && r.is_full_ack(5_792));
+        assert!(!r.head_due());
     }
 
     #[test]
     fn one_segment_pass_ends_after_one_segment() {
         let mut r = RecoveryState::new();
-        r.enter(EPISODE, 0, 4_344);
-        r.on_partial_ack(2_000);
-        assert_eq!(r.next_resend(2_000, 4_344), Some(2_000), "mid-segment");
-        r.resend_advance(3_448);
-        assert_eq!(r.next_resend(2_000, 4_344), None, "one segment, then done");
-        // A pass the ACK point has overtaken, or with nothing transmitted at
-        // its offset, is void.
-        r.on_partial_ack(2_000);
-        assert_eq!(r.next_resend(2_001, 4_344), None);
-        r.on_partial_ack(4_344);
-        assert_eq!(r.next_resend(4_344, 4_344), None);
-    }
-
-    #[test]
-    fn go_back_n_pass_walks_to_the_snd_max_of_the_timeout() {
-        let mut r = RecoveryState::new();
-        r.on_rto(1_000, 4_000);
-        assert_eq!(r.next_resend(1_000, 4_000), Some(1_000));
-        r.resend_advance(2_448);
-        // The cumulative point overtakes the cursor; new data beyond the
-        // timeout's snd_max is not part of the pass.
-        assert_eq!(r.next_resend(3_000, 9_000), Some(3_000));
-        r.resend_advance(4_000);
-        assert_eq!(r.next_resend(3_000, 9_000), None);
-        // Nothing outstanding when the timer fired: nothing to resend.
-        r.on_rto(4_000, 4_000);
-        assert_eq!(r.next_resend(4_000, 4_000), None);
-    }
-
-    #[test]
-    fn resend_pass_pauses_and_resumes() {
-        // Window-limited: the connection stops asking without advancing, and
-        // the next poll is handed the same offset.
-        let mut r = RecoveryState::new();
-        r.on_rto(0, 4_344);
-        r.resend_advance(1_448);
-        assert_eq!(r.next_resend(0, 4_344), Some(1_448));
-        assert_eq!(r.next_resend(0, 4_344), Some(1_448), "paused, not lost");
-        r.resend_advance(2_896);
-        assert_eq!(r.next_resend(0, 4_344), Some(2_896), "resumed");
-        r.cancel_resend();
-        assert_eq!(r.next_resend(0, 4_344), None);
+        r.enter(EPISODE, 4_344);
+        assert!(r.head_due());
+        assert!(r.head_due(), "window-limited: still due on the next poll");
+        r.head_resent();
+        assert!(!r.head_due(), "one segment, then done");
+        // Each partial ACK makes the new head due once; the recover point
+        // stays where entry put it.
+        r.on_partial_ack();
+        assert!(r.head_due());
+        r.head_resent();
+        assert!(!r.head_due());
+        assert_eq!(r.recover(), Some(4_344));
+        assert!(r.in_recovery());
     }
 }

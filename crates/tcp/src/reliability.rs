@@ -1,8 +1,8 @@
 //! Reliability bookkeeping: the send-side scoreboard and the RTO timer.
 //!
-//! `recovery.rs` decides *when* and *what* to retransmit (fast retransmit,
-//! NewReno partial ACKs, go-back-N after an RTO); this module remembers what
-//! is outstanding, and when the retransmission timer fires.
+//! `recovery.rs` decides *when* to retransmit (fast retransmit, NewReno
+//! partial ACKs, an RTO); this module remembers what is outstanding, what
+//! an RTO presumed lost, and when the retransmission timer fires.
 //!
 //! The scoreboard holds one entry per transmitted range, in sequence order,
 //! from the cumulative ACK point to `snd_max`. An entry is in flight, SACKed
@@ -11,10 +11,17 @@
 //! retransmission of `[a, b)` updates the entries it covers in place,
 //! splitting them at `a` and `b`, so a byte is charged once however often
 //! it is sent. An RTO marks every entry not SACKed lost and keeps the SACK
-//! marks, so the go-back-N pass resends only what the receiver lacks: our
-//! receiver never reneges on a SACK, as it holds every out-of-order piece
-//! until its hole fills (Linux's `tcp_enter_loss` likewise keeps the marks
-//! unless it suspects reneging).
+//! marks: our receiver never reneges on a SACK, as it holds every
+//! out-of-order piece until its hole fills (Linux's `tcp_enter_loss`
+//! likewise keeps the marks unless it suspects reneging).
+//!
+//! The lost marks are the only record of what go-back-N still owes. Outside
+//! fast recovery the connection resends from [`Reliability::first_lost`],
+//! the lowest entry marked lost: a resend clears the marks it covers, so the
+//! pass moves up entry by entry, skips what the receiver SACKed, never
+//! passes the `snd_max` of the timeout (nothing sent later is marked, and
+//! the walk stops at the recover point), and, when the window is full,
+//! waits where it is for a later poll.
 //!
 //! RTT samples follow Karn's rule: an ACK that retires any retransmitted
 //! bytes gives no sample, and neither does a SACK of retransmitted bytes
@@ -213,26 +220,27 @@ impl Reliability {
         !self.entries.is_empty()
     }
 
-    /// The first offset at or after `offset` not covered by SACKed entries,
-    /// chaining across adjacent ones — where a retransmission pass should
-    /// skip to. `None` when `offset` itself is not SACKed.
-    pub(crate) fn next_unsacked_offset(&self, offset: u64) -> Option<u64> {
-        let first = self.entries.partition_point(|e| e.end <= offset);
-        let mut cur = offset;
-        for e in self.entries.range(first..) {
-            if !e.sacked || e.start > cur {
-                break;
-            }
-            cur = e.end;
-        }
-        (cur > offset).then_some(cur)
+    /// Where go-back-N resends next: the start of the lowest entry an RTO
+    /// marked lost that nothing has resent since, if any. Every lost entry
+    /// ends at or below the recover point `recover` (an invariant
+    /// [`debug_check`](Self::debug_check) asserts), so the walk stops there
+    /// and costs nothing once the ACK point has passed it.
+    pub(crate) fn first_lost(&self, recover: Option<u64>) -> Option<u64> {
+        let recover = recover?;
+        self.entries
+            .iter()
+            .take_while(|e| e.start < recover)
+            .find(|e| e.lost)
+            .map(|e| e.start)
     }
 
     /// The scoreboard's invariants, checked in debug builds: entries are
     /// sorted, non-empty and non-overlapping, each ends above the
-    /// cumulative ACK point `snd_una`, and the flight is the summed charge
-    /// of the entries neither SACKed nor lost.
-    pub(crate) fn debug_check(&self, snd_una: u64) {
+    /// cumulative ACK point `snd_una`, every lost entry ends at or below
+    /// the RFC 6582 recover point `recover` (so the full ACK that ends a
+    /// recovery episode retires them all), and the flight is the summed
+    /// charge of the entries neither SACKed nor lost.
+    pub(crate) fn debug_check(&self, snd_una: u64, recover: Option<u64>) {
         if !cfg!(debug_assertions) {
             return;
         }
@@ -241,6 +249,12 @@ impl Reliability {
             debug_assert!(
                 e.start < e.end && e.end > snd_una && prev_end.is_none_or(|p| p <= e.start),
                 "entry [{}, {}) after {prev_end:?}, snd_una {snd_una}",
+                e.start,
+                e.end
+            );
+            debug_assert!(
+                !e.lost || recover.is_some_and(|r| e.end <= r),
+                "lost entry [{}, {}) above the recover point {recover:?}",
                 e.start,
                 e.end
             );
@@ -328,10 +342,17 @@ mod tests {
         r.record_transmission(2896, 4344, 1448, t(3), false);
         r.mark_sacked(1448, 4344);
         assert_eq!(r.flight_charge(), 1448, "SACKed ranges left the network");
-        assert_eq!(r.next_unsacked_offset(0), None, "not SACKed");
-        assert_eq!(r.next_unsacked_offset(1448), Some(4344));
-        assert_eq!(r.next_unsacked_offset(1500), Some(4344));
-        assert_eq!(r.next_unsacked_offset(4343), Some(4344));
+        r.mark_sacked(0, 1000);
+        r.mark_sacked(1000, 4000);
+        assert_eq!(r.flight_charge(), 1448, "no block contains [0, 1448)");
+        r.mark_unsacked_lost();
+        assert_eq!(r.first_lost(Some(4344)), Some(0), "not SACKed");
+        r.record_transmission(0, 1448, 1448, t(4), true);
+        assert_eq!(
+            r.first_lost(Some(4344)),
+            None,
+            "both SACKed entries are skipped"
+        );
     }
 
     #[test]
@@ -344,10 +365,10 @@ mod tests {
         // 2448 and is charged once: the flight does not grow.
         r.record_transmission(1000, 2448, 1448, t(9), true);
         assert_eq!(r.flight_charge(), 2896);
-        r.debug_check(1000);
+        r.debug_check(1000, None);
         assert_eq!(r.retire_acked(2448), None, "retransmitted bytes: Karn");
         assert_eq!(r.flight_charge(), 448, "the split's upper share stays");
-        r.debug_check(2448);
+        r.debug_check(2448, None);
     }
 
     #[test]
@@ -361,13 +382,73 @@ mod tests {
         assert_eq!(r.mark_sacked(1448, 4344), None, "nothing newly covered");
         r.mark_unsacked_lost();
         assert_eq!(r.flight_charge(), 0, "lost and SACKed left the network");
-        assert_eq!(r.next_unsacked_offset(1448), Some(4344), "marks kept");
+        assert_eq!(r.first_lost(Some(5792)), Some(0));
         r.record_transmission(0, 1448, 1448, t(9), true);
+        assert_eq!(
+            r.first_lost(Some(5792)),
+            Some(4344),
+            "SACKed entries skipped"
+        );
         r.record_transmission(4344, 5792, 1448, t(9), true);
+        assert_eq!(r.first_lost(Some(5792)), None);
         assert_eq!(r.flight_charge(), 2896, "a resend re-enters the flight");
-        r.debug_check(0);
+        r.debug_check(0, Some(5792));
         assert_eq!(r.mark_sacked(4344, 5792), None, "retransmitted: Karn");
         assert_eq!(r.flight_charge(), 1448);
+    }
+
+    #[test]
+    fn go_back_n_pass_walks_to_the_snd_max_of_the_timeout() {
+        let mut r = Reliability::new();
+        for start in [1_000, 2_000, 3_000] {
+            r.record_transmission(start, start + 1_000, 1_000, t(1), false);
+        }
+        r.mark_unsacked_lost();
+        assert_eq!(r.first_lost(Some(4_000)), Some(1_000));
+        // A full segment from there splits the second entry.
+        r.record_transmission(1_000, 2_448, 1_448, t(9), true);
+        assert_eq!(r.first_lost(Some(4_000)), Some(2_448));
+        // The cumulative point overtakes the pass; data sent after the
+        // timeout is not part of it.
+        assert_eq!(r.retire_acked(3_000), None);
+        assert_eq!(r.first_lost(Some(4_000)), Some(3_000));
+        r.record_transmission(4_000, 9_000, 5_000, t(10), false);
+        r.record_transmission(3_000, 4_000, 1_000, t(10), true);
+        assert_eq!(r.first_lost(Some(4_000)), None, "the pass ends at 4000");
+        r.debug_check(3_000, Some(4_000));
+        // Nothing outstanding when the timer fired: nothing to resend.
+        let mut idle = Reliability::new();
+        idle.mark_unsacked_lost();
+        assert_eq!(idle.first_lost(Some(0)), None);
+    }
+
+    #[test]
+    fn resend_pass_pauses_and_resumes() {
+        // Window-limited: the connection stops resending, and the next poll
+        // is handed the same offset, because only a resend clears a mark.
+        let mut r = Reliability::new();
+        for start in [0, 1_448, 2_896] {
+            r.record_transmission(start, start + 1_448, 1_448, t(1), false);
+        }
+        r.mark_unsacked_lost();
+        r.record_transmission(0, 1_448, 1_448, t(9), true);
+        assert_eq!(r.first_lost(Some(4_344)), Some(1_448));
+        assert_eq!(r.first_lost(Some(4_344)), Some(1_448), "paused, not lost");
+        r.record_transmission(1_448, 2_896, 1_448, t(10), true);
+        assert_eq!(r.first_lost(Some(4_344)), Some(2_896), "resumed");
+        // An ACK past the pass retires what it had left.
+        assert_eq!(r.retire_acked(4_344), None);
+        assert_eq!(r.first_lost(Some(4_344)), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "above the recover point")]
+    fn a_lost_entry_above_the_recover_point_fails_the_check() {
+        let mut r = Reliability::new();
+        r.record_transmission(0, 1_448, 1_448, t(1), false);
+        r.mark_unsacked_lost();
+        r.debug_check(0, Some(1_000));
     }
 
     #[test]

@@ -204,14 +204,29 @@ fn inject_ack(c: &mut TcpConnection, ack_off: u64, now: SimTime) {
 
 /// Inject a bare ACK for stream offset `ack_off` carrying one SACK block
 /// over the stream offsets `[start, end)`.
-fn inject_sack(c: &mut TcpConnection, ack_off: u64, (start, end): (u64, u64), now: SimTime) {
+fn inject_sack(c: &mut TcpConnection, ack_off: u64, block: (u64, u64), now: SimTime) {
+    inject_sacks(c, ack_off, &[block], now);
+}
+
+/// Inject a bare ACK for stream offset `ack_off` carrying a SACK block for
+/// each `[start, end)` range of stream offsets.
+fn inject_sacks(c: &mut TcpConnection, ack_off: u64, blocks: &[(u64, u64)], now: SimTime) {
     let mut ack = TcpSegment::bare(2, 1, SeqNum(9001), ISS + 1 + ack_off as u32, TcpFlags::ACK);
     ack.window = 1 << 20;
-    ack.options = vec![TcpOption::Sack(vec![SackBlock {
+    let blocks = blocks.iter().map(|&(start, end)| SackBlock {
         start: ISS + 1 + start as u32,
         end: ISS + 1 + end as u32,
-    }])];
+    });
+    ack.options = vec![TcpOption::Sack(blocks.collect())];
     c.on_segment(&ack, now);
+}
+
+/// The stream offset and length of each data segment in `segs`.
+fn data_ranges(segs: &[TcpSegment]) -> Vec<(u64, usize)> {
+    segs.iter()
+        .filter(|s| !s.payload.is_empty())
+        .map(|s| (u64::from(s.seq.0.wrapping_sub(ISS.0 + 1)), s.payload.len()))
+        .collect()
 }
 
 fn data_payload(segs: &[TcpSegment]) -> usize {
@@ -1006,6 +1021,165 @@ fn rto_resends_only_the_hole_the_receiver_sacked_around() {
     inject_ack(&mut c, 10 * MSS as u64, acked_at);
     assert_eq!(data_payload(&c.poll(acked_at)), 0);
     assert_eq!(c.next_timer(), None, "nothing outstanding");
+}
+
+#[test]
+fn an_rto_pass_skips_every_range_the_receiver_sacked() {
+    // Segments 0 and 5 of ten are lost and the receiver SACKs the rest in
+    // two blocks. The fast retransmit resends segment 0 alone; the RTO's
+    // pass resends segments 0 and 5, each once, and skips both blocks.
+    let m = MSS as u64;
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false)
+        .with_cc(CcAlgorithm::None);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 10 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 10 * MSS);
+    for i in 0..3 {
+        inject_sacks(&mut c, 0, &[(m, 5 * m), (6 * m, 10 * m)], ms(60 + i));
+    }
+    assert_eq!(c.stats().fast_retransmits, 1);
+    assert_eq!(data_ranges(&c.poll(ms(63))), [(0, MSS)], "the head alone");
+
+    let rto_at = c.next_timer().expect("RTO armed");
+    let resent = c.poll(rto_at);
+    assert_eq!(c.stats().timeouts, 1);
+    assert_eq!(data_ranges(&resent), [(0, MSS), (5 * m, MSS)]);
+    assert_eq!(data_payload(&c.poll(rto_at)), 0, "the pass is over");
+}
+
+#[test]
+fn a_window_limited_rto_pass_resumes_where_it_paused() {
+    // Three segments time out. The window after the RTO is one segment, so
+    // the pass resends segment 0 and pauses; a poll with the window still
+    // full sends nothing, and the ACK of segment 0 opens two segments, which
+    // go to segments 1 and 2, where the pass paused.
+    let m = MSS as u64;
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 3 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 3 * MSS);
+    let rto_at = c.next_timer().expect("RTO armed");
+    assert_eq!(data_ranges(&c.poll(rto_at)), [(0, MSS)]);
+    let later = rto_at + SimDuration::from_millis(1);
+    assert_eq!(data_payload(&c.poll(later)), 0, "the window is full");
+
+    let acked_at = rto_at + SimDuration::from_millis(60);
+    inject_ack(&mut c, m, acked_at);
+    assert_eq!(data_ranges(&c.poll(acked_at)), [(m, MSS), (2 * m, MSS)]);
+    assert_eq!(c.stats().retransmissions, 3);
+}
+
+#[test]
+fn data_sent_after_an_rto_is_not_part_of_its_pass() {
+    // The pass covers what was outstanding when the timer fired. Data
+    // written afterwards goes out once, as new data, behind the pass.
+    let m = MSS as u64;
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 2 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 2 * MSS);
+    let rto_at = c.next_timer().expect("RTO armed");
+    assert_eq!(data_ranges(&c.poll(rto_at)), [(0, MSS)]);
+    c.write(&vec![0u8; 4 * MSS]).unwrap();
+
+    // ACK one segment at a time; each ACK lets more go out.
+    let mut now = rto_at;
+    let mut sent = Vec::new();
+    for acked in 1..=6 {
+        now += SimDuration::from_millis(60);
+        inject_ack(&mut c, acked * m, now);
+        sent.extend(data_ranges(&c.poll(now)));
+    }
+    let each_once: Vec<(u64, usize)> = (1..6).map(|i| (i * m, MSS)).collect();
+    assert_eq!(sent, each_once);
+    assert_eq!(c.stats().retransmissions, 2, "segments 0 and 1");
+    assert_eq!(c.stats().bytes_sent, 6 * m, "each byte once as new data");
+}
+
+#[test]
+fn each_partial_ack_resends_one_segment() {
+    // Segments 0, 2 and 4 of eight are lost. With no window to hide
+    // anything, fast recovery still resends exactly one segment at the ACK
+    // point: on entry, then once per partial ACK.
+    let m = MSS as u64;
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false)
+        .with_cc(CcAlgorithm::None);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 8 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 8 * MSS);
+    let sacked = [(m, 2 * m), (3 * m, 4 * m), (5 * m, 8 * m)];
+    for i in 0..3 {
+        inject_sacks(&mut c, 0, &sacked, ms(60 + i));
+    }
+    assert_eq!(data_ranges(&c.poll(ms(63))), [(0, MSS)]);
+    assert_eq!(data_payload(&c.poll(ms(64))), 0, "one segment per entry");
+    inject_sacks(&mut c, 2 * m, &sacked[1..], ms(123));
+    assert_eq!(data_ranges(&c.poll(ms(123))), [(2 * m, MSS)]);
+    assert_eq!(data_payload(&c.poll(ms(124))), 0, "one per partial ACK");
+    inject_sacks(&mut c, 4 * m, &sacked[2..], ms(183));
+    assert_eq!(data_ranges(&c.poll(ms(183))), [(4 * m, MSS)]);
+    inject_ack(&mut c, 8 * m, ms(243));
+    assert_eq!(data_payload(&c.poll(ms(243))), 0);
+    assert_eq!(c.stats().timeouts, 0);
+    assert_eq!(c.stats().retransmissions, 3);
+}
+
+#[test]
+fn fast_recovery_entered_while_rto_lost_data_remains_resends_only_the_head() {
+    // NewReno's rule holds after an RTO too: in fast recovery only the
+    // segment at the ACK point is resent, once on entry and once per partial
+    // ACK. Segments the RTO presumed lost and the pass has not reached yet
+    // wait, and the full ACK that ends the episode retires them.
+    let m = MSS as u64;
+    let cfg = TcpConfig::default()
+        .with_fixed_isn(42)
+        .with_delayed_ack(false);
+    let mut c = establish(cfg);
+    c.write(&vec![0u8; 3 * MSS]).unwrap();
+    assert_eq!(data_payload(&c.poll(ms(2))), 3 * MSS);
+    // The timeout leaves a one-segment window: the pass resends segment 0
+    // and pauses with segments 1 and 2 presumed lost.
+    let rto_at = c.next_timer().expect("RTO armed");
+    assert_eq!(data_ranges(&c.poll(rto_at)), [(0, MSS)]);
+
+    // Three duplicate ACKs SACK segment 2: a fresh hole, so fast recovery
+    // starts, with room in the window for more than the head.
+    for i in 0..3 {
+        inject_sack(
+            &mut c,
+            0,
+            (2 * m, 3 * m),
+            rto_at + SimDuration::from_millis(10 + i),
+        );
+    }
+    assert_eq!(c.stats().fast_retransmits, 1);
+    assert!(c.cwnd() >= 3 * MSS);
+    let now = rto_at + SimDuration::from_millis(13);
+    assert_eq!(
+        data_ranges(&c.poll(now)),
+        [(0, MSS)],
+        "the head, not segment 1"
+    );
+    assert_eq!(data_payload(&c.poll(now)), 0);
+
+    // The partial ACK resends the new head, segment 1; the full ACK ends
+    // the episode with nothing left to resend.
+    let now = now + SimDuration::from_millis(60);
+    inject_sack(&mut c, m, (2 * m, 3 * m), now);
+    assert_eq!(data_ranges(&c.poll(now)), [(m, MSS)]);
+    let now = now + SimDuration::from_millis(60);
+    inject_ack(&mut c, 3 * m, now);
+    assert_eq!(data_payload(&c.poll(now)), 0);
+    assert_eq!(c.next_timer(), None, "nothing outstanding");
+    assert_eq!(c.stats().bytes_retransmitted, 3 * m);
 }
 
 #[test]
