@@ -26,8 +26,8 @@
 //!   holds), every event of which is streamed to `FILE`.
 //! - `"cc"` and `"cc_obs"`: the comparison scenario replayed once per
 //!   congestion-control algorithm (`--cc`, default all three): goodput beside
-//!   fast-retransmit and RTO counts, then cwnd/ssthresh trajectories and
-//!   recovery-episode histograms.
+//!   fast-retransmit and RTO counts, then the run's last cwnd/ssthresh
+//!   transitions, in virtual-time order, and recovery-episode histograms.
 //! - `"os"`, with `--backend os`: the `--flows` scenarios over kernel TCP on
 //!   loopback (`minion-osnet`, an edge-triggered epoll reactor): wall-clock
 //!   goodput, events/sec and syscalls/flow, gated on liveness (the scenario
@@ -479,9 +479,11 @@ fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet, threads: 
     ])
 }
 
-/// How many cwnd/ssthresh trajectory samples a `"cc_obs"` row embeds (the
-/// tail of the merged ring; the full ring holds up to
-/// `DEFAULT_CC_SAMPLE_CAP` — counts in the row say what was elided).
+/// How many cwnd/ssthresh trajectory samples a `"cc_obs"` row embeds: the
+/// tail of the ring, the last window transitions of the run (of its last
+/// shard, when sharded) across all clients, in virtual-time order (the full
+/// ring holds up to `DEFAULT_CC_SAMPLE_CAP` — counts in the row say what
+/// was elided).
 const CC_OBS_TRAJECTORY_ROWS: usize = 64;
 
 /// One `"cc_obs"` row: the window telemetry of one algorithm's replay —

@@ -91,8 +91,9 @@ pub struct LoadObs {
     /// Per-flow delivery-delay digests: who owns the tail, not just how
     /// fat it is.
     pub flow_delay: FlowDelayMap,
-    /// Congestion-control window telemetry merged over the run's client
-    /// flows, in flow order.
+    /// Congestion-control window telemetry of the run's client flows,
+    /// recorded from their window samples as the driver drains them, so
+    /// the trajectory ring holds them in virtual-time order.
     pub cc_obs: CcObs,
 }
 

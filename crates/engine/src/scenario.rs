@@ -36,7 +36,7 @@ use crate::obs::{
 use crate::transport::{SimTransport, Transport};
 use minion_exec::Executor;
 use minion_obs::{
-    merge_stream_files, shard_trailer_json, Absorb, KindSet, NonDeterministic, PhaseProfile,
+    merge_stream_files, shard_trailer_json, Absorb, CcObs, KindSet, NonDeterministic, PhaseProfile,
     StreamSink, TraceEvent, TraceKind, TracePredicate,
 };
 use minion_simnet::{fnv1a_words, LossConfig, SimDuration, SimTime};
@@ -44,6 +44,20 @@ use minion_stack::FlowId;
 use minion_tcp::{CcAlgorithm, ConnEvent};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+
+/// Record a window sample into the window telemetry; any other event is
+/// ignored.
+fn record_window_sample(cc: &mut CcObs, ev: ConnEvent) {
+    match ev {
+        ConnEvent::Window { at, cwnd, ssthresh } => cc.record_window(ns_of(at), cwnd, ssthresh),
+        ConnEvent::Cut {
+            depth,
+            recovery: Some(lasted),
+        } => cc.record_recovery(lasted.as_micros().saturating_mul(1_000), depth),
+        ConnEvent::Cut { depth, .. } => cc.record_cut_depth(depth),
+        _ => {}
+    }
+}
 
 /// Nanoseconds of backend time (virtual µs on sim, monotonic µs on os —
 /// both normalized to ns so the two backends' histograms share units).
@@ -250,15 +264,28 @@ impl LoadScenario {
     pub fn build_stream(&self, flow: usize, out: &mut Vec<u8>) {
         /// 31 and 251 are coprime, so a payload repeats every 251 bytes.
         const PERIOD: usize = 251;
+        /// `STEPS[i]` = 31·i mod 251, two periods of it. As 31·81 ≡ 1
+        /// (mod 251), a payload starting at `base` is `STEPS[k..]` with
+        /// k = 81·base mod 251, so one period of it is one slice.
+        const STEPS: [u8; 2 * PERIOD] = {
+            let mut steps = [0; 2 * PERIOD];
+            let mut i = 0;
+            while i < 2 * PERIOD {
+                steps[i] = (i * 31 % PERIOD) as u8;
+                i += 1;
+            }
+            steps
+        };
         for rec in 0..self.records_per_flow {
             let len = self.record_payload_len(flow, rec);
             out.extend_from_slice(&(flow as u32).to_be_bytes());
             out.extend_from_slice(&(rec as u32).to_be_bytes());
             out.extend_from_slice(&(len as u32).to_be_bytes());
-            // One period computed, the rest copied from it in doubling runs.
+            // One period copied from the table, the rest from it in doubling
+            // runs.
             let start = out.len();
-            let base = flow * 197 + rec * 131;
-            out.extend((0..len.min(PERIOD)).map(|j| ((base + j * 31) % PERIOD) as u8));
+            let k = (flow * 197 + rec * 131) % PERIOD * 81 % PERIOD;
+            out.extend_from_slice(&STEPS[k..k + len.min(PERIOD)]);
             while out.len() - start < len {
                 let have = out.len() - start;
                 out.extend_from_within(start..start + have.min(len - have));
@@ -369,8 +396,9 @@ impl LoadScenario {
                 push_end(&mut end_of, sf, End::Server(flow), &label);
             }
             // Lifecycle edges feed the trace ring and the RTO-latency
-            // histogram. Only sender-side (client) edges are traced: the
-            // servers' own Established/Closed edges carry no load insight.
+            // histogram, window samples the window telemetry. Only the
+            // sender side (the client) is recorded: the servers' own
+            // edges and windows carry no load insight.
             for (f, ev) in transport.take_lifecycle() {
                 let Some(&End::Client(flow)) = end_of.get(f.index()) else {
                     continue;
@@ -396,7 +424,7 @@ impl LoadScenario {
                         state.rtx_seq += 1;
                     }
                     ConnEvent::Established => state.enqueue_floor_ns = now_ns,
-                    _ => {}
+                    ev => record_window_sample(&mut obs.cc_obs, ev),
                 }
             }
             for f in transport.take_writable() {
@@ -503,6 +531,12 @@ impl LoadScenario {
             }
         }
         transport.finish();
+        // The close-out moves windows too; its edges are not traced.
+        for (f, ev) in transport.take_lifecycle() {
+            if let Some(End::Client(_)) = end_of.get(f.index()) {
+                record_window_sample(&mut obs.cc_obs, ev);
+            }
+        }
 
         // A streaming run appends its self-describing shard trailer and
         // keeps only the stream's counters.
@@ -543,7 +577,6 @@ impl LoadScenario {
             let flow_records = parse_records(&state.stream, global_flow as u32)
                 .unwrap_or_else(|e| panic!("[{label}] flow {global_flow}: {e}"));
             let stats = transport.flow_stats(state.client);
-            obs.cc_obs.absorb(&transport.flow_cc_obs(state.client));
             let mut fingerprint: u64 = FNV_OFFSET_BASIS;
             fnv1a_words(&mut fingerprint, &state.stream);
             per_flow.push(FlowMetrics {
@@ -1452,6 +1485,57 @@ mod tests {
                 0xd163_8510_d762_bd43,
                 0x2759_5545_079b_4fce
             )
+        );
+    }
+
+    /// The clients' window telemetry, pinned on a run whose trajectory ring
+    /// does not wrap: every count and quantile the report keeps, and every
+    /// sample. The samples are compared sorted, so the order the ring holds
+    /// them in is free, but not one may be lost, added or moved in time —
+    /// the first one each client takes as it opens included.
+    #[test]
+    fn client_window_telemetry_is_pinned() {
+        let report = LoadScenario {
+            flows: 16,
+            records_per_flow: 64,
+            record_len: 1200,
+            loss: LossConfig::Bernoulli { probability: 0.02 },
+            ..LoadScenario::default()
+        }
+        .run();
+        let cc = &report.obs.cc_obs;
+        let counts = (cc.recorded(), cc.len() as u64, cc.dropped());
+        let cwnd = cc.cwnd_hist();
+        let cwnd = (cwnd.p50(), cwnd.p99(), cwnd.max());
+        let episodes = cc.recovery_duration();
+        let episodes = (
+            episodes.count(),
+            episodes.p50(),
+            episodes.p99(),
+            episodes.max(),
+        );
+        let cuts = (cc.recovery_depth().count(), cc.recovery_depth().p99());
+        let mut samples: Vec<(u64, u64, u64)> =
+            cc.samples().map(|s| (s.t_ns, s.cwnd, s.ssthresh)).collect();
+        samples.sort_unstable();
+        let mut hash = FNV_OFFSET_BASIS;
+        for (t_ns, cwnd, ssthresh) in &samples {
+            for word in [t_ns, cwnd, ssthresh] {
+                crate::metrics::fnv1a(&mut hash, &word.to_le_bytes());
+            }
+        }
+        assert_eq!(counts, (325, 325, 0), "recorded, held, dropped");
+        assert_eq!(cwnd, (14_482, 45_567, 46_032), "cwnd p50, p99, max");
+        assert_eq!(
+            episodes,
+            (16, 44_040_191, 279_285_000, 279_285_000),
+            "recovery episodes: count, duration p50, p99, max"
+        );
+        assert_eq!(cuts, (19, 59_368), "window cuts: count, depth p99");
+        assert_eq!(
+            (samples.len(), samples[0], hash),
+            (325, (0, 4_344, i64::MAX as u64), 0xe1b9_bfd5_c203_fb04),
+            "the trajectory samples, sorted"
         );
     }
 

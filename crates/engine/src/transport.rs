@@ -110,8 +110,10 @@ pub trait Transport {
     fn take_writable(&mut self) -> Vec<FlowId>;
 
     /// Connection lifecycle edges (established, retransmit, RTO fired,
-    /// closed) since the last call, in event order. Backends that cannot
-    /// observe them (kernel TCP hides its retransmissions) return nothing.
+    /// closed) and window samples (cwnd/ssthresh transitions, recovery
+    /// episodes, RTO cuts) since the last call, in event order. Backends
+    /// that cannot observe them (kernel TCP hides its retransmissions and
+    /// its window) return nothing.
     fn take_lifecycle(&mut self) -> Vec<(FlowId, minion_tcp::ConnEvent)> {
         Vec::new()
     }
@@ -126,10 +128,9 @@ pub trait Transport {
     /// Sender-side stats of a flow.
     fn flow_stats(&self, flow: FlowId) -> TransportFlowStats;
 
-    /// Sender-side congestion-control window telemetry of a flow
-    /// (cwnd/ssthresh trajectory + recovery histograms). Backends that
-    /// cannot observe the kernel's window (the OS backend) return an empty
-    /// recorder.
+    /// Always an empty recorder: window telemetry arrives as samples
+    /// through [`take_lifecycle`](Transport::take_lifecycle), and nothing
+    /// calls this. It stays while `bench-layers` forwards it (ROADMAP 9(7)).
     fn flow_cc_obs(&self, _flow: FlowId) -> minion_obs::CcObs {
         minion_obs::CcObs::default()
     }
@@ -208,9 +209,9 @@ impl SimTransport {
 
     /// Split the loop's edge events into the readable/writable queues the
     /// trait exposes. The remaining edges (`Established`, `Retransmit`,
-    /// `RtoFired`, `Closed`) carry no driver *work*, but they are exactly
-    /// what the observability layer traces, so they queue separately for
-    /// [`Transport::take_lifecycle`].
+    /// `RtoFired`, `Closed`) and the window samples carry no driver *work*,
+    /// but they are exactly what the observability layer records, so they
+    /// queue separately for [`Transport::take_lifecycle`].
     fn pump_events(&mut self) {
         for (f, ev) in self.sim.take_events() {
             match ev {
@@ -314,12 +315,6 @@ impl Transport for SimTransport {
             fast_retransmits: stats.fast_retransmits,
             rto_fires: stats.timeouts,
         }
-    }
-
-    fn flow_cc_obs(&self, flow: FlowId) -> minion_obs::CcObs {
-        let (node, handle) = self.sim.flow_socket(flow);
-        let conn = self.sim.host(node).tcp_connection(handle);
-        conn.expect("flow handle is valid").cc_obs().clone()
     }
 
     fn metrics(&self) -> EngineMetrics {

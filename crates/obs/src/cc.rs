@@ -6,23 +6,23 @@
 //! cwnd/ssthresh trajectory samples on the **virtual clock** plus
 //! fixed-slot [`Histogram`]s of the window and of recovery episodes
 //! (duration and depth), all merged shard-order like every other obs type
-//! so the parallel-sweep byte-identity gate covers them. Every connection
-//! carries one recorder; a histogram allocates its slots on its first
-//! sample, so the ones a connection never feeds (no recovery; no window
-//! movement on a pure receiver) cost it nothing.
+//! so the parallel-sweep byte-identity gate covers them.
 //!
-//! Recording happens at **window transitions** (recovery entry/exit, RTO,
-//! cwnd-changing ACKs), not per-ACK, so the cost is bounded by the event
-//! rate and the ring by `cap`. Timestamps are nanoseconds by the crate-wide
-//! convention.
+//! A connection keeps none of this: it queues a sample at each **window
+//! transition** (recovery entry/exit, RTO, cwnd-changing ACKs), not per-ACK,
+//! and the scenario driver records its clients' samples into one recorder
+//! per run as it drains them, so the ring holds them in virtual-time order
+//! and its size is bounded by `cap`. A histogram allocates its slots on its
+//! first sample, so a run without recovery pays nothing for the recovery
+//! histograms. Timestamps are nanoseconds by the crate-wide convention.
 
 use crate::absorb::Absorb;
 use crate::hist::Histogram;
 use std::collections::VecDeque;
 
-/// Default trajectory-ring capacity per recorder. Connections record a
+/// Default trajectory-ring capacity per recorder. Connections emit a
 /// sample per window *transition*, so a lossy flow produces dozens, not
-/// millions; merged per-scenario rings keep the tail of the concatenation.
+/// millions; merged per-shard rings keep the tail of the concatenation.
 const DEFAULT_CC_SAMPLE_CAP: usize = 4096;
 
 /// One cwnd/ssthresh trajectory point.
@@ -212,8 +212,7 @@ mod tests {
 
     #[test]
     fn a_histogram_costs_its_slots_only_once_it_sees_a_sample() {
-        // Every connection carries a recorder; most never enter recovery,
-        // and a pure receiver never moves its window either.
+        // A run without recovery never feeds the recovery histograms.
         let mut c = CcObs::new(4);
         let slots = |c: &CcObs| {
             [c.cwnd_hist(), c.recovery_duration(), c.recovery_depth()].map(|h| h.slots().len())
@@ -223,7 +222,7 @@ mod tests {
         assert_eq!(slots(&c), [1024, 0, 0]);
         c.record_cut_depth(7_200);
         assert_eq!(slots(&c), [1024, 0, 1024]);
-        // A clone (what `flow_cc_obs` hands the driver) and a merge keep it so.
+        // A clone and a merge keep it so.
         let mut merged = CcObs::default();
         merged.absorb(&c.clone());
         assert_eq!(slots(&merged), [1024, 0, 1024]);

@@ -31,13 +31,13 @@
 //!
 //! | alias | sub-buckets | slots | used for |
 //! |---|---|---|---|
-//! | [`Histogram`] = `Hist<4>` | 16 (~3 % of the value) | 1024 (8 KiB) | the global distributions (`LoadObs`, `CcObs`) |
+//! | [`Histogram`] = `Hist<4>` | 16 (~3 % of the value) | 1024 (8 KiB) | the global distributions (`LoadObs`, a scenario's `CcObs`) |
 //! | [`DelayDigest`](crate::DelayDigest) = `Hist<2>` | 4 (~12 %) | 256 (2 KiB) | one per flow in a [`FlowDelayMap`](crate::FlowDelayMap), so thousands fit |
 //!
 //! The slot array is **empty until the first [`Hist::record`]**: a
-//! histogram that never sees a sample owns no heap memory, so recorders
-//! can sit in per-connection state (a `TcpConnection` carries three through
-//! `CcObs`) at the cost of a pointer and four words each. Merging keeps the
+//! histogram that never sees a sample owns no heap memory, so a recorder
+//! whose distributions a run never feeds (a lossless run's recovery
+//! histograms) costs a pointer and four words each. Merging keeps the
 //! property: absorbing into an empty histogram adopts the other side's
 //! slots, absorbing an empty one changes nothing.
 //!

@@ -18,7 +18,7 @@
 //! | [`StreamStats`] | zero-drop [`StreamSink`] accounting | counter addition |
 //! | [`FilterStats`] | the trace path's flow × kind [`TracePredicate`] and its admitted/suppressed counts ([`FilterStats::admit`]) | counter addition, predicates must agree |
 //! | [`FlowDelayMap`] | per-flow [`DelayDigest`]s — the same [`Hist`] layout at 4 sub-buckets | key union, digests slot-wise |
-//! | [`CcObs`] | cwnd/ssthresh trajectory ring + recovery histograms | ring concat in shard order, histograms slot-wise |
+//! | [`CcObs`] | one scenario's cwnd/ssthresh trajectory ring + recovery histograms, fed from the connections' window samples | ring concat in shard order, histograms slot-wise |
 //! | [`PhaseProfile`] | wall-clock time per loop phase | slot-wise add, **excluded from equality** via [`NonDeterministic`] |
 //!
 //! Everything mergeable implements [`Absorb`]; sharded runs fold per-shard

@@ -28,8 +28,8 @@
 //! A driver of many flows opens each connection as a flow
 //! ([`Sim::flow_connect`], or [`Sim::set_auto_register`] for accepted ones)
 //! and finds its socket with [`Sim::flow_socket`]. Registered flows report
-//! their connection edges ([`Sim::take_events`]), so the driver reacts to
-//! readiness instead of sweeping flows.
+//! their connection edges and window samples ([`Sim::take_events`]), so the
+//! driver reacts to readiness instead of sweeping flows.
 //!
 //! Everything is deterministic given the seed: ready flows are polled in the
 //! order they became ready (arrivals in arrival order, then timer expiries in
@@ -156,7 +156,7 @@ impl HostSlot {
         id
     }
 
-    /// Turn a flow's edge events on, for a driver that drains them
+    /// Turn a flow's events on, for a driver that drains them
     /// ([`Sim::take_events`]). Nobody reads the events of a socket opened
     /// through [`Sim::host_mut`], so there they stay off.
     fn register(&mut self, handle: SocketHandle) {
@@ -345,8 +345,8 @@ impl Sim {
     }
 
     /// Open a TCP connection from `node` to `remote` as a registered flow:
-    /// its edge events are on, and it is scheduled for a poll (which emits
-    /// the SYN).
+    /// its events are on, and it is scheduled for a poll (which emits the
+    /// SYN and takes the first window sample).
     pub fn flow_connect(
         &mut self,
         node: NodeId,

@@ -87,7 +87,6 @@ use crate::segment::{SackBlock, TcpFlags, TcpOption, TcpSegment};
 use crate::sendbuf::SendBuffer;
 use crate::seq::SeqNum;
 use bytes::Bytes;
-use minion_obs::CcObs;
 use minion_simnet::{SimDuration, SimTime};
 
 /// How long an ACK for plain in-order progress may be held back when
@@ -270,16 +269,14 @@ pub struct TcpConnection {
     recv_buf: ReceiveBuffer,
     ack_pending: AckPending,
 
-    /// Edge events for poll-driven drivers (gated; see [`crate::ConnEvent`]).
+    /// Edge events and window samples for poll-driven drivers (gated; see
+    /// [`crate::ConnEvent`]).
     events: EventQueue,
+    /// The last `(cwnd, ssthresh)` queued as a sample, so samples mark
+    /// window *transitions* rather than every ACK; `(0, 0)` before the first
+    /// (the window is never zero).
+    last_window: (u64, u64),
     stats: ConnStats,
-
-    // ---- Window telemetry (deterministic, virtual-time) ----
-    /// Per-connection cwnd/ssthresh trajectory + recovery histograms.
-    cc_obs: CcObs,
-    /// Last `(cwnd, ssthresh)` recorded, so the trajectory samples window
-    /// *transitions* rather than every ACK.
-    cc_obs_last: Option<(u64, u64)>,
 }
 
 impl TcpConnection {
@@ -312,9 +309,8 @@ impl TcpConnection {
             recv_buf,
             ack_pending: AckPending::None,
             events: EventQueue::default(),
+            last_window: (0, 0),
             stats: ConnStats::default(),
-            cc_obs: CcObs::default(),
-            cc_obs_last: None,
         }
     }
 
@@ -396,10 +392,12 @@ impl TcpConnection {
         }
     }
 
-    /// Enable or disable edge-event recording ([`ConnEvent`]). Off by
-    /// default; a readiness-driven driver (`minion-engine`'s transport) enables it
-    /// and drains [`take_events`](Self::take_events) after each dispatch so
-    /// the queue stays small. Disabling clears any queued events.
+    /// Enable or disable event recording ([`ConnEvent`]: edges and window
+    /// samples). Off by default; a readiness-driven driver (`minion-engine`'s
+    /// transport) enables it before the first [`poll`](Self::poll), which
+    /// takes the first window sample, and drains
+    /// [`take_events`](Self::take_events) after each dispatch so the queue
+    /// stays small. Disabling clears any queued events.
     pub fn set_event_interest(&mut self, enabled: bool) {
         self.events.set_enabled(enabled);
     }
@@ -452,36 +450,23 @@ impl TcpConnection {
         self.cc.cwnd()
     }
 
-    /// The deterministic window telemetry recorded at congestion-control
-    /// transitions: cwnd/ssthresh trajectory samples on the virtual clock
-    /// plus recovery-duration/-depth histograms.
-    pub fn cc_obs(&self) -> &CcObs {
-        &self.cc_obs
-    }
-
-    /// Record a trajectory sample if the window actually moved since the
-    /// last one (called at cc transition sites, so the per-ACK cost is one
-    /// comparison).
-    fn note_window(&mut self, now: SimTime) {
-        let cur = (self.cc.cwnd() as u64, self.cc.ssthresh() as u64);
-        if self.cc_obs_last != Some(cur) {
-            self.cc_obs
-                .record_window(now.as_micros().saturating_mul(1_000), cur.0, cur.1);
-            self.cc_obs_last = Some(cur);
+    /// Queue a window sample if the window moved since the last one
+    /// (called at cc transition sites, so the per-ACK cost is one
+    /// comparison; the queue drops it while event interest is off).
+    fn note_window(&mut self, at: SimTime) {
+        let (cwnd, ssthresh) = (self.cc.cwnd() as u64, self.cc.ssthresh() as u64);
+        if self.last_window != (cwnd, ssthresh) {
+            self.last_window = (cwnd, ssthresh);
+            self.events.push(ConnEvent::Window { at, cwnd, ssthresh });
         }
     }
 
-    /// Feed a fast-recovery episode that just ended (full ACK, or an RTO
-    /// truncating it) into the duration and entry-stamped depth histograms.
-    fn record_episode(&mut self, ended: Option<Episode>, now: SimTime) {
-        if let Some(episode) = ended {
-            self.cc_obs.record_recovery(
-                now.saturating_since(episode.entered)
-                    .as_micros()
-                    .saturating_mul(1_000),
-                episode.cut_depth,
-            );
-        }
+    /// Queue a window cut as a sample: `depth` bytes, and how long the
+    /// fast-recovery episode it closes lasted, if it closes one (a full ACK
+    /// ends an episode, an RTO truncates it; either way its depth is the
+    /// cut taken at entry).
+    fn note_cut(&mut self, depth: u64, recovery: Option<SimDuration>) {
+        self.events.push(ConnEvent::Cut { depth, recovery });
     }
 
     /// Free space in the send buffer.
@@ -605,7 +590,6 @@ impl TcpConnection {
     /// A handshake beginning at `now`: its SYN is due and its timer armed.
     fn begin_handshake(&mut self, now: SimTime) -> Handshake {
         self.reliability.arm_rto(now, now + self.rtt.rto());
-        self.note_window(now);
         Handshake {
             due: true,
             sent_at: now,
@@ -856,8 +840,9 @@ impl TcpConnection {
                 // post-recovery burst when little data is left outstanding.
                 let flight = self.reliability.flight_charge();
                 self.cc.on_exit_recovery(flight);
-                let ended = self.recovery.exit();
-                self.record_episode(ended, now);
+                if let Some(ended) = self.recovery.exit() {
+                    self.note_cut(ended.cut_depth, Some(now.saturating_since(ended.entered)));
+                }
             } else {
                 // Partial ACK (NewReno): retransmit the next lost segment,
                 // one full segment starting at the new `snd_una`.
@@ -898,8 +883,8 @@ impl TcpConnection {
             let flight = self.reliability.flight_charge();
             let cwnd_before = self.cc.cwnd() as u64;
             self.cc.on_enter_recovery(flight);
-            // Stamp the episode: exit (or a truncating RTO) resolves it into
-            // the recovery-duration/-depth histograms.
+            // Stamp the episode: exit (or a truncating RTO) queues it as a
+            // `ConnEvent::Cut` sample.
             let episode = Episode {
                 entered: now,
                 cut_depth: cwnd_before.saturating_sub(self.cc.ssthresh() as u64),
@@ -955,10 +940,10 @@ impl TcpConnection {
         // 4) so the duplicate ACKs that the go-back-N retransmissions elicit
         // cannot re-cut the window, and is itself a window cut worth a depth
         // sample.
-        let truncated = self.recovery.on_rto(self.snd_max_offset());
-        self.record_episode(truncated, now);
-        self.cc_obs
-            .record_cut_depth(cwnd_before.saturating_sub(self.cc.ssthresh() as u64));
+        if let Some(ended) = self.recovery.on_rto(self.snd_max_offset()) {
+            self.note_cut(ended.cut_depth, Some(now.saturating_since(ended.entered)));
+        }
+        self.note_cut(cwnd_before.saturating_sub(self.cc.ssthresh() as u64), None);
         self.note_window(now);
         self.rtt.backoff();
         // Go-back-N: everything outstanding the receiver has not SACKed is
@@ -1000,12 +985,15 @@ impl TcpConnection {
         // TIME-WAIT expiry.
         self.transition(Event::Poll(now));
 
-        // Handshake segments.
+        // Handshake segments. The first SYN (or SYN-ACK) also takes the
+        // first window sample: by then a driver has turned events on (a
+        // re-sent one finds the RTO's sample already taken).
         let syn_ack = matches!(self.phase, Phase::SynRcvd(_));
         if let Phase::SynSent(hs) | Phase::SynRcvd(hs) = &mut self.phase {
             hs.resent |= rto_fired;
             if std::mem::take(&mut hs.due) || rto_fired {
                 out.push(self.make_syn(syn_ack));
+                self.note_window(now);
             }
         }
 

@@ -6,6 +6,11 @@
 //! record these edges into a small queue that the event loop (`stack::Sim`)
 //! drains after each poll.
 //!
+//! The same queue carries the connection's window telemetry: each
+//! cwnd/ssthresh transition, each finished fast-recovery episode and each
+//! RTO cut leaves as a sample stamped with its virtual time. The connection
+//! keeps no history of them; whoever drains the queue records what it wants.
+//!
 //! Event recording is **off by default** so that existing lockstep callers
 //! pay nothing and no queue grows unbounded; a driver opts in with
 //! [`crate::TcpConnection::set_event_interest`].
@@ -37,6 +42,27 @@ pub enum ConnEvent {
     /// retransmissions may surface as a single edge — observers treat this
     /// as "at least one retransmission since the last drain".
     Retransmit,
+    /// The congestion window or slow-start threshold moved (a sample, never
+    /// collapsed). The first is taken as the first SYN or SYN-ACK goes out.
+    Window {
+        /// When, on the virtual clock.
+        at: minion_simnet::SimTime,
+        /// Congestion window in bytes.
+        cwnd: u64,
+        /// Slow-start threshold in bytes.
+        ssthresh: u64,
+    },
+    /// A window cut (a sample, never collapsed): a fast-recovery episode
+    /// that ended, on its full ACK or truncated by an RTO, or an RTO's own
+    /// cut.
+    Cut {
+        /// cwnd before − ssthresh after, in bytes (an episode's is taken at
+        /// its entry).
+        depth: u64,
+        /// How long the fast-recovery episode lasted, entry to exit, on the
+        /// virtual clock; `None` for an RTO's cut.
+        recovery: Option<minion_simnet::SimDuration>,
+    },
 }
 
 /// A level-triggered snapshot of what a connection can currently do.
@@ -73,11 +99,14 @@ impl EventQueue {
         self.enabled
     }
 
-    /// Record an event (no-op while disabled). Consecutive duplicates are
-    /// collapsed: an edge that has already been queued and not yet consumed
-    /// carries no extra information.
+    /// Record an event (no-op while disabled). An edge equal to the last
+    /// edge queued is collapsed: an edge that has already been queued and
+    /// not yet consumed carries no extra information, and samples queued
+    /// between the two do not change that. Samples are never collapsed: two
+    /// equal recovery episodes are two episodes.
     pub(crate) fn push(&mut self, ev: ConnEvent) {
-        if self.enabled && self.events.back() != Some(&ev) {
+        let edge = |e: &ConnEvent| !matches!(e, ConnEvent::Window { .. } | ConnEvent::Cut { .. });
+        if self.enabled && !(edge(&ev) && self.events.iter().rev().find(|e| edge(e)) == Some(&ev)) {
             self.events.push_back(ev);
         }
     }
@@ -97,6 +126,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minion_simnet::SimDuration;
 
     #[test]
     fn disabled_queue_records_nothing() {
@@ -123,6 +153,25 @@ mod tests {
                 ConnEvent::Writable,
                 ConnEvent::Readable
             ]
+        );
+    }
+
+    #[test]
+    fn samples_are_never_collapsed_and_do_not_separate_edges() {
+        let mut q = EventQueue::default();
+        q.set_enabled(true);
+        let episode = ConnEvent::Cut {
+            depth: 2_896,
+            recovery: Some(SimDuration::from_millis(40)),
+        };
+        q.push(ConnEvent::Retransmit);
+        q.push(episode);
+        q.push(episode);
+        q.push(ConnEvent::Retransmit);
+        assert_eq!(
+            q.drain().collect::<Vec<_>>(),
+            vec![ConnEvent::Retransmit, episode, episode],
+            "two equal episodes are two samples; the second retransmit edge still collapses"
         );
     }
 

@@ -28,8 +28,8 @@
 use minion_simnet::SimTime;
 
 /// One fast-recovery episode, stamped at entry and handed back when a full
-/// ACK ends it or an RTO truncates it (the recovery-duration and -depth
-/// histograms are fed from it).
+/// ACK ends it or an RTO truncates it (the connection then queues it as a
+/// `ConnEvent::Recovery` sample).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Episode {
     /// When the third duplicate ACK arrived.

@@ -178,15 +178,18 @@ fn one_more_flow_stays_within_its_fixed_footprint() {
     // The slope between the two sizes: the run's fixed part cancels, and
     // what is left is one more flow — two `TcpConnection`s with their
     // buffers, the handshake, one data segment and its ACK, the FINs, the
-    // driver's state, the flow's delay digest and the one histogram of its
-    // six that sees a sample (the client's cwnd). 34 713 bytes measured,
-    // pinned 10 % above; 82 807 when every histogram allocated its 8 KiB of
-    // slots up front (2 endpoints × 3), which is what this is here to catch.
+    // driver's state and the flow's delay digest. The connections keep no
+    // window telemetry: their window samples go to the run's one recorder.
+    // 9 448 bytes measured, pinned 10 % above. It read 34 282 when every
+    // connection carried a recorder, whose 8 KiB cwnd histogram both
+    // endpoints allocated at the handshake and the driver cloned once more
+    // for the client; 82 807 when each endpoint's three histograms all
+    // allocated their slots up front. Either is what this is here to catch.
     let per_flow = (large.bytes - small.bytes) / 64;
     println!("alloc budget: {per_flow} bytes allocated per additional flow");
     assert!(
-        per_flow <= 38_000,
-        "{} more bytes allocated for 64 more flows = {per_flow} per flow (budget 38000)",
+        per_flow <= 10_400,
+        "{} more bytes allocated for 64 more flows = {per_flow} per flow (budget 10400)",
         large.bytes - small.bytes
     );
 }
