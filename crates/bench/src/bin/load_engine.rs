@@ -1,14 +1,13 @@
 //! The engine load benchmark: drive multi-flow load scenarios through the
-//! `minion-engine` scenario driver (sharded across the `minion-exec`
-//! executor) and write `BENCH_engine.json`.
+//! `minion-engine` scenario driver, each scenario one world whose flows all
+//! share one bottleneck link, and write `BENCH_engine.json`.
 //!
-//! Every simulated figure in the file is seed-determined. Each scenario runs
-//! through [`verify_load_sharded`] (exactly-once delivery, two-run
-//! determinism), the shard decomposition is fixed by the flow count, and
-//! `--threads` changes how long the run takes, never a value. Wall-clock
-//! speed is the repository benchmark's (`benchmark/`), which measures it
-//! with medians and spread; only the `--backend os` rows carry wall-clock
-//! figures, because the benchmark has no kernel-socket counterpart.
+//! Every simulated figure in the file is seed-determined. The `"scenarios"`
+//! and `"cc"` rows run through [`verify_load`] (exactly-once delivery,
+//! two-run determinism). Wall-clock speed is the repository benchmark's
+//! (`benchmark/`), which measures it with medians and spread; only the
+//! `--backend os` rows carry wall-clock figures, because the benchmark has
+//! no kernel-socket counterpart.
 //!
 //! The sections, in file order:
 //!
@@ -31,7 +30,7 @@
 //! - `"os"`, with `--backend os`: the `--flows` scenarios over kernel TCP on
 //!   loopback (`minion-osnet`, an edge-triggered epoll reactor): wall-clock
 //!   goodput, events/sec and syscalls/flow, gated on liveness (the scenario
-//!   deadline) and a goodput floor. `--threads` is sim-only.
+//!   deadline) and a goodput floor.
 //! - `"scenarios"`: one row per `--flows` count.
 //!
 //! The binary asserts what each section exists to show, and exits non-zero
@@ -50,7 +49,7 @@
 //! apply to `--trace-stream` as well.
 //!
 //! ```text
-//! load_engine [--backend sim|os] [--flows 1,64,1024] [--threads N]
+//! load_engine [--backend sim|os] [--flows 1,64,1024]
 //!             [--cc newreno,cubic,none] [--out BENCH_engine.json]
 //!             [--trace-out TRACE.jsonl] [--trace-flow N]
 //!             [--trace-kind retransmit,rto] [--trace-stream TRACE.jsonl]
@@ -59,8 +58,7 @@
 use minion_bench::cli;
 use minion_bench::json::Value;
 use minion_engine::{
-    verify_load_sharded, FlowMetrics, KindSet, LoadReport, LoadScenario, TraceKind,
-    DEFAULT_TRACE_CAP,
+    verify_load, FlowMetrics, KindSet, LoadReport, LoadScenario, TraceKind, DEFAULT_TRACE_CAP,
 };
 use minion_osnet::OsTransport;
 use minion_simnet::SimDuration;
@@ -85,12 +83,10 @@ fn ms(us: u64) -> Value {
 }
 
 /// One `"scenarios"` row: a `--flows` scenario's seed-determined counts.
-fn scenario_row(r: &LoadReport, shards: usize, threads: usize) -> Value {
+fn scenario_row(r: &LoadReport) -> Value {
     Value::Object(vec![
         ("label", r.label.as_str().into()),
         ("flows", r.flows.into()),
-        ("shards", shards.into()),
-        ("threads", threads.into()),
         ("records_sent", r.records_sent.into()),
         ("records_delivered", r.records_delivered.into()),
         ("total_payload_bytes", r.total_bytes.into()),
@@ -110,7 +106,6 @@ fn scenario_row(r: &LoadReport, shards: usize, threads: usize) -> Value {
 
 struct Args {
     flows: Vec<usize>,
-    threads: usize,
     backend: cli::Backend,
     ccs: Vec<CcAlgorithm>,
     out: String,
@@ -122,7 +117,6 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut flows: Vec<usize> = vec![1, 64, 1024];
-    let mut threads: Option<usize> = None;
     let mut backend = cli::Backend::Sim;
     // The "cc" section compares algorithms; by default it compares all of
     // them (--cc narrows the list, e.g. for a quick single-algorithm run).
@@ -133,7 +127,7 @@ fn parse_args() -> Args {
     let mut trace_kinds = KindSet::all();
     let mut trace_stream: Option<String> = None;
     let mut args = cli::CliArgs::new(
-        "load_engine [--backend sim|os] [--flows 1,64,1024] [--threads N] \
+        "load_engine [--backend sim|os] [--flows 1,64,1024] \
          [--cc newreno,cubic,none] [--out FILE] [--trace-out FILE] [--trace-flow N] \
          [--trace-kind retransmit,rto] [--trace-stream FILE]",
     );
@@ -141,7 +135,6 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--backend" => backend = cli::parse_backend(&args.value("--backend")),
             "--flows" => flows = cli::parse_count_list(&args.value("--flows"), "--flows"),
-            "--threads" => threads = Some(cli::parse_count(&args.value("--threads"), "--threads")),
             "--cc" => ccs = cli::parse_cc_list(&args.value("--cc"), "--cc"),
             "--out" => out = args.value("--out"),
             "--trace-out" => trace_out = Some(args.value("--trace-out")),
@@ -161,22 +154,19 @@ fn parse_args() -> Args {
             other => args.unknown(other),
         }
     }
-    cli::validate_backend(backend, threads.is_some());
     // Output paths are validated *now*, so a typo'd directory fails in
     // milliseconds with the flag named, not after the whole bench ran.
     cli::validate_out_path("--out", &out);
     if let Some(path) = &trace_out {
         cli::validate_out_path("--trace-out", path);
     }
-    // The stream path also names the per-shard spill files, which are
-    // created mid-run — a missing directory must fail here, not after the
-    // first shard finishes.
+    // The stream file is created mid-run — a missing directory must fail
+    // here, not after the scenarios before it have run.
     if let Some(path) = &trace_stream {
         cli::validate_out_path("--trace-stream", path);
     }
     Args {
         flows,
-        threads: threads.unwrap_or(1),
         backend,
         ccs,
         out,
@@ -319,23 +309,22 @@ fn flow_delay_row(receiver: &str, report: &LoadReport) -> Value {
 
 /// Run the canonical ordered-vs-unordered comparison
 /// ([`LoadScenario::obs_comparison`]) and build the `"obs"` and
-/// `"flow_delay"` sections: sim rows for both receivers (sharded at
-/// `threads`), plus a kernel-TCP row when the OS backend was requested.
+/// `"flow_delay"` sections: sim rows for both receivers, plus a kernel-TCP
+/// row when the OS backend was requested.
 /// Returns both sections and the uTCP run's report (whose trace
 /// `--trace-out` dumps, sliced by `trace_flow` / `trace_kinds` when given).
 fn obs_section(
-    threads: usize,
     backend: cli::Backend,
     trace_flow: Option<u32>,
     trace_kinds: KindSet,
 ) -> (Value, Value, LoadReport) {
-    let tcp = LoadScenario::obs_comparison(false).run_sharded(threads);
+    let tcp = LoadScenario::obs_comparison(false).run();
     let utcp = LoadScenario {
         trace_flow,
         trace_kinds,
         ..LoadScenario::obs_comparison(true)
     }
-    .run_sharded(threads);
+    .run();
     println!(
         "obs: delivery delay under loss ({} records): ordered mean {:.3} ms p99 {:.3} ms \
          p999 {:.3} ms | unordered mean {:.3} ms p99 {:.3} ms p999 {:.3} ms",
@@ -428,19 +417,18 @@ fn obs_section(
 
 /// Run the flight-recorder scenario with the zero-drop streaming sink and
 /// build the `"trace_stream"` section: 1024 flows × 64 records under 2%
-/// loss spill per-shard JSONL slices, cut to the `flow` × `kinds` slice,
-/// merged into one `(t_ns, shard)`-ordered file at `path`. The section is the stream's own accounting — and the
-/// driver gates on the two properties the ring cannot offer: nothing
-/// dropped, and more events offered than the ring holds.
-fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet, threads: usize) -> Value {
+/// loss spill their events, cut to the `flow` × `kinds` slice, to the JSONL
+/// file at `path` in virtual-time order. The section is the stream's own
+/// accounting — and the driver gates on the two properties the ring cannot
+/// offer: nothing dropped, and more events offered than the ring holds.
+fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet) -> Value {
     let scenario = LoadScenario {
         trace_stream: Some(path.to_string()),
         trace_flow: flow,
         trace_kinds: kinds,
         ..LoadScenario::flight_recorder(true)
     };
-    let shards = scenario.shard_count();
-    let report = scenario.run_sharded(threads);
+    let report = scenario.run();
     let stream = &report.obs.stream;
     let filter = &report.obs.trace_filter;
     let offered = filter.admitted + filter.suppressed;
@@ -458,7 +446,7 @@ fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet, threads: 
          trace ring holds ({DEFAULT_TRACE_CAP}); otherwise it proves nothing"
     );
     println!(
-        "trace stream: wrote {path} ({} events from {} offered across {shards} shard(s); \
+        "trace stream: wrote {path} ({} events from {} offered; \
          {} suppressed by the kind/flow slice; ring cap {DEFAULT_TRACE_CAP})",
         filter.admitted, offered, filter.suppressed,
     );
@@ -466,8 +454,6 @@ fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet, threads: 
         ("path", path.into()),
         ("flows", scenario.flows.into()),
         ("records_per_flow", scenario.records_per_flow.into()),
-        ("shards", shards.into()),
-        ("threads", threads.into()),
         ("kinds", kinds.labels().into()),
         ("offered", offered.into()),
         ("admitted", filter.admitted.into()),
@@ -480,8 +466,8 @@ fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet, threads: 
 }
 
 /// How many cwnd/ssthresh trajectory samples a `"cc_obs"` row embeds: the
-/// tail of the ring, the last window transitions of the run (of its last
-/// shard, when sharded) across all clients, in virtual-time order (the full
+/// tail of the ring, the last window transitions of the run across all
+/// clients, in virtual-time order (the full
 /// ring holds up to `DEFAULT_CC_SAMPLE_CAP` — counts in the row say what
 /// was elided).
 const CC_OBS_TRAJECTORY_ROWS: usize = 64;
@@ -537,7 +523,7 @@ fn cc_obs_row(algo: &str, report: &LoadReport) -> Value {
 /// counts — how each sender recovers from the identical loss process —
 /// and `"cc_obs"` is the same runs' window telemetry: cwnd/ssthresh
 /// trajectories and recovery-episode histograms per algorithm.
-fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (Value, Value) {
+fn cc_sections(ccs: &[CcAlgorithm]) -> (Value, Value) {
     let mut rows = Vec::new();
     let mut obs_rows = Vec::new();
     for &cc in ccs {
@@ -545,7 +531,7 @@ fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (Value, Value) {
             cc,
             ..LoadScenario::obs_comparison(true)
         };
-        let report = verify_load_sharded(&scenario, threads);
+        let report = verify_load(&scenario);
         let fast_retransmits = flow_sum(&report, |f| f.fast_retransmits);
         let retransmissions = flow_sum(&report, |f| f.retransmissions);
         let rto_fires = flow_sum(&report, |f| f.rto_fires);
@@ -600,17 +586,12 @@ fn cc_sections(ccs: &[CcAlgorithm], threads: usize) -> (Value, Value) {
 
 fn main() {
     let args = parse_args();
-    let (flows, threads, backend, out) = (args.flows, args.threads, args.backend, args.out);
+    let (flows, backend, out) = (args.flows, args.backend, args.out);
     let mut scenarios = Vec::new();
     for &f in &flows {
-        let scenario = LoadScenario::with_flows(f);
-        let shards = scenario.shard_count();
-        let report = verify_load_sharded(&scenario, threads);
-        println!(
-            "{}  [{shards} shard(s) on {threads} thread(s)]",
-            report.summary()
-        );
-        scenarios.push(scenario_row(&report, shards, threads));
+        let report = verify_load(&LoadScenario::with_flows(f));
+        println!("{}", report.summary());
+        scenarios.push(scenario_row(&report));
     }
 
     // The OS backend rides along *in addition to* the sim rows: the point
@@ -620,8 +601,7 @@ fn main() {
         .then(|| Value::Array(flows.iter().map(|&f| run_os(f)).collect()));
 
     // The head-of-line-blocking comparison: the figure the paper is about.
-    let (obs, flow_delay, utcp_report) =
-        obs_section(threads, backend, args.trace_flow, args.trace_kinds);
+    let (obs, flow_delay, utcp_report) = obs_section(backend, args.trace_flow, args.trace_kinds);
     if let Some(path) = &args.trace_out {
         let trace = &utcp_report.obs.trace;
         let filter = &utcp_report.obs.trace_filter;
@@ -658,10 +638,10 @@ fn main() {
     let trace_stream = args
         .trace_stream
         .as_deref()
-        .map(|path| trace_stream_section(path, args.trace_flow, args.trace_kinds, threads));
+        .map(|path| trace_stream_section(path, args.trace_flow, args.trace_kinds));
 
     // The congestion-control comparison: same lossy workload, each sender.
-    let (cc, cc_obs) = cc_sections(&args.ccs, threads);
+    let (cc, cc_obs) = cc_sections(&args.ccs);
 
     let mut doc = vec![
         ("bench", "engine_load".into()),

@@ -56,17 +56,6 @@ pub fn parse_backend(raw: &str) -> Backend {
     }
 }
 
-/// Reject flag combinations the chosen backend cannot honour. Today that
-/// is exactly one: `--threads` with the OS backend (the shard decomposition
-/// and the batch runner drive *simulated* engines; sharding is sim-only for
-/// now).
-pub fn validate_backend(backend: Backend, threads_requested: bool) {
-    assert!(
-        !(backend == Backend::Os && threads_requested),
-        "--threads cannot be combined with --backend os: sharding is sim-only for now"
-    );
-}
-
 /// Validate an output path at parse time: fail *before* minutes of bench
 /// work, and with a message naming the flag and the missing directory
 /// instead of a bare `io::Error` panic at the final write.
@@ -247,17 +236,5 @@ mod tests {
     #[should_panic(expected = "--backend takes sim|os")]
     fn unknown_backends_are_rejected() {
         parse_backend("dpdk");
-    }
-
-    #[test]
-    #[should_panic(expected = "sharding is sim-only for now")]
-    fn threads_with_os_backend_is_rejected() {
-        validate_backend(Backend::Os, true);
-    }
-
-    #[test]
-    fn threads_with_sim_backend_is_fine() {
-        validate_backend(Backend::Sim, true);
-        validate_backend(Backend::Os, false);
     }
 }

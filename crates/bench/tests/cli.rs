@@ -53,9 +53,8 @@ fn trace_out_into_missing_directory_fails_with_a_clear_error() {
 
 #[test]
 fn trace_stream_into_missing_directory_fails_with_a_clear_error() {
-    // The stream path also names the mid-run per-shard spill files, so a
-    // typo'd directory must fail at parse time — before the 1024-flow
-    // flight-recorder run, and before any shard tries to create its spill.
+    // The stream file is created mid-run, so a typo'd directory must fail
+    // at parse time — before the 1024-flow flight-recorder run.
     let (ok, stderr) = run_load_engine(&[
         "--flows",
         "1",

@@ -45,7 +45,7 @@ fn sweep_reports_at_one_and_four_threads_equal_the_golden() {
 #[test]
 fn load_engine_json_and_traces_equal_the_goldens() {
     let dir = Path::new(TMP).join("load_engine");
-    let args = "--flows 1,64,1024 --threads 4 --cc newreno,cubic,none --out load_engine.json \
+    let args = "--flows 1,64,1024 --cc newreno,cubic,none --out load_engine.json \
                 --trace-out trace.jsonl --trace-stream stream.jsonl";
     stdout_of(Path::new(env!("CARGO_BIN_EXE_load_engine")), args, &dir);
     let trace = |file| fingerprint(read(&dir, file).as_bytes());

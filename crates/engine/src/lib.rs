@@ -33,7 +33,7 @@ pub mod transport;
 
 pub use metrics::{fnv1a, fnv1a_words, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 pub use obs::LoadObs;
-pub use scenario::{verify_load, verify_load_sharded, LoadScenario};
+pub use scenario::{verify_load, LoadScenario};
 pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats};
 // The loop's own names, for the drivers that reach it through this crate.
 pub use minion_stack::{FlowId, TimerWheel};

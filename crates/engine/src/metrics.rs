@@ -7,7 +7,7 @@
 //! integers from the raw counters.
 
 use crate::obs::LoadObs;
-use minion_obs::{Absorb, NonDeterministic, PhaseProfile};
+use minion_obs::{NonDeterministic, PhaseProfile};
 
 // The single canonical fingerprint functions (the determinism gates compare
 // these values across crates, so there must be exactly one definition — it
@@ -39,20 +39,6 @@ impl EngineMetrics {
     /// Total dispatched events (arrivals + timer fires).
     pub fn events(&self) -> u64 {
         self.packets_delivered + self.timer_fires
-    }
-}
-
-/// Sharded runs merge the per-shard engines' counters by shard index
-/// (see [`minion_obs::Absorb`] for the laws the merge upholds).
-impl Absorb for EngineMetrics {
-    fn absorb(&mut self, other: &EngineMetrics) {
-        self.steps += other.steps;
-        self.packets_delivered += other.packets_delivered;
-        self.packets_sent += other.packets_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.packets_dropped += other.packets_dropped;
-        self.timer_fires += other.timer_fires;
-        self.flow_polls += other.flow_polls;
     }
 }
 
@@ -140,38 +126,6 @@ impl LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn engine_metrics_absorb_is_associative_and_order_stable() {
-        let mk = |k: u64| EngineMetrics {
-            steps: k,
-            packets_delivered: 2 * k,
-            packets_sent: 3 * k,
-            bytes_sent: 100 * k,
-            packets_dropped: k / 2,
-            timer_fires: k + 1,
-            flow_polls: 5 * k,
-        };
-        let (a, b, c) = (mk(1), mk(10), mk(100));
-        let mut left = a;
-        left.absorb(&b);
-        left.absorb(&c);
-        let mut bc = b;
-        bc.absorb(&c);
-        let mut right = a;
-        right.absorb(&bc);
-        assert_eq!(left, right, "associative");
-        let mut id = EngineMetrics::default();
-        id.absorb(&a);
-        assert_eq!(id, a, "default is a left identity");
-        // Order-stability: folding the same shard slice twice gives the
-        // same bytes (merge_ordered is the canonical shard loop).
-        let parts = [a, b, c];
-        assert_eq!(
-            minion_obs::merge_ordered::<EngineMetrics, _>(parts.iter()),
-            minion_obs::merge_ordered::<EngineMetrics, _>(parts.iter()),
-        );
-    }
 
     #[test]
     fn events_sums_arrivals_and_timers() {

@@ -16,18 +16,18 @@
 //!   delivery, retransmit, RTO, FIN), dumpable as JSONL via
 //!   `load_engine --trace-out`.
 //!
-//! Everything merges via [`Absorb`] in shard order, so a sharded run's
-//! `LoadObs` is byte-identical to the serial merge at any thread count —
-//! the same discipline the rest of the report already obeys.
+//! One `LoadObs` records one run in one world, so it is never merged: it is
+//! a pure function of the scenario and its seed, and the determinism gates
+//! compare it whole.
 
 use crate::metrics::{fnv1a, FNV_OFFSET_BASIS};
 use minion_obs::{
-    Absorb, CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamSink,
-    StreamStats, TraceEvent, TraceRing,
+    CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamSink, StreamStats,
+    TraceEvent, TraceRing,
 };
 
-/// Counter slots of [`LoadObs::counters`] (fixed at compile time so sharded
-/// and serial registries always line up slot for slot).
+/// Counter slots of [`LoadObs::counters`] (fixed at compile time, so a
+/// report's registry has the same slots whichever code paths ran).
 const LOAD_COUNTER_NAMES: &[&str] = &[
     "records_enqueued",
     "records_delivered",
@@ -59,7 +59,7 @@ const LOAD_GAUGE_NAMES: &[&str] = &["coverage_ranges_high_water"];
 /// once — a direct measure of how fragmented unordered delivery got.
 pub(crate) const G_COVERAGE_RANGES_HIGH_WATER: usize = 0;
 
-/// Deterministic observability of one load-scenario run (or shard).
+/// Deterministic observability of one load-scenario run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadObs {
     /// Per-record delivery delay: send-enqueue → app-deliver, nanoseconds.
@@ -85,8 +85,8 @@ pub struct LoadObs {
     pub trace_filter: FilterStats,
     /// Accounting of the zero-drop stream, when the run spilled its trace
     /// to a file (all-zero otherwise). The stream itself holds an OS
-    /// writer and never enters this mergeable state — only its
-    /// deterministic counters do.
+    /// writer and never enters the report — only its deterministic
+    /// counters do.
     pub stream: StreamStats,
     /// Per-flow delivery-delay digests: who owns the tail, not just how
     /// fat it is.
@@ -111,21 +111,6 @@ impl Default for LoadObs {
             flow_delay: FlowDelayMap::default(),
             cc_obs: CcObs::default(),
         }
-    }
-}
-
-impl Absorb for LoadObs {
-    fn absorb(&mut self, other: &Self) {
-        self.delivery_delay.absorb(&other.delivery_delay);
-        self.rto_wait.absorb(&other.rto_wait);
-        self.staging_dwell.absorb(&other.staging_dwell);
-        self.counters.absorb(&other.counters);
-        self.gauges.absorb(&other.gauges);
-        self.trace.absorb(&other.trace);
-        self.trace_filter.absorb(&other.trace_filter);
-        self.stream.absorb(&other.stream);
-        self.flow_delay.absorb(&other.flow_delay);
-        self.cc_obs.absorb(&other.cc_obs);
     }
 }
 
@@ -160,50 +145,25 @@ mod tests {
     use super::*;
     use minion_obs::TraceKind;
 
-    fn sample(base: u64) -> LoadObs {
-        let mut o = LoadObs::default();
-        o.delivery_delay.record(base + 1_000);
-        o.rto_wait.record(base + 2_000);
-        o.staging_dwell.record(0);
-        o.counters.inc(C_RECORDS_DELIVERED);
-        o.gauges.observe(G_COVERAGE_RANGES_HIGH_WATER, base);
-        o.trace.push(TraceEvent {
-            t_ns: base,
-            flow: base as u32,
+    fn event(t_ns: u64) -> TraceEvent {
+        TraceEvent {
+            t_ns,
+            flow: t_ns as u32,
             seq: 0,
             kind: TraceKind::Syn,
-        });
-        o.trace_filter.admitted += 1;
-        o.cc_obs.record_window(base, 14_400, 7_200);
-        o.cc_obs.record_recovery(base + 500, 7_200);
-        o
-    }
-
-    #[test]
-    fn absorb_is_associative_with_default_identity() {
-        let (a, b, c) = (sample(1), sample(2), sample(3));
-        let mut left = a.clone();
-        left.absorb(&b);
-        left.absorb(&c);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        let mut right = a.clone();
-        right.absorb(&bc);
-        assert_eq!(left, right, "associative");
-        let mut id = LoadObs::default();
-        id.absorb(&a);
-        assert_eq!(id, a, "default ⊕ a == a");
-        let mut back = a.clone();
-        back.absorb(&LoadObs::default());
-        assert_eq!(back, a, "a ⊕ default == a");
+        }
     }
 
     #[test]
     fn trace_fingerprint_is_order_sensitive() {
-        let mut ab = sample(1);
-        ab.absorb(&sample(2));
-        let mut ba = sample(2);
-        ba.absorb(&sample(1));
+        let trace = |order: [u64; 2]| {
+            let mut o = LoadObs::default();
+            for t_ns in order {
+                o.trace.push(event(t_ns));
+            }
+            o
+        };
+        let (ab, ba) = (trace([1, 2]), trace([2, 1]));
         assert_ne!(ab.trace_fingerprint(), ba.trace_fingerprint());
         assert_eq!(ab.trace_fingerprint(), ab.clone().trace_fingerprint());
         assert_eq!(LoadObs::default().trace_fingerprint(), FNV_OFFSET_BASIS);

@@ -17,18 +17,15 @@
 //! [`verify_load`] additionally runs the scenario twice and asserts the two
 //! [`LoadReport`]s are identical — the determinism acceptance gate.
 //!
-//! ## Sharded execution
+//! ## One world per scenario
 //!
-//! [`LoadScenario::run_sharded`] decomposes the `flows` axis into fixed
-//! `SHARD_FLOWS`-flow shards — each an independent
-//! [`SimTransport`] with its own link and a seed derived from
-//! `(seed, shard index)` — and runs them as one `minion-exec` batch,
-//! merging the per-shard [`LoadReport`]s **by shard index**. The
-//! decomposition is a property of the scenario (flow count), never of the
-//! thread count, so the merged report is byte-identical at any `threads`
-//! value; threads only decide how many shards run concurrently.
+//! Every flow of a scenario shares one [`SimTransport`]: one link, one
+//! queue, one loss process, as the paper's flows share one bottleneck.
+//! Parallelism lives one level up, across independent runs (sweep cells,
+//! replications). The one exception is [`LoadScenario::run_sharded`], kept
+//! only as the repository benchmark's `exec.shard_speedup` probe.
 
-use crate::metrics::{EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
+use crate::metrics::{FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
@@ -36,14 +33,13 @@ use crate::obs::{
 use crate::transport::{SimTransport, Transport};
 use minion_exec::Executor;
 use minion_obs::{
-    merge_stream_files, shard_trailer_json, Absorb, CcObs, KindSet, NonDeterministic, PhaseProfile,
-    StreamSink, TraceEvent, TraceKind, TracePredicate,
+    CcObs, KindSet, NonDeterministic, StreamSink, TraceEvent, TraceKind, TracePredicate,
 };
 use minion_simnet::{fnv1a_words, LossConfig, SimDuration, SimTime};
 use minion_stack::FlowId;
 use minion_tcp::{CcAlgorithm, ConnEvent};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Record a window sample into the window telemetry; any other event is
 /// ignored.
@@ -68,9 +64,9 @@ fn ns_of(t: SimTime) -> u64 {
 /// The TCP port load-scenario servers listen on.
 pub(crate) const LOAD_PORT: u16 = 7000;
 
-/// Flows per shard of a sharded load run. Fixed (never derived from the
-/// thread count) so the shard decomposition — and therefore the merged
-/// report — is identical however many workers execute the shards.
+/// Flows per shard of [`LoadScenario::run_sharded`]. Fixed (never derived
+/// from the thread count), so the shards are the same however many workers
+/// run them.
 const SHARD_FLOWS: usize = 128;
 
 /// Configuration of one load scenario.
@@ -109,16 +105,12 @@ pub struct LoadScenario {
     pub trace_kinds: KindSet,
     /// Spill every admitted trace event to this JSONL path through a
     /// zero-drop [`StreamSink`] (the ring still records in parallel, so
-    /// in-memory consumers are unaffected). A shard produced by
-    /// [`LoadScenario::shard`] spills to `"{path}.shard{s:05}"`;
-    /// [`LoadScenario::run_sharded`] then k-way-merges the shard files
-    /// into `path` ordered by `(t_ns, shard)` — byte-identical at any
-    /// thread count. An unsharded [`LoadScenario::run`] writes `path`
-    /// directly as a single-shard stream. `None` disables spilling.
+    /// in-memory consumers are unaffected), in virtual-time order, closed
+    /// by the sink's trailer. `None` disables spilling.
     pub trace_stream: Option<String>,
-    /// Global index of this scenario's first flow. `0` for a whole scenario;
-    /// a shard produced by [`LoadScenario::shard`] carries its offset here so
-    /// stream contents and per-flow metrics keep their global flow indices.
+    /// Global index of this scenario's first flow: flow `i` builds, traces
+    /// and reports as flow `first_flow + i`, so a scenario can stand for a
+    /// window of a larger flow population. `0` for a whole scenario.
     pub first_flow: usize,
 }
 
@@ -238,7 +230,7 @@ impl LoadScenario {
 
     /// Payload length of one record (varies deterministically around the
     /// nominal size so flows and records are tellable apart; `flow` is the
-    /// **global** index, so shard streams match the unsharded scenario's).
+    /// **global** index).
     fn record_payload_len(&self, flow: usize, rec: usize) -> usize {
         self.record_len / 2 + (flow * 31 + rec * 131) % self.record_len.max(2)
     }
@@ -320,10 +312,10 @@ impl LoadScenario {
 
         // The trace path: every lifecycle event is counted against the
         // flow × kind slice in `obs.trace_filter`; an admitted one enters
-        // the bounded ring (in-memory consumers, merged via Absorb) and,
-        // when `trace_stream` is set, a zero-drop JSONL spill. The stream
-        // holds an OS writer, so it lives here as a run-local; only its
-        // deterministic accounting enters `obs` at the end.
+        // the bounded ring (in-memory consumers) and, when `trace_stream`
+        // is set, a zero-drop JSONL spill. The stream holds an OS writer,
+        // so it lives here as a run-local; only its deterministic
+        // accounting enters `obs` at the end.
         obs.trace_filter.predicate = TracePredicate {
             flow: self.trace_flow,
             kinds: self.trace_kinds,
@@ -538,20 +530,10 @@ impl LoadScenario {
             }
         }
 
-        // A streaming run appends its self-describing shard trailer and
-        // keeps only the stream's counters.
-        if let Some(mut s) = spill {
-            let shard = (self.first_flow / SHARD_FLOWS) as u32;
-            let filter = &obs.trace_filter;
-            let trailer = shard_trailer_json(
-                shard,
-                &s.stats(),
-                filter.admitted,
-                filter.suppressed,
-                filter.predicate.kinds,
-            );
-            s.write_line(&trailer);
-            obs.stream = s.finish();
+        // A streaming run closes the file with its trailer and keeps only
+        // the stream's counters.
+        if let Some(s) = spill {
+            obs.stream = s.finish(&obs.trace_filter);
         }
 
         // Assemble the report. Every chunk was compared with the sent stream
@@ -613,128 +595,43 @@ impl LoadScenario {
     }
 
     // ------------------------------------------------------------------
-    // Sharded execution (the parallel sweep substrate)
+    // The repository benchmark's speedup probe
     // ------------------------------------------------------------------
 
-    /// Number of `SHARD_FLOWS`-flow shards this scenario decomposes into.
-    /// A property of the flow count only — never of the thread count.
+    /// Number of `SHARD_FLOWS`-flow shards [`LoadScenario::run_sharded`]
+    /// cuts this scenario into: a property of the flow count only.
     pub fn shard_count(&self) -> usize {
         self.flows.div_ceil(SHARD_FLOWS).max(1)
     }
 
-    /// Shard `s` of the decomposition: flows
-    /// `[s · SHARD_FLOWS, (s+1) · SHARD_FLOWS)` of this scenario as an
-    /// independent sub-scenario — its own engine, its own link, and a seed
-    /// derived from `(seed, s)` so shards' loss processes are independent
-    /// but fixed.
-    pub fn shard(&self, s: usize) -> LoadScenario {
+    /// Shard `s`: flows `[s · SHARD_FLOWS, (s+1) · SHARD_FLOWS)` as a
+    /// scenario of their own, with a seed derived from `(seed, s)`.
+    fn shard(&self, s: usize) -> LoadScenario {
         assert!(s < self.shard_count(), "shard {s} out of range");
         let start = s * SHARD_FLOWS;
         LoadScenario {
             flows: SHARD_FLOWS.min(self.flows - start),
             first_flow: self.first_flow + start,
             seed: shard_seed(self.seed, s as u64),
-            trace_stream: self
-                .trace_stream
-                .as_ref()
-                .map(|base| shard_stream_path(base, s)),
             ..self.clone()
         }
     }
 
-    /// Run the scenario sharded across `threads` executor workers and merge
-    /// the per-shard reports **by shard index**.
-    ///
-    /// Byte-identical at any `threads` value: the shard decomposition and
-    /// every shard's seed are fixed by the scenario, each shard runs in its
-    /// own deterministic [`SimTransport`], and the executor hands the shard
-    /// reports back in shard order. Note the sharded model gives each shard
-    /// its own bottleneck link — cross-shard congestion coupling is
-    /// deliberately out of scope (each shard is the unit of fidelity), so a
-    /// sharded report is not comparable to an unsharded
-    /// [`LoadScenario::run`] of the same flow count.
-    pub fn run_sharded(&self, threads: usize) -> LoadReport {
-        let shards: Vec<LoadScenario> = (0..self.shard_count()).map(|s| self.shard(s)).collect();
-        let reports = Executor::new(threads).run(shards, |_, shard| shard.run());
-        let merged = self.merge_shard_reports(&reports);
-        // Merge per-shard spill files (named by shard index, so identical
-        // whatever worker ran which shard) into one `(t_ns, shard)`-ordered
-        // JSONL at the base path, then drop the spills: the merged artifact
-        // is the deliverable and is byte-identical at any thread count.
-        if let Some(base) = &self.trace_stream {
-            let paths: Vec<PathBuf> = (0..self.shard_count())
-                .map(|s| PathBuf::from(shard_stream_path(base, s)))
-                .collect();
-            let m = merge_stream_files(&paths, Path::new(base))
-                .unwrap_or_else(|e| panic!("[{}] merging trace stream {base}: {e}", self.label()));
-            assert_eq!(
-                m.emitted,
-                merged.obs.stream.emitted,
-                "[{}] merged stream trailer disagrees with stream accounting",
-                self.label()
-            );
-            assert_eq!(
-                m.events,
-                m.emitted,
-                "[{}] merged stream lost events",
-                self.label()
-            );
-            for p in &paths {
-                let _ = std::fs::remove_file(p);
-            }
-        }
-        merged
+    /// Run the shards on `threads` executor workers and return their
+    /// reports in shard order, unmerged. Each shard is a world of its own,
+    /// so together they are not this scenario: [`LoadScenario::run`] is.
+    /// The one caller is the repository benchmark's `exec.shard_speedup`
+    /// probe, which times this at 1 and at N threads; the function goes
+    /// with that probe (ROADMAP 9(5)).
+    pub fn run_sharded(&self, threads: usize) -> Vec<LoadReport> {
+        assert!(
+            self.trace_stream.is_none(),
+            "[{}] a sharded run cannot stream its trace",
+            self.label()
+        );
+        let shards = (0..self.shard_count()).map(|s| self.shard(s)).collect();
+        Executor::new(threads).run(shards, |_, shard: LoadScenario| shard.run())
     }
-
-    /// Merge per-shard reports (in shard order) into one scenario report:
-    /// counters sum, completion is the latest shard's, rates are recomputed
-    /// from the merged totals, and `per_flow` concatenates in shard order —
-    /// which is global flow order, since shards partition the flow range
-    /// contiguously.
-    fn merge_shard_reports(&self, reports: &[LoadReport]) -> LoadReport {
-        assert_eq!(reports.len(), self.shard_count());
-        let mut engine = EngineMetrics::default();
-        let mut obs = LoadObs::default();
-        let mut phases = PhaseProfile::default();
-        let mut per_flow = Vec::with_capacity(self.flows);
-        let (mut records_sent, mut records_delivered, mut total_bytes) = (0u64, 0u64, 0u64);
-        let mut completion_us = 0u64;
-        for report in reports {
-            engine.absorb(&report.engine);
-            obs.absorb(&report.obs);
-            phases.absorb(report.phases.get());
-            records_sent += report.records_sent;
-            records_delivered += report.records_delivered;
-            total_bytes += report.total_bytes;
-            completion_us = completion_us.max(report.completion_us);
-            per_flow.extend(report.per_flow.iter().cloned());
-        }
-        let events = engine.events();
-        LoadReport {
-            label: format!("{}/shards{}", self.label(), reports.len()),
-            seed: self.seed,
-            flows: self.flows as u64,
-            records_sent,
-            records_delivered,
-            total_bytes,
-            completion_us,
-            goodput_bps: (total_bytes * 8 * 1_000_000)
-                .checked_div(completion_us)
-                .unwrap_or(0),
-            events_per_sim_sec: (events * 1_000_000).checked_div(completion_us).unwrap_or(0),
-            engine,
-            obs,
-            phases: NonDeterministic(phases),
-            per_flow,
-        }
-    }
-}
-
-/// Per-shard spill path of a streamed trace: named by **shard index**
-/// (never worker thread), the invariant the thread-count byte-identity
-/// of the merged stream rests on.
-fn shard_stream_path(base: &str, s: usize) -> String {
-    format!("{base}.shard{s:05}")
 }
 
 /// Derive shard `s`'s seed from the scenario seed (splitmix64-style mixing:
@@ -755,21 +652,6 @@ pub fn verify_load(scenario: &LoadScenario) -> LoadReport {
         first,
         second,
         "[{}] same seed must reproduce identical load metrics",
-        scenario.label()
-    );
-    first
-}
-
-/// Run a scenario sharded, **twice**, assert byte-identical merged reports,
-/// and return the verified report. The two passes may use different worker
-/// counts without affecting the result ([`LoadScenario::run_sharded`]).
-pub fn verify_load_sharded(scenario: &LoadScenario, threads: usize) -> LoadReport {
-    let first = scenario.run_sharded(threads);
-    let second = scenario.run_sharded(threads);
-    assert_eq!(
-        first,
-        second,
-        "[{}] same seed must reproduce identical sharded load metrics",
         scenario.label()
     );
     first
@@ -1219,6 +1101,8 @@ mod tests {
         assert_eq!(LoadScenario::with_flows(128).shard_count(), 1);
     }
 
+    /// The benchmark's speedup probe: each shard's report, unmerged, in
+    /// shard order, the same at any thread count.
     #[test]
     fn sharded_run_is_identical_at_any_thread_count() {
         let sc = LoadScenario {
@@ -1227,22 +1111,25 @@ mod tests {
             ..LoadScenario::default()
         };
         let serial = sc.run_sharded(1);
-        assert_eq!(serial.flows, 256);
-        assert_eq!(serial.records_delivered, serial.records_sent);
-        assert_eq!(serial.per_flow.len(), 256);
-        // per_flow concatenates in shard order == global flow order.
-        for (i, f) in serial.per_flow.iter().enumerate() {
-            assert_eq!(f.flow as usize, i);
+        assert_eq!(serial.len(), sc.shard_count());
+        for (s, report) in serial.iter().enumerate() {
+            assert_eq!(*report, sc.shard(s).run(), "shard {s}");
         }
-        assert!(serial.label.ends_with("/shards2"));
-        let parallel = sc.run_sharded(4);
         assert_eq!(
-            serial, parallel,
-            "sharded reports must be byte-identical across thread counts"
+            sc.run_sharded(4),
+            serial,
+            "shard reports must be byte-identical across thread counts"
         );
-        // And the two-run determinism gate holds for the sharded path too.
-        let verified = verify_load_sharded(&sc, 2);
-        assert_eq!(verified, serial);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot stream its trace")]
+    fn a_sharded_run_refuses_to_stream_its_trace() {
+        let streaming = LoadScenario {
+            trace_stream: Some("never-created.jsonl".into()),
+            ..LoadScenario::default()
+        };
+        streaming.run_sharded(1);
     }
 
     #[test]
@@ -1297,75 +1184,6 @@ mod tests {
         }
         // Staging dwell recorded one sample per flow's send stream.
         assert_eq!(utcp.obs.staging_dwell.count(), utcp.flows);
-    }
-
-    #[test]
-    fn streamed_trace_merges_byte_identically_across_thread_counts() {
-        let dir = std::env::temp_dir().join(format!("minion_scn_stream_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let sc = |path: &std::path::Path| LoadScenario {
-            flows: 256,
-            loss: LossConfig::Bernoulli { probability: 0.02 },
-            trace_stream: Some(path.display().to_string()),
-            ..LoadScenario::default()
-        };
-        let p1 = dir.join("t1.jsonl");
-        let p4 = dir.join("t4.jsonl");
-        let r1 = sc(&p1).run_sharded(1);
-        let r4 = sc(&p4).run_sharded(4);
-        assert_eq!(r1, r4, "reports identical across thread counts");
-        let b1 = std::fs::read(&p1).unwrap();
-        let b4 = std::fs::read(&p4).unwrap();
-        assert_eq!(
-            b1, b4,
-            "merged streamed JSONL identical across thread counts"
-        );
-        // Zero-drop: the stream saw exactly what the filter admitted, and
-        // the ring agrees on the recorded count.
-        assert_eq!(r1.obs.stream.emitted, r1.obs.trace_filter.admitted);
-        assert_eq!(r1.obs.stream.dropped, 0);
-        assert_eq!(r1.obs.trace.recorded(), r1.obs.trace_filter.admitted);
-        // Spill files were cleaned up; only the merged artifact remains.
-        assert!(!dir.join("t1.jsonl.shard00000").exists());
-        // The merged file is (t_ns, shard)-ordered with one trailer.
-        let text = String::from_utf8(b1).unwrap();
-        let mut last_t = 0u64;
-        let mut events = 0u64;
-        for line in text.lines() {
-            if line.contains("\"summary\":true") {
-                assert!(line.contains("\"shards\":2"), "{line}");
-                continue;
-            }
-            let t: u64 = line
-                .split("\"t_ns\":")
-                .nth(1)
-                .unwrap()
-                .split(',')
-                .next()
-                .unwrap()
-                .parse()
-                .unwrap();
-            assert!(t >= last_t, "t_ns must be non-decreasing");
-            last_t = t;
-            events += 1;
-        }
-        assert_eq!(events, r1.obs.stream.emitted);
-        // Per-flow attribution survived the sharded merge: every flow has
-        // a digest, sample counts add up, and the worst flow's p99 bounds
-        // the global histogram's interpolated p99 from above.
-        assert_eq!(r1.obs.flow_delay.len(), 256);
-        assert_eq!(
-            r1.obs.flow_delay.total_samples(),
-            r1.obs.delivery_delay.count()
-        );
-        let top = r1.obs.flow_delay.top_k(5);
-        assert_eq!(top.len(), 5);
-        assert!(top[0].1.p99() >= top[4].1.p99(), "sorted by p99 desc");
-        assert!(
-            top[0].1.max() >= r1.obs.delivery_delay.p99(),
-            "worst flow owns the global tail"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1483,7 +1301,7 @@ mod tests {
                 2,
                 1,
                 0xd163_8510_d762_bd43,
-                0x2759_5545_079b_4fce
+                0x7f19_d6e2_9270_6554
             )
         );
     }

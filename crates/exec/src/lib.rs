@@ -1,9 +1,9 @@
 //! # minion-exec
 //!
 //! The **flat batch runner** under the Minion reproduction's sweeps:
-//! scenario-matrix cells and engine load shards, every one independently
-//! seeded, run across worker threads **without perturbing results** — output
-//! is byte-identical at any thread count.
+//! scenario-matrix cells, every one independently seeded, run across worker
+//! threads **without perturbing results** — output is byte-identical at any
+//! thread count.
 //!
 //! What it serves is one flat batch per call, submitted whole, whose jobs are
 //! milliseconds each and never spawn jobs. Handing that out takes a cursor,
@@ -18,9 +18,10 @@
 //! assertion message from a scenario cell surfaces as it would serially.
 //!
 //! Built on `std` only, matching the workspace's offline `shims` policy.
-//! Consumers: `minion_testkit::run_matrix` (cells across workers),
-//! `minion_engine::LoadScenario::run_sharded` (flow shards across workers),
-//! and the `sweep_matrix` bench binary behind `BENCH_sweep.json`.
+//! Consumers: `minion_testkit::run_matrix` (cells across workers) and the
+//! `sweep_matrix` bench binary behind `BENCH_sweep.json`. A load scenario
+//! is one world and runs on one thread; the one batch of engine runs left
+//! is the repository benchmark's shard-speedup probe.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,8 +5,8 @@
 //! the deterministic recorder that turns them into data: a bounded ring of
 //! cwnd/ssthresh trajectory samples on the **virtual clock** plus
 //! fixed-slot [`Histogram`]s of the window and of recovery episodes
-//! (duration and depth), all merged shard-order like every other obs type
-//! so the parallel-sweep byte-identity gate covers them.
+//! (duration and depth), all seed-determined, so the byte-identity gates
+//! cover them.
 //!
 //! A connection keeps none of this: it queues a sample at each **window
 //! transition** (recovery entry/exit, RTO, cwnd-changing ACKs), not per-ACK,
@@ -16,13 +16,12 @@
 //! first sample, so a run without recovery pays nothing for the recovery
 //! histograms. Timestamps are nanoseconds by the crate-wide convention.
 
-use crate::absorb::Absorb;
 use crate::hist::Histogram;
 use std::collections::VecDeque;
 
 /// Default trajectory-ring capacity per recorder. Connections emit a
 /// sample per window *transition*, so a lossy flow produces dozens, not
-/// millions; merged per-shard rings keep the tail of the concatenation.
+/// millions; a run with more keeps its last `cap`.
 const DEFAULT_CC_SAMPLE_CAP: usize = 4096;
 
 /// One cwnd/ssthresh trajectory point.
@@ -151,54 +150,16 @@ impl CcObs {
     }
 }
 
-impl Absorb for CcObs {
-    /// Histograms merge slot-wise (exact); the trajectory ring concatenates
-    /// `other`'s stream after `self`'s and keeps the last `cap`, mirroring
-    /// [`crate::TraceRing`]. A pristine recorder (nothing ever recorded in
-    /// ring *or* histograms) adopts `other` wholesale, capacity included,
-    /// so `CcObs::default()` is a true merge identity; all recorders of one
-    /// scenario share a capacity, so the non-pristine path never mixes
-    /// bounds in practice.
-    fn absorb(&mut self, other: &Self) {
-        let pristine = self.recorded == 0
-            && self.recovery_duration.count() == 0
-            && self.recovery_depth.count() == 0;
-        if pristine {
-            *self = other.clone();
-            return;
-        }
-        self.recorded += other.recorded;
-        for s in &other.samples {
-            if self.cap == 0 {
-                break;
-            }
-            if self.samples.len() == self.cap {
-                self.samples.pop_front();
-            }
-            self.samples.push_back(*s);
-        }
-        self.dropped = self.recorded - self.samples.len() as u64;
-        self.cwnd.absorb(&other.cwnd);
-        self.recovery_duration.absorb(&other.recovery_duration);
-        self.recovery_depth.absorb(&other.recovery_depth);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn filled(cap: usize, base: u64, n: u64) -> CcObs {
-        let mut c = CcObs::new(cap);
-        for i in 0..n {
-            c.record_window(base + i, 10_000 + i, 5_000);
-        }
-        c
-    }
-
     #[test]
     fn ring_keeps_last_cap_and_counts_drops() {
-        let mut c = filled(2, 0, 3);
+        let mut c = CcObs::new(2);
+        for i in 0..3 {
+            c.record_window(i, 10_000 + i, 5_000);
+        }
         c.record_recovery(1_000_000, 7_200);
         assert_eq!(c.len(), 2);
         assert_eq!(c.recorded(), 3);
@@ -222,50 +183,7 @@ mod tests {
         assert_eq!(slots(&c), [1024, 0, 0]);
         c.record_cut_depth(7_200);
         assert_eq!(slots(&c), [1024, 0, 1024]);
-        // A clone and a merge keep it so.
-        let mut merged = CcObs::default();
-        merged.absorb(&c.clone());
-        assert_eq!(slots(&merged), [1024, 0, 1024]);
-    }
-
-    #[test]
-    fn merge_is_associative_and_order_stable() {
-        let a = filled(4, 0, 3);
-        let b = filled(4, 100, 3);
-        let c = filled(4, 200, 3);
-        let mut left = a.clone();
-        left.absorb(&b);
-        left.absorb(&c);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        let mut right = a.clone();
-        right.absorb(&bc);
-        assert_eq!(left, right, "associative");
-        // last-4 of the 9-sample concatenation — order-stable: shard order,
-        // never completion order.
-        let ts: Vec<u64> = left.samples().map(|s| s.t_ns).collect();
-        assert_eq!(ts, vec![102, 200, 201, 202]);
-        assert_eq!(left.recorded(), 9);
-        assert_eq!(left.dropped(), 5);
-        // the histograms keep every sample regardless of ring eviction
-        assert_eq!(left.cwnd_hist().count(), 9);
-    }
-
-    #[test]
-    fn empty_default_accumulator_is_identity() {
-        let mut r = filled(3, 0, 5);
-        r.record_recovery(2_000_000, 14_400);
-        let mut acc = CcObs::default();
-        acc.absorb(&r);
-        assert_eq!(acc, r, "pristine ⊕ r == r, capacity included");
-        let mut back = r.clone();
-        back.absorb(&CcObs::default());
-        assert_eq!(back, r, "r ⊕ pristine == r");
-        // a recorder with only recovery episodes is not pristine either
-        let mut rec_only = CcObs::new(3);
-        rec_only.record_recovery(5, 5);
-        let mut acc2 = rec_only.clone();
-        acc2.absorb(&CcObs::default());
-        assert_eq!(acc2, rec_only);
+        // A clone keeps it so.
+        assert_eq!(slots(&c.clone()), [1024, 0, 1024]);
     }
 }

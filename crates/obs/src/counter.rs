@@ -3,68 +3,12 @@
 //! Dynamic metric registries (name → atomic, behind a lock) would make
 //! report contents depend on *which* code paths ran first — a determinism
 //! hazard. Here the name list is a `&'static [&'static str]` fixed at the
-//! instrumentation site, every shard carries the full slot array (untouched
-//! slots read 0), and merge is slot-wise: counters add, gauges take the max.
-//! Serial and sharded runs therefore produce byte-identical registries.
+//! instrumentation site and every registry carries the full slot array
+//! (untouched slots read 0), so two runs of one seed produce byte-identical
+//! registries.
 
-use crate::absorb::Absorb;
-
-/// A monotonically increasing event count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Add one.
-    pub fn inc(&mut self) {
-        self.0 = self.0.saturating_add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Absorb for Counter {
-    fn absorb(&mut self, other: &Self) {
-        self.0 = self.0.saturating_add(other.0);
-    }
-}
-
-/// A high-water-mark style instantaneous value; merge keeps the maximum.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Gauge(pub u64);
-
-impl Gauge {
-    /// Record an observation; the gauge keeps the largest seen.
-    pub fn observe(&mut self, v: u64) {
-        self.0 = self.0.max(v);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Absorb for Gauge {
-    fn absorb(&mut self, other: &Self) {
-        self.0 = self.0.max(other.0);
-    }
-}
-
-/// A named, fixed-slot array of [`Counter`]s.
-///
-/// `Default` produces the *empty* registry (no names); absorbing into an
-/// empty registry adopts the other side's name list, so `merge_ordered`
-/// works without knowing the schema up front. Absorbing two registries with
-/// different name lists is a programming error and panics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A named, fixed-slot array of monotone event counts (saturating).
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterSet {
     names: &'static [&'static str],
     slots: Vec<u64>,
@@ -94,9 +38,9 @@ impl CounterSet {
         self.add(idx, 1);
     }
 
-    /// Value of slot `idx` (0 if the registry is empty).
+    /// Value of slot `idx`.
     pub fn get(&self, idx: usize) -> u64 {
-        self.slots.get(idx).copied().unwrap_or(0)
+        self.slots[idx]
     }
 
     /// `(name, value)` pairs in slot order.
@@ -105,27 +49,9 @@ impl CounterSet {
     }
 }
 
-impl Absorb for CounterSet {
-    fn absorb(&mut self, other: &Self) {
-        if other.names.is_empty() {
-            return;
-        }
-        if self.names.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        assert_eq!(
-            self.names, other.names,
-            "CounterSet merge across different registries"
-        );
-        for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
-            *a = a.saturating_add(*b);
-        }
-    }
-}
-
-/// A named, fixed-slot array of [`Gauge`]s (max-merged).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// A named, fixed-slot array of high-water marks: each slot keeps the
+/// largest value observed.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GaugeSet {
     names: &'static [&'static str],
     slots: Vec<u64>,
@@ -150,9 +76,9 @@ impl GaugeSet {
         self.slots[idx] = self.slots[idx].max(v);
     }
 
-    /// Value of slot `idx` (0 if the registry is empty).
+    /// Value of slot `idx`.
     pub fn get(&self, idx: usize) -> u64 {
-        self.slots.get(idx).copied().unwrap_or(0)
+        self.slots[idx]
     }
 
     /// `(name, value)` pairs in slot order.
@@ -161,107 +87,36 @@ impl GaugeSet {
     }
 }
 
-impl Absorb for GaugeSet {
-    fn absorb(&mut self, other: &Self) {
-        if other.names.is_empty() {
-            return;
-        }
-        if self.names.is_empty() {
-            *self = other.clone();
-            return;
-        }
-        assert_eq!(
-            self.names, other.names,
-            "GaugeSet merge across different registries"
-        );
-        for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
-            *a = (*a).max(*b);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::absorb::merge_ordered;
-
-    static NAMES: &[&str] = &["records_enqueued", "records_delivered", "rto_fires"];
-
-    fn set(a: u64, b: u64, c: u64) -> CounterSet {
-        let mut s = CounterSet::new(NAMES);
-        s.add(0, a);
-        s.add(1, b);
-        s.add(2, c);
-        s
-    }
 
     #[test]
     fn counters_add_gauges_max() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        let mut c2 = Counter(10);
-        c2.absorb(&c);
-        assert_eq!(c2.get(), 15);
+        static NAMES: &[&str] = &["records_enqueued", "records_delivered"];
+        let mut c = CounterSet::new(NAMES);
+        c.inc(1);
+        c.add(1, 4);
+        c.add(0, u64::MAX);
+        c.inc(0);
+        assert_eq!((c.get(0), c.get(1)), (u64::MAX, 5), "saturating adds");
 
-        let mut g = Gauge::default();
-        g.observe(7);
-        g.observe(3);
-        let mut g2 = Gauge(5);
-        g2.absorb(&g);
-        assert_eq!(g2.get(), 7);
-    }
-
-    #[test]
-    fn empty_registry_adopts_and_is_identity() {
-        let s = set(1, 2, 3);
-        let mut acc = CounterSet::default();
-        acc.absorb(&s);
-        assert_eq!(acc, s, "empty ⊕ s == s");
-        let mut back = s.clone();
-        back.absorb(&CounterSet::default());
-        assert_eq!(back, s, "s ⊕ empty == s");
-    }
-
-    #[test]
-    fn counter_set_merge_is_associative_and_order_stable() {
-        let parts = [set(1, 0, 2), set(0, 5, 1), set(3, 3, 3)];
-        let mut left = parts[0].clone();
-        left.absorb(&parts[1]);
-        left.absorb(&parts[2]);
-        let mut bc = parts[1].clone();
-        bc.absorb(&parts[2]);
-        let mut right = parts[0].clone();
-        right.absorb(&bc);
-        assert_eq!(left, right, "associative");
-        // merging the same shard slice twice yields the same bytes
-        assert_eq!(
-            merge_ordered::<CounterSet, _>(parts.iter()),
-            merge_ordered::<CounterSet, _>(parts.iter()),
-            "order-stable"
-        );
-        assert_eq!(left.get(0), 4);
-        assert_eq!(left.get(1), 8);
-        assert_eq!(left.get(2), 6);
+        let mut g = GaugeSet::new(&NAMES[..1]);
+        g.observe(0, 7);
+        g.observe(0, 3);
+        assert_eq!(g.get(0), 7);
     }
 
     #[test]
     fn gauge_set_keeps_per_slot_max() {
-        static G: &[&str] = &["ring_high_water"];
+        static G: &[&str] = &["ring_high_water", "queue_high_water"];
         let mut a = GaugeSet::new(G);
         a.observe(0, 10);
-        let mut b = GaugeSet::new(G);
-        b.observe(0, 4);
-        a.absorb(&b);
-        assert_eq!(a.get(0), 10);
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![("ring_high_water", 10)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "different registries")]
-    fn mismatched_registries_panic() {
-        static OTHER: &[&str] = &["something_else"];
-        let mut a = set(1, 1, 1);
-        a.absorb(&CounterSet::new(OTHER));
+        a.observe(0, 4);
+        a.observe(1, 2);
+        assert_eq!(
+            a.iter().collect::<Vec<_>>(),
+            vec![("ring_high_water", 10), ("queue_high_water", 2)]
+        );
     }
 }

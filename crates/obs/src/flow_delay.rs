@@ -11,17 +11,10 @@
 //! — and surfaces the K worst flows by p99, making a tail regression
 //! attributable to a flow instead of averaged away.
 //!
-//! Merge discipline matches the rest of the crate: digests add slot-wise
-//! (exact, associative), the map folds per-shard in shard-index order,
-//! and a pristine map adopts the other side wholesale so `Default` is a
-//! true merge identity. Sharding assigns each flow to exactly one shard,
-//! so cross-shard merges union disjoint key sets and the merged map is
-//! byte-identical to a serial run's. The map bound only matters when a
-//! scenario exceeds [`DEFAULT_FLOW_DELAY_CAP`] flows; samples for flows
-//! that don't fit are counted in `overflow_samples`, never silently
-//! lost.
+//! The map bound only matters when a scenario exceeds
+//! [`DEFAULT_FLOW_DELAY_CAP`] flows; samples for flows that don't fit are
+//! counted in `overflow_samples`, never silently lost.
 
-use crate::absorb::Absorb;
 use crate::hist::Hist;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -115,40 +108,13 @@ impl FlowDelayMap {
     }
 
     /// The `k` worst flows by p99, ties broken by ascending flow index
-    /// (total order → deterministic at any thread count).
+    /// (a total order, so the ranking is deterministic).
     pub fn top_k(&self, k: usize) -> Vec<(u32, &DelayDigest)> {
         let mut rows: Vec<(u32, &DelayDigest)> = self.iter().collect();
         // p99 walks the digest's slots: once per flow, not per comparison.
         rows.sort_by_cached_key(|&(flow, d)| (Reverse(d.p99()), flow));
         rows.truncate(k);
         rows
-    }
-}
-
-impl Absorb for FlowDelayMap {
-    /// Union the flow sets, digest-adding where keys collide. A pristine
-    /// map (nothing recorded, no overflow) adopts `other` wholesale —
-    /// capacity included — so `FlowDelayMap::default()` is a true merge
-    /// identity. New flows past the bound fold their whole sample count
-    /// into the overflow tally. Shards own disjoint flow ranges and all
-    /// share one cap, so in practice the merge is an exact disjoint
-    /// union; overflow attribution is order-dependent only beyond the
-    /// cap, and shard-order folding keeps even that deterministic.
-    fn absorb(&mut self, other: &Self) {
-        if self.flows.is_empty() && self.overflow_samples == 0 {
-            *self = other.clone();
-            return;
-        }
-        for (&flow, digest) in &other.flows {
-            if let Some(mine) = self.flows.get_mut(&flow) {
-                mine.absorb(digest);
-            } else if self.flows.len() < self.cap {
-                self.flows.insert(flow, digest.clone());
-            } else {
-                self.overflow_samples += digest.count();
-            }
-        }
-        self.overflow_samples += other.overflow_samples;
     }
 }
 
@@ -195,70 +161,5 @@ mod tests {
         );
         // k beyond the population returns everything.
         assert_eq!(m.top_k(100).len(), 4);
-    }
-
-    #[test]
-    fn merge_is_exact_disjoint_union_and_pristine_is_identity() {
-        // Shard-style: disjoint flow ranges.
-        let mut a = FlowDelayMap::default();
-        let mut b = FlowDelayMap::default();
-        let mut serial = FlowDelayMap::default();
-        for i in 0..10u32 {
-            let v = (i as u64 + 1) * 1000;
-            a.record(i, v);
-            serial.record(i, v);
-        }
-        for i in 128..138u32 {
-            let v = (i as u64 + 1) * 500;
-            b.record(i, v);
-            serial.record(i, v);
-        }
-        let mut merged = a.clone();
-        merged.absorb(&b);
-        assert_eq!(merged, serial, "disjoint union is exact");
-        // Pristine identity, both sides, capacity included.
-        let mut pristine = FlowDelayMap::default();
-        pristine.absorb(&merged);
-        assert_eq!(pristine, merged);
-        let mut back = merged.clone();
-        back.absorb(&FlowDelayMap::default());
-        assert_eq!(back, merged);
-    }
-
-    #[test]
-    fn merge_on_shared_keys_adds_digests_exactly() {
-        let mut a = FlowDelayMap::default();
-        let mut b = FlowDelayMap::default();
-        let mut serial = FlowDelayMap::default();
-        for v in [100u64, 200, 300] {
-            a.record(7, v);
-            serial.record(7, v);
-        }
-        for v in [400u64, 500] {
-            b.record(7, v);
-            serial.record(7, v);
-        }
-        let mut merged = a.clone();
-        merged.absorb(&b);
-        assert_eq!(merged, serial);
-        assert_eq!(merged.get(7).unwrap().count(), 5);
-        assert_eq!(merged.get(7).unwrap().max(), 500);
-    }
-
-    #[test]
-    fn merge_past_cap_folds_new_flows_into_overflow() {
-        let mut a = FlowDelayMap::new(1);
-        a.record(1, 100);
-        let mut b = FlowDelayMap::new(1);
-        b.record(2, 200);
-        b.record(2, 300);
-        let mut merged = a.clone();
-        merged.absorb(&b);
-        assert_eq!(merged.len(), 1);
-        assert_eq!(
-            merged.overflow_samples(),
-            2,
-            "flow 2's whole sample count lands in overflow"
-        );
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! An HDR-style histogram trades per-bucket resolution for a fixed memory
 //! footprint and an *exact* merge: two histograms over the same bucket
-//! boundaries combine by slot-wise addition, so sharded runs merge to the
-//! byte-identical histogram a serial run would have produced.
+//! boundaries combine by slot-wise addition, so histograms pooled over
+//! several runs equal one histogram that recorded every run's samples.
 //!
 //! [`Hist<SUB_BITS>`](Hist) crosses a **log2 major** axis with a **linear
 //! minor** axis. 64 major buckets cover the full `u64` range, and each is

@@ -106,7 +106,7 @@ impl Absorb for PhaseProfile {
 /// A value excluded from equality: `PartialEq` always answers `true`.
 ///
 /// Deterministic reports (`LoadReport` and friends) derive `PartialEq`/`Eq`
-/// and are byte-compared by the parallel-sweep gates. Wall-clock phase
+/// and are byte-compared by the determinism gates. Wall-clock phase
 /// profiles would break that, so they travel inside this wrapper — visible
 /// in `Debug` output and accessors, invisible to `==`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -131,12 +131,6 @@ impl<T> PartialEq for NonDeterministic<T> {
 }
 
 impl<T> Eq for NonDeterministic<T> {}
-
-impl<T: Absorb> Absorb for NonDeterministic<T> {
-    fn absorb(&mut self, other: &Self) {
-        self.0.absorb(&other.0);
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -4,16 +4,11 @@
 //! discipline: every interesting transition lands in an ordered, replayable
 //! stream. [`TraceRing`] is the deterministic analogue — a bounded ring of
 //! [`TraceEvent`]s (flow, seq, kind, timestamp) that keeps the **last**
-//! `cap` events and counts what it had to drop. Merge concatenates streams
-//! in shard order and re-trims to `cap`; because "last `cap` of a
-//! concatenation" only depends on the concatenation, the merge is
-//! associative and a sharded run's ring is byte-identical to the serial
-//! run's.
+//! `cap` events and counts what it had to drop.
 //!
 //! Events carry nanosecond timestamps from the backend clock (virtual for
 //! sim — hence fully deterministic — monotonic for os).
 
-use crate::absorb::Absorb;
 use std::collections::VecDeque;
 
 /// Default ring capacity: enough for full lifecycle coverage of the
@@ -285,11 +280,12 @@ impl TraceRing {
     }
 
     /// [`Self::to_jsonl`] followed by one summary line carrying the ring's
-    /// accounting, so dump consumers can *see* truncation: the merge keeps
-    /// the last `cap` of the shard-order concatenation, silently shedding
-    /// the earliest events of the earliest shards, and `dropped > 0` is the
-    /// only evidence. The summary line is distinguishable from events by
-    /// its `"summary"` key (events carry `"kind"`).
+    /// accounting, so dump consumers can *see* truncation: the ring keeps
+    /// the last `cap` events, silently shedding the earliest, and
+    /// `dropped > 0` is the only evidence. The summary line is
+    /// distinguishable from events by its `"summary"` key (events carry
+    /// `"kind"`). A streamed run's file closes with the same kind of line,
+    /// written by [`StreamSink::finish`](crate::StreamSink::finish).
     ///
     /// `admitted`/`suppressed` are the attached filter's accounting (what
     /// passed / what the flow- and kind-predicates rejected before the
@@ -308,31 +304,6 @@ impl TraceRing {
             self.cap
         ));
         out
-    }
-}
-
-impl Absorb for TraceRing {
-    /// Concatenate `other`'s stream after `self`'s and keep the last `cap`
-    /// of the result. A pristine ring (nothing ever recorded) adopts `other`
-    /// wholesale, capacity included, so `TraceRing::default()` is a true
-    /// merge identity; all shards of one scenario share a capacity, so the
-    /// non-pristine path never mixes bounds in practice.
-    fn absorb(&mut self, other: &Self) {
-        if self.recorded == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.recorded += other.recorded;
-        for ev in &other.events {
-            if self.cap == 0 {
-                break;
-            }
-            if self.events.len() == self.cap {
-                self.events.pop_front();
-            }
-            self.events.push_back(*ev);
-        }
-        self.dropped = self.recorded - self.events.len() as u64;
     }
 }
 
@@ -372,33 +343,6 @@ mod tests {
             out,
             "{\"t_ns\":10,\"flow\":3,\"seq\":1,\"kind\":\"rto\"}\n{\"t_ns\":11,\"flow\":3,\"seq\":2,\"kind\":\"retransmit\"}\n"
         );
-    }
-
-    #[test]
-    fn merge_is_concatenation_trimmed_to_cap_and_associative() {
-        let mk = |base: u64, n: u64| {
-            let mut r = TraceRing::new(4);
-            for i in 0..n {
-                r.push(ev(base + i, 0, i as u32, TraceKind::RecordDelivered));
-            }
-            r
-        };
-        let a = mk(0, 3);
-        let b = mk(100, 3);
-        let c = mk(200, 3);
-        let mut left = a.clone();
-        left.absorb(&b);
-        left.absorb(&c);
-        let mut bc = b.clone();
-        bc.absorb(&c);
-        let mut right = a.clone();
-        right.absorb(&bc);
-        assert_eq!(left, right, "associative");
-        // last-4 of the 9-event concatenation
-        let ts: Vec<u64> = left.events().map(|e| e.t_ns).collect();
-        assert_eq!(ts, vec![102, 200, 201, 202]);
-        assert_eq!(left.recorded(), 9);
-        assert_eq!(left.dropped(), 5);
     }
 
     #[test]
@@ -451,19 +395,5 @@ mod tests {
         // ...and the attached filter's accounting rides along.
         assert!(summary.contains("\"admitted\":2"), "{summary}");
         assert!(summary.contains("\"suppressed\":5"), "{summary}");
-    }
-
-    #[test]
-    fn empty_default_accumulator_is_identity() {
-        let mut r = TraceRing::new(3);
-        for i in 0..5 {
-            r.push(ev(i, 1, i as u32, TraceKind::Retransmit));
-        }
-        let mut acc = TraceRing::default();
-        acc.absorb(&r);
-        assert_eq!(acc, r, "pristine ⊕ r == r, capacity included");
-        let mut back = r.clone();
-        back.absorb(&TraceRing::default());
-        assert_eq!(back, r, "r ⊕ pristine == r");
     }
 }

@@ -59,18 +59,15 @@ fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
 /// Run one multi-flow cell through the engine and map its load report onto
 /// the matrix's [`CellReport`] shape.
 ///
-/// The cell runs through the **sharded** decomposition
-/// ([`LoadScenario::run_sharded`], fixed 128-flow shards, each its own
-/// engine): the same decomposition whether the surrounding matrix executes
-/// serially or across workers, so cell reports never depend on the sweep's
-/// thread count. Shards run inline (one worker) here — the matrix already
-/// parallelises across cells, and nesting executors would oversubscribe.
+/// The cell is one world ([`LoadScenario::run`]): every flow shares the
+/// cell's one bottleneck link, on the worker the matrix gave the cell, so
+/// cell reports never depend on the sweep's thread count.
 ///
 /// The per-flow invariants (exactly-once, per-stream order, in-order-only on
 /// a standard receiver) are asserted inside [`LoadScenario::run`]; a
-/// violation panics with the scenario label (which carries the shard offset).
+/// violation panics with the scenario label.
 pub(crate) fn run_load_cell(spec: &CellSpec) -> CellReport {
-    let report = load_scenario_of(spec).run_sharded(1);
+    let report = load_scenario_of(spec).run();
     let payload_fingerprint = report
         .per_flow
         .iter()

@@ -1,9 +1,8 @@
 //! The parallel-sweep determinism gates (see `minion_exec`): the full
-//! scenario matrix and the 1024-flow load scenario must produce
-//! byte-identical reports at `threads ∈ {1, 2, 8}` — parallelism may change
-//! wall-clock and which worker runs what, never a result.
+//! scenario matrix and the load matrix must produce byte-identical reports
+//! at `threads ∈ {1, 2, 8}` — parallelism may change wall-clock and which
+//! worker runs what, never a result.
 
-use minion_repro::engine::LoadScenario;
 use minion_repro::testkit::{run_matrix_once, summarize, CcAlgorithm, MatrixSpec};
 
 /// The full tier-1 scenario matrix, swept serially and on 2 and 8 workers:
@@ -27,8 +26,8 @@ fn full_matrix_reports_are_byte_identical_across_thread_counts() {
 }
 
 /// The multi-flow load matrix (`flows ∈ {1, 64, 1024}`) under the same
-/// gate: multi-flow cells decompose into fixed 128-flow engine shards, so
-/// the sweep's thread count cannot reach their results either.
+/// gate: each multi-flow cell is one engine world on one worker, so the
+/// sweep's thread count cannot reach its results either.
 #[test]
 fn load_matrix_reports_are_byte_identical_across_thread_counts() {
     let cells = MatrixSpec::load().cells();
@@ -95,28 +94,4 @@ fn cc_slices_are_byte_identical_across_thread_counts_and_distinct() {
             .collect::<Vec<_>>()
     };
     assert_ne!(timings(&slices[0]), timings(&slices[2]), "newreno vs none");
-}
-
-/// The 1024-flow acceptance scenario, sharded (8 × 128-flow engines, merged
-/// by shard index), at 1, 2, and 8 executor workers: one merged
-/// `LoadReport`, byte-identical every time, with every flow delivered
-/// exactly once.
-#[test]
-fn one_k_load_scenario_is_byte_identical_across_thread_counts() {
-    let scenario = LoadScenario::smoke_1k();
-    assert_eq!(scenario.shard_count(), 8);
-    let serial = scenario.run_sharded(1);
-    assert_eq!(serial.flows, 1024);
-    assert_eq!(serial.records_delivered, serial.records_sent);
-    assert_eq!(serial.per_flow.len(), 1024);
-    for (i, f) in serial.per_flow.iter().enumerate() {
-        assert_eq!(f.flow as usize, i, "per-flow metrics in global flow order");
-    }
-    for threads in [2, 8] {
-        let parallel = scenario.run_sharded(threads);
-        assert_eq!(
-            parallel, serial,
-            "{threads}-thread sharded 1k run diverged from the serial run"
-        );
-    }
 }

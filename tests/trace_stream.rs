@@ -14,7 +14,7 @@ use minion_repro::engine::{LoadScenario, DEFAULT_TRACE_CAP};
 /// run, and this test pins it in tier-1.
 #[test]
 fn worst_flow_p99_strictly_exceeds_global_p99_under_ordered_tcp() {
-    let report = LoadScenario::obs_comparison(false).run_sharded(2);
+    let report = LoadScenario::obs_comparison(false).run();
     let map = &report.obs.flow_delay;
     let global = &report.obs.delivery_delay;
 
@@ -48,9 +48,9 @@ fn worst_flow_p99_strictly_exceeds_global_p99_under_ordered_tcp() {
 
 /// The flight-recorder scenario offers more lifecycle events than the
 /// trace ring can hold — and with `--trace-stream`, loses none of them:
-/// the per-shard spills merge into one `(t_ns, shard)`-ordered JSONL whose
-/// event-line count equals the stream's emitted count exactly, closed by a
-/// merged trailer. The ring, meanwhile, demonstrably truncated.
+/// the run writes one JSONL in virtual-time order whose event-line count
+/// equals the stream's emitted count exactly, closed by the sink's trailer.
+/// The ring, meanwhile, demonstrably truncated.
 #[test]
 fn flight_recorder_streams_every_event_past_the_ring_cap() {
     let dir = std::env::temp_dir().join(format!("minion_flight_rec_{}", std::process::id()));
@@ -60,7 +60,7 @@ fn flight_recorder_streams_every_event_past_the_ring_cap() {
         trace_stream: Some(path.display().to_string()),
         ..LoadScenario::flight_recorder(true)
     };
-    let report = scenario.run_sharded(4);
+    let report = scenario.run();
     let filter = &report.obs.trace_filter;
     let offered = filter.admitted + filter.suppressed;
 
@@ -76,17 +76,15 @@ fn flight_recorder_streams_every_event_past_the_ring_cap() {
     assert_eq!(report.obs.stream.dropped, 0);
     assert_eq!(report.obs.stream.emitted, filter.admitted);
 
-    // The merged artifact agrees line-for-line: one JSONL line per emitted
-    // event in non-decreasing t_ns order, then the merged trailer.
+    // The artifact agrees line-for-line: one JSONL line per emitted event
+    // in non-decreasing t_ns order, then the trailer.
     let text = std::fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     let (events, trailer) = lines.split_at(lines.len() - 1);
     assert_eq!(events.len() as u64, report.obs.stream.emitted);
     assert!(
-        trailer[0].contains("\"summary\":true")
-            && trailer[0].contains("\"shards\":8")
-            && trailer[0].contains("\"dropped\":0"),
-        "merged trailer must close the file: {}",
+        trailer[0].contains("\"summary\":true") && trailer[0].contains("\"dropped\":0"),
+        "the trailer must close the file: {}",
         trailer[0]
     );
     let mut last_t = 0u64;
@@ -98,7 +96,7 @@ fn flight_recorder_streams_every_event_past_the_ring_cap() {
             .unwrap()
             .parse()
             .unwrap();
-        assert!(t >= last_t, "merged stream ordered by t_ns");
+        assert!(t >= last_t, "stream ordered by t_ns");
         last_t = t;
     }
     std::fs::remove_dir_all(&dir).ok();
