@@ -313,18 +313,19 @@ fn flow_delay_row(receiver: &str, report: &LoadReport) -> Value {
 /// row when the OS backend was requested.
 /// Returns both sections and the uTCP run's report (whose trace
 /// `--trace-out` dumps, sliced by `trace_flow` / `trace_kinds` when given).
+/// That run goes through [`verify_load`]: it is also the `"cc"` section's
+/// NewReno row, the same scenario under the same label.
 fn obs_section(
     backend: cli::Backend,
     trace_flow: Option<u32>,
     trace_kinds: KindSet,
 ) -> (Value, Value, LoadReport) {
     let tcp = LoadScenario::obs_comparison(false).run();
-    let utcp = LoadScenario {
+    let utcp = verify_load(&LoadScenario {
         trace_flow,
         trace_kinds,
         ..LoadScenario::obs_comparison(true)
-    }
-    .run();
+    });
     println!(
         "obs: delivery delay under loss ({} records): ordered mean {:.3} ms p99 {:.3} ms \
          p999 {:.3} ms | unordered mean {:.3} ms p99 {:.3} ms p999 {:.3} ms",
@@ -522,19 +523,27 @@ fn cc_obs_row(algo: &str, report: &LoadReport) -> Value {
 /// determinism gate. `"cc"` is goodput next to fast-recovery and timeout
 /// counts — how each sender recovers from the identical loss process —
 /// and `"cc_obs"` is the same runs' window telemetry: cwnd/ssthresh
-/// trajectories and recovery-episode histograms per algorithm.
-fn cc_sections(ccs: &[CcAlgorithm]) -> (Value, Value) {
+/// trajectories and recovery-episode histograms per algorithm. The row of
+/// the comparison scenario's own algorithm (NewReno) reads `obs_run`, the
+/// `"obs"` section's verified uTCP run, instead of replaying it: a trace
+/// slice moves no figure these rows print.
+fn cc_sections(ccs: &[CcAlgorithm], obs_run: &LoadReport) -> (Value, Value) {
     let mut rows = Vec::new();
     let mut obs_rows = Vec::new();
     for &cc in ccs {
-        let scenario = LoadScenario {
-            cc,
-            ..LoadScenario::obs_comparison(true)
+        let replayed;
+        let report = if cc == LoadScenario::obs_comparison(true).cc {
+            obs_run
+        } else {
+            replayed = verify_load(&LoadScenario {
+                cc,
+                ..LoadScenario::obs_comparison(true)
+            });
+            &replayed
         };
-        let report = verify_load(&scenario);
-        let fast_retransmits = flow_sum(&report, |f| f.fast_retransmits);
-        let retransmissions = flow_sum(&report, |f| f.retransmissions);
-        let rto_fires = flow_sum(&report, |f| f.rto_fires);
+        let fast_retransmits = flow_sum(report, |f| f.fast_retransmits);
+        let retransmissions = flow_sum(report, |f| f.retransmissions);
+        let rto_fires = flow_sum(report, |f| f.rto_fires);
         let window = &report.obs.cc_obs;
         println!(
             "cc={}: goodput {:.2} Mbit/s, {} fast recoveries, {} retransmissions, {} RTOs, \
@@ -579,7 +588,7 @@ fn cc_sections(ccs: &[CcAlgorithm]) -> (Value, Value) {
             ("rto_fires", rto_fires.into()),
             ("deterministic", Value::Bool(true)),
         ]));
-        obs_rows.push(cc_obs_row(cc.label(), &report));
+        obs_rows.push(cc_obs_row(cc.label(), report));
     }
     (Value::Array(rows), Value::Array(obs_rows))
 }
@@ -641,7 +650,7 @@ fn main() {
         .map(|path| trace_stream_section(path, args.trace_flow, args.trace_kinds));
 
     // The congestion-control comparison: same lossy workload, each sender.
-    let (cc, cc_obs) = cc_sections(&args.ccs);
+    let (cc, cc_obs) = cc_sections(&args.ccs, &utcp_report);
 
     let mut doc = vec![
         ("bench", "engine_load".into()),

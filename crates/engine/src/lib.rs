@@ -16,9 +16,12 @@
 //!   runs over the simulator ([`SimTransport`]) or a kernel stack
 //!   (`minion-osnet`).
 //! * [`LoadScenario`] — N concurrent flows over one shared link, asserting
-//!   exactly-once delivery (every delivered chunk compared in place with
-//!   the sent stream) and per-stream order per flow; [`verify_load`]
-//!   adds the two-run byte-identical-metrics determinism gate. The 1024-flow
+//!   exactly-once delivery per flow (every delivered chunk compared with
+//!   the stream's formula at its offset, and complete coverage) and, on a
+//!   standard receiver, in-order delivery (each chunk starts where the
+//!   delivered prefix ends). No stream is stored: the writer builds what it
+//!   offers from a cursor. [`verify_load`] adds the two-run
+//!   byte-identical-metrics determinism gate. The 1024-flow
 //!   acceptance scenario is [`LoadScenario::smoke_1k`], and
 //!   `cargo run --release -p minion-bench --bin load_engine` emits its
 //!   metrics as `BENCH_engine.json`.
@@ -31,7 +34,7 @@ pub mod obs;
 pub mod scenario;
 pub mod transport;
 
-pub use metrics::{fnv1a, fnv1a_words, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
+pub use metrics::{fnv1a, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
 pub use obs::LoadObs;
 pub use scenario::{verify_load, LoadScenario};
 pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats};

@@ -13,7 +13,7 @@ use minion_obs::{NonDeterministic, PhaseProfile};
 // these values across crates, so there must be exactly one definition — it
 // lives in `minion_simnet::hash`, below every consumer; re-exported here
 // under the names the engine's consumers have always used).
-pub use minion_simnet::{fnv1a, fnv1a_words, FNV_OFFSET_BASIS};
+pub use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
 
 /// Aggregate event-loop counters: [`minion_stack::SimMetrics`] on the sim
 /// backend, the reactor's equivalents on the os backend.
@@ -61,11 +61,13 @@ pub struct FlowMetrics {
     pub rto_fires: u64,
     /// Virtual time (µs) at which the flow's stream was complete.
     pub completion_us: u64,
-    /// Order-sensitive fingerprint of the delivered stream:
-    /// [`fnv1a_words`] from [`FNV_OFFSET_BASIS`] — the FNV-1a step over 8
-    /// bytes at a time, byte-wise tail — over the whole stream. Comparable
-    /// between runs (what the determinism gates do), not with a byte-serial
-    /// FNV-1a of the same bytes.
+    /// Fingerprint of how the stream arrived: [`fnv1a`] from
+    /// [`FNV_OFFSET_BASIS`] over each delivered chunk's offset and length
+    /// (`u64` LE) and `in_order` flag (one byte), in arrival order. The
+    /// bytes themselves are not in it: each chunk was checked against the
+    /// stream's formula as it arrived. Chunk boundaries, duplicates and
+    /// reordering all move it; on a kernel-TCP backend, whose chunk
+    /// boundaries vary from run to run, so does it.
     pub fingerprint: u64,
 }
 

@@ -9,10 +9,19 @@
 //! * **exactly-once delivery** — every delivered chunk equals the sent
 //!   stream at its offset byte for byte, and the chunks cover the stream
 //!   completely (no loss or corruption survives; a duplicate is harmless
-//!   only if it, too, is identical);
-//! * **per-stream order** — record framing reassembles in send order;
-//! * **in-order-only for standard receivers** — a non-uTCP receiver never
-//!   sees an out-of-order chunk.
+//!   only if it, too, is identical). Each record's header carries its flow
+//!   and index, so a byte-exact chunk is also one in the right flow and
+//!   the right place;
+//! * **in-order-only for standard receivers** — on a non-uTCP receiver
+//!   each chunk starts exactly where the flow's delivered prefix ends, and
+//!   none is flagged out of order.
+//!
+//! The driver keeps no stream. A flow's stream is a formula of (flow,
+//! offset) (`build_stream`): the writer builds what it offers from the
+//! flow's send cursor into one scratch buffer, and each delivered chunk is
+//! compared with the formula at its offset and then dropped. What a flow
+//! keeps is its cursor, its coverage ranges, its records' delivery marks
+//! and a fingerprint of how its chunks arrived.
 //!
 //! [`verify_load`] additionally runs the scenario twice and asserts the two
 //! [`LoadReport`]s are identical — the determinism acceptance gate.
@@ -30,14 +39,14 @@ use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
 };
-use crate::transport::{SimTransport, Transport};
+use crate::transport::{SimTransport, Transport, TransportChunk};
 use minion_exec::Executor;
 use minion_obs::{
     CcObs, KindSet, NonDeterministic, StreamSink, TraceEvent, TraceKind, TracePredicate,
 };
-use minion_simnet::{fnv1a_words, LossConfig, SimDuration, SimTime};
+use minion_simnet::{fnv1a, LossConfig, SimDuration, SimTime};
 use minion_stack::FlowId;
-use minion_tcp::{CcAlgorithm, ConnEvent};
+use minion_tcp::{CcAlgorithm, ConnEvent, SendBuffer};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -63,6 +72,12 @@ fn ns_of(t: SimTime) -> u64 {
 
 /// The TCP port load-scenario servers listen on.
 pub(crate) const LOAD_PORT: u16 = 7000;
+
+/// The most the writer offers a transport in one call: two of the send
+/// buffer's storage pieces, so every write starts on a piece boundary and
+/// the buffer holds the stream in the same pieces one whole-stream write
+/// would leave.
+const WRITE_SPAN: usize = 2 * SendBuffer::STREAM_PIECE;
 
 /// Flows per shard of [`LoadScenario::run_sharded`]. Fixed (never derived
 /// from the thread count), so the shards are the same however many workers
@@ -235,54 +250,23 @@ impl LoadScenario {
         self.record_len / 2 + (flow * 31 + rec * 131) % self.record_len.max(2)
     }
 
-    /// Stream byte range `[start, end)` of each record of flow `flow`
-    /// (**global** index) — the units delivery delay is measured over.
-    fn record_bounds(&self, flow: usize) -> Vec<(u64, u64)> {
-        let mut bounds = Vec::with_capacity(self.records_per_flow);
-        let mut pos = 0u64;
-        for rec in 0..self.records_per_flow {
-            let end = pos + 12 + self.record_payload_len(flow, rec) as u64;
-            bounds.push((pos, end));
-            pos = end;
-        }
-        bounds
-    }
-
-    /// Append flow `flow`'s whole framed stream to `out`: each record is a
-    /// 12-byte header (flow, record index, payload length — all `u32` BE)
-    /// followed by a position-dependent payload, byte `j` of which is
-    /// `(flow·197 + rec·131 + j·31) mod 251`. `flow` is the **global** flow
-    /// index ([`LoadScenario::first_flow`] + local index).
-    pub fn build_stream(&self, flow: usize, out: &mut Vec<u8>) {
-        /// 31 and 251 are coprime, so a payload repeats every 251 bytes.
-        const PERIOD: usize = 251;
-        /// `STEPS[i]` = 31·i mod 251, two periods of it. As 31·81 ≡ 1
-        /// (mod 251), a payload starting at `base` is `STEPS[k..]` with
-        /// k = 81·base mod 251, so one period of it is one slice.
-        const STEPS: [u8; 2 * PERIOD] = {
-            let mut steps = [0; 2 * PERIOD];
-            let mut i = 0;
-            while i < 2 * PERIOD {
-                steps[i] = (i * 31 % PERIOD) as u8;
-                i += 1;
-            }
-            steps
-        };
-        for rec in 0..self.records_per_flow {
-            let len = self.record_payload_len(flow, rec);
-            out.extend_from_slice(&(flow as u32).to_be_bytes());
-            out.extend_from_slice(&(rec as u32).to_be_bytes());
-            out.extend_from_slice(&(len as u32).to_be_bytes());
-            // One period copied from the table, the rest from it in doubling
-            // runs.
-            let start = out.len();
-            let k = (flow * 197 + rec * 131) % PERIOD * 81 % PERIOD;
-            out.extend_from_slice(&STEPS[k..k + len.min(PERIOD)]);
-            while out.len() - start < len {
-                let have = out.len() - start;
-                out.extend_from_within(start..start + have.min(len - have));
-            }
-        }
+    /// The records of flow `flow` (**global** index), none yet enqueued or
+    /// delivered: their stream byte ranges `[start, end)`, the units
+    /// delivery delay is measured over.
+    fn records(&self, flow: usize) -> Vec<RecordTrack> {
+        let mut end = 0;
+        (0..self.records_per_flow)
+            .map(|rec| {
+                let start = end;
+                end += 12 + self.record_payload_len(flow, rec) as u64;
+                RecordTrack {
+                    start,
+                    end,
+                    enqueue_ns: 0,
+                    delivered: false,
+                }
+            })
+            .collect()
     }
 
     /// Run the scenario once on the simulator, asserting the per-flow
@@ -293,15 +277,14 @@ impl LoadScenario {
     }
 
     /// Run the scenario's driver loop over any [`Transport`], asserting the
-    /// per-flow invariants (exactly-once delivery, per-stream order,
-    /// in-order-only for standard receivers) against whatever stack sits
-    /// behind it.
+    /// per-flow invariants (exactly-once delivery, in-order-only for
+    /// standard receivers) against whatever stack sits behind it.
     ///
     /// Over [`SimTransport`] this is byte-identical to the pre-trait sim
     /// driver (pinned by the parallel-sweep gates). Over the OS transport
     /// (`minion-osnet`), "time" is wall-clock microseconds and the deadline
-    /// is a liveness gate; the same reassembly checks apply, but the
-    /// receiver is kernel TCP, so chunks are always in order and
+    /// is a liveness gate; the same per-chunk checks apply, the receiver is
+    /// kernel TCP, so each chunk must start where the last one ended, and
     /// retransmission counters read zero.
     pub fn run_on(&self, transport: &mut dyn Transport) -> LoadReport {
         let label = match transport.backend() {
@@ -328,9 +311,10 @@ impl LoadScenario {
         // Open every flow and offer its whole stream. A transport may accept
         // only a prefix (a stream longer than the send buffer; or nothing,
         // while an OS connect is in flight): the flow keeps a cursor and the
-        // remainder is flushed on writable edges. The stream itself stays
-        // with the flow for the whole run — it is what every delivered chunk
-        // is compared against.
+        // remainder is flushed on writable edges. No stream is stored: the
+        // writer builds what it offers from the cursor into `scratch`, and
+        // each delivered chunk is checked against the stream's formula.
+        let mut scratch = vec![0u8; WRITE_SPAN];
         let mut states: Vec<FlowState> = Vec::with_capacity(self.flows);
         // Transports number flows 0, 1, 2 … as they open and accept them,
         // so which end of which flow a `FlowId` names is an index away.
@@ -341,21 +325,12 @@ impl LoadScenario {
             push_end(&mut end_of, id, End::Client(flow), &label);
             let now_ns = ns_of(transport.now());
             obs.record_event(&mut spill, self.event(now_ns, flow, 0, TraceKind::Syn));
-            let bounds = self.record_bounds(global_flow);
-            let stream_len = bounds.last().map_or(0, |&(_, end)| end as usize);
-            // The exact length up front: a stream costs one allocation.
-            let mut stream = Vec::with_capacity(stream_len);
-            self.build_stream(global_flow, &mut stream);
-            assert_eq!(
-                stream.len(),
-                stream_len,
-                "[{label}] flow {flow}: stream and record bounds disagree"
-            );
-            let mut state = FlowState::new(id, pair_key, stream, now_ns, bounds);
-            state.sent = transport.write(id, &state.stream);
+            let records = self.records(global_flow);
+            let mut state = FlowState::new(id, pair_key, global_flow as u32, now_ns, records);
+            state.write_pending(transport, &mut scratch);
             let enqueued = state.mark_enqueued(now_ns);
             obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
-            if state.sent == state.stream.len() {
+            if state.sent == state.stream_len() {
                 obs.staging_dwell.record(0);
             }
             states.push(state);
@@ -424,20 +399,14 @@ impl LoadScenario {
                     continue;
                 };
                 let state = &mut states[flow];
-                if state.sent == state.stream.len() {
+                if state.sent == state.stream_len() {
                     continue;
                 }
-                while state.sent < state.stream.len() {
-                    let n = transport.write(f, &state.stream[state.sent..]);
-                    if n == 0 {
-                        break;
-                    }
-                    state.sent += n;
-                }
+                state.write_pending(transport, &mut scratch);
                 let now_ns = ns_of(transport.now());
                 let enqueued = state.mark_enqueued(now_ns);
                 obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
-                if state.sent == state.stream.len() {
+                if state.sent == state.stream_len() {
                     obs.staging_dwell
                         .record(now_ns.saturating_sub(state.staged_ns));
                 }
@@ -455,17 +424,27 @@ impl LoadScenario {
                         state.ooo_chunks += 1;
                         obs.counters.inc(C_CHUNKS_OUT_OF_ORDER);
                     }
-                    if !state.first_chunk_seen {
-                        state.first_chunk_seen = true;
+                    if state.covered.is_empty() {
                         obs.record_event(
                             &mut spill,
                             self.event(now_ns, flow, 0, TraceKind::FirstByte),
                         );
                     }
-                    // Checked against the sent bytes here, in place, and then
+                    // A standard receiver delivers the stream in order: each
+                    // chunk is flagged so and starts where the delivered
+                    // prefix ends (the flag alone proves nothing).
+                    assert!(
+                        self.receiver_utcp || chunk.in_order && chunk.offset == state.prefix_end(),
+                        "[{label}] flow {flow}: an ordered receiver delivered a chunk at offset {} \
+                         (in_order {}) where its delivered prefix ends at {}",
+                        chunk.offset,
+                        chunk.in_order,
+                        state.prefix_end()
+                    );
+                    // Checked against the stream's formula here and then
                     // dropped: nothing is kept for a later reassembly.
                     let run = state
-                        .accept_chunk(chunk.offset, &chunk.data)
+                        .accept_chunk(&chunk)
                         .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
                     // Records whose full byte range just became covered are
                     // *delivered*: stamp their delay. uTCP receivers complete
@@ -536,33 +515,24 @@ impl LoadScenario {
             obs.stream = s.finish(&obs.trace_filter);
         }
 
-        // Assemble the report. Every chunk was compared with the sent stream
-        // as it arrived and the coverage is complete, so the sent stream *is*
-        // the delivered one, byte for byte: delivered bytes come from the
-        // coverage ranges, records and the fingerprint from walking it.
+        // Assemble the report. Every chunk was compared with the stream's
+        // formula as it arrived and the coverage is complete, so the
+        // delivered stream *is* the sent one: delivered bytes come from the
+        // coverage ranges, records from the delivery marks, and the
+        // fingerprint was folded over the chunks as they came.
         let mut per_flow = Vec::with_capacity(self.flows);
         let mut total_bytes = 0u64;
         let mut records_delivered = 0u64;
         for (flow, state) in states.iter().enumerate() {
-            let global_flow = self.first_flow + flow;
             assert!(
                 state.is_complete(),
                 "[{label}] flow {flow}: delivered chunks do not cover the sent stream"
             );
-            if !self.receiver_utcp {
-                assert_eq!(
-                    state.ooo_chunks, 0,
-                    "[{label}] flow {flow}: standard receiver saw out-of-order chunks"
-                );
-            }
             let bytes_covered: u64 = state.covered.iter().map(|(s, e)| e - s).sum();
-            let flow_records = parse_records(&state.stream, global_flow as u32)
-                .unwrap_or_else(|e| panic!("[{label}] flow {global_flow}: {e}"));
+            let flow_records = state.records.iter().filter(|r| r.delivered).count() as u64;
             let stats = transport.flow_stats(state.client);
-            let mut fingerprint: u64 = FNV_OFFSET_BASIS;
-            fnv1a_words(&mut fingerprint, &state.stream);
             per_flow.push(FlowMetrics {
-                flow: global_flow as u32,
+                flow: state.flow,
                 bytes_delivered: bytes_covered,
                 records_delivered: flow_records,
                 chunks_out_of_order: state.ooo_chunks,
@@ -570,7 +540,7 @@ impl LoadScenario {
                 fast_retransmits: stats.fast_retransmits,
                 rto_fires: stats.rto_fires,
                 completion_us: state.completion_us.expect("all complete"),
-                fingerprint,
+                fingerprint: state.fingerprint,
             });
             total_bytes += bytes_covered;
             records_delivered += flow_records;
@@ -657,39 +627,6 @@ pub fn verify_load(scenario: &LoadScenario) -> LoadReport {
     first
 }
 
-/// Walk a reassembled stream's record framing and return how many complete,
-/// well-formed records it contains: each must carry the owning flow's id and
-/// a sequential record index, and the final record must end exactly at the
-/// stream end. This is the *measured* per-stream-order check the delivery
-/// metrics are derived from.
-fn parse_records(stream: &[u8], flow: u32) -> Result<u64, String> {
-    let mut records = 0u64;
-    let mut pos = 0usize;
-    while pos < stream.len() {
-        if pos + 12 > stream.len() {
-            return Err(format!("truncated record header at offset {pos}"));
-        }
-        let f = u32::from_be_bytes(stream[pos..pos + 4].try_into().expect("4 bytes"));
-        let rec = u32::from_be_bytes(stream[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let len =
-            u32::from_be_bytes(stream[pos + 8..pos + 12].try_into().expect("4 bytes")) as usize;
-        if f != flow {
-            return Err(format!("record at offset {pos} carries flow id {f}"));
-        }
-        if u64::from(rec) != records {
-            return Err(format!(
-                "record at offset {pos} is #{rec}, expected #{records} (order violated)"
-            ));
-        }
-        if pos + 12 + len > stream.len() {
-            return Err(format!("record #{rec} payload runs past the stream end"));
-        }
-        pos += 12 + len;
-        records += 1;
-    }
-    Ok(records)
-}
-
 /// Delivery tracking of one framed record: its stream byte range, when the
 /// transport accepted its last byte, and whether its full range has reached
 /// the application.
@@ -718,19 +655,34 @@ fn push_end(end_of: &mut Vec<End>, id: FlowId, end: End, label: &str) {
     end_of.push(end);
 }
 
+/// 31 and 251 are coprime, so a record's payload repeats every 251 bytes.
+const PERIOD: usize = 251;
+
+/// `STEPS[i]` = 31·i mod 251, two periods of it. As 31·81 ≡ 1 (mod 251), a
+/// payload whose byte 0 is `base` reads `STEPS[k..]` with k = 81·base mod
+/// 251, so any run of up to one period of it is one slice.
+const STEPS: [u8; 2 * PERIOD] = {
+    let mut steps = [0; 2 * PERIOD];
+    let mut i = 0;
+    while i < 2 * PERIOD {
+        steps[i] = (i * 31 % PERIOD) as u8;
+        i += 1;
+    }
+    steps
+};
+
 /// Both ends' bookkeeping for one flow.
 struct FlowState {
     client: FlowId,
     server: Option<FlowId>,
     /// Pairing key for accepts: the client's ephemeral port.
     pair_key: u64,
-    /// The stream as sent. Delivered chunks are compared against it in
-    /// place (duplicates too: uTCP delivers at-least-once), so it lives as
-    /// long as chunks can arrive.
-    stream: Vec<u8>,
-    /// Bytes of `stream` the transport has accepted; the rest is flushed
+    /// Global flow index: with `records`, what [`FlowState::build_stream`]
+    /// needs to rebuild any range of the stream.
+    flow: u32,
+    /// Bytes of the stream the transport has accepted; the rest is flushed
     /// on writable edges.
-    sent: usize,
+    sent: u64,
     /// Backend time (ns) the stream was staged, for the staging-dwell
     /// histogram.
     staged_ns: u64,
@@ -738,6 +690,9 @@ struct FlowState {
     covered: Vec<(u64, u64)>,
     ooo_chunks: u64,
     completion_us: Option<u64>,
+    /// FNV-1a of `(offset, len, in_order)` of each delivered chunk, in
+    /// arrival order ([`FlowMetrics::fingerprint`]).
+    fingerprint: u64,
     /// Per-record delivery-delay tracking (obs), in stream order.
     records: Vec<RecordTrack>,
     /// Records `[0, enqueued)` have been accepted whole by the transport
@@ -752,7 +707,6 @@ struct FlowState {
     /// *delivery* path, so the clock starts no earlier than the moment data
     /// could first move.
     enqueue_floor_ns: u64,
-    first_chunk_seen: bool,
     /// Per-flow sequence numbers of traced RTO / retransmit edges.
     rto_seq: u32,
     rtx_seq: u32,
@@ -762,34 +716,86 @@ impl FlowState {
     fn new(
         client: FlowId,
         pair_key: u64,
-        stream: Vec<u8>,
+        flow: u32,
         staged_ns: u64,
-        bounds: Vec<(u64, u64)>,
+        records: Vec<RecordTrack>,
     ) -> Self {
         FlowState {
             client,
             server: None,
             pair_key,
-            stream,
+            flow,
             sent: 0,
             staged_ns,
             covered: Vec::new(),
             ooo_chunks: 0,
             completion_us: None,
-            records: bounds
-                .into_iter()
-                .map(|(start, end)| RecordTrack {
-                    start,
-                    end,
-                    enqueue_ns: 0,
-                    delivered: false,
-                })
-                .collect(),
+            fingerprint: FNV_OFFSET_BASIS,
+            records,
             enqueued: 0,
             enqueue_floor_ns: 0,
-            first_chunk_seen: false,
             rto_seq: 0,
             rtx_seq: 0,
+        }
+    }
+
+    /// The stream's length: where its last record ends.
+    fn stream_len(&self) -> u64 {
+        self.records.last().map_or(0, |r| r.end)
+    }
+
+    /// Where the delivered prefix of the stream ends.
+    fn prefix_end(&self) -> u64 {
+        self.covered.first().filter(|r| r.0 == 0).map_or(0, |r| r.1)
+    }
+
+    /// Hand `emit` bytes `[from, to)` of this flow's stream, in order, in
+    /// pieces; `to` is at most [`FlowState::stream_len`]. The stream is
+    /// never stored: it is this formula. Record `r` spans `records[r]`: a
+    /// 12-byte header (flow, record index, payload length, all `u32` BE)
+    /// followed by a payload whose byte `j` is
+    /// `(flow·197 + r·131 + j·31) mod 251`, `flow` being the **global** flow
+    /// index ([`LoadScenario::first_flow`] + local index).
+    fn build_stream(&self, from: u64, to: u64, mut emit: impl FnMut(&[u8])) {
+        let mut at = from;
+        let mut rec = self.records.partition_point(|r| r.end <= at);
+        while at < to {
+            let r = &self.records[rec];
+            let body = r.start + 12;
+            if at < body {
+                let header = [self.flow, rec as u32, (r.end - body) as u32].map(u32::to_be_bytes);
+                let end = to.min(body);
+                emit(&header.as_flattened()[(at - r.start) as usize..(end - r.start) as usize]);
+                at = end;
+            }
+            let k = (self.flow as usize * 197 + rec * 131) % PERIOD * 81 % PERIOD;
+            let end = to.min(r.end);
+            while at < end {
+                let step = (k + (at - body) as usize) % PERIOD;
+                let len = ((end - at) as usize).min(PERIOD);
+                emit(&STEPS[step..step + len]);
+                at += len as u64;
+            }
+            rec += 1;
+        }
+    }
+
+    /// Offer the transport the stream from the send cursor on, built into
+    /// `scratch` one span at a time, until it is all sent or the transport
+    /// takes less than it was offered.
+    fn write_pending(&mut self, transport: &mut dyn Transport, scratch: &mut [u8]) {
+        while self.sent < self.stream_len() {
+            let end = self.stream_len().min(self.sent + scratch.len() as u64);
+            let (len, mut filled) = ((end - self.sent) as usize, 0);
+            self.build_stream(self.sent, end, |piece| {
+                scratch[filled..filled + piece.len()].copy_from_slice(piece);
+                filled += piece.len();
+            });
+            let taken = transport.write(self.client, &scratch[..len]);
+            self.sent += taken as u64;
+            if taken < len {
+                break;
+            }
         }
     }
 
@@ -799,7 +805,7 @@ impl FlowState {
     fn mark_enqueued(&mut self, now_ns: u64) -> u64 {
         let from = self.enqueued;
         while let Some(r) = self.records.get_mut(self.enqueued) {
-            if r.end > self.sent as u64 {
+            if r.end > self.sent {
                 break;
             }
             r.enqueue_ns = now_ns;
@@ -808,16 +814,26 @@ impl FlowState {
         (self.enqueued - from) as u64
     }
 
-    /// Check a delivered chunk against the sent stream and merge it into the
-    /// coverage set; returns the coverage run it now belongs to.
-    fn accept_chunk(&mut self, offset: u64, data: &[u8]) -> Result<(u64, u64), &'static str> {
+    /// Check a delivered chunk against the stream's formula, fold it into
+    /// the fingerprint and merge it into the coverage set; returns the
+    /// coverage run it now belongs to.
+    fn accept_chunk(&mut self, chunk: &TransportChunk) -> Result<(u64, u64), &'static str> {
+        let (offset, data) = (chunk.offset, &chunk.data[..]);
         let end = offset + data.len() as u64;
-        if end > self.stream.len() as u64 {
+        if end > self.stream_len() {
             return Err("chunk past stream end");
         }
-        if data != &self.stream[offset as usize..end as usize] {
+        let (mut checked, mut same) = (0, true);
+        self.build_stream(offset, end, |piece| {
+            same &= *piece == data[checked..checked + piece.len()];
+            checked += piece.len();
+        });
+        if !same {
             return Err("delivered chunk differs from the sent stream");
         }
+        fnv1a(&mut self.fingerprint, &offset.to_le_bytes());
+        fnv1a(&mut self.fingerprint, &(data.len() as u64).to_le_bytes());
+        fnv1a(&mut self.fingerprint, &[u8::from(chunk.in_order)]);
         Ok(self.cover(offset, end))
     }
 
@@ -865,7 +881,7 @@ impl FlowState {
     }
 
     fn is_complete(&self) -> bool {
-        self.covered == [(0, self.stream.len() as u64)]
+        self.covered == [(0, self.stream_len())]
     }
 }
 
@@ -873,52 +889,111 @@ impl FlowState {
 mod tests {
     use super::*;
 
-    fn flow_state(stream: Vec<u8>, bounds: Vec<(u64, u64)>) -> FlowState {
-        FlowState::new(FlowId(0), 0, stream, 0, bounds)
+    fn flow_state(bounds: Vec<(u64, u64)>) -> FlowState {
+        let records = bounds.into_iter().map(|(start, end)| RecordTrack {
+            start,
+            end,
+            enqueue_ns: 0,
+            delivered: false,
+        });
+        FlowState::new(FlowId(0), 0, 0, 0, records.collect())
+    }
+
+    fn chunk(offset: u64, data: &[u8], in_order: bool) -> TransportChunk {
+        TransportChunk {
+            offset,
+            data: data.into(),
+            in_order,
+        }
+    }
+
+    /// Bytes `[from, to)` of `s`'s stream, as the generator builds them.
+    fn bytes(s: &FlowState, from: u64, to: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        s.build_stream(from, to, |piece| out.extend_from_slice(piece));
+        out
+    }
+
+    /// Flow `flow`'s whole stream, byte by byte from the documented formula.
+    fn formula_stream(sc: &LoadScenario, flow: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        for rec in 0..sc.records_per_flow {
+            let len = sc.record_payload_len(flow, rec);
+            for field in [flow, rec, len] {
+                out.extend_from_slice(&(field as u32).to_be_bytes());
+            }
+            out.extend((0..len).map(|j| ((flow * 197 + rec * 131 + j * 31) % 251) as u8));
+        }
+        out
     }
 
     #[test]
     fn coverage_merging_detects_completion() {
-        let mut s = flow_state(vec![0u8; 10], vec![(0, 10)]);
-        assert_eq!(s.accept_chunk(4, &[0u8; 3]), Ok((4, 7)));
+        let mut s = flow_state(vec![(0, 10)]);
+        assert_eq!(s.cover(4, 7), (4, 7));
         assert!(!s.is_complete());
-        assert_eq!(s.accept_chunk(0, &[0u8; 4]), Ok((0, 7)), "[0,4) abuts");
+        assert_eq!(s.prefix_end(), 0, "a hole at the front");
+        assert_eq!(s.cover(0, 4), (0, 7), "[0,4) abuts");
         assert_eq!(s.covered, vec![(0, 7)]);
-        assert_eq!(s.accept_chunk(8, &[0u8; 2]), Ok((8, 10)), "gap at 7");
+        assert_eq!(s.cover(8, 10), (8, 10), "gap at 7");
         assert_eq!(s.covered, vec![(0, 7), (8, 10)]);
-        assert_eq!(s.accept_chunk(5, &[0u8; 4]), Ok((0, 10)), "[5,9) bridges");
+        assert_eq!(s.prefix_end(), 7);
+        assert_eq!(s.cover(5, 9), (0, 10), "[5,9) bridges");
         assert!(s.is_complete());
+        assert_eq!(s.prefix_end(), 10);
         // Duplicates change nothing.
-        assert_eq!(s.accept_chunk(0, &[0u8; 10]), Ok((0, 10)));
+        assert_eq!(s.cover(0, 10), (0, 10));
         assert_eq!(s.covered, vec![(0, 10)]);
         // Nor does an empty chunk, wherever it claims to sit.
-        assert_eq!(s.accept_chunk(3, &[]), Ok((3, 3)));
+        assert_eq!(s.cover(3, 3), (3, 3));
         assert_eq!(s.covered, vec![(0, 10)]);
     }
 
     #[test]
     fn every_chunk_is_compared_with_the_sent_stream_in_place() {
-        let stream: Vec<u8> = (0..32u8).collect();
-        let mut s = flow_state(stream.clone(), vec![(0, 32)]);
-        assert!(s.accept_chunk(8, &stream[8..20]).is_ok());
+        let mut s = flow_state(vec![(0, 20), (20, 45)]);
+        let stream = bytes(&s, 0, 45);
+        assert_eq!(s.accept_chunk(&chunk(8, &stream[8..30], true)), Ok((8, 30)));
         // Right bytes, wrong place; one flipped bit; a duplicate that
-        // differs from what was accepted before; a chunk past the end.
-        assert!(s.accept_chunk(9, &stream[8..20]).is_err());
-        let mut flipped = stream[20..32].to_vec();
+        // differs from what was accepted before; a chunk past the end;
+        // another flow's bytes at the right offset.
+        assert!(s.accept_chunk(&chunk(9, &stream[8..30], true)).is_err());
+        let mut flipped = stream[30..45].to_vec();
         flipped[5] ^= 1;
-        assert!(s.accept_chunk(20, &flipped).is_err());
-        let mut duplicate = stream[8..20].to_vec();
+        assert!(s.accept_chunk(&chunk(30, &flipped, true)).is_err());
+        let mut duplicate = stream[8..30].to_vec();
         duplicate[0] ^= 0x80;
-        assert!(s.accept_chunk(8, &duplicate).is_err());
-        assert!(s.accept_chunk(30, &[30, 31, 32]).is_err());
-        // None of the rejects counted as coverage.
-        assert_eq!(s.covered, vec![(8, 20)]);
+        assert!(s.accept_chunk(&chunk(8, &duplicate, true)).is_err());
+        assert!(s.accept_chunk(&chunk(40, &[0; 6], true)).is_err());
+        let other = FlowState {
+            flow: 1,
+            ..flow_state(vec![(0, 20), (20, 45)])
+        };
+        assert!(s
+            .accept_chunk(&chunk(0, &bytes(&other, 0, 8), true))
+            .is_err());
+        // None of the rejects counted as coverage or entered the
+        // fingerprint: that is (offset, len, in_order) of the one accepted.
+        assert_eq!(s.covered, vec![(8, 30)]);
+        let mut expected = FNV_OFFSET_BASIS;
+        fnv1a(&mut expected, &8u64.to_le_bytes());
+        fnv1a(&mut expected, &22u64.to_le_bytes());
+        fnv1a(&mut expected, &[1]);
+        assert_eq!(s.fingerprint, expected);
+        // The same bytes flagged out of order fold differently.
+        let before = s.fingerprint;
+        assert!(s.accept_chunk(&chunk(8, &stream[8..30], false)).is_ok());
+        let mut in_order = before;
+        for field in [&8u64.to_le_bytes()[..], &22u64.to_le_bytes(), &[1]] {
+            fnv1a(&mut in_order, field);
+        }
+        assert_ne!(s.fingerprint, in_order);
     }
 
     #[test]
     fn enqueue_stamps_follow_the_send_cursor() {
         let bounds = vec![(0, 10), (10, 25), (25, 40)];
-        let mut s = flow_state(vec![0u8; 40], bounds);
+        let mut s = flow_state(bounds);
         s.sent = 9;
         assert_eq!(s.mark_enqueued(100), 0, "no record accepted whole yet");
         s.sent = 25;
@@ -933,14 +1008,12 @@ mod tests {
     #[test]
     fn records_complete_when_a_coverage_run_holds_them_whole() {
         let bounds = vec![(0, 10), (10, 25), (25, 40), (40, 50)];
-        let mut s = flow_state(vec![0u8; 50], bounds);
+        let mut s = flow_state(bounds);
         s.sent = 50;
         s.mark_enqueued(100);
         s.enqueue_floor_ns = 150;
         let deliver = |s: &mut FlowState, from: u64, to: u64| -> Vec<(usize, u64)> {
-            let run = s
-                .accept_chunk(from, &vec![0u8; (to - from) as usize])
-                .unwrap();
+            let run = s.cover(from, to);
             s.complete_records((from, to), run).collect()
         };
         // [12, 30) holds no record whole: #1 lacks [10, 12), #2 lacks
@@ -958,7 +1031,7 @@ mod tests {
         // A duplicate delivers nothing twice.
         assert_eq!(deliver(&mut s, 0, 50), vec![]);
         // A stamp later than establishment counts from itself.
-        let mut late = flow_state(vec![0u8; 10], vec![(0, 10)]);
+        let mut late = flow_state(vec![(0, 10)]);
         late.sent = 10;
         late.mark_enqueued(500);
         late.enqueue_floor_ns = 150;
@@ -968,79 +1041,52 @@ mod tests {
     #[test]
     fn streams_are_distinct_per_flow_and_framed() {
         let sc = LoadScenario::with_flows(2);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        sc.build_stream(0, &mut a);
-        sc.build_stream(1, &mut b);
-        assert_ne!(a, b);
-        assert_eq!(a.len() as u64, sc.record_bounds(0).last().unwrap().1);
-        // First record header parses back.
-        assert_eq!(u32::from_be_bytes(a[0..4].try_into().unwrap()), 0);
-        assert_eq!(u32::from_be_bytes(a[4..8].try_into().unwrap()), 0);
-        let len = u32::from_be_bytes(a[8..12].try_into().unwrap()) as usize;
-        assert_eq!(len, sc.record_payload_len(0, 0));
+        let state = |flow: u32| FlowState::new(FlowId(0), 0, flow, 0, sc.records(flow as usize));
+        let (a, b) = (state(0), state(1));
+        assert_ne!(bytes(&a, 0, a.stream_len()), bytes(&b, 0, b.stream_len()));
+        // Each record header reads back as (flow, index, payload length).
+        for (rec, r) in b.records.iter().enumerate() {
+            let header = bytes(&b, r.start, r.start + 12);
+            let field = |i: usize| u32::from_be_bytes(header[i..i + 4].try_into().unwrap());
+            let len = sc.record_payload_len(1, rec) as u32;
+            assert_eq!((field(0), field(4), field(8)), (1, rec as u32, len));
+        }
     }
 
+    /// The range generator against the documented formula: every range
+    /// between cut points inside a header, at its end, inside a payload,
+    /// one period into it and at a record's last byte — so ranges within
+    /// one piece, across record boundaries and past one 251-byte period —
+    /// at record sizes under, at and past the period and at flows that
+    /// shift the payload's phase.
     #[test]
     fn stream_payloads_follow_the_documented_formula_past_one_period() {
-        // Records shorter than, equal to and several times the 251-byte
-        // period, at flow indices that move the starting phase.
         for record_len in [2, 100, 251, 502, 1400] {
             let sc = LoadScenario {
                 record_len,
-                records_per_flow: 5,
+                records_per_flow: 4,
                 ..LoadScenario::default()
             };
             for flow in [0, 1, 250, 1007] {
-                let mut stream = Vec::new();
-                sc.build_stream(flow, &mut stream);
-                let mut pos = 0;
-                for rec in 0..sc.records_per_flow {
-                    let len = sc.record_payload_len(flow, rec);
-                    let payload = &stream[pos + 12..pos + 12 + len];
-                    for (j, &byte) in payload.iter().enumerate() {
-                        let expected = ((flow * 197 + rec * 131 + j * 31) % 251) as u8;
+                let whole = formula_stream(&sc, flow);
+                let s = FlowState::new(FlowId(0), 0, flow as u32, 0, sc.records(flow));
+                assert_eq!(s.stream_len(), whole.len() as u64);
+                let mut cuts = vec![s.stream_len()];
+                for r in &s.records {
+                    let inside = [0, 5, 12, 13, 12 + 251, 12 + 300, r.end - r.start - 1];
+                    cuts.extend(inside.iter().map(|d| r.start + d).filter(|&at| at < r.end));
+                }
+                for &a in &cuts {
+                    for &b in cuts.iter().filter(|&&b| b >= a) {
                         assert_eq!(
-                            byte, expected,
-                            "len {record_len} flow {flow} rec {rec} byte {j}"
+                            bytes(&s, a, b),
+                            whole[a as usize..b as usize],
+                            "len {record_len} flow {flow} range [{a}, {b})"
                         );
                     }
-                    pos += 12 + len;
                 }
-                assert_eq!(pos, stream.len());
             }
         }
-    }
-
-    #[test]
-    fn record_parsing_measures_order_and_completeness() {
-        let sc = LoadScenario::with_flows(1);
-        let mut stream = Vec::new();
-        sc.build_stream(0, &mut stream);
-        assert_eq!(
-            parse_records(&stream, 0).unwrap(),
-            sc.records_per_flow as u64
-        );
-        // Wrong flow id, truncation, and a swapped record all fail.
-        assert!(parse_records(&stream, 1).is_err());
-        assert!(parse_records(&stream[..stream.len() - 1], 0).is_err());
-        let mut two = Vec::new();
-        LoadScenario {
-            records_per_flow: 1,
-            ..sc.clone()
-        }
-        .build_stream(0, &mut two);
-        let second_start = two.len();
-        let mut swapped = Vec::new();
-        // Build records #0 and #1, then present #1 first.
-        LoadScenario {
-            records_per_flow: 2,
-            ..sc.clone()
-        }
-        .build_stream(0, &mut swapped);
-        let mut reordered = swapped[second_start..].to_vec();
-        reordered.extend_from_slice(&swapped[..second_start]);
-        assert!(parse_records(&reordered, 0).is_err(), "order is checked");
     }
 
     #[test]
@@ -1090,12 +1136,12 @@ mod tests {
         // Labels carry the shard offset, so per-shard assertion messages
         // identify the shard.
         assert!(shards[1].label().ends_with("@128"));
-        // A shard's streams are the global scenario's streams.
-        let mut from_shard = Vec::new();
-        shards[1].build_stream(130, &mut from_shard);
-        let mut from_whole = Vec::new();
-        sc.build_stream(130, &mut from_whole);
-        assert_eq!(from_shard, from_whole);
+        // A shard's streams are the global scenario's streams: the stream
+        // is a formula of the global flow index and the record bounds.
+        let bounds = |sc: &LoadScenario| -> Vec<(u64, u64)> {
+            sc.records(130).iter().map(|r| (r.start, r.end)).collect()
+        };
+        assert_eq!(bounds(&shards[1]), bounds(&sc));
         // Sub-SHARD_FLOWS scenarios are a single shard.
         assert_eq!(LoadScenario::with_flows(1).shard_count(), 1);
         assert_eq!(LoadScenario::with_flows(128).shard_count(), 1);

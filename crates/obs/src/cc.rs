@@ -129,11 +129,6 @@ impl CcObs {
         self.dropped
     }
 
-    /// Ring capacity bound.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Histogram of cwnd (bytes) across all recorded transitions.
     pub fn cwnd_hist(&self) -> &Histogram {
         &self.cwnd

@@ -23,11 +23,6 @@ impl CounterSet {
         }
     }
 
-    /// The slot names.
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
-    }
-
     /// Add `n` to slot `idx`.
     pub fn add(&mut self, idx: usize, n: u64) {
         self.slots[idx] = self.slots[idx].saturating_add(n);
@@ -64,11 +59,6 @@ impl GaugeSet {
             names,
             slots: vec![0; names.len()],
         }
-    }
-
-    /// The slot names.
-    pub fn names(&self) -> &'static [&'static str] {
-        self.names
     }
 
     /// Record an observation on slot `idx`; the slot keeps the max.

@@ -263,11 +263,6 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Capacity bound.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Serialize the held events as JSONL (one event per line, trailing
     /// newline after the last line; empty string when empty).
     pub fn to_jsonl(&self) -> String {

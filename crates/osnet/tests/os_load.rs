@@ -138,14 +138,17 @@ fn streamed_trace_rides_the_os_backend() {
 fn two_os_runs_deliver_identical_payload_fingerprints() {
     // No byte-identical *reports* on the OS backend (timings are real),
     // but the delivered payloads are still deterministic: same scenario,
-    // same streams, same per-flow fingerprints.
+    // same streams, same bytes and records per flow. Each run checked every
+    // chunk against the stream's formula, so equal totals mean equal
+    // bytes. `FlowMetrics::fingerprint` is not compared: it folds chunk
+    // boundaries, and kernel TCP cuts its reads differently run to run.
     let scenario = os_scenario(8);
     let a = scenario.run_on(&mut OsTransport::new());
     let b = scenario.run_on(&mut OsTransport::new());
     let fp = |r: &minion_engine::LoadReport| {
         r.per_flow
             .iter()
-            .map(|f| (f.flow, f.fingerprint, f.bytes_delivered))
+            .map(|f| (f.flow, f.bytes_delivered, f.records_delivered))
             .collect::<Vec<_>>()
     };
     assert_eq!(fp(&a), fp(&b));

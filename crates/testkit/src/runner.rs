@@ -37,8 +37,15 @@ pub struct CellReport {
     /// Wire bytes the sender's endpoint emitted (payload + framing).
     pub wire_bytes_sent: u64,
     /// Order-insensitive FNV fingerprint of the delivered payload multiset.
+    /// On a multi-flow cell, where every delivered byte was checked against
+    /// its stream's formula, it is instead the wrapping sum over flows of
+    /// each flow's chunk-arrival fingerprint
+    /// ([`minion_engine::FlowMetrics::fingerprint`]: offset, length and
+    /// order flag of each chunk, in arrival order).
     pub payload_fingerprint: u64,
-    /// Order-sensitive FNV fingerprint of the delivery sequence.
+    /// Order-sensitive FNV fingerprint of the delivery sequence. On a
+    /// multi-flow cell: FNV-1a over each flow's chunk-arrival fingerprint
+    /// and completion time, in flow order.
     pub delivery_order_fingerprint: u64,
     /// Virtual time (µs) at which the last payload was delivered.
     pub completion_time_us: u64,

@@ -138,9 +138,13 @@ fn bulk_path_stays_within_its_allocation_budget() {
 
     // Bytes allocated per payload byte, as the slope between the two sizes:
     // the fixed part of a run (the histograms that saw a sample, the trace
-    // ring, two connections' state — nothing to do with copies) cancels,
-    // and what is left is what one more payload byte costs: the driver's
-    // stream, the send buffer's copy, the packet.
+    // ring, two connections' state, the driver's one write buffer — nothing
+    // to do with copies) cancels, and what is left is what one more payload
+    // byte costs: the send buffer's copy and the packet. The driver keeps no
+    // copy of the stream: it builds each write from the stream's formula
+    // and checks each delivered chunk against it. 2.29 bytes measured,
+    // pinned 10 % above; it read 3.29 while the driver held every flow's
+    // whole stream, allocated at exact length, for the run.
     let payload = large.report.total_bytes - small.report.total_bytes;
     let per_byte = (large.bytes - small.bytes) as f64 / payload as f64;
     // Visible with `-- --nocapture`.
@@ -149,8 +153,8 @@ fn bulk_path_stays_within_its_allocation_budget() {
          {per_byte:.2} bytes allocated per payload byte"
     );
     assert!(
-        per_byte <= 4.0,
-        "{} more bytes allocated for {payload} more payload bytes = {per_byte:.2} per byte (budget 4)",
+        per_byte <= 2.52,
+        "{} more bytes allocated for {payload} more payload bytes = {per_byte:.2} per byte (budget 2.52)",
         large.bytes - small.bytes
     );
 }
@@ -180,7 +184,8 @@ fn one_more_flow_stays_within_its_fixed_footprint() {
     // buffers, the handshake, one data segment and its ACK, the FINs, the
     // driver's state and the flow's delay digest. The connections keep no
     // window telemetry: their window samples go to the run's one recorder.
-    // 9 448 bytes measured, pinned 10 % above. It read 34 282 when every
+    // 9 267 bytes measured, pinned 10 % above (9 448 while the driver kept
+    // a copy of each flow's stream). It read 34 282 when every
     // connection carried a recorder, whose 8 KiB cwnd histogram both
     // endpoints allocated at the handshake and the driver cloned once more
     // for the client; 82 807 when each endpoint's three histograms all
@@ -188,8 +193,8 @@ fn one_more_flow_stays_within_its_fixed_footprint() {
     let per_flow = (large.bytes - small.bytes) / 64;
     println!("alloc budget: {per_flow} bytes allocated per additional flow");
     assert!(
-        per_flow <= 10_400,
-        "{} more bytes allocated for 64 more flows = {per_flow} per flow (budget 10400)",
+        per_flow <= 10_200,
+        "{} more bytes allocated for 64 more flows = {per_flow} per flow (budget 10200)",
         large.bytes - small.bytes
     );
 }

@@ -3,8 +3,14 @@
 //! order asserted per flow and every cell run twice under its fixed seed to
 //! prove byte-identical metrics.
 
-use minion_repro::engine::{verify_load, EngineMetrics, LoadScenario};
+use minion_repro::engine::{
+    verify_load, EngineMetrics, FlowId, LoadReport, LoadScenario, SimTransport, Transport,
+    TransportChunk, TransportFlowStats,
+};
+use minion_repro::obs::PhaseProfile;
 use minion_repro::simnet::LossConfig;
+use minion_repro::simnet::SimTime;
+use minion_repro::tcp::ConnEvent;
 use minion_repro::testkit::{run_matrix, summarize, MatrixSpec};
 
 /// The 1024-flow acceptance scenario: deterministic (same seed ⇒ identical
@@ -114,6 +120,14 @@ fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
         "the tail of the stream waited for acknowledgments"
     );
     assert_eq!(report.obs.delivery_delay.count(), 200);
+    // What the writes put on the wire and when each record got there,
+    // pinned: a change to how the driver offers the stream (how much per
+    // write, which writable edge flushes what) moves these.
+    assert_eq!(
+        staged_figures(&report),
+        (422_980, 297_585, 303_314_404, 348_868_000, 200_753_000),
+        "completion µs, wire bytes, delay p50/p99 ns, staging dwell max ns"
+    );
 
     // Under loss and with several flows, out-of-order receivers included.
     let lossy = LoadScenario {
@@ -125,12 +139,29 @@ fn stream_past_the_send_buffer_is_staged_and_flushed_on_writable_edges() {
     };
     let report = verify_load(&lossy);
     assert_eq!(report.records_delivered, report.records_sent);
+    assert_eq!(
+        staged_figures(&report),
+        (996_591, 1_197_432, 310_258_658, 738_197_503, 370_214_000),
+        "completion µs, wire bytes, delay p50/p99 ns, staging dwell max ns"
+    );
 
     // A flow that never fills its buffer is written whole at connect time,
     // as before: no staging, no dwell.
     let small = LoadScenario::with_flows(4).run();
     assert_eq!(small.obs.staging_dwell.count(), 4);
     assert_eq!(small.obs.staging_dwell.max(), 0);
+}
+
+/// The staged path's figures: completion time (µs), wire bytes sent,
+/// delivery-delay p50 and p99 (ns) and the longest staging dwell (ns).
+fn staged_figures(report: &LoadReport) -> (u64, u64, u64, u64, u64) {
+    (
+        report.completion_us,
+        report.engine.bytes_sent,
+        report.obs.delivery_delay.p50(),
+        report.obs.delivery_delay.p99(),
+        report.obs.staging_dwell.max(),
+    )
 }
 
 /// The event loop's seven counters for two small scenarios (lossless: no
@@ -175,4 +206,164 @@ fn loop_counters_of_two_small_scenarios_are_pinned() {
             flow_polls: 622,
         }
     );
+}
+
+/// How [`Tampered`] corrupts what the simulator delivers.
+#[derive(Clone, Copy)]
+enum Tamper {
+    /// Flip the low bit of the first byte of the first non-empty chunk.
+    FlipBit,
+    /// Hold back the first chunk read and deliver it after the next one,
+    /// both still flagged in order.
+    Swap,
+}
+
+/// A [`SimTransport`] whose receive side lies once: the mutation the driver
+/// must catch, since the run's invariants are only as good as its checks.
+struct Tampered {
+    inner: SimTransport,
+    tamper: Tamper,
+    /// The held-back chunk of a swap, and the flow it belongs to.
+    held: Option<(FlowId, TransportChunk)>,
+    /// Whether the lie has been told.
+    done: bool,
+}
+
+impl Tampered {
+    fn new(scenario: &LoadScenario, tamper: Tamper) -> Self {
+        Tampered {
+            inner: SimTransport::new(scenario),
+            tamper,
+            held: None,
+            done: false,
+        }
+    }
+}
+
+impl Transport for Tampered {
+    fn backend(&self) -> &'static str {
+        self.inner.backend()
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn connect(&mut self) -> (FlowId, u64) {
+        self.inner.connect()
+    }
+    fn write(&mut self, flow: FlowId, data: &[u8]) -> usize {
+        self.inner.write(flow, data)
+    }
+    fn read(&mut self, flow: FlowId) -> Option<TransportChunk> {
+        if self.done {
+            return match self.held.take() {
+                Some((f, chunk)) if f == flow => Some(chunk),
+                held => {
+                    self.held = held;
+                    self.inner.read(flow)
+                }
+            };
+        }
+        let mut chunk = self.inner.read(flow)?;
+        match self.tamper {
+            Tamper::FlipBit if !chunk.data.is_empty() => {
+                let mut data = chunk.data.to_vec();
+                data[0] ^= 1;
+                chunk.data = data.into();
+                self.done = true;
+                Some(chunk)
+            }
+            Tamper::FlipBit => Some(chunk),
+            Tamper::Swap => match self.held.take() {
+                None => {
+                    // Hold the first chunk; deliver whatever follows it.
+                    self.held = Some((flow, chunk));
+                    self.read(flow)
+                }
+                Some((f, first)) if f == flow => {
+                    self.held = Some((f, first));
+                    self.done = true;
+                    Some(chunk)
+                }
+                Some(other) => {
+                    self.held = Some(other);
+                    Some(chunk)
+                }
+            },
+        }
+    }
+    fn close(&mut self, flow: FlowId) {
+        self.inner.close(flow)
+    }
+    fn step(&mut self) -> bool {
+        self.inner.step()
+    }
+    fn take_accepted(&mut self) -> Vec<(FlowId, u64)> {
+        self.inner.take_accepted()
+    }
+    fn take_readable(&mut self) -> Vec<FlowId> {
+        self.inner.take_readable()
+    }
+    fn take_writable(&mut self) -> Vec<FlowId> {
+        self.inner.take_writable()
+    }
+    fn take_lifecycle(&mut self) -> Vec<(FlowId, ConnEvent)> {
+        self.inner.take_lifecycle()
+    }
+    fn phases(&self) -> PhaseProfile {
+        self.inner.phases()
+    }
+    fn flow_stats(&self, flow: FlowId) -> TransportFlowStats {
+        self.inner.flow_stats(flow)
+    }
+    fn metrics(&self) -> EngineMetrics {
+        self.inner.metrics()
+    }
+    fn finish(&mut self) {
+        self.inner.finish()
+    }
+}
+
+/// Two flows of ~19 KB each, lossless, ordered receiver: every stream is
+/// many segments, so each flow reads several chunks.
+fn ordered_pair() -> LoadScenario {
+    LoadScenario {
+        flows: 2,
+        records_per_flow: 32,
+        record_len: 600,
+        receiver_utcp: false,
+        ..LoadScenario::default()
+    }
+}
+
+/// Mutation check: one flipped bit in one delivered chunk fails the run.
+#[test]
+#[should_panic(expected = "differs from the sent stream")]
+fn a_flipped_bit_in_a_delivered_chunk_fails_the_run() {
+    let scenario = ordered_pair();
+    scenario.run_on(&mut Tampered::new(&scenario, Tamper::FlipBit));
+}
+
+/// Mutation check: two chunks swapped on an ordered receiver fail the run,
+/// though each carries the right bytes for its offset and claims to be in
+/// order.
+#[test]
+#[should_panic(expected = "ordered receiver")]
+fn two_chunks_swapped_on_an_ordered_receiver_fail_the_run() {
+    let scenario = ordered_pair();
+    scenario.run_on(&mut Tampered::new(&scenario, Tamper::Swap));
+}
+
+/// The same swap on an unordered receiver is allowed: the run completes,
+/// and the chunk-arrival fingerprint shows the order it saw.
+#[test]
+fn a_swap_on_an_unordered_receiver_completes() {
+    let scenario = LoadScenario {
+        receiver_utcp: true,
+        ..ordered_pair()
+    };
+    let report = scenario.run_on(&mut Tampered::new(&scenario, Tamper::Swap));
+    assert_eq!(report.records_delivered, report.records_sent);
+    let fingerprints =
+        |r: &LoadReport| r.per_flow.iter().map(|f| f.fingerprint).collect::<Vec<_>>();
+    assert_ne!(fingerprints(&report), fingerprints(&scenario.run()));
 }
