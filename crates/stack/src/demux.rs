@@ -20,6 +20,10 @@
 //! connections through close/reopen cycles, which is exactly the
 //! reuse-after-close traffic that exposes probe-chain bugs.
 //!
+//! The table answers whole-key lookups only. Which local ports are taken is
+//! the [`Host`](crate::Host)'s own record, one bit per port, so opening a
+//! connection never walks the slot array.
+//!
 //! The repo benchmark times the lookup as `stack.demux.get_ns`.
 
 use crate::addr::SocketHandle;
@@ -58,15 +62,6 @@ enum Slot {
     /// A removed entry: probe chains continue through it, inserts may
     /// reclaim it.
     Tombstone,
-}
-
-impl Slot {
-    fn occupied(&self) -> Option<&Entry> {
-        match self {
-            Slot::Occupied(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 /// An open-addressed `(port, peer) → SocketHandle` table with linear
@@ -222,15 +217,6 @@ impl TupleTable {
         }
     }
 
-    /// Whether any connection uses `port` as its local port (ephemeral-port
-    /// allocation check; a full scan, off the per-segment hot path).
-    pub(crate) fn contains_local_port(&self, port: u16) -> bool {
-        self.slots
-            .iter()
-            .filter_map(Slot::occupied)
-            .any(|e| e.key.0 == port)
-    }
-
     /// Double the slot array (16 slots minimum) and rehash every live entry,
     /// discarding tombstones.
     fn grow(&mut self) {
@@ -296,16 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn local_port_scan_sees_all_entries() {
-        let mut t = TupleTable::new();
-        t.insert(key(80, 1, 1000), SocketHandle(1));
-        t.insert(key(81, 2, 1000), SocketHandle(2));
-        assert!(t.contains_local_port(80));
-        assert!(t.contains_local_port(81));
-        assert!(!t.contains_local_port(82));
-    }
-
-    #[test]
     fn colliding_keys_coexist() {
         // Distinct keys that differ only in a field each: whatever the hash
         // spread, linear probing must keep them all reachable.
@@ -338,7 +314,6 @@ mod tests {
         assert_eq!(t.remove(&k), Some(SocketHandle(1)));
         assert_eq!(t.len(), 0);
         assert_eq!(t.get(&k), None, "removed key must miss");
-        assert!(!t.contains_local_port(40_000), "tombstones are not live");
         assert_eq!(t.insert(k, SocketHandle(2)), None, "reinsert is fresh");
         assert_eq!(t.get(&k), Some(SocketHandle(2)));
         assert_eq!(t.remove(&key(9, 9, 9)), None, "absent key removes cleanly");

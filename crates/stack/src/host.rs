@@ -3,7 +3,7 @@
 //! userspace TCP and UDP implementations.
 
 use crate::addr::{SocketAddr, SocketHandle};
-use crate::demux::TupleTable;
+use crate::demux::{TupleKey, TupleTable};
 use crate::wire::TransportPacket;
 use bytes::Bytes;
 use minion_simnet::{NodeId, Packet, SimTime};
@@ -55,7 +55,8 @@ struct UdpSocket {
     recv_queue: VecDeque<(SocketAddr, Bytes)>,
 }
 
-// A host holds a handful of sockets; the TCP variant's size is fine.
+// Almost every socket is TCP, so the UDP variant's padding costs little;
+// boxing the TCP variant would cost an allocation per connection.
 #[allow(clippy::large_enum_variant)]
 enum Socket {
     Tcp(TcpSocket),
@@ -69,18 +70,49 @@ struct Listener {
     pending: VecDeque<SocketHandle>,
 }
 
+/// A set of ports, one bit each. It allocates its 8 KiB at the first
+/// insert, so a host that opens no TCP connection pays nothing.
+#[derive(Default)]
+struct PortSet(Vec<u64>);
+
+impl PortSet {
+    fn insert(&mut self, port: u16) {
+        if self.0.is_empty() {
+            self.0 = vec![0; 1 << 10];
+        }
+        self.0[usize::from(port >> 6)] |= 1 << (port & 63);
+    }
+
+    fn contains(&self, port: u16) -> bool {
+        self.0
+            .get(usize::from(port >> 6))
+            .is_some_and(|word| word >> (port & 63) & 1 == 1)
+    }
+}
+
+/// The first ephemeral port; the range runs to 65535 and wraps.
+const FIRST_EPHEMERAL_PORT: u16 = 40_000;
+
 /// A simulated host with its own port space and sockets.
+///
+/// Socket handles are dense and never reused: the host numbers its sockets
+/// 1, 2, 3 … in creation order, UDP and TCP alike, and never removes one.
+/// So handle `h` is `sockets[h.0 - 1]`, handle 0 names nothing, and a table
+/// indexed by handle stays as dense as the host's sockets. Listeners and
+/// demux tuples are never removed either.
 pub struct Host {
     node: NodeId,
     name: String,
-    sockets: BTreeMap<SocketHandle, Socket>,
+    sockets: Vec<Socket>,
     listeners: BTreeMap<u16, Listener>,
     /// Demux table for established/opening TCP connections: an
     /// open-addressed `(local port, peer node, peer port)` map (see
     /// [`crate::demux`]), the per-segment hot path at engine load.
     tcp_tuples: TupleTable,
+    /// The local port of every tuple in `tcp_tuples`, connected and
+    /// accepted alike: exact, because no tuple is ever removed.
+    tcp_ports: PortSet,
     udp_ports: BTreeMap<u16, SocketHandle>,
-    next_handle: u32,
     next_ephemeral_port: u16,
     /// Packets waiting to be handed to the simulator.
     outbox: Vec<Packet>,
@@ -92,18 +124,24 @@ pub struct Host {
     segments: Vec<TcpSegment>,
 }
 
+/// Where `handle` sits in [`Host`]'s socket table. Handle 0 maps past the
+/// end of any table, so it names nothing.
+fn index(handle: SocketHandle) -> usize {
+    (handle.0 as usize).wrapping_sub(1)
+}
+
 impl Host {
     /// Create a host bound to the given simulated node.
     pub fn new(node: NodeId, name: impl Into<String>) -> Self {
         Host {
             node,
             name: name.into(),
-            sockets: BTreeMap::new(),
+            sockets: Vec::new(),
             listeners: BTreeMap::new(),
             tcp_tuples: TupleTable::new(),
+            tcp_ports: PortSet::default(),
             udp_ports: BTreeMap::new(),
-            next_handle: 1,
-            next_ephemeral_port: 40_000,
+            next_ephemeral_port: FIRST_EPHEMERAL_PORT,
             outbox: Vec::new(),
             acted: Vec::new(),
             segments: Vec::new(),
@@ -120,23 +158,37 @@ impl Host {
         &self.name
     }
 
-    fn alloc_handle(&mut self) -> SocketHandle {
-        let h = SocketHandle(self.next_handle);
-        self.next_handle += 1;
-        h
+    /// Add `socket` under the next handle.
+    fn add_socket(&mut self, socket: Socket) -> SocketHandle {
+        self.sockets.push(socket);
+        SocketHandle(u32::try_from(self.sockets.len()).expect("fewer than 2^32 sockets"))
     }
 
+    /// Route the segments of `key` to `handle`, and record its local port
+    /// as taken.
+    fn add_tuple(&mut self, key: TupleKey, handle: SocketHandle) {
+        self.tcp_tuples.insert(key, handle);
+        self.tcp_ports.insert(key.0);
+    }
+
+    /// The next port from 40000 upward, wrapping after 65535, that no UDP
+    /// socket, listener or TCP connection of this host holds.
+    ///
+    /// # Panics
+    ///
+    /// When all 25 536 ports of the range are taken.
     fn alloc_ephemeral_port(&mut self) -> u16 {
-        loop {
+        for _ in FIRST_EPHEMERAL_PORT..=u16::MAX {
             let p = self.next_ephemeral_port;
-            self.next_ephemeral_port = self.next_ephemeral_port.wrapping_add(1).max(40_000);
+            self.next_ephemeral_port = p.wrapping_add(1).max(FIRST_EPHEMERAL_PORT);
             let used = self.udp_ports.contains_key(&p)
                 || self.listeners.contains_key(&p)
-                || self.tcp_tuples.contains_local_port(p);
+                || self.tcp_ports.contains(p);
             if !used {
                 return p;
             }
         }
+        panic!("host {}: ephemeral ports exhausted", self.name);
     }
 
     // ------------------------------------------------------------------
@@ -165,8 +217,12 @@ impl Host {
         Ok(())
     }
 
-    /// Open a TCP connection to `remote`, returning the socket handle. The
-    /// SYN is emitted on the next poll.
+    /// Open a TCP connection to `remote` from the next free ephemeral port,
+    /// returning the socket handle. The SYN is emitted on the next poll.
+    ///
+    /// # Panics
+    ///
+    /// When every ephemeral port (40000–65535) is taken.
     pub fn tcp_connect(
         &mut self,
         remote: SocketAddr,
@@ -177,11 +233,8 @@ impl Host {
         let local_port = self.alloc_ephemeral_port();
         let mut conn = TcpConnection::new(local_port, remote.port, config, options);
         conn.open(now);
-        let handle = self.alloc_handle();
-        self.tcp_tuples
-            .insert((local_port, remote.node, remote.port), handle);
-        self.sockets
-            .insert(handle, Socket::Tcp(TcpSocket { conn, remote }));
+        let handle = self.add_socket(Socket::Tcp(TcpSocket { conn, remote }));
+        self.add_tuple((local_port, remote.node, remote.port), handle);
         self.acted.push(handle);
         handle
     }
@@ -199,10 +252,10 @@ impl Host {
     /// [`tcp_socket_mut`](Self::tcp_socket_mut) over the socket table alone,
     /// for callers that borrow another field of the host alongside.
     fn tcp_socket_in(
-        sockets: &mut BTreeMap<SocketHandle, Socket>,
+        sockets: &mut [Socket],
         handle: SocketHandle,
     ) -> Result<&mut TcpSocket, HostError> {
-        match sockets.get_mut(&handle) {
+        match sockets.get_mut(index(handle)) {
             Some(Socket::Tcp(t)) => Ok(t),
             Some(_) => Err(HostError::WrongSocketType),
             None => Err(HostError::BadHandle),
@@ -210,7 +263,7 @@ impl Host {
     }
 
     fn tcp_socket(&self, handle: SocketHandle) -> Result<&TcpSocket, HostError> {
-        match self.sockets.get(&handle) {
+        match self.sockets.get(index(handle)) {
             Some(Socket::Tcp(t)) => Ok(t),
             Some(_) => Err(HostError::WrongSocketType),
             None => Err(HostError::BadHandle),
@@ -301,21 +354,17 @@ impl Host {
         if self.udp_ports.contains_key(&port) {
             return Err(HostError::PortInUse);
         }
-        let handle = self.alloc_handle();
+        let handle = self.add_socket(Socket::Udp(UdpSocket {
+            local_port: port,
+            recv_queue: VecDeque::new(),
+        }));
         self.udp_ports.insert(port, handle);
-        self.sockets.insert(
-            handle,
-            Socket::Udp(UdpSocket {
-                local_port: port,
-                recv_queue: VecDeque::new(),
-            }),
-        );
         Ok(handle)
     }
 
     /// The local port of a UDP socket.
     fn udp_local_port(&self, handle: SocketHandle) -> Result<u16, HostError> {
-        match self.sockets.get(&handle) {
+        match self.sockets.get(index(handle)) {
             Some(Socket::Udp(u)) => Ok(u.local_port),
             Some(_) => Err(HostError::WrongSocketType),
             None => Err(HostError::BadHandle),
@@ -345,7 +394,7 @@ impl Host {
         &mut self,
         handle: SocketHandle,
     ) -> Result<Option<(SocketAddr, Bytes)>, HostError> {
-        match self.sockets.get_mut(&handle) {
+        match self.sockets.get_mut(index(handle)) {
             Some(Socket::Udp(u)) => Ok(u.recv_queue.pop_front()),
             Some(_) => Err(HostError::WrongSocketType),
             None => Err(HostError::BadHandle),
@@ -377,7 +426,7 @@ impl Host {
                 payload,
             } => {
                 let &handle = self.udp_ports.get(&dst_port)?;
-                if let Some(Socket::Udp(u)) = self.sockets.get_mut(&handle) {
+                if let Some(Socket::Udp(u)) = self.sockets.get_mut(index(handle)) {
                     u.recv_queue
                         .push_back((SocketAddr::new(packet.origin, src_port), payload));
                     Some(handle)
@@ -396,7 +445,7 @@ impl Host {
     ) -> Option<SocketHandle> {
         let key = (seg.dst_port, from, seg.src_port);
         if let Some(handle) = self.tcp_tuples.get(&key) {
-            if let Some(Socket::Tcp(t)) = self.sockets.get_mut(&handle) {
+            if let Some(Socket::Tcp(t)) = self.sockets.get_mut(index(handle)) {
                 t.conn.on_segment(&seg, now);
                 return Some(handle);
             }
@@ -410,11 +459,9 @@ impl Host {
                 let mut conn = TcpConnection::new(seg.dst_port, seg.src_port, config, options);
                 conn.listen();
                 conn.on_segment(&seg, now);
-                let handle = self.alloc_handle();
                 let remote = SocketAddr::new(from, seg.src_port);
-                self.tcp_tuples.insert(key, handle);
-                self.sockets
-                    .insert(handle, Socket::Tcp(TcpSocket { conn, remote }));
+                let handle = self.add_socket(Socket::Tcp(TcpSocket { conn, remote }));
+                self.add_tuple(key, handle);
                 self.listeners
                     .get_mut(&seg.dst_port)
                     .expect("listener exists")
@@ -557,15 +604,124 @@ mod tests {
         );
     }
 
+    fn connect(h: &mut Host, to: NodeId, port: u16) -> SocketHandle {
+        h.tcp_connect(
+            SocketAddr::new(to, port),
+            TcpConfig::default(),
+            SocketOptions::standard(),
+            SimTime::ZERO,
+        )
+    }
+
     #[test]
     fn bad_handles_are_rejected() {
         let mut h = host();
-        let bogus = SocketHandle(999);
-        assert_eq!(h.tcp_write(bogus, b"x"), Err(HostError::BadHandle));
-        assert_eq!(h.tcp_read(bogus), Err(HostError::BadHandle));
-        assert_eq!(h.udp_recv(bogus), Err(HostError::BadHandle));
-        let udp = h.udp_bind(0).unwrap();
+        let udp = h.udp_bind(5000).unwrap();
+        let tcp = connect(&mut h, NodeId(1), 80);
+        assert_eq!((udp, tcp), (SocketHandle(1), SocketHandle(2)));
+        // Handle 0 and handles never issued name nothing.
+        let to = SocketAddr::new(NodeId(1), 9);
+        for bad in [SocketHandle(0), SocketHandle(3), SocketHandle(999)] {
+            assert_eq!(h.tcp_write(bad, b"x"), Err(HostError::BadHandle));
+            assert_eq!(h.tcp_read(bad), Err(HostError::BadHandle));
+            assert_eq!(h.tcp_close(bad), Err(HostError::BadHandle));
+            assert_eq!(h.tcp_established(bad), Err(HostError::BadHandle));
+            assert_eq!(h.tcp_local_port(bad), Err(HostError::BadHandle));
+            assert_eq!(h.udp_recv(bad), Err(HostError::BadHandle));
+            assert_eq!(h.udp_send_to(bad, to, b"x"), Err(HostError::BadHandle));
+            assert!(!h.is_tcp(bad));
+        }
+        // UDP and TCP share one numbering: a handle of the other type is
+        // the wrong type.
         assert_eq!(h.tcp_write(udp, b"x"), Err(HostError::WrongSocketType));
+        assert_eq!(h.tcp_read(udp), Err(HostError::WrongSocketType));
+        assert_eq!(h.tcp_close(udp), Err(HostError::WrongSocketType));
+        assert_eq!(h.tcp_peer(udp), Err(HostError::WrongSocketType));
+        assert_eq!(
+            h.poll_handle_into(udp, SimTime::ZERO, &mut Vec::new()),
+            Err(HostError::WrongSocketType)
+        );
+        assert!(!h.is_tcp(udp));
+        assert!(h.is_tcp(tcp));
+        assert_eq!(h.udp_recv(tcp), Err(HostError::WrongSocketType));
+        assert_eq!(
+            h.udp_send_to(tcp, to, b"x"),
+            Err(HostError::WrongSocketType)
+        );
+    }
+
+    #[test]
+    fn handles_are_numbered_from_one_across_every_kind_of_socket() {
+        let mut client = host();
+        let mut server = Host::new(NodeId(1), "server");
+        assert_eq!(server.udp_bind(53), Ok(SocketHandle(1)));
+        server
+            .tcp_listen(80, TcpConfig::default(), SocketOptions::standard())
+            .unwrap();
+        let ch = connect(&mut client, NodeId(1), 80);
+        assert_eq!(ch, SocketHandle(1));
+        assert_eq!(client.udp_bind(0), Ok(SocketHandle(2)));
+        let (mut t, mut sh) = (SimTime::ZERO, None);
+        exchange(&mut client, ch, &mut server, &mut sh, &mut t);
+        // The SYN made the listener's socket: the server's second handle.
+        assert_eq!(sh, Some(SocketHandle(2)));
+        assert_eq!(server.accept(80), Some(SocketHandle(2)));
+        assert_eq!(connect(&mut server, NodeId(0), 7), SocketHandle(3));
+        assert_eq!(client.udp_bind(0), Ok(SocketHandle(3)));
+    }
+
+    #[test]
+    fn ephemeral_ports_count_up_from_40000() {
+        let mut h = host();
+        let a = connect(&mut h, NodeId(1), 80);
+        let b = connect(&mut h, NodeId(1), 80);
+        let u = h.udp_bind(0).unwrap();
+        let c = connect(&mut h, NodeId(2), 80);
+        assert_eq!(h.tcp_local_port(a), Ok(40_000));
+        assert_eq!(h.tcp_local_port(b), Ok(40_001));
+        assert_eq!(h.udp_local_port(u), Ok(40_002));
+        assert_eq!(h.tcp_local_port(c), Ok(40_003));
+    }
+
+    #[test]
+    fn a_wrapped_port_counter_skips_every_port_in_use() {
+        let mut h = host();
+        let tcp = connect(&mut h, NodeId(1), 80);
+        assert_eq!(h.tcp_local_port(tcp), Ok(40_000));
+        h.tcp_listen(40_001, TcpConfig::default(), SocketOptions::standard())
+            .unwrap();
+        h.udp_bind(40_002).unwrap();
+        h.next_ephemeral_port = 65_535;
+        let last = connect(&mut h, NodeId(1), 80);
+        assert_eq!(h.tcp_local_port(last), Ok(65_535));
+        let wrapped = connect(&mut h, NodeId(1), 80);
+        assert_eq!(h.tcp_local_port(wrapped), Ok(40_003));
+    }
+
+    /// A host whose TCP connections hold every ephemeral port but `free`.
+    fn host_with_ephemeral_ports_taken_but(free: Option<u16>) -> Host {
+        let mut h = host();
+        for port in FIRST_EPHEMERAL_PORT..=u16::MAX {
+            if Some(port) != free {
+                h.tcp_ports.insert(port);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn the_one_free_port_is_found_a_full_cycle_on() {
+        // The counter stands at 40000; the only free port is 65535.
+        let mut h = host_with_ephemeral_ports_taken_but(Some(u16::MAX));
+        let c = connect(&mut h, NodeId(1), 80);
+        assert_eq!(h.tcp_local_port(c), Ok(u16::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "host h0: ephemeral ports exhausted")]
+    fn a_host_out_of_ephemeral_ports_panics_instead_of_spinning() {
+        let mut h = host_with_ephemeral_ports_taken_but(None);
+        connect(&mut h, NodeId(1), 80);
     }
 
     #[test]

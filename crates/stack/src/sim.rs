@@ -131,9 +131,9 @@ impl Flows {
 /// A host and what the loop keeps about it.
 struct HostSlot {
     host: Host,
-    /// `flow_of[handle.0]` → flow. A [`Host`] hands handles out
-    /// sequentially, so the table is as dense as the host's sockets (UDP
-    /// sockets are the `None`s).
+    /// `flow_of[handle.0]` → flow. A [`Host`]'s handles are dense and never
+    /// reused (see there), so the table is as dense as the host's sockets
+    /// (UDP sockets, and the unissued handle 0, are the `None`s).
     flow_of: Vec<Option<FlowId>>,
     /// Whether connections a listener accepts are registered as flows and
     /// surfaced via [`Sim::take_accepted`].
