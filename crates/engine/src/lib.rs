@@ -8,10 +8,10 @@
 //! Components, bottom-up:
 //!
 //! * The event loop is [`minion_stack::Sim`], the one loop of the workspace
-//!   (hierarchical [`TimerWheel`], batched packet dispatch, per-socket
-//!   demultiplexing, readiness events instead of lockstep sweeps). This
-//!   crate drives it through registered flows ([`FlowId`]); nothing here
-//!   restricts the topology underneath.
+//!   (one exact timer queue, [`TimerWheel`]; batched packet dispatch;
+//!   per-socket demultiplexing; readiness events instead of lockstep
+//!   sweeps). This crate drives it through registered flows ([`FlowId`]);
+//!   nothing here restricts the topology underneath.
 //! * [`Transport`] — packet I/O and time as a trait, so one scenario driver
 //!   runs over the simulator ([`SimTransport`]) or a kernel stack
 //!   (`minion-osnet`).

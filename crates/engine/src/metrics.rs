@@ -29,7 +29,7 @@ pub struct EngineMetrics {
     pub bytes_sent: u64,
     /// Offered packets dropped by loss models or queue overflow.
     pub packets_dropped: u64,
-    /// Timer-wheel expiries dispatched.
+    /// Timer expiries dispatched.
     pub timer_fires: u64,
     /// Per-flow polls executed (each may emit several segments).
     pub flow_polls: u64,

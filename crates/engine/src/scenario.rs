@@ -3,7 +3,7 @@
 //! This is the workload the ROADMAP's "heavy traffic" regime needs and the
 //! single-connection scenario matrix cannot express: hundreds to thousands of
 //! concurrent connections multiplexed over one shared link, driven entirely
-//! by readiness events and the timer wheel. Each flow sends a deterministic
+//! by readiness events and the timer queue. Each flow sends a deterministic
 //! sequence of framed records; the run asserts, per flow:
 //!
 //! * **exactly-once delivery** — every delivered chunk equals the sent

@@ -1,9 +1,10 @@
 //! The OS backend's time source: wall-clock microseconds since creation.
 //!
 //! `SimTime` is a plain microsecond count, so the scenario driver and the
-//! [`TimerWheel`](minion_engine::TimerWheel) take these readings exactly as
-//! they take the simulator's virtual ones. They are real time and therefore
-//! never appear in any determinism-gated report field.
+//! timer queue ([`TimerWheel`](minion_engine::TimerWheel)) take these
+//! readings exactly as they take the simulator's virtual ones. They are
+//! real time and therefore never appear in any determinism-gated report
+//! field.
 
 use minion_simnet::SimTime;
 use std::time::Instant;

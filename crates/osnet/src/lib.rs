@@ -28,9 +28,9 @@
 //!   closed) like Demikernel's catnap backend, accepted connections demuxed
 //!   through the same [`TupleTable`](minion_stack::TupleTable) the
 //!   simulated hosts use (exercising its tombstone path on teardown), a
-//!   `MonotonicClock` feeding a
-//!   [`TimerWheel`](minion_engine::TimerWheel) for liveness watchdogs, and syscall accounting so the bench can report
-//!   syscalls/flow.
+//!   `MonotonicClock` feeding a timer queue
+//!   ([`TimerWheel`](minion_engine::TimerWheel)) of liveness watchdogs, and
+//!   syscall accounting so the bench can report syscalls/flow.
 //!
 //! Determinism is explicitly *not* promised here — the kernel schedules as
 //! it pleases. The OS backend gates on liveness (every flow completes

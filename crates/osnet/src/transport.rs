@@ -18,10 +18,10 @@
 //! connection churn.
 //!
 //! Time is a `MonotonicClock`: wall microseconds since the transport was
-//! created, feeding both the scenario deadline and a [`TimerWheel`] of
-//! connect watchdogs (a flow whose handshake has not resolved when its
-//! timer fires fails the run immediately, rather than stalling to the
-//! scenario deadline).
+//! created, feeding both the scenario deadline and a timer queue
+//! ([`TimerWheel`]) of connect watchdogs (a flow whose handshake has not
+//! resolved when its timer fires fails the run immediately, rather than
+//! stalling to the scenario deadline).
 //!
 //! Every syscall is counted; [`Transport::syscalls`] reports the total so
 //! the bench can put syscalls/flow next to the sim's allocs/flow.

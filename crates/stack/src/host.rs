@@ -524,7 +524,8 @@ impl Host {
         self.tcp_socket(handle).is_ok()
     }
 
-    /// The earliest timer of a single TCP socket (wheel re-arming).
+    /// The earliest timer of a single TCP socket (the loop re-arms its
+    /// timer queue from it).
     pub(crate) fn next_timer_of(&self, handle: SocketHandle) -> Result<Option<SimTime>, HostError> {
         Ok(self.tcp_socket(handle)?.conn.next_timer())
     }

@@ -6,8 +6,8 @@
 //! demultiplexing, transparent middleboxes that re-segment or coalesce TCP
 //! streams, and [`Sim`], the one event loop everything runs on — a handful
 //! of sockets reached through their host, or thousands of flows driven by
-//! readiness (see [`sim`]), with per-flow timers on a hierarchical
-//! [`TimerWheel`].
+//! readiness (see [`sim`]), with per-flow timers in one exact deadline
+//! queue, [`TimerWheel`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

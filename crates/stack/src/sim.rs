@@ -9,8 +9,10 @@
 //! * Arrivals are drained in batches
 //!   ([`minion_simnet::World::drain_due_into`]) and demultiplexed straight to
 //!   the owning socket (`Host::on_packet_demux`).
-//! * Per-flow timers live in a hierarchical [`TimerWheel`] (`O(1)` re-arm,
-//!   which TCP does on every ACK).
+//! * Per-flow timers live in one min-heap, [`TimerWheel`], that answers
+//!   the earliest deadline exactly, so every step has something due. A
+//!   re-arm to a later deadline, which TCP does on every ACK, touches only
+//!   the key's map entry.
 //! * A [`Host`] records the TCP sockets the application acted on: a
 //!   connect, an accepted write or close, a read that returned a chunk.
 //!   Each flush takes those records, and the datagrams sent on UDP
@@ -47,7 +49,7 @@ use std::time::Instant;
 
 /// Phase names of the event loop, in [`Sim::phases`] slot order. `flush` is
 /// the ready-flow polling pass (socket polls + packet egress), `dispatch` the
-/// arrival drain + demux, `timers` the wheel advance.
+/// arrival drain + demux, `timers` the timer queue's advance.
 pub const SIM_PHASES: &[&str] = &["flush", "dispatch", "timers"];
 
 const PHASE_FLUSH: usize = 0;
@@ -88,7 +90,7 @@ pub struct SimMetrics {
     pub bytes_sent: u64,
     /// Offered packets dropped by loss models or queue overflow.
     pub packets_dropped: u64,
-    /// Timer-wheel expiries dispatched.
+    /// Timer expiries dispatched.
     pub timer_fires: u64,
     /// Per-flow polls executed (each may emit several segments).
     pub flow_polls: u64,
@@ -183,7 +185,7 @@ pub struct Sim {
     /// the final destination.
     routes: BTreeMap<(NodeId, NodeId), NodeId>,
     now: SimTime,
-    /// Per-flow timers. The wheel's ticks are virtual microseconds.
+    /// Per-flow timers, in virtual microseconds.
     wheel: TimerWheel<FlowId>,
     flows: Flows,
     /// Connection edges of registered flows since the last
@@ -436,7 +438,7 @@ impl Sim {
     }
 
     /// Poll one ready flow at the current time: surface its edge events,
-    /// re-arm its timer on the wheel, and offer its packets to the network.
+    /// re-arm its timer, and offer its packets to the network.
     fn poll_flow(&mut self, flow: FlowId) {
         let slot = &mut self.flows.slots[flow.index()];
         slot.ready = false;
@@ -518,9 +520,10 @@ impl Sim {
 
     /// The time of the next scheduled event: now if the application left
     /// work for the next flush, else the earliest of the next packet arrival,
-    /// the wheel's next wake-up and the middleboxes' hold timers. `None`
+    /// the earliest flow timer and the middleboxes' hold timers. `None`
     /// means idle.
-    fn next_event_time(&self) -> Option<SimTime> {
+    fn next_event_time(&mut self) -> Option<SimTime> {
+        let timer = self.wheel.next_wake();
         let held = self
             .middleboxes
             .iter()
@@ -529,7 +532,7 @@ impl Sim {
             .then_some(self.now)
             .into_iter()
             .chain(self.world.next_arrival_time())
-            .chain(self.wheel.next_wake())
+            .chain(timer)
             .chain(held)
             .min()
     }
@@ -940,13 +943,13 @@ mod tests {
     fn wheel_is_rearmed_from_connection_timers() {
         let (mut sim, a, b) = basic_sim();
         // No listener: the SYN goes unanswered, so the flow's life is driven
-        // purely by RTO timers on the wheel.
+        // purely by RTO timers in the timer queue.
         let cf = flow_to(&mut sim, a, b);
         sim.run_for(SimDuration::from_secs(8));
         let stats = sim.flow_stats(cf);
         assert!(
             stats.timeouts >= 2,
-            "SYN retransmissions must fire via the wheel, stats={stats:?}"
+            "SYN retransmissions must fire via the timer queue, stats={stats:?}"
         );
         assert!(sim.metrics().timer_fires >= 2);
         assert!(sim
@@ -1113,8 +1116,9 @@ mod tests {
     }
 
     /// Opening a flow polls that flow alone: with N established, idle flows
-    /// on the client, the step after one more `flow_connect` polls only the
-    /// new one, not the N + 1 flows of the host.
+    /// on the client, the flush after one more `flow_connect` polls only the
+    /// new one, not the N + 1 flows of the host. The flush is counted alone:
+    /// the step it opens may go on to deliver the SYN and poll its peer.
     #[test]
     fn connecting_a_flow_polls_only_that_flow() {
         const N: u64 = 32;
@@ -1127,7 +1131,7 @@ mod tests {
 
         let before = sim.metrics().flow_polls;
         flow_to(&mut sim, a, b);
-        assert!(sim.step());
+        sim.flush_pending();
         assert_eq!(sim.metrics().flow_polls - before, 1);
     }
 
@@ -1144,7 +1148,7 @@ mod tests {
 
     /// A write is work for its socket alone: with N established, idle
     /// connections on the client, a write through `host_mut` on one of them
-    /// polls that one, not all N.
+    /// polls that one, not all N. As above, the flush is counted alone.
     #[test]
     fn a_write_through_host_mut_polls_only_that_flow() {
         const N: usize = 32;
@@ -1153,7 +1157,7 @@ mod tests {
 
         let before = sim.metrics().flow_polls;
         sim.host_mut(a).tcp_write(handles[N / 2], b"one").unwrap();
-        assert!(sim.step());
+        sim.flush_pending();
         assert_eq!(sim.metrics().flow_polls - before, 1);
     }
 

@@ -1,66 +1,42 @@
-//! A hierarchical timer wheel for multiplexing thousands of connection
-//! timers.
+//! The loop's timer queue: one exact deadline per key.
 //!
-//! A naive driver asks every connection for its next timer on every event
-//! (`O(flows)` per event). The wheel replaces that scan with `O(1)`
-//! scheduling and near-`O(1)` next-deadline queries, in the style of the
-//! kernel timer wheel and tokio's timer driver:
+//! A driver that asked every connection for its next timer on every event
+//! would pay `O(flows)` per event. The queue keeps each flow's deadline in
+//! a min-heap instead, so the loop jumps virtual time straight to the
+//! earliest one:
 //!
-//! * **Levels.** `LEVELS` levels of [`SLOTS`] slots each; a slot at level
-//!   `L` spans `SLOTS^L` ticks (one tick = one microsecond, the simulator's
-//!   native resolution, so level-0 expiry times are *exact*). An entry lives
-//!   at the level where its deadline's slot path first diverges from the
-//!   current time's — guaranteeing it is cascaded down exactly when the
-//!   wheel's notion of "now" enters its slot.
-//! * **Occupancy bitmaps.** Each level keeps a `u64` bitmap of non-empty
-//!   slots, so finding the next occupied slot is a couple of bit operations
-//!   rather than a scan, and the driver can jump virtual time directly to the
-//!   next deadline.
-//! * **Lazy cancellation.** Rescheduling or cancelling only updates the
-//!   `armed` map; the superseded slot entry is discarded when its slot
-//!   drains. TCP re-arms its RTO on every ACK, so cheap rescheduling is the
-//!   common case that matters.
+//! * **Lazy re-arm.** `armed` maps each key to its deadline and to the
+//!   deadline of its one live heap entry, which is never later. Moving a
+//!   deadline later, as TCP does with its RTO on every ACK, only updates
+//!   the map; the entry is re-pushed at the true deadline when it reaches
+//!   the top. Moving it earlier pushes a new entry.
+//! * **Lazy cancellation.** Cancelling only updates the map; an entry whose
+//!   key no longer queues at its time is dropped when it reaches the top.
 //!
-//! Determinism: expiries are reported in `(deadline, key)` order, making the
-//! wheel's behaviour independent of insertion history.
+//! Both are settled before the top is read, so the wake-up the loop asks
+//! for is an armed key's exact deadline. Expiries are reported in
+//! `(deadline, key)` order, so the queue's behaviour is independent of
+//! insertion history.
 
 use minion_simnet::SimTime;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BTreeMap, BinaryHeap};
 
-/// Slots per level (64, so occupancy fits one `u64` bitmap).
-pub const SLOTS: usize = 64;
-/// Number of levels. Six 64-slot levels of 1 µs ticks give a horizon of
-/// `64^6` µs ≈ 19.5 hours, far beyond any transport timer (max RTO 60 s).
-const LEVELS: usize = 6;
-
-const SLOT_BITS: u32 = 6;
-/// Ticks covered by the whole wheel.
-const HORIZON: u64 = 1 << (SLOT_BITS * LEVELS as u32);
-
-#[derive(Clone, Copy, Debug)]
-struct Entry<K> {
-    deadline: u64,
-    key: K,
-}
-
-/// A hierarchical timer wheel over keys of type `K`.
+/// A queue of timers over keys of type `K`, earliest deadline first.
 ///
 /// Keys identify logical timers ([`crate::Sim`] uses per-flow keys); scheduling a
 /// key that is already armed reschedules it.
 #[derive(Clone, Debug)]
 pub struct TimerWheel<K> {
-    /// Current time in ticks (µs). All armed deadlines are `> current` except
-    /// transiently inside `advance`.
+    /// The time (µs) of the latest [`advance`](Self::advance).
     current: u64,
-    slots: Vec<Vec<Entry<K>>>,
-    /// Per-level bitmap of non-empty slots (bit `s` set ⇔ `slot(level, s)`
-    /// holds entries, possibly stale).
-    occupied: [u64; LEVELS],
-    /// The authoritative key → deadline map; slot entries not matching it are
-    /// stale and dropped when their slot drains.
-    armed: BTreeMap<K, u64>,
-    /// Keys scheduled at or before `current` (fire on the next `advance`).
-    immediate: Vec<Entry<K>>,
+    /// `(time, key)` entries, earliest first. An entry is live when its key
+    /// is armed and queued at its time; any other entry is dead.
+    heap: BinaryHeap<Reverse<(u64, K)>>,
+    /// Armed key → `(deadline, queued)`: the key's deadline and the time
+    /// of its live heap entry (`queued <= deadline`).
+    armed: BTreeMap<K, (u64, u64)>,
 }
 
 impl<K: Ord + Copy> Default for TimerWheel<K> {
@@ -70,14 +46,12 @@ impl<K: Ord + Copy> Default for TimerWheel<K> {
 }
 
 impl<K: Ord + Copy> TimerWheel<K> {
-    /// An empty wheel positioned at t = 0.
+    /// An empty queue positioned at t = 0.
     pub fn new() -> Self {
         TimerWheel {
             current: 0,
-            slots: (0..SLOTS * LEVELS).map(|_| Vec::new()).collect(),
-            occupied: [0; LEVELS],
+            heap: BinaryHeap::new(),
             armed: BTreeMap::new(),
-            immediate: Vec::new(),
         }
     }
 
@@ -91,177 +65,80 @@ impl<K: Ord + Copy> TimerWheel<K> {
         self.armed.is_empty()
     }
 
-    /// The wheel's current position.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.current)
-    }
-
-    fn slot_index(level: usize, tick: u64) -> usize {
-        level * SLOTS + ((tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
-    }
-
-    /// The level at which a future deadline must be stored: the highest slot
-    /// group in which it differs from `current`.
-    fn level_for(&self, deadline: u64) -> usize {
-        debug_assert!(deadline > self.current);
-        let diverge = deadline ^ self.current;
-        ((63 - diverge.leading_zeros()) / SLOT_BITS) as usize
-    }
-
-    fn insert(&mut self, deadline: u64, key: K) {
-        if deadline <= self.current {
-            self.immediate.push(Entry { deadline, key });
-            return;
-        }
-        // Deadlines beyond the horizon park at the wheel's farthest slot and
-        // re-insert when it drains (they cascade toward their true deadline).
-        let capped = deadline.min(self.current + HORIZON - 1);
-        let level = self.level_for(capped).min(LEVELS - 1);
-        let idx = Self::slot_index(level, capped);
-        self.slots[idx].push(Entry { deadline, key });
-        self.occupied[level] |= 1 << (idx - level * SLOTS);
-    }
-
     /// Arm (or re-arm) `key` to fire at `deadline`. A deadline at or before
-    /// the wheel's current position fires on the next [`advance`].
+    /// the queue's current position fires on the next [`advance`].
     ///
     /// [`advance`]: Self::advance
     pub fn schedule(&mut self, key: K, deadline: SimTime) {
         let deadline = deadline.as_micros();
-        self.armed.insert(key, deadline);
-        self.insert(deadline, key);
+        match self.armed.get_mut(&key) {
+            Some((armed, queued)) if *queued <= deadline => *armed = deadline,
+            // Unarmed, or moved before its entry, which is now dead.
+            _ => {
+                self.armed.insert(key, (deadline, deadline));
+                self.heap.push(Reverse((deadline, key)));
+            }
+        }
     }
 
-    /// Disarm `key`. The stale slot entry, if any, is dropped lazily.
+    /// Disarm `key`. Its heap entry, if any, is dropped lazily.
     pub fn cancel(&mut self, key: K) {
         self.armed.remove(&key);
     }
 
-    /// A time at or before the earliest armed deadline, or `None` when no
-    /// timers are armed.
-    ///
-    /// Level-0 results are exact. Higher-level results are conservative (the
-    /// start of the next occupied slot): advancing to the returned time
-    /// cascades the slot so the next query refines it, which is how an
-    /// event-driven caller converges on exact deadlines in `O(levels)` hops
-    /// instead of scanning every timer.
-    pub(crate) fn next_wake(&self) -> Option<SimTime> {
-        if self.armed.is_empty() {
-            return None;
-        }
-        if !self.immediate.is_empty() {
-            return Some(SimTime::from_micros(self.current));
-        }
-        for level in 0..LEVELS {
-            let cur_slot =
-                ((self.current >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as u32;
-            // Slots strictly after the current one at this level; earlier
-            // slots belong to the next rotation, which a higher level covers.
-            let later = self.occupied[level] & !(u64::MAX >> (63 - cur_slot)) & !(1 << cur_slot);
-            if later != 0 {
-                let s = later.trailing_zeros() as u64;
-                let span = 1u64 << (SLOT_BITS * level as u32);
-                let base = self.current & !((span << SLOT_BITS) - 1);
-                let slot_start = base + s * span;
-                if level == 0 {
-                    // Exact: every entry in a level-0 slot shares its tick.
-                    return Some(SimTime::from_micros(slot_start));
+    /// Bring the earliest live entry to the top at its exact deadline, and
+    /// return it: drop dead entries and re-push a live one whose key has
+    /// moved later.
+    fn settle(&mut self) -> Option<(u64, K)> {
+        while let Some(mut top) = self.heap.peek_mut() {
+            let Reverse((at, key)) = *top;
+            match self.armed.get_mut(&key) {
+                Some((deadline, queued)) if *queued == at => {
+                    if *deadline == at {
+                        return Some((at, key));
+                    }
+                    *queued = *deadline;
+                    *top = Reverse((*deadline, key));
                 }
-                return Some(SimTime::from_micros(slot_start.max(self.current + 1)));
-            }
-        }
-        // All remaining timers sit in slots at or before the current path
-        // (i.e. the next rotation of some level). The next interesting moment
-        // is the next slot boundary of the smallest level that wraps.
-        for level in 0..LEVELS {
-            if self.occupied[level] != 0 {
-                let span = 1u64 << (SLOT_BITS * level as u32);
-                let next_boundary = (self.current / span + 1) * span;
-                return Some(SimTime::from_micros(next_boundary));
+                _ => {
+                    PeekMut::pop(top);
+                }
             }
         }
         None
     }
 
-    /// Advance the wheel to `now`, appending every key whose armed deadline
+    /// The earliest armed deadline, or the queue's position if that is
+    /// later; `None` when no timers are armed.
+    pub(crate) fn next_wake(&mut self) -> Option<SimTime> {
+        let (at, _) = self.settle()?;
+        Some(SimTime::from_micros(at.max(self.current)))
+    }
+
+    /// Advance the queue to `now`, appending every key whose armed deadline
     /// is `<= now` to `expired` in `(deadline, key)` order. Returns the
     /// number of keys expired.
     pub fn advance(&mut self, now: SimTime, expired: &mut Vec<K>) -> usize {
-        let target = now.as_micros();
-        debug_assert!(target >= self.current, "time cannot move backwards");
-        let mut due: Vec<Entry<K>> = Vec::new();
-
-        // Immediately-due keys (scheduled at or before the then-current time).
-        let mut i = 0;
-        while i < self.immediate.len() {
-            if self.immediate[i].deadline <= target {
-                due.push(self.immediate.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-
-        while self.current < target {
-            let Some(next) = self.next_wake() else {
-                self.current = target;
-                break;
-            };
-            let next = next.as_micros().max(self.current + 1);
-            if next > target {
-                self.current = target;
+        let now = now.as_micros();
+        debug_assert!(now >= self.current, "time cannot move backwards");
+        self.current = now;
+        let before = expired.len();
+        while let Some((at, key)) = self.settle() {
+            if at > now {
                 break;
             }
-            self.current = next;
-            // Drain every slot on the current path whose position changed:
-            // level 0 always (its slot == the current tick), higher levels
-            // only at their boundaries (a cascade).
-            for level in 0..LEVELS {
-                let span_bits = SLOT_BITS * level as u32;
-                if level > 0 && self.current & ((1u64 << span_bits) - 1) != 0 {
-                    break; // Not at this level's slot boundary: no cascade.
-                }
-                let idx = Self::slot_index(level, self.current);
-                if self.slots[idx].is_empty() {
-                    continue;
-                }
-                self.occupied[level] &= !(1 << (idx - level * SLOTS));
-                let entries = std::mem::take(&mut self.slots[idx]);
-                for e in entries {
-                    match self.armed.get(&e.key) {
-                        Some(&d) if d == e.deadline => {
-                            if d <= self.current {
-                                due.push(e);
-                            } else {
-                                // Re-insert: either a cascade toward a lower
-                                // level or a parked beyond-horizon entry.
-                                self.insert(d, e.key);
-                            }
-                        }
-                        _ => {} // Stale (rescheduled or cancelled): drop.
-                    }
-                }
-            }
+            self.heap.pop();
+            self.armed.remove(&key);
+            expired.push(key);
         }
-
-        due.sort_unstable_by_key(|e| (e.deadline, e.key));
-        let mut fired = 0;
-        for e in due {
-            // Re-check: an earlier expiry in this batch cannot re-arm (the
-            // caller hasn't run yet), but immediate entries may duplicate a
-            // slot entry after a reschedule; the map is authoritative.
-            if self.armed.get(&e.key) == Some(&e.deadline) {
-                self.armed.remove(&e.key);
-                expired.push(e.key);
-                fired += 1;
-            }
-        }
-        fired
+        expired.len() - before
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn us(t: u64) -> SimTime {
         SimTime::from_micros(t)
@@ -277,9 +154,7 @@ mod tests {
     fn single_timer_fires_exactly_once_at_its_deadline() {
         let mut w = TimerWheel::new();
         w.schedule(1u32, us(500));
-        // Conservative: a wake estimate never overshoots the deadline.
-        let wake = w.next_wake().expect("armed");
-        assert!(wake <= us(500) && wake > us(0), "wake={wake}");
+        assert_eq!(w.next_wake(), Some(us(500)));
         assert!(advance_collect(&mut w, 499).is_empty());
         assert_eq!(advance_collect(&mut w, 500), vec![1]);
         assert!(w.is_empty());
@@ -323,9 +198,9 @@ mod tests {
     }
 
     #[test]
-    fn deadlines_across_level_boundaries_are_exact() {
-        // Deadlines straddling 64, 64^2, 64^3 tick boundaries must cascade
-        // down and fire at their exact microsecond.
+    fn stepping_wake_to_wake_fires_each_timer_at_its_exact_deadline() {
+        // Deadlines either side of 64, 64^2, 64^3 and 64^4 µs, stepped
+        // through one wake at a time.
         let deadlines = [
             63u64, 64, 65, 4_095, 4_096, 4_097, 262_143, 262_144, 262_145, 16_777_216,
         ];
@@ -381,21 +256,14 @@ mod tests {
     }
 
     #[test]
-    fn beyond_horizon_deadline_parks_and_still_fires() {
+    fn a_deadline_hours_away_fires_at_its_deadline() {
         let mut w = TimerWheel::new();
-        let far = HORIZON + 12_345;
+        let far = (1u64 << 36) + 12_345; // about 19 hours
         w.schedule(9u32, us(far));
-        assert!(advance_collect(&mut w, HORIZON - 1).is_empty());
-        let mut fired = Vec::new();
-        let mut guard = 0;
-        while !w.is_empty() {
-            let wake = w.next_wake().unwrap();
-            w.advance(wake, &mut fired);
-            guard += 1;
-            assert!(guard < 100, "parked entry must converge quickly");
-        }
-        assert_eq!(fired, vec![9]);
-        assert!(w.now().as_micros() >= far);
+        assert!(advance_collect(&mut w, far - 1).is_empty());
+        assert_eq!(w.next_wake(), Some(us(far)));
+        assert_eq!(advance_collect(&mut w, far), vec![9]);
+        assert_eq!(w.next_wake(), None);
     }
 
     #[test]
@@ -470,5 +338,89 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
+    }
+
+    /// The naive queue the heap must agree with: key → deadline, expired
+    /// by a full scan.
+    #[derive(Default)]
+    struct Model {
+        armed: BTreeMap<u32, u64>,
+        position: u64,
+    }
+
+    impl Model {
+        fn advance(&mut self, to: u64) -> Vec<u32> {
+            self.position = to;
+            let mut due: Vec<(u64, u32)> = self
+                .armed
+                .iter()
+                .filter(|&(_, &d)| d <= to)
+                .map(|(&k, &d)| (d, k))
+                .collect();
+            due.sort_unstable();
+            for (_, k) in &due {
+                self.armed.remove(k);
+            }
+            due.into_iter().map(|(_, k)| k).collect()
+        }
+
+        fn next_wake(&self) -> Option<SimTime> {
+            let earliest = self.armed.values().min()?;
+            Some(us((*earliest).max(self.position)))
+        }
+    }
+
+    proptest! {
+        /// Random schedule/cancel/advance sequences on few keys, so keys
+        /// are re-armed earlier, later, a microsecond either side and to
+        /// their own or another key's deadline, and deadlines land in the
+        /// past, at the position and far ahead.
+        /// After every operation the wake is exact and the armed count
+        /// agrees; every advance expires exactly the model's keys, in
+        /// `(deadline, key)` order.
+        #[test]
+        fn the_queue_agrees_with_a_naive_model(
+            ops in proptest::collection::vec((0u8..5, 0u32..8, 0u64..5_000), 1..200),
+        ) {
+            let mut w = TimerWheel::new();
+            let mut model = Model::default();
+            for (op, key, delta) in ops {
+                let position = model.position;
+                match op {
+                    0 | 1 => {
+                        let deadline = if op == 0 || model.armed.is_empty() {
+                            (position + delta).saturating_sub(500)
+                        } else {
+                            // -2..=2 µs from an armed deadline (the key's
+                            // own or another's), so keys tie and move by
+                            // one microsecond.
+                            let nth = delta as usize % model.armed.len();
+                            let near = model.armed.values().nth(nth).unwrap();
+                            (near + delta / 8 % 5).saturating_sub(2)
+                        };
+                        w.schedule(key, us(deadline));
+                        model.armed.insert(key, deadline);
+                    }
+                    2 => {
+                        w.cancel(key);
+                        model.armed.remove(&key);
+                    }
+                    3 => {
+                        let to = position + delta;
+                        prop_assert_eq!(advance_collect(&mut w, to), model.advance(to));
+                    }
+                    _ => {
+                        if let Some(wake) = w.next_wake() {
+                            let to = wake.as_micros();
+                            let fired = advance_collect(&mut w, to);
+                            prop_assert!(!fired.is_empty(), "a wake with nothing due at {to}");
+                            prop_assert_eq!(fired, model.advance(to));
+                        }
+                    }
+                }
+                prop_assert_eq!(w.next_wake(), model.next_wake());
+                prop_assert_eq!(w.len(), model.armed.len());
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ fn one_thousand_flows_deterministic_and_exactly_once() {
     assert!(report.goodput_bps > 0);
     assert!(
         report.engine.timer_fires > 0,
-        "the timer wheel must be doing real work (delayed ACKs at minimum)"
+        "the timer queue must be doing real work (delayed ACKs at minimum)"
     );
     // The engine never sweeps all flows per event: polls stay proportional
     // to events, not flows × events.
@@ -165,11 +165,14 @@ fn staged_figures(report: &LoadReport) -> (u64, u64, u64, u64, u64) {
 }
 
 /// The event loop's seven counters for two small scenarios (lossless: no
-/// timer ever fires; 2 % loss: the wheel fires 23 times). The lossless
-/// counts were taken at the commit before `stack::Sim` took the engine's
-/// loop over; the lossy ones moved when the RTO stopped clearing the SACK
-/// scoreboard. The counts are seed-determined, so they cannot flake, and
-/// they trip on any change of what the loop polls, sends or wakes for.
+/// timer ever fires; 2 % loss: the timer queue fires 23 times). The
+/// lossless counts were taken at the commit before `stack::Sim` took the
+/// engine's loop over; the lossy ones moved when the RTO stopped clearing
+/// the SACK scoreboard, and its `steps` again when the timer queue began
+/// to wake the loop at exact deadlines: a step is an instant at which a
+/// packet arrives, a timer is due or the application acted. The counts
+/// are seed-determined, so they cannot flake, and they trip on any change
+/// of what the loop polls, sends or wakes for.
 #[test]
 fn loop_counters_of_two_small_scenarios_are_pinned() {
     let lossless = LoadScenario {
@@ -197,7 +200,7 @@ fn loop_counters_of_two_small_scenarios_are_pinned() {
     assert_eq!(
         lossy.run().engine,
         EngineMetrics {
-            steps: 427,
+            steps: 389,
             packets_delivered: 372,
             packets_sent: 380,
             bytes_sent: 344938,
