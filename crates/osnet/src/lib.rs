@@ -24,10 +24,9 @@
 //!   wait for edge-triggered readiness (`EPOLLIN | EPOLLOUT | EPOLLET |
 //!   EPOLLRDHUP`), surface decoded [`reactor::Event`]s.
 //! * [`OsTransport`] — the [`Transport`](minion_engine::Transport)
-//!   implementation: per-phase socket states (connecting → established →
-//!   closed) like Demikernel's catnap backend, accepted connections demuxed
-//!   through the same [`TupleTable`](minion_stack::TupleTable) the
-//!   simulated hosts use (exercising its tombstone path on teardown), a
+//!   implementation: per-phase socket states (connecting → established)
+//!   like Demikernel's catnap backend, epoll tokens that carry each
+//!   socket's flow index (clients and accepted connections alike), a
 //!   `MonotonicClock` feeding a timer queue
 //!   ([`TimerWheel`](minion_engine::TimerWheel)) of liveness watchdogs, and
 //!   syscall accounting so the bench can report syscalls/flow.

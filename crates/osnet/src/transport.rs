@@ -6,16 +6,13 @@
 //! states the way Demikernel's catnap backend models them:
 //!
 //! ```text
-//! client:  Connecting --EPOLLOUT, SO_ERROR==0--> Established --shutdown--> Closed
-//! server:  (accept)  ----------------------------Established --shutdown--> Closed
+//! client:  Connecting --EPOLLOUT, SO_ERROR==0--> Established
+//! server:  (accept)  ----------------------------Established
 //! ```
 //!
-//! Accepted connections are demuxed into the same
-//! [`TupleTable`] the simulated hosts use, keyed
-//! `(server port, peer node, peer port)` — readable events on server
-//! sockets resolve their flow through a table lookup, and teardown removes
-//! the tuples, exercising the table's tombstone path under real
-//! connection churn.
+//! Every socket's epoll token carries its flow index, under one namespace
+//! bit for clients and one for accepted connections, so a readiness event
+//! names its flow without a lookup. `finish` drops the sockets.
 //!
 //! Time is a `MonotonicClock`: wall microseconds since the transport was
 //! created, feeding both the scenario deadline and a timer queue
@@ -34,8 +31,7 @@ use minion_engine::{
     EngineMetrics, FlowId, Histogram, PhaseProfile, TimerWheel, Transport, TransportChunk,
     TransportFlowStats,
 };
-use minion_simnet::{NodeId, SimDuration, SimTime};
-use minion_stack::{SocketHandle, TupleTable};
+use minion_simnet::{SimDuration, SimTime};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd};
@@ -44,8 +40,7 @@ use std::os::fd::{AsRawFd, FromRawFd};
 const LISTENER_TOKEN: u64 = 0;
 /// Token namespace of client flows: `CLIENT_BASE | flow index`.
 const CLIENT_BASE: u64 = 1 << 32;
-/// Token namespace of server flows: `SERVER_BASE | peer port` (resolved to
-/// a flow through the tuple table, like a packet demux).
+/// Token namespace of accepted flows: `SERVER_BASE | flow index`.
 const SERVER_BASE: u64 = 2 << 32;
 
 /// Handshake watchdog: a loopback connect that has not resolved in this
@@ -69,13 +64,6 @@ pub const OS_PHASES: &[&str] = &["wait", "dispatch"];
 const PHASE_WAIT: usize = 0;
 const PHASE_DISPATCH: usize = 1;
 
-/// Which side of a connection a flow socket is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Role {
-    Client,
-    Server,
-}
-
 /// Lifecycle phase of one flow socket.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
@@ -83,19 +71,13 @@ enum Phase {
     Connecting,
     /// Connected; bytes move.
     Established,
-    /// Torn down (sockets dropped in `finish`).
-    Closed,
 }
 
 /// One flow's socket and receive-side bookkeeping.
 #[derive(Debug)]
 struct FlowSock {
     sock: TcpStream,
-    role: Role,
     phase: Phase,
-    /// The connection's pairing key: the client's ephemeral port (a client
-    /// flow's own local port; a server flow's peer port).
-    pair_port: u16,
     /// Stream offset of the next byte `read` will deliver.
     read_offset: u64,
     /// Peer FIN observed (read returned 0).
@@ -126,9 +108,6 @@ pub struct OsTransport {
     /// Connect watchdogs, keyed by flow index, fed monotonic time.
     wheel: TimerWheel<u32>,
     flows: Vec<FlowSock>,
-    /// `(server port, peer node, peer port) → flow index`, shared shape
-    /// with the simulated hosts' demux table.
-    tuples: TupleTable,
     accepted: Vec<(FlowId, u64)>,
     readable: Vec<FlowId>,
     writable: Vec<FlowId>,
@@ -182,7 +161,6 @@ impl OsTransport {
             clock: MonotonicClock::new(),
             wheel: TimerWheel::new(),
             flows: Vec::new(),
-            tuples: TupleTable::new(),
             accepted: Vec::new(),
             readable: Vec::new(),
             writable: Vec::new(),
@@ -205,11 +183,6 @@ impl OsTransport {
         &self.wait_batch
     }
 
-    /// The demux table's probe statistics (tests: tombstone accounting).
-    pub fn tuple_stats(&self) -> minion_stack::TableStats {
-        self.tuples.stats()
-    }
-
     fn flow(&self, id: FlowId) -> &FlowSock {
         &self.flows[id.0 as usize]
     }
@@ -219,7 +192,7 @@ impl OsTransport {
     }
 
     /// Accept until the listener reports `WouldBlock`, registering each
-    /// connection as a server flow and demuxing it into the tuple table.
+    /// connection as a server flow.
     fn drain_accepts(&mut self) {
         loop {
             self.sys.accepts += 1;
@@ -228,36 +201,22 @@ impl OsTransport {
                     sock.set_nonblocking(true)
                         .expect("nonblocking accepted socket");
                     let idx = self.flows.len() as u32;
-                    let peer_port = peer.port();
                     self.reactor
-                        .register(sock.as_raw_fd(), SERVER_BASE | u64::from(peer_port))
+                        .register(sock.as_raw_fd(), SERVER_BASE | u64::from(idx))
                         .expect("register accepted socket");
-                    let clash = self
-                        .tuples
-                        .insert((self.server_port, NodeId(0), peer_port), SocketHandle(idx));
-                    assert!(clash.is_none(), "duplicate peer port {peer_port} in demux");
                     self.flows.push(FlowSock {
                         sock,
-                        role: Role::Server,
                         phase: Phase::Established,
-                        pair_port: peer_port,
                         read_offset: 0,
                         recv_closed: false,
                         send_closed: false,
                     });
-                    self.accepted.push((FlowId(idx), u64::from(peer_port)));
+                    self.accepted.push((FlowId(idx), u64::from(peer.port())));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => panic!("accept: {e}"),
             }
         }
-    }
-
-    /// Resolve a server token's flow through the demux table.
-    fn demux_server(&self, peer_port: u16) -> Option<FlowId> {
-        self.tuples
-            .get(&(self.server_port, NodeId(0), peer_port))
-            .map(|h| FlowId(h.0))
     }
 
     /// Handle one readiness event.
@@ -269,17 +228,14 @@ impl OsTransport {
             }
             return;
         }
+        let idx = (ev.token & 0xffff_ffff) as usize;
+        let id = FlowId(idx as u32);
         if (ev.token & SERVER_BASE) != 0 {
-            let peer_port = (ev.token & 0xffff) as u16;
-            if let Some(id) = self.demux_server(peer_port) {
-                if ev.readable || ev.hangup || ev.error {
-                    self.readable.push(id);
-                }
+            if ev.readable || ev.hangup || ev.error {
+                self.readable.push(id);
             }
             return;
         }
-        let idx = (ev.token & 0xffff_ffff) as usize;
-        let id = FlowId(idx as u32);
         if self.flows[idx].phase == Phase::Connecting && (ev.writable || ev.error || ev.hangup) {
             self.sys.sockopts += 1;
             match self.flows[idx].sock.take_error() {
@@ -347,9 +303,7 @@ impl Transport for OsTransport {
             .schedule(idx, self.clock.now().saturating_add(CONNECT_WATCHDOG));
         self.flows.push(FlowSock {
             sock,
-            role: Role::Client,
             phase: Phase::Connecting,
-            pair_port: local_port,
             read_offset: 0,
             recv_closed: false,
             send_closed: false,
@@ -376,7 +330,7 @@ impl Transport for OsTransport {
 
     fn read(&mut self, flow: FlowId) -> Option<TransportChunk> {
         let idx = flow.0 as usize;
-        if self.flows[idx].recv_closed || self.flows[idx].phase == Phase::Closed {
+        if self.flows[idx].recv_closed {
             return None;
         }
         self.sys.reads += 1;
@@ -406,7 +360,7 @@ impl Transport for OsTransport {
 
     fn close(&mut self, flow: FlowId) {
         let idx = flow.0 as usize;
-        if self.flows[idx].send_closed || self.flows[idx].phase == Phase::Closed {
+        if self.flows[idx].send_closed {
             return;
         }
         self.sys.shutdowns += 1;
@@ -509,32 +463,13 @@ impl Transport for OsTransport {
         // the delivery checks already passed).
         let deadline = self.clock.now().saturating_add(FINISH_DRAIN);
         let mut events = Vec::new();
-        while self.clock.now() < deadline
-            && self
-                .flows
-                .iter()
-                .any(|f| !f.recv_closed && f.phase != Phase::Closed)
-        {
+        while self.clock.now() < deadline && self.flows.iter().any(|f| !f.recv_closed) {
             events.clear();
             self.reactor.wait(WAIT_MS, &mut events).expect("epoll_wait");
             let pending: Vec<FlowId> = (0..self.flows.len() as u32).map(FlowId).collect();
             for id in pending {
                 while self.read(id).is_some() {}
             }
-        }
-        // Remove the tuple of every server flow — connection-teardown
-        // churn through the demux table (the tombstone path the sim hosts
-        // never take).
-        for i in 0..self.flows.len() {
-            if self.flows[i].role == Role::Server {
-                let peer = self.flows[i].pair_port;
-                let gone = self.tuples.remove(&(self.server_port, NodeId(0), peer));
-                assert!(
-                    gone.is_some(),
-                    "server flow {i} missing from demux at teardown"
-                );
-            }
-            self.flows[i].phase = Phase::Closed;
         }
         // Dropping the sockets closes the fds, which deregisters them from
         // the epoll set implicitly.

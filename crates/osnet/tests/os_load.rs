@@ -74,12 +74,6 @@ fn load_scenario_completes_over_loopback() {
     assert!(report.goodput_bps > 0, "wall-clock goodput recorded");
     assert!(t.syscalls() > 0, "syscall accounting recorded");
 
-    // Every accepted connection went through the demux table and was
-    // removed again at teardown — the tombstone path under real churn.
-    let stats = t.tuple_stats();
-    assert_eq!(stats.inserts, 32);
-    assert_eq!(stats.removes, 32);
-
     // The observability layer rides the same driver: every record got a
     // delivery-delay sample (monotonic ns on this backend), lifecycle
     // events landed in the trace, and the epoll loop was profiled.

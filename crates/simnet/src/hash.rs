@@ -3,10 +3,9 @@
 //! One definition, at the bottom of the crate stack, because the determinism
 //! gates *compare* these values across crates: load-scenario fingerprints
 //! (`minion-engine`, a fold over each delivered chunk's offset, length and
-//! order flag), matrix cell seeds and report fingerprints
-//! (`minion-testkit`), and the host demux table (`minion-stack`) must all
-//! hash identically. `minion_engine` re-exports these under its historical
-//! names.
+//! order flag) and matrix cell seeds and report fingerprints
+//! (`minion-testkit`) must all hash identically. `minion_engine` re-exports
+//! these under its historical names.
 //!
 //! [`fnv1a`] is the published byte-serial function, so its values can be
 //! compared with any other FNV-1a implementation.

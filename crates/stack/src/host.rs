@@ -105,9 +105,9 @@ pub struct Host {
     name: String,
     sockets: Vec<Socket>,
     listeners: BTreeMap<u16, Listener>,
-    /// Demux table for established/opening TCP connections: an
-    /// open-addressed `(local port, peer node, peer port)` map (see
-    /// [`crate::demux`]), the per-segment hot path at engine load.
+    /// Demux table for established/opening TCP connections: a
+    /// `(local port, peer node, peer port)` map (see [`crate::demux`]), the
+    /// per-segment hot path at engine load.
     tcp_tuples: TupleTable,
     /// The local port of every tuple in `tcp_tuples`, connected and
     /// accepted alike: exact, because no tuple is ever removed.
@@ -808,6 +808,76 @@ mod tests {
                 }
             }
             *t += minion_simnet::SimDuration::from_millis(10);
+        }
+    }
+
+    #[test]
+    fn tuples_differing_in_one_field_reach_their_own_sockets() {
+        // One listener; two peers on the same source port (the tuples differ
+        // in the peer node), and one peer on 64 consecutive source ports
+        // (the tuples differ in the peer port).
+        let mut server = Host::new(NodeId(0), "server");
+        server
+            .tcp_listen(80, TcpConfig::default(), SocketOptions::standard())
+            .unwrap();
+        let mut peers: Vec<Host> = (1..=3).map(|n| Host::new(NodeId(n), "peer")).collect();
+        let mut conns: Vec<(usize, SocketHandle)> = Vec::new();
+        for p in [0, 1].into_iter().chain([2; 64]) {
+            conns.push((p, connect(&mut peers[p], NodeId(0), 80)));
+        }
+        let ports: Vec<u16> = conns
+            .iter()
+            .map(|&(p, ch)| peers[p].tcp_local_port(ch).unwrap())
+            .collect();
+        assert_eq!(ports[..2], [40_000, 40_000]);
+        assert!(ports[2..].iter().zip(40_000..).all(|(&a, b)| a == b));
+
+        // Each SYN makes its own socket.
+        let mut t = SimTime::ZERO;
+        let mut wire: Vec<Packet> = Vec::new();
+        let mut accepted = Vec::new();
+        for &(p, ch) in &conns {
+            peers[p].poll_handle_into(ch, t, &mut wire).unwrap();
+            assert_eq!(wire.len(), 1, "one SYN");
+            let sh = server
+                .on_packet_demux(&wire[0], t)
+                .expect("a SYN makes a socket");
+            wire.clear();
+            assert_eq!(server.accept(80), Some(sh));
+            accepted.push(sh);
+        }
+        let mut distinct = accepted.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), conns.len(), "one socket per tuple");
+
+        // Every later segment, either way, reaches the socket of its tuple.
+        let mut rounds = |peers: &mut [Host], server: &mut Host, t: &mut SimTime| {
+            for _ in 0..6 {
+                for (&(p, ch), &sh) in conns.iter().zip(&accepted) {
+                    server.poll_handle_into(sh, *t, &mut wire).unwrap();
+                    for pkt in wire.drain(..) {
+                        assert_eq!(peers[p].on_packet_demux(&pkt, *t), Some(ch));
+                    }
+                    peers[p].poll_handle_into(ch, *t, &mut wire).unwrap();
+                    for pkt in wire.drain(..) {
+                        assert_eq!(server.on_packet_demux(&pkt, *t), Some(sh));
+                    }
+                }
+                *t += minion_simnet::SimDuration::from_millis(10);
+            }
+        };
+        rounds(&mut peers, &mut server, &mut t);
+        for (i, &(p, ch)) in conns.iter().enumerate() {
+            assert!(server.tcp_established(accepted[i]).unwrap());
+            peers[p]
+                .tcp_write(ch, format!("flow {i}").as_bytes())
+                .unwrap();
+        }
+        rounds(&mut peers, &mut server, &mut t);
+        for (i, &sh) in accepted.iter().enumerate() {
+            let chunk = server.tcp_read(sh).unwrap().expect("the flow's data");
+            assert_eq!(chunk.data.as_ref(), format!("flow {i}").as_bytes());
         }
     }
 

@@ -21,7 +21,7 @@ pub mod wheel;
 pub mod wire;
 
 pub use addr::{SocketAddr, SocketHandle};
-pub use demux::{TableStats, TupleTable};
+pub use demux::TupleTable;
 pub use host::{Host, HostError};
 pub use middlebox::{Middlebox, MiddleboxBehavior, MiddleboxStats};
 pub use sim::{FlowId, Reaction, Sim, SimMetrics, SIM_PHASES};
