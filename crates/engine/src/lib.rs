@@ -14,7 +14,10 @@
 //!   nothing here restricts the topology underneath.
 //! * [`Transport`] — packet I/O and time as a trait, so one scenario driver
 //!   runs over the simulator ([`SimTransport`]) or a kernel stack
-//!   (`minion-osnet`).
+//!   (`minion-osnet`). The chunks, counters and flow statistics it speaks
+//!   are the stack's own (tcp's `DeliveredChunk` and `ConnStats`, stack's
+//!   `SimMetrics`), re-exported under the engine's names
+//!   ([`TransportChunk`], [`TransportFlowStats`], [`EngineMetrics`]).
 //! * [`LoadScenario`] — N concurrent flows over one shared link, asserting
 //!   exactly-once delivery per flow (every delivered chunk compared with
 //!   the stream's formula at its offset, and complete coverage) and, on a
@@ -34,7 +37,7 @@ pub mod obs;
 pub mod scenario;
 pub mod transport;
 
-pub use metrics::{fnv1a, EngineMetrics, FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
+pub use metrics::{EngineMetrics, FlowMetrics, LoadReport};
 pub use obs::LoadObs;
 pub use scenario::{verify_load, LoadScenario};
 pub use transport::{SimTransport, Transport, TransportChunk, TransportFlowStats};

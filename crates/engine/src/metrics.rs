@@ -5,42 +5,19 @@
 //! seed*, which only works if no floating-point accumulation sneaks in.
 //! Derived rates (goodput in bits/s, events per second) are computed as
 //! integers from the raw counters.
+//!
+//! The loop counters are the stack's own
+//! [`SimMetrics`](minion_stack::SimMetrics), re-exported once as
+//! [`EngineMetrics`]; the fingerprints use simnet's one FNV-1a
+//! ([`minion_simnet::fnv1a`]), which every crate imports from there.
 
 use crate::obs::LoadObs;
 use minion_obs::{NonDeterministic, PhaseProfile};
 
-// The single canonical fingerprint functions (the determinism gates compare
-// these values across crates, so there must be exactly one definition — it
-// lives in `minion_simnet::hash`, below every consumer; re-exported here
-// under the names the engine's consumers have always used).
-pub use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
-
-/// Aggregate event-loop counters: [`minion_stack::SimMetrics`] on the sim
-/// backend, the reactor's equivalents on the os backend.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineMetrics {
-    /// Event-loop iterations.
-    pub steps: u64,
-    /// Packets handed to hosts (arrival dispatches).
-    pub packets_delivered: u64,
-    /// Packets offered to the network by flow polls.
-    pub packets_sent: u64,
-    /// Wire bytes (payload + framing) of offered packets.
-    pub bytes_sent: u64,
-    /// Offered packets dropped by loss models or queue overflow.
-    pub packets_dropped: u64,
-    /// Timer expiries dispatched.
-    pub timer_fires: u64,
-    /// Per-flow polls executed (each may emit several segments).
-    pub flow_polls: u64,
-}
-
-impl EngineMetrics {
-    /// Total dispatched events (arrivals + timer fires).
-    pub fn events(&self) -> u64 {
-        self.packets_delivered + self.timer_fires
-    }
-}
+/// Aggregate event-loop counters: the stack's own
+/// [`SimMetrics`](minion_stack::SimMetrics) on the sim backend, the
+/// reactor's equivalents mapped onto the same seven fields on the os backend.
+pub use minion_stack::SimMetrics as EngineMetrics;
 
 /// What one flow did over a whole load scenario.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -61,13 +38,14 @@ pub struct FlowMetrics {
     pub rto_fires: u64,
     /// Virtual time (µs) at which the flow's stream was complete.
     pub completion_us: u64,
-    /// Fingerprint of how the stream arrived: [`fnv1a`] from
-    /// [`FNV_OFFSET_BASIS`] over each delivered chunk's offset and length
-    /// (`u64` LE) and `in_order` flag (one byte), in arrival order. The
-    /// bytes themselves are not in it: each chunk was checked against the
-    /// stream's formula as it arrived. Chunk boundaries, duplicates and
-    /// reordering all move it; on a kernel-TCP backend, whose chunk
-    /// boundaries vary from run to run, so does it.
+    /// Fingerprint of how the stream arrived: [`fnv1a`](minion_simnet::fnv1a)
+    /// from [`FNV_OFFSET_BASIS`](minion_simnet::FNV_OFFSET_BASIS) over each
+    /// delivered chunk's offset and length (`u64` LE) and `in_order` flag
+    /// (one byte), in arrival order. The bytes themselves are not in it:
+    /// each chunk was checked against the stream's formula as it arrived.
+    /// Chunk boundaries, duplicates and reordering all move it; on a
+    /// kernel-TCP backend, whose chunk boundaries vary from run to run, so
+    /// does it.
     pub fingerprint: u64,
 }
 
@@ -128,16 +106,6 @@ impl LoadReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_sums_arrivals_and_timers() {
-        let m = EngineMetrics {
-            packets_delivered: 10,
-            timer_fires: 3,
-            ..Default::default()
-        };
-        assert_eq!(m.events(), 13);
-    }
 
     #[test]
     fn report_summary_mentions_key_figures() {

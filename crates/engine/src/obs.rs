@@ -20,11 +20,11 @@
 //! a pure function of the scenario and its seed, and the determinism gates
 //! compare it whole.
 
-use crate::metrics::{fnv1a, FNV_OFFSET_BASIS};
 use minion_obs::{
     CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamSink, StreamStats,
     TraceEvent, TraceRing,
 };
+use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
 
 /// Counter slots of [`LoadObs::counters`] (fixed at compile time, so a
 /// report's registry has the same slots whichever code paths ran).

@@ -34,7 +34,7 @@
 //! replications). The one exception is [`LoadScenario::run_sharded`], kept
 //! only as the repository benchmark's `exec.shard_speedup` probe.
 
-use crate::metrics::{FlowMetrics, LoadReport, FNV_OFFSET_BASIS};
+use crate::metrics::{FlowMetrics, LoadReport};
 use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
@@ -44,7 +44,7 @@ use minion_exec::Executor;
 use minion_obs::{
     CcObs, KindSet, NonDeterministic, StreamSink, TraceEvent, TraceKind, TracePredicate,
 };
-use minion_simnet::{fnv1a, LossConfig, SimDuration, SimTime};
+use minion_simnet::{fnv1a, LossConfig, SimDuration, SimTime, FNV_OFFSET_BASIS};
 use minion_stack::FlowId;
 use minion_tcp::{CcAlgorithm, ConnEvent, SendBuffer};
 use std::collections::BTreeMap;
@@ -208,7 +208,6 @@ impl LoadScenario {
                 format!("loss=bern{:.0}pct", probability * 100.0)
             }
             LossConfig::GilbertElliott { .. } => "loss=burst".to_string(),
-            LossConfig::Periodic { every } => format!("loss=periodic{every}"),
             LossConfig::Explicit { indices } => format!("loss=explicit{}", indices.len()),
         };
         let mut base = format!(
@@ -291,6 +290,12 @@ impl LoadScenario {
             "sim" => self.label(),
             backend => format!("{}/{}", self.label(), backend),
         };
+        // An empty stream never receives a chunk, so nothing would ever
+        // mark its flow complete.
+        assert!(
+            self.records_per_flow > 0,
+            "[{label}] records_per_flow is 0: a flow needs at least one record"
+        );
         let mut obs = LoadObs::default();
 
         // The trace path: every lifecycle event is counted against the
@@ -319,31 +324,23 @@ impl LoadScenario {
         // Transports number flows 0, 1, 2 … as they open and accept them,
         // so which end of which flow a `FlowId` names is an index away.
         let mut end_of: Vec<End> = Vec::with_capacity(2 * self.flows);
+        // Pairing key for accepted server flows: the client's ephemeral port.
+        let mut flow_of_key: BTreeMap<u64, usize> = BTreeMap::new();
         for flow in 0..self.flows {
             let global_flow = self.first_flow + flow;
             let (id, pair_key) = transport.connect();
             push_end(&mut end_of, id, End::Client(flow), &label);
+            let clash = flow_of_key.insert(pair_key, flow);
+            assert!(
+                clash.is_none(),
+                "[{label}] duplicate ephemeral port {pair_key}"
+            );
             let now_ns = ns_of(transport.now());
             obs.record_event(&mut spill, self.event(now_ns, flow, 0, TraceKind::Syn));
             let records = self.records(global_flow);
-            let mut state = FlowState::new(id, pair_key, global_flow as u32, now_ns, records);
-            state.write_pending(transport, &mut scratch);
-            let enqueued = state.mark_enqueued(now_ns);
-            obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
-            if state.sent == state.stream_len() {
-                obs.staging_dwell.record(0);
-            }
+            let mut state = FlowState::new(id, global_flow as u32, now_ns, records);
+            state.flush(transport, &mut scratch, now_ns, &mut obs);
             states.push(state);
-        }
-        // Pairing key for accepted server flows: the client's ephemeral port.
-        let mut flow_of_key: BTreeMap<u64, usize> = BTreeMap::new();
-        for (flow, state) in states.iter().enumerate() {
-            let clash = flow_of_key.insert(state.pair_key, flow);
-            assert!(
-                clash.is_none(),
-                "[{label}] duplicate ephemeral port {}",
-                state.pair_key
-            );
         }
 
         // Event-driven main loop: react to accepts, writability (pending
@@ -399,16 +396,9 @@ impl LoadScenario {
                     continue;
                 };
                 let state = &mut states[flow];
-                if state.sent == state.stream_len() {
-                    continue;
-                }
-                state.write_pending(transport, &mut scratch);
-                let now_ns = ns_of(transport.now());
-                let enqueued = state.mark_enqueued(now_ns);
-                obs.counters.add(C_RECORDS_ENQUEUED, enqueued);
-                if state.sent == state.stream_len() {
-                    obs.staging_dwell
-                        .record(now_ns.saturating_sub(state.staged_ns));
+                if state.sent < state.stream_len() {
+                    let now_ns = ns_of(transport.now());
+                    state.flush(transport, &mut scratch, now_ns, &mut obs);
                 }
             }
             for f in transport.take_readable() {
@@ -538,7 +528,7 @@ impl LoadScenario {
                 chunks_out_of_order: state.ooo_chunks,
                 retransmissions: stats.retransmissions,
                 fast_retransmits: stats.fast_retransmits,
-                rto_fires: stats.rto_fires,
+                rto_fires: stats.timeouts,
                 completion_us: state.completion_us.expect("all complete"),
                 fingerprint: state.fingerprint,
             });
@@ -675,8 +665,6 @@ const STEPS: [u8; 2 * PERIOD] = {
 struct FlowState {
     client: FlowId,
     server: Option<FlowId>,
-    /// Pairing key for accepts: the client's ephemeral port.
-    pair_key: u64,
     /// Global flow index: with `records`, what [`FlowState::build_stream`]
     /// needs to rebuild any range of the stream.
     flow: u32,
@@ -713,17 +701,10 @@ struct FlowState {
 }
 
 impl FlowState {
-    fn new(
-        client: FlowId,
-        pair_key: u64,
-        flow: u32,
-        staged_ns: u64,
-        records: Vec<RecordTrack>,
-    ) -> Self {
+    fn new(client: FlowId, flow: u32, staged_ns: u64, records: Vec<RecordTrack>) -> Self {
         FlowState {
             client,
             server: None,
-            pair_key,
             flow,
             sent: 0,
             staged_ns,
@@ -796,6 +777,25 @@ impl FlowState {
             if taken < len {
                 break;
             }
+        }
+    }
+
+    /// Offer the transport what is left of the stream, stamp the records it
+    /// now holds whole, and once the whole stream is in, sample how long it
+    /// was staged: the one flush path of the open and of writable edges.
+    fn flush(
+        &mut self,
+        transport: &mut dyn Transport,
+        scratch: &mut [u8],
+        now_ns: u64,
+        obs: &mut LoadObs,
+    ) {
+        self.write_pending(transport, scratch);
+        obs.counters
+            .add(C_RECORDS_ENQUEUED, self.mark_enqueued(now_ns));
+        if self.sent == self.stream_len() {
+            obs.staging_dwell
+                .record(now_ns.saturating_sub(self.staged_ns));
         }
     }
 
@@ -896,7 +896,7 @@ mod tests {
             enqueue_ns: 0,
             delivered: false,
         });
-        FlowState::new(FlowId(0), 0, 0, 0, records.collect())
+        FlowState::new(FlowId(0), 0, 0, records.collect())
     }
 
     fn chunk(offset: u64, data: &[u8], in_order: bool) -> TransportChunk {
@@ -1041,7 +1041,7 @@ mod tests {
     #[test]
     fn streams_are_distinct_per_flow_and_framed() {
         let sc = LoadScenario::with_flows(2);
-        let state = |flow: u32| FlowState::new(FlowId(0), 0, flow, 0, sc.records(flow as usize));
+        let state = |flow: u32| FlowState::new(FlowId(0), flow, 0, sc.records(flow as usize));
         let (a, b) = (state(0), state(1));
         assert_ne!(bytes(&a, 0, a.stream_len()), bytes(&b, 0, b.stream_len()));
         // Each record header reads back as (flow, index, payload length).
@@ -1069,7 +1069,7 @@ mod tests {
             };
             for flow in [0, 1, 250, 1007] {
                 let whole = formula_stream(&sc, flow);
-                let s = FlowState::new(FlowId(0), 0, flow as u32, 0, sc.records(flow));
+                let s = FlowState::new(FlowId(0), flow as u32, 0, sc.records(flow));
                 assert_eq!(s.stream_len(), whole.len() as u64);
                 let mut cuts = vec![s.stream_len()];
                 for r in &s.records {
@@ -1097,6 +1097,17 @@ mod tests {
         assert_eq!(report.per_flow[0].retransmissions, 0);
         assert!(report.goodput_bps > 0);
         assert!(report.engine.events() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one record")]
+    fn a_scenario_without_records_is_refused_up_front() {
+        LoadScenario {
+            flows: 2,
+            records_per_flow: 0,
+            ..LoadScenario::default()
+        }
+        .run();
     }
 
     #[test]
@@ -1327,7 +1338,7 @@ mod tests {
         .run();
         let obs = &report.obs;
         let mut bytes_hash = FNV_OFFSET_BASIS;
-        crate::metrics::fnv1a(&mut bytes_hash, &std::fs::read(&path).unwrap());
+        fnv1a(&mut bytes_hash, &std::fs::read(&path).unwrap());
         std::fs::remove_dir_all(&dir).ok();
         let got = (
             obs.trace_filter.admitted,
@@ -1385,7 +1396,7 @@ mod tests {
         let mut hash = FNV_OFFSET_BASIS;
         for (t_ns, cwnd, ssthresh) in &samples {
             for word in [t_ns, cwnd, ssthresh] {
-                crate::metrics::fnv1a(&mut hash, &word.to_le_bytes());
+                fnv1a(&mut hash, &word.to_le_bytes());
             }
         }
         assert_eq!(counts, (325, 325, 0), "recorded, held, dropped");

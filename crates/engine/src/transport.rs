@@ -21,39 +21,33 @@
 //! Time flows through [`Transport::now`]: virtual microseconds for sim,
 //! monotonic microseconds since transport creation for the OS backend. The
 //! scenario driver never asks which one it is.
+//!
+//! The trait speaks the stack's own types, under the names the engine's
+//! consumers bind: a delivered chunk is tcp's
+//! [`DeliveredChunk`](minion_tcp::DeliveredChunk) ([`TransportChunk`]), a
+//! flow's sender statistics are tcp's [`ConnStats`](minion_tcp::ConnStats)
+//! ([`TransportFlowStats`]), and the loop counters are stack's
+//! [`SimMetrics`](minion_stack::SimMetrics) ([`EngineMetrics`]). The sim
+//! backend hands them on as the stack made them; the OS backend fills in
+//! what the kernel lets it see.
 
 use crate::metrics::EngineMetrics;
 use crate::scenario::{LoadScenario, LOAD_PORT};
-use bytes::Bytes;
 use minion_obs::PhaseProfile;
 use minion_simnet::{LinkConfig, NodeId, SimDuration, SimTime};
 use minion_stack::{FlowId, Host, Sim, SocketAddr, SocketHandle, SIM_PHASES};
 use minion_tcp::{ConnEvent, SocketOptions, TcpConfig};
 
-/// One delivered piece of a flow's byte stream.
-#[derive(Clone, Debug)]
-pub struct TransportChunk {
-    /// Stream offset of the first byte.
-    pub offset: u64,
-    /// The bytes.
-    pub data: Bytes,
-    /// Whether the chunk arrived in stream order (kernel TCP always does;
-    /// uTCP receivers may deliver out of order).
-    pub in_order: bool,
-}
+/// One delivered piece of a flow's byte stream: its offset, its bytes, and
+/// whether it arrived in stream order (kernel TCP always does; uTCP
+/// receivers may deliver out of order).
+pub use minion_tcp::DeliveredChunk as TransportChunk;
 
 /// Sender-side statistics of one flow, as far as the backend can observe
 /// them (the OS backend cannot see kernel retransmissions and reports
-/// zeros).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TransportFlowStats {
-    /// Data-segment retransmissions.
-    pub retransmissions: u64,
-    /// Fast-retransmit (recovery-entry) events.
-    pub fast_retransmits: u64,
-    /// Retransmission timeouts fired.
-    pub rto_fires: u64,
-}
+/// zeros). The driver reads `retransmissions`, `fast_retransmits` and
+/// `timeouts`.
+pub use minion_tcp::ConnStats as TransportFlowStats;
 
 /// Packet I/O and time behind the load-scenario driver.
 ///
@@ -258,14 +252,7 @@ impl Transport for SimTransport {
 
     fn read(&mut self, flow: FlowId) -> Option<TransportChunk> {
         let (host, handle) = self.socket(flow);
-        host.tcp_read(handle)
-            .ok()
-            .flatten()
-            .map(|c| TransportChunk {
-                offset: c.offset,
-                data: c.data,
-                in_order: c.in_order,
-            })
+        host.tcp_read(handle).ok().flatten()
     }
 
     fn close(&mut self, flow: FlowId) {
@@ -309,25 +296,11 @@ impl Transport for SimTransport {
     }
 
     fn flow_stats(&self, flow: FlowId) -> TransportFlowStats {
-        let stats = self.sim.flow_stats(flow);
-        TransportFlowStats {
-            retransmissions: stats.retransmissions,
-            fast_retransmits: stats.fast_retransmits,
-            rto_fires: stats.timeouts,
-        }
+        self.sim.flow_stats(flow)
     }
 
     fn metrics(&self) -> EngineMetrics {
-        let m = self.sim.metrics();
-        EngineMetrics {
-            steps: m.steps,
-            packets_delivered: m.packets_delivered,
-            packets_sent: m.packets_sent,
-            bytes_sent: m.bytes_sent,
-            packets_dropped: m.packets_dropped,
-            timer_fires: m.timer_fires,
-            flow_polls: m.flow_polls,
-        }
+        *self.sim.metrics()
     }
 
     fn finish(&mut self) {

@@ -241,7 +241,9 @@ mod tests {
 
     #[test]
     fn random_loss_counts() {
-        let cfg = LinkConfig::ideal().with_loss(LossConfig::Periodic { every: 2 });
+        let cfg = LinkConfig::ideal().with_loss(LossConfig::Explicit {
+            indices: vec![2, 4],
+        });
         let mut link = Link::new(cfg, SimRng::new(0));
         let p = pkt(100);
         let outcomes: Vec<TransmitOutcome> =

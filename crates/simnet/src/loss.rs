@@ -3,9 +3,8 @@
 //! The paper's experiments use dummynet's uniform random loss (0.5%, 1%, 2%,
 //! up to 5%) as well as loss induced purely by drop-tail queue overflow under
 //! contention. We provide both a Bernoulli (independent) model and a
-//! Gilbert–Elliott (bursty) model, plus a deterministic periodic model and an
-//! explicit drop-list that unit tests and the Figure 4 scenarios use to drop
-//! exactly chosen packets.
+//! Gilbert–Elliott (bursty) model, plus an explicit drop-list that unit tests
+//! and the Figure 4 scenarios use to drop exactly chosen packets.
 
 use crate::rng::SimRng;
 
@@ -29,11 +28,6 @@ pub enum LossConfig {
         loss_good: f64,
         /// Loss probability while in the bad state.
         loss_bad: f64,
-    },
-    /// Drop every `n`-th packet deterministically (1-indexed).
-    Periodic {
-        /// Drop every `every`-th packet.
-        every: u64,
     },
     /// Drop exactly the packets whose (1-indexed) transmission index appears
     /// in the list.
@@ -128,7 +122,6 @@ impl LossModel {
                 };
                 self.rng.chance(loss_p)
             }
-            LossConfig::Periodic { every } => *every != 0 && self.offered.is_multiple_of(*every),
             LossConfig::Explicit { indices } => indices.contains(&self.offered),
         }
     }
@@ -185,16 +178,6 @@ mod tests {
             LossConfig::from_rate(0.01),
             LossConfig::Bernoulli { .. }
         ));
-    }
-
-    #[test]
-    fn periodic_drops_every_nth() {
-        let mut m = LossModel::new(LossConfig::Periodic { every: 3 }, rng());
-        let pattern: Vec<bool> = (0..9).map(|_| m.should_drop()).collect();
-        assert_eq!(
-            pattern,
-            vec![false, false, true, false, false, true, false, false, true]
-        );
     }
 
     #[test]

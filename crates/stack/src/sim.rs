@@ -96,6 +96,13 @@ pub struct SimMetrics {
     pub flow_polls: u64,
 }
 
+impl SimMetrics {
+    /// Total dispatched events (arrivals + timer fires).
+    pub fn events(&self) -> u64 {
+        self.packets_delivered + self.timer_fires
+    }
+}
+
 struct FlowSlot {
     node: NodeId,
     handle: SocketHandle,
@@ -665,6 +672,16 @@ mod tests {
     use super::*;
     use minion_simnet::LossConfig;
     use minion_tcp::Readiness;
+
+    #[test]
+    fn events_sums_arrivals_and_timers() {
+        let m = SimMetrics {
+            packets_delivered: 10,
+            timer_fires: 3,
+            ..Default::default()
+        };
+        assert_eq!(m.events(), 13);
+    }
 
     /// Two hosts, 60 ms RTT, plenty of bandwidth.
     fn basic_sim() -> (Sim, NodeId, NodeId) {

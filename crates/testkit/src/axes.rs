@@ -1,7 +1,6 @@
 //! The axes of the scenario matrix and the cross-product builder.
 
-use minion_engine::{fnv1a, FNV_OFFSET_BASIS};
-use minion_simnet::{LossConfig, SimDuration};
+use minion_simnet::{fnv1a, LossConfig, SimDuration, FNV_OFFSET_BASIS};
 use minion_tcp::CcAlgorithm;
 
 /// The loss process applied to the path toward the receiver.

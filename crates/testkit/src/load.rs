@@ -17,7 +17,7 @@
 use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
 use crate::runner::CellReport;
 use minion_engine::LoadScenario;
-use minion_simnet::SimDuration;
+use minion_simnet::{fnv1a, SimDuration, FNV_OFFSET_BASIS};
 
 /// Translate a multi-flow cell into an engine load scenario.
 fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
@@ -72,10 +72,10 @@ pub(crate) fn run_load_cell(spec: &CellSpec) -> CellReport {
         .per_flow
         .iter()
         .fold(0u64, |acc, f| acc.wrapping_add(f.fingerprint));
-    let mut order_hash: u64 = minion_engine::FNV_OFFSET_BASIS;
+    let mut order_hash: u64 = FNV_OFFSET_BASIS;
     for f in &report.per_flow {
-        minion_engine::fnv1a(&mut order_hash, &f.fingerprint.to_be_bytes());
-        minion_engine::fnv1a(&mut order_hash, &f.completion_us.to_be_bytes());
+        fnv1a(&mut order_hash, &f.fingerprint.to_be_bytes());
+        fnv1a(&mut order_hash, &f.completion_us.to_be_bytes());
     }
     CellReport {
         label: spec.label(),

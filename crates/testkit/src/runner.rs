@@ -10,7 +10,7 @@ use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
 use crate::world::{build_world, CellWorld};
 use minion_core::{MinionConfig, MinionTransport, Protocol};
 use minion_mstcp::{MsTcpConnection, StreamId};
-use minion_simnet::{SimDuration, SimTime};
+use minion_simnet::{fnv1a, SimDuration, SimTime, FNV_OFFSET_BASIS};
 use minion_stack::{Host, Reaction, SocketAddr};
 use std::collections::BTreeMap;
 
@@ -76,10 +76,6 @@ pub struct CellReport {
     /// p99 of recovery-episode duration in virtual ns (multi-flow only).
     pub cc_recovery_p99_ns: u64,
 }
-
-// The shared fingerprint function (single definition — the determinism gates
-// compare these hashes across crates).
-use minion_engine::{fnv1a, FNV_OFFSET_BASIS};
 
 /// Deterministic payload for datagram/message `i` of a cell: the index is
 /// embedded in the first four bytes so every payload is distinct, lengths
