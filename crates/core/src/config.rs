@@ -39,7 +39,7 @@ pub struct MinionConfig {
 impl Default for MinionConfig {
     fn default() -> Self {
         MinionConfig {
-            tcp: TcpConfig::paper_default(),
+            tcp: TcpConfig::default(),
             socket_options: SocketOptions::utcp(),
             tls: TlsConfig::default(),
             psk: b"minion-default-psk".to_vec(),

@@ -23,6 +23,14 @@
 //! keeps is its cursor, its coverage ranges, its records' delivery marks
 //! and a fingerprint of how its chunks arrived.
 //!
+//! [`LoadScenario::run_on`] is only the readiness loop: it opens the
+//! flows, steps the transport, hands each event to its flow's `FlowState`,
+//! closes the flows and reports. The per-flow work lives on `FlowState`:
+//! `flush` writes, `on_lifecycle` takes the client's edges and window
+//! samples, `on_chunk` is the verifier (the ordered-receiver rule, the
+//! formula check, fingerprint and coverage, the records a chunk completes
+//! and the one completion stamp), and `metrics` is the flow's report row.
+//!
 //! [`verify_load`] additionally runs the scenario twice and asserts the two
 //! [`LoadReport`]s are identical — the determinism acceptance gate.
 //!
@@ -34,7 +42,7 @@
 //! replications). The one exception is [`LoadScenario::run_sharded`], kept
 //! only as the repository benchmark's `exec.shard_speedup` probe.
 
-use crate::metrics::{FlowMetrics, LoadReport};
+use crate::metrics::{EngineMetrics, FlowMetrics, LoadReport};
 use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
     C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
@@ -231,17 +239,6 @@ impl LoadScenario {
         }
     }
 
-    /// A lifecycle trace event of this scenario's flow `flow` (the trace
-    /// carries **global** flow indices).
-    fn event(&self, t_ns: u64, flow: usize, seq: u32, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
-            t_ns,
-            flow: (self.first_flow + flow) as u32,
-            seq,
-            kind,
-        }
-    }
-
     /// Payload length of one record (varies deterministically around the
     /// nominal size so flows and records are tellable apart; `flow` is the
     /// **global** index).
@@ -290,39 +287,18 @@ impl LoadScenario {
             "sim" => self.label(),
             backend => format!("{}/{}", self.label(), backend),
         };
-        // An empty stream never receives a chunk, so nothing would ever
-        // mark its flow complete.
+        // An empty stream never receives a chunk, so it never completes.
         assert!(
             self.records_per_flow > 0,
             "[{label}] records_per_flow is 0: a flow needs at least one record"
         );
-        let mut obs = LoadObs::default();
+        let (mut obs, mut spill) = self.open_obs(&label);
 
-        // The trace path: every lifecycle event is counted against the
-        // flow × kind slice in `obs.trace_filter`; an admitted one enters
-        // the bounded ring (in-memory consumers) and, when `trace_stream`
-        // is set, a zero-drop JSONL spill. The stream holds an OS writer,
-        // so it lives here as a run-local; only its deterministic
-        // accounting enters `obs` at the end.
-        obs.trace_filter.predicate = TracePredicate {
-            flow: self.trace_flow,
-            kinds: self.trace_kinds,
-        };
-        let mut spill = self.trace_stream.as_deref().map(|path| {
-            StreamSink::create(Path::new(path))
-                .unwrap_or_else(|e| panic!("[{label}] trace stream {path}: {e}"))
-        });
-
-        // Open every flow and offer its whole stream. A transport may accept
-        // only a prefix (a stream longer than the send buffer; or nothing,
-        // while an OS connect is in flight): the flow keeps a cursor and the
-        // remainder is flushed on writable edges. No stream is stored: the
-        // writer builds what it offers from the cursor into `scratch`, and
-        // each delivered chunk is checked against the stream's formula.
+        // Open every flow and offer its whole stream; what the transport does
+        // not take yet is flushed on writable edges, built into `scratch`.
         let mut scratch = vec![0u8; WRITE_SPAN];
         let mut states: Vec<FlowState> = Vec::with_capacity(self.flows);
-        // Transports number flows 0, 1, 2 … as they open and accept them,
-        // so which end of which flow a `FlowId` names is an index away.
+        // Which end of which flow each transport `FlowId` (dense) names.
         let mut end_of: Vec<End> = Vec::with_capacity(2 * self.flows);
         // Pairing key for accepted server flows: the client's ephemeral port.
         let mut flow_of_key: BTreeMap<u64, usize> = BTreeMap::new();
@@ -336,15 +312,15 @@ impl LoadScenario {
                 "[{label}] duplicate ephemeral port {pair_key}"
             );
             let now_ns = ns_of(transport.now());
-            obs.record_event(&mut spill, self.event(now_ns, flow, 0, TraceKind::Syn));
-            let records = self.records(global_flow);
-            let mut state = FlowState::new(id, global_flow as u32, now_ns, records);
+            let mut state =
+                FlowState::new(id, global_flow as u32, now_ns, self.records(global_flow));
+            obs.record_event(&mut spill, state.event(now_ns, 0, TraceKind::Syn));
             state.flush(transport, &mut scratch, now_ns, &mut obs);
             states.push(state);
         }
 
-        // Event-driven main loop: react to accepts, writability (pending
-        // stream flushes), and readability only.
+        // Event-driven main loop: pair accepted servers with their clients
+        // by port, then hand each flow its client's edges, its server's chunks.
         let deadline = transport.now() + self.deadline;
         let mut completed = 0usize;
         while completed < self.flows && transport.now() < deadline {
@@ -352,113 +328,47 @@ impl LoadScenario {
                 break;
             }
             for (sf, peer_key) in transport.take_accepted() {
-                // Pair the accepted server flow with its client by peer port.
                 let flow = *flow_of_key
                     .get(&peer_key)
                     .unwrap_or_else(|| panic!("[{label}] unknown peer port {peer_key}"));
                 states[flow].server = Some(sf);
                 push_end(&mut end_of, sf, End::Server(flow), &label);
             }
-            // Lifecycle edges feed the trace ring and the RTO-latency
-            // histogram, window samples the window telemetry. Only the
-            // sender side (the client) is recorded: the servers' own
-            // edges and windows carry no load insight.
             for (f, ev) in transport.take_lifecycle() {
-                let Some(&End::Client(flow)) = end_of.get(f.index()) else {
-                    continue;
-                };
-                let now_ns = ns_of(transport.now());
-                let state = &mut states[flow];
-                match ev {
-                    ConnEvent::RtoFired { wait_us } => {
-                        obs.rto_wait.record(wait_us.saturating_mul(1_000));
-                        obs.counters.inc(C_RTO_EDGES);
-                        obs.record_event(
-                            &mut spill,
-                            self.event(now_ns, flow, state.rto_seq, TraceKind::RtoFired),
-                        );
-                        state.rto_seq += 1;
-                    }
-                    ConnEvent::Retransmit => {
-                        obs.counters.inc(C_RETRANSMIT_EDGES);
-                        obs.record_event(
-                            &mut spill,
-                            self.event(now_ns, flow, state.rtx_seq, TraceKind::Retransmit),
-                        );
-                        state.rtx_seq += 1;
-                    }
-                    ConnEvent::Established => state.enqueue_floor_ns = now_ns,
-                    ev => record_window_sample(&mut obs.cc_obs, ev),
+                if let Some(&End::Client(flow)) = end_of.get(f.index()) {
+                    let now_ns = ns_of(transport.now());
+                    states[flow].on_lifecycle(ev, now_ns, &mut obs, &mut spill);
                 }
             }
             for f in transport.take_writable() {
-                let Some(&End::Client(flow)) = end_of.get(f.index()) else {
-                    continue;
-                };
-                let state = &mut states[flow];
-                if state.sent < state.stream_len() {
+                if let Some(&End::Client(flow)) = end_of.get(f.index()) {
                     let now_ns = ns_of(transport.now());
-                    state.flush(transport, &mut scratch, now_ns, &mut obs);
+                    states[flow].flush(transport, &mut scratch, now_ns, &mut obs);
                 }
             }
             for f in transport.take_readable() {
                 let Some(&End::Server(flow)) = end_of.get(f.index()) else {
                     continue;
                 };
-                let now_us = transport.now().as_micros();
-                let now_ns = now_us.saturating_mul(1_000);
+                let now = transport.now();
                 while let Some(chunk) = transport.read(f) {
                     let state = &mut states[flow];
                     obs.counters.inc(C_CHUNKS_DELIVERED);
-                    if !chunk.in_order {
-                        state.ooo_chunks += 1;
-                        obs.counters.inc(C_CHUNKS_OUT_OF_ORDER);
-                    }
                     if state.covered.is_empty() {
-                        obs.record_event(
-                            &mut spill,
-                            self.event(now_ns, flow, 0, TraceKind::FirstByte),
-                        );
+                        let first_byte = state.event(ns_of(now), 0, TraceKind::FirstByte);
+                        obs.record_event(&mut spill, first_byte);
                     }
-                    // A standard receiver delivers the stream in order: each
-                    // chunk is flagged so and starts where the delivered
-                    // prefix ends (the flag alone proves nothing).
-                    assert!(
-                        self.receiver_utcp || chunk.in_order && chunk.offset == state.prefix_end(),
-                        "[{label}] flow {flow}: an ordered receiver delivered a chunk at offset {} \
-                         (in_order {}) where its delivered prefix ends at {}",
-                        chunk.offset,
-                        chunk.in_order,
-                        state.prefix_end()
-                    );
-                    // Checked against the stream's formula here and then
-                    // dropped: nothing is kept for a later reassembly.
-                    let run = state
-                        .accept_chunk(&chunk)
+                    let completes = state
+                        .on_chunk(&chunk, !self.receiver_utcp, now, |record, delay_ns| {
+                            obs.delivery_delay.record(delay_ns);
+                            obs.flow_delay.record(record.flow, delay_ns);
+                            obs.counters.inc(C_RECORDS_DELIVERED);
+                            obs.record_event(&mut spill, record);
+                        })
                         .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
-                    // Records whose full byte range just became covered are
-                    // *delivered*: stamp their delay. uTCP receivers complete
-                    // later records while earlier holes persist; ordered TCP
-                    // cannot — that asymmetry is the paper's figure of merit.
-                    let chunk_end = chunk.offset + chunk.data.len() as u64;
-                    for (rec, enqueue_ns) in state.complete_records((chunk.offset, chunk_end), run)
-                    {
-                        let delay_ns = now_ns.saturating_sub(enqueue_ns);
-                        obs.delivery_delay.record(delay_ns);
-                        obs.flow_delay
-                            .record((self.first_flow + flow) as u32, delay_ns);
-                        obs.counters.inc(C_RECORDS_DELIVERED);
-                        obs.record_event(
-                            &mut spill,
-                            self.event(now_ns, flow, rec as u32, TraceKind::RecordDelivered),
-                        );
-                    }
                     obs.gauges
                         .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
-                    if state.completion_us.is_none() && state.is_complete() {
-                        state.completion_us = Some(now_us);
-                        completed += 1;
-                    }
+                    completed += usize::from(completes);
                 }
             }
         }
@@ -471,21 +381,14 @@ impl LoadScenario {
             transport.now(),
             deadline,
         );
-        let completion_us = states
-            .iter()
-            .map(|s| s.completion_us.expect("all complete"))
-            .max()
-            .unwrap_or(0);
 
         // Snapshot the runtime counters now: the report's rates describe the
         // load phase, not the FIN/TIME-WAIT close-out below.
         let engine_metrics = transport.metrics();
-        let events = engine_metrics.events();
-
         // Orderly close both sides and drive the FIN exchanges.
         let fin_ns = ns_of(transport.now());
-        for (flow, state) in states.iter().enumerate() {
-            obs.record_event(&mut spill, self.event(fin_ns, flow, 0, TraceKind::Fin));
+        for state in &states {
+            obs.record_event(&mut spill, state.event(fin_ns, 0, TraceKind::Fin));
             transport.close(state.client);
             if let Some(sf) = state.server {
                 transport.close(sf);
@@ -505,49 +408,55 @@ impl LoadScenario {
             obs.stream = s.finish(&obs.trace_filter);
         }
 
-        // Assemble the report. Every chunk was compared with the stream's
-        // formula as it arrived and the coverage is complete, so the
-        // delivered stream *is* the sent one: delivered bytes come from the
-        // coverage ranges, records from the delivery marks, and the
-        // fingerprint was folded over the chunks as they came.
-        let mut per_flow = Vec::with_capacity(self.flows);
-        let mut total_bytes = 0u64;
-        let mut records_delivered = 0u64;
-        for (flow, state) in states.iter().enumerate() {
-            assert!(
-                state.is_complete(),
-                "[{label}] flow {flow}: delivered chunks do not cover the sent stream"
-            );
-            let bytes_covered: u64 = state.covered.iter().map(|(s, e)| e - s).sum();
-            let flow_records = state.records.iter().filter(|r| r.delivered).count() as u64;
-            let stats = transport.flow_stats(state.client);
-            per_flow.push(FlowMetrics {
-                flow: state.flow,
-                bytes_delivered: bytes_covered,
-                records_delivered: flow_records,
-                chunks_out_of_order: state.ooo_chunks,
-                retransmissions: stats.retransmissions,
-                fast_retransmits: stats.fast_retransmits,
-                rto_fires: stats.timeouts,
-                completion_us: state.completion_us.expect("all complete"),
-                fingerprint: state.fingerprint,
-            });
-            total_bytes += bytes_covered;
-            records_delivered += flow_records;
-        }
+        self.report(label, &states, transport, engine_metrics, obs)
+    }
+
+    /// The run's recorder and trace path: every lifecycle event is counted
+    /// against the flow × kind slice; an admitted one enters the bounded
+    /// ring and, when `trace_stream` is set, a zero-drop JSONL spill. The
+    /// spill holds an OS writer, so it stays beside the recorder until the
+    /// run ends, and only its accounting enters `obs`.
+    fn open_obs(&self, label: &str) -> (LoadObs, Option<StreamSink>) {
+        let mut obs = LoadObs::default();
+        obs.trace_filter.predicate = TracePredicate {
+            flow: self.trace_flow,
+            kinds: self.trace_kinds,
+        };
+        let spill = self.trace_stream.as_deref().map(|path| {
+            StreamSink::create(Path::new(path))
+                .unwrap_or_else(|e| panic!("[{label}] trace stream {path}: {e}"))
+        });
+        (obs, spill)
+    }
+
+    /// The run's report: one row per flow with the transport's sender
+    /// statistics, the totals, rates over the load phase (`engine` is its
+    /// snapshot), and the out-of-order count the flows kept.
+    fn report(
+        &self,
+        label: String,
+        states: &[FlowState],
+        transport: &dyn Transport,
+        engine: EngineMetrics,
+        mut obs: LoadObs,
+    ) -> LoadReport {
+        let per_flow: Vec<FlowMetrics> = states.iter().map(|s| s.metrics(transport)).collect();
+        let total_bytes = per_flow.iter().map(|f| f.bytes_delivered).sum::<u64>();
+        let completion_us = per_flow.iter().map(|f| f.completion_us).max().unwrap_or(0);
+        let per_sec = |n: u64| (n * 1_000_000).checked_div(completion_us).unwrap_or(0);
+        let out_of_order = per_flow.iter().map(|f| f.chunks_out_of_order).sum();
+        obs.counters.add(C_CHUNKS_OUT_OF_ORDER, out_of_order);
         LoadReport {
             label,
             seed: self.seed,
             flows: self.flows as u64,
             records_sent: (self.flows * self.records_per_flow) as u64,
-            records_delivered,
+            records_delivered: per_flow.iter().map(|f| f.records_delivered).sum(),
             total_bytes,
             completion_us,
-            goodput_bps: (total_bytes * 8 * 1_000_000)
-                .checked_div(completion_us)
-                .unwrap_or(0),
-            events_per_sim_sec: (events * 1_000_000).checked_div(completion_us).unwrap_or(0),
-            engine: engine_metrics,
+            goodput_bps: per_sec(total_bytes * 8),
+            events_per_sim_sec: per_sec(engine.events()),
+            engine,
             obs,
             phases: NonDeterministic(transport.phases()),
             per_flow,
@@ -629,7 +538,6 @@ struct RecordTrack {
 
 /// Which end of which flow (index into the driver's `FlowState`s) a
 /// transport [`FlowId`] names.
-#[derive(Clone, Copy)]
 enum End {
     Client(usize),
     Server(usize),
@@ -677,7 +585,9 @@ struct FlowState {
     /// Merged, sorted coverage ranges of the received stream.
     covered: Vec<(u64, u64)>,
     ooo_chunks: u64,
-    completion_us: Option<u64>,
+    /// Backend time (µs) the delivered chunks first covered the whole
+    /// stream; 0 until then.
+    completion_us: u64,
     /// FNV-1a of `(offset, len, in_order)` of each delivered chunk, in
     /// arrival order ([`FlowMetrics::fingerprint`]).
     fingerprint: u64,
@@ -710,7 +620,7 @@ impl FlowState {
             staged_ns,
             covered: Vec::new(),
             ooo_chunks: 0,
-            completion_us: None,
+            completion_us: 0,
             fingerprint: FNV_OFFSET_BASIS,
             records,
             enqueued: 0,
@@ -728,6 +638,128 @@ impl FlowState {
     /// Where the delivered prefix of the stream ends.
     fn prefix_end(&self) -> u64 {
         self.covered.first().filter(|r| r.0 == 0).map_or(0, |r| r.1)
+    }
+
+    /// A lifecycle trace event of this flow (the trace carries **global**
+    /// flow indices).
+    fn event(&self, t_ns: u64, seq: u32, kind: TraceKind) -> TraceEvent {
+        TraceEvent {
+            t_ns,
+            flow: self.flow,
+            seq,
+            kind,
+        }
+    }
+
+    /// React to a lifecycle edge or window sample of the client end at
+    /// `now_ns`: RTO and retransmit edges feed the trace and the RTO-wait
+    /// histogram, establishment floors the records' enqueue stamps, and
+    /// window samples go to the window telemetry.
+    fn on_lifecycle(
+        &mut self,
+        ev: ConnEvent,
+        now_ns: u64,
+        obs: &mut LoadObs,
+        spill: &mut Option<StreamSink>,
+    ) {
+        match ev {
+            ConnEvent::RtoFired { wait_us } => {
+                obs.rto_wait.record(wait_us.saturating_mul(1_000));
+                obs.counters.inc(C_RTO_EDGES);
+                obs.record_event(spill, self.event(now_ns, self.rto_seq, TraceKind::RtoFired));
+                self.rto_seq += 1;
+            }
+            ConnEvent::Retransmit => {
+                obs.counters.inc(C_RETRANSMIT_EDGES);
+                obs.record_event(
+                    spill,
+                    self.event(now_ns, self.rtx_seq, TraceKind::Retransmit),
+                );
+                self.rtx_seq += 1;
+            }
+            ConnEvent::Established => self.enqueue_floor_ns = now_ns,
+            ev => record_window_sample(&mut obs.cc_obs, ev),
+        }
+    }
+
+    /// Verify a chunk the server end delivered at `now` and take it in. On
+    /// an `ordered` receiver it must be flagged in order and start where the
+    /// delivered prefix ends; on any receiver it must lie within the stream
+    /// and equal the stream's formula at its offset. It is checked here and
+    /// then dropped: nothing is kept for a later reassembly. An accepted
+    /// chunk folds into the fingerprint and the coverage, and `delivered`
+    /// is handed the trace event and delivery delay (ns) of each record it
+    /// completed. Returns whether the chunk completed the flow, stamping
+    /// `completion_us` once.
+    fn on_chunk(
+        &mut self,
+        chunk: &TransportChunk,
+        ordered: bool,
+        now: SimTime,
+        mut delivered: impl FnMut(TraceEvent, u64),
+    ) -> Result<bool, String> {
+        let (offset, data, in_order) = (chunk.offset, &chunk.data[..], chunk.in_order);
+        let (end, prefix) = (offset + data.len() as u64, self.prefix_end());
+        // The in-order flag alone proves nothing on a standard receiver.
+        if ordered && !(in_order && offset == prefix) {
+            return Err(format!(
+                "an ordered receiver delivered a chunk at offset {offset} (in_order {in_order}) \
+                 where its delivered prefix ends at {prefix}"
+            ));
+        }
+        if end > self.stream_len() {
+            return Err("chunk past stream end".into());
+        }
+        let (mut checked, mut same) = (0, true);
+        self.build_stream(offset, end, |piece| {
+            same &= *piece == data[checked..checked + piece.len()];
+            checked += piece.len();
+        });
+        if !same {
+            return Err("delivered chunk differs from the sent stream".into());
+        }
+        fnv1a(&mut self.fingerprint, &offset.to_le_bytes());
+        fnv1a(&mut self.fingerprint, &(data.len() as u64).to_le_bytes());
+        fnv1a(&mut self.fingerprint, &[u8::from(in_order)]);
+        let was_complete = self.is_complete();
+        let run = self.cover(offset, end);
+        self.ooo_chunks += u64::from(!in_order);
+        // Records whose full byte range just became covered are
+        // *delivered*. uTCP receivers complete later records while earlier
+        // holes persist; ordered TCP cannot — that asymmetry is the
+        // paper's figure of merit.
+        let now_ns = ns_of(now);
+        let mut record = self.event(now_ns, 0, TraceKind::RecordDelivered);
+        for (rec, enqueue_ns) in self.complete_records((offset, end), run) {
+            record.seq = rec as u32;
+            delivered(record, now_ns.saturating_sub(enqueue_ns));
+        }
+        let completes = !was_complete && self.is_complete();
+        if completes {
+            self.completion_us = now.as_micros();
+        }
+        Ok(completes)
+    }
+
+    /// The flow's report row, with the sender statistics `transport` keeps.
+    /// Every chunk was compared with the stream's formula as it arrived and
+    /// the coverage is complete, so the delivered stream *is* the sent one:
+    /// delivered bytes come from the coverage ranges, records from the
+    /// delivery marks, and the fingerprint was folded over the chunks as
+    /// they came.
+    fn metrics(&self, transport: &dyn Transport) -> FlowMetrics {
+        let stats = transport.flow_stats(self.client);
+        FlowMetrics {
+            flow: self.flow,
+            bytes_delivered: self.covered.iter().map(|(s, e)| e - s).sum(),
+            records_delivered: self.records.iter().filter(|r| r.delivered).count() as u64,
+            chunks_out_of_order: self.ooo_chunks,
+            retransmissions: stats.retransmissions,
+            fast_retransmits: stats.fast_retransmits,
+            rto_fires: stats.timeouts,
+            completion_us: self.completion_us,
+            fingerprint: self.fingerprint,
+        }
     }
 
     /// Hand `emit` bytes `[from, to)` of this flow's stream, in order, in
@@ -763,8 +795,20 @@ impl FlowState {
 
     /// Offer the transport the stream from the send cursor on, built into
     /// `scratch` one span at a time, until it is all sent or the transport
-    /// takes less than it was offered.
-    fn write_pending(&mut self, transport: &mut dyn Transport, scratch: &mut [u8]) {
+    /// takes less than it was offered; then stamp the records it now holds
+    /// whole, and once the whole stream is in, sample how long it was
+    /// staged: the one flush path of the open and of writable edges. A flow
+    /// with nothing left to send ignores the call.
+    fn flush(
+        &mut self,
+        transport: &mut dyn Transport,
+        scratch: &mut [u8],
+        now_ns: u64,
+        obs: &mut LoadObs,
+    ) {
+        if self.sent == self.stream_len() {
+            return;
+        }
         while self.sent < self.stream_len() {
             let end = self.stream_len().min(self.sent + scratch.len() as u64);
             let (len, mut filled) = ((end - self.sent) as usize, 0);
@@ -778,19 +822,6 @@ impl FlowState {
                 break;
             }
         }
-    }
-
-    /// Offer the transport what is left of the stream, stamp the records it
-    /// now holds whole, and once the whole stream is in, sample how long it
-    /// was staged: the one flush path of the open and of writable edges.
-    fn flush(
-        &mut self,
-        transport: &mut dyn Transport,
-        scratch: &mut [u8],
-        now_ns: u64,
-        obs: &mut LoadObs,
-    ) {
-        self.write_pending(transport, scratch);
         obs.counters
             .add(C_RECORDS_ENQUEUED, self.mark_enqueued(now_ns));
         if self.sent == self.stream_len() {
@@ -812,29 +843,6 @@ impl FlowState {
             self.enqueued += 1;
         }
         (self.enqueued - from) as u64
-    }
-
-    /// Check a delivered chunk against the stream's formula, fold it into
-    /// the fingerprint and merge it into the coverage set; returns the
-    /// coverage run it now belongs to.
-    fn accept_chunk(&mut self, chunk: &TransportChunk) -> Result<(u64, u64), &'static str> {
-        let (offset, data) = (chunk.offset, &chunk.data[..]);
-        let end = offset + data.len() as u64;
-        if end > self.stream_len() {
-            return Err("chunk past stream end");
-        }
-        let (mut checked, mut same) = (0, true);
-        self.build_stream(offset, end, |piece| {
-            same &= *piece == data[checked..checked + piece.len()];
-            checked += piece.len();
-        });
-        if !same {
-            return Err("delivered chunk differs from the sent stream");
-        }
-        fnv1a(&mut self.fingerprint, &offset.to_le_bytes());
-        fnv1a(&mut self.fingerprint, &(data.len() as u64).to_le_bytes());
-        fnv1a(&mut self.fingerprint, &[u8::from(chunk.in_order)]);
-        Ok(self.cover(offset, end))
     }
 
     /// Merge `[start, end)` into the coverage set; returns the merged run.
@@ -860,8 +868,8 @@ impl FlowState {
     /// covered, yielding each one's index and the time its delivery delay
     /// counts from (marking happens as the iterator is consumed). Only
     /// records the chunk `[chunk.0, chunk.1)` touches can have completed,
-    /// and they complete iff `run`, the coverage run the chunk joined
-    /// ([`FlowState::accept_chunk`]), holds them whole.
+    /// and they complete iff `run`, the coverage run the chunk joined,
+    /// holds them whole.
     fn complete_records(
         &mut self,
         chunk: (u64, u64),
@@ -905,6 +913,12 @@ mod tests {
             data: data.into(),
             in_order,
         }
+    }
+
+    /// Offer `chunk` to `s` as an unordered receiver's, at time zero,
+    /// dropping the records it completes.
+    fn accept(s: &mut FlowState, chunk: TransportChunk) -> Result<bool, String> {
+        s.on_chunk(&chunk, false, SimTime::ZERO, |_, _| {})
     }
 
     /// Bytes `[from, to)` of `s`'s stream, as the generator builds them.
@@ -953,25 +967,24 @@ mod tests {
     fn every_chunk_is_compared_with_the_sent_stream_in_place() {
         let mut s = flow_state(vec![(0, 20), (20, 45)]);
         let stream = bytes(&s, 0, 45);
-        assert_eq!(s.accept_chunk(&chunk(8, &stream[8..30], true)), Ok((8, 30)));
+        assert_eq!(accept(&mut s, chunk(8, &stream[8..30], true)), Ok(false));
+        assert_eq!(s.covered, vec![(8, 30)]);
         // Right bytes, wrong place; one flipped bit; a duplicate that
         // differs from what was accepted before; a chunk past the end;
         // another flow's bytes at the right offset.
-        assert!(s.accept_chunk(&chunk(9, &stream[8..30], true)).is_err());
+        assert!(accept(&mut s, chunk(9, &stream[8..30], true)).is_err());
         let mut flipped = stream[30..45].to_vec();
         flipped[5] ^= 1;
-        assert!(s.accept_chunk(&chunk(30, &flipped, true)).is_err());
+        assert!(accept(&mut s, chunk(30, &flipped, true)).is_err());
         let mut duplicate = stream[8..30].to_vec();
         duplicate[0] ^= 0x80;
-        assert!(s.accept_chunk(&chunk(8, &duplicate, true)).is_err());
-        assert!(s.accept_chunk(&chunk(40, &[0; 6], true)).is_err());
+        assert!(accept(&mut s, chunk(8, &duplicate, true)).is_err());
+        assert!(accept(&mut s, chunk(40, &[0; 6], true)).is_err());
         let other = FlowState {
             flow: 1,
             ..flow_state(vec![(0, 20), (20, 45)])
         };
-        assert!(s
-            .accept_chunk(&chunk(0, &bytes(&other, 0, 8), true))
-            .is_err());
+        assert!(accept(&mut s, chunk(0, &bytes(&other, 0, 8), true)).is_err());
         // None of the rejects counted as coverage or entered the
         // fingerprint: that is (offset, len, in_order) of the one accepted.
         assert_eq!(s.covered, vec![(8, 30)]);
@@ -982,12 +995,57 @@ mod tests {
         assert_eq!(s.fingerprint, expected);
         // The same bytes flagged out of order fold differently.
         let before = s.fingerprint;
-        assert!(s.accept_chunk(&chunk(8, &stream[8..30], false)).is_ok());
+        assert!(accept(&mut s, chunk(8, &stream[8..30], false)).is_ok());
         let mut in_order = before;
         for field in [&8u64.to_le_bytes()[..], &22u64.to_le_bytes(), &[1]] {
             fnv1a(&mut in_order, field);
         }
         assert_ne!(s.fingerprint, in_order);
+    }
+
+    /// An ordered receiver's chunk must be flagged in order and start where
+    /// the delivered prefix ends; each completed record is handed on once,
+    /// stamped with its delivery, and a flow completes once.
+    #[test]
+    fn an_ordered_receiver_takes_only_its_prefix_and_a_flow_completes_once() {
+        let mut s = flow_state(vec![(0, 20), (20, 45)]);
+        let stream = bytes(&s, 0, 45);
+        let mut records = Vec::new();
+        let mut offer = |s: &mut FlowState, from: usize, to: usize, in_order: bool, us: u64| {
+            let c = chunk(from as u64, &stream[from..to], in_order);
+            s.on_chunk(&c, true, SimTime::from_micros(us), |ev, delay_ns| {
+                records.push((ev.seq, ev.kind, ev.t_ns, delay_ns))
+            })
+        };
+        let ahead = offer(&mut s, 10, 20, true, 1).unwrap_err();
+        assert!(ahead.contains("ordered receiver"), "{ahead}");
+        assert!(
+            offer(&mut s, 0, 10, false, 1).is_err(),
+            "flagged out of order"
+        );
+        assert_eq!(offer(&mut s, 0, 30, true, 2), Ok(false));
+        assert!(offer(&mut s, 0, 30, true, 3).is_err(), "a duplicate");
+        assert_eq!(offer(&mut s, 30, 45, true, 4), Ok(true));
+        assert_eq!(s.completion_us, 4);
+        let kind = TraceKind::RecordDelivered;
+        assert_eq!(
+            records,
+            vec![(0, kind, 2_000, 2_000), (1, kind, 4_000, 4_000)]
+        );
+        // An unordered receiver takes duplicates; the flow still completes
+        // once, at the first chunk that made its coverage whole.
+        let mut u = flow_state(vec![(0, 20)]);
+        let whole = bytes(&u, 0, 20);
+        let mut at = |us: u64| {
+            u.on_chunk(
+                &chunk(0, &whole, true),
+                false,
+                SimTime::from_micros(us),
+                |_, _| {},
+            )
+        };
+        assert_eq!((at(5), at(9)), (Ok(true), Ok(false)));
+        assert_eq!(u.completion_us, 5);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! histograms. Timestamps are nanoseconds by the crate-wide convention.
 
 use crate::hist::Histogram;
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// Default trajectory-ring capacity per recorder. Connections emit a
 /// sample per window *transition*, so a lossy flow produces dozens, not
@@ -40,10 +40,7 @@ pub struct CwndSample {
 /// histograms.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CcObs {
-    cap: usize,
-    samples: VecDeque<CwndSample>,
-    recorded: u64,
-    dropped: u64,
+    samples: Ring<CwndSample>,
     cwnd: Histogram,
     recovery_duration: Histogram,
     recovery_depth: Histogram,
@@ -60,10 +57,7 @@ impl CcObs {
     /// records histograms only but still counts samples).
     pub fn new(cap: usize) -> Self {
         CcObs {
-            cap,
-            samples: VecDeque::new(),
-            recorded: 0,
-            dropped: 0,
+            samples: Ring::new(cap),
             cwnd: Histogram::new(),
             recovery_duration: Histogram::new(),
             recovery_depth: Histogram::new(),
@@ -74,16 +68,7 @@ impl CcObs {
     /// oldest if the ring is full) and one cwnd histogram sample.
     pub fn record_window(&mut self, t_ns: u64, cwnd: u64, ssthresh: u64) {
         self.cwnd.record(cwnd);
-        self.recorded += 1;
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.samples.len() == self.cap {
-            self.samples.pop_front();
-            self.dropped += 1;
-        }
-        self.samples.push_back(CwndSample {
+        self.samples.push(CwndSample {
             t_ns,
             cwnd,
             ssthresh,
@@ -106,7 +91,7 @@ impl CcObs {
 
     /// Trajectory samples currently held, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &CwndSample> + '_ {
-        self.samples.iter()
+        self.samples.events()
     }
 
     /// Number of trajectory samples currently held.
@@ -121,12 +106,12 @@ impl CcObs {
 
     /// Total trajectory samples ever recorded (held + dropped).
     pub fn recorded(&self) -> u64 {
-        self.recorded
+        self.samples.recorded()
     }
 
     /// Trajectory samples evicted or rejected by the ring bound.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.samples.dropped()
     }
 
     /// Histogram of cwnd (bytes) across all recorded transitions.

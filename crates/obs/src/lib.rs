@@ -13,6 +13,7 @@
 //! |---|---|
 //! | [`CounterSet`] / [`GaugeSet`] | monotone event counts / high-water marks, fixed name slots |
 //! | [`Histogram`] | [`Hist`]: two-level (log2 major × 16 linear minor) `u64` samples (ns), slots allocated on the first sample |
+//! | [`Ring`] | the last N of anything, with recorded/dropped counts: the trace ring and the window trajectory |
 //! | [`TraceRing`] | last-N lifecycle [`TraceEvent`]s |
 //! | [`StreamSink`] / [`StreamStats`] | every admitted event spilled to a JSONL file, closed by a trailer; the sink's zero-drop accounting |
 //! | [`FilterStats`] | the trace path's flow × kind [`TracePredicate`] and its admitted/suppressed counts ([`FilterStats::admit`]) |
@@ -39,6 +40,7 @@ mod cc;
 mod counter;
 mod flow_delay;
 mod hist;
+mod ring;
 mod sink;
 mod span;
 mod trace;
@@ -48,6 +50,7 @@ pub use cc::{CcObs, CwndSample};
 pub use counter::{CounterSet, GaugeSet};
 pub use flow_delay::{DelayDigest, FlowDelayMap};
 pub use hist::{Hist, Histogram};
+pub use ring::Ring;
 pub use sink::{FilterStats, StreamSink, StreamStats, TracePredicate, TraceSink};
 pub use span::{NonDeterministic, PhaseProfile};
 pub use trace::{KindSet, TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAP};

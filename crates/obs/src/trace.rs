@@ -9,7 +9,7 @@
 //! Events carry nanosecond timestamps from the backend clock (virtual for
 //! sim — hence fully deterministic — monotonic for os).
 
-use std::collections::VecDeque;
+use crate::ring::Ring;
 
 /// Default ring capacity: enough for full lifecycle coverage of the
 /// obs comparison scenarios without unbounded memory on million-flow runs.
@@ -198,13 +198,7 @@ impl TraceEvent {
 }
 
 /// A bounded ring of the most recent [`TraceEvent`]s.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceRing {
-    cap: usize,
-    events: VecDeque<TraceEvent>,
-    recorded: u64,
-    dropped: u64,
-}
+pub type TraceRing = Ring<TraceEvent>;
 
 impl Default for TraceRing {
     fn default() -> Self {
@@ -213,61 +207,11 @@ impl Default for TraceRing {
 }
 
 impl TraceRing {
-    /// A ring keeping at most `cap` events (`cap == 0` records nothing but
-    /// still counts).
-    pub fn new(cap: usize) -> Self {
-        TraceRing {
-            cap,
-            events: VecDeque::new(),
-            recorded: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Append an event, evicting the oldest if full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        self.recorded += 1;
-        if self.cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-
-    /// Events currently held, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.events.iter()
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Total events ever pushed (held + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted or rejected by the bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Serialize the held events as JSONL (one event per line, trailing
     /// newline after the last line; empty string when empty).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in &self.events {
+        for ev in self.events() {
             out.push_str(&ev.to_json());
             out.push('\n');
         }
@@ -293,9 +237,9 @@ impl TraceRing {
         out.push_str(&format!(
             "{{\"summary\":true,\"recorded\":{},\"held\":{},\"dropped\":{},\"cap\":{},\
              \"admitted\":{admitted},\"suppressed\":{suppressed}}}\n",
-            self.recorded,
-            self.events.len(),
-            self.dropped,
+            self.recorded(),
+            self.len(),
+            self.dropped(),
             self.cap
         ));
         out

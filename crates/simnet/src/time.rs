@@ -62,24 +62,6 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
-
-    /// Returns the earlier of two times.
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the later of two times.
-    pub fn max(self, other: SimTime) -> SimTime {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl SimDuration {
@@ -133,24 +115,6 @@ impl SimDuration {
     #[allow(clippy::should_implement_trait)] // keeps the seed API; `Div` impls can come later
     pub fn div(self, divisor: u64) -> SimDuration {
         SimDuration(self.0 / divisor)
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self >= other {
-            self
-        } else {
-            other
-        }
     }
 
     /// The time needed to transmit `bytes` at `rate_bps` bits per second.

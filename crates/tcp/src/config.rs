@@ -62,6 +62,10 @@ pub struct TcpConfig {
     pub fixed_isn: Option<u32>,
 }
 
+/// The paper's testbed defaults (low-latency path, 1448-byte MSS). The
+/// paper disables Nagle for every experiment, so this stack has no such
+/// algorithm to switch: a short segment is sent as soon as the window
+/// allows.
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
@@ -76,14 +80,6 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// A configuration matching the paper's testbed defaults (low-latency
-    /// path, 1448-byte MSS). The paper disables Nagle for every experiment,
-    /// so this stack has no such algorithm to switch: a short segment is sent
-    /// as soon as the window allows.
-    pub fn paper_default() -> Self {
-        TcpConfig::default()
-    }
-
     /// Set the MSS.
     pub fn with_mss(mut self, mss: usize) -> Self {
         assert!(mss > 0);
@@ -188,7 +184,7 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_testbed() {
-        let c = TcpConfig::paper_default();
+        let c = TcpConfig::default();
         assert_eq!(c.mss, 1448);
         assert_eq!(c.cc, CcAlgorithm::NewReno);
     }

@@ -219,6 +219,14 @@ enum Tamper {
     /// Hold back the first chunk read and deliver it after the next one,
     /// both still flagged in order.
     Swap,
+    /// Lose the first non-empty chunk: the receiver has acknowledged it,
+    /// so nothing ever delivers those bytes again.
+    Drop,
+    /// Deliver the first non-empty chunk twice in a row, both copies
+    /// flagged as the original was.
+    Duplicate,
+    /// Flag the first out-of-order chunk as in order.
+    FlagInOrder,
 }
 
 /// A [`SimTransport`] whose receive side lies once: the mutation the driver
@@ -275,7 +283,21 @@ impl Transport for Tampered {
                 self.done = true;
                 Some(chunk)
             }
-            Tamper::FlipBit => Some(chunk),
+            Tamper::Drop if !chunk.data.is_empty() => {
+                self.done = true;
+                self.inner.read(flow)
+            }
+            Tamper::Duplicate if !chunk.data.is_empty() => {
+                self.held = Some((flow, chunk.clone()));
+                self.done = true;
+                Some(chunk)
+            }
+            Tamper::FlagInOrder if !chunk.in_order => {
+                chunk.in_order = true;
+                self.done = true;
+                Some(chunk)
+            }
+            Tamper::FlipBit | Tamper::Drop | Tamper::Duplicate | Tamper::FlagInOrder => Some(chunk),
             Tamper::Swap => match self.held.take() {
                 None => {
                     // Hold the first chunk; deliver whatever follows it.
@@ -369,4 +391,234 @@ fn a_swap_on_an_unordered_receiver_completes() {
     let fingerprints =
         |r: &LoadReport| r.per_flow.iter().map(|f| f.fingerprint).collect::<Vec<_>>();
     assert_ne!(fingerprints(&report), fingerprints(&scenario.run()));
+}
+
+/// Per flow: records delivered, bytes delivered, chunks out of order.
+fn delivery_counts(report: &LoadReport) -> Vec<(u64, u64, u64)> {
+    report
+        .per_flow
+        .iter()
+        .map(|f| {
+            (
+                f.records_delivered,
+                f.bytes_delivered,
+                f.chunks_out_of_order,
+            )
+        })
+        .collect()
+}
+
+/// Mutation check: a chunk lost between the receiver and the driver leaves
+/// a hole no retransmission fills, so its flow never completes.
+#[test]
+#[should_panic(expected = "flows incomplete")]
+fn a_dropped_chunk_leaves_its_flow_incomplete() {
+    let scenario = LoadScenario {
+        receiver_utcp: true,
+        ..ordered_pair()
+    };
+    scenario.run_on(&mut Tampered::new(&scenario, Tamper::Drop));
+}
+
+/// Mutation check: a chunk delivered twice on an ordered receiver fails the
+/// run, though both copies carry the right bytes and claim to be in order:
+/// the second does not start where the delivered prefix ends.
+#[test]
+#[should_panic(expected = "ordered receiver")]
+fn a_chunk_delivered_twice_on_an_ordered_receiver_fails_the_run() {
+    let scenario = ordered_pair();
+    scenario.run_on(&mut Tampered::new(&scenario, Tamper::Duplicate));
+}
+
+/// The same duplicate on an unordered receiver is harmless: the run
+/// completes, and every record and byte counts once.
+#[test]
+fn a_chunk_delivered_twice_on_an_unordered_receiver_counts_once() {
+    let scenario = LoadScenario {
+        receiver_utcp: true,
+        ..ordered_pair()
+    };
+    let report = scenario.run_on(&mut Tampered::new(&scenario, Tamper::Duplicate));
+    assert_eq!(
+        delivery_counts(&report),
+        vec![(32, 19_160, 0), (32, 19_552, 0)]
+    );
+    assert_eq!(delivery_counts(&report), delivery_counts(&scenario.run()));
+    assert_eq!(report.obs.delivery_delay.count(), report.records_sent);
+}
+
+/// One data segment of flow 0 lost (the fifth packet toward the receiver),
+/// uTCP receiver: the segments after it arrive ahead of the hole.
+fn unordered_pair_with_a_hole() -> LoadScenario {
+    LoadScenario {
+        receiver_utcp: true,
+        loss: LossConfig::Explicit { indices: vec![5] },
+        ..ordered_pair()
+    }
+}
+
+/// An out-of-order chunk flagged in order on an unordered receiver goes
+/// unnoticed (uTCP may deliver anywhere), so the run completes, and the
+/// flow's out-of-order count is one short of what the receiver saw.
+#[test]
+fn an_out_of_order_chunk_flagged_in_order_on_an_unordered_receiver_completes() {
+    let scenario = unordered_pair_with_a_hole();
+    let honest = scenario.run();
+    let report = scenario.run_on(&mut Tampered::new(&scenario, Tamper::FlagInOrder));
+    assert_eq!(report.records_delivered, report.records_sent);
+    assert_eq!(
+        delivery_counts(&honest),
+        vec![(32, 19_160, 5), (32, 19_552, 0)]
+    );
+    assert_eq!(
+        delivery_counts(&report),
+        vec![(32, 19_160, 4), (32, 19_552, 0)]
+    );
+}
+
+/// Events a transport raised at one end of its flows, by kind.
+#[derive(Debug, Default, PartialEq)]
+struct EndEvents {
+    /// Lifecycle edges: established, retransmit, RTO fired, closed …
+    edges: u64,
+    /// Window samples (`ConnEvent::Window`) and cuts (`ConnEvent::Cut`).
+    windows: u64,
+    writable: u64,
+    readable: u64,
+}
+
+/// A [`SimTransport`] that counts the events it hands the driver at each
+/// end: the driver keeps lifecycle and writable events of clients and
+/// readable events of servers, and drops the rest unread.
+struct Counting {
+    inner: SimTransport,
+    /// Server ends, as `take_accepted` names them.
+    servers: std::collections::BTreeSet<FlowId>,
+    client: EndEvents,
+    server: EndEvents,
+}
+
+impl Counting {
+    fn new(scenario: &LoadScenario) -> Self {
+        Counting {
+            inner: SimTransport::new(scenario),
+            servers: Default::default(),
+            client: EndEvents::default(),
+            server: EndEvents::default(),
+        }
+    }
+
+    fn end(&mut self, flow: FlowId) -> &mut EndEvents {
+        if self.servers.contains(&flow) {
+            &mut self.server
+        } else {
+            &mut self.client
+        }
+    }
+}
+
+impl Transport for Counting {
+    fn backend(&self) -> &'static str {
+        self.inner.backend()
+    }
+    fn now(&self) -> SimTime {
+        self.inner.now()
+    }
+    fn connect(&mut self) -> (FlowId, u64) {
+        self.inner.connect()
+    }
+    fn write(&mut self, flow: FlowId, data: &[u8]) -> usize {
+        self.inner.write(flow, data)
+    }
+    fn read(&mut self, flow: FlowId) -> Option<TransportChunk> {
+        self.inner.read(flow)
+    }
+    fn close(&mut self, flow: FlowId) {
+        self.inner.close(flow)
+    }
+    fn step(&mut self) -> bool {
+        self.inner.step()
+    }
+    fn take_accepted(&mut self) -> Vec<(FlowId, u64)> {
+        let accepted = self.inner.take_accepted();
+        self.servers.extend(accepted.iter().map(|&(f, _)| f));
+        accepted
+    }
+    fn take_readable(&mut self) -> Vec<FlowId> {
+        let flows = self.inner.take_readable();
+        for &f in &flows {
+            self.end(f).readable += 1;
+        }
+        flows
+    }
+    fn take_writable(&mut self) -> Vec<FlowId> {
+        let flows = self.inner.take_writable();
+        for &f in &flows {
+            self.end(f).writable += 1;
+        }
+        flows
+    }
+    fn take_lifecycle(&mut self) -> Vec<(FlowId, ConnEvent)> {
+        let events = self.inner.take_lifecycle();
+        for &(f, ev) in &events {
+            let end = self.end(f);
+            match ev {
+                ConnEvent::Window { .. } | ConnEvent::Cut { .. } => end.windows += 1,
+                _ => end.edges += 1,
+            }
+        }
+        events
+    }
+    fn phases(&self) -> PhaseProfile {
+        self.inner.phases()
+    }
+    fn flow_stats(&self, flow: FlowId) -> TransportFlowStats {
+        self.inner.flow_stats(flow)
+    }
+    fn metrics(&self) -> EngineMetrics {
+        self.inner.metrics()
+    }
+    fn finish(&mut self) {
+        self.inner.finish()
+    }
+}
+
+/// The events `run_on` drops, pinned: every accepted server flow still
+/// raises lifecycle edges, window samples and writable edges that the
+/// driver reads and discards, and the clients raise no readable edge. A
+/// change that stops the servers producing them shows here as a diff of
+/// the server row; the client row is what the driver uses.
+#[test]
+fn events_raised_at_the_end_the_driver_ignores_are_pinned() {
+    let scenario = LoadScenario {
+        records_per_flow: 64,
+        record_len: 600,
+        loss: LossConfig::Bernoulli { probability: 0.02 },
+        seed: 5,
+        ..LoadScenario::with_flows(8)
+    };
+    let mut counting = Counting::new(&scenario);
+    let report = scenario.run_on(&mut counting);
+    assert_eq!(report, scenario.run(), "counting changes nothing");
+    assert_eq!(counting.servers.len(), scenario.flows);
+    assert_eq!(
+        counting.client,
+        EndEvents {
+            edges: 22,
+            windows: 124,
+            writable: 0,
+            readable: 0,
+        },
+        "client ends: kept, bar the readable edges"
+    );
+    assert_eq!(
+        counting.server,
+        EndEvents {
+            edges: 16,
+            windows: 8,
+            writable: 0,
+            readable: 220,
+        },
+        "server ends: dropped, bar the readable edges"
+    );
 }
