@@ -10,8 +10,8 @@
 //! * [`Histogram`]s — delivery delay (send-enqueue → app-deliver), RTO wait
 //!   (per-timer arm → fire), and send-stream staging dwell, all in
 //!   nanoseconds of backend time (virtual on sim, monotonic on os);
-//! * a [`CounterSet`]/[`GaugeSet`] over fixed slot names (see
-//!   `LOAD_COUNTER_NAMES`);
+//! * a [`CounterSet`] over fixed slot names (see `LOAD_COUNTER_NAMES`) and
+//!   the coverage high-water mark;
 //! * a [`TraceRing`] of per-flow lifecycle events (SYN, first byte, record
 //!   delivery, retransmit, RTO, FIN), dumpable as JSONL via
 //!   `load_engine --trace-out`.
@@ -21,8 +21,8 @@
 //! compare it whole.
 
 use minion_obs::{
-    CcObs, CounterSet, FilterStats, FlowDelayMap, GaugeSet, Histogram, StreamSink, StreamStats,
-    TraceEvent, TraceRing,
+    CcObs, CounterSet, FilterStats, FlowDelayMap, Histogram, StreamSink, StreamStats, TraceEvent,
+    TraceRing,
 };
 use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
 
@@ -52,13 +52,6 @@ pub const C_RETRANSMIT_EDGES: usize = 4;
 /// Slot: RTO-fired edges observed.
 pub const C_RTO_EDGES: usize = 5;
 
-/// Gauge slots of [`LoadObs::gauges`].
-const LOAD_GAUGE_NAMES: &[&str] = &["coverage_ranges_high_water"];
-
-/// Slot: most disjoint coverage ranges any flow's receive stream held at
-/// once — a direct measure of how fragmented unordered delivery got.
-pub(crate) const G_COVERAGE_RANGES_HIGH_WATER: usize = 0;
-
 /// Deterministic observability of one load-scenario run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadObs {
@@ -73,8 +66,9 @@ pub struct LoadObs {
     pub staging_dwell: Histogram,
     /// Event counters over `LOAD_COUNTER_NAMES`.
     pub counters: CounterSet,
-    /// High-water marks over `LOAD_GAUGE_NAMES`.
-    pub gauges: GaugeSet,
+    /// Most disjoint coverage ranges any flow's receive stream held at
+    /// once: a direct measure of how fragmented unordered delivery got.
+    pub coverage_ranges_high_water: u64,
     /// Lifecycle trace, bounded to the last
     /// [`DEFAULT_TRACE_CAP`](minion_obs::DEFAULT_TRACE_CAP) events.
     pub trace: TraceRing,
@@ -104,7 +98,7 @@ impl Default for LoadObs {
             rto_wait: Histogram::new(),
             staging_dwell: Histogram::new(),
             counters: CounterSet::new(LOAD_COUNTER_NAMES),
-            gauges: GaugeSet::new(LOAD_GAUGE_NAMES),
+            coverage_ranges_high_water: 0,
             trace: TraceRing::default(),
             trace_filter: FilterStats::default(),
             stream: StreamStats::default(),

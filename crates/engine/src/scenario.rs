@@ -45,7 +45,7 @@
 use crate::metrics::{EngineMetrics, FlowMetrics, LoadReport};
 use crate::obs::{
     LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
-    C_RETRANSMIT_EDGES, C_RTO_EDGES, G_COVERAGE_RANGES_HIGH_WATER,
+    C_RETRANSMIT_EDGES, C_RTO_EDGES,
 };
 use crate::transport::{SimTransport, Transport, TransportChunk};
 use minion_exec::Executor;
@@ -366,8 +366,9 @@ impl LoadScenario {
                             obs.record_event(&mut spill, record);
                         })
                         .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
-                    obs.gauges
-                        .observe(G_COVERAGE_RANGES_HIGH_WATER, state.covered.len() as u64);
+                    obs.coverage_ranges_high_water = obs
+                        .coverage_ranges_high_water
+                        .max(state.covered.len() as u64);
                     completed += usize::from(completes);
                 }
             }
@@ -1278,8 +1279,8 @@ mod tests {
             utcp.obs.delivery_delay.p99()
         );
         // Unordered delivery fragments stream coverage; ordered never does.
-        assert!(utcp.obs.gauges.get(G_COVERAGE_RANGES_HIGH_WATER) > 1);
-        assert_eq!(tcp.obs.gauges.get(G_COVERAGE_RANGES_HIGH_WATER), 1);
+        assert!(utcp.obs.coverage_ranges_high_water > 1);
+        assert_eq!(tcp.obs.coverage_ranges_high_water, 1);
         assert!(utcp.obs.counters.get(C_CHUNKS_OUT_OF_ORDER) > 0);
         assert_eq!(tcp.obs.counters.get(C_CHUNKS_OUT_OF_ORDER), 0);
         // Loss recovery leaves its fingerprints in the trace ring.

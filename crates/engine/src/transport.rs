@@ -7,8 +7,9 @@
 //! write/read bytes, and pump an event loop that reports accepts and
 //! readable/writable edges. Two implementations exist:
 //!
-//! * [`SimTransport`] (here) — holds a deterministic [`Sim`]: each flow is
-//!   a registered [`FlowId`], and the trait calls act on its socket through
+//! * [`SimTransport`] (here) — holds a deterministic [`Sim`]: it connects
+//!   and accepts through the hosts like any application, registers each
+//!   socket as a [`FlowId`], and the trait calls act on its socket through
 //!   the host, which makes the loop poll exactly that flow. Any topology a
 //!   `Sim` can hold works underneath (middleboxes, routes, UDP beside the
 //!   flows); the load scenario happens to build two hosts.
@@ -155,9 +156,9 @@ pub struct SimTransport {
 
 impl SimTransport {
     /// Build the two-host world of `scenario`: client and server hosts, the
-    /// shared bottleneck link (loss on the data direction only), a listening
-    /// uTCP/TCP socket on `LOAD_PORT`, and auto-registration of accepted
-    /// flows.
+    /// shared bottleneck link (loss on the data direction only), and a
+    /// listening uTCP/TCP socket on `LOAD_PORT`, whose connections
+    /// [`Transport::take_accepted`] accepts.
     pub fn new(scenario: &LoadScenario) -> Self {
         let mut sim = Sim::new(scenario.seed);
         let client = sim.add_host("client");
@@ -178,7 +179,6 @@ impl SimTransport {
         sim.host_mut(server)
             .tcp_listen(LOAD_PORT, tcp_config.clone(), receiver_opts)
             .expect("listen on a fresh host");
-        sim.set_auto_register(server);
         SimTransport {
             sim,
             client,
@@ -227,15 +227,19 @@ impl Transport for SimTransport {
     }
 
     fn connect(&mut self) -> (FlowId, u64) {
-        let id = self.sim.flow_connect(
-            self.client,
+        let now = self.sim.now();
+        let host = self.sim.host_mut(self.client);
+        let handle = host.tcp_connect(
             self.server_addr,
             self.tcp_config.clone(),
             SocketOptions::standard(),
+            now,
         );
-        let (node, handle) = self.sim.flow_socket(id);
-        let client_port = self.sim.host(node).tcp_local_port(handle);
-        (id, u64::from(client_port.expect("fresh TCP socket")))
+        let client_port = host.tcp_local_port(handle).expect("fresh TCP socket");
+        (
+            self.sim.register(self.client, handle),
+            u64::from(client_port),
+        )
     }
 
     /// As a socket does, this accepts the prefix of `data` that fits the
@@ -265,15 +269,14 @@ impl Transport for SimTransport {
     }
 
     fn take_accepted(&mut self) -> Vec<(FlowId, u64)> {
-        self.sim
-            .take_accepted()
-            .into_iter()
-            .map(|sf| {
-                let (node, handle) = self.sim.flow_socket(sf);
-                let peer = self.sim.host(node).tcp_peer(handle);
-                (sf, u64::from(peer.expect("flow handle is valid").port))
-            })
-            .collect()
+        let SocketAddr { node, port } = self.server_addr;
+        let mut accepted = Vec::new();
+        while let Some(handle) = self.sim.host_mut(node).accept(port) {
+            let peer = self.sim.host(node).tcp_peer(handle);
+            let peer_port = peer.expect("accepted handle is a TCP socket").port;
+            accepted.push((self.sim.register(node, handle), u64::from(peer_port)));
+        }
+        accepted
     }
 
     fn take_readable(&mut self) -> Vec<FlowId> {
@@ -335,5 +338,16 @@ mod tests {
         let writable = t.take_writable().into_iter().filter(|&f| f == cf).count();
         assert_eq!(writable, 1);
         assert_eq!(t.write(cf, &big[capacity..]), 5000);
+    }
+
+    /// The transport accepts through the host's listener queue like any
+    /// other caller, so a finished run leaves no connection waiting there.
+    #[test]
+    fn a_finished_run_leaves_no_connection_waiting_for_accept() {
+        let scenario = LoadScenario::with_flows(4);
+        let mut t = SimTransport::new(&scenario);
+        scenario.run_on(&mut t);
+        let server = t.server_addr.node;
+        assert_eq!(t.sim.host_mut(server).accept(LOAD_PORT), None);
     }
 }

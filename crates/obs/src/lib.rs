@@ -11,7 +11,7 @@
 //!
 //! | type | what it records |
 //! |---|---|
-//! | [`CounterSet`] / [`GaugeSet`] | monotone event counts / high-water marks, fixed name slots |
+//! | [`CounterSet`] | monotone event counts, fixed name slots |
 //! | [`Histogram`] | [`Hist`]: two-level (log2 major × 16 linear minor) `u64` samples (ns), slots allocated on the first sample |
 //! | [`Ring`] | the last N of anything, with recorded/dropped counts: the trace ring and the window trajectory |
 //! | [`TraceRing`] | last-N lifecycle [`TraceEvent`]s |
@@ -47,7 +47,7 @@ mod trace;
 
 pub use absorb::Absorb;
 pub use cc::{CcObs, CwndSample};
-pub use counter::{CounterSet, GaugeSet};
+pub use counter::CounterSet;
 pub use flow_delay::{DelayDigest, FlowDelayMap};
 pub use hist::{Hist, Histogram};
 pub use ring::Ring;

@@ -66,7 +66,9 @@ enum Socket {
 struct Listener {
     config: TcpConfig,
     options: SocketOptions,
-    /// Connections created by incoming SYNs, awaiting `accept()`.
+    /// Connections created by incoming SYNs, awaiting [`Host::accept`].
+    /// Every driver accepts, the load transport included, so the queue
+    /// drains; a socket waiting here is still a flow of the loop.
     pending: VecDeque<SocketHandle>,
 }
 
@@ -530,16 +532,10 @@ impl Host {
         Ok(self.tcp_socket(handle)?.conn.next_timer())
     }
 
-    /// Enable or disable edge-event recording on one connection (see
-    /// [`minion_tcp::TcpConnection::set_event_interest`]).
-    pub(crate) fn tcp_set_event_interest(
-        &mut self,
-        handle: SocketHandle,
-        enabled: bool,
-    ) -> Result<(), HostError> {
-        self.tcp_socket_mut(handle)?
-            .conn
-            .set_event_interest(enabled);
+    /// Turn edge-event recording on for one connection (see
+    /// [`minion_tcp::TcpConnection::enable_events`]).
+    pub(crate) fn tcp_enable_events(&mut self, handle: SocketHandle) -> Result<(), HostError> {
+        self.tcp_socket_mut(handle)?.conn.enable_events();
         Ok(())
     }
 
@@ -738,7 +734,7 @@ mod tests {
             SocketOptions::standard(),
             SimTime::ZERO,
         );
-        client.tcp_set_event_interest(ch, true).unwrap();
+        client.tcp_enable_events(ch).unwrap();
 
         // Drive the handshake purely through the per-handle APIs.
         let mut t = SimTime::ZERO;

@@ -27,10 +27,10 @@
 //! empty socket, costs no poll. [`Sim::run_until`] / [`Sim::run_for`] are
 //! `drive` with an application that never reacts.
 //!
-//! A driver of many flows opens each connection as a flow
-//! ([`Sim::flow_connect`], or [`Sim::set_auto_register`] for accepted ones)
-//! and finds its socket with [`Sim::flow_socket`]. Registered flows report
-//! their connection edges and window samples ([`Sim::take_events`]), so the
+//! A driver of many flows connects and accepts through [`Sim::host_mut`]
+//! like any application, then hands each socket to [`Sim::register`] and
+//! finds it again with [`Sim::flow_socket`]. Registered flows report their
+//! connection edges and window samples ([`Sim::take_events`]), so the
 //! driver reacts to readiness instead of sweeping flows.
 //!
 //! Everything is deterministic given the seed: ready flows are polled in the
@@ -38,12 +38,12 @@
 //! `(deadline, flow)` order, then the sockets the application acted on, host
 //! by host in node order and by handle within a host).
 
-use crate::addr::{SocketAddr, SocketHandle};
+use crate::addr::SocketHandle;
 use crate::host::Host;
 use crate::middlebox::{Middlebox, MiddleboxBehavior};
 use crate::wheel::TimerWheel;
 use minion_simnet::{LinkConfig, LinkStats, NodeId, Packet, SimDuration, SimTime, World};
-use minion_tcp::{ConnEvent, ConnStats, SocketOptions, TcpConfig};
+use minion_tcp::{ConnEvent, ConnStats};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -144,9 +144,6 @@ struct HostSlot {
     /// reused (see there), so the table is as dense as the host's sockets
     /// (UDP sockets, and the unissued handle 0, are the `None`s).
     flow_of: Vec<Option<FlowId>>,
-    /// Whether connections a listener accepts are registered as flows and
-    /// surfaced via [`Sim::take_accepted`].
-    auto_register: bool,
 }
 
 impl HostSlot {
@@ -163,15 +160,6 @@ impl HostSlot {
         }
         self.flow_of[slot] = Some(id);
         id
-    }
-
-    /// Turn a flow's events on, for a driver that drains them
-    /// ([`Sim::take_events`]). Nobody reads the events of a socket opened
-    /// through [`Sim::host_mut`], so there they stay off.
-    fn register(&mut self, handle: SocketHandle) {
-        self.host
-            .tcp_set_event_interest(handle, true)
-            .expect("registered handle is a TCP socket");
     }
 }
 
@@ -198,8 +186,6 @@ pub struct Sim {
     /// Connection edges of registered flows since the last
     /// [`Sim::take_events`].
     events_out: Vec<(FlowId, ConnEvent)>,
-    /// Flows auto-registered since the last [`Sim::take_accepted`].
-    accepted_out: Vec<FlowId>,
     metrics: SimMetrics,
     /// Wall-clock `(nanos, entries)` per loop phase ([`SIM_PHASES`]).
     /// Profiling only — never part of a deterministic report.
@@ -225,7 +211,6 @@ impl Sim {
             wheel: TimerWheel::new(),
             flows: Flows::default(),
             events_out: Vec::new(),
-            accepted_out: Vec::new(),
             metrics: SimMetrics::default(),
             phases: [(0, 0); 3],
             arrivals: Vec::new(),
@@ -258,7 +243,6 @@ impl Sim {
         self.nodes.push(Node::Host(HostSlot {
             host: Host::new(node, name),
             flow_of: Vec::new(),
-            auto_register: false,
         }));
         node
     }
@@ -346,29 +330,20 @@ impl Sim {
     // Flows
     // ------------------------------------------------------------------
 
-    /// Auto-register connections that a listener on `node` accepts: each new
-    /// server-side socket becomes a registered flow, surfaced via
-    /// [`Sim::take_accepted`].
-    pub fn set_auto_register(&mut self, node: NodeId) {
-        Self::host_slot_in(&mut self.nodes, node).auto_register = true;
-    }
-
-    /// Open a TCP connection from `node` to `remote` as a registered flow:
-    /// its events are on, and it is scheduled for a poll (which emits the
-    /// SYN and takes the first window sample).
-    pub fn flow_connect(
-        &mut self,
-        node: NodeId,
-        remote: SocketAddr,
-        config: TcpConfig,
-        options: SocketOptions,
-    ) -> FlowId {
+    /// Register a TCP socket the driver connected or accepted on `node`: it
+    /// becomes a flow (the one it already is if the loop has met it) whose
+    /// connection edges and window samples [`Sim::take_events`] reports from
+    /// now on. A socket registered before its first poll, as a connect is,
+    /// reports the first window sample too. Registering polls nothing.
+    pub fn register(&mut self, node: NodeId, handle: SocketHandle) -> FlowId {
         let slot = Self::host_slot_in(&mut self.nodes, node);
-        let handle = slot.host.tcp_connect(remote, config, options, self.now);
-        slot.register(handle);
-        let id = slot.adopt(handle, &mut self.flows);
-        self.flows.mark_ready(id);
-        id
+        slot.host
+            .tcp_enable_events(handle)
+            .expect("registered handle is a TCP socket");
+        match slot.flow_of(handle) {
+            Some(flow) => flow,
+            None => slot.adopt(handle, &mut self.flows),
+        }
     }
 
     /// The host and socket behind a flow.
@@ -391,12 +366,6 @@ impl Sim {
     /// discards whatever it has not yielded.
     pub fn take_events(&mut self) -> impl Iterator<Item = (FlowId, ConnEvent)> + '_ {
         self.events_out.drain(..)
-    }
-
-    /// Drain the flows auto-registered from accepted connections since the
-    /// last call.
-    pub fn take_accepted(&mut self) -> Vec<FlowId> {
-        std::mem::take(&mut self.accepted_out)
     }
 
     // ------------------------------------------------------------------
@@ -500,7 +469,7 @@ impl Sim {
 
     /// Deliver one arrived packet to its node. At a host, the socket that
     /// consumed it is marked ready; a socket a SYN has just created is made a
-    /// flow first (a registered one if the host auto-registers).
+    /// flow first.
     fn dispatch(&mut self, pkt: &Packet) {
         self.metrics.packets_delivered += 1;
         let slot = match &mut self.nodes[pkt.dst.index()] {
@@ -512,14 +481,7 @@ impl Sim {
         };
         let flow = match slot.flow_of(handle) {
             Some(flow) => flow,
-            None if slot.host.is_tcp(handle) => {
-                let flow = slot.adopt(handle, &mut self.flows);
-                if slot.auto_register {
-                    slot.register(handle);
-                    self.accepted_out.push(flow);
-                }
-                flow
-            }
+            None if slot.host.is_tcp(handle) => slot.adopt(handle, &mut self.flows),
             None => return, // A UDP socket: nothing to poll.
         };
         self.flows.mark_ready(flow);
@@ -670,8 +632,9 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::SocketAddr;
     use minion_simnet::LossConfig;
-    use minion_tcp::Readiness;
+    use minion_tcp::{Readiness, SocketOptions, TcpConfig};
 
     #[test]
     fn events_sums_arrivals_and_timers() {
@@ -716,10 +679,27 @@ mod tests {
             .tcp_listen(80, TcpConfig::default(), SocketOptions::standard());
     }
 
-    /// Open a flow from `a` to `b`:80, whether or not anything listens.
+    /// Open a registered flow from `a` to `b`:80, whether or not anything
+    /// listens.
     fn flow_to(sim: &mut Sim, a: NodeId, b: NodeId) -> FlowId {
-        let remote = SocketAddr::new(b, 80);
-        sim.flow_connect(a, remote, TcpConfig::default(), SocketOptions::standard())
+        let now = sim.now();
+        let handle = sim.host_mut(a).tcp_connect(
+            SocketAddr::new(b, 80),
+            TcpConfig::default(),
+            SocketOptions::standard(),
+            now,
+        );
+        sim.register(a, handle)
+    }
+
+    /// Accept every connection waiting on `b`:80 and register each as a
+    /// flow.
+    fn accept_flows(sim: &mut Sim, b: NodeId) -> Vec<FlowId> {
+        let mut flows = vec![];
+        while let Some(handle) = sim.host_mut(b).accept(80) {
+            flows.push(sim.register(b, handle));
+        }
+        flows
     }
 
     /// Listen on `b`:80 and open a flow from `a` to it.
@@ -897,11 +877,10 @@ mod tests {
     #[test]
     fn one_flow_handshake_transfer_and_close() {
         let (mut sim, a, b) = basic_sim();
-        sim.set_auto_register(b);
         let cf = connect_flow(&mut sim, a, b);
         sim.run_for(SimDuration::from_millis(500));
         assert!(readiness(&sim, cf).established);
-        let accepted = sim.take_accepted();
+        let accepted = accept_flows(&mut sim, b);
         assert_eq!(accepted.len(), 1);
         let sf = accepted[0];
         assert!(sim
@@ -1001,13 +980,12 @@ mod tests {
         sim.link(m, b, hop);
         sim.add_route(a, b, m);
         sim.add_route(b, a, m);
-        sim.set_auto_register(b);
         let ua = sim.host_mut(a).udp_bind(1111).unwrap();
         let ub = sim.host_mut(b).udp_bind(2222).unwrap();
 
         let clients: Vec<FlowId> = (0..2).map(|_| connect_flow(&mut sim, a, b)).collect();
         sim.run_for(SimDuration::from_millis(300));
-        let servers = sim.take_accepted();
+        let servers = accept_flows(&mut sim, b);
         assert_eq!(servers.len(), 2);
 
         let data: Vec<u8> = (0..30_000u32).map(|i| (i % 99) as u8).collect();
@@ -1133,18 +1111,18 @@ mod tests {
     }
 
     /// Opening a flow polls that flow alone: with N established, idle flows
-    /// on the client, the flush after one more `flow_connect` polls only the
-    /// new one, not the N + 1 flows of the host. The flush is counted alone:
-    /// the step it opens may go on to deliver the SYN and poll its peer.
+    /// on the client, the flush after one more registered connect polls only
+    /// the new one, not the N + 1 flows of the host. The flush is counted
+    /// alone: the step it opens may go on to deliver the SYN and poll its
+    /// peer.
     #[test]
     fn connecting_a_flow_polls_only_that_flow() {
         const N: u64 = 32;
         let (mut sim, a, b) = basic_sim();
-        sim.set_auto_register(b);
         let flows: Vec<FlowId> = (0..N).map(|_| connect_flow(&mut sim, a, b)).collect();
         sim.run_for(SimDuration::from_secs(5));
         assert!(flows.iter().all(|&f| readiness(&sim, f).established));
-        assert_eq!(sim.take_accepted().len() as u64, N);
+        assert_eq!(accept_flows(&mut sim, b).len() as u64, N);
 
         let before = sim.metrics().flow_polls;
         flow_to(&mut sim, a, b);

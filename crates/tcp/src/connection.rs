@@ -392,14 +392,14 @@ impl TcpConnection {
         }
     }
 
-    /// Enable or disable event recording ([`ConnEvent`]: edges and window
-    /// samples). Off by default; a readiness-driven driver (`minion-engine`'s
-    /// transport) enables it before the first [`poll`](Self::poll), which
-    /// takes the first window sample, and drains
+    /// Turn event recording on ([`ConnEvent`]: edges and window samples).
+    /// It is off by default, and nothing turns it off again; a driver opts
+    /// in (`stack::Sim::register`) and drains
     /// [`take_events`](Self::take_events) after each dispatch so the queue
-    /// stays small. Disabling clears any queued events.
-    pub fn set_event_interest(&mut self, enabled: bool) {
-        self.events.set_enabled(enabled);
+    /// stays small. Turned on before the first [`poll`](Self::poll), as a
+    /// connecting driver does, it also records the first window sample.
+    pub fn enable_events(&mut self) {
+        self.events.enable();
     }
 
     /// Drain the queued edge events in arrival order. Dropping the iterator

@@ -11,9 +11,9 @@
 //! RTO cut leaves as a sample stamped with its virtual time. The connection
 //! keeps no history of them; whoever drains the queue records what it wants.
 //!
-//! Event recording is **off by default** so that existing lockstep callers
-//! pay nothing and no queue grows unbounded; a driver opts in with
-//! [`crate::TcpConnection::set_event_interest`].
+//! Event recording is **off by default** so that a connection nobody drains
+//! pays nothing and grows no queue; a driver opts in with
+//! [`crate::TcpConnection::enable_events`], and nothing turns it off again.
 
 use std::collections::VecDeque;
 
@@ -86,12 +86,9 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    /// Enable or disable recording. Disabling clears any queued events.
-    pub(crate) fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.events.clear();
-        }
+    /// Turn recording on.
+    pub(crate) fn enable(&mut self) {
+        self.enabled = true;
     }
 
     /// Whether recording is enabled.
@@ -133,7 +130,7 @@ mod tests {
         let mut q = EventQueue::default();
         q.push(ConnEvent::Readable);
         assert!(q.is_empty());
-        q.set_enabled(true);
+        q.enable();
         q.push(ConnEvent::Readable);
         assert_eq!(q.drain().collect::<Vec<_>>(), vec![ConnEvent::Readable]);
     }
@@ -141,7 +138,7 @@ mod tests {
     #[test]
     fn consecutive_duplicates_collapse() {
         let mut q = EventQueue::default();
-        q.set_enabled(true);
+        q.enable();
         q.push(ConnEvent::Readable);
         q.push(ConnEvent::Readable);
         q.push(ConnEvent::Writable);
@@ -159,7 +156,7 @@ mod tests {
     #[test]
     fn samples_are_never_collapsed_and_do_not_separate_edges() {
         let mut q = EventQueue::default();
-        q.set_enabled(true);
+        q.enable();
         let episode = ConnEvent::Cut {
             depth: 2_896,
             recovery: Some(SimDuration::from_millis(40)),
@@ -173,15 +170,5 @@ mod tests {
             vec![ConnEvent::Retransmit, episode, episode],
             "two equal episodes are two samples; the second retransmit edge still collapses"
         );
-    }
-
-    #[test]
-    fn disabling_clears_backlog() {
-        let mut q = EventQueue::default();
-        q.set_enabled(true);
-        q.push(ConnEvent::Established);
-        q.set_enabled(false);
-        assert!(q.is_empty());
-        assert!(!q.enabled());
     }
 }

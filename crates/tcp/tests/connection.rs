@@ -1207,8 +1207,8 @@ fn rto_backoff_is_exponential_and_resets_on_progress() {
 #[test]
 fn readiness_events_fire_on_edges() {
     let mut h = Harness::new(SocketOptions::standard(), SocketOptions::standard());
-    h.client.set_event_interest(true);
-    h.server.set_event_interest(true);
+    h.client.enable_events();
+    h.server.enable_events();
     assert_eq!(h.client.readiness(), Readiness::default());
     h.run_until(SimTime::from_millis(200));
     let client_events = h.client.take_events().collect::<Vec<_>>();
@@ -1242,7 +1242,7 @@ fn readiness_events_fire_on_edges() {
 #[test]
 fn rto_event_fires_on_timeout() {
     let mut h = Harness::new(SocketOptions::standard(), SocketOptions::standard());
-    h.client.set_event_interest(true);
+    h.client.enable_events();
     h.run_until(SimTime::from_millis(200));
     h.client.write(&[7u8; 2000]).unwrap();
     h.drop_client_data = vec![2];
@@ -1281,7 +1281,7 @@ fn events_are_not_recorded_without_interest() {
 fn writable_event_fires_when_a_full_buffer_drains() {
     let mut h = Harness::new(SocketOptions::standard(), SocketOptions::standard());
     h.run_until(SimTime::from_millis(200));
-    h.client.set_event_interest(true);
+    h.client.enable_events();
     let _ = h.client.take_events().collect::<Vec<_>>();
     // Fill the send buffer completely, then let ACKs drain it.
     let free = h.client.send_buffer_free();

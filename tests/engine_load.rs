@@ -584,10 +584,11 @@ impl Transport for Counting {
 }
 
 /// The events `run_on` drops, pinned: every accepted server flow still
-/// raises lifecycle edges, window samples and writable edges that the
-/// driver reads and discards, and the clients raise no readable edge. A
-/// change that stops the servers producing them shows here as a diff of
-/// the server row; the client row is what the driver uses.
+/// raises lifecycle edges (established and closed) that the driver reads
+/// and discards, and the clients raise no readable edge. A server is
+/// registered after it has sent its SYN-ACK, so it takes no window sample.
+/// A change that stops the servers producing the rest shows here as a diff
+/// of the server row; the client row is what the driver uses.
 #[test]
 fn events_raised_at_the_end_the_driver_ignores_are_pinned() {
     let scenario = LoadScenario {
@@ -615,7 +616,7 @@ fn events_raised_at_the_end_the_driver_ignores_are_pinned() {
         counting.server,
         EndEvents {
             edges: 16,
-            windows: 8,
+            windows: 0,
             writable: 0,
             readable: 220,
         },
