@@ -38,27 +38,24 @@
 //! p50 > 0 and p50 ≤ p99 ≤ p999; the worst flow's p99 above the global p99
 //! under ordered TCP; for every algorithm goodput > 0, at least one fast
 //! retransmit, window samples (held + dropped = recorded) and at least one
-//! recovery episode; an unfiltered trace holding an RTO fire and one SYN per
-//! flow; a stream that dropped nothing.
+//! recovery episode; a trace holding an RTO fire and one SYN per flow; a
+//! stream that emitted every event the ring was offered.
 //!
 //! `--trace-out FILE` dumps the uTCP comparison run's trace ring as JSONL,
-//! closed by a `{"summary":true,...}` line carrying recorded/held/dropped and
-//! admitted/suppressed, so truncation shows in the dump itself.
-//! `--trace-flow N` keeps one global flow index and `--trace-kind
-//! retransmit,rto` an event-kind subset; the two predicates conjoin, and both
-//! apply to `--trace-stream` as well.
+//! closed by a `{"summary":true,...}` line carrying recorded/held/dropped/cap,
+//! so truncation shows in the dump itself. Both dumps hold every event; slice
+//! them when reading (`jq -c 'select(.flow == 7)' TRACE.jsonl`).
 //!
 //! ```text
 //! load_engine [--backend sim|os] [--flows 1,64,1024]
 //!             [--cc newreno,cubic,none] [--out BENCH_engine.json]
-//!             [--trace-out TRACE.jsonl] [--trace-flow N]
-//!             [--trace-kind retransmit,rto] [--trace-stream TRACE.jsonl]
+//!             [--trace-out TRACE.jsonl] [--trace-stream TRACE.jsonl]
 //! ```
 
 use minion_bench::cli;
 use minion_bench::json::Value;
 use minion_engine::{
-    verify_load, FlowMetrics, KindSet, LoadReport, LoadScenario, TraceKind, DEFAULT_TRACE_CAP,
+    verify_load, FlowMetrics, LoadReport, LoadScenario, TraceKind, DEFAULT_TRACE_CAP,
 };
 use minion_osnet::OsTransport;
 use minion_simnet::SimDuration;
@@ -110,8 +107,6 @@ struct Args {
     ccs: Vec<CcAlgorithm>,
     out: String,
     trace_out: Option<String>,
-    trace_flow: Option<u32>,
-    trace_kinds: KindSet,
     trace_stream: Option<String>,
 }
 
@@ -123,13 +118,10 @@ fn parse_args() -> Args {
     let mut ccs = CcAlgorithm::ALL.to_vec();
     let mut out = String::from("BENCH_engine.json");
     let mut trace_out: Option<String> = None;
-    let mut trace_flow: Option<u32> = None;
-    let mut trace_kinds = KindSet::all();
     let mut trace_stream: Option<String> = None;
     let mut args = cli::CliArgs::new(
         "load_engine [--backend sim|os] [--flows 1,64,1024] \
-         [--cc newreno,cubic,none] [--out FILE] [--trace-out FILE] [--trace-flow N] \
-         [--trace-kind retransmit,rto] [--trace-stream FILE]",
+         [--cc newreno,cubic,none] [--out FILE] [--trace-out FILE] [--trace-stream FILE]",
     );
     while let Some(arg) = args.next_flag() {
         match arg.as_str() {
@@ -138,18 +130,6 @@ fn parse_args() -> Args {
             "--cc" => ccs = cli::parse_cc_list(&args.value("--cc"), "--cc"),
             "--out" => out = args.value("--out"),
             "--trace-out" => trace_out = Some(args.value("--trace-out")),
-            // Flow indices are 0-based, so 0 is a valid focus (unlike the
-            // count flags, which require >= 1).
-            "--trace-flow" => {
-                let v = args.value("--trace-flow");
-                trace_flow =
-                    Some(v.parse::<u32>().unwrap_or_else(|_| {
-                        panic!("--trace-flow expects a flow index, got {v:?}")
-                    }));
-            }
-            "--trace-kind" => {
-                trace_kinds = cli::parse_trace_kinds(&args.value("--trace-kind"), "--trace-kind")
-            }
             "--trace-stream" => trace_stream = Some(args.value("--trace-stream")),
             other => args.unknown(other),
         }
@@ -171,8 +151,6 @@ fn parse_args() -> Args {
         ccs,
         out,
         trace_out,
-        trace_flow,
-        trace_kinds,
         trace_stream,
     }
 }
@@ -312,20 +290,11 @@ fn flow_delay_row(receiver: &str, report: &LoadReport) -> Value {
 /// `"flow_delay"` sections: sim rows for both receivers, plus a kernel-TCP
 /// row when the OS backend was requested.
 /// Returns both sections and the uTCP run's report (whose trace
-/// `--trace-out` dumps, sliced by `trace_flow` / `trace_kinds` when given).
-/// That run goes through [`verify_load`]: it is also the `"cc"` section's
-/// NewReno row, the same scenario under the same label.
-fn obs_section(
-    backend: cli::Backend,
-    trace_flow: Option<u32>,
-    trace_kinds: KindSet,
-) -> (Value, Value, LoadReport) {
+/// `--trace-out` dumps). That run goes through [`verify_load`]: it is also
+/// the `"cc"` section's NewReno row, the same scenario under the same label.
+fn obs_section(backend: cli::Backend) -> (Value, Value, LoadReport) {
     let tcp = LoadScenario::obs_comparison(false).run();
-    let utcp = verify_load(&LoadScenario {
-        trace_flow,
-        trace_kinds,
-        ..LoadScenario::obs_comparison(true)
-    });
+    let utcp = verify_load(&LoadScenario::obs_comparison(true));
     println!(
         "obs: delivery delay under loss ({} records): ordered mean {:.3} ms p99 {:.3} ms \
          p999 {:.3} ms | unordered mean {:.3} ms p99 {:.3} ms p999 {:.3} ms",
@@ -418,49 +387,33 @@ fn obs_section(
 
 /// Run the flight-recorder scenario with the zero-drop streaming sink and
 /// build the `"trace_stream"` section: 1024 flows × 64 records under 2%
-/// loss spill their events, cut to the `flow` × `kinds` slice, to the JSONL
-/// file at `path` in virtual-time order. The section is the stream's own
-/// accounting — and the driver gates on the two properties the ring cannot
-/// offer: nothing dropped, and more events offered than the ring holds.
-fn trace_stream_section(path: &str, flow: Option<u32>, kinds: KindSet) -> Value {
+/// loss spill every event to the JSONL file at `path` in virtual-time
+/// order. The section is the stream's own accounting — and the driver gates
+/// on the property the ring cannot offer: the stream holds every event, and
+/// there are more of them than the ring holds.
+fn trace_stream_section(path: &str) -> Value {
     let scenario = LoadScenario {
         trace_stream: Some(path.to_string()),
-        trace_flow: flow,
-        trace_kinds: kinds,
         ..LoadScenario::flight_recorder(true)
     };
     let report = scenario.run();
     let stream = &report.obs.stream;
-    let filter = &report.obs.trace_filter;
-    let offered = filter.admitted + filter.suppressed;
+    let recorded = report.obs.trace.recorded();
     assert_eq!(
-        stream.dropped, 0,
-        "the streaming sink must never drop an admitted event"
-    );
-    assert_eq!(
-        stream.emitted, filter.admitted,
-        "every admitted event reaches the stream (trailers are not events)"
+        stream.emitted, recorded,
+        "every traced event reaches the stream (trailers are not events)"
     );
     assert!(
-        offered > DEFAULT_TRACE_CAP as u64,
-        "the flight-recorder run must offer more events ({offered}) than the \
+        recorded > DEFAULT_TRACE_CAP as u64,
+        "the flight-recorder run must trace more events ({recorded}) than the \
          trace ring holds ({DEFAULT_TRACE_CAP}); otherwise it proves nothing"
     );
-    println!(
-        "trace stream: wrote {path} ({} events from {} offered; \
-         {} suppressed by the kind/flow slice; ring cap {DEFAULT_TRACE_CAP})",
-        filter.admitted, offered, filter.suppressed,
-    );
+    println!("trace stream: wrote {path} ({recorded} events; ring cap {DEFAULT_TRACE_CAP})");
     Value::Object(vec![
         ("path", path.into()),
         ("flows", scenario.flows.into()),
         ("records_per_flow", scenario.records_per_flow.into()),
-        ("kinds", kinds.labels().into()),
-        ("offered", offered.into()),
-        ("admitted", filter.admitted.into()),
-        ("suppressed", filter.suppressed.into()),
         ("emitted", stream.emitted.into()),
-        ("dropped", stream.dropped.into()),
         ("flushes", stream.flushes.into()),
         ("ring_cap", DEFAULT_TRACE_CAP.into()),
     ])
@@ -610,44 +563,27 @@ fn main() {
         .then(|| Value::Array(flows.iter().map(|&f| run_os(f)).collect()));
 
     // The head-of-line-blocking comparison: the figure the paper is about.
-    let (obs, flow_delay, utcp_report) = obs_section(backend, args.trace_flow, args.trace_kinds);
+    let (obs, flow_delay, utcp_report) = obs_section(backend);
     if let Some(path) = &args.trace_out {
         let trace = &utcp_report.obs.trace;
-        let filter = &utcp_report.obs.trace_filter;
-        let jsonl = trace.to_jsonl_with_summary(filter.admitted, filter.suppressed);
-        cli::write_output("--trace-out", path, &jsonl);
-        if filter.predicate.is_pass_all() {
-            let count = |kind| trace.events().filter(|e| e.kind == kind).count() as u64;
-            assert!(
-                count(TraceKind::RtoFired) >= 1,
-                "the lossy uTCP run must trace an RTO fire"
-            );
-            assert_eq!(
-                count(TraceKind::Syn),
-                utcp_report.flows,
-                "the trace must hold one SYN per flow"
-            );
-            println!("wrote {path} ({} trace events)", trace.recorded());
-        } else {
-            println!(
-                "wrote {path} ({} trace events; sliced to flow {:?} kinds {}: \
-                 {} admitted, {} suppressed)",
-                trace.recorded(),
-                filter.predicate.flow,
-                filter.predicate.kinds.labels(),
-                filter.admitted,
-                filter.suppressed
-            );
-        }
+        cli::write_output("--trace-out", path, &trace.to_jsonl_with_summary());
+        let count = |kind| trace.events().filter(|e| e.kind == kind).count() as u64;
+        assert!(
+            count(TraceKind::RtoFired) >= 1,
+            "the lossy uTCP run must trace an RTO fire"
+        );
+        assert_eq!(
+            count(TraceKind::Syn),
+            utcp_report.flows,
+            "the trace must hold one SYN per flow"
+        );
+        println!("wrote {path} ({} trace events)", trace.recorded());
     }
 
     // The flight recorder: every lifecycle event on disk, not a ring's
     // worth. Opt-in (--trace-stream) because it writes a multi-megabyte
     // artifact.
-    let trace_stream = args
-        .trace_stream
-        .as_deref()
-        .map(|path| trace_stream_section(path, args.trace_flow, args.trace_kinds));
+    let trace_stream = args.trace_stream.as_deref().map(trace_stream_section);
 
     // The congestion-control comparison: same lossy workload, each sender.
     let (cc, cc_obs) = cc_sections(&args.ccs, &utcp_report);

@@ -118,31 +118,6 @@ pub fn parse_cc_list(raw: &str, flag: &str) -> Vec<minion_tcp::CcAlgorithm> {
     list
 }
 
-/// Parse a non-empty comma-separated list of trace kinds
-/// (`--trace-kind retransmit,rto`) into a [`minion_engine::KindSet`],
-/// rejecting unknown and duplicate kinds at parse time with the full
-/// valid-kind list in the error. The kind names are
-/// [`minion_engine::TraceKind::ALL`]'s canonical tags — the same strings
-/// the JSONL events carry — so the flag and the artifact always agree.
-pub fn parse_trace_kinds(raw: &str, flag: &str) -> minion_engine::KindSet {
-    let mut set = minion_engine::KindSet::empty();
-    let mut count = 0usize;
-    for entry in raw.split(',') {
-        let kind: minion_engine::TraceKind = entry
-            .parse()
-            .unwrap_or_else(|e: String| panic!("{flag}: {e}"));
-        assert!(
-            !set.contains(kind),
-            "{flag}: duplicate entry {:?}",
-            kind.as_str()
-        );
-        set.insert(kind);
-        count += 1;
-    }
-    assert!(count > 0, "{flag} needs at least one entry");
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,33 +159,6 @@ mod tests {
     #[should_panic(expected = "duplicate entry")]
     fn duplicate_cc_entries_are_rejected() {
         parse_cc_list("cubic,cubic", "--cc");
-    }
-
-    #[test]
-    fn trace_kind_lists_parse_into_kind_sets() {
-        use minion_engine::{KindSet, TraceKind};
-        assert_eq!(
-            parse_trace_kinds("retransmit, rto", "--trace-kind"),
-            KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired])
-        );
-        assert_eq!(
-            parse_trace_kinds("syn,first_byte,record,retransmit,rto,fin", "--trace-kind"),
-            KindSet::all()
-        );
-    }
-
-    #[test]
-    #[should_panic(
-        expected = "--trace-kind: unknown trace kind \"handshake\" (valid kinds: syn|first_byte|record|retransmit|rto|fin)"
-    )]
-    fn unknown_trace_kinds_are_rejected_with_the_valid_list() {
-        parse_trace_kinds("retransmit,handshake", "--trace-kind");
-    }
-
-    #[test]
-    #[should_panic(expected = "--trace-kind: duplicate entry \"rto\"")]
-    fn duplicate_trace_kinds_are_rejected() {
-        parse_trace_kinds("rto,rto", "--trace-kind");
     }
 
     #[test]

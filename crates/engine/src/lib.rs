@@ -47,6 +47,6 @@ pub use minion_stack::{FlowId, TimerWheel};
 // The observability names other crates (osnet, testkit, bench) reach
 // through the engine without a direct `minion-obs` dependency.
 pub use minion_obs::{
-    Absorb, CcObs, FlowDelayMap, Histogram, KindSet, PhaseProfile, TraceEvent, TraceKind,
-    TraceRing, TraceSink, DEFAULT_TRACE_CAP,
+    Absorb, CcObs, FlowDelayMap, Histogram, PhaseProfile, TraceEvent, TraceKind, TraceRing,
+    TraceSink, DEFAULT_TRACE_CAP,
 };

@@ -10,7 +10,7 @@
 //! * [`Histogram`]s — delivery delay (send-enqueue → app-deliver), RTO wait
 //!   (per-timer arm → fire), and send-stream staging dwell, all in
 //!   nanoseconds of backend time (virtual on sim, monotonic on os);
-//! * a [`CounterSet`] over fixed slot names (see `LOAD_COUNTER_NAMES`) and
+//! * a [`CounterSet`] over fixed slots (one `C_*` constant names each) and
 //!   the coverage high-water mark;
 //! * a [`TraceRing`] of per-flow lifecycle events (SYN, first byte, record
 //!   delivery, retransmit, RTO, FIN), dumpable as JSONL via
@@ -21,21 +21,9 @@
 //! compare it whole.
 
 use minion_obs::{
-    CcObs, CounterSet, FilterStats, FlowDelayMap, Histogram, StreamSink, StreamStats, TraceEvent,
-    TraceRing,
+    CcObs, CounterSet, FlowDelayMap, Histogram, StreamSink, StreamStats, TraceEvent, TraceRing,
 };
 use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
-
-/// Counter slots of [`LoadObs::counters`] (fixed at compile time, so a
-/// report's registry has the same slots whichever code paths ran).
-const LOAD_COUNTER_NAMES: &[&str] = &[
-    "records_enqueued",
-    "records_delivered",
-    "chunks_delivered",
-    "chunks_out_of_order",
-    "retransmit_edges",
-    "rto_edges",
-];
 
 /// Slot: records fully handed to the transport's send buffer.
 pub(crate) const C_RECORDS_ENQUEUED: usize = 0;
@@ -51,6 +39,9 @@ pub const C_CHUNKS_OUT_OF_ORDER: usize = 3;
 pub const C_RETRANSMIT_EDGES: usize = 4;
 /// Slot: RTO-fired edges observed.
 pub const C_RTO_EDGES: usize = 5;
+/// Counter slots of [`LoadObs::counters`] (fixed at compile time, so a
+/// report's registry has the same slots whichever code paths ran).
+const LOAD_COUNTER_SLOTS: usize = C_RTO_EDGES + 1;
 
 /// Deterministic observability of one load-scenario run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -64,7 +55,7 @@ pub struct LoadObs {
     /// connect until the transport has accepted its last byte (0 when the
     /// whole stream fits the send buffer), nanoseconds.
     pub staging_dwell: Histogram,
-    /// Event counters over `LOAD_COUNTER_NAMES`.
+    /// Event counters, one slot per `C_*` constant.
     pub counters: CounterSet,
     /// Most disjoint coverage ranges any flow's receive stream held at
     /// once: a direct measure of how fragmented unordered delivery got.
@@ -72,11 +63,6 @@ pub struct LoadObs {
     /// Lifecycle trace, bounded to the last
     /// [`DEFAULT_TRACE_CAP`](minion_obs::DEFAULT_TRACE_CAP) events.
     pub trace: TraceRing,
-    /// The trace path's flow × kind admission predicate and its
-    /// admitted/suppressed accounting: the driver offers every lifecycle
-    /// event to [`FilterStats::admit`], and only admitted events reach
-    /// `trace` and the stream.
-    pub trace_filter: FilterStats,
     /// Accounting of the zero-drop stream, when the run spilled its trace
     /// to a file (all-zero otherwise). The stream itself holds an OS
     /// writer and never enters the report — only its deterministic
@@ -97,10 +83,9 @@ impl Default for LoadObs {
             delivery_delay: Histogram::new(),
             rto_wait: Histogram::new(),
             staging_dwell: Histogram::new(),
-            counters: CounterSet::new(LOAD_COUNTER_NAMES),
+            counters: CounterSet::new(LOAD_COUNTER_SLOTS),
             coverage_ranges_high_water: 0,
             trace: TraceRing::default(),
-            trace_filter: FilterStats::default(),
             stream: StreamStats::default(),
             flow_delay: FlowDelayMap::default(),
             cc_obs: CcObs::default(),
@@ -109,14 +94,11 @@ impl Default for LoadObs {
 }
 
 impl LoadObs {
-    /// The trace path: count `ev` against the slice and, if admitted, keep
-    /// it in the ring, then spill it to `stream`.
+    /// The trace path: keep `ev` in the ring, then spill it to `stream`.
     pub(crate) fn record_event(&mut self, stream: &mut Option<StreamSink>, ev: TraceEvent) {
-        if self.trace_filter.admit(&ev) {
-            self.trace.push(ev);
-            if let Some(s) = stream {
-                s.offer(&ev);
-            }
+        self.trace.push(ev);
+        if let Some(s) = stream {
+            s.offer(&ev);
         }
     }
 

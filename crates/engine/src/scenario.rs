@@ -49,9 +49,7 @@ use crate::obs::{
 };
 use crate::transport::{SimTransport, Transport, TransportChunk};
 use minion_exec::Executor;
-use minion_obs::{
-    CcObs, KindSet, NonDeterministic, StreamSink, TraceEvent, TraceKind, TracePredicate,
-};
+use minion_obs::{CcObs, NonDeterministic, StreamSink, TraceEvent, TraceKind};
 use minion_simnet::{fnv1a, LossConfig, SimDuration, SimTime, FNV_OFFSET_BASIS};
 use minion_stack::FlowId;
 use minion_tcp::{CcAlgorithm, ConnEvent, SendBuffer};
@@ -117,16 +115,7 @@ pub struct LoadScenario {
     pub seed: u64,
     /// Virtual-time budget; the run panics if flows are incomplete at it.
     pub deadline: SimDuration,
-    /// Focus the lifecycle trace on one **global** flow index: only its
-    /// events enter the ring and the stream (suppressed events are still
-    /// counted in `LoadObs::trace_filter`). `None` traces every flow.
-    pub trace_flow: Option<u32>,
-    /// Kind slice of the lifecycle trace: only these event kinds enter
-    /// the ring and the stream. [`KindSet::all`] (the default) traces every kind;
-    /// `--trace-kind retransmit,rto` narrows the stream to recovery
-    /// events the same way `trace_flow` narrows it to one flow.
-    pub trace_kinds: KindSet,
-    /// Spill every admitted trace event to this JSONL path through a
+    /// Spill every trace event to this JSONL path through a
     /// zero-drop [`StreamSink`] (the ring still records in parallel, so
     /// in-memory consumers are unaffected), in virtual-time order, closed
     /// by the sink's trailer. `None` disables spilling.
@@ -151,8 +140,6 @@ impl Default for LoadScenario {
             cc: CcAlgorithm::NewReno,
             seed: 0x10ad_5eed,
             deadline: SimDuration::from_secs(300),
-            trace_flow: None,
-            trace_kinds: KindSet::all(),
             trace_stream: None,
             first_flow: 0,
         }
@@ -292,7 +279,8 @@ impl LoadScenario {
             self.records_per_flow > 0,
             "[{label}] records_per_flow is 0: a flow needs at least one record"
         );
-        let (mut obs, mut spill) = self.open_obs(&label);
+        let mut obs = LoadObs::default();
+        let mut spill = self.open_spill(&label);
 
         // Open every flow and offer its whole stream; what the transport does
         // not take yet is flushed on writable edges, built into `scratch`.
@@ -406,28 +394,21 @@ impl LoadScenario {
         // A streaming run closes the file with its trailer and keeps only
         // the stream's counters.
         if let Some(s) = spill {
-            obs.stream = s.finish(&obs.trace_filter);
+            obs.stream = s.finish();
         }
 
         self.report(label, &states, transport, engine_metrics, obs)
     }
 
-    /// The run's recorder and trace path: every lifecycle event is counted
-    /// against the flow × kind slice; an admitted one enters the bounded
-    /// ring and, when `trace_stream` is set, a zero-drop JSONL spill. The
+    /// The run's zero-drop JSONL spill, when `trace_stream` is set: every
+    /// lifecycle event enters the bounded ring and then this spill. The
     /// spill holds an OS writer, so it stays beside the recorder until the
-    /// run ends, and only its accounting enters `obs`.
-    fn open_obs(&self, label: &str) -> (LoadObs, Option<StreamSink>) {
-        let mut obs = LoadObs::default();
-        obs.trace_filter.predicate = TracePredicate {
-            flow: self.trace_flow,
-            kinds: self.trace_kinds,
-        };
-        let spill = self.trace_stream.as_deref().map(|path| {
+    /// run ends, and only its accounting enters the report.
+    fn open_spill(&self, label: &str) -> Option<StreamSink> {
+        self.trace_stream.as_deref().map(|path| {
             StreamSink::create(Path::new(path))
                 .unwrap_or_else(|e| panic!("[{label}] trace stream {path}: {e}"))
-        });
-        (obs, spill)
+        })
     }
 
     /// The run's report: one row per flow with the transport's sender
@@ -1302,85 +1283,13 @@ mod tests {
         assert_eq!(utcp.obs.staging_dwell.count(), utcp.flows);
     }
 
+    /// The trace path, pinned: every lifecycle event of a lossy run enters
+    /// the ring and the attached stream alike. Pins the counts the report
+    /// keeps of it, the ring's event sequence and the stream file's event
+    /// lines (its trailer excluded), and checks that the stream's events
+    /// are exactly the ring's.
     #[test]
-    fn kind_sliced_trace_counts_suppression_and_keeps_only_the_slice() {
-        let sc = LoadScenario {
-            flows: 16,
-            loss: LossConfig::Bernoulli { probability: 0.02 },
-            trace_kinds: minion_obs::KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]),
-            ..LoadScenario::default()
-        };
-        let report = sc.run();
-        assert!(
-            report
-                .obs
-                .trace
-                .events()
-                .all(|e| matches!(e.kind, TraceKind::Retransmit | TraceKind::RtoFired)),
-            "only recovery events enter the sinks"
-        );
-        assert!(report.obs.trace.recorded() > 0, "2% loss forces recovery");
-        assert_eq!(
-            report.obs.trace_filter.admitted,
-            report.obs.trace.recorded()
-        );
-        assert!(
-            report.obs.trace_filter.suppressed >= (sc.flows * 3) as u64,
-            "syn/first_byte/fin of every flow are suppressed and counted"
-        );
-    }
-
-    /// `trace_flow` keeps one flow in the ring and the stream alike, counts
-    /// every other flow's events as suppressed, and conjoins with a kind
-    /// slice.
-    #[test]
-    fn flow_sliced_trace_keeps_one_flow_in_ring_and_stream() {
-        let dir = std::env::temp_dir().join(format!("minion_scn_flow_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let recovery = minion_obs::KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]);
-        for (name, kinds) in [("all", minion_obs::KindSet::all()), ("recovery", recovery)] {
-            let path = dir.join(format!("{name}.jsonl"));
-            let report = LoadScenario {
-                flows: 16,
-                // Long enough streams that flow 7 itself retransmits.
-                records_per_flow: 32,
-                record_len: 600,
-                loss: LossConfig::Bernoulli { probability: 0.02 },
-                trace_flow: Some(7),
-                trace_kinds: kinds,
-                trace_stream: Some(path.display().to_string()),
-                ..LoadScenario::default()
-            }
-            .run();
-            let (trace, filter) = (&report.obs.trace, &report.obs.trace_filter);
-            assert!(trace.recorded() > 0, "{name}: flow 7 traced nothing");
-            assert!(
-                trace
-                    .events()
-                    .all(|e| e.flow == 7 && kinds.contains(e.kind)),
-                "{name}: an event outside the slice entered the ring"
-            );
-            assert_eq!(filter.admitted, trace.recorded());
-            assert_eq!(report.obs.stream.emitted, filter.admitted);
-            assert!(filter.suppressed > 0, "{name}: other flows were offered");
-            // The stream holds exactly the ring's events (the ring kept all
-            // of them), then its trailer.
-            assert_eq!(trace.dropped(), 0);
-            let text = std::fs::read_to_string(&path).unwrap();
-            let mut lines: Vec<&str> = text.lines().collect();
-            let trailer = lines.pop().unwrap();
-            assert!(trailer.contains("\"summary\":true"), "{trailer}");
-            let ring: Vec<String> = trace.events().map(|e| e.to_json()).collect();
-            assert_eq!(lines, ring, "{name}: stream and ring disagree");
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The sliced trace path, pinned: a flow × kind slice with a stream
-    /// attached, every count the report keeps of it, the ring's event
-    /// sequence and the stream file's exact bytes (trailer included).
-    #[test]
-    fn flow_and_kind_sliced_trace_path_is_pinned() {
+    fn unsliced_trace_path_is_pinned() {
         let dir = std::env::temp_dir().join(format!("minion_scn_pin_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pin.jsonl");
@@ -1389,36 +1298,34 @@ mod tests {
             records_per_flow: 32,
             record_len: 600,
             loss: LossConfig::Bernoulli { probability: 0.02 },
-            trace_flow: Some(7),
-            trace_kinds: KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]),
             trace_stream: Some(path.display().to_string()),
             ..LoadScenario::default()
         }
         .run();
-        let obs = &report.obs;
-        let mut bytes_hash = FNV_OFFSET_BASIS;
-        fnv1a(&mut bytes_hash, &std::fs::read(&path).unwrap());
+        let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
+        let obs = &report.obs;
+        let mut lines: Vec<&str> = text.lines().collect();
+        let trailer = lines.pop().unwrap();
+        assert!(trailer.starts_with("{\"summary\":true"), "{trailer}");
+        let ring: Vec<String> = obs.trace.events().map(|e| e.to_json()).collect();
+        assert_eq!(lines, ring, "stream and ring disagree");
+        let mut lines_hash = FNV_OFFSET_BASIS;
+        for line in &lines {
+            fnv1a(&mut lines_hash, line.as_bytes());
+            fnv1a(&mut lines_hash, b"\n");
+        }
         let got = (
-            obs.trace_filter.admitted,
-            obs.trace_filter.suppressed,
             obs.trace.recorded(),
+            obs.trace.dropped(),
             obs.stream.emitted,
             obs.stream.flushes,
             obs.trace_fingerprint(),
-            bytes_hash,
+            lines_hash,
         );
         assert_eq!(
             got,
-            (
-                2,
-                569,
-                2,
-                2,
-                1,
-                0xd163_8510_d762_bd43,
-                0x7f19_d6e2_9270_6554
-            )
+            (571, 0, 571, 1, 0xb599_cc04_172c_4032, 0xfc0f_6d2f_225c_2e36)
         );
     }
 

@@ -2,24 +2,22 @@
 //!
 //! Dynamic metric registries (name → atomic, behind a lock) would make
 //! report contents depend on *which* code paths ran first — a determinism
-//! hazard. Here the name list is a `&'static [&'static str]` fixed at the
-//! instrumentation site and every registry carries the full slot array
-//! (untouched slots read 0), so two runs of one seed produce byte-identical
-//! registries.
+//! hazard. Here the slot count is fixed at the instrumentation site, whose
+//! slot constants name each slot, and every registry carries the full slot
+//! array (untouched slots read 0), so two runs of one seed produce
+//! byte-identical registries.
 
-/// A named, fixed-slot array of monotone event counts (saturating).
+/// A fixed-slot array of monotone event counts (saturating).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CounterSet {
-    names: &'static [&'static str],
     slots: Vec<u64>,
 }
 
 impl CounterSet {
-    /// A registry over a fixed name list, all slots zero.
-    pub fn new(names: &'static [&'static str]) -> Self {
+    /// A registry of `slots` slots, all zero.
+    pub fn new(slots: usize) -> Self {
         CounterSet {
-            names,
-            slots: vec![0; names.len()],
+            slots: vec![0; slots],
         }
     }
 
@@ -45,8 +43,7 @@ mod tests {
 
     #[test]
     fn counters_add_saturating() {
-        static NAMES: &[&str] = &["records_enqueued", "records_delivered"];
-        let mut c = CounterSet::new(NAMES);
+        let mut c = CounterSet::new(2);
         c.inc(1);
         c.add(1, 4);
         c.add(0, u64::MAX);

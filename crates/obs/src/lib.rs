@@ -11,12 +11,11 @@
 //!
 //! | type | what it records |
 //! |---|---|
-//! | [`CounterSet`] | monotone event counts, fixed name slots |
+//! | [`CounterSet`] | monotone event counts, fixed slots |
 //! | [`Histogram`] | [`Hist`]: two-level (log2 major × 16 linear minor) `u64` samples (ns), slots allocated on the first sample |
 //! | [`Ring`] | the last N of anything, with recorded/dropped counts: the trace ring and the window trajectory |
 //! | [`TraceRing`] | last-N lifecycle [`TraceEvent`]s |
-//! | [`StreamSink`] / [`StreamStats`] | every admitted event spilled to a JSONL file, closed by a trailer; the sink's zero-drop accounting |
-//! | [`FilterStats`] | the trace path's flow × kind [`TracePredicate`] and its admitted/suppressed counts ([`FilterStats::admit`]) |
+//! | [`StreamSink`] / [`StreamStats`] | every lifecycle event spilled to a JSONL file, closed by a trailer; the sink's zero-drop accounting |
 //! | [`FlowDelayMap`] | per-flow [`DelayDigest`]s — the same [`Hist`] layout at 4 sub-buckets |
 //! | [`CcObs`] | one scenario's cwnd/ssthresh trajectory ring + recovery histograms, fed from the connections' window samples |
 //! | [`PhaseProfile`] | wall-clock time per loop phase, **excluded from equality** via [`NonDeterministic`] |
@@ -51,6 +50,6 @@ pub use counter::CounterSet;
 pub use flow_delay::{DelayDigest, FlowDelayMap};
 pub use hist::{Hist, Histogram};
 pub use ring::Ring;
-pub use sink::{FilterStats, StreamSink, StreamStats, TracePredicate, TraceSink};
+pub use sink::{StreamSink, StreamStats, TraceSink};
 pub use span::{NonDeterministic, PhaseProfile};
-pub use trace::{KindSet, TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAP};
+pub use trace::{TraceEvent, TraceKind, TraceRing, DEFAULT_TRACE_CAP};

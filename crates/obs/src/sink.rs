@@ -1,13 +1,13 @@
-//! The lifecycle trace path: admission and the zero-drop stream.
+//! The lifecycle trace path's zero-drop stream.
 //!
 //! [`TraceRing`] bounds memory by *shedding* — the `{"summary":true,...}`
-//! line admits the loss but cannot undo it. The load driver records each
-//! lifecycle event along one path: [`FilterStats::admit`] applies the
-//! flow × kind [`TracePredicate`] and counts the decision; an admitted event
-//! enters the ring (bounded, in-memory) and then, when the run streams, a
-//! [`StreamSink`] that spills every event to a JSONL writer with bounded
-//! in-memory batching and **zero-drop** semantics, and closes the file with
-//! a trailer line of its own accounting ([`StreamSink::finish`]).
+//! line admits the loss but cannot undo it. The load driver records every
+//! lifecycle event along one path: the event enters the ring (bounded,
+//! in-memory) and then, when the run streams, a [`StreamSink`] that spills
+//! every event to a JSONL writer with bounded in-memory batching and
+//! **zero-drop** semantics, and closes the file with a trailer line of its
+//! own accounting ([`StreamSink::finish`]). Nothing is sliced on the way
+//! in: a reader slices the file (`jq 'select(.flow == 7)'`).
 //!
 //! Determinism discipline: a stream holds an OS resource (a spill file), so
 //! it never enters a report — only its [`StreamStats`] counters do, and
@@ -18,16 +18,15 @@
 //!
 //! | term | meaning |
 //! |---|---|
-//! | `admitted` | events the predicate passed (they reach the ring and stream) |
-//! | `suppressed` | events the predicate rejected (intentional) |
-//! | `emitted` | events a stream wrote |
+//! | `recorded` | events the ring was offered (every event of the run) |
+//! | `emitted` | events a stream wrote (every event of the run) |
 //! | `dropped` | events lost to a capacity bound (a ring evicting) |
 //!
-//! Suppression is *not* loss: a filtered dump is complete with respect to
-//! its predicate. `dropped > 0` always means the artifact is missing data
-//! it was supposed to hold.
+//! A stream never drops, so a streamed run's `emitted` equals its ring's
+//! `recorded`. `dropped > 0` always means the ring is missing data it was
+//! supposed to hold.
 
-use crate::trace::{KindSet, TraceEvent, TraceRing};
+use crate::trace::{TraceEvent, TraceRing};
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
@@ -59,9 +58,6 @@ impl TraceSink for TraceRing {
 pub struct StreamStats {
     /// Events written (every offer — streams never drop).
     pub emitted: u64,
-    /// Always zero; present so stream accounting reads like ring
-    /// accounting.
-    pub dropped: u64,
     /// Batch flushes performed (writer syscall pressure, roughly).
     pub flushes: u64,
 }
@@ -132,72 +128,19 @@ impl StreamSink {
     }
 
     /// Close the stream after its last event: append the trailer line,
-    /// flush everything and return the final accounting. The trailer,
-    /// `{"summary":true,"stream":true,...}`, carries the stream's
-    /// `emitted`/`dropped` and `filter`'s `admitted`/`suppressed` and kind
-    /// slice, so a sliced file says what it left out. It is not an event:
-    /// `emitted` does not count it.
-    pub fn finish(mut self, filter: &FilterStats) -> StreamStats {
+    /// `{"summary":true,"stream":true,"emitted":N}`, flush everything and
+    /// return the final accounting. The trailer is not an event: `emitted`
+    /// does not count it.
+    pub fn finish(mut self) -> StreamStats {
         self.batch.push_str(&format!(
-            "{{\"summary\":true,\"stream\":true,\"emitted\":{},\"dropped\":{},\
-             \"admitted\":{},\"suppressed\":{},\"kinds\":\"{}\"}}\n",
-            self.stats.emitted,
-            self.stats.dropped,
-            filter.admitted,
-            filter.suppressed,
-            filter.predicate.kinds.labels()
+            "{{\"summary\":true,\"stream\":true,\"emitted\":{}}}\n",
+            self.stats.emitted
         ));
         self.flush_batch();
         if let Err(e) = self.writer.flush() {
             panic!("trace stream {}: flush failed: {e}", self.label);
         }
         self.stats
-    }
-}
-
-/// The flow × kind admission predicate shared by `--trace-flow` and
-/// `--trace-kind`: an event passes iff it matches the focused flow (if
-/// any) **and** its kind is in the set. `Default` passes everything.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TracePredicate {
-    /// Admit only this flow's events (`None` = all flows).
-    pub flow: Option<u32>,
-    /// Admit only these kinds (`KindSet::all()` = no kind filtering).
-    pub kinds: KindSet,
-}
-
-impl TracePredicate {
-    /// Whether this predicate admits every event (nothing to do).
-    pub fn is_pass_all(&self) -> bool {
-        self.flow.is_none() && self.kinds.is_all()
-    }
-}
-
-/// The trace path's admission record: its predicate and what it admitted
-/// and suppressed. It is part of the report, and both dumps' summary lines
-/// carry it, so filtered dumps stay honest about coverage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FilterStats {
-    /// The admission predicate.
-    pub predicate: TracePredicate,
-    /// Events that passed the predicate (and reached the ring and stream).
-    pub admitted: u64,
-    /// Events the predicate rejected.
-    pub suppressed: u64,
-}
-
-impl FilterStats {
-    /// Whether `ev` passes the predicate, counting it as admitted or
-    /// suppressed.
-    pub fn admit(&mut self, ev: &TraceEvent) -> bool {
-        let p = &self.predicate;
-        let pass = p.flow.is_none_or(|f| f == ev.flow) && p.kinds.contains(ev.kind);
-        if pass {
-            self.admitted += 1;
-        } else {
-            self.suppressed += 1;
-        }
-        pass
     }
 }
 
@@ -261,10 +204,9 @@ mod tests {
             TraceSink::offer(&mut ring, &e);
             stream.offer(&e);
         }
-        let stats = stream.finish(&FilterStats::default());
+        let stats = stream.finish();
         assert_eq!(stats.emitted, ring.recorded());
         assert_eq!(stats.emitted, 7);
-        assert_eq!(stats.dropped, 0);
         let contents = buf.contents();
         let (events, trailer) = contents.trim_end().rsplit_once('\n').unwrap();
         assert_eq!(format!("{events}\n"), ring.to_jsonl());
@@ -287,99 +229,25 @@ mod tests {
         // worth of whole lines at once.
         assert!(buf.contents().len() >= DEFAULT_STREAM_BATCH_BYTES);
         assert_eq!(buf.contents().lines().count(), offered);
-        let stats = stream.finish(&FilterStats::default());
+        let stats = stream.finish();
         assert_eq!(stats.flushes, 2, "the trailer goes out in one more batch");
         assert_eq!(buf.contents().lines().count(), offered + 1);
-    }
-
-    /// The `t_ns` of the sample events that pass every filter in `chain`,
-    /// each filter seeing only what the ones before it admitted.
-    fn admitted_through(chain: &mut [FilterStats]) -> Vec<u64> {
-        sample_events()
-            .iter()
-            .filter(|e| chain.iter_mut().all(|f| f.admit(e)))
-            .map(|e| e.t_ns)
-            .collect()
-    }
-
-    #[test]
-    fn filtered_sink_composition_is_predicate_conjunction() {
-        // flow-then-kind, kind-then-flow, and the combined predicate all
-        // admit the same event sequence.
-        let recovery = KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]);
-        let flow_f = filter_stats(Some(0), KindSet::all(), 0, 0);
-        let kind_f = filter_stats(None, recovery, 0, 0);
-        let mut fk = [flow_f, kind_f];
-        let mut kf = [kind_f, flow_f];
-        let mut combined = [filter_stats(Some(0), recovery, 0, 0)];
-        let want = admitted_through(&mut combined);
-        // Only flow-0 retransmit survives the conjunction.
-        assert_eq!(want, [40]);
-        assert_eq!(admitted_through(&mut fk), want);
-        assert_eq!(admitted_through(&mut kf), want);
-        assert_eq!(combined[0].admitted, 1);
-        assert_eq!(combined[0].suppressed, 6);
-        // Chained filters attribute suppression at different stages but
-        // agree on the total.
-        for chain in [&fk, &kf] {
-            let suppressed: u64 = chain.iter().map(|f| f.suppressed).sum();
-            assert_eq!(suppressed, combined[0].suppressed);
-            assert_eq!(chain[1].admitted, combined[0].admitted);
-        }
-    }
-
-    #[test]
-    fn pass_all_predicate_admits_everything() {
-        let p = TracePredicate::default();
-        assert!(p.is_pass_all());
-        let mut f = [FilterStats {
-            predicate: p,
-            ..FilterStats::default()
-        }];
-        assert_eq!(admitted_through(&mut f), [10, 20, 30, 40, 50, 60, 70]);
-        assert_eq!(f[0].admitted, 7);
-        assert_eq!(f[0].suppressed, 0);
-        assert!(!TracePredicate {
-            flow: Some(3),
-            kinds: KindSet::all()
-        }
-        .is_pass_all());
-    }
-
-    /// The record a filter with this predicate leaves after admitting
-    /// `admitted` events and suppressing `suppressed`.
-    fn filter_stats(
-        flow: Option<u32>,
-        kinds: KindSet,
-        admitted: u64,
-        suppressed: u64,
-    ) -> FilterStats {
-        FilterStats {
-            predicate: TracePredicate { flow, kinds },
-            admitted,
-            suppressed,
-        }
     }
 
     #[test]
     fn stream_trailer_is_self_describing() {
         let buf = SharedBuf::default();
         let mut stream = StreamSink::new(Box::new(buf.clone()), "test");
-        let recovery = KindSet::of(&[TraceKind::Retransmit, TraceKind::RtoFired]);
-        let mut filter = filter_stats(None, recovery, 0, 0);
         for e in sample_events() {
-            if filter.admit(&e) {
-                stream.offer(&e);
-            }
+            stream.offer(&e);
         }
-        let stats = stream.finish(&filter);
-        assert_eq!((stats.emitted, stats.dropped, stats.flushes), (2, 0, 1));
+        let stats = stream.finish();
+        assert_eq!((stats.emitted, stats.flushes), (7, 1));
         let text = buf.contents();
-        assert_eq!(text.lines().count(), 3, "two events, then the trailer");
+        assert_eq!(text.lines().count(), 8, "seven events, then the trailer");
         assert_eq!(
             text.lines().last().unwrap(),
-            "{\"summary\":true,\"stream\":true,\"emitted\":2,\"dropped\":0,\
-             \"admitted\":2,\"suppressed\":5,\"kinds\":\"retransmit,rto\"}"
+            "{\"summary\":true,\"stream\":true,\"emitted\":7}"
         );
     }
 }

@@ -33,18 +33,6 @@ pub enum TraceKind {
 }
 
 impl TraceKind {
-    /// Every kind, in declaration order — the one canonical list. CLI
-    /// parsing, `KindSet::all`, and error messages all derive from it, so a
-    /// new kind added here is automatically parseable and listed.
-    pub const ALL: [TraceKind; 6] = [
-        TraceKind::Syn,
-        TraceKind::FirstByte,
-        TraceKind::RecordDelivered,
-        TraceKind::Retransmit,
-        TraceKind::RtoFired,
-        TraceKind::Fin,
-    ];
-
     /// Stable lowercase tag used in JSONL output.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -55,118 +43,6 @@ impl TraceKind {
             TraceKind::RtoFired => "rto",
             TraceKind::Fin => "fin",
         }
-    }
-
-    /// The comma-joined list of valid tags (error messages, usage strings).
-    fn valid_tags() -> String {
-        TraceKind::ALL
-            .iter()
-            .map(|k| k.as_str())
-            .collect::<Vec<_>>()
-            .join("|")
-    }
-}
-
-impl std::str::FromStr for TraceKind {
-    type Err = String;
-
-    /// Parse a JSONL tag back into its kind, naming every valid tag on
-    /// failure (the canonical parse `--trace-kind` and tests share).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let tag = s.trim();
-        TraceKind::ALL
-            .iter()
-            .copied()
-            .find(|k| k.as_str() == tag)
-            .ok_or_else(|| {
-                format!(
-                    "unknown trace kind {tag:?} (valid kinds: {})",
-                    TraceKind::valid_tags()
-                )
-            })
-    }
-}
-
-/// A set of [`TraceKind`]s, used as the kind-predicate of trace filtering
-/// (`--trace-kind retransmit,rto` slices the event stream by class the way
-/// `--trace-flow` slices it by flow).
-///
-/// `Default` is the **full** set — "no kind filtering" — so a pristine
-/// filter admits everything, mirroring `flow: None`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct KindSet(u8);
-
-impl Default for KindSet {
-    fn default() -> Self {
-        KindSet::all()
-    }
-}
-
-impl KindSet {
-    /// The set containing every kind.
-    pub fn all() -> Self {
-        let mut s = KindSet::empty();
-        for k in TraceKind::ALL {
-            s.insert(k);
-        }
-        s
-    }
-
-    /// The empty set (admits nothing).
-    pub fn empty() -> Self {
-        KindSet(0)
-    }
-
-    /// The set containing exactly `kinds`.
-    pub fn of(kinds: &[TraceKind]) -> Self {
-        let mut s = KindSet::empty();
-        for &k in kinds {
-            s.insert(k);
-        }
-        s
-    }
-
-    /// Add a kind.
-    pub fn insert(&mut self, kind: TraceKind) {
-        self.0 |= 1u8 << (kind as u8);
-    }
-
-    /// Whether `kind` is in the set.
-    pub fn contains(self, kind: TraceKind) -> bool {
-        self.0 & (1u8 << (kind as u8)) != 0
-    }
-
-    /// Whether every kind is in the set (no kind filtering).
-    pub(crate) fn is_all(self) -> bool {
-        self == KindSet::all()
-    }
-
-    /// Number of kinds in the set.
-    pub fn len(self) -> usize {
-        self.0.count_ones() as usize
-    }
-
-    /// Whether the set admits nothing.
-    pub fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Comma-joined tags of the contained kinds, in declaration order
-    /// (stable — used in stream trailers so artifacts are self-describing).
-    pub fn labels(self) -> String {
-        TraceKind::ALL
-            .iter()
-            .copied()
-            .filter(|&k| self.contains(k))
-            .map(|k| k.as_str())
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-}
-
-impl std::fmt::Debug for KindSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "KindSet({})", self.labels())
     }
 }
 
@@ -225,18 +101,10 @@ impl TraceRing {
     /// distinguishable from events by its `"summary"` key (events carry
     /// `"kind"`). A streamed run's file closes with the same kind of line,
     /// written by [`StreamSink::finish`](crate::StreamSink::finish).
-    ///
-    /// `admitted`/`suppressed` are the attached filter's accounting (what
-    /// passed / what the flow- and kind-predicates rejected before the
-    /// ring), so a filtered dump is self-describing about its coverage:
-    /// `recorded == admitted`, and `admitted + suppressed` is the full
-    /// event stream the run produced. The ring-local keys (`recorded`,
-    /// `held`, `dropped`, `cap`) keep their historical meaning.
-    pub fn to_jsonl_with_summary(&self, admitted: u64, suppressed: u64) -> String {
+    pub fn to_jsonl_with_summary(&self) -> String {
         let mut out = self.to_jsonl();
         out.push_str(&format!(
-            "{{\"summary\":true,\"recorded\":{},\"held\":{},\"dropped\":{},\"cap\":{},\
-             \"admitted\":{admitted},\"suppressed\":{suppressed}}}\n",
+            "{{\"summary\":true,\"recorded\":{},\"held\":{},\"dropped\":{},\"cap\":{}}}\n",
             self.recorded(),
             self.len(),
             self.dropped(),
@@ -285,54 +153,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_from_str_round_trips_and_names_valid_kinds_on_failure() {
-        for kind in TraceKind::ALL {
-            assert_eq!(kind.as_str().parse::<TraceKind>().unwrap(), kind);
-        }
-        assert_eq!(" rto ".parse::<TraceKind>().unwrap(), TraceKind::RtoFired);
-        let err = "warble".parse::<TraceKind>().unwrap_err();
-        assert!(err.contains("unknown trace kind \"warble\""), "{err}");
-        for kind in TraceKind::ALL {
-            assert!(
-                err.contains(kind.as_str()),
-                "error must list {kind:?}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn kind_sets_are_bitmasks_with_stable_labels() {
-        let all = KindSet::all();
-        assert!(all.is_all());
-        assert_eq!(all.len(), TraceKind::ALL.len());
-        assert_eq!(KindSet::default(), all, "default admits everything");
-        let slice = KindSet::of(&[TraceKind::RtoFired, TraceKind::Retransmit]);
-        assert!(slice.contains(TraceKind::Retransmit));
-        assert!(slice.contains(TraceKind::RtoFired));
-        assert!(!slice.contains(TraceKind::Syn));
-        assert!(!slice.is_all());
-        assert_eq!(slice.len(), 2);
-        // Labels come out in declaration order, not insertion order.
-        assert_eq!(slice.labels(), "retransmit,rto");
-        assert_eq!(format!("{slice:?}"), "KindSet(retransmit,rto)");
-        assert!(KindSet::empty().is_empty());
-        assert_eq!(KindSet::empty().labels(), "");
-    }
-
-    #[test]
-    fn summary_line_carries_ring_and_filter_accounting() {
+    fn summary_line_carries_ring_accounting() {
         let mut r = TraceRing::new(1);
         r.push(ev(1, 0, 0, TraceKind::Syn));
         r.push(ev(2, 0, 0, TraceKind::Fin));
-        let out = r.to_jsonl_with_summary(2, 5);
-        let summary = out.lines().last().unwrap();
-        // Historical ring-local keys stay (CI greps depend on them)...
-        assert!(summary.contains("\"recorded\":2"), "{summary}");
-        assert!(summary.contains("\"held\":1"), "{summary}");
-        assert!(summary.contains("\"dropped\":1"), "{summary}");
-        assert!(summary.contains("\"cap\":1"), "{summary}");
-        // ...and the attached filter's accounting rides along.
-        assert!(summary.contains("\"admitted\":2"), "{summary}");
-        assert!(summary.contains("\"suppressed\":5"), "{summary}");
+        let out = r.to_jsonl_with_summary();
+        assert_eq!(
+            out.lines().last().unwrap(),
+            "{\"summary\":true,\"recorded\":2,\"held\":1,\"dropped\":1,\"cap\":1}"
+        );
     }
 }

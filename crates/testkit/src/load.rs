@@ -49,8 +49,6 @@ fn load_scenario_of(spec: &CellSpec) -> LoadScenario {
         cc: spec.cc,
         seed: spec.seed,
         deadline: SimDuration::from_secs(300),
-        trace_flow: None,
-        trace_kinds: minion_engine::KindSet::all(),
         trace_stream: None,
         first_flow: 0,
     }
