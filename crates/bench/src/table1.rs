@@ -24,8 +24,8 @@ pub struct Loc {
     /// Lines inside them.
     pub test: u64,
     /// Implementation lines that declare a public item: `pub fn`, `pub
-    /// struct` and the like. Fields, `pub(crate)` items and re-exports are
-    /// not items.
+    /// struct` and the like, and named `pub` fields. `pub(crate)` items and
+    /// re-exports are not items.
     pub public_items: u64,
 }
 
@@ -66,9 +66,17 @@ fn code_lines(content: &str) -> Vec<(bool, &str)> {
     out
 }
 
-/// The keyword and name of the public item `code` declares, if it does.
+/// The keyword and name of the public item `code` declares, if it does. A
+/// named field (`pub name: Type,`) is an item of keyword `field`, which the
+/// unused scan passes over: a field is reached through its struct.
 fn public_item(code: &str) -> Option<(&str, &str)> {
-    let (kw, rest) = code.strip_prefix("pub ")?.split_once(' ')?;
+    let code = code.strip_prefix("pub ")?;
+    if let Some((name, ty)) = code.split_once(':') {
+        if !ty.starts_with(':') && words(name).eq([name]) {
+            return Some(("field", name));
+        }
+    }
+    let (kw, rest) = code.split_once(' ')?;
     let rest = match kw {
         "const" => rest.strip_prefix("fn ").unwrap_or(rest),
         _ => rest,
@@ -420,8 +428,8 @@ mod tests {
                 // attribute, mod line, #[test], fn, its brace, fixture, the
                 // module's brace
                 test: 7,
-                // api and S: not the field, the pub(crate) fn or the fixture
-                public_items: 2,
+                // api, S and its field: not the pub(crate) fn or the fixture
+                public_items: 3,
             }
         );
         std::fs::remove_dir_all(&dir).ok();
@@ -486,6 +494,30 @@ mod tests {
             ]
         );
         assert!(unused.iter().all(|(file, _)| file == "crates/a/src/lib.rs"));
+    }
+
+    #[test]
+    fn a_named_pub_field_is_a_public_item() {
+        assert_eq!(public_item("pub flows: usize,"), Some(("field", "flows")));
+        assert_eq!(
+            public_item("pub obs: minion_obs::CcObs,"),
+            Some(("field", "obs"))
+        );
+        assert_eq!(public_item("pub(crate) flows: usize,"), None);
+        assert_eq!(public_item("pub use minion_obs::Histogram;"), None);
+        assert_eq!(
+            public_item("pub use crate::obs::{LoadObs, C_RTO_EDGES};"),
+            None
+        );
+        // Items whose line holds a colon keep their own keyword.
+        assert_eq!(
+            public_item("pub fn new(flows: usize) -> Self {"),
+            Some(("fn", "new"))
+        );
+        assert_eq!(
+            public_item("pub const CAP: usize = 8;"),
+            Some(("const", "CAP"))
+        );
     }
 
     #[test]
