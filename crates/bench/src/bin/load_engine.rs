@@ -16,9 +16,9 @@
 //!   and a uTCP receiver under the canonical lossy comparison
 //!   ([`LoadScenario::obs_comparison`]), plus a kernel-TCP row with
 //!   `--backend os`.
-//! - `"flow_delay"`: the same runs' per-flow digests
-//!   ([`minion_engine::FlowDelayMap`]), the worst flows by p99 beside the
-//!   global distribution.
+//! - `"flow_delay"`: the same runs' worst flows by p99 beside the global
+//!   distribution, each flow's quantiles read exactly from its own records
+//!   ([`FlowMetrics`]'s `delay_*_ns`).
 //! - `"trace_stream"`, with `--trace-stream FILE`: the accounting of the
 //!   flight-recorder scenario ([`LoadScenario::flight_recorder`]: 1024 flows
 //!   × 64 records at 2 % loss, more lifecycle events than the trace ring
@@ -60,6 +60,7 @@ use minion_engine::{
 use minion_osnet::OsTransport;
 use minion_simnet::SimDuration;
 use minion_tcp::CcAlgorithm;
+use std::cmp::Reverse;
 use std::time::Instant;
 
 /// Goodput floor of the OS envelope gate, in bits/second. Loopback runs
@@ -253,31 +254,36 @@ fn obs_row(receiver: &str, report: &LoadReport) -> Vec<(&'static str, Value)> {
 /// How many worst-flows-by-p99 rows a `"flow_delay"` row embeds.
 const FLOW_DELAY_TOP_K: usize = 8;
 
+/// The report's flows, worst first: by p99 delivery delay descending, ties
+/// by ascending flow index (a total order, so the ranking is deterministic).
+fn flows_by_p99(report: &LoadReport) -> Vec<&FlowMetrics> {
+    let mut flows: Vec<&FlowMetrics> = report.per_flow.iter().collect();
+    flows.sort_by_key(|f| (Reverse(f.delay_p99_ns), f.flow));
+    flows
+}
+
 /// One row of the `"flow_delay"` section: one receiver's per-flow
 /// delivery-delay attribution — the global distribution next to the
-/// worst flows by p99 (the top-K of the bounded
-/// [`minion_engine::FlowDelayMap`]).
+/// worst flows by p99.
 fn flow_delay_row(receiver: &str, report: &LoadReport) -> Value {
-    let map = &report.obs.flow_delay;
     let global = &report.obs.delivery_delay;
-    let top = map
-        .top_k(FLOW_DELAY_TOP_K)
-        .iter()
-        .map(|(flow, d)| {
+    let top = flows_by_p99(report)
+        .into_iter()
+        .take(FLOW_DELAY_TOP_K)
+        .map(|f| {
             Value::Object(vec![
-                ("flow", u64::from(*flow).into()),
-                ("count", d.count().into()),
-                ("p50_ns", d.p50().into()),
-                ("p99_ns", d.p99().into()),
-                ("max_ns", d.max().into()),
+                ("flow", u64::from(f.flow).into()),
+                ("count", f.records_delivered.into()),
+                ("p50_ns", f.delay_p50_ns.into()),
+                ("p99_ns", f.delay_p99_ns.into()),
+                ("max_ns", f.delay_max_ns.into()),
             ])
         })
         .collect();
     Value::Object(vec![
         ("receiver", receiver.into()),
-        ("flows_tracked", map.len().into()),
-        ("overflow_samples", map.overflow_samples().into()),
-        ("total_samples", map.total_samples().into()),
+        ("flows_tracked", report.per_flow.len().into()),
+        ("total_samples", report.records_delivered.into()),
         ("global_p50_ns", global.p50().into()),
         ("global_p99_ns", global.p99().into()),
         ("global_max_ns", global.max().into()),
@@ -325,20 +331,20 @@ fn obs_section(backend: cli::Backend) -> (Value, Value, LoadReport) {
     // the stalls, so the worst flow's p99 must sit strictly above the
     // all-flows p99 on the ordered receiver. If this ever fails, the
     // per-flow attribution stopped attributing.
-    let worst = tcp.obs.flow_delay.top_k(1);
+    let worst = flows_by_p99(&tcp)[0];
     assert!(
-        !worst.is_empty() && worst[0].1.p99() > tcp.obs.delivery_delay.p99(),
+        worst.delay_p99_ns > tcp.obs.delivery_delay.p99(),
         "worst-flow p99 ({}) must strictly exceed the global p99 ({}) under ordered TCP",
-        worst.first().map(|(_, d)| d.p99()).unwrap_or(0),
+        worst.delay_p99_ns,
         tcp.obs.delivery_delay.p99()
     );
     println!(
         "flow_delay: ordered worst flow #{} p99 {:.3} ms vs global p99 {:.3} ms \
          ({} flows tracked)",
-        worst[0].0,
-        worst[0].1.p99() as f64 / 1e6,
+        worst.flow,
+        worst.delay_p99_ns as f64 / 1e6,
         tcp.obs.delivery_delay.p99() as f64 / 1e6,
-        tcp.obs.flow_delay.len(),
+        tcp.per_flow.len(),
     );
     let scenario = LoadScenario::obs_comparison(true);
     let mut section = vec![
@@ -372,7 +378,6 @@ fn obs_section(backend: cli::Backend) -> (Value, Value, LoadReport) {
         section.push(("os", Value::Array(vec![Value::Object(row)])));
     }
     let flow_delay = Value::Object(vec![
-        ("cap", tcp.obs.flow_delay.cap().into()),
         ("top_k", FLOW_DELAY_TOP_K.into()),
         (
             "sim",

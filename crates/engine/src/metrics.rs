@@ -38,6 +38,17 @@ pub struct FlowMetrics {
     pub rto_fires: u64,
     /// Virtual time (µs) at which the flow's stream was complete.
     pub completion_us: u64,
+    /// Median delivery delay of the flow's records (ns), exact: the
+    /// record [`quantile_rank`](minion_obs::quantile_rank) selects among
+    /// the flow's delays in ascending order, the rank rule of the global
+    /// [`LoadObs::delivery_delay`] histogram. 0 with no record delivered.
+    pub delay_p50_ns: u64,
+    /// p99 delivery delay of the flow's records (ns), exact as
+    /// [`delay_p50_ns`](Self::delay_p50_ns); with fewer than 100 records it
+    /// is the flow's maximum.
+    pub delay_p99_ns: u64,
+    /// Largest delivery delay of the flow's records (ns).
+    pub delay_max_ns: u64,
     /// Fingerprint of how the stream arrived: [`fnv1a`](minion_simnet::fnv1a)
     /// from [`FNV_OFFSET_BASIS`](minion_simnet::FNV_OFFSET_BASIS) over each
     /// delivered chunk's offset and length (`u64` LE) and `in_order` flag

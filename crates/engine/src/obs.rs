@@ -9,7 +9,10 @@
 //!
 //! * [`Histogram`]s — delivery delay (send-enqueue → app-deliver), RTO wait
 //!   (per-timer arm → fire), and send-stream staging dwell, all in
-//!   nanoseconds of backend time (virtual on sim, monotonic on os);
+//!   nanoseconds of backend time (virtual on sim, monotonic on os). Which
+//!   flows own the delivery-delay tail is not recorded here: each flow's
+//!   report row ([`FlowMetrics`](crate::FlowMetrics)) summarises its own
+//!   records' delays exactly;
 //! * a [`CounterSet`] over fixed slots (one `C_*` constant names each) and
 //!   the coverage high-water mark;
 //! * a [`TraceRing`] of per-flow lifecycle events (SYN, first byte, record
@@ -20,25 +23,19 @@
 //! a pure function of the scenario and its seed, and the determinism gates
 //! compare it whole.
 
-use minion_obs::{
-    CcObs, CounterSet, FlowDelayMap, Histogram, StreamSink, StreamStats, TraceEvent, TraceRing,
-};
+use minion_obs::{CcObs, CounterSet, Histogram, StreamSink, StreamStats, TraceEvent, TraceRing};
 use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
 
-/// Slot: records fully handed to the transport's send buffer.
-pub(crate) const C_RECORDS_ENQUEUED: usize = 0;
-/// Slot: records whose full byte range reached the application.
-pub(crate) const C_RECORDS_DELIVERED: usize = 1;
 /// Slot: delivery chunks read from the transport.
-pub const C_CHUNKS_DELIVERED: usize = 2;
+pub const C_CHUNKS_DELIVERED: usize = 0;
 /// Slot: delivery chunks that arrived out of stream order.
-pub const C_CHUNKS_OUT_OF_ORDER: usize = 3;
+pub const C_CHUNKS_OUT_OF_ORDER: usize = 1;
 /// Slot: retransmission edges observed (consecutive duplicates collapse in
 /// the connection's event queue, so this undercounts dense bursts; the exact
 /// per-flow count lives in `FlowMetrics::retransmissions`).
-pub const C_RETRANSMIT_EDGES: usize = 4;
+pub const C_RETRANSMIT_EDGES: usize = 2;
 /// Slot: RTO-fired edges observed.
-pub const C_RTO_EDGES: usize = 5;
+pub const C_RTO_EDGES: usize = 3;
 /// Counter slots of [`LoadObs::counters`] (fixed at compile time, so a
 /// report's registry has the same slots whichever code paths ran).
 const LOAD_COUNTER_SLOTS: usize = C_RTO_EDGES + 1;
@@ -68,9 +65,6 @@ pub struct LoadObs {
     /// writer and never enters the report — only its deterministic
     /// counters do.
     pub stream: StreamStats,
-    /// Per-flow delivery-delay digests: who owns the tail, not just how
-    /// fat it is.
-    pub flow_delay: FlowDelayMap,
     /// Congestion-control window telemetry of the run's client flows,
     /// recorded from their window samples as the driver drains them, so
     /// the trajectory ring holds them in virtual-time order.
@@ -87,7 +81,6 @@ impl Default for LoadObs {
             coverage_ranges_high_water: 0,
             trace: TraceRing::default(),
             stream: StreamStats::default(),
-            flow_delay: FlowDelayMap::default(),
             cc_obs: CcObs::default(),
         }
     }

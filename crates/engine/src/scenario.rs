@@ -20,7 +20,7 @@
 //! offset) (`build_stream`): the writer builds what it offers from the
 //! flow's send cursor into one scratch buffer, and each delivered chunk is
 //! compared with the formula at its offset and then dropped. What a flow
-//! keeps is its cursor, its coverage ranges, its records' delivery marks
+//! keeps is its cursor, its coverage ranges, its records' delivery delays
 //! and a fingerprint of how its chunks arrived.
 //!
 //! [`LoadScenario::run_on`] is only the readiness loop: it opens the
@@ -29,7 +29,8 @@
 //! `flush` writes, `on_lifecycle` takes the client's edges and window
 //! samples, `on_chunk` is the verifier (the ordered-receiver rule, the
 //! formula check, fingerprint and coverage, the records a chunk completes
-//! and the one completion stamp), and `metrics` is the flow's report row.
+//! and the one completion stamp), and `metrics` is the flow's report row,
+//! its delay quantiles read exactly from its records.
 //!
 //! [`verify_load`] additionally runs the scenario twice and asserts the two
 //! [`LoadReport`]s are identical — the determinism acceptance gate.
@@ -44,12 +45,11 @@
 
 use crate::metrics::{EngineMetrics, FlowMetrics, LoadReport};
 use crate::obs::{
-    LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RECORDS_DELIVERED, C_RECORDS_ENQUEUED,
-    C_RETRANSMIT_EDGES, C_RTO_EDGES,
+    LoadObs, C_CHUNKS_DELIVERED, C_CHUNKS_OUT_OF_ORDER, C_RETRANSMIT_EDGES, C_RTO_EDGES,
 };
 use crate::transport::{SimTransport, Transport, TransportChunk};
 use minion_exec::Executor;
-use minion_obs::{CcObs, NonDeterministic, StreamSink, TraceEvent, TraceKind};
+use minion_obs::{quantile_rank, CcObs, NonDeterministic, StreamSink, TraceEvent, TraceKind};
 use minion_simnet::{fnv1a, LossConfig, SimDuration, SimTime, FNV_OFFSET_BASIS};
 use minion_stack::FlowId;
 use minion_tcp::{CcAlgorithm, ConnEvent, SendBuffer};
@@ -246,7 +246,7 @@ impl LoadScenario {
                     start,
                     end,
                     enqueue_ns: 0,
-                    delivered: false,
+                    delay_ns: None,
                 }
             })
             .collect()
@@ -349,8 +349,6 @@ impl LoadScenario {
                     let completes = state
                         .on_chunk(&chunk, !self.receiver_utcp, now, |record, delay_ns| {
                             obs.delivery_delay.record(delay_ns);
-                            obs.flow_delay.record(record.flow, delay_ns);
-                            obs.counters.inc(C_RECORDS_DELIVERED);
                             obs.record_event(&mut spill, record);
                         })
                         .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
@@ -509,13 +507,13 @@ pub fn verify_load(scenario: &LoadScenario) -> LoadReport {
 }
 
 /// Delivery tracking of one framed record: its stream byte range, when the
-/// transport accepted its last byte, and whether its full range has reached
-/// the application.
+/// transport accepted its last byte, and, once its full range has reached
+/// the application, its delivery delay (ns).
 struct RecordTrack {
     start: u64,
     end: u64,
     enqueue_ns: u64,
-    delivered: bool,
+    delay_ns: Option<u64>,
 }
 
 /// Which end of which flow (index into the driver's `FlowState`s) a
@@ -573,7 +571,8 @@ struct FlowState {
     /// FNV-1a of `(offset, len, in_order)` of each delivered chunk, in
     /// arrival order ([`FlowMetrics::fingerprint`]).
     fingerprint: u64,
-    /// Per-record delivery-delay tracking (obs), in stream order.
+    /// Per-record delivery-delay tracking, in stream order: the source of
+    /// the flow's delay quantiles.
     records: Vec<RecordTrack>,
     /// Records `[0, enqueued)` have been accepted whole by the transport
     /// and carry their enqueue stamp.
@@ -712,9 +711,9 @@ impl FlowState {
         // paper's figure of merit.
         let now_ns = ns_of(now);
         let mut record = self.event(now_ns, 0, TraceKind::RecordDelivered);
-        for (rec, enqueue_ns) in self.complete_records((offset, end), run) {
+        for (rec, delay_ns) in self.complete_records((offset, end), run, now_ns) {
             record.seq = rec as u32;
-            delivered(record, now_ns.saturating_sub(enqueue_ns));
+            delivered(record, delay_ns);
         }
         let completes = !was_complete && self.is_complete();
         if completes {
@@ -726,22 +725,40 @@ impl FlowState {
     /// The flow's report row, with the sender statistics `transport` keeps.
     /// Every chunk was compared with the stream's formula as it arrived and
     /// the coverage is complete, so the delivered stream *is* the sent one:
-    /// delivered bytes come from the coverage ranges, records from the
-    /// delivery marks, and the fingerprint was folded over the chunks as
-    /// they came.
+    /// delivered bytes come from the coverage ranges, records and their
+    /// delay quantiles from the records' delays, and the fingerprint was
+    /// folded over the chunks as they came.
     fn metrics(&self, transport: &dyn Transport) -> FlowMetrics {
         let stats = transport.flow_stats(self.client);
+        let [delay_p50_ns, delay_p99_ns, delay_max_ns] = self.delay_summary();
         FlowMetrics {
             flow: self.flow,
             bytes_delivered: self.covered.iter().map(|(s, e)| e - s).sum(),
-            records_delivered: self.records.iter().filter(|r| r.delivered).count() as u64,
+            records_delivered: self.records.iter().filter(|r| r.delay_ns.is_some()).count() as u64,
             chunks_out_of_order: self.ooo_chunks,
             retransmissions: stats.retransmissions,
             fast_retransmits: stats.fast_retransmits,
             rto_fires: stats.timeouts,
             completion_us: self.completion_us,
+            delay_p50_ns,
+            delay_p99_ns,
+            delay_max_ns,
             fingerprint: self.fingerprint,
         }
+    }
+
+    /// The flow's delivery delay as `[p50, p99, max]` (ns), exact: each
+    /// quantile is the delay [`quantile_rank`] selects among the delivered
+    /// records' delays in ascending order, the global histogram's rank
+    /// rule. All 0 before the first delivery.
+    fn delay_summary(&self) -> [u64; 3] {
+        let mut delays: Vec<u64> = self.records.iter().filter_map(|r| r.delay_ns).collect();
+        delays.sort_unstable();
+        let at = |q_milli| match quantile_rank(delays.len() as u64, q_milli) {
+            0 => 0,
+            rank => delays[rank as usize - 1],
+        };
+        [at(50_000), at(99_000), delays.last().copied().unwrap_or(0)]
     }
 
     /// Hand `emit` bytes `[from, to)` of this flow's stream, in order, in
@@ -804,8 +821,7 @@ impl FlowState {
                 break;
             }
         }
-        obs.counters
-            .add(C_RECORDS_ENQUEUED, self.mark_enqueued(now_ns));
+        self.mark_enqueued(now_ns);
         if self.sent == self.stream_len() {
             obs.staging_dwell
                 .record(now_ns.saturating_sub(self.staged_ns));
@@ -813,10 +829,8 @@ impl FlowState {
     }
 
     /// Stamp every record whose last byte the transport has now accepted
-    /// (`self.sent` is the flow's send cursor); returns how many records
-    /// this call enqueued.
-    fn mark_enqueued(&mut self, now_ns: u64) -> u64 {
-        let from = self.enqueued;
+    /// (`self.sent` is the flow's send cursor).
+    fn mark_enqueued(&mut self, now_ns: u64) {
         while let Some(r) = self.records.get_mut(self.enqueued) {
             if r.end > self.sent {
                 break;
@@ -824,7 +838,6 @@ impl FlowState {
             r.enqueue_ns = now_ns;
             self.enqueued += 1;
         }
-        (self.enqueued - from) as u64
     }
 
     /// Merge `[start, end)` into the coverage set; returns the merged run.
@@ -846,16 +859,18 @@ impl FlowState {
         (start, end)
     }
 
-    /// Mark delivered every record whose full byte range just became
-    /// covered, yielding each one's index and the time its delivery delay
-    /// counts from (marking happens as the iterator is consumed). Only
-    /// records the chunk `[chunk.0, chunk.1)` touches can have completed,
-    /// and they complete iff `run`, the coverage run the chunk joined,
-    /// holds them whole.
+    /// Stamp with its delivery delay at `now_ns` every record whose full
+    /// byte range just became covered, yielding each one's index and delay
+    /// (stamping happens as the iterator is consumed). A delay counts from
+    /// the record's enqueue stamp or the connection's establishment,
+    /// whichever is later. Only records the chunk `[chunk.0, chunk.1)`
+    /// touches can have completed, and they complete iff `run`, the
+    /// coverage run the chunk joined, holds them whole.
     fn complete_records(
         &mut self,
         chunk: (u64, u64),
         run: (u64, u64),
+        now_ns: u64,
     ) -> impl Iterator<Item = (usize, u64)> + '_ {
         let floor_ns = self.enqueue_floor_ns;
         let first = self.records.partition_point(|r| r.end <= chunk.0);
@@ -863,10 +878,11 @@ impl FlowState {
             .iter_mut()
             .take_while(move |r| r.start < chunk.1)
             .enumerate()
-            .filter(move |(_, r)| !r.delivered && run.0 <= r.start && r.end <= run.1)
+            .filter(move |(_, r)| r.delay_ns.is_none() && run.0 <= r.start && r.end <= run.1)
             .map(move |(i, r)| {
-                r.delivered = true;
-                (first + i, r.enqueue_ns.max(floor_ns))
+                let delay_ns = now_ns.saturating_sub(r.enqueue_ns.max(floor_ns));
+                r.delay_ns = Some(delay_ns);
+                (first + i, delay_ns)
             })
     }
 
@@ -884,7 +900,7 @@ mod tests {
             start,
             end,
             enqueue_ns: 0,
-            delivered: false,
+            delay_ns: None,
         });
         FlowState::new(FlowId(0), 0, 0, records.collect())
     }
@@ -1035,12 +1051,15 @@ mod tests {
         let bounds = vec![(0, 10), (10, 25), (25, 40)];
         let mut s = flow_state(bounds);
         s.sent = 9;
-        assert_eq!(s.mark_enqueued(100), 0, "no record accepted whole yet");
+        s.mark_enqueued(100);
+        assert_eq!(s.enqueued, 0, "no record accepted whole yet");
         s.sent = 25;
-        assert_eq!(s.mark_enqueued(200), 2);
+        s.mark_enqueued(200);
+        assert_eq!(s.enqueued, 2);
         s.sent = 40;
-        assert_eq!(s.mark_enqueued(300), 1);
-        assert_eq!(s.mark_enqueued(400), 0);
+        s.mark_enqueued(300);
+        assert_eq!(s.enqueued, 3);
+        s.mark_enqueued(400);
         let stamps: Vec<u64> = s.records.iter().map(|r| r.enqueue_ns).collect();
         assert_eq!(stamps, vec![200, 200, 300]);
     }
@@ -1052,30 +1071,80 @@ mod tests {
         s.sent = 50;
         s.mark_enqueued(100);
         s.enqueue_floor_ns = 150;
+        // Delivered at 1 000 ns, so a delay of 850 counts from
+        // establishment and 900 would count from the enqueue stamp.
         let deliver = |s: &mut FlowState, from: u64, to: u64| -> Vec<(usize, u64)> {
             let run = s.cover(from, to);
-            s.complete_records((from, to), run).collect()
+            s.complete_records((from, to), run, 1_000).collect()
         };
         // [12, 30) holds no record whole: #1 lacks [10, 12), #2 lacks
         // [30, 40).
         assert_eq!(deliver(&mut s, 12, 30), vec![]);
         // Out of order: #3 completes while the holes before it persist,
         // and its delay counts from establishment, not the earlier stamp.
-        assert_eq!(deliver(&mut s, 40, 50), vec![(3, 150)]);
+        assert_eq!(deliver(&mut s, 40, 50), vec![(3, 850)]);
         // [30, 40) joins [12, 50): #2 completes; #3, touched at its
         // boundary only, is neither re-examined nor re-delivered.
-        assert_eq!(deliver(&mut s, 30, 40), vec![(2, 150)]);
+        assert_eq!(deliver(&mut s, 30, 40), vec![(2, 850)]);
         // One chunk can complete several records.
-        assert_eq!(deliver(&mut s, 0, 12), vec![(0, 150), (1, 150)]);
+        assert_eq!(deliver(&mut s, 0, 12), vec![(0, 850), (1, 850)]);
         assert!(s.is_complete());
         // A duplicate delivers nothing twice.
         assert_eq!(deliver(&mut s, 0, 50), vec![]);
+        // Each record keeps the delay it was delivered with.
+        let delays: Vec<Option<u64>> = s.records.iter().map(|r| r.delay_ns).collect();
+        assert_eq!(delays, vec![Some(850); 4]);
         // A stamp later than establishment counts from itself.
         let mut late = flow_state(vec![(0, 10)]);
         late.sent = 10;
         late.mark_enqueued(500);
         late.enqueue_floor_ns = 150;
         assert_eq!(deliver(&mut late, 0, 10), vec![(0, 500)]);
+    }
+
+    /// The flow's delay summary against a brute-force oracle over the same
+    /// delays: a quantile is the smallest delay with at least that share of
+    /// the delivered records at or below it. Undelivered records take no
+    /// part; a flow with none delivered reads all zeros.
+    #[test]
+    fn a_flows_delay_summary_is_exact() {
+        let oracle = |delays: &[u64]| -> [u64; 3] {
+            let n = delays.len() as u64;
+            let at_or_below = |v: u64| delays.iter().filter(|&&d| d <= v).count() as u64;
+            let quantile = |percent: u64| {
+                let mut sorted = delays.to_vec();
+                sorted.sort_unstable();
+                sorted
+                    .into_iter()
+                    .find(|&v| 100 * at_or_below(v) >= percent * n)
+                    .unwrap()
+            };
+            [quantile(50), quantile(99), *delays.iter().max().unwrap()]
+        };
+        let summary = |delays: &[Option<u64>]| {
+            let bounds = (0..delays.len() as u64).map(|r| (r * 10, r * 10 + 10));
+            let mut s = flow_state(bounds.collect());
+            for (r, &delay_ns) in s.records.iter_mut().zip(delays) {
+                r.delay_ns = delay_ns;
+            }
+            s.delay_summary()
+        };
+        let all_delivered =
+            |delays: &[u64]| summary(&delays.iter().copied().map(Some).collect::<Vec<_>>());
+        // 32 distinct delays, scrambled.
+        let spread: Vec<u64> = (0..32u64).map(|i| (i * 7919) % 32 * 1_000 + 5).collect();
+        let cases: [&[u64]; 5] = [&[7], &[42; 9], &[0, 3, 9, 1], &[0, 0, 5_000], &spread];
+        for delays in cases {
+            assert_eq!(all_delivered(delays), oracle(delays), "delays {delays:?}");
+        }
+        // Of 32 records, p50 is the 16th smallest and p99 the largest.
+        assert_eq!(all_delivered(&spread), [15_005, 31_005, 31_005]);
+        // Undelivered records take no part.
+        assert_eq!(
+            summary(&[None, Some(30), None, Some(10)]),
+            oracle(&[30, 10])
+        );
+        assert_eq!(summary(&[None, None]), [0, 0, 0]);
     }
 
     #[test]
@@ -1237,13 +1306,13 @@ mod tests {
         };
         let utcp = mk(true).run();
         let tcp = mk(false).run();
-        // The histograms saw every record exactly once.
-        assert_eq!(utcp.obs.delivery_delay.count(), utcp.records_sent);
+        // The histogram saw every record exactly once, and every flow's
+        // records are in its own summary.
+        let delivered: u64 = utcp.per_flow.iter().map(|f| f.records_delivered).sum();
         assert_eq!(
-            utcp.obs.counters.get(C_RECORDS_DELIVERED),
-            utcp.records_sent
+            (utcp.obs.delivery_delay.count(), delivered),
+            (utcp.records_sent, utcp.records_sent)
         );
-        assert_eq!(utcp.obs.counters.get(C_RECORDS_ENQUEUED), utcp.records_sent);
         // The paper's claim, measured: head-of-line blocking makes the
         // ordered receiver's mean delivery delay strictly worse, and its
         // tail no better, under the identical loss process.

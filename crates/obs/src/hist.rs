@@ -1,14 +1,14 @@
-//! The one histogram layout: two-level HDR, exact order-independent merge,
-//! slots allocated on the first sample.
+//! The one histogram: two-level HDR, exact order-independent merge, slots
+//! allocated on the first sample.
 //!
 //! An HDR-style histogram trades per-bucket resolution for a fixed memory
 //! footprint and an *exact* merge: two histograms over the same bucket
 //! boundaries combine by slot-wise addition, so histograms pooled over
 //! several runs equal one histogram that recorded every run's samples.
 //!
-//! [`Hist<SUB_BITS>`](Hist) crosses a **log2 major** axis with a **linear
-//! minor** axis. 64 major buckets cover the full `u64` range, and each is
-//! split into `2^SUB_BITS` linear sub-buckets:
+//! [`Histogram`] crosses a **log2 major** axis with a **linear minor**
+//! axis. 64 major buckets cover the full `u64` range, and each is split
+//! into 16 linear sub-buckets, 1024 slots (8 KiB) in all:
 //!
 //! * major bucket 0 holds exactly the value `0` (zero-duration samples are
 //!   real — a record covered by the same chunk that carried its first byte
@@ -17,24 +17,20 @@
 //!   bucket 63 absorbing everything from `2^62` up to and including
 //!   `u64::MAX` (saturation, not overflow). Within a major bucket the range
 //!   is split into equal linear sub-ranges — for the narrow low buckets
-//!   (width ≤ `2^SUB_BITS`) every *value* gets its own exact slot.
+//!   (width ≤ 16) every *value* gets its own exact slot.
 //!
-//! The two-level split bounds the relative quantile error at one part in
-//! `2^SUB_BITS` of an octave instead of a flat log2 layout's whole octave,
-//! and [`Hist::quantile_milli`] linearly interpolates *within* the resolved
-//! slot, which is what lets p99/p999 of delivery delay separate ordered TCP
-//! from uTCP under loss instead of collapsing into the same power-of-two
-//! bound.
+//! The two-level split bounds the relative quantile error at a sixteenth
+//! of an octave (~3 % of the value) instead of a flat log2 layout's whole
+//! octave, and [`Histogram::quantile_milli`] linearly interpolates *within*
+//! the resolved slot, which is what lets p99/p999 of delivery delay
+//! separate ordered TCP from uTCP under loss instead of collapsing into the
+//! same power-of-two bound. It records every global distribution: a load
+//! run's delivery delay, RTO waits and staging dwell (`LoadObs`) and a
+//! scenario's window telemetry (`CcObs`). A flow's own delays are few (one
+//! per record), so the load report summarises them exactly from the flow's
+//! records instead, by the same rank rule ([`quantile_rank`]).
 //!
-//! Two instantiations exist, and `SUB_BITS` is a compile-time parameter,
-//! not an option:
-//!
-//! | alias | sub-buckets | slots | used for |
-//! |---|---|---|---|
-//! | [`Histogram`] = `Hist<4>` | 16 (~3 % of the value) | 1024 (8 KiB) | the global distributions (`LoadObs`, a scenario's `CcObs`) |
-//! | [`DelayDigest`](crate::DelayDigest) = `Hist<2>` | 4 (~12 %) | 256 (2 KiB) | one per flow in a [`FlowDelayMap`](crate::FlowDelayMap), so thousands fit |
-//!
-//! The slot array is **empty until the first [`Hist::record`]**: a
+//! The slot array is **empty until the first [`Histogram::record`]**: a
 //! histogram that never sees a sample owns no heap memory, so a recorder
 //! whose distributions a run never feeds (a lossless run's recovery
 //! histograms) costs a pointer and four words each. Merging keeps the
@@ -53,16 +49,24 @@ use crate::absorb::Absorb;
 /// docs).
 const BUCKETS: usize = 64;
 
+/// Linear sub-buckets per major bucket, as a shift.
+const SUB_BITS: u32 = 4;
+
+/// Linear sub-buckets per major bucket.
+const SUB: usize = 1 << SUB_BITS;
+
+/// Total slots once allocated.
+const SLOTS: usize = BUCKETS << SUB_BITS;
+
 /// A fixed-footprint two-level histogram of `u64` samples (nanoseconds, by
-/// convention): 64 log2 major buckets × `2^SUB_BITS` linear sub-buckets,
-/// merged exactly by slot-wise addition, with the slot array allocated on
-/// the first sample. Used through its two aliases, [`Histogram`] and
-/// [`DelayDigest`](crate::DelayDigest).
+/// convention): 64 log2 major buckets × 16 linear sub-buckets, merged
+/// exactly by slot-wise addition, with the slot array allocated on the
+/// first sample.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Hist<const SUB_BITS: u32> {
-    /// `major * 2^SUB_BITS + sub` order; empty until the first sample, so
-    /// "no heap memory" and "no samples" are the same state and `==` needs
-    /// no special case.
+pub struct Histogram {
+    /// `major * 16 + sub` order; empty until the first sample, so "no heap
+    /// memory" and "no samples" are the same state and `==` needs no
+    /// special case.
     slots: Box<[u64]>,
     count: u64,
     /// Saturating sum of all samples (used for the mean, never for
@@ -72,12 +76,9 @@ pub struct Hist<const SUB_BITS: u32> {
     max: u64,
 }
 
-/// The global-distribution histogram: 16 linear sub-buckets per octave.
-pub type Histogram = Hist<4>;
-
-impl<const SUB_BITS: u32> Default for Hist<SUB_BITS> {
+impl Default for Histogram {
     fn default() -> Self {
-        Hist {
+        Histogram {
             slots: Box::default(),
             count: 0,
             sum: 0,
@@ -87,55 +88,63 @@ impl<const SUB_BITS: u32> Default for Hist<SUB_BITS> {
     }
 }
 
+/// The 1-based rank, among `count` samples in ascending order, of the one a
+/// quantile given in **milli-percent** selects (`50_000` = p50, `99_000` =
+/// p99): ceil(count·q/100000), clamped into `[1, count]`; 0 when there are
+/// no samples. Histogram quantiles resolve their slot by it, and the load
+/// report's per-flow summary indexes a flow's sorted delays with it, so
+/// both select the same order statistic.
+pub fn quantile_rank(count: u64, q_milli: u64) -> u64 {
+    count
+        .saturating_mul(q_milli)
+        .div_ceil(100_000)
+        .max(1)
+        .min(count)
+}
+
 /// Major bucket index of a value: 0 for zero, else `min(63, 64 - clz(v))`.
 fn major_of(value: u64) -> usize {
     ((64 - value.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
-impl<const SUB_BITS: u32> Hist<SUB_BITS> {
-    /// Linear sub-buckets per major bucket.
-    const SUB: usize = 1 << SUB_BITS;
+/// How far a major bucket's offsets shift down to a sub-bucket index: 0 for
+/// the narrow buckets, where every value has its own slot.
+fn sub_shift(major: usize) -> u32 {
+    ((major - 1) as u32).saturating_sub(SUB_BITS)
+}
 
-    /// Total slots once allocated.
-    const SLOTS: usize = BUCKETS << SUB_BITS;
-
-    /// How far a major bucket's offsets shift down to a sub-bucket index:
-    /// 0 for the narrow buckets, where every value has its own slot.
-    fn sub_shift(major: usize) -> u32 {
-        ((major - 1) as u32).saturating_sub(SUB_BITS)
+/// Flat slot index of a value.
+fn slot_of(value: u64) -> usize {
+    let major = major_of(value);
+    if major == 0 {
+        return 0;
     }
+    let lo = 1u64 << (major - 1);
+    // Only major 63 can exceed the last sub-index (its range is wider than
+    // 2^62); clamp so everything up to u64::MAX saturates into the last
+    // slot.
+    let sub = ((value - lo) >> sub_shift(major)) as usize;
+    major * SUB + sub.min(SUB - 1)
+}
 
-    /// Flat slot index of a value.
-    fn slot_of(value: u64) -> usize {
-        let major = major_of(value);
-        if major == 0 {
-            return 0;
-        }
-        let lo = 1u64 << (major - 1);
-        // Only major 63 can exceed the last sub-index (its range is wider
-        // than 2^62); clamp so everything up to u64::MAX saturates into
-        // the last slot.
-        let sub = ((value - lo) >> Self::sub_shift(major)) as usize;
-        major * Self::SUB + sub.min(Self::SUB - 1)
+/// Inclusive `[lo, hi]` value bounds of a flat slot. (The trailing
+/// sub-slots of a narrow major bucket, past its width, are never hit.)
+fn slot_bounds(slot: usize) -> (u64, u64) {
+    let (major, sub) = (slot / SUB, slot % SUB);
+    if major == 0 {
+        return (0, 0);
     }
-
-    /// Inclusive `[lo, hi]` value bounds of a flat slot. (The trailing
-    /// sub-slots of a narrow major bucket, past its width, are never hit.)
-    fn slot_bounds(slot: usize) -> (u64, u64) {
-        let (major, sub) = (slot / Self::SUB, slot % Self::SUB);
-        if major == 0 {
-            return (0, 0);
-        }
-        let shift = Self::sub_shift(major);
-        let slot_lo = (1u64 << (major - 1)) + ((sub as u64) << shift);
-        if slot == Self::SLOTS - 1 {
-            // The saturation slot absorbs everything up to u64::MAX.
-            (slot_lo, u64::MAX)
-        } else {
-            (slot_lo, slot_lo + (1u64 << shift) - 1)
-        }
+    let shift = sub_shift(major);
+    let slot_lo = (1u64 << (major - 1)) + ((sub as u64) << shift);
+    if slot == SLOTS - 1 {
+        // The saturation slot absorbs everything up to u64::MAX.
+        (slot_lo, u64::MAX)
+    } else {
+        (slot_lo, slot_lo + (1u64 << shift) - 1)
     }
+}
 
+impl Histogram {
     /// A fresh, empty histogram.
     pub fn new() -> Self {
         Self::default()
@@ -144,9 +153,9 @@ impl<const SUB_BITS: u32> Hist<SUB_BITS> {
     /// Record one sample.
     pub fn record(&mut self, value: u64) {
         if self.slots.is_empty() {
-            self.slots = vec![0; Self::SLOTS].into_boxed_slice();
+            self.slots = vec![0; SLOTS].into_boxed_slice();
         }
-        self.slots[Self::slot_of(value)] += 1;
+        self.slots[slot_of(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
@@ -182,8 +191,8 @@ impl<const SUB_BITS: u32> Hist<SUB_BITS> {
         self.sum.checked_div(self.count).unwrap_or(0)
     }
 
-    /// The raw flat slot array, `major * 2^SUB_BITS + sub` order — empty
-    /// if nothing was ever recorded (tests, serialization).
+    /// The raw flat slot array, `major * 16 + sub` order — empty if nothing
+    /// was ever recorded (tests, serialization).
     pub fn slots(&self) -> &[u64] {
         &self.slots
     }
@@ -191,27 +200,22 @@ impl<const SUB_BITS: u32> Hist<SUB_BITS> {
     /// Value at a quantile given in **milli-percent** (`50_000` = p50,
     /// `99_000` = p99, `99_900` = p999).
     ///
-    /// Integer-rank selection (ceil(count·q/100000), clamped into
-    /// `[1, count]`) resolves the slot; the return value then **linearly
-    /// interpolates** between the slot's inclusive value bounds by the
-    /// rank's position among the slot's samples, clamped to the observed
-    /// `[min, max]`. Pure integer math (u128 intermediate), so identical on
-    /// every platform, and monotone in `q`. Returns 0 on an empty
-    /// histogram.
+    /// The integer rank ([`quantile_rank`]) resolves the slot; the return
+    /// value then **linearly interpolates** between the slot's inclusive
+    /// value bounds by the rank's position among the slot's samples,
+    /// clamped to the observed `[min, max]`. Pure integer math (u128
+    /// intermediate), so identical on every platform, and monotone in `q`.
+    /// Returns 0 on an empty histogram.
     fn quantile_milli(&self, q_milli: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }
-        let rank = self
-            .count
-            .saturating_mul(q_milli)
-            .div_ceil(100_000)
-            .clamp(1, self.count);
+        let rank = quantile_rank(self.count, q_milli);
         let mut seen = 0u64;
         for (slot, &n) in self.slots.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                let (slot_lo, slot_hi) = Self::slot_bounds(slot);
+                let (slot_lo, slot_hi) = slot_bounds(slot);
                 // Position of the target rank among this slot's n samples,
                 // 1-based: k = n yields slot_hi, k = 1 sits near slot_lo.
                 let k = rank - (seen - n);
@@ -239,7 +243,7 @@ impl<const SUB_BITS: u32> Hist<SUB_BITS> {
     }
 }
 
-impl<const SUB_BITS: u32> Absorb for Hist<SUB_BITS> {
+impl Absorb for Histogram {
     /// Slot-wise addition — exact and associative. An empty side has no
     /// slots: absorbing into one adopts `other`'s (a clone of an empty
     /// array allocates nothing), absorbing one adds nothing.
@@ -263,8 +267,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn filled<const B: u32>(values: impl IntoIterator<Item = u64>) -> Hist<B> {
-        let mut h = Hist::new();
+    fn filled(values: impl IntoIterator<Item = u64>) -> Histogram {
+        let mut h = Histogram::new();
         for v in values {
             h.record(v);
         }
@@ -283,7 +287,7 @@ mod tests {
         })
     }
 
-    fn summary<const B: u32>(h: &Hist<B>) -> [u64; 7] {
+    fn summary(h: &Histogram) -> [u64; 7] {
         [
             h.count(),
             h.min(),
@@ -295,15 +299,14 @@ mod tests {
         ]
     }
 
-    /// What PR 14's separate `Histogram` (64 × 16, `u64` slots) and
-    /// `DelayDigest` (64 × 4, `u32` slots) types reported for
-    /// `golden_samples`, computed at that commit: the benchmark's
-    /// delivery-delay metrics and every `flow_delay` row are read from
-    /// these quantiles and compared digit for digit across commits.
+    /// What the 64 × 16 layout reported for `golden_samples` when it was
+    /// introduced, pinned since: the benchmark's delivery-delay metrics are
+    /// read from these quantiles and compared digit for digit across
+    /// commits.
     #[test]
-    fn both_instantiations_reproduce_the_two_types_they_replaced() {
+    fn golden_samples_reproduce_the_pinned_summary() {
         assert_eq!(
-            summary(&filled::<4>(golden_samples())),
+            summary(&filled(golden_samples())),
             [
                 5000,
                 0,
@@ -314,23 +317,11 @@ mod tests {
                 16_492_674_416_639
             ]
         );
-        assert_eq!(
-            summary(&filled::<2>(golden_samples())),
-            [
-                5000,
-                0,
-                17_456_155_379_297,
-                442_801_827_019,
-                8_585_215,
-                10_307_921_510_399,
-                16_746_407_869_203
-            ]
-        );
     }
 
     #[test]
     fn zero_duration_samples_land_in_slot_zero() {
-        let h = filled::<4>([0, 0]);
+        let h = filled([0, 0]);
         assert_eq!(h.slots()[0], 2);
         assert_eq!(h.count(), 2);
         assert_eq!(h.min(), 0);
@@ -339,16 +330,16 @@ mod tests {
         assert_eq!(h.p999(), 0);
     }
 
-    fn max_value_saturates_into_top_slot<const B: u32>() {
-        let (sub, slots) = (Hist::<B>::SUB, Hist::<B>::SLOTS);
+    #[test]
+    fn max_value_saturates_into_top_slot_in_both_layouts() {
         // u64::MAX, the lower edge of the top major bucket, and just below
         // it (major bucket 62).
-        let h = filled::<B>([u64::MAX, 1 << 62, (1 << 62) - 1]);
-        assert_eq!(h.slots().len(), slots);
-        assert_eq!(h.slots()[slots - 1], 1, "u64::MAX saturates, no overflow");
-        assert_eq!(h.slots()[63 * sub], 1, "2^62 → first sub-slot");
-        assert_eq!(h.slots()[63 * sub - 1], 1, "2^62 - 1 → last of major 62");
-        assert_eq!(Hist::<B>::slot_bounds(slots - 1).1, u64::MAX);
+        let h = filled([u64::MAX, 1 << 62, (1 << 62) - 1]);
+        assert_eq!(h.slots().len(), SLOTS);
+        assert_eq!(h.slots()[SLOTS - 1], 1, "u64::MAX saturates, no overflow");
+        assert_eq!(h.slots()[63 * SUB], 1, "2^62 → first sub-slot");
+        assert_eq!(h.slots()[63 * SUB - 1], 1, "2^62 - 1 → last of major 62");
+        assert_eq!(slot_bounds(SLOTS - 1).1, u64::MAX);
         assert_eq!(h.max(), u64::MAX);
         // sum saturates instead of wrapping
         assert_eq!(h.sum(), u64::MAX);
@@ -356,14 +347,8 @@ mod tests {
     }
 
     #[test]
-    fn max_value_saturates_into_top_slot_in_both_layouts() {
-        max_value_saturates_into_top_slot::<4>();
-        max_value_saturates_into_top_slot::<2>();
-    }
-
-    fn slots_tile_the_u64_range<const B: u32>() {
-        let sub = Hist::<B>::SUB;
-        let narrow = B as usize + 1; // majors whose width is ≤ 2^B
+    fn slots_tile_the_u64_range_in_both_layouts() {
+        let narrow = SUB_BITS as usize + 1; // majors whose width is ≤ 16
         for i in 1..63usize {
             let lo = 1u64 << (i - 1);
             let hi = (1u64 << i) - 1;
@@ -372,11 +357,11 @@ mod tests {
             // …and within the bucket the sub-slots tile it exactly: the
             // lower edge is sub 0, the upper edge is the last sub (or the
             // exact top value for the narrow buckets).
-            assert_eq!(Hist::<B>::slot_of(lo), i * sub, "sub 0 at the lower edge");
-            let top = Hist::<B>::slot_of(hi);
-            assert_eq!(top / sub, i);
+            assert_eq!(slot_of(lo), i * SUB, "sub 0 at the lower edge");
+            let top = slot_of(hi);
+            assert_eq!(top / SUB, i);
             if i > narrow {
-                assert_eq!(top % sub, sub - 1);
+                assert_eq!(top % SUB, SUB - 1);
             }
         }
         assert_eq!(major_of(0), 0);
@@ -385,8 +370,8 @@ mod tests {
         // Every *reachable* slot's bounds round-trip through slot_of.
         // (Major 0 has a single value, and narrow major buckets leave the
         // sub-slots past their width permanently empty.)
-        for slot in 0..Hist::<B>::SLOTS {
-            let (major, s) = (slot / sub, slot % sub);
+        for slot in 0..SLOTS {
+            let (major, s) = (slot / SUB, slot % SUB);
             let reachable = match major {
                 0 => s == 0,
                 m if m <= narrow => (s as u64) < (1u64 << (m - 1)),
@@ -395,9 +380,9 @@ mod tests {
             if !reachable {
                 continue;
             }
-            let (lo, hi) = Hist::<B>::slot_bounds(slot);
-            assert_eq!(Hist::<B>::slot_of(lo), slot, "slot {slot} lower bound");
-            assert_eq!(Hist::<B>::slot_of(hi), slot, "slot {slot} upper bound");
+            let (lo, hi) = slot_bounds(slot);
+            assert_eq!(slot_of(lo), slot, "slot {slot} lower bound");
+            assert_eq!(slot_of(hi), slot, "slot {slot} upper bound");
             if major <= narrow {
                 assert_eq!(lo, hi, "narrow buckets hold one value per slot");
             }
@@ -405,74 +390,54 @@ mod tests {
     }
 
     #[test]
-    fn slots_tile_the_u64_range_in_both_layouts() {
-        slots_tile_the_u64_range::<4>();
-        slots_tile_the_u64_range::<2>();
-    }
-
-    #[test]
     fn sub_bucket_boundaries_are_linear_within_a_major_bucket() {
-        // Major bucket 10 covers [512, 1023]: 16 sub-ranges of 32, or 4 of
-        // 128.
+        // Major bucket 10 covers [512, 1023]: 16 sub-ranges of 32.
         for sub in 0..16u64 {
             let (lo, hi) = (512 + sub * 32, 512 + sub * 32 + 31);
             let slot = 10 * 16 + sub as usize;
-            assert_eq!(Hist::<4>::slot_of(lo), slot);
-            assert_eq!(Hist::<4>::slot_of(hi), slot);
-            assert_eq!(Hist::<4>::slot_bounds(slot), (lo, hi));
-        }
-        for sub in 0..4u64 {
-            let (lo, hi) = (512 + sub * 128, 512 + sub * 128 + 127);
-            assert_eq!(Hist::<2>::slot_bounds(10 * 4 + sub as usize), (lo, hi));
+            assert_eq!(slot_of(lo), slot);
+            assert_eq!(slot_of(hi), slot);
+            assert_eq!(slot_bounds(slot), (lo, hi));
         }
     }
 
-    fn never_recorded_owns_no_heap_memory<const B: u32>() {
-        let empty = Hist::<B>::new();
+    #[test]
+    fn a_never_recorded_histogram_owns_no_heap_memory() {
+        let empty = Histogram::new();
         assert!(empty.slots().is_empty());
-        assert_eq!(empty, Hist::default());
+        assert_eq!(empty, Histogram::default());
         assert_eq!(empty.clone(), empty);
         // min() of an empty histogram reads 0, not the u64::MAX sentinel.
         assert_eq!(empty.min(), 0);
         assert_eq!(empty.quantile_milli(99_000), 0);
         // Merging nothing into nothing allocates nothing.
-        let mut both = Hist::<B>::default();
-        both.absorb(&Hist::default());
-        assert_eq!(both, Hist::default());
+        let mut both = Histogram::default();
+        both.absorb(&Histogram::default());
+        assert_eq!(both, Histogram::default());
         assert!(both.slots().is_empty());
         // The first sample brings the whole array.
-        assert_eq!(filled::<B>([5]).slots().len(), Hist::<B>::SLOTS);
-    }
-
-    #[test]
-    fn a_never_recorded_histogram_owns_no_heap_memory() {
-        never_recorded_owns_no_heap_memory::<4>();
-        never_recorded_owns_no_heap_memory::<2>();
-    }
-
-    fn empty_merge_is_identity_both_sides<const B: u32>() {
-        let x = filled::<B>([0, 7, 700, 70_000, u64::MAX]);
-        let mut left = Hist::default();
-        left.absorb(&x);
-        assert_eq!(left, x, "default ⊕ x == x (adopts x's slots)");
-        let mut right = x.clone();
-        right.absorb(&Hist::default());
-        assert_eq!(right, x, "x ⊕ default == x");
+        assert_eq!(filled([5]).slots().len(), SLOTS);
     }
 
     #[test]
     fn empty_merge_is_identity_both_sides_in_both_layouts() {
-        empty_merge_is_identity_both_sides::<4>();
-        empty_merge_is_identity_both_sides::<2>();
+        let x = filled([0, 7, 700, 70_000, u64::MAX]);
+        let mut left = Histogram::default();
+        left.absorb(&x);
+        assert_eq!(left, x, "default ⊕ x == x (adopts x's slots)");
+        let mut right = x.clone();
+        right.absorb(&Histogram::default());
+        assert_eq!(right, x, "x ⊕ default == x");
     }
 
-    fn merge_is_associative_and_exact<const B: u32>() {
+    #[test]
+    fn merge_is_associative_and_exact_in_both_layouts() {
         let (a, b, c) = (
-            filled::<B>([1, 2, 3]),
-            filled::<B>([0, 1 << 20, u64::MAX]),
-            filled::<B>([42; 5]),
+            filled([1, 2, 3]),
+            filled([0, 1 << 20, u64::MAX]),
+            filled([42; 5]),
         );
-        let fold = |parts: &[&Hist<B>]| {
+        let fold = |parts: &[&Histogram]| {
             let mut acc = parts[0].clone();
             for part in &parts[1..] {
                 acc.absorb(part);
@@ -481,40 +446,13 @@ mod tests {
         };
         // (x ⊕ y) ⊕ z == x ⊕ (y ⊕ z), with the slotless identity in any of
         // the three places too.
-        let e = Hist::default();
+        let e = Histogram::default();
         for [x, y, z] in [[&a, &b, &c], [&e, &b, &c], [&a, &e, &c], [&a, &b, &e]] {
             assert_eq!(fold(&[x, y, z]), fold(&[x, &fold(&[y, z])]));
         }
         // Exactness: merged equals recording everything into one histogram.
-        let all = filled::<B>([1, 2, 3, 0, 1 << 20, u64::MAX, 42, 42, 42, 42, 42]);
+        let all = filled([1, 2, 3, 0, 1 << 20, u64::MAX, 42, 42, 42, 42, 42]);
         assert_eq!(fold(&[&a, &b, &c]), all);
-    }
-
-    #[test]
-    fn merge_is_associative_and_exact_in_both_layouts() {
-        merge_is_associative_and_exact::<4>();
-        merge_is_associative_and_exact::<2>();
-    }
-
-    #[test]
-    fn the_coarse_layout_tracks_the_fine_one_within_its_resolution() {
-        // Same samples through both: count/min/max/mean agree exactly,
-        // quantiles within the coarser layout's in-octave resolution.
-        let samples = || {
-            let mut x = 1u64;
-            (0..4096).map(move |_| {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                x >> 38
-            })
-        };
-        let (fine, coarse) = (filled::<4>(samples()), filled::<2>(samples()));
-        assert_eq!(summary(&fine)[..4], summary(&coarse)[..4]);
-        for q in [50_000u64, 99_000, 99_900] {
-            let (f, c) = (fine.quantile_milli(q), coarse.quantile_milli(q));
-            assert!(c.abs_diff(f) <= f / 3 + 1, "q={q}: coarse {c} vs fine {f}");
-        }
     }
 
     #[test]
@@ -523,7 +461,7 @@ mod tests {
         // p999 picks rank 101 (the 1000 sample — its slot holds exactly one
         // sample, so interpolation returns the slot's upper bound clamped to
         // the observed max).
-        let h = filled::<4>((0..100).map(|_| 1).chain([1000]));
+        let h = filled((0..100).map(|_| 1).chain([1000]));
         assert_eq!(h.p50(), 1);
         assert_eq!(h.p999(), 1000);
         let expected_mean = (100u64 + 1000) / h.count();
@@ -534,31 +472,27 @@ mod tests {
     fn interpolated_quantiles_resolve_within_an_octave() {
         // A flat 64-bucket layout collapses everything in [2^19, 2^20) to
         // the same upper bound. Two populations inside one octave must
-        // produce different p99s, at either resolution.
-        fn separates<const B: u32>() {
-            let low = filled::<B>([550_000; 1000]); // ~2^19.07
-            let high = filled::<B>([980_000; 1000]); // ~2^19.9
-            assert!(
-                low.p99() < high.p99(),
-                "sub-bucket resolution separates {} vs {}",
-                low.p99(),
-                high.p99()
-            );
-            // Interpolation clamps to observed bounds: a single-value
-            // population reports that value at every quantile.
-            assert_eq!(low.p50(), 550_000);
-            assert_eq!(low.p999(), 550_000);
-        }
+        // produce different p99s.
         assert_eq!(major_of(550_000), major_of(980_000), "same octave");
-        separates::<4>();
-        separates::<2>();
+        let low = filled([550_000; 1000]); // ~2^19.07
+        let high = filled([980_000; 1000]); // ~2^19.9
+        assert!(
+            low.p99() < high.p99(),
+            "sub-bucket resolution separates {} vs {}",
+            low.p99(),
+            high.p99()
+        );
+        // Interpolation clamps to observed bounds: a single-value
+        // population reports that value at every quantile.
+        assert_eq!(low.p50(), 550_000);
+        assert_eq!(low.p999(), 550_000);
     }
 
     #[test]
     fn interpolated_quantiles_are_monotone_in_q() {
         // A spread population across several octaves plus in-octave spread.
         let mut x = 1u64;
-        let h = filled::<4>((0..4096u64).map(|i| {
+        let h = filled((0..4096u64).map(|i| {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -584,16 +518,16 @@ mod tests {
         // wall-clock interval must land in the same slot.
         let sim_us: u64 = 40_000; // virtual µs
         let os_us: u64 = 40_000; // monotonic µs since transport creation
-        let sim = filled::<4>([sim_us * 1_000]);
-        let os = filled::<4>([os_us * 1_000]);
+        let sim = filled([sim_us * 1_000]);
+        let os = filled([os_us * 1_000]);
         assert_eq!(sim.slots(), os.slots());
     }
 
     /// Every quantile against the exact order statistic of the same
     /// samples: inside `[min, max]`, and no further from the truth than the
     /// width of the slot the truth sits in.
-    fn quantiles_track_a_sorted_oracle<const B: u32>(mut values: Vec<u64>) {
-        let h = filled::<B>(values.iter().copied());
+    fn quantiles_track_a_sorted_oracle(mut values: Vec<u64>) {
+        let h = filled(values.iter().copied());
         values.sort_unstable();
         let n = values.len() as u64;
         assert_eq!(h.count(), n);
@@ -603,7 +537,7 @@ mod tests {
             let exact = values[rank as usize - 1];
             let got = h.quantile_milli(q);
             assert!(h.min() <= got && got <= h.max(), "q={q}: {got}");
-            let (lo, hi) = Hist::<B>::slot_bounds(Hist::<B>::slot_of(exact));
+            let (lo, hi) = slot_bounds(slot_of(exact));
             assert!(
                 got.abs_diff(exact) <= hi - lo,
                 "q={q}: got {got}, exact {exact}, slot [{lo}, {hi}]"
@@ -627,8 +561,7 @@ mod tests {
                     _ => 0,
                 })
                 .collect();
-            quantiles_track_a_sorted_oracle::<4>(values.clone());
-            quantiles_track_a_sorted_oracle::<2>(values);
+            quantiles_track_a_sorted_oracle(values);
         }
     }
 }

@@ -53,8 +53,9 @@ pub struct CellReport {
     pub middlebox_splits: u64,
     /// Segments coalesced by the middlebox.
     pub middlebox_coalesces: u64,
-    /// Delivery-delay p50 in virtual ns (log2-bucket upper bound; engine
-    /// obs layer — multi-flow cells only, 0 on the single-flow drivers).
+    /// Delivery-delay p50 in virtual ns (interpolated within one of 16
+    /// linear sub-buckets of its octave; engine obs layer — multi-flow
+    /// cells only, 0 on the single-flow drivers).
     pub delivery_delay_p50_ns: u64,
     /// Delivery-delay p99 in virtual ns (multi-flow cells only).
     pub delivery_delay_p99_ns: u64,
