@@ -1,13 +1,27 @@
 //! Bulk-transfer workloads (§8.1): a source that keeps the connection's send
-//! buffer full with fixed-size application messages and a sink that counts
-//! delivered bytes. Used for the throughput-vs-message-size experiment
-//! (Figure 5) and as the competing traffic in the conferencing experiments.
-//! Each is an application for [`Sim::drive`]: its `react` is what to do
-//! after an event.
+//! buffer full with fixed-size application messages and a sink that checks
+//! and counts the delivered bytes. Used for the throughput-vs-message-size
+//! experiment (Figure 5) and as the competing traffic in the conferencing
+//! experiments. Each is an application for [`Sim::drive`]: its `react` is
+//! what to do after an event.
+//!
+//! The bulk stream is one endless headerless [`Record`] of the delivery
+//! check's formula: the sender writes it from one reused buffer, and the
+//! sink hands each chunk it reads to an ordered [`DeliveryCheck`], which
+//! compares it in place. What the sink counts as received is what the
+//! check accepted; a figure ends by asking the check for its verdict.
 
 use minion_simnet::{NodeId, SimTime};
 use minion_stack::{Sim, SocketAddr, SocketHandle};
-use minion_tcp::{ConnStats, SocketOptions, TcpConfig, WriteMeta};
+use minion_tcp::{
+    fill_stream, ConnStats, DeliveryCheck, Record, SocketOptions, TcpConfig, WriteMeta,
+};
+
+/// The record holding byte `at` of a bulk stream: the whole stream is one
+/// record with no header, byte `o` being `31·o mod 251`.
+fn bulk_stream(_at: u64) -> Record {
+    Record::keyed(0, 0, 0, u64::MAX)
+}
 
 /// A greedy sender that writes `message_size`-byte application messages to a
 /// TCP socket whenever the send buffer has room, up to `total_bytes`.
@@ -17,7 +31,8 @@ pub struct BulkSender {
     message_size: usize,
     total_bytes: u64,
     written: u64,
-    next_byte: u8,
+    /// One message's worth of the stream, rebuilt for each write.
+    scratch: Vec<u8>,
 }
 
 impl BulkSender {
@@ -40,7 +55,7 @@ impl BulkSender {
             message_size,
             total_bytes,
             written: 0,
-            next_byte: 0,
+            scratch: vec![0; message_size],
         }
     }
 
@@ -70,9 +85,9 @@ impl BulkSender {
             {
                 break;
             }
-            let msg = vec![self.next_byte; size];
-            self.next_byte = self.next_byte.wrapping_add(1);
-            match host.tcp_write_meta(self.handle, &msg, WriteMeta::normal()) {
+            let msg = &mut self.scratch[..size];
+            fill_stream(self.written, msg, bulk_stream);
+            match host.tcp_write_meta(self.handle, msg, WriteMeta::normal()) {
                 Ok(n) => self.written += n as u64,
                 Err(_) => break,
             }
@@ -80,11 +95,12 @@ impl BulkSender {
     }
 }
 
-/// A sink that counts the bytes delivered on an accepted connection.
+/// A sink that checks and counts the bytes delivered on an accepted
+/// connection.
 pub struct BulkSink {
     node: NodeId,
     handle: SocketHandle,
-    received: u64,
+    check: DeliveryCheck,
     first_byte_at: Option<SimTime>,
     last_byte_at: Option<SimTime>,
 }
@@ -95,15 +111,21 @@ impl BulkSink {
         BulkSink {
             node,
             handle,
-            received: 0,
+            check: DeliveryCheck::stream(u64::MAX, true),
             first_byte_at: None,
             last_byte_at: None,
         }
     }
 
-    /// Total payload bytes delivered to the application so far.
+    /// Payload bytes delivered to the application so far, in order and
+    /// intact: the bytes the check accepted.
     pub fn received(&self) -> u64 {
-        self.received
+        self.check.delivered()
+    }
+
+    /// The delivered stream's check.
+    pub fn check(&self) -> &DeliveryCheck {
+        &self.check
     }
 
     /// Application-level goodput in bits per second between first and last
@@ -111,14 +133,14 @@ impl BulkSink {
     pub fn goodput_bps(&self) -> f64 {
         match (self.first_byte_at, self.last_byte_at) {
             (Some(first), Some(last)) if last > first => {
-                self.received as f64 * 8.0 / (last - first).as_secs_f64()
+                self.received() as f64 * 8.0 / (last - first).as_secs_f64()
             }
             _ => 0.0,
         }
     }
 
-    /// Drain what the connection delivered, stamping it with the current
-    /// time.
+    /// Drain what the connection delivered into the check, stamping it
+    /// with the current time. A refused chunk is the check's to remember.
     pub fn react(&mut self, sim: &mut Sim) {
         let now = sim.now();
         let host = sim.host_mut(self.node);
@@ -127,7 +149,7 @@ impl BulkSink {
                 self.first_byte_at = Some(now);
             }
             self.last_byte_at = Some(now);
-            self.received += chunk.len() as u64;
+            let _refused = self.check.on_chunk(&chunk, now.as_micros(), bulk_stream);
         }
     }
 }
@@ -165,6 +187,11 @@ impl CompetingFlow {
     /// Bytes delivered by this flow so far.
     pub fn delivered(&self) -> u64 {
         self.sink.as_ref().map(|s| s.received()).unwrap_or(0)
+    }
+
+    /// The check of what the flow delivered, once its sink exists.
+    pub fn check(&self) -> Option<&DeliveryCheck> {
+        self.sink.as_ref().map(BulkSink::check)
     }
 
     /// When the flow wants to be called next on its own account: its start,
@@ -260,6 +287,7 @@ mod tests {
         assert_eq!(sender.written(), 2_000_000);
         let sink = sink.expect("accepted");
         assert_eq!(sink.received(), 2_000_000);
+        assert_eq!(sink.check().verdict(), Ok(()));
         let goodput = sink.goodput_bps();
         assert!(
             goodput > 3_500_000.0 && goodput < 8_200_000.0,

@@ -19,6 +19,6 @@ pub mod vpn;
 pub mod web;
 
 pub use bulk::{BulkSender, BulkSink, CompetingFlow};
-pub use voip::{frame_number, VoipReceiver, VoipReport, VoipSource, VoipSourceConfig};
+pub use voip::{VoipReceiver, VoipReport, VoipSource, VoipSourceConfig};
 pub use vpn::TunnelGateway;
 pub use web::{generate_trace, load_page_mstcp, load_page_pipelined_tcp, PageLoadMetrics, WebPage};

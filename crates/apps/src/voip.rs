@@ -12,8 +12,17 @@
 //! than PESQ waveform comparison. The quantities the figures plot — frame
 //! latency CDFs, burst-length CDFs, and a quality score over time — are
 //! computed the same way.
+//!
+//! Frame `n` is a [`Record`] of the delivery check's formula: its number
+//! as an 8-byte big-endian header, then formula bytes standing in for the
+//! codec's. The receiver hands each frame to a datagram [`DeliveryCheck`]
+//! keyed by frame number, so a duplicate, a corrupted or an unparseable
+//! frame is a counted violation, never silently dropped; a call ends by
+//! asking the check for its verdict. A frame that never arrives is a
+//! missed playout deadline, as any late frame is.
 
 use minion_simnet::{Distribution, SimDuration, SimTime, TimeSeries};
+use minion_tcp::{DeliveryCheck, Record};
 
 /// Parameters of the voice source.
 #[derive(Clone, Debug)]
@@ -40,6 +49,11 @@ impl VoipSourceConfig {
     /// Number of frames the source will emit.
     fn total_frames(&self) -> u64 {
         self.duration.as_micros() / self.frame_interval.as_micros()
+    }
+
+    /// Frame `number` as sent.
+    fn frame(&self, number: u64) -> Record {
+        Record::keyed(number, 8, 0, self.frame_size as u64)
     }
 }
 
@@ -73,36 +87,30 @@ impl VoipSource {
     /// Emit the next frame if it is due at `now`. The payload begins with the
     /// frame number so the receiver can identify frames without any framing
     /// help from the transport.
-    pub fn poll(&mut self, now: SimTime) -> Option<(u64, Vec<u8>)> {
+    fn poll(&mut self, now: SimTime) -> Option<(u64, Vec<u8>)> {
         let due = self.next_send_time()?;
         if now < due {
             return None;
         }
         let number = self.next_frame;
         self.next_frame += 1;
-        let mut payload = vec![0u8; self.config.frame_size];
-        payload[..8].copy_from_slice(&number.to_be_bytes());
-        // Fill the rest deterministically (stand-in for codec bits).
-        for (i, b) in payload[8..].iter_mut().enumerate() {
-            *b = ((number as usize + i) % 251) as u8;
+        Some((number, self.config.frame(number).to_vec()))
+    }
+
+    /// Hand every frame due at `now` to `send`, which says whether the
+    /// transport took it; returns how many it refused.
+    pub fn send_due(&mut self, now: SimTime, mut send: impl FnMut(&[u8]) -> bool) -> u64 {
+        let mut refused = 0;
+        while let Some((_, frame)) = self.poll(now) {
+            refused += u64::from(!send(&frame));
         }
-        Some((number, payload))
+        refused
     }
 
     /// Source configuration.
     pub fn config(&self) -> &VoipSourceConfig {
         &self.config
     }
-}
-
-/// Decode the frame number out of a received frame payload.
-pub fn frame_number(payload: &[u8]) -> Option<u64> {
-    if payload.len() < 8 {
-        return None;
-    }
-    Some(u64::from_be_bytes(
-        payload[..8].try_into().expect("8 bytes"),
-    ))
 }
 
 /// The receiver: a playout (jitter) buffer plus the metrics the paper plots.
@@ -118,6 +126,8 @@ pub struct VoipReceiver {
     arrivals: Vec<Option<SimTime>>,
     /// Source start time used to compute deadlines.
     source_start: SimTime,
+    /// The check every arriving frame goes through.
+    check: DeliveryCheck,
 }
 
 /// Aggregate quality metrics for one call.
@@ -149,22 +159,29 @@ impl VoipReceiver {
             latencies: Distribution::new(),
             arrivals: vec![None; frames],
             source_start,
+            check: DeliveryCheck::datagrams(frames as u64, 8),
         }
     }
 
-    /// Record the arrival of a frame payload at `now`.
+    /// Record the arrival of a frame payload at `now`, once the check has
+    /// accepted it; a refused frame is the check's to count.
     pub fn on_frame(&mut self, payload: &[u8], now: SimTime) {
-        let Some(number) = frame_number(payload) else {
+        let config = &self.config;
+        let Ok(number) = self
+            .check
+            .on_datagram(payload, now.as_micros(), |n| config.frame(n))
+        else {
             return;
         };
-        let idx = number as usize;
-        if idx >= self.arrivals.len() || self.arrivals[idx].is_some() {
-            return; // out of range or duplicate
-        }
-        self.arrivals[idx] = Some(now);
+        self.arrivals[number as usize] = Some(now);
         let sent = self.source_start + self.config.frame_interval.saturating_mul(number);
         self.latencies
             .add(now.saturating_since(sent).as_millis_f64());
+    }
+
+    /// The check of the frames that arrived.
+    pub fn check(&self) -> &DeliveryCheck {
+        &self.check
     }
 
     /// Whether a frame made its playout deadline.
@@ -301,12 +318,31 @@ mod tests {
         let mut count = 2;
         let mut t = SimTime::from_millis(40);
         while let Some((n, payload)) = src.poll(t) {
-            assert_eq!(frame_number(&payload), Some(n));
+            assert_eq!(payload[..8], n.to_be_bytes());
             count += 1;
             t += SimDuration::from_millis(20);
         }
         assert_eq!(count, 50);
         assert!(src.next_send_time().is_none());
+    }
+
+    /// Every due frame is offered once; each one the transport refuses is
+    /// counted, and none is offered again.
+    #[test]
+    fn refused_sends_are_counted() {
+        let cfg = VoipSourceConfig {
+            duration: SimDuration::from_secs(1),
+            ..Default::default()
+        };
+        let mut src = VoipSource::new(cfg, SimTime::ZERO);
+        let mut offered = Vec::new();
+        // A transport that refuses its second send only.
+        let refused = src.send_due(SimTime::from_millis(60), |frame| {
+            offered.push(u64::from_be_bytes(frame[..8].try_into().unwrap()));
+            offered.len() != 2
+        });
+        assert_eq!((refused, offered), (1, vec![0, 1, 2, 3]));
+        assert_eq!(src.send_due(SimTime::from_millis(70), |_| false), 0);
     }
 
     #[test]
@@ -320,16 +356,12 @@ mod tests {
         // Frames 0..40 arrive 50 ms after sending; frames 40..45 arrive 500 ms
         // late (missing the 200 ms playout deadline); 45..50 never arrive.
         for n in 0..40u64 {
-            let sent = sent_at(n);
-            let mut payload = vec![0u8; 640];
-            payload[..8].copy_from_slice(&n.to_be_bytes());
-            rx.on_frame(&payload, sent + SimDuration::from_millis(50));
+            let payload = cfg.frame(n).to_vec();
+            rx.on_frame(&payload, sent_at(n) + SimDuration::from_millis(50));
         }
         for n in 40..45u64 {
-            let sent = sent_at(n);
-            let mut payload = vec![0u8; 640];
-            payload[..8].copy_from_slice(&n.to_be_bytes());
-            rx.on_frame(&payload, sent + SimDuration::from_millis(500));
+            let payload = cfg.frame(n).to_vec();
+            rx.on_frame(&payload, sent_at(n) + SimDuration::from_millis(500));
         }
         let report = rx.report(SimDuration::from_secs(2));
         assert_eq!(report.miss_fraction, 10.0 / 50.0);
@@ -338,21 +370,47 @@ mod tests {
         assert!((report.latencies_ms.mean() - 100.0).abs() < 1.0);
     }
 
+    /// A duplicate and a frame too short to carry a number are counted
+    /// violations; the frame counts once, at its first arrival.
     #[test]
-    fn duplicate_and_garbage_frames_are_ignored() {
+    fn duplicate_and_garbage_frames_are_counted_violations() {
         let cfg = VoipSourceConfig {
             duration: SimDuration::from_secs(1),
             ..Default::default()
         };
+        let payload = cfg.frame(3).to_vec();
         let mut rx = VoipReceiver::new(cfg, SimDuration::from_millis(200), SimTime::ZERO);
-        let mut payload = vec![0u8; 640];
-        payload[..8].copy_from_slice(&3u64.to_be_bytes());
         rx.on_frame(&payload, SimTime::from_millis(70));
+        assert_eq!(rx.check().verdict(), Ok(()));
         rx.on_frame(&payload, SimTime::from_millis(90));
         rx.on_frame(&[1, 2, 3], SimTime::from_millis(95));
-        // One frame counted, at its first arrival: sent at 60 ms, heard at 70.
+        let check = rx.check();
+        assert_eq!((check.violations(), check.duplicates()), (2, 1));
+        let first = check.verdict().unwrap_err().to_string();
+        assert_eq!(first, "at 90000 us, offset 3: datagram delivered twice");
+        // Sent at 60 ms, heard at 70.
         let report = rx.report(SimDuration::from_secs(2));
         assert_eq!(report.latencies_ms.samples(), [10.0]);
+    }
+
+    /// A frame whose bytes differ from the sent frame's, even after an
+    /// intact number, is refused and never heard.
+    #[test]
+    fn a_corrupted_frame_is_a_violation() {
+        let cfg = VoipSourceConfig {
+            duration: SimDuration::from_secs(1),
+            ..Default::default()
+        };
+        let mut payload = cfg.frame(5).to_vec();
+        payload[8] ^= 1;
+        let mut rx = VoipReceiver::new(cfg, SimDuration::from_millis(200), SimTime::ZERO);
+        rx.on_frame(&payload, SimTime::from_millis(120));
+        let first = rx.check().verdict().unwrap_err().to_string();
+        assert_eq!(
+            first,
+            "at 120000 us, offset 5: datagram differs from the one sent"
+        );
+        assert!(rx.report(SimDuration::from_secs(2)).latencies_ms.is_empty());
     }
 
     #[test]

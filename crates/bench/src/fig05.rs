@@ -86,6 +86,10 @@ fn run_bulk_transfer(
             Reaction::Done
         }
     });
+    if let Some(sink) = &sink {
+        let flow = format!("Fig. 5 transfer of {message_size} B writes");
+        crate::assert_delivered(&flow, sink.check());
+    }
     let stats = sender.stats(&sim);
     Transfer {
         mbps: sink.map_or(0.0, |s| s.goodput_bps() / 1_000_000.0),

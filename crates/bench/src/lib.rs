@@ -103,6 +103,14 @@ impl Scale {
 /// Default seed used by the figure binaries.
 pub const DEFAULT_SEED: u64 = 42;
 
+/// Fail the run if `check` refused a delivery: `what` names the flow, the
+/// violation its time and offset.
+pub(crate) fn assert_delivered(what: &str, check: &minion_tcp::DeliveryCheck) {
+    if let Err(violation) = check.verdict() {
+        panic!("{what}: {violation}");
+    }
+}
+
 /// Listen with `protocol` on `server:port`, connect from `client`, and drive
 /// `sim` until the server has accepted and both ends are established (uTLS
 /// runs its handshake here). Returns the client's end and the server's.

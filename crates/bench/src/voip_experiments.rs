@@ -54,8 +54,10 @@ impl VoipRunConfig {
     }
 }
 
-/// Run one VoIP call and return the receiver's report.
-pub fn run_call(config: &VoipRunConfig) -> VoipReport {
+/// Run one VoIP call; returns the receiver's report and how many frames
+/// the sending transport refused. Every frame and every competing flow's
+/// bytes go through a delivery check, and a violation fails the call.
+pub fn run_call(config: &VoipRunConfig) -> (VoipReport, u64) {
     let mut sim = Sim::new(config.seed);
     let sender = sim.add_host("caller");
     let receiver = sim.add_host("callee");
@@ -95,11 +97,10 @@ pub fn run_call(config: &VoipRunConfig) -> VoipReport {
     let mut voip_rx = VoipReceiver::new(source_config, config.jitter_buffer, call_start);
 
     let end = call_start + config.duration + SimDuration::from_secs(2);
+    let mut refused = 0;
     sim.drive(end, |sim| {
         let now = sim.now();
-        while let Some((_number, frame)) = source.poll(now) {
-            let _ = tx.send(sim.host_mut(sender), &frame, 0);
-        }
+        refused += source.send_due(now, |frame| tx.send(sim.host_mut(sender), frame, 0).is_ok());
         for datagram in rx.recv(sim.host_mut(receiver)) {
             voip_rx.on_frame(&datagram.payload, now);
         }
@@ -110,25 +111,57 @@ pub fn run_call(config: &VoipRunConfig) -> VoipReport {
         Reaction::Wait(wakes.chain(source.next_send_time()).min())
     });
 
-    voip_rx.report(SimDuration::from_secs(2))
+    let call = format!("{:?} call", config.protocol);
+    crate::assert_delivered(&format!("{call}: voice frames"), voip_rx.check());
+    for (i, flow) in competing.iter().enumerate() {
+        if let Some(check) = flow.check() {
+            crate::assert_delivered(&format!("{call}: competing flow {i}"), check);
+        }
+    }
+    (voip_rx.report(SimDuration::from_secs(2)), refused)
+}
+
+/// One call per transport the figures compare (uCOBS, TCP, UDP), each
+/// configured by `config`; returns the figure's table, titled `title`,
+/// which names every transport whose sender refused frames, beside the
+/// calls' reports.
+fn run_arms(
+    title: &str,
+    columns: &[&str],
+    config: impl Fn(Protocol) -> VoipRunConfig,
+) -> (Table, Vec<VoipReport>) {
+    let mut refused = Vec::new();
+    let reports = [Protocol::Ucobs, Protocol::TcpTlv, Protocol::Udp].map(|protocol| {
+        let (report, n) = run_call(&config(protocol));
+        if n > 0 {
+            refused.push(format!("{protocol:?} {n}"));
+        }
+        report
+    });
+    let title = match refused.is_empty() {
+        true => title.to_string(),
+        false => format!(
+            "{title} [frames the sender refused: {}]",
+            refused.join(", ")
+        ),
+    };
+    (Table::new(title, columns), reports.into())
 }
 
 /// Figure 7: CDF of one-way frame latency for uCOBS, TCP, and UDP.
 pub fn run_fig7(duration: SimDuration, seed: u64) -> Table {
-    let mut table = Table::new(
+    let (mut table, reports) = run_arms(
         "Figure 7: one-way frame latency CDF (ms)",
         &["percentile", "ucobs_ms", "tcp_ms", "udp_ms"],
+        |protocol| VoipRunConfig {
+            duration,
+            ..VoipRunConfig::heavy_contention(protocol, seed)
+        },
     );
-    let mut reports: Vec<(Protocol, VoipReport)> = Vec::new();
-    for protocol in [Protocol::Ucobs, Protocol::TcpTlv, Protocol::Udp] {
-        let mut cfg = VoipRunConfig::heavy_contention(protocol, seed);
-        cfg.duration = duration;
-        reports.push((protocol, run_call(&cfg)));
-    }
     for pct in [10, 25, 50, 75, 80, 90, 95, 99] {
         let q = pct as f64 / 100.0;
         let row: Vec<String> = std::iter::once(pct.to_string())
-            .chain(reports.iter().map(|(_, r)| {
+            .chain(reports.iter().map(|r| {
                 let mut d: Distribution = r.latencies_ms.clone();
                 format!("{:.1}", d.quantile(q))
             }))
@@ -140,24 +173,27 @@ pub fn run_fig7(duration: SimDuration, seed: u64) -> Table {
 
 /// Figure 8: CDF of codec-perceived loss-burst lengths (in frames).
 pub fn run_fig8(duration: SimDuration, seed: u64) -> Table {
-    let mut table = Table::new(
+    let (mut table, reports) = run_arms(
         "Figure 8: loss-burst length CDF (200 ms jitter buffer)",
         &["burst_length_frames", "ucobs_cdf", "tcp_cdf", "udp_cdf"],
+        |protocol| VoipRunConfig {
+            duration,
+            ..VoipRunConfig::heavy_contention(protocol, seed)
+        },
     );
-    let mut dists: Vec<Distribution> = Vec::new();
-    for protocol in [Protocol::Ucobs, Protocol::TcpTlv, Protocol::Udp] {
-        let mut cfg = VoipRunConfig::heavy_contention(protocol, seed);
-        cfg.duration = duration;
-        let report = run_call(&cfg);
-        let mut d = Distribution::new();
-        for &b in &report.burst_lengths {
-            d.add(b as f64);
-        }
-        if d.is_empty() {
-            d.add(0.0);
-        }
-        dists.push(d);
-    }
+    let dists: Vec<Distribution> = reports
+        .iter()
+        .map(|report| {
+            let mut d = Distribution::new();
+            for &b in &report.burst_lengths {
+                d.add(b as f64);
+            }
+            if d.is_empty() {
+                d.add(0.0);
+            }
+            d
+        })
+        .collect();
     for burst in [1usize, 2, 3, 5, 10, 20, 30, 50] {
         let row: Vec<String> = std::iter::once(burst.to_string())
             .chain(
@@ -174,14 +210,11 @@ pub fn run_fig8(duration: SimDuration, seed: u64) -> Table {
 /// Figure 9: sliding-window quality (MOS) over a call with competing flows
 /// added each minute.
 pub fn run_fig9(minutes: u64, seed: u64) -> Table {
-    let mut table = Table::new(
+    let (mut table, reports) = run_arms(
         "Figure 9: moving quality score (MOS) under increasing contention",
         &["time_s", "ucobs_mos", "tcp_mos", "udp_mos"],
+        |protocol| VoipRunConfig::progressive_contention(protocol, minutes, seed),
     );
-    let reports: Vec<VoipReport> = [Protocol::Ucobs, Protocol::TcpTlv, Protocol::Udp]
-        .into_iter()
-        .map(|p| run_call(&VoipRunConfig::progressive_contention(p, minutes, seed)))
-        .collect();
     // Sample each timeline on a common 10-second grid.
     let total = minutes * 60;
     let mut t = 0u64;
@@ -213,8 +246,8 @@ mod tests {
         ucobs_cfg.duration = duration;
         let mut tcp_cfg = VoipRunConfig::heavy_contention(Protocol::TcpTlv, 5);
         tcp_cfg.duration = duration;
-        let ucobs = run_call(&ucobs_cfg);
-        let tcp = run_call(&tcp_cfg);
+        let (ucobs, _) = run_call(&ucobs_cfg);
+        let (tcp, _) = run_call(&tcp_cfg);
         // Both deliver most frames eventually, but uCOBS keeps the latency
         // tail lower and misses no more playout deadlines.
         assert!(ucobs.latencies_ms.len() > 500);
@@ -242,7 +275,7 @@ mod tests {
     fn udp_frame_latency_is_not_rounded_up() {
         let mut cfg = VoipRunConfig::heavy_contention(Protocol::Udp, 6);
         cfg.duration = SimDuration::from_secs(5);
-        let mut lat = run_call(&cfg).latencies_ms;
+        let mut lat = run_call(&cfg).0.latencies_ms;
         let p10 = lat.quantile(0.1);
         assert!((30.0..35.0).contains(&p10), "p10 {p10}");
     }
@@ -251,7 +284,8 @@ mod tests {
     fn udp_frames_are_never_delayed_by_retransmission() {
         let mut cfg = VoipRunConfig::heavy_contention(Protocol::Udp, 6);
         cfg.duration = SimDuration::from_secs(15);
-        let report = run_call(&cfg);
+        let (report, refused) = run_call(&cfg);
+        assert_eq!(refused, 0, "UDP sends are never refused");
         // UDP never retransmits: frames either arrive within one queue's
         // worth of delay or are dropped outright (they are never delivered
         // late after a recovery, which is what inflates the TCP tail).

@@ -52,8 +52,10 @@ pub struct FlowMetrics {
     /// Fingerprint of how the stream arrived: [`fnv1a`](minion_simnet::fnv1a)
     /// from [`FNV_OFFSET_BASIS`](minion_simnet::FNV_OFFSET_BASIS) over each
     /// delivered chunk's offset and length (`u64` LE) and `in_order` flag
-    /// (one byte), in arrival order. The bytes themselves are not in it:
-    /// each chunk was checked against the stream's formula as it arrived.
+    /// (one byte), in arrival order: the flow's
+    /// [`DeliveryCheck::fingerprint`](minion_tcp::DeliveryCheck::fingerprint).
+    /// The bytes themselves are not in it: each chunk was checked against
+    /// the stream's formula as it arrived.
     /// Chunk boundaries, duplicates and reordering all move it; on a
     /// kernel-TCP backend, whose chunk boundaries vary from run to run, so
     /// does it.

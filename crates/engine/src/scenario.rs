@@ -17,20 +17,22 @@
 //!   none is flagged out of order.
 //!
 //! The driver keeps no stream. A flow's stream is a formula of (flow,
-//! offset) (`build_stream`): the writer builds what it offers from the
-//! flow's send cursor into one scratch buffer, and each delivered chunk is
-//! compared with the formula at its offset and then dropped. What a flow
-//! keeps is its cursor, its coverage ranges, its records' delivery delays
-//! and a fingerprint of how its chunks arrived.
+//! offset): its records are [`Record::framed`], and
+//! [`minion_tcp::fill_stream`] builds any range of it. The writer builds
+//! what it offers from the flow's send cursor into one scratch buffer, and
+//! the flow's [`DeliveryCheck`], the one delivery check the figure apps
+//! and the scenario matrix use too, compares each delivered chunk with the
+//! formula at its offset and then drops it. What a flow keeps is its
+//! cursor, its check (coverage, arrival fingerprint, completion stamp) and
+//! its records' delivery delays.
 //!
 //! [`LoadScenario::run_on`] is only the readiness loop: it opens the
 //! flows, steps the transport, hands each event to its flow's `FlowState`,
 //! closes the flows and reports. The per-flow work lives on `FlowState`:
 //! `flush` writes, `on_lifecycle` takes the client's edges and window
-//! samples, `on_chunk` is the verifier (the ordered-receiver rule, the
-//! formula check, fingerprint and coverage, the records a chunk completes
-//! and the one completion stamp), and `metrics` is the flow's report row,
-//! its delay quantiles read exactly from its records.
+//! samples, `on_chunk` hands each chunk to the check and stamps the
+//! records it completes, and `metrics` is the flow's report row, its delay
+//! quantiles read exactly from its records.
 //!
 //! [`verify_load`] additionally runs the scenario twice and asserts the two
 //! [`LoadReport`]s are identical — the determinism acceptance gate.
@@ -50,9 +52,11 @@ use crate::obs::{
 use crate::transport::{SimTransport, Transport, TransportChunk};
 use minion_exec::Executor;
 use minion_obs::{quantile_rank, CcObs, NonDeterministic, StreamSink, TraceEvent, TraceKind};
-use minion_simnet::{fnv1a, LossConfig, SimDuration, SimTime, FNV_OFFSET_BASIS};
+use minion_simnet::{LossConfig, SimDuration, SimTime};
 use minion_stack::FlowId;
-use minion_tcp::{CcAlgorithm, ConnEvent, SendBuffer};
+use minion_tcp::{
+    fill_stream, CcAlgorithm, ConnEvent, DeliveryCheck, Record, SendBuffer, Violation,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -300,8 +304,9 @@ impl LoadScenario {
                 "[{label}] duplicate ephemeral port {pair_key}"
             );
             let now_ns = ns_of(transport.now());
-            let mut state =
-                FlowState::new(id, global_flow as u32, now_ns, self.records(global_flow));
+            let records = self.records(global_flow);
+            let ordered = !self.receiver_utcp;
+            let mut state = FlowState::new(id, global_flow as u32, now_ns, records, ordered);
             obs.record_event(&mut spill, state.event(now_ns, 0, TraceKind::Syn));
             state.flush(transport, &mut scratch, now_ns, &mut obs);
             states.push(state);
@@ -342,19 +347,19 @@ impl LoadScenario {
                 while let Some(chunk) = transport.read(f) {
                     let state = &mut states[flow];
                     obs.counters.inc(C_CHUNKS_DELIVERED);
-                    if state.covered.is_empty() {
+                    if state.check.covered().is_empty() {
                         let first_byte = state.event(ns_of(now), 0, TraceKind::FirstByte);
                         obs.record_event(&mut spill, first_byte);
                     }
                     let completes = state
-                        .on_chunk(&chunk, !self.receiver_utcp, now, |record, delay_ns| {
+                        .on_chunk(&chunk, now, |record, delay_ns| {
                             obs.delivery_delay.record(delay_ns);
                             obs.record_event(&mut spill, record);
                         })
                         .unwrap_or_else(|e| panic!("[{label}] flow {flow}: {e}"));
                     obs.coverage_ranges_high_water = obs
                         .coverage_ranges_high_water
-                        .max(state.covered.len() as u64);
+                        .max(state.check.covered().len() as u64);
                     completed += usize::from(completes);
                 }
             }
@@ -533,28 +538,22 @@ fn push_end(end_of: &mut Vec<End>, id: FlowId, end: End, label: &str) {
     end_of.push(end);
 }
 
-/// 31 and 251 are coprime, so a record's payload repeats every 251 bytes.
-const PERIOD: usize = 251;
-
-/// `STEPS[i]` = 31·i mod 251, two periods of it. As 31·81 ≡ 1 (mod 251), a
-/// payload whose byte 0 is `base` reads `STEPS[k..]` with k = 81·base mod
-/// 251, so any run of up to one period of it is one slice.
-const STEPS: [u8; 2 * PERIOD] = {
-    let mut steps = [0; 2 * PERIOD];
-    let mut i = 0;
-    while i < 2 * PERIOD {
-        steps[i] = (i * 31 % PERIOD) as u8;
-        i += 1;
-    }
-    steps
-};
+/// The record holding stream byte `at` of flow `flow`, the **global**
+/// index ([`LoadScenario::first_flow`] plus the local one). Record `r` spans
+/// `records[r]`: a 12-byte header (flow, record index, payload length),
+/// then a payload whose byte `j` is `(flow·197 + r·131 + j·31) mod 251`
+/// ([`Record::framed`]).
+fn record_at(flow: u32, records: &[RecordTrack], at: u64) -> Record {
+    let r = records.partition_point(|t| t.end <= at);
+    Record::framed(flow, r as u32, records[r].start, records[r].end)
+}
 
 /// Both ends' bookkeeping for one flow.
 struct FlowState {
     client: FlowId,
     server: Option<FlowId>,
-    /// Global flow index: with `records`, what [`FlowState::build_stream`]
-    /// needs to rebuild any range of the stream.
+    /// Global flow index: with `records`, what [`record_at`] needs to
+    /// rebuild any range of the stream.
     flow: u32,
     /// Bytes of the stream the transport has accepted; the rest is flushed
     /// on writable edges.
@@ -562,15 +561,10 @@ struct FlowState {
     /// Backend time (ns) the stream was staged, for the staging-dwell
     /// histogram.
     staged_ns: u64,
-    /// Merged, sorted coverage ranges of the received stream.
-    covered: Vec<(u64, u64)>,
-    ooo_chunks: u64,
-    /// Backend time (µs) the delivered chunks first covered the whole
-    /// stream; 0 until then.
-    completion_us: u64,
-    /// FNV-1a of `(offset, len, in_order)` of each delivered chunk, in
-    /// arrival order ([`FlowMetrics::fingerprint`]).
-    fingerprint: u64,
+    /// The delivered stream's check: coverage, arrival fingerprint
+    /// ([`FlowMetrics::fingerprint`]), out-of-order count and the backend
+    /// time (µs) the stream was first delivered whole.
+    check: DeliveryCheck,
     /// Per-record delivery-delay tracking, in stream order: the source of
     /// the flow's delay quantiles.
     records: Vec<RecordTrack>,
@@ -592,17 +586,23 @@ struct FlowState {
 }
 
 impl FlowState {
-    fn new(client: FlowId, flow: u32, staged_ns: u64, records: Vec<RecordTrack>) -> Self {
+    /// A flow whose stream is `records`; an `ordered` receiver must
+    /// deliver it in order.
+    fn new(
+        client: FlowId,
+        flow: u32,
+        staged_ns: u64,
+        records: Vec<RecordTrack>,
+        ordered: bool,
+    ) -> Self {
+        let len = records.last().map_or(0, |r| r.end);
         FlowState {
             client,
             server: None,
             flow,
             sent: 0,
             staged_ns,
-            covered: Vec::new(),
-            ooo_chunks: 0,
-            completion_us: 0,
-            fingerprint: FNV_OFFSET_BASIS,
+            check: DeliveryCheck::stream(len, ordered),
             records,
             enqueued: 0,
             enqueue_floor_ns: 0,
@@ -614,11 +614,6 @@ impl FlowState {
     /// The stream's length: where its last record ends.
     fn stream_len(&self) -> u64 {
         self.records.last().map_or(0, |r| r.end)
-    }
-
-    /// Where the delivered prefix of the stream ends.
-    fn prefix_end(&self) -> u64 {
-        self.covered.first().filter(|r| r.0 == 0).map_or(0, |r| r.1)
     }
 
     /// A lifecycle trace event of this flow (the trace carries **global**
@@ -663,87 +658,58 @@ impl FlowState {
         }
     }
 
-    /// Verify a chunk the server end delivered at `now` and take it in. On
-    /// an `ordered` receiver it must be flagged in order and start where the
-    /// delivered prefix ends; on any receiver it must lie within the stream
-    /// and equal the stream's formula at its offset. It is checked here and
-    /// then dropped: nothing is kept for a later reassembly. An accepted
-    /// chunk folds into the fingerprint and the coverage, and `delivered`
-    /// is handed the trace event and delivery delay (ns) of each record it
-    /// completed. Returns whether the chunk completed the flow, stamping
-    /// `completion_us` once.
+    /// Hand a chunk the server end delivered at `now` to the flow's check,
+    /// which compares it with the stream in place and drops it (nothing is
+    /// kept for a later reassembly). For an accepted chunk, `delivered` is
+    /// handed the trace event and delivery delay (ns) of each record it
+    /// completed. Returns whether the chunk completed the flow.
     fn on_chunk(
         &mut self,
         chunk: &TransportChunk,
-        ordered: bool,
         now: SimTime,
         mut delivered: impl FnMut(TraceEvent, u64),
-    ) -> Result<bool, String> {
-        let (offset, data, in_order) = (chunk.offset, &chunk.data[..], chunk.in_order);
-        let (end, prefix) = (offset + data.len() as u64, self.prefix_end());
-        // The in-order flag alone proves nothing on a standard receiver.
-        if ordered && !(in_order && offset == prefix) {
-            return Err(format!(
-                "an ordered receiver delivered a chunk at offset {offset} (in_order {in_order}) \
-                 where its delivered prefix ends at {prefix}"
-            ));
-        }
-        if end > self.stream_len() {
-            return Err("chunk past stream end".into());
-        }
-        let (mut checked, mut same) = (0, true);
-        self.build_stream(offset, end, |piece| {
-            same &= *piece == data[checked..checked + piece.len()];
-            checked += piece.len();
-        });
-        if !same {
-            return Err("delivered chunk differs from the sent stream".into());
-        }
-        fnv1a(&mut self.fingerprint, &offset.to_le_bytes());
-        fnv1a(&mut self.fingerprint, &(data.len() as u64).to_le_bytes());
-        fnv1a(&mut self.fingerprint, &[u8::from(in_order)]);
-        let was_complete = self.is_complete();
-        let run = self.cover(offset, end);
-        self.ooo_chunks += u64::from(!in_order);
+    ) -> Result<bool, Violation> {
+        let was_complete = self.check.is_complete();
+        let (flow, records) = (self.flow, &self.records);
+        let run = self
+            .check
+            .on_chunk(chunk, now.as_micros(), |at| record_at(flow, records, at))?;
         // Records whose full byte range just became covered are
         // *delivered*. uTCP receivers complete later records while earlier
         // holes persist; ordered TCP cannot — that asymmetry is the
         // paper's figure of merit.
         let now_ns = ns_of(now);
         let mut record = self.event(now_ns, 0, TraceKind::RecordDelivered);
-        for (rec, delay_ns) in self.complete_records((offset, end), run, now_ns) {
+        let span = (chunk.offset, chunk.end_offset());
+        for (rec, delay_ns) in self.complete_records(span, run, now_ns) {
             record.seq = rec as u32;
             delivered(record, delay_ns);
         }
-        let completes = !was_complete && self.is_complete();
-        if completes {
-            self.completion_us = now.as_micros();
-        }
-        Ok(completes)
+        Ok(!was_complete && self.check.is_complete())
     }
 
     /// The flow's report row, with the sender statistics `transport` keeps.
     /// Every chunk was compared with the stream's formula as it arrived and
     /// the coverage is complete, so the delivered stream *is* the sent one:
-    /// delivered bytes come from the coverage ranges, records and their
-    /// delay quantiles from the records' delays, and the fingerprint was
-    /// folded over the chunks as they came.
+    /// delivered bytes, the fingerprint and the completion time come from
+    /// the check, records and their delay quantiles from the records'
+    /// delays.
     fn metrics(&self, transport: &dyn Transport) -> FlowMetrics {
         let stats = transport.flow_stats(self.client);
         let [delay_p50_ns, delay_p99_ns, delay_max_ns] = self.delay_summary();
         FlowMetrics {
             flow: self.flow,
-            bytes_delivered: self.covered.iter().map(|(s, e)| e - s).sum(),
+            bytes_delivered: self.check.delivered(),
             records_delivered: self.records.iter().filter(|r| r.delay_ns.is_some()).count() as u64,
-            chunks_out_of_order: self.ooo_chunks,
+            chunks_out_of_order: self.check.out_of_order(),
             retransmissions: stats.retransmissions,
             fast_retransmits: stats.fast_retransmits,
             rto_fires: stats.timeouts,
-            completion_us: self.completion_us,
+            completion_us: self.check.completed_us().unwrap_or(0),
             delay_p50_ns,
             delay_p99_ns,
             delay_max_ns,
-            fingerprint: self.fingerprint,
+            fingerprint: self.check.fingerprint(),
         }
     }
 
@@ -752,44 +718,14 @@ impl FlowState {
     /// records' delays in ascending order, the global histogram's rank
     /// rule. All 0 before the first delivery.
     fn delay_summary(&self) -> [u64; 3] {
-        let mut delays: Vec<u64> = self.records.iter().filter_map(|r| r.delay_ns).collect();
+        let mut delays = Vec::with_capacity(self.records.len());
+        delays.extend(self.records.iter().filter_map(|r| r.delay_ns));
         delays.sort_unstable();
         let at = |q_milli| match quantile_rank(delays.len() as u64, q_milli) {
             0 => 0,
             rank => delays[rank as usize - 1],
         };
         [at(50_000), at(99_000), delays.last().copied().unwrap_or(0)]
-    }
-
-    /// Hand `emit` bytes `[from, to)` of this flow's stream, in order, in
-    /// pieces; `to` is at most [`FlowState::stream_len`]. The stream is
-    /// never stored: it is this formula. Record `r` spans `records[r]`: a
-    /// 12-byte header (flow, record index, payload length, all `u32` BE)
-    /// followed by a payload whose byte `j` is
-    /// `(flow·197 + r·131 + j·31) mod 251`, `flow` being the **global** flow
-    /// index ([`LoadScenario::first_flow`] + local index).
-    fn build_stream(&self, from: u64, to: u64, mut emit: impl FnMut(&[u8])) {
-        let mut at = from;
-        let mut rec = self.records.partition_point(|r| r.end <= at);
-        while at < to {
-            let r = &self.records[rec];
-            let body = r.start + 12;
-            if at < body {
-                let header = [self.flow, rec as u32, (r.end - body) as u32].map(u32::to_be_bytes);
-                let end = to.min(body);
-                emit(&header.as_flattened()[(at - r.start) as usize..(end - r.start) as usize]);
-                at = end;
-            }
-            let k = (self.flow as usize * 197 + rec * 131) % PERIOD * 81 % PERIOD;
-            let end = to.min(r.end);
-            while at < end {
-                let step = (k + (at - body) as usize) % PERIOD;
-                let len = ((end - at) as usize).min(PERIOD);
-                emit(&STEPS[step..step + len]);
-                at += len as u64;
-            }
-            rec += 1;
-        }
     }
 
     /// Offer the transport the stream from the send cursor on, built into
@@ -810,10 +746,10 @@ impl FlowState {
         }
         while self.sent < self.stream_len() {
             let end = self.stream_len().min(self.sent + scratch.len() as u64);
-            let (len, mut filled) = ((end - self.sent) as usize, 0);
-            self.build_stream(self.sent, end, |piece| {
-                scratch[filled..filled + piece.len()].copy_from_slice(piece);
-                filled += piece.len();
+            let len = (end - self.sent) as usize;
+            let (flow, records) = (self.flow, &self.records);
+            fill_stream(self.sent, &mut scratch[..len], |at| {
+                record_at(flow, records, at)
             });
             let taken = transport.write(self.client, &scratch[..len]);
             self.sent += taken as u64;
@@ -838,25 +774,6 @@ impl FlowState {
             r.enqueue_ns = now_ns;
             self.enqueued += 1;
         }
-    }
-
-    /// Merge `[start, end)` into the coverage set; returns the merged run.
-    /// An empty range joins nothing and changes nothing.
-    fn cover(&mut self, start: u64, end: u64) -> (u64, u64) {
-        if start == end {
-            return (start, end);
-        }
-        let idx = self.covered.partition_point(|&(_, e)| e < start);
-        let mut start = start;
-        let mut end = end;
-        let mut remove_until = idx;
-        while remove_until < self.covered.len() && self.covered[remove_until].0 <= end {
-            start = start.min(self.covered[remove_until].0);
-            end = end.max(self.covered[remove_until].1);
-            remove_until += 1;
-        }
-        self.covered.splice(idx..remove_until, [(start, end)]);
-        (start, end)
     }
 
     /// Stamp with its delivery delay at `now_ns` every record whose full
@@ -885,15 +802,12 @@ impl FlowState {
                 (first + i, delay_ns)
             })
     }
-
-    fn is_complete(&self) -> bool {
-        self.covered == [(0, self.stream_len())]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use minion_simnet::{fnv1a, FNV_OFFSET_BASIS};
 
     fn flow_state(bounds: Vec<(u64, u64)>) -> FlowState {
         let records = bounds.into_iter().map(|(start, end)| RecordTrack {
@@ -902,7 +816,7 @@ mod tests {
             enqueue_ns: 0,
             delay_ns: None,
         });
-        FlowState::new(FlowId(0), 0, 0, records.collect())
+        FlowState::new(FlowId(0), 0, 0, records.collect(), false)
     }
 
     fn chunk(offset: u64, data: &[u8], in_order: bool) -> TransportChunk {
@@ -915,14 +829,14 @@ mod tests {
 
     /// Offer `chunk` to `s` as an unordered receiver's, at time zero,
     /// dropping the records it completes.
-    fn accept(s: &mut FlowState, chunk: TransportChunk) -> Result<bool, String> {
-        s.on_chunk(&chunk, false, SimTime::ZERO, |_, _| {})
+    fn accept(s: &mut FlowState, chunk: TransportChunk) -> Result<bool, Violation> {
+        s.on_chunk(&chunk, SimTime::ZERO, |_, _| {})
     }
 
     /// Bytes `[from, to)` of `s`'s stream, as the generator builds them.
     fn bytes(s: &FlowState, from: u64, to: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        s.build_stream(from, to, |piece| out.extend_from_slice(piece));
+        let mut out = vec![0; (to - from) as usize];
+        fill_stream(from, &mut out, |at| record_at(s.flow, &s.records, at));
         out
     }
 
@@ -942,23 +856,25 @@ mod tests {
     #[test]
     fn coverage_merging_detects_completion() {
         let mut s = flow_state(vec![(0, 10)]);
-        assert_eq!(s.cover(4, 7), (4, 7));
-        assert!(!s.is_complete());
-        assert_eq!(s.prefix_end(), 0, "a hole at the front");
-        assert_eq!(s.cover(0, 4), (0, 7), "[0,4) abuts");
-        assert_eq!(s.covered, vec![(0, 7)]);
-        assert_eq!(s.cover(8, 10), (8, 10), "gap at 7");
-        assert_eq!(s.covered, vec![(0, 7), (8, 10)]);
-        assert_eq!(s.prefix_end(), 7);
-        assert_eq!(s.cover(5, 9), (0, 10), "[5,9) bridges");
-        assert!(s.is_complete());
-        assert_eq!(s.prefix_end(), 10);
-        // Duplicates change nothing.
-        assert_eq!(s.cover(0, 10), (0, 10));
-        assert_eq!(s.covered, vec![(0, 10)]);
+        let stream = bytes(&s, 0, 10);
+        let deliver = |s: &mut FlowState, from: usize, to: usize| {
+            accept(s, chunk(from as u64, &stream[from..to], true)).unwrap()
+        };
+        assert!(!deliver(&mut s, 4, 7));
+        assert_eq!(s.check.prefix_end(), 0, "a hole at the front");
+        assert!(!deliver(&mut s, 0, 4), "[0,4) abuts");
+        assert_eq!(s.check.covered(), [(0, 7)]);
+        assert!(!deliver(&mut s, 8, 10), "gap at 7");
+        assert_eq!(s.check.covered(), [(0, 7), (8, 10)]);
+        assert_eq!(s.check.prefix_end(), 7);
+        assert!(deliver(&mut s, 5, 9), "[5,9) bridges");
+        assert_eq!(s.check.prefix_end(), 10);
+        // Duplicates change nothing and complete nothing again.
+        assert!(!deliver(&mut s, 0, 10));
+        assert_eq!(s.check.covered(), [(0, 10)]);
         // Nor does an empty chunk, wherever it claims to sit.
-        assert_eq!(s.cover(3, 3), (3, 3));
-        assert_eq!(s.covered, vec![(0, 10)]);
+        assert!(!deliver(&mut s, 3, 3));
+        assert_eq!(s.check.covered(), [(0, 10)]);
     }
 
     #[test]
@@ -966,7 +882,7 @@ mod tests {
         let mut s = flow_state(vec![(0, 20), (20, 45)]);
         let stream = bytes(&s, 0, 45);
         assert_eq!(accept(&mut s, chunk(8, &stream[8..30], true)), Ok(false));
-        assert_eq!(s.covered, vec![(8, 30)]);
+        assert_eq!(s.check.covered(), [(8, 30)]);
         // Right bytes, wrong place; one flipped bit; a duplicate that
         // differs from what was accepted before; a chunk past the end;
         // another flow's bytes at the right offset.
@@ -985,20 +901,20 @@ mod tests {
         assert!(accept(&mut s, chunk(0, &bytes(&other, 0, 8), true)).is_err());
         // None of the rejects counted as coverage or entered the
         // fingerprint: that is (offset, len, in_order) of the one accepted.
-        assert_eq!(s.covered, vec![(8, 30)]);
+        assert_eq!(s.check.covered(), [(8, 30)]);
         let mut expected = FNV_OFFSET_BASIS;
         fnv1a(&mut expected, &8u64.to_le_bytes());
         fnv1a(&mut expected, &22u64.to_le_bytes());
         fnv1a(&mut expected, &[1]);
-        assert_eq!(s.fingerprint, expected);
+        assert_eq!(s.check.fingerprint(), expected);
         // The same bytes flagged out of order fold differently.
-        let before = s.fingerprint;
+        let before = s.check.fingerprint();
         assert!(accept(&mut s, chunk(8, &stream[8..30], false)).is_ok());
         let mut in_order = before;
         for field in [&8u64.to_le_bytes()[..], &22u64.to_le_bytes(), &[1]] {
             fnv1a(&mut in_order, field);
         }
-        assert_ne!(s.fingerprint, in_order);
+        assert_ne!(s.check.fingerprint(), in_order);
     }
 
     /// An ordered receiver's chunk must be flagged in order and start where
@@ -1006,16 +922,19 @@ mod tests {
     /// stamped with its delivery, and a flow completes once.
     #[test]
     fn an_ordered_receiver_takes_only_its_prefix_and_a_flow_completes_once() {
-        let mut s = flow_state(vec![(0, 20), (20, 45)]);
+        let mut s = FlowState {
+            check: DeliveryCheck::stream(45, true),
+            ..flow_state(vec![(0, 20), (20, 45)])
+        };
         let stream = bytes(&s, 0, 45);
         let mut records = Vec::new();
         let mut offer = |s: &mut FlowState, from: usize, to: usize, in_order: bool, us: u64| {
             let c = chunk(from as u64, &stream[from..to], in_order);
-            s.on_chunk(&c, true, SimTime::from_micros(us), |ev, delay_ns| {
+            s.on_chunk(&c, SimTime::from_micros(us), |ev, delay_ns| {
                 records.push((ev.seq, ev.kind, ev.t_ns, delay_ns))
             })
         };
-        let ahead = offer(&mut s, 10, 20, true, 1).unwrap_err();
+        let ahead = offer(&mut s, 10, 20, true, 1).unwrap_err().to_string();
         assert!(ahead.contains("ordered receiver"), "{ahead}");
         assert!(
             offer(&mut s, 0, 10, false, 1).is_err(),
@@ -1024,7 +943,7 @@ mod tests {
         assert_eq!(offer(&mut s, 0, 30, true, 2), Ok(false));
         assert!(offer(&mut s, 0, 30, true, 3).is_err(), "a duplicate");
         assert_eq!(offer(&mut s, 30, 45, true, 4), Ok(true));
-        assert_eq!(s.completion_us, 4);
+        assert_eq!(s.check.completed_us(), Some(4));
         let kind = TraceKind::RecordDelivered;
         assert_eq!(
             records,
@@ -1034,16 +953,10 @@ mod tests {
         // once, at the first chunk that made its coverage whole.
         let mut u = flow_state(vec![(0, 20)]);
         let whole = bytes(&u, 0, 20);
-        let mut at = |us: u64| {
-            u.on_chunk(
-                &chunk(0, &whole, true),
-                false,
-                SimTime::from_micros(us),
-                |_, _| {},
-            )
-        };
+        let mut at =
+            |us: u64| u.on_chunk(&chunk(0, &whole, true), SimTime::from_micros(us), |_, _| {});
         assert_eq!((at(5), at(9)), (Ok(true), Ok(false)));
-        assert_eq!(u.completion_us, 5);
+        assert_eq!(u.check.completed_us(), Some(5));
     }
 
     #[test]
@@ -1074,8 +987,13 @@ mod tests {
         // Delivered at 1 000 ns, so a delay of 850 counts from
         // establishment and 900 would count from the enqueue stamp.
         let deliver = |s: &mut FlowState, from: u64, to: u64| -> Vec<(usize, u64)> {
-            let run = s.cover(from, to);
-            s.complete_records((from, to), run, 1_000).collect()
+            let (data, mut done) = (bytes(s, from, to), Vec::new());
+            let at = SimTime::from_micros(1);
+            s.on_chunk(&chunk(from, &data, true), at, |ev, delay_ns| {
+                done.push((ev.seq as usize, delay_ns))
+            })
+            .unwrap();
+            done
         };
         // [12, 30) holds no record whole: #1 lacks [10, 12), #2 lacks
         // [30, 40).
@@ -1088,7 +1006,7 @@ mod tests {
         assert_eq!(deliver(&mut s, 30, 40), vec![(2, 850)]);
         // One chunk can complete several records.
         assert_eq!(deliver(&mut s, 0, 12), vec![(0, 850), (1, 850)]);
-        assert!(s.is_complete());
+        assert!(s.check.is_complete());
         // A duplicate delivers nothing twice.
         assert_eq!(deliver(&mut s, 0, 50), vec![]);
         // Each record keeps the delay it was delivered with.
@@ -1150,7 +1068,8 @@ mod tests {
     #[test]
     fn streams_are_distinct_per_flow_and_framed() {
         let sc = LoadScenario::with_flows(2);
-        let state = |flow: u32| FlowState::new(FlowId(0), flow, 0, sc.records(flow as usize));
+        let state =
+            |flow: u32| FlowState::new(FlowId(0), flow, 0, sc.records(flow as usize), false);
         let (a, b) = (state(0), state(1));
         assert_ne!(bytes(&a, 0, a.stream_len()), bytes(&b, 0, b.stream_len()));
         // Each record header reads back as (flow, index, payload length).
@@ -1178,7 +1097,7 @@ mod tests {
             };
             for flow in [0, 1, 250, 1007] {
                 let whole = formula_stream(&sc, flow);
-                let s = FlowState::new(FlowId(0), flow as u32, 0, sc.records(flow));
+                let s = FlowState::new(FlowId(0), flow as u32, 0, sc.records(flow), false);
                 assert_eq!(s.stream_len(), whole.len() as u64);
                 let mut cuts = vec![s.stream_len()];
                 for r in &s.records {

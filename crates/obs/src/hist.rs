@@ -331,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn max_value_saturates_into_top_slot_in_both_layouts() {
+    fn max_value_saturates_into_top_slot() {
         // u64::MAX, the lower edge of the top major bucket, and just below
         // it (major bucket 62).
         let h = filled([u64::MAX, 1 << 62, (1 << 62) - 1]);
@@ -347,7 +347,7 @@ mod tests {
     }
 
     #[test]
-    fn slots_tile_the_u64_range_in_both_layouts() {
+    fn slots_tile_the_u64_range() {
         let narrow = SUB_BITS as usize + 1; // majors whose width is ≤ 16
         for i in 1..63usize {
             let lo = 1u64 << (i - 1);
@@ -420,7 +420,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_merge_is_identity_both_sides_in_both_layouts() {
+    fn empty_merge_is_identity_both_sides() {
         let x = filled([0, 7, 700, 70_000, u64::MAX]);
         let mut left = Histogram::default();
         left.absorb(&x);
@@ -431,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_associative_and_exact_in_both_layouts() {
+    fn merge_is_associative_and_exact() {
         let (a, b, c) = (
             filled([1, 2, 3]),
             filled([0, 1 << 20, u64::MAX]),
@@ -547,7 +547,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn quantiles_track_a_sorted_oracle_in_both_layouts(
+        fn quantiles_track_a_sorted_oracle_for_any_samples(
             raw in proptest::collection::vec((any::<u64>(), 0u32..70), 1..400),
         ) {
             // Shifts 0..64 spread samples over every octave (63 and up

@@ -32,11 +32,17 @@
 //! sampling and the RTO timer, and `cc` the window arithmetic for the
 //! algorithm [`CcAlgorithm`] names. [`TcpConnection`] wires them to the wire, and [`ConnStats`] is the
 //! one set of counters.
+//!
+//! On the application side, [`DeliveryCheck`] is the repository's one check
+//! of what a receiver delivered: the load engine, the scenario matrix and
+//! the figure apps write their streams and datagrams from one formula
+//! ([`Record`], [`fill_stream`]) and compare every delivery with it in place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cc;
+mod check;
 pub mod config;
 pub mod connection;
 pub mod delivered;
@@ -49,6 +55,7 @@ pub mod segment;
 pub mod sendbuf;
 pub mod seq;
 
+pub use check::{fill_stream, DeliveryCheck, Record, Violation};
 pub use config::{CcAlgorithm, SocketOptions, TcpConfig, WriteMeta};
 pub use connection::{ConnStats, TcpConnection, TcpError, TcpState};
 pub use delivered::DeliveredChunk;

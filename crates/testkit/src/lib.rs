@@ -23,17 +23,19 @@
 //! Each cell runs under a fixed seed and `verify_cell` asserts the paper's
 //! invariants in *every* cell:
 //!
-//! 1. **Exactly-once delivery**: the multiset of delivered payloads equals
-//!    the multiset of sent payloads (no loss, duplication, or corruption —
-//!    for uTLS this doubles as the MAC-intact check, since every delivered
-//!    record was confirmed by its MAC and must decrypt to the sent bytes).
+//! 1. **Exactly-once delivery**: every delivery goes to a
+//!    [`minion_tcp::DeliveryCheck`], which compares it in place with what
+//!    was sent; the cell fails if a check refused anything or is incomplete
+//!    (no loss, duplication, or corruption — for uTLS this doubles as the
+//!    MAC-intact check, since every delivered record was confirmed by its
+//!    MAC and must decrypt to the sent bytes).
 //! 2. **Out-of-order only under uTCP**: a datagram is flagged out-of-order
 //!    only when the receiver runs the uTCP extensions; with a deterministic
 //!    mid-stream drop and a uTCP receiver, out-of-order delivery *must*
 //!    occur.
-//! 3. **Per-stream ordering for msTCP**: every stream's bytes reassemble to
-//!    exactly the sent messages, in order, regardless of transport-level
-//!    reordering.
+//! 3. **Per-stream ordering for msTCP**: each stream has an ordered check,
+//!    so its bytes must arrive as exactly the sent messages, in order,
+//!    regardless of transport-level reordering.
 //! 4. **Determinism**: running the same cell twice under the same seed
 //!    produces an identical [`CellReport`], byte for byte.
 //!

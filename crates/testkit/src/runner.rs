@@ -1,18 +1,24 @@
 //! Cell execution: drive one protocol across one generated world, collect a
 //! [`CellReport`], and assert the paper's invariants.
 //!
-//! Two drivers: `run_datagrams` sends and collects datagrams over
+//! Two drivers: `run_datagrams` sends datagrams over
 //! `core::MinionTransport`, whichever of uCOBS and uTLS the cell names, and
-//! `run_mstcp` drives msTCP's streams. A matrix is one `minion-exec` batch
-//! of cells.
+//! `run_mstcp` drives msTCP's streams. Neither keeps what it delivered:
+//! each delivery goes to a [`DeliveryCheck`], the load engine's check,
+//! which compares it in place with the formula the sender wrote
+//! (`cell_record`). A datagram cell has one datagram check keyed by the
+//! index each payload leads with; an msTCP cell has one ordered stream
+//! check per stream, fed each stream's bytes at its delivered prefix, so
+//! exactness and per-stream order are one comparison. A matrix is one
+//! `minion-exec` batch of cells.
 
 use crate::axes::{CellSpec, MiddleboxAxis, PayloadProtocol, StackMode};
 use crate::world::{build_world, CellWorld};
 use minion_core::{MinionConfig, MinionTransport, Protocol};
-use minion_mstcp::{MsTcpConnection, StreamId};
+use minion_mstcp::MsTcpConnection;
 use minion_simnet::{fnv1a, SimDuration, SimTime, FNV_OFFSET_BASIS};
 use minion_stack::{Host, Reaction, SocketAddr};
-use std::collections::BTreeMap;
+use minion_tcp::{DeliveredChunk, DeliveryCheck, Record};
 
 /// Number of msTCP streams a matrix cell multiplexes messages over.
 const MSTCP_STREAMS: u32 = 4;
@@ -36,16 +42,14 @@ pub struct CellReport {
     pub mac_rejected_candidates: u64,
     /// Wire bytes the sender's endpoint emitted (payload + framing).
     pub wire_bytes_sent: u64,
-    /// Order-insensitive FNV fingerprint of the delivered payload multiset.
-    /// On a multi-flow cell, where every delivered byte was checked against
-    /// its stream's formula, it is instead the wrapping sum over flows of
-    /// each flow's chunk-arrival fingerprint
-    /// ([`minion_engine::FlowMetrics::fingerprint`]: offset, length and
-    /// order flag of each chunk, in arrival order).
+    /// The wrapping sum of the cell's delivery checks' arrival fingerprints
+    /// ([`DeliveryCheck::fingerprint`]: each accepted chunk's offset,
+    /// length and order flag, or each datagram's index, in arrival order):
+    /// one check per flow on a multi-flow cell, one per stream on an msTCP
+    /// cell, one on a datagram cell.
     pub payload_fingerprint: u64,
-    /// Order-sensitive FNV fingerprint of the delivery sequence. On a
-    /// multi-flow cell: FNV-1a over each flow's chunk-arrival fingerprint
-    /// and completion time, in flow order.
+    /// FNV-1a over each of the same checks' arrival fingerprint and
+    /// completion time, in check order.
     pub delivery_order_fingerprint: u64,
     /// Virtual time (µs) at which the last payload was delivered.
     pub completion_time_us: u64,
@@ -78,16 +82,14 @@ pub struct CellReport {
     pub cc_recovery_p99_ns: u64,
 }
 
-/// Deterministic payload for datagram/message `i` of a cell: the index is
-/// embedded in the first four bytes so every payload is distinct, lengths
-/// vary around the nominal size, and the tail is a position-dependent
-/// pattern so corruption or mis-reassembly cannot cancel out.
-fn cell_payload(spec: &CellSpec, i: usize) -> Vec<u8> {
-    let len = spec.datagram_len / 2 + (i * 131) % spec.datagram_len.max(2);
-    let mut out = Vec::with_capacity(4 + len);
-    out.extend_from_slice(&(i as u32).to_be_bytes());
-    out.extend((0..len).map(|j| ((i * 197 + j * 31) % 251) as u8));
-    out
+/// Datagram/message `i` of a cell, placed at `start`: the index as a 4-byte
+/// header, so every payload is distinct, then `len` formula bytes
+/// ([`Record::keyed`]: byte `j` is `(i·197 + j·31) mod 251`), `len` varying
+/// around the nominal size. What the sender writes is its bytes
+/// ([`Record::to_vec`]).
+fn cell_record(spec: &CellSpec, i: u64, start: u64) -> Record {
+    let len = spec.datagram_len / 2 + (i as usize * 131) % spec.datagram_len.max(2);
+    Record::keyed(i, 4, start, start + 4 + len as u64)
 }
 
 fn configs(spec: &CellSpec) -> (MinionConfig, MinionConfig) {
@@ -106,14 +108,12 @@ fn configs(spec: &CellSpec) -> (MinionConfig, MinionConfig) {
     (sender, receiver)
 }
 
-struct Delivery {
-    payload: Vec<u8>,
-    time_us: u64,
-}
-
-/// Shared bookkeeping across the two drivers.
-struct Collected {
-    deliveries: Vec<Delivery>,
+/// What a driver hands back: its delivery checks and the transport's
+/// counters.
+struct Delivered {
+    checks: Vec<DeliveryCheck>,
+    /// Datagrams, or msTCP messages, delivered.
+    count: u64,
     out_of_order: u64,
     duplicates_suppressed: u64,
     mac_rejected_candidates: u64,
@@ -175,7 +175,7 @@ fn establish<T>(
 
 /// Drive a datagram protocol — uCOBS or uTLS — across the cell's world
 /// through the one transport type both hide behind.
-fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
+fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Delivered {
     let mut world = build_world(spec);
     let (sender_cfg, receiver_cfg) = configs(spec);
     let port = 9000;
@@ -207,23 +207,25 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
         assert!(shaken, "[{}] uTLS handshake never completed", spec.label());
     }
     for i in 0..spec.datagrams {
-        tx.send_datagram(world.sim.host_mut(sender), &cell_payload(spec, i))
-            .unwrap();
+        tx.send_datagram(
+            world.sim.host_mut(sender),
+            &cell_record(spec, i as u64, 0).to_vec(),
+        )
+        .unwrap();
     }
-    let mut deliveries = Vec::new();
+    let mut check = DeliveryCheck::datagrams(spec.datagrams as u64, 4);
     let deadline = world.sim.now() + TRANSFER_DEADLINE;
     world.sim.drive(deadline, |sim| {
         let time_us = sim.now().as_micros();
         for d in rx.recv(sim.host_mut(receiver)) {
-            deliveries.push(Delivery {
-                payload: d.payload,
-                time_us,
-            });
+            // A refused datagram is kept by the check: `run_cell` asks its
+            // verdict.
+            let _refused = check.on_datagram(&d.payload, time_us, |i| cell_record(spec, i, 0));
         }
-        if deliveries.len() < spec.datagrams {
-            Reaction::Wait(None)
-        } else {
+        if check.is_complete() {
             Reaction::Done
+        } else {
+            Reaction::Wait(None)
         }
     });
     let mac_rejected_candidates = match &rx {
@@ -239,8 +241,9 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
         _ => 0,
     };
     let (middlebox_splits, middlebox_coalesces) = middlebox_counters(&world);
-    Collected {
-        deliveries,
+    Delivered {
+        count: check.delivered(),
+        checks: vec![check],
         out_of_order: rx.stats().out_of_order_received,
         duplicates_suppressed: rx.stats().duplicates_suppressed,
         mac_rejected_candidates,
@@ -250,7 +253,7 @@ fn run_datagrams(spec: &CellSpec, protocol: Protocol) -> Collected {
     }
 }
 
-fn run_mstcp(spec: &CellSpec) -> Collected {
+fn run_mstcp(spec: &CellSpec) -> Delivered {
     let mut world = build_world(spec);
     let (sender_cfg, receiver_cfg) = configs(spec);
     let port = 8080;
@@ -262,66 +265,56 @@ fn run_mstcp(spec: &CellSpec) -> Collected {
         |host, remote, now| MsTcpConnection::connect(host, remote, &sender_cfg, now),
         |host| MsTcpConnection::accept(host, port),
     );
-    // Round-robin messages over the streams; per-stream message order is the
-    // send order, which the per-stream ordering invariant checks against.
-    let streams: Vec<StreamId> = (0..MSTCP_STREAMS).map(|_| tx.open_stream()).collect();
-    let mut expected_per_stream: BTreeMap<StreamId, Vec<u8>> = BTreeMap::new();
+    // Round-robin messages over the streams: stream `s` is messages s, s + 4,
+    // s + 8 … back to back, in send order.
+    let streams: Vec<_> = (0..MSTCP_STREAMS).map(|_| tx.open_stream()).collect();
+    let mut layouts: Vec<Vec<Record>> = vec![Vec::new(); streams.len()];
     for i in 0..spec.datagrams {
+        let layout = &mut layouts[i % streams.len()];
+        let record = cell_record(spec, i as u64, layout.last().map_or(0, |r| r.end));
+        layout.push(record);
         let stream = streams[i % streams.len()];
-        let payload = cell_payload(spec, i);
-        expected_per_stream
-            .entry(stream)
-            .or_default()
-            .extend_from_slice(&payload);
-        tx.send_message(world.sim.host_mut(world.sender), stream, &payload, false, 0)
-            .unwrap();
+        tx.send_message(
+            world.sim.host_mut(world.sender),
+            stream,
+            &record.to_vec(),
+            false,
+            0,
+        )
+        .unwrap();
     }
-    let mut deliveries = Vec::new();
-    let mut received_per_stream: BTreeMap<StreamId, Vec<u8>> = BTreeMap::new();
-    let mut open_message: BTreeMap<StreamId, Vec<u8>> = BTreeMap::new();
+    let mut checks: Vec<DeliveryCheck> = layouts
+        .iter()
+        .map(|l| DeliveryCheck::stream(l.last().map_or(0, |r| r.end), true))
+        .collect();
+    let mut messages = 0;
     let deadline = world.sim.now() + TRANSFER_DEADLINE;
     let receiver = world.receiver;
     world.sim.drive(deadline, |sim| {
         let time_us = sim.now().as_micros();
         for ev in rx.recv(sim.host_mut(receiver)) {
-            received_per_stream
-                .entry(ev.stream)
-                .or_default()
-                .extend_from_slice(&ev.data);
-            let buf = open_message.entry(ev.stream).or_default();
-            buf.extend_from_slice(&ev.data);
-            if ev.end_of_message {
-                deliveries.push(Delivery {
-                    payload: std::mem::take(buf),
-                    time_us,
-                });
-            }
+            let s = streams.iter().position(|&id| id == ev.stream);
+            let s = s.expect("msTCP delivers only the streams the cell opened");
+            let (check, layout) = (&mut checks[s], &layouts[s]);
+            // msTCP hands a stream's bytes over in order: each event is
+            // checked where the stream's delivered prefix ends.
+            let chunk = DeliveredChunk::new(check.prefix_end(), true, ev.data);
+            let record_at = |at| layout[layout.partition_point(|r| r.end <= at)];
+            let _refused = check.on_chunk(&chunk, time_us, record_at);
+            messages += u64::from(ev.end_of_message);
         }
-        if deliveries.len() < spec.datagrams {
+        if messages < spec.datagrams as u64 {
             Reaction::Wait(None)
         } else {
             Reaction::Done
         }
     });
-    // Per-stream ordering: each stream's bytes are exactly the concatenation
-    // of its messages in send order.
-    for (stream, expected) in &expected_per_stream {
-        let got = received_per_stream
-            .get(stream)
-            .map(Vec::as_slice)
-            .unwrap_or(&[]);
-        assert_eq!(
-            got,
-            expected.as_slice(),
-            "[{}] msTCP stream {stream} bytes must arrive complete and in per-stream order",
-            spec.label()
-        );
-    }
     let transport = tx.transport_stats().clone();
     let rx_transport = rx.transport_stats().clone();
     let (middlebox_splits, middlebox_coalesces) = middlebox_counters(&world);
-    Collected {
-        deliveries,
+    Delivered {
+        checks,
+        count: messages,
         out_of_order: rx_transport.out_of_order_received,
         duplicates_suppressed: rx_transport.duplicates_suppressed,
         mac_rejected_candidates: 0,
@@ -350,29 +343,20 @@ fn run_cell(spec: &CellSpec) -> CellReport {
     };
     let label = spec.label();
 
-    // Invariant 1: exactly-once delivery. The delivered payload multiset
-    // equals the sent multiset — no loss, no duplicates, no corruption (for
-    // uTLS every delivered record also passed its MAC, so equality here is
-    // the MAC-intact check).
-    let mut sent: Vec<Vec<u8>> = (0..spec.datagrams).map(|i| cell_payload(spec, i)).collect();
-    let mut got: Vec<Vec<u8>> = collected
-        .deliveries
-        .iter()
-        .map(|d| d.payload.clone())
-        .collect();
-    sent.sort_unstable();
-    got.sort_unstable();
-    assert_eq!(
-        got.len(),
-        sent.len(),
-        "[{label}] exactly-once delivery: expected {} payloads, got {}",
-        sent.len(),
-        got.len()
-    );
-    assert_eq!(
-        got, sent,
-        "[{label}] delivered payloads must match sent payloads exactly"
-    );
+    // Invariant 1: exactly-once delivery. Every check saw every byte it
+    // was sent, once, intact, and on msTCP each stream in order (for uTLS
+    // every delivered record also passed its MAC, so this is the
+    // MAC-intact check).
+    for (i, check) in collected.checks.iter().enumerate() {
+        if let Err(v) = check.verdict() {
+            panic!("[{label}] delivery check {i}: {v}");
+        }
+        assert!(
+            check.is_complete(),
+            "[{label}] exactly-once delivery: check {i} delivered {:?} of what was sent",
+            check.covered()
+        );
+    }
 
     // Invariant 2: out-of-order delivery happens only under a uTCP receiver,
     // and *must* happen when the cell drops a segment deterministically.
@@ -393,17 +377,17 @@ fn run_cell(spec: &CellSpec) -> CellReport {
     let mut report = CellReport {
         label,
         sent: spec.datagrams as u64,
-        delivered: collected.deliveries.len() as u64,
+        delivered: collected.count,
         out_of_order: collected.out_of_order,
         duplicates_suppressed: collected.duplicates_suppressed,
         mac_rejected_candidates: collected.mac_rejected_candidates,
         wire_bytes_sent: collected.wire_bytes_sent,
         payload_fingerprint: 0,
-        delivery_order_fingerprint: 0,
+        delivery_order_fingerprint: FNV_OFFSET_BASIS,
         completion_time_us: collected
-            .deliveries
+            .checks
             .iter()
-            .map(|d| d.time_us)
+            .filter_map(DeliveryCheck::completed_us)
             .max()
             .unwrap_or(0),
         middlebox_splits: collected.middlebox_splits,
@@ -433,15 +417,20 @@ fn run_cell(spec: &CellSpec) -> CellReport {
             );
         }
     }
-    // Order-insensitive fingerprint: sum of per-payload hashes.
-    let mut order_hash: u64 = FNV_OFFSET_BASIS;
-    for d in &collected.deliveries {
-        let mut h: u64 = FNV_OFFSET_BASIS;
-        fnv1a(&mut h, &d.payload);
-        report.payload_fingerprint = report.payload_fingerprint.wrapping_add(h);
-        fnv1a(&mut order_hash, &h.to_be_bytes());
+    // The multi-flow cells' fingerprints, over this cell's checks.
+    for check in &collected.checks {
+        let fingerprint = check.fingerprint();
+        report.payload_fingerprint = report.payload_fingerprint.wrapping_add(fingerprint);
+        fnv1a(
+            &mut report.delivery_order_fingerprint,
+            &fingerprint.to_be_bytes(),
+        );
+        let completed_us = check.completed_us().unwrap_or(0);
+        fnv1a(
+            &mut report.delivery_order_fingerprint,
+            &completed_us.to_be_bytes(),
+        );
     }
-    report.delivery_order_fingerprint = order_hash;
     report
 }
 

@@ -2,7 +2,9 @@
 //!
 //! A 256 kbps voice stream crosses a congested 3 Mbps path; the example
 //! prints latency percentiles, missed playout deadlines, and an estimated
-//! quality (MOS) score for each transport.
+//! quality (MOS) score for each transport. Every frame the callee hears
+//! goes through a delivery check, whose violation fails the call, and a
+//! frame the caller's transport refuses is counted and, if any is, named.
 //!
 //! Run with: `cargo run --release --example voip_conference`
 
@@ -11,7 +13,7 @@ use minion_repro::core::{MinionConfig, MinionTransport, Protocol};
 use minion_repro::simnet::{LinkConfig, SimDuration, SimTime};
 use minion_repro::stack::{Reaction, Sim, SocketAddr};
 
-fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
+fn run_call(protocol: Protocol) -> (f64, f64, f64, f64, u64) {
     let mut sim = Sim::new(11);
     let caller = sim.add_host("caller");
     let callee = sim.add_host("callee");
@@ -55,11 +57,10 @@ fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
 
     // The call wakes for each frame it sends and reacts to everything else
     // as it happens.
+    let mut refused = 0;
     sim.drive(start + SimDuration::from_secs(32), |sim| {
         let now = sim.now();
-        while let Some((_, frame)) = source.poll(now) {
-            let _ = tx.send(sim.host_mut(caller), &frame, 0);
-        }
+        refused += source.send_due(now, |frame| tx.send(sim.host_mut(caller), frame, 0).is_ok());
         for d in rx.recv(sim.host_mut(callee)) {
             receiver.on_frame(&d.payload, now);
         }
@@ -69,6 +70,14 @@ fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
         let wakes = flows.iter().filter_map(CompetingFlow::next_wake);
         Reaction::Wait(wakes.chain(source.next_send_time()).min())
     });
+    if let Err(violation) = receiver.check().verdict() {
+        panic!("{protocol:?} call: voice frames: {violation}");
+    }
+    for (i, check) in flows.iter().filter_map(CompetingFlow::check).enumerate() {
+        if let Err(violation) = check.verdict() {
+            panic!("{protocol:?} call: competing flow {i}: {violation}");
+        }
+    }
     let report = receiver.report(SimDuration::from_secs(2));
     let mut lat = report.latencies_ms.clone();
     (
@@ -76,6 +85,7 @@ fn run_call(protocol: Protocol) -> (f64, f64, f64, f64) {
         lat.quantile(0.95),
         report.miss_fraction * 100.0,
         report.overall_mos,
+        refused,
     )
 }
 
@@ -89,7 +99,10 @@ fn main() {
         ("TCP", Protocol::TcpTlv),
         ("UDP", Protocol::Udp),
     ] {
-        let (median, p95, missed, mos) = run_call(protocol);
+        let (median, p95, missed, mos, refused) = run_call(protocol);
         println!("{name:<10} {median:>12.1} {p95:>12.1} {missed:>12.1} {mos:>8.2}");
+        if refused > 0 {
+            println!("{name:<10} the sender refused {refused} frames");
+        }
     }
 }
